@@ -21,12 +21,16 @@
 //!   (schema [`SCHEMA`]). Works in smoke mode too (single-shot timings),
 //!   so CI can exercise the full emit path in seconds.
 //! * `--validate <path>` — instead of running benchmarks, parse `<path>`
-//!   with the in-repo JSON parser and verify it is a well-formed report;
+//!   with the workspace JSON codec and verify it is a well-formed report;
 //!   exits non-zero with a diagnostic if not. `scripts/verify.sh` runs
 //!   this over both a fresh smoke emission and the checked-in trajectory.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+use scalewall_sim::json::escape_into;
+/// The workspace codec, under the names report readers import from here.
+pub use scalewall_sim::json::{parse as parse_json, Json};
 
 /// Target wall time per timed sample.
 const SAMPLE_TARGET: Duration = Duration::from_millis(10);
@@ -372,36 +376,34 @@ fn format_rate(per_sec: f64) -> String {
 
 // ------------------------------------------------------------ JSON report
 
-/// Render records as the `scalewall-microbench/v1` JSON report.
-///
-/// Hand-rolled (the workspace is hermetic — no serde): every number is
-/// required to be finite, strings are escaped per RFC 8259.
+/// Render records as the `scalewall-microbench/v1` JSON report. Every
+/// number is required to be finite.
 pub fn render_report(records: &[Record]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", json_string(SCHEMA)));
-    out.push_str("  \"results\": [\n");
+    let mut out = format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         assert!(
             r.median_ns.is_finite() && r.min_ns.is_finite(),
             "non-finite timing for {}",
             r.name
         );
-        out.push_str("    {");
-        out.push_str(&format!("\"name\": {}, ", json_string(&r.name)));
-        out.push_str(&format!("\"mode\": {}, ", json_string(&r.mode)));
-        out.push_str(&format!("\"median_ns\": {}, ", json_number(r.median_ns)));
-        out.push_str(&format!("\"min_ns\": {}, ", json_number(r.min_ns)));
+        out.push_str("    {\"name\": ");
+        escape_into(&r.name, &mut out);
+        out.push_str(", \"mode\": ");
+        escape_into(&r.mode, &mut out);
+        // Rust's f64 Display is shortest-round-trip and always a valid
+        // JSON number for finite values.
+        out.push_str(&format!(", \"median_ns\": {}, \"min_ns\": {}, ", r.median_ns, r.min_ns));
         match r.rate_per_sec {
             Some(rate) => {
                 assert!(rate.is_finite(), "non-finite rate for {}", r.name);
-                out.push_str(&format!("\"rate_per_sec\": {}, ", json_number(rate)));
+                out.push_str(&format!("\"rate_per_sec\": {rate}, "));
             }
             None => out.push_str("\"rate_per_sec\": null, "),
         }
-        out.push_str(&format!("\"samples\": {}, ", r.samples));
-        out.push_str(&format!("\"iters_per_sample\": {}", r.iters_per_sample));
-        out.push('}');
+        out.push_str(&format!(
+            "\"samples\": {}, \"iters_per_sample\": {}}}",
+            r.samples, r.iters_per_sample
+        ));
         if i + 1 < records.len() {
             out.push(',');
         }
@@ -411,225 +413,19 @@ pub fn render_report(records: &[Record]) -> String {
     out
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    // Rust's f64 Display is shortest-round-trip and always a valid JSON
-    // number for finite values.
-    format!("{v}")
-}
-
-/// A parsed JSON value (just enough JSON for report validation).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Look up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document (strict: one value, no trailing input).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing input at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key must be a string at byte {pos}")),
-                };
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| "bad \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape")?;
-                                s.push(
-                                    char::from_u32(code)
-                                        .ok_or("surrogate \\u escape unsupported")?,
-                                );
-                                *pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {pos}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = &text_from(b, *pos)?;
-                        let c = rest.chars().next().ok_or("bad utf-8")?;
-                        s.push(c);
-                        *pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number '{s}' at byte {start}"))
-        }
-    }
-}
-
-fn text_from(b: &[u8], pos: usize) -> Result<&str, String> {
-    std::str::from_utf8(&b[pos..]).map_err(|_| "bad utf-8".to_string())
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
 /// Validate a microbench JSON report; returns the record count.
 ///
 /// Checks the full structural contract the trajectory tooling relies on:
 /// schema tag, a non-empty `results` array, and per-record field types
 /// (finite non-negative timings, positive sample counts).
 pub fn validate_report(text: &str) -> Result<usize, String> {
-    let doc = parse_json(text)?;
+    let doc = parse_json(text).map_err(|e| e.to_string())?;
     match doc.get("schema") {
         Some(Json::Str(s)) if s == SCHEMA => {}
         Some(Json::Str(s)) => return Err(format!("unknown schema '{s}'")),
         _ => return Err("missing schema tag".to_string()),
     }
-    let results = match doc.get("results") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("missing results array".to_string()),
-    };
+    let results = doc.get("results").and_then(Json::as_arr).ok_or("missing results array")?;
     if results.is_empty() {
         return Err("empty results array".to_string());
     }
@@ -653,13 +449,10 @@ pub fn validate_report(text: &str) -> Result<usize, String> {
             Some(Json::Num(v)) if v.is_finite() && *v >= 0.0 => {}
             _ => return Err(format!("{name}: rate_per_sec must be null or finite")),
         }
-        match r.get("samples") {
-            Some(Json::Num(v)) if *v >= 1.0 && v.fract() == 0.0 => {}
-            _ => return Err(format!("{name}: samples must be a positive integer")),
-        }
-        match r.get("iters_per_sample") {
-            Some(Json::Num(v)) if *v >= 1.0 && v.fract() == 0.0 => {}
-            _ => return Err(format!("{name}: iters_per_sample must be a positive integer")),
+        for field in ["samples", "iters_per_sample"] {
+            if r.get(field).and_then(Json::as_count).is_none_or(|n| n < 1) {
+                return Err(format!("{name}: {field} must be a positive integer"));
+            }
         }
     }
     Ok(results.len())
@@ -766,19 +559,5 @@ mod tests {
         }]);
         assert!(validate_report(&good[..good.len() / 2]).is_err());
         assert_eq!(validate_report(&good).unwrap(), 1);
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_numbers() {
-        let doc = parse_json(
-            "{\"s\": \"a\\n\\\"b\\u0041\", \"n\": -1.5e3, \"b\": true, \"z\": null}",
-        )
-        .unwrap();
-        assert_eq!(doc.get("s"), Some(&Json::Str("a\n\"bA".to_string())));
-        assert_eq!(doc.get("n"), Some(&Json::Num(-1500.0)));
-        assert_eq!(doc.get("b"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("z"), Some(&Json::Null));
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_json("{\"a\": }").is_err());
     }
 }

@@ -13,6 +13,7 @@
 //! accumulated across retry attempts.
 
 use cubrick::admission::QosClass;
+use cubrick::catalog::TableDef;
 use cubrick::coordinator::{merge_degraded, merge_partials, FanoutPlan};
 use cubrick::error::CubrickError;
 use cubrick::proxy::{CoordinatorStrategy, CubrickProxy};
@@ -243,12 +244,14 @@ pub fn run_query(
             total_latency += net.rtt();
         }
 
-        let region_idx = dep
-            .regions
-            .iter()
-            .position(|r| r.region == region)
-            .expect("known region");
-        let result = attempt_in_region(dep, region_idx, net, query, &plan, opts, proxy, now, rng);
+        let Some(region_idx) = dep.regions.iter().position(|r| r.region == region) else {
+            release(proxy);
+            let detail = format!("proxy chose region {} outside the deployment", region.0);
+            return fail(CubrickError::Internal { detail }, attempts, total_latency);
+        };
+        let result = attempt_in_region(
+            dep, region_idx, net, query, &def, max_shards, &plan, opts, proxy, now, rng,
+        );
         match result {
             AttemptResult::Ok {
                 latency,
@@ -275,22 +278,16 @@ pub fn run_query(
                 release(proxy);
                 let partial = opts.partial_results && !coverage.complete();
                 let output = if opts.execute_data {
-                    let mut merged = if opts.partial_results {
-                        match merge_degraded(&plan, partials, &coverage) {
-                            Ok(out) => out,
-                            Err(e) => {
-                                return fail(e, attempts, total_latency);
-                            }
-                        }
-                    } else if opts.best_effort {
-                        merge_available(partials)
+                    // Both tolerate-missing-shards modes carry a coverage
+                    // entry per planned shard, so one merge serves both.
+                    let merged = if opts.partial_results || opts.best_effort {
+                        merge_degraded(&plan, partials, &coverage)
                     } else {
-                        match merge_partials(&plan, partials) {
-                            Ok(out) => Some(out),
-                            Err(e) => {
-                                return fail(e, attempts, total_latency);
-                            }
-                        }
+                        merge_partials(&plan, partials).map(Some)
+                    };
+                    let mut merged = match merged {
+                        Ok(out) => out,
+                        Err(e) => return fail(e, attempts, total_latency),
                     };
                     if let Some(out) = &mut merged {
                         // Coordinator applies ORDER BY / LIMIT on the
@@ -379,20 +376,14 @@ fn attempt_in_region(
     region_idx: usize,
     net: &NetModel,
     query: &Query,
+    def: &TableDef,
+    max_shards: u64,
     plan: &FanoutPlan,
     opts: &QueryOptions,
     proxy: &CubrickProxy,
     now: SimTime,
     rng: &mut SimRng,
 ) -> AttemptResult {
-    let max_shards = dep.catalog.read().max_shards();
-    let def = dep
-        .catalog
-        .read()
-        .get(&query.table)
-        .expect("checked by caller")
-        .clone();
-
     let mut slowest = SimDuration::ZERO;
     let mut partials: Vec<PartialResult> = Vec::with_capacity(plan.fan_out());
     let mut answered_hosts: Vec<HostId> = Vec::with_capacity(plan.fan_out());
@@ -471,17 +462,6 @@ fn attempt_in_region(
         coverage,
         failed_hosts,
     }
-}
-
-/// Best-effort merge: combine whatever partials arrived (possibly fewer
-/// than the fan-out). `None` only when nothing answered at all.
-fn merge_available(partials: Vec<PartialResult>) -> Option<QueryOutput> {
-    let mut iter = partials.into_iter();
-    let mut merged = iter.next()?;
-    for p in iter {
-        merged.merge(&p);
-    }
-    Some(merged.finalize())
 }
 
 type SubQueryError = (SimDuration, CubrickError, Option<HostId>);
@@ -611,10 +591,10 @@ fn sub_query(
             }
             latency += net.rtt() + service_time;
             let partial = if opts.execute_data {
-                let node = dep.regions[region_idx]
-                    .nodes
-                    .node_mut(serving)
-                    .expect("serving node exists");
+                let Some(node) = dep.regions[region_idx].nodes.node_mut(serving) else {
+                    let detail = format!("host {serving:?} vanished between probe and scan");
+                    return Err((latency, CubrickError::Internal { detail }, Some(serving)));
+                };
                 match node.execute_local(query, partition) {
                     Ok(partial) => Some(partial),
                     Err(e) => return Err((latency, e, Some(serving))),

@@ -183,10 +183,6 @@ impl Catalog {
             })
     }
 
-    pub fn table_names(&self) -> impl Iterator<Item = &Arc<str>> {
-        self.tables.keys()
-    }
-
     pub fn len(&self) -> usize {
         self.tables.len()
     }

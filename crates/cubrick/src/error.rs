@@ -134,21 +134,6 @@ impl CubrickError {
                 | CubrickError::Internal { .. }
         )
     }
-
-    /// Whether degraded-mode serving may absorb this sub-query error as
-    /// a missing shard (partial result) instead of failing the query.
-    /// Semantic errors (parse, schema, unknown table) never qualify.
-    pub fn degradable(&self) -> bool {
-        matches!(
-            self,
-            CubrickError::ShardNotOwned { .. }
-                | CubrickError::ShardLoading { .. }
-                | CubrickError::PartitionUnavailable { .. }
-                | CubrickError::HostBlacklisted { .. }
-                | CubrickError::ShardTimeout { .. }
-                | CubrickError::AllReplicasUnavailable { .. }
-        )
-    }
 }
 
 #[cfg(test)]

@@ -59,9 +59,9 @@ pub struct ProxyConfig {
     pub blacklist_threshold: u32,
     /// How long a blacklisted host stays out of rotation.
     pub blacklist_ttl: SimDuration,
-    /// QoS admission controller. `None` builds the legacy flat gate
+    /// QoS admission controller. `None` builds the flat gate
     /// (`AdmissionConfig::flat(max_concurrent_queries)`), which behaves
-    /// byte-identically to the pre-QoS `admit()`/`complete()` pair.
+    /// byte-identically to the pre-QoS in-flight counter.
     pub admission: Option<AdmissionConfig>,
     /// Depth-aware region spill: prefer the client's region unless its
     /// in-flight depth exceeds the least-loaded alternative by more
@@ -145,17 +145,11 @@ impl CubrickProxy {
 
     // ------------------------------------------------------------- admission
 
-    /// Admit a query or reject it. Callers must pair every successful
-    /// `admit` with a `complete`. Legacy entry point: class defaults to
-    /// `Interactive`, which in the flat (default) controller is
-    /// indistinguishable from the old counter gate.
-    pub fn admit(&mut self) -> CubrickResult<()> {
-        self.admit_class(QosClass::Interactive)
-    }
-
-    /// Class-aware admit: `Admit` or `Shed` only — queueing decisions
-    /// are made by `offer()` callers that can park a query (the
+    /// Admit a query or reject it: `Admit` or `Shed` only — queueing
+    /// decisions are made by `offer()` callers that can park a query (the
     /// experiment event loop); the synchronous query path cannot wait.
+    /// Callers must pair every successful `admit_class` with a
+    /// `complete_class`.
     pub fn admit_class(&mut self, class: QosClass) -> CubrickResult<()> {
         let in_flight = self.admission.total_in_flight();
         match self.admission.offer(class, SimTime::ZERO) {
@@ -178,10 +172,6 @@ impl CubrickProxy {
                 })
             }
         }
-    }
-
-    pub fn complete(&mut self) {
-        self.complete_class(QosClass::Interactive);
     }
 
     pub fn complete_class(&mut self, class: QosClass) {
@@ -439,14 +429,14 @@ mod tests {
             max_concurrent_queries: 2,
             ..Default::default()
         });
-        p.admit().unwrap();
-        p.admit().unwrap();
+        p.admit_class(QosClass::Interactive).unwrap();
+        p.admit_class(QosClass::Interactive).unwrap();
         assert!(matches!(
-            p.admit(),
+            p.admit_class(QosClass::Interactive),
             Err(CubrickError::AdmissionRejected { .. })
         ));
-        p.complete();
-        p.admit().unwrap();
+        p.complete_class(QosClass::Interactive);
+        p.admit_class(QosClass::Interactive).unwrap();
         assert_eq!(p.stats.rejected_admission, 1);
         assert_eq!(p.stats.queries, 3);
     }

@@ -17,15 +17,6 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Double(_) => "double",
-            Value::Str(_) => "string",
-            Value::Null => "null",
-        }
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),

@@ -37,8 +37,9 @@
 //!   acquisition sites are replay-visible deadlock risks.
 //! * **D7 — panic-surface audit.** No `unwrap`/`expect`/`panic!`-family
 //!   macros/integer-literal indexing on the experiment, kernel,
-//!   zk-replica, and shard-manager hot paths ([`HOT_PATHS`]); each must
-//!   become a typed error or carry a reasoned pragma.
+//!   zk-replica, shard-manager and query-entry hot paths
+//!   ([`HOT_PATHS`]); each must become a typed error or carry a reasoned
+//!   pragma.
 //!
 //! Detection runs on a parsed representation (`parser.rs`) with a
 //! workspace symbol table and call graph (`semantic.rs`); anything the
@@ -75,18 +76,21 @@ pub const SIM_FACING_CRATES: &[&str] =
 
 /// Hot-path files under the D7 panic-surface audit: the experiment
 /// engine, the event kernel, the replicated coordination plane, the
-/// shard manager, the admission controller, and the partial-result
-/// merge — the code that runs during failover and overload, where a
+/// shard manager, the admission controller, the partial-result merge,
+/// and the query path's two entry files (the cluster driver and the
+/// proxy) — the code that runs during failover and overload, where a
 /// panic kills the experiment mid-replay (or melts the serving plane
 /// exactly when it is shedding load).
 pub const HOT_PATHS: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/cluster/src/experiment.rs",
+    "crates/cluster/src/driver.rs",
     "crates/zk/src/replica.rs",
     "crates/zk/src/log.rs",
     "crates/shard-manager/src/server.rs",
     "crates/cubrick/src/admission.rs",
     "crates/cubrick/src/coordinator.rs",
+    "crates/cubrick/src/proxy.rs",
 ];
 
 /// A lint rule identifier.

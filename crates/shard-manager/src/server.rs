@@ -267,10 +267,6 @@ impl SmServer {
         })
     }
 
-    pub fn app_names(&self) -> impl Iterator<Item = &Arc<str>> {
-        self.apps.keys()
-    }
-
     // ------------------------------------------------------------------ hosts
 
     /// Register a host and open its heartbeat session.
@@ -334,17 +330,6 @@ impl SmServer {
         if let Some(session) = entry.session {
             self.zk.refresh_session(session, now);
         }
-        Ok(())
-    }
-
-    /// Update a host's exported capacity (heterogeneous fleets, adaptive
-    /// capacity; §III-A3).
-    pub fn update_capacity(&mut self, host: HostId, capacity: f64) -> SmResult<()> {
-        let entry = self
-            .hosts
-            .get_mut(&host)
-            .ok_or(SmError::UnknownHost { host })?;
-        entry.info.capacity = capacity.max(0.0);
         Ok(())
     }
 
@@ -614,14 +599,6 @@ impl SmServer {
             .write()
             .publish(ShardKey::new(app_name.to_string(), shard.0), None, now);
         Ok(())
-    }
-
-    /// Anti-affinity group of a shard, if it was allocated with one.
-    pub fn shard_group(&self, app_name: &str, shard: ShardId) -> Option<u64> {
-        self.apps
-            .get(app_name)
-            .and_then(|a| a.groups.get(&shard))
-            .copied()
     }
 
     /// Current replica set for a shard (role order).

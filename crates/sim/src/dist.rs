@@ -241,13 +241,6 @@ impl TailLatency {
         }
     }
 
-    /// A reasonable default for an in-memory analytic node answering a
-    /// simple query: ~20 ms median, 1-in-1000 tail events stretching into
-    /// hundreds of milliseconds.
-    pub fn default_interactive() -> Self {
-        TailLatency::new(20.0, 0.25, 1e-3, 200.0, 1.5)
-    }
-
     /// Sample one host's service time in milliseconds.
     pub fn sample_ms(&self, rng: &mut SimRng) -> f64 {
         let base = self.body.sample(rng);

@@ -26,6 +26,9 @@
 //!   (the workspace is hermetic: no external lock crates).
 //! * [`prop`] — a lightweight property-based testing harness over
 //!   [`SimRng`], used by every crate's invariant suites.
+//! * [`json`] — the workspace's one JSON codec: value type, strict
+//!   linear-time parser and string escaper behind every `BENCH_*.json`,
+//!   lint report and benchmark result file.
 //!
 //! Nothing in this crate knows about databases or shards; it is the
 //! hardware-and-physics layer everything else runs on.
@@ -33,6 +36,7 @@
 pub mod dist;
 pub mod event;
 pub mod fault;
+pub mod json;
 pub mod prop;
 pub mod rng;
 pub mod stats;

@@ -24,16 +24,16 @@ fi
 #    rules D1–D7 (DESIGN.md "Determinism invariants" and "Semantic
 #    determinism invariants") across the tiered tree. The scan emits a
 #    `scalewall-lint/v2` JSON report which is then re-validated by the
-#    in-repo parser: any violation, unused/malformed pragma, or
+#    workspace codec: any violation, unused/malformed pragma, or
 #    schema-invalid report fails the build.
 export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
 
-lint_json="$(mktemp /tmp/scalewall-lint.XXXXXX.json)"
-trap 'rm -f "$lint_json" "${kernel_bench:-}" "${zk_bench:-}" "${qos_bench:-}"' EXIT
-cargo run --release --offline -p scalewall-lint -- --workspace --json "$lint_json"
-cargo run --release --offline -p scalewall-lint -- --validate "$lint_json"
+scratch="$(mktemp -d /tmp/scalewall-verify.XXXXXX)"
+trap 'rm -rf "$scratch"' EXIT
+cargo run --release --offline -p scalewall-lint -- --workspace --json "$scratch/lint.json"
+cargo run --release --offline -p scalewall-lint -- --validate "$scratch/lint.json"
 
 cargo test -q --offline --workspace
 
@@ -48,32 +48,22 @@ cargo run --release --offline -p scalewall-bench --bin fig2b_correlated_sweep --
 cargo test -q --offline --test zk_replication
 cargo test -q --offline --test replay_order
 
-# Event-kernel microbench gate (ISSUE 7): smoke-run the kernel bench
-# (every body once, no --bench), emit a JSON report, and validate both
-# the fresh emission and the checked-in trajectory with the in-repo
-# parser. Malformed output fails the build.
-kernel_bench="$(mktemp /tmp/scalewall-event-kernel.XXXXXX.json)"
-zk_bench="$(mktemp /tmp/scalewall-zk-replication.XXXXXX.json)"
+# QoS/SLA overload suite (ISSUE 10): the diurnal-load admission sweep
+# must not bit-rot (tiny smoke sweep, output dropped).
+cargo run --release --offline -p scalewall-bench --bin fig_qos_sla -- --fast >/dev/null
+
+# Microbench gate (ISSUEs 7, 8, 10): smoke-run every bench target,
+# emit its JSON report, and validate the fresh emission and, where one is
+# checked in, the `BENCH_<name>.json` trajectory with the workspace
+# codec. Malformed output fails the build.
 # (`cargo test --bench` runs the target *without* cargo's `--bench` flag,
 # i.e. in single-shot smoke mode; `--validate` exits before any timing.)
-cargo test -q --offline -p scalewall-bench --bench event_kernel -- --json "$kernel_bench" >/dev/null
-cargo test -q --offline -p scalewall-bench --bench event_kernel -- --validate "$kernel_bench"
-cargo test -q --offline -p scalewall-bench --bench event_kernel -- --validate "$PWD/BENCH_event_kernel.json"
-
-# Coordination-replication microbench gate (ISSUE 8): same smoke +
-# validate recipe for the zk_replication bench and its trajectory.
-cargo test -q --offline -p scalewall-bench --bench zk_replication -- --json "$zk_bench" >/dev/null
-cargo test -q --offline -p scalewall-bench --bench zk_replication -- --validate "$zk_bench"
-cargo test -q --offline -p scalewall-bench --bench zk_replication -- --validate "$PWD/BENCH_zk_replication.json"
-
-# QoS/SLA overload suite (ISSUE 10): the diurnal-load admission sweep
-# must not bit-rot (tiny smoke sweep, output dropped), and the qos_sla
-# bench smoke run plus the checked-in trajectory must stay
-# schema-valid.
-qos_bench="$(mktemp /tmp/scalewall-qos-sla.XXXXXX.json)"
-cargo run --release --offline -p scalewall-bench --bin fig_qos_sla -- --fast >/dev/null
-cargo test -q --offline -p scalewall-bench --bench qos_sla -- --json "$qos_bench" >/dev/null
-cargo test -q --offline -p scalewall-bench --bench qos_sla -- --validate "$qos_bench"
-cargo test -q --offline -p scalewall-bench --bench qos_sla -- --validate "$PWD/BENCH_qos_sla.json"
+for name in engine infra event_kernel zk_replication qos_sla; do
+    cargo test -q --offline -p scalewall-bench --bench "$name" -- --json "$scratch/$name.json" >/dev/null
+    cargo test -q --offline -p scalewall-bench --bench "$name" -- --validate "$scratch/$name.json"
+    if [ -f "BENCH_$name.json" ]; then
+        cargo test -q --offline -p scalewall-bench --bench "$name" -- --validate "$PWD/BENCH_$name.json"
+    fi
+done
 
 echo "tier-1 verify: OK (offline)"
