@@ -1,12 +1,13 @@
-//! Micro-benchmarks of the Cubrick engine hot paths: ingest, pruned
-//! scans, group-by aggregation, and the column codecs behind adaptive
-//! compression. Runs on the in-repo wall-clock runner
+//! Micro-benchmarks of the Cubrick engine hot paths: ingest, the scan and
+//! group-by shapes, the coordinator merge, and the column codecs behind
+//! adaptive compression. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
 
 use std::sync::Arc;
 
 use cubrick::compression::CompressedBrick;
+use cubrick::coordinator::{merge_partials, FanoutPlan};
 use cubrick::encoding;
 use cubrick::query::{execute_partition, parse_query};
 use cubrick::schema::SchemaBuilder;
@@ -69,34 +70,74 @@ fn bench_ingest(c: &mut Bench) {
     group.finish();
 }
 
+/// The read side, one bench per shape the end-to-end `engine_scan`
+/// workload runs (`benchmark/src/workloads/engine_scan.rs`), plus a scan
+/// over compressed bricks. Each runs back-to-back on one loaded
+/// partition: a scan leaves nothing behind but saturating hotness counts.
 fn bench_scan(c: &mut Bench) {
     let rows = sample_rows(50_000);
+    let mut hot = loaded_partition(&rows);
+    let mut cold = hot.clone();
+    cold.run_memory_monitor(&cubrick::hotness::MemoryMonitorConfig {
+        budget_bytes: 0,
+        ..Default::default()
+    });
     let mut group = c.group("scan");
     group.sample_size(20);
     group.throughput(rows.len() as u64);
 
-    let full = parse_query("select sum(clicks), count(*) from t").unwrap();
-    group.bench_function("full_scan_50k", |b| {
-        b.iter_batched(
-            || loaded_partition(&rows),
-            |mut p| execute_partition(&mut p, &full, 8).unwrap(),
-        )
+    let full = "select sum(clicks), count(*) from t";
+    let shapes = [
+        ("full_50k", full),
+        // A narrow ds window touches ~1/24 of the bricks.
+        (
+            "pruned_50k",
+            "select sum(clicks), count(*) from t where ds between 100 and 110",
+        ),
+        // One entity of 500: every brick survives pruning, 1 row in 500
+        // survives the residual filter.
+        (
+            "filtered_50k",
+            "select sum(cost), count(*) from t where entity = 'e7'",
+        ),
+        (
+            "group_ds_50k",
+            "select sum(clicks), count(*) from t group by ds",
+        ),
+        (
+            "group_entity_50k",
+            "select sum(clicks), avg(cost) from t group by entity",
+        ),
+    ];
+    for (name, sql) in shapes {
+        let query = parse_query(sql).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| execute_partition(&mut hot, &query, 8).unwrap())
+        });
+    }
+    let query = parse_query(full).unwrap();
+    group.bench_function("cold_full_50k", |b| {
+        b.iter(|| execute_partition(&mut cold, &query, 8).unwrap())
     });
+    group.finish();
+}
 
-    // Pruned: a narrow ds window touches ~1/24 of the bricks.
-    let pruned = parse_query("select sum(clicks) from t where ds between 100 and 110").unwrap();
-    group.bench_function("pruned_scan_50k", |b| {
+/// The coordinator's merge of one `group by entity` partial (500 groups)
+/// per partition of an 8-partition table.
+fn bench_merge(c: &mut Bench) {
+    let rows = sample_rows(50_000);
+    let query = parse_query("select sum(clicks), avg(cost) from t group by entity").unwrap();
+    let partials: Vec<_> = rows
+        .chunks(rows.len() / 8)
+        .map(|chunk| execute_partition(&mut loaded_partition(chunk), &query, 8).unwrap())
+        .collect();
+    let plan = FanoutPlan::for_table("t", 8);
+    let mut group = c.group("merge");
+    group.sample_size(20);
+    group.bench_function("partials_8x500_groups", |b| {
         b.iter_batched(
-            || loaded_partition(&rows),
-            |mut p| execute_partition(&mut p, &pruned, 8).unwrap(),
-        )
-    });
-
-    let grouped = parse_query("select sum(clicks), avg(cost) from t group by entity").unwrap();
-    group.bench_function("group_by_50k", |b| {
-        b.iter_batched(
-            || loaded_partition(&rows),
-            |mut p| execute_partition(&mut p, &grouped, 8).unwrap(),
+            || partials.clone(),
+            |owned| merge_partials(&plan, owned).unwrap(),
         )
     });
     group.finish();
@@ -170,6 +211,7 @@ fn main() {
     let mut bench = Bench::from_args();
     bench_ingest(&mut bench);
     bench_scan(&mut bench);
+    bench_merge(&mut bench);
     bench_codecs(&mut bench);
     bench_brick_compression(&mut bench);
     bench.finish();

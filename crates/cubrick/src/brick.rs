@@ -60,18 +60,23 @@ impl Brick {
         (self.dims.len() * self.rows * 4 + self.metrics.len() * self.rows * 8) as u64
     }
 
-    /// Restore the row count after rebuilding columns wholesale
-    /// (decompression). Panics if any column disagrees.
-    pub(crate) fn set_rows(&mut self, rows: usize) {
+    /// Rebuild from decoded columns (decompression). A column may be
+    /// left empty when the caller decoded only part of the brick; any
+    /// other length disagreeing with `rows` panics.
+    pub(crate) fn from_columns(dims: Vec<Vec<u32>>, metrics: Vec<Vec<f64>>, rows: usize) -> Self {
         assert!(
-            self.dims.iter().all(|c| c.len() == rows),
+            dims.iter().all(|c| c.len() == rows || c.is_empty()),
             "dim column length mismatch"
         );
         assert!(
-            self.metrics.iter().all(|c| c.len() == rows),
+            metrics.iter().all(|c| c.len() == rows || c.is_empty()),
             "metric column length mismatch"
         );
-        self.rows = rows;
+        Brick {
+            dims,
+            metrics,
+            rows,
+        }
     }
 
     /// Release excess capacity (after bulk loads).

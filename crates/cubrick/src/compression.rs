@@ -42,18 +42,32 @@ impl CompressedBrick {
 
     /// Restore the original brick.
     pub fn decompress(&self) -> Brick {
-        let mut brick = Brick::new(self.dims.len(), self.metrics.len());
-        let dims: Vec<Vec<u32>> = self.dims.iter().map(encoding::decode_u32).collect();
-        let metrics: Vec<Vec<f64>> = self.metrics.iter().map(encoding::decode_f64).collect();
-        // Rebuild by columns directly (push would be O(rows × cols)).
-        brick.dims = dims;
-        brick.metrics = metrics;
-        // Restore the row count through the public invariant.
-        let rows = self.rows;
-        debug_assert!(brick.dims.iter().all(|c| c.len() == rows));
-        debug_assert!(brick.metrics.iter().all(|c| c.len() == rows));
-        brick.set_rows(rows);
-        brick
+        self.decode_columns(|_| true, |_| true)
+    }
+
+    /// Decode only the dimension and metric columns the predicates pick
+    /// (by schema index). Columns not asked for come back empty;
+    /// `rows()` is the brick's row count either way.
+    pub fn decode_columns(
+        &self,
+        want_dim: impl Fn(usize) -> bool,
+        want_metric: impl Fn(usize) -> bool,
+    ) -> Brick {
+        let dims = self.dims.iter().enumerate().map(|(d, c)| {
+            if want_dim(d) {
+                encoding::decode_u32(c)
+            } else {
+                Vec::new()
+            }
+        });
+        let metrics = self.metrics.iter().enumerate().map(|(m, c)| {
+            if want_metric(m) {
+                encoding::decode_f64(c)
+            } else {
+                Vec::new()
+            }
+        });
+        Brick::from_columns(dims.collect(), metrics.collect(), self.rows)
     }
 
     pub fn rows(&self) -> usize {
@@ -122,6 +136,18 @@ mod tests {
         );
         assert!(compressed.ratio() > 3.0);
         assert_eq!(compressed.decompressed_bytes(), payload);
+    }
+
+    #[test]
+    fn decode_columns_restores_only_what_is_asked() {
+        let original = sample_brick(1_000);
+        let compressed = CompressedBrick::compress(original.clone());
+        let partial = compressed.decode_columns(|d| d == 2, |m| m == 0);
+        assert_eq!(partial.rows(), 1_000);
+        assert!(partial.dims[0].is_empty() && partial.dims[1].is_empty());
+        assert_eq!(partial.dims[2], original.dims[2]);
+        assert_eq!(partial.metrics[0], original.metrics[0]);
+        assert!(partial.metrics[1].is_empty());
     }
 
     #[test]

@@ -51,16 +51,12 @@ pub fn merge_partials(
             ),
         });
     }
-    let mut iter = partials.into_iter();
-    let Some(mut merged) = iter.next() else {
-        return Err(CubrickError::Internal {
+    match PartialResult::merge_all(partials)? {
+        Some(merged) => Ok(merged.finalize()),
+        None => Err(CubrickError::Internal {
             detail: "zero-partition table".into(),
-        });
-    };
-    for partial in iter {
-        merged.merge(&partial);
+        }),
     }
-    Ok(merged.finalize())
 }
 
 /// Degraded-mode merge (the typed opposite of [`merge_partials`]):
@@ -69,8 +65,9 @@ pub fn merge_partials(
 /// number. Invariants checked (typed errors, never panics — this file
 /// is on the lint D7 panic-surface list):
 ///
-/// * `coverage` must describe exactly the plan's partitions, and
-/// * `partials.len()` must equal `coverage.answered()`.
+/// * `coverage` must describe exactly the plan's partitions,
+/// * `partials.len()` must equal `coverage.answered()`, and
+/// * every partial must carry the same agg list.
 ///
 /// Returns `Ok(None)` when nothing answered (zero coverage still lets
 /// the caller report a typed outcome rather than fabricate zeros).
@@ -97,14 +94,7 @@ pub fn merge_degraded(
             ),
         });
     }
-    let mut iter = partials.into_iter();
-    let Some(mut merged) = iter.next() else {
-        return Ok(None);
-    };
-    for partial in iter {
-        merged.merge(&partial);
-    }
-    Ok(Some(merged.finalize()))
+    Ok(PartialResult::merge_all(partials)?.map(PartialResult::finalize))
 }
 
 #[cfg(test)]

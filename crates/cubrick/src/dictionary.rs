@@ -6,6 +6,7 @@
 //! granular-partitioning design.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::{CubrickError, CubrickResult};
 
@@ -15,6 +16,17 @@ pub struct Dictionary {
     forward: BTreeMap<String, u32>,
     reverse: Vec<String>,
     max_cardinality: u32,
+    /// [`Self::ranks`], kept until the next new string.
+    ranks: Option<Arc<StringRanks>>,
+}
+
+/// A dictionary's ids against the ranks of their strings in ascending
+/// string order (ids are handed out in first-seen order, so a group-by
+/// that must emit its keys sorted orders by rank, not by id).
+#[derive(Debug)]
+pub struct StringRanks {
+    pub rank_of_id: Vec<u32>,
+    pub id_of_rank: Vec<u32>,
 }
 
 impl Dictionary {
@@ -23,6 +35,7 @@ impl Dictionary {
             forward: BTreeMap::new(),
             reverse: Vec::new(),
             max_cardinality,
+            ranks: None,
         }
     }
 
@@ -41,6 +54,7 @@ impl Dictionary {
         }
         self.forward.insert(s.to_string(), id);
         self.reverse.push(s.to_string());
+        self.ranks = None;
         Ok(id)
     }
 
@@ -52,6 +66,27 @@ impl Dictionary {
     /// String for an id.
     pub fn decode(&self, id: u32) -> Option<&str> {
         self.reverse.get(id as usize).map(|s| s.as_str())
+    }
+
+    /// The string order of the ids. One walk of the sorted map (a cache
+    /// miss per node on a dictionary no query touched lately), computed
+    /// on first use and shared until a new string arrives; not counted
+    /// by [`Self::footprint`], which sizes what ingest stores.
+    pub fn ranks(&mut self) -> Arc<StringRanks> {
+        let (forward, len) = (&self.forward, self.reverse.len());
+        self.ranks
+            .get_or_insert_with(|| {
+                let id_of_rank: Vec<u32> = forward.values().copied().collect();
+                let mut rank_of_id = vec![0; len];
+                for (rank, &id) in (0..).zip(&id_of_rank) {
+                    rank_of_id[id as usize] = rank;
+                }
+                Arc::new(StringRanks {
+                    rank_of_id,
+                    id_of_rank,
+                })
+            })
+            .clone()
     }
 
     pub fn len(&self) -> usize {
@@ -93,6 +128,22 @@ mod tests {
         assert_eq!(d.decode(99), None);
         assert_eq!(d.lookup("b"), Some(1));
         assert_eq!(d.lookup("zz"), None);
+    }
+
+    #[test]
+    fn ranks_order_by_string_and_follow_new_strings() {
+        let mut d = Dictionary::new(10);
+        for s in ["pear", "apple", "fig"] {
+            d.encode("x", s).unwrap();
+        }
+        let ranks = d.ranks();
+        assert_eq!(ranks.id_of_rank, vec![1, 2, 0]);
+        assert_eq!(ranks.rank_of_id, vec![2, 0, 1]);
+        // Re-encoding a known string keeps the memo; a new one drops it.
+        d.encode("x", "fig").unwrap();
+        assert!(Arc::ptr_eq(&ranks, &d.ranks()));
+        d.encode("x", "banana").unwrap();
+        assert_eq!(d.ranks().id_of_rank, vec![1, 3, 2, 0]);
     }
 
     #[test]

@@ -684,15 +684,13 @@ mod tests {
         let mut f = fixture();
         load_table(&mut f);
         let query = parse_query("select sum(clicks) from t where country = 'US'").unwrap();
-        let mut merged: Option<PartialResult> = None;
-        for p in 0..4 {
-            let part = f.node.execute_local(&query, p).unwrap();
-            match &mut merged {
-                Some(m) => m.merge(&part),
-                None => merged = Some(part),
-            }
-        }
-        let out = merged.unwrap().finalize();
+        let partials = (0..4)
+            .map(|p| f.node.execute_local(&query, p).unwrap())
+            .collect();
+        let out = PartialResult::merge_all(partials)
+            .unwrap()
+            .unwrap()
+            .finalize();
         let oracle: f64 = (0..100).map(|v| v as f64).sum();
         assert_eq!(out.scalar(), Some(oracle));
         assert_eq!(out.table_partitions, 4);

@@ -92,7 +92,22 @@ impl BrickSpace {
     /// survives pruning iff, for every constrained dimension, its bucket's
     /// ordinal interval intersects at least one allowed range.
     pub fn brick_matches(&self, brick_id: u64, constraints: &[Option<Vec<(u32, u32)>>]) -> bool {
+        self.residual_dims(brick_id, constraints, &mut Vec::new())
+    }
+
+    /// [`Self::brick_matches`], and for a surviving brick the dimensions
+    /// a scan still has to filter row by row: `residual` is cleared and
+    /// filled with every constrained dimension whose bucket interval is
+    /// not wholly inside one allowed range. It stays empty when buckets
+    /// alone decide the predicate (always, for an unconstrained query).
+    pub fn residual_dims(
+        &self,
+        brick_id: u64,
+        constraints: &[Option<Vec<(u32, u32)>>],
+        residual: &mut Vec<usize>,
+    ) -> bool {
         debug_assert_eq!(constraints.len(), self.buckets.len());
+        residual.clear();
         let mut rest = brick_id;
         for (dim, constraint) in constraints.iter().enumerate() {
             let coord = rest / self.strides[dim];
@@ -101,6 +116,9 @@ impl BrickSpace {
                 let (blo, bhi) = self.bucket_ordinal_range(dim, coord);
                 if !ranges.iter().any(|&(lo, hi)| lo <= bhi && blo <= hi) {
                     return false;
+                }
+                if !ranges.iter().any(|&(lo, hi)| lo <= blo && bhi <= hi) {
+                    residual.push(dim);
                 }
             }
         }
@@ -206,6 +224,26 @@ mod tests {
             assert!(c[0] <= 1);
             assert!(c[1] == 0 || c[1] == 4);
         }
+    }
+
+    #[test]
+    fn residual_dims_lists_partly_covered_buckets() {
+        let s = space();
+        let mut residual = vec![7];
+        // a-bucket 1 is [10, 19], b-bucket 4 is [32, 39].
+        let id = s.brick_id(&[10, 32]);
+        assert!(s.residual_dims(id, &[None, None], &mut residual));
+        assert!(residual.is_empty(), "cleared, nothing constrained");
+        // a wholly inside its range, b cut by its range.
+        let constraints = vec![Some(vec![(0, 4), (10, 25)]), Some(vec![(35, 39)])];
+        assert!(s.residual_dims(id, &constraints, &mut residual));
+        assert_eq!(residual, vec![1]);
+        // Two ranges that only together cover the bucket: still filtered.
+        let split = vec![Some(vec![(10, 14), (16, 19)]), None];
+        assert!(s.residual_dims(id, &split, &mut residual));
+        assert_eq!(residual, vec![0]);
+        // Pruned.
+        assert!(!s.residual_dims(id, &[Some(vec![(20, 29)]), None], &mut residual));
     }
 
     #[test]

@@ -122,8 +122,10 @@ impl AggState {
         }
     }
 
-    /// Merge another partial accumulator of the same shape.
-    pub fn merge(&mut self, other: &AggState) {
+    /// Merge another partial accumulator of the same shape. A different
+    /// shape means the two partials answer different queries: a typed
+    /// error, because this runs on the coordinator's merge path.
+    pub fn merge(&mut self, other: &AggState) -> CubrickResult<()> {
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::Sum(a), AggState::Sum(b)) => *a += b,
@@ -133,8 +135,13 @@ impl AggState {
                 *s1 += s2;
                 *c1 += c2;
             }
-            (a, b) => panic!("merging mismatched accumulators {a:?} / {b:?}"),
+            (a, b) => {
+                return Err(CubrickError::Internal {
+                    detail: format!("merging mismatched accumulators {a:?} / {b:?}"),
+                })
+            }
         }
+        Ok(())
     }
 
     /// Final scalar value.
@@ -218,7 +225,7 @@ mod tests {
                 right.update(v);
                 whole.update(v);
             }
-            left.merge(&right);
+            left.merge(&right).unwrap();
             assert_eq!(left.finalize(), whole.finalize(), "{func:?}");
         }
     }
@@ -233,10 +240,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mismatched")]
-    fn merge_mismatch_panics() {
+    fn merge_mismatch_is_a_typed_error() {
         let mut a = AggState::init(AggFunc::Sum);
-        a.merge(&AggState::init(AggFunc::Count));
+        assert!(matches!(
+            a.merge(&AggState::init(AggFunc::Count)),
+            Err(CubrickError::Internal { .. })
+        ));
     }
 
     #[test]

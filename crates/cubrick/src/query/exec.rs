@@ -4,13 +4,319 @@
 //! compile predicates against the local partition, prune bricks through
 //! the granular-partitioning grid, filter surviving rows, and accumulate
 //! group-by state. Pure compute — all distribution concerns live above.
+//!
+//! A brick is processed one column at a time (DESIGN.md "Engine scan
+//! contract"): the residual filter yields a selection vector, the
+//! group-by columns pack into one `u64` key per row, each key finds its
+//! accumulator row, and each aggregate then folds its metric column in
+//! row order.
 
-use crate::error::CubrickResult;
-use crate::query::agg::AggState;
-use crate::query::expr::{self};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::brick::Brick;
+use crate::dictionary::StringRanks;
+use crate::error::{CubrickError, CubrickResult};
+use crate::query::agg::{AggFunc, AggState};
+use crate::query::expr;
 use crate::query::result::{GroupVal, PartialResult};
 use crate::query::Query;
+use crate::schema::Schema;
 use crate::store::PartitionData;
+
+/// Largest group-key domain indexed by a dense slot vector (`u32` per
+/// possible key: 256 KiB at the limit). Larger domains go through an
+/// ordered map.
+const DENSE_KEY_DOMAIN: u64 = 1 << 16;
+
+/// One group-by dimension's digit in the packed key.
+struct Digit {
+    dim: usize,
+    /// Dictionary length (strings) or ordinal count (integers).
+    radix: u64,
+    /// String dimensions only: integer ordinals already order like
+    /// their values, dictionary ids order like first appearance.
+    strings: Option<Arc<StringRanks>>,
+}
+
+/// The group-by values of a row packed into one mixed-radix `u64`, first
+/// group-by dimension most significant. A digit is the integer ordinal
+/// or the string's rank, so keys order exactly like the decoded group
+/// values and every key is below `domain`. The ungrouped query has no
+/// digits: domain 1, key 0.
+struct KeyLayout {
+    digits: Vec<Digit>,
+    domain: u64,
+}
+
+impl KeyLayout {
+    fn new(partition: &mut PartitionData, schema: &Schema, query: &Query) -> CubrickResult<Self> {
+        let mut digits = Vec::with_capacity(query.group_by.len());
+        let mut domain = 1u64;
+        for name in &query.group_by {
+            let dim = schema
+                .dim_index(name)
+                .ok_or_else(|| CubrickError::NoSuchColumn {
+                    table: query.table.clone(),
+                    column: name.clone(),
+                })?;
+            let strings = partition.string_ranks(dim);
+            let radix = match &strings {
+                Some(ranks) => ranks.id_of_rank.len() as u64,
+                None => schema.dimensions[dim].cardinality(),
+            };
+            domain = domain
+                .checked_mul(radix)
+                .ok_or_else(|| CubrickError::InvalidQuery {
+                    detail: format!("group by {:?}: key space exceeds 64 bits", query.group_by),
+                })?;
+            digits.push(Digit {
+                dim,
+                radix,
+                strings,
+            });
+        }
+        Ok(KeyLayout { digits, domain })
+    }
+
+    fn reads_dim(&self, dim: usize) -> bool {
+        self.digits.iter().any(|digit| digit.dim == dim)
+    }
+
+    /// One key per selected row of `brick` into `scratch.keys`, built a
+    /// dimension column at a time.
+    fn pack(&self, brick: &Brick, sel: Option<&[u32]>, rows: usize, scratch: &mut Scratch) {
+        scratch.keys.clear();
+        scratch.keys.resize(rows, 0);
+        for digit in &self.digits {
+            let column = gather(&brick.dims[digit.dim], sel, &mut scratch.ordinals);
+            let keys = scratch.keys.iter_mut().zip(column);
+            match &digit.strings {
+                None => keys.for_each(|(key, &ord)| *key = *key * digit.radix + u64::from(ord)),
+                Some(ranks) => keys.for_each(|(key, &id)| {
+                    *key = *key * digit.radix + u64::from(ranks.rank_of_id[id as usize]);
+                }),
+            }
+        }
+    }
+
+    /// Decode a key back to logical group values.
+    fn unpack(
+        &self,
+        mut key: u64,
+        partition: &PartitionData,
+        schema: &Schema,
+    ) -> CubrickResult<Vec<GroupVal>> {
+        let mut vals = Vec::with_capacity(self.digits.len());
+        for digit in self.digits.iter().rev() {
+            let value = (key % digit.radix) as u32;
+            key /= digit.radix;
+            let val = match &digit.strings {
+                Some(ranks) => ranks
+                    .id_of_rank
+                    .get(value as usize)
+                    .and_then(|&id| partition.dict(digit.dim)?.decode(id))
+                    .map(|s| GroupVal::Str(s.to_string())),
+                None => schema.dimensions[digit.dim]
+                    .int_value(value)
+                    .map(GroupVal::Int),
+            };
+            vals.push(val.ok_or_else(|| CubrickError::Internal {
+                detail: format!(
+                    "group key digit {value} of dimension {} does not decode",
+                    digit.dim
+                ),
+            })?);
+        }
+        vals.reverse();
+        Ok(vals)
+    }
+}
+
+/// `column` itself when every row is selected, else its selected rows
+/// gathered into `buf`.
+fn gather<'a, T: Copy>(column: &'a [T], sel: Option<&[u32]>, buf: &'a mut Vec<T>) -> &'a [T] {
+    match sel {
+        None => column,
+        Some(sel) => {
+            buf.clear();
+            buf.extend(sel.iter().map(|&r| column[r as usize]));
+            buf
+        }
+    }
+}
+
+/// Running state of one aggregate of one group; the aggregate's
+/// `AggFunc` says which fields it uses.
+#[derive(Clone, Copy)]
+struct Acc {
+    value: f64,
+    count: u64,
+}
+
+impl Acc {
+    fn init(func: AggFunc) -> Acc {
+        let value = match func {
+            AggFunc::Min => f64::INFINITY,
+            AggFunc::Max => f64::NEG_INFINITY,
+            AggFunc::Count | AggFunc::Sum | AggFunc::Avg => 0.0,
+        };
+        Acc { value, count: 0 }
+    }
+
+    fn state(self, func: AggFunc) -> AggState {
+        match func {
+            AggFunc::Count => AggState::Count(self.count),
+            AggFunc::Sum => AggState::Sum(self.value),
+            AggFunc::Min => AggState::Min(self.value),
+            AggFunc::Max => AggState::Max(self.value),
+            AggFunc::Avg => AggState::Avg {
+                sum: self.value,
+                count: self.count,
+            },
+        }
+    }
+}
+
+/// Where a key's accumulator row lives. Dense holds `slot + 1` per
+/// possible key (0 = not seen yet).
+enum SlotIndex {
+    Dense(Vec<u32>),
+    Ordered(BTreeMap<u64, u32>),
+}
+
+/// The groups seen so far: slot per key in first-seen order, and one
+/// flat arena of accumulators, `fresh.len()` per slot.
+struct GroupTable {
+    index: SlotIndex,
+    len: u32,
+    accs: Vec<Acc>,
+    fresh: Vec<Acc>,
+}
+
+impl GroupTable {
+    /// The slot lookup is chosen from the key domain alone, so a query
+    /// takes the same path on every partition state.
+    fn new(domain: u64, funcs: &[AggFunc]) -> Self {
+        let index = if domain <= DENSE_KEY_DOMAIN {
+            SlotIndex::Dense(vec![0; domain as usize])
+        } else {
+            SlotIndex::Ordered(BTreeMap::new())
+        };
+        GroupTable {
+            index,
+            len: 0,
+            accs: Vec::new(),
+            fresh: funcs.iter().map(|&f| Acc::init(f)).collect(),
+        }
+    }
+
+    fn slot_of(&mut self, key: u64) -> u32 {
+        let slot = match &mut self.index {
+            SlotIndex::Dense(slots) => {
+                let entry = &mut slots[key as usize];
+                if *entry == 0 {
+                    *entry = self.len + 1;
+                }
+                *entry - 1
+            }
+            SlotIndex::Ordered(slots) => *slots.entry(key).or_insert(self.len),
+        };
+        if slot == self.len {
+            self.len += 1;
+            self.accs.extend_from_slice(&self.fresh);
+        }
+        slot
+    }
+
+    /// Every group as (key, its accumulators), in ascending key order.
+    fn groups(&self) -> impl Iterator<Item = (u64, &[Acc])> {
+        let in_key_order: Vec<(u64, u32)> = match &self.index {
+            SlotIndex::Dense(slots) => (0..)
+                .zip(slots)
+                .filter(|&(_, &entry)| entry != 0)
+                .map(|(key, &entry)| (key, entry - 1))
+                .collect(),
+            SlotIndex::Ordered(slots) => slots.iter().map(|(&key, &slot)| (key, slot)).collect(),
+        };
+        let stride = self.fresh.len();
+        in_key_order
+            .into_iter()
+            .map(move |(key, slot)| (key, &self.accs[slot as usize * stride..][..stride]))
+    }
+
+    /// Fold one aggregate's column into its rows' accumulators, in row
+    /// order. `AggFunc` is matched once per column, not per row, and
+    /// there is one scalar accumulator per (group, aggregate), so every
+    /// sum adds in the order the rows are stored.
+    fn fold(&mut self, agg: usize, func: AggFunc, rows: Rows<'_>, values: &[f64]) {
+        let values = values.iter().copied();
+        match func {
+            // `count` reads no column: one tick per row.
+            AggFunc::Count => {
+                let ticks = std::iter::repeat_n(0.0, rows.len());
+                self.each(agg, rows, ticks, |acc, _| acc.count += 1)
+            }
+            AggFunc::Sum => self.each(agg, rows, values, |acc, v| acc.value += v),
+            AggFunc::Min => self.each(agg, rows, values, |acc, v| acc.value = acc.value.min(v)),
+            AggFunc::Max => self.each(agg, rows, values, |acc, v| acc.value = acc.value.max(v)),
+            AggFunc::Avg => self.each(agg, rows, values, |acc, v| {
+                acc.value += v;
+                acc.count += 1;
+            }),
+        }
+    }
+
+    fn each(
+        &mut self,
+        agg: usize,
+        rows: Rows<'_>,
+        values: impl Iterator<Item = f64>,
+        step: impl Fn(&mut Acc, f64),
+    ) {
+        let stride = self.fresh.len();
+        match rows {
+            // One accumulator for the whole column: the loop keeps it in
+            // a register.
+            Rows::OneSlot { slot, .. } => {
+                let acc = &mut self.accs[slot as usize * stride + agg];
+                values.for_each(|v| step(acc, v));
+            }
+            Rows::Slots(slots) => {
+                for (&slot, v) in slots.iter().zip(values) {
+                    step(&mut self.accs[slot as usize * stride + agg], v);
+                }
+            }
+        }
+    }
+}
+
+/// Where the selected rows of one brick accumulate.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    /// All `rows` of them in one slot: the ungrouped query.
+    OneSlot { slot: u32, rows: usize },
+    /// Row by row.
+    Slots(&'a [u32]),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::OneSlot { rows, .. } => *rows,
+            Rows::Slots(slots) => slots.len(),
+        }
+    }
+}
+
+/// Per-brick buffers, reused from brick to brick.
+#[derive(Default)]
+struct Scratch {
+    ordinals: Vec<u32>,
+    keys: Vec<u64>,
+    slots: Vec<u32>,
+    values: Vec<f64>,
+}
 
 /// Execute `query` over one partition, producing a mergeable partial.
 ///
@@ -23,22 +329,14 @@ pub fn execute_partition(
 ) -> CubrickResult<PartialResult> {
     let schema = partition.schema().clone();
 
-    // Resolve aggregation metric columns.
+    // Resolve each aggregate's metric column; `count` reads none.
+    let funcs: Vec<AggFunc> = query.aggs.iter().map(|a| a.func).collect();
     let mut metric_cols: Vec<Option<usize>> = Vec::with_capacity(query.aggs.len());
     for agg in &query.aggs {
-        metric_cols.push(agg.metric_index(&schema, &query.table)?);
+        let col = agg.metric_index(&schema, &query.table)?;
+        metric_cols.push(col.filter(|_| agg.func != AggFunc::Count));
     }
-
-    // Resolve group-by dimensions.
-    let mut group_dims: Vec<usize> = Vec::with_capacity(query.group_by.len());
-    for name in &query.group_by {
-        group_dims.push(schema.dim_index(name).ok_or_else(|| {
-            crate::error::CubrickError::NoSuchColumn {
-                table: query.table.clone(),
-                column: name.clone(),
-            }
-        })?);
-    }
+    let layout = KeyLayout::new(partition, &schema, query)?;
 
     let mut result = PartialResult::new(query.aggs.clone(), table_partitions);
     let compiled = expr::compile(partition, &query.predicates)?;
@@ -46,56 +344,62 @@ pub fn execute_partition(
         return Ok(result);
     }
 
-    let agg_funcs: Vec<_> = query.aggs.iter().map(|a| a.func).collect();
+    let mut table = GroupTable::new(layout.domain, &funcs);
     let mut rows_scanned = 0u64;
-    let mut ordinals_buf: Vec<u32> = vec![0; schema.dimensions.len()];
-    // Accumulate on raw ordinals during the scan; decode keys once at the
-    // end (decoding per row would dominate the scan).
-    let mut raw_groups: std::collections::BTreeMap<Vec<u32>, Vec<AggState>> =
-        std::collections::BTreeMap::new();
+    let mut selected: Vec<u32> = Vec::new();
+    let mut scratch = Scratch::default();
 
-    partition.for_each_matching_brick(&compiled.per_dim, |brick| {
-        'row: for r in 0..brick.rows() {
-            // Residual filter at row granularity (buckets are coarse).
-            for (d, col) in brick.dims.iter().enumerate() {
-                ordinals_buf[d] = col[r];
+    partition.scan_bricks(
+        &compiled.per_dim,
+        |d| layout.reads_dim(d),
+        |m| metric_cols.contains(&Some(m)),
+        |brick, residual| {
+            // Residual filter at row granularity (buckets are coarse),
+            // skipped when the brick's buckets lie inside the predicate.
+            let sel = if residual.is_empty() {
+                None
+            } else {
+                compiled.select_rows(brick, residual, &mut selected);
+                Some(selected.as_slice())
+            };
+            let rows = sel.map_or(brick.rows(), <[u32]>::len);
+            if rows == 0 {
+                return;
             }
-            if !compiled.row_matches(&ordinals_buf) {
-                continue 'row;
-            }
-            rows_scanned += 1;
-            // Group key as raw ordinals; decoded after the scan.
-            let key: Vec<u32> = group_dims.iter().map(|&d| brick.dims[d][r]).collect();
-            let entry = raw_groups.entry(key).or_insert_with(|| {
-                agg_funcs
-                    .iter()
-                    .map(|&f| AggState::init(f))
-                    .collect::<Vec<_>>()
-            });
-            for (i, state) in entry.iter_mut().enumerate() {
-                let v = match metric_cols[i] {
-                    Some(m) => brick.metrics[m][r],
-                    None => 0.0, // count(*) ignores the value
-                };
-                state.update(v);
-            }
-        }
-    });
+            rows_scanned += rows as u64;
 
-    // Decode ordinal group keys to logical values.
-    for (raw_key, states) in raw_groups {
-        let decoded: Vec<GroupVal> = raw_key
-            .iter()
-            .zip(&group_dims)
-            .map(|(&ord, &d)| match partition.dict(d) {
-                Some(dict) => {
-                    GroupVal::Str(dict.decode(ord).expect("ordinal encoded here").to_string())
+            let target = if layout.digits.is_empty() {
+                Rows::OneSlot {
+                    slot: table.slot_of(0),
+                    rows,
                 }
-                None => GroupVal::Int(schema.dimensions[d].int_value(ord).expect("int dim")),
-            })
-            .collect();
-        result.groups.insert(decoded, states);
+            } else {
+                layout.pack(brick, sel, rows, &mut scratch);
+                scratch.slots.clear();
+                scratch
+                    .slots
+                    .extend(scratch.keys.iter().map(|&key| table.slot_of(key)));
+                Rows::Slots(&scratch.slots)
+            };
+            for (agg, (&func, col)) in funcs.iter().zip(&metric_cols).enumerate() {
+                let values = match col {
+                    Some(m) => gather(&brick.metrics[*m], sel, &mut scratch.values),
+                    None => &[],
+                };
+                table.fold(agg, func, target, values);
+            }
+        },
+    );
+
+    // Decode each group key once, after the scan. Keys come in their own
+    // order, which is the order of the decoded keys, so the map is built
+    // from a sorted sequence.
+    let mut groups = Vec::with_capacity(table.len as usize);
+    for (key, accs) in table.groups() {
+        let states = accs.iter().zip(&funcs).map(|(acc, &f)| acc.state(f));
+        groups.push((layout.unpack(key, partition, &schema)?, states.collect()));
     }
+    result.groups = groups.into_iter().collect();
     result.rows_scanned = rows_scanned;
     Ok(result)
 }
@@ -267,6 +571,75 @@ mod tests {
         let out_a = execute_partition(&mut a, &query, 8).unwrap().finalize();
         let out_b = execute_partition(&mut b, &query, 8).unwrap().finalize();
         assert_eq!(out_a, out_b);
+    }
+
+    #[test]
+    fn group_by_two_dimensions_orders_by_decoded_key() {
+        let mut p = partition();
+        let query = q(
+            vec![AggSpec::count_star()],
+            vec![Predicate::between("ds", 98, 99)],
+            vec!["country", "ds"],
+        );
+        let out = execute_partition(&mut p, &query, 8).unwrap().finalize();
+        // Dictionary ids run US, BR, IN; the output runs BR, IN, US.
+        let keys: Vec<_> = out.rows.iter().map(|r| r.key.clone()).collect();
+        let expect: Vec<Vec<Value>> = ["BR", "IN", "US"]
+            .iter()
+            .flat_map(|c| [98, 99].map(|ds| vec![Value::from(*c), Value::Int(ds)]))
+            .collect();
+        assert_eq!(keys, expect);
+        assert!(out.rows.iter().all(|r| r.aggs == vec![1.0]));
+    }
+
+    /// A key domain past `DENSE_KEY_DOMAIN` takes the ordered slot map
+    /// and answers like the dense path does.
+    #[test]
+    fn wide_key_domain_groups_through_the_ordered_map() {
+        let schema = Arc::new(
+            SchemaBuilder::new()
+                .int_dim("uid", 0, 1 << 20, 1 << 18)
+                .metric("m")
+                .build()
+                .unwrap(),
+        );
+        assert!(schema.dimensions[0].cardinality() > DENSE_KEY_DOMAIN);
+        let mut p = PartitionData::new(schema);
+        for i in 0..300i64 {
+            let uid = (i * 7_919) % 50 * 20_000;
+            p.ingest(&Row::new(vec![Value::Int(uid)], vec![i as f64]))
+                .unwrap();
+        }
+        let query = q(
+            vec![AggSpec::count_star(), AggSpec::new(AggFunc::Sum, "m")],
+            vec![],
+            vec!["uid"],
+        );
+        let out = execute_partition(&mut p, &query, 1).unwrap().finalize();
+        assert_eq!(out.rows.len(), 50);
+        assert_eq!(out.rows_scanned, 300);
+        for (i, row) in out.rows.iter().enumerate() {
+            assert_eq!(row.key, vec![Value::Int(i as i64 * 20_000)]);
+            assert_eq!(row.aggs[0], 6.0);
+        }
+        let total: f64 = out.rows.iter().map(|r| r.aggs[1]).sum();
+        assert_eq!(total, (0..300).sum::<i64>() as f64);
+    }
+
+    #[test]
+    fn group_key_space_past_64_bits_is_a_typed_error() {
+        let mut b = SchemaBuilder::new();
+        for name in ["a", "b", "c"] {
+            b = b.int_dim(name, 0, 1 << 31, 1 << 30);
+        }
+        let mut p = PartitionData::new(Arc::new(b.metric("m").build().unwrap()));
+        let query = q(vec![AggSpec::count_star()], vec![], vec!["a", "b", "c"]);
+        assert!(matches!(
+            execute_partition(&mut p, &query, 1),
+            Err(CubrickError::InvalidQuery { .. })
+        ));
+        let query = q(vec![AggSpec::count_star()], vec![], vec!["a", "b"]);
+        assert!(execute_partition(&mut p, &query, 1).is_ok());
     }
 
     #[test]

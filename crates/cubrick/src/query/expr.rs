@@ -5,6 +5,7 @@
 //! ranges per dimension. Those ranges drive both brick pruning (bucket
 //! granularity) and the residual row filter (exact granularity).
 
+use crate::brick::Brick;
 use crate::error::{CubrickError, CubrickResult};
 use crate::schema::{DimKind, Schema};
 use crate::store::PartitionData;
@@ -64,12 +65,33 @@ pub struct CompiledPredicates {
 }
 
 impl CompiledPredicates {
-    /// Whether a row (as ordinals) passes all constraints.
-    pub fn row_matches(&self, ordinals: &[u32]) -> bool {
-        self.per_dim.iter().zip(ordinals).all(|(c, &ord)| match c {
-            None => true,
-            Some(ranges) => ranges.iter().any(|&(lo, hi)| lo <= ord && ord <= hi),
-        })
+    /// The residual filter over one brick, one dimension column at a
+    /// time: leave in `selected` the rows (ascending) whose ordinal on
+    /// every dimension of `dims` falls in that dimension's ranges.
+    pub fn select_rows(&self, brick: &Brick, dims: &[usize], selected: &mut Vec<u32>) {
+        selected.clear();
+        selected.extend(0..brick.rows() as u32);
+        for &d in dims {
+            let Some(ranges) = &self.per_dim[d] else {
+                continue;
+            };
+            let column = &brick.dims[d];
+            // Compact in place without a data-dependent branch (a
+            // dictionary id sits anywhere in its range, so `lo <= ord`
+            // alone is a coin flip): every row is written, only a match
+            // advances the write position.
+            let mut kept = 0;
+            for i in 0..selected.len() {
+                let row = selected[i];
+                let ord = column[row as usize];
+                let hit = ranges
+                    .iter()
+                    .fold(false, |hit, &(lo, hi)| hit | ((lo <= ord) & (ord <= hi)));
+                selected[kept] = row;
+                kept += usize::from(hit);
+            }
+            selected.truncate(kept);
+        }
     }
 }
 
@@ -253,8 +275,31 @@ mod tests {
         assert_eq!(c.per_dim[0], Some(vec![(42, 42)]));
         assert_eq!(c.per_dim[1], None);
         assert!(c.satisfiable);
-        assert!(c.row_matches(&[42, 0]));
-        assert!(!c.row_matches(&[41, 0]));
+    }
+
+    #[test]
+    fn select_rows_filters_column_by_column() {
+        let p = partition();
+        let br = p.dict(1).unwrap().lookup("BR").unwrap();
+        let c = compile(
+            &p,
+            &[
+                Predicate::is_in("ds", vec![Value::Int(1), Value::Int(3)]),
+                Predicate::eq("country", "BR"),
+            ],
+        )
+        .unwrap();
+        let mut brick = Brick::new(2, 1);
+        for (ds, country) in [(1, br), (2, br), (3, 1 - br), (3, br), (1, 1 - br)] {
+            brick.push(&[ds, country], &[1.0]);
+        }
+        let mut selected = vec![9];
+        c.select_rows(&brick, &[0, 1], &mut selected);
+        assert_eq!(selected, vec![0, 3]);
+        c.select_rows(&brick, &[0], &mut selected);
+        assert_eq!(selected, vec![0, 2, 3, 4]);
+        c.select_rows(&brick, &[], &mut selected);
+        assert_eq!(selected, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

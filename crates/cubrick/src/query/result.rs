@@ -10,8 +10,10 @@
 //! number of partitions per table is always included as part of query
 //! results metadata, and updates the proxy's cache" (§IV-C).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
+use crate::error::{CubrickError, CubrickResult};
 use crate::query::agg::{AggSpec, AggState};
 use crate::value::Value;
 
@@ -25,14 +27,17 @@ pub enum GroupVal {
     Str(String),
 }
 
-impl From<&GroupVal> for Value {
-    fn from(g: &GroupVal) -> Value {
+impl From<GroupVal> for Value {
+    fn from(g: GroupVal) -> Value {
         match g {
-            GroupVal::Int(v) => Value::Int(*v),
-            GroupVal::Str(s) => Value::Str(s.clone()),
+            GroupVal::Int(v) => Value::Int(v),
+            GroupVal::Str(s) => Value::Str(s),
         }
     }
 }
+
+/// One group of a partial: its key and one accumulator per aggregate.
+type Group = (Vec<GroupVal>, Vec<AggState>);
 
 /// Partial result from one partition (or a merge of several).
 #[derive(Debug, Clone, PartialEq)]
@@ -57,48 +62,87 @@ impl PartialResult {
         }
     }
 
-    /// Merge another partial into this one. Panics if the agg lists
-    /// differ (partials must come from the same query).
-    pub fn merge(&mut self, other: &PartialResult) {
-        assert_eq!(
-            self.aggs, other.aggs,
-            "merging partials from different queries"
-        );
-        self.rows_scanned += other.rows_scanned;
-        self.table_partitions = self.table_partitions.max(other.table_partitions);
-        for (key, states) in &other.groups {
-            match self.groups.get_mut(key) {
-                Some(mine) => {
-                    for (a, b) in mine.iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    self.groups.insert(key.clone(), states.clone());
-                }
+    /// Merge the owned partials of one query into one, folding each
+    /// group's accumulators in the order the partials are given (the
+    /// coordinator passes plan order). Keys and accumulators are moved,
+    /// never cloned. `None` for no partials; partials of different agg
+    /// lists are a typed error.
+    pub fn merge_all(partials: Vec<PartialResult>) -> CubrickResult<Option<PartialResult>> {
+        let mut partials = partials.into_iter();
+        let Some(first) = partials.next() else {
+            return Ok(None);
+        };
+        let PartialResult {
+            aggs,
+            groups,
+            mut rows_scanned,
+            mut table_partitions,
+        } = first;
+        let mut merged: Vec<Group> = groups.into_iter().collect();
+        for partial in partials {
+            if partial.aggs != aggs {
+                return Err(CubrickError::Internal {
+                    detail: "merging partials from different queries".into(),
+                });
             }
+            rows_scanned += partial.rows_scanned;
+            table_partitions = table_partitions.max(partial.table_partitions);
+            merged = merge_by_key(merged, partial.groups)?;
         }
+        Ok(Some(PartialResult {
+            aggs,
+            groups: merged.into_iter().collect(),
+            rows_scanned,
+            table_partitions,
+        }))
     }
 
-    /// Finalize into ordered output rows.
-    pub fn finalize(&self) -> QueryOutput {
-        let mut rows: Vec<ResultRow> = self
-            .groups
-            .iter()
-            .map(|(key, states)| ResultRow {
-                key: key.iter().map(Value::from).collect(),
-                aggs: states.iter().map(AggState::finalize).collect(),
-            })
-            .collect();
-        // Deterministic output order: by group key.
-        let mut keyed: Vec<(Vec<GroupVal>, ResultRow)> =
-            self.groups.keys().cloned().zip(rows.drain(..)).collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    /// Finalize into output rows, ordered by group key (the order the
+    /// map already holds them in).
+    pub fn finalize(self) -> QueryOutput {
         QueryOutput {
             columns: self.aggs.iter().map(AggSpec::label).collect(),
-            rows: keyed.into_iter().map(|(_, r)| r).collect(),
+            rows: self
+                .groups
+                .into_iter()
+                .map(|(key, states)| ResultRow {
+                    key: key.into_iter().map(Value::from).collect(),
+                    aggs: states.iter().map(AggState::finalize).collect(),
+                })
+                .collect(),
             rows_scanned: self.rows_scanned,
             table_partitions: self.table_partitions,
+        }
+    }
+}
+
+/// Two-way merge of key-ordered groups: a key on both sides folds
+/// `theirs` into `mine`, every other group moves across untouched.
+fn merge_by_key(
+    mine: Vec<Group>,
+    theirs: BTreeMap<Vec<GroupVal>, Vec<AggState>>,
+) -> CubrickResult<Vec<Group>> {
+    let mut out = Vec::with_capacity(mine.len().max(theirs.len()));
+    let mut mine = mine.into_iter().peekable();
+    let mut theirs = theirs.into_iter().peekable();
+    loop {
+        let order = match (mine.peek(), theirs.peek()) {
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return Ok(out),
+        };
+        match order {
+            Ordering::Less => out.extend(mine.next()),
+            Ordering::Greater => out.extend(theirs.next()),
+            Ordering::Equal => {
+                if let (Some((key, mut states)), Some((_, other))) = (mine.next(), theirs.next()) {
+                    for (a, b) in states.iter_mut().zip(&other) {
+                        a.merge(b)?;
+                    }
+                    out.push((key, states));
+                }
+            }
         }
     }
 }
@@ -213,7 +257,7 @@ mod tests {
 
     #[test]
     fn merge_combines_groups() {
-        let mut a = partial_with(vec![
+        let a = partial_with(vec![
             (vec![GroupVal::Str("US".into())], 2, 10.0),
             (vec![GroupVal::Str("BR".into())], 1, 5.0),
         ]);
@@ -221,13 +265,27 @@ mod tests {
             (vec![GroupVal::Str("US".into())], 3, 7.0),
             (vec![GroupVal::Str("JP".into())], 4, 1.0),
         ]);
-        a.merge(&b);
-        assert_eq!(a.groups.len(), 3);
+        let merged = PartialResult::merge_all(vec![a, b]).unwrap().unwrap();
+        assert_eq!(merged.groups.len(), 3);
         assert_eq!(
-            a.groups[&vec![GroupVal::Str("US".into())]],
+            merged.groups[&vec![GroupVal::Str("US".into())]],
             vec![AggState::Count(5), AggState::Sum(17.0)]
         );
-        assert_eq!(a.rows_scanned, 10);
+        assert_eq!(
+            merged.groups[&vec![GroupVal::Str("JP".into())]],
+            vec![AggState::Count(4), AggState::Sum(1.0)]
+        );
+        assert_eq!(merged.rows_scanned, 10);
+    }
+
+    #[test]
+    fn merge_of_nothing_is_none_and_of_one_is_itself() {
+        assert_eq!(PartialResult::merge_all(vec![]).unwrap(), None);
+        let only = partial_with(vec![(vec![GroupVal::Int(3)], 2, 1.5)]);
+        assert_eq!(
+            PartialResult::merge_all(vec![only.clone()]).unwrap(),
+            Some(only)
+        );
     }
 
     #[test]
@@ -235,10 +293,10 @@ mod tests {
         // During a re-partition different servers may report different
         // counts; the proxy should learn the newest (largest... the rule
         // here: max) one.
-        let mut a = PartialResult::new(spec(), 8);
+        let a = PartialResult::new(spec(), 8);
         let b = PartialResult::new(spec(), 16);
-        a.merge(&b);
-        assert_eq!(a.table_partitions, 16);
+        let merged = PartialResult::merge_all(vec![a, b]).unwrap().unwrap();
+        assert_eq!(merged.table_partitions, 16);
     }
 
     #[test]
@@ -288,10 +346,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different queries")]
-    fn merge_mismatched_specs_panics() {
-        let mut a = PartialResult::new(vec![AggSpec::count_star()], 8);
+    fn merge_mismatched_specs_is_a_typed_error() {
+        let a = PartialResult::new(vec![AggSpec::count_star()], 8);
         let b = PartialResult::new(spec(), 8);
-        a.merge(&b);
+        assert!(matches!(
+            PartialResult::merge_all(vec![a, b]),
+            Err(CubrickError::Internal { .. })
+        ));
+        // Same agg list, accumulators of another shape under one key.
+        let a = partial_with(vec![(vec![GroupVal::Int(1)], 1, 1.0)]);
+        let mut b = a.clone();
+        b.groups.insert(
+            vec![GroupVal::Int(1)],
+            vec![AggState::Sum(1.0), AggState::Sum(1.0)],
+        );
+        assert!(matches!(
+            PartialResult::merge_all(vec![a, b]),
+            Err(CubrickError::Internal { .. })
+        ));
     }
 }

@@ -19,7 +19,7 @@ use scalewall_sim::SimRng;
 
 use crate::brick::Brick;
 use crate::compression::CompressedBrick;
-use crate::dictionary::Dictionary;
+use crate::dictionary::{Dictionary, StringRanks};
 use crate::error::{CubrickError, CubrickResult};
 use crate::hotness::{self, Hotness, MemoryMonitorConfig};
 use crate::partition::BrickSpace;
@@ -110,6 +110,14 @@ impl PartitionData {
         self.dicts.get(dim).and_then(|d| d.as_ref())
     }
 
+    /// String order of a string dimension's dictionary ids.
+    pub(crate) fn string_ranks(&mut self, dim: usize) -> Option<Arc<StringRanks>> {
+        self.dicts
+            .get_mut(dim)
+            .and_then(|d| d.as_mut())
+            .map(Dictionary::ranks)
+    }
+
     // --------------------------------------------------------------- ingest
 
     /// Encode a row's dimension values to ordinals.
@@ -179,27 +187,45 @@ impl PartitionData {
         constraints: &[Option<Vec<(u32, u32)>>],
         mut f: F,
     ) {
-        // Deterministic iteration order regardless of HashMap layout.
-        let mut ids: Vec<u64> = self.bricks.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            if !self.space.brick_matches(id, constraints) {
-                self.stats.bricks_pruned += 1;
+        self.scan_bricks(constraints, |_| true, |_| true, |brick, _| f(brick));
+    }
+
+    /// The scan under [`Self::for_each_matching_brick`], for a caller that
+    /// knows which columns it reads. `f` gets each surviving brick, in
+    /// brick-id order, with the dimensions it still has to filter row by
+    /// row ([`BrickSpace::residual_dims`]). A compressed or evicted brick
+    /// arrives with only those dimensions and the columns `reads_dim` /
+    /// `reads_metric` pick decoded; the rest of its columns are empty.
+    pub(crate) fn scan_bricks(
+        &mut self,
+        constraints: &[Option<Vec<(u32, u32)>>],
+        reads_dim: impl Fn(usize) -> bool,
+        reads_metric: impl Fn(usize) -> bool,
+        mut f: impl FnMut(&Brick, &[usize]),
+    ) {
+        let PartitionData {
+            space,
+            bricks,
+            stats,
+            ..
+        } = self;
+        let mut residual = Vec::new();
+        for (&id, slot) in bricks.iter_mut() {
+            if !space.residual_dims(id, constraints, &mut residual) {
+                stats.bricks_pruned += 1;
                 continue;
             }
-            let slot = self.bricks.get_mut(&id).expect("listed id");
             slot.hotness.touch();
-            self.stats.bricks_scanned += 1;
+            stats.bricks_scanned += 1;
             match &slot.state {
-                BrickState::Hot(b) => f(b),
-                BrickState::Cold(c) => {
-                    self.stats.transient_decompressions += 1;
-                    f(&c.decompress());
-                }
-                BrickState::Evicted(c) => {
-                    self.stats.transient_decompressions += 1;
-                    self.stats.ssd_reads += 1;
-                    f(&c.decompress());
+                BrickState::Hot(b) => f(b, &residual),
+                BrickState::Cold(c) | BrickState::Evicted(c) => {
+                    stats.transient_decompressions += 1;
+                    if matches!(slot.state, BrickState::Evicted(_)) {
+                        stats.ssd_reads += 1;
+                    }
+                    let wants_dim = |d| reads_dim(d) || residual.contains(&d);
+                    f(&c.decode_columns(wants_dim, &reads_metric), &residual);
                 }
             }
         }
@@ -209,10 +235,7 @@ impl PartitionData {
     /// verification oracles).
     pub fn all_rows(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.rows as usize);
-        let mut ids: Vec<u64> = self.bricks.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let slot = &self.bricks[&id];
+        for slot in self.bricks.values() {
             let decoded;
             let brick: &Brick = match &slot.state {
                 BrickState::Hot(b) => b,
@@ -327,14 +350,8 @@ impl PartitionData {
 
     /// One stochastic decay pass over all hotness counters.
     pub fn decay_pass(&mut self, p: f64, rng: &mut SimRng) {
-        let mut ids: Vec<u64> = self.bricks.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.bricks
-                .get_mut(&id)
-                .expect("listed")
-                .hotness
-                .decay(p, rng);
+        for slot in self.bricks.values_mut() {
+            slot.hotness.decay(p, rng);
         }
     }
 

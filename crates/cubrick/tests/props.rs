@@ -202,6 +202,59 @@ fn pruning_never_drops_matching_bricks() {
     );
 }
 
+/// The residual filter may be skipped only when buckets decide the
+/// predicate: for a surviving brick, every ordinal of a constrained
+/// dimension left off the residual list satisfies its ranges.
+#[test]
+fn residual_dims_cover_every_undecided_dimension() {
+    prop::check(
+        "residual_dims_cover_every_undecided_dimension",
+        |rng| {
+            let schema = gen_schema(rng);
+            let constraints: Vec<Option<Vec<(u32, u32)>>> = schema
+                .dimensions
+                .iter()
+                .map(|d| {
+                    gen::any_bool(rng).then(|| {
+                        gen::vec_with(rng, 1, 3, |r| {
+                            let a = r.below(d.cardinality()) as u32;
+                            let b = r.below(d.cardinality()) as u32;
+                            (a.min(b), a.max(b))
+                        })
+                    })
+                })
+                .collect();
+            let brick = rng.below(BrickSpace::from_schema(&schema).brick_count());
+            (schema, constraints, brick)
+        },
+        |(schema, constraints, brick)| {
+            let space = BrickSpace::from_schema(schema);
+            let mut residual = Vec::new();
+            let survives = space.residual_dims(*brick, constraints, &mut residual);
+            assert_eq!(survives, space.brick_matches(*brick, constraints));
+            if !survives {
+                return;
+            }
+            for (dim, &coord) in space.coords(*brick).iter().enumerate() {
+                let Some(ranges) = &constraints[dim] else {
+                    assert!(!residual.contains(&dim), "unconstrained dimension filtered");
+                    continue;
+                };
+                if residual.contains(&dim) {
+                    continue;
+                }
+                let (lo, hi) = space.bucket_ordinal_range(dim, coord);
+                for ord in lo..=hi {
+                    assert!(
+                        ranges.iter().any(|&(a, b)| a <= ord && ord <= b),
+                        "dimension {dim} ordinal {ord} skipped the filter outside {ranges:?}"
+                    );
+                }
+            }
+        },
+    );
+}
+
 // ---------------------------------------------------------------- sharding
 
 const IDENT_REST: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";

@@ -76,11 +76,11 @@ pub const SIM_FACING_CRATES: &[&str] =
 
 /// Hot-path files under the D7 panic-surface audit: the experiment
 /// engine, the event kernel, the replicated coordination plane, the
-/// shard manager, the admission controller, the partial-result merge,
-/// and the query path's two entry files (the cluster driver and the
-/// proxy) — the code that runs during failover and overload, where a
-/// panic kills the experiment mid-replay (or melts the serving plane
-/// exactly when it is shedding load).
+/// shard manager, the admission controller, the partition scan and the
+/// partial-result merge, and the query path's two entry files (the
+/// cluster driver and the proxy) — the code that runs during failover
+/// and overload, where a panic kills the experiment mid-replay (or melts
+/// the serving plane exactly when it is shedding load).
 pub const HOT_PATHS: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/cluster/src/experiment.rs",
@@ -90,6 +90,8 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/shard-manager/src/server.rs",
     "crates/cubrick/src/admission.rs",
     "crates/cubrick/src/coordinator.rs",
+    "crates/cubrick/src/query/exec.rs",
+    "crates/cubrick/src/query/result.rs",
     "crates/cubrick/src/proxy.rs",
 ];
 

@@ -1,15 +1,20 @@
 //! Property-based integration: distributed query results must equal a
-//! naive row-store oracle for randomized workloads, schemas, predicates
-//! and compression states.
+//! naive row-store oracle for randomized workloads, schemas, predicates,
+//! group-bys and brick states, and the coordinator's consuming merge must
+//! equal a naive per-key fold of the same partials.
 
+use scalewall::cubrick::coordinator::{merge_partials, FanoutPlan};
 use scalewall::cubrick::hotness::MemoryMonitorConfig;
-use scalewall::cubrick::query::{execute_partition, AggFunc, AggSpec, Predicate, Query};
+use scalewall::cubrick::query::result::GroupVal;
+use scalewall::cubrick::query::{
+    execute_partition, AggFunc, AggSpec, AggState, PartialResult, Predicate, Query,
+};
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::store::PartitionData;
 use scalewall::cubrick::value::{Row, Value};
 use scalewall::sim::prop::{self, gen};
 use scalewall::sim::SimRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 const DS_MAX: i64 = 60;
@@ -22,7 +27,22 @@ struct OracleRow {
     m: f64,
 }
 
-fn partition_from(rows: &[OracleRow], compress: bool) -> PartitionData {
+/// What the memory monitor did to a partition before the query runs.
+#[derive(Debug, Clone, Copy)]
+enum BrickStates {
+    Hot,
+    Cold,
+    /// The first two thirds of the rows compressed, half of that evicted,
+    /// the last third ingested on top: hot, cold and evicted bricks side
+    /// by side, some of them re-heated by the late rows.
+    Mixed,
+}
+
+fn gen_states(rng: &mut SimRng) -> BrickStates {
+    *rng.pick(&[BrickStates::Hot, BrickStates::Cold, BrickStates::Mixed])
+}
+
+fn partition_from(rows: &[OracleRow], states: BrickStates) -> PartitionData {
     let schema = Arc::new(
         SchemaBuilder::new()
             .int_dim("ds", 0, DS_MAX, 7)
@@ -32,18 +52,27 @@ fn partition_from(rows: &[OracleRow], compress: bool) -> PartitionData {
             .unwrap(),
     );
     let mut p = PartitionData::new(schema);
-    for r in rows {
+    let squeeze = MemoryMonitorConfig {
+        budget_bytes: 0,
+        ..Default::default()
+    };
+    let late = match states {
+        BrickStates::Mixed => rows.len() - rows.len() / 3,
+        BrickStates::Hot | BrickStates::Cold => rows.len(),
+    };
+    for (i, r) in rows.iter().enumerate() {
+        if i == late {
+            p.run_memory_monitor(&squeeze);
+            p.evict_coldest(p.memory_footprint() / 2);
+        }
         p.ingest(&Row::new(
             vec![Value::Int(r.ds), Value::Str(format!("app{}", r.app))],
             vec![r.m],
         ))
         .unwrap();
     }
-    if compress {
-        p.run_memory_monitor(&MemoryMonitorConfig {
-            budget_bytes: 0,
-            ..Default::default()
-        });
+    if let BrickStates::Cold = states {
+        p.run_memory_monitor(&squeeze);
     }
     p
 }
@@ -107,11 +136,11 @@ fn sum_and_count_match_oracle() {
             (
                 gen::vec_with(rng, 0, 400, gen_row),
                 gen::vec_with(rng, 0, 3, gen_pred),
-                gen::any_bool(rng),
+                gen_states(rng),
             )
         },
-        |(rows, preds, compress)| {
-            let mut partition = partition_from(rows, *compress);
+        |(rows, preds, states)| {
+            let mut partition = partition_from(rows, *states);
             let query = Query {
                 table: "t".into(),
                 aggs: vec![AggSpec::new(AggFunc::Sum, "m"), AggSpec::count_star()],
@@ -152,7 +181,7 @@ fn group_by_matches_oracle() {
         48,
         |rng| (gen::vec_with(rng, 1, 300, gen_row), gen_pred(rng)),
         |(rows, pred)| {
-            let mut partition = partition_from(rows, false);
+            let mut partition = partition_from(rows, BrickStates::Hot);
             let query = Query {
                 table: "t".into(),
                 aggs: vec![AggSpec::new(AggFunc::Min, "m"), AggSpec::new(AggFunc::Max, "m")],
@@ -182,6 +211,183 @@ fn group_by_matches_oracle() {
     );
 }
 
+/// Group by one or two dimensions in either order, under any predicates
+/// and brick states: every aggregate of every group matches a naive
+/// fold, and the groups come out in key order.
+#[test]
+fn multi_dim_group_by_matches_oracle() {
+    prop::check_n(
+        "multi_dim_group_by_matches_oracle",
+        64,
+        |rng| {
+            let dims: &[&str] = *rng.pick(&[
+                &["ds", "app"][..],
+                &["app", "ds"][..],
+                &["app"][..],
+                &["ds"][..],
+            ]);
+            (
+                gen::vec_with(rng, 0, 400, gen_row),
+                gen::vec_with(rng, 0, 2, gen_pred),
+                dims,
+                gen_states(rng),
+            )
+        },
+        |(rows, preds, dims, states)| {
+            let mut partition = partition_from(rows, *states);
+            let funcs = [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ];
+            let query = Query {
+                table: "t".into(),
+                aggs: funcs.iter().map(|&f| AggSpec::new(f, "m")).collect(),
+                predicates: preds.iter().map(to_predicate).collect(),
+                group_by: dims.iter().map(|d| d.to_string()).collect(),
+                order_by: None,
+                limit: None,
+            };
+            let out = execute_partition(&mut partition, &query, 1).unwrap().finalize();
+
+            // (count, sum, min, max) per group, keyed like the output.
+            let mut oracle: BTreeMap<Vec<GroupVal>, (f64, f64, f64, f64)> = BTreeMap::new();
+            let surviving = rows.iter().filter(|r| preds.iter().all(|p| matches(r, p)));
+            for r in surviving {
+                let key = dims
+                    .iter()
+                    .map(|&d| match d {
+                        "ds" => GroupVal::Int(r.ds),
+                        _ => GroupVal::Str(format!("app{}", r.app)),
+                    })
+                    .collect();
+                let e = oracle
+                    .entry(key)
+                    .or_insert((0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY));
+                *e = (e.0 + 1.0, e.1 + r.m, e.2.min(r.m), e.3.max(r.m));
+            }
+            assert_eq!(out.rows_scanned as f64, oracle.values().map(|e| e.0).sum::<f64>());
+            let keys: Vec<Vec<Value>> = oracle
+                .keys()
+                .map(|key| key.iter().cloned().map(Value::from).collect())
+                .collect();
+            let got: Vec<&Vec<Value>> = out.rows.iter().map(|r| &r.key).collect();
+            assert_eq!(got, keys.iter().collect::<Vec<_>>(), "groups, in key order");
+            for (row, (count, sum, min, max)) in out.rows.iter().zip(oracle.values()) {
+                assert_eq!(row.aggs[0], *count);
+                assert!((row.aggs[1] - sum).abs() < 1e-6, "sum {} vs {sum}", row.aggs[1]);
+                assert_eq!(row.aggs[2], *min);
+                assert_eq!(row.aggs[3], *max);
+                assert!((row.aggs[4] - sum / count).abs() < 1e-6);
+            }
+        },
+    );
+}
+
+// ------------------------------------------------------------------ merge
+
+const MERGE_FUNCS: [AggFunc; 5] = [
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::Avg,
+];
+
+fn gen_state(rng: &mut SimRng, func: AggFunc) -> AggState {
+    let v = gen::f64_in(rng, -1e6, 1e6);
+    match func {
+        AggFunc::Count => AggState::Count(rng.below(1_000)),
+        AggFunc::Sum => AggState::Sum(v),
+        AggFunc::Min => AggState::Min(v),
+        AggFunc::Max => AggState::Max(v),
+        AggFunc::Avg => AggState::Avg {
+            sum: v,
+            count: rng.below(1_000),
+        },
+    }
+}
+
+/// Partials of one query: a shared agg list, and per partial a random
+/// subset of a small key universe (two-part keys, ints before strings).
+fn gen_partials(rng: &mut SimRng) -> Vec<PartialResult> {
+    let funcs = gen::vec_with(rng, 1, 4, |r| *r.pick(&MERGE_FUNCS));
+    let aggs: Vec<AggSpec> = funcs.iter().map(|&f| AggSpec::new(f, "m")).collect();
+    let universe = gen::usize_in(rng, 1, 12) as u64;
+    gen::vec_with(rng, 1, 8, |rng| {
+        let mut partial = PartialResult::new(aggs.clone(), 1 + rng.below(64) as u32);
+        for _ in 0..rng.below(2 * universe) {
+            let k = rng.below(universe);
+            let key = vec![
+                GroupVal::Int(k as i64 % 3),
+                GroupVal::Str(format!("k{k}")),
+            ];
+            let states = funcs.iter().map(|&f| gen_state(rng, f)).collect();
+            partial.groups.insert(key, states);
+        }
+        partial.rows_scanned = rng.below(10_000);
+        partial
+    })
+}
+
+fn state_bits(state: &AggState) -> (u64, u64) {
+    match *state {
+        AggState::Count(c) => (0, c),
+        AggState::Sum(v) | AggState::Min(v) | AggState::Max(v) => (v.to_bits(), 0),
+        AggState::Avg { sum, count } => (sum.to_bits(), count),
+    }
+}
+
+/// The consuming, key-ordered merge equals folding every partial into a
+/// map one key at a time, in plan order, bit for bit on every
+/// accumulator; the coordinator finalizes exactly that.
+#[test]
+fn consuming_merge_equals_naive_fold_in_plan_order() {
+    prop::check_n(
+        "consuming_merge_equals_naive_fold_in_plan_order",
+        128,
+        gen_partials,
+        |partials| {
+            let mut naive: BTreeMap<Vec<GroupVal>, Vec<AggState>> = BTreeMap::new();
+            for partial in partials {
+                for (key, states) in &partial.groups {
+                    match naive.get_mut(key) {
+                        Some(mine) => {
+                            for (a, b) in mine.iter_mut().zip(states) {
+                                a.merge(b).unwrap();
+                            }
+                        }
+                        None => {
+                            naive.insert(key.clone(), states.clone());
+                        }
+                    }
+                }
+            }
+            let merged = PartialResult::merge_all(partials.clone()).unwrap().unwrap();
+            assert_eq!(
+                merged.groups.keys().collect::<Vec<_>>(),
+                naive.keys().collect::<Vec<_>>()
+            );
+            for (got, want) in merged.groups.values().zip(naive.values()) {
+                let bits = |states: &[AggState]| states.iter().map(state_bits).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want));
+            }
+            let scanned: u64 = partials.iter().map(|p| p.rows_scanned).sum();
+            assert_eq!(merged.rows_scanned, scanned);
+            assert_eq!(
+                Some(merged.table_partitions),
+                partials.iter().map(|p| p.table_partitions).max()
+            );
+
+            let plan = FanoutPlan::for_table("t", partials.len() as u32);
+            let out = merge_partials(&plan, partials.clone()).unwrap();
+            assert_eq!(out, merged.finalize());
+        },
+    );
+}
+
 #[test]
 fn avg_consistent_with_sum_over_count() {
     prop::check_n(
@@ -189,7 +395,7 @@ fn avg_consistent_with_sum_over_count() {
         48,
         |rng| gen::vec_with(rng, 1, 200, gen_row),
         |rows| {
-            let mut partition = partition_from(rows, false);
+            let mut partition = partition_from(rows, BrickStates::Hot);
             let query = Query {
                 table: "t".into(),
                 aggs: vec![
@@ -214,9 +420,9 @@ fn all_rows_round_trips_everything() {
     prop::check_n(
         "all_rows_round_trips_everything",
         48,
-        |rng| (gen::vec_with(rng, 0, 200, gen_row), gen::any_bool(rng)),
-        |(rows, compress)| {
-            let partition = partition_from(rows, *compress);
+        |rng| (gen::vec_with(rng, 0, 200, gen_row), gen_states(rng)),
+        |(rows, states)| {
+            let partition = partition_from(rows, *states);
             let mut restored: Vec<(i64, String, f64)> = partition
                 .all_rows()
                 .into_iter()

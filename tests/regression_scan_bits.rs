@@ -1,0 +1,364 @@
+//! Bit-level goldens for the engine's read side, captured on the commit
+//! before the column-at-a-time scan (PR 14) and pinned here: every
+//! aggregate as `f64::to_bits`, every group key, `rows_scanned`, the
+//! store's scan statistics and the hotness counters, for a seeded set of
+//! query shapes over all-hot, all-cold and mixed hot/cold/evicted
+//! partitions, per partition and through the coordinator merge. A scan or
+//! merge that reorders one floating-point addition moves a digest.
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use scalewall::cubrick::coordinator::{merge_partials, FanoutPlan};
+use scalewall::cubrick::hotness::MemoryMonitorConfig;
+use scalewall::cubrick::query::{
+    execute_partition, AggFunc, AggSpec, Predicate, Query, QueryOutput,
+};
+use scalewall::cubrick::schema::SchemaBuilder;
+use scalewall::cubrick::store::PartitionData;
+use scalewall::cubrick::value::{Row, Value};
+use scalewall::sim::SimRng;
+
+const PARTITIONS: u32 = 3;
+const ROWS: usize = 6_000;
+const DS_MAX: i64 = 90;
+const ENTITIES: u64 = 300;
+/// Wide enough that `group by uid` cannot index a dense slot table.
+const UID_MAX: i64 = 100_000;
+
+#[derive(Clone, Copy, Debug)]
+enum BrickStates {
+    AllHot,
+    AllCold,
+    /// Everything compressed, the coldest third evicted, then a second
+    /// ingest wave re-heats whichever bricks it lands in.
+    Mixed,
+}
+
+fn gen_row(rng: &mut SimRng) -> Row {
+    Row::new(
+        vec![
+            Value::Int(rng.below(DS_MAX as u64) as i64),
+            Value::Str(format!("e{}", rng.below(ENTITIES))),
+            Value::Int(rng.below(UID_MAX as u64) as i64),
+        ],
+        vec![rng.below(100) as f64, rng.unit() * 10.0],
+    )
+}
+
+fn partitions(states: BrickStates) -> Vec<PartitionData> {
+    let schema = Arc::new(
+        SchemaBuilder::new()
+            .int_dim("ds", 0, DS_MAX, 15)
+            .str_dim("entity", 400, 100)
+            .int_dim("uid", 0, UID_MAX, 25_000)
+            .metric("clicks")
+            .metric("cost")
+            .build()
+            .unwrap(),
+    );
+    let mut rng = SimRng::new(0x5CA7_B175);
+    let mut parts: Vec<PartitionData> = (0..PARTITIONS)
+        .map(|_| PartitionData::new(schema.clone()))
+        .collect();
+    // Round-robin rows, so each partition's dictionary assigns its own ids.
+    for i in 0..ROWS {
+        parts[i % PARTITIONS as usize]
+            .ingest(&gen_row(&mut rng))
+            .unwrap();
+    }
+    let squeeze = MemoryMonitorConfig {
+        budget_bytes: 0,
+        ..Default::default()
+    };
+    for (p, part) in parts.iter_mut().enumerate() {
+        match states {
+            BrickStates::AllHot => {}
+            BrickStates::AllCold => {
+                part.run_memory_monitor(&squeeze);
+            }
+            BrickStates::Mixed => {
+                // Warm a ds window first so eviction has an order to follow.
+                let warm = query(
+                    vec![AggSpec::count_star()],
+                    vec![Predicate::between("ds", 60, 89)],
+                    &[],
+                );
+                execute_partition(part, &warm, PARTITIONS).unwrap();
+                part.run_memory_monitor(&squeeze);
+                part.evict_coldest(part.memory_footprint() / 3);
+                for _ in 0..40 + 10 * p {
+                    part.ingest(&gen_row(&mut rng)).unwrap();
+                }
+                let (hot, cold, evicted) = part.state_counts();
+                assert!(hot > 0 && cold > 0 && evicted > 0, "{hot}/{cold}/{evicted}");
+            }
+        }
+    }
+    parts
+}
+
+fn query(aggs: Vec<AggSpec>, predicates: Vec<Predicate>, group_by: &[&str]) -> Query {
+    Query {
+        table: "t".into(),
+        aggs,
+        predicates,
+        group_by: group_by.iter().map(|s| s.to_string()).collect(),
+        order_by: None,
+        limit: None,
+    }
+}
+
+fn strs(names: &[&str]) -> Vec<Value> {
+    names.iter().map(|s| Value::from(*s)).collect()
+}
+
+/// The five `engine_scan` shapes, then everything else the scan branches on.
+fn queries() -> Vec<(&'static str, Query)> {
+    let sum = |m| AggSpec::new(AggFunc::Sum, m);
+    let sum_count = || vec![sum("clicks"), AggSpec::count_star()];
+    vec![
+        ("full", query(sum_count(), vec![], &[])),
+        (
+            "pruned",
+            query(sum_count(), vec![Predicate::between("ds", 71, 89)], &[]),
+        ),
+        ("group_ds", query(sum_count(), vec![], &["ds"])),
+        (
+            "group_entity",
+            query(
+                vec![sum("clicks"), AggSpec::new(AggFunc::Avg, "cost")],
+                vec![],
+                &["entity"],
+            ),
+        ),
+        (
+            "filter_entity",
+            query(
+                vec![sum("cost"), AggSpec::count_star()],
+                vec![Predicate::eq("entity", "e17")],
+                &[],
+            ),
+        ),
+        (
+            "min_max_avg",
+            query(
+                vec![
+                    AggSpec::new(AggFunc::Min, "cost"),
+                    AggSpec::new(AggFunc::Max, "cost"),
+                    AggSpec::new(AggFunc::Avg, "clicks"),
+                ],
+                vec![Predicate::between("ds", 10, 40)],
+                &[],
+            ),
+        ),
+        (
+            "in_lists",
+            query(
+                vec![sum("cost"), AggSpec::count_star()],
+                vec![
+                    Predicate::is_in("entity", strs(&["e1", "e5", "e9", "e250", "absent"])),
+                    Predicate::is_in(
+                        "ds",
+                        vec![Value::Int(3), Value::Int(4), Value::Int(50), Value::Int(89)],
+                    ),
+                ],
+                &[],
+            ),
+        ),
+        ("two_dims", query(sum_count(), vec![], &["ds", "entity"])),
+        (
+            "group_filtered_dim",
+            query(
+                vec![AggSpec::count_star(), sum("cost")],
+                vec![Predicate::is_in(
+                    "entity",
+                    strs(&["e2", "e3", "e100", "e101", "e299"]),
+                )],
+                &["entity"],
+            ),
+        ),
+        (
+            "wide_domain",
+            query(
+                vec![sum("cost"), AggSpec::new(AggFunc::Min, "clicks")],
+                vec![],
+                &["uid"],
+            ),
+        ),
+        (
+            "wide_two_dims",
+            query(
+                vec![AggSpec::new(AggFunc::Avg, "cost"), AggSpec::count_star()],
+                vec![Predicate::between("ds", 80, 89)],
+                &["uid", "ds"],
+            ),
+        ),
+        (
+            "unsatisfiable",
+            query(
+                sum_count(),
+                vec![Predicate::eq("entity", "absent")],
+                &["ds"],
+            ),
+        ),
+        (
+            "matches_nothing",
+            query(
+                sum_count(),
+                vec![
+                    Predicate::between("uid", 0, 3),
+                    Predicate::eq("entity", "e7"),
+                    Predicate::eq("ds", 1i64),
+                ],
+                &[],
+            ),
+        ),
+    ]
+}
+
+fn render(out: &QueryOutput, text: &mut String) {
+    writeln!(
+        text,
+        "{:?} scanned={} partitions={}",
+        out.columns, out.rows_scanned, out.table_partitions
+    )
+    .unwrap();
+    for row in &out.rows {
+        write!(text, "{:?}", row.key).unwrap();
+        for a in &row.aggs {
+            write!(text, " {:016x}", a.to_bits()).unwrap();
+        }
+        text.push('\n');
+    }
+}
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
+    })
+}
+
+/// One line per query: merged row count, merged `rows_scanned`, and the
+/// digest of every per-partition output followed by the merged one.
+/// The last line digests the stores' statistics and hotness counters
+/// after all queries ran.
+fn observe(states: BrickStates) -> Vec<(String, usize, u64, u64)> {
+    let mut parts = partitions(states);
+    let plan = FanoutPlan::for_table("t", PARTITIONS);
+    let mut lines = Vec::new();
+    for (name, q) in queries() {
+        let mut text = String::new();
+        let mut partials = Vec::new();
+        for part in &mut parts {
+            let partial = execute_partition(part, &q, PARTITIONS).unwrap();
+            render(&partial.clone().finalize(), &mut text);
+            partials.push(partial);
+        }
+        let merged = merge_partials(&plan, partials).unwrap();
+        render(&merged, &mut text);
+        lines.push((
+            name.to_string(),
+            merged.rows.len(),
+            merged.rows_scanned,
+            fnv1a(&text),
+        ));
+    }
+    let mut text = String::new();
+    let mut scanned = 0;
+    for part in &parts {
+        writeln!(text, "{:?} {:?}", part.stats(), part.hotness_snapshot()).unwrap();
+        scanned += part.stats().bricks_scanned;
+    }
+    lines.push((
+        "store_stats".to_string(),
+        parts.len(),
+        scanned,
+        fnv1a(&text),
+    ));
+    lines
+}
+
+fn check(states: BrickStates, golden: &[(&str, usize, u64, u64)]) {
+    let got = observe(states);
+    let want: Vec<(String, usize, u64, u64)> = golden
+        .iter()
+        .map(|&(n, r, s, d)| (n.to_string(), r, s, d))
+        .collect();
+    if got != want {
+        let mut table = String::new();
+        for (n, r, s, d) in &got {
+            writeln!(table, "    ({n:?}, {r}, {s}, 0x{d:016x}),").unwrap();
+        }
+        panic!("{states:?}: scan output moved; observed:\n{table}");
+    }
+}
+
+#[test]
+fn regression_scan_bits_all_hot() {
+    check(
+        BrickStates::AllHot,
+        &[
+            ("full", 1, 6000, 0x35c7f27be1dd5e9c),
+            ("pruned", 1, 1247, 0xdbac9b26ac5732b4),
+            ("group_ds", 90, 6000, 0x5ffd93252d0acb01),
+            ("group_entity", 300, 6000, 0x3d58b3618659d3ea),
+            ("filter_entity", 1, 15, 0xbc5a674f7012350c),
+            ("min_max_avg", 1, 2077, 0xf64cba32b983e9d1),
+            ("in_lists", 1, 6, 0x826d14b62cdcc352),
+            ("two_dims", 5390, 6000, 0x5b9eff5930cd6cfe),
+            ("group_filtered_dim", 5, 88, 0xd2ed611eda0f6182),
+            ("wide_domain", 5802, 6000, 0xfcf364afb5c848fe),
+            ("wide_two_dims", 635, 635, 0xc2f13cc18c4c615c),
+            ("unsatisfiable", 0, 0, 0xe95a99b42490b591),
+            ("matches_nothing", 0, 0, 0xe95a99b42490b591),
+            ("store_stats", 3, 1659, 0xc662b3eea7e1ac9e),
+        ],
+    );
+}
+
+#[test]
+fn regression_scan_bits_all_cold() {
+    check(
+        BrickStates::AllCold,
+        &[
+            ("full", 1, 6000, 0x35c7f27be1dd5e9c),
+            ("pruned", 1, 1247, 0xdbac9b26ac5732b4),
+            ("group_ds", 90, 6000, 0x5ffd93252d0acb01),
+            ("group_entity", 300, 6000, 0x3d58b3618659d3ea),
+            ("filter_entity", 1, 15, 0xbc5a674f7012350c),
+            ("min_max_avg", 1, 2077, 0xf64cba32b983e9d1),
+            ("in_lists", 1, 6, 0x826d14b62cdcc352),
+            ("two_dims", 5390, 6000, 0x5b9eff5930cd6cfe),
+            ("group_filtered_dim", 5, 88, 0xd2ed611eda0f6182),
+            ("wide_domain", 5802, 6000, 0xfcf364afb5c848fe),
+            ("wide_two_dims", 635, 635, 0xc2f13cc18c4c615c),
+            ("unsatisfiable", 0, 0, 0xe95a99b42490b591),
+            ("matches_nothing", 0, 0, 0xe95a99b42490b591),
+            ("store_stats", 3, 1659, 0xf01146a44848ec67),
+        ],
+    );
+}
+
+#[test]
+fn regression_scan_bits_mixed_states() {
+    check(
+        BrickStates::Mixed,
+        &[
+            ("full", 1, 6150, 0x8c0f11a7638cbba5),
+            ("pruned", 1, 1284, 0x486c714f3532097e),
+            ("group_ds", 90, 6150, 0x2729f7ab892a53ac),
+            ("group_entity", 300, 6150, 0xbc64544f423c0c63),
+            ("filter_entity", 1, 15, 0xbc5a674f7012350c),
+            ("min_max_avg", 1, 2127, 0x9b808033f5bec363),
+            ("in_lists", 1, 6, 0x826d14b62cdcc352),
+            ("two_dims", 5507, 6150, 0x27b7058e46564398),
+            ("group_filtered_dim", 5, 92, 0xb2ac2c2a9386ebae),
+            ("wide_domain", 5946, 6150, 0x15874d45c4259236),
+            ("wide_two_dims", 658, 658, 0xec6d057f20cd3471),
+            ("unsatisfiable", 0, 0, 0xe95a99b42490b591),
+            ("matches_nothing", 0, 0, 0xe95a99b42490b591),
+            ("store_stats", 3, 1731, 0x4266009cae83b842),
+        ],
+    );
+}
