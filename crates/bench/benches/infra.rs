@@ -1,11 +1,20 @@
 //! Micro-benchmarks of the infrastructure hot paths: shard mapping, SM
-//! placement/balancing, discovery resolution, the event queue, and
-//! latency histograms. Runs on the in-repo wall-clock runner
+//! placement/balancing and the metric poll, discovery resolution, the
+//! event queue, and latency histograms. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
+//!
+//! Add to the trajectory from the repo root with (the bench binary's cwd
+//! is `crates/bench`, hence the absolute path), then prefix the new
+//! entries' names with the PR label before appending them to
+//! `BENCH_infra.json`:
+//! `cargo bench -p scalewall-bench --bench infra -- --bench --json "$PWD/infra.json"`
 
+use cubrick::catalog::RowMapping;
 use cubrick::sharding::ShardMapping;
 use scalewall_bench::microbench::Bench;
+use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
+use scalewall_cluster::workload::{gen_rows, TablePopulation, WorkloadConfig};
 use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, ShardKey};
 use scalewall_shard_manager::balancer::propose_rebalance;
 use scalewall_shard_manager::placement::{rank_candidates, HostSnapshot};
@@ -68,6 +77,44 @@ fn bench_balancer(c: &mut Bench) {
     group.sample_size(10);
     group.bench_function("propose_200_hosts_5k_shards", |b| {
         b.iter(|| propose_rebalance(&hosts, &locations, &config))
+    });
+    group.finish();
+}
+
+/// One `Deployment::collect_metrics` over the `ops_churn` fleet: 3×24
+/// hosts, 60 tables of 1,500 rows, the default gen-2 metric. Every
+/// serving host reports every shard it owns.
+fn bench_collect_metrics(c: &mut Bench) {
+    let workload = WorkloadConfig {
+        tables: 60,
+        ..Default::default()
+    };
+    let mut dep = Deployment::new(DeploymentConfig {
+        regions: 3,
+        hosts_per_region: 24,
+        max_shards: 20_000,
+        ..Default::default()
+    });
+    let mut rng = SimRng::new(12);
+    let population = TablePopulation::generate(&workload, &mut rng.fork(1));
+    let mut load_rng = rng.fork(2);
+    for spec in &population.tables {
+        dep.create_table(
+            &spec.name,
+            spec.schema.clone(),
+            spec.partitions,
+            RowMapping::Hash,
+            ShardMapping::Monotonic,
+            SimTime::ZERO,
+        )
+        .expect("fresh table");
+        let rows = gen_rows(spec, 1_500, workload.ds_range, &mut load_rng);
+        dep.ingest(&spec.name, &rows).expect("load");
+    }
+    let mut group = c.group("sm");
+    group.sample_size(20);
+    group.bench_function("collect_metrics_72_hosts", |b| {
+        b.iter(|| dep.collect_metrics())
     });
     group.finish();
 }
@@ -136,6 +183,7 @@ fn main() {
     bench_shard_mapping(&mut bench);
     bench_placement(&mut bench);
     bench_balancer(&mut bench);
+    bench_collect_metrics(&mut bench);
     bench_discovery(&mut bench);
     bench_event_queue(&mut bench);
     bench_histogram(&mut bench);

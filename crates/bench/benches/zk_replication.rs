@@ -6,6 +6,10 @@
 //!   `SetData` proposal through `ZkEnsemble::submit_to` (append +
 //!   replicate to every reachable follower + apply everywhere). The
 //!   3-vs-5 pair prices the ensemble-size knob directly.
+//! * `heartbeat_round_24_sessions_3node` — one region tick's worth of
+//!   liveness: 24 sessions refreshed through `CoordinationPlane` (one
+//!   `RefreshSessions` commit; it was 24 `RefreshSession` commits
+//!   before PR 15, which is what the `parent:` entry measures).
 //! * `client_submit_via_redirect` — the same commit submitted through
 //!   `ZkClient` with a deliberately stale leader hint, measuring the
 //!   `NotLeader`-redirect discovery path the shard manager rides after
@@ -20,7 +24,10 @@
 
 use scalewall_bench::microbench::{Bench, Record};
 use scalewall_sim::{SimDuration, SimTime};
-use scalewall_zk::{NodeKind, ZkClient, ZkEnsemble, ZkOp, ZkReplicationConfig};
+use scalewall_zk::{
+    CoordinationPlane, NodeKind, SessionId, ZkClient, ZkEnsemble, ZkOp, ZkReplicationConfig,
+};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn set_data(i: u64) -> ZkOp {
@@ -72,6 +79,31 @@ fn bench_proposal_commit(c: &mut Bench, replicas: u32) {
                 SimTime::from_secs(2) + SimDuration::from_nanos(i),
             )
             .expect("commit")
+        })
+    });
+    group.finish();
+}
+
+fn bench_heartbeat_round(c: &mut Bench) {
+    let mut plane = CoordinationPlane::replicated(&ZkReplicationConfig::default());
+    let sessions: Arc<[SessionId]> = (0..24)
+        .map(|_| {
+            plane
+                .create_session(SimTime::from_secs(1))
+                .expect("healthy ensemble")
+        })
+        .collect();
+    let mut group = c.group("zk_replication");
+    group.sample_size(20);
+    group.throughput(24);
+    let mut i = 0u64;
+    group.bench_function("heartbeat_round_24_sessions_3node", |b| {
+        b.iter(|| {
+            i += 1;
+            plane.refresh_sessions(
+                sessions.clone(),
+                SimTime::from_secs(2) + SimDuration::from_nanos(i),
+            )
         })
     });
     group.finish();
@@ -139,6 +171,7 @@ fn main() {
     let mut bench = Bench::from_args();
     bench_proposal_commit(&mut bench, 3);
     bench_proposal_commit(&mut bench, 5);
+    bench_heartbeat_round(&mut bench);
     bench_client_redirect(&mut bench);
     bench_failover_to_first_commit(&mut bench);
     bench.finish();

@@ -577,12 +577,10 @@ impl Deployment {
     }
 
     fn region_tick(region: &mut RegionState, now: SimTime) {
-        let hosts: Vec<HostId> = region.nodes.hosts().collect();
-        for host in hosts {
-            if !region.nodes.is_down(host) {
-                let _ = region.sm.heartbeat(host, now);
-            }
-        }
+        let nodes = &region.nodes;
+        region
+            .sm
+            .heartbeat_all(nodes.hosts().filter(|&h| !nodes.is_down(h)), now);
         let _ = crate::driver::drive_region_coordination(region, now);
     }
 

@@ -10,8 +10,10 @@
 //!   with the shard); capacity = memory × observed fleet compression
 //!   ratio.
 //! * **Gen 3** — SSD era: shard size = SSD footprint, capacity = SSD
-//!   bytes; working-set size tracked as a candidate secondary metric (an
-//!   open problem in the paper).
+//!   bytes. (The paper leaves a working-set secondary metric as an open
+//!   problem; nothing here reports one.)
+
+use crate::store::PartitionData;
 
 /// Which generation of metrics a node exports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,15 +21,6 @@ pub enum MetricGeneration {
     Gen1MemoryFootprint,
     Gen2DecompressedSize,
     Gen3SsdFootprint,
-}
-
-/// Inputs for computing one shard's reported size.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardSizeInputs {
-    pub memory_footprint: u64,
-    pub decompressed_bytes: u64,
-    pub ssd_bytes: u64,
-    pub working_set_bytes: u64,
 }
 
 /// Inputs for computing a host's reported capacity.
@@ -44,19 +37,29 @@ pub struct CapacityInputs {
 pub const MEMORY_HEADROOM: f64 = 0.9;
 
 impl MetricGeneration {
-    /// The per-shard size reported to SM.
-    pub fn shard_size(self, inputs: &ShardSizeInputs) -> f64 {
+    /// The per-shard size reported to SM, over the shard's partitions.
+    /// Each generation walks only the footprint it reports: the metric
+    /// poll visits every partition of every host, so a footprint nobody
+    /// reads is a brick walk per partition per poll for nothing.
+    pub fn shard_size<'a>(self, partitions: impl Iterator<Item = &'a PartitionData>) -> f64 {
         match self {
-            MetricGeneration::Gen1MemoryFootprint => inputs.memory_footprint as f64,
-            MetricGeneration::Gen2DecompressedSize => inputs.decompressed_bytes as f64,
+            MetricGeneration::Gen1MemoryFootprint => {
+                partitions.map(PartitionData::memory_footprint).sum::<u64>() as f64
+            }
+            MetricGeneration::Gen2DecompressedSize => partitions
+                .map(PartitionData::decompressed_bytes)
+                .sum::<u64>() as f64,
             MetricGeneration::Gen3SsdFootprint => {
                 // Data not yet evicted still counts at its compressed-on-
                 // disk-equivalent size; use SSD bytes when present,
                 // otherwise fall back to decompressed (pre-eviction).
-                if inputs.ssd_bytes > 0 {
-                    inputs.ssd_bytes as f64
+                let (ssd, decompressed) = partitions.fold((0u64, 0u64), |(s, d), p| {
+                    (s + p.ssd_bytes(), d + p.decompressed_bytes())
+                });
+                if ssd > 0 {
+                    ssd as f64
                 } else {
-                    inputs.decompressed_bytes as f64
+                    decompressed as f64
                 }
             }
         }
@@ -82,50 +85,72 @@ impl MetricGeneration {
 mod tests {
     use super::*;
 
-    fn inputs() -> ShardSizeInputs {
-        ShardSizeInputs {
-            memory_footprint: 100,
-            decompressed_bytes: 400,
-            ssd_bytes: 50,
-            working_set_bytes: 30,
-        }
+    use std::sync::Arc;
+
+    use crate::hotness::MemoryMonitorConfig;
+    use crate::schema::SchemaBuilder;
+    use crate::value::{Row, Value};
+
+    /// Two partitions of 40 rows each; 4-byte dim + 8-byte metric.
+    fn partitions() -> Vec<PartitionData> {
+        let schema = Arc::new(
+            SchemaBuilder::new()
+                .int_dim("k", 0, 100, 10)
+                .metric("m")
+                .build()
+                .unwrap(),
+        );
+        (0..2)
+            .map(|_| {
+                let mut p = PartitionData::new(schema.clone());
+                for k in 0..40 {
+                    p.ingest(&Row::new(vec![Value::Int(k)], vec![1.0])).unwrap();
+                }
+                p
+            })
+            .collect()
+    }
+
+    fn squeeze(p: &mut PartitionData) {
+        p.run_memory_monitor(&MemoryMonitorConfig {
+            budget_bytes: 0,
+            ..Default::default()
+        });
     }
 
     #[test]
     fn gen1_reports_footprint() {
+        let parts = partitions();
+        let footprint: u64 = parts.iter().map(|p| p.memory_footprint()).sum();
         assert_eq!(
-            MetricGeneration::Gen1MemoryFootprint.shard_size(&inputs()),
-            100.0
+            MetricGeneration::Gen1MemoryFootprint.shard_size(parts.iter()),
+            footprint as f64
         );
     }
 
     #[test]
     fn gen2_reports_decompressed_size() {
-        assert_eq!(
-            MetricGeneration::Gen2DecompressedSize.shard_size(&inputs()),
-            400.0
-        );
+        let mut parts = partitions();
+        let gen2 = MetricGeneration::Gen2DecompressedSize;
+        assert_eq!(gen2.shard_size(parts.iter()), 2.0 * 40.0 * 12.0);
         // Invariant: compression state changes footprint but not gen-2 size.
-        let mut compressed = inputs();
-        compressed.memory_footprint = 10;
-        assert_eq!(
-            MetricGeneration::Gen2DecompressedSize.shard_size(&compressed),
-            MetricGeneration::Gen2DecompressedSize.shard_size(&inputs())
-        );
+        let hot = MetricGeneration::Gen1MemoryFootprint.shard_size(parts.iter());
+        parts.iter_mut().for_each(squeeze);
+        assert!(MetricGeneration::Gen1MemoryFootprint.shard_size(parts.iter()) < hot);
+        assert_eq!(gen2.shard_size(parts.iter()), 2.0 * 40.0 * 12.0);
     }
 
     #[test]
     fn gen3_prefers_ssd_bytes() {
-        assert_eq!(
-            MetricGeneration::Gen3SsdFootprint.shard_size(&inputs()),
-            50.0
-        );
-        let mut pre_eviction = inputs();
-        pre_eviction.ssd_bytes = 0;
-        assert_eq!(
-            MetricGeneration::Gen3SsdFootprint.shard_size(&pre_eviction),
-            400.0
-        );
+        let mut parts = partitions();
+        let gen3 = MetricGeneration::Gen3SsdFootprint;
+        // Pre-eviction: nothing on SSD, fall back to decompressed.
+        assert_eq!(gen3.shard_size(parts.iter()), 2.0 * 40.0 * 12.0);
+        squeeze(&mut parts[0]);
+        parts[0].evict_coldest(u64::MAX);
+        let ssd = parts[0].ssd_bytes();
+        assert!(ssd > 0);
+        assert_eq!(gen3.shard_size(parts.iter()), ssd as f64);
     }
 
     #[test]

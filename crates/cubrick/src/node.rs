@@ -30,10 +30,10 @@ use scalewall_shard_manager::{
 };
 use scalewall_sim::SimRng;
 
-use crate::catalog::SharedCatalog;
+use crate::catalog::{Catalog, SharedCatalog};
 use crate::error::{CubrickError, CubrickResult};
 use crate::hotness::MemoryMonitorConfig;
-use crate::metrics::{CapacityInputs, MetricGeneration, ShardSizeInputs};
+use crate::metrics::{CapacityInputs, MetricGeneration};
 use crate::query::result::PartialResult;
 use crate::query::{execute_partition, Query};
 use crate::store::PartitionData;
@@ -433,21 +433,19 @@ impl CubrickNode {
         keys.sort();
         keys
     }
+}
 
-    fn shard_size_inputs(&self, shard: u64) -> ShardSizeInputs {
-        let catalog = self.catalog.read();
-        let store = self.region_store.read();
-        let mut inputs = ShardSizeInputs::default();
-        for (table, p) in catalog.partitions_of_shard(shard) {
-            if let Some(data) = store.partition(table, *p) {
-                inputs.memory_footprint += data.memory_footprint();
-                inputs.decompressed_bytes += data.decompressed_bytes();
-                inputs.ssd_bytes += data.ssd_bytes();
-                inputs.working_set_bytes += data.working_set_bytes(self.config.hot_threshold);
-            }
-        }
-        inputs
-    }
+/// The stored partitions mapped to `shard` (partitions that hold no rows
+/// yet have no store entry and are skipped).
+fn shard_partitions<'a>(
+    catalog: &'a Catalog,
+    store: &'a RegionStore,
+    shard: u64,
+) -> impl Iterator<Item = &'a PartitionData> {
+    catalog
+        .partitions_of_shard(shard)
+        .iter()
+        .filter_map(|(table, p)| store.partition(table, *p))
 }
 
 impl AppServer for CubrickNode {
@@ -501,20 +499,18 @@ impl AppServer for CubrickNode {
             .ok_or_else(|| AppError::retryable("shard not owned here"))
     }
 
+    /// Ascending by shard id (the order `owned` iterates in).
     fn shard_metrics(&self) -> Vec<(ShardId, f64)> {
-        let mut out: Vec<(ShardId, f64)> = self
-            .owned
+        let catalog = self.catalog.read();
+        let store = self.region_store.read();
+        let generation = self.config.metric_generation;
+        self.owned
             .keys()
             .map(|&s| {
-                let inputs = self.shard_size_inputs(s);
-                (
-                    ShardId(s),
-                    self.config.metric_generation.shard_size(&inputs),
-                )
+                let size = generation.shard_size(shard_partitions(&catalog, &store, s));
+                (ShardId(s), size)
             })
-            .collect();
-        out.sort_by_key(|&(s, _)| s);
-        out
+            .collect()
     }
 
     fn capacity(&self) -> f64 {
@@ -528,7 +524,11 @@ impl AppServer for CubrickNode {
     }
 
     fn shard_transfer_bytes(&self, shard: ShardId) -> u64 {
-        self.shard_size_inputs(shard.0).decompressed_bytes
+        let catalog = self.catalog.read();
+        let store = self.region_store.read();
+        shard_partitions(&catalog, &store, shard.0)
+            .map(PartitionData::decompressed_bytes)
+            .sum()
     }
 }
 

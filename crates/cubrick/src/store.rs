@@ -288,14 +288,15 @@ impl PartitionData {
 
     /// Bytes this partition would occupy fully decompressed (gen-2
     /// metric — invariant to the node's current memory pressure).
+    ///
+    /// No brick walk: a hot brick's payload is its rows × the schema's
+    /// row width, a compressed brick remembers the payload it was built
+    /// from, and every stored row sits in exactly one brick, so the sum
+    /// over bricks is `rows × row width` in any hot/cold/evicted mix
+    /// (`tests/props.rs` pins it).
     pub fn decompressed_bytes(&self) -> u64 {
-        self.bricks
-            .values()
-            .map(|s| match &s.state {
-                BrickState::Hot(b) => b.payload_bytes(),
-                BrickState::Cold(c) | BrickState::Evicted(c) => c.decompressed_bytes(),
-            })
-            .sum()
+        let row_width = 4 * self.schema.dimensions.len() + 8 * self.schema.metrics.len();
+        self.rows * row_width as u64
     }
 
     /// Bytes on simulated SSD (gen-3 metric component).
@@ -305,19 +306,6 @@ impl PartitionData {
             .map(|s| match &s.state {
                 BrickState::Evicted(c) => c.footprint(),
                 _ => 0,
-            })
-            .sum()
-    }
-
-    /// Payload bytes of *hot* bricks — the partition's working set
-    /// (gen-3 metric component).
-    pub fn working_set_bytes(&self, hot_threshold: u32) -> u64 {
-        self.bricks
-            .values()
-            .filter(|s| s.hotness.is_hot(hot_threshold))
-            .map(|s| match &s.state {
-                BrickState::Hot(b) => b.payload_bytes(),
-                BrickState::Cold(c) | BrickState::Evicted(c) => c.decompressed_bytes(),
             })
             .sum()
     }
@@ -593,19 +581,6 @@ mod tests {
         p.for_each_matching_brick(&[None, None], |b| rows_seen += b.rows());
         assert_eq!(rows_seen, 300);
         assert_eq!(p.stats().ssd_reads, 10);
-    }
-
-    #[test]
-    fn working_set_tracks_hot_bricks() {
-        let mut p = loaded();
-        assert_eq!(p.working_set_bytes(1), 0, "nothing scanned yet");
-        // Scan only ds=5 brick twice.
-        for _ in 0..2 {
-            p.for_each_matching_brick(&[Some(vec![(5, 5)]), None], |_| {});
-        }
-        let ws = p.working_set_bytes(2);
-        assert!(ws > 0);
-        assert!(ws < p.decompressed_bytes());
     }
 
     #[test]

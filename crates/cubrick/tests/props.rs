@@ -469,3 +469,236 @@ fn retry_budget_is_spent_exactly() {
         },
     );
 }
+
+// ------------------------------------------------------- shard size metrics
+
+use std::sync::Arc;
+
+use cubrick::catalog::{shared_catalog, RowMapping};
+use cubrick::hotness::MemoryMonitorConfig;
+use cubrick::metrics::MetricGeneration;
+use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
+use cubrick::store::PartitionData;
+use cubrick::value::{Row, Value};
+use scalewall_shard_manager::{AddShardReason, AppServer, Region, ShardContext, ShardId};
+use scalewall_sim::sync::RwLock;
+
+/// One step of a partition's life, as the ingest path, the memory
+/// monitor, gen-3 eviction and the scan drive it.
+#[derive(Debug)]
+enum StoreOp {
+    Ingest(usize),
+    /// Monitor pass at this byte budget (0 compresses everything cold).
+    Monitor(u64),
+    Evict(u64),
+    Scan,
+}
+
+fn gen_store_op(rng: &mut SimRng) -> StoreOp {
+    match rng.below(5) {
+        0 | 1 => StoreOp::Ingest(gen::usize_in(rng, 1, 120)),
+        2 => StoreOp::Monitor(*rng.pick(&[0, 2_000, 1 << 30])),
+        3 => StoreOp::Evict(rng.range(1, 20_000)),
+        _ => StoreOp::Scan,
+    }
+}
+
+/// 1–3 int dimensions, maybe a string one, 1–3 metrics.
+fn gen_row_schema(rng: &mut SimRng) -> Schema {
+    let mut b = SchemaBuilder::new();
+    for d in 0..gen::usize_in(rng, 1, 3) {
+        b = b.int_dim(&format!("d{d}"), 0, 100, rng.range(5, 50) as u32);
+    }
+    if gen::any_bool(rng) {
+        b = b.str_dim("s", 50, 10);
+    }
+    for m in 0..gen::usize_in(rng, 1, 3) {
+        b = b.metric(&format!("m{m}"));
+    }
+    b.build().expect("generated schema is valid")
+}
+
+fn gen_schema_row(schema: &Schema, rng: &mut SimRng) -> Row {
+    let dims = schema
+        .dimensions
+        .iter()
+        .map(|d| match d.kind {
+            cubrick::schema::DimKind::Int { .. } => Value::Int(rng.below(100) as i64),
+            cubrick::schema::DimKind::Str { .. } => Value::Str(format!("v{}", rng.below(40))),
+        })
+        .collect();
+    let metrics = (0..schema.metrics.len())
+        .map(|_| gen::f64_in(rng, 0.0, 100.0))
+        .collect();
+    Row::new(dims, metrics)
+}
+
+fn row_width(schema: &Schema) -> u64 {
+    (4 * schema.dimensions.len() + 8 * schema.metrics.len()) as u64
+}
+
+fn apply_store_op(p: &mut PartitionData, op: &StoreOp, rng: &mut SimRng) {
+    match *op {
+        StoreOp::Ingest(n) => {
+            let schema = p.schema().clone();
+            for _ in 0..n {
+                p.ingest(&gen_schema_row(&schema, rng)).expect("valid row");
+            }
+        }
+        StoreOp::Monitor(budget_bytes) => {
+            p.run_memory_monitor(&MemoryMonitorConfig {
+                budget_bytes,
+                ..Default::default()
+            });
+        }
+        StoreOp::Evict(bytes) => {
+            p.evict_coldest(bytes);
+        }
+        StoreOp::Scan => {
+            let all = vec![None; p.schema().dimensions.len()];
+            p.for_each_matching_brick(&all, |_| {});
+        }
+    }
+}
+
+/// The identity the O(1) gen-2 metric stands on: in any hot / cold /
+/// evicted mix a partition's decompressed size is its row count times
+/// the schema's row width, and every stored row sits in exactly one
+/// brick. (Written against the per-brick walk it replaced.)
+#[test]
+fn decompressed_bytes_is_rows_times_row_width() {
+    prop::check_n(
+        "decompressed_bytes_is_rows_times_row_width",
+        64,
+        |rng| {
+            (
+                gen_row_schema(rng),
+                gen::vec_with(rng, 1, 14, gen_store_op),
+                gen::any_u64(rng),
+            )
+        },
+        |(schema, ops, seed)| {
+            let mut rng = SimRng::new(*seed);
+            let mut p = PartitionData::new(Arc::new(schema.clone()));
+            for op in ops {
+                apply_store_op(&mut p, op, &mut rng);
+                assert_eq!(
+                    p.decompressed_bytes(),
+                    p.rows() * row_width(schema),
+                    "{op:?}"
+                );
+                assert_eq!(p.all_rows().len() as u64, p.rows(), "{op:?}");
+            }
+        },
+    );
+}
+
+/// `shard_metrics()` reports, for each generation, what the four-walk
+/// computation it replaced reported: every footprint summed over the
+/// shard's partitions, one of them picked by the generation.
+#[test]
+fn shard_metrics_match_the_four_walk_oracle() {
+    const GENERATIONS: [MetricGeneration; 3] = [
+        MetricGeneration::Gen1MemoryFootprint,
+        MetricGeneration::Gen2DecompressedSize,
+        MetricGeneration::Gen3SsdFootprint,
+    ];
+    prop::check_n(
+        "shard_metrics_match_the_four_walk_oracle",
+        32,
+        |rng| {
+            let tables = gen::vec_with(rng, 1, 3, |r| (gen_row_schema(r), r.range(1, 5) as u32));
+            let ops = gen::vec_with(rng, 1, 12, |r| (r.below(16), gen_store_op(r)));
+            (tables, ops, gen::any_u64(rng))
+        },
+        |(tables, ops, seed)| {
+            let mut rng = SimRng::new(*seed);
+            let catalog = shared_catalog(1_000);
+            let store: SharedRegionStore = Arc::new(RwLock::new(RegionStore::new()));
+            let mut keys = Vec::new();
+            for (i, (schema, partitions)) in tables.iter().enumerate() {
+                let def = catalog
+                    .write()
+                    .create_table(
+                        &format!("t{i}"),
+                        Arc::new(schema.clone()),
+                        *partitions,
+                        RowMapping::Hash,
+                        ShardMapping::Monotonic,
+                    )
+                    .expect("fresh table");
+                for p in 0..*partitions {
+                    // Half the partitions start with rows; the rest stay
+                    // without a store entry until an op ingests into them.
+                    if gen::any_bool(&mut rng) {
+                        let row = gen_schema_row(schema, &mut rng);
+                        store
+                            .write()
+                            .ingest(&def.name, p, &def.schema, &row)
+                            .expect("valid row");
+                    }
+                    keys.push((def.name.clone(), p, def.schema.clone()));
+                }
+            }
+            for (pick, op) in ops {
+                let (table, p, schema) = &keys[*pick as usize % keys.len()];
+                let mut store = store.write();
+                match store.partition_mut(table, *p) {
+                    Some(data) => apply_store_op(data, op, &mut rng),
+                    None => {
+                        let row = gen_schema_row(schema, &mut rng);
+                        store.ingest(table, *p, schema, &row).expect("valid row");
+                    }
+                }
+            }
+
+            let shards: Vec<u64> = {
+                let catalog = catalog.read();
+                let mut all: Vec<u64> = (0..tables.len())
+                    .flat_map(|i| catalog.shards_of_table(&format!("t{i}")).expect("created"))
+                    .collect();
+                all.sort_unstable();
+                all.dedup();
+                all
+            };
+            for generation in GENERATIONS {
+                let mut config = NodeConfig::new(HostId(1), Region(0));
+                config.metric_generation = generation;
+                let mut node = CubrickNode::new(config, catalog.clone(), store.clone());
+                for &shard in &shards {
+                    node.add_shard(ShardContext {
+                        shard: ShardId(shard),
+                        reason: AddShardReason::NewAllocation,
+                        source: None,
+                    })
+                    .expect("new allocations are never vetoed");
+                }
+                let catalog = catalog.read();
+                let store = store.read();
+                let oracle: Vec<(ShardId, f64)> = shards
+                    .iter()
+                    .map(|&shard| {
+                        let (mut footprint, mut decompressed, mut ssd) = (0u64, 0u64, 0u64);
+                        for (table, p) in catalog.partitions_of_shard(shard) {
+                            if let Some(data) = store.partition(table, *p) {
+                                footprint += data.memory_footprint();
+                                decompressed +=
+                                    data.all_rows().len() as u64 * row_width(data.schema());
+                                ssd += data.ssd_bytes();
+                            }
+                        }
+                        let size = match generation {
+                            MetricGeneration::Gen1MemoryFootprint => footprint,
+                            MetricGeneration::Gen2DecompressedSize => decompressed,
+                            MetricGeneration::Gen3SsdFootprint if ssd > 0 => ssd,
+                            MetricGeneration::Gen3SsdFootprint => decompressed,
+                        };
+                        assert_eq!(node.shard_transfer_bytes(ShardId(shard)), decompressed);
+                        (ShardId(shard), size as f64)
+                    })
+                    .collect();
+                assert_eq!(node.shard_metrics(), oracle, "{generation:?}");
+            }
+        },
+    );
+}

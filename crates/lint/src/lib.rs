@@ -75,21 +75,27 @@ pub const SIM_FACING_CRATES: &[&str] =
     &["sim", "cluster", "cubrick", "shard-manager", "discovery", "zk"];
 
 /// Hot-path files under the D7 panic-surface audit: the experiment
-/// engine, the event kernel, the replicated coordination plane, the
-/// shard manager, the admission controller, the partition scan and the
-/// partial-result merge, and the query path's two entry files (the
-/// cluster driver and the proxy) — the code that runs during failover
-/// and overload, where a panic kills the experiment mid-replay (or melts
-/// the serving plane exactly when it is shedding load).
+/// engine, the event kernel, the replicated coordination plane down to
+/// the store and session state every commit applies to, the shard
+/// manager, the node and its metric generations (polled fleet-wide), the
+/// admission controller, the partition scan and the partial-result
+/// merge, and the query path's two entry files (the cluster driver and
+/// the proxy) — the code that runs during failover and overload, where a
+/// panic kills the experiment mid-replay (or melts the serving plane
+/// exactly when it is shedding load).
 pub const HOT_PATHS: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/cluster/src/experiment.rs",
     "crates/cluster/src/driver.rs",
     "crates/zk/src/replica.rs",
     "crates/zk/src/log.rs",
+    "crates/zk/src/store.rs",
+    "crates/zk/src/session.rs",
     "crates/shard-manager/src/server.rs",
     "crates/cubrick/src/admission.rs",
     "crates/cubrick/src/coordinator.rs",
+    "crates/cubrick/src/node.rs",
+    "crates/cubrick/src/metrics.rs",
     "crates/cubrick/src/query/exec.rs",
     "crates/cubrick/src/query/result.rs",
     "crates/cubrick/src/proxy.rs",

@@ -333,6 +333,17 @@ impl SmServer {
         Ok(())
     }
 
+    /// One heartbeat round: [`heartbeat`](Self::heartbeat) for every
+    /// listed host, recorded by the coordination plane as a single
+    /// commit. Unknown and session-less hosts are skipped.
+    pub fn heartbeat_all(&mut self, hosts: impl IntoIterator<Item = HostId>, now: SimTime) {
+        let sessions = hosts
+            .into_iter()
+            .filter_map(|host| self.hosts.get(&host)?.session)
+            .collect();
+        self.zk.refresh_sessions(sessions, now);
+    }
+
     pub fn host_state(&self, host: HostId) -> Option<HostState> {
         self.hosts.get(&host).map(|h| h.state)
     }
@@ -672,24 +683,13 @@ impl SmServer {
     /// and capacity (§III-A3: "SM server must periodically collect shard
     /// size metrics").
     pub fn collect_metrics<R: AppServerRegistry>(&mut self, registry: &mut R) {
-        let hosts: Vec<HostId> = self
-            .hosts
-            .values()
-            .filter(|h| h.state.serving())
-            .map(|h| h.info.id)
-            .collect();
-        type Collected = (HostId, Vec<(ShardId, f64)>, f64);
-        let mut collected: Vec<Collected> = Vec::with_capacity(hosts.len());
-        for host in hosts {
-            if let Some(server) = registry.server(host) {
-                collected.push((host, server.shard_metrics(), server.capacity()));
-            }
-        }
-        for (host, metrics, capacity) in collected {
-            if let Some(entry) = self.hosts.get_mut(&host) {
-                entry.info.capacity = capacity.max(0.0);
-            }
-            for (shard, weight) in metrics {
+        for entry in self.hosts.values_mut().filter(|h| h.state.serving()) {
+            let host = entry.info.id;
+            let Some(server) = registry.server(host) else {
+                continue;
+            };
+            entry.info.capacity = server.capacity().max(0.0);
+            for (shard, weight) in server.shard_metrics() {
                 // A shard metric belongs to whichever app has the shard
                 // assigned to this host.
                 for app in self.apps.values_mut() {

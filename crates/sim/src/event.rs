@@ -487,6 +487,12 @@ impl<K> DeadlineQueue<K> {
         }
     }
 
+    /// The earliest armed deadline, stale entries included. `&mut`
+    /// because the wheel may stage its next batch to answer.
+    pub fn next_deadline(&mut self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Drop every armed entry.
     pub fn clear(&mut self) {
         self.queue.clear();

@@ -39,8 +39,10 @@ pub enum ZkError {
     /// First session-scoped operation to reach a leader elected after
     /// the session last spoke: the session's connection "moved" across a
     /// failover. The refusal doubles as the reconnect handshake — an
-    /// immediate retry of the same operation succeeds.
-    SessionMoved { session: u64 },
+    /// immediate retry of the same operation succeeds. A batched op is
+    /// refused once for all of its stale sessions: `session` is the
+    /// first of them and `moved` counts them (1 for a single-session op).
+    SessionMoved { session: u64, moved: u64 },
     /// The replica id is not a member of the ensemble — a malformed
     /// ensemble config (or an id computed against a different config)
     /// degrades to this instead of an out-of-bounds panic mid-failover.
@@ -75,8 +77,11 @@ impl fmt::Display for ZkError {
             ZkError::InvalidPath { path, reason } => write!(f, "invalid path {path:?}: {reason}"),
             ZkError::NotLeader { hint: Some(id) } => write!(f, "not leader; try replica {id}"),
             ZkError::NotLeader { hint: None } => write!(f, "not leader; ensemble leaderless"),
-            ZkError::SessionMoved { session } => {
-                write!(f, "session {session} moved across a failover; reconnect")
+            ZkError::SessionMoved { session, moved } => {
+                write!(
+                    f,
+                    "session {session} moved across a failover ({moved} in this op); reconnect"
+                )
             }
             ZkError::UnknownReplica { id } => {
                 write!(f, "replica {id} is not a member of the ensemble")

@@ -16,6 +16,8 @@
 //! [`ZkStore`]: crate::store::ZkStore
 //! [`ZkStore::apply`]: crate::store::ZkStore::apply
 
+use std::sync::Arc;
+
 use scalewall_sim::SimTime;
 
 use crate::session::SessionId;
@@ -61,6 +63,13 @@ pub enum ZkOp {
     RefreshSession {
         session: SessionId,
     },
+    /// One commit for a whole heartbeat round: applies exactly as one
+    /// [`ZkOp::RefreshSession`] per id, in order, at the entry's
+    /// timestamp. The ids sit behind an `Arc` because the op is cloned
+    /// once per client attempt and once per replica log.
+    RefreshSessions {
+        sessions: Arc<[SessionId]>,
+    },
     CloseSession {
         session: SessionId,
     },
@@ -81,18 +90,21 @@ pub enum ZkOp {
 }
 
 impl ZkOp {
-    /// The session this op speaks for, if any — used by the leader to
-    /// detect sessions whose connection moved across a failover
+    /// The sessions this op speaks for — used by the leader to detect
+    /// sessions whose connection moved across a failover
     /// ([`ZkError::SessionMoved`]).
     ///
     /// [`ZkError::SessionMoved`]: crate::error::ZkError::SessionMoved
-    pub fn session_ref(&self) -> Option<SessionId> {
+    pub fn sessions(&self) -> &[SessionId] {
         match self {
-            ZkOp::Create { session, .. } | ZkOp::CreateRecursive { session, .. } => *session,
+            ZkOp::Create { session, .. } | ZkOp::CreateRecursive { session, .. } => {
+                session.as_slice()
+            }
             ZkOp::Heartbeat { session }
             | ZkOp::RefreshSession { session }
-            | ZkOp::CloseSession { session } => Some(*session),
-            _ => None,
+            | ZkOp::CloseSession { session } => std::slice::from_ref(session),
+            ZkOp::RefreshSessions { sessions } => sessions,
+            _ => &[],
         }
     }
 }
@@ -103,6 +115,8 @@ pub enum ZkResp {
     Unit,
     Session(SessionId),
     Version(u64),
+    /// `ExpireSessions`: the sessions that expired. `RefreshSessions`:
+    /// the named sessions that no longer exist (the rest were refreshed).
     Sessions(Vec<SessionId>),
     Events(Vec<WatchEvent>),
     Refreshed(bool),
@@ -227,12 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn session_ref_covers_session_scoped_ops() {
+    fn sessions_covers_session_scoped_ops() {
         let sid = SessionId(7);
-        assert_eq!(
-            ZkOp::RefreshSession { session: sid }.session_ref(),
-            Some(sid)
-        );
+        assert_eq!(ZkOp::RefreshSession { session: sid }.sessions(), [sid]);
         assert_eq!(
             ZkOp::Create {
                 path: "/e".into(),
@@ -240,9 +251,17 @@ mod tests {
                 kind: NodeKind::Ephemeral,
                 session: Some(sid),
             }
-            .session_ref(),
-            Some(sid)
+            .sessions(),
+            [sid]
         );
-        assert_eq!(ZkOp::ExpireSessions.session_ref(), None);
+        let batch = [SessionId(3), sid];
+        assert_eq!(
+            ZkOp::RefreshSessions {
+                sessions: batch.into()
+            }
+            .sessions(),
+            batch
+        );
+        assert!(ZkOp::ExpireSessions.sessions().is_empty());
     }
 }

@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use scalewall_sim::{DeadlineQueue, SimDuration, SimRng, SimTime};
 
@@ -207,6 +208,12 @@ impl ZkEnsemble {
         self.replica(id).map_or(0, |r| r.log.first_index())
     }
 
+    /// Index of the last log entry a replica has applied; 0 for an
+    /// unknown id. Replicas with equal indices hold equal state.
+    pub fn replica_applied(&self, id: u32) -> u64 {
+        self.replica(id).map_or(0, |r| r.applied)
+    }
+
     fn majority(&self) -> usize {
         self.replicas.len() / 2 + 1
     }
@@ -384,20 +391,32 @@ impl ZkEnsemble {
         }
         // Session fencing: the first op a session sends to a leader of a
         // newer epoch is refused once with SessionMoved; the refusal
-        // records the reconnect, so the client's retry lands.
-        if let Some(sid) = op.session_ref() {
+        // records the reconnect, so the client's retry lands. A batch is
+        // refused once for all of its stale sessions together.
+        let mut first_moved = None;
+        let mut moved = 0u64;
+        for &sid in op.sessions() {
             let e = self.session_epoch.entry(sid).or_insert(self.epoch);
             if *e != self.epoch {
                 *e = self.epoch;
-                return Err(ZkError::SessionMoved { session: sid.0 });
+                first_moved.get_or_insert(sid);
+                moved += 1;
             }
+        }
+        if let Some(first) = first_moved {
+            return Err(ZkError::SessionMoved {
+                session: first.0,
+                moved,
+            });
         }
         self.commit_as(target, op, now)
     }
 
     /// Append + replicate + apply, with the quorum precondition already
-    /// checked. Every reachable up follower is caught up and receives
-    /// the entry, so acked ⇔ majority-replicated by construction.
+    /// checked (and, for session ops, the fencing pass in `submit_to`
+    /// having left every named session at the current epoch). Every
+    /// reachable up follower is caught up and receives the entry, so
+    /// acked ⇔ majority-replicated by construction.
     fn commit_as(&mut self, l: u32, op: ZkOp, now: SimTime) -> ZkResult<ZkResp> {
         self.lease_until = self.lease_until.max(now + self.lease);
         self.catch_up_followers(l);
@@ -407,9 +426,6 @@ impl ZkEnsemble {
             at: now,
             op,
         };
-        if let Some(sid) = entry.op.session_ref() {
-            self.session_epoch.insert(sid, self.epoch);
-        }
         let mut resp = None;
         for id in 0..self.replica_count() {
             if id != l && !self.reachable(l, id) {
@@ -448,6 +464,29 @@ impl ZkEnsemble {
             _ => {}
         }
         resp
+    }
+
+    /// The store of a leader that could commit right now.
+    fn serving_leader_store(&mut self) -> Option<&mut ZkStore> {
+        let l = self.leader.filter(|&l| self.has_quorum(l))?;
+        self.replicas.get_mut(l as usize).map(|r| &mut r.store)
+    }
+
+    /// Whether an `ExpireSessions` proposed at `now` could do anything:
+    /// `false` only when a serving leader sees nothing due on its expiry
+    /// wheel, in which case the op would commit as a no-op on every
+    /// replica. Without a serving leader the answer is `true` and the
+    /// proposal takes its usual refusal path.
+    pub fn expiry_due(&mut self, now: SimTime) -> bool {
+        self.serving_leader_store()
+            .is_none_or(|store| store.expiry_due(now))
+    }
+
+    /// Whether a `DrainEvents` proposal could return anything; same
+    /// shape as [`expiry_due`](Self::expiry_due).
+    pub fn events_pending(&mut self) -> bool {
+        self.serving_leader_store()
+            .is_none_or(|store| store.has_pending_events())
     }
 
     /// Bring every reachable up follower to the leader's log position:
@@ -545,8 +584,8 @@ impl ZkClient {
                             // Leaderless: probe the next replica.
                             self.hint = (self.hint + 1) % ens.replica_count();
                         }
-                        ZkError::SessionMoved { .. } => {
-                            self.session_moves += 1;
+                        ZkError::SessionMoved { moved, .. } => {
+                            self.session_moves += moved;
                         }
                         // Constrained to the two retryable shapes by the
                         // outer pattern; anything else propagates.
@@ -672,6 +711,24 @@ impl CoordinationPlane {
         }
     }
 
+    /// One heartbeat round: refresh every listed session, as
+    /// [`refresh_session`](Self::refresh_session) per id would, in one
+    /// commit. Ids the store no longer knows are skipped; an unreachable
+    /// plane records nothing (same degraded mode as the single refresh).
+    pub fn refresh_sessions(&mut self, sessions: Arc<[SessionId]>, now: SimTime) {
+        if sessions.is_empty() {
+            return;
+        }
+        match self {
+            CoordinationPlane::Single(zk) => {
+                zk.refresh_sessions(&sessions, now);
+            }
+            CoordinationPlane::Replicated { ensemble, client } => {
+                let _ = client.submit(ensemble, ZkOp::RefreshSessions { sessions }, now);
+            }
+        }
+    }
+
     /// Best-effort close; losing the race to a dead plane is fine (the
     /// session will expire once the plane recovers).
     pub fn close_session(&mut self, session: SessionId, now: SimTime) {
@@ -685,11 +742,15 @@ impl CoordinationPlane {
 
     /// Degraded-but-live: while the plane is leaderless nobody expires
     /// (an unreachable coordinator must not declare the fleet dead);
-    /// expiry resumes, with touched heartbeats, after failover.
+    /// expiry resumes, with touched heartbeats, after failover. Nothing
+    /// is proposed when the leader sees nothing due.
     pub fn expire_sessions(&mut self, now: SimTime) -> Vec<SessionId> {
         match self {
             CoordinationPlane::Single(zk) => zk.expire_sessions(now),
             CoordinationPlane::Replicated { ensemble, client } => {
+                if !ensemble.expiry_due(now) {
+                    return Vec::new();
+                }
                 match client.submit(ensemble, ZkOp::ExpireSessions, now) {
                     Ok(ZkResp::Sessions(dead)) => dead,
                     _ => Vec::new(),
@@ -702,6 +763,9 @@ impl CoordinationPlane {
         match self {
             CoordinationPlane::Single(zk) => zk.drain_events(),
             CoordinationPlane::Replicated { ensemble, client } => {
+                if !ensemble.events_pending() {
+                    return Vec::new();
+                }
                 match client.submit(ensemble, ZkOp::DrainEvents, now) {
                     Ok(ZkResp::Events(evs)) => evs,
                     _ => Vec::new(),

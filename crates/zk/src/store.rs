@@ -85,16 +85,16 @@ fn validate_path(path: &str) -> ZkResult<()> {
             reason,
         })
     };
-    if !path.starts_with('/') {
+    let Some(rest) = path.strip_prefix('/') else {
         return invalid("must be absolute");
-    }
-    if path == "/" {
+    };
+    if rest.is_empty() {
         return Ok(());
     }
-    if path.ends_with('/') {
+    if rest.ends_with('/') {
         return invalid("trailing slash");
     }
-    for seg in path[1..].split('/') {
+    for seg in rest.split('/') {
         if seg.is_empty() {
             return invalid("empty segment");
         }
@@ -199,6 +199,18 @@ impl ZkStore {
         }
     }
 
+    /// Refresh every listed session exactly as one [`refresh_session`]
+    /// call each, in order; returns the ids that no longer exist.
+    ///
+    /// [`refresh_session`]: ZkStore::refresh_session
+    pub fn refresh_sessions(&mut self, sessions: &[SessionId], now: SimTime) -> Vec<SessionId> {
+        sessions
+            .iter()
+            .copied()
+            .filter(|&s| !self.refresh_session(s, now))
+            .collect()
+    }
+
     /// Whether a session exists and has not timed out as of `now`.
     pub fn session_alive(&self, session: SessionId, now: SimTime) -> bool {
         self.sessions
@@ -235,6 +247,17 @@ impl ZkStore {
             self.close_session_inner(*id, now);
         }
         expired
+    }
+
+    /// Whether [`expire_sessions`] at `now` has any candidate to look at.
+    /// `false` means the call would expire nobody and leave the wheel as
+    /// it is: every live session keeps an entry armed no later than its
+    /// real deadline, so an expired session always shows up as due.
+    /// (`&mut` only because peeking lets the wheel stage its next batch.)
+    ///
+    /// [`expire_sessions`]: ZkStore::expire_sessions
+    pub fn expiry_due(&mut self, now: SimTime) -> bool {
+        self.expiry.next_deadline().is_some_and(|t| t <= now)
     }
 
     /// Close a session explicitly (clean shutdown), deleting its ephemerals.
@@ -306,10 +329,11 @@ impl ZkStore {
                     path: parent.clone(),
                 });
             }
+            // A name already listed without its node (an invariant
+            // breach) is healed by the insert below, not a panic.
             let leaf = leaf_of(path).to_string();
-            match p.children.binary_search(&leaf) {
-                Ok(_) => unreachable!("child listed but node missing"),
-                Err(pos) => p.children.insert(pos, leaf),
+            if let Err(pos) = p.children.binary_search(&leaf) {
+                p.children.insert(pos, leaf);
             }
         }
         self.nodes.insert(
@@ -324,12 +348,8 @@ impl ZkStore {
                 children: Vec::new(),
             },
         );
-        if let Some(sid) = owner {
-            self.sessions
-                .get_mut(&sid)
-                .expect("checked above")
-                .ephemerals
-                .push(path.to_string());
+        if let Some(s) = owner.and_then(|sid| self.sessions.get_mut(&sid)) {
+            s.ephemerals.push(path.to_string());
         }
         self.fire(path, WatchEventKind::Created);
         self.fire(&parent, WatchEventKind::ChildrenChanged);
@@ -346,14 +366,12 @@ impl ZkStore {
         now: SimTime,
     ) -> ZkResult<()> {
         validate_path(path)?;
-        // Build missing ancestors as persistent empty nodes.
-        let mut prefix = String::new();
-        let segs: Vec<&str> = path[1..].split('/').collect();
-        for seg in &segs[..segs.len().saturating_sub(1)] {
-            prefix.push('/');
-            prefix.push_str(seg);
-            if !self.nodes.contains_key(&prefix) {
-                self.create(&prefix, &[], NodeKind::Persistent, None, now)?;
+        // Build missing ancestors (the prefixes ending before each
+        // inner slash) as persistent empty nodes.
+        for (slash, _) in path.match_indices('/').skip(1) {
+            let prefix = &path[..slash];
+            if !self.nodes.contains_key(prefix) {
+                self.create(prefix, &[], NodeKind::Persistent, None, now)?;
             }
         }
         self.create(path, data, kind, session, now)
@@ -518,6 +536,13 @@ impl ZkStore {
         std::mem::take(&mut self.pending_events)
     }
 
+    /// Whether [`drain_events`] would return anything.
+    ///
+    /// [`drain_events`]: ZkStore::drain_events
+    pub fn has_pending_events(&self) -> bool {
+        !self.pending_events.is_empty()
+    }
+
     // ------------------------------------------------------- replicated apply
 
     /// The single apply path shared by the standalone store and every
@@ -560,6 +585,9 @@ impl ZkStore {
             ZkOp::Heartbeat { session } => self.heartbeat(*session, at).map(|()| ZkResp::Unit),
             ZkOp::RefreshSession { session } => {
                 Ok(ZkResp::Refreshed(self.refresh_session(*session, at)))
+            }
+            ZkOp::RefreshSessions { sessions } => {
+                Ok(ZkResp::Sessions(self.refresh_sessions(sessions, at)))
             }
             ZkOp::CloseSession { session } => {
                 self.close_session(*session, at);

@@ -34,9 +34,19 @@ fn hours(h: u64) -> SimTime {
 /// ensemble's initial leader homed in the owning region), so coordinator
 /// faults hit a real replicated plane instead of an unkillable store.
 fn run_scenario_with(seed: u64, faults: FaultScript, replicated: bool) -> ExperimentStats {
+    run_sized(seed, faults, replicated, 24, DURATION)
+}
+
+fn run_sized(
+    seed: u64,
+    faults: FaultScript,
+    replicated: bool,
+    hosts_per_region: u32,
+    duration: SimDuration,
+) -> ExperimentStats {
     let mut deployment = DeploymentConfig {
         regions: 3,
-        hosts_per_region: 24,
+        hosts_per_region,
         racks_per_region: 4,
         max_shards: 100_000,
         ..Default::default()
@@ -50,7 +60,7 @@ fn run_scenario_with(seed: u64, faults: FaultScript, replicated: bool) -> Experi
             tables: 8,
             ..Default::default()
         },
-        duration: DURATION,
+        duration,
         query_rate: 0.05,
         rows_per_table: 150,
         host_mtbf: SimDuration::from_days(3_650),
@@ -86,6 +96,74 @@ fn fingerprint(stats: &ExperimentStats) -> Vec<u64> {
     f.extend(stats.repairs_per_day.iter().copied());
     f.extend(stats.final_hotness.iter().map(|&h| h as u64));
     f
+}
+
+/// Fingerprints of the replicated-plane scenarios, captured on the commit
+/// before the batched heartbeat and the no-op-skipping expiry/drain
+/// proposals (PR 15) and pinned here: a coordination change that moves a
+/// failover, a `SessionMoved` handshake, a migration or one bit of a
+/// latency quantile moves an entry. A legitimate re-pin means running
+/// this file on the parent commit first. Rows, per [`compact_fingerprint`]:
+/// queries ok / failed, latency count / mean / p50 / p99 bits;
+/// drains requested / denied, faults injected / repaired, failover
+/// migrations, region failovers, same-table collisions;
+/// population fingerprint, zk failovers, zk session moves;
+/// migrations on day 0, repairs on day 0, hotness counters, their digest.
+#[rustfmt::skip]
+const PIN_COORDINATOR_REGION_OUTAGE: &[u64] = &[
+    2128, 0, 2128, 4_630_054_345_168_051_637, 4_629_517_393_210_738_687, 4_631_715_480_395_346_775,
+    0, 0, 1, 1, 0, 1, 0,
+    15_081_972_966_127_516_193, 1, 24,
+    32, 0, 777, 524_251_441_176_729_787,
+];
+#[rustfmt::skip]
+const PIN_ZK_LEADER_PARTITION: &[u64] = &[
+    2128, 0, 2128, 4_629_789_441_031_477_711, 4_629_097_194_376_042_981, 4_632_383_643_361_646_131,
+    3, 1, 3, 3, 0, 1, 0,
+    288_763_640_574_850_150, 1, 24,
+    39, 0, 752, 13_604_102_364_905_661_242,
+];
+#[rustfmt::skip]
+const PIN_SM_FAILOVER_RACES_WATCHES: &[u64] = &[
+    2152, 0, 2152, 4_629_969_295_467_783_298, 4_629_097_194_376_042_981, 4_642_765_217_935_119_071,
+    3, 1, 2, 2, 0, 26, 0,
+    15_773_342_346_900_277_056, 1, 24,
+    49, 0, 788, 672_949_999_836_905_198,
+];
+#[rustfmt::skip]
+const PIN_ZK_NODE_CRASH: &[u64] = &[
+    2173, 0, 2173, 4_630_151_490_703_502_901, 4_629_097_194_376_042_981, 4_633_516_466_818_115_762,
+    0, 0, 1, 1, 0, 2, 0,
+    4_255_213_262_408_007_855, 1, 24,
+    28, 0, 784, 10_775_185_209_118_533_096,
+];
+#[rustfmt::skip]
+const PIN_SMALL_REPLICATED_RUN: &[u64] = &[
+    361, 0, 361, 4_629_421_741_666_999_114, 4_629_517_393_210_738_687, 4_631_715_480_395_346_775,
+    0, 0, 1, 1, 0, 0, 0,
+    11_307_785_015_440_394_509, 1, 8,
+    0, 0, 785, 1_417_321_848_305_087_546,
+];
+
+/// [`fingerprint`] with the per-brick hotness tail (about a thousand
+/// counters) folded to its length and an FNV-1a digest, so a pin stays
+/// readable: every scalar, both per-day series, then `[len, digest]`.
+fn compact_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
+    let mut f = fingerprint(stats);
+    let tail = f.split_off(f.len() - stats.final_hotness.len());
+    let digest = tail.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+        (h ^ v).wrapping_mul(0x0100_0000_01b3)
+    });
+    f.extend([tail.len() as u64, digest]);
+    f
+}
+
+fn assert_pinned(name: &str, stats: &ExperimentStats, pin: &[u64]) {
+    let observed = compact_fingerprint(stats);
+    assert_eq!(
+        observed, pin,
+        "`{name}` moved off its parent-captured fingerprint; observed:\n{observed:?}"
+    );
 }
 
 /// Run the scenario twice and enforce contract points (a)–(c); returns
@@ -266,6 +344,11 @@ fn coordinator_region_outage_fails_over_automatically() {
         SimDuration::from_hours(2),
     );
     let stats = check_scenario_with("coordinator_region_outage", 0xFA017_06, script, true);
+    assert_pinned(
+        "coordinator_region_outage",
+        &stats,
+        PIN_COORDINATOR_REGION_OUTAGE,
+    );
     assert_eq!(stats.fault_injections, 1);
     assert_eq!(stats.fault_repairs, 1);
     assert!(
@@ -321,6 +404,11 @@ fn zk_leader_partition_during_drain_storm() {
             SimDuration::from_mins(90),
         );
     let stats = check_scenario_with("zk_leader_partition_during_drain", 0xFA017_08, script, true);
+    assert_pinned(
+        "zk_leader_partition_during_drain",
+        &stats,
+        PIN_ZK_LEADER_PARTITION,
+    );
     assert_eq!(stats.fault_injections, 3);
     assert_eq!(stats.fault_repairs, 3);
     assert_eq!(stats.drains_requested, 3);
@@ -380,6 +468,11 @@ fn sm_failover_races_client_watches() {
             SimDuration::from_hours(1),
         );
     let stats = check_scenario_with("sm_failover_races_client_watches", 0xFA017_0A, script, true);
+    assert_pinned(
+        "sm_failover_races_client_watches",
+        &stats,
+        PIN_SM_FAILOVER_RACES_WATCHES,
+    );
     assert_eq!(stats.fault_injections, 2);
     assert_eq!(stats.fault_repairs, 2);
     assert_eq!(stats.drains_requested, 3);
@@ -430,6 +523,7 @@ fn zk_node_crash_is_invisible_to_traffic() {
         SimDuration::from_hours(1),
     );
     let stats = check_scenario_with("zk_node_crash", 0xFA017_07, script, true);
+    assert_pinned("zk_node_crash", &stats, PIN_ZK_NODE_CRASH);
     assert!(
         stats.zk_failovers >= 1,
         "region 1's own ensemble lost its leader and must re-elect"
@@ -440,4 +534,21 @@ fn zk_node_crash_is_invisible_to_traffic() {
         stats.success_ratio()
     );
     assert_eq!(stats.failover_migrations, 0);
+}
+
+/// The smallest run that still crosses a coordination failover: 3 regions
+/// of 8 hosts, two hours, three replicas, region 1's replicas down for the
+/// middle half hour. Cheap enough to re-run on every change to the tick
+/// path; pinned like the scenarios above.
+#[test]
+fn small_replicated_run_matches_parent_pin() {
+    let script = FaultScript::new().with(
+        FaultKind::ZkNodeCrash { region: 1 },
+        SimTime::from_secs(45 * 60),
+        SimDuration::from_mins(30),
+    );
+    let stats = run_sized(0xFA017_0B, script, true, 8, SimDuration::from_hours(2));
+    assert!(stats.zk_failovers >= 1, "the crash must force an election");
+    assert!(stats.zk_session_moves > 0);
+    assert_pinned("small_replicated_run", &stats, PIN_SMALL_REPLICATED_RUN);
 }

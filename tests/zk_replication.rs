@@ -20,7 +20,7 @@ use scalewall::sim::prop::{self, gen};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use scalewall::zk::{
     NodeKind, SessionId, WatchKind, ZkClient, ZkEnsemble, ZkError, ZkOp, ZkReplicationConfig,
-    ZkResp, ZkStore,
+    ZkResp, ZkResult, ZkStore,
 };
 
 fn t(s: u64) -> SimTime {
@@ -56,10 +56,27 @@ enum OpKind {
     Delete,
     NewSession,
     Refresh,
+    RefreshBatch,
     CloseSession,
     Watch,
     Drain,
     Expire,
+}
+
+/// Apply a committed op to the single-store oracle. A batched refresh is
+/// mirrored as the single refreshes it stands for, so the oracle never
+/// runs the batch code it is checking.
+fn mirror(oracle: &mut ZkStore, op: &ZkOp, now: SimTime) -> ZkResult<ZkResp> {
+    let ZkOp::RefreshSessions { sessions } = op else {
+        return oracle.apply(op, now);
+    };
+    let mut gone = Vec::new();
+    for &session in sessions.iter() {
+        if oracle.apply(&ZkOp::RefreshSession { session }, now) != Ok(ZkResp::Refreshed(true)) {
+            gone.push(session);
+        }
+    }
+    Ok(ZkResp::Sessions(gone))
 }
 
 fn gen_step(rng: &mut SimRng) -> Step {
@@ -90,6 +107,8 @@ fn gen_step(rng: &mut SimRng) -> Step {
         OpKind::NewSession,
         OpKind::Refresh,
         OpKind::Refresh,
+        OpKind::RefreshBatch,
+        OpKind::RefreshBatch,
         OpKind::CloseSession,
         OpKind::Watch,
         OpKind::Drain,
@@ -177,6 +196,11 @@ fn run_schedule(steps: &[Step]) {
             OpKind::Refresh => ZkOp::RefreshSession {
                 session: session(&mut sel, &sessions),
             },
+            OpKind::RefreshBatch => ZkOp::RefreshSessions {
+                sessions: (0..sel.range(1, 6))
+                    .map(|_| session(&mut sel, &sessions))
+                    .collect(),
+            },
             OpKind::CloseSession => ZkOp::CloseSession {
                 session: session(&mut sel, &sessions),
             },
@@ -196,11 +220,31 @@ fn run_schedule(steps: &[Step]) {
             // Committed — successfully or as a committed refusal
             // (BadVersion, NoNode, ...). The oracle must agree exactly.
             outcome => {
-                let mirrored = oracle.apply(&op, now);
+                let mirrored = mirror(&mut oracle, &op, now);
                 assert_eq!(
                     outcome, mirrored,
                     "acked response diverged from oracle for {op:?} at {now_ms}ms"
                 );
+                // Every replica at the commit index holds the oracle's
+                // state — and, for the sessions this op spoke for, the
+                // oracle's heartbeat (the digest leaves heartbeats out).
+                let still_alive_at = now + cfg.session.timeout;
+                let committed = ens.replica_applied(ens.leader().expect("acked"));
+                for id in (0..3).filter(|&id| ens.replica_applied(id) == committed) {
+                    assert_eq!(
+                        ens.replica_digest(id),
+                        oracle.state_digest(),
+                        "replica {id} diverged at commit index {committed} after {op:?}"
+                    );
+                    let store = ens.replica_store(id).expect("member");
+                    for &sid in op.sessions() {
+                        assert_eq!(
+                            store.session_alive(sid, still_alive_at),
+                            oracle.session_alive(sid, still_alive_at),
+                            "replica {id} disagrees on {sid}'s heartbeat after {op:?}"
+                        );
+                    }
+                }
                 if let Ok(ZkResp::Session(sid)) = &outcome {
                     sessions.push(*sid);
                 }
@@ -432,4 +476,57 @@ fn each_session_absorbs_one_session_moved_per_failover() {
         .submit(&mut ens, ZkOp::RefreshSession { session: sids[0] }, t(32))
         .unwrap();
     assert_eq!(client.session_moves, sids.len() as u64);
+}
+
+/// A heartbeat round as one op: a batch naming a closed session
+/// refreshes the rest and reports the closed one; after a failover the
+/// batch is refused once, accounting one `SessionMoved` per session.
+#[test]
+fn batched_refresh_reports_gone_sessions_and_fences_once() {
+    let mut cfg = ZkReplicationConfig::default();
+    cfg.session.timeout = SimDuration::from_secs(10);
+    let mut ens = ZkEnsemble::new(&cfg);
+    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut sids = Vec::new();
+    for _ in 0..4 {
+        match client.submit(&mut ens, ZkOp::CreateSession, t(1)).unwrap() {
+            ZkResp::Session(s) => sids.push(s),
+            other => panic!("{other:?}"),
+        }
+    }
+    let closed = sids[1];
+    client
+        .submit(&mut ens, ZkOp::CloseSession { session: closed }, t(2))
+        .unwrap();
+    let batch = ZkOp::RefreshSessions {
+        sessions: sids.as_slice().into(),
+    };
+    let resp = client.submit(&mut ens, batch, t(9)).unwrap();
+    assert_eq!(resp, ZkResp::Sessions(vec![closed]));
+    // The rest were refreshed at t=9 on every replica: still alive at
+    // t=19, where the t=1 heartbeat would have lapsed.
+    for id in 0..3 {
+        let store = ens.replica_store(id).unwrap();
+        for &sid in sids.iter().filter(|&&s| s != closed) {
+            assert!(store.session_alive(sid, t(19)), "replica {id}, {sid}");
+        }
+    }
+    assert_eq!(client.session_moves, 0);
+
+    ens.crash_replica(0);
+    ens.tick(t(30)).expect("failover");
+    let live: Vec<SessionId> = sids.iter().copied().filter(|&s| s != closed).collect();
+    let batch = ZkOp::RefreshSessions {
+        sessions: live.as_slice().into(),
+    };
+    let resp = client.submit(&mut ens, batch.clone(), t(31)).unwrap();
+    assert_eq!(resp, ZkResp::Sessions(vec![]));
+    assert_eq!(
+        client.session_moves,
+        live.len() as u64,
+        "one SessionMoved per session, from one refusal"
+    );
+    // Same epoch again: nobody is fenced twice.
+    client.submit(&mut ens, batch, t(32)).unwrap();
+    assert_eq!(client.session_moves, live.len() as u64);
 }
