@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the infrastructure hot paths: shard mapping, SM
-//! placement/balancing and the metric poll, discovery resolution, the
-//! event queue, and latency histograms. Runs on the in-repo wall-clock runner
+//! placement/balancing and the metric poll, discovery resolution and the
+//! cached route, one whole no-data query, the event queue, and latency
+//! histograms. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
 //!
@@ -11,18 +12,24 @@
 //! `cargo bench -p scalewall-bench --bench infra -- --bench --json "$PWD/infra.json"`
 
 use cubrick::catalog::RowMapping;
+use cubrick::proxy::{CubrickProxy, ProxyConfig};
+use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_bench::microbench::Bench;
 use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
-use scalewall_cluster::workload::{gen_rows, TablePopulation, WorkloadConfig};
-use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, ShardKey};
+use scalewall_cluster::driver::{run_query, QueryOptions};
+use scalewall_cluster::net::{NetModel, NetModelConfig};
+use scalewall_cluster::workload::{gen_rows, standard_schema, TablePopulation, WorkloadConfig};
+use scalewall_discovery::{
+    DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route, ShardKey,
+};
 use scalewall_shard_manager::balancer::propose_rebalance;
 use scalewall_shard_manager::placement::{rank_candidates, HostSnapshot};
 use scalewall_shard_manager::{
     BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SpreadDomain,
 };
 use scalewall_sim::sync::RwLock;
-use scalewall_sim::{EventQueue, Histogram, SimRng, SimTime};
+use scalewall_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
 fn bench_shard_mapping(c: &mut Bench) {
@@ -126,7 +133,11 @@ fn bench_discovery(c: &mut Bench) {
             .write()
             .publish(ShardKey::new("cubrick", s), Some(s % 500), SimTime::ZERO);
     }
-    let client = DiscoveryClient::new(store, DelayModel::new(DelayModelConfig::default()), 42);
+    let client = DiscoveryClient::new(
+        store.clone(),
+        DelayModel::new(DelayModelConfig::default()),
+        42,
+    );
     let now = SimTime::from_secs(3_600);
     let mut group = c.group("discovery");
     group.throughput(1);
@@ -135,6 +146,73 @@ fn bench_discovery(c: &mut Bench) {
         b.iter(|| {
             s = (s + 1) % 10_000;
             client.resolve_host(&ShardKey::new("cubrick", s), now)
+        })
+    });
+
+    // One table's 64 consecutive shards, as the monotonic mapping lays
+    // them out.
+    let mut route = Route::default();
+    route.reset_shards().extend(5_000..5_064);
+    client.route("cubrick", &mut route, now);
+    group.bench_function("route_hit_fanout64", |b| {
+        b.iter(|| client.route("cubrick", &mut route, now))
+    });
+
+    // A second update per shard, then `now` alternating between before
+    // any of them is visible and after all are: every lookup falls outside
+    // the window the previous one filled and re-resolves 64 two-entry
+    // histories, one delay sample each (what the single-key resolve above
+    // paid per call before PR 16).
+    let republished = SimTime::from_secs(7_200);
+    for s in 5_000..5_064u64 {
+        let key = ShardKey::new("cubrick", s);
+        store.write().publish(key, Some(s % 499), republished);
+    }
+    let sides = [now, republished + SimDuration::from_hours(1)];
+    group.bench_function("route_refill_fanout64", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i ^= 1;
+            client.route("cubrick", &mut route, sides[i])
+        })
+    });
+    group.finish();
+}
+
+/// One `count(*)` over a 64-partition table with no data behind it: the
+/// whole query path's plumbing and none of the engine (the per-query
+/// shape of fig5 and of `fanout_sweep`).
+fn bench_driver(c: &mut Bench) {
+    let mut dep = Deployment::new(DeploymentConfig {
+        regions: 3,
+        hosts_per_region: 128,
+        racks_per_region: 8,
+        ..Default::default()
+    });
+    dep.create_table(
+        "fanout_64",
+        standard_schema(365),
+        64,
+        RowMapping::Hash,
+        ShardMapping::Monotonic,
+        SimTime::ZERO,
+    )
+    .expect("fresh table");
+    let net = NetModel::new(NetModelConfig::default());
+    let mut proxy = CubrickProxy::new(ProxyConfig::default());
+    let mut rng = SimRng::new(16);
+    let query = Query::count_star("fanout_64");
+    let opts = QueryOptions {
+        execute_data: false,
+        ..Default::default()
+    };
+    let mut group = c.group("driver");
+    group.throughput(1);
+    group.bench_function("run_query_fanout64_nodata", |b| {
+        let mut now = SimTime::from_secs(3_600);
+        b.iter(|| {
+            now += SimDuration::from_millis(500);
+            run_query(&mut dep, &mut proxy, &net, &query, &opts, now, &mut rng).success
         })
     });
     group.finish();
@@ -185,6 +263,7 @@ fn main() {
     bench_balancer(&mut bench);
     bench_collect_metrics(&mut bench);
     bench_discovery(&mut bench);
+    bench_driver(&mut bench);
     bench_event_queue(&mut bench);
     bench_histogram(&mut bench);
     bench.finish();

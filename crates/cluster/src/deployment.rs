@@ -6,6 +6,7 @@
 //! table metadata; each region has its own SM server, service-discovery
 //! view, region store and node registry.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cubrick::catalog::{shared_catalog, RowMapping, SharedCatalog, TableDef};
@@ -17,7 +18,7 @@ use cubrick::sharding::ShardMapping;
 use cubrick::store::PartitionData;
 use cubrick::value::Row;
 use scalewall_sim::sync::RwLock;
-use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient};
+use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, Route};
 use scalewall_shard_manager::{
     AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
     SmServer,
@@ -94,6 +95,51 @@ pub fn table_group(name: &str) -> u64 {
     h
 }
 
+/// A region proxy's fan-out routes, one per table: every partition's
+/// shard id and the host discovery resolves it to, kept until the answer
+/// can change (DESIGN.md "Route cache contract").
+#[derive(Debug, Default)]
+pub struct RouteCache {
+    tables: BTreeMap<Arc<str>, TableRoute>,
+}
+
+#[derive(Debug, Default)]
+struct TableRoute {
+    /// `(partitions, shard_mapping, max_shards)` the shard list was
+    /// derived from. A repartitioned or dropped-and-recreated table keeps
+    /// its name but not its shards.
+    built_for: Option<(u32, ShardMapping, u64)>,
+    route: Route,
+}
+
+impl RouteCache {
+    /// `def`'s route at `now`, indexed by partition. A hit is one store
+    /// read lock and two compares; a miss re-resolves in place.
+    pub fn route(
+        &mut self,
+        discovery: &DiscoveryClient,
+        def: &TableDef,
+        max_shards: u64,
+        now: SimTime,
+    ) -> &Route {
+        let table = self.tables.entry(def.name.clone()).or_default();
+        let built_for = Some((def.partitions, def.shard_mapping, max_shards));
+        if table.built_for != built_for {
+            table.built_for = built_for;
+            table
+                .route
+                .reset_shards()
+                .extend((0..def.partitions).map(|p| def.shard_of(p, max_shards)));
+        }
+        discovery.route(APP, &mut table.route, now);
+        &table.route
+    }
+
+    fn forget(&mut self, table: &str) {
+        self.tables.remove(table);
+    }
+}
+
 /// One region's slice of the deployment.
 pub struct RegionState {
     pub region: Region,
@@ -102,6 +148,8 @@ pub struct RegionState {
     pub nodes: NodeRegistry,
     /// The region-local proxy's discovery view (sees propagation delay).
     pub discovery: DiscoveryClient,
+    /// What that view resolves each table's partitions to, cached.
+    pub routes: RouteCache,
     /// Whole-region availability (code pushes, disasters; §IV-D).
     pub available: bool,
 }
@@ -113,9 +161,11 @@ impl RegionState {
     }
 
     /// Owner as seen by this region's proxy *right now* (possibly stale).
+    /// The uncached single-shard reference for [`RouteCache::route`].
     pub fn resolved_host(&self, shard: u64, now: SimTime) -> Option<HostId> {
         self.discovery
-            .resolve_host(&scalewall_discovery::ShardKey::new(APP, shard), now)
+            .resolve_shard(APP, shard, now)
+            .and_then(|u| u.host)
             .map(HostId)
     }
 }
@@ -206,6 +256,7 @@ impl Deployment {
                 store,
                 nodes,
                 discovery,
+                routes: RouteCache::default(),
                 available: true,
             });
         }
@@ -276,6 +327,7 @@ impl Deployment {
         self.catalog.write().drop_table(name)?;
         for region in &mut self.regions {
             region.store.write().drop_table(name);
+            region.routes.forget(name);
             for &shard in &shards {
                 if self.catalog.read().partitions_of_shard(shard).is_empty() {
                     let _ = region

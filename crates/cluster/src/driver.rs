@@ -24,6 +24,7 @@ use scalewall_sim::{SimDuration, SimRng, SimTime};
 
 use crate::deployment::{Deployment, RegionState};
 use crate::net::{NetModel, ServerResponse};
+use crate::registry::NodeRegistry;
 
 /// Snapshot of a region's coordination-plane health after one drive
 /// step: who leads the regional ensemble, in which epoch, and how many
@@ -135,7 +136,10 @@ enum AttemptResult {
     Ok {
         latency: SimDuration,
         partials: Vec<PartialResult>,
-        /// Hosts that served a sub-query (clears their failure streaks).
+        /// Sub-queries that answered.
+        answered: usize,
+        /// Hosts that served them, to clear their failure streaks; left
+        /// empty when the proxy holds no streak to clear.
         answered_hosts: Vec<HostId>,
         /// Per-shard status, plan order. Complete (all `Answered`) on
         /// the strict path; may carry failures in degraded/best-effort
@@ -187,15 +191,20 @@ pub fn run_query(
         }
     };
 
-    let def = match dep.catalog.read().get(&query.table) {
-        Ok(d) => d.clone(),
+    let looked_up = {
+        let catalog = dep.catalog.read();
+        catalog
+            .get(&query.table)
+            .map(|d| (d.clone(), catalog.max_shards()))
+    };
+    let (def, max_shards) = match looked_up {
+        Ok(found) => found,
         Err(e) => {
             release(proxy);
             return fail(e, 0, SimDuration::ZERO);
         }
     };
     let plan = FanoutPlan::for_table(&query.table, def.partitions);
-    let max_shards = dep.catalog.read().max_shards();
 
     let region_flags: Vec<(Region, bool)> = dep
         .regions
@@ -244,18 +253,28 @@ pub fn run_query(
             total_latency += net.rtt();
         }
 
-        let Some(region_idx) = dep.regions.iter().position(|r| r.region == region) else {
+        let Some(region_state) = dep.regions.iter_mut().find(|r| r.region == region) else {
             release(proxy);
             let detail = format!("proxy chose region {} outside the deployment", region.0);
             return fail(CubrickError::Internal { detail }, attempts, total_latency);
         };
         let result = attempt_in_region(
-            dep, region_idx, net, query, &def, max_shards, &plan, opts, proxy, now, rng,
+            region_state,
+            net,
+            query,
+            &def,
+            max_shards,
+            &plan,
+            opts,
+            proxy,
+            now,
+            rng,
         );
         match result {
             AttemptResult::Ok {
                 latency,
                 partials,
+                answered,
                 answered_hosts,
                 coverage,
                 failed_hosts,
@@ -264,7 +283,6 @@ pub fn run_query(
                 // Successful servers get their failure streaks cleared —
                 // without this, transient failures accumulate into
                 // spurious blacklistings.
-                let answered = answered_hosts.len();
                 for host in answered_hosts {
                     proxy.record_host_success(host);
                 }
@@ -372,8 +390,7 @@ pub fn run_query(
 /// One fan-out attempt within one region.
 #[allow(clippy::too_many_arguments)]
 fn attempt_in_region(
-    dep: &mut Deployment,
-    region_idx: usize,
+    region: &mut RegionState,
     net: &NetModel,
     query: &Query,
     def: &TableDef,
@@ -386,17 +403,45 @@ fn attempt_in_region(
 ) -> AttemptResult {
     let mut slowest = SimDuration::ZERO;
     let mut partials: Vec<PartialResult> = Vec::with_capacity(plan.fan_out());
-    let mut answered_hosts: Vec<HostId> = Vec::with_capacity(plan.fan_out());
-    let mut coverage = Coverage::default();
+    let mut answered = 0usize;
+    // A success only matters to a host with a failure streak to clear,
+    // and the proxy cannot change during the attempt: ask once.
+    let clear_streaks = proxy.has_failure_streaks();
+    let mut answered_hosts: Vec<HostId> = Vec::new();
+    let mut coverage = Coverage {
+        per_shard: Vec::with_capacity(plan.fan_out()),
+    };
     let mut failed_hosts: Vec<HostId> = Vec::new();
     let mut first_error: Option<(CubrickError, Option<HostId>)> = None;
 
+    // Locate every partition through service discovery (the
+    // client-visible, possibly stale view) in one step: the region's
+    // cached route, re-resolved only when its answer can have changed.
+    let RegionState {
+        discovery,
+        routes,
+        nodes,
+        ..
+    } = region;
+    let route = routes.route(discovery, def, max_shards, now);
+
     for &p in &plan.partitions {
-        let shard = def.shard_of(p, max_shards);
-        match sub_query(dep, region_idx, net, query, p, shard, opts, proxy, now, rng) {
+        let Some((shard, target)) = route.get(p as usize) else {
+            let detail = format!("partition {p} outside the route of {}", def.name);
+            return AttemptResult::Failed {
+                latency: SimDuration::ZERO,
+                error: CubrickError::Internal { detail },
+                culprit: None,
+            };
+        };
+        let target = target.map(HostId);
+        match sub_query(nodes, net, query, p, shard, target, opts, proxy, now, rng) {
             Ok((latency, partial, host)) => {
                 slowest = slowest.max(latency);
-                answered_hosts.push(host);
+                answered += 1;
+                if clear_streaks {
+                    answered_hosts.push(host);
+                }
                 coverage.push(p, ShardState::Answered);
                 if let Some(partial) = partial {
                     partials.push(partial);
@@ -458,6 +503,7 @@ fn attempt_in_region(
     AttemptResult::Ok {
         latency: net.rtt() + slowest + net.merge_cost(plan.fan_out()),
         partials,
+        answered,
         answered_hosts,
         coverage,
         failed_hosts,
@@ -466,15 +512,16 @@ fn attempt_in_region(
 
 type SubQueryError = (SimDuration, CubrickError, Option<HostId>);
 
-/// One sub-query against the server owning `shard` in the region.
+/// One sub-query for `shard`, against the server the region's discovery
+/// view resolved it to (`target`; `None` when it resolves to nothing).
 #[allow(clippy::too_many_arguments)]
 fn sub_query(
-    dep: &mut Deployment,
-    region_idx: usize,
+    nodes: &mut NodeRegistry,
     net: &NetModel,
     query: &Query,
     partition: u32,
     shard: u64,
+    target: Option<HostId>,
     opts: &QueryOptions,
     proxy: &CubrickProxy,
     now: SimTime,
@@ -485,10 +532,7 @@ fn sub_query(
         partition,
     };
 
-    // Locate through service discovery (the client-visible, possibly
-    // stale view).
-    let resolved = dep.regions[region_idx].resolved_host(shard, now);
-    let Some(target) = resolved else {
+    let Some(target) = target else {
         return Err((net.rtt(), unavailable(), None));
     };
 
@@ -513,7 +557,7 @@ fn sub_query(
     let mut serving = target;
 
     // A dead process answers nothing.
-    if dep.regions[region_idx].nodes.is_down(serving) {
+    if nodes.is_down(serving) {
         return Err((net.rtt().mul(2), unavailable(), Some(serving)));
     }
 
@@ -521,7 +565,7 @@ fn sub_query(
     // migration the old owner forwards; after a plain migration it
     // errors (stale-cache window).
     let probe = {
-        let node = dep.regions[region_idx].nodes.node(serving);
+        let node = nodes.node(serving);
         match node {
             None => return Err((net.rtt().mul(2), unavailable(), Some(serving))),
             Some(n) => n.probe_shard(shard),
@@ -532,11 +576,10 @@ fn sub_query(
             // Graceful forwarding: one extra hop, then the new owner.
             latency += net.forward_hop();
             serving = new_owner;
-            if dep.regions[region_idx].nodes.is_down(serving) {
+            if nodes.is_down(serving) {
                 return Err((latency + net.rtt().mul(2), unavailable(), Some(serving)));
             }
-            let ok = dep.regions[region_idx]
-                .nodes
+            let ok = nodes
                 .node(serving)
                 .is_some_and(|n| n.owns_shard(shard) && n.shard_ready(shard));
             if !ok {
@@ -591,7 +634,7 @@ fn sub_query(
             }
             latency += net.rtt() + service_time;
             let partial = if opts.execute_data {
-                let Some(node) = dep.regions[region_idx].nodes.node_mut(serving) else {
+                let Some(node) = nodes.node_mut(serving) else {
                     let detail = format!("host {serving:?} vanished between probe and scan");
                     return Err((latency, CubrickError::Internal { detail }, Some(serving)));
                 };
@@ -1357,5 +1400,92 @@ mod tests {
             )
             .is_none());
         assert_eq!(f.dep.regions[0].authoritative_host(shard), Some(to));
+    }
+
+    /// A region's cached route is keyed on what its shard list was built
+    /// from, not on the table name: a repartitioned or re-created table
+    /// fans out over its new shards on the very next query.
+    #[test]
+    fn route_follows_repartition_and_recreate() {
+        let mut f = fixture(0.0);
+        let query = parse_query("select count(*) from t").unwrap();
+        let run = |f: &mut Fixture, now: SimTime| {
+            let opts = QueryOptions::default();
+            let outcome = run_query(
+                &mut f.dep,
+                &mut f.proxy,
+                &f.net,
+                &query,
+                &opts,
+                now,
+                &mut f.rng,
+            );
+            assert!(outcome.success, "{:?}", outcome.error);
+            // Region 0 served it, so its route is the one just used.
+            assert_eq!(outcome.served_region, Some(Region(0)));
+            (outcome.fan_out, outcome.output.and_then(|o| o.scalar()))
+        };
+        // The shard list region 0's route holds for the table as the
+        // catalog defines it now (a hit: `run` just looked it up).
+        let routed = |f: &mut Fixture, now: SimTime| {
+            let catalog = f.dep.catalog.read();
+            let def = catalog.get("t").unwrap();
+            let RegionState {
+                discovery, routes, ..
+            } = &mut f.dep.regions[0];
+            let route = routes.route(discovery, def, catalog.max_shards(), now);
+            (
+                route.shards().to_vec(),
+                catalog.shards_of_table("t").unwrap(),
+            )
+        };
+
+        let mut now = t(QUERY_TIME);
+        assert_eq!(run(&mut f, now), (8, Some(1_000.0)));
+        let (before, want) = routed(&mut f, now);
+        assert_eq!(before, want);
+
+        // Repartition: same name, same mapping, new partition count.
+        f.dep.repartition("t", 16, now).unwrap();
+        now += SimDuration::from_mins(5);
+        assert_eq!(run(&mut f, now), (16, Some(1_000.0)));
+        let (grown, want) = routed(&mut f, now);
+        assert_eq!(grown, want);
+        assert_eq!(grown.len(), 16);
+
+        // Drop and re-create under the same name with another mapping
+        // and count.
+        let schema = f.dep.catalog.read().get("t").unwrap().schema.clone();
+        f.dep.drop_table("t", now).unwrap();
+        f.dep
+            .create_table(
+                "t",
+                schema.clone(),
+                4,
+                RowMapping::Hash,
+                ShardMapping::Naive,
+                now,
+            )
+            .unwrap();
+        let rows: Vec<Row> = (0..300)
+            .map(|k| Row::new(vec![Value::Int(k)], vec![1.0]))
+            .collect();
+        f.dep.ingest("t", &rows).unwrap();
+        now += SimDuration::from_mins(5);
+        assert_eq!(run(&mut f, now), (4, Some(300.0)));
+        let (naive, want) = routed(&mut f, now);
+        assert_eq!(naive, want);
+
+        // Same name and count, only the mapping differs — swapped in the
+        // catalog alone, behind the deployment's back.
+        f.dep.catalog.write().drop_table("t").unwrap();
+        f.dep
+            .catalog
+            .write()
+            .create_table("t", schema, 4, RowMapping::Hash, ShardMapping::Monotonic)
+            .unwrap();
+        let (monotonic, want) = routed(&mut f, now);
+        assert_eq!(monotonic, want);
+        assert_ne!(monotonic, naive);
     }
 }

@@ -207,27 +207,28 @@ impl CubrickProxy {
         client_region: Region,
         exclude: &[Region],
     ) -> CubrickResult<Region> {
-        let candidates: Vec<Region> = {
-            let mut v: Vec<Region> = regions
-                .iter()
-                .filter(|&&(r, up)| up && !exclude.contains(&r))
-                .map(|&(r, _)| r)
-                .collect();
-            v.sort_by_key(|r| r.0);
-            v
-        };
-        let least = candidates
-            .iter()
-            .copied()
-            .min_by_key(|r| (self.region_depth(*r), r.0));
-        if candidates.contains(&client_region) {
+        // One pass: the least-loaded candidate (depth, then id, so input
+        // order never matters) and whether the client's region is one.
+        let mut least: Option<(u32, Region)> = None;
+        let mut client_is_candidate = false;
+        for &(r, up) in regions {
+            if !up || exclude.contains(&r) {
+                continue;
+            }
+            client_is_candidate |= r == client_region;
+            let depth = self.region_depth(r);
+            if least.is_none_or(|(d, l)| (depth, r.0) < (d, l.0)) {
+                least = Some((depth, r));
+            }
+        }
+        if client_is_candidate {
             let client_depth = self.region_depth(client_region);
-            let spill_floor = least.map(|r| self.region_depth(r)).unwrap_or(0);
+            let spill_floor = least.map_or(0, |(depth, _)| depth);
             if client_depth <= spill_floor.saturating_add(self.config.region_spill_threshold) {
                 return Ok(client_region);
             }
         }
-        least.ok_or(CubrickError::NoAvailableRegion)
+        least.map(|(_, r)| r).ok_or(CubrickError::NoAvailableRegion)
     }
 
     /// In-flight depth of one region (0 unless the QoS loop tracks it).
@@ -362,7 +363,11 @@ impl CubrickProxy {
     /// ("the number of partitions per table is always included as part of
     /// query results metadata, and updates the proxy's cache").
     pub fn record_result_metadata(&mut self, table: &str, partitions: u32) {
-        self.partition_cache.insert(table.to_string(), partitions);
+        // Every successful query lands here; almost all confirm what is
+        // already cached.
+        if self.partition_cache.get(table) != Some(&partitions) {
+            self.partition_cache.insert(table.to_string(), partitions);
+        }
     }
 
     pub fn cached_partitions(&self, table: &str) -> Option<u32> {
@@ -392,6 +397,13 @@ impl CubrickProxy {
     /// A success clears the failure streak and any blacklist.
     pub fn record_host_success(&mut self, host: HostId) {
         self.blacklist.remove(&host);
+    }
+
+    /// Whether any host has a failure streak or blacklisting for a
+    /// success to clear. `false` in the no-fault steady state, where the
+    /// query path need not even collect the hosts that answered.
+    pub fn has_failure_streaks(&self) -> bool {
+        !self.blacklist.is_empty()
     }
 
     pub fn is_blacklisted(&self, host: HostId, now: SimTime) -> bool {

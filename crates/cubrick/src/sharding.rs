@@ -22,7 +22,11 @@ pub const PARTITION_SEP: char = '#';
 /// `DefaultHasher`: its output may change across Rust releases, which
 /// would silently remap every production shard on an upgrade).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a pass: `fnv1a(ab) == fnv1a_extend(fnv1a(a), b)`.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x100_0000_01b3);
@@ -53,6 +57,27 @@ pub fn partition_name(table: &str, partition: u32) -> String {
     format!("{table}{PARTITION_SEP}{partition}")
 }
 
+/// `stable_hash(partition_name(table, partition))` without building the
+/// name: table, separator and the decimal digits (from a stack buffer)
+/// go through one FNV-1a pass.
+fn partition_hash(table: &str, partition: u32) -> u64 {
+    let mut digits = [0u8; 10]; // u32::MAX has ten
+    let mut start = digits.len();
+    let mut rest = partition;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let mut sep = [0u8; 4];
+    let sep = PARTITION_SEP.encode_utf8(&mut sep).as_bytes();
+    let name = fnv1a_extend(fnv1a(table.as_bytes()), sep);
+    mix64(fnv1a_extend(name, &digits[start..]))
+}
+
 /// Parse an internal partition name back into `(table, partition)`.
 pub fn parse_partition_name(name: &str) -> Option<(&str, u32)> {
     let idx = name.rfind(PARTITION_SEP)?;
@@ -79,12 +104,18 @@ impl ShardMapping {
     pub fn shard_of(self, table: &str, partition: u32, max_shards: u64) -> u64 {
         assert!(max_shards > 0, "empty shard space");
         match self {
-            ShardMapping::Naive => {
-                stable_hash(partition_name(table, partition).as_bytes()) % max_shards
-            }
+            ShardMapping::Naive => partition_hash(table, partition) % max_shards,
             ShardMapping::Monotonic => {
-                let base = stable_hash(partition_name(table, 0).as_bytes()) % max_shards;
-                (base + partition as u64) % max_shards
+                // `base + partition` without overflowing at key spaces
+                // near `u64::MAX`.
+                let base = partition_hash(table, 0) % max_shards;
+                let step = partition as u64 % max_shards;
+                let room = max_shards - base;
+                if step >= room {
+                    step - room
+                } else {
+                    base + step
+                }
             }
         }
     }

@@ -6,7 +6,7 @@ use cubrick::dictionary::Dictionary;
 use cubrick::encoding;
 use cubrick::partition::BrickSpace;
 use cubrick::schema::{Schema, SchemaBuilder};
-use cubrick::sharding::{parse_partition_name, partition_name, ShardMapping};
+use cubrick::sharding::{parse_partition_name, partition_name, stable_hash, ShardMapping};
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::SimRng;
 
@@ -317,6 +317,43 @@ fn shards_in_key_space() {
         |(table, partition, max_shards)| {
             for mapping in [ShardMapping::Naive, ShardMapping::Monotonic] {
                 assert!(mapping.shard_of(table, *partition, *max_shards) < *max_shards);
+            }
+        },
+    );
+}
+
+/// Both mappings hash the partition name without building it; the
+/// result is the documented formula over the rendered name, bit for bit,
+/// for any name (`#` and non-ASCII included), every digit count and every
+/// key-space size.
+#[test]
+fn shard_of_matches_the_rendered_name_formula() {
+    const NAME_BYTES: &[u8] = b"abcXYZ019_.#";
+    prop::check(
+        "shard_of_matches_the_rendered_name_formula",
+        |rng| {
+            let len = gen::usize_in(rng, 0, 24);
+            let mut table = gen::string_from(rng, NAME_BYTES, len);
+            if gen::any_bool(rng) {
+                table.push('é');
+            }
+            (table, gen::any_u32(rng), gen::any_u64(rng).max(1))
+        },
+        |(table, random_partition, random_max)| {
+            for partition in [0, 9, 10, 99, 100, u32::MAX, *random_partition] {
+                for max_shards in [1, 2, 100_000, u64::MAX, *random_max] {
+                    let hash_of = |p| stable_hash(partition_name(table, p).as_bytes());
+                    assert_eq!(
+                        ShardMapping::Naive.shard_of(table, partition, max_shards),
+                        hash_of(partition) % max_shards
+                    );
+                    let modulus = u128::from(max_shards);
+                    let base = u128::from(hash_of(0)) % modulus;
+                    assert_eq!(
+                        u128::from(ShardMapping::Monotonic.shard_of(table, partition, max_shards)),
+                        (base + u128::from(partition)) % modulus
+                    );
+                }
             }
         },
     );

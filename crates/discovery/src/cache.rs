@@ -5,6 +5,12 @@
 //! *as seen through the distribution tree* — i.e. the newest update that
 //! has already propagated to this subscriber, which may lag the
 //! authoritative mapping by a few seconds.
+//!
+//! The private `DiscoveryClient::visible` is the one definition of "which
+//! update does this subscriber see", and it also says for how long that
+//! answer holds. [`Route`] builds on the second half: one service's hosts
+//! for a fixed shard list, resolved once and reused until the window
+//! closes or the store takes a publish (DESIGN.md "Route cache contract").
 
 use std::sync::Arc;
 
@@ -12,10 +18,69 @@ use scalewall_sim::sync::RwLock;
 use scalewall_sim::SimTime;
 
 use crate::delay::DelayModel;
-use crate::map::{MappingStore, MappingUpdate, ShardKey};
+use crate::map::{history_of, MappingStore, MappingUpdate, ShardKey};
 
 /// Shared handle to the authoritative store (single writer, many readers).
 pub type SharedMappingStore = Arc<RwLock<MappingStore>>;
+
+/// The update a subscriber sees at some instant, and the half-open
+/// window `[from, until)` of instants at which it sees that same update
+/// provided nothing is published to the key in between.
+struct Visible {
+    update: MappingUpdate,
+    from: SimTime,
+    until: SimTime,
+}
+
+/// One service's resolved hosts for a fixed list of shards, as one
+/// subscriber sees them, with the window over which they stay exact.
+///
+/// Owned by the caller and refilled in place by
+/// [`DiscoveryClient::route`], so a refill allocates nothing once the
+/// buffers have grown to the shard count.
+#[derive(Debug, Clone, Default)]
+pub struct Route {
+    shards: Vec<u64>,
+    hosts: Vec<Option<u64>>,
+    /// Intersection of the per-shard visibility windows. Empty (the
+    /// `Default`) until the first fill, so a fresh route always misses.
+    from: SimTime,
+    until: SimTime,
+    /// `MappingStore::publish_count` the hosts were resolved at.
+    publishes: u64,
+}
+
+impl Route {
+    /// The shard list, in the caller's order.
+    pub fn shards(&self) -> &[u64] {
+        &self.shards
+    }
+
+    /// Resolved host per shard, parallel to [`Route::shards`].
+    pub fn hosts(&self) -> &[Option<u64>] {
+        &self.hosts
+    }
+
+    /// Shard and resolved host at one position of the list.
+    pub fn get(&self, index: usize) -> Option<(u64, Option<u64>)> {
+        Some((*self.shards.get(index)?, *self.hosts.get(index)?))
+    }
+
+    /// First instant past the fill at which some shard's answer may
+    /// change without a publish.
+    pub fn until(&self) -> SimTime {
+        self.until
+    }
+
+    /// Start a new shard list: hands out the emptied buffer to push
+    /// into and drops the resolved hosts, so the next lookup refills.
+    pub fn reset_shards(&mut self) -> &mut Vec<u64> {
+        self.shards.clear();
+        self.hosts.clear();
+        (self.from, self.until) = (SimTime::ZERO, SimTime::ZERO);
+        &mut self.shards
+    }
+}
 
 /// A subscriber's view of the mapping, filtered through propagation delay.
 #[derive(Clone)]
@@ -39,6 +104,35 @@ impl DiscoveryClient {
         self.subscriber
     }
 
+    /// The newest update of `history` (oldest first) whose
+    /// [`DiscoveryClient::visible_at`] has passed at `now`. If none has,
+    /// the oldest retained update stands in for the fully-propagated
+    /// past, so it needs no delay sample and is visible from the
+    /// beginning of time. `None` only for an empty history.
+    ///
+    /// The window ends when the first of the still-invisible newer
+    /// updates arrives; arrival order need not follow publish order.
+    fn visible(&self, history: &[MappingUpdate], now: SimTime) -> Option<Visible> {
+        let (oldest, newer) = history.split_first()?;
+        let mut until = SimTime::MAX;
+        for update in newer.iter().rev() {
+            let at = self.visible_at(update);
+            if at <= now {
+                return Some(Visible {
+                    update: *update,
+                    from: at,
+                    until,
+                });
+            }
+            until = until.min(at);
+        }
+        Some(Visible {
+            update: *oldest,
+            from: SimTime::ZERO,
+            until,
+        })
+    }
+
     /// Resolve `key` to the host visible to this subscriber at `now`.
     ///
     /// Walks the retained history newest-first and returns the first update
@@ -47,20 +141,49 @@ impl DiscoveryClient {
     /// the oldest is returned (it stands in for the fully-propagated past).
     /// Returns `None` only if the key has never been published.
     pub fn resolve(&self, key: &ShardKey, now: SimTime) -> Option<MappingUpdate> {
+        self.resolve_shard(&key.service, key.shard, now)
+    }
+
+    /// [`DiscoveryClient::resolve`] by borrowed key parts, for callers
+    /// that would otherwise build a [`ShardKey`] per lookup.
+    pub fn resolve_shard(&self, service: &str, shard: u64, now: SimTime) -> Option<MappingUpdate> {
         let store = self.store.read();
-        let history = store.history(key);
-        if history.is_empty() {
-            return None;
+        let history = history_of(store.service(service), shard);
+        self.visible(history, now).map(|v| v.update)
+    }
+
+    /// Bring `route` up to date for `service` at `now`; afterwards
+    /// `route.hosts()[i] == resolve_host((service, route.shards()[i]), now)`
+    /// for every `i`. Returns whether the cached hosts were reused.
+    ///
+    /// A hit costs one read lock, one publish-count compare and one
+    /// window check. Anything else — a publish to *any* key of the store
+    /// since the fill, or a `now` outside the window in either direction —
+    /// re-resolves every shard in place. Invalidation is per store, not
+    /// per key: telling whose key a publish touched is the map walk the
+    /// route exists to skip.
+    pub fn route(&self, service: &str, route: &mut Route, now: SimTime) -> bool {
+        let store = self.store.read();
+        let publishes = store.publish_count();
+        if route.publishes == publishes && route.from <= now && now < route.until {
+            return true;
         }
-        for update in history.iter().rev() {
-            let visible_at = update
-                .published_at
-                .saturating_add(self.delays.delay(self.subscriber, update.seq));
-            if visible_at <= now {
-                return Some(*update);
-            }
+        let histories = store.service(service);
+        route.hosts.clear();
+        let (mut from, mut until) = (SimTime::ZERO, SimTime::MAX);
+        for &shard in &route.shards {
+            let host = match self.visible(history_of(histories, shard), now) {
+                Some(seen) => {
+                    from = from.max(seen.from);
+                    until = until.min(seen.until);
+                    seen.update.host
+                }
+                None => None,
+            };
+            route.hosts.push(host);
         }
-        history.first().copied()
+        (route.from, route.until, route.publishes) = (from, until, publishes);
+        false
     }
 
     /// Resolve to a host id, treating unpublished and unassigned alike.

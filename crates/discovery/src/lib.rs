@@ -16,7 +16,9 @@
 //!   sampled *lazily and deterministically* from a hash of the pair, so we
 //!   never materialize `updates × hosts` state.
 //! * [`cache`] — the per-host view: `resolve(key, now)` returns the value
-//!   the host's local proxy would have seen by `now`, i.e. possibly stale.
+//!   the host's local proxy would have seen by `now`, i.e. possibly stale;
+//!   a [`Route`] holds that answer for a whole shard list until it can
+//!   change.
 //!
 //! The staleness is load-bearing for the reproduction: Cubrick's graceful
 //! shard migration protocol (§IV-E) exists precisely because clients keep
@@ -26,6 +28,6 @@ pub mod cache;
 pub mod delay;
 pub mod map;
 
-pub use cache::DiscoveryClient;
+pub use cache::{DiscoveryClient, Route};
 pub use delay::{DelayModel, DelayModelConfig};
 pub use map::{MappingStore, MappingUpdate, ShardKey};

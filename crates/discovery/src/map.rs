@@ -49,10 +49,16 @@ pub struct MappingUpdate {
 /// history suffices; the oldest retained entry acts as "fully propagated".
 const HISTORY: usize = 4;
 
+/// One service's retained histories by shard id, each oldest first.
+pub type ServiceHistories = BTreeMap<u64, Vec<MappingUpdate>>;
+
 /// The authoritative mapping store.
 #[derive(Debug, Default)]
 pub struct MappingStore {
-    entries: BTreeMap<ShardKey, Vec<MappingUpdate>>, // newest last
+    /// Service → shard → history. Two levels so that readers look up by
+    /// borrowed `(&str, u64)` without building a [`ShardKey`], and a
+    /// whole-table route pays the string compares once, not per shard.
+    entries: BTreeMap<Arc<str>, ServiceHistories>,
     next_seq: u64,
     publishes: u64,
 }
@@ -72,7 +78,12 @@ impl MappingStore {
             published_at: now,
             seq,
         };
-        let hist = self.entries.entry(key).or_default();
+        let hist = self
+            .entries
+            .entry(key.service)
+            .or_default()
+            .entry(key.shard)
+            .or_default();
         hist.push(update);
         if hist.len() > HISTORY {
             hist.remove(0);
@@ -82,12 +93,18 @@ impl MappingStore {
 
     /// The authoritative (latest) assignment, ignoring propagation.
     pub fn latest(&self, key: &ShardKey) -> Option<MappingUpdate> {
-        self.entries.get(key).and_then(|h| h.last().copied())
+        self.history(key).last().copied()
     }
 
     /// Full retained history for a key, oldest first.
     pub fn history(&self, key: &ShardKey) -> &[MappingUpdate] {
-        self.entries.get(key).map(|h| h.as_slice()).unwrap_or(&[])
+        history_of(self.service(&key.service), key.shard)
+    }
+
+    /// Every retained history of one service (`None` if it never
+    /// published); feed it to [`history_of`] per shard.
+    pub fn service(&self, service: &str) -> Option<&ServiceHistories> {
+        self.entries.get(service)
     }
 
     /// Total publishes ever made (for run reports).
@@ -97,8 +114,16 @@ impl MappingStore {
 
     /// Number of distinct keys ever published.
     pub fn key_count(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(BTreeMap::len).sum()
     }
+}
+
+/// One shard's retained history out of a [`MappingStore::service`] view,
+/// oldest first; empty if the shard was never published.
+pub fn history_of(service: Option<&ServiceHistories>, shard: u64) -> &[MappingUpdate] {
+    service
+        .and_then(|shards| shards.get(&shard))
+        .map_or(&[], Vec::as_slice)
 }
 
 #[cfg(test)]

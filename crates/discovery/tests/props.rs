@@ -2,7 +2,9 @@
 //! drawn from published history, staleness is bounded by the delay
 //! model, and per-subscriber views are monotone.
 
-use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, ShardKey};
+use scalewall_discovery::{
+    DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route, ShardKey,
+};
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::sync::RwLock;
 use scalewall_sim::{SimDuration, SimRng, SimTime};
@@ -107,4 +109,155 @@ fn per_subscriber_monotonicity() {
             }
         },
     );
+}
+
+// ------------------------------------------------------------------ routes
+
+const ROUTE_KEYS: u64 = 16;
+
+/// One step of a route scenario: a publish `gap_ms` after the previous
+/// one (none when `publish` is `None`), then route lookups.
+#[derive(Debug)]
+struct RouteStep {
+    /// `(key, host)`; a `None` host is an unassignment.
+    publish: Option<(u64, Option<u64>)>,
+    gap_ms: u64,
+    /// A lookup instant anywhere in the scenario's span, so `now` jumps
+    /// backwards as often as forwards.
+    look_ms: u64,
+    /// Picks which visibility boundaries get probed after this step.
+    pick: u64,
+}
+
+fn gen_route_steps(rng: &mut SimRng) -> Vec<RouteStep> {
+    gen::vec_with(rng, 1, 40, |r| RouteStep {
+        // Half the publishes land on key 0, so its history overflows and
+        // evicts; gaps are short against the ~8 s median delay, so
+        // updates routinely become visible out of publish order.
+        publish: (r.below(4) != 0).then(|| {
+            let key = if gen::any_bool(r) {
+                0
+            } else {
+                r.below(ROUTE_KEYS)
+            };
+            (key, (r.below(8) != 0).then(|| r.below(50)))
+        }),
+        gap_ms: r.below(4_000),
+        look_ms: r.below(200_000),
+        pick: r.next_u64(),
+    })
+}
+
+/// The cached route equals the per-key reference at any instant, in any
+/// order of instants, across publishes; and it never claims to be valid
+/// past the first instant the reference answer changes.
+#[test]
+fn route_equals_per_key_reference() {
+    prop::check(
+        "route_equals_per_key_reference",
+        |rng| (gen_route_steps(rng), rng.below(100)),
+        |(steps, subscriber)| {
+            let store = Arc::new(RwLock::new(MappingStore::new()));
+            let model = DelayModel::new(DelayModelConfig::default());
+            let client = DiscoveryClient::new(store.clone(), model, *subscriber);
+            let keys: Vec<ShardKey> = (0..ROUTE_KEYS).map(|s| ShardKey::new("svc", s)).collect();
+            let mut route = Route::default();
+            // Listed back to front: position and shard id differ.
+            route.reset_shards().extend((0..ROUTE_KEYS).rev());
+            let reference = |now: SimTime| -> Vec<Option<u64>> {
+                keys.iter()
+                    .rev()
+                    .map(|k| client.resolve_host(k, now))
+                    .collect()
+            };
+
+            let mut published_at = SimTime::ZERO;
+            for step in steps {
+                published_at += SimDuration::from_millis(step.gap_ms);
+                if let Some((key, host)) = step.publish {
+                    let key = keys[key as usize].clone();
+                    store.write().publish(key, host, published_at);
+                }
+                // Every instant at which some retained update becomes
+                // visible: the only instants the reference can change at.
+                let mut boundaries: Vec<SimTime> = keys
+                    .iter()
+                    .flat_map(|k| store.read().history(k).to_vec())
+                    .map(|u| client.visible_at(&u))
+                    .collect();
+                boundaries.sort();
+
+                let mut probes = vec![SimTime::from_nanos(step.look_ms * 1_000_000)];
+                let mut pick = SimRng::new(step.pick);
+                for _ in 0..boundaries.len().min(6) {
+                    let b = boundaries[pick.below(boundaries.len() as u64) as usize];
+                    probes.push(SimTime::from_nanos(b.as_nanos() - 1));
+                    probes.push(b);
+                }
+                pick.shuffle(&mut probes);
+
+                for now in probes {
+                    client.route("svc", &mut route, now);
+                    let want = reference(now);
+                    assert_eq!(route.hosts(), want, "at {now:?}");
+                    assert!(client.route("svc", &mut route, now), "a refill is current");
+
+                    // Up to `until` the route would answer from cache:
+                    // the reference must not have moved at any boundary
+                    // inside the window, nor a nanosecond before its end.
+                    let until = route.until();
+                    assert!(until > now);
+                    for &b in boundaries.iter().filter(|&&b| now <= b && b < until) {
+                        assert_eq!(reference(b), want, "stale inside [{now:?}, {until:?})");
+                    }
+                    if until < SimTime::MAX {
+                        let last = SimTime::from_nanos(until.as_nanos() - 1);
+                        assert!(client.route("svc", &mut route, last));
+                        assert_eq!(route.hosts(), reference(last));
+                        assert!(
+                            !client.route("svc", &mut route, until),
+                            "window is half-open"
+                        );
+                        assert_eq!(route.hosts(), reference(until));
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// The scenario the window exists for, spelled out: two updates in quick
+/// succession where the *later* publish reaches the subscriber first.
+#[test]
+fn route_window_ends_at_the_first_arrival_not_the_first_publish() {
+    let store = Arc::new(RwLock::new(MappingStore::new()));
+    let model = DelayModel::new(DelayModelConfig::default());
+    let key = ShardKey::new("svc", 7);
+    store.write().publish(key.clone(), Some(1), SimTime::ZERO);
+    // Find a subscriber for which seq 2 overtakes seq 1.
+    let t = SimTime::from_secs(1_000);
+    let second = store.write().publish(key.clone(), Some(2), t);
+    let third = store
+        .write()
+        .publish(key.clone(), Some(3), t + SimDuration::from_millis(1));
+    let client = (0..1_000)
+        .map(|s| DiscoveryClient::new(store.clone(), model, s))
+        .find(|c| c.visible_at(&third) < c.visible_at(&second))
+        .expect("some subscriber sees them out of order");
+    let (early, late) = (client.visible_at(&third), client.visible_at(&second));
+
+    let mut route = Route::default();
+    route.reset_shards().push(7);
+    assert!(!client.route("svc", &mut route, t));
+    assert_eq!((route.hosts(), route.until()), (&[Some(1)][..], early));
+    // No publish happened since the fill; only the window can end it.
+    assert!(!client.route("svc", &mut route, early));
+    assert_eq!(route.hosts(), [Some(3)]);
+    // The overtaken update never shows: seq 3 is newer and visible.
+    assert_eq!(route.until(), SimTime::MAX);
+    assert!(client.route("svc", &mut route, late));
+    assert_eq!(client.resolve_host(&key, late), Some(3));
+    // Going back in time is a miss, not a stale hit.
+    assert!(!client.route("svc", &mut route, SimTime::from_nanos(early.as_nanos() - 1)));
+    assert_eq!(route.hosts(), [Some(1)]);
 }

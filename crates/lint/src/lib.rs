@@ -79,10 +79,11 @@ pub const SIM_FACING_CRATES: &[&str] =
 /// the store and session state every commit applies to, the shard
 /// manager, the node and its metric generations (polled fleet-wide), the
 /// admission controller, the partition scan and the partial-result
-/// merge, and the query path's two entry files (the cluster driver and
-/// the proxy) — the code that runs during failover and overload, where a
-/// panic kills the experiment mid-replay (or melts the serving plane
-/// exactly when it is shedding load).
+/// merge, the query path's two entry files (the cluster driver and the
+/// proxy), and the discovery store and client every sub-query of every
+/// figure is routed through — the code that runs during failover and
+/// overload, where a panic kills the experiment mid-replay (or melts the
+/// serving plane exactly when it is shedding load).
 pub const HOT_PATHS: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/cluster/src/experiment.rs",
@@ -99,6 +100,8 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/cubrick/src/query/exec.rs",
     "crates/cubrick/src/query/result.rs",
     "crates/cubrick/src/proxy.rs",
+    "crates/discovery/src/cache.rs",
+    "crates/discovery/src/map.rs",
 ];
 
 /// A lint rule identifier.

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use scalewall_discovery::{DiscoveryClient, ShardKey};
+use scalewall_discovery::DiscoveryClient;
 use scalewall_sim::SimTime;
 
 use crate::ids::{HostId, ShardId};
@@ -39,13 +39,8 @@ impl SmClient {
     /// already say otherwise.
     pub fn resolve(&self, shard: ShardId, now: SimTime) -> Option<HostId> {
         self.discovery
-            .resolve_host(
-                &ShardKey {
-                    service: self.service.clone(),
-                    shard: shard.0,
-                },
-                now,
-            )
+            .resolve_shard(&self.service, shard.0, now)
+            .and_then(|u| u.host)
             .map(HostId)
     }
 }
@@ -54,7 +49,7 @@ impl SmClient {
 mod tests {
     use super::*;
     use scalewall_sim::sync::RwLock;
-    use scalewall_discovery::{DelayModel, DelayModelConfig, MappingStore};
+    use scalewall_discovery::{DelayModel, DelayModelConfig, MappingStore, ShardKey};
 
     #[test]
     fn resolves_through_propagation_delay() {

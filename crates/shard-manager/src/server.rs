@@ -608,7 +608,7 @@ impl SmServer {
         }
         self.discovery
             .write()
-            .publish(ShardKey::new(app_name.to_string(), shard.0), None, now);
+            .publish(self.shard_key(app_name, shard), None, now);
         Ok(())
     }
 
@@ -670,11 +670,19 @@ impl SmServer {
 
     fn publish(&self, app_name: &str, shard: ShardId, now: SimTime) {
         let host = self.host_of(app_name, shard);
-        self.discovery.write().publish(
-            ShardKey::new(app_name.to_string(), shard.0),
-            host.map(|h| h.0),
-            now,
-        );
+        self.discovery
+            .write()
+            .publish(self.shard_key(app_name, shard), host.map(|h| h.0), now);
+    }
+
+    /// Discovery key of one of an app's shards. Shares the registered
+    /// name's allocation, so a publish is a refcount bump, not a string.
+    fn shard_key(&self, app_name: &str, shard: ShardId) -> ShardKey {
+        let service = match self.apps.get_key_value(app_name) {
+            Some((name, _)) => name.clone(),
+            None => Arc::from(app_name),
+        };
+        ShardKey::new(service, shard.0)
     }
 
     // ---------------------------------------------------------------- metrics
@@ -1135,11 +1143,9 @@ impl SmServer {
             // Publish unavailability immediately: clients must stop
             // routing to the dead host as soon as caches catch up.
             if self.host_of(&app_name, shard) == Some(host) {
-                self.discovery.write().publish(
-                    ShardKey::new(app_name.to_string(), shard.0),
-                    None,
-                    now,
-                );
+                self.discovery
+                    .write()
+                    .publish(ShardKey::new(app_name.clone(), shard.0), None, now);
             }
             if self
                 .begin_failover(&app_name, shard, host, now, registry)

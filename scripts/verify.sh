@@ -52,6 +52,13 @@ cargo test -q --offline --test replay_order
 # must not bit-rot (tiny smoke sweep, output dropped).
 cargo run --release --offline -p scalewall-bench --bin fig_qos_sla -- --fast >/dev/null
 
+# End-to-end benchmark (ISSUE 11): `benchmark/` is its own workspace, so
+# nothing above compiles it, and it is frozen for feature PRs — a
+# signature change under `crates/` that breaks it would otherwise surface
+# only at the gate. The smoke run (sizes ÷ 100) checks every workload's
+# answers and digests and exits non-zero on either.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
+
 # Microbench gate (ISSUEs 7, 8, 10): smoke-run every bench target,
 # emit its JSON report, and validate the fresh emission and, where one is
 # checked in, the `BENCH_<name>.json` trajectory with the workspace
