@@ -3,18 +3,29 @@
 //! adaptive compression. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
+//!
+//! Add to the trajectory from the repo root with (the bench binary's cwd
+//! is `crates/bench`, hence the absolute path), then prefix the new
+//! entries' names with the commit hash before appending them to
+//! `BENCH_engine.json`:
+//! `cargo bench -p scalewall-bench --bench engine -- --bench --json "$PWD/engine.json"`
 
 use std::sync::Arc;
 
+use cubrick::catalog::RowMapping;
 use cubrick::compression::CompressedBrick;
 use cubrick::coordinator::{merge_partials, FanoutPlan};
+use cubrick::dictionary::Dictionary;
 use cubrick::encoding;
 use cubrick::query::{execute_partition, parse_query};
 use cubrick::schema::SchemaBuilder;
+use cubrick::sharding::ShardMapping;
 use cubrick::store::PartitionData;
 use cubrick::value::{Row, Value};
 use scalewall_bench::microbench::Bench;
-use scalewall_sim::SimRng;
+use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
+use scalewall_cluster::workload::{gen_rows, standard_schema, TableSpec};
+use scalewall_sim::{SimRng, SimTime};
 
 fn schema() -> Arc<cubrick::schema::Schema> {
     Arc::new(
@@ -66,6 +77,115 @@ fn bench_ingest(c: &mut Bench) {
                 p
             },
         )
+    });
+    group.finish();
+}
+
+/// The end-to-end `ingest_pressure` workload's write side at its frozen
+/// size (`benchmark/src/workloads/ingest_pressure.rs`): 3×4 hosts at a
+/// 1 MB budget, 4 tables × 8 partitions, 40 batches of 5 000 rows into
+/// all three regions, a decay and monitor pass on every node after every
+/// tenth batch. 96 partitions' dictionaries and bricks do not fit the
+/// cache the way `rows_10k`'s one warm partition does; this is the
+/// regime the one-table number cannot see.
+fn bench_deployment_ingest(c: &mut Bench) {
+    const TABLES: usize = 4;
+    let specs: Vec<TableSpec> = (0..TABLES)
+        .map(|i| TableSpec {
+            name: format!("ingest_{i}"),
+            schema: standard_schema(365),
+            target_bytes: 0,
+            partitions: 8,
+        })
+        .collect();
+    let mut rng = SimRng::new(11);
+    let batches: Vec<Vec<Row>> = (0..40)
+        .map(|it| gen_rows(&specs[it % TABLES], 5_000, 365, &mut rng))
+        .collect();
+    let fresh = || {
+        let mut dep = Deployment::new(DeploymentConfig {
+            regions: 3,
+            hosts_per_region: 4,
+            max_shards: 10_000,
+            host_memory_bytes: 1_000_000,
+            seed: 11,
+            ..Default::default()
+        });
+        for spec in &specs {
+            dep.create_table(
+                &spec.name,
+                spec.schema.clone(),
+                spec.partitions,
+                RowMapping::Hash,
+                ShardMapping::Monotonic,
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        dep
+    };
+    let mut group = c.group("ingest");
+    group.throughput(batches.iter().map(|b| b.len() as u64).sum());
+    group.sample_size(10);
+    group.bench_function("deployment_40x5k_3_regions", |b| {
+        b.iter_batched(fresh, |mut dep| {
+            for (it, rows) in batches.iter().enumerate() {
+                dep.ingest(&specs[it % TABLES].name, rows).unwrap();
+                if (it + 1) % 10 == 0 {
+                    for region in &mut dep.regions {
+                        let hosts: Vec<_> = region.nodes.hosts().collect();
+                        for host in hosts {
+                            let node = region.nodes.node_mut(host).unwrap();
+                            node.decay_pass();
+                            node.run_memory_monitor();
+                        }
+                    }
+                }
+            }
+            dep
+        })
+    });
+    group.finish();
+}
+
+/// Dictionary hits as `Deployment::ingest` produced them before it
+/// batched: each row's entity looked up in the dictionaries of one
+/// partition in each of three regions, the partition changing row by
+/// row, so consecutive lookups share nothing. 96 dictionaries of 2 000
+/// strings each.
+fn bench_dictionary(c: &mut Bench) {
+    const PARTITIONS: usize = 32;
+    let mut rng = SimRng::new(13);
+    let entities: Vec<String> = (0..2_000).map(|i| format!("e{i}")).collect();
+    let mut dicts: Vec<Dictionary> = (0..3 * PARTITIONS)
+        .map(|_| {
+            // First-seen order differs per dictionary, as it does per
+            // partition.
+            let mut order: Vec<&String> = entities.iter().collect();
+            rng.shuffle(&mut order);
+            let mut dict = Dictionary::new(10_000);
+            for s in order {
+                dict.encode("entity", s).unwrap();
+            }
+            dict
+        })
+        .collect();
+    let rows: Vec<(usize, &String)> = (0..20_000)
+        .map(|_| (rng.below(PARTITIONS as u64) as usize, rng.pick(&entities)))
+        .collect();
+    let mut group = c.group("dictionary");
+    group.throughput(3 * rows.len() as u64);
+    group.sample_size(20);
+    group.bench_function("encode_hit_2k_x96", |b| {
+        b.iter(|| {
+            let mut sum = 0u64;
+            for &(p, s) in &rows {
+                for region in 0..3 {
+                    sum += dicts[region * PARTITIONS + p].encode("entity", s).unwrap() as u64;
+                }
+            }
+            sum
+        })
     });
     group.finish();
 }
@@ -189,6 +309,38 @@ fn bench_brick_compression(c: &mut Bench) {
             },
         )
     });
+    // What a monitor pass under ingest pressure mostly does: recompress
+    // small bricks that one appended row re-heated. 100 bricks of ~64
+    // rows, all compressed, then ~10 more rows each.
+    let mut rng = SimRng::new(17);
+    let small_brick_rows = |n: usize, rng: &mut SimRng| -> Vec<Row> {
+        gen_rows(
+            &TableSpec {
+                name: String::new(),
+                schema: standard_schema(365),
+                target_bytes: 0,
+                partitions: 1,
+            },
+            n,
+            365,
+            rng,
+        )
+    };
+    let squeeze = cubrick::hotness::MemoryMonitorConfig {
+        budget_bytes: 0,
+        ..Default::default()
+    };
+    let mut reheated = PartitionData::new(standard_schema(365));
+    for r in &small_brick_rows(6_400, &mut rng) {
+        reheated.ingest(r).unwrap();
+    }
+    reheated.run_memory_monitor(&squeeze);
+    for r in &small_brick_rows(1_000, &mut rng) {
+        reheated.ingest(r).unwrap();
+    }
+    group.bench_function("recompress_64_row_bricks", |b| {
+        b.iter_batched(|| reheated.clone(), |mut p| p.run_memory_monitor(&squeeze))
+    });
     group.finish();
     // One explicit brick round trip for reference.
     let mut brick = cubrick::brick::Brick::new(2, 2);
@@ -210,6 +362,8 @@ fn bench_brick_compression(c: &mut Bench) {
 fn main() {
     let mut bench = Bench::from_args();
     bench_ingest(&mut bench);
+    bench_deployment_ingest(&mut bench);
+    bench_dictionary(&mut bench);
     bench_scan(&mut bench);
     bench_merge(&mut bench);
     bench_codecs(&mut bench);

@@ -15,7 +15,6 @@ use cubrick::metrics::MetricGeneration;
 use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
 use cubrick::schema::Schema;
 use cubrick::sharding::ShardMapping;
-use cubrick::store::PartitionData;
 use cubrick::value::Row;
 use scalewall_sim::sync::RwLock;
 use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, Route};
@@ -340,18 +339,28 @@ impl Deployment {
     }
 
     /// Ingest rows into every region (each holds a full copy). The
-    /// row→partition decision is drawn once so all regions agree.
+    /// row→partition decision is drawn once so all regions agree, and the
+    /// batch is applied partition-outer, so a refused row leaves all
+    /// regions identical: earlier partitions complete, its own up to the
+    /// row before it, later ones untouched (DESIGN.md "Ingest path
+    /// contract").
     pub fn ingest(&mut self, table: &str, rows: &[Row]) -> CubrickResult<()> {
         let def = self.catalog.read().get(table)?.clone();
-        for row in rows {
-            let entropy = self.rng.next_u64();
-            let p = def.partition_of_row(row, entropy);
+        let routed = def.route_rows(rows, || self.rng.next_u64());
+        for (p, slice) in (0..).zip(&routed) {
+            if slice.is_empty() {
+                continue;
+            }
+            // Same data everywhere, so every region refuses the same row.
+            let mut outcome = Ok(());
             for region in &self.regions {
-                region
+                let applied = region
                     .store
                     .write()
-                    .ingest(&def.name, p, &def.schema, row)?;
+                    .ingest_batch(&def.name, p, &def.schema, slice);
+                outcome = outcome.and(applied);
             }
+            outcome?;
         }
         Ok(())
     }
@@ -371,19 +380,6 @@ impl Deployment {
         }
         let old_shards = self.catalog.read().shards_of_table(table)?;
 
-        // Collect per-region rows under the old layout.
-        let mut per_region_rows: Vec<Vec<Row>> = Vec::with_capacity(self.regions.len());
-        for region in &self.regions {
-            let store = region.store.read();
-            let mut rows = Vec::new();
-            for p in 0..def.partitions {
-                if let Some(data) = store.partition(table, p) {
-                    rows.extend(data.all_rows());
-                }
-            }
-            per_region_rows.push(rows);
-        }
-
         // Swap metadata.
         self.catalog.write().set_partitions(table, new_partitions)?;
         let new_def = self.catalog.read().get(table)?.clone();
@@ -392,16 +388,9 @@ impl Deployment {
         // Redistribute (regions may shuffle independently; each keeps a
         // full copy either way).
         let mut shuffled = 0u64;
-        for (region, rows) in self.regions.iter().zip(per_region_rows) {
-            let mut fresh: Vec<(u32, PartitionData)> = (0..new_partitions)
-                .map(|p| (p, PartitionData::new(def.schema.clone())))
-                .collect();
-            shuffled = rows.len() as u64;
-            for row in rows {
-                let p = new_def.partition_of_row(&row, self.rng.next_u64());
-                fresh[p as usize].1.ingest(&row)?;
-            }
-            region.store.write().replace_table(table, fresh);
+        for region in &self.regions {
+            let mut store = region.store.write();
+            shuffled = cubrick::repartition::reshuffle(&mut store, &def, &new_def, &mut self.rng)?;
         }
 
         // Fix up shard allocations: new shards in, orphaned shards out.
@@ -810,6 +799,90 @@ mod tests {
                 .sum();
             assert_eq!(total, 500);
         }
+    }
+
+    /// The error contract: a batch with refused rows leaves every region
+    /// with the same rows in every partition — what each partition took
+    /// before its first refused row, for partitions up to the lowest one
+    /// holding a refused row, nothing for the partitions after it — and
+    /// returns that partition's first refusal.
+    #[test]
+    fn refused_rows_leave_regions_identical() {
+        use scalewall_sim::prop::{self, gen};
+        prop::check_n(
+            "refused_rows_leave_regions_identical",
+            24,
+            |rng| {
+                // Keys at or past 1 000 are out of the dimension's range.
+                let keys = gen::vec_with(rng, 1, 120, |r| match r.below(12) {
+                    0 => 1_000 + r.below(50) as i64,
+                    _ => r.below(1_000) as i64,
+                });
+                (keys, gen::any_u64(rng))
+            },
+            |(keys, seed)| {
+                let mut dep = Deployment::new(DeploymentConfig {
+                    regions: 3,
+                    hosts_per_region: 8,
+                    max_shards: 1_000,
+                    seed: *seed,
+                    ..Default::default()
+                });
+                let def = dep
+                    .create_table(
+                        "t",
+                        schema(),
+                        4,
+                        RowMapping::Hash,
+                        ShardMapping::Monotonic,
+                        t(0),
+                    )
+                    .unwrap();
+                let rows: Vec<Row> = (keys.iter().zip(0..))
+                    .map(|(&k, i)| Row::new(vec![Value::Int(k)], vec![f64::from(i)]))
+                    .collect();
+                let outcome = dep.ingest("t", &rows);
+
+                // Hash mapping ignores the entropy, so the routing can be
+                // recomputed here.
+                let mut want: Vec<Vec<Row>> = vec![Vec::new(); def.partitions as usize];
+                let mut first_refusal: Vec<Option<i64>> = vec![None; def.partitions as usize];
+                for (row, &k) in rows.iter().zip(keys) {
+                    let p = def.partition_of_row(row, 0) as usize;
+                    match first_refusal[p] {
+                        None if k >= 1_000 => first_refusal[p] = Some(k),
+                        None => want[p].push(row.clone()),
+                        Some(_) => {}
+                    }
+                }
+                let failing = first_refusal.iter().position(Option::is_some);
+                if let Some(p) = failing {
+                    for later in &mut want[p + 1..] {
+                        later.clear();
+                    }
+                }
+                match (outcome, failing.and_then(|p| first_refusal[p])) {
+                    (Ok(()), None) => {}
+                    (Err(CubrickError::ValueOutOfRange { detail, .. }), Some(k)) => {
+                        assert!(
+                            detail.starts_with(&format!("{k} ")),
+                            "{detail} is not about {k}"
+                        )
+                    }
+                    (outcome, refusal) => panic!("{outcome:?} for first refusal {refusal:?}"),
+                }
+                for region in &dep.regions {
+                    let store = region.store.read();
+                    for (p, want) in (0..).zip(&want) {
+                        // Stored order is brick order; compare as sorted
+                        // by the metric, which numbers the batch's rows.
+                        let mut got = store.partition("t", p).map_or(Vec::new(), |d| d.all_rows());
+                        got.sort_by(|a, b| a.metrics[0].total_cmp(&b.metrics[0]));
+                        assert_eq!(&got, want, "partition {p}");
+                    }
+                }
+            },
+        );
     }
 
     #[test]

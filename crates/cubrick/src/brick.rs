@@ -7,7 +7,7 @@
 //! hotness tracking and of adaptive compression.
 
 /// An uncompressed columnar data block.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Brick {
     /// One ordinal column per dimension (schema order).
     pub dims: Vec<Vec<u32>>,

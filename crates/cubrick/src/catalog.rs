@@ -74,6 +74,21 @@ impl TableDef {
             }
         }
     }
+
+    /// `rows` split by partition (index = partition), row order kept.
+    /// `entropy` is drawn once per row, in row order, whatever the
+    /// mapping: the draw order every caller's replay depends on.
+    pub fn route_rows<'a>(
+        &self,
+        rows: &'a [Row],
+        mut entropy: impl FnMut() -> u64,
+    ) -> Vec<Vec<&'a Row>> {
+        let mut routed = vec![Vec::new(); self.partitions as usize];
+        for row in rows {
+            routed[self.partition_of_row(row, entropy()) as usize].push(row);
+        }
+        routed
+    }
 }
 
 /// The metadata store.

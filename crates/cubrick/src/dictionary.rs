@@ -5,16 +5,23 @@
 //! string dimension operates over these ids, exactly as in Cubrick's
 //! granular-partitioning design.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::{CubrickError, CubrickResult};
+use crate::sharding::fnv1a;
+
+/// A free slot of [`Dictionary::index`] (ids stay below `u32::MAX`).
+const FREE: u32 = u32::MAX;
 
 /// An insert-ordered string ↔ id dictionary with a capacity bound.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    forward: BTreeMap<String, u32>,
-    reverse: Vec<String>,
+    /// The strings, in id order; each is stored once.
+    strings: Vec<String>,
+    /// Open-addressing index over `strings`: slot → id or [`FREE`],
+    /// linear probing from the low bits of the string's FNV-1a hash; a
+    /// power of two ≥ 2 × `strings.len()`, rebuilt when it has to grow.
+    index: Vec<u32>,
     max_cardinality: u32,
     /// [`Self::ranks`], kept until the next new string.
     ranks: Option<Arc<StringRanks>>,
@@ -32,52 +39,83 @@ pub struct StringRanks {
 impl Dictionary {
     pub fn new(max_cardinality: u32) -> Self {
         Dictionary {
-            forward: BTreeMap::new(),
-            reverse: Vec::new(),
             max_cardinality,
-            ranks: None,
+            ..Default::default()
         }
     }
 
     /// Id for `s`, inserting if new. Fails once the configured cardinality
     /// is exhausted (the dimension's declared key space is full).
     pub fn encode(&mut self, dim_name: &str, s: &str) -> CubrickResult<u32> {
-        if let Some(&id) = self.forward.get(s) {
+        if let Some(id) = self.lookup(s) {
             return Ok(id);
         }
-        let id = self.reverse.len() as u32;
+        let id = self.strings.len() as u32;
         if id >= self.max_cardinality {
             return Err(CubrickError::ValueOutOfRange {
                 dimension: dim_name.to_string(),
                 detail: format!("dictionary full ({} distinct values)", self.max_cardinality),
             });
         }
-        self.forward.insert(s.to_string(), id);
-        self.reverse.push(s.to_string());
+        self.strings.push(s.to_string());
         self.ranks = None;
+        if self.strings.len() * 2 > self.index.len() {
+            // Double the index (from 8 slots) and re-enter every id.
+            self.index = vec![FREE; (self.index.len() * 2).max(8)];
+            (0..=id).for_each(|id| self.index_id(id));
+        } else {
+            self.index_id(id);
+        }
         Ok(id)
     }
 
     /// Id for `s` without inserting.
     pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.forward.get(s).copied()
+        self.probe(s).ok()
+    }
+
+    /// The id of `s`, or the free slot its probe sequence ends in (any
+    /// value while the index is still empty).
+    fn probe(&self, s: &str) -> Result<u32, usize> {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut slot = fnv1a(s.as_bytes()) as usize & mask;
+        // At most half the slots are taken, so a free one ends the walk
+        // (`FREE` is no string's id).
+        while let Some(&id) = self.index.get(slot) {
+            match self.strings.get(id as usize) {
+                Some(known) if known == s => return Ok(id),
+                Some(_) => slot = (slot + 1) & mask,
+                None => break,
+            }
+        }
+        Err(slot)
+    }
+
+    /// Enter string `id`, not indexed yet, at the free slot its probe
+    /// sequence ends in.
+    fn index_id(&mut self, id: u32) {
+        if let Err(free) = self.probe(&self.strings[id as usize]) {
+            self.index[free] = id;
+        }
     }
 
     /// String for an id.
     pub fn decode(&self, id: u32) -> Option<&str> {
-        self.reverse.get(id as usize).map(|s| s.as_str())
+        self.strings.get(id as usize).map(|s| s.as_str())
     }
 
-    /// The string order of the ids. One walk of the sorted map (a cache
-    /// miss per node on a dictionary no query touched lately), computed
-    /// on first use and shared until a new string arrives; not counted
-    /// by [`Self::footprint`], which sizes what ingest stores.
+    /// The string order of the ids (byte-wise `str` order). One sort of
+    /// the ids, computed on first use and shared until a new string
+    /// arrives; not counted by [`Self::footprint`].
     pub fn ranks(&mut self) -> Arc<StringRanks> {
-        let (forward, len) = (&self.forward, self.reverse.len());
+        let strings = &self.strings;
         self.ranks
             .get_or_insert_with(|| {
-                let id_of_rank: Vec<u32> = forward.values().copied().collect();
-                let mut rank_of_id = vec![0; len];
+                let mut by_string: Vec<(&str, u32)> =
+                    strings.iter().map(String::as_str).zip(0..).collect();
+                by_string.sort_unstable();
+                let id_of_rank: Vec<u32> = by_string.iter().map(|&(_, id)| id).collect();
+                let mut rank_of_id = vec![0; id_of_rank.len()];
                 for (rank, &id) in (0..).zip(&id_of_rank) {
                     rank_of_id[id as usize] = rank;
                 }
@@ -90,18 +128,20 @@ impl Dictionary {
     }
 
     pub fn len(&self) -> usize {
-        self.reverse.len()
+        self.strings.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.reverse.is_empty()
+        self.strings.is_empty()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Modelled cost per entry (the string's bytes twice, two `String`
+    /// headers, an 8-byte slot): an accounting constant the gen-1 metric
+    /// and every monitor plan are pinned to (DESIGN.md "Ingest path
+    /// contract"), not a measurement of this struct.
     pub fn footprint(&self) -> u64 {
-        // Strings stored twice (map key + reverse) plus map/vec overhead.
-        let chars: usize = self.reverse.iter().map(|s| s.len()).sum();
-        (chars * 2 + self.reverse.len() * (std::mem::size_of::<String>() * 2 + 8)) as u64
+        let chars: usize = self.strings.iter().map(|s| s.len()).sum();
+        (chars * 2 + self.strings.len() * (std::mem::size_of::<String>() * 2 + 8)) as u64
     }
 }
 

@@ -8,18 +8,24 @@
 use super::varint;
 
 /// Minimum bits needed to represent `v` (at least 1).
-fn width_of(v: u32) -> u32 {
+pub(super) fn width_of(v: u32) -> u32 {
     (32 - v.leading_zeros()).max(1)
 }
 
 /// Encode a column.
 pub fn encode(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::new();
-    varint::write_u64(&mut out, values.len() as u64);
-    if values.is_empty() {
-        return out;
-    }
-    let width = width_of(values.iter().copied().max().expect("non-empty"));
+    encode_into(values, &mut out);
+    out
+}
+
+/// Append a column's encoding to `out`.
+pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
+    varint::write_u64(out, values.len() as u64);
+    let Some(max) = values.iter().copied().max() else {
+        return;
+    };
+    let width = width_of(max);
     out.push(width as u8);
     let mut acc: u64 = 0;
     let mut bits: u32 = 0;
@@ -35,7 +41,6 @@ pub fn encode(values: &[u32]) -> Vec<u8> {
     if bits > 0 {
         out.push((acc & 0xFF) as u8);
     }
-    out
 }
 
 /// Decode a column.

@@ -8,18 +8,23 @@ use super::varint;
 
 /// Encode a column.
 pub fn encode(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() + 8);
-    varint::write_u64(&mut out, values.len() as u64);
+    let mut out = Vec::new();
+    encode_into(values, &mut out);
+    out
+}
+
+/// Append a column's encoding to `out`.
+pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
+    varint::write_u64(out, values.len() as u64);
     let Some(&first) = values.first() else {
-        return out;
+        return;
     };
-    varint::write_u32(&mut out, first);
+    varint::write_u32(out, first);
     let mut prev = first as i64;
     for &v in &values[1..] {
-        varint::write_u64(&mut out, varint::zigzag(v as i64 - prev));
+        varint::write_u64(out, varint::zigzag(v as i64 - prev));
         prev = v as i64;
     }
-    out
 }
 
 /// Decode a column.

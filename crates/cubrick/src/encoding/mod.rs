@@ -12,7 +12,7 @@
 //!   (e.g. time-ordered ingestion).
 //! * [`xor`] — Gorilla-style XOR compression for `f64` metric columns.
 //!
-//! [`encode_u32_auto`] tries each integer codec and keeps the smallest —
+//! [`encode_u32_auto`] sizes each integer codec and keeps the smallest —
 //! the classic lightweight-compression scheme selection.
 
 pub mod bitpack;
@@ -43,17 +43,47 @@ impl EncodedU32 {
     }
 }
 
-/// Encode with every codec, keep the smallest output.
+/// The size of each codec's output for `values`, in `[Rle, BitPack,
+/// Delta]` order, from one pass over the column (the formats are
+/// specified in the codec modules).
+fn encoded_sizes(values: &[u32]) -> [usize; 3] {
+    let header = varint::len_u64(values.len() as u64);
+    let Some(&first) = values.first() else {
+        return [header; 3];
+    };
+    let (mut rle, mut delta) = (0, varint::len_u64(first as u64));
+    // `all_bits` has the maximum's highest set bit: all the width needs.
+    let (mut prev, mut run, mut all_bits) = (first, 1u64, first);
+    for &v in &values[1..] {
+        if v != prev {
+            rle += varint::len_u64(prev as u64) + varint::len_u64(run);
+            run = 0;
+        }
+        run += 1;
+        delta += varint::len_u64(varint::zigzag(v as i64 - prev as i64));
+        all_bits |= v;
+        prev = v;
+    }
+    rle += varint::len_u64(prev as u64) + varint::len_u64(run);
+    let packed = 1 + (values.len() * bitpack::width_of(all_bits) as usize).div_ceil(8);
+    [header + rle, header + packed, header + delta]
+}
+
+/// Encode with the codec whose output is smallest (the first of them on
+/// a tie): only the winner is materialised, at exactly its size.
 pub fn encode_u32_auto(values: &[u32]) -> EncodedU32 {
-    let candidates = [
-        (IntCodec::Rle, rle::encode(values)),
-        (IntCodec::BitPack, bitpack::encode(values)),
-        (IntCodec::Delta, delta::encode(values)),
-    ];
-    let (codec, payload) = candidates
+    let (codec, size) = [IntCodec::Rle, IntCodec::BitPack, IntCodec::Delta]
         .into_iter()
-        .min_by_key(|(_, p)| p.len())
-        .expect("non-empty candidate list");
+        .zip(encoded_sizes(values))
+        .min_by_key(|&(_, size)| size)
+        .unwrap_or((IntCodec::Rle, 0));
+    let mut payload = Vec::with_capacity(size);
+    match codec {
+        IntCodec::Rle => rle::encode_into(values, &mut payload),
+        IntCodec::BitPack => bitpack::encode_into(values, &mut payload),
+        IntCodec::Delta => delta::encode_into(values, &mut payload),
+    }
+    debug_assert_eq!(payload.len(), size, "{codec:?} size model");
     EncodedU32 {
         codec,
         payload,

@@ -9,8 +9,14 @@ use super::varint;
 
 /// Encode a column.
 pub fn encode(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() / 4 + 8);
-    varint::write_u64(&mut out, values.len() as u64);
+    let mut out = Vec::new();
+    encode_into(values, &mut out);
+    out
+}
+
+/// Append a column's encoding to `out`.
+pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
+    varint::write_u64(out, values.len() as u64);
     let mut i = 0;
     while i < values.len() {
         let v = values[i];
@@ -18,11 +24,10 @@ pub fn encode(values: &[u32]) -> Vec<u8> {
         while i + run < values.len() && values[i + run] == v {
             run += 1;
         }
-        varint::write_u32(&mut out, v);
-        varint::write_u64(&mut out, run as u64);
+        varint::write_u32(out, v);
+        varint::write_u64(out, run as u64);
         i += run;
     }
-    out
 }
 
 /// Decode a column. Panics on corrupt payloads (they can only come from a

@@ -19,6 +19,13 @@ pub fn write_u32(out: &mut Vec<u8>, v: u32) {
     write_u64(out, v as u64);
 }
 
+/// Bytes [`write_u64`] emits for `v`: one per started group of 7 bits,
+/// as `(⌊log2 v⌋ · 9 + 73) / 64` (no division; `encode_u32_auto`'s size
+/// pass calls this three times a value).
+pub fn len_u64(v: u64) -> usize {
+    ((63 - (v | 1).leading_zeros()) * 9 + 73) as usize / 64
+}
+
 /// Read a LEB128 integer starting at `*pos`, advancing it.
 ///
 /// Returns `None` on truncated input or overlong encodings past 64 bits.
@@ -85,6 +92,16 @@ mod tests {
         write_u64(&mut buf, u32::MAX as u64 + 1);
         let mut pos = 0;
         assert_eq!(read_u32(&buf, &mut pos), None);
+    }
+
+    #[test]
+    fn len_matches_what_is_written() {
+        let edges = (0..64).flat_map(|shift| [(1u64 << shift) - 1, 1 << shift]);
+        for v in edges.chain([u64::MAX]) {
+            let mut buf = Vec::new();
+            write_u64(&mut buf, v);
+            assert_eq!(len_u64(v), buf.len(), "{v}");
+        }
     }
 
     #[test]

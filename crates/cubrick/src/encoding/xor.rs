@@ -16,38 +16,35 @@
 
 use super::varint;
 
+/// Offset and count of the significant little-endian bytes of a non-zero
+/// XOR word: what is left once the zero bytes are cut from both ends.
+fn significant_bytes(xor: u64) -> (usize, usize) {
+    let lo = (xor.trailing_zeros() / 8) as usize;
+    let hi = 7 - (xor.leading_zeros() / 8) as usize;
+    (lo, hi - lo + 1)
+}
+
 /// Encode a metric column.
 pub fn encode(values: &[f64]) -> Vec<u8> {
+    // Room for the common case (repeats and near-repeats), then cut back
+    // to what was written: `EncodedF64::encoded_bytes` reports the
+    // payload's length, so that is what the heap should hold.
     let mut out = Vec::with_capacity(values.len() * 3 + 8);
     varint::write_u64(&mut out, values.len() as u64);
-    let Some(&first) = values.first() else {
-        return out;
-    };
-    out.extend_from_slice(&first.to_bits().to_le_bytes());
-    let mut prev = first.to_bits();
-    for &v in &values[1..] {
-        let bits = v.to_bits();
-        let xor = bits ^ prev;
-        prev = bits;
+    if let Some(first) = values.first() {
+        out.extend_from_slice(&first.to_bits().to_le_bytes());
+    }
+    for w in values.windows(2) {
+        let xor = w[0].to_bits() ^ w[1].to_bits();
         if xor == 0 {
             out.push(0);
             continue;
         }
-        let bytes = xor.to_le_bytes();
-        // Significant span: strip leading-zero bytes from the big end and
-        // trailing-zero bytes from the little end.
-        let mut lo = 0usize;
-        while bytes[lo] == 0 {
-            lo += 1;
-        }
-        let mut hi = 7usize;
-        while bytes[hi] == 0 {
-            hi -= 1;
-        }
-        let len = hi - lo + 1;
+        let (lo, len) = significant_bytes(xor);
         out.push(((lo as u8) << 4) | len as u8);
-        out.extend_from_slice(&bytes[lo..=hi]);
+        out.extend_from_slice(&xor.to_le_bytes()[lo..lo + len]);
     }
+    out.shrink_to_fit();
     out
 }
 

@@ -39,10 +39,10 @@ use crate::query::{execute_partition, Query};
 use crate::store::PartitionData;
 use crate::value::Row;
 
-/// A region's authoritative partition data.
+/// A region's authoritative partition data, table → partition.
 #[derive(Debug, Default)]
 pub struct RegionStore {
-    partitions: BTreeMap<(Arc<str>, u32), PartitionData>,
+    tables: BTreeMap<Arc<str>, BTreeMap<u32, PartitionData>>,
 }
 
 impl RegionStore {
@@ -50,52 +50,51 @@ impl RegionStore {
         RegionStore::default()
     }
 
-    /// Ingest a row into a table partition, creating it on first touch.
-    pub fn ingest(
+    /// Ingest rows into a table partition ([`PartitionData::ingest_batch`]),
+    /// creating it on first touch.
+    pub fn ingest_batch(
         &mut self,
         table: &Arc<str>,
         partition: u32,
         schema: &Arc<crate::schema::Schema>,
-        row: &Row,
+        rows: &[&Row],
     ) -> CubrickResult<()> {
-        self.partitions
-            .entry((table.clone(), partition))
+        self.tables
+            .entry(table.clone())
+            .or_default()
+            .entry(partition)
             .or_insert_with(|| PartitionData::new(schema.clone()))
-            .ingest(row)
+            .ingest_batch(rows)
     }
 
     pub fn partition(&self, table: &str, partition: u32) -> Option<&PartitionData> {
-        // Arc<str> keys hash like &str through Borrow — but tuple keys
-        // don't, so probe by iteration-free reconstruction.
-        self.partitions.get(&(Arc::from(table), partition))
+        self.tables.get(table)?.get(&partition)
     }
 
     pub fn partition_mut(&mut self, table: &str, partition: u32) -> Option<&mut PartitionData> {
-        self.partitions.get_mut(&(Arc::from(table), partition))
+        self.tables.get_mut(table)?.get_mut(&partition)
     }
 
     /// Replace a table's partitions wholesale (re-partitioning).
     pub fn replace_table(&mut self, table: &str, new_partitions: Vec<(u32, PartitionData)>) {
-        self.partitions.retain(|(t, _), _| t.as_ref() != table);
-        let table: Arc<str> = Arc::from(table);
-        for (p, data) in new_partitions {
-            self.partitions.insert((table.clone(), p), data);
-        }
+        self.tables
+            .insert(Arc::from(table), new_partitions.into_iter().collect());
     }
 
     pub fn drop_table(&mut self, table: &str) {
-        self.partitions.retain(|(t, _), _| t.as_ref() != table);
+        self.tables.remove(table);
     }
 
     pub fn partition_count(&self) -> usize {
-        self.partitions.len()
+        self.tables.values().map(BTreeMap::len).sum()
     }
 
     /// All `(table, partition)` keys, sorted (deterministic iteration).
     pub fn keys(&self) -> Vec<(Arc<str>, u32)> {
-        let mut keys: Vec<_> = self.partitions.keys().cloned().collect();
-        keys.sort();
-        keys
+        self.tables
+            .iter()
+            .flat_map(|(table, partitions)| partitions.keys().map(|&p| (table.clone(), p)))
+            .collect()
     }
 }
 
@@ -202,9 +201,7 @@ impl CubrickNode {
 
     /// Shards currently owned (sorted).
     pub fn owned_shards(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.owned.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.owned.keys().copied().collect()
     }
 
     pub fn owns_shard(&self, shard: u64) -> bool {
@@ -274,7 +271,7 @@ impl CubrickNode {
     /// Execute a query over one local partition. This is the per-server
     /// work unit a coordinator fans out.
     pub fn execute_local(&mut self, query: &Query, partition: u32) -> CubrickResult<PartialResult> {
-        let (shard, table_partitions, schema, table_arc) = {
+        let (shard, table_partitions, schema) = {
             let catalog = self.catalog.read();
             let def = catalog.get(&query.table)?;
             if partition >= def.partitions {
@@ -287,7 +284,6 @@ impl CubrickNode {
                 def.shard_of(partition, catalog.max_shards()),
                 def.partitions,
                 def.schema.clone(),
-                def.name.clone(),
             )
         };
         match self.owned.get(&shard) {
@@ -305,23 +301,13 @@ impl CubrickNode {
             }
             Some(_) => {}
         }
-        let mut store = self.region_store.write();
-        let data = match store.partition_mut(&query.table, partition) {
-            Some(d) => d,
-            None => {
-                // Partition exists in metadata but holds no rows yet: an
-                // empty result, not an error.
-                drop(store);
-                self.queries_served += 1;
-                let mut empty = PartitionData::new(schema);
-                let _ = table_arc;
-                return execute_partition(&mut empty, query, table_partitions);
-            }
-        };
-        let result = execute_partition(data, query, table_partitions);
-        drop(store);
         self.queries_served += 1;
-        result
+        match self.region_store.write().partition_mut(&query.table, partition) {
+            Some(data) => execute_partition(data, query, table_partitions),
+            // Partition exists in metadata but holds no rows yet: an
+            // empty result, not an error.
+            None => execute_partition(&mut PartitionData::new(schema), query, table_partitions),
+        }
     }
 
     // ------------------------------------------------------------ maintenance
@@ -610,7 +596,9 @@ mod tests {
             for c in ["US", "BR"] {
                 let row = Row::new(vec![Value::Int(ds), Value::from(c)], vec![ds as f64]);
                 let p = def.partition_of_row(&row, 0);
-                store.ingest(&def.name, p, &def.schema, &row).unwrap();
+                store
+                    .ingest_batch(&def.name, p, &def.schema, &[&row])
+                    .unwrap();
             }
         }
         drop(store);

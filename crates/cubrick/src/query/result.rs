@@ -230,7 +230,7 @@ impl QueryOutput {
     /// The single scalar of an ungrouped single-agg query.
     pub fn scalar(&self) -> Option<f64> {
         match self.rows.as_slice() {
-            [row] if row.key.is_empty() && row.aggs.len() == 1 => Some(row.aggs[0]),
+            [row] if row.key.is_empty() && row.aggs.len() == 1 => row.aggs.first().copied(),
             _ => None,
         }
     }

@@ -6,10 +6,11 @@
 //! shuffling of part of the table, so its usage must be sporadic").
 //! Partition counts can also collapse when data shrinks.
 
-use crate::catalog::{Catalog, MAX_TABLE_BYTES};
+use crate::catalog::{Catalog, TableDef, MAX_TABLE_BYTES};
 use crate::error::{CubrickError, CubrickResult};
 use crate::node::RegionStore;
 use crate::store::PartitionData;
+use crate::value::Row;
 use scalewall_sim::SimRng;
 
 /// Policy for when and how to re-partition.
@@ -102,27 +103,34 @@ pub fn repartition_table(
         });
     }
 
-    // Collect all rows (the "data shuffling" cost is real here).
-    let mut rows = Vec::new();
-    for p in 0..def.partitions {
-        if let Some(data) = store.partition(table, p) {
-            rows.extend(data.all_rows());
-        }
-    }
-
     // Swap metadata, then redistribute under the new mapping.
     catalog.set_partitions(table, new_partitions)?;
-    let new_def = catalog.get(table)?.clone();
-    let mut fresh: Vec<(u32, PartitionData)> = (0..new_partitions)
-        .map(|p| (p, PartitionData::new(def.schema.clone())))
+    reshuffle(store, &def, catalog.get(table)?, rng)
+}
+
+/// Move one region's copy of a table from `old`'s partition layout to
+/// `new`'s (the "data shuffling" cost is real here): every stored row,
+/// in partition then stored order, is routed under `new` with one `rng`
+/// draw each and ingested into fresh partitions. Returns rows shuffled.
+pub fn reshuffle(
+    store: &mut RegionStore,
+    old: &TableDef,
+    new: &TableDef,
+    rng: &mut SimRng,
+) -> CubrickResult<u64> {
+    let rows: Vec<Row> = (0..old.partitions)
+        .filter_map(|p| store.partition(&old.name, p))
+        .flat_map(PartitionData::all_rows)
         .collect();
-    let shuffled = rows.len() as u64;
-    for row in rows {
-        let p = new_def.partition_of_row(&row, rng.next_u64());
-        fresh[p as usize].1.ingest(&row)?;
+    let mut fresh: Vec<(u32, PartitionData)> = (0..new.partitions)
+        .map(|p| (p, PartitionData::new(new.schema.clone())))
+        .collect();
+    let routed = new.route_rows(&rows, || rng.next_u64());
+    for ((_, data), slice) in fresh.iter_mut().zip(&routed) {
+        data.ingest_batch(slice)?;
     }
-    store.replace_table(table, fresh);
-    Ok(shuffled)
+    store.replace_table(&new.name, fresh);
+    Ok(rows.len() as u64)
 }
 
 #[cfg(test)]
@@ -188,7 +196,9 @@ mod tests {
         for k in 0..2_000i64 {
             let row = Row::new(vec![Value::Int(k)], vec![k as f64]);
             let p = def.partition_of_row(&row, rng.next_u64());
-            store.ingest(&def.name, p, &def.schema, &row).unwrap();
+            store
+                .ingest_batch(&def.name, p, &def.schema, &[&row])
+                .unwrap();
         }
 
         let shuffled = repartition_table(&mut catalog, &mut store, "t", 16, &mut rng).unwrap();
@@ -229,7 +239,9 @@ mod tests {
         for k in 0..100i64 {
             let row = Row::new(vec![Value::Int(k)], vec![1.0]);
             let p = def.partition_of_row(&row, rng.next_u64());
-            store.ingest(&def.name, p, &def.schema, &row).unwrap();
+            store
+                .ingest_batch(&def.name, p, &def.schema, &[&row])
+                .unwrap();
         }
         repartition_table(&mut catalog, &mut store, "t", 8, &mut rng).unwrap();
         assert_eq!(catalog.get("t").unwrap().partitions, 8);

@@ -120,60 +120,76 @@ impl PartitionData {
 
     // --------------------------------------------------------------- ingest
 
-    /// Encode a row's dimension values to ordinals.
-    fn encode_dims(&mut self, row: &Row) -> CubrickResult<Vec<u32>> {
-        let mut ordinals = Vec::with_capacity(row.dims.len());
-        for (i, v) in row.dims.iter().enumerate() {
-            let dim = &self.schema.dimensions[i];
-            let ord = match (v, &dim.kind) {
-                (Value::Int(x), crate::schema::DimKind::Int { .. }) => dim.int_ordinal(*x)?,
-                (Value::Str(s), crate::schema::DimKind::Str { .. }) => {
-                    let name = dim.name.clone();
-                    self.dicts[i]
-                        .as_mut()
-                        .expect("string dim has dictionary")
-                        .encode(&name, s)?
-                }
-                (_, crate::schema::DimKind::Int { .. }) => {
+    /// Check a row and append its dimension ordinals to `ordinals`. A
+    /// refused row may leave some behind, and the strings of its earlier
+    /// dimensions in their dictionaries.
+    fn encode_row(&mut self, row: &Row, ordinals: &mut Vec<u32>) -> CubrickResult<()> {
+        self.schema.check_row(row)?;
+        let dims = self.schema.dimensions.iter().zip(&mut self.dicts);
+        for (v, (dim, dict)) in row.dims.iter().zip(dims) {
+            ordinals.push(match (v, dict) {
+                (Value::Int(x), None) => dim.int_ordinal(*x)?,
+                (Value::Str(s), Some(dict)) => dict.encode(&dim.name, s)?,
+                (_, dict) => {
                     return Err(CubrickError::TypeMismatch {
                         column: dim.name.clone(),
-                        expected: "int",
+                        expected: if dict.is_some() { "string" } else { "int" },
                     })
                 }
-                (_, crate::schema::DimKind::Str { .. }) => {
-                    return Err(CubrickError::TypeMismatch {
-                        column: dim.name.clone(),
-                        expected: "string",
-                    })
-                }
-            };
-            ordinals.push(ord);
+            });
         }
-        Ok(ordinals)
+        Ok(())
     }
 
-    /// Ingest one row. Appending to a compressed brick transparently
-    /// decompresses it (writes re-heat data).
+    /// Ingest one row: the one-row [`Self::ingest_batch`].
     pub fn ingest(&mut self, row: &Row) -> CubrickResult<()> {
-        self.schema.check_row(row)?;
-        let ordinals = self.encode_dims(row)?;
-        let brick_id = self.space.brick_id(&ordinals);
+        self.ingest_batch(&[row])
+    }
+
+    /// Ingest rows up to the first one the schema refuses, whose error is
+    /// returned. Appending to a compressed brick transparently
+    /// decompresses it (writes re-heat data). Stores what one-row ingests
+    /// in row order store, bit for bit and capacity for capacity
+    /// (DESIGN.md "Ingest path contract").
+    pub fn ingest_batch(&mut self, rows: &[&Row]) -> CubrickResult<()> {
         let num_dims = self.schema.dimensions.len();
         let num_metrics = self.schema.metrics.len();
-        let slot = self.bricks.entry(brick_id).or_insert_with(|| Slot {
-            state: BrickState::Hot(Brick::new(num_dims, num_metrics)),
-            hotness: Hotness::default(),
+        // Encode in row order (dictionary ids are first-seen), noting
+        // each accepted row's (brick id, row index).
+        let mut ordinals = Vec::with_capacity(rows.len() * num_dims);
+        let mut placed = Vec::with_capacity(rows.len());
+        let refused = rows.iter().enumerate().try_for_each(|(i, row)| {
+            self.encode_row(row, &mut ordinals)?;
+            placed.push((self.space.brick_id(&ordinals[i * num_dims..]), i));
+            Ok(())
         });
-        if let BrickState::Cold(c) | BrickState::Evicted(c) = &slot.state {
-            slot.state = BrickState::Hot(c.decompress());
+        placed.sort_unstable();
+        // Append brick by brick: one lookup and at most one re-heat per
+        // run, one push per row (a column's capacity grows as pushes
+        // grow it; the footprint reads it).
+        for run in placed.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(brick_id, _)) = run.first() else {
+                continue;
+            };
+            let slot = self.bricks.entry(brick_id).or_insert_with(|| Slot {
+                state: BrickState::Hot(Brick::new(num_dims, num_metrics)),
+                hotness: Hotness::default(),
+            });
+            if let BrickState::Cold(c) | BrickState::Evicted(c) = &slot.state {
+                slot.state = BrickState::Hot(c.decompress());
+            }
+            let BrickState::Hot(brick) = &mut slot.state else {
+                return Err(CubrickError::Internal {
+                    detail: format!("brick {brick_id} is not hot after re-heating"),
+                });
+            };
+            for &(_, i) in run {
+                brick.push(&ordinals[i * num_dims..][..num_dims], &rows[i].metrics);
+            }
+            self.rows += run.len() as u64;
+            self.stats.rows_ingested += run.len() as u64;
         }
-        match &mut slot.state {
-            BrickState::Hot(b) => b.push(&ordinals, &row.metrics),
-            _ => unreachable!("decompressed above"),
-        }
-        self.rows += 1;
-        self.stats.rows_ingested += 1;
-        Ok(())
+        refused
     }
 
     // ----------------------------------------------------------------- scan
@@ -245,19 +261,14 @@ impl PartitionData {
                 }
             };
             for r in 0..brick.rows() {
-                let dims: Vec<Value> = (0..self.schema.dimensions.len())
-                    .map(|d| {
-                        let ord = brick.dims[d][r];
-                        match &self.dicts[d] {
-                            Some(dict) => Value::Str(
-                                dict.decode(ord)
-                                    .expect("ordinal was encoded here")
-                                    .to_string(),
-                            ),
-                            None => Value::Int(
-                                self.schema.dimensions[d].int_value(ord).expect("int dim"),
-                            ),
-                        }
+                // An ordinal that does not decode (none is stored) is `Null`.
+                let dims: Vec<Value> = (self.schema.dimensions.iter().zip(&self.dicts))
+                    .zip(&brick.dims)
+                    .map(|((dim, dict), column)| match dict {
+                        Some(dict) => dict
+                            .decode(column[r])
+                            .map_or(Value::Null, |s| Value::Str(s.to_string())),
+                        None => dim.int_value(column[r]).map_or(Value::Null, Value::Int),
                     })
                     .collect();
                 let metrics: Vec<f64> = (0..self.schema.metrics.len())
@@ -325,13 +336,10 @@ impl PartitionData {
 
     /// Snapshot of `(brick_id, hotness)` for Fig 4e.
     pub fn hotness_snapshot(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self
-            .bricks
+        self.bricks
             .iter()
             .map(|(&id, s)| (id, s.hotness.0))
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
     // -------------------------------------------------------- memory monitor
@@ -358,19 +366,19 @@ impl PartitionData {
                 BrickState::Evicted(_) => {}
             }
         }
-        uncompressed.sort_unstable_by_key(|&(id, _, _)| id);
-        compressed.sort_unstable_by_key(|&(id, _, _)| id);
         let plan = hotness::plan(config, footprint, &uncompressed, &compressed);
-        for &id in &plan.compress {
-            let slot = self.bricks.get_mut(&id).expect("planned brick");
-            if let BrickState::Hot(b) = &slot.state {
-                slot.state = BrickState::Cold(CompressedBrick::compress(b.clone()));
+        for id in &plan.compress {
+            if let Some(Slot { state, .. }) = self.bricks.get_mut(id) {
+                if let BrickState::Hot(b) = state {
+                    *state = BrickState::Cold(CompressedBrick::compress(std::mem::take(b)));
+                }
             }
         }
-        for &id in &plan.decompress {
-            let slot = self.bricks.get_mut(&id).expect("planned brick");
-            if let BrickState::Cold(c) = &slot.state {
-                slot.state = BrickState::Hot(c.decompress());
+        for id in &plan.decompress {
+            if let Some(Slot { state, .. }) = self.bricks.get_mut(id) {
+                if let BrickState::Cold(c) = state {
+                    *state = BrickState::Hot(c.decompress());
+                }
             }
         }
         (plan.compress.len(), plan.decompress.len())
@@ -395,11 +403,12 @@ impl PartitionData {
             if freed >= bytes_to_free {
                 break;
             }
-            let slot = self.bricks.get_mut(&id).expect("candidate brick");
-            if let BrickState::Cold(c) = &slot.state {
-                slot.state = BrickState::Evicted(c.clone());
-                freed += bytes;
-                evicted += 1;
+            if let Some(Slot { state, .. }) = self.bricks.get_mut(&id) {
+                if let BrickState::Cold(c) = state {
+                    *state = BrickState::Evicted(c.clone());
+                    freed += bytes;
+                    evicted += 1;
+                }
             }
         }
         evicted

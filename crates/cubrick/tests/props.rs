@@ -54,15 +54,114 @@ fn auto_codec_is_minimal() {
     );
 }
 
+/// Columns of the kinds the three codecs are each good at, so every
+/// codec wins some and the sizes tie on others.
+fn gen_u32_column(rng: &mut SimRng) -> Vec<u32> {
+    let len = gen::usize_in(rng, 0, 400);
+    let start = gen::any_u32(rng) >> rng.below(32);
+    match rng.below(5) {
+        0 => (0..len).map(|_| gen::any_u32(rng)).collect(),
+        1 => {
+            let domain = 1 + rng.below(64);
+            (0..len).map(|_| rng.below(domain) as u32).collect()
+        }
+        2 => {
+            // Runs of a few values.
+            let mut column = Vec::new();
+            while column.len() < len {
+                let v = start.wrapping_add(rng.below(4) as u32);
+                column.extend(std::iter::repeat_n(v, 1 + rng.below(20) as usize));
+            }
+            column
+        }
+        3 => (0..len as u32)
+            .map(|i| start.wrapping_add(i * rng.below(3) as u32))
+            .collect(),
+        _ => vec![start; len],
+    }
+}
+
+/// What `encode_u32_auto` did before it sized first: all three payloads
+/// built, the first smallest kept.
+fn three_way_encode(values: &[u32]) -> (encoding::IntCodec, Vec<u8>) {
+    [
+        (encoding::IntCodec::Rle, encoding::rle::encode(values)),
+        (
+            encoding::IntCodec::BitPack,
+            encoding::bitpack::encode(values),
+        ),
+        (encoding::IntCodec::Delta, encoding::delta::encode(values)),
+    ]
+    .into_iter()
+    .min_by_key(|(_, payload)| payload.len())
+    .expect("three candidates")
+}
+
+fn assert_auto_is_three_way(values: &[u32]) {
+    let auto = encoding::encode_u32_auto(values);
+    let (codec, payload) = three_way_encode(values);
+    assert_eq!((auto.codec, &auto.payload), (codec, &payload), "{values:?}");
+    assert_eq!(auto.rows, values.len());
+    // One allocation, of the size `encoded_bytes` accounts for.
+    assert_eq!(auto.payload.capacity(), auto.payload.len(), "{codec:?}");
+}
+
+/// Sizing the codecs first picks the codec and emits the bytes that
+/// building all three did, ties included.
+#[test]
+fn auto_codec_equals_three_way_encode() {
+    prop::check(
+        "auto_codec_equals_three_way_encode",
+        gen_u32_column,
+        |values| assert_auto_is_three_way(values),
+    );
+    let max = u32::MAX;
+    let ties: [&[u32]; 9] = [
+        &[],
+        &[0],
+        &[1],
+        &[7; 3],
+        &[0; 200],
+        &[max],
+        &[max; 130],
+        &[0, max, 0, max],
+        &[127, 128, 16_383, 16_384, 2_097_151, 2_097_152],
+    ];
+    for values in ties {
+        assert_auto_is_three_way(values);
+    }
+    // Every codec's win goes through the exact-capacity path.
+    let wins = |values: &[u32]| encoding::encode_u32_auto(values).codec;
+    assert_eq!(wins(&[5; 50]), encoding::IntCodec::Rle);
+    assert_eq!(
+        wins(&[3, 1, 2, 0, 3, 2, 1, 0, 2]),
+        encoding::IntCodec::BitPack
+    );
+    assert_eq!(
+        wins(&[1_000, 1_001, 1_003, 1_004, 1_006]),
+        encoding::IntCodec::Delta
+    );
+}
+
 /// Float XOR codec preserves bit patterns exactly (incl. -0.0, NaN).
 #[test]
 fn f64_codec_round_trips() {
     prop::check(
         "f64_codec_round_trips",
-        |rng| gen::vec_with(rng, 0, 1_000, gen::any_u64),
+        |rng| {
+            // Repeats and words with zero bytes at either end, so XORs of
+            // every significant length come up.
+            let (mask, shift) = (u64::MAX >> rng.below(64), rng.below(33));
+            gen::vec_with(rng, 0, 1_000, |r| match r.below(4) {
+                0 => 0,
+                _ => (gen::any_u64(r) & mask) << shift,
+            })
+        },
         |bits| {
             let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-            let decoded = encoding::decode_f64(&encoding::encode_f64(&values));
+            let encoded = encoding::encode_f64(&values);
+            assert_eq!(encoded.payload.capacity(), encoded.payload.len());
+            let decoded = encoding::decode_f64(&encoded);
             assert_eq!(decoded.len(), values.len());
             for (a, b) in values.iter().zip(&decoded) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -387,6 +486,89 @@ fn dictionary_encode_decode_bijective() {
     );
 }
 
+/// A pool whose strings fall on two slots of every index size up to 64,
+/// so probe sequences run long and wrap, followed by ordinary strings.
+fn colliding_pool() -> Vec<String> {
+    let mut pool: Vec<String> = (0..)
+        .map(|i| format!("k{i}"))
+        .filter(|s| cubrick::sharding::fnv1a(s.as_bytes()) & 63 < 2)
+        .take(48)
+        .collect();
+    pool.extend((0..48).map(|i| format!("plain-{i}")));
+    pool.push(String::new());
+    pool
+}
+
+/// The hashed dictionary against the sorted-map one it replaced: ids,
+/// `lookup`, `decode`, `ranks()`, `len`, `footprint()`, the capacity
+/// error, and a refused insert leaving no trace — across index growths
+/// (8 → 16 → 32 → 64 → 128 slots) and with colliding strings.
+#[test]
+fn dictionary_matches_sorted_map_model() {
+    let pool = colliding_pool();
+    prop::check_n(
+        "dictionary_matches_sorted_map_model",
+        96,
+        |rng| {
+            let max_cardinality = *rng.pick(&[0, 1, 5, 17, 40, 200]);
+            let words = gen::vec_with(rng, 0, 300, |r| r.below(pool.len() as u64) as usize);
+            (max_cardinality, words)
+        },
+        |(max_cardinality, words)| {
+            let mut dict = Dictionary::new(*max_cardinality);
+            let mut forward = std::collections::BTreeMap::<&str, u32>::new();
+            let mut reverse = Vec::<&str>::new();
+            for &w in words {
+                let word = pool[w].as_str();
+                let ranks_before = dict.ranks();
+                let got = dict.encode("dim", word);
+                match forward.get(word) {
+                    Some(&id) => assert_eq!(got, Ok(id)),
+                    None if reverse.len() as u32 >= *max_cardinality => {
+                        let Err(cubrick::error::CubrickError::ValueOutOfRange {
+                            dimension, ..
+                        }) = got
+                        else {
+                            panic!("{word:?} fits a full dictionary: {got:?}");
+                        };
+                        assert_eq!(dimension, "dim");
+                        // No trace: not even the rank memo was dropped.
+                        assert!(Arc::ptr_eq(&ranks_before, &dict.ranks()));
+                    }
+                    None => {
+                        assert_eq!(got, Ok(reverse.len() as u32));
+                        forward.insert(word, reverse.len() as u32);
+                        reverse.push(word);
+                    }
+                }
+                assert_eq!(dict.len(), reverse.len());
+                assert_eq!(dict.is_empty(), reverse.is_empty());
+            }
+            for word in &pool {
+                assert_eq!(
+                    dict.lookup(word),
+                    forward.get(word.as_str()).copied(),
+                    "{word:?}"
+                );
+            }
+            for (id, word) in (0..).zip(&reverse) {
+                assert_eq!(dict.decode(id), Some(*word));
+            }
+            assert_eq!(dict.decode(reverse.len() as u32), None);
+            let ranks = dict.ranks();
+            let id_of_rank: Vec<u32> = forward.values().copied().collect();
+            for (rank, &id) in (0..).zip(&id_of_rank) {
+                assert_eq!(ranks.rank_of_id[id as usize], rank);
+            }
+            assert_eq!(ranks.id_of_rank, id_of_rank);
+            // The accounting constant: two copies of every string, two
+            // `String` headers and a map slot per entry.
+            let chars: usize = reverse.iter().map(|w| w.len()).sum();
+            assert_eq!(dict.footprint(), (2 * chars + 56 * reverse.len()) as u64);
+        },
+    );
+}
+
 // ------------------------------------------------- proxy blacklist / retries
 
 use cubrick::error::CubrickError;
@@ -630,6 +812,105 @@ fn decompressed_bytes_is_rows_times_row_width() {
     );
 }
 
+/// Everything `tests/regression_ingest_bits.rs` pins of a partition, as
+/// values: two partitions are the same store iff these are equal (column
+/// capacities show in the memory footprint).
+fn pinned_state(p: &PartitionData) -> impl PartialEq + std::fmt::Debug {
+    let dicts: Vec<_> = (0..p.schema().dimensions.len())
+        .filter_map(|d| p.dict(d))
+        .map(|dict| {
+            let ranks = dict.clone().ranks();
+            let ids: Vec<_> = (0..20).map(|i| dict.lookup(&format!("v{i}"))).collect();
+            (dict.len(), dict.footprint(), ids, ranks.id_of_rank.clone())
+        })
+        .collect();
+    (
+        (p.rows(), p.brick_count(), p.state_counts()),
+        (p.memory_footprint(), p.ssd_bytes(), p.decompressed_bytes()),
+        p.stats(),
+        p.hotness_snapshot(),
+        p.all_rows(),
+        dicts,
+    )
+}
+
+/// A row the schema refuses: a wrong shape, a wrong type, an integer
+/// out of range, or (with a string dimension) a string beyond the
+/// dictionary's capacity once `v0`‥`v15` are in.
+fn gen_refused_row(schema: &Schema, rng: &mut SimRng) -> Row {
+    let mut row = gen_schema_row(schema, rng);
+    let d = rng.below(row.dims.len() as u64) as usize;
+    match rng.below(4) {
+        0 => row.metrics.push(1.0),
+        1 => row.dims[d] = Value::Double(0.5),
+        2 if matches!(row.dims[d], Value::Int(_)) => row.dims[d] = Value::Int(100),
+        _ => {
+            row.dims.pop();
+        }
+    }
+    row
+}
+
+/// `ingest_batch` is the one-row ingest applied in row order — same
+/// `Result`, same store down to dictionary ids, brick states, hotness and
+/// column capacities — for empty batches, batches that land in one brick,
+/// rows landing in cold and evicted bricks, and a refused row anywhere.
+#[test]
+fn ingest_batch_equals_row_at_a_time() {
+    prop::check_n(
+        "ingest_batch_equals_row_at_a_time",
+        96,
+        |rng| {
+            let mut b = SchemaBuilder::new();
+            for d in 0..gen::usize_in(rng, 1, 3) {
+                b = b.int_dim(&format!("d{d}"), 0, 100, rng.range(5, 50) as u32);
+            }
+            if gen::any_bool(rng) {
+                // Room for 16 of the generator's 40 strings: the
+                // dictionary fills up part-way through most runs.
+                b = b.str_dim("s", 16, 4);
+            }
+            let schema = b.metric("m0").metric("m1").build().expect("valid schema");
+            // The store the batch lands on: rows, then squeezes, scans and
+            // evictions, so bricks are in every state.
+            let prelude = gen::vec_with(rng, 0, 8, gen_store_op);
+            let one_brick = rng.chance(0.2);
+            let template = gen_schema_row(&schema, rng);
+            let mut batch = gen::vec_with(rng, 0, 150, |r| match one_brick {
+                true => Row::new(template.dims.clone(), vec![r.unit(), r.unit()]),
+                false => gen_schema_row(&schema, r),
+            });
+            if rng.chance(0.5) {
+                let at = rng.below(batch.len() as u64 + 1) as usize;
+                batch.insert(at, gen_refused_row(&schema, rng));
+            }
+            (schema, prelude, batch, gen::any_u64(rng))
+        },
+        |(schema, prelude, batch, seed)| {
+            let mut rng = SimRng::new(*seed);
+            let mut store = PartitionData::new(Arc::new(schema.clone()));
+            for op in prelude {
+                if let StoreOp::Ingest(n) = op {
+                    // A full dictionary refuses some of these; fine.
+                    for _ in 0..*n {
+                        let _ = store.ingest(&gen_schema_row(schema, &mut rng));
+                    }
+                } else {
+                    apply_store_op(&mut store, op, &mut rng);
+                }
+            }
+            // Both from clones: a clone's columns come back at exact
+            // capacity, and capacities are part of what is compared.
+            let (mut batched, mut row_at_a_time) = (store.clone(), store.clone());
+            let want = batch.iter().try_for_each(|row| row_at_a_time.ingest(row));
+            let rows: Vec<&Row> = batch.iter().collect();
+            let got = batched.ingest_batch(&rows);
+            assert_eq!(got, want);
+            assert_eq!(pinned_state(&batched), pinned_state(&row_at_a_time));
+        },
+    );
+}
+
 /// `shard_metrics()` reports, for each generation, what the four-walk
 /// computation it replaced reported: every footprint summed over the
 /// shard's partitions, one of them picked by the generation.
@@ -671,7 +952,7 @@ fn shard_metrics_match_the_four_walk_oracle() {
                         let row = gen_schema_row(schema, &mut rng);
                         store
                             .write()
-                            .ingest(&def.name, p, &def.schema, &row)
+                            .ingest_batch(&def.name, p, &def.schema, &[&row])
                             .expect("valid row");
                     }
                     keys.push((def.name.clone(), p, def.schema.clone()));
@@ -684,7 +965,9 @@ fn shard_metrics_match_the_four_walk_oracle() {
                     Some(data) => apply_store_op(data, op, &mut rng),
                     None => {
                         let row = gen_schema_row(schema, &mut rng);
-                        store.ingest(table, *p, schema, &row).expect("valid row");
+                        store
+                            .ingest_batch(table, *p, schema, &[&row])
+                            .expect("valid row");
                     }
                 }
             }

@@ -210,6 +210,7 @@ mod tests {
                     reason: "point lookups only".to_string(),
                     suppressed: 2,
                 }],
+                unscanned: None,
             }],
         }
     }

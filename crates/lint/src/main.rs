@@ -14,9 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use scalewall_lint::{
-    find_workspace_root, json, lint_source, FileReport, RuleSet, WorkspaceReport,
-};
+use scalewall_lint::{find_workspace_root, json, Analysis, RuleSet, WorkspaceReport};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -30,6 +28,9 @@ fn print_report(report: &WorkspaceReport) {
         for v in &file.violations {
             println!("{}:{}: {}: {}", file.path, v.line, v.rule, v.message);
         }
+    }
+    if let Some((path, line)) = report.first_unscanned() {
+        println!("{path}:{line}: parser: token in no parsed item and no opaque span — no rule looked at it");
     }
     let inventory = report.pragma_inventory();
     if !inventory.is_empty() {
@@ -89,7 +90,7 @@ fn run_workspace(root_arg: Option<PathBuf>, json_out: Option<String>) -> ExitCod
             if json_out.as_deref() != Some("-") {
                 print_report(&report);
             }
-            if report.violation_count() == 0 {
+            if report.is_clean() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -149,16 +150,13 @@ fn run_files(tier: &str, files: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let (violations, pragmas) = lint_source(&src, rules);
+        let mut analysis = Analysis::new();
+        analysis.add_source(f, &src, rules);
         report.files_scanned += 1;
-        report.files.push(FileReport {
-            path: f.clone(),
-            violations,
-            pragmas,
-        });
+        report.files.extend(analysis.finish());
     }
     print_report(&report);
-    if report.violation_count() == 0 {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -167,6 +167,34 @@ pub struct ParsedFile {
     pub opaque: Vec<OpaqueSpan>,
     /// `unsafe` keywords seen at item level (`unsafe fn`, `unsafe impl`).
     pub item_unsafe: Vec<(u32, bool)>,
+    /// Token ranges `[start, end)` the parser shaped into items: whole
+    /// `fn`s and `struct`s, the headers and closing braces of `impl`,
+    /// `trait` and `mod` blocks, attributes and modifiers.
+    pub shaped: Vec<(usize, usize)>,
+}
+
+impl ParsedFile {
+    /// The first code token that lies in neither a shaped item nor an
+    /// opaque span, i.e. that no rule ever looks at. `None` is the
+    /// parser's coverage invariant (`tests/lint_gate.rs` holds the live
+    /// workspace to it).
+    pub fn first_unscanned(&self) -> Option<&Token> {
+        let mut spans: Vec<(usize, usize)> = self
+            .opaque
+            .iter()
+            .map(|s| (s.start, s.end))
+            .chain(self.shaped.iter().copied())
+            .collect();
+        spans.sort_unstable();
+        let mut reached = 0;
+        for (start, end) in spans {
+            if start > reached {
+                break;
+            }
+            reached = reached.max(end);
+        }
+        self.tokens.get(reached)
+    }
 }
 
 /// Pre-order walk over every expression reachable from a block,
@@ -344,7 +372,15 @@ pub fn parse(src: &str) -> ParsedFile {
         self_ty: None,
         modpath: Vec::new(),
     };
-    p.items(usize::MAX);
+    while p.pos < tokens.len() {
+        p.items(usize::MAX);
+        if p.pos < tokens.len() {
+            // A `}` nothing opened (the parser lost count somewhere
+            // above): the rest of the file is still parsed.
+            p.opaque(p.pos, p.pos + 1);
+            p.bump();
+        }
+    }
     let mut out = p.out;
     out.tokens = tokens;
     out
@@ -421,6 +457,28 @@ impl<'a> Parser<'a> {
             }
         }
         self.out.opaque.push(OpaqueSpan { start, end, in_test });
+    }
+
+    fn shape(&mut self, start: usize, end: usize) {
+        if start < end {
+            self.out.shaped.push((start, end));
+        }
+    }
+
+    /// The `{ items }` body of an `impl`, `trait` or `mod` whose header
+    /// began at token `header` (or the `;` of a body-less one).
+    fn item_body(&mut self, header: usize) {
+        if self.eat_punct('{') {
+            self.shape(header, self.pos);
+            self.items(usize::MAX);
+            let close = self.pos;
+            if self.eat_punct('}') {
+                self.shape(close, self.pos);
+            }
+        } else {
+            self.eat_punct(';');
+            self.shape(header, self.pos);
+        }
     }
 
     /// Skip one balanced `(`/`[`/`{` group starting at the current token;
@@ -563,6 +621,7 @@ impl<'a> Parser<'a> {
     }
 
     fn item(&mut self) {
+        let start = self.pos;
         // Attributes: `#[…]` / `#![…]`; `cfg(… test …)` marks the item.
         let mut attr_test = false;
         loop {
@@ -606,9 +665,19 @@ impl<'a> Parser<'a> {
             }
         }
 
+        // Attributes and modifiers; `fn` and `struct` extend the span over
+        // the whole item below, block items add their own pieces, and
+        // the remaining kinds are opaque from the keyword on.
+        self.shape(start, self.pos);
         match self.ident(0) {
-            Some("fn") => self.item_fn(),
-            Some("struct") => self.item_struct(),
+            Some("fn") => {
+                self.item_fn();
+                self.shape(start, self.pos);
+            }
+            Some("struct") => {
+                self.item_struct();
+                self.shape(start, self.pos);
+            }
             Some("impl") => self.item_impl(),
             Some("trait") => self.item_trait(),
             Some("mod") => self.item_mod(),
@@ -874,6 +943,7 @@ impl<'a> Parser<'a> {
     }
 
     fn item_impl(&mut self) {
+        let header = self.pos;
         self.bump(); // impl
         if self.is_punct(0, '<') {
             self.skip_angles();
@@ -908,19 +978,13 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
-        if self.is_punct(0, '{') {
-            self.bump();
-            let saved = self.self_ty.take();
-            self.self_ty = last_seg;
-            self.items(usize::MAX);
-            self.self_ty = saved;
-            self.eat_punct('}');
-        } else {
-            self.eat_punct(';');
-        }
+        let saved = std::mem::replace(&mut self.self_ty, last_seg);
+        self.item_body(header);
+        self.self_ty = saved;
     }
 
     fn item_trait(&mut self) {
+        let header = self.pos;
         self.bump(); // trait
         let name = self.ident(0).map(str::to_string);
         if name.is_some() {
@@ -933,36 +997,23 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        if self.is_punct(0, '{') {
-            self.bump();
-            let saved = self.self_ty.take();
-            self.self_ty = name;
-            self.items(usize::MAX);
-            self.self_ty = saved;
-            self.eat_punct('}');
-        } else {
-            self.eat_punct(';');
-        }
+        let saved = std::mem::replace(&mut self.self_ty, name);
+        self.item_body(header);
+        self.self_ty = saved;
     }
 
     fn item_mod(&mut self) {
+        let header = self.pos;
         self.bump(); // mod
         let name = self.ident(0).map(str::to_string);
         if name.is_some() {
             self.bump();
         }
-        if self.is_punct(0, '{') {
-            self.bump();
-            if let Some(n) = name {
-                self.modpath.push(n);
-                self.items(usize::MAX);
-                self.modpath.pop();
-            } else {
-                self.items(usize::MAX);
-            }
-            self.eat_punct('}');
-        } else {
-            self.eat_punct(';');
+        let named = name.is_some();
+        self.modpath.extend(name);
+        self.item_body(header);
+        if named {
+            self.modpath.pop();
         }
     }
 
@@ -1005,7 +1056,7 @@ impl<'a> Parser<'a> {
             {
                 self.item();
             } else {
-                let e = self.expr(false);
+                let e = self.expr_stmt();
                 stmts.push(Stmt::Expr(e));
                 self.eat_punct(';');
             }
@@ -1107,6 +1158,36 @@ impl<'a> Parser<'a> {
     fn expr(&mut self, no_struct_lit: bool) -> Expr {
         let line = self.line();
         let first = self.operand(no_struct_lit);
+        self.binary_rest(first, line, no_struct_lit)
+    }
+
+    /// An expression in statement or match-arm position, where a
+    /// block-like one (`{…}`, `if`, `match`, `while`, `loop`, `for`,
+    /// `unsafe {…}`) ends at its closing brace: a `(`, `[` or operator
+    /// after it starts the next statement or the next arm's pattern, not
+    /// a call, an index or a binary chain. Only `.` and `?` continue it
+    /// (`match x { … }.len()`), as in rustc.
+    fn expr_stmt(&mut self) -> Expr {
+        let labelled = matches!(self.peek(), Some(Tok::Lifetime(_))) && self.is_punct(1, ':');
+        let head = if labelled { 2 } else { 0 };
+        let block_like = self.is_punct(head, '{')
+            || matches!(self.ident(head), Some("if" | "match" | "while" | "loop" | "for"))
+            || (self.is_ident(head, "unsafe") && self.is_punct(head + 1, '{'));
+        if !block_like {
+            return self.expr(false);
+        }
+        let line = self.line();
+        self.pos += head;
+        let e = self.primary(false);
+        if self.is_punct(0, '?') || (self.is_punct(0, '.') && !self.is_punct(1, '.')) {
+            let e = self.postfix(e);
+            return self.binary_rest(e, line, false);
+        }
+        e
+    }
+
+    /// The operators, casts and ranges after an expression's first operand.
+    fn binary_rest(&mut self, first: Expr, line: u32, no_struct_lit: bool) -> Expr {
         let mut parts = vec![first];
         loop {
             // `as Type` casts.
@@ -1333,7 +1414,12 @@ impl<'a> Parser<'a> {
                 }
                 self.path_expr(nsl)
             }
+            // Nothing an expression starts with. A closer or separator
+            // belongs to whoever opened the group (every caller's loop
+            // advances or stops on its own); anything else is skipped.
+            Some(Tok::Punct(')' | ']' | '}' | ',' | ';')) | None => Expr::Unknown(line),
             _ => {
+                self.opaque(self.pos, self.pos + 1);
                 self.bump();
                 Expr::Unknown(line)
             }
@@ -1387,9 +1473,13 @@ impl<'a> Parser<'a> {
             let mut fields = Vec::new();
             while self.pos < self.toks.len() && !self.is_punct(0, '}') {
                 if self.is_punct(0, '.') && self.is_punct(1, '.') {
+                    // `..base`, or the bare `..` of a pattern that was
+                    // read as an expression: no base to parse.
                     self.bump();
                     self.bump();
-                    fields.push(self.expr(false));
+                    if !self.is_punct(0, '}') {
+                        fields.push(self.expr(false));
+                    }
                 } else if self.ident(0).is_some() && self.is_punct(1, ':') && !self.is_punct(2, ':') {
                     self.bump(); // field name
                     self.bump(); // :
@@ -1399,6 +1489,7 @@ impl<'a> Parser<'a> {
                     fields.push(Expr::Path(vec![f.to_string()], self.line()));
                     self.bump();
                 } else {
+                    self.opaque(self.pos, self.pos + 1);
                     self.bump();
                 }
                 self.eat_punct(',');
@@ -1566,7 +1657,7 @@ impl<'a> Parser<'a> {
                 }
                 self.bump(); // =
                 self.bump(); // >
-                arms.push(self.expr(false));
+                arms.push(self.expr_stmt());
                 self.eat_punct(',');
             }
             self.eat_punct('}');
@@ -1733,9 +1824,62 @@ mod tests {
         assert_eq!(calls, 1);
     }
 
+    fn fn_names(f: &ParsedFile) -> Vec<&str> {
+        f.fns.iter().map(|f| f.name.as_str()).collect()
+    }
+
+    /// A block-bodied arm ends at its brace, and a bare `..` in what
+    /// reads as a struct literal takes no base: the shape that once cost
+    /// the parser a `}` and, with it, the rest of the file.
+    #[test]
+    fn block_arm_followed_by_a_tuple_pattern() {
+        let src = "impl T { fn f(&self, v: (A, B)) -> R { match v { \
+                   (A::X(x), B::P { .. }) => { g(x) } \
+                   (_, B::P { .. }) => { return Err(E { at: 1 }) } \
+                   (_, B::Q { .. }) => { return Err(E { at: 2 }) } } } \
+                   fn g(&self) {} } fn after() {}";
+        let f = parse_fns(src);
+        assert_eq!(fn_names(&f), ["f", "g", "after"]);
+        assert_eq!(f.fns[1].self_ty.as_deref(), Some("T"));
+        assert_eq!(f.fns[2].self_ty, None);
+        walk_block(f.fns[0].body.as_ref().unwrap(), &mut |e| {
+            if let Expr::Call { callee, .. } = e {
+                assert!(!matches!(callee.as_ref(), Expr::Block(_)), "block called");
+            }
+        });
+        assert!(f.first_unscanned().is_none());
+    }
+
+    #[test]
+    fn block_like_statement_ends_at_its_brace() {
+        let f = parse_fns("fn f(c: bool, p: (u32, u32)) -> u32 { if c { return 0; } (p.0, p.1).1 }");
+        let body = f.fns[0].body.as_ref().unwrap();
+        assert_eq!(body.stmts.len(), 2);
+        assert!(matches!(body.stmts[0], Stmt::Expr(Expr::If { .. })));
+        // `.` still continues one, as in rustc.
+        let f = parse_fns("fn f(x: Option<u32>) -> u32 { match x { Some(_) => 1, None => 0 }.min(3) }");
+        let body = f.fns[0].body.as_ref().unwrap();
+        assert!(matches!(&body.stmts[..], [Stmt::Expr(Expr::Method { name, .. })] if name == "min"));
+    }
+
+    #[test]
+    fn stray_close_brace_does_not_end_the_parse() {
+        let f = parse_fns("fn a() {} } } fn b() { HashMap::new(); }");
+        assert_eq!(fn_names(&f), ["a", "b"]);
+        assert!(f.first_unscanned().is_none());
+    }
+
+    #[test]
+    fn coverage_reports_the_first_token_nothing_claims() {
+        let mut f = parse_fns("fn a() {}\nuse x::y;\nfn b() {}");
+        assert!(f.first_unscanned().is_none());
+        f.opaque.clear(); // forget the `use` item's span
+        assert_eq!(f.first_unscanned().map(|t| t.line), Some(2));
+    }
+
     #[test]
     fn parser_is_total_on_junk() {
-        // Never panics, always terminates.
+        // Never panics, always terminates, never drops a token.
         for junk in [
             "} } ) ] fn",
             "fn f( { } }",
@@ -1744,7 +1888,8 @@ mod tests {
             "let = = ;",
             "fn f() { x.. }",
         ] {
-            let _ = parse(junk);
+            let f = parse(junk);
+            assert!(f.first_unscanned().is_none(), "{junk:?}: {:?}", f.first_unscanned());
         }
     }
 

@@ -4,7 +4,8 @@
 
 use std::path::Path;
 
-use scalewall_lint::{lint_source, RuleId, RuleSet};
+use scalewall_lint::lexer::{lex, Tok, Token};
+use scalewall_lint::{lint_source, parser, RuleId, RuleSet};
 use scalewall_sim::prop;
 use scalewall_sim::SimRng;
 
@@ -166,6 +167,124 @@ fn pragma_fixture_is_clean_with_inventory() {
     assert!(pragmas.iter().all(|p| p.reason.starts_with("fixture:") || !p.reason.is_empty()));
 }
 
+// ------------------------------------------------------------- coverage
+
+const FIXTURES: [&str; 14] = [
+    "clean.rs",
+    "d1_wall_clock.rs",
+    "d2_hash_iteration.rs",
+    "d3_literal_seed.rs",
+    "d4_unsafe.rs",
+    "d5_stream_discipline.rs",
+    "d5_stream_discipline_clean.rs",
+    "d6_lock_order.rs",
+    "d6_lock_order_clean.rs",
+    "d7_panic_surface.rs",
+    "d7_panic_surface_clean.rs",
+    "lexer_edges.rs",
+    "parser_match_arm_patterns.rs",
+    "pragma_allowed.rs",
+];
+
+#[test]
+fn parser_fixture_is_clean_and_fully_parsed() {
+    let src = fixture("parser_match_arm_patterns.rs");
+    assert_eq!(rules_hit(&src, HOT), Vec::<RuleId>::new());
+    let parsed = parser::parse(&src);
+    let fns: Vec<&str> = parsed.fns.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(
+        fns,
+        [
+            "encode",
+            "after_the_match",
+            "statement_then_parens",
+            "statement_then_brackets",
+            "after_everything"
+        ]
+    );
+}
+
+/// The coverage invariant: every code token lies in a parsed item or in
+/// an opaque span the token scan reads.
+#[test]
+fn every_fixture_token_is_scanned() {
+    for name in FIXTURES {
+        let parsed = parser::parse(&fixture(name));
+        if let Some(t) = parsed.first_unscanned() {
+            panic!("{name}:{}: token {:?} is in no item and no opaque span", t.line, t.tok);
+        }
+    }
+}
+
+/// Lines (1-based) holding a single-line `fn … {` header outside
+/// `#[cfg(test)]` items, found from the token stream alone: asking the
+/// parser would not list the functions it is blind to.
+fn fn_header_lines(src: &str) -> Vec<u32> {
+    let toks: Vec<Token> = lex(src)
+        .into_iter()
+        .filter(|t| !matches!(t.tok, Tok::Comment(_)))
+        .collect();
+    let punct = |i: usize, c: char| matches!(toks.get(i), Some(t) if t.tok == Tok::Punct(c));
+    let ident = |i: usize, s: &str| matches!(toks.get(i), Some(Token { tok: Tok::Ident(w), .. }) if w == s);
+    let mut lines = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if punct(i, '#') && punct(i + 1, '[') && ident(i + 2, "cfg") {
+            let close = (i..toks.len()).find(|&j| punct(j, ']')).unwrap_or(toks.len());
+            if (i..close).any(|j| ident(j, "test")) {
+                // Skip the gated item: to its `;`, or over its `{ … }`.
+                i = close;
+                while i < toks.len() && !punct(i, ';') && !punct(i, '{') {
+                    i += 1;
+                }
+                let mut depth = 0usize;
+                while i < toks.len() {
+                    depth += usize::from(punct(i, '{'));
+                    depth -= usize::from(punct(i, '}'));
+                    i += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                continue;
+            }
+        }
+        if ident(i, "fn") {
+            let line = toks[i].line;
+            let last = toks.iter().rposition(|t| t.line == line).unwrap_or(i);
+            if punct(last, '{') {
+                lines.push(line);
+            }
+        }
+        i += 1;
+    }
+    lines
+}
+
+/// The canary sweep: a wall-clock read planted as the first statement
+/// of each function must be reported on its line. A function the parser
+/// swallowed into a mis-parsed neighbour stays silent.
+#[test]
+fn canary_in_every_fixture_fn_is_reported() {
+    const CANARY: &str = "let _t = std::time::Instant::now();";
+    let mut planted = 0;
+    for name in FIXTURES {
+        let src = fixture(name);
+        let lines: Vec<&str> = src.lines().collect();
+        for header in fn_header_lines(&src) {
+            let (before, after) = lines.split_at(header as usize);
+            let mutated = [before, &[CANARY], after].concat().join("\n");
+            let (violations, _) = lint_source(&mutated, RuleSet::SIM);
+            assert!(
+                violations.iter().any(|v| v.rule == RuleId::D1 && v.line == header + 1),
+                "{name}:{header}: canary after this `fn` header went unreported"
+            );
+            planted += 1;
+        }
+    }
+    assert!(planted > 30, "only {planted} canaries planted: header scan broken?");
+}
+
 // ------------------------------------------------------------- property
 
 /// Insert comment/whitespace noise between the lines of `src` and at
@@ -206,6 +325,7 @@ fn prop_token_preserving_mutations_of_clean_fixtures_stay_clean() {
         fixture("d6_lock_order_clean.rs"),
         fixture("d7_panic_surface_clean.rs"),
         fixture("lexer_edges.rs"),
+        fixture("parser_match_arm_patterns.rs"),
     ];
     prop::check_n(
         "lint_clean_fixtures_stable_under_noise",

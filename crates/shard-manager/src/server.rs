@@ -1449,7 +1449,11 @@ impl SmServer {
             .assignments
             .iter()
             .filter(|(&s, _)| self.active_migration(app_name, s).is_none())
-            .map(|(&s, replicas)| (s, replicas[0].0, app.weight_of(s, default_w)))
+            .filter_map(|(&s, replicas)| {
+                // A shard without a replica has nothing to move.
+                let &(primary, _) = replicas.first()?;
+                Some((s, primary, app.weight_of(s, default_w)))
+            })
             .collect();
         // Deterministic proposal input order (assignments are hash maps).
         locations.sort_by_key(|&(s, _, _)| s);

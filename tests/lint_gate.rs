@@ -45,6 +45,13 @@ fn workspace_has_zero_unsilenced_violations() {
         report.suppressed_count()
     );
 
+    // The parser's coverage invariant: every code token of every scanned
+    // file lies in a parsed item or in an opaque span the token scan
+    // reads. Where it breaks, "zero violations" says nothing.
+    if let Some((path, line)) = report.first_unscanned() {
+        panic!("{path}:{line}: token in no parsed item and no opaque span — no rule looked at it");
+    }
+
     let mut rendered = String::new();
     for f in &report.files {
         for v in &f.violations {
