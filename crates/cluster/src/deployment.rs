@@ -16,11 +16,12 @@ use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
 use cubrick::schema::Schema;
 use cubrick::sharding::ShardMapping;
 use cubrick::value::Row;
+use scalewall_sim::hash::{fnv1a, FNV_OFFSET};
 use scalewall_sim::sync::RwLock;
 use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, Route};
 use scalewall_shard_manager::{
     AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
-    SmServer,
+    SmError, SmServer,
 };
 use scalewall_sim::{SimRng, SimTime};
 
@@ -86,12 +87,7 @@ fn rack_assignment(hosts: u32, racks: u32, rng: &mut SimRng) -> Vec<Rack> {
 /// Anti-affinity group key for a table: a stable FNV-1a hash of the name,
 /// so all regions (and replays) agree without shared state.
 pub fn table_group(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, name.as_bytes())
 }
 
 /// A region proxy's fan-out routes, one per table: every partition's
@@ -176,6 +172,11 @@ pub struct Deployment {
     pub regions: Vec<RegionState>,
     pub rng: SimRng,
     next_host_id: u64,
+    /// The first registration SM refused while the deployment was built
+    /// (an app spec that does not validate, a host the coordination plane
+    /// would not take). `new` cannot fail, so every `create_table` does,
+    /// with this as the reason.
+    refused: Option<SmError>,
 }
 
 /// Stable, readable host numbering: region r's i-th host is
@@ -192,6 +193,7 @@ impl Deployment {
         let mut topo_rng = SimRng::new(config.seed).fork(RACK_TOPOLOGY_STREAM);
         let catalog = shared_catalog(config.max_shards);
         let mut regions = Vec::with_capacity(config.regions as usize);
+        let mut refused = None;
         for r in 0..config.regions {
             let region = Region(r);
             let racks = rack_assignment(
@@ -215,20 +217,15 @@ impl Deployment {
                 rep.seed ^= r as u64;
             }
             let mut sm = SmServer::standalone(sm_config);
-            sm.register_app(
-                AppSpec::primary_only(APP, config.max_shards).with_balancer(config.balancer),
-            )
-            .expect("fresh SM");
+            let spec = AppSpec::primary_only(APP, config.max_shards).with_balancer(config.balancer);
+            refused = refused.or(sm.register_app(spec).err());
             let store: SharedRegionStore = Arc::new(RwLock::new(RegionStore::new()));
             let mut nodes = NodeRegistry::new();
             for i in 0..config.hosts_per_region {
                 let host = HostId(r as u64 * REGION_HOST_STRIDE + i as u64);
                 let rack = racks[i as usize];
-                sm.register_host(
-                    HostInfo::new(host, rack, region, config.host_memory_bytes as f64),
-                    SimTime::ZERO,
-                )
-                .expect("fresh host");
+                let info = HostInfo::new(host, rack, region, config.host_memory_bytes as f64);
+                refused = refused.or(sm.register_host(info, SimTime::ZERO).err());
                 let mut node_config = NodeConfig::new(host, region);
                 node_config.memory_budget_bytes = config.host_memory_bytes;
                 node_config.metric_generation = config.metric_generation;
@@ -265,6 +262,7 @@ impl Deployment {
             regions,
             rng,
             next_host_id: 0,
+            refused,
         }
     }
 
@@ -284,6 +282,10 @@ impl Deployment {
         shard_mapping: ShardMapping,
         now: SimTime,
     ) -> CubrickResult<TableDef> {
+        if let Some(e) = &self.refused {
+            let detail = format!("deployment refused at construction: {e}");
+            return Err(CubrickError::Internal { detail });
+        }
         let def = self.catalog.write().create_table(
             name,
             schema,
@@ -439,8 +441,12 @@ impl Deployment {
         now: SimTime,
     ) -> CubrickResult<cubrick::repartition::RepartitionDecision> {
         let def = self.catalog.read().get(table)?.clone();
+        let Some(first) = self.regions.first() else {
+            let detail = "a deployment without regions holds no data to size".to_string();
+            return Err(CubrickError::Internal { detail });
+        };
         let sizes: Vec<u64> = {
-            let store = self.regions[0].store.read();
+            let store = first.store.read();
             (0..def.partitions)
                 .map(|p| {
                     store
@@ -472,7 +478,10 @@ impl Deployment {
 
     /// Complete the repair workflow for a dead host: bring up a
     /// replacement with a fresh id, then decommission the dead host once
-    /// its assignments have drained. Returns the new host id.
+    /// its assignments have drained. Returns the new host id, or `None`
+    /// when `dead` is unknown or the coordination plane refuses the
+    /// registration (no leader within the retry budget): the caller
+    /// repairs again later.
     ///
     /// The replacement registers *first* — when a table spans every host
     /// in the region, its failovers are vetoed (shard collision) until
@@ -495,7 +504,7 @@ impl Deployment {
                 HostInfo::new(new_host, info.rack, info.region, info.capacity),
                 now,
             )
-            .expect("fresh id");
+            .ok()?;
         let mut node_config = NodeConfig::new(new_host, info.region);
         node_config.memory_budget_bytes = self.config.host_memory_bytes;
         node_config.metric_generation = self.config.metric_generation;
@@ -740,6 +749,55 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// A config SM refuses and a repair the coordination plane refuses
+    /// are typed outcomes that keep SM's reason, not panics.
+    #[test]
+    fn refused_registrations_degrade() {
+        // A headroom above 1 is no valid app spec: the deployment still
+        // builds, and every table creation answers with SM's refusal.
+        let mut dep = Deployment::new(DeploymentConfig {
+            balancer: BalancerConfig {
+                capacity_headroom: 1.5,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let refused = dep
+            .create_table("t", schema(), 4, RowMapping::Hash, ShardMapping::Monotonic, t(0))
+            .unwrap_err();
+        let CubrickError::Internal { detail } = &refused else {
+            panic!("not the construction refusal: {refused:?}");
+        };
+        assert!(detail.contains("capacity_headroom must be in [0,1]"), "SM's reason is lost: {detail}");
+        assert!(dep.catalog.read().get("t").is_err(), "a refused table must not reach the catalog");
+
+        // A repair while two of three coordination homes are down finds no
+        // leader: no replacement registers, and the same repair goes
+        // through once the ensemble is back.
+        let mut sm = SmConfig::default();
+        sm.replication = Some(scalewall_zk::ZkReplicationConfig::default());
+        let mut dep = Deployment::new(DeploymentConfig {
+            hosts_per_region: 4,
+            sm,
+            ..Default::default()
+        });
+        let victim = HostId(0);
+        dep.fail_host(0, victim, t(1));
+        dep.zk_crash_region(0);
+        dep.zk_crash_region(1);
+        for s in 2..60 {
+            dep.tick(t(s));
+        }
+        assert_eq!(dep.replace_host(0, victim, t(60)), None);
+        assert_eq!(dep.regions[0].nodes.len(), 4, "no node without a registration");
+        dep.zk_restore_region(0);
+        dep.zk_restore_region(1);
+        for s in 61..120 {
+            dep.tick(t(s));
+        }
+        assert!(dep.replace_host(0, victim, t(120)).is_some());
     }
 
     #[test]

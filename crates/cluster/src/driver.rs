@@ -156,7 +156,33 @@ enum AttemptResult {
     },
 }
 
-/// Run one query through the full path.
+/// A failed query's outcome. `fan_out` is the plan's once an attempt
+/// reached a region's servers, 0 before. Cold: inlined into the attempt
+/// loop's eight exits it cost `fanout_sweep` about 1 % (no query fails there).
+#[cold]
+fn failed(
+    error: CubrickError,
+    attempts: u32,
+    latency: SimDuration,
+    fan_out: usize,
+) -> QueryOutcome {
+    QueryOutcome {
+        success: false,
+        latency,
+        attempts,
+        fan_out,
+        partitions_answered: 0,
+        output: None,
+        error: Some(error),
+        partial: false,
+        coverage: None,
+        served_region: None,
+        coordinator_partition: None,
+    }
+}
+
+/// Run one query through the full path: take an admission slot (unless
+/// the caller holds one), run the attempts, give the slot back.
 pub fn run_query(
     dep: &mut Deployment,
     proxy: &mut CubrickProxy,
@@ -166,31 +192,29 @@ pub fn run_query(
     now: SimTime,
     rng: &mut SimRng,
 ) -> QueryOutcome {
-    let fail = |error: CubrickError, attempts: u32, latency: SimDuration| QueryOutcome {
-        success: false,
-        latency,
-        attempts,
-        fan_out: 0,
-        partitions_answered: 0,
-        output: None,
-        error: Some(error),
-        partial: false,
-        coverage: None,
-        served_region: None,
-        coordinator_partition: None,
-    };
-
     if !opts.admission_held {
         if let Err(e) = proxy.admit_class(opts.qos) {
-            return fail(e, 0, SimDuration::ZERO);
+            return failed(e, 0, SimDuration::ZERO, 0);
         }
     }
-    let release = |proxy: &mut CubrickProxy| {
-        if !opts.admission_held {
-            proxy.complete_class(opts.qos);
-        }
-    };
+    let outcome = run_admitted(dep, proxy, net, query, opts, now, rng);
+    if !opts.admission_held {
+        proxy.complete_class(opts.qos);
+    }
+    outcome
+}
 
+/// The attempt loop of an admitted query: every exit is a plain return,
+/// the slot is [`run_query`]'s to release.
+fn run_admitted(
+    dep: &mut Deployment,
+    proxy: &mut CubrickProxy,
+    net: &NetModel,
+    query: &Query,
+    opts: &QueryOptions,
+    now: SimTime,
+    rng: &mut SimRng,
+) -> QueryOutcome {
     let looked_up = {
         let catalog = dep.catalog.read();
         catalog
@@ -199,10 +223,7 @@ pub fn run_query(
     };
     let (def, max_shards) = match looked_up {
         Ok(found) => found,
-        Err(e) => {
-            release(proxy);
-            return fail(e, 0, SimDuration::ZERO);
-        }
+        Err(e) => return failed(e, 0, SimDuration::ZERO, 0),
     };
     let plan = FanoutPlan::for_table(&query.table, def.partitions);
 
@@ -219,10 +240,7 @@ pub fn run_query(
     loop {
         let region = match proxy.choose_region(&region_flags, opts.client_region, &excluded) {
             Ok(r) => r,
-            Err(e) => {
-                release(proxy);
-                return fail(e, attempts, total_latency);
-            }
+            Err(e) => return failed(e, attempts, total_latency, 0),
         };
         attempts += 1;
 
@@ -240,8 +258,7 @@ pub fn run_query(
                 excluded.push(region);
                 continue;
             }
-            release(proxy);
-            return fail(error, attempts, total_latency);
+            return failed(error, attempts, total_latency, 0);
         }
 
         // Coordinator selection costs (§IV-C strategies).
@@ -254,9 +271,9 @@ pub fn run_query(
         }
 
         let Some(region_state) = dep.regions.iter_mut().find(|r| r.region == region) else {
-            release(proxy);
             let detail = format!("proxy chose region {} outside the deployment", region.0);
-            return fail(CubrickError::Internal { detail }, attempts, total_latency);
+            let error = CubrickError::Internal { detail };
+            return failed(error, attempts, total_latency, 0);
         };
         let result = attempt_in_region(
             region_state,
@@ -293,7 +310,6 @@ pub fn run_query(
                 for host in failed_hosts {
                     proxy.record_host_failure(host, now);
                 }
-                release(proxy);
                 let partial = opts.partial_results && !coverage.complete();
                 let output = if opts.execute_data {
                     // Both tolerate-missing-shards modes carry a coverage
@@ -305,7 +321,7 @@ pub fn run_query(
                     };
                     let mut merged = match merged {
                         Ok(out) => out,
-                        Err(e) => return fail(e, attempts, total_latency),
+                        Err(e) => return failed(e, attempts, total_latency, 0),
                     };
                     if let Some(out) = &mut merged {
                         // Coordinator applies ORDER BY / LIMIT on the
@@ -361,27 +377,18 @@ pub fn run_query(
                                 .is_some_and(|h| !proxy.is_blacklisted(h, now))
                     });
                     if !viable_elsewhere {
-                        release(proxy);
-                        let mut outcome = fail(
-                            CubrickError::AllReplicasUnavailable {
-                                table: query.table.clone(),
-                                partition: *partition,
-                            },
-                            attempts,
-                            total_latency,
-                        );
-                        outcome.fan_out = plan.fan_out();
-                        return outcome;
+                        let error = CubrickError::AllReplicasUnavailable {
+                            table: query.table.clone(),
+                            partition: *partition,
+                        };
+                        return failed(error, attempts, total_latency, plan.fan_out());
                     }
                 }
                 if proxy.should_retry(&error, attempts - 1) {
                     excluded.push(region);
                     continue;
                 }
-                release(proxy);
-                let mut outcome = fail(error, attempts, total_latency);
-                outcome.fan_out = plan.fan_out();
-                return outcome;
+                return failed(error, attempts, total_latency, plan.fan_out());
             }
         }
     }
@@ -819,6 +826,105 @@ mod tests {
             Some(CubrickError::NoSuchTable { .. })
         ));
         assert_eq!(f.proxy.active_queries(), 0, "admission slot released");
+    }
+
+    /// Every way a query can fail hands its admission slot back. The merge
+    /// errors are the one exit not driven here: they guard invariants no
+    /// consistent catalog trips, and leave through the same single return.
+    #[test]
+    fn every_failing_exit_releases_the_slot() {
+        /// Each region's owner of the table's first shard.
+        fn first_shard_owners(f: &Fixture) -> Vec<HostId> {
+            let shards = f.dep.catalog.read().shards_of_table("t").unwrap();
+            let owner = |r: &RegionState| r.authoritative_host(shards[0]).unwrap();
+            f.dep.regions.iter().map(owner).collect()
+        }
+        type Case = (
+            &'static str,
+            &'static str,
+            fn(&mut Fixture),
+            fn(&CubrickError) -> bool,
+        );
+        let cases: [Case; 6] = [
+            (
+                "admission refused",
+                "t",
+                |f| {
+                    f.proxy = CubrickProxy::new(ProxyConfig {
+                        max_concurrent_queries: 0,
+                        ..Default::default()
+                    })
+                },
+                |e| matches!(e, CubrickError::AdmissionRejected { .. }),
+            ),
+            (
+                "unknown table",
+                "nope",
+                |_| {},
+                |e| matches!(e, CubrickError::NoSuchTable { .. }),
+            ),
+            (
+                "no region left",
+                "t",
+                |f| f.dep.regions.iter_mut().for_each(|r| r.available = false),
+                |e| matches!(e, CubrickError::NoAvailableRegion),
+            ),
+            (
+                "unreachable region, retries spent",
+                "t",
+                |f| {
+                    // The client's own region is down and the next one is
+                    // behind a cut link.
+                    f.dep.regions[0].available = false;
+                    f.net.cut(0, 1);
+                    f.proxy = CubrickProxy::new(ProxyConfig {
+                        max_retries: 0,
+                        ..Default::default()
+                    });
+                },
+                |e| matches!(e, CubrickError::RegionUnreachable { from: 0, to: 1 }),
+            ),
+            (
+                "every replica blacklisted",
+                "t",
+                |f| {
+                    for owner in first_shard_owners(f) {
+                        blacklist(&mut f.proxy, owner, t(QUERY_TIME));
+                    }
+                },
+                |e| matches!(e, CubrickError::AllReplicasUnavailable { .. }),
+            ),
+            (
+                "servers down everywhere, retries spent",
+                "t",
+                |f| {
+                    // Crashed without SM knowing: every region's attempt
+                    // reaches a dead process.
+                    for (region, owner) in first_shard_owners(f).into_iter().enumerate() {
+                        f.dep.regions[region].nodes.crash(owner);
+                    }
+                },
+                |e| matches!(e, CubrickError::PartitionUnavailable { .. }),
+            ),
+        ];
+        for (name, table, arrange, expected) in cases {
+            let mut f = fixture(0.0);
+            arrange(&mut f);
+            let query = parse_query(&format!("select count(*) from {table}")).unwrap();
+            let outcome = run_query(
+                &mut f.dep,
+                &mut f.proxy,
+                &f.net,
+                &query,
+                &QueryOptions::default(),
+                t(QUERY_TIME),
+                &mut f.rng,
+            );
+            assert!(!outcome.success, "{name}");
+            let error = outcome.error.as_ref().unwrap();
+            assert!(expected(error), "{name}: {error:?}");
+            assert_eq!(f.proxy.active_queries(), 0, "{name}: slot released");
+        }
     }
 
     #[test]

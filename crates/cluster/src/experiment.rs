@@ -9,18 +9,20 @@
 
 use std::collections::BTreeMap;
 
-use cubrick::admission::{AdmissionDecision, QosClass, Ticket, CLASS_COUNT};
+use cubrick::admission::{AdmissionDecision, QosClass, Ticket};
 use cubrick::catalog::RowMapping;
+use cubrick::node::CubrickNode;
 use cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig};
 use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_shard_manager::{HostId, Rack, Region};
+use scalewall_sim::hash::{fnv1a, fnv1a_word, FNV_OFFSET};
 use scalewall_sim::{
     DailyCounter, EventQueue, Exponential, FaultTimeline, Histogram, SimDuration, SimRng, SimTime,
 };
 
-use crate::deployment::{Deployment, DeploymentConfig};
-use crate::driver::{run_query, QueryOptions};
+use crate::deployment::{Deployment, DeploymentConfig, RegionState};
+use crate::driver::{run_query, QueryOptions, QueryOutcome};
 use crate::fault::{FaultKind, FaultScript};
 use crate::net::{NetModel, NetModelConfig};
 use crate::traffic::{QosConfig, QosStats, TrafficModel};
@@ -191,16 +193,6 @@ struct DoneRecord {
     coordinator: Option<u32>,
 }
 
-/// The QoS scalars the hot path needs, copied out of the config so the
-/// event handlers don't fight the borrow checker over `self.config`.
-#[derive(Debug, Clone, Copy)]
-struct QosParams {
-    sla: [SimDuration; CLASS_COUNT],
-    shard_timeout: SimDuration,
-    min_coverage: f64,
-    degraded: bool,
-}
-
 /// The engine.
 pub struct Experiment {
     config: ExperimentConfig,
@@ -236,35 +228,32 @@ pub struct Experiment {
     /// assignment (`rng.fork(4)`), forked unconditionally so QoS and
     /// legacy runs of one seed agree on every other stream.
     qos_rng: SimRng,
-    qos_params: Option<QosParams>,
     qos_stats: QosStats,
     /// Queries parked in the admission queues, by ticket.
     pending: BTreeMap<Ticket, PendingQuery>,
     /// In-flight QoS queries awaiting their `QueryDone`.
     done: BTreeMap<u64, DoneRecord>,
     next_query_id: u64,
-    /// Configured admission slots (capacity-coupling baseline).
-    base_slots: usize,
     due_scratch: Vec<(Ticket, QosClass, SimTime)>,
+}
+
+/// One pass over every node of `region`, crashed processes included.
+fn each_node(region: &mut RegionState, mut pass: impl FnMut(&mut CubrickNode)) {
+    let hosts: Vec<HostId> = region.nodes.hosts().collect();
+    for host in hosts {
+        if let Some(node) = region.nodes.node_mut(host) {
+            pass(node);
+        }
+    }
 }
 
 /// FNV-1a over the population's observable shape (satellite of the
 /// fault-replay tests: proves two runs drew the same population stream).
 fn population_fingerprint(population: &TablePopulation) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mix = |h: &mut u64, byte: u64| {
-        *h ^= byte;
-        *h = h.wrapping_mul(PRIME);
-    };
-    for spec in &population.tables {
-        for b in spec.name.as_bytes() {
-            mix(&mut h, *b as u64);
-        }
-        mix(&mut h, spec.target_bytes);
-        mix(&mut h, spec.partitions as u64);
-    }
-    h
+    population.tables.iter().fold(FNV_OFFSET, |h, spec| {
+        let h = fnv1a(h, spec.name.as_bytes());
+        fnv1a_word(fnv1a_word(h, spec.target_bytes), spec.partitions as u64)
+    })
 }
 
 impl Experiment {
@@ -277,9 +266,11 @@ impl Experiment {
         for spec in &population.tables {
             // A malformed spec degrades to an absent (or empty) table —
             // queries against it fail and are counted — instead of
-            // killing the whole run during setup. The RNG draws happen
-            // unconditionally either way, so degraded and healthy runs
-            // keep every other stream position identical.
+            // killing the whole run during setup; a deployment SM refused
+            // at construction has every table absent and every query
+            // failed. The RNG draws happen unconditionally either way, so
+            // degraded and healthy runs keep every other stream position
+            // identical.
             let created = dep.create_table(
                 &spec.name,
                 spec.schema.clone(),
@@ -308,20 +299,10 @@ impl Experiment {
             .qos
             .as_ref()
             .map(|q| TrafficModel::new(q.traffic.clone(), population.tables.len(), &mut qos_rng));
-        let qos_params = config.qos.as_ref().map(|q| QosParams {
-            sla: q.sla,
-            shard_timeout: q.shard_timeout,
-            min_coverage: q.min_coverage,
-            degraded: q.degraded,
+        let proxy = CubrickProxy::new(ProxyConfig {
+            admission: config.qos.as_ref().map(|q| q.admission),
+            ..Default::default()
         });
-        let base_slots = config.qos.as_ref().map_or(0, |q| q.admission.total_slots);
-        let proxy = match &config.qos {
-            Some(q) => CubrickProxy::new(ProxyConfig {
-                admission: Some(q.admission),
-                ..Default::default()
-            }),
-            None => CubrickProxy::new(ProxyConfig::default()),
-        };
         let net = NetModel::new(config.net);
         Experiment {
             proxy,
@@ -344,12 +325,10 @@ impl Experiment {
             population_fingerprint: population_fingerprint(&population),
             traffic,
             qos_rng,
-            qos_params,
             qos_stats: QosStats::default(),
             pending: BTreeMap::new(),
             done: BTreeMap::new(),
             next_query_id: 0,
-            base_slots,
             due_scratch: Vec::new(),
             config,
             dep,
@@ -398,6 +377,47 @@ impl Experiment {
             .collect()
     }
 
+    /// Background failures and drains strike a uniformly random up host of
+    /// a uniformly random region (`None` when that region has none left).
+    fn pick_victim(&mut self) -> Option<(usize, HostId)> {
+        let region_idx = self.rng.below(self.dep.regions.len() as u64) as usize;
+        let candidates = self.alive_hosts(region_idx);
+        if candidates.is_empty() {
+            return None;
+        }
+        Some((region_idx, *self.rng.pick(&candidates)))
+    }
+
+    /// Ask automation to drain `host`; approved, it returns to service at
+    /// `back_at`, refused, the denial is counted.
+    fn submit_drain(
+        &mut self,
+        region_idx: usize,
+        host: HostId,
+        reason: &str,
+        back_at: SimTime,
+        now: SimTime,
+    ) {
+        let request = scalewall_shard_manager::MaintenanceRequest {
+            hosts: vec![host],
+            reason: reason.to_string(),
+        };
+        let region = &mut self.dep.regions[region_idx];
+        match self
+            .automation
+            .submit(&mut region.sm, &request, now, &mut region.nodes)
+        {
+            Ok(scalewall_shard_manager::MaintenanceVerdict::Approved { .. }) => {
+                let event = Event::Undrain {
+                    region: region_idx,
+                    host,
+                };
+                self.queue.schedule_at(back_at, event);
+            }
+            _ => self.drains_denied += 1,
+        }
+    }
+
     /// Fault scripts may name regions the (smaller) deployment under test
     /// does not have; clamp instead of panicking so one script can drive
     /// a sweep over deployment sizes.
@@ -426,6 +446,12 @@ impl Experiment {
 
     /// Run to the configured horizon and return the collected stats.
     pub fn run(mut self) -> ExperimentStats {
+        let horizon = self.drive();
+        self.finish(horizon)
+    }
+
+    /// Dispatch every event up to the configured horizon; returns it.
+    fn drive(&mut self) -> SimTime {
         self.schedule_initial();
         let horizon = SimTime::ZERO + self.config.duration;
         // Batched dispatch: pop one whole timestamp per kernel call. The
@@ -446,7 +472,7 @@ impl Experiment {
                 self.handle(ev.payload, now);
             }
         }
-        self.finish(horizon)
+        horizon
     }
 
     fn handle(&mut self, event: Event, now: SimTime) {
@@ -464,21 +490,7 @@ impl Experiment {
                     client_region,
                     ..Default::default()
                 };
-                let outcome = run_query(
-                    &mut self.dep,
-                    &mut self.proxy,
-                    &self.net,
-                    &query,
-                    &opts,
-                    now,
-                    &mut self.rng,
-                );
-                if outcome.success {
-                    self.queries_ok += 1;
-                    self.stats_latency.record_duration(outcome.latency);
-                } else {
-                    self.queries_failed += 1;
-                }
+                self.run_counted(&query, &opts, now);
                 let gap = self.next_query_gap();
                 self.queue.schedule_after(gap, Event::Query);
             }
@@ -494,45 +506,25 @@ impl Experiment {
             }
             Event::DecayPass => {
                 for region in &mut self.dep.regions {
-                    let hosts: Vec<HostId> = region.nodes.hosts().collect();
-                    for host in hosts {
-                        if let Some(node) = region.nodes.node_mut(host) {
-                            node.decay_pass();
-                        }
-                    }
+                    each_node(region, |node| {
+                        node.decay_pass();
+                    });
                 }
                 self.queue
                     .schedule_after(self.config.decay_interval, Event::DecayPass);
             }
             Event::MemoryMonitor => {
                 for region in &mut self.dep.regions {
-                    let hosts: Vec<HostId> = region.nodes.hosts().collect();
-                    for host in hosts {
-                        if let Some(node) = region.nodes.node_mut(host) {
-                            node.run_memory_monitor();
-                        }
-                    }
+                    each_node(region, |node| {
+                        node.run_memory_monitor();
+                    });
                 }
                 self.queue
                     .schedule_after(self.config.memory_monitor_interval, Event::MemoryMonitor);
             }
             Event::PermanentFailure => {
                 // Pick a random alive host anywhere in the fleet.
-                let region_idx = self.rng.below(self.dep.regions.len() as u64) as usize;
-                let candidates: Vec<HostId> = {
-                    let region = &self.dep.regions[region_idx];
-                    region
-                        .nodes
-                        .hosts()
-                        .filter(|&h| !region.nodes.is_down(h))
-                        .filter(|&h| {
-                            region.sm.host_state(h)
-                                == Some(scalewall_shard_manager::HostState::Alive)
-                        })
-                        .collect()
-                };
-                if !candidates.is_empty() {
-                    let host = *self.rng.pick(&candidates);
+                if let Some((region_idx, host)) = self.pick_victim() {
                     self.dep.fail_host(region_idx, host, now);
                     self.repairs.incr(now);
                     self.queue.schedule_after(
@@ -547,14 +539,17 @@ impl Experiment {
                 self.queue.schedule_after(gap, Event::PermanentFailure);
             }
             Event::Repair { region, host } => {
-                self.dep.replace_host(region, host, now);
+                let replaced = self.dep.replace_host(region, host, now).is_some();
                 if self.dep.regions[region].sm.host_state(host).is_some() {
-                    // Assignments still draining off the dead host;
-                    // decommission once they have.
-                    self.queue.schedule_after(
-                        SimDuration::from_hours(1),
-                        Event::Decommission { region, host },
-                    );
+                    // Assignments still draining off the dead host:
+                    // decommission once they have. Or the coordination
+                    // plane refused the replacement: repair again.
+                    let next = if replaced {
+                        Event::Decommission { region, host }
+                    } else {
+                        Event::Repair { region, host }
+                    };
+                    self.queue.schedule_after(SimDuration::from_hours(1), next);
                 }
             }
             Event::Decommission { region, host } => {
@@ -567,40 +562,9 @@ impl Experiment {
             }
             Event::Drain => {
                 self.drains_requested += 1;
-                let region_idx = self.rng.below(self.dep.regions.len() as u64) as usize;
-                let candidates: Vec<HostId> = {
-                    let region = &self.dep.regions[region_idx];
-                    region
-                        .nodes
-                        .hosts()
-                        .filter(|&h| {
-                            region.sm.host_state(h)
-                                == Some(scalewall_shard_manager::HostState::Alive)
-                        })
-                        .collect()
-                };
-                if !candidates.is_empty() {
-                    let host = *self.rng.pick(&candidates);
-                    let request = scalewall_shard_manager::MaintenanceRequest {
-                        hosts: vec![host],
-                        reason: "scheduled maintenance".to_string(),
-                    };
-                    let region = &mut self.dep.regions[region_idx];
-                    match self
-                        .automation
-                        .submit(&mut region.sm, &request, now, &mut region.nodes)
-                    {
-                        Ok(scalewall_shard_manager::MaintenanceVerdict::Approved { .. }) => {
-                            self.queue.schedule_after(
-                                self.config.maintenance_duration,
-                                Event::Undrain {
-                                    region: region_idx,
-                                    host,
-                                },
-                            );
-                        }
-                        _ => self.drains_denied += 1,
-                    }
+                if let Some((region_idx, host)) = self.pick_victim() {
+                    let back_at = now + self.config.maintenance_duration;
+                    self.submit_drain(region_idx, host, "scheduled maintenance", back_at, now);
                 }
                 let gap = self.next_drain_gap();
                 self.queue.schedule_after(gap, Event::Drain);
@@ -618,11 +582,7 @@ impl Experiment {
                         let candidates = self.alive_hosts(region_idx);
                         if !candidates.is_empty() {
                             let host = *self.fault_rng.pick(&candidates);
-                            self.dep.fail_host(region_idx, host, now);
-                            self.fault_crashed
-                                .entry(window)
-                                .or_default()
-                                .push((region_idx, host));
+                            self.crash_until_repair(window, region_idx, host, now);
                         }
                     }
                     FaultKind::RackOutage { region, rack } => {
@@ -630,11 +590,7 @@ impl Experiment {
                         let alive = self.alive_hosts(region_idx);
                         for host in self.dep.hosts_in_rack(region_idx, Rack(rack)) {
                             if alive.contains(&host) {
-                                self.dep.fail_host(region_idx, host, now);
-                                self.fault_crashed
-                                    .entry(window)
-                                    .or_default()
-                                    .push((region_idx, host));
+                                self.crash_until_repair(window, region_idx, host, now);
                             }
                         }
                     }
@@ -664,30 +620,7 @@ impl Experiment {
                         let repair_at = self.faults.windows()[window].repair_at();
                         for host in candidates.into_iter().take(drains as usize) {
                             self.drains_requested += 1;
-                            let request = scalewall_shard_manager::MaintenanceRequest {
-                                hosts: vec![host],
-                                reason: "drain storm".to_string(),
-                            };
-                            let region = &mut self.dep.regions[region_idx];
-                            match self.automation.submit(
-                                &mut region.sm,
-                                &request,
-                                now,
-                                &mut region.nodes,
-                            ) {
-                                Ok(scalewall_shard_manager::MaintenanceVerdict::Approved {
-                                    ..
-                                }) => {
-                                    self.queue.schedule_at(
-                                        repair_at,
-                                        Event::Undrain {
-                                            region: region_idx,
-                                            host,
-                                        },
-                                    );
-                                }
-                                _ => self.drains_denied += 1,
-                            }
+                            self.submit_drain(region_idx, host, "drain storm", repair_at, now);
                         }
                     }
                 }
@@ -731,6 +664,19 @@ impl Experiment {
                 self.handle_query_done(id, now);
             }
         }
+    }
+
+    /// Run one query against the deployment and count its outcome.
+    fn run_counted(&mut self, query: &Query, opts: &QueryOptions, now: SimTime) -> QueryOutcome {
+        let (dep, proxy, rng) = (&mut self.dep, &mut self.proxy, &mut self.rng);
+        let outcome = run_query(dep, proxy, &self.net, query, opts, now, rng);
+        if outcome.success {
+            self.queries_ok += 1;
+            self.stats_latency.record_duration(outcome.latency);
+        } else {
+            self.queries_failed += 1;
+        }
+        outcome
     }
 
     fn schedule_next_arrival(&mut self, now: SimTime) {
@@ -790,7 +736,7 @@ impl Experiment {
         queue_wait: SimDuration,
         now: SimTime,
     ) {
-        let Some(p) = self.qos_params else {
+        let Some(p) = &self.config.qos else {
             // Not in QoS mode (unreachable from the event loop): return
             // the slot rather than leak it.
             self.proxy.admission_mut().complete(class);
@@ -806,27 +752,23 @@ impl Experiment {
             shard_timeout: Some(p.shard_timeout),
             admission_held: true,
         };
-        let outcome = run_query(
-            &mut self.dep,
-            &mut self.proxy,
-            &self.net,
-            query,
-            &opts,
-            now,
-            &mut self.rng,
-        );
+        let (min_coverage, sla) = (p.min_coverage, p.sla[class.index()]);
+        let outcome = self.run_counted(query, &opts, now);
         let id = self.next_query_id;
         self.next_query_id += 1;
+        let mut record = DoneRecord {
+            class,
+            region: None,
+            table: query.table.clone(),
+            coordinator: None,
+        };
         if outcome.success {
-            self.queries_ok += 1;
-            self.stats_latency.record_duration(outcome.latency);
             let coverage_ok = !outcome.partial
                 || outcome
                     .coverage
                     .as_ref()
                     .map_or(1.0, |c| c.fraction())
-                    >= p.min_coverage;
-            let sla = p.sla[class.index()];
+                    >= min_coverage;
             let counters = self.qos_stats.class_mut(class);
             if coverage_ok {
                 counters.completed += 1;
@@ -849,28 +791,12 @@ impl Experiment {
             if let Some(cp) = outcome.coordinator_partition {
                 self.proxy.note_coordinator_start(&query.table, cp);
             }
-            self.done.insert(
-                id,
-                DoneRecord {
-                    class,
-                    region: outcome.served_region,
-                    table: query.table.clone(),
-                    coordinator: outcome.coordinator_partition,
-                },
-            );
+            record.region = outcome.served_region;
+            record.coordinator = outcome.coordinator_partition;
         } else {
-            self.queries_failed += 1;
             self.qos_stats.class_mut(class).failed += 1;
-            self.done.insert(
-                id,
-                DoneRecord {
-                    class,
-                    region: None,
-                    table: query.table.clone(),
-                    coordinator: None,
-                },
-            );
         }
+        self.done.insert(id, record);
         // The slot stays held for the query's full latency (failed
         // attempts occupied capacity too).
         self.queue
@@ -922,16 +848,23 @@ impl Experiment {
     /// Capacity coupling: a region outage withdraws that region's share
     /// of admission slots; its repair returns them (QoS mode only).
     fn recouple_capacity(&mut self, now: SimTime) {
-        if self.qos_params.is_none() {
-            return;
-        }
+        let Some(qos) = &self.config.qos else { return };
         let regions = self.dep.regions.len().max(1);
         let dead = self.dep.regions.iter().filter(|r| !r.available).count();
         // Round up: losing any region must withdraw at least one slot,
         // or small slot counts would never feel an outage.
-        let offline = (self.base_slots * dead).div_ceil(regions);
+        let offline = (qos.admission.total_slots * dead).div_ceil(regions);
         self.proxy.admission_mut().set_slots_offline(offline);
         self.pump_admission(now);
+    }
+
+    /// Crash `host` for fault window `window`, whose repair restores it.
+    fn crash_until_repair(&mut self, window: usize, region: usize, host: HostId, now: SimTime) {
+        self.dep.fail_host(region, host, now);
+        self.fault_crashed
+            .entry(window)
+            .or_default()
+            .push((region, host));
     }
 
     /// Restore a fault-crashed host in place, retrying hourly while it is
@@ -977,21 +910,14 @@ impl Experiment {
         // Fig 4e: final hotness census over region 0 (all regions are
         // statistically identical).
         let mut final_hotness = Vec::new();
-        let hot_threshold = {
-            let mut threshold = 4;
-            if let Some(region) = self.dep.regions.first() {
-                let hosts: Vec<HostId> = region.nodes.hosts().collect();
-                for host in hosts {
-                    if let Some(node) = region.nodes.node(host) {
-                        threshold = node.config().hot_threshold;
-                        for (_, _, _, counter) in node.hotness_snapshot() {
-                            final_hotness.push(counter);
-                        }
-                    }
-                }
-            }
-            threshold
-        };
+        let mut hot_threshold = 4;
+        if let Some(region) = self.dep.regions.first_mut() {
+            each_node(region, |node| {
+                hot_threshold = node.config().hot_threshold;
+                let counters = node.hotness_snapshot().into_iter();
+                final_hotness.extend(counters.map(|(_, _, _, counter)| counter));
+            });
+        }
 
         ExperimentStats {
             queries_ok: self.queries_ok,
@@ -1051,6 +977,27 @@ mod tests {
         assert_eq!(a.drains_requested, b.drains_requested);
         assert_eq!(a.final_hotness, b.final_hotness);
         assert_eq!(a.latency.summary(), b.latency.summary());
+    }
+
+    /// `Experiment::new` cannot fail, so a deployment SM refused at
+    /// construction (here: a headroom above 1) must not pass for a healthy
+    /// run: no table exists, every query fails, nothing moves.
+    #[test]
+    fn refused_deployment_fails_every_query() {
+        let mut config = ExperimentConfig {
+            duration: SimDuration::from_hours(2),
+            query_rate: 0.02,
+            rows_per_table: 10,
+            ..Default::default()
+        };
+        config.workload.tables = 3;
+        config.deployment.hosts_per_region = 4;
+        config.deployment.balancer.capacity_headroom = 1.5;
+        let stats = Experiment::new(config).run();
+        assert_eq!(stats.queries_ok, 0);
+        assert!(stats.queries_failed > 50, "{} queries ran", stats.queries_failed);
+        assert_eq!(stats.success_ratio(), 0.0);
+        assert_eq!(stats.migrations_per_day.iter().sum::<u64>(), 0);
     }
 
     fn qos_overload_config(offered_load: f64) -> ExperimentConfig {
@@ -1179,6 +1126,108 @@ mod tests {
         // Replays bit-identically.
         let again = Experiment::new(config()).run();
         assert_eq!(faulted.qos, again.qos);
+    }
+
+    /// The runs `tests/regression_control_plane_bits.rs` pins by counter,
+    /// pinned here by decision: per region, every migration record and the
+    /// final owner of every shard. Captured on `f27cb00` with this test
+    /// (and the `run`/`drive` split it needs) applied to that commit; same
+    /// rule for a re-pin.
+    #[test]
+    fn control_plane_records_match_parent() {
+        use scalewall_shard_manager::{MigrationCause, MigrationKind, MigrationPhase};
+        let hour = |h: u64| SimTime::from_secs(h * 3_600);
+        let config = |replicated: bool| ExperimentConfig {
+            deployment: DeploymentConfig {
+                regions: 3,
+                hosts_per_region: 12,
+                racks_per_region: 3,
+                max_shards: 100_000,
+                sm: scalewall_shard_manager::SmConfig {
+                    replication: replicated.then(scalewall_zk::ZkReplicationConfig::default),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            workload: WorkloadConfig {
+                tables: 8,
+                ..Default::default()
+            },
+            duration: SimDuration::from_hours(6),
+            query_rate: 0.05,
+            rows_per_table: 150,
+            host_mtbf: SimDuration::from_days(2),
+            repair_delay: SimDuration::from_hours(1),
+            drains_per_day: 24.0,
+            maintenance_duration: SimDuration::from_mins(40),
+            faults: FaultScript::new()
+                .with(FaultKind::HostCrash { region: 1 }, hour(1), SimDuration::from_mins(50))
+                .with(FaultKind::RackOutage { region: 0, rack: 1 }, hour(2), SimDuration::from_mins(45))
+                .with(FaultKind::DrainStorm { region: 2, drains: 4 }, hour(3), SimDuration::from_mins(30))
+                .with(FaultKind::ZkNodeCrash { region: 0 }, hour(4), SimDuration::from_mins(20)),
+            seed: 0xB175,
+            ..Default::default()
+        };
+        let fold = |h: &mut u64, w: u64| *h = fnv1a_word(*h, w);
+        // Per region: records, their digest, the digest of shard owners.
+        // One pin for both planes: a zk node crash the ensemble rides out
+        // moves no shard.
+        #[rustfmt::skip]
+        let pin = [
+            [53, 9_389_864_346_966_014_760, 15_747_863_323_997_391_686],
+            [33, 4_697_835_171_677_534_926, 10_963_032_308_153_735_842],
+            [22, 5_271_234_474_119_015_128, 3_255_345_485_098_326_052u64],
+        ];
+        for replicated in [false, true] {
+            let mut e = Experiment::new(config(replicated));
+            let horizon = e.drive();
+            e.dep.tick(horizon);
+            let mut observed = Vec::new();
+            for region in &e.dep.regions {
+                let mut records = FNV_OFFSET;
+                for m in region.sm.migration_history() {
+                    for w in [
+                        m.id.0,
+                        m.shard.0,
+                        m.from.map_or(u64::MAX, |h| h.0),
+                        m.to.0,
+                        match m.kind {
+                            MigrationKind::Plain => 0,
+                            MigrationKind::Graceful => 1,
+                            MigrationKind::Failover => 2,
+                        },
+                        match m.cause {
+                            MigrationCause::LoadBalance => 0,
+                            MigrationCause::Drain => 1,
+                            MigrationCause::HostFailure => 2,
+                            MigrationCause::Manual => 3,
+                        },
+                        match m.phase {
+                            MigrationPhase::Copying => 0,
+                            MigrationPhase::Forwarding => 1,
+                            MigrationPhase::Done => 2,
+                            MigrationPhase::Failed => 3,
+                        },
+                        m.started_at.as_nanos(),
+                        m.finished_at.map_or(u64::MAX, |t| t.as_nanos()),
+                    ] {
+                        fold(&mut records, w);
+                    }
+                }
+                let mut owners = FNV_OFFSET;
+                for spec in &e.population.tables {
+                    for shard in e.dep.catalog.read().shards_of_table(&spec.name).unwrap() {
+                        fold(&mut owners, shard);
+                        fold(&mut owners, region.authoritative_host(shard).map_or(u64::MAX, |h| h.0));
+                    }
+                }
+                observed.push([region.sm.migration_history().len() as u64, records, owners]);
+            }
+            assert_eq!(
+                observed, pin,
+                "control-plane records (replicated: {replicated}) moved off the parent; observed:\n{observed:?}"
+            );
+        }
     }
 
     /// A small but complete end-to-end run: every event type fires, the

@@ -64,15 +64,18 @@ pub struct TableSpec {
 /// The standard tenant schema: a date dimension, an entity dimension and
 /// two metrics (the dashboard shape the paper's intro motivates).
 pub fn standard_schema(ds_range: i64) -> Arc<Schema> {
-    Arc::new(
-        SchemaBuilder::new()
-            .int_dim("ds", 0, ds_range, (ds_range / 24).max(1) as u32)
-            .str_dim("entity", 10_000, 500)
-            .metric("clicks")
-            .metric("cost")
-            .build()
-            .expect("static schema is valid"),
-    )
+    let built = SchemaBuilder::new()
+        .int_dim("ds", 0, ds_range, (ds_range / 24).max(1) as u32)
+        .str_dim("entity", 10_000, 500)
+        .metric("clicks")
+        .metric("cost")
+        .build();
+    match built {
+        Ok(schema) => Arc::new(schema),
+        // The day range is all `Schema::new` can refuse here (empty, or
+        // beyond an int dimension's ordinals): a year of days, then.
+        Err(_) => standard_schema(365),
+    }
 }
 
 /// Bytes one row of the standard schema occupies (2 × u32 dims +
@@ -175,22 +178,9 @@ pub fn gen_rows(_spec: &TableSpec, n: usize, day_horizon: i64, rng: &mut SimRng)
 /// Generate a dashboard-style query against a table: an aggregate over a
 /// recent `ds` window, sometimes grouped by day.
 pub fn gen_query(spec: &TableSpec, day_horizon: i64, rng: &mut SimRng) -> Query {
-    let window = 1 + rng.below(28) as i64;
-    let hi = (day_horizon - 1).max(0);
-    let lo = (hi - window).max(0);
-    let group_by = if rng.chance(0.5) {
-        vec!["ds".to_string()]
-    } else {
-        Vec::new()
-    };
-    Query {
-        table: spec.name.clone(),
-        aggs: vec![AggSpec::new(AggFunc::Sum, "clicks"), AggSpec::count_star()],
-        predicates: vec![Predicate::between("ds", lo, hi)],
-        group_by,
-        order_by: None,
-        limit: None,
-    }
+    // The legacy shape is the best-effort one: up to 28 days, grouped by
+    // day half the time, the same two draws.
+    gen_query_for_class(spec, cubrick::admission::QosClass::BestEffort, day_horizon, rng)
 }
 
 /// Class-shaped variant of [`gen_query`]: interactive dashboards look
@@ -230,6 +220,21 @@ pub fn gen_query_for_class(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn standard_schema_is_valid_at_any_range() {
+        let days = |schema: &Schema| match schema.dimensions[0].kind {
+            cubrick::schema::DimKind::Int { min, max } => max - min,
+            _ => panic!("ds is an int dimension"),
+        };
+        for ds_range in [1, 23, 24, 365, u32::MAX as i64] {
+            assert_eq!(days(&standard_schema(ds_range)), ds_range);
+        }
+        // No int dimension holds these; the fallback is a year of days.
+        for ds_range in [i64::MIN, -1, 0, u32::MAX as i64 + 1, i64::MAX] {
+            assert_eq!(standard_schema(ds_range), standard_schema(365), "ds_range {ds_range}");
+        }
+    }
 
     #[test]
     fn population_shapes_like_fig4b() {

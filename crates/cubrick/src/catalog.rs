@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use scalewall_sim::hash::{fnv1a_word, FNV_OFFSET};
 use scalewall_sim::sync::RwLock;
 
 use crate::error::{CubrickError, CubrickResult};
@@ -60,7 +61,7 @@ impl TableDef {
         match self.row_mapping {
             RowMapping::Random => (entropy % self.partitions as u64) as u32,
             RowMapping::Hash => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+                let mut h = FNV_OFFSET;
                 for v in &row.dims {
                     let piece = match v {
                         Value::Int(x) => fnv1a(&x.to_le_bytes()),
@@ -68,7 +69,7 @@ impl TableDef {
                         Value::Double(d) => fnv1a(&d.to_bits().to_le_bytes()),
                         Value::Null => 0,
                     };
-                    h = (h ^ piece).wrapping_mul(0x100_0000_01b3);
+                    h = fnv1a_word(h, piece);
                 }
                 (h % self.partitions as u64) as u32
             }

@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use scalewall_sim::hash::{self, mix64};
+
 /// The reserved separator between table name and partition index. "`#` is
 /// a special character and thus not allowed as part of table names."
 pub const PARTITION_SEP: char = '#';
@@ -22,32 +24,17 @@ pub const PARTITION_SEP: char = '#';
 /// `DefaultHasher`: its output may change across Rust releases, which
 /// would silently remap every production shard on an upgrade).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+    hash::fnv1a(hash::FNV_OFFSET, bytes)
 }
 
-/// Continue an FNV-1a pass: `fnv1a(ab) == fnv1a_extend(fnv1a(a), b)`.
-fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Final avalanche mix (SplitMix64 finalizer). Raw FNV-1a is *too*
-/// structured on strings that differ only in a short numeric suffix: the
-/// low bits of `fnv1a("tbl#1")` and `fnv1a("tbl#2")` differ by a small
-/// multiple of the FNV prime, so taking it modulo a shard-space size
-/// almost never self-collides — unrealistically better than the
-/// production hash the paper models. The finalizer restores ideal-hash
-/// (birthday) collision behaviour.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The stable string hash used by the shard mapping.
+/// The stable string hash used by the shard mapping: FNV-1a with a
+/// final avalanche mix. Raw FNV-1a is *too* structured on strings that
+/// differ only in a short numeric suffix: the low bits of
+/// `fnv1a("tbl#1")` and `fnv1a("tbl#2")` differ by a small multiple of the
+/// FNV prime, so taking it modulo a shard-space size almost never
+/// self-collides — unrealistically better than the production hash the
+/// paper models. The finalizer restores ideal-hash (birthday) collision
+/// behaviour.
 pub fn stable_hash(bytes: &[u8]) -> u64 {
     mix64(fnv1a(bytes))
 }
@@ -74,8 +61,8 @@ fn partition_hash(table: &str, partition: u32) -> u64 {
     }
     let mut sep = [0u8; 4];
     let sep = PARTITION_SEP.encode_utf8(&mut sep).as_bytes();
-    let name = fnv1a_extend(fnv1a(table.as_bytes()), sep);
-    mix64(fnv1a_extend(name, &digits[start..]))
+    let name = hash::fnv1a(fnv1a(table.as_bytes()), sep);
+    mix64(hash::fnv1a(name, &digits[start..]))
 }
 
 /// Parse an internal partition name back into `(table, partition)`.

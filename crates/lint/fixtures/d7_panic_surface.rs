@@ -1,5 +1,5 @@
-//! Seeded D7 fixture: every panic-surface shape the hot-path audit
-//! flags — unwrap, expect, the panic macro family, and literal indexing.
+//! Seeded D7 fixture: every panic-surface shape the audit flags —
+//! unwrap, expect, the panic macro family, and literal indexing.
 
 fn unwrap_and_expect(x: Option<u32>) -> u32 {
     let a = x.unwrap();
@@ -18,4 +18,11 @@ fn panic_family(n: u32) -> u32 {
 
 fn literal_index(v: &[u32]) -> u32 {
     v[0]
+}
+
+/// The array exemption is by declared type: a slice behind a local of
+/// unstated type is as unbounded as the parameter it came from.
+fn literal_index_into_untyped_local(v: &[u32]) -> u32 {
+    let window = v;
+    window[0]
 }

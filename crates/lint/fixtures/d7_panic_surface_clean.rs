@@ -1,5 +1,6 @@
 //! Clean pair for the D7 fixture: the same shapes written to degrade —
-//! `?`, `.get`/`.first` with defaults, and the fixed-size-array idiom.
+//! `?`, `.get`/`.first` with defaults, and the fixed-size-array idiom on
+//! a field and on a local.
 
 fn checked(x: Option<u32>) -> Option<u32> {
     let a = x?;
@@ -24,4 +25,14 @@ impl Wheel {
     fn level0(&self) -> u64 {
         self.occupied[0]
     }
+}
+
+/// Literal index into a local declared as an array: the seed-expansion
+/// idiom of `sim::rng`, bounded by the type like the field above.
+fn expand(seed: u64) -> [u64; 4] {
+    let mut state: [u64; 4] = [seed; 4];
+    if state == [0; 4] {
+        state[0] = 1;
+    }
+    state
 }

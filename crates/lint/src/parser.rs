@@ -1201,7 +1201,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 self.bump();
                 self.eat_punct('=');
-                if self.range_end_follows(no_struct_lit) {
+                if self.range_end_follows() {
                     parts.push(self.operand(no_struct_lit));
                 }
                 continue;
@@ -1248,10 +1248,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn range_end_follows(&self, no_struct_lit: bool) -> bool {
+    fn range_end_follows(&self) -> bool {
         match self.peek() {
-            None | Some(Tok::Punct(')' | ']' | '}' | ',' | ';' | '=')) => false,
-            Some(Tok::Punct('{')) => !no_struct_lit && false, // `{` never continues a range
+            // `{` never continues a range.
+            None | Some(Tok::Punct(')' | ']' | '}' | '{' | ',' | ';' | '=')) => false,
             Some(Tok::Ident(i)) if i == "else" || i == "in" => false,
             _ => true,
         }

@@ -33,6 +33,16 @@ pub struct ShardContext {
     pub source: Option<HostId>,
 }
 
+impl ShardContext {
+    pub fn new(shard: ShardId, reason: AddShardReason, source: Option<HostId>) -> Self {
+        ShardContext {
+            shard,
+            reason,
+            source,
+        }
+    }
+}
+
 /// The endpoints an application links into its server binary.
 ///
 /// All methods are invoked by SM Server (never by clients) and run on the

@@ -135,8 +135,9 @@ impl AutomationEngine {
         let mut remaining_capacity = 0.0;
         let mut total_load = 0.0;
         for host in sm.host_ids() {
-            let state = sm.host_state(host).expect("listed host");
-            let info = sm.host_info(host).expect("listed host");
+            let (Some(state), Some(info)) = (sm.host_state(host), sm.host_info(host)) else {
+                continue;
+            };
             total_load += sm.host_load(host);
             if state == HostState::Alive && !request.hosts.contains(&host) {
                 remaining_capacity += info.capacity;

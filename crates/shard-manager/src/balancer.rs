@@ -113,15 +113,13 @@ pub fn propose_rebalance(
         let mean: f64 = load.iter().map(|(h, l)| l / capacity[h]).sum::<f64>() / load.len() as f64;
         // Most- and least-loaded hosts by fraction (ties by id, for
         // determinism).
-        let donor = load
-            .keys()
-            .copied()
-            .max_by(|a, b| {
-                frac(&load, *a, &capacity)
-                    .total_cmp(&frac(&load, *b, &capacity))
-                    .then_with(|| b.0.cmp(&a.0))
-            })
-            .expect("non-empty");
+        let Some(donor) = load.keys().copied().max_by(|a, b| {
+            frac(&load, *a, &capacity)
+                .total_cmp(&frac(&load, *b, &capacity))
+                .then_with(|| b.0.cmp(&a.0))
+        }) else {
+            break;
+        };
         let donor_frac = frac(&load, donor, &capacity);
         if mean <= 0.0 || donor_frac / mean <= 1.0 + config.imbalance_tolerance {
             break; // balanced enough
@@ -162,9 +160,11 @@ pub fn propose_rebalance(
         }
 
         let Some((idx, receiver)) = chosen else { break };
-        let (shard, weight) = by_host.get_mut(&donor).expect("donor present").remove(idx);
-        *load.get_mut(&donor).expect("donor load") -= weight;
-        *load.get_mut(&receiver).expect("receiver load") += weight;
+        let (shard, weight) = donor_shards.remove(idx);
+        // Both are keys of `load`: the donor was picked from it, the
+        // receiver from its other keys.
+        *load.entry(donor).or_default() -= weight;
+        *load.entry(receiver).or_default() += weight;
         // Deliberately NOT added to the receiver's candidate list: a
         // shard moves at most once per run (each proposal is a real
         // migration — bouncing one shard twice would pay two copies for

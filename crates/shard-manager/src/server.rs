@@ -31,7 +31,7 @@ use crate::ids::{HostId, HostInfo, HostState, ShardId};
 use crate::migration::{
     MigrationCause, MigrationId, MigrationKind, MigrationPhase, MigrationRecord, MigrationTimings,
 };
-use crate::placement::{rank_candidates_hinted, HostSnapshot, SpreadHint};
+use crate::placement::{rank_candidates_hinted, Candidate, HostSnapshot, SpreadHint};
 use crate::spec::{AppSpec, Role, SpreadDomain};
 
 /// Shared handle to the discovery mapping store.
@@ -102,24 +102,35 @@ impl AppState {
     fn weight_of(&self, shard: ShardId, default: f64) -> f64 {
         self.weights.get(&shard).copied().unwrap_or(default)
     }
+
+    /// Shards with a replica on `host`, ascending.
+    fn shards_on(&self, host: HostId) -> impl Iterator<Item = ShardId> + '_ {
+        self.assignments
+            .iter()
+            .filter(move |(_, replicas)| on_host(replicas, host))
+            .map(|(&s, _)| s)
+    }
 }
 
-/// Soft anti-affinity hint for placing `exclude_shard` of group `group`:
-/// avoid hosts already holding a shard of the group, and (at rack scope)
-/// the failure domains those hosts live in. Best-effort — never shrinks
-/// the feasible set (see `placement.rs`).
+fn on_host(replicas: &[(HostId, Role)], host: HostId) -> bool {
+    replicas.iter().any(|(h, _)| *h == host)
+}
+
+/// Soft anti-affinity hint for placing `exclude_shard` of the group on
+/// record for it: avoid hosts already holding a shard of the group, and
+/// (at rack scope) the failure domains those hosts live in. Best-effort —
+/// never shrinks the feasible set (see `placement.rs`).
 fn group_spread_hint(
     app: &AppState,
     hosts: &BTreeMap<HostId, HostEntry>,
-    group: Option<u64>,
     exclude_shard: ShardId,
 ) -> SpreadHint {
-    let Some(group) = group else {
+    let Some(group) = app.groups.get(&exclude_shard) else {
         return SpreadHint::none();
     };
     let mut avoid_hosts: std::collections::BTreeSet<HostId> = std::collections::BTreeSet::new();
     for (&shard, replicas) in &app.assignments {
-        if shard == exclude_shard || app.groups.get(&shard) != Some(&group) {
+        if shard == exclude_shard || app.groups.get(&shard) != Some(group) {
             continue;
         }
         for &(h, _) in replicas {
@@ -439,7 +450,7 @@ impl SmServer {
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<Vec<HostId>> {
-        let app = self.app(app_name)?;
+        let app = self.app_mut(app_name)?;
         if shard.0 >= app.spec.max_shards {
             return Err(SmError::ShardOutOfRange {
                 shard,
@@ -451,130 +462,140 @@ impl SmServer {
         }
         let replication = app.spec.replication;
         let spread = app.spec.spread;
-        let headroom = app.spec.balancer.capacity_headroom;
-        let total = replication.total_replicas();
-        let hint = group_spread_hint(app, &self.hosts, group, shard);
+        // What placement reads about a shard; withdrawn if it finds no home.
+        app.weights.insert(shard, weight_hint);
+        if let Some(g) = group {
+            app.groups.insert(shard, g);
+        }
+        let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
 
-        let mut snapshots = self.snapshots();
-        let mut placed: Vec<(HostId, Role)> = Vec::with_capacity(total as usize);
-        let mut used_domains: Vec<u64> = Vec::with_capacity(total as usize);
+        let mut placed: Vec<(HostId, Role)> = Vec::new();
+        let mut used_domains: Vec<u64> = Vec::new();
         let mut vetoed: Vec<HostId> = Vec::new();
-
-        for i in 0..total {
-            let role = replication.role_of(i);
-            loop {
-                let candidates = rank_candidates_hinted(
-                    &snapshots,
-                    weight_hint,
-                    headroom,
-                    spread,
-                    &used_domains,
-                    &vetoed,
-                    &hint,
-                );
-                // Jitter randomizes among the least-loaded candidates but
-                // never escapes the leading penalty class — otherwise it
-                // would trade away the group's rack-spread guarantee.
-                let class_len = if hint.is_empty() {
-                    candidates.len()
-                } else {
-                    let pen = |h: HostId| {
-                        snapshots
-                            .iter()
-                            .find(|s| s.info.id == h)
-                            .map(|s| hint.penalty(&s.info))
-                            .unwrap_or(0)
-                    };
-                    let first = candidates.first().map(|c| pen(c.host)).unwrap_or(0);
-                    candidates
-                        .iter()
-                        .take_while(|c| pen(c.host) == first)
-                        .count()
-                };
-                let jitter = self
-                    .config
-                    .placement_jitter
-                    .max(1)
-                    .min(class_len.max(1));
-                let pick = if jitter > 1 {
-                    self.rng.below(jitter as u64) as usize
-                } else {
-                    0
-                };
-                let Some(best) = candidates.get(pick).copied() else {
+        for i in 0..replication.total_replicas() {
+            let jitter = self.config.placement_jitter;
+            let placement = self.place(app_name, ctx, &used_domains, &mut vetoed, jitter, registry);
+            let host = match placement {
+                Ok(host) => host,
+                Err(e) => {
                     // Roll back replicas already placed.
                     for &(h, _) in &placed {
                         if let Some(server) = registry.server(h) {
-                            let _ = server.drop_shard(ShardContext {
-                                shard,
-                                reason: AddShardReason::NewAllocation,
-                                source: None,
-                            });
+                            let _ = server.drop_shard(ctx);
                         }
                     }
-                    return Err(SmError::NoFeasibleHost {
-                        shard,
-                        needed_weight: weight_hint,
-                    });
-                };
-                let ctx = ShardContext {
-                    shard,
-                    reason: AddShardReason::NewAllocation,
-                    source: None,
-                };
-                let accepted = match registry.server(best.host) {
-                    Some(server) => match server.add_shard(ctx) {
-                        Ok(()) => true,
-                        Err(e) if e.is_retryable() => false,
-                        Err(_) => false,
-                    },
-                    None => false,
-                };
-                if accepted {
-                    placed.push((best.host, role));
-                    let info = self.hosts[&best.host].info;
-                    used_domains.push(info.domain(spread));
-                    for s in &mut snapshots {
-                        if s.info.id == best.host {
-                            s.load += weight_hint;
-                        }
-                    }
-                    break;
+                    let app = self.app_mut(app_name)?;
+                    app.weights.remove(&shard);
+                    app.groups.remove(&shard);
+                    return Err(e);
                 }
-                vetoed.push(best.host);
-                if vetoed.len() > self.config.max_veto_retries + self.hosts.len() {
-                    return Err(SmError::AllTargetsVetoed {
-                        shard,
-                        attempts: vetoed.len(),
-                    });
-                }
-            }
+            };
+            // The domain also rules the host itself out for the shard's
+            // other replicas, so loads can wait until all are placed.
+            placed.push((host, replication.role_of(i)));
+            used_domains.push(self.hosts[&host].info.domain(spread));
         }
 
         // New shards have their data created in place: copies are complete
         // immediately.
         for &(h, _) in &placed {
             if let Some(server) = registry.server(h) {
-                server.on_copy_complete(ShardContext {
-                    shard,
-                    reason: AddShardReason::NewAllocation,
-                    source: None,
-                });
+                server.on_copy_complete(ctx);
             }
         }
 
         let hosts: Vec<HostId> = placed.iter().map(|&(h, _)| h).collect();
-        let app = self.app_mut(app_name)?;
-        app.weights.insert(shard, weight_hint);
-        if let Some(g) = group {
-            app.groups.insert(shard, g);
-        }
-        app.assignments.insert(shard, placed);
+        self.app_mut(app_name)?.assignments.insert(shard, placed);
         for &h in &hosts {
             self.load_delta(h, weight_hint);
         }
         self.publish(app_name, shard, now);
         Ok(hosts)
+    }
+
+    /// Where a replica of `shard` can go, best first, given the weight and
+    /// group SM has on record for it. Every placement decision
+    /// (allocation, failover, drain) reads this ranking; they differ in
+    /// how the shard then gets to the host.
+    fn rank(
+        &self,
+        app: &AppState,
+        shard: ShardId,
+        used_domains: &[u64],
+        excluded: &[HostId],
+    ) -> Vec<Candidate> {
+        rank_candidates_hinted(
+            &self.snapshots(),
+            app.weight_of(shard, self.config.default_shard_weight),
+            app.spec.balancer.capacity_headroom,
+            app.spec.spread,
+            used_domains,
+            excluded,
+            // Soft anti-affinity, through failovers and drains as much as
+            // at allocation: a target should not collect a second shard of
+            // the group (for a table the app would veto it anyway) nor
+            // re-concentrate the group in one rack.
+            &group_spread_hint(app, &self.hosts, shard),
+        )
+    }
+
+    /// Give the shard a host: [`rank`](Self::rank) once, then offer it down
+    /// the ranking through `add_shard(ctx)`; a target that refuses (or
+    /// cannot be reached) joins `vetoed` and leaves the ranking. With
+    /// `jitter > 1` each offer goes to a uniformly random one of the
+    /// `jitter` best left.
+    fn place<R: AppServerRegistry>(
+        &mut self,
+        app_name: &str,
+        ctx: ShardContext,
+        used_domains: &[u64],
+        vetoed: &mut Vec<HostId>,
+        jitter: usize,
+        registry: &mut R,
+    ) -> SmResult<HostId> {
+        let app = self.app(app_name)?;
+        let needed_weight = app.weight_of(ctx.shard, self.config.default_shard_weight);
+        let mut candidates = self.rank(app, ctx.shard, used_domains, vetoed);
+        // Jitter randomizes among the least-loaded candidates but never
+        // escapes the leading penalty class of the hint they were ranked
+        // under — otherwise it would trade away the group's rack-spread
+        // guarantee.
+        let hint = (jitter > 1).then(|| group_spread_hint(app, &self.hosts, ctx.shard));
+        loop {
+            let mut pick = 0;
+            if let Some(hint) = &hint {
+                let pen = |h: HostId| self.hosts.get(&h).map(|e| hint.penalty(&e.info));
+                let first = candidates.first().and_then(|c| pen(c.host));
+                let class_len = candidates
+                    .iter()
+                    .take_while(|c| pen(c.host) == first)
+                    .count();
+                let span = jitter.min(class_len);
+                if span > 1 {
+                    pick = self.rng.below(span as u64) as usize;
+                }
+            }
+            let Some(host) = candidates.get(pick).map(|c| c.host) else {
+                return Err(SmError::NoFeasibleHost {
+                    shard: ctx.shard,
+                    needed_weight,
+                });
+            };
+            if registry
+                .server(host)
+                .is_some_and(|server| server.add_shard(ctx).is_ok())
+            {
+                return Ok(host);
+            }
+            candidates.remove(pick);
+            vetoed.push(host);
+            if vetoed.len() > self.config.max_veto_retries + self.hosts.len() {
+                return Err(SmError::AllTargetsVetoed {
+                    shard: ctx.shard,
+                    attempts: vetoed.len(),
+                });
+            }
+        }
     }
 
     /// Remove a shard entirely: drop on every replica and retract the
@@ -586,29 +607,22 @@ impl SmServer {
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<()> {
+        let default_w = self.config.default_shard_weight;
         let app = self.app_mut(app_name)?;
         let Some(replicas) = app.assignments.remove(&shard) else {
             return Err(SmError::NotAssigned { shard });
         };
-        let default_w = self.config.default_shard_weight;
-        let app = self.app_mut(app_name)?;
         let weight = app.weights.remove(&shard).unwrap_or(default_w);
         app.groups.remove(&shard);
-        for &(h, _) in &replicas {
-            self.load_delta(h, -weight);
-        }
+        let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
         for (h, _) in replicas {
+            self.load_delta(h, -weight);
             if let Some(server) = registry.server(h) {
-                let _ = server.drop_shard(ShardContext {
-                    shard,
-                    reason: AddShardReason::NewAllocation,
-                    source: None,
-                });
+                let _ = server.drop_shard(ctx);
             }
         }
-        self.discovery
-            .write()
-            .publish(self.shard_key(app_name, shard), None, now);
+        // No replica left: this retracts the mapping.
+        self.publish(app_name, shard, now);
         Ok(())
     }
 
@@ -629,17 +643,21 @@ impl SmServer {
 
     /// All shards currently assigned to `host` for `app`.
     pub fn shards_on(&self, app_name: &str, host: HostId) -> Vec<ShardId> {
-        let Some(app) = self.apps.get(app_name) else {
-            return Vec::new();
-        };
-        let mut shards: Vec<ShardId> = app
-            .assignments
+        self.apps
+            .get(app_name)
+            .map(|app| app.shards_on(host).collect())
+            .unwrap_or_default()
+    }
+
+    /// Every `(app, shard)` with a replica on `host`, in `(app, shard)`
+    /// order: `apps` and `assignments` are ordered maps, so the walk is
+    /// the order failovers and drains start in, which placement (and so
+    /// replay) depends on.
+    fn shards_on_host(&self, host: HostId) -> Vec<(Arc<str>, ShardId)> {
+        self.apps
             .iter()
-            .filter(|(_, replicas)| replicas.iter().any(|(h, _)| *h == host))
-            .map(|(&s, _)| s)
-            .collect();
-        shards.sort();
-        shards
+            .flat_map(|(name, app)| app.shards_on(host).map(move |s| (name.clone(), s)))
+            .collect()
     }
 
     /// Record an application-pushed metric update outside the polling
@@ -704,7 +722,7 @@ impl SmServer {
                     if app
                         .assignments
                         .get(&shard)
-                        .is_some_and(|replicas| replicas.iter().any(|(h, _)| *h == host))
+                        .is_some_and(|replicas| on_host(replicas, host))
                     {
                         app.weights.insert(shard, weight.max(0.0));
                     }
@@ -716,9 +734,51 @@ impl SmServer {
 
     // ------------------------------------------------------------- migrations
 
-    fn next_migration_id(&mut self) -> MigrationId {
+    /// Whether a migration of `(app, shard)` is under way: what every
+    /// decision asks. A record `host_failed` aborted stays in `active`,
+    /// finished, until the next sweep, and is not in the way of a new
+    /// migration; [`active_migration`](Self::active_migration) still shows it.
+    fn in_flight(&self, app_name: &str, shard: ShardId) -> bool {
+        self.active
+            .values()
+            .any(|m| !m.is_finished() && m.app.as_ref() == app_name && m.shard == shard)
+    }
+
+    /// Open the record of a migration whose target has accepted the shard
+    /// and arm the end of its copy phase.
+    #[allow(clippy::too_many_arguments)]
+    fn start_migration(
+        &mut self,
+        app: Arc<str>,
+        shard: ShardId,
+        from: HostId,
+        to: HostId,
+        kind: MigrationKind,
+        cause: MigrationCause,
+        bytes: u64,
+        now: SimTime,
+    ) -> MigrationId {
         let id = MigrationId(self.next_migration);
         self.next_migration += 1;
+        let deadline = now + self.config.timings.copy_duration(kind, bytes);
+        self.deadlines.arm(deadline, id.0);
+        self.active.insert(
+            id.0,
+            MigrationRecord {
+                id,
+                app,
+                shard,
+                from: Some(from),
+                to,
+                kind,
+                cause,
+                phase: MigrationPhase::Copying,
+                started_at: now,
+                deadline,
+                finished_at: None,
+                bytes,
+            },
+        );
         id
     }
 
@@ -735,11 +795,8 @@ impl SmServer {
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<MigrationId> {
-        let app = self.app(app_name)?;
-        let Some(replicas) = app.assignments.get(&shard) else {
-            return Err(SmError::NotAssigned { shard });
-        };
-        let Some(&(from, _)) = replicas.first() else {
+        let app = self.app(app_name)?.spec.name.clone();
+        let Some(from) = self.host_of(app_name, shard) else {
             return Err(SmError::NotAssigned { shard });
         };
         if !self.hosts.get(&to).is_some_and(|h| h.state.placeable()) {
@@ -748,11 +805,7 @@ impl SmServer {
                 reason: "target not placeable",
             });
         }
-        if self
-            .active
-            .values()
-            .any(|m| m.app.as_ref() == app_name && m.shard == shard)
-        {
+        if self.in_flight(app_name, shard) {
             return Err(SmError::AlreadyAssigned { shard });
         }
         let kind = if graceful {
@@ -762,11 +815,7 @@ impl SmServer {
         };
 
         // Invoke the first endpoint now; this is the application's veto point.
-        let ctx = ShardContext {
-            shard,
-            reason: AddShardReason::LiveMigration,
-            source: Some(from),
-        };
+        let ctx = ShardContext::new(shard, AddShardReason::LiveMigration, Some(from));
         let result = match registry.server(to) {
             Some(server) => {
                 if graceful {
@@ -792,28 +841,7 @@ impl SmServer {
             .server(from)
             .map(|s| s.shard_transfer_bytes(shard))
             .unwrap_or(0);
-        let copy = self.config.timings.copy_duration(kind, bytes);
-        let id = self.next_migration_id();
-        let app_arc = self.app(app_name)?.spec.name.clone();
-        self.deadlines.arm(now + copy, id.0);
-        self.active.insert(
-            id.0,
-            MigrationRecord {
-                id,
-                app: app_arc,
-                shard,
-                from: Some(from),
-                to,
-                kind,
-                cause,
-                phase: MigrationPhase::Copying,
-                started_at: now,
-                deadline: now + copy,
-                finished_at: None,
-                bytes,
-            },
-        );
-        Ok(id)
+        Ok(self.start_migration(app, shard, from, to, kind, cause, bytes, now))
     }
 
     /// Begin a failover of `shard` (previous owner dead). Target selection
@@ -830,7 +858,6 @@ impl SmServer {
         let app = &self.apps[app_name];
         let weight = app.weight_of(shard, self.config.default_shard_weight);
         let spread = app.spec.spread;
-        let headroom = app.spec.balancer.capacity_headroom;
         // Domains used by surviving replicas of this shard.
         let used_domains: Vec<u64> = app
             .assignments
@@ -843,75 +870,18 @@ impl SmServer {
                     .collect()
             })
             .unwrap_or_default();
-        // Keep the group's fault-domain spread through failovers too: a
-        // recovery target should not collect a second shard of the table
-        // (the app would veto it anyway) nor re-concentrate the group in
-        // one rack.
-        let hint = group_spread_hint(app, &self.hosts, app.groups.get(&shard).copied(), shard);
-
-        let snapshots = self.snapshots();
-        let mut vetoed: Vec<HostId> = vec![dead];
-        let bytes = weight.max(0.0) as u64;
-
-        loop {
-            let candidates = rank_candidates_hinted(
-                &snapshots,
-                weight,
-                headroom,
-                spread,
-                &used_domains,
-                &vetoed,
-                &hint,
-            );
-            let Some(best) = candidates.first().copied() else {
-                return Err(SmError::NoFeasibleHost {
-                    shard,
-                    needed_weight: weight,
-                });
-            };
-            let ctx = ShardContext {
-                shard,
-                reason: AddShardReason::Failover,
-                source: Some(dead),
-            };
-            let accepted = registry
-                .server(best.host)
-                .map(|s| s.add_shard(ctx).is_ok())
-                .unwrap_or(false);
-            if accepted {
-                let copy = self
-                    .config
-                    .timings
-                    .copy_duration(MigrationKind::Failover, bytes);
-                let id = self.next_migration_id();
-                self.deadlines.arm(now + copy, id.0);
-                self.active.insert(
-                    id.0,
-                    MigrationRecord {
-                        id,
-                        app: app_name.clone(),
-                        shard,
-                        from: Some(dead),
-                        to: best.host,
-                        kind: MigrationKind::Failover,
-                        cause: MigrationCause::HostFailure,
-                        phase: MigrationPhase::Copying,
-                        started_at: now,
-                        deadline: now + copy,
-                        finished_at: None,
-                        bytes,
-                    },
-                );
-                return Ok(id);
-            }
-            vetoed.push(best.host);
-            if vetoed.len() > self.config.max_veto_retries + self.hosts.len() {
-                return Err(SmError::AllTargetsVetoed {
-                    shard,
-                    attempts: vetoed.len(),
-                });
-            }
-        }
+        let ctx = ShardContext::new(shard, AddShardReason::Failover, Some(dead));
+        let to = self.place(app_name, ctx, &used_domains, &mut vec![dead], 1, registry)?;
+        Ok(self.start_migration(
+            app_name.clone(),
+            shard,
+            dead,
+            to,
+            MigrationKind::Failover,
+            MigrationCause::HostFailure,
+            weight.max(0.0) as u64,
+            now,
+        ))
     }
 
     /// Advance all in-flight migrations whose phase deadline has passed.
@@ -960,15 +930,15 @@ impl SmServer {
         };
         let (app_name, shard, kind, phase, from, to) =
             (m.app.clone(), m.shard, m.kind, m.phase, m.from, m.to);
+        let reason = match kind {
+            MigrationKind::Failover => AddShardReason::Failover,
+            MigrationKind::Plain | MigrationKind::Graceful => AddShardReason::LiveMigration,
+        };
+        let ctx = ShardContext::new(shard, reason, from);
         match (kind, phase) {
             (MigrationKind::Graceful, MigrationPhase::Copying) => {
                 // Copy finished: prepareDropShard(old) → addShard(new) →
                 // publish → wait out propagation.
-                let ctx = ShardContext {
-                    shard,
-                    reason: AddShardReason::LiveMigration,
-                    source: from,
-                };
                 if let Some(old) = from.and_then(|h| registry.server(h)) {
                     let _ = old.prepare_drop_shard(ctx, to);
                 }
@@ -988,43 +958,23 @@ impl SmServer {
             }
             (MigrationKind::Graceful, MigrationPhase::Forwarding) => {
                 // Propagation window over: dropShard(old).
-                let ctx = ShardContext {
-                    shard,
-                    reason: AddShardReason::LiveMigration,
-                    source: from,
-                };
                 if let Some(old) = from.and_then(|h| registry.server(h)) {
                     let _ = old.drop_shard(ctx);
                 }
                 self.finish_migration(id, now, MigrationPhase::Done);
             }
-            (MigrationKind::Plain, MigrationPhase::Copying) => {
-                // Copy finished: publish and drop the old replica at once;
-                // stale discovery caches now produce errors until they
-                // catch up — the window graceful migration removes.
-                let ctx = ShardContext {
-                    shard,
-                    reason: AddShardReason::LiveMigration,
-                    source: from,
-                };
+            (MigrationKind::Plain | MigrationKind::Failover, MigrationPhase::Copying) => {
                 if let Some(new) = registry.server(to) {
                     new.on_copy_complete(ctx);
                 }
-                if let Some(old) = from.and_then(|h| registry.server(h)) {
-                    let _ = old.drop_shard(ctx);
-                }
-                self.reassign(&app_name, shard, from, to);
-                self.publish(&app_name, shard, now);
-                self.finish_migration(id, now, MigrationPhase::Done);
-            }
-            (MigrationKind::Failover, MigrationPhase::Copying) => {
-                let ctx = ShardContext {
-                    shard,
-                    reason: AddShardReason::Failover,
-                    source: from,
-                };
-                if let Some(new) = registry.server(to) {
-                    new.on_copy_complete(ctx);
+                if kind == MigrationKind::Plain {
+                    // Publish and drop the old replica at once; stale
+                    // discovery caches now produce errors until they catch
+                    // up — the window graceful migration removes. (A
+                    // failover's source is dead: nothing to drop.)
+                    if let Some(old) = from.and_then(|h| registry.server(h)) {
+                        let _ = old.drop_shard(ctx);
+                    }
                 }
                 self.reassign(&app_name, shard, from, to);
                 self.publish(&app_name, shard, now);
@@ -1043,22 +993,12 @@ impl SmServer {
         let Some(replicas) = app.assignments.get_mut(&shard) else {
             return;
         };
-        let mut moved_from = None;
-        let mut done = false;
-        if let Some(f) = from {
-            for r in replicas.iter_mut() {
-                if r.0 == f {
-                    r.0 = to;
-                    moved_from = Some(f);
-                    done = true;
-                    break;
-                }
-            }
-        }
-        if !done {
+        let moved_from = from.filter(|&f| on_host(replicas, f));
+        match replicas.iter_mut().find(|r| Some(r.0) == moved_from) {
+            Some(replica) => replica.0 = to,
             // Source replica vanished (e.g. concurrent removal) or no
             // source: append a new replica.
-            replicas.push((to, Role::Secondary));
+            None => replicas.push((to, Role::Secondary)),
         }
         if let Some(f) = moved_from {
             self.load_delta(f, -weight);
@@ -1073,13 +1013,17 @@ impl SmServer {
         }
     }
 
-    /// The in-flight migration touching `(app, shard)`, if any. Query
-    /// routing uses this to decide whether an "old" server still serves or
-    /// forwards.
+    /// The record SM still holds for `(app, shard)`, if any: the migration
+    /// under way, else one just aborted and not yet swept (check
+    /// [`MigrationRecord::is_finished`]). Query routing uses this to decide
+    /// whether an "old" server still serves or forwards, so a retry hides
+    /// the aborted record it follows.
     pub fn active_migration(&self, app_name: &str, shard: ShardId) -> Option<&MigrationRecord> {
-        self.active
-            .values()
-            .find(|m| m.app.as_ref() == app_name && m.shard == shard)
+        let of_shard = |m: &&MigrationRecord| m.app.as_ref() == app_name && m.shard == shard;
+        let records = || self.active.values().filter(of_shard);
+        records()
+            .find(|m| !m.is_finished())
+            .or_else(|| records().next())
     }
 
     /// All completed migrations (Fig 4d counts these per day).
@@ -1127,19 +1071,8 @@ impl SmServer {
                 orphaned.push((m.app.clone(), m.shard));
             }
         }
-        // Fail over every shard assigned to the host. Assignment maps are
-        // hash maps, so sort: failover *order* affects placement and the
-        // whole simulation must stay deterministic.
-        let mut to_failover: Vec<(Arc<str>, ShardId)> = Vec::new();
-        for (name, app) in &self.apps {
-            for (&shard, replicas) in &app.assignments {
-                if replicas.iter().any(|(h, _)| *h == host) {
-                    to_failover.push((name.clone(), shard));
-                }
-            }
-        }
-        to_failover.sort();
-        for (app_name, shard) in to_failover {
+        // Fail over every shard assigned to the host.
+        for (app_name, shard) in self.shards_on_host(host) {
             // Publish unavailability immediately: clients must stop
             // routing to the dead host as soon as caches catch up.
             if self.host_of(&app_name, shard) == Some(host) {
@@ -1163,31 +1096,27 @@ impl SmServer {
         // Re-queue those for the tick-time failover retry; everything else
         // just needs its (unchanged) state republished.
         for (app_name, shard) in orphaned {
-            let wedged = self
-                .apps
-                .get(&app_name)
-                .and_then(|a| a.assignments.get(&shard))
-                .is_some_and(|replicas| {
-                    replicas.iter().any(|(h, _)| {
-                        self.hosts
-                            .get(h)
-                            .is_some_and(|e| e.state == HostState::Dead)
-                    })
-                });
-            let in_flight = self
-                .active
-                .values()
-                .any(|m| !m.is_finished() && m.app == app_name && m.shard == shard);
+            let wedged = self.dead_replica(&app_name, shard).is_some();
             let queued = self
                 .pending_failovers
                 .iter()
                 .any(|(a, s)| *a == app_name && *s == shard);
-            if wedged && !in_flight && !queued {
+            if wedged && !self.in_flight(&app_name, shard) && !queued {
                 self.pending_failovers.push((app_name.clone(), shard));
             }
             self.publish(&app_name, shard, now);
         }
         Ok(())
+    }
+
+    /// The dead host `(app, shard)`'s assignment still references, if any.
+    fn dead_replica(&self, app_name: &str, shard: ShardId) -> Option<HostId> {
+        let replicas = self.apps.get(app_name)?.assignments.get(&shard)?;
+        replicas.iter().map(|&(h, _)| h).find(|h| {
+            self.hosts
+                .get(h)
+                .is_some_and(|e| e.state == HostState::Dead)
+        })
     }
 
     /// Remove a dead host from the fleet entirely (post-repair
@@ -1200,12 +1129,7 @@ impl SmServer {
                 reason: "only dead hosts can be removed",
             });
         }
-        let still_assigned = self.apps.values().any(|app| {
-            app.assignments
-                .values()
-                .any(|replicas| replicas.iter().any(|(h, _)| *h == host))
-        });
-        if still_assigned {
+        if !self.shards_on_host(host).is_empty() {
             return Err(SmError::BadHostState {
                 host,
                 reason: "host still holds assignments",
@@ -1238,52 +1162,19 @@ impl SmServer {
             entry.state = HostState::Draining;
         }
         let mut moved = 0usize;
-        let mut work: Vec<(Arc<str>, ShardId)> = self
-            .apps
-            .iter()
-            .flat_map(|(name, app)| {
-                app.assignments
-                    .iter()
-                    .filter(|(_, replicas)| replicas.iter().any(|(h, _)| *h == host))
-                    .map(|(&s, _)| (name.clone(), s))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        // Deterministic drain order (assignments are hash maps).
-        work.sort();
-        for (app_name, shard) in work {
-            if self.active_migration(&app_name, shard).is_some() {
+        for (app_name, shard) in self.shards_on_host(host) {
+            if self.in_flight(&app_name, shard) {
                 continue;
             }
-            let weight = self.apps[&app_name].weight_of(shard, self.config.default_shard_weight);
-            let spread = self.apps[&app_name].spec.spread;
-            let headroom = self.apps[&app_name].spec.balancer.capacity_headroom;
-            // Preserve the group's rack spread across drains as well.
-            let hint = group_spread_hint(
-                &self.apps[&app_name],
-                &self.hosts,
-                self.apps[&app_name].groups.get(&shard).copied(),
-                shard,
-            );
-            let snapshots = self.snapshots();
-            let Some(best) = rank_candidates_hinted(
-                &snapshots,
-                weight,
-                headroom,
-                spread,
-                &[],
-                &[host],
-                &hint,
-            )
-            .into_iter()
-            .next() else {
+            let candidates = self.rank(&self.apps[&app_name], shard, &[], &[host]);
+            let Some(to) = candidates.first().map(|c| c.host) else {
                 continue; // retried by a later drain pass
             };
             if self
                 .begin_migration(
                     &app_name,
                     shard,
-                    best.host,
+                    to,
                     true,
                     MigrationCause::Drain,
                     now,
@@ -1321,28 +1212,17 @@ impl SmServer {
             });
         }
         self.reactivate_host(host, now)?;
-        let mut retained: Vec<(Arc<str>, ShardId)> = self
-            .apps
-            .iter()
-            .flat_map(|(name, app)| {
-                app.assignments
-                    .iter()
-                    .filter(|(_, replicas)| replicas.iter().any(|(h, _)| *h == host))
-                    .map(|(&s, _)| (name.clone(), s))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        retained.sort();
+        let retained = self.shards_on_host(host);
         for (app_name, shard) in &retained {
             if let Some(server) = registry.server(host) {
                 // The assignment already exists, so this is a reload of a
                 // placement that was legal before the crash — not a new
                 // placement decision the application could veto.
-                let _ = server.add_shard(ShardContext {
-                    shard: *shard,
-                    reason: AddShardReason::NewAllocation,
-                    source: Some(host),
-                });
+                let _ = server.add_shard(ShardContext::new(
+                    *shard,
+                    AddShardReason::NewAllocation,
+                    Some(host),
+                ));
             }
             self.publish(app_name, *shard, now);
         }
@@ -1405,22 +1285,8 @@ impl SmServer {
         // Retry failovers that previously had no feasible target.
         let pending = std::mem::take(&mut self.pending_failovers);
         for (app_name, shard) in pending {
-            let dead = self
-                .apps
-                .get(&app_name)
-                .and_then(|a| a.assignments.get(&shard))
-                .and_then(|replicas| {
-                    replicas
-                        .iter()
-                        .find(|(h, _)| {
-                            self.hosts
-                                .get(h)
-                                .is_some_and(|e| e.state == HostState::Dead)
-                        })
-                        .map(|&(h, _)| h)
-                });
             // `None` means the failover resolved through another path.
-            if let Some(dead_host) = dead {
+            if let Some(dead_host) = self.dead_replica(&app_name, shard) {
                 if self
                     .begin_failover(&app_name, shard, dead_host, now, registry)
                     .is_err()
@@ -1445,18 +1311,16 @@ impl SmServer {
         let default_w = self.config.default_shard_weight;
         // Only primary replicas move during balancing; shards already
         // migrating are skipped.
-        let mut locations: Vec<(ShardId, HostId, f64)> = app
+        let locations: Vec<(ShardId, HostId, f64)> = app
             .assignments
             .iter()
-            .filter(|(&s, _)| self.active_migration(app_name, s).is_none())
+            .filter(|(&s, _)| !self.in_flight(app_name, s))
             .filter_map(|(&s, replicas)| {
                 // A shard without a replica has nothing to move.
                 let &(primary, _) = replicas.first()?;
                 Some((s, primary, app.weight_of(s, default_w)))
             })
             .collect();
-        // Deterministic proposal input order (assignments are hash maps).
-        locations.sort_by_key(|&(s, _, _)| s);
         let snapshots = self.snapshots();
         let proposals = propose_rebalance(&snapshots, &locations, &config);
         let mut started = 0usize;
@@ -1767,6 +1631,47 @@ mod tests {
         assert!(matches!(err, SmError::AlreadyAssigned { .. }));
     }
 
+    /// A copy whose target died is over, not in flight: the shard can move
+    /// again at once, not only after the tick that sweeps the aborted
+    /// record, and routing is shown the retry, not the aborted copy.
+    #[test]
+    fn aborted_record_does_not_block_a_new_migration() {
+        let (mut sm, mut reg) = setup(3);
+        sm.allocate_shard("app", ShardId(1), 10.0, t(0), &mut reg)
+            .unwrap();
+        let from = sm.host_of("app", ShardId(1)).unwrap();
+        let others: Vec<HostId> = (0..3).map(HostId).filter(|h| *h != from).collect();
+        let begin = |sm: &mut SmServer, reg: &mut MockRegistry, to, at| {
+            sm.begin_migration("app", ShardId(1), to, true, MigrationCause::Manual, at, reg)
+        };
+        let aborted = begin(&mut sm, &mut reg, others[0], t(1)).unwrap();
+        reg.down.insert(others[0]);
+        sm.host_failed(others[0], t(2), &mut reg).unwrap();
+        // No tick yet: the record is still held, finished.
+        let rec = sm.active_migration("app", ShardId(1)).unwrap();
+        assert_eq!((rec.id, rec.phase), (aborted, MigrationPhase::Failed));
+        assert!(!sm.in_flight("app", ShardId(1)));
+
+        let retry = begin(&mut sm, &mut reg, others[1], t(2)).unwrap();
+        assert!(sm.in_flight("app", ShardId(1)));
+        // Both records are held; routing is shown the live one.
+        assert_eq!(sm.active_migration_count(), 2);
+        let rec = sm.active_migration("app", ShardId(1)).unwrap();
+        assert_eq!((rec.id, rec.phase), (retry, MigrationPhase::Copying));
+        assert!(matches!(
+            begin(&mut sm, &mut reg, others[1], t(2)),
+            Err(SmError::AlreadyAssigned { .. })
+        ));
+        sm.advance_migrations(t(2) + SimDuration::from_hours(1), &mut reg);
+        sm.advance_migrations(t(2) + SimDuration::from_hours(2), &mut reg);
+        assert_eq!(sm.host_of("app", ShardId(1)), Some(others[1]));
+        let phases: Vec<_> = sm.migration_history().iter().map(|m| (m.id, m.phase)).collect();
+        assert_eq!(
+            phases,
+            [(aborted, MigrationPhase::Failed), (retry, MigrationPhase::Done)]
+        );
+    }
+
     #[test]
     fn target_veto_fails_migration_start() {
         let (mut sm, mut reg) = setup(2);
@@ -1952,7 +1857,7 @@ mod tests {
         let mut load = 0.0;
         for app in sm.apps.values() {
             for (&shard, replicas) in &app.assignments {
-                if replicas.iter().any(|(h, _)| *h == host) {
+                if on_host(replicas, host) {
                     load += app.weight_of(shard, sm.config.default_shard_weight);
                 }
             }

@@ -24,6 +24,8 @@
 //!   percentile queries, Welford accumulators, daily time-series counters.
 //! * [`sync`] — poison-free `RwLock`/`Mutex` wrappers over `std::sync`
 //!   (the workspace is hermetic: no external lock crates).
+//! * [`hash`] — the stable hashes (FNV-1a, the SplitMix64 finaliser)
+//!   behind shard mapping, row routing, replay digests and seed streams.
 //! * [`prop`] — a lightweight property-based testing harness over
 //!   [`SimRng`], used by every crate's invariant suites.
 //! * [`json`] — the workspace's one JSON codec: value type, strict
@@ -36,6 +38,7 @@
 pub mod dist;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod prop;
 pub mod rng;

@@ -34,6 +34,7 @@
 //! — the moral equivalent of a `proptest-regressions` file, but a named,
 //! greppable test case instead of an opaque artifact.
 
+use crate::hash::{fnv1a, mix64, FNV_OFFSET};
 use crate::rng::SimRng;
 use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
@@ -55,35 +56,22 @@ pub fn assume(cond: bool) {
     }
 }
 
-/// FNV-1a hash, used to give every property its own seed stream.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
-
 /// SplitMix64 finalizer for case-seed derivation.
 fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
+/// A harness variable: `None` when unset, `Err` says what is wrong with it.
+fn env_u64(name: &str) -> Result<Option<u64>, String> {
+    let Ok(raw) = std::env::var(name) else {
+        return Ok(None);
+    };
     let parsed = if let Some(hex) = raw.strip_prefix("0x") {
         u64::from_str_radix(hex, 16)
     } else {
         raw.parse()
     };
-    match parsed {
-        Ok(v) => Some(v),
-        Err(_) => panic!("{name}={raw:?} is not a u64"),
-    }
+    parsed.map(Some).map_err(|_| format!("{name}={raw:?} is not a u64"))
 }
 
 /// Run one generated input through the property, reporting context on panic.
@@ -129,15 +117,24 @@ pub fn check_n<T: Debug>(
     gen: impl Fn(&mut SimRng) -> T,
     prop: impl Fn(&T),
 ) {
-    let base = env_u64("SCALEWALL_PROP_SEED").unwrap_or(0);
-    let stream = mix(base, fnv1a(name));
+    // A malformed variable fails the property the way a failing case does:
+    // said on stderr, then unwound to the test runner.
+    let setting = |var| {
+        env_u64(var).unwrap_or_else(|malformed| {
+            eprintln!("\nproperty '{name}' not run: {malformed}\n");
+            panic::resume_unwind(Box::new(malformed))
+        })
+    };
+    let base = setting("SCALEWALL_PROP_SEED").unwrap_or(0);
+    // The name's hash gives every property its own seed stream.
+    let stream = mix(base, fnv1a(FNV_OFFSET, name.as_bytes()));
 
-    if let Some(seed) = env_u64("SCALEWALL_PROP_REPLAY") {
+    if let Some(seed) = setting("SCALEWALL_PROP_REPLAY") {
         run_case(name, seed, None, &gen, &prop);
         return;
     }
 
-    let cases = env_u64("SCALEWALL_PROP_CASES").map(|n| n as u32).unwrap_or(cases);
+    let cases = setting("SCALEWALL_PROP_CASES").map(|n| n as u32).unwrap_or(cases);
     let mut accepted = 0u32;
     let mut attempts = 0u64;
     // Allow a bounded number of `assume` rejections before declaring the

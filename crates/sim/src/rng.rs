@@ -39,10 +39,7 @@
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::hash::mix64(*state)
 }
 
 /// A seedable, forkable deterministic RNG.
@@ -58,7 +55,7 @@ impl SimRng {
     /// Create a root RNG from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
         let mut sm = seed;
-        let mut s = [0u64; 4];
+        let mut s: [u64; 4] = [0; 4];
         for slot in &mut s {
             *slot = splitmix64(&mut sm);
         }

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use scalewall_sim::{DeadlineQueue, SimDuration, SimTime};
+use scalewall_sim::{hash, DeadlineQueue, SimDuration, SimTime};
 
 use crate::error::{ZkError, ZkResult};
 use crate::log::{ZkOp, ZkResp};
@@ -645,16 +645,13 @@ impl ZkStore {
     /// are refreshed wholesale by `TouchSessions` at elections, and two
     /// stores that agree on everything else are observationally equal.
     pub fn state_digest(&self) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
         fn eat(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ b as u64).wrapping_mul(PRIME);
-            }
+            *h = hash::fnv1a(*h, bytes);
         }
         fn eat_u64(h: &mut u64, v: u64) {
             eat(h, &v.to_le_bytes());
         }
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = hash::FNV_OFFSET;
         for (path, node) in &self.nodes {
             eat(&mut h, path.as_bytes());
             eat(&mut h, &node.data);
