@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the Cubrick engine hot paths: ingest, the scan and
-//! group-by shapes, the coordinator merge, and the column codecs behind
-//! adaptive compression. Runs on the in-repo wall-clock runner
+//! Micro-benchmarks of the Cubrick engine hot paths: ingest, the node
+//! maintenance passes at rest, the scan and group-by shapes, the
+//! coordinator merge, and the column codecs behind adaptive compression. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
 //!
@@ -17,6 +17,7 @@ use cubrick::compression::CompressedBrick;
 use cubrick::coordinator::{merge_partials, FanoutPlan};
 use cubrick::dictionary::Dictionary;
 use cubrick::encoding;
+use cubrick::node::CubrickNode;
 use cubrick::query::{execute_partition, parse_query};
 use cubrick::schema::SchemaBuilder;
 use cubrick::sharding::ShardMapping;
@@ -89,6 +90,32 @@ fn bench_ingest(c: &mut Bench) {
 /// cache the way `rows_10k`'s one warm partition does; this is the
 /// regime the one-table number cannot see.
 fn bench_deployment_ingest(c: &mut Bench) {
+    let (specs, batches) = ingest_load();
+    let mut group = c.group("ingest");
+    group.throughput(batches.iter().map(|b| b.len() as u64).sum());
+    group.sample_size(10);
+    group.bench_function("deployment_40x5k_3_regions", |b| {
+        b.iter_batched(
+            || ingest_deployment(&specs, 4, 1_000_000),
+            |mut dep| {
+                for (it, rows) in batches.iter().enumerate() {
+                    dep.ingest(&specs[it % specs.len()].name, rows).unwrap();
+                    if (it + 1) % 10 == 0 {
+                        each_node(&mut dep, |node| {
+                            node.decay_pass();
+                            node.run_memory_monitor();
+                        });
+                    }
+                }
+                dep
+            },
+        )
+    });
+    group.finish();
+}
+
+/// The tables and batches of `ingest/deployment_40x5k_3_regions`.
+fn ingest_load() -> (Vec<TableSpec>, Vec<Vec<Row>>) {
     const TABLES: usize = 4;
     let specs: Vec<TableSpec> = (0..TABLES)
         .map(|i| TableSpec {
@@ -99,50 +126,84 @@ fn bench_deployment_ingest(c: &mut Bench) {
         })
         .collect();
     let mut rng = SimRng::new(11);
-    let batches: Vec<Vec<Row>> = (0..40)
+    let batches = (0..40)
         .map(|it| gen_rows(&specs[it % TABLES], 5_000, 365, &mut rng))
         .collect();
-    let fresh = || {
-        let mut dep = Deployment::new(DeploymentConfig {
-            regions: 3,
-            hosts_per_region: 4,
-            max_shards: 10_000,
-            host_memory_bytes: 1_000_000,
-            seed: 11,
-            ..Default::default()
-        });
-        for spec in &specs {
-            dep.create_table(
-                &spec.name,
-                spec.schema.clone(),
-                spec.partitions,
-                RowMapping::Hash,
-                ShardMapping::Monotonic,
-                SimTime::ZERO,
-            )
-            .unwrap();
+    (specs, batches)
+}
+
+/// Three regions with the load's tables created, empty.
+fn ingest_deployment(
+    specs: &[TableSpec],
+    hosts_per_region: u32,
+    host_memory_bytes: u64,
+) -> Deployment {
+    let mut dep = Deployment::new(DeploymentConfig {
+        regions: 3,
+        hosts_per_region,
+        max_shards: 10_000,
+        host_memory_bytes,
+        seed: 11,
+        ..Default::default()
+    });
+    for spec in specs {
+        dep.create_table(
+            &spec.name,
+            spec.schema.clone(),
+            spec.partitions,
+            RowMapping::Hash,
+            ShardMapping::Monotonic,
+            SimTime::ZERO,
+        )
+        .unwrap();
+    }
+    dep
+}
+
+fn each_node(dep: &mut Deployment, mut pass: impl FnMut(&mut CubrickNode)) {
+    for region in &mut dep.regions {
+        let hosts: Vec<_> = region.nodes.hosts().collect();
+        for host in hosts {
+            pass(region.nodes.node_mut(host).unwrap());
         }
-        dep
+    }
+}
+
+/// The maintenance passes in the state the operational experiments keep
+/// them in (`ops_churn`, `fig4d`–`fig4f`): the ingest load above on 3×8
+/// hosts at the default 8 GiB budget, so no partition is anywhere near
+/// its budget and no pass has anything to move, and a scan or two since
+/// the last decay. `brick_compression/*` times passes that compress.
+fn bench_maintenance(c: &mut Bench) {
+    let (specs, batches) = ingest_load();
+    let mut dep = ingest_deployment(&specs, 8, 8 << 30);
+    for (it, rows) in batches.iter().enumerate() {
+        dep.ingest(&specs[it % specs.len()].name, rows).unwrap();
+    }
+    let dep = std::cell::RefCell::new(dep);
+    let mut group = c.group("maintenance");
+    group.sample_size(20);
+    group.bench_function("monitor_pass_in_band_24_nodes", |b| {
+        b.iter(|| {
+            let mut moved = (0, 0);
+            each_node(&mut dep.borrow_mut(), |node| {
+                let (c, d) = node.run_memory_monitor();
+                moved = (moved.0 + c, moved.1 + d);
+            });
+            assert_eq!(moved, (0, 0));
+        })
+    });
+    // One partition in 32 scanned since the last pass, in every region.
+    let warm = || {
+        for region in &dep.borrow().regions {
+            let mut store = region.store.write();
+            let data = store.partition_mut(&specs[0].name, 0).unwrap();
+            data.for_each_matching_brick(&[None, None], |_| {});
+        }
     };
-    let mut group = c.group("ingest");
-    group.throughput(batches.iter().map(|b| b.len() as u64).sum());
-    group.sample_size(10);
-    group.bench_function("deployment_40x5k_3_regions", |b| {
-        b.iter_batched(fresh, |mut dep| {
-            for (it, rows) in batches.iter().enumerate() {
-                dep.ingest(&specs[it % TABLES].name, rows).unwrap();
-                if (it + 1) % 10 == 0 {
-                    for region in &mut dep.regions {
-                        let hosts: Vec<_> = region.nodes.hosts().collect();
-                        for host in hosts {
-                            let node = region.nodes.node_mut(host).unwrap();
-                            node.decay_pass();
-                            node.run_memory_monitor();
-                        }
-                    }
-                }
-            }
-            dep
+    group.bench_function("decay_pass_mostly_cold_24_nodes", |b| {
+        b.iter_batched(warm, |()| {
+            each_node(&mut dep.borrow_mut(), |node| node.decay_pass())
         })
     });
     group.finish();
@@ -363,6 +424,7 @@ fn main() {
     let mut bench = Bench::from_args();
     bench_ingest(&mut bench);
     bench_deployment_ingest(&mut bench);
+    bench_maintenance(&mut bench);
     bench_dictionary(&mut bench);
     bench_scan(&mut bench);
     bench_merge(&mut bench);

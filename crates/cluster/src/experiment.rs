@@ -1128,16 +1128,48 @@ mod tests {
         assert_eq!(faulted.qos, again.qos);
     }
 
-    /// The runs `tests/regression_control_plane_bits.rs` pins by counter,
-    /// pinned here by decision: per region, every migration record and the
-    /// final owner of every shard. Captured on `f27cb00` with this test
-    /// (and the `run`/`drive` split it needs) applied to that commit; same
-    /// rule for a re-pin.
-    #[test]
-    fn control_plane_records_match_parent() {
+    /// Order-sensitive digest of migration records: what
+    /// `tests/regression_control_plane_bits.rs` takes of a direct `SmServer`.
+    fn records_digest(history: &[scalewall_shard_manager::MigrationRecord]) -> u64 {
         use scalewall_shard_manager::{MigrationCause, MigrationKind, MigrationPhase};
-        let hour = |h: u64| SimTime::from_secs(h * 3_600);
-        let config = |replicated: bool| ExperimentConfig {
+        let mut records = FNV_OFFSET;
+        for m in history {
+            for w in [
+                m.id.0,
+                m.shard.0,
+                m.from.map_or(u64::MAX, |h| h.0),
+                m.to.0,
+                match m.kind {
+                    MigrationKind::Plain => 0,
+                    MigrationKind::Graceful => 1,
+                    MigrationKind::Failover => 2,
+                },
+                match m.cause {
+                    MigrationCause::LoadBalance => 0,
+                    MigrationCause::Drain => 1,
+                    MigrationCause::HostFailure => 2,
+                    MigrationCause::Manual => 3,
+                },
+                match m.phase {
+                    MigrationPhase::Copying => 0,
+                    MigrationPhase::Forwarding => 1,
+                    MigrationPhase::Done => 2,
+                    MigrationPhase::Failed => 3,
+                },
+                m.started_at.as_nanos(),
+                m.finished_at.map_or(u64::MAX, |t| t.as_nanos()),
+            ] {
+                records = fnv1a_word(records, w);
+            }
+        }
+        records
+    }
+
+    /// What the two pinned runs below share: 3 regions × 12 hosts in 3
+    /// racks for six hours, with failures and drains frequent enough that
+    /// six hours see them, on the single store or three zk replicas.
+    fn six_busy_hours(replicated: bool) -> ExperimentConfig {
+        ExperimentConfig {
             deployment: DeploymentConfig {
                 regions: 3,
                 hosts_per_region: 12,
@@ -1160,13 +1192,26 @@ mod tests {
             repair_delay: SimDuration::from_hours(1),
             drains_per_day: 24.0,
             maintenance_duration: SimDuration::from_mins(40),
+            ..Default::default()
+        }
+    }
+
+    /// The runs `tests/regression_control_plane_bits.rs` pins by counter,
+    /// pinned here by decision: per region, every migration record and the
+    /// final owner of every shard. Captured on `f27cb00` with this test
+    /// (and the `run`/`drive` split it needs) applied to that commit; same
+    /// rule for a re-pin.
+    #[test]
+    fn control_plane_records_match_parent() {
+        let hour = |h: u64| SimTime::from_secs(h * 3_600);
+        let config = |replicated: bool| ExperimentConfig {
             faults: FaultScript::new()
                 .with(FaultKind::HostCrash { region: 1 }, hour(1), SimDuration::from_mins(50))
                 .with(FaultKind::RackOutage { region: 0, rack: 1 }, hour(2), SimDuration::from_mins(45))
                 .with(FaultKind::DrainStorm { region: 2, drains: 4 }, hour(3), SimDuration::from_mins(30))
                 .with(FaultKind::ZkNodeCrash { region: 0 }, hour(4), SimDuration::from_mins(20)),
             seed: 0xB175,
-            ..Default::default()
+            ..six_busy_hours(replicated)
         };
         let fold = |h: &mut u64, w: u64| *h = fnv1a_word(*h, w);
         // Per region: records, their digest, the digest of shard owners.
@@ -1184,36 +1229,7 @@ mod tests {
             e.dep.tick(horizon);
             let mut observed = Vec::new();
             for region in &e.dep.regions {
-                let mut records = FNV_OFFSET;
-                for m in region.sm.migration_history() {
-                    for w in [
-                        m.id.0,
-                        m.shard.0,
-                        m.from.map_or(u64::MAX, |h| h.0),
-                        m.to.0,
-                        match m.kind {
-                            MigrationKind::Plain => 0,
-                            MigrationKind::Graceful => 1,
-                            MigrationKind::Failover => 2,
-                        },
-                        match m.cause {
-                            MigrationCause::LoadBalance => 0,
-                            MigrationCause::Drain => 1,
-                            MigrationCause::HostFailure => 2,
-                            MigrationCause::Manual => 3,
-                        },
-                        match m.phase {
-                            MigrationPhase::Copying => 0,
-                            MigrationPhase::Forwarding => 1,
-                            MigrationPhase::Done => 2,
-                            MigrationPhase::Failed => 3,
-                        },
-                        m.started_at.as_nanos(),
-                        m.finished_at.map_or(u64::MAX, |t| t.as_nanos()),
-                    ] {
-                        fold(&mut records, w);
-                    }
-                }
+                let records = records_digest(region.sm.migration_history());
                 let mut owners = FNV_OFFSET;
                 for spec in &e.population.tables {
                     for shard in e.dep.catalog.read().shards_of_table(&spec.name).unwrap() {
@@ -1226,6 +1242,85 @@ mod tests {
             assert_eq!(
                 observed, pin,
                 "control-plane records (replicated: {replicated}) moved off the parent; observed:\n{observed:?}"
+            );
+        }
+    }
+
+    /// What the metric poll leaves behind, pinned between polls
+    /// (`tests/regression_maintenance_bits.rs` names this test): every
+    /// region's `host_load` bit patterns after every `CollectMetrics` and
+    /// `LoadBalance` event of a faulted six-hour run on three zk replicas,
+    /// and every migration record. Once reporting decompressed sizes,
+    /// which no event of the run changes, so a poll finds every weight as
+    /// it stored it; once reporting memory footprints on hosts tight
+    /// enough that monitor passes move them between polls. Twelve hosts a
+    /// region: at eight the safety budget denies every drain of the storm.
+    /// Captured on `ddbe8d3` with this test applied to that commit; same
+    /// rule for a re-pin.
+    #[test]
+    fn poll_load_bits_match_parent() {
+        use cubrick::metrics::MetricGeneration;
+        let hour = |h: u64| SimTime::from_secs(h * 3_600);
+        let config = |metric_generation, host_memory_bytes| {
+            let mut config = ExperimentConfig {
+                rows_per_table: 600,
+                drains_per_day: 12.0,
+                faults: FaultScript::new()
+                    .with(FaultKind::HostCrash { region: 1 }, hour(1), SimDuration::from_mins(50))
+                    .with(FaultKind::DrainStorm { region: 2, drains: 4 }, hour(3), SimDuration::from_mins(30)),
+                seed: 0x3A17,
+                ..six_busy_hours(true)
+            };
+            config.deployment.metric_generation = metric_generation;
+            config.deployment.host_memory_bytes = host_memory_bytes;
+            config
+        };
+        // Per generation: events observed, polls that changed some load
+        // bit pattern, the digest of all patterns, records, their digest.
+        #[rustfmt::skip]
+        let pins = [
+            (MetricGeneration::Gen2DecompressedSize, 8 << 30, [108, 15, 2_382_112_399_005_896_702, 70, 9_532_482_030_937_071_229]),
+            (MetricGeneration::Gen1MemoryFootprint, 60 << 10, [108, 18, 2_549_047_296_906_888_626, 84, 4_227_773_963_737_040_394u64]),
+        ];
+        for (generation, memory, pin) in pins {
+            let mut e = Experiment::new(config(generation, memory));
+            // `drive`, looking at every region's loads after each poll and
+            // each balancer pass.
+            e.schedule_initial();
+            let horizon = SimTime::ZERO + e.config.duration;
+            let (mut observed, mut moved, mut loads) = (0, 0, FNV_OFFSET);
+            let mut last = FNV_OFFSET;
+            let mut batch = Vec::new();
+            while e.queue.peek_time().is_some_and(|time| time <= horizon) {
+                e.queue.pop_tick(&mut batch);
+                for ev in batch.drain(..) {
+                    let polled = matches!(ev.payload, Event::CollectMetrics);
+                    let watched = polled || matches!(ev.payload, Event::LoadBalance);
+                    e.dep.tick(ev.time);
+                    e.handle(ev.payload, ev.time);
+                    if !watched {
+                        continue;
+                    }
+                    let mut now = FNV_OFFSET;
+                    for region in &e.dep.regions {
+                        for host in region.sm.host_ids() {
+                            now = fnv1a_word(now, host.0);
+                            now = fnv1a_word(now, region.sm.host_load(host).to_bits());
+                        }
+                    }
+                    observed += 1;
+                    moved += u64::from(polled && now != last);
+                    loads = fnv1a_word(loads, now);
+                    last = now;
+                }
+            }
+            let history = e.dep.regions.iter().flat_map(|r| r.sm.migration_history());
+            let records: Vec<_> = history.cloned().collect();
+            let migrated = (records.len() as u64, records_digest(&records));
+            let got = [observed, moved, loads, migrated.0, migrated.1];
+            assert_eq!(
+                got, pin,
+                "poll loads ({generation:?}) moved off the parent; observed:\n{got:?}"
             );
         }
     }

@@ -18,6 +18,9 @@ const FREE: u32 = u32::MAX;
 pub struct Dictionary {
     /// The strings, in id order; each is stored once.
     strings: Vec<String>,
+    /// Sum of the strings' lengths, kept by [`Self::encode`] so that
+    /// [`Self::footprint`] walks nothing.
+    string_bytes: usize,
     /// Open-addressing index over `strings`: slot → id or [`FREE`],
     /// linear probing from the low bits of the string's FNV-1a hash; a
     /// power of two ≥ 2 × `strings.len()`, rebuilt when it has to grow.
@@ -58,6 +61,7 @@ impl Dictionary {
             });
         }
         self.strings.push(s.to_string());
+        self.string_bytes += s.len();
         self.ranks = None;
         if self.strings.len() * 2 > self.index.len() {
             // Double the index (from 8 slots) and re-enter every id.
@@ -140,8 +144,8 @@ impl Dictionary {
     /// and every monitor plan are pinned to (DESIGN.md "Ingest path
     /// contract"), not a measurement of this struct.
     pub fn footprint(&self) -> u64 {
-        let chars: usize = self.strings.iter().map(|s| s.len()).sum();
-        (chars * 2 + self.strings.len() * (std::mem::size_of::<String>() * 2 + 8)) as u64
+        let per_entry = std::mem::size_of::<String>() * 2 + 8;
+        (self.string_bytes * 2 + self.strings.len() * per_entry) as u64
     }
 }
 

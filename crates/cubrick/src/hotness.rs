@@ -64,68 +64,78 @@ impl Default for MemoryMonitorConfig {
     }
 }
 
-/// What the memory monitor decided for one pass.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MonitorPlan {
-    /// Brick keys to compress, coldest first.
-    pub compress: Vec<u64>,
-    /// Brick keys to decompress, hottest first.
-    pub decompress: Vec<u64>,
+/// Where a footprint stands against the budget: what a monitor pass may
+/// move, and how many bytes of it. The one place the comparison is made;
+/// a pass asks it before looking at any brick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Band {
+    /// Over budget by this many bytes: compress.
+    Over(u64),
+    /// This many bytes below the low watermark: decompress.
+    Under(u64),
+    /// Between the two (the hysteresis band): nothing moves.
+    Within,
 }
 
-/// Compute a compression plan.
-///
-/// * `footprint` — current bytes in memory.
-/// * `uncompressed` — candidate bricks `(key, hotness, payload_bytes)`
-///   currently uncompressed.
-/// * `compressed` — candidate bricks `(key, hotness, decompressed_bytes)`
-///   currently compressed.
-///
-/// If over budget: compress coldest-first until projected footprint fits
-/// (compression is conservatively assumed to reclaim 75 % of a brick's
-/// payload — the monitor re-runs next pass with real numbers). If under
-/// the low watermark: decompress hottest-first while staying under budget.
-pub fn plan(
-    config: &MemoryMonitorConfig,
-    footprint: u64,
-    uncompressed: &[(u64, Hotness, u64)],
-    compressed: &[(u64, Hotness, u64)],
-) -> MonitorPlan {
-    let mut plan = MonitorPlan::default();
-    if footprint > config.budget_bytes {
-        let mut need = footprint - config.budget_bytes;
-        let mut candidates: Vec<&(u64, Hotness, u64)> = uncompressed.iter().collect();
-        // Coldest first; ties by key for determinism.
-        candidates.sort_by_key(|(k, h, _)| (h.0, *k));
-        for (key, _, bytes) in candidates {
-            if need == 0 {
-                break;
-            }
-            let reclaim = bytes * 3 / 4;
-            plan.compress.push(*key);
-            need = need.saturating_sub(reclaim);
-        }
-    } else if (footprint as f64) < config.budget_bytes as f64 * config.low_watermark {
-        let mut room = (config.budget_bytes as f64 * config.low_watermark) as u64 - footprint;
-        let mut candidates: Vec<&(u64, Hotness, u64)> = compressed.iter().collect();
-        // Hottest first; ties by key.
-        candidates.sort_by_key(|(k, h, _)| (std::cmp::Reverse(h.0), *k));
-        for (key, hot, bytes) in candidates {
-            // Only bring back bricks that are actually warm; cold data can
-            // stay compressed forever.
-            if hot.0 == 0 {
-                break;
-            }
-            // Growth = decompressed − compressed ≈ 75 % of payload.
-            let growth = bytes * 3 / 4;
-            if growth > room {
-                break;
-            }
-            plan.decompress.push(*key);
-            room -= growth;
+impl MemoryMonitorConfig {
+    /// The band a `footprint` puts its partition in.
+    pub fn band(&self, footprint: u64) -> Band {
+        let low = self.budget_bytes as f64 * self.low_watermark;
+        if footprint > self.budget_bytes {
+            Band::Over(footprint - self.budget_bytes)
+        } else if (footprint as f64) < low {
+            Band::Under(low as u64 - footprint)
+        } else {
+            Band::Within
         }
     }
-    plan
+}
+
+/// The brick keys one pass moves, in order.
+///
+/// `candidates` are `(key, hotness, payload bytes)` of the bricks `band`
+/// can move: the uncompressed ones when over budget, the compressed ones
+/// (by decompressed size) when under the watermark.
+///
+/// Over budget: compress coldest-first until the projected footprint fits
+/// (compression is conservatively assumed to reclaim 75 % of a brick's
+/// payload — the monitor re-runs next pass with real numbers). Under the
+/// low watermark: decompress hottest-first while staying under it.
+pub fn plan(band: Band, mut candidates: Vec<(u64, Hotness, u64)>) -> Vec<u64> {
+    let mut moved = Vec::new();
+    match band {
+        Band::Over(mut need) => {
+            // Coldest first; ties by key for determinism.
+            candidates.sort_by_key(|&(k, h, _)| (h.0, k));
+            for (key, _, bytes) in candidates {
+                if need == 0 {
+                    break;
+                }
+                moved.push(key);
+                need = need.saturating_sub(bytes * 3 / 4);
+            }
+        }
+        Band::Under(mut room) => {
+            // Hottest first; ties by key.
+            candidates.sort_by_key(|&(k, h, _)| (std::cmp::Reverse(h.0), k));
+            for (key, hot, bytes) in candidates {
+                // Only bring back bricks that are actually warm; cold data can
+                // stay compressed forever.
+                if hot.0 == 0 {
+                    break;
+                }
+                // Growth = decompressed − compressed ≈ 75 % of payload.
+                let growth = bytes * 3 / 4;
+                if growth > room {
+                    break;
+                }
+                moved.push(key);
+                room -= growth;
+            }
+        }
+        Band::Within => {}
+    }
+    moved
 }
 
 #[cfg(test)]
@@ -190,13 +200,13 @@ mod tests {
             (2, Hotness(0), 1_000),
             (3, Hotness(5), 1_000),
         ];
-        let p = plan(&config(2_000), 3_000, &uncompressed, &[]);
+        let band = config(2_000).band(3_000);
+        assert_eq!(band, Band::Over(1_000));
         assert_eq!(
-            p.compress,
+            plan(band, uncompressed),
             vec![2, 3],
             "coldest until reclaim covers overage"
         );
-        assert!(p.decompress.is_empty());
     }
 
     #[test]
@@ -207,25 +217,25 @@ mod tests {
             (3, Hotness(0), 1_000),
         ];
         // budget 10k, watermark 8k, footprint 5k → 3k room.
-        let p = plan(&config(10_000), 5_000, &[], &compressed);
+        let band = config(10_000).band(5_000);
+        assert_eq!(band, Band::Under(3_000));
         assert_eq!(
-            p.decompress,
+            plan(band, compressed),
             vec![2, 1],
             "hottest first, cold stays compressed"
         );
-        assert!(p.compress.is_empty());
     }
 
     #[test]
     fn in_band_does_nothing() {
-        let p = plan(
-            &config(10_000),
-            9_000,
-            &[(1, Hotness(0), 100)],
-            &[(2, Hotness(9), 100)],
-        );
-        assert!(p.compress.is_empty());
-        assert!(p.decompress.is_empty());
+        // The band's edges belong to it: at the budget, at the watermark.
+        for footprint in [8_000, 9_000, 10_000] {
+            let band = config(10_000).band(footprint);
+            assert_eq!(band, Band::Within, "{footprint}");
+            assert!(plan(band, vec![(1, Hotness(0), 100), (2, Hotness(9), 100)]).is_empty());
+        }
+        assert_eq!(config(10_000).band(10_001), Band::Over(1));
+        assert_eq!(config(10_000).band(7_999), Band::Under(1));
     }
 
     #[test]
@@ -233,14 +243,12 @@ mod tests {
         let compressed = vec![(1u64, Hotness(9), 10_000u64), (2, Hotness(8), 100)];
         // Room = 8k − 7.9k = 100 bytes: brick 1 (growth 7.5k) won't fit,
         // and the policy stops at the first non-fitting brick.
-        let p = plan(&config(10_000), 7_900, &[], &compressed);
-        assert!(p.decompress.is_empty());
+        assert!(plan(config(10_000).band(7_900), compressed).is_empty());
     }
 
     #[test]
     fn deterministic_tie_break_by_key() {
         let uncompressed = vec![(9u64, Hotness(0), 100u64), (4, Hotness(0), 100)];
-        let p = plan(&config(0), 150, &uncompressed, &[]);
-        assert_eq!(p.compress, vec![4, 9]);
+        assert_eq!(plan(config(0).band(150), uncompressed), vec![4, 9]);
     }
 }

@@ -38,9 +38,9 @@ pub const MEMORY_HEADROOM: f64 = 0.9;
 
 impl MetricGeneration {
     /// The per-shard size reported to SM, over the shard's partitions.
-    /// Each generation walks only the footprint it reports: the metric
-    /// poll visits every partition of every host, so a footprint nobody
-    /// reads is a brick walk per partition per poll for nothing.
+    /// No generation walks anything: every footprint is a total its
+    /// partition maintains (DESIGN.md "Maintenance pass contract"), so
+    /// the metric poll costs a few reads per partition of every host.
     pub fn shard_size<'a>(self, partitions: impl Iterator<Item = &'a PartitionData>) -> f64 {
         match self {
             MetricGeneration::Gen1MemoryFootprint => {

@@ -326,29 +326,37 @@ impl CubrickNode {
     /// Run the adaptive-compression memory monitor: apportion the node
     /// budget over owned partitions by decompressed share, then let each
     /// partition compress/decompress. Returns (compressed, decompressed)
-    /// brick totals.
+    /// brick totals: sums over independent partitions, so the pass takes
+    /// the owned shards' partitions as the catalog lists them, unsorted,
+    /// and goes back to them only if one has a brick it could move.
     pub fn run_memory_monitor(&mut self) -> (usize, usize) {
-        let keys = self.owned_partition_keys();
+        let catalog = self.catalog.read();
         let mut store = self.region_store.write();
-        let total_decompressed: u64 = keys
-            .iter()
+        let owned = || {
+            let shards = self.owned.keys();
+            shards.flat_map(|&s| catalog.partitions_of_shard(s))
+        };
+        let parts: Vec<&PartitionData> = owned()
             .filter_map(|(t, p)| store.partition(t, *p))
-            .map(|d| d.decompressed_bytes())
-            .sum();
-        if total_decompressed == 0 {
+            .collect();
+        let total_decompressed: u64 = parts.iter().map(|d| d.decompressed_bytes()).sum();
+        let config_of = |data: &PartitionData| {
+            let share = data.decompressed_bytes() as f64 / total_decompressed as f64;
+            MemoryMonitorConfig {
+                budget_bytes: (self.config.memory_budget_bytes as f64 * share) as u64,
+                hot_threshold: self.config.hot_threshold,
+                decay_probability: self.config.decay_probability,
+                ..Default::default()
+            }
+        };
+        let idle = |data: &&PartitionData| data.movable_bricks(&config_of(data)).1 == 0;
+        if total_decompressed == 0 || parts.iter().all(idle) {
             return (0, 0);
         }
         let mut totals = (0usize, 0usize);
-        for (table, p) in keys {
-            if let Some(data) = store.partition_mut(&table, p) {
-                let share = data.decompressed_bytes() as f64 / total_decompressed as f64;
-                let config = MemoryMonitorConfig {
-                    budget_bytes: (self.config.memory_budget_bytes as f64 * share) as u64,
-                    hot_threshold: self.config.hot_threshold,
-                    decay_probability: self.config.decay_probability,
-                    ..Default::default()
-                };
-                let (c, d) = data.run_memory_monitor(&config);
+        for (table, p) in owned() {
+            if let Some(data) = store.partition_mut(table, *p) {
+                let (c, d) = data.run_memory_monitor(&config_of(data));
                 totals.0 += c;
                 totals.1 += d;
             }

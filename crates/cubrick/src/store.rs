@@ -21,7 +21,7 @@ use crate::brick::Brick;
 use crate::compression::CompressedBrick;
 use crate::dictionary::{Dictionary, StringRanks};
 use crate::error::{CubrickError, CubrickResult};
-use crate::hotness::{self, Hotness, MemoryMonitorConfig};
+use crate::hotness::{self, Band, Hotness, MemoryMonitorConfig};
 use crate::partition::BrickSpace;
 use crate::schema::Schema;
 use crate::value::{Row, Value};
@@ -34,10 +34,61 @@ enum BrickState {
     Evicted(CompressedBrick),
 }
 
+/// Where a brick's bytes sit ([`PartitionData::brick_census`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Residency {
+    Hot,
+    Cold,
+    Evicted,
+}
+
+impl BrickState {
+    /// Where the brick's bytes sit, and how many.
+    fn residency(&self) -> (Residency, u64) {
+        match self {
+            BrickState::Hot(b) => (Residency::Hot, b.footprint()),
+            BrickState::Cold(c) => (Residency::Cold, c.footprint()),
+            BrickState::Evicted(c) => (Residency::Evicted, c.footprint()),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Slot {
     state: BrickState,
     hotness: Hotness,
+}
+
+/// Totals over a partition's bricks, so that no footprint is a walk. A
+/// brick is counted out before anything that changes its state or grows
+/// its columns and back in after (DESIGN.md "Maintenance pass contract").
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Bytes of the hot and cold bricks.
+    resident_bytes: u64,
+    /// Bytes of the evicted bricks.
+    ssd_bytes: u64,
+    hot: usize,
+    cold: usize,
+    evicted: usize,
+}
+
+impl Tally {
+    fn count(&mut self, state: &BrickState, entering: bool) {
+        let (residency, bytes) = state.residency();
+        let (total, bricks) = match residency {
+            Residency::Hot => (&mut self.resident_bytes, &mut self.hot),
+            Residency::Cold => (&mut self.resident_bytes, &mut self.cold),
+            Residency::Evicted => (&mut self.ssd_bytes, &mut self.evicted),
+        };
+        if entering {
+            *total += bytes;
+            *bricks += 1;
+        } else {
+            *total -= bytes;
+            *bricks -= 1;
+        }
+    }
 }
 
 /// Scan/ingest statistics for observability and experiments.
@@ -51,7 +102,7 @@ pub struct StoreStats {
 }
 
 /// One table partition's data.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PartitionData {
     schema: Arc<Schema>,
     space: BrickSpace,
@@ -60,6 +111,29 @@ pub struct PartitionData {
     bricks: BTreeMap<u64, Slot>,
     rows: u64,
     stats: StoreStats,
+    tally: Tally,
+    /// Bricks whose hotness counter is above zero: up on a scan's first
+    /// touch, down when a decay halves a counter to zero.
+    warm_bricks: usize,
+}
+
+impl Clone for PartitionData {
+    /// The copy recounts its bricks: `Vec::clone` returns columns at exact
+    /// capacity, and a hot brick's footprint reads capacities.
+    fn clone(&self) -> Self {
+        let mut copy = PartitionData {
+            schema: self.schema.clone(),
+            space: self.space.clone(),
+            dicts: self.dicts.clone(),
+            bricks: self.bricks.clone(),
+            tally: Tally::default(),
+            ..*self
+        };
+        for slot in copy.bricks.values() {
+            copy.tally.count(&slot.state, true);
+        }
+        copy
+    }
 }
 
 impl PartitionData {
@@ -82,6 +156,8 @@ impl PartitionData {
             bricks: BTreeMap::new(),
             rows: 0,
             stats: StoreStats::default(),
+            tally: Tally::default(),
+            warm_bricks: 0,
         }
     }
 
@@ -171,10 +247,16 @@ impl PartitionData {
             let Some(&(brick_id, _)) = run.first() else {
                 continue;
             };
-            let slot = self.bricks.entry(brick_id).or_insert_with(|| Slot {
-                state: BrickState::Hot(Brick::new(num_dims, num_metrics)),
-                hotness: Hotness::default(),
+            let slot = self.bricks.entry(brick_id).or_insert_with(|| {
+                let state = BrickState::Hot(Brick::new(num_dims, num_metrics));
+                self.tally.count(&state, true);
+                Slot {
+                    state,
+                    hotness: Hotness::default(),
+                }
             });
+            // Out as the run finds the brick, back in as it leaves it.
+            self.tally.count(&slot.state, false);
             if let BrickState::Cold(c) | BrickState::Evicted(c) = &slot.state {
                 slot.state = BrickState::Hot(c.decompress());
             }
@@ -186,6 +268,7 @@ impl PartitionData {
             for &(_, i) in run {
                 brick.push(&ordinals[i * num_dims..][..num_dims], &rows[i].metrics);
             }
+            self.tally.count(&slot.state, true);
             self.rows += run.len() as u64;
             self.stats.rows_ingested += run.len() as u64;
         }
@@ -223,6 +306,7 @@ impl PartitionData {
             space,
             bricks,
             stats,
+            warm_bricks,
             ..
         } = self;
         let mut residual = Vec::new();
@@ -231,6 +315,7 @@ impl PartitionData {
                 stats.bricks_pruned += 1;
                 continue;
             }
+            *warm_bricks += usize::from(slot.hotness.0 == 0);
             slot.hotness.touch();
             stats.bricks_scanned += 1;
             match &slot.state {
@@ -284,27 +369,18 @@ impl PartitionData {
 
     /// Bytes currently resident in memory (gen-1 metric).
     pub fn memory_footprint(&self) -> u64 {
-        let bricks: u64 = self
-            .bricks
-            .values()
-            .map(|s| match &s.state {
-                BrickState::Hot(b) => b.footprint(),
-                BrickState::Cold(c) => c.footprint(),
-                BrickState::Evicted(_) => 0,
-            })
-            .sum();
         let dicts: u64 = self.dicts.iter().flatten().map(|d| d.footprint()).sum();
-        bricks + dicts
+        self.tally.resident_bytes + dicts
     }
 
     /// Bytes this partition would occupy fully decompressed (gen-2
     /// metric — invariant to the node's current memory pressure).
     ///
-    /// No brick walk: a hot brick's payload is its rows × the schema's
-    /// row width, a compressed brick remembers the payload it was built
-    /// from, and every stored row sits in exactly one brick, so the sum
-    /// over bricks is `rows × row width` in any hot/cold/evicted mix
-    /// (`tests/props.rs` pins it).
+    /// A hot brick's payload is its rows × the schema's row width, a
+    /// compressed brick remembers the payload it was built from, and
+    /// every stored row sits in exactly one brick, so the sum over bricks
+    /// is `rows × row width` in any hot/cold/evicted mix (`tests/props.rs`
+    /// pins it).
     pub fn decompressed_bytes(&self) -> u64 {
         let row_width = 4 * self.schema.dimensions.len() + 8 * self.schema.metrics.len();
         self.rows * row_width as u64
@@ -312,26 +388,28 @@ impl PartitionData {
 
     /// Bytes on simulated SSD (gen-3 metric component).
     pub fn ssd_bytes(&self) -> u64 {
-        self.bricks
-            .values()
-            .map(|s| match &s.state {
-                BrickState::Evicted(c) => c.footprint(),
-                _ => 0,
-            })
-            .sum()
+        self.tally.ssd_bytes
     }
 
     /// Counts of bricks by state: (hot, cold, evicted).
     pub fn state_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for s in self.bricks.values() {
-            match s.state {
-                BrickState::Hot(_) => counts.0 += 1,
-                BrickState::Cold(_) => counts.1 += 1,
-                BrickState::Evicted(_) => counts.2 += 1,
-            }
-        }
-        counts
+        (self.tally.hot, self.tally.cold, self.tally.evicted)
+    }
+
+    /// Bricks a scan has touched since a decay last halved them to zero.
+    pub fn warm_bricks(&self) -> usize {
+        self.warm_bricks
+    }
+
+    /// Every brick as `(id, where its bytes sit, how many)`, in id order:
+    /// the walk the getters above are checked against (`tests/props.rs`).
+    /// No pass calls it.
+    pub fn brick_census(&self) -> Vec<(u64, Residency, u64)> {
+        let entry = |(&id, slot): (&u64, &Slot)| {
+            let (residency, bytes) = slot.state.residency();
+            (id, residency, bytes)
+        };
+        self.bricks.iter().map(entry).collect()
     }
 
     /// Snapshot of `(brick_id, hotness)` for Fig 4e.
@@ -344,44 +422,69 @@ impl PartitionData {
 
     // -------------------------------------------------------- memory monitor
 
-    /// One stochastic decay pass over all hotness counters.
+    /// One stochastic decay pass over all hotness counters. A partition
+    /// without a warm brick is left alone: [`Hotness::decay`] draws only
+    /// for counters above zero, so the walk would have drawn nothing.
     pub fn decay_pass(&mut self, p: f64, rng: &mut SimRng) {
-        for slot in self.bricks.values_mut() {
-            slot.hotness.decay(p, rng);
+        if self.warm_bricks == 0 {
+            return;
         }
+        for slot in self.bricks.values_mut() {
+            let was_warm = slot.hotness.0 > 0;
+            slot.hotness.decay(p, rng);
+            self.warm_bricks -= usize::from(was_warm && slot.hotness.0 == 0);
+        }
+    }
+
+    /// The [`Band`] `config` puts the footprint in, and how many bricks a
+    /// monitor pass could move there: the hot ones over budget, the cold
+    /// ones under the watermark. Zero bricks, and the pass is a no-op.
+    pub fn movable_bricks(&self, config: &MemoryMonitorConfig) -> (Band, usize) {
+        let band = config.band(self.memory_footprint());
+        let movable = match band {
+            Band::Over(_) => self.tally.hot,
+            Band::Under(_) => self.tally.cold,
+            Band::Within => 0,
+        };
+        (band, movable)
     }
 
     /// Run the adaptive-compression monitor against a *partition-level*
     /// byte budget. Returns (bricks compressed, bricks decompressed).
+    /// Looks at bricks only when some are [movable](Self::movable_bricks).
     ///
     /// Node-level budgets are apportioned to partitions by the node.
     pub fn run_memory_monitor(&mut self, config: &MemoryMonitorConfig) -> (usize, usize) {
-        let footprint = self.memory_footprint();
-        let mut uncompressed = Vec::new();
-        let mut compressed = Vec::new();
-        for (&id, slot) in &self.bricks {
-            match &slot.state {
-                BrickState::Hot(b) => uncompressed.push((id, slot.hotness, b.payload_bytes())),
-                BrickState::Cold(c) => compressed.push((id, slot.hotness, c.decompressed_bytes())),
+        let (band, movable) = self.movable_bricks(config);
+        if movable == 0 {
+            return (0, 0);
+        }
+        let candidate = |(&id, slot): (&u64, &Slot)| match (band, &slot.state) {
+            (Band::Over(_), BrickState::Hot(b)) => Some((id, slot.hotness, b.payload_bytes())),
+            (Band::Under(_), BrickState::Cold(c)) => {
+                Some((id, slot.hotness, c.decompressed_bytes()))
+            }
+            _ => None,
+        };
+        let moved = hotness::plan(band, self.bricks.iter().filter_map(candidate).collect());
+        for id in &moved {
+            let Some(Slot { state, .. }) = self.bricks.get_mut(id) else {
+                continue;
+            };
+            self.tally.count(state, false);
+            match state {
+                BrickState::Hot(b) => {
+                    *state = BrickState::Cold(CompressedBrick::compress(std::mem::take(b)))
+                }
+                BrickState::Cold(c) => *state = BrickState::Hot(c.decompress()),
                 BrickState::Evicted(_) => {}
             }
+            self.tally.count(state, true);
         }
-        let plan = hotness::plan(config, footprint, &uncompressed, &compressed);
-        for id in &plan.compress {
-            if let Some(Slot { state, .. }) = self.bricks.get_mut(id) {
-                if let BrickState::Hot(b) = state {
-                    *state = BrickState::Cold(CompressedBrick::compress(std::mem::take(b)));
-                }
-            }
+        match band {
+            Band::Over(_) => (moved.len(), 0),
+            _ => (0, moved.len()),
         }
-        for id in &plan.decompress {
-            if let Some(Slot { state, .. }) = self.bricks.get_mut(id) {
-                if let BrickState::Cold(c) = state {
-                    *state = BrickState::Hot(c.decompress());
-                }
-            }
-        }
-        (plan.compress.len(), plan.decompress.len())
     }
 
     /// Gen-3 eviction: push the coldest *compressed* bricks out to SSD
@@ -403,13 +506,18 @@ impl PartitionData {
             if freed >= bytes_to_free {
                 break;
             }
-            if let Some(Slot { state, .. }) = self.bricks.get_mut(&id) {
-                if let BrickState::Cold(c) = state {
-                    *state = BrickState::Evicted(c.clone());
-                    freed += bytes;
-                    evicted += 1;
-                }
-            }
+            let Some(Slot { state, .. }) = self.bricks.get_mut(&id) else {
+                continue;
+            };
+            self.tally.count(state, false);
+            // The compressed brick moves to SSD; nothing is copied.
+            *state = match std::mem::replace(state, BrickState::Hot(Brick::default())) {
+                BrickState::Cold(c) => BrickState::Evicted(c),
+                other => other,
+            };
+            self.tally.count(state, true);
+            freed += bytes;
+            evicted += 1;
         }
         evicted
     }

@@ -697,7 +697,7 @@ use cubrick::catalog::{shared_catalog, RowMapping};
 use cubrick::hotness::MemoryMonitorConfig;
 use cubrick::metrics::MetricGeneration;
 use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
-use cubrick::store::PartitionData;
+use cubrick::store::{PartitionData, Residency};
 use cubrick::value::{Row, Value};
 use scalewall_shard_manager::{AddShardReason, AppServer, Region, ShardContext, ShardId};
 use scalewall_sim::sync::RwLock;
@@ -907,6 +907,154 @@ fn ingest_batch_equals_row_at_a_time() {
             let got = batched.ingest_batch(&rows);
             assert_eq!(got, want);
             assert_eq!(pinned_state(&batched), pinned_state(&row_at_a_time));
+        },
+    );
+}
+
+/// A partition's maintained totals against walks written here: the
+/// brick census summed by state, every dictionary string decoded and
+/// measured, the hotness snapshot counted.
+fn assert_totals_equal_walks(p: &PartitionData, context: &dyn std::fmt::Debug) {
+    let (mut resident, mut ssd, mut counts) = (0u64, 0u64, (0usize, 0usize, 0usize));
+    for (_, residency, bytes) in p.brick_census() {
+        match residency {
+            Residency::Hot => (resident, counts.0) = (resident + bytes, counts.0 + 1),
+            Residency::Cold => (resident, counts.1) = (resident + bytes, counts.1 + 1),
+            Residency::Evicted => (ssd, counts.2) = (ssd + bytes, counts.2 + 1),
+        }
+    }
+    for dict in (0..p.schema().dimensions.len()).filter_map(|d| p.dict(d)) {
+        let strings = (0..dict.len() as u32).map(|id| dict.decode(id).expect("dense ids"));
+        let walked = strings.map(|s| 2 * s.len() + 56).sum::<usize>() as u64;
+        assert_eq!(dict.footprint(), walked, "{context:?}");
+        resident += walked;
+    }
+    assert_eq!(p.memory_footprint(), resident, "{context:?}");
+    assert_eq!(p.ssd_bytes(), ssd, "{context:?}");
+    assert_eq!(p.state_counts(), counts, "{context:?}");
+    let warm = p.hotness_snapshot().iter().filter(|&&(_, h)| h > 0).count();
+    assert_eq!(p.warm_bricks(), warm, "{context:?}");
+}
+
+/// What moves a maintained total, beyond [`StoreOp`].
+#[derive(Debug)]
+enum TotalsOp {
+    Store(StoreOp),
+    /// A batch of this many rows with a refused one at this index.
+    RefusedBatch(usize, usize),
+    /// A scan pruned to ordinals up to this one of the first dimension.
+    PrunedScan(u32),
+    /// Decay passes at this halving probability.
+    Decay(usize, f64),
+    /// Carry on with a clone (columns come back at exact capacity).
+    Clone,
+}
+
+/// `memory_footprint`, `ssd_bytes`, `state_counts`, `warm_bricks` and
+/// `Dictionary::footprint` read maintained totals; after every step of any
+/// life — ingests with refused rows into a dictionary that fills up,
+/// squeezes, roomy passes, evictions, rows re-heating cold and evicted
+/// bricks, full and pruned scans, decay to zero, clones — and in every
+/// partition both ways through a re-partition, they equal the walks.
+#[test]
+fn maintained_totals_equal_the_walks() {
+    prop::check_n(
+        "maintained_totals_equal_the_walks",
+        64,
+        |rng| {
+            let mut b = SchemaBuilder::new();
+            for d in 0..gen::usize_in(rng, 1, 3) {
+                b = b.int_dim(&format!("d{d}"), 0, 100, rng.range(5, 50) as u32);
+            }
+            if rng.chance(0.7) {
+                // Room for 16 of the generator's 40 strings.
+                b = b.str_dim("s", 16, 4);
+            }
+            let schema = b.metric("m0").metric("m1").build().expect("valid schema");
+            let ops = gen::vec_with(rng, 1, 24, |r| match r.below(9) {
+                0..=4 => TotalsOp::Store(gen_store_op(r)),
+                5 => {
+                    let rows = gen::usize_in(r, 1, 60);
+                    TotalsOp::RefusedBatch(rows, r.below(rows as u64) as usize)
+                }
+                6 => TotalsOp::PrunedScan(r.below(100) as u32),
+                7 => TotalsOp::Decay(gen::usize_in(r, 1, 6), *r.pick(&[0.3, 1.0])),
+                _ => TotalsOp::Clone,
+            });
+            (schema, ops, gen::any_u64(rng))
+        },
+        |(schema, ops, seed)| {
+            let mut rng = SimRng::new(*seed);
+            let mut p = PartitionData::new(Arc::new(schema.clone()));
+            for op in ops {
+                match op {
+                    TotalsOp::Store(StoreOp::Ingest(n)) => {
+                        // A full dictionary refuses some of these; fine.
+                        for _ in 0..*n {
+                            let _ = p.ingest(&gen_schema_row(schema, &mut rng));
+                        }
+                    }
+                    TotalsOp::Store(op) => apply_store_op(&mut p, op, &mut rng),
+                    TotalsOp::RefusedBatch(rows, at) => {
+                        let mut batch: Vec<Row> = (0..*rows)
+                            .map(|_| gen_schema_row(schema, &mut rng))
+                            .collect();
+                        batch[*at] = gen_refused_row(schema, &mut rng);
+                        let batch: Vec<&Row> = batch.iter().collect();
+                        assert!(p.ingest_batch(&batch).is_err());
+                    }
+                    TotalsOp::PrunedScan(upto) => {
+                        let mut constraints = vec![None; schema.dimensions.len()];
+                        constraints[0] = Some(vec![(0, *upto)]);
+                        p.for_each_matching_brick(&constraints, |_| {});
+                    }
+                    TotalsOp::Decay(passes, probability) => {
+                        for _ in 0..*passes {
+                            p.decay_pass(*probability, &mut rng);
+                        }
+                    }
+                    TotalsOp::Clone => p = p.clone(),
+                }
+                assert_totals_equal_walks(&p, op);
+            }
+
+            // Both ways through a re-partition, starting from partitions
+            // squeezed into every state.
+            let mut catalog = cubrick::catalog::Catalog::new(1_000);
+            let mut store = RegionStore::new();
+            let def = catalog
+                .create_table(
+                    "t",
+                    Arc::new(schema.clone()),
+                    8,
+                    RowMapping::Hash,
+                    ShardMapping::Monotonic,
+                )
+                .expect("fresh table");
+            let rows = p.all_rows();
+            for (partition, routed) in (0..).zip(def.route_rows(&rows, || 0)) {
+                store
+                    .ingest_batch(&def.name, partition, &def.schema, &routed)
+                    .expect("rows a partition stored");
+                if let Some(data) = store.partition_mut("t", partition) {
+                    apply_store_op(data, &StoreOp::Monitor(0), &mut rng);
+                    apply_store_op(data, &StoreOp::Evict(200), &mut rng);
+                }
+            }
+            for partitions in [16, 8] {
+                let shuffled = cubrick::repartition::repartition_table(
+                    &mut catalog,
+                    &mut store,
+                    "t",
+                    partitions,
+                    &mut rng,
+                );
+                assert_eq!(shuffled, Ok(rows.len() as u64));
+                for (table, partition) in store.keys() {
+                    let data = store.partition(&table, partition).expect("listed");
+                    assert_totals_equal_walks(data, &(partitions, partition));
+                }
+            }
         },
     );
 }

@@ -814,8 +814,9 @@ pub fn lint_file(root: &Path, rel: &str) -> std::io::Result<Option<FileReport>> 
     Ok(a.finish().pop())
 }
 
-/// Collect workspace `.rs` files (sorted, deterministic).
-fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
+/// Collect the `.rs` files under `dir` as `root`-relative paths (sorted,
+/// deterministic; hidden directories and `target` skipped).
+pub fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();

@@ -4,10 +4,12 @@
 
 use std::path::Path;
 
-use scalewall_lint::lexer::{lex, Tok, Token};
 use scalewall_lint::{lint_source, parser, RuleId, RuleSet};
 use scalewall_sim::prop;
 use scalewall_sim::SimRng;
+
+#[path = "support/canary.rs"]
+mod canary;
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name);
@@ -216,71 +218,14 @@ fn every_fixture_token_is_scanned() {
     }
 }
 
-/// Lines (1-based) holding a single-line `fn … {` header outside
-/// `#[cfg(test)]` items, found from the token stream alone: asking the
-/// parser would not list the functions it is blind to.
-fn fn_header_lines(src: &str) -> Vec<u32> {
-    let toks: Vec<Token> = lex(src)
-        .into_iter()
-        .filter(|t| !matches!(t.tok, Tok::Comment(_)))
-        .collect();
-    let punct = |i: usize, c: char| matches!(toks.get(i), Some(t) if t.tok == Tok::Punct(c));
-    let ident = |i: usize, s: &str| matches!(toks.get(i), Some(Token { tok: Tok::Ident(w), .. }) if w == s);
-    let mut lines = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if punct(i, '#') && punct(i + 1, '[') && ident(i + 2, "cfg") {
-            let close = (i..toks.len()).find(|&j| punct(j, ']')).unwrap_or(toks.len());
-            if (i..close).any(|j| ident(j, "test")) {
-                // Skip the gated item: to its `;`, or over its `{ … }`.
-                i = close;
-                while i < toks.len() && !punct(i, ';') && !punct(i, '{') {
-                    i += 1;
-                }
-                let mut depth = 0usize;
-                while i < toks.len() {
-                    depth += usize::from(punct(i, '{'));
-                    depth -= usize::from(punct(i, '}'));
-                    i += 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                continue;
-            }
-        }
-        if ident(i, "fn") {
-            let line = toks[i].line;
-            let last = toks.iter().rposition(|t| t.line == line).unwrap_or(i);
-            if punct(last, '{') {
-                lines.push(line);
-            }
-        }
-        i += 1;
-    }
-    lines
-}
-
-/// The canary sweep: a wall-clock read planted as the first statement
-/// of each function must be reported on its line. A function the parser
-/// swallowed into a mis-parsed neighbour stays silent.
+/// The canary sweep (`support/canary.rs`) over every fixture.
 #[test]
 fn canary_in_every_fixture_fn_is_reported() {
-    const CANARY: &str = "let _t = std::time::Instant::now();";
     let mut planted = 0;
     for name in FIXTURES {
-        let src = fixture(name);
-        let lines: Vec<&str> = src.lines().collect();
-        for header in fn_header_lines(&src) {
-            let (before, after) = lines.split_at(header as usize);
-            let mutated = [before, &[CANARY], after].concat().join("\n");
-            let (violations, _) = lint_source(&mutated, RuleSet::SIM);
-            assert!(
-                violations.iter().any(|v| v.rule == RuleId::D1 && v.line == header + 1),
-                "{name}:{header}: canary after this `fn` header went unreported"
-            );
-            planted += 1;
-        }
+        let (missed, headers) = canary::unreported_canaries(&fixture(name), RuleSet::SIM);
+        assert!(missed.is_empty(), "{name}: canaries after the `fn` headers on lines {missed:?} went unreported");
+        planted += headers;
     }
     assert!(planted > 30, "only {planted} canaries planted: header scan broken?");
 }

@@ -187,11 +187,15 @@ pub struct SmServer {
     /// host-id ↔ zk session bookkeeping for heartbeat expiry handling.
     session_hosts: BTreeMap<SessionId, HostId>,
     rng: SimRng,
-    /// Incrementally maintained per-host load (sum of replica weights
-    /// across apps). Rebuilt wholesale after metric collection; updated
-    /// by deltas on every assignment change. Keeping this cached makes
-    /// placement O(hosts) instead of O(total assignments).
+    /// Per-host load (sum of replica weights across apps), cached so
+    /// placement is O(hosts) instead of O(total assignments). Moved by a
+    /// delta on every assignment change; re-summed in `(app, shard)`
+    /// order by the metric poll when a weight moved or a delta landed
+    /// since the last re-sum (a running sum is not bit-equal to that
+    /// order's, and the balancer reads the bits).
     loads: BTreeMap<HostId, f64>,
+    /// `loads` was written since [`Self::rebuild_loads`] last ran.
+    loads_written: bool,
 }
 
 impl SmServer {
@@ -214,6 +218,7 @@ impl SmServer {
             pending_failovers: Vec::new(),
             session_hosts: BTreeMap::new(),
             loads: BTreeMap::new(),
+            loads_written: false,
         }
     }
 
@@ -381,6 +386,7 @@ impl SmServer {
     }
 
     fn load_delta(&mut self, host: HostId, delta: f64) {
+        self.loads_written = true;
         let entry = self.loads.entry(host).or_insert(0.0);
         *entry += delta;
         if *entry < 0.0 {
@@ -390,7 +396,7 @@ impl SmServer {
 
     /// Recompute the load cache from scratch (after bulk weight updates).
     fn rebuild_loads(&mut self) {
-        self.loads.clear();
+        self.loads_written = false;
         let default_w = self.config.default_shard_weight;
         let mut loads: BTreeMap<HostId, f64> = BTreeMap::new();
         for app in self.apps.values() {
@@ -707,8 +713,11 @@ impl SmServer {
 
     /// Poll every serving host's application server for per-shard metrics
     /// and capacity (§III-A3: "SM server must periodically collect shard
-    /// size metrics").
+    /// size metrics"). Loads are re-summed only if the re-sum could differ
+    /// from what is cached: a reported weight's bits differ from the
+    /// stored ones, or `loads` was written since the last re-sum.
     pub fn collect_metrics<R: AppServerRegistry>(&mut self, registry: &mut R) {
+        let mut moved = self.loads_written;
         for entry in self.hosts.values_mut().filter(|h| h.state.serving()) {
             let host = entry.info.id;
             let Some(server) = registry.server(host) else {
@@ -716,6 +725,7 @@ impl SmServer {
             };
             entry.info.capacity = server.capacity().max(0.0);
             for (shard, weight) in server.shard_metrics() {
+                let weight = weight.max(0.0);
                 // A shard metric belongs to whichever app has the shard
                 // assigned to this host.
                 for app in self.apps.values_mut() {
@@ -724,12 +734,15 @@ impl SmServer {
                         .get(&shard)
                         .is_some_and(|replicas| on_host(replicas, host))
                     {
-                        app.weights.insert(shard, weight.max(0.0));
+                        let stored = app.weights.insert(shard, weight);
+                        moved |= stored.map(f64::to_bits) != Some(weight.to_bits());
                     }
                 }
             }
         }
-        self.rebuild_loads();
+        if moved {
+            self.rebuild_loads();
+        }
     }
 
     // ------------------------------------------------------------- migrations
@@ -1136,7 +1149,7 @@ impl SmServer {
             });
         }
         self.hosts.remove(&host);
-        self.loads.remove(&host);
+        self.loads_written |= self.loads.remove(&host).is_some();
         Ok(())
     }
 
@@ -1909,6 +1922,82 @@ mod tests {
                 "{host}: cached {cached} naive {naive}"
             );
         }
+
+        // A poll leaves the bits a forced re-sum leaves, whether it
+        // re-summed (told by an entry no re-sum would keep; returned) or
+        // found nothing to. Shard `s` reports `base + s / 10`: sums that
+        // depend on the order of addition, so a running sum would show.
+        fn poll(sm: &mut SmServer, reg: &mut MockRegistry, base: f64) -> bool {
+            for server in reg.servers.values_mut() {
+                for (&s, w) in &mut server.shards {
+                    *w = base + 0.1 * s as f64;
+                }
+            }
+            sm.loads.insert(HostId(99), 7.0);
+            sm.collect_metrics(reg);
+            let resummed = sm.loads.remove(&HostId(99)).is_none();
+            let bits = |sm: &SmServer| -> Vec<(HostId, u64)> {
+                sm.loads.iter().map(|(&h, l)| (h, l.to_bits())).collect()
+            };
+            let polled = bits(sm);
+            sm.rebuild_loads();
+            assert_eq!(polled, bits(sm));
+            resummed
+        }
+        assert!(poll(&mut sm, &mut reg, 0.7), "every weight moved");
+        assert!(
+            !poll(&mut sm, &mut reg, 0.7),
+            "nothing moved since the last poll"
+        );
+        // Allocate.
+        sm.allocate_shard("app", ShardId(20), 5.0, t(200), &mut reg)
+            .unwrap();
+        assert!(poll(&mut sm, &mut reg, 0.7), "an allocation wrote loads");
+        assert!(!poll(&mut sm, &mut reg, 0.7));
+        // Migrate: polled with the copy in flight and after it lands.
+        let from = sm.host_of("app", ShardId(20)).unwrap();
+        let to = (0..4)
+            .map(HostId)
+            .find(|&h| h != from && h != victim)
+            .unwrap();
+        sm.begin_migration(
+            "app",
+            ShardId(20),
+            to,
+            false,
+            MigrationCause::Manual,
+            t(210),
+            &mut reg,
+        )
+        .unwrap();
+        assert!(
+            !poll(&mut sm, &mut reg, 0.7),
+            "a copy in flight moves no load"
+        );
+        sm.advance_migrations(t(210) + SimDuration::from_hours(1), &mut reg);
+        assert_eq!(sm.host_of("app", ShardId(20)), Some(to));
+        assert!(poll(&mut sm, &mut reg, 0.7), "the reassignment wrote loads");
+        // Fail, and rejoin before the failovers land.
+        reg.down.insert(to);
+        sm.host_failed(to, t(4_000), &mut reg).unwrap();
+        poll(&mut sm, &mut reg, 0.7);
+        reg.down.remove(&to);
+        sm.rejoin_host(to, t(4_010), &mut reg).unwrap();
+        poll(&mut sm, &mut reg, 0.7);
+        sm.advance_migrations(t(4_010) + SimDuration::from_hours(1), &mut reg);
+        poll(&mut sm, &mut reg, 0.7);
+        // Remove the host that failed first, long since empty.
+        sm.remove_host(victim).unwrap();
+        poll(&mut sm, &mut reg, 0.7);
+        assert!(!poll(&mut sm, &mut reg, 0.7));
+        // Reported weights an ulp or two off the stored ones.
+        assert!(poll(&mut sm, &mut reg, 0.7 + f64::EPSILON));
+        // A pushed weight goes through a delta.
+        sm.report_shard_weight("app", ShardId(0), 3.0).unwrap();
+        assert!(
+            poll(&mut sm, &mut reg, 0.7 + f64::EPSILON),
+            "a pushed weight wrote loads"
+        );
     }
 
     #[test]

@@ -11,7 +11,10 @@
 
 use std::path::Path;
 
-use scalewall_lint::{json, lint_workspace, RuleId};
+use scalewall_lint::{collect_rs, json, lint_workspace, ruleset_for, RuleId, SIM_FACING_CRATES};
+
+#[path = "../crates/lint/tests/support/canary.rs"]
+mod canary;
 
 #[test]
 fn workspace_has_zero_unsilenced_violations() {
@@ -82,6 +85,36 @@ fn workspace_has_zero_unsilenced_violations() {
             .collect();
         assert!(hits.is_empty(), "{rule} violations in live tree: {hits:?}");
     }
+}
+
+/// The canary sweep over the live tree: every non-test function of the
+/// six sim-facing crates, each under its own file's rule set. "Zero
+/// violations" above covers only the functions the parser sees; this is
+/// the check that every function is one of them.
+#[test]
+fn canary_in_every_sim_facing_fn_is_reported() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut planted = 0;
+    for krate in SIM_FACING_CRATES {
+        let mut files = Vec::new();
+        let src_dir = root.join("crates").join(krate).join("src");
+        collect_rs(&src_dir, root, &mut files).expect("crate sources");
+        for rel in files {
+            let rules = ruleset_for(&rel).expect("sim-facing sources are linted");
+            let src = std::fs::read_to_string(root.join(&rel)).expect("readable source");
+            let (missed, headers) = canary::unreported_canaries(&src, rules);
+            assert!(
+                missed.is_empty(),
+                "{rel}: canaries after the `fn` headers on lines {missed:?} went unreported"
+            );
+            planted += headers;
+        }
+    }
+    println!("planted {planted} canaries");
+    assert!(
+        planted > 700,
+        "only {planted} canaries planted: walker or header scan broken?"
+    );
 }
 
 /// The machine-readable side of the gate: the workspace report must
