@@ -41,13 +41,17 @@ fn schema() -> Arc<cubrick::schema::Schema> {
 }
 
 fn sample_rows(n: usize) -> Vec<Row> {
+    entity_rows(n, 500)
+}
+
+fn entity_rows(n: usize, entities: u64) -> Vec<Row> {
     let mut rng = SimRng::new(7);
     (0..n)
         .map(|_| {
             Row::new(
                 vec![
                     Value::Int(rng.below(365) as i64),
-                    Value::Str(format!("e{}", rng.below(500))),
+                    Value::Str(format!("e{}", rng.below(entities))),
                 ],
                 vec![rng.below(100) as f64, rng.unit() * 10.0],
             )
@@ -285,10 +289,7 @@ fn bench_scan(c: &mut Bench) {
             "group_ds_50k",
             "select sum(clicks), count(*) from t group by ds",
         ),
-        (
-            "group_entity_50k",
-            "select sum(clicks), avg(cost) from t group by entity",
-        ),
+        ("group_entity_50k", GROUP_BY_ENTITY),
     ];
     for (name, sql) in shapes {
         let query = parse_query(sql).unwrap();
@@ -300,27 +301,47 @@ fn bench_scan(c: &mut Bench) {
     group.bench_function("cold_full_50k", |b| {
         b.iter(|| execute_partition(&mut cold, &query, 8).unwrap())
     });
+
+    // One `engine_scan` partition: 7.5 rows a group, not `group_entity_50k`'s
+    // 100, so building the partial is not hidden behind the scan.
+    let rows = entity_rows(15_000, 2_000);
+    let mut wide = loaded_partition(&rows);
+    let query = parse_query(GROUP_BY_ENTITY).unwrap();
+    group.throughput(rows.len() as u64);
+    group.bench_function("group_entity_15k_x2k", |b| {
+        b.iter(|| execute_partition(&mut wide, &query, 8).unwrap())
+    });
     group.finish();
 }
 
-/// The coordinator's merge of one `group by entity` partial (500 groups)
-/// per partition of an 8-partition table.
+const GROUP_BY_ENTITY: &str = "select sum(clicks), avg(cost) from t group by entity";
+
+/// The coordinator's merge (and `finalize`) of one `group by entity`
+/// partial per partition, nearly every entity in every partition: the
+/// original 8 × 500 groups, `engine_scan`'s 8 × 2 000, and the wall's
+/// fan-out of 64 at 250 groups.
 fn bench_merge(c: &mut Bench) {
-    let rows = sample_rows(50_000);
-    let query = parse_query("select sum(clicks), avg(cost) from t group by entity").unwrap();
-    let partials: Vec<_> = rows
-        .chunks(rows.len() / 8)
-        .map(|chunk| execute_partition(&mut loaded_partition(chunk), &query, 8).unwrap())
-        .collect();
-    let plan = FanoutPlan::for_table("t", 8);
+    let query = parse_query(GROUP_BY_ENTITY).unwrap();
     let mut group = c.group("merge");
     group.sample_size(20);
-    group.bench_function("partials_8x500_groups", |b| {
-        b.iter_batched(
-            || partials.clone(),
-            |owned| merge_partials(&plan, owned).unwrap(),
-        )
-    });
+    for (name, partitions, entities, rows) in [
+        ("partials_8x500_groups", 8, 500, 50_000),
+        ("partials_8x2k_groups", 8, 2_000, 120_000),
+        ("partials_64x250_groups", 64, 250, 128_000),
+    ] {
+        let rows = entity_rows(rows, entities);
+        let partials: Vec<_> = rows
+            .chunks(rows.len() / partitions)
+            .map(|chunk| execute_partition(&mut loaded_partition(chunk), &query, 8).unwrap())
+            .collect();
+        let plan = FanoutPlan::for_table("t", partitions as u32);
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || partials.clone(),
+                |owned| merge_partials(&plan, owned).unwrap(),
+            )
+        });
+    }
     group.finish();
 }
 

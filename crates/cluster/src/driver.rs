@@ -225,6 +225,11 @@ fn run_admitted(
         Ok(found) => found,
         Err(e) => return failed(e, 0, SimDuration::ZERO, 0),
     };
+    if !query.order_in_range() {
+        let detail = "ORDER BY is past the result's columns".to_string();
+        let error = CubrickError::InvalidQuery { detail };
+        return failed(error, 0, SimDuration::ZERO, 0);
+    }
     let plan = FanoutPlan::for_table(&query.table, def.partitions);
 
     let region_flags: Vec<(Region, bool)> = dep
@@ -828,6 +833,48 @@ mod tests {
         assert_eq!(f.proxy.active_queries(), 0, "admission slot released");
     }
 
+    /// A hand-built `ORDER BY` past the select list used to panic in the
+    /// coordinator's sort, after every shard had done its work: it is
+    /// refused before the fan-out, and the slot comes back.
+    #[test]
+    fn out_of_range_order_by_is_refused_before_the_fan_out() {
+        use cubrick::query::{OrderBy, OrderTarget};
+        let served = |f: &Fixture| -> u64 {
+            let nodes = f.dep.regions.iter().map(|r| &r.nodes);
+            nodes
+                .flat_map(|nodes| nodes.hosts().filter_map(|h| nodes.node(h)))
+                .map(|node| node.queries_served)
+                .sum()
+        };
+        for target in [OrderTarget::Agg(3), OrderTarget::Dim(1)] {
+            let mut f = fixture(0.0);
+            let mut query = parse_query("select count(*) from t group by k").unwrap();
+            query.order_by = Some(OrderBy {
+                target,
+                descending: true,
+            });
+            let before = served(&f);
+            let outcome = run_query(
+                &mut f.dep,
+                &mut f.proxy,
+                &f.net,
+                &query,
+                &QueryOptions::default(),
+                t(QUERY_TIME),
+                &mut f.rng,
+            );
+            assert!(!outcome.success);
+            let error = outcome.error.unwrap();
+            assert!(
+                matches!(error, CubrickError::InvalidQuery { .. }),
+                "{error:?}"
+            );
+            assert_eq!(outcome.attempts, 0);
+            assert_eq!(served(&f), before, "no sub-query ran");
+            assert_eq!(f.proxy.active_queries(), 0, "admission slot released");
+        }
+    }
+
     /// Every way a query can fail hands its admission slot back. The merge
     /// errors are the one exit not driven here: they guard invariants no
     /// consistent catalog trips, and leave through the same single return.
@@ -1232,6 +1279,79 @@ mod tests {
         // The merged answer covers exactly the 7 answered partitions.
         let counted = outcome.output.unwrap().scalar().unwrap();
         assert!(counted > 0.0 && counted < 1_000.0, "counted {counted}");
+    }
+
+    /// ROADMAP item 3, first executable piece: a degraded answer equals the
+    /// naive scan restricted to the partitions its coverage reports
+    /// `Answered` — group by group, not just "fewer rows than the table".
+    #[test]
+    fn grouped_degraded_answer_equals_the_scan_of_its_coverage() {
+        let mut f = fixture(0.0);
+        let schema = SchemaBuilder::new()
+            .int_dim("k", 0, 1_000, 50)
+            .str_dim("c", 16, 4)
+            .metric("m")
+            .build()
+            .unwrap();
+        let (hash, monotonic) = (RowMapping::Hash, ShardMapping::Monotonic);
+        f.dep
+            .create_table("g", Arc::new(schema), 8, hash, monotonic, t(0))
+            .unwrap();
+        // Groups that every partition holds a part of; one a prefix of another.
+        let rows: Vec<Row> = (0..1_000)
+            .map(|k| {
+                let c = ["a", "ab", "b", ""][k as usize % 4];
+                Row::new(vec![Value::Int(k), Value::from(c)], vec![k as f64])
+            })
+            .collect();
+        f.dep.ingest("g", &rows).unwrap();
+
+        let shards = f.dep.catalog.read().shards_of_table("g").unwrap();
+        let now = t(QUERY_TIME);
+        let owner = f.dep.regions[0].authoritative_host(shards[3]).unwrap();
+        blacklist(&mut f.proxy, owner, now);
+        let query = parse_query("select sum(m), count(*) from g group by c").unwrap();
+        let opts = QueryOptions {
+            client_region: Region(0),
+            partial_results: true,
+            ..Default::default()
+        };
+        let outcome = run_query(
+            &mut f.dep,
+            &mut f.proxy,
+            &f.net,
+            &query,
+            &opts,
+            now,
+            &mut f.rng,
+        );
+        assert!(outcome.success && outcome.partial, "{:?}", outcome.error);
+        let coverage = outcome.coverage.unwrap();
+        assert!(coverage.answered() < coverage.total());
+        assert_eq!(coverage.per_shard[3].state, ShardState::Blacklisted);
+
+        // (sum, count) per group over the answered partitions' stored rows.
+        let mut naive = std::collections::BTreeMap::new();
+        let store = f.dep.regions[0].store.read();
+        for shard in &coverage.per_shard {
+            if shard.state != ShardState::Answered {
+                continue;
+            }
+            for row in store.partition("g", shard.partition).unwrap().all_rows() {
+                let group = naive
+                    .entry(row.dims[1].clone().to_string())
+                    .or_insert((0.0, 0.0));
+                *group = (group.0 + row.metrics[0], group.1 + 1.0);
+            }
+        }
+        let got: Vec<(String, f64, f64)> = (outcome.output.unwrap().rows.iter())
+            .map(|row| (row.key[0].to_string(), row.aggs[0], row.aggs[1]))
+            .collect();
+        let want: Vec<(String, f64, f64)> = (naive.into_iter())
+            .map(|(c, (sum, count))| (c, sum, count))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(want.len(), 4, "every group survives the missing shard");
     }
 
     #[test]

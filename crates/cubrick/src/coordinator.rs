@@ -3,8 +3,9 @@
 //! "A query coordinator is required to run on a host that stores one
 //! partition of the target table"; it parses and distributes the query
 //! and merges partial results. The distribution itself (network, fan-out)
-//! is driven by the cluster layer; this module holds the pure pieces:
-//! the fan-out plan and the merge.
+//! is driven by the cluster layer; this module holds the pure pieces: the
+//! fan-out plan, and the two checks in front of the one merge — flat
+//! partials in, one k-way pass in plan order, rows made once at the end.
 
 use crate::error::{CubrickError, CubrickResult};
 use crate::query::result::{Coverage, PartialResult, QueryOutput};
@@ -63,11 +64,9 @@ pub fn merge_partials(
 /// combine whatever answered, but *declare* what is missing through the
 /// accompanying [`Coverage`] instead of silently returning a smaller
 /// number. Invariants checked (typed errors, never panics — this file
-/// is on the lint D7 panic-surface list):
-///
-/// * `coverage` must describe exactly the plan's partitions,
-/// * `partials.len()` must equal `coverage.answered()`, and
-/// * every partial must carry the same agg list.
+/// is on the lint D7 panic-surface list): `coverage` describes exactly the
+/// plan's partitions, `partials.len()` equals `coverage.answered()`, and
+/// (the merge's own) every partial carries the same agg list and key kinds.
 ///
 /// Returns `Ok(None)` when nothing answered (zero coverage still lets
 /// the caller report a typed outcome rather than fabricate zeros).
@@ -104,9 +103,9 @@ mod tests {
     use crate::query::result::{GroupVal, ShardState};
 
     fn partial(count: u64) -> PartialResult {
-        let mut p = PartialResult::new(vec![AggSpec::count_star()], 4);
-        p.groups
-            .insert(vec![GroupVal::Int(1)], vec![AggState::Count(count)]);
+        let group = (vec![GroupVal::Int(1)], vec![AggState::Count(count)]);
+        let mut p =
+            PartialResult::from_groups(vec![AggSpec::count_star()], 4, vec![group]).unwrap();
         p.rows_scanned = count;
         p
     }

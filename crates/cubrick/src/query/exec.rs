@@ -19,7 +19,7 @@ use crate::dictionary::StringRanks;
 use crate::error::{CubrickError, CubrickResult};
 use crate::query::agg::{AggFunc, AggState};
 use crate::query::expr;
-use crate::query::result::{GroupVal, PartialResult};
+use crate::query::result::{KeyRef, PartialResult};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::store::PartitionData;
@@ -100,26 +100,28 @@ impl KeyLayout {
         }
     }
 
-    /// Decode a key back to logical group values.
-    fn unpack(
+    /// Decode a key into `vals`, a borrowed group value per digit; the first
+    /// digit is whatever the others leave, so one digit alone never divides.
+    fn unpack<'a>(
         &self,
         mut key: u64,
-        partition: &PartitionData,
+        partition: &'a PartitionData,
         schema: &Schema,
-    ) -> CubrickResult<Vec<GroupVal>> {
-        let mut vals = Vec::with_capacity(self.digits.len());
-        for digit in self.digits.iter().rev() {
-            let value = (key % digit.radix) as u32;
-            key /= digit.radix;
+        vals: &mut Vec<KeyRef<'a>>,
+    ) -> CubrickResult<()> {
+        vals.clear();
+        for (place, digit) in self.digits.iter().enumerate().rev() {
+            let value = if place == 0 { key } else { key % digit.radix };
+            key = if place == 0 { 0 } else { key / digit.radix };
             let val = match &digit.strings {
                 Some(ranks) => ranks
                     .id_of_rank
                     .get(value as usize)
                     .and_then(|&id| partition.dict(digit.dim)?.decode(id))
-                    .map(|s| GroupVal::Str(s.to_string())),
+                    .map(KeyRef::Str),
                 None => schema.dimensions[digit.dim]
-                    .int_value(value)
-                    .map(GroupVal::Int),
+                    .int_value(value as u32)
+                    .map(KeyRef::Int),
             };
             vals.push(val.ok_or_else(|| CubrickError::Internal {
                 detail: format!(
@@ -129,7 +131,7 @@ impl KeyLayout {
             })?);
         }
         vals.reverse();
-        Ok(vals)
+        Ok(())
     }
 }
 
@@ -391,15 +393,15 @@ pub fn execute_partition(
         },
     );
 
-    // Decode each group key once, after the scan. Keys come in their own
-    // order, which is the order of the decoded keys, so the map is built
-    // from a sorted sequence.
-    let mut groups = Vec::with_capacity(table.len as usize);
+    // Groups leave in packed-key order, the order of the decoded keys: each
+    // is decoded once, after the scan, straight onto the partial's columns.
+    let (mut vals, mut states) = (Vec::new(), Vec::new());
     for (key, accs) in table.groups() {
-        let states = accs.iter().zip(&funcs).map(|(acc, &f)| acc.state(f));
-        groups.push((layout.unpack(key, partition, &schema)?, states.collect()));
+        layout.unpack(key, partition, &schema, &mut vals)?;
+        states.clear();
+        states.extend(accs.iter().zip(&funcs).map(|(acc, &f)| acc.state(f)));
+        result.push(&vals, &states)?;
     }
-    result.groups = groups.into_iter().collect();
     result.rows_scanned = rows_scanned;
     Ok(result)
 }

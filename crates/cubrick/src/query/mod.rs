@@ -73,16 +73,29 @@ impl Query {
         }
     }
 
-    /// Apply this query's ordering and limit to a merged output.
-    /// The default (no `ORDER BY`) keeps the deterministic
-    /// group-key order `finalize` produces.
+    /// Whether `ORDER BY` names a column the result has. The parser bounds
+    /// the index; a hand-built `Query` (the fields are public) need not.
+    pub fn order_in_range(&self) -> bool {
+        self.order_by.is_none_or(|order| match order.target {
+            OrderTarget::Agg(i) => i < self.aggs.len(),
+            OrderTarget::Dim(i) => i < self.group_by.len(),
+        })
+    }
+
+    /// Apply this query's ordering and limit to a merged output. No
+    /// `ORDER BY`, or one past the row's columns (the coordinator refuses
+    /// it before the fan-out), keeps `finalize`'s group-key order.
     pub fn apply_order_limit(&self, output: &mut result::QueryOutput) {
         if let Some(order) = self.order_by {
             let cmp = |a: &result::ResultRow, b: &result::ResultRow| -> std::cmp::Ordering {
                 let ord = match order.target {
-                    OrderTarget::Agg(i) => a.aggs[i].total_cmp(&b.aggs[i]),
-                    OrderTarget::Dim(i) => crate::value::cmp_values(&a.key[i], &b.key[i]),
+                    OrderTarget::Agg(i) => {
+                        (a.aggs.get(i).zip(b.aggs.get(i))).map(|(x, y)| x.total_cmp(y))
+                    }
+                    OrderTarget::Dim(i) => (a.key.get(i).zip(b.key.get(i)))
+                        .map(|(x, y)| crate::value::cmp_values(x, y)),
                 };
+                let ord = ord.unwrap_or(std::cmp::Ordering::Equal);
                 if order.descending {
                     ord.reverse()
                 } else {
@@ -122,6 +135,7 @@ mod tests {
             descending: true,
         });
         q.limit = Some(2);
+        assert!(q.order_in_range());
         let mut out = result::QueryOutput {
             columns: vec!["count(*)".into()],
             rows: vec![
@@ -154,5 +168,18 @@ mod tests {
         q.limit = None;
         q.apply_order_limit(&mut out);
         assert_eq!(out.rows[0].key[0], Value::Str("b".into()));
+
+        // A target past the row's columns (only a hand-built query has
+        // one) orders nothing and does not panic.
+        let before = out.clone();
+        for target in [OrderTarget::Agg(1), OrderTarget::Dim(1)] {
+            q.order_by = Some(OrderBy {
+                target,
+                descending: true,
+            });
+            assert!(!q.order_in_range());
+            q.apply_order_limit(&mut out);
+            assert_eq!(out, before);
+        }
     }
 }

@@ -1,27 +1,25 @@
 //! Partial results and coordinator-side merging.
 //!
 //! Every server executes the query over its local partitions and returns
-//! a [`PartialResult`]: group keys (already decoded to logical values —
-//! dictionary ids are partition-local and must not cross the wire) plus
-//! mergeable accumulators. The coordinator merges partials and finalizes
-//! into a [`QueryOutput`].
+//! a [`PartialResult`]: a flat column per group-by dimension (strings
+//! decoded — dictionary ids are partition-local and must not cross the
+//! wire) and one arena of mergeable accumulators, groups in key order.
+//! The coordinator merges partials in one k-way pass; only `finalize`
+//! makes rows (DESIGN.md "Engine scan contract", point 6).
 //!
 //! Result metadata carries the table's current partition count: "the
 //! number of partitions per table is always included as part of query
 //! results metadata, and updates the proxy's cache" (§IV-C).
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 use crate::error::{CubrickError, CubrickResult};
 use crate::query::agg::{AggSpec, AggState};
 use crate::value::Value;
 
-/// A group key: decoded dimension values, hashable/orderable.
-///
-/// Group keys are dimensions only, so they are ints or strings — never
-/// floats — which is what makes `Eq`/`Hash`/`Ord` sound here.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// One decoded value of a group key, owned: what tests build partials from
+/// and read them as. A dimension's, so never a float: `Eq`/`Ord` are sound.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GroupVal {
     Int(i64),
     Str(String),
@@ -36,16 +34,72 @@ impl From<GroupVal> for Value {
     }
 }
 
-/// One group of a partial: its key and one accumulator per aggregate.
-type Group = (Vec<GroupVal>, Vec<AggState>);
+/// One value of a group key, borrowed. Keys compare as slices of these:
+/// column by column, so `("a", "bc")` is not `("ab", "c")`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum KeyRef<'a> {
+    Int(i64),
+    Str(&'a str),
+}
 
-/// Partial result from one partition (or a merge of several).
+impl From<KeyRef<'_>> for GroupVal {
+    fn from(val: KeyRef<'_>) -> GroupVal {
+        match val {
+            KeyRef::Int(v) => GroupVal::Int(v),
+            KeyRef::Str(s) => GroupVal::Str(s.to_string()),
+        }
+    }
+}
+
+fn internal(detail: &str) -> CubrickError {
+    CubrickError::Internal {
+        detail: detail.into(),
+    }
+}
+
+/// One group-by dimension of a partial: a value per group, in group order.
 #[derive(Debug, Clone, PartialEq)]
+enum KeyColumn {
+    Int(Vec<i64>),
+    /// Every group's string back to back, and `0` then where each ends
+    /// (checked into `u32` as it is pushed): group `g` is `ends[g]..ends[g + 1]`.
+    Str(String, Vec<u32>),
+}
+
+impl KeyColumn {
+    fn get(&self, g: usize) -> KeyRef<'_> {
+        match self {
+            KeyColumn::Int(vals) => KeyRef::Int(vals[g]),
+            KeyColumn::Str(buf, ends) => KeyRef::Str(&buf[ends[g] as usize..ends[g + 1] as usize]),
+        }
+    }
+
+    fn push(&mut self, val: KeyRef<'_>) -> CubrickResult<()> {
+        match (self, val) {
+            (KeyColumn::Int(vals), KeyRef::Int(v)) => vals.push(v),
+            (KeyColumn::Str(buf, ends), KeyRef::Str(s)) => {
+                buf.push_str(s);
+                let end = u32::try_from(buf.len());
+                ends.push(end.map_err(|_| internal("group-key strings exceed 4 GiB"))?);
+            }
+            _ => return Err(internal("group keys of different kinds in one column")),
+        }
+        Ok(())
+    }
+}
+
+/// Partial result from one partition (or a merge of several). Private
+/// fields, [`Self::push`] the one way in: `states.len() == groups ×
+/// aggs.len()`, `groups` values a key column, groups ascending by key.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialResult {
-    pub aggs: Vec<AggSpec>,
-    /// Group key → accumulators (one per agg, spec order). The ungrouped
-    /// query uses the single empty key.
-    pub groups: BTreeMap<Vec<GroupVal>, Vec<AggState>>,
+    aggs: Vec<AggSpec>,
+    /// One column per group-by dimension, made by the first group; none
+    /// for the ungrouped query, whose one group has the empty key.
+    keys: Vec<KeyColumn>,
+    groups: usize,
+    /// Group-major: group `g`'s are `states[g * aggs.len()..][..aggs.len()]`.
+    states: Vec<AggState>,
     /// Rows that survived filters on this partition.
     pub rows_scanned: u64,
     /// Current partition count of the table (proxy cache refresh).
@@ -56,93 +110,136 @@ impl PartialResult {
     pub fn new(aggs: Vec<AggSpec>, table_partitions: u32) -> Self {
         PartialResult {
             aggs,
-            groups: BTreeMap::new(),
-            rows_scanned: 0,
             table_partitions,
+            ..Default::default()
         }
     }
 
-    /// Merge the owned partials of one query into one, folding each
-    /// group's accumulators in the order the partials are given (the
-    /// coordinator passes plan order). Keys and accumulators are moved,
-    /// never cloned. `None` for no partials; partials of different agg
-    /// lists are a typed error.
+    /// Append a group; the caller pushes in ascending key order. A key unlike
+    /// the first group's in length or kind is a typed error (drop the partial).
+    pub(crate) fn push(&mut self, key: &[KeyRef<'_>], states: &[AggState]) -> CubrickResult<()> {
+        if self.groups == 0 {
+            let column = |val: &KeyRef<'_>| match val {
+                KeyRef::Int(_) => KeyColumn::Int(Vec::new()),
+                KeyRef::Str(_) => KeyColumn::Str(String::new(), vec![0]),
+            };
+            self.keys = key.iter().map(column).collect();
+        }
+        if key.len() != self.keys.len() || states.len() != self.aggs.len() {
+            return Err(internal("a group's key or states have another length"));
+        }
+        for (column, &val) in self.keys.iter_mut().zip(key) {
+            column.push(val)?;
+        }
+        self.states.extend_from_slice(states);
+        self.groups += 1;
+        Ok(())
+    }
+
+    /// A partial from decoded groups in any order, for tests. A repeated
+    /// key is a typed error, like all that [`Self::push`] refuses.
+    pub fn from_groups(
+        aggs: Vec<AggSpec>,
+        table_partitions: u32,
+        mut groups: Vec<(Vec<GroupVal>, Vec<AggState>)>,
+    ) -> CubrickResult<Self> {
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        if !groups.is_sorted_by(|a, b| a.0 < b.0) {
+            return Err(internal("a group key repeats within one partial"));
+        }
+        let mut partial = PartialResult::new(aggs, table_partitions);
+        for (key, states) in &groups {
+            let key = key.iter().map(|val| match val {
+                GroupVal::Int(v) => KeyRef::Int(*v),
+                GroupVal::Str(s) => KeyRef::Str(s),
+            });
+            partial.push(&key.collect::<Vec<_>>(), states)?;
+        }
+        Ok(partial)
+    }
+
+    /// Every group decoded, in key order: the view tests compare against.
+    pub fn groups(&self) -> Vec<(Vec<GroupVal>, Vec<AggState>)> {
+        let key = |g| self.key_of(g).map(GroupVal::from).collect();
+        let group = |g| (key(g), self.states_of(g).to_vec());
+        (0..self.groups).map(group).collect()
+    }
+
+    fn key_of(&self, g: usize) -> impl Iterator<Item = KeyRef<'_>> + Clone {
+        self.keys.iter().map(move |column| column.get(g))
+    }
+
+    fn states_of(&self, g: usize) -> &[AggState] {
+        &self.states[g * self.aggs.len()..][..self.aggs.len()]
+    }
+
+    /// Merge the partials of one query in one k-way pass, a cursor each:
+    /// the smallest key under a cursor is copied once and every partial on
+    /// it folds its accumulators in, in the order given (plan order), just
+    /// as a left fold of the partials adds them. The scan of the cursors is
+    /// linear: a group in every partial costs each one comparison, which no
+    /// heap gets under. `None` for no partials; typed errors for partials
+    /// of other agg lists or key kinds.
     pub fn merge_all(partials: Vec<PartialResult>) -> CubrickResult<Option<PartialResult>> {
-        let mut partials = partials.into_iter();
-        let Some(first) = partials.next() else {
+        let Some(first) = partials.first() else {
             return Ok(None);
         };
-        let PartialResult {
-            aggs,
-            groups,
-            mut rows_scanned,
-            mut table_partitions,
-        } = first;
-        let mut merged: Vec<Group> = groups.into_iter().collect();
-        for partial in partials {
-            if partial.aggs != aggs {
-                return Err(CubrickError::Internal {
-                    detail: "merging partials from different queries".into(),
-                });
+        let mut merged = PartialResult::new(first.aggs.clone(), 0);
+        for partial in &partials {
+            if partial.aggs != first.aggs {
+                return Err(internal("merging partials from different queries"));
             }
-            rows_scanned += partial.rows_scanned;
-            table_partitions = table_partitions.max(partial.table_partitions);
-            merged = merge_by_key(merged, partial.groups)?;
+            merged.rows_scanned += partial.rows_scanned;
+            merged.table_partitions = merged.table_partitions.max(partial.table_partitions);
         }
-        Ok(Some(PartialResult {
-            aggs,
-            groups: merged.into_iter().collect(),
-            rows_scanned,
-            table_partitions,
-        }))
-    }
-
-    /// Finalize into output rows, ordered by group key (the order the
-    /// map already holds them in).
-    pub fn finalize(self) -> QueryOutput {
-        QueryOutput {
-            columns: self.aggs.iter().map(AggSpec::label).collect(),
-            rows: self
-                .groups
-                .into_iter()
-                .map(|(key, states)| ResultRow {
-                    key: key.into_iter().map(Value::from).collect(),
-                    aggs: states.iter().map(AggState::finalize).collect(),
-                })
-                .collect(),
-            rows_scanned: self.rows_scanned,
-            table_partitions: self.table_partitions,
-        }
-    }
-}
-
-/// Two-way merge of key-ordered groups: a key on both sides folds
-/// `theirs` into `mine`, every other group moves across untouched.
-fn merge_by_key(
-    mine: Vec<Group>,
-    theirs: BTreeMap<Vec<GroupVal>, Vec<AggState>>,
-) -> CubrickResult<Vec<Group>> {
-    let mut out = Vec::with_capacity(mine.len().max(theirs.len()));
-    let mut mine = mine.into_iter().peekable();
-    let mut theirs = theirs.into_iter().peekable();
-    loop {
-        let order = match (mine.peek(), theirs.peek()) {
-            (Some((a, _)), Some((b, _))) => a.cmp(b),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => return Ok(out),
-        };
-        match order {
-            Ordering::Less => out.extend(mine.next()),
-            Ordering::Greater => out.extend(theirs.next()),
-            Ordering::Equal => {
-                if let (Some((key, mut states)), Some((_, other))) = (mine.next(), theirs.next()) {
-                    for (a, b) in states.iter_mut().zip(&other) {
-                        a.merge(b)?;
-                    }
-                    out.push((key, states));
+        let mut cursors = vec![0usize; partials.len()];
+        // The smallest key under a cursor; who stands on it, plan order.
+        let mut key: Vec<KeyRef<'_>> = Vec::new();
+        let mut lowest: Vec<usize> = Vec::with_capacity(partials.len());
+        loop {
+            lowest.clear();
+            for (i, (partial, &g)) in partials.iter().zip(&cursors).enumerate() {
+                if g == partial.groups {
+                    continue;
+                }
+                let against = |_| partial.key_of(g).cmp(key.iter().copied());
+                let order = lowest.first().map_or(Ordering::Less, against);
+                if order == Ordering::Less {
+                    lowest.clear();
+                    key.clear();
+                    key.extend(partial.key_of(g));
+                }
+                if order != Ordering::Greater {
+                    lowest.push(i);
                 }
             }
+            let mut standing = lowest.iter().map(|&i| partials[i].states_of(cursors[i]));
+            let Some(lead) = standing.next() else {
+                return Ok(Some(merged));
+            };
+            let base = merged.states.len();
+            merged.push(&key, lead)?;
+            for states in standing {
+                for (mine, theirs) in merged.states[base..].iter_mut().zip(states) {
+                    mine.merge(theirs)?;
+                }
+            }
+            lowest.iter().for_each(|&i| cursors[i] += 1);
+        }
+    }
+
+    /// Finalize into output rows, in group order (ascending key). The one
+    /// place a group becomes `Value`s and per-row vectors.
+    pub fn finalize(self) -> QueryOutput {
+        let row = |g| ResultRow {
+            key: (self.key_of(g).map(|val| GroupVal::from(val).into())).collect(),
+            aggs: self.states_of(g).iter().map(AggState::finalize).collect(),
+        };
+        QueryOutput {
+            columns: self.aggs.iter().map(AggSpec::label).collect(),
+            rows: (0..self.groups).map(row).collect(),
+            rows_scanned: self.rows_scanned,
+            table_partitions: self.table_partitions,
         }
     }
 }
@@ -246,12 +343,13 @@ mod tests {
     }
 
     fn partial_with(groups: Vec<(Vec<GroupVal>, u64, f64)>) -> PartialResult {
-        let mut p = PartialResult::new(spec(), 8);
-        for (key, count, sum) in groups {
-            p.groups
-                .insert(key, vec![AggState::Count(count), AggState::Sum(sum)]);
-            p.rows_scanned += count;
-        }
+        let rows = groups.iter().map(|(_, count, _)| count).sum();
+        let groups = groups
+            .into_iter()
+            .map(|(key, count, sum)| (key, vec![AggState::Count(count), AggState::Sum(sum)]))
+            .collect();
+        let mut p = PartialResult::from_groups(spec(), 8, groups).unwrap();
+        p.rows_scanned = rows;
         p
     }
 
@@ -266,14 +364,17 @@ mod tests {
             (vec![GroupVal::Str("JP".into())], 4, 1.0),
         ]);
         let merged = PartialResult::merge_all(vec![a, b]).unwrap().unwrap();
-        assert_eq!(merged.groups.len(), 3);
+        let group = |key: &str, count, sum| {
+            let states = vec![AggState::Count(count), AggState::Sum(sum)];
+            (vec![GroupVal::Str(key.into())], states)
+        };
         assert_eq!(
-            merged.groups[&vec![GroupVal::Str("US".into())]],
-            vec![AggState::Count(5), AggState::Sum(17.0)]
-        );
-        assert_eq!(
-            merged.groups[&vec![GroupVal::Str("JP".into())]],
-            vec![AggState::Count(4), AggState::Sum(1.0)]
+            merged.groups(),
+            vec![
+                group("BR", 1, 5.0),
+                group("JP", 4, 1.0),
+                group("US", 5, 17.0)
+            ]
         );
         assert_eq!(merged.rows_scanned, 10);
     }
@@ -315,8 +416,8 @@ mod tests {
 
     #[test]
     fn scalar_extraction() {
-        let mut p = PartialResult::new(vec![AggSpec::count_star()], 8);
-        p.groups.insert(vec![], vec![AggState::Count(7)]);
+        let ungrouped = vec![(vec![], vec![AggState::Count(7)])];
+        let p = PartialResult::from_groups(vec![AggSpec::count_star()], 8, ungrouped).unwrap();
         assert_eq!(p.finalize().scalar(), Some(7.0));
         // Grouped output has no scalar.
         let p = partial_with(vec![(vec![GroupVal::Int(1)], 1, 1.0)]);
@@ -355,14 +456,53 @@ mod tests {
         ));
         // Same agg list, accumulators of another shape under one key.
         let a = partial_with(vec![(vec![GroupVal::Int(1)], 1, 1.0)]);
-        let mut b = a.clone();
-        b.groups.insert(
-            vec![GroupVal::Int(1)],
-            vec![AggState::Sum(1.0), AggState::Sum(1.0)],
-        );
+        let sums = vec![AggState::Sum(1.0), AggState::Sum(1.0)];
+        let b = PartialResult::from_groups(spec(), 8, vec![(vec![GroupVal::Int(1)], sums)]);
         assert!(matches!(
-            PartialResult::merge_all(vec![a, b]),
+            PartialResult::merge_all(vec![a.clone(), b.unwrap()]),
             Err(CubrickError::Internal { .. })
         ));
+        // Same agg list, the key column of another kind or one column more.
+        for key in [
+            vec![GroupVal::Str("1".into())],
+            vec![GroupVal::Int(1), GroupVal::Int(1)],
+        ] {
+            let b = partial_with(vec![(key, 1, 1.0)]);
+            assert!(matches!(
+                PartialResult::merge_all(vec![a.clone(), b]),
+                Err(CubrickError::Internal { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn keys_compare_per_column_not_on_concatenated_bytes() {
+        let key = |a: &str, b: &str| vec![GroupVal::Str(a.into()), GroupVal::Str(b.into())];
+        let a = partial_with(vec![(key("ab", "c"), 1, 1.0), (key("a", ""), 1, 1.0)]);
+        let b = partial_with(vec![(key("a", "bc"), 2, 2.0), (key("", "a"), 2, 2.0)]);
+        let merged = PartialResult::merge_all(vec![a, b]).unwrap().unwrap();
+        let keys: Vec<_> = merged.groups().into_iter().map(|(key, _)| key).collect();
+        assert_eq!(
+            keys,
+            vec![key("", "a"), key("a", ""), key("a", "bc"), key("ab", "c")]
+        );
+    }
+
+    #[test]
+    fn from_groups_rejects_what_the_columns_cannot_hold() {
+        let count = |n| vec![AggState::Count(n)];
+        let build = |groups| PartialResult::from_groups(vec![AggSpec::count_star()], 8, groups);
+        let int = |v| vec![GroupVal::Int(v)];
+        for groups in [
+            vec![(int(1), count(1)), (int(1), count(2))],
+            vec![
+                (int(1), count(1)),
+                (vec![GroupVal::Str("1".into())], count(1)),
+            ],
+            vec![(int(1), count(1)), (vec![], count(1))],
+            vec![(int(1), vec![])],
+        ] {
+            assert!(matches!(build(groups), Err(CubrickError::Internal { .. })));
+        }
     }
 }

@@ -270,6 +270,10 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         // home for it) but everything else still applies.
         return Some(RuleSet { d4: false, ..RuleSet::SIM_RNG_HOME });
     }
+    if rel == "tests/alloc_budget.rs" {
+        // Its counting `#[global_allocator]` is an `unsafe impl` by definition.
+        return Some(RuleSet { d4: false, ..RuleSet::PLAIN });
+    }
     if rel == "crates/bench/src/microbench.rs" {
         // The sanctioned wall-clock runner.
         return Some(RuleSet::PLAIN);
@@ -1371,6 +1375,8 @@ fn other(v: &[u64]) -> u64 { let s = v; s[0] }
             Some(RuleSet { d4: false, ..RuleSet::SIM_RNG_HOME })
         );
         assert_eq!(ruleset_for("crates/bench/src/microbench.rs"), Some(RuleSet::PLAIN));
+        let counting_allocator = ruleset_for("tests/alloc_budget.rs").unwrap();
+        assert!(!counting_allocator.d4 && !counting_allocator.d7);
         assert_eq!(ruleset_for("crates/bench/src/figures/fig4a.rs"), Some(RuleSet::BENCH));
         assert_eq!(ruleset_for("crates/cubrick/tests/props.rs"), Some(RuleSet::PLAIN));
         assert_eq!(ruleset_for("tests/determinism.rs"), Some(RuleSet::PLAIN));

@@ -1,0 +1,95 @@
+#!/usr/bin/env bash
+# The pairs protocol of a perf claim (choosing-metrics §8) as one command:
+# for every SEED one parent run and one change run of WORKLOAD, SECONDS
+# each, alternating which side goes first; then per end-to-end metric both
+# medians, the parent's quartiles and how many pairs the change won, and
+# whether the sim-clock metrics repeated bit for bit in every pair (a pure
+# speed-up must leave them identical).
+#
+#   scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
+#
+# The two binaries are `benchmark/` builds of the two commits (build each
+# once, `cargo build --release --offline --manifest-path benchmark/Cargo.toml`
+# with its own CARGO_TARGET_DIR, and copy the executable). Only the result
+# line each run prints last on stdout is read; a run without one (wrong
+# answer, digest mismatch) stops the script.
+set -euo pipefail
+
+if [ "$#" -lt 5 ]; then
+    sed -n '2,15p' "$0" >&2
+    exit 2
+fi
+parent="$1" change="$2" workload="$3" seconds="$4"
+shift 4
+
+metrics="setup_s ops_per_s peak_rss_mb success_share sim_p50_ms sim_p90_ms"
+runs="$(mktemp "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")"
+trap 'rm -f "$runs"' EXIT
+
+# One run: "<pair> <seed> <side> <six metric values> <correct>".
+run() {
+    local pair="$1" seed="$2" side="$3" bin="$4" line value out
+    line="$("$bin" run --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)" || true
+    out="$pair $seed $side"
+    for m in $metrics; do
+        value="$(printf '%s' "$line" | sed -nE "s/.*\"$m\":\{\"value\":([^,}]*).*/\1/p")"
+        if [ -z "$value" ]; then
+            echo "no result line from $side at seed $seed: $line" >&2
+            exit 1
+        fi
+        out="$out $value"
+    done
+    out="$out $(printf '%s' "$line" | sed -nE 's/.*"correct":([a-z]*).*/\1/p')"
+    echo "$out" | tee -a "$runs"
+}
+
+echo "# pair seed side $metrics correct"
+pair=0
+for seed in "$@"; do
+    pair=$((pair + 1))
+    if [ $((pair % 2)) -eq 1 ]; then
+        run "$pair" "$seed" parent "$parent"
+        run "$pair" "$seed" change "$change"
+    else
+        run "$pair" "$seed" change "$change"
+        run "$pair" "$seed" parent "$parent"
+    fi
+done
+
+echo "# $workload, $pair pairs of ${seconds}s: medians, the parent's quartiles, pairs the change won (ties count for neither)"
+awk -v names="$metrics" '
+function quantile(sorted, n, p,    at, lo) {
+    at = (n - 1) * p; lo = int(at)
+    return lo + 1 >= n ? sorted[n] : sorted[lo + 1] + (at - lo) * (sorted[lo + 2] - sorted[lo + 1])
+}
+function sorted_column(side, m, out,    n, i, j, v) {
+    n = 0
+    for (i = 1; i <= pairs; i++) out[++n] = value[i, side, m]
+    for (i = 2; i <= n; i++) { v = out[i]; for (j = i - 1; j >= 1 && out[j] > v; j--) out[j + 1] = out[j]; out[j + 1] = v }
+    return n
+}
+{
+    if ($1 > pairs) pairs = $1
+    for (m = 1; m <= 6; m++) { value[$1, $3, m] = $(3 + m) + 0; text[$1, $3, m] = $(3 + m) }
+    if ($10 != "true") incorrect++
+}
+END {
+    split(names, name, " ")
+    higher["ops_per_s"] = higher["success_share"] = 1
+    printf "%-14s %14s %14s %8s %14s %14s %6s\n", "metric", "parent", "change", "ratio", "parent_q1", "parent_q3", "wins"
+    for (m = 1; m <= 6; m++) {
+        n = sorted_column("parent", m, p); sorted_column("change", m, c)
+        wins = 0
+        for (i = 1; i <= pairs; i++) {
+            d = value[i, "change", m] - value[i, "parent", m]
+            if (name[m] in higher ? d > 0 : d < 0) wins++
+        }
+        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+        printf "%-14s %14.6f %14.6f %8s %14.6f %14.6f %3d/%d\n", name[m], pm, cm, \
+            (pm != 0 ? sprintf("%.3f", cm / pm) : "-"), quantile(p, n, 0.25), quantile(p, n, 0.75), wins, pairs
+    }
+    moved = 0
+    for (i = 1; i <= pairs; i++) for (m = 4; m <= 6; m++) if (text[i, "parent", m] != text[i, "change", m]) moved++
+    print "sim-clock metrics (success_share, sim_p50_ms, sim_p90_ms) bit-identical in every pair: " (moved ? "NO, " moved " differ" : "yes")
+    print "every run correct: " (incorrect ? "NO, " incorrect " not" : "yes")
+}' "$runs"

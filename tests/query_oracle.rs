@@ -4,6 +4,7 @@
 //! equal a naive per-key fold of the same partials.
 
 use scalewall::cubrick::coordinator::{merge_partials, FanoutPlan};
+use scalewall::cubrick::error::CubrickError;
 use scalewall::cubrick::hotness::MemoryMonitorConfig;
 use scalewall::cubrick::query::result::GroupVal;
 use scalewall::cubrick::query::{
@@ -310,26 +311,65 @@ fn gen_state(rng: &mut SimRng, func: AggFunc) -> AggState {
     }
 }
 
-/// Partials of one query: a shared agg list, and per partial a random
-/// subset of a small key universe (two-part keys, ints before strings).
-fn gen_partials(rng: &mut SimRng) -> Vec<PartialResult> {
+/// Strings that break a merge comparing anything but whole columns: the
+/// empty string, prefixes of one another (`"a"` < `"ab"` < `"abc"`), and
+/// pairs whose concatenations collide (`("a", "bc")`, `("ab", "c")`,
+/// `("abc", "")`, `("", "abc")`).
+const MERGE_STRS: [&str; 9] = ["", "a", "ab", "abc", "b", "bc", "c", "k1", "k10"];
+const MERGE_INTS: [i64; 7] = [i64::MIN, -40, -1, 0, 1, 40, i64::MAX];
+
+/// The key columns of one generated query.
+#[derive(Debug, Clone, Copy)]
+enum KeyShape {
+    /// No group-by: the one zero-column key.
+    Ungrouped,
+    Int,
+    Str,
+    IntStr,
+    StrStr,
+}
+
+fn gen_key(rng: &mut SimRng, shape: KeyShape) -> Vec<GroupVal> {
+    let int = |rng: &mut SimRng| GroupVal::Int(*rng.pick(&MERGE_INTS));
+    let string = |rng: &mut SimRng| GroupVal::Str(rng.pick(&MERGE_STRS).to_string());
+    match shape {
+        KeyShape::Ungrouped => vec![],
+        KeyShape::Int => vec![int(rng)],
+        KeyShape::Str => vec![string(rng)],
+        KeyShape::IntStr => vec![int(rng), string(rng)],
+        KeyShape::StrStr => vec![string(rng), string(rng)],
+    }
+}
+
+/// Partials of one query, up to the wall's fan-out of 64: a shared agg
+/// list and key shape, and per partial a random subset of the shape's
+/// key universe; about one partial in four has no group at all, so empty
+/// ones sit between non-empty ones.
+fn gen_partials(rng: &mut SimRng) -> (KeyShape, Vec<AggSpec>, Vec<PartialResult>) {
     let funcs = gen::vec_with(rng, 1, 4, |r| *r.pick(&MERGE_FUNCS));
     let aggs: Vec<AggSpec> = funcs.iter().map(|&f| AggSpec::new(f, "m")).collect();
-    let universe = gen::usize_in(rng, 1, 12) as u64;
-    gen::vec_with(rng, 1, 8, |rng| {
-        let mut partial = PartialResult::new(aggs.clone(), 1 + rng.below(64) as u32);
-        for _ in 0..rng.below(2 * universe) {
-            let k = rng.below(universe);
-            let key = vec![
-                GroupVal::Int(k as i64 % 3),
-                GroupVal::Str(format!("k{k}")),
-            ];
-            let states = funcs.iter().map(|&f| gen_state(rng, f)).collect();
-            partial.groups.insert(key, states);
+    let shape = *rng.pick(&[
+        KeyShape::Ungrouped,
+        KeyShape::Int,
+        KeyShape::Str,
+        KeyShape::IntStr,
+        KeyShape::StrStr,
+    ]);
+    let partials = gen::vec_with(rng, 1, 64, |rng| {
+        let draws = if rng.below(4) == 0 { 0 } else { 1 + rng.below(24) };
+        // A repeated draw of one key keeps the last accumulators.
+        let mut groups = BTreeMap::new();
+        for _ in 0..draws {
+            let states: Vec<AggState> = funcs.iter().map(|&f| gen_state(rng, f)).collect();
+            groups.insert(gen_key(rng, shape), states);
         }
+        let groups = groups.into_iter().collect();
+        let mut partial =
+            PartialResult::from_groups(aggs.clone(), 1 + rng.below(64) as u32, groups).unwrap();
         partial.rows_scanned = rng.below(10_000);
         partial
-    })
+    });
+    (shape, aggs, partials)
 }
 
 fn state_bits(state: &AggState) -> (u64, u64) {
@@ -340,37 +380,39 @@ fn state_bits(state: &AggState) -> (u64, u64) {
     }
 }
 
-/// The consuming, key-ordered merge equals folding every partial into a
-/// map one key at a time, in plan order, bit for bit on every
-/// accumulator; the coordinator finalizes exactly that.
+/// The k-way merge equals folding every partial into a map one key at a
+/// time, in plan order, bit for bit on every accumulator; the coordinator
+/// finalizes exactly that. Partials of another agg list or another key
+/// shape are typed errors, wherever in the plan they stand.
 #[test]
 fn consuming_merge_equals_naive_fold_in_plan_order() {
     prop::check_n(
         "consuming_merge_equals_naive_fold_in_plan_order",
         128,
         gen_partials,
-        |partials| {
+        |(shape, aggs, partials)| {
             let mut naive: BTreeMap<Vec<GroupVal>, Vec<AggState>> = BTreeMap::new();
             for partial in partials {
-                for (key, states) in &partial.groups {
-                    match naive.get_mut(key) {
+                for (key, states) in partial.groups() {
+                    match naive.get_mut(&key) {
                         Some(mine) => {
-                            for (a, b) in mine.iter_mut().zip(states) {
+                            for (a, b) in mine.iter_mut().zip(&states) {
                                 a.merge(b).unwrap();
                             }
                         }
                         None => {
-                            naive.insert(key.clone(), states.clone());
+                            naive.insert(key, states);
                         }
                     }
                 }
             }
             let merged = PartialResult::merge_all(partials.clone()).unwrap().unwrap();
+            let groups = merged.groups();
             assert_eq!(
-                merged.groups.keys().collect::<Vec<_>>(),
+                groups.iter().map(|(key, _)| key).collect::<Vec<_>>(),
                 naive.keys().collect::<Vec<_>>()
             );
-            for (got, want) in merged.groups.values().zip(naive.values()) {
+            for ((_, got), want) in groups.iter().zip(naive.values()) {
                 let bits = |states: &[AggState]| states.iter().map(state_bits).collect::<Vec<_>>();
                 assert_eq!(bits(got), bits(want));
             }
@@ -384,6 +426,29 @@ fn consuming_merge_equals_naive_fold_in_plan_order() {
             let plan = FanoutPlan::for_table("t", partials.len() as u32);
             let out = merge_partials(&plan, partials.clone()).unwrap();
             assert_eq!(out, merged.finalize());
+
+            // A stranger among them, first and last in the plan. An empty
+            // partial has no key kind to disagree with, so the key-shape
+            // half needs a group on both sides.
+            let mut strangers = vec![PartialResult::new(vec![AggSpec::count_star(); 5], 1)];
+            if let Some((_, states)) = groups.first() {
+                let other_key = match shape {
+                    KeyShape::Ungrouped | KeyShape::Str => vec![GroupVal::Int(1)],
+                    KeyShape::Int => vec![GroupVal::Str("1".into())],
+                    KeyShape::IntStr => vec![GroupVal::Int(1), GroupVal::Int(1)],
+                    KeyShape::StrStr => vec![GroupVal::Str("a".into()), GroupVal::Int(1)],
+                };
+                let group = (other_key, states.clone());
+                strangers.push(PartialResult::from_groups(aggs.clone(), 1, vec![group]).unwrap());
+            }
+            for stranger in strangers {
+                for at in [0, partials.len()] {
+                    let mut with = partials.clone();
+                    with.insert(at, stranger.clone());
+                    let err = PartialResult::merge_all(with).unwrap_err();
+                    assert!(matches!(err, CubrickError::Internal { .. }), "{err:?}");
+                }
+            }
         },
     );
 }
