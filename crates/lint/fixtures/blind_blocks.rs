@@ -1,0 +1,168 @@
+//! Blind-shape fixture: code the expression grammar of the v2 parser lost
+//! (`pin_*`: a `!=` in a block head ended the condition early and the block
+//! was read as a struct literal; a path pattern hid a `let … else` arm;
+//! macro arguments had no index rule) beside shapes it always read
+//! (`control_*`). A trailing `expect:` comment names the one rule that must
+//! fire on its line; `tests/fixtures.rs` holds the file to its markers,
+//! nothing more and nothing less.
+
+use scalewall_sim::sync::Mutex;
+use scalewall_sim::SimRng;
+
+enum E {
+    A(u32),
+    B,
+}
+
+fn pin_ne_in_if_head(a: u32, b: u32, x: Option<u32>) {
+    if a != b {
+        x.unwrap(); // expect: D7
+    }
+}
+
+fn pin_ne_in_match_head(a: u32, b: u32, x: Option<u32>) {
+    match a != b {
+        true => {
+            x.unwrap(); // expect: D7
+        }
+        false => {}
+    }
+}
+
+fn pin_ne_in_closure(v: &[u32], o: u32) -> u32 {
+    *v.iter().find(|&h| *h != o).unwrap() // expect: D7
+}
+
+fn pin_ne_head_over_tuple_let(g: (u32, u32), w: (u32, u32)) {
+    if g != w {
+        let (a, b) = g;
+        panic!("{a} {b}") // expect: D7
+    }
+}
+
+fn pin_let_else_with_path_pattern(e: E, x: Option<u32>) -> u32 {
+    let E::A(n) = e else {
+        x.unwrap(); // expect: D7
+        return 0;
+    };
+    n
+}
+
+fn pin_index_in_macro_arguments(a: &[u32]) {
+    assert!(a[0] == 1); // expect: D7
+}
+
+/// Panics on an empty slice; the v2 parser flagged it and so must this.
+fn pin_open_range_from_literal(v: &[u32]) -> &[u32] {
+    &v[1..] // expect: D7
+}
+
+struct Locks {
+    m: Mutex<u8>,
+}
+
+impl Locks {
+    fn pin_ne_head_over_nested_acquire(&self, a: u32, b: u32) {
+        if a != b {
+            let g = self.m.lock();
+            let h = self.m.lock(); // expect: D6
+            let _ = (g, h);
+        }
+    }
+}
+
+fn pin_ne_head_over_duplicate_fork(rng: &mut SimRng, a: u32, b: u32) {
+    if a != b {
+        let x = rng.fork(3);
+        let y = rng.fork(3); // expect: D5
+        let _ = (x, y);
+    }
+}
+
+// ---------------------------------------------------------------- controls
+
+fn control_let_else_simple_pattern(e: Option<u32>, x: Option<u32>) -> u32 {
+    let Some(n) = e else {
+        x.unwrap(); // expect: D7
+        return 0;
+    };
+    n
+}
+
+fn control_match_guard_arms(e: E, x: Option<u32>) -> u32 {
+    match e {
+        E::A(n) if n > 2 => x.unwrap(), // expect: D7
+        E::A(n) if n != 1 => {
+            x.expect("one") // expect: D7
+        }
+        _ => 0,
+    }
+}
+
+fn control_while_let(mut it: std::vec::IntoIter<Option<u32>>) {
+    while let Some(x) = it.next() {
+        x.unwrap(); // expect: D7
+    }
+}
+
+fn control_closures(v: &[Option<u32>]) -> u32 {
+    let block = |x: &Option<u32>| {
+        x.unwrap() // expect: D7
+    };
+    let typed = |x: &Option<u32>| -> u32 { x.unwrap() }; // expect: D7
+    v.iter().map(block).sum::<u32>() + v.iter().map(typed).sum::<u32>()
+}
+
+fn control_casts_and_shifts_in_heads(a: u32, b: u64, x: Option<u32>) {
+    if a as u64 > b {
+        x.unwrap(); // expect: D7
+    }
+    if a << 2 > a {
+        x.unwrap(); // expect: D7
+    }
+}
+
+fn control_labelled_loops(x: Option<u32>) {
+    'outer: loop {
+        'inner: for _ in 0..2 {
+            x.unwrap(); // expect: D7
+            break 'inner;
+        }
+        break 'outer;
+    }
+}
+
+fn control_nested_fn(x: Option<u32>) -> u32 {
+    fn inner(y: Option<u32>) -> u32 {
+        y.unwrap() // expect: D7
+    }
+    inner(x)
+}
+
+fn control_impl_fn_param(f: impl Fn(u32) -> u32, x: Option<u32>) -> u32 {
+    f(x.unwrap()) // expect: D7
+}
+
+fn control_where_clause<T>(t: Option<T>) -> T
+where
+    T: Clone + PartialOrd<T>,
+{
+    t.unwrap() // expect: D7
+}
+
+fn control_question_mark_then_closure(x: Option<Option<u32>>) -> Option<u32> {
+    x?.map(|v| {
+        Some(v).unwrap() // expect: D7
+    })
+}
+
+impl Locks {
+    /// A block-like statement ends at its brace: the `let` after it still
+    /// binds a guard, so the second acquire nests.
+    fn control_guard_bound_after_a_block(&self, c: bool) {
+        if c {}
+        let g = self.m.lock();
+        let h = self.m.lock(); // expect: D6
+        let _ = (g, h);
+    }
+}

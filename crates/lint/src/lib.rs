@@ -41,11 +41,14 @@
 //!   or a proven-safe form. New files are covered by default; the files
 //!   still owed a conversion are the shrinking [`D7_PENDING`] list.
 //!
-//! Detection runs on a parsed representation (`parser.rs`) with a
-//! workspace symbol table and call graph (`semantic.rs`); anything the
-//! tolerant parser cannot shape falls back to the v1 token scan, so
-//! coverage never regresses (DESIGN.md §5c documents the conservatism and
-//! its known false-negative edges).
+//! Two engines, one per kind of rule. D1–D4 and D7 are *token patterns*,
+//! each written once in [`scan_tokens`] and run over every code token
+//! outside `#[cfg(test)]` items and statements, so their coverage is true
+//! by construction. D5 and D6 read *body trees*: `parser.rs` shapes items
+//! and turns each function body into nested delimiter groups, and
+//! `semantic.rs` walks them with a workspace symbol table and call graph.
+//! Neither engine parses expressions (DESIGN.md §5c documents the
+//! conservatism and its known false-negative edges).
 //!
 //! `#[cfg(test)]` items are exempt from all rules; integration tests,
 //! examples, and the bench/lint tooling run under a reduced rule set (see
@@ -68,7 +71,8 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use lexer::{lex, Tok, Token};
-use parser::{Expr, ParsedFile, Stmt, Ty};
+use parser::ParsedFile;
+pub use semantic::Census;
 
 /// Crates whose `src/` is sim-facing (full rule set).
 pub const SIM_FACING_CRATES: &[&str] =
@@ -208,9 +212,9 @@ pub struct FileReport {
     pub path: String,
     pub violations: Vec<Violation>,
     pub pragmas: Vec<PragmaUse>,
-    /// Line of the first code token that lies in no parsed item and no
-    /// opaque span, so that no rule looked at it: a parser defect, not a
-    /// verdict on the file ([`ParsedFile::first_unscanned`]).
+    /// Line of the token the item shaper stopped at short of the end of
+    /// the file: a shaper defect, not a verdict on the file
+    /// ([`ParsedFile::first_unscanned`]).
     pub unscanned: Option<u32>,
 }
 
@@ -219,6 +223,9 @@ pub struct FileReport {
 pub struct WorkspaceReport {
     pub files: Vec<FileReport>,
     pub files_scanned: usize,
+    /// What the semantic walk saw: "zero D5/D6 violations" from a walk that
+    /// resolved no lock is not a result.
+    pub census: Census,
 }
 
 impl WorkspaceReport {
@@ -239,8 +246,8 @@ impl WorkspaceReport {
         self.violation_count() == 0 && self.first_unscanned().is_none()
     }
 
-    /// The first `(path, line)` no rule looked at, if the parser's
-    /// coverage invariant broke anywhere in the scan.
+    /// The first `(path, line)` the item shaper stopped at, if it stopped
+    /// short anywhere in the scan.
     pub fn first_unscanned(&self) -> Option<(&str, u32)> {
         self.files
             .iter()
@@ -384,37 +391,19 @@ pub(crate) struct Candidate {
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-fn push_candidate(out: &mut Vec<Candidate>, rule: RuleId, line: u32, message: String) {
-    // Dedupe per (rule, line): `std::thread::spawn` should report once.
-    if !out.iter().any(|c| c.rule == rule && c.line == line) {
-        out.push(Candidate { rule, line, message });
-    }
-}
-
-fn check_ty(out: &mut Vec<Candidate>, ty: &Ty) {
-    for i in &ty.idents {
-        match i.as_str() {
-            "Instant" | "SystemTime" => push_candidate(
-                out,
-                RuleId::D1,
-                ty.line,
-                format!("`{i}` is wall-clock time — use `SimTime` (sim-facing code must not observe the host clock)"),
-            ),
-            "HashMap" | "HashSet" => push_candidate(
-                out,
-                RuleId::D2,
-                ty.line,
-                format!("`{i}` iteration order is nondeterministic — use `BTreeMap`/`BTreeSet` or a sorted collect"),
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// AST-level rule scan over one parsed file (tiering and suppression are
-/// applied later by the caller).
-fn scan_parsed(parsed: &ParsedFile) -> Vec<Candidate> {
+/// The pattern rules D1–D4 and D7 over every code token of `parsed`
+/// outside its `#[cfg(test)]` spans (tiering and suppression are applied
+/// later by the caller).
+fn scan_tokens(parsed: &ParsedFile) -> Vec<Candidate> {
+    let code = &parsed.tokens;
     let mut out = Vec::new();
+    let punct_at = |i: usize, c: char| matches!(code.get(i), Some(t) if t.tok == Tok::Punct(c));
+    let ident_at = |i: usize| match code.get(i) {
+        Some(Token { tok: Tok::Ident(s), .. }) => Some(s.as_str()),
+        _ => None,
+    };
+    // `a::b` continues at `b`.
+    let path_next = |i: usize| (punct_at(i + 1, ':') && punct_at(i + 2, ':')).then(|| ident_at(i + 3)).flatten();
     // Fields declared as fixed-size arrays (`[T; N]`) in this file: a
     // literal index into one is bounded by the type, not by runtime
     // emptiness, so the D7 "assume non-empty" rule skips them (the
@@ -427,229 +416,89 @@ fn scan_parsed(parsed: &ParsedFile) -> Vec<Candidate> {
         .structs
         .iter()
         .flat_map(|s| s.fields.iter())
-        .filter(|(_, ty)| ty.text.trim_start().starts_with('['))
+        .filter(|(_, ty)| ty.is_array)
         .map(|(name, _)| name.as_str())
         .collect();
-    for (line, in_test) in &parsed.item_unsafe {
-        if !in_test {
-            push_candidate(
-                &mut out,
-                RuleId::D4,
-                *line,
-                "`unsafe` outside `sim::sync` — a deterministic simulation has no business here"
-                    .to_string(),
-            );
-        }
-    }
-    for s in &parsed.structs {
-        if s.in_test {
+    // Nested functions come first in `fns`, so the first body that
+    // contains a token is the innermost one.
+    let array_local = |i: usize, name: &str| {
+        let inside = |f: &&parser::FnDef| f.body.as_ref().is_some_and(|b| b.open < i && i < b.close);
+        parsed.fns.iter().find(inside).is_some_and(|f| f.array_locals.iter().any(|l| l == name))
+    };
+    let panic_site = |what: String| {
+        format!("{what} in sim-facing code — what a query or a tick can reach must degrade through a typed error, not panic mid-replay")
+    };
+    let mut test_spans = parsed.test_spans.iter().peekable();
+    let mut next = 0;
+    while let Some(t) = code.get(next) {
+        let i = next;
+        if let Some(&(_, end)) = test_spans.next_if(|(start, _)| *start == i) {
+            next = end;
             continue;
         }
-        for (_, ty) in &s.fields {
-            check_ty(&mut out, ty);
-        }
-    }
-    for f in &parsed.fns {
-        if f.in_test {
-            continue;
-        }
-        for p in &f.params {
-            check_ty(&mut out, &p.ty);
-        }
-        if let Some(ret) = &f.ret {
-            check_ty(&mut out, ret);
-        }
-        let Some(body) = &f.body else { continue };
-        // Locals this function declares with an array type: bounded the
-        // same way the array fields above are.
-        let mut array_locals: Vec<&str> = Vec::new();
-        parser::visit_stmts(body, &mut |s| {
-            if let Stmt::Let { name, ty: Some(ty), .. } = s {
-                check_ty(&mut out, ty);
-                if let (Some(name), true) = (name, ty.text.trim_start().starts_with('[')) {
-                    array_locals.push(name);
-                }
-            }
-        });
-        parser::walk_block(body, &mut |e| match e {
-            Expr::Path(segs, line) => {
-                for seg in segs {
-                    match seg.as_str() {
-                        "Instant" | "SystemTime" => push_candidate(
-                            &mut out,
-                            RuleId::D1,
-                            *line,
-                            format!("`{seg}` is wall-clock time — use `SimTime` (sim-facing code must not observe the host clock)"),
-                        ),
-                        "HashMap" | "HashSet" => push_candidate(
-                            &mut out,
-                            RuleId::D2,
-                            *line,
-                            format!("`{seg}` iteration order is nondeterministic — use `BTreeMap`/`BTreeSet` or a sorted collect"),
-                        ),
-                        _ => {}
+        next += 1;
+        // The token `n` places back is the punctuation `c`.
+        let before = |n: usize, c: char| i >= n && punct_at(i - n, c);
+        let hit = match &t.tok {
+            // `recv[INT]` / `recv[INT..]`: an index, not an array literal
+            // or a type, when what stands before the `[` can be indexed.
+            Tok::Punct('[') if i > 0 => {
+                let literal = matches!(code.get(i + 1), Some(Token { tok: Tok::Int(_), .. }))
+                    && (punct_at(i + 2, ']') || (punct_at(i + 2, '.') && punct_at(i + 3, '.') && punct_at(i + 4, ']')));
+                let (indexable, on_array) = match &code[i - 1].tok {
+                    Tok::Ident(name) | Tok::Int(name) | Tok::Float(name) if before(2, '.') => {
+                        (true, array_fields.contains(name.as_str()))
                     }
-                }
-                let thread_spawn = segs.windows(2).any(|w| w[0] == "thread" && w[1] == "spawn");
-                let std_thread = segs.windows(2).any(|w| w[0] == "std" && w[1] == "thread");
-                if thread_spawn || std_thread {
-                    push_candidate(
-                        &mut out,
-                        RuleId::D1,
-                        *line,
-                        "`std::thread` — sim-facing code runs on the deterministic event kernel, not OS threads".to_string(),
-                    );
-                }
-            }
-            Expr::Call { callee, args, line } => {
-                if let Expr::Path(segs, _) = callee.as_ref() {
-                    if segs.len() >= 2
-                        && segs[segs.len() - 1] == "new"
-                        && segs[segs.len() - 2].ends_with("Rng")
-                        && args.len() == 1
-                        && matches!(args[0], Expr::LitInt(..))
-                    {
-                        push_candidate(
-                            &mut out,
-                            RuleId::D3,
-                            *line,
-                            format!("literal-seeded `{}::new(…)` — seeds must flow from the experiment root via `fork()` (scalewall_sim::rng discipline)", segs[segs.len() - 2]),
-                        );
-                    }
-                }
-            }
-            Expr::Method { name, line, .. } if name == "unwrap" || name == "expect" => {
-                push_candidate(
-                    &mut out,
-                    RuleId::D7,
-                    *line,
-                    format!("`.{name}(…)` in sim-facing code — what a query or a tick can reach must degrade through a typed error, not panic mid-replay"),
-                );
-            }
-            Expr::Macro { name, line } if PANIC_MACROS.contains(&name.as_str()) => {
-                push_candidate(
-                    &mut out,
-                    RuleId::D7,
-                    *line,
-                    format!("`{name}!` in sim-facing code — what a query or a tick can reach must degrade through a typed error, not panic mid-replay"),
-                );
-            }
-            Expr::Index { recv, index, line } => {
-                let on_array = match recv.as_ref() {
-                    Expr::Field { name, .. } => array_fields.contains(name.as_str()),
-                    Expr::Path(segs, _) => matches!(&segs[..], [name] if array_locals.contains(&name.as_str())),
-                    _ => false,
+                    Tok::Ident(name) => (!parser::is_keyword(name), !before(2, ':') && array_local(i, name)),
+                    Tok::Punct(')' | ']' | '?') => (true, false),
+                    _ => (false, false),
                 };
-                if matches!(index.as_ref(), Expr::LitInt(..)) && !on_array {
-                    push_candidate(
-                        &mut out,
-                        RuleId::D7,
-                        *line,
-                        "integer-literal index in sim-facing code assumes the collection is non-empty — use `.get(…)`/`.first()` and degrade".to_string(),
-                    );
-                }
+                (literal && indexable && !on_array).then(|| {
+                    (RuleId::D7, "integer-literal index in sim-facing code assumes the collection is non-empty — use `.get(…)`/`.first()` and degrade".to_string())
+                })
             }
-            Expr::Unsafe { line, .. } => {
-                push_candidate(
-                    &mut out,
+            Tok::Ident(word) => match word.as_str() {
+                "Instant" | "SystemTime" => Some((
+                    RuleId::D1,
+                    format!("`{word}` is wall-clock time — use `SimTime` (sim-facing code must not observe the host clock)"),
+                )),
+                "std" | "thread" if matches!((word.as_str(), path_next(i)), ("std", Some("thread")) | ("thread", Some("spawn"))) => Some((
+                    RuleId::D1,
+                    "`std::thread` — sim-facing code runs on the deterministic event kernel, not OS threads".to_string(),
+                )),
+                "HashMap" | "HashSet" => Some((
+                    RuleId::D2,
+                    format!("`{word}` iteration order is nondeterministic — use `BTreeMap`/`BTreeSet` or a sorted collect"),
+                )),
+                "unsafe" => Some((
                     RuleId::D4,
-                    *line,
                     "`unsafe` outside `sim::sync` — a deterministic simulation has no business here".to_string(),
-                );
-            }
-            _ => {}
-        });
-    }
-    // Fallback token scan over everything the parser left opaque.
-    for span in &parsed.opaque {
-        if span.in_test {
-            continue;
+                )),
+                "unwrap" | "expect" if before(1, '.') && punct_at(i + 1, '(') => {
+                    Some((RuleId::D7, panic_site(format!("`.{word}(…)`"))))
+                }
+                w if PANIC_MACROS.contains(&w) && punct_at(i + 1, '!') => Some((RuleId::D7, panic_site(format!("`{w}!`")))),
+                w if w.ends_with("Rng")
+                    && path_next(i) == Some("new")
+                    && punct_at(i + 4, '(')
+                    && matches!(code.get(i + 5), Some(Token { tok: Tok::Int(_), .. }))
+                    && punct_at(i + 6, ')') =>
+                {
+                    Some((
+                        RuleId::D3,
+                        format!("literal-seeded `{w}::new(…)` — seeds must flow from the experiment root via `fork()` (scalewall_sim::rng discipline)"),
+                    ))
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        // Dedupe per (rule, line): `std::thread::spawn` should report once.
+        if let Some((rule, message)) = hit.filter(|(rule, _)| !out.iter().any(|c: &Candidate| c.rule == *rule && c.line == t.line)) {
+            out.push(Candidate { rule, line: t.line, message });
         }
-        scan_tokens(&parsed.tokens[span.start..span.end], &mut out);
     }
     out
-}
-
-/// The v1 token-level scan, run over opaque spans (macro arguments,
-/// `use`/`const` items, patterns, recovery stretches) so the parser's
-/// tolerance never loses detections.
-fn scan_tokens(code: &[Token], out: &mut Vec<Candidate>) {
-    let punct_at = |i: usize, c: char| matches!(code.get(i), Some(t) if t.tok == Tok::Punct(c));
-    let ident_at = |i: usize| match code.get(i) {
-        Some(Token { tok: Tok::Ident(s), .. }) => Some(s.as_str()),
-        _ => None,
-    };
-    for (i, t) in code.iter().enumerate() {
-        let Tok::Ident(word) = &t.tok else { continue };
-        match word.as_str() {
-            "Instant" | "SystemTime" => push_candidate(
-                out,
-                RuleId::D1,
-                t.line,
-                format!("`{word}` is wall-clock time — use `SimTime` (sim-facing code must not observe the host clock)"),
-            ),
-            "thread"
-                if punct_at(i + 1, ':') && punct_at(i + 2, ':') && ident_at(i + 3) == Some("spawn") =>
-            {
-                push_candidate(
-                    out,
-                    RuleId::D1,
-                    t.line,
-                    "`thread::spawn` — sim-facing code runs on the deterministic event kernel, not OS threads".to_string(),
-                )
-            }
-            "std" if punct_at(i + 1, ':') && punct_at(i + 2, ':') && ident_at(i + 3) == Some("thread") => {
-                push_candidate(
-                    out,
-                    RuleId::D1,
-                    t.line,
-                    "`std::thread` — sim-facing code runs on the deterministic event kernel, not OS threads".to_string(),
-                )
-            }
-            "HashMap" | "HashSet" => push_candidate(
-                out,
-                RuleId::D2,
-                t.line,
-                format!("`{word}` iteration order is nondeterministic — use `BTreeMap`/`BTreeSet` or a sorted collect"),
-            ),
-            "unsafe" => push_candidate(
-                out,
-                RuleId::D4,
-                t.line,
-                "`unsafe` outside `sim::sync` — a deterministic simulation has no business here".to_string(),
-            ),
-            "unwrap" | "expect" if i > 0 && punct_at(i - 1, '.') && punct_at(i + 1, '(') => {
-                push_candidate(
-                    out,
-                    RuleId::D7,
-                    t.line,
-                    format!("`.{word}(…)` in sim-facing code — what a query or a tick can reach must degrade through a typed error, not panic mid-replay"),
-                )
-            }
-            w if PANIC_MACROS.contains(&w) && punct_at(i + 1, '!') => push_candidate(
-                out,
-                RuleId::D7,
-                t.line,
-                format!("`{w}!` in sim-facing code — what a query or a tick can reach must degrade through a typed error, not panic mid-replay"),
-            ),
-            w if w.ends_with("Rng")
-                && punct_at(i + 1, ':')
-                && punct_at(i + 2, ':')
-                && ident_at(i + 3) == Some("new")
-                && punct_at(i + 4, '(')
-                && matches!(code.get(i + 5), Some(Token { tok: Tok::Int(_), .. }))
-                && punct_at(i + 6, ')') =>
-            {
-                push_candidate(
-                    out,
-                    RuleId::D3,
-                    t.line,
-                    format!("literal-seeded `{w}::new(…)` — seeds must flow from the experiment root via `fork()` (scalewall_sim::rng discipline)"),
-                )
-            }
-            _ => {}
-        }
-    }
 }
 
 // ---------------------------------------------------- two-phase analysis
@@ -681,7 +530,7 @@ impl Analysis {
     pub fn add_source(&mut self, path: &str, src: &str, rules: RuleSet) {
         let all_tokens = lex(src);
         let parsed = parser::parse(src);
-        let candidates = scan_parsed(&parsed);
+        let candidates = scan_tokens(&parsed);
 
         // Lines that carry at least one code token, for pragma scoping.
         let code_lines: Vec<u32> = {
@@ -732,17 +581,16 @@ impl Analysis {
         });
     }
 
-    pub fn finish(mut self) -> Vec<FileReport> {
+    pub fn finish(self) -> Vec<FileReport> {
+        self.finish_with_census().0
+    }
+
+    /// [`Analysis::finish`], plus what the semantic walk saw on the way.
+    pub fn finish_with_census(mut self) -> (Vec<FileReport>, Census) {
         // Cross-file semantic passes (D5 domain flow, D6 call-graph
         // propagation) over every file at once.
-        let inputs: Vec<(usize, String, &ParsedFile)> = self
-            .files
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i, f.path.clone(), &f.parsed))
-            .collect();
-        let cross = semantic::analyze(&inputs);
-        drop(inputs);
+        let inputs: Vec<(&str, &ParsedFile)> = self.files.iter().map(|f| (f.path.as_str(), &f.parsed)).collect();
+        let (cross, census) = semantic::analyze(&inputs);
         for (idx, c) in cross {
             let file = &mut self.files[idx];
             if !file.candidates.iter().any(|e| e.rule == c.rule && e.line == c.line) {
@@ -790,7 +638,7 @@ impl Analysis {
                 unscanned: file.parsed.first_unscanned().map(|t| t.line),
             });
         }
-        reports
+        (reports, census)
     }
 }
 
@@ -804,18 +652,6 @@ pub fn lint_source(src: &str, rules: RuleSet) -> (Vec<Violation>, Vec<PragmaUse>
     let mut reports = a.finish();
     let r = reports.pop().unwrap_or_default();
     (r.violations, r.pragmas)
-}
-
-/// Lint one file from disk. `rel` is the workspace-relative path used for
-/// tier classification and reporting.
-pub fn lint_file(root: &Path, rel: &str) -> std::io::Result<Option<FileReport>> {
-    let Some(rules) = ruleset_for(rel) else {
-        return Ok(None);
-    };
-    let src = std::fs::read_to_string(root.join(rel))?;
-    let mut a = Analysis::new();
-    a.add_source(rel, &src, rules);
-    Ok(a.finish().pop())
 }
 
 /// Collect the `.rs` files under `dir` as `root`-relative paths (sorted,
@@ -862,8 +698,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         analysis.add_source(&rel, &src, rules);
         files_scanned += 1;
     }
-    let mut report = WorkspaceReport { files: Vec::new(), files_scanned };
-    for file_report in analysis.finish() {
+    let (file_reports, census) = analysis.finish_with_census();
+    let mut report = WorkspaceReport { files: Vec::new(), files_scanned, census };
+    for file_report in file_reports {
         if !file_report.violations.is_empty()
             || !file_report.pragmas.is_empty()
             || file_report.unscanned.is_some()
@@ -949,8 +786,7 @@ mod tests {
 
     #[test]
     fn d2_flags_types_inside_macro_args() {
-        // Macro arguments are opaque to the parser; the fallback token
-        // scan must still see them.
+        // Macro arguments are tokens like any others.
         let src = "fn f() { foo!(HashMap::new()); }";
         assert_eq!(violations(src, RuleSet::SIM), [RuleId::D2]);
     }
@@ -1212,6 +1048,51 @@ mod tests {
         assert!(violations(clean, RuleSet::SIM).is_empty());
     }
 
+    #[test]
+    fn d6_follows_type_aliases_to_the_lock() {
+        // All four locks of the live tree are declared this way; an alias
+        // of an alias resolves too.
+        let src = r#"
+            type Shared<T> = Arc<RwLock<T>>;
+            type SharedCatalog = Shared<Catalog>;
+            struct S { catalog: SharedCatalog }
+            impl S {
+                fn f(&self) {
+                    let g = self.catalog.write();
+                    let h = self.catalog.read();
+                }
+            }
+        "#;
+        assert_eq!(violations(src, RuleSet::SIM), [RuleId::D6]);
+        let not_a_lock = src.replace("Arc<RwLock<T>>", "Arc<Vec<T>>");
+        assert!(violations(&not_a_lock, RuleSet::SIM).is_empty());
+    }
+
+    #[test]
+    fn d6_reads_calls_and_guards_off_the_tree() {
+        let flagged = |body: &str| {
+            let src = format!(
+                "struct S {{ a: Mutex<Vec<u32>> }}\nimpl S {{\nfn f(&self) -> Option<u32> {{\n{body}\nNone }}\n\
+                 fn inner<T>(&self) -> bool {{ self.a.lock().is_empty() }}\n}}\n"
+            );
+            let v = lint_source(&src, RuleSet::SIM).0;
+            v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>()
+        };
+        // A temporary lasts for its statement, so an acquire among the
+        // arguments nests inside the receiver's…
+        assert_eq!(flagged("self.a.lock().push(self.a.lock().len() as u32);"), [(RuleId::D6, 4)]);
+        // …and is gone by the next one.
+        assert_eq!(flagged("self.a.lock().push(1); self.a.lock().push(2);"), []);
+        // `?` does not hide the guard a `let` binds, `drop` ends it.
+        assert_eq!(flagged("let g = self.a.lock()?;\nself.inner::<u8>();"), [(RuleId::D6, 5)]);
+        assert_eq!(flagged("let g = self.a.lock()?;\ndrop(g);\nself.inner::<u8>();"), []);
+        // Macro arguments are part of the tree: a call in one is a call.
+        assert_eq!(flagged("let g = self.a.lock();\nassert!(self.inner::<u8>());"), [(RuleId::D6, 5)]);
+        // A guard bound in a block dies with it, whatever heads the block.
+        assert_eq!(flagged("if 1 != 2 { let g = self.a.lock(); }\nself.inner::<u8>();"), []);
+        assert_eq!(flagged("if 1 != 2 { let g = self.a.lock();\nself.inner::<u8>(); }"), [(RuleId::D6, 5)]);
+    }
+
     // ------------------------------------------------------------ D7
 
     #[test]
@@ -1254,6 +1135,28 @@ fn other(v: &[u64]) -> u64 { let s = v; s[0] }
         assert_eq!(
             v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
             [(RuleId::D7, 5), (RuleId::D7, 8)],
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn d7_index_pattern_reads_receivers_not_literals_or_types() {
+        // What the v2 parser's `Expr::Index` / struct-literal / stray-brace
+        // unit tests pinned as shapes, pinned as detections.
+        let src = r#"
+fn a(&self) -> u32 { let r = &self.dep.regions[0]; r.go() }
+fn b(c: bool, v: &[u32]) -> S { if c { S { v: v[1] } } else { S { v: f(v)[0] } } }
+fn c(v: &[u32]) -> [u32; 1] { let w: Vec<[u8; 4]> = vec![[0]; 4]; for x in [0] { g(x, &[1], m![0]) } return [0] }
+fn d(t: (Vec<u32>, u32), v: Option<&[u32]>) -> u32 { t.0[0] + v?[0] }
+} }
+fn e(v: &[u32], w: &[[u32; 4]]) -> &[u32] { &v[2..] }
+fn f(v: &[u32], n: usize) -> &[u32] { if n > 0 { &v[1..n] } else { &v[..1] } }
+fn g(w: &[[u32; 4]]) -> u32 { w[2][3] }
+"#;
+        let v = lint_source(src, RuleSet::SIM).0;
+        assert_eq!(
+            v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
+            [(RuleId::D7, 2), (RuleId::D7, 3), (RuleId::D7, 5), (RuleId::D7, 7), (RuleId::D7, 9)],
             "{v:?}"
         );
     }

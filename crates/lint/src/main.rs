@@ -30,7 +30,7 @@ fn print_report(report: &WorkspaceReport) {
         }
     }
     if let Some((path, line)) = report.first_unscanned() {
-        println!("{path}:{line}: parser: token in no parsed item and no opaque span — no rule looked at it");
+        println!("{path}:{line}: shaper: stopped here, short of the end of the file — nothing behind it is in an item");
     }
     let inventory = report.pragma_inventory();
     if !inventory.is_empty() {
@@ -89,6 +89,18 @@ fn run_workspace(root_arg: Option<PathBuf>, json_out: Option<String>) -> ExitCod
             }
             if json_out.as_deref() != Some("-") {
                 print_report(&report);
+                // What D5/D6 looked at: zero violations from a walk that
+                // resolved no lock would not be a result.
+                let census = &report.census;
+                println!(
+                    "semantic census: {} functions walked, {} lock identities, {} order edges, {} calls under a held lock, {} fork sites, {} calls carrying an RNG",
+                    census.fns_walked,
+                    census.lock_ids.len(),
+                    census.order_edges.len(),
+                    census.calls_under_lock,
+                    census.fork_sites,
+                    census.rng_calls
+                );
             }
             if report.is_clean() {
                 ExitCode::SUCCESS

@@ -1,45 +1,35 @@
-//! A tolerant recursive-descent parser for the determinism lint.
+//! The item shaper and body trees of the determinism lint.
 //!
-//! Just enough of an AST for semantic rules: items (functions with typed
-//! params, structs with typed fields, impl blocks, inline modules),
-//! statements, and an expression tree that keeps the shapes the rules
-//! care about — paths, calls, method calls, field accesses, indexing,
-//! literals, blocks, `unsafe`, control flow, closures. No `syn`, no
-//! `proc-macro2`: the workspace is hermetic (DESIGN.md).
+//! Two things are read out of a token stream here, and neither involves
+//! an expression grammar:
 //!
-//! **Totality over fidelity.** The parser never fails and never panics:
-//! anything it cannot shape (macro arguments, match patterns and guards,
-//! `use`/`const`/`enum` items, recovery stretches) is recorded as an
-//! *opaque span* — a token range tagged with the enclosing `#[cfg(test)]`
-//! state — and the caller runs the token-level fallback scan over those
-//! spans so detection never regresses below the v1 lexer lint. Known
-//! false-negative edges of this conservatism are documented in DESIGN.md
-//! §5c.
+//! * **Items.** Functions with typed params, structs with typed fields,
+//!   `type` aliases, the `impl`/`trait`/`mod` nesting around them, and
+//!   which token ranges sit under `#[cfg(test)]`. Every other item kind
+//!   (`use`, `const`, `enum`, `macro_rules!`, …) is stepped over: the
+//!   pattern rules of `lib.rs` read its tokens directly.
+//! * **Bodies.** A function body is a *delimiter tree*: nested `()`, `[]`
+//!   and `{}` groups over token indices, brace groups split into
+//!   statements (`let [mut] name [: T] …;`, nested items, `#[cfg(test)]`
+//!   statements, everything else). The semantic walk (`semantic.rs`) reads
+//!   calls, guards and fork labels off it.
+//!
+//! Brackets always balance in code that compiles, so a tree cannot
+//! mis-nest on an operator, a pattern or a macro argument: there is no
+//! operator, precedence, struct-literal or closure rule to get wrong. No
+//! `syn`, no `proc-macro2`: the workspace is hermetic (DESIGN.md).
+//!
+//! **Totality.** The shaper never fails and never panics; a closer that
+//! nothing opened is stepped over and shaping goes on behind it.
 
 use crate::lexer::{lex, Tok, Token};
 
-/// A token range `[start, end)` into [`ParsedFile::tokens`] that the
-/// parser did not shape into AST; the fallback token scan covers it.
-#[derive(Debug, Clone)]
-pub struct OpaqueSpan {
-    pub start: usize,
-    pub end: usize,
-    pub in_test: bool,
-}
-
-/// A type as the lint sees it: rendered text plus the identifiers it
-/// mentions (for `HashMap`-style type bans and lock-type lookups).
+/// A type as the lint sees it: the identifiers it mentions (lock and RNG
+/// lookups) and whether it is spelled as an array or slice (`[…`).
 #[derive(Debug, Clone, Default)]
 pub struct Ty {
-    pub text: String,
     pub idents: Vec<String>,
-    pub line: u32,
-}
-
-impl Ty {
-    pub fn mentions(&self, ident: &str) -> bool {
-        self.idents.iter().any(|i| i == ident)
-    }
+    pub is_array: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -57,8 +47,10 @@ pub struct FnDef {
     pub modpath: Vec<String>,
     pub takes_self: bool,
     pub params: Vec<Param>,
-    pub ret: Option<Ty>,
-    pub body: Option<Block>,
+    pub body: Option<Group>,
+    /// Locals this function declares with an array type (`let s: [T; N]`),
+    /// nested functions not included.
+    pub array_locals: Vec<String>,
     pub line: u32,
     pub in_test: bool,
 }
@@ -68,297 +60,76 @@ pub struct StructDef {
     pub name: String,
     /// Named or tuple fields; tuple fields are named `"0"`, `"1"`, ….
     pub fields: Vec<(String, Ty)>,
-    pub line: u32,
     pub in_test: bool,
 }
 
-#[derive(Debug, Clone, Default)]
-pub struct Block {
+/// One node of a body tree: a token (index into [`ParsedFile::tokens`])
+/// or a bracketed group.
+#[derive(Debug, Clone)]
+pub enum Node {
+    Tok(usize),
+    Group(Group),
+}
+
+/// A `()`, `[]` or `{}` group. `open` and `close` index its delimiters
+/// (`close` is the token count when the file ends first). A brace group
+/// holds one [`Stmt`] per statement, the other two exactly one.
+#[derive(Debug, Clone)]
+pub struct Group {
+    pub delim: char,
+    pub open: usize,
+    pub close: usize,
     pub stmts: Vec<Stmt>,
-    pub line: u32,
 }
 
+/// The nodes of one statement, its `;` included. Nested items and
+/// `#[cfg(test)]` statements are not in the tree: the former are shaped
+/// into [`ParsedFile::fns`], the latter into [`ParsedFile::test_spans`].
 #[derive(Debug, Clone)]
-pub enum Stmt {
-    Let {
-        /// `Some` only for simple `let [mut] name` patterns.
-        name: Option<String>,
-        ty: Option<Ty>,
-        init: Option<Expr>,
-        else_block: Option<Block>,
-        line: u32,
-    },
-    Expr(Expr),
-}
-
-#[derive(Debug, Clone)]
-pub enum Expr {
-    /// `a::b::c` (also bare idents and `self`).
-    Path(Vec<String>, u32),
-    LitInt(String, u32),
-    LitOther(u32),
-    Call { callee: Box<Expr>, args: Vec<Expr>, line: u32 },
-    Method { recv: Box<Expr>, name: String, args: Vec<Expr>, line: u32 },
-    Field { recv: Box<Expr>, name: String, line: u32 },
-    Index { recv: Box<Expr>, index: Box<Expr>, line: u32 },
-    /// `name!(…)` — the argument tokens become an opaque span.
-    Macro { name: String, line: u32 },
-    Unsafe { body: Block, line: u32 },
-    Block(Block),
-    If { cond: Box<Expr>, then: Block, els: Option<Box<Expr>>, line: u32 },
-    While { cond: Box<Expr>, body: Block, line: u32 },
-    Loop { body: Block, line: u32 },
-    For { iter: Box<Expr>, body: Block, line: u32 },
-    /// Patterns and guards are opaque spans; arms are the body exprs.
-    Match { scrut: Box<Expr>, arms: Vec<Expr>, line: u32 },
-    Closure { body: Box<Expr>, line: u32 },
-    StructLit { path: Vec<String>, fields: Vec<Expr>, line: u32 },
-    /// Order-insensitive grouping: binary-operator chains, tuples, arrays,
-    /// call-less parens. The lint never needs operator structure.
-    Seq(Vec<Expr>, u32),
-    Unknown(u32),
-}
-
-impl Expr {
-    pub fn line(&self) -> u32 {
-        match self {
-            Expr::Path(_, l)
-            | Expr::LitInt(_, l)
-            | Expr::LitOther(l)
-            | Expr::Call { line: l, .. }
-            | Expr::Method { line: l, .. }
-            | Expr::Field { line: l, .. }
-            | Expr::Index { line: l, .. }
-            | Expr::Macro { line: l, .. }
-            | Expr::Unsafe { line: l, .. }
-            | Expr::If { line: l, .. }
-            | Expr::While { line: l, .. }
-            | Expr::Loop { line: l, .. }
-            | Expr::For { line: l, .. }
-            | Expr::Match { line: l, .. }
-            | Expr::Closure { line: l, .. }
-            | Expr::StructLit { line: l, .. }
-            | Expr::Seq(_, l)
-            | Expr::Unknown(l) => *l,
-            Expr::Block(b) => b.line,
-        }
-    }
-
-    /// A stable textual key for simple place expressions: `rng`,
-    /// `self.rng`, `cfg.seed`. `None` for anything computed.
-    pub fn place_key(&self) -> Option<String> {
-        match self {
-            Expr::Path(segs, _) => Some(segs.join("::")),
-            Expr::Field { recv, name, .. } => {
-                Some(format!("{}.{}", recv.place_key()?, name))
-            }
-            _ => None,
-        }
-    }
+pub struct Stmt {
+    /// `let [mut] name [: T]` with a plain name; `None` for any other
+    /// statement and for `let` with a pattern.
+    pub binds: Option<(String, Option<Ty>)>,
+    pub nodes: Vec<Node>,
 }
 
 /// Everything the lint extracts from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
-    /// Comment-free code tokens, in order (opaque spans index into this).
+    /// Comment-free code tokens, in order.
     pub tokens: Vec<Token>,
     pub fns: Vec<FnDef>,
     pub structs: Vec<StructDef>,
-    pub opaque: Vec<OpaqueSpan>,
-    /// `unsafe` keywords seen at item level (`unsafe fn`, `unsafe impl`).
-    pub item_unsafe: Vec<(u32, bool)>,
-    /// Token ranges `[start, end)` the parser shaped into items: whole
-    /// `fn`s and `struct`s, the headers and closing braces of `impl`,
-    /// `trait` and `mod` blocks, attributes and modifiers.
-    pub shaped: Vec<(usize, usize)>,
+    /// `type Name = …;` items, as `(name, aliased type, in_test)`.
+    pub aliases: Vec<(String, Ty, bool)>,
+    /// Token ranges `[start, end)` of `#[cfg(test)]` items and statements,
+    /// outermost only, in order: what the pattern rules do not read.
+    pub test_spans: Vec<(usize, usize)>,
+    /// How far the shaper's cursor got.
+    pub reached: usize,
 }
 
 impl ParsedFile {
-    /// The first code token that lies in neither a shaped item nor an
-    /// opaque span, i.e. that no rule ever looks at. `None` is the
-    /// parser's coverage invariant (`tests/lint_gate.rs` holds the live
-    /// workspace to it).
+    /// The token the shaper stopped at, if it did not reach the end of the
+    /// file: everything behind it is in no item. `None` is the coverage
+    /// invariant `tests/lint_gate.rs` holds the live workspace to.
     pub fn first_unscanned(&self) -> Option<&Token> {
-        let mut spans: Vec<(usize, usize)> = self
-            .opaque
-            .iter()
-            .map(|s| (s.start, s.end))
-            .chain(self.shaped.iter().copied())
-            .collect();
-        spans.sort_unstable();
-        let mut reached = 0;
-        for (start, end) in spans {
-            if start > reached {
-                break;
-            }
-            reached = reached.max(end);
-        }
-        self.tokens.get(reached)
+        self.tokens.get(self.reached)
     }
 }
 
-/// Pre-order walk over every expression reachable from a block,
-/// descending into nested blocks, arms, and closure bodies.
-pub fn walk_block<'a>(b: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let { init, else_block, .. } => {
-                if let Some(e) = init {
-                    walk_expr(e, f);
-                }
-                if let Some(b) = else_block {
-                    walk_block(b, f);
-                }
-            }
-            Stmt::Expr(e) => walk_expr(e, f),
-        }
-    }
+/// Keywords after which a `(` or `[` opens an expression, pattern or type
+/// of its own instead of applying to what stands before it: `if (a)` is
+/// no call and `return [0]` no index.
+pub fn is_keyword(word: &str) -> bool {
+    const KEYWORDS: &[&str] = &[
+        "as", "break", "const", "dyn", "else", "fn", "for", "if", "impl", "in", "let", "loop",
+        "match", "move", "mut", "ref", "return", "static", "unsafe", "where", "while", "yield",
+    ];
+    KEYWORDS.contains(&word)
 }
 
-pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
-    match e {
-        Expr::Call { callee, args, .. } => {
-            walk_expr(callee, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Method { recv, args, .. } => {
-            walk_expr(recv, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Field { recv, .. } => walk_expr(recv, f),
-        Expr::Index { recv, index, .. } => {
-            walk_expr(recv, f);
-            walk_expr(index, f);
-        }
-        Expr::Unsafe { body, .. } | Expr::Loop { body, .. } => walk_block(body, f),
-        Expr::Block(b) => walk_block(b, f),
-        Expr::If { cond, then, els, .. } => {
-            walk_expr(cond, f);
-            walk_block(then, f);
-            if let Some(e) = els {
-                walk_expr(e, f);
-            }
-        }
-        Expr::While { cond, body, .. } => {
-            walk_expr(cond, f);
-            walk_block(body, f);
-        }
-        Expr::For { iter, body, .. } => {
-            walk_expr(iter, f);
-            walk_block(body, f);
-        }
-        Expr::Match { scrut, arms, .. } => {
-            walk_expr(scrut, f);
-            for a in arms {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Closure { body, .. } => walk_expr(body, f),
-        Expr::StructLit { fields, .. } => {
-            for e in fields {
-                walk_expr(e, f);
-            }
-        }
-        Expr::Seq(es, _) => {
-            for e in es {
-                walk_expr(e, f);
-            }
-        }
-        Expr::Path(..)
-        | Expr::LitInt(..)
-        | Expr::LitOther(..)
-        | Expr::Macro { .. }
-        | Expr::Unknown(..) => {}
-    }
-}
-
-/// Visit every statement reachable from a block, descending into nested
-/// blocks inside expressions (for `let`-type checks and similar).
-pub fn visit_stmts<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
-    for s in &b.stmts {
-        f(s);
-        match s {
-            Stmt::Let { init, else_block, .. } => {
-                if let Some(e) = init {
-                    visit_expr_stmts(e, f);
-                }
-                if let Some(b) = else_block {
-                    visit_stmts(b, f);
-                }
-            }
-            Stmt::Expr(e) => visit_expr_stmts(e, f),
-        }
-    }
-}
-
-fn visit_expr_stmts<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Stmt)) {
-    match e {
-        Expr::Call { callee, args, .. } => {
-            visit_expr_stmts(callee, f);
-            for a in args {
-                visit_expr_stmts(a, f);
-            }
-        }
-        Expr::Method { recv, args, .. } => {
-            visit_expr_stmts(recv, f);
-            for a in args {
-                visit_expr_stmts(a, f);
-            }
-        }
-        Expr::Field { recv, .. } => visit_expr_stmts(recv, f),
-        Expr::Index { recv, index, .. } => {
-            visit_expr_stmts(recv, f);
-            visit_expr_stmts(index, f);
-        }
-        Expr::Unsafe { body, .. } | Expr::Loop { body, .. } => visit_stmts(body, f),
-        Expr::Block(b) => visit_stmts(b, f),
-        Expr::If { cond, then, els, .. } => {
-            visit_expr_stmts(cond, f);
-            visit_stmts(then, f);
-            if let Some(e) = els {
-                visit_expr_stmts(e, f);
-            }
-        }
-        Expr::While { cond, body, .. } => {
-            visit_expr_stmts(cond, f);
-            visit_stmts(body, f);
-        }
-        Expr::For { iter, body, .. } => {
-            visit_expr_stmts(iter, f);
-            visit_stmts(body, f);
-        }
-        Expr::Match { scrut, arms, .. } => {
-            visit_expr_stmts(scrut, f);
-            for a in arms {
-                visit_expr_stmts(a, f);
-            }
-        }
-        Expr::Closure { body, .. } => visit_expr_stmts(body, f),
-        Expr::StructLit { fields, .. } => {
-            for e in fields {
-                visit_expr_stmts(e, f);
-            }
-        }
-        Expr::Seq(es, _) => {
-            for e in es {
-                visit_expr_stmts(e, f);
-            }
-        }
-        Expr::Path(..)
-        | Expr::LitInt(..)
-        | Expr::LitOther(..)
-        | Expr::Macro { .. }
-        | Expr::Unknown(..) => {}
-    }
-}
-
-/// Parse a source file. Never fails; see module docs for the opaque-span
-/// fallback contract.
+/// Shape a source file. Never fails; see the module docs.
 pub fn parse(src: &str) -> ParsedFile {
     let tokens: Vec<Token> = lex(src)
         .into_iter()
@@ -371,17 +142,15 @@ pub fn parse(src: &str) -> ParsedFile {
         in_test: false,
         self_ty: None,
         modpath: Vec::new(),
+        array_locals: Vec::new(),
     };
     while p.pos < tokens.len() {
-        p.items(usize::MAX);
-        if p.pos < tokens.len() {
-            // A `}` nothing opened (the parser lost count somewhere
-            // above): the rest of the file is still parsed.
-            p.opaque(p.pos, p.pos + 1);
-            p.bump();
-        }
+        p.items();
+        // A `}` nothing opened: shaping goes on behind it.
+        p.bump();
     }
     let mut out = p.out;
+    out.reached = p.pos.min(tokens.len());
     out.tokens = tokens;
     out
 }
@@ -393,28 +162,19 @@ struct Parser<'a> {
     in_test: bool,
     self_ty: Option<String>,
     modpath: Vec<String>,
+    /// Array-typed `let`s of the function being shaped.
+    array_locals: Vec<String>,
 }
-
-const ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "union", "impl", "trait", "mod", "use", "extern", "const", "static",
-    "type", "macro_rules", "pub", "unsafe", "async",
-];
 
 impl<'a> Parser<'a> {
     // ------------------------------------------------------- token utils
-
-    fn peek(&self) -> Option<&'a Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
-    }
 
     fn peek_at(&self, off: usize) -> Option<&'a Tok> {
         self.toks.get(self.pos + off).map(|t| &t.tok)
     }
 
-    fn line(&self) -> u32 {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |t| t.line)
+    fn peek(&self) -> Option<&'a Tok> {
+        self.peek_at(0)
     }
 
     fn bump(&mut self) {
@@ -426,7 +186,7 @@ impl<'a> Parser<'a> {
     }
 
     fn is_ident(&self, off: usize, s: &str) -> bool {
-        matches!(self.peek_at(off), Some(Tok::Ident(i)) if i == s)
+        self.ident(off) == Some(s)
     }
 
     fn ident(&self, off: usize) -> Option<&'a str> {
@@ -437,184 +197,149 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if self.is_punct(0, c) {
+        let hit = self.is_punct(0, c);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn opaque(&mut self, start: usize, end: usize) {
-        if start >= end {
-            return;
-        }
-        let in_test = self.in_test;
-        if let Some(last) = self.out.opaque.last_mut() {
-            if last.end == start && last.in_test == in_test {
-                last.end = end;
-                return;
-            }
-        }
-        self.out.opaque.push(OpaqueSpan { start, end, in_test });
+    fn eat_ident(&mut self) -> Option<String> {
+        let name = self.ident(0)?.to_string();
+        self.bump();
+        Some(name)
     }
 
-    fn shape(&mut self, start: usize, end: usize) {
-        if start < end {
-            self.out.shaped.push((start, end));
-        }
+    fn at_open(&self) -> bool {
+        matches!(self.peek(), Some(Tok::Punct('(' | '[' | '{')))
     }
 
-    /// The `{ items }` body of an `impl`, `trait` or `mod` whose header
-    /// began at token `header` (or the `;` of a body-less one).
-    fn item_body(&mut self, header: usize) {
-        if self.eat_punct('{') {
-            self.shape(header, self.pos);
-            self.items(usize::MAX);
-            let close = self.pos;
-            if self.eat_punct('}') {
-                self.shape(close, self.pos);
-            }
-        } else {
-            self.eat_punct(';');
-            self.shape(header, self.pos);
-        }
+    fn at_close(&self) -> bool {
+        matches!(self.peek(), None | Some(Tok::Punct(')' | ']' | '}')))
     }
 
-    /// Skip one balanced `(`/`[`/`{` group starting at the current token;
-    /// leaves `pos` just past the matching close.
+    /// Step over one balanced `(`/`[`/`{` group starting at the current
+    /// token; leaves `pos` just past the matching close.
     fn skip_group(&mut self) {
         let mut depth = 0usize;
-        while self.pos < self.toks.len() {
-            match self.peek() {
-                Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
-                Some(Tok::Punct(')' | ']' | '}')) => {
+        while let Some(tok) = self.peek() {
+            self.bump();
+            match tok {
+                Tok::Punct('(' | '[' | '{') => depth += 1,
+                Tok::Punct(')' | ']' | '}') => {
                     depth = depth.saturating_sub(1);
                     if depth == 0 {
-                        self.bump();
                         return;
                     }
                 }
-                None => return,
                 _ => {}
             }
-            self.bump();
         }
     }
 
-    /// Skip a `<…>` generic-argument group (current token is `<`).
-    /// `->` inside (`Fn() -> T`) does not close the group.
+    /// Step over a `<…>` generic group (current token is `<`). `->` inside
+    /// (`Fn() -> T`) does not close it.
     fn skip_angles(&mut self) {
         let mut depth = 0i32;
         let mut prev_minus = false;
-        while self.pos < self.toks.len() {
-            match self.peek() {
-                Some(Tok::Punct('<')) => depth += 1,
-                Some(Tok::Punct('>')) if !prev_minus => {
+        while let Some(tok) = self.peek() {
+            match tok {
+                Tok::Punct('<') => depth += 1,
+                Tok::Punct('>') if !prev_minus => {
                     depth -= 1;
                     if depth <= 0 {
                         self.bump();
                         return;
                     }
                 }
-                Some(Tok::Punct('(' | '[')) => {
+                Tok::Punct('(' | '[') => {
                     self.skip_group();
                     prev_minus = false;
                     continue;
                 }
-                None => return,
                 _ => {}
             }
-            prev_minus = matches!(self.peek(), Some(Tok::Punct('-')));
+            prev_minus = matches!(tok, Tok::Punct('-'));
             self.bump();
         }
+    }
+
+    /// Step to the `{` or `;` that ends an item header (generics, bounds
+    /// and `where` clauses in between are nobody's business here).
+    fn skip_header(&mut self) {
+        while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, ';') {
+            if self.is_punct(0, '<') {
+                self.skip_angles();
+            } else if self.is_punct(0, '(') || self.is_punct(0, '[') {
+                self.skip_group();
+            } else {
+                self.bump();
+            }
+        }
+    }
+
+    /// Step over `#[…]` / `#![…]` attributes; whether one of them is a
+    /// `cfg` that names `test`.
+    fn attrs(&mut self) -> bool {
+        let mut test = false;
+        while self.is_punct(0, '#') && (self.is_punct(1, '[') || (self.is_punct(1, '!') && self.is_punct(2, '['))) {
+            let start = self.pos;
+            self.pos += if self.is_punct(1, '[') { 1 } else { 2 };
+            let is_cfg = self.is_ident(1, "cfg");
+            self.skip_group();
+            let names_test = |t: &Token| matches!(&t.tok, Tok::Ident(i) if i == "test");
+            test |= is_cfg && self.toks[start..self.pos.min(self.toks.len())].iter().any(names_test);
+        }
+        test
+    }
+
+    /// Run `shape` over the item or statement whose attributes began at
+    /// token `start`, as test code when `attr_test` says so.
+    fn gated<T>(&mut self, start: usize, attr_test: bool, shape: impl FnOnce(&mut Self) -> T) -> T {
+        let outer = self.in_test;
+        self.in_test = outer || attr_test;
+        let shaped = shape(self);
+        self.in_test = outer;
+        if attr_test && !outer {
+            self.out.test_spans.push((start, self.pos.min(self.toks.len())));
+        }
+        shaped
     }
 
     // ------------------------------------------------------------- types
 
-    /// Parse a type, stopping at depth-0 `,` `;` `=` `)` `]` `}` `{` or
-    /// an `=>`-like boundary the caller owns. Collects mentioned idents.
+    /// Read a type, stopping at a depth-0 `,` `;` `=` `{` or closer.
     fn ty(&mut self) -> Ty {
-        let line = self.line();
-        let mut text = String::new();
-        let mut idents = Vec::new();
+        let mut ty = Ty { idents: Vec::new(), is_array: self.is_punct(0, '[') };
         let mut depth = 0i32;
         let mut prev_minus = false;
         while let Some(tok) = self.peek() {
             match tok {
-                Tok::Punct(',' | ';' | '{') if depth == 0 => break,
-                Tok::Punct('=') if depth == 0 => break,
-                Tok::Punct(')' | ']') if depth == 0 => break,
+                Tok::Punct(',' | ';' | '{' | '=' | ')' | ']') if depth == 0 => break,
                 Tok::Punct('}') => break,
-                Tok::Punct('<' | '(' | '[') => {
-                    depth += 1;
-                    text.push(match tok {
-                        Tok::Punct(c) => *c,
-                        _ => unreachable!(),
-                    });
-                }
-                Tok::Punct('>') => {
-                    if prev_minus {
-                        // `->` return-type arrow inside fn-pointer types.
-                        text.push('>');
-                    } else {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                        text.push('>');
-                    }
-                }
-                Tok::Punct(')' | ']') => {
-                    depth -= 1;
-                    text.push(match tok {
-                        Tok::Punct(c) => *c,
-                        _ => unreachable!(),
-                    });
-                }
-                Tok::Ident(i) => {
-                    // `ident ident` at depth 0 means the type ended and an
-                    // expression-ish continuation began (`else`, `in`, …).
-                    if depth == 0
-                        && matches!(i.as_str(), "else" | "in")
-                    {
-                        break;
-                    }
-                    if !text.is_empty() && !text.ends_with([':', '<', '(', '[', '&', ' ']) {
-                        text.push(' ');
-                    }
-                    text.push_str(i);
-                    idents.push(i.clone());
-                }
-                Tok::Punct(c) => text.push(*c),
-                Tok::Lifetime(l) => {
-                    text.push('\'');
-                    text.push_str(l);
-                }
-                Tok::Int(s) | Tok::Float(s) => text.push_str(s),
-                Tok::Str | Tok::Char => text.push('_'),
-                Tok::Comment(_) => {}
+                // `->` in fn-pointer types is an arrow, not a closer.
+                Tok::Punct('>') if prev_minus => {}
+                Tok::Punct('>') if depth == 0 => break,
+                Tok::Punct('<' | '(' | '[') => depth += 1,
+                Tok::Punct('>' | ')' | ']') => depth -= 1,
+                Tok::Ident(i) => ty.idents.push(i.clone()),
+                _ => {}
             }
-            prev_minus = matches!(self.peek(), Some(Tok::Punct('-')));
+            prev_minus = matches!(tok, Tok::Punct('-'));
             self.bump();
         }
-        Ty { text, idents, line }
+        ty
     }
 
     // ------------------------------------------------------------- items
 
-    /// Parse items until a depth-0 `}` (or EOF). `limit` bounds recursion
-    /// paranoia only.
-    fn items(&mut self, _limit: usize) {
-        while self.pos < self.toks.len() {
-            if self.is_punct(0, '}') {
-                return;
-            }
+    /// Shape items up to a `}` at this nesting level (or the end).
+    fn items(&mut self) {
+        while self.pos < self.toks.len() && !self.is_punct(0, '}') {
             let before = self.pos;
             self.item();
             if self.pos == before {
-                // Recovery: record and skip one token so we always advance.
-                self.opaque(self.pos, self.pos + 1);
+                // Nothing an item starts with: step over one token.
                 self.bump();
             }
         }
@@ -622,197 +347,128 @@ impl<'a> Parser<'a> {
 
     fn item(&mut self) {
         let start = self.pos;
-        // Attributes: `#[…]` / `#![…]`; `cfg(… test …)` marks the item.
-        let mut attr_test = false;
-        loop {
-            if self.is_punct(0, '#') && (self.is_punct(1, '[') || (self.is_punct(1, '!') && self.is_punct(2, '['))) {
-                let open = if self.is_punct(1, '[') { 1 } else { 2 };
-                let is_cfg = self.ident(open + 1) == Some("cfg");
-                let start = self.pos;
-                self.pos += open;
-                self.skip_group();
-                if is_cfg
-                    && self.toks[start..self.pos]
-                        .iter()
-                        .any(|t| matches!(&t.tok, Tok::Ident(i) if i == "test"))
-                {
-                    attr_test = true;
-                }
-                continue;
-            }
-            break;
-        }
-        let saved_test = self.in_test;
-        self.in_test = saved_test || attr_test;
+        let attr_test = self.attrs();
+        self.gated(start, attr_test, Self::item_after_attrs);
+    }
 
+    /// Whether the current token starts an item where a statement could
+    /// start too (`unsafe {`, `const {` and a local named `type` do not).
+    fn starts_item(&self) -> bool {
+        match self.ident(0) {
+            Some("unsafe") => self.ident(1).is_some(),
+            Some(
+                "pub" | "fn" | "struct" | "enum" | "impl" | "trait" | "mod" | "use" | "extern"
+                | "static",
+            ) => true,
+            Some("const") => !self.is_punct(1, '{'),
+            Some("type" | "union") => self.ident(1).is_some(),
+            Some("async") => self.is_ident(1, "fn"),
+            Some("macro_rules") => self.is_punct(1, '!'),
+            _ => false,
+        }
+    }
+
+    fn item_after_attrs(&mut self) {
         // Modifiers before the item keyword.
         loop {
-            if self.is_ident(0, "pub") {
-                self.bump();
-                if self.is_punct(0, '(') {
-                    self.skip_group();
+            match self.ident(0) {
+                Some("pub") => {
+                    self.bump();
+                    if self.is_punct(0, '(') {
+                        self.skip_group();
+                    }
                 }
-            } else if self.is_ident(0, "async") || self.is_ident(0, "default") && self.ident(1).is_some() {
-                self.bump();
-            } else if self.is_ident(0, "unsafe")
-                && (self.is_ident(1, "fn") || self.is_ident(1, "impl") || self.is_ident(1, "trait") || self.is_ident(1, "extern"))
-            {
-                let (line, in_test) = (self.line(), self.in_test);
-                self.out.item_unsafe.push((line, in_test));
-                self.bump();
-            } else {
-                break;
+                Some("async" | "default" | "unsafe" | "const") if self.ident(1).is_some() && !self.is_punct(2, ':') => {
+                    self.bump()
+                }
+                Some("extern") if matches!(self.peek_at(1), Some(Tok::Str)) && self.is_ident(2, "fn") => {
+                    self.pos += 2
+                }
+                _ => break,
             }
         }
-
-        // Attributes and modifiers; `fn` and `struct` extend the span over
-        // the whole item below, block items add their own pieces, and
-        // the remaining kinds are opaque from the keyword on.
-        self.shape(start, self.pos);
         match self.ident(0) {
-            Some("fn") => {
-                self.item_fn();
-                self.shape(start, self.pos);
-            }
-            Some("struct") => {
-                self.item_struct();
-                self.shape(start, self.pos);
-            }
+            Some("fn") => self.item_fn(),
+            Some("struct") => self.item_struct(),
             Some("impl") => self.item_impl(),
             Some("trait") => self.item_trait(),
             Some("mod") => self.item_mod(),
-            Some("enum") | Some("union") => {
-                // name, generics, body — opaque (variant payload types are
-                // covered by the fallback scan).
-                let start = self.pos;
+            Some("type") => {
                 self.bump();
-                while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, ';') {
-                    if self.is_punct(0, '<') {
-                        self.skip_angles();
-                    } else {
-                        self.bump();
-                    }
+                let name = self.eat_ident();
+                if self.is_punct(0, '<') {
+                    self.skip_angles();
                 }
-                if self.is_punct(0, '{') {
-                    self.skip_group();
-                } else {
-                    self.eat_punct(';');
+                if let (Some(name), true) = (name, self.eat_punct('=')) {
+                    let ty = self.ty();
+                    self.out.aliases.push((name, ty, self.in_test));
                 }
-                self.opaque(start, self.pos);
+                self.skip_item(false);
             }
-            Some("use") | Some("extern") | Some("const") | Some("static") | Some("type") => {
-                // Opaque to the first depth-0 `;` (or `{…}` for
-                // `extern { … }` blocks).
-                let start = self.pos;
-                self.bump();
-                while self.pos < self.toks.len() {
-                    if self.is_punct(0, ';') {
-                        self.bump();
-                        break;
-                    }
-                    if self.is_punct(0, '{') || self.is_punct(0, '(') || self.is_punct(0, '[') {
-                        self.skip_group();
-                        if self.toks.get(self.pos.wrapping_sub(1)).is_some_and(|t| t.tok == Tok::Punct('}')) {
-                            break;
-                        }
-                        continue;
-                    }
-                    self.bump();
-                }
-                self.opaque(start, self.pos);
-            }
-            Some("macro_rules") => {
-                let start = self.pos;
-                self.bump(); // macro_rules
-                self.eat_punct('!');
-                if self.ident(0).is_some() {
-                    self.bump();
-                }
-                if self.is_punct(0, '{') || self.is_punct(0, '(') || self.is_punct(0, '[') {
-                    self.skip_group();
-                }
-                self.eat_punct(';');
-                self.opaque(start, self.pos);
+            Some("use" | "const" | "static") => self.skip_item(false),
+            // `enum`, `union`, `extern { … }`, `macro_rules! name { … }` and
+            // any other item-level macro call.
+            Some(kw) if self.is_punct(1, '!') || matches!(kw, "enum" | "union" | "extern") => {
+                self.skip_item(true)
             }
             _ => {}
         }
-        self.in_test = saved_test;
+    }
+
+    /// Step over an item nothing here reads: to its depth-0 `;`, or, for
+    /// the kinds that end in a body, past that body.
+    fn skip_item(&mut self, ends_at_brace: bool) {
+        while !self.at_close() {
+            if self.eat_punct(';') {
+                return;
+            }
+            let brace = self.is_punct(0, '{');
+            if self.at_open() {
+                self.skip_group();
+                if brace && ends_at_brace {
+                    return;
+                }
+            } else {
+                self.bump();
+            }
+        }
     }
 
     fn item_fn(&mut self) {
-        let line = self.line();
+        let line = self.toks[self.pos].line;
         self.bump(); // fn
-        let name = match self.ident(0) {
-            Some(n) => {
-                self.bump();
-                n.to_string()
-            }
-            None => return,
-        };
+        let Some(name) = self.eat_ident() else { return };
         if self.is_punct(0, '<') {
-            // Generic params may mention banned types in bounds; keep the
-            // fallback scan's eyes on them.
-            let start = self.pos;
             self.skip_angles();
-            self.opaque(start, self.pos);
         }
         let mut params = Vec::new();
         let mut takes_self = false;
-        if self.is_punct(0, '(') {
-            self.bump();
-            while self.pos < self.toks.len() && !self.is_punct(0, ')') {
-                // Param attributes.
-                while self.is_punct(0, '#') && self.is_punct(1, '[') {
-                    self.bump();
-                    self.skip_group();
-                }
+        if self.eat_punct('(') {
+            while !self.at_close() {
+                self.attrs();
                 // `self` receivers: `self`, `&self`, `&'a mut self`, `mut self`.
                 let mut off = 0;
                 while self.is_punct(off, '&') {
                     off += 1;
                 }
-                if matches!(self.peek_at(off), Some(Tok::Lifetime(_))) {
-                    off += 1;
-                }
-                if self.is_ident(off, "mut") {
-                    off += 1;
-                }
+                off += usize::from(matches!(self.peek_at(off), Some(Tok::Lifetime(_))));
+                off += usize::from(self.is_ident(off, "mut"));
                 if self.is_ident(off, "self") {
                     takes_self = true;
                     self.pos += off + 1;
-                    if self.eat_punct(':') {
-                        let _ = self.ty();
-                    }
-                    self.eat_punct(',');
-                    continue;
                 }
-                // Pattern: simple `[mut] name : ty` keeps the name;
-                // anything else is skipped to the `:`.
+                // A plain `[mut] name :` keeps the name; a pattern does not.
                 if self.is_ident(0, "mut") {
                     self.bump();
                 }
-                let pname = if self.ident(0).is_some() && self.is_punct(1, ':') {
-                    let n = self.ident(0).map(str::to_string);
-                    self.bump();
-                    n
-                } else {
-                    // Complex pattern — skip to depth-0 `:`.
-                    let start = self.pos;
-                    let mut depth = 0usize;
-                    while self.pos < self.toks.len() {
-                        match self.peek() {
-                            Some(Tok::Punct('(' | '[')) => depth += 1,
-                            Some(Tok::Punct(')')) if depth == 0 => break,
-                            Some(Tok::Punct(')' | ']')) => depth -= 1,
-                            Some(Tok::Punct(':')) if depth == 0 => break,
-                            Some(Tok::Punct(',')) if depth == 0 => break,
-                            _ => {}
-                        }
+                let pname = if self.is_punct(1, ':') { self.eat_ident() } else { None };
+                while !self.is_punct(0, ':') && !self.is_punct(0, ',') && !self.at_close() {
+                    if self.at_open() {
+                        self.skip_group();
+                    } else {
                         self.bump();
                     }
-                    self.opaque(start, self.pos);
-                    None
-                };
+                }
                 if self.eat_punct(':') {
                     let ty = self.ty();
                     params.push(Param { name: pname, ty });
@@ -821,129 +477,88 @@ impl<'a> Parser<'a> {
             }
             self.eat_punct(')');
         }
-        // Return type.
-        let ret = if self.is_punct(0, '-') && self.is_punct(1, '>') {
-            self.bump();
-            self.bump();
-            Some(self.ty())
-        } else {
-            None
-        };
-        // Where clause: skip to `{` or `;`.
-        if self.is_ident(0, "where") {
-            let start = self.pos;
-            while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, ';') {
-                if self.is_punct(0, '<') {
-                    self.skip_angles();
-                } else {
-                    self.bump();
-                }
-            }
-            self.opaque(start, self.pos);
-        }
+        self.skip_header(); // return type and `where` clause
+        let outer_locals = std::mem::take(&mut self.array_locals);
         let body = if self.is_punct(0, '{') {
-            Some(self.block())
+            Some(self.group())
         } else {
             self.eat_punct(';');
             None
         };
+        let array_locals = std::mem::replace(&mut self.array_locals, outer_locals);
         self.out.fns.push(FnDef {
             name,
             self_ty: self.self_ty.clone(),
             modpath: self.modpath.clone(),
             takes_self,
             params,
-            ret,
             body,
+            array_locals,
             line,
             in_test: self.in_test,
         });
     }
 
     fn item_struct(&mut self) {
-        let line = self.line();
         self.bump(); // struct
-        let name = match self.ident(0) {
-            Some(n) => {
-                self.bump();
-                n.to_string()
-            }
-            None => return,
-        };
+        let Some(name) = self.eat_ident() else { return };
         if self.is_punct(0, '<') {
             self.skip_angles();
         }
-        if self.is_ident(0, "where") {
-            while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, '(') && !self.is_punct(0, ';') {
-                if self.is_punct(0, '<') {
-                    self.skip_angles();
-                } else {
-                    self.bump();
-                }
+        while !self.at_open() && !self.is_punct(0, ';') && !self.at_close() {
+            // `where` clause of a braced struct.
+            if self.is_punct(0, '<') {
+                self.skip_angles();
+            } else {
+                self.bump();
             }
         }
         let mut fields = Vec::new();
-        if self.is_punct(0, '{') {
+        let tuple = self.is_punct(0, '(');
+        if self.at_open() {
             self.bump();
-            while self.pos < self.toks.len() && !self.is_punct(0, '}') {
-                while self.is_punct(0, '#') && self.is_punct(1, '[') {
-                    self.bump();
-                    self.skip_group();
-                }
+            while !self.at_close() {
+                self.attrs();
                 if self.is_ident(0, "pub") {
                     self.bump();
                     if self.is_punct(0, '(') {
                         self.skip_group();
                     }
                 }
-                if let Some(fname) = self.ident(0) {
-                    let fname = fname.to_string();
-                    self.bump();
-                    if self.eat_punct(':') {
-                        let ty = self.ty();
-                        fields.push((fname, ty));
-                    }
+                let fname = if tuple {
+                    Some(fields.len().to_string())
+                } else {
+                    self.eat_ident().filter(|_| self.eat_punct(':'))
+                };
+                if let Some(fname) = fname {
+                    fields.push((fname, self.ty()));
                 }
-                if !self.eat_punct(',') && !self.is_punct(0, '}') {
-                    // Recovery inside the field list.
-                    self.bump();
+                if !self.eat_punct(',') && !self.at_close() {
+                    self.bump(); // recovery inside the field list
                 }
             }
+            self.bump();
+            // Tuple structs end in `;`, after an optional `where` clause.
+            if tuple {
+                self.skip_header();
+            }
+        }
+        self.eat_punct(';');
+        self.out.structs.push(StructDef { name, fields, in_test: self.in_test });
+    }
+
+    /// The `{ items }` body of an `impl`, `trait` or `mod` (or the `;` of
+    /// a body-less one).
+    fn item_body(&mut self) {
+        if self.eat_punct('{') {
+            self.items();
             self.eat_punct('}');
-        } else if self.is_punct(0, '(') {
-            // Tuple struct: fields named by index.
-            self.bump();
-            let mut idx = 0usize;
-            while self.pos < self.toks.len() && !self.is_punct(0, ')') {
-                while self.is_punct(0, '#') && self.is_punct(1, '[') {
-                    self.bump();
-                    self.skip_group();
-                }
-                if self.is_ident(0, "pub") {
-                    self.bump();
-                    if self.is_punct(0, '(') {
-                        self.skip_group();
-                    }
-                }
-                let ty = self.ty();
-                if !ty.text.is_empty() {
-                    fields.push((idx.to_string(), ty));
-                    idx += 1;
-                }
-                if !self.eat_punct(',') && !self.is_punct(0, ')') {
-                    self.bump();
-                }
-            }
-            self.eat_punct(')');
-            self.eat_punct(';');
         } else {
             self.eat_punct(';');
         }
-        self.out.structs.push(StructDef { name, fields, line, in_test: self.in_test });
     }
 
     fn item_impl(&mut self) {
-        let header = self.pos;
         self.bump(); // impl
         if self.is_punct(0, '<') {
             self.skip_angles();
@@ -952,741 +567,130 @@ impl<'a> Parser<'a> {
         // last path segment before the body (after `for` when present).
         let mut last_seg: Option<String> = None;
         while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, ';') {
-            if self.is_ident(0, "for") {
-                last_seg = None;
-                self.bump();
-                continue;
-            }
             if self.is_ident(0, "where") {
-                while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, ';') {
-                    if self.is_punct(0, '<') {
-                        self.skip_angles();
-                    } else {
-                        self.bump();
-                    }
-                }
-                break;
-            }
-            if let Some(i) = self.ident(0) {
-                last_seg = Some(i.to_string());
-                self.bump();
-                continue;
-            }
-            if self.is_punct(0, '<') {
+                self.skip_header();
+            } else if self.is_punct(0, '<') {
                 self.skip_angles();
-                continue;
+            } else {
+                if let Some(i) = self.ident(0) {
+                    last_seg = (i != "for").then(|| i.to_string());
+                }
+                self.bump();
             }
-            self.bump();
         }
         let saved = std::mem::replace(&mut self.self_ty, last_seg);
-        self.item_body(header);
+        self.item_body();
         self.self_ty = saved;
     }
 
     fn item_trait(&mut self) {
-        let header = self.pos;
         self.bump(); // trait
-        let name = self.ident(0).map(str::to_string);
-        if name.is_some() {
-            self.bump();
-        }
-        while self.pos < self.toks.len() && !self.is_punct(0, '{') && !self.is_punct(0, ';') {
-            if self.is_punct(0, '<') {
-                self.skip_angles();
-            } else {
-                self.bump();
-            }
-        }
+        let name = self.eat_ident();
+        self.skip_header();
         let saved = std::mem::replace(&mut self.self_ty, name);
-        self.item_body(header);
+        self.item_body();
         self.self_ty = saved;
     }
 
     fn item_mod(&mut self) {
-        let header = self.pos;
         self.bump(); // mod
-        let name = self.ident(0).map(str::to_string);
-        if name.is_some() {
-            self.bump();
-        }
+        let name = self.eat_ident();
         let named = name.is_some();
         self.modpath.extend(name);
-        self.item_body(header);
+        self.item_body();
         if named {
             self.modpath.pop();
         }
     }
 
-    // ------------------------------------------------------------ blocks
+    // ------------------------------------------------------- body trees
 
-    /// Parse `{ … }`; current token must be `{`.
-    fn block(&mut self) -> Block {
-        let line = self.line();
+    /// Shape the group that opens at the current token.
+    fn group(&mut self) -> Group {
+        let open = self.pos;
+        let delim = match self.peek() {
+            Some(Tok::Punct(c)) => *c,
+            _ => '{',
+        };
+        self.bump();
         let mut stmts = Vec::new();
-        if !self.eat_punct('{') {
-            return Block { stmts, line };
-        }
-        while self.pos < self.toks.len() && !self.is_punct(0, '}') {
-            let before = self.pos;
-            let saved_test = self.in_test;
-            if self.eat_punct(';') {
-                continue;
-            }
-            // Statement-level attributes.
-            while self.is_punct(0, '#') && self.is_punct(1, '[') {
-                let is_cfg = self.ident(2) == Some("cfg");
+        if delim == '{' {
+            while !self.at_close() {
+                if self.eat_punct(';') {
+                    continue;
+                }
                 let start = self.pos;
-                self.bump();
-                self.skip_group();
-                if is_cfg
-                    && self.toks[start..self.pos]
-                        .iter()
-                        .any(|t| matches!(&t.tok, Tok::Ident(i) if i == "test"))
-                {
-                    // A cfg(test)-gated statement: treat the next statement
-                    // as test code by parsing it under the flag.
-                    self.in_test = true;
+                let attr_test = self.attrs();
+                let stmt = self.gated(start, attr_test, |p| {
+                    if p.starts_item() {
+                        p.item_after_attrs();
+                        None
+                    } else {
+                        Some(p.stmt(true)).filter(|_| !p.in_test)
+                    }
+                });
+                stmts.extend(stmt);
+                if self.pos == start {
+                    self.bump(); // an item keyword no item follows
                 }
             }
-            if self.is_ident(0, "let") {
-                stmts.push(self.stmt_let());
-            } else if self
-                .ident(0)
-                .is_some_and(|i| ITEM_KEYWORDS.contains(&i) && self.starts_item())
-            {
-                self.item();
+        } else {
+            stmts.push(self.stmt(false));
+        }
+        let close = self.pos.min(self.toks.len());
+        self.bump(); // the closer, whichever it is
+        Group { delim, open, close, stmts }
+    }
+
+    /// The nodes from the current token to the enclosing group's closer
+    /// or, `in_block`, to the end of the statement: through its `;`, or
+    /// through a brace group that neither a `let` nor an `else`, `.` or
+    /// `?` carries on (`if c { … }` is a statement, as in rustc; cutting a
+    /// statement short only lets its temporaries go early).
+    fn stmt(&mut self, in_block: bool) -> Stmt {
+        let is_let = in_block && self.is_ident(0, "let");
+        let mut binds = None;
+        if is_let {
+            let off = 1 + usize::from(self.is_ident(1, "mut"));
+            let typed = self.is_punct(off + 1, ':') && !self.is_punct(off + 2, ':');
+            let plain = typed || self.is_punct(off + 1, '=') || self.is_punct(off + 1, ';');
+            if let (Some(name), true) = (self.ident(off), plain) {
+                let ty = typed.then(|| {
+                    let at = self.pos;
+                    self.pos += off + 2;
+                    let ty = self.ty();
+                    self.pos = at;
+                    ty
+                });
+                if ty.as_ref().is_some_and(|t| t.is_array) {
+                    self.array_locals.push(name.to_string());
+                }
+                binds = Some((name.to_string(), ty));
+            }
+        }
+        let mut nodes = Vec::new();
+        while !self.at_close() {
+            if self.at_open() {
+                let group = self.group();
+                let ends = in_block && !is_let && group.delim == '{' && !self.continues_block();
+                nodes.push(Node::Group(group));
+                if ends {
+                    break;
+                }
             } else {
-                let e = self.expr_stmt();
-                stmts.push(Stmt::Expr(e));
-                self.eat_punct(';');
-            }
-            self.in_test = saved_test;
-            if self.pos == before {
-                self.opaque(self.pos, self.pos + 1);
+                nodes.push(Node::Tok(self.pos));
                 self.bump();
-            }
-        }
-        self.eat_punct('}');
-        Block { stmts, line }
-    }
-
-    /// Disambiguate item keywords that are also expression-ish (`unsafe`,
-    /// plain idents used as macro names, …) in statement position.
-    fn starts_item(&self) -> bool {
-        match self.ident(0) {
-            Some("unsafe") => {
-                // `unsafe { … }` is an expression; `unsafe fn` is an item.
-                self.is_ident(1, "fn") || self.is_ident(1, "impl") || self.is_ident(1, "trait")
-            }
-            Some("pub") | Some("fn") | Some("struct") | Some("enum") | Some("union")
-            | Some("impl") | Some("trait") | Some("mod") | Some("use") | Some("extern")
-            | Some("static") | Some("macro_rules") => true,
-            Some("const") => {
-                // `const NAME: …` item vs. `const { … }` block / `const fn`.
-                !self.is_punct(1, '{')
-            }
-            Some("type") => self.ident(1).is_some(),
-            Some("async") => self.is_ident(1, "fn"),
-            _ => false,
-        }
-    }
-
-    fn stmt_let(&mut self) -> Stmt {
-        let line = self.line();
-        self.bump(); // let
-        if self.is_ident(0, "mut") {
-            self.bump();
-        }
-        // Simple-name pattern or opaque pattern.
-        let name = if self.ident(0).is_some()
-            && (self.is_punct(1, ':') || self.is_punct(1, '=') || self.is_punct(1, ';'))
-            && !self.is_punct(2, '=') // `name ==` can't happen; `name :=` never
-        {
-            let n = self.ident(0).map(str::to_string);
-            self.bump();
-            n
-        } else {
-            // Complex pattern: skip to depth-0 `:` / `=` / `;` (a `=`
-            // right after `.` is `..=` and stays inside the pattern).
-            let start = self.pos;
-            let mut depth = 0usize;
-            let mut prev_dot = false;
-            while self.pos < self.toks.len() {
-                match self.peek() {
-                    Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
-                    Some(Tok::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-                    Some(Tok::Punct(':')) if depth == 0 && !self.is_punct(1, ':') => break,
-                    Some(Tok::Punct(':')) if depth == 0 && self.is_punct(1, ':') => {
-                        self.bump(); // path separator inside the pattern
-                    }
-                    Some(Tok::Punct('=')) if depth == 0 && !prev_dot => break,
-                    Some(Tok::Punct(';')) if depth == 0 => break,
-                    _ => {}
-                }
-                prev_dot = matches!(self.peek(), Some(Tok::Punct('.')));
-                self.bump();
-            }
-            self.opaque(start, self.pos);
-            None
-        };
-        let ty = if self.is_punct(0, ':') && !self.is_punct(1, ':') {
-            self.bump();
-            Some(self.ty())
-        } else {
-            None
-        };
-        let init = if self.eat_punct('=') {
-            Some(self.expr(false))
-        } else {
-            None
-        };
-        let else_block = if self.is_ident(0, "else") && self.is_punct(1, '{') {
-            self.bump();
-            Some(self.block())
-        } else {
-            None
-        };
-        self.eat_punct(';');
-        Stmt::Let { name, ty, init, else_block, line }
-    }
-
-    // ------------------------------------------------------- expressions
-
-    /// Parse an expression. `no_struct_lit` is set in `if`/`while`/
-    /// `match`/`for` head positions, where `Path {` opens the body, not a
-    /// struct literal.
-    fn expr(&mut self, no_struct_lit: bool) -> Expr {
-        let line = self.line();
-        let first = self.operand(no_struct_lit);
-        self.binary_rest(first, line, no_struct_lit)
-    }
-
-    /// An expression in statement or match-arm position, where a
-    /// block-like one (`{…}`, `if`, `match`, `while`, `loop`, `for`,
-    /// `unsafe {…}`) ends at its closing brace: a `(`, `[` or operator
-    /// after it starts the next statement or the next arm's pattern, not
-    /// a call, an index or a binary chain. Only `.` and `?` continue it
-    /// (`match x { … }.len()`), as in rustc.
-    fn expr_stmt(&mut self) -> Expr {
-        let labelled = matches!(self.peek(), Some(Tok::Lifetime(_))) && self.is_punct(1, ':');
-        let head = if labelled { 2 } else { 0 };
-        let block_like = self.is_punct(head, '{')
-            || matches!(self.ident(head), Some("if" | "match" | "while" | "loop" | "for"))
-            || (self.is_ident(head, "unsafe") && self.is_punct(head + 1, '{'));
-        if !block_like {
-            return self.expr(false);
-        }
-        let line = self.line();
-        self.pos += head;
-        let e = self.primary(false);
-        if self.is_punct(0, '?') || (self.is_punct(0, '.') && !self.is_punct(1, '.')) {
-            let e = self.postfix(e);
-            return self.binary_rest(e, line, false);
-        }
-        e
-    }
-
-    /// The operators, casts and ranges after an expression's first operand.
-    fn binary_rest(&mut self, first: Expr, line: u32, no_struct_lit: bool) -> Expr {
-        let mut parts = vec![first];
-        loop {
-            // `as Type` casts.
-            if self.is_ident(0, "as") {
-                self.bump();
-                let _ = self.ty();
-                continue;
-            }
-            // Range `..` / `..=`.
-            if self.is_punct(0, '.') && self.is_punct(1, '.') {
-                self.bump();
-                self.bump();
-                self.eat_punct('=');
-                if self.range_end_follows() {
-                    parts.push(self.operand(no_struct_lit));
-                }
-                continue;
-            }
-            // Binary / assignment operators (single-char punct stream).
-            let is_binop = match self.peek() {
-                Some(Tok::Punct(c)) => matches!(c, '+' | '-' | '*' | '/' | '%' | '^' | '=' | '<' | '>' | '|' | '&'),
-                _ => false,
-            };
-            if !is_binop {
-                break;
-            }
-            // `=>`, `->`, and statement terminators are not chains.
-            if self.is_punct(0, '=') && self.is_punct(1, '>') {
-                break;
-            }
-            if self.is_punct(0, '-') && self.is_punct(1, '>') {
-                break;
-            }
-            // Consume the operator run (`<<=`, `&&`, `==`, …).
-            while matches!(
-                self.peek(),
-                Some(Tok::Punct('+' | '-' | '*' | '/' | '%' | '^' | '=' | '<' | '>' | '|' | '&' | '!'))
-            ) {
-                if self.is_punct(0, '=') && self.is_punct(1, '>') {
-                    break;
-                }
-                self.bump();
-                // Unary prefixes of the right operand end the run.
-                if !matches!(self.peek(), Some(Tok::Punct('=' | '<' | '>' | '|' | '&'))) {
+                if in_block && self.toks[self.pos - 1].tok == Tok::Punct(';') {
                     break;
                 }
             }
-            if self.operand_follows(no_struct_lit) {
-                parts.push(self.operand(no_struct_lit));
-            } else {
-                break;
-            }
         }
-        if parts.len() == 1 {
-            parts.pop().unwrap_or(Expr::Unknown(line))
-        } else {
-            Expr::Seq(parts, line)
-        }
+        Stmt { binds, nodes }
     }
 
-    fn range_end_follows(&self) -> bool {
-        match self.peek() {
-            // `{` never continues a range.
-            None | Some(Tok::Punct(')' | ']' | '}' | '{' | ',' | ';' | '=')) => false,
-            Some(Tok::Ident(i)) if i == "else" || i == "in" => false,
-            _ => true,
-        }
-    }
-
-    fn operand_follows(&self, _no_struct_lit: bool) -> bool {
-        !matches!(
-            self.peek(),
-            None | Some(Tok::Punct(')' | ']' | '}' | '{' | ',' | ';'))
-        )
-    }
-
-    fn operand(&mut self, nsl: bool) -> Expr {
-        // Unary prefixes.
-        loop {
-            match self.peek() {
-                Some(Tok::Punct('&')) => {
-                    self.bump();
-                    if self.is_ident(0, "mut") {
-                        self.bump();
-                    }
-                }
-                Some(Tok::Punct('*' | '-' | '!')) => self.bump(),
-                Some(Tok::Ident(i)) if i == "move" && (self.is_punct(1, '|') || self.is_ident(1, "async")) => {
-                    self.bump()
-                }
-                _ => break,
-            }
-        }
-        // Loop labels: `'name: loop/while/for/{`.
-        if matches!(self.peek(), Some(Tok::Lifetime(_))) && self.is_punct(1, ':') {
-            self.bump();
-            self.bump();
-        }
-        let prim = self.primary(nsl);
-        self.postfix(prim)
-    }
-
-    fn primary(&mut self, nsl: bool) -> Expr {
-        let line = self.line();
-        match self.peek() {
-            Some(Tok::Int(s)) => {
-                let s = s.clone();
-                self.bump();
-                Expr::LitInt(s, line)
-            }
-            Some(Tok::Float(_)) | Some(Tok::Str) | Some(Tok::Char) => {
-                self.bump();
-                Expr::LitOther(line)
-            }
-            Some(Tok::Punct('(')) => {
-                self.bump();
-                let mut es = Vec::new();
-                while self.pos < self.toks.len() && !self.is_punct(0, ')') {
-                    es.push(self.expr(false));
-                    if !self.eat_punct(',') {
-                        break;
-                    }
-                }
-                self.eat_punct(')');
-                match es.len() {
-                    1 => es.pop().unwrap_or(Expr::Unknown(line)),
-                    _ => Expr::Seq(es, line),
-                }
-            }
-            Some(Tok::Punct('[')) => {
-                self.bump();
-                let mut es = Vec::new();
-                while self.pos < self.toks.len() && !self.is_punct(0, ']') {
-                    es.push(self.expr(false));
-                    if !self.eat_punct(',') && !self.eat_punct(';') {
-                        break;
-                    }
-                }
-                self.eat_punct(']');
-                Expr::Seq(es, line)
-            }
-            Some(Tok::Punct('{')) => Expr::Block(self.block()),
-            Some(Tok::Punct('|')) => {
-                // Closure: `|params| body` or `|| body`.
-                self.bump();
-                if !self.eat_punct('|') {
-                    let start = self.pos;
-                    let mut depth = 0usize;
-                    while self.pos < self.toks.len() {
-                        match self.peek() {
-                            Some(Tok::Punct('(' | '[' | '<')) => depth += 1,
-                            Some(Tok::Punct(')' | ']' | '>')) => depth = depth.saturating_sub(1),
-                            Some(Tok::Punct('|')) if depth == 0 => break,
-                            _ => {}
-                        }
-                        self.bump();
-                    }
-                    self.opaque(start, self.pos);
-                    self.eat_punct('|');
-                }
-                if self.is_punct(0, '-') && self.is_punct(1, '>') {
-                    self.bump();
-                    self.bump();
-                    let _ = self.ty();
-                }
-                let body = self.expr(false);
-                Expr::Closure { body: Box::new(body), line }
-            }
-            Some(Tok::Punct('<')) => {
-                // Qualified path `<T as Tr>::assoc(…)`.
-                self.skip_angles();
-                let mut segs = vec!["<qualified>".to_string()];
-                while self.is_punct(0, ':') && self.is_punct(1, ':') {
-                    self.bump();
-                    self.bump();
-                    if self.is_punct(0, '<') {
-                        self.skip_angles();
-                        continue;
-                    }
-                    match self.ident(0) {
-                        Some(i) => {
-                            segs.push(i.to_string());
-                            self.bump();
-                        }
-                        None => break,
-                    }
-                }
-                Expr::Path(segs, line)
-            }
-            Some(Tok::Ident(i)) => {
-                match i.as_str() {
-                    "if" => return self.expr_if(),
-                    "while" => return self.expr_while(),
-                    "loop" => {
-                        self.bump();
-                        let body = self.block();
-                        return Expr::Loop { body, line };
-                    }
-                    "for" => return self.expr_for(),
-                    "match" => return self.expr_match(),
-                    "unsafe" => {
-                        self.bump();
-                        let body = self.block();
-                        return Expr::Unsafe { body, line };
-                    }
-                    "return" | "break" => {
-                        self.bump();
-                        if matches!(self.peek(), Some(Tok::Lifetime(_))) {
-                            self.bump();
-                        }
-                        if self.operand_follows(nsl) && !self.is_ident(0, "else") {
-                            return self.expr(nsl);
-                        }
-                        return Expr::Unknown(line);
-                    }
-                    "continue" => {
-                        self.bump();
-                        if matches!(self.peek(), Some(Tok::Lifetime(_))) {
-                            self.bump();
-                        }
-                        return Expr::Unknown(line);
-                    }
-                    _ => {}
-                }
-                self.path_expr(nsl)
-            }
-            // Nothing an expression starts with. A closer or separator
-            // belongs to whoever opened the group (every caller's loop
-            // advances or stops on its own); anything else is skipped.
-            Some(Tok::Punct(')' | ']' | '}' | ',' | ';')) | None => Expr::Unknown(line),
-            _ => {
-                self.opaque(self.pos, self.pos + 1);
-                self.bump();
-                Expr::Unknown(line)
-            }
-        }
-    }
-
-    /// Path, macro call, or struct literal.
-    fn path_expr(&mut self, nsl: bool) -> Expr {
-        let line = self.line();
-        let mut segs: Vec<String> = Vec::new();
-        loop {
-            match self.ident(0) {
-                Some(i) => {
-                    segs.push(i.to_string());
-                    self.bump();
-                }
-                None => break,
-            }
-            // Macro call: `name!(…)` / `path::name![…]`.
-            if self.is_punct(0, '!') && (self.is_punct(1, '(') || self.is_punct(1, '[') || self.is_punct(1, '{')) {
-                self.bump(); // !
-                let start = self.pos;
-                self.skip_group();
-                self.opaque(start, self.pos);
-                let name = segs.last().cloned().unwrap_or_default();
-                return Expr::Macro { name, line };
-            }
-            if self.is_punct(0, ':') && self.is_punct(1, ':') {
-                self.bump();
-                self.bump();
-                if self.is_punct(0, '<') {
-                    // Turbofish.
-                    self.skip_angles();
-                    if self.is_punct(0, ':') && self.is_punct(1, ':') {
-                        self.bump();
-                        self.bump();
-                        continue;
-                    }
-                    break;
-                }
-                continue;
-            }
-            break;
-        }
-        if segs.is_empty() {
-            return Expr::Unknown(line);
-        }
-        // Struct literal.
-        if self.is_punct(0, '{') && !nsl {
-            self.bump();
-            let mut fields = Vec::new();
-            while self.pos < self.toks.len() && !self.is_punct(0, '}') {
-                if self.is_punct(0, '.') && self.is_punct(1, '.') {
-                    // `..base`, or the bare `..` of a pattern that was
-                    // read as an expression: no base to parse.
-                    self.bump();
-                    self.bump();
-                    if !self.is_punct(0, '}') {
-                        fields.push(self.expr(false));
-                    }
-                } else if self.ident(0).is_some() && self.is_punct(1, ':') && !self.is_punct(2, ':') {
-                    self.bump(); // field name
-                    self.bump(); // :
-                    fields.push(self.expr(false));
-                } else if let Some(f) = self.ident(0) {
-                    // Shorthand `field,`.
-                    fields.push(Expr::Path(vec![f.to_string()], self.line()));
-                    self.bump();
-                } else {
-                    self.opaque(self.pos, self.pos + 1);
-                    self.bump();
-                }
-                self.eat_punct(',');
-            }
-            self.eat_punct('}');
-            return Expr::StructLit { path: segs, fields, line };
-        }
-        Expr::Path(segs, line)
-    }
-
-    fn postfix(&mut self, mut e: Expr) -> Expr {
-        loop {
-            let line = self.line();
-            if self.is_punct(0, '?') {
-                self.bump();
-                continue;
-            }
-            if self.is_punct(0, '.') && !self.is_punct(1, '.') {
-                // `.await`, `.name`, `.name(…)`, `.name::<T>(…)`, `.0`.
-                match self.peek_at(1) {
-                    Some(Tok::Ident(name)) => {
-                        let name = name.clone();
-                        self.bump();
-                        self.bump();
-                        if name == "await" {
-                            continue;
-                        }
-                        // Method turbofish.
-                        if self.is_punct(0, ':') && self.is_punct(1, ':') && self.is_punct(2, '<') {
-                            self.bump();
-                            self.bump();
-                            self.skip_angles();
-                        }
-                        if self.is_punct(0, '(') {
-                            let args = self.call_args();
-                            e = Expr::Method { recv: Box::new(e), name, args, line };
-                        } else {
-                            e = Expr::Field { recv: Box::new(e), name, line };
-                        }
-                        continue;
-                    }
-                    Some(Tok::Int(n)) | Some(Tok::Float(n)) => {
-                        // Tuple index (floats cover `x.0.1` lexing quirks).
-                        let name = n.clone();
-                        self.bump();
-                        self.bump();
-                        e = Expr::Field { recv: Box::new(e), name, line };
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-            if self.is_punct(0, '(') {
-                let args = self.call_args();
-                e = Expr::Call { callee: Box::new(e), args, line };
-                continue;
-            }
-            if self.is_punct(0, '[') {
-                self.bump();
-                let idx = self.expr(false);
-                self.eat_punct(']');
-                e = Expr::Index { recv: Box::new(e), index: Box::new(idx), line };
-                continue;
-            }
-            break;
-        }
-        e
-    }
-
-    fn call_args(&mut self) -> Vec<Expr> {
-        let mut args = Vec::new();
-        self.eat_punct('(');
-        while self.pos < self.toks.len() && !self.is_punct(0, ')') {
-            args.push(self.expr(false));
-            if !self.eat_punct(',') {
-                break;
-            }
-        }
-        self.eat_punct(')');
-        args
-    }
-
-    fn expr_if(&mut self) -> Expr {
-        let line = self.line();
-        self.bump(); // if
-        if self.is_ident(0, "let") {
-            self.skip_let_pattern();
-        }
-        let cond = self.expr(true);
-        let then = self.block();
-        let els = if self.is_ident(0, "else") {
-            self.bump();
-            Some(Box::new(if self.is_ident(0, "if") {
-                self.expr_if()
-            } else {
-                Expr::Block(self.block())
-            }))
-        } else {
-            None
-        };
-        Expr::If { cond: Box::new(cond), then, els, line }
-    }
-
-    fn expr_while(&mut self) -> Expr {
-        let line = self.line();
-        self.bump(); // while
-        if self.is_ident(0, "let") {
-            self.skip_let_pattern();
-        }
-        let cond = self.expr(true);
-        let body = self.block();
-        Expr::While { cond: Box::new(cond), body, line }
-    }
-
-    fn expr_for(&mut self) -> Expr {
-        let line = self.line();
-        self.bump(); // for
-        // Skip the loop pattern to the depth-0 `in`.
-        let start = self.pos;
-        let mut depth = 0usize;
-        while self.pos < self.toks.len() {
-            match self.peek() {
-                Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
-                Some(Tok::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-                Some(Tok::Ident(i)) if i == "in" && depth == 0 => break,
-                _ => {}
-            }
-            self.bump();
-        }
-        self.opaque(start, self.pos);
-        self.bump(); // in
-        let iter = self.expr(true);
-        let body = self.block();
-        Expr::For { iter: Box::new(iter), body, line }
-    }
-
-    fn expr_match(&mut self) -> Expr {
-        let line = self.line();
-        self.bump(); // match
-        let scrut = self.expr(true);
-        let mut arms = Vec::new();
-        if self.eat_punct('{') {
-            while self.pos < self.toks.len() && !self.is_punct(0, '}') {
-                // Pattern + optional guard, opaque, up to the depth-0 `=>`.
-                let start = self.pos;
-                let mut depth = 0usize;
-                while self.pos < self.toks.len() {
-                    match self.peek() {
-                        Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
-                        Some(Tok::Punct(')' | ']')) => depth = depth.saturating_sub(1),
-                        Some(Tok::Punct('}')) => {
-                            if depth == 0 {
-                                break; // stray close: end of match body
-                            }
-                            depth -= 1;
-                        }
-                        Some(Tok::Punct('=')) if depth == 0 && self.is_punct(1, '>') => break,
-                        _ => {}
-                    }
-                    self.bump();
-                }
-                self.opaque(start, self.pos);
-                if self.is_punct(0, '}') {
-                    break;
-                }
-                self.bump(); // =
-                self.bump(); // >
-                arms.push(self.expr_stmt());
-                self.eat_punct(',');
-            }
-            self.eat_punct('}');
-        }
-        Expr::Match { scrut: Box::new(scrut), arms, line }
-    }
-
-    /// Skip `let PATTERN =` inside `if let` / `while let` heads; stops
-    /// just past the `=` (`..=` inside the pattern stays inside it).
-    fn skip_let_pattern(&mut self) {
-        self.bump(); // let
-        let start = self.pos;
-        let mut depth = 0usize;
-        let mut prev_dot = false;
-        while self.pos < self.toks.len() {
-            match self.peek() {
-                Some(Tok::Punct('(' | '[' | '{')) => depth += 1,
-                Some(Tok::Punct(')' | ']' | '}')) => depth = depth.saturating_sub(1),
-                Some(Tok::Punct('=')) if depth == 0 && !prev_dot && !self.is_punct(1, '=') => {
-                    self.opaque(start, self.pos);
-                    self.bump();
-                    return;
-                }
-                _ => {}
-            }
-            prev_dot = matches!(self.peek(), Some(Tok::Punct('.')));
-            self.bump();
-        }
-        self.opaque(start, self.pos);
+    /// Whether the token after a `}` carries the statement on.
+    fn continues_block(&self) -> bool {
+        self.is_ident(0, "else") || self.is_punct(0, '?') || (self.is_punct(0, '.') && !self.is_punct(1, '.'))
     }
 }
 
@@ -1694,210 +698,143 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn parse_fns(src: &str) -> ParsedFile {
-        parse(src)
-    }
-
-    #[test]
-    fn fn_with_params_and_body() {
-        let f = parse_fns("fn add(a: u64, b: u64) -> u64 { a + b }");
-        assert_eq!(f.fns.len(), 1);
-        assert_eq!(f.fns[0].name, "add");
-        assert_eq!(f.fns[0].params.len(), 2);
-        assert_eq!(f.fns[0].params[0].name.as_deref(), Some("a"));
-        assert!(f.fns[0].params[0].ty.mentions("u64"));
-        assert!(f.fns[0].body.is_some());
-    }
-
-    #[test]
-    fn impl_methods_get_self_ty() {
-        let f = parse_fns("struct S { x: RwLock<u32> } impl S { fn go(&mut self) { self.x.write(); } }");
-        assert_eq!(f.structs.len(), 1);
-        assert_eq!(f.structs[0].fields[0].0, "x");
-        assert!(f.structs[0].fields[0].1.mentions("RwLock"));
-        assert_eq!(f.fns[0].self_ty.as_deref(), Some("S"));
-        assert!(f.fns[0].takes_self);
-    }
-
-    #[test]
-    fn method_chain_shapes() {
-        let f = parse_fns("fn g(rng: &mut SimRng) { let x = rng.fork(3); x.unit(); }");
-        let body = f.fns[0].body.as_ref().unwrap();
-        let mut methods = Vec::new();
-        walk_block(body, &mut |e| {
-            if let Expr::Method { name, .. } = e {
-                methods.push(name.clone());
-            }
-        });
-        assert_eq!(methods, ["fork", "unit"]);
-    }
-
-    #[test]
-    fn cfg_test_fns_are_marked() {
-        let f = parse_fns(
-            "#[cfg(test)] mod t { fn a() {} }\nfn b() {}\n#[cfg(test)]\n#[allow(dead_code)]\nfn c() {}",
-        );
-        let by_name: Vec<(String, bool)> =
-            f.fns.iter().map(|f| (f.name.clone(), f.in_test)).collect();
-        assert_eq!(
-            by_name,
-            [("a".into(), true), ("b".into(), false), ("c".into(), true)]
-        );
-    }
-
-    #[test]
-    fn struct_lit_vs_block_in_if() {
-        let f = parse_fns("fn f(c: bool) -> S { if c { S { v: 1 } } else { S { v: 2 } } }");
-        let body = f.fns[0].body.as_ref().unwrap();
-        let mut lits = 0;
-        walk_block(body, &mut |e| {
-            if matches!(e, Expr::StructLit { .. }) {
-                lits += 1;
-            }
-        });
-        assert_eq!(lits, 2);
-    }
-
-    #[test]
-    fn macros_become_opaque_spans() {
-        let f = parse_fns("fn f() { println!(\"{}\", HashMap::<u32,u32>::new().len()); }");
-        assert!(!f.opaque.is_empty());
-        // The macro args land in an opaque span covering HashMap.
-        let covered = f.opaque.iter().any(|s| {
-            f.tokens[s.start..s.end]
-                .iter()
-                .any(|t| matches!(&t.tok, Tok::Ident(i) if i == "HashMap"))
-        });
-        assert!(covered);
-    }
-
-    #[test]
-    fn match_arms_parse_bodies() {
-        let src = "fn f(x: Option<u32>) -> u32 { match x { Some(v) if v > 2 => v.min(9), None => 0, _ => h(), } }";
-        let f = parse_fns(src);
-        let body = f.fns[0].body.as_ref().unwrap();
-        let mut calls = Vec::new();
-        walk_block(body, &mut |e| match e {
-            Expr::Call { callee, .. } => {
-                if let Expr::Path(p, _) = callee.as_ref() {
-                    calls.push(p.join("::"));
-                }
-            }
-            Expr::Method { name, .. } => calls.push(format!(".{name}")),
-            _ => {}
-        });
-        assert!(calls.contains(&".min".to_string()), "{calls:?}");
-        assert!(calls.contains(&"h".to_string()), "{calls:?}");
-    }
-
-    #[test]
-    fn index_and_field_shapes() {
-        let f = parse_fns("fn f(&self) { let r = &self.dep.regions[0]; r.go(); }");
-        let body = f.fns[0].body.as_ref().unwrap();
-        let mut found = false;
-        walk_block(body, &mut |e| {
-            if let Expr::Index { recv, index, .. } = e {
-                if matches!(index.as_ref(), Expr::LitInt(s, _) if s == "0") {
-                    found = recv.place_key().as_deref() == Some("self.dep.regions");
-                }
-            }
-        });
-        assert!(found);
-    }
-
-    #[test]
-    fn let_else_and_if_let() {
-        let src = r"
-            fn f(x: Option<u32>) -> u32 {
-                let Some(v) = x else { return 0; };
-                if let Some(w) = g(v) { w } else { v }
-            }
-        ";
-        let f = parse_fns(src);
-        assert_eq!(f.fns.len(), 1);
-        let mut calls = 0;
-        walk_block(f.fns[0].body.as_ref().unwrap(), &mut |e| {
-            if matches!(e, Expr::Call { .. }) {
-                calls += 1;
-            }
-        });
-        assert_eq!(calls, 1);
-    }
-
     fn fn_names(f: &ParsedFile) -> Vec<&str> {
         f.fns.iter().map(|f| f.name.as_str()).collect()
     }
 
-    /// A block-bodied arm ends at its brace, and a bare `..` in what
-    /// reads as a struct literal takes no base: the shape that once cost
-    /// the parser a `}` and, with it, the rest of the file.
+    /// The statements of `f`'s body, each rendered as its top-level
+    /// tokens with groups abbreviated to their delimiters.
+    fn stmts_of(file: &ParsedFile, f: &FnDef) -> Vec<String> {
+        let render = |s: &Stmt| {
+            let words: Vec<String> = s
+                .nodes
+                .iter()
+                .map(|n| match n {
+                    Node::Tok(i) => match &file.tokens[*i].tok {
+                        Tok::Ident(w) | Tok::Int(w) | Tok::Float(w) => w.clone(),
+                        Tok::Punct(c) => c.to_string(),
+                        other => format!("{other:?}"),
+                    },
+                    Node::Group(g) => format!("{}…", g.delim),
+                })
+                .collect();
+            words.join(" ")
+        };
+        f.body.as_ref().map(|b| b.stmts.iter().map(render).collect()).unwrap_or_default()
+    }
+
+    #[test]
+    fn fn_with_params_and_body() {
+        let f = parse("fn add(a: u64, (b, c): (u64, u64)) -> u64 { a + b }");
+        assert_eq!(fn_names(&f), ["add"]);
+        assert_eq!(f.fns[0].params.len(), 2);
+        assert_eq!(f.fns[0].params[0].name.as_deref(), Some("a"));
+        assert_eq!(f.fns[0].params[0].ty.idents, ["u64"]);
+        assert_eq!(f.fns[0].params[1].name, None);
+        assert_eq!(stmts_of(&f, &f.fns[0]), ["a + b"]);
+    }
+
+    #[test]
+    fn impl_methods_get_self_ty() {
+        let f = parse("struct S { x: RwLock<u32> } impl Tr for S { fn go(&mut self) { self.x.write(); } } struct T(pub [u8; 4], Mutex<u8>);");
+        assert_eq!(f.structs[0].fields[0].0, "x");
+        assert_eq!(f.structs[0].fields[0].1.idents, ["RwLock", "u32"]);
+        assert_eq!(f.fns[0].self_ty.as_deref(), Some("S"));
+        assert!(f.fns[0].takes_self);
+        let tuple: Vec<(&str, bool)> = f.structs[1].fields.iter().map(|(n, t)| (n.as_str(), t.is_array)).collect();
+        assert_eq!(tuple, [("0", true), ("1", false)]);
+    }
+
+    #[test]
+    fn cfg_test_fns_are_marked() {
+        let f = parse(
+            "#[cfg(test)] mod t { fn a() {} }\nfn b() {}\n#[cfg(test)]\n#[allow(dead_code)]\nfn c() {}",
+        );
+        let by_name: Vec<(&str, bool)> = f.fns.iter().map(|f| (f.name.as_str(), f.in_test)).collect();
+        assert_eq!(by_name, [("a", true), ("b", false), ("c", true)]);
+        assert_eq!(f.test_spans.len(), 2, "outermost spans only: {:?}", f.test_spans);
+    }
+
+    #[test]
+    fn modifiers_do_not_hide_functions() {
+        let f = parse("pub(crate) const fn a() {} pub unsafe extern \"C\" fn b() {} const N: [fn(); 1] = [a]; async fn c() {}");
+        assert_eq!(fn_names(&f), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn type_aliases_are_shaped() {
+        let f = parse("pub type Shared<T> = Arc<RwLock<T>>; impl It for X { type Item = u32; fn f() {} }");
+        let names: Vec<&str> = f.aliases.iter().map(|(n, ..)| n.as_str()).collect();
+        assert_eq!(names, ["Shared", "Item"]);
+        assert_eq!(f.aliases[0].1.idents, ["Arc", "RwLock", "T"]);
+        assert_eq!(fn_names(&f), ["f"]);
+    }
+
+    #[test]
+    fn statements_split_at_semicolons_and_block_ends() {
+        let f = parse(
+            "fn f(c: bool, p: (u32, u32)) -> u32 { if c { return 0; } else { g(); } let mut s: [u64; 4] = [0; 4]; \
+             let (a, b) = p; match c { true => {} false => {} }.min(3); (p.0, p.1).1 }",
+        );
+        assert_eq!(
+            stmts_of(&f, &f.fns[0]),
+            [
+                "if c {… else {…",
+                "let mut s : [… = [… ;",
+                "let (… = p ;",
+                "match c {… . min (… ;",
+                "(… . 1",
+            ]
+        );
+        let body = f.fns[0].body.as_ref().unwrap();
+        let binds: Vec<Option<&str>> =
+            body.stmts.iter().map(|s| s.binds.as_ref().map(|(n, _)| n.as_str())).collect();
+        assert_eq!(binds, [None, Some("s"), None, None, None]);
+        assert_eq!(f.fns[0].array_locals, ["s"]);
+    }
+
+    #[test]
+    fn nested_items_and_test_statements_leave_the_tree() {
+        let f = parse("fn outer() { fn inner() { let a: [u8; 2] = [0; 2]; } #[cfg(test)] check(); inner(); }");
+        assert_eq!(fn_names(&f), ["inner", "outer"]);
+        assert_eq!(stmts_of(&f, &f.fns[1]), ["inner (… ;"]);
+        assert_eq!(f.test_spans.len(), 1);
+        assert_eq!(f.fns[0].array_locals, ["a"]);
+        assert!(f.fns[1].array_locals.is_empty(), "a nested fn's locals are its own");
+    }
+
+    /// The shape that once cost the v2 parser a `}` and, with it, the rest
+    /// of the file: nothing here reads patterns, so nothing can.
     #[test]
     fn block_arm_followed_by_a_tuple_pattern() {
         let src = "impl T { fn f(&self, v: (A, B)) -> R { match v { \
                    (A::X(x), B::P { .. }) => { g(x) } \
-                   (_, B::P { .. }) => { return Err(E { at: 1 }) } \
-                   (_, B::Q { .. }) => { return Err(E { at: 2 }) } } } \
+                   (_, B::P { .. }) => { return Err(E { at: 1 }) } } } \
                    fn g(&self) {} } fn after() {}";
-        let f = parse_fns(src);
+        let f = parse(src);
         assert_eq!(fn_names(&f), ["f", "g", "after"]);
         assert_eq!(f.fns[1].self_ty.as_deref(), Some("T"));
         assert_eq!(f.fns[2].self_ty, None);
-        walk_block(f.fns[0].body.as_ref().unwrap(), &mut |e| {
-            if let Expr::Call { callee, .. } = e {
-                assert!(!matches!(callee.as_ref(), Expr::Block(_)), "block called");
-            }
-        });
-        assert!(f.first_unscanned().is_none());
     }
 
     #[test]
-    fn block_like_statement_ends_at_its_brace() {
-        let f = parse_fns("fn f(c: bool, p: (u32, u32)) -> u32 { if c { return 0; } (p.0, p.1).1 }");
-        let body = f.fns[0].body.as_ref().unwrap();
-        assert_eq!(body.stmts.len(), 2);
-        assert!(matches!(body.stmts[0], Stmt::Expr(Expr::If { .. })));
-        // `.` still continues one, as in rustc.
-        let f = parse_fns("fn f(x: Option<u32>) -> u32 { match x { Some(_) => 1, None => 0 }.min(3) }");
-        let body = f.fns[0].body.as_ref().unwrap();
-        assert!(matches!(&body.stmts[..], [Stmt::Expr(Expr::Method { name, .. })] if name == "min"));
-    }
-
-    #[test]
-    fn stray_close_brace_does_not_end_the_parse() {
-        let f = parse_fns("fn a() {} } } fn b() { HashMap::new(); }");
-        assert_eq!(fn_names(&f), ["a", "b"]);
-        assert!(f.first_unscanned().is_none());
-    }
-
-    #[test]
-    fn coverage_reports_the_first_token_nothing_claims() {
-        let mut f = parse_fns("fn a() {}\nuse x::y;\nfn b() {}");
-        assert!(f.first_unscanned().is_none());
-        f.opaque.clear(); // forget the `use` item's span
-        assert_eq!(f.first_unscanned().map(|t| t.line), Some(2));
-    }
-
-    #[test]
-    fn parser_is_total_on_junk() {
-        // Never panics, always terminates, never drops a token.
+    fn shaper_is_total_on_junk() {
+        // Never panics, always terminates, always reaches the end.
         for junk in [
             "} } ) ] fn",
             "fn f( { } }",
+            "fn f() { ( } ] fn g() {}",
             "impl for for {",
-            "match { => , }",
+            "struct S { a: , : u8 ) }",
             "let = = ;",
             "fn f() { x.. }",
+            "fn a() {} } } fn b() { HashMap::new(); }",
+            "#[cfg(test",
+            "type = ; type X",
         ] {
             let f = parse(junk);
             assert!(f.first_unscanned().is_none(), "{junk:?}: {:?}", f.first_unscanned());
         }
-    }
-
-    #[test]
-    fn item_unsafe_is_recorded() {
-        let f = parse_fns("unsafe fn scary() {} #[cfg(test)] unsafe fn test_only() {}");
-        assert_eq!(f.item_unsafe.len(), 2);
-        assert!(!f.item_unsafe[0].1);
-        assert!(f.item_unsafe[1].1);
+        assert_eq!(fn_names(&parse("fn a() {} } } fn b() {}")), ["a", "b"]);
     }
 }

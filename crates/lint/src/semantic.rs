@@ -1,18 +1,29 @@
 //! Workspace semantic analysis: symbol table, conservative call graph,
 //! and the D5 (RNG stream discipline) / D6 (lock-order) rule engines.
 //!
+//! A function body arrives as a delimiter tree (`parser.rs`) and one
+//! recursive walk reads three things off it, none of which needs an
+//! expression grammar: **calls** — an identifier followed by a `(…)`
+//! group, `path(` or `.name(`, the latter with the `ident(.ident)*` run to
+//! its left as the receiver's place key; each is recorded when the walk
+//! leaves its closing paren, so effects keep the order receiver →
+//! arguments → call — **guards** — `let g = place.read();` binds one to
+//! its block, `drop(g)` ends it, any other acquisition lasts for its
+//! statement — and **fork labels**, the first argument of `.fork(…)`.
+//!
 //! Everything here is deliberately *conservative* (DESIGN.md §5c): a lock
 //! acquisition only counts when the receiver resolves to a field whose
-//! declared type names `RwLock`/`Mutex` (or a local bound to one), and a
-//! call edge only exists when the callee name resolves to exactly one
-//! function in the workspace. Unresolvable receivers and ambiguous names
-//! are dropped — the analysis can miss hazards (false negatives are
-//! documented) but a reported cycle or duplicated fork label is real
-//! modulo name collisions.
+//! declared type names `RwLock`/`Mutex` or a `type` alias of one (or a
+//! local bound to one), and a call edge only exists when the callee name
+//! resolves to exactly one function in the workspace. Unresolvable
+//! receivers and ambiguous names are dropped — the analysis can miss
+//! hazards (false negatives are documented) but a reported cycle or
+//! duplicated fork label is real modulo name collisions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::parser::{Block, Expr, ParsedFile, Stmt};
+use crate::lexer::{Tok, Token};
+use crate::parser::{is_keyword, Group, Node, ParsedFile, Stmt};
 use crate::{Candidate, RuleId};
 
 /// `SimRng` draw methods: calling any of these advances the stream
@@ -22,6 +33,21 @@ const DRAW_METHODS: &[&str] = &[
 ];
 
 const LOCK_ACQUIRE: &[&str] = &["read", "write", "lock"];
+
+/// What the semantic walk saw in one scan; `scalewall-lint --workspace`
+/// prints it and `tests/lint_gate.rs` holds the live tree to floors.
+#[derive(Debug, Clone, Default)]
+pub struct Census {
+    pub fns_walked: usize,
+    /// Every lock identity some function acquires directly.
+    pub lock_ids: BTreeSet<String>,
+    /// `(held, acquired)` pairs, direct and through calls.
+    pub order_edges: BTreeSet<(String, String)>,
+    pub calls_under_lock: usize,
+    pub fork_sites: usize,
+    /// Calls with an RNG-typed binding among their arguments.
+    pub rng_calls: usize,
+}
 
 /// Which replay-contract domain a function lives in, for the D5
 /// workload→fault/backoff flow rule. Derived from file and module names
@@ -64,7 +90,7 @@ struct CallSite {
 enum Callee {
     /// Free function (or associated fn) called by bare name.
     Free(String),
-    /// Method call `recv.name(…)`; `self_ty` is the caller's impl type
+    /// Method call `recv.name(…)`; `on_self` is the caller's impl type
     /// when the receiver is `self`.
     Method { name: String, on_self: Option<String> },
 }
@@ -81,19 +107,31 @@ pub(crate) struct FnFacts {
     calls: Vec<CallSite>,
     /// Intra-function lock-order edges `(held, acquired, line)`.
     edges: Vec<(String, String, u32)>,
+    fork_sites: usize,
     /// Local D5/D6 candidates already final (same-lock nested acquire,
     /// duplicate fork labels, fork-after-draw).
     local: Vec<Candidate>,
 }
 
+/// The workspace struct index: field lock-ness and field types by struct
+/// name (name collisions merge conservatively; see DESIGN.md §5c).
+#[derive(Default)]
+struct StructIndex {
+    /// `type` aliases of something that names `RwLock`/`Mutex`.
+    lock_aliases: BTreeSet<String>,
+    lock_fields: BTreeMap<String, BTreeSet<String>>,
+    field_types: BTreeMap<String, BTreeMap<String, Vec<String>>>,
+}
+
+impl StructIndex {
+    fn is_lock(&self, idents: &[String]) -> bool {
+        idents.iter().any(|i| i == "RwLock" || i == "Mutex" || self.lock_aliases.contains(i))
+    }
+}
+
 /// Per-file step, run once every file's struct index exists so a
 /// function can resolve fields of structs declared in *other* files.
-pub(crate) fn extract_fns(
-    path: &str,
-    parsed: &ParsedFile,
-    lock_fields: &BTreeMap<String, BTreeSet<String>>,
-    field_types: &BTreeMap<String, BTreeMap<String, Vec<String>>>,
-) -> Vec<FnFacts> {
+fn extract_fns(path: &str, parsed: &ParsedFile, index: &StructIndex) -> Vec<FnFacts> {
     let mut out = Vec::new();
     for f in &parsed.fns {
         if f.in_test {
@@ -110,47 +148,187 @@ pub(crate) fn extract_fns(
                 direct_acqs: BTreeSet::new(),
                 calls: Vec::new(),
                 edges: Vec::new(),
+                fork_sites: 0,
                 local: Vec::new(),
             },
-            lock_fields,
-            field_types,
+            toks: &parsed.tokens,
+            index,
             local_tys: BTreeMap::new(),
             rng_idents: BTreeSet::new(),
+            rng_mentions: 0,
             rng_state: BTreeMap::new(),
-            fork_sites: BTreeMap::new(),
+            fork_labels: BTreeMap::new(),
             scopes: vec![Vec::new()],
         };
         for p in &f.params {
             if let Some(name) = &p.name {
-                if p.ty.idents.iter().any(|i| i.ends_with("Rng")) {
-                    w.rng_idents.insert(name.clone());
-                }
-                w.local_tys.insert(name.clone(), p.ty.idents.clone());
+                w.bind_type(name, &p.ty.idents);
             }
         }
-        w.block(body);
+        w.group(body);
         out.push(w.facts);
     }
     out
 }
 
+/// What a `(…)` group is applied to: `name(`, `q::name(` or `.name(`.
+struct Applied<'a> {
+    name: &'a str,
+    /// Where `name` stands among the statement's nodes.
+    at: usize,
+    line: u32,
+    method: bool,
+    /// `q` of `q::name(`.
+    qualifier: Option<&'a str>,
+}
+
 struct FnWalk<'a> {
     facts: FnFacts,
-    lock_fields: &'a BTreeMap<String, BTreeSet<String>>,
-    field_types: &'a BTreeMap<String, BTreeMap<String, Vec<String>>>,
+    toks: &'a [Token],
+    index: &'a StructIndex,
     /// Local/param name → type idents (from annotations and lock inits).
     local_tys: BTreeMap<String, Vec<String>>,
     rng_idents: BTreeSet<String>,
+    /// How many mentions of an RNG-typed name the walk has passed: a call
+    /// carries an RNG when this moves across its arguments.
+    rng_mentions: usize,
     /// Local RNG stream state: false = freshly forked, true = drawn from.
     rng_state: BTreeMap<String, bool>,
     /// (receiver key, static label) → first fork line, for D5a.
-    fork_sites: BTreeMap<(String, String), u32>,
+    fork_labels: BTreeMap<(String, String), u32>,
     /// Stack of lock scopes; each holds `(lock id, guard name)` — guard
     /// `None` means transient (released at end of statement).
     scopes: Vec<Vec<(String, Option<String>)>>,
 }
 
 impl<'a> FnWalk<'a> {
+    // ------------------------------------------------ reading the tree
+
+    /// The token `back` nodes to the left of `nodes[at]`, if that node is
+    /// one.
+    fn tok(&self, nodes: &[Node], at: usize, back: usize) -> Option<&'a Tok> {
+        match nodes.get(at.checked_sub(back)?)? {
+            Node::Tok(t) => Some(&self.toks[*t].tok),
+            Node::Group(_) => None,
+        }
+    }
+
+    fn punct(&self, nodes: &[Node], at: usize, back: usize, c: char) -> bool {
+        self.tok(nodes, at, back) == Some(&Tok::Punct(c))
+    }
+
+    /// `::` ends just left of `nodes[at]`.
+    fn path_sep(&self, nodes: &[Node], at: usize) -> bool {
+        self.punct(nodes, at, 1, ':') && self.punct(nodes, at, 2, ':')
+    }
+
+    /// `.` (and not `..`) stands just left of `nodes[at]`.
+    fn dot(&self, nodes: &[Node], at: usize) -> bool {
+        self.punct(nodes, at, 1, '.') && !self.punct(nodes, at, 2, '.')
+    }
+
+    /// What the `(…)` group at `nodes[group]` is applied to, if anything:
+    /// a keyword (`if (a)`), a macro's `!`, another group or an operator
+    /// in front of it make it a parenthesised expression, not a call.
+    fn applied(&self, nodes: &[Node], group: usize) -> Option<Applied<'a>> {
+        let mut end = group;
+        if self.punct(nodes, end, 1, '>') {
+            // Turbofish: `name::<T>(…)`.
+            let mut depth = 0usize;
+            loop {
+                end = end.checked_sub(1)?;
+                match self.tok(nodes, end, 0) {
+                    Some(Tok::Punct('>')) => depth += 1,
+                    Some(Tok::Punct('<')) if depth == 1 => break,
+                    Some(Tok::Punct('<')) => depth -= 1,
+                    _ => {}
+                }
+            }
+            if !self.path_sep(nodes, end) {
+                return None;
+            }
+            end -= 2;
+        }
+        let at = end.checked_sub(1)?;
+        let Node::Tok(t) = nodes[at] else { return None };
+        let Tok::Ident(name) = &self.toks[t].tok else { return None };
+        if is_keyword(name) {
+            return None;
+        }
+        let qualifier = match self.tok(nodes, at, 3) {
+            Some(Tok::Ident(q)) if self.path_sep(nodes, at) => Some(q.as_str()),
+            _ => None,
+        };
+        Some(Applied { name, at, line: self.toks[t].line, method: self.dot(nodes, at), qualifier })
+    }
+
+    /// A stable textual key for the place expression that ends just left
+    /// of `nodes[end]`: `rng`, `self.rng`, `cfg.seed`, with `?` read
+    /// through. `None` for anything computed (`f().x`, `(a).b`, `v[i].m`).
+    fn place_key(&self, nodes: &[Node], mut end: usize) -> Option<String> {
+        let mut parts: Vec<&str> = Vec::new();
+        loop {
+            while self.punct(nodes, end, 1, '?') {
+                end -= 1;
+            }
+            match self.tok(nodes, end, 1)? {
+                Tok::Ident(s) | Tok::Int(s) | Tok::Float(s) => parts.push(s),
+                _ => return None,
+            }
+            end -= 1;
+            if self.dot(nodes, end) {
+                parts.push(".");
+                end -= 1;
+            } else if self.path_sep(nodes, end) {
+                parts.push("::");
+                end -= 2;
+            } else {
+                parts.reverse();
+                return Some(parts.concat());
+            }
+        }
+    }
+
+    /// The first argument of `args` as a fork label, when it is static:
+    /// an integer literal or a `SCREAMING` constant path, `as T` allowed.
+    fn static_label(&self, args: &Group) -> Option<String> {
+        let nodes = &args.stmts.first()?.nodes;
+        let comma = |i: &usize| self.punct(nodes, *i, 0, ',');
+        let first: Option<Vec<&Tok>> = (0..nodes.len()).take_while(|i| !comma(i)).map(|i| self.tok(nodes, i, 0)).collect();
+        let first = first?;
+        let first = match &first[..] {
+            [head @ .., Tok::Ident(kw), Tok::Ident(_)] if kw == "as" => head,
+            whole => whole,
+        };
+        match first {
+            [Tok::Int(s)] => {
+                // Normalize (`0x10` ≡ `16`, suffixes dropped) so textual
+                // variants of the same label collide.
+                let t = s.replace('_', "").to_ascii_lowercase();
+                let (radix, digits) = if let Some(h) = t.strip_prefix("0x") {
+                    (16, h)
+                } else if let Some(b) = t.strip_prefix("0b") {
+                    (2, b)
+                } else if let Some(o) = t.strip_prefix("0o") {
+                    (8, o)
+                } else {
+                    (10, t.as_str())
+                };
+                let digits: String = digits.chars().take_while(|c| c.is_digit(radix)).collect();
+                let v = u128::from_str_radix(&digits, radix).ok();
+                Some(v.map_or_else(|| s.clone(), |v| v.to_string()))
+            }
+            [path @ .., Tok::Ident(last)] if path.iter().all(|t| matches!(t, Tok::Ident(_) | Tok::Punct(':'))) => {
+                let screaming = last.len() > 1
+                    && last.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
+                screaming.then(|| last.clone())
+            }
+            _ => None,
+        }
+    }
+
+    // ------------------------------------------------------ lock state
+
     fn held(&self) -> BTreeSet<String> {
         self.scopes
             .iter()
@@ -159,60 +337,39 @@ impl<'a> FnWalk<'a> {
     }
 
     /// Resolve a lock-acquire receiver to a stable lock identity.
-    fn lock_of(&self, recv: &Expr) -> Option<String> {
-        let key = recv.place_key()?;
+    fn lock_of(&self, key: &str) -> Option<String> {
+        let lock_fields = &self.index.lock_fields;
         let parts: Vec<&str> = key.split('.').collect();
-        match parts.as_slice() {
+        let (owner, field) = match parts.as_slice() {
             // `self.field`
-            ["self", field] => {
-                let ty = self.facts.self_ty.as_deref()?;
-                if self.lock_fields.get(ty)?.contains(*field) {
-                    Some(format!("{ty}::{field}"))
-                } else {
-                    None
-                }
-            }
+            ["self", field] => (self.facts.self_ty.as_deref()?, field),
             // Bare local or param of lock type.
             [name] => {
-                let tys = self.local_tys.get(*name)?;
-                if tys.iter().any(|i| i == "RwLock" || i == "Mutex") {
-                    // Function-scoped identity: a local lock in one
-                    // function is never the same object as anyone else's.
-                    Some(format!("{}::{}::{}", self.qual(), self.facts.name, name))
-                } else {
-                    None
-                }
+                // Function-scoped identity: a local lock in one function
+                // is never the same object as anyone else's.
+                let qual = self.facts.self_ty.as_deref().unwrap_or("<free>");
+                return self
+                    .index
+                    .is_lock(self.local_tys.get(*name)?)
+                    .then(|| format!("{qual}::{}::{name}", self.facts.name));
             }
             // `x.field` where `x`'s declared type names a known struct.
             [name, field] => {
                 let tys = self.local_tys.get(*name)?;
-                let owner = tys.iter().find(|i| self.lock_fields.contains_key(*i))?;
-                if self.lock_fields.get(owner)?.contains(*field) {
-                    Some(format!("{owner}::{field}"))
-                } else {
-                    None
-                }
+                (tys.iter().find(|i| lock_fields.contains_key(*i))?.as_str(), field)
             }
             // `self.a.b`: resolve `a`'s type through the field index.
             ["self", mid, field] => {
                 let ty = self.facts.self_ty.as_deref()?;
-                let mid_tys = self.field_types.get(ty)?.get(*mid)?;
-                let owner = mid_tys.iter().find(|i| self.lock_fields.contains_key(*i))?;
-                if self.lock_fields.get(owner)?.contains(*field) {
-                    Some(format!("{owner}::{field}"))
-                } else {
-                    None
-                }
+                let mid_tys = self.index.field_types.get(ty)?.get(*mid)?;
+                (mid_tys.iter().find(|i| lock_fields.contains_key(*i))?.as_str(), field)
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        lock_fields.get(owner)?.contains(*field).then(|| format!("{owner}::{field}"))
     }
 
-    fn qual(&self) -> String {
-        self.facts.self_ty.clone().unwrap_or_else(|| "<free>".into())
-    }
-
-    fn acquire(&mut self, lock: String, line: u32, guard: Option<String>) {
+    fn acquire(&mut self, lock: String, line: u32, guard: Option<&str>) {
         let held = self.held();
         if held.contains(&lock) {
             self.facts.local.push(Candidate {
@@ -228,226 +385,128 @@ impl<'a> FnWalk<'a> {
             }
         }
         self.facts.direct_acqs.insert(lock.clone());
-        if guard.is_some() {
-            // Guard-bound: lives in the enclosing block scope (one below
-            // the statement-transient scope).
-            let idx = self.scopes.len().saturating_sub(2);
-            self.scopes[idx].push((lock, guard));
-        } else if let Some(top) = self.scopes.last_mut() {
-            top.push((lock, None));
-        }
+        // Guard-bound: lives in the enclosing block scope (one below the
+        // statement-transient scope).
+        let depth = self.scopes.len().saturating_sub(if guard.is_some() { 2 } else { 1 });
+        self.scopes[depth].push((lock, guard.map(str::to_string)));
     }
 
-    fn release_guard(&mut self, name: &str) {
-        for scope in self.scopes.iter_mut() {
-            scope.retain(|(_, g)| g.as_deref() != Some(name));
+    /// Note a binding's declared type: what it may lock, whether it is an
+    /// RNG stream.
+    fn bind_type(&mut self, name: &str, idents: &[String]) {
+        if idents.iter().any(|i| i.ends_with("Rng")) {
+            self.rng_idents.insert(name.to_string());
         }
+        self.local_tys.insert(name.to_string(), idents.to_vec());
     }
 
-    /// If `e` is (possibly behind one method layer) a lock acquisition,
-    /// return the lock id — used to bind `let g = x.read();` guards.
-    fn acquire_of(&self, e: &Expr) -> Option<(String, u32)> {
-        if let Expr::Method { recv, name, line, .. } = e {
-            if LOCK_ACQUIRE.contains(&name.as_str()) {
-                return self.lock_of(recv).map(|l| (l, *line));
-            }
-        }
-        None
-    }
+    // ------------------------------------------------------- the walk
 
-    fn block(&mut self, b: &Block) {
+    fn group(&mut self, g: &Group) {
+        if g.delim != '{' {
+            return g.stmts.iter().for_each(|s| self.stmt(s));
+        }
+        // A brace group scopes the guards bound in it and, inside that,
+        // each statement scopes its temporaries.
         self.scopes.push(Vec::new());
-        for s in b.stmts.iter() {
-            // Statement-transient scope for un-bound guards.
+        for s in &g.stmts {
             self.scopes.push(Vec::new());
-            match s {
-                Stmt::Let { name, ty, init, else_block, .. } => {
-                    let bound_acquire = init.as_ref().and_then(|e| self.acquire_of(e));
-                    if let Some(e) = init {
-                        match (&bound_acquire, name) {
-                            (Some((lock, line)), Some(g)) => {
-                                // Walk the receiver for nested effects,
-                                // then record the guard-bound acquire.
-                                if let Expr::Method { recv, args, .. } = e {
-                                    self.expr(recv);
-                                    for a in args {
-                                        self.expr(a);
-                                    }
-                                }
-                                self.acquire(lock.clone(), *line, Some(g.clone()));
-                            }
-                            _ => self.expr(e),
-                        }
-                    }
-                    if let Some(name) = name {
-                        // Track local types and RNG streams.
-                        if let Some(t) = ty {
-                            self.local_tys.insert(name.clone(), t.idents.clone());
-                            if t.idents.iter().any(|i| i.ends_with("Rng")) {
-                                self.rng_idents.insert(name.clone());
-                            }
-                        }
-                        match init {
-                            Some(Expr::Method { name: m, .. }) if m == "fork" => {
-                                self.rng_idents.insert(name.clone());
-                                self.rng_state.insert(name.clone(), false);
-                            }
-                            Some(Expr::Call { callee, .. }) => {
-                                if let Expr::Path(segs, _) = callee.as_ref() {
-                                    if segs.len() >= 2 {
-                                        let ctor = &segs[segs.len() - 2];
-                                        if segs.last().is_some_and(|l| l == "new") {
-                                            if ctor.ends_with("Rng") {
-                                                self.rng_idents.insert(name.clone());
-                                                self.rng_state.insert(name.clone(), false);
-                                            }
-                                            if ctor == "RwLock" || ctor == "Mutex" {
-                                                self.local_tys
-                                                    .insert(name.clone(), vec![ctor.clone()]);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Some(eb) = else_block {
-                        self.block(eb);
-                    }
-                }
-                Stmt::Expr(e) => self.expr(e),
-            }
-            // End of statement: transient guards release.
+            self.stmt(s);
             self.scopes.pop();
         }
-        // End of block: guard-bound locks of this block release.
         self.scopes.pop();
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Method { recv, name, args, line } => {
-                self.expr(recv);
-                for a in args {
-                    self.expr(a);
+    fn stmt(&mut self, s: &Stmt) {
+        let nodes = &s.nodes[..];
+        // The call a `let name = …;` ends in (`?` read through): the one
+        // whose result `name` holds.
+        let bound = s.binds.as_ref().and_then(|(name, _)| {
+            let end = nodes.iter().rposition(|n| match n {
+                Node::Tok(t) => !matches!(self.toks[*t].tok, Tok::Punct(';' | '?')),
+                Node::Group(_) => true,
+            })?;
+            matches!(&nodes[end], Node::Group(g) if g.delim == '(').then_some((end, name.as_str()))
+        });
+        for (at, node) in nodes.iter().enumerate() {
+            match node {
+                Node::Tok(t) => {
+                    let names_rng = matches!(&self.toks[*t].tok, Tok::Ident(w) if self.rng_idents.contains(w));
+                    self.rng_mentions += usize::from(names_rng && !self.dot(nodes, at));
                 }
-                let recv_key = recv.place_key();
-                if LOCK_ACQUIRE.contains(&name.as_str()) {
-                    if let Some(lock) = self.lock_of(recv) {
-                        self.acquire(lock, *line, None);
-                        return;
+                Node::Group(g) => {
+                    let mentions = self.rng_mentions;
+                    self.group(g);
+                    if let Some(applied) = self.applied(nodes, at).filter(|_| g.delim == '(') {
+                        let guard = bound.filter(|(end, _)| *end == at).map(|(_, name)| name);
+                        self.call(nodes, &applied, g, self.rng_mentions > mentions, guard);
                     }
                 }
-                if name == "fork" {
-                    self.on_fork(recv_key.as_deref(), args, *line);
-                    return;
-                }
-                if DRAW_METHODS.contains(&name.as_str()) {
-                    if let Some(k) = &recv_key {
-                        if let Some(state) = self.rng_state.get_mut(k) {
-                            *state = true;
-                        }
-                    }
-                    return;
-                }
-                // A plain method call: a call-graph edge candidate.
-                let on_self = match recv.as_ref() {
-                    Expr::Path(segs, _) if segs.len() == 1 && segs[0] == "self" => {
-                        self.facts.self_ty.clone()
-                    }
-                    _ => None,
-                };
-                let rng_arg = args.iter().any(|a| self.mentions_rng(a));
-                let held = self.held();
-                self.facts.calls.push(CallSite {
-                    callee: Callee::Method { name: name.clone(), on_self },
-                    held,
-                    line: *line,
-                    rng_arg,
-                });
             }
-            Expr::Call { callee, args, line } => {
-                for a in args {
-                    self.expr(a);
-                }
-                if let Expr::Path(segs, _) = callee.as_ref() {
-                    // `drop(guard)` releases a named guard early.
-                    if segs.len() == 1 && segs[0] == "drop" {
-                        if let Some(Expr::Path(g, _)) = args.first() {
-                            if g.len() == 1 {
-                                let name = g[0].clone();
-                                self.release_guard(&name);
-                                return;
-                            }
-                        }
-                    }
-                    let rng_arg = args.iter().any(|a| self.mentions_rng(a));
-                    let held = self.held();
-                    if let Some(name) = segs.last() {
-                        self.facts.calls.push(CallSite {
-                            callee: Callee::Free(name.clone()),
-                            held,
-                            line: *line,
-                            rng_arg,
-                        });
-                    }
-                } else {
-                    self.expr(callee);
-                }
-            }
-            Expr::Field { recv, .. } => self.expr(recv),
-            Expr::Index { recv, index, .. } => {
-                self.expr(recv);
-                self.expr(index);
-            }
-            Expr::Unsafe { body, .. } | Expr::Loop { body, .. } => self.block(body),
-            Expr::Block(b) => self.block(b),
-            Expr::If { cond, then, els, .. } => {
-                self.expr(cond);
-                self.block(then);
-                if let Some(e) = els {
-                    self.expr(e);
-                }
-            }
-            Expr::While { cond, body, .. } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            Expr::For { iter, body, .. } => {
-                self.expr(iter);
-                self.block(body);
-            }
-            Expr::Match { scrut, arms, .. } => {
-                self.expr(scrut);
-                for a in arms {
-                    self.expr(a);
-                }
-            }
-            Expr::Closure { body, .. } => self.expr(body),
-            Expr::StructLit { fields, .. } => {
-                for f in fields {
-                    self.expr(f);
-                }
-            }
-            Expr::Seq(es, _) => {
-                for e in es {
-                    self.expr(e);
-                }
-            }
-            Expr::Path(..)
-            | Expr::LitInt(..)
-            | Expr::LitOther(..)
-            | Expr::Macro { .. }
-            | Expr::Unknown(..) => {}
+        }
+        let Some((name, ty)) = &s.binds else { return };
+        if let Some(ty) = ty {
+            self.bind_type(name, &ty.idents);
+        }
+        // `let r = x.fork(…);` and `let r = XRng::new(…);` start a stream,
+        // `let m = Mutex::new(…);` is a local lock.
+        let Some(init) = bound.and_then(|(end, _)| self.applied(nodes, end)) else { return };
+        let ctor = init.qualifier.filter(|_| !init.method && init.name == "new");
+        if (init.method && init.name == "fork") || ctor.is_some_and(|c| c.ends_with("Rng")) {
+            self.rng_idents.insert(name.clone());
+            self.rng_state.insert(name.clone(), false);
+        }
+        if let Some(lock @ ("RwLock" | "Mutex")) = ctor {
+            self.local_tys.insert(name.clone(), vec![lock.to_string()]);
         }
     }
 
-    fn on_fork(&mut self, recv_key: Option<&str>, args: &[Expr], line: u32) {
+    /// Record the call `applied(args)`, its receiver and arguments walked:
+    /// an acquisition (bound to `guard` when a `let` holds its result), a
+    /// fork, a draw, a `drop(guard)`, or an edge candidate of the call
+    /// graph.
+    fn call(&mut self, nodes: &[Node], applied: &Applied<'a>, args: &Group, rng_arg: bool, guard: Option<&str>) {
+        let &Applied { name, at, line, .. } = applied;
+        let callee = if applied.method {
+            let recv = self.place_key(nodes, at - 1);
+            if LOCK_ACQUIRE.contains(&name) {
+                if let Some(lock) = recv.as_deref().and_then(|key| self.lock_of(key)) {
+                    return self.acquire(lock, line, guard);
+                }
+            }
+            if name == "fork" {
+                self.facts.fork_sites += 1;
+                return self.on_fork(recv, self.static_label(args), line);
+            }
+            if DRAW_METHODS.contains(&name) {
+                if let Some(state) = recv.and_then(|key| self.rng_state.get_mut(&key)) {
+                    *state = true;
+                }
+                return;
+            }
+            let on_self = self.facts.self_ty.clone().filter(|_| recv.as_deref() == Some("self"));
+            Callee::Method { name: name.to_string(), on_self }
+        } else {
+            // `drop(guard)` releases a named guard early.
+            let arg = args.stmts.first().map(|s| &s.nodes[..]);
+            if let ("drop", false, Some([Node::Tok(t)])) = (name, self.path_sep(nodes, at), arg) {
+                if let Tok::Ident(guard) = &self.toks[*t].tok {
+                    for scope in self.scopes.iter_mut() {
+                        scope.retain(|(_, g)| g.as_ref() != Some(guard));
+                    }
+                    return;
+                }
+            }
+            Callee::Free(name.to_string())
+        };
+        self.facts.calls.push(CallSite { callee, held: self.held(), line, rng_arg });
+    }
+
+    fn on_fork(&mut self, recv: Option<String>, label: Option<String>, line: u32) {
+        let Some(key) = recv else { return };
         // D5a: two fork sites under one static label on one stream.
-        if let (Some(key), Some(label)) = (recv_key, args.first().and_then(static_label)) {
-            let site = (key.to_string(), label.clone());
-            if let Some(&first) = self.fork_sites.get(&site) {
+        if let Some(label) = label {
+            if let Some(first) = self.fork_labels.get(&(key.clone(), label.clone())) {
                 self.facts.local.push(Candidate {
                     rule: RuleId::D5,
                     line,
@@ -456,76 +515,27 @@ impl<'a> FnWalk<'a> {
                     ),
                 });
             } else {
-                self.fork_sites.insert(site, line);
+                self.fork_labels.insert((key.clone(), label), line);
             }
         }
         // D5b: re-forking a stored stream after drawing from it.
-        if let Some(key) = recv_key {
-            if self.rng_state.get(key).copied() == Some(true) {
-                self.facts.local.push(Candidate {
-                    rule: RuleId::D5,
-                    line,
-                    message: format!(
-                        "`{key}` is re-forked after draws — the child stream's identity now depends on draw position; fork all children before drawing (\"fork before fan-out\")"
-                    ),
-                });
-            }
+        if self.rng_state.get(&key).copied() == Some(true) {
+            self.facts.local.push(Candidate {
+                rule: RuleId::D5,
+                line,
+                message: format!(
+                    "`{key}` is re-forked after draws — the child stream's identity now depends on draw position; fork all children before drawing (\"fork before fan-out\")"
+                ),
+            });
         }
-    }
-
-    fn mentions_rng(&self, e: &Expr) -> bool {
-        let mut found = false;
-        crate::parser::walk_expr(e, &mut |sub| {
-            if let Expr::Path(segs, _) = sub {
-                if segs.len() == 1 && self.rng_idents.contains(&segs[0]) {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-}
-
-fn static_label(e: &Expr) -> Option<String> {
-    match e {
-        Expr::LitInt(s, _) => {
-            // Normalize (`0x10` ≡ `16`, suffixes dropped) so textual
-            // variants of the same label collide.
-            let t = s.replace('_', "").to_ascii_lowercase();
-            let (radix, digits) = if let Some(h) = t.strip_prefix("0x") {
-                (16, h)
-            } else if let Some(b) = t.strip_prefix("0b") {
-                (2, b)
-            } else if let Some(o) = t.strip_prefix("0o") {
-                (8, o)
-            } else {
-                (10, t.as_str())
-            };
-            let digits: String = digits.chars().take_while(|c| c.is_digit(radix)).collect();
-            let v = u128::from_str_radix(&digits, radix).ok();
-            Some(v.map_or_else(|| s.clone(), |v| v.to_string()))
-        }
-        Expr::Path(segs, _) => {
-            let last = segs.last()?;
-            let screaming = last.len() > 1
-                && last
-                    .chars()
-                    .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
-            if screaming {
-                Some(last.clone())
-            } else {
-                None
-            }
-        }
-        _ => None,
     }
 }
 
 // ---------------------------------------------------------- cross-file
 
 /// Run the cross-file analyses over every per-file fact set; returns
-/// `(file index, candidate)` pairs.
-pub(crate) fn cross(files: &[(usize, Vec<FnFacts>)]) -> Vec<(usize, Candidate)> {
+/// `(file index, candidate)` pairs and what the walks saw.
+fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
     let mut out: Vec<(usize, Candidate)> = Vec::new();
 
     // Function tables: every analyzed fn gets an id.
@@ -534,10 +544,8 @@ pub(crate) fn cross(files: &[(usize, Vec<FnFacts>)]) -> Vec<(usize, Candidate)> 
         f: &'a FnFacts,
     }
     let mut fns: Vec<Entry> = Vec::new();
-    for (file, facts) in files {
-        for f in facts {
-            fns.push(Entry { file: *file, f });
-        }
+    for (file, facts) in files.iter().enumerate() {
+        fns.extend(facts.iter().map(|f| Entry { file, f }));
     }
     let mut by_free_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut by_method_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -724,33 +732,36 @@ pub(crate) fn cross(files: &[(usize, Vec<FnFacts>)]) -> Vec<(usize, Candidate)> 
         }
     }
 
-    out
+    let sites = || fns.iter().flat_map(|e| &e.f.calls);
+    let census = Census {
+        fns_walked: fns.len(),
+        lock_ids: fns.iter().flat_map(|e| e.f.direct_acqs.iter().cloned()).collect(),
+        order_edges: edges.into_keys().collect(),
+        calls_under_lock: sites().filter(|c| !c.held.is_empty()).count(),
+        fork_sites: fns.iter().map(|e| e.f.fork_sites).sum(),
+        rng_calls: sites().filter(|c| c.rng_arg).count(),
+    };
+    (out, census)
 }
 
 /// Convenience used by `lint_source`/`lint_workspace`: run both phases.
-pub(crate) fn analyze(files: &[(usize, String, &ParsedFile)]) -> Vec<(usize, Candidate)> {
-    // Workspace struct index: field lock-ness and field types by struct
-    // name (name collisions merge conservatively; see DESIGN.md §5c).
-    let mut lock_fields: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut field_types: BTreeMap<String, BTreeMap<String, Vec<String>>> = BTreeMap::new();
-    for (_, _, parsed) in files {
-        for s in &parsed.structs {
-            if s.in_test {
-                continue;
-            }
-            let locks = lock_fields.entry(s.name.clone()).or_default();
-            let types = field_types.entry(s.name.clone()).or_default();
-            for (fname, ty) in &s.fields {
-                if ty.mentions("RwLock") || ty.mentions("Mutex") {
-                    locks.insert(fname.clone());
-                }
-                types.insert(fname.clone(), ty.idents.clone());
-            }
+pub(crate) fn analyze(files: &[(&str, &ParsedFile)]) -> (Vec<(usize, Candidate)>, Census) {
+    let mut index = StructIndex::default();
+    // Aliases of aliases resolve in as many rounds as they are deep.
+    let aliases = || files.iter().flat_map(|(_, parsed)| &parsed.aliases).filter(|(.., in_test)| !in_test);
+    while let Some((name, ..)) = aliases().find(|(name, ty, _)| index.is_lock(&ty.idents) && !index.lock_aliases.contains(name)) {
+        index.lock_aliases.insert(name.clone());
+    }
+    for (_, parsed) in files {
+        for s in parsed.structs.iter().filter(|s| !s.in_test) {
+            let locks = s.fields.iter().filter(|(_, ty)| index.is_lock(&ty.idents)).map(|(f, _)| f.clone());
+            let locks: Vec<String> = locks.collect();
+            index.lock_fields.entry(s.name.clone()).or_default().extend(locks);
+            let types = s.fields.iter().map(|(f, ty)| (f.clone(), ty.idents.clone()));
+            index.field_types.entry(s.name.clone()).or_default().extend(types);
         }
     }
-    let per_file: Vec<(usize, Vec<FnFacts>)> = files
-        .iter()
-        .map(|(idx, path, parsed)| (*idx, extract_fns(path, parsed, &lock_fields, &field_types)))
-        .collect();
+    let per_file: Vec<Vec<FnFacts>> =
+        files.iter().map(|(path, parsed)| extract_fns(path, parsed, &index)).collect();
     cross(&per_file)
 }

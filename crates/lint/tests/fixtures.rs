@@ -117,6 +117,25 @@ fn d7_clean_pair_is_clean() {
     assert_eq!(rules_hit(&src, RuleSet::SIM), Vec::<RuleId>::new());
 }
 
+/// Every `// expect: <rule>` marker of the blind-shape fixture names a
+/// line on which exactly that rule fires, and nothing fires elsewhere.
+#[test]
+fn blind_shape_pins_and_controls_fire_on_their_lines() {
+    let src = fixture("blind_blocks.rs");
+    let expected: Vec<(u32, RuleId)> = src
+        .lines()
+        .zip(1u32..)
+        .filter_map(|(text, line)| {
+            let (_, rule) = text.split_once("// expect: ")?;
+            Some((line, RuleId::parse(rule).unwrap_or_else(|| panic!("line {line}: bad marker {rule:?}"))))
+        })
+        .collect();
+    assert_eq!(expected.len(), 23, "markers lost from the fixture");
+    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let got: Vec<(u32, RuleId)> = violations.iter().map(|v| (v.line, v.rule)).collect();
+    assert_eq!(got, expected, "{violations:#?}");
+}
+
 #[test]
 fn lexer_edge_fixture_is_inert() {
     // Raw strings spanning pragma-looking lines, escaped-newline string
@@ -171,7 +190,8 @@ fn pragma_fixture_is_clean_with_inventory() {
 
 // ------------------------------------------------------------- coverage
 
-const FIXTURES: [&str; 14] = [
+const FIXTURES: [&str; 15] = [
+    "blind_blocks.rs",
     "clean.rs",
     "d1_wall_clock.rs",
     "d2_hash_iteration.rs",
@@ -206,28 +226,48 @@ fn parser_fixture_is_clean_and_fully_parsed() {
     );
 }
 
-/// The coverage invariant: every code token lies in a parsed item or in
-/// an opaque span the token scan reads.
+/// The coverage invariant: the pattern scan reads every code token
+/// outside a `#[cfg(test)]` span, so what is left to hold is that the
+/// item shaper walked each file to its end.
 #[test]
 fn every_fixture_token_is_scanned() {
     for name in FIXTURES {
         let parsed = parser::parse(&fixture(name));
         if let Some(t) = parsed.first_unscanned() {
-            panic!("{name}:{}: token {:?} is in no item and no opaque span", t.line, t.tok);
+            panic!("{name}:{}: the shaper stopped at token {:?}", t.line, t.tok);
         }
     }
 }
 
-/// The canary sweep (`support/canary.rs`) over every fixture.
+/// The function canary (`support/canary.rs`) over every fixture.
 #[test]
 fn canary_in_every_fixture_fn_is_reported() {
     let mut planted = 0;
     for name in FIXTURES {
-        let (missed, headers) = canary::unreported_canaries(&fixture(name), RuleSet::SIM);
+        let src = fixture(name);
+        let headers = canary::fn_header_lines(&src);
+        let missed = canary::unreported(&src, RuleSet::SIM, &headers, &canary::WALL_CLOCK);
         assert!(missed.is_empty(), "{name}: canaries after the `fn` headers on lines {missed:?} went unreported");
-        planted += headers;
+        planted += headers.len();
     }
     assert!(planted > 30, "only {planted} canaries planted: header scan broken?");
+}
+
+/// The block canaries over every fixture: a panic site for the pattern
+/// scan, a nested acquire and a duplicated fork label for the body walk.
+#[test]
+fn canaries_in_every_fixture_block_are_reported() {
+    let mut planted = 0;
+    for name in FIXTURES {
+        let src = fixture(name);
+        let heads = canary::block_head_lines(&src);
+        for canary in [&canary::PANIC, &canary::SEMANTIC] {
+            let missed = canary::unreported(&src, RuleSet::SIM, &heads, canary);
+            assert!(missed.is_empty(), "{name}: {:?} canaries after the block heads on lines {missed:?} went unreported", canary.rules);
+        }
+        planted += heads.len();
+    }
+    assert!(planted > 10, "only {planted} block heads found: head scan broken?");
 }
 
 // ------------------------------------------------------------- property

@@ -11,7 +11,9 @@
 
 use std::path::Path;
 
-use scalewall_lint::{collect_rs, json, lint_workspace, ruleset_for, RuleId, SIM_FACING_CRATES};
+use scalewall_lint::{
+    collect_rs, json, lint_source, lint_workspace, ruleset_for, RuleId, RuleSet, SIM_FACING_CRATES,
+};
 
 #[path = "../crates/lint/tests/support/canary.rs"]
 mod canary;
@@ -48,11 +50,12 @@ fn workspace_has_zero_unsilenced_violations() {
         report.suppressed_count()
     );
 
-    // The parser's coverage invariant: every code token of every scanned
-    // file lies in a parsed item or in an opaque span the token scan
-    // reads. Where it breaks, "zero violations" says nothing.
+    // The coverage invariant: the pattern scan reads every code token
+    // outside `#[cfg(test)]`, and the item shaper walked every scanned
+    // file to its end. Where it stopped short, "zero violations" says
+    // nothing about the functions behind that point.
     if let Some((path, line)) = report.first_unscanned() {
-        panic!("{path}:{line}: token in no parsed item and no opaque span — no rule looked at it");
+        panic!("{path}:{line}: the item shaper stopped here, short of the end of the file");
     }
 
     let mut rendered = String::new();
@@ -87,34 +90,121 @@ fn workspace_has_zero_unsilenced_violations() {
     }
 }
 
-/// The canary sweep over the live tree: every non-test function of the
+/// Vacuity is a failure: the semantic walk must have seen the locks the
+/// system has (all four are declared through `type Shared… = Arc<RwLock<…>>`
+/// aliases), an order between two of them, and calls made under them.
+/// Before aliases were followed it saw 2 identities — the shim's own field
+/// — 0 edges and 3 calls, and reported the same zero violations.
+#[test]
+fn semantic_walk_sees_the_locks_the_system_has() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let census = lint_workspace(root).expect("workspace scan").census;
+    println!("{census:#?}");
+    for lock in ["Deployment::catalog", "CubrickNode::region_store", "DiscoveryClient::store", "SmServer::discovery"] {
+        assert!(census.lock_ids.contains(lock), "`{lock}` unresolved; saw {:?}", census.lock_ids);
+    }
+    assert!(census.lock_ids.len() >= 7, "{:?}", census.lock_ids);
+    assert!(!census.order_edges.is_empty(), "no lock-order edge anywhere");
+    assert!(census.calls_under_lock >= 150, "only {} calls under a held lock", census.calls_under_lock);
+    assert!(census.fns_walked > 1000 && census.fork_sites > 10 && census.rng_calls > 100, "{census:?}");
+}
+
+/// Every non-test source file of the six sim-facing crates, as
+/// `(workspace-relative path, source)`.
+fn sim_facing_sources() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in SIM_FACING_CRATES {
+        let src_dir = root.join("crates").join(krate).join("src");
+        collect_rs(&src_dir, root, &mut files).expect("crate sources");
+    }
+    files
+        .into_iter()
+        .map(|rel| {
+            let src = std::fs::read_to_string(root.join(&rel)).expect("readable source");
+            (rel, src)
+        })
+        .collect()
+}
+
+/// The function canary over the live tree: every non-test function of the
 /// six sim-facing crates, each under its own file's rule set. "Zero
-/// violations" above covers only the functions the parser sees; this is
+/// violations" above covers only the functions the lint sees; this is
 /// the check that every function is one of them.
 #[test]
 fn canary_in_every_sim_facing_fn_is_reported() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut planted = 0;
-    for krate in SIM_FACING_CRATES {
-        let mut files = Vec::new();
-        let src_dir = root.join("crates").join(krate).join("src");
-        collect_rs(&src_dir, root, &mut files).expect("crate sources");
-        for rel in files {
-            let rules = ruleset_for(&rel).expect("sim-facing sources are linted");
-            let src = std::fs::read_to_string(root.join(&rel)).expect("readable source");
-            let (missed, headers) = canary::unreported_canaries(&src, rules);
-            assert!(
-                missed.is_empty(),
-                "{rel}: canaries after the `fn` headers on lines {missed:?} went unreported"
-            );
-            planted += headers;
-        }
+    for (rel, src) in sim_facing_sources() {
+        let rules = ruleset_for(&rel).expect("sim-facing sources are linted");
+        let headers = canary::fn_header_lines(&src);
+        let missed = canary::unreported(&src, rules, &headers, &canary::WALL_CLOCK);
+        assert!(
+            missed.is_empty(),
+            "{rel}: canaries after the `fn` headers on lines {missed:?} went unreported"
+        );
+        planted += headers.len();
     }
     println!("planted {planted} canaries");
     assert!(
         planted > 700,
         "only {planted} canaries planted: walker or header scan broken?"
     );
+}
+
+/// The block canaries over the live tree: after every `if` / `while` /
+/// `for` / `loop` / `else` head, a panic site the pattern scan must report
+/// (under `RuleSet::SIM`, so the `D7_PENDING` files are swept too) and a
+/// nested acquire plus a duplicated fork label the body walk must. A
+/// block a mis-read head hides from either engine shows here and nowhere
+/// else.
+#[test]
+fn canaries_in_every_sim_facing_block_are_reported() {
+    let mut planted = 0;
+    let mut missed = Vec::new();
+    for (rel, src) in sim_facing_sources() {
+        let heads = canary::block_head_lines(&src);
+        for canary in [&canary::PANIC, &canary::SEMANTIC] {
+            for line in canary::unreported(&src, RuleSet::SIM, &heads, canary) {
+                missed.push(format!("{rel}:{line}: {:?}", canary.rules));
+            }
+        }
+        planted += heads.len();
+    }
+    println!("planted both canaries in {planted} blocks");
+    assert!(missed.is_empty(), "{} block canaries went unreported:\n{}", missed.len(), missed.join("\n"));
+    assert!(planted >= 700, "only {planted} block heads found: walker or head scan broken?");
+}
+
+/// One planted violation per rule on a live file: `cluster/src/driver.rs`
+/// as it is on disk, with seven statements added at the top of
+/// `attempt_in_region`, reports those seven lines and nothing else.
+#[test]
+fn one_planted_violation_per_rule_is_reported_on_its_line() {
+    const PLANTED: [(RuleId, &str); 7] = [
+        (RuleId::D1, "let _p1 = std::time::Instant::now();"),
+        (RuleId::D2, "let _p2: HashMap<u8, u8> = Default::default();"),
+        (RuleId::D3, "let _p3 = SimRng::new(7);"),
+        (RuleId::D4, "let _p4 = unsafe { 0u8 };"),
+        (RuleId::D5, "let _p5 = (rng.fork(900_001), rng.fork(900_001));"),
+        (RuleId::D6, "{ let pl = Mutex::new(0u8); let _pa = pl.lock(); let _pb = pl.lock(); }"),
+        (RuleId::D7, "None::<u8>.unwrap();"),
+    ];
+    let rel = "crates/cluster/src/driver.rs";
+    let src = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)).expect("driver.rs");
+    let lines: Vec<&str> = src.lines().collect();
+    let header = lines.iter().position(|l| l.starts_with("fn attempt_in_region(")).expect("anchor fn");
+    let anchor = header
+        + lines[header..].iter().position(|l| l.ends_with(") -> AttemptResult {")).expect("anchor fn body")
+        + 1;
+    let planted: Vec<&str> = PLANTED.iter().map(|(_, text)| *text).collect();
+    let mutated = [&lines[..anchor], &planted, &lines[anchor..]].concat().join("\n");
+
+    let rules = ruleset_for(rel).expect("driver.rs is linted");
+    let (violations, _) = lint_source(&mutated, rules);
+    let got: Vec<(RuleId, u32)> = violations.iter().map(|v| (v.rule, v.line)).collect();
+    let expected: Vec<(RuleId, u32)> =
+        PLANTED.iter().zip(anchor as u32 + 1..).map(|((rule, _), line)| (*rule, line)).collect();
+    assert_eq!(got, expected, "{violations:#?}");
 }
 
 /// The machine-readable side of the gate: the workspace report must
