@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the infrastructure hot paths: shard mapping, SM
 //! placement/balancing and the metric poll, discovery resolution and the
-//! cached route, one whole no-data query, the event queue, and latency
-//! histograms. Runs on the in-repo wall-clock runner
+//! cached route, one whole no-data query (one wide table, and the QoS
+//! loop's shape over 240 narrow ones), the idle deployment tick, the event
+//! queue, and latency histograms. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
 //!
@@ -12,7 +13,7 @@
 //! `cargo bench -p scalewall-bench --bench infra -- --bench --json "$PWD/infra.json"`
 
 use cubrick::catalog::RowMapping;
-use cubrick::proxy::{CubrickProxy, ProxyConfig};
+use cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig};
 use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_bench::microbench::Bench;
@@ -218,6 +219,77 @@ fn bench_driver(c: &mut Bench) {
     group.finish();
 }
 
+/// The `qos_overload` shape: 240 eight-partition tables over 3 regions ×
+/// 4 hosts, so every host owns ~480 shards and neither a node's `owned`
+/// map nor the proxy's per-table maps stay in cache from one query to the
+/// next — what `run_query_fanout64_nodata`'s single table hides.
+fn qos_shaped_deployment() -> (Deployment, Vec<Query>) {
+    let mut dep = Deployment::new(DeploymentConfig {
+        regions: 3,
+        hosts_per_region: 4,
+        max_shards: 5_000,
+        ..Default::default()
+    });
+    let schema = standard_schema(365);
+    let queries = (0..240)
+        .map(|i| {
+            let name = format!("tenant_{i:03}");
+            dep.create_table(
+                &name,
+                schema.clone(),
+                8,
+                RowMapping::Hash,
+                ShardMapping::Monotonic,
+                SimTime::ZERO,
+            )
+            .expect("fresh table");
+            Query::count_star(&name)
+        })
+        .collect();
+    (dep, queries)
+}
+
+/// One admitted QoS query as the experiment loop issues it (two-choice
+/// coordinator, typed partial results, a per-shard deadline, no data),
+/// over the tables in turn; and one idle `Deployment::tick`, which that
+/// loop pays per event.
+fn bench_qos_loop(c: &mut Bench) {
+    let (mut dep, queries) = qos_shaped_deployment();
+    let net = NetModel::new(NetModelConfig::default());
+    let mut proxy = CubrickProxy::new(ProxyConfig::default());
+    let mut rng = SimRng::new(24);
+    let opts = QueryOptions {
+        strategy: CoordinatorStrategy::QueueAwareTwoChoice,
+        execute_data: false,
+        partial_results: true,
+        shard_timeout: Some(SimDuration::from_secs(1)),
+        ..Default::default()
+    };
+    let mut now = SimTime::from_secs(3_600);
+    let mut group = c.group("driver");
+    group.throughput(1);
+    let mut next = 0usize;
+    group.bench_function("run_query_qos_fanout8_240_tables_nodata", |b| {
+        b.iter(|| {
+            now += SimDuration::from_millis(100);
+            // A stride coprime to 240: every table, none twice in a row.
+            next = (next + 77) % queries.len();
+            run_query(&mut dep, &mut proxy, &net, &queries[next], &opts, now, &mut rng).success
+        })
+    });
+    group.finish();
+
+    let mut group = c.group("deployment");
+    group.throughput(1);
+    group.bench_function("tick_3_regions_idle", |b| {
+        b.iter(|| {
+            now += SimDuration::from_millis(100);
+            dep.tick(now);
+        })
+    });
+    group.finish();
+}
+
 fn bench_event_queue(c: &mut Bench) {
     let mut group = c.group("event_queue");
     group.sample_size(20);
@@ -264,6 +336,7 @@ fn main() {
     bench_collect_metrics(&mut bench);
     bench_discovery(&mut bench);
     bench_driver(&mut bench);
+    bench_qos_loop(&mut bench);
     bench_event_queue(&mut bench);
     bench_histogram(&mut bench);
     bench.finish();

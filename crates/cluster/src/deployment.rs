@@ -92,7 +92,9 @@ pub fn table_group(name: &str) -> u64 {
 
 /// A region proxy's fan-out routes, one per table: every partition's
 /// shard id and the host discovery resolves it to, kept until the answer
-/// can change (DESIGN.md "Route cache contract").
+/// can change (DESIGN.md "Route cache contract"), and per partition
+/// whether that host has been found serving the shard directly
+/// (DESIGN.md "Serving verdicts").
 #[derive(Debug, Default)]
 pub struct RouteCache {
     tables: BTreeMap<Arc<str>, TableRoute>,
@@ -105,18 +107,27 @@ struct TableRoute {
     /// its name but not its shards.
     built_for: Option<(u32, ShardMapping, u64)>,
     route: Route,
+    /// Per partition: the sub-query ladder found the route's target up,
+    /// present, owning the shard and done loading it.
+    direct: Vec<bool>,
+    /// [`NodeRegistry::changes`] the verdicts were found at.
+    direct_at: u64,
 }
 
 impl RouteCache {
-    /// `def`'s route at `now`, indexed by partition. A hit is one store
-    /// read lock and two compares; a miss re-resolves in place.
+    /// `def`'s route at `now`, indexed by partition, and its serving
+    /// verdicts for the sub-queries to read and fill. A hit is one store
+    /// read lock and three compares; a miss re-resolves in place. The
+    /// verdicts start over when the route was re-resolved or `node_changes`
+    /// (the region's [`NodeRegistry::changes`]) is not what they were found at.
     pub fn route(
         &mut self,
         discovery: &DiscoveryClient,
         def: &TableDef,
         max_shards: u64,
+        node_changes: u64,
         now: SimTime,
-    ) -> &Route {
+    ) -> (&Route, &mut [bool]) {
         let table = self.tables.entry(def.name.clone()).or_default();
         let built_for = Some((def.partitions, def.shard_mapping, max_shards));
         if table.built_for != built_for {
@@ -126,12 +137,25 @@ impl RouteCache {
                 .reset_shards()
                 .extend((0..def.partitions).map(|p| def.shard_of(p, max_shards)));
         }
-        discovery.route(APP, &mut table.route, now);
-        &table.route
+        let reused = discovery.route(APP, &mut table.route, now);
+        if !reused || table.direct_at != node_changes {
+            table.direct.clear();
+            table.direct.resize(table.route.shards().len(), false);
+            table.direct_at = node_changes;
+        }
+        (&table.route, &mut table.direct)
     }
 
     fn forget(&mut self, table: &str) {
         self.tables.remove(table);
+    }
+
+    /// Forget every verdict, as a refill does (for the property test).
+    #[cfg(test)]
+    pub(crate) fn forget_verdicts(&mut self) {
+        for table in self.tables.values_mut() {
+            table.direct.fill(false);
+        }
     }
 }
 
@@ -171,6 +195,8 @@ pub struct Deployment {
     pub catalog: SharedCatalog,
     pub regions: Vec<RegionState>,
     pub rng: SimRng,
+    /// `run_query`'s list of which regions are up, kept for its allocation.
+    pub(crate) region_flags: Vec<(Region, bool)>,
     next_host_id: u64,
     /// The first registration SM refused while the deployment was built
     /// (an app spec that does not validate, a host the coordination plane
@@ -261,6 +287,7 @@ impl Deployment {
             catalog,
             regions,
             rng,
+            region_flags: Vec::new(),
             next_host_id: 0,
             refused,
         }
@@ -627,10 +654,10 @@ impl Deployment {
     }
 
     fn region_tick(region: &mut RegionState, now: SimTime) {
+        // The live hosts change only with membership or the down set.
         let nodes = &region.nodes;
-        region
-            .sm
-            .heartbeat_all(nodes.hosts().filter(|&h| !nodes.is_down(h)), now);
+        let live = || nodes.hosts().filter(|&h| !nodes.is_down(h));
+        region.sm.heartbeat_all(nodes.changes(), live, now);
         let _ = crate::driver::drive_region_coordination(region, now);
     }
 

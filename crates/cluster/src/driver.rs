@@ -197,7 +197,11 @@ pub fn run_query(
             return failed(e, 0, SimDuration::ZERO, 0);
         }
     }
-    let outcome = run_admitted(dep, proxy, net, query, opts, now, rng);
+    let mut region_flags = std::mem::take(&mut dep.region_flags);
+    region_flags.clear();
+    region_flags.extend(dep.regions.iter().map(|r| (r.region, r.available)));
+    let outcome = run_admitted(dep, proxy, net, query, opts, &region_flags, now, rng);
+    dep.region_flags = region_flags;
     if !opts.admission_held {
         proxy.complete_class(opts.qos);
     }
@@ -205,13 +209,15 @@ pub fn run_query(
 }
 
 /// The attempt loop of an admitted query: every exit is a plain return,
-/// the slot is [`run_query`]'s to release.
+/// the slot and the flags buffer are [`run_query`]'s to give back.
+#[allow(clippy::too_many_arguments)]
 fn run_admitted(
     dep: &mut Deployment,
     proxy: &mut CubrickProxy,
     net: &NetModel,
     query: &Query,
     opts: &QueryOptions,
+    region_flags: &[(Region, bool)],
     now: SimTime,
     rng: &mut SimRng,
 ) -> QueryOutcome {
@@ -232,18 +238,12 @@ fn run_admitted(
     }
     let plan = FanoutPlan::for_table(&query.table, def.partitions);
 
-    let region_flags: Vec<(Region, bool)> = dep
-        .regions
-        .iter()
-        .map(|r| (r.region, r.available))
-        .collect();
-
     let mut excluded: Vec<Region> = Vec::new();
     let mut total_latency = SimDuration::ZERO;
     let mut attempts = 0u32;
 
     loop {
-        let region = match proxy.choose_region(&region_flags, opts.client_region, &excluded) {
+        let region = match proxy.choose_region(region_flags, opts.client_region, &excluded) {
             Ok(r) => r,
             Err(e) => return failed(e, attempts, total_latency, 0),
         };
@@ -414,11 +414,13 @@ fn attempt_in_region(
     rng: &mut SimRng,
 ) -> AttemptResult {
     let mut slowest = SimDuration::ZERO;
-    let mut partials: Vec<PartialResult> = Vec::with_capacity(plan.fan_out());
+    let expected = if opts.execute_data { plan.fan_out() } else { 0 };
+    let mut partials: Vec<PartialResult> = Vec::with_capacity(expected);
     let mut answered = 0usize;
     // A success only matters to a host with a failure streak to clear,
-    // and the proxy cannot change during the attempt: ask once.
-    let clear_streaks = proxy.has_failure_streaks();
+    // and only such a host can be blacklisted; the proxy cannot change
+    // during the attempt: ask once.
+    let streaks = proxy.has_failure_streaks().then_some(proxy);
     let mut answered_hosts: Vec<HostId> = Vec::new();
     let mut coverage = Coverage {
         per_shard: Vec::with_capacity(plan.fan_out()),
@@ -428,17 +430,19 @@ fn attempt_in_region(
 
     // Locate every partition through service discovery (the
     // client-visible, possibly stale view) in one step: the region's
-    // cached route, re-resolved only when its answer can have changed.
+    // cached route, re-resolved only when its answer can have changed,
+    // and beside it which of its targets are known to serve their shard.
     let RegionState {
         discovery,
         routes,
         nodes,
         ..
     } = region;
-    let route = routes.route(discovery, def, max_shards, now);
+    let (route, direct) = routes.route(discovery, def, max_shards, nodes.changes(), now);
 
-    for &p in &plan.partitions {
-        let Some((shard, target)) = route.get(p as usize) else {
+    for p in plan.partitions() {
+        let at = p as usize;
+        let (Some((shard, target)), Some(direct)) = (route.get(at), direct.get_mut(at)) else {
             let detail = format!("partition {p} outside the route of {}", def.name);
             return AttemptResult::Failed {
                 latency: SimDuration::ZERO,
@@ -447,11 +451,11 @@ fn attempt_in_region(
             };
         };
         let target = target.map(HostId);
-        match sub_query(nodes, net, query, p, shard, target, opts, proxy, now, rng) {
+        match sub_query(nodes, net, query, p, shard, target, direct, opts, streaks, now, rng) {
             Ok((latency, partial, host)) => {
                 slowest = slowest.max(latency);
                 answered += 1;
-                if clear_streaks {
+                if streaks.is_some() {
                     answered_hosts.push(host);
                 }
                 coverage.push(p, ShardState::Answered);
@@ -526,6 +530,12 @@ type SubQueryError = (SimDuration, CubrickError, Option<HostId>);
 
 /// One sub-query for `shard`, against the server the region's discovery
 /// view resolved it to (`target`; `None` when it resolves to nothing).
+///
+/// `direct` is the route's memory of this partition (DESIGN.md "Serving
+/// verdicts"): set, the ladder below already found `target` serving the
+/// shard and nothing that could change that has happened since; clear,
+/// the ladder runs and sets it if that is what it finds. `streaks` is the
+/// proxy while some host has a failure streak (only then a blacklist).
 #[allow(clippy::too_many_arguments)]
 fn sub_query(
     nodes: &mut NodeRegistry,
@@ -534,8 +544,9 @@ fn sub_query(
     partition: u32,
     shard: u64,
     target: Option<HostId>,
+    direct: &mut bool,
     opts: &QueryOptions,
-    proxy: &CubrickProxy,
+    streaks: Option<&CubrickProxy>,
     now: SimTime,
     rng: &mut SimRng,
 ) -> Result<(SimDuration, Option<PartialResult>, HostId), SubQueryError> {
@@ -554,7 +565,7 @@ fn sub_query(
     // typed so the caller can distinguish "we chose not to call" from
     // "the call failed" — and short-circuit when *every* replica is in
     // that state.
-    if proxy.is_blacklisted(target, now) {
+    if streaks.is_some_and(|proxy| proxy.is_blacklisted(target, now)) {
         return Err((
             SimDuration::ZERO,
             CubrickError::HostBlacklisted {
@@ -568,33 +579,32 @@ fn sub_query(
     let mut latency = SimDuration::ZERO;
     let mut serving = target;
 
-    // A dead process answers nothing.
-    if nodes.is_down(serving) {
-        return Err((net.rtt().mul(2), unavailable(), Some(serving)));
-    }
-
-    // Does the resolved server still serve the shard? During a graceful
-    // migration the old owner forwards; after a plain migration it
-    // errors (stale-cache window).
-    let probe = {
-        let node = nodes.node(serving);
-        match node {
-            None => return Err((net.rtt().mul(2), unavailable(), Some(serving))),
-            Some(n) => n.probe_shard(shard),
+    if !*direct {
+        // A dead process answers nothing.
+        if nodes.is_down(serving) {
+            return Err((net.rtt().mul(2), unavailable(), Some(serving)));
         }
-    };
-    if !probe.owns || !probe.ready {
-        if let Some(new_owner) = probe.forward {
+
+        // Does the resolved server still serve the shard? During a graceful
+        // migration the old owner forwards; after a plain migration it
+        // errors (stale-cache window).
+        let probe = {
+            let node = nodes.node(serving);
+            match node {
+                None => return Err((net.rtt().mul(2), unavailable(), Some(serving))),
+                Some(n) => n.probe_shard(shard),
+            }
+        };
+        if probe.owns && probe.ready {
+            *direct = true;
+        } else if let Some(new_owner) = probe.forward {
             // Graceful forwarding: one extra hop, then the new owner.
             latency += net.forward_hop();
             serving = new_owner;
             if nodes.is_down(serving) {
                 return Err((latency + net.rtt().mul(2), unavailable(), Some(serving)));
             }
-            let ok = nodes
-                .node(serving)
-                .is_some_and(|n| n.owns_shard(shard) && n.shard_ready(shard));
-            if !ok {
+            if !nodes.node(serving).is_some_and(|n| n.shard_ready(shard)) {
                 return Err((
                     latency + net.rtt(),
                     CubrickError::ShardNotOwned {
@@ -646,7 +656,7 @@ fn sub_query(
             }
             latency += net.rtt() + service_time;
             let partial = if opts.execute_data {
-                let Some(node) = nodes.node_mut(serving) else {
+                let Some(node) = nodes.scanning_node_mut(serving) else {
                     let detail = format!("host {serving:?} vanished between probe and scan");
                     return Err((latency, CubrickError::Internal { detail }, Some(serving)));
                 };
@@ -1657,9 +1667,13 @@ mod tests {
             let catalog = f.dep.catalog.read();
             let def = catalog.get("t").unwrap();
             let RegionState {
-                discovery, routes, ..
+                discovery,
+                routes,
+                nodes,
+                ..
             } = &mut f.dep.regions[0];
-            let route = routes.route(discovery, def, catalog.max_shards(), now);
+            let (route, _) =
+                routes.route(discovery, def, catalog.max_shards(), nodes.changes(), now);
             (
                 route.shards().to_vec(),
                 catalog.shards_of_table("t").unwrap(),
@@ -1713,5 +1727,280 @@ mod tests {
         let (monotonic, want) = routed(&mut f, now);
         assert_eq!(monotonic, want);
         assert_ne!(monotonic, naive);
+    }
+
+    /// One step of the serving-verdict property's script. Hosts are named
+    /// by position in the region's current host list, so a step stays
+    /// meaningful after replacements.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Crash(usize, usize),
+        Revive(usize, usize),
+        Reboot(usize, usize),
+        FailHost(usize, usize),
+        Replace(usize, usize),
+        Restore(usize, usize),
+        /// The node leaves the registry for one tick and is put back.
+        Bounce(usize, usize),
+        /// SM declares a host dead and, a tick later, takes it back, its
+        /// process none the wiser: a new session and nothing else.
+        Flap(usize, usize),
+        Migrate { partition: usize, to: usize, graceful: bool },
+        Balance,
+        Metrics,
+        Tick { ms: u64 },
+        Ingest { rows: usize },
+        /// A query `back_ms` before or after the clock, `now` going
+        /// backwards as often as forwards.
+        Query { back_ms: u64, ahead: bool, qos: bool },
+    }
+
+    /// What a client can tell one outcome from another by.
+    fn seen(o: &QueryOutcome) -> String {
+        format!(
+            "{} {:?} {} {} {} {:?} {:?} {:?} {:?}",
+            o.success,
+            o.error,
+            o.attempts,
+            o.latency.as_nanos(),
+            o.partitions_answered,
+            o.coverage,
+            o.served_region,
+            o.coordinator_partition,
+            o.output.as_ref().map(|out| out.scalar()),
+        )
+    }
+
+    /// Serving verdicts never change an answer, and the heartbeat list is
+    /// always the fresh one: two deployments of one seed take the same
+    /// random script of crashes, restarts, repairs, migrations, polls,
+    /// ingests and queries at a `now` that jumps both ways; one forgets
+    /// every verdict before each query, so its ladder runs as if nothing
+    /// were remembered. Every outcome, the proxies' counters and the RNG
+    /// positions stay equal, and after every tick each region's heartbeat
+    /// list, if SM still holds one, equals the live hosts' sessions listed
+    /// from scratch.
+    #[test]
+    fn prop_verdicts_never_change_an_answer() {
+        use scalewall_sim::prop::{self, gen};
+        const REGIONS: usize = 3;
+        prop::check_n(
+            "prop_verdicts_never_change_an_answer",
+            32,
+            |rng| {
+                let seed = gen::any_u64(rng);
+                let steps = gen::vec_with(rng, 30, 90, |r| {
+                    // Faults mostly in region 0, where the client sits.
+                    let region = if r.below(4) == 0 { 1 + r.below(2) as usize } else { 0 };
+                    let host = r.below(8) as usize;
+                    match r.below(24) {
+                        0 => Step::Crash(region, host),
+                        1 => Step::Revive(region, host),
+                        2 => Step::Reboot(region, host),
+                        3 => Step::FailHost(region, host),
+                        4 => Step::Replace(region, host),
+                        5 => Step::Restore(region, host),
+                        6 => Step::Bounce(region, host),
+                        7 => Step::Flap(region, host),
+                        8 => Step::Migrate {
+                            partition: r.below(6) as usize,
+                            to: host,
+                            graceful: gen::any_bool(r),
+                        },
+                        9 => Step::Balance,
+                        10 => Step::Metrics,
+                        11..=13 => Step::Tick { ms: 1 + r.below(9_000) },
+                        14 => Step::Ingest { rows: 1 + r.below(300) as usize },
+                        _ => Step::Query {
+                            back_ms: r.below(12_000),
+                            ahead: gen::any_bool(r),
+                            qos: r.below(3) == 0,
+                        },
+                    }
+                });
+                (seed, steps)
+            },
+            |(seed, steps)| {
+                let build = || {
+                    let mut dep = Deployment::new(DeploymentConfig {
+                        regions: REGIONS as u32,
+                        hosts_per_region: 8,
+                        max_shards: 1_000,
+                        seed: *seed,
+                        ..Default::default()
+                    });
+                    let schema = Arc::new(
+                        SchemaBuilder::new()
+                            .int_dim("k", 0, 1_000, 50)
+                            .metric("m")
+                            .build()
+                            .unwrap(),
+                    );
+                    for (name, partitions) in [("t", 4), ("u", 2)] {
+                        dep.create_table(
+                            name,
+                            schema.clone(),
+                            partitions,
+                            RowMapping::Hash,
+                            ShardMapping::Monotonic,
+                            t(0),
+                        )
+                        .unwrap();
+                    }
+                    let rows: Vec<Row> = (0..400)
+                        .map(|k| Row::new(vec![Value::Int(k)], vec![k as f64]))
+                        .collect();
+                    dep.ingest("t", &rows).unwrap();
+                    Fixture {
+                        dep,
+                        proxy: CubrickProxy::new(ProxyConfig::default()),
+                        net: NetModel::new(NetModelConfig {
+                            server_failure_probability: 0.03,
+                            ..Default::default()
+                        }),
+                        rng: SimRng::new(*seed ^ 0x51),
+                    }
+                };
+                let host_at = |f: &Fixture, region: usize, i: usize| {
+                    let hosts: Vec<HostId> = f.dep.regions[region].nodes.hosts().collect();
+                    hosts[i % hosts.len()]
+                };
+                let query = parse_query("select count(*) from t").unwrap();
+                // One step on one twin; a query's outcome comes back.
+                let apply = |f: &mut Fixture, step: Step, clock: &mut SimTime, forgetful: bool| {
+                    let now = *clock;
+                    match step {
+                        Step::Crash(r, h) => {
+                            let host = host_at(f, r, h);
+                            f.dep.regions[r].nodes.crash(host);
+                        }
+                        Step::Revive(r, h) => {
+                            let host = host_at(f, r, h);
+                            f.dep.regions[r].nodes.revive(host);
+                        }
+                        Step::Reboot(r, h) => {
+                            let host = host_at(f, r, h);
+                            if let Some(node) = f.dep.regions[r].nodes.node_mut(host) {
+                                node.reboot();
+                            }
+                        }
+                        Step::FailHost(r, h) => {
+                            let host = host_at(f, r, h);
+                            f.dep.fail_host(r, host, now);
+                        }
+                        Step::Replace(r, h) => {
+                            let host = host_at(f, r, h);
+                            if f.dep.regions[r].nodes.is_down(host) {
+                                let _ = f.dep.replace_host(r, host, now);
+                            }
+                        }
+                        Step::Restore(r, h) => {
+                            let host = host_at(f, r, h);
+                            let _ = f.dep.restore_host(r, host, now);
+                        }
+                        Step::Bounce(r, h) => {
+                            let host = host_at(f, r, h);
+                            let node = f.dep.regions[r].nodes.remove(host);
+                            *clock = now + SimDuration::from_millis(1);
+                            f.dep.tick(*clock);
+                            f.dep.regions[r].nodes.insert(node.unwrap());
+                        }
+                        Step::Flap(r, h) => {
+                            let host = host_at(f, r, h);
+                            let region = &mut f.dep.regions[r];
+                            let _ = region.sm.host_failed(host, now, &mut region.nodes);
+                            *clock = now + SimDuration::from_millis(1);
+                            f.dep.tick(*clock);
+                            let region = &mut f.dep.regions[r];
+                            let _ = region.sm.rejoin_host(host, *clock, &mut region.nodes);
+                        }
+                        Step::Migrate { partition, to, graceful } => {
+                            let shards = f.dep.catalog.read().shards_of_table("t").unwrap();
+                            let shard = shards[partition % shards.len()];
+                            let to = host_at(f, 0, to);
+                            let region = &mut f.dep.regions[0];
+                            // A veto or a busy shard refuses; nothing moves then.
+                            let _ = region.sm.begin_migration(
+                                crate::deployment::APP,
+                                scalewall_shard_manager::ShardId(shard),
+                                to,
+                                graceful,
+                                scalewall_shard_manager::MigrationCause::Manual,
+                                now,
+                                &mut region.nodes,
+                            );
+                        }
+                        Step::Balance => {
+                            f.dep.collect_metrics();
+                            f.dep.run_load_balancers(now);
+                        }
+                        Step::Metrics => f.dep.collect_metrics(),
+                        Step::Tick { ms } => {
+                            *clock = now + SimDuration::from_millis(ms);
+                            f.dep.tick(*clock);
+                        }
+                        Step::Ingest { rows } => {
+                            let rows: Vec<Row> = (0..rows as i64)
+                                .map(|k| Row::new(vec![Value::Int(k % 1_000)], vec![1.0]))
+                                .collect();
+                            f.dep.ingest("u", &rows).unwrap();
+                        }
+                        Step::Query { back_ms, ahead, qos } => {
+                            let jump = SimDuration::from_millis(back_ms).as_nanos();
+                            let at = if ahead {
+                                now.as_nanos() + jump
+                            } else {
+                                now.as_nanos() - jump.min(now.as_nanos())
+                            };
+                            if forgetful {
+                                for region in &mut f.dep.regions {
+                                    region.routes.forget_verdicts();
+                                }
+                            }
+                            let opts = if qos {
+                                QueryOptions {
+                                    strategy: CoordinatorStrategy::QueueAwareTwoChoice,
+                                    execute_data: false,
+                                    partial_results: true,
+                                    shard_timeout: Some(SimDuration::from_millis(26)),
+                                    ..Default::default()
+                                }
+                            } else {
+                                QueryOptions::default()
+                            };
+                            let at = SimTime::from_nanos(at);
+                            let outcome =
+                                run_query(&mut f.dep, &mut f.proxy, &f.net, &query, &opts, at, &mut f.rng);
+                            return Some(seen(&outcome));
+                        }
+                    }
+                    None
+                };
+
+                let (mut kept, mut forgot) = (build(), build());
+                let (mut clock_kept, mut clock_forgot) = (t(QUERY_TIME), t(QUERY_TIME));
+                for (i, &step) in steps.iter().enumerate() {
+                    let with = apply(&mut kept, step, &mut clock_kept, false);
+                    let without = apply(&mut forgot, step, &mut clock_forgot, true);
+                    assert_eq!(with, without, "step {i} {step:?}");
+                    if matches!(step, Step::Tick { .. }) {
+                        for region in &kept.dep.regions {
+                            let nodes = &region.nodes;
+                            let fresh: Vec<_> = nodes
+                                .hosts()
+                                .filter(|&h| !nodes.is_down(h))
+                                .filter_map(|h| region.sm.host_session(h))
+                                .collect();
+                            // A session SM closed or opened during the tick
+                            // drops the list; one that was kept must be right.
+                            let kept = region.sm.heartbeat_sessions();
+                            assert!(kept.is_empty() || kept == fresh, "step {i} {step:?}: {kept:?}");
+                        }
+                    }
+                }
+                assert_eq!(kept.proxy.stats, forgot.proxy.stats);
+                assert_eq!(kept.rng.next_u64(), forgot.rng.next_u64());
+            },
+        );
     }
 }

@@ -478,12 +478,10 @@ impl Experiment {
     fn handle(&mut self, event: Event, now: SimTime) {
         match event {
             Event::Query => {
-                let spec = {
-                    let mut pick_rng = self.rng.fork(now.as_nanos());
-                    self.population.pick_table(&mut pick_rng).clone()
-                };
+                let mut pick_rng = self.rng.fork(now.as_nanos());
+                let spec = self.population.pick_table(&mut pick_rng);
                 let horizon = self.day_horizon.min(self.config.workload.ds_range);
-                let query = gen_query(&spec, horizon, &mut self.rng);
+                let query = gen_query(spec, horizon, &mut self.rng);
                 let client_region = Region(self.rng.below(self.dep.regions.len() as u64) as u32);
                 let opts = QueryOptions {
                     execute_data: true,
@@ -692,20 +690,18 @@ impl Experiment {
         // Time out overdue queue entries before any decision at this
         // instant, so the admission state the decision sees is current.
         self.pump_admission(now);
-        let (class, spec) = {
-            let Some(model) = &self.traffic else { return };
-            let mut pick_rng = self.rng.fork(now.as_nanos());
-            let (idx, spec) = self.population.pick_table_index(&mut pick_rng);
-            (model.class_of(idx), spec.clone())
-        };
+        let Some(model) = &self.traffic else { return };
+        let mut pick_rng = self.rng.fork(now.as_nanos());
+        let (idx, spec) = self.population.pick_table_index(&mut pick_rng);
+        let class = model.class_of(idx);
         let horizon = self.day_horizon.min(self.config.workload.ds_range);
-        let query = gen_query_for_class(&spec, class, horizon, &mut self.rng);
+        let query = gen_query_for_class(spec, class, horizon, &mut self.rng);
         let client_region = Region(self.rng.below(self.dep.regions.len() as u64) as u32);
         self.qos_stats.class_mut(class).offered += 1;
         match self.proxy.admission_mut().offer(class, now) {
             AdmissionDecision::Admit => {
                 self.qos_stats.class_mut(class).admitted += 1;
-                self.start_qos_query(class, &query, client_region, SimDuration::ZERO, now);
+                self.start_qos_query(class, query, client_region, SimDuration::ZERO, now);
             }
             AdmissionDecision::Queued { ticket, .. } => {
                 self.qos_stats.class_mut(class).queued += 1;
@@ -731,7 +727,7 @@ impl Experiment {
     fn start_qos_query(
         &mut self,
         class: QosClass,
-        query: &Query,
+        query: Query,
         client_region: Region,
         queue_wait: SimDuration,
         now: SimTime,
@@ -753,13 +749,14 @@ impl Experiment {
             admission_held: true,
         };
         let (min_coverage, sla) = (p.min_coverage, p.sla[class.index()]);
-        let outcome = self.run_counted(query, &opts, now);
+        let outcome = self.run_counted(&query, &opts, now);
         let id = self.next_query_id;
         self.next_query_id += 1;
+        // The query is done with its table's name; the record takes it.
         let mut record = DoneRecord {
             class,
             region: None,
-            table: query.table.clone(),
+            table: query.table,
             coordinator: None,
         };
         if outcome.success {
@@ -789,7 +786,7 @@ impl Experiment {
                 self.proxy.note_region_start(r);
             }
             if let Some(cp) = outcome.coordinator_partition {
-                self.proxy.note_coordinator_start(&query.table, cp);
+                self.proxy.note_coordinator_start(&record.table, cp);
             }
             record.region = outcome.served_region;
             record.coordinator = outcome.coordinator_partition;
@@ -841,7 +838,7 @@ impl Experiment {
                 query,
                 client_region,
             } = pending;
-            self.start_qos_query(class, &query, client_region, wait, now);
+            self.start_qos_query(class, query, client_region, wait, now);
         }
     }
 

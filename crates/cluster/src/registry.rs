@@ -4,6 +4,9 @@
 //! SM's [`AppServerRegistry`] so the region's SM server can invoke shard
 //! endpoints. A host in the `down` set is unreachable — endpoint calls
 //! fail exactly as they would against a crashed process.
+//! It is the only way to a node, so it can say when nothing a sub-query
+//! would find at a host has changed: [`NodeRegistry::changes`] (DESIGN.md
+//! "Serving verdicts").
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,6 +18,7 @@ use scalewall_shard_manager::{AppServer, AppServerRegistry, HostId};
 pub struct NodeRegistry {
     nodes: BTreeMap<HostId, CubrickNode>,
     down: BTreeSet<HostId>,
+    changes: u64,
 }
 
 impl NodeRegistry {
@@ -22,7 +26,15 @@ impl NodeRegistry {
         NodeRegistry::default()
     }
 
+    /// Edits of the down set and of membership plus `&mut` nodes handed
+    /// out (each may have gained, lost or reloaded a shard by the end of the
+    /// borrow): equal counts mean all three are as they were.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
     pub fn insert(&mut self, node: CubrickNode) {
+        self.changes += 1;
         self.nodes.insert(node.host(), node);
     }
 
@@ -30,11 +42,13 @@ impl NodeRegistry {
     ///
     /// [`revive`]: NodeRegistry::revive
     pub fn crash(&mut self, host: HostId) {
+        self.changes += 1;
         self.down.insert(host);
     }
 
     /// Bring a crashed host back (with empty state — a fresh process).
     pub fn revive(&mut self, host: HostId) {
+        self.changes += 1;
         self.down.remove(&host);
     }
 
@@ -49,14 +63,14 @@ impl NodeRegistry {
     }
 
     pub fn node_mut(&mut self, host: HostId) -> Option<&mut CubrickNode> {
+        self.changes += 1;
         self.nodes.get_mut(&host)
     }
 
-    /// Reachable node (None when crashed) — the query path uses this.
-    pub fn live_node_mut(&mut self, host: HostId) -> Option<&mut CubrickNode> {
-        if self.down.contains(&host) {
-            return None;
-        }
+    /// The node a sub-query scans on, uncounted: the only caller runs
+    /// [`CubrickNode::execute_local`], which writes the served counter and
+    /// brick hotness and never a shard.
+    pub(crate) fn scanning_node_mut(&mut self, host: HostId) -> Option<&mut CubrickNode> {
         self.nodes.get_mut(&host)
     }
 
@@ -74,6 +88,7 @@ impl NodeRegistry {
 
     /// Remove a node entirely (decommission).
     pub fn remove(&mut self, host: HostId) -> Option<CubrickNode> {
+        self.changes += 1;
         self.down.remove(&host);
         self.nodes.remove(&host)
     }
@@ -84,7 +99,15 @@ impl AppServerRegistry for NodeRegistry {
         if self.down.contains(&host) {
             return None;
         }
+        self.changes += 1;
         self.nodes.get_mut(&host).map(|n| n as &mut dyn AppServer)
+    }
+
+    fn server_ref(&mut self, host: HostId) -> Option<&dyn AppServer> {
+        if self.down.contains(&host) {
+            return None;
+        }
+        self.nodes.get(&host).map(|n| n as &dyn AppServer)
     }
 }
 
@@ -114,9 +137,42 @@ mod tests {
         assert!(reg.server(HostId(1)).is_none());
         assert!(reg.is_down(HostId(1)));
         assert!(reg.node(HostId(1)).is_some(), "inspection still possible");
-        assert!(reg.live_node_mut(HostId(1)).is_none());
+        assert!(reg.server_ref(HostId(1)).is_none());
         reg.revive(HostId(1));
         assert!(reg.server(HostId(1)).is_some());
+    }
+
+    /// `changes` moves with every edit and every `&mut` node handed out,
+    /// and with nothing else: not with reads, not with the poll's shared
+    /// reach, not with the scan's.
+    #[test]
+    fn changes_counts_edits_and_mutable_handouts_only() {
+        let mut reg = NodeRegistry::new();
+        let mut last = reg.changes();
+        let mut moved = |reg: &NodeRegistry| {
+            let moved = reg.changes() != last;
+            last = reg.changes();
+            moved
+        };
+        reg.insert(node(1));
+        assert!(moved(&reg), "insert");
+        reg.crash(HostId(1));
+        assert!(moved(&reg), "crash");
+        reg.revive(HostId(1));
+        assert!(moved(&reg), "revive");
+        assert!(reg.node_mut(HostId(1)).is_some());
+        assert!(moved(&reg), "node_mut");
+        assert!(reg.server(HostId(1)).is_some());
+        assert!(moved(&reg), "server");
+
+        assert!(reg.node(HostId(1)).is_some() && !reg.is_down(HostId(1)));
+        assert_eq!((reg.len(), reg.hosts().count()), (1, 1));
+        assert!(reg.server_ref(HostId(1)).is_some());
+        assert!(reg.scanning_node_mut(HostId(1)).is_some());
+        assert!(!moved(&reg), "reads, the poll's reach and the scan's do not count");
+
+        assert!(reg.remove(HostId(1)).is_some());
+        assert!(moved(&reg), "remove");
     }
 
     #[test]

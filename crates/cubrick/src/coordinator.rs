@@ -12,23 +12,27 @@ use crate::query::result::{Coverage, PartialResult, QueryOutput};
 
 /// The set of partitions a query must visit: all of them — partial
 /// sharding bounds this by the *table's* partition count, not the
-/// cluster size, which is the entire point of the paper.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// cluster size, which is the entire point of the paper. A count, since
+/// "all of them" is `0..count`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FanoutPlan {
-    pub table: String,
-    pub partitions: Vec<u32>,
+    partition_count: u32,
 }
 
 impl FanoutPlan {
-    pub fn for_table(table: &str, partition_count: u32) -> Self {
-        FanoutPlan {
-            table: table.to_string(),
-            partitions: (0..partition_count).collect(),
-        }
+    /// The plan does not depend on which table it is for; the name stays
+    /// in the signature for the callers that pass it.
+    pub fn for_table(_table: &str, partition_count: u32) -> Self {
+        FanoutPlan { partition_count }
+    }
+
+    /// The partitions to visit, in plan order.
+    pub fn partitions(&self) -> std::ops::Range<u32> {
+        0..self.partition_count
     }
 
     pub fn fan_out(&self) -> usize {
-        self.partitions.len()
+        self.partition_count as usize
     }
 }
 
@@ -114,7 +118,7 @@ mod tests {
     fn plan_covers_all_partitions() {
         let plan = FanoutPlan::for_table("t", 8);
         assert_eq!(plan.fan_out(), 8);
-        assert_eq!(plan.partitions, (0..8).collect::<Vec<_>>());
+        assert_eq!(plan.partitions(), 0..8);
     }
 
     #[test]

@@ -218,11 +218,14 @@ impl CubrickNode {
 
     /// One-shot snapshot of this node's relationship to `shard` — what
     /// the query driver needs to decide between serving, forwarding, and
-    /// the typed stale-cache errors, read under a single borrow.
+    /// the typed stale-cache errors: one search of `owned` (hundreds of
+    /// shards on a busy host) and one of `forwarding`, which outside a
+    /// graceful migration is empty and answers at its absent root.
     pub fn probe_shard(&self, shard: u64) -> ShardProbe {
+        let state = self.owned.get(&shard);
         ShardProbe {
-            owns: self.owns_shard(shard),
-            ready: self.shard_ready(shard),
+            owns: state.is_some(),
+            ready: state.is_some_and(|s| !s.loading),
             forward: self.is_forwarding(shard),
         }
     }
@@ -611,6 +614,48 @@ mod tests {
         }
         drop(store);
         shards
+    }
+
+    /// `probe_shard` reads as its three accessors do, whatever the shard's
+    /// ownership (absent, loading, ready) and with or without a forward.
+    #[test]
+    fn probe_reads_as_the_three_accessors() {
+        let mut f = fixture();
+        let target = HostId(9);
+        for (shard, owned) in [(1, None), (2, Some(true)), (3, Some(false))] {
+            for forward in [None, Some(target)] {
+                f.node.owned.clear();
+                f.node.forwarding.clear();
+                // Neighbours on both sides, so the search is a real one.
+                for other in [0, 7] {
+                    f.node.owned.insert(other, ShardState { loading: false });
+                    f.node.forwarding.insert(other, HostId(8));
+                }
+                if let Some(loading) = owned {
+                    f.node.owned.insert(shard, ShardState { loading });
+                }
+                if let Some(to) = forward {
+                    f.node.forwarding.insert(shard, to);
+                }
+                let probe = f.node.probe_shard(shard);
+                let want = ShardProbe {
+                    owns: owned.is_some(),
+                    ready: owned == Some(false),
+                    forward,
+                };
+                assert_eq!(probe, want, "owned {owned:?}, forward {forward:?}");
+                let accessors = ShardProbe {
+                    owns: f.node.owns_shard(shard),
+                    ready: f.node.shard_ready(shard),
+                    forward: f.node.is_forwarding(shard),
+                };
+                assert_eq!(probe, accessors);
+            }
+        }
+        // No forward anywhere: the common case.
+        f.node.forwarding.clear();
+        assert_eq!(f.node.probe_shard(7).forward, None);
+        assert!(f.node.probe_shard(7).ready);
     }
 
     #[test]

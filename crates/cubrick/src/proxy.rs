@@ -101,6 +101,11 @@ struct BlacklistEntry {
     blacklisted_until: Option<SimTime>,
 }
 
+/// One partition's depth in a table's in-flight map, if the table has one.
+fn depth_of(depths: Option<&BTreeMap<u32, u32>>, partition: u32) -> u32 {
+    depths.and_then(|d| d.get(&partition)).copied().unwrap_or(0)
+}
+
 /// The proxy.
 #[derive(Debug)]
 pub struct CubrickProxy {
@@ -115,9 +120,10 @@ pub struct CubrickProxy {
     /// In-flight queries currently served per region (maintained by the
     /// QoS experiment loop via `note_region_start`/`note_region_done`).
     region_inflight: BTreeMap<u32, u32>,
-    /// In-flight queries per (table, coordinator partition) — the
-    /// `QueueAwareTwoChoice` depth signal.
-    coordinator_inflight: BTreeMap<(String, u32), u32>,
+    /// In-flight queries per table and coordinator partition — the
+    /// `QueueAwareTwoChoice` depth signal. Table first, so a lookup
+    /// borrows the name; a table's map goes with its last entry.
+    coordinator_inflight: BTreeMap<String, BTreeMap<u32, u32>>,
     pub stats: ProxyStats,
 }
 
@@ -314,12 +320,8 @@ impl CubrickProxy {
                 let n = count.max(1) as u64;
                 let a = rng.below(n) as u32;
                 let b = rng.below(n) as u32;
-                let partition = if self.coordinator_depth(table, b) < self.coordinator_depth(table, a)
-                {
-                    b
-                } else {
-                    a
-                };
+                let depths = self.coordinator_inflight.get(table);
+                let partition = if depth_of(depths, b) < depth_of(depths, a) { b } else { a };
                 CoordinatorChoice {
                     partition,
                     extra_roundtrip,
@@ -332,30 +334,31 @@ impl CubrickProxy {
     /// In-flight depth of one coordinator partition (the
     /// `QueueAwareTwoChoice` signal; 0 unless the QoS loop tracks it).
     pub fn coordinator_depth(&self, table: &str, partition: u32) -> u32 {
-        self.coordinator_inflight
-            .get(&(table.to_string(), partition))
-            .copied()
-            .unwrap_or(0)
+        depth_of(self.coordinator_inflight.get(table), partition)
     }
 
     /// Note a query starting/finishing on a coordinator (QoS loop
     /// bookkeeping, paired like `note_region_start`/`done`).
     pub fn note_coordinator_start(&mut self, table: &str, partition: u32) {
-        *self
-            .coordinator_inflight
-            .entry((table.to_string(), partition))
-            .or_insert(0) += 1;
+        let depths = match self.coordinator_inflight.get_mut(table) {
+            Some(depths) => depths,
+            None => self.coordinator_inflight.entry(table.to_string()).or_default(),
+        };
+        *depths.entry(partition).or_insert(0) += 1;
     }
 
     pub fn note_coordinator_done(&mut self, table: &str, partition: u32) {
-        if let Some(d) = self
-            .coordinator_inflight
-            .get_mut(&(table.to_string(), partition))
-        {
+        let Some(depths) = self.coordinator_inflight.get_mut(table) else {
+            return;
+        };
+        if let Some(d) = depths.get_mut(&partition) {
             *d = d.saturating_sub(1);
             if *d == 0 {
-                self.coordinator_inflight.remove(&(table.to_string(), partition));
+                depths.remove(&partition);
             }
+        }
+        if depths.is_empty() {
+            self.coordinator_inflight.remove(table);
         }
     }
 
@@ -433,6 +436,75 @@ mod tests {
 
     fn proxy() -> CubrickProxy {
         CubrickProxy::new(ProxyConfig::default())
+    }
+
+    /// Conservation of the two depth maps: under any start/done sequence
+    /// (dones of things never started included) every depth reads as a
+    /// naive `(String, u32)`-keyed count does, and once every start has
+    /// had its done both maps are empty — no table's inner map and no
+    /// region's counter outlives its last query.
+    #[test]
+    fn depths_match_a_naive_model_and_drain_to_nothing() {
+        use scalewall_sim::prop::{self, gen};
+        const TABLES: [&str; 4] = ["a", "ab", "b", "t_07"];
+        prop::check_n(
+            "depths_match_a_naive_model_and_drain_to_nothing",
+            64,
+            |rng| {
+                gen::vec_with(rng, 0, 120, |r| {
+                    let start = r.below(5) < 3;
+                    (start, r.below(4) as usize, r.below(3) as u32, r.below(3) as u32)
+                })
+            },
+            |ops| {
+                let mut p = proxy();
+                let mut coordinators: BTreeMap<(String, u32), u32> = BTreeMap::new();
+                let mut regions: BTreeMap<u32, u32> = BTreeMap::new();
+                for &(start, table, partition, region) in ops {
+                    let key = (TABLES[table].to_string(), partition);
+                    if start {
+                        p.note_coordinator_start(TABLES[table], partition);
+                        p.note_region_start(Region(region));
+                        *coordinators.entry(key).or_insert(0) += 1;
+                        *regions.entry(region).or_insert(0) += 1;
+                    } else {
+                        p.note_coordinator_done(TABLES[table], partition);
+                        p.note_region_done(Region(region));
+                        if let Some(d) = coordinators.get_mut(&key) {
+                            *d = d.saturating_sub(1);
+                        }
+                        if let Some(d) = regions.get_mut(&region) {
+                            *d = d.saturating_sub(1);
+                        }
+                    }
+                    for name in TABLES {
+                        for part in 0..3 {
+                            let want = coordinators.get(&(name.to_string(), part)).copied().unwrap_or(0);
+                            assert_eq!(p.coordinator_depth(name, part), want, "{name} partition {part}");
+                        }
+                    }
+                    for r in 0..3 {
+                        assert_eq!(p.region_depth(Region(r)), regions.get(&r).copied().unwrap_or(0));
+                    }
+                }
+                // Pair off whatever is still in flight.
+                let open: Vec<((String, u32), u32)> =
+                    coordinators.iter().map(|(k, &d)| (k.clone(), d)).collect();
+                for ((table, partition), depth) in open {
+                    for _ in 0..depth {
+                        p.note_coordinator_done(&table, partition);
+                    }
+                }
+                let open: Vec<(u32, u32)> = regions.iter().map(|(&r, &d)| (r, d)).collect();
+                for (region, depth) in open {
+                    for _ in 0..depth {
+                        p.note_region_done(Region(region));
+                    }
+                }
+                assert!(p.coordinator_inflight.is_empty(), "{:?}", p.coordinator_inflight);
+                assert!(p.region_inflight.is_empty(), "{:?}", p.region_inflight);
+            },
+        );
     }
 
     #[test]

@@ -99,6 +99,13 @@ pub trait AppServer {
 /// retryable failures).
 pub trait AppServerRegistry {
     fn server(&mut self, host: HostId) -> Option<&mut dyn AppServer>;
+
+    /// The same server for callers that only read it (the metric poll's
+    /// `capacity` and `shard_metrics`). A registry that keeps count of
+    /// what it lends mutably overrides this so that a poll is not counted.
+    fn server_ref(&mut self, host: HostId) -> Option<&dyn AppServer> {
+        self.server(host).map(|server| &*server)
+    }
 }
 
 /// A trivial in-memory application server for tests: accepts every shard,

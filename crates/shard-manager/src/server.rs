@@ -186,6 +186,9 @@ pub struct SmServer {
     pending_failovers: Vec<(Arc<str>, ShardId)>,
     /// host-id ↔ zk session bookkeeping for heartbeat expiry handling.
     session_hosts: BTreeMap<SessionId, HostId>,
+    /// The last heartbeat round's sessions and the caller's fleet version
+    /// they were listed at; dropped by every write to a host's `session`.
+    heartbeat: Option<(u64, Arc<[SessionId]>)>,
     rng: SimRng,
     /// Per-host load (sum of replica weights across apps), cached so
     /// placement is O(hosts) instead of O(total assignments). Moved by a
@@ -217,6 +220,7 @@ impl SmServer {
             next_migration: 0,
             pending_failovers: Vec::new(),
             session_hosts: BTreeMap::new(),
+            heartbeat: None,
             loads: BTreeMap::new(),
             loads_written: false,
         }
@@ -324,6 +328,7 @@ impl SmServer {
             });
         }
         self.session_hosts.insert(session, info.id);
+        self.heartbeat = None;
         self.hosts.insert(
             info.id,
             HostEntry {
@@ -350,14 +355,38 @@ impl SmServer {
     }
 
     /// One heartbeat round: [`heartbeat`](Self::heartbeat) for every
-    /// listed host, recorded by the coordination plane as a single
+    /// host `live` lists, recorded by the coordination plane as a single
     /// commit. Unknown and session-less hosts are skipped.
-    pub fn heartbeat_all(&mut self, hosts: impl IntoIterator<Item = HostId>, now: SimTime) {
-        let sessions = hosts
-            .into_iter()
-            .filter_map(|host| self.hosts.get(&host)?.session)
-            .collect();
-        self.zk.refresh_sessions(sessions, now);
+    ///
+    /// The session list is kept from round to round and rebuilt only when
+    /// it can differ: a host's session was opened or closed here (which
+    /// drops the list), or the caller's fleet changed. `fleet_version` is
+    /// the caller's word for that: it passes the same number only while
+    /// `live()` would list the same hosts as when it last passed it.
+    pub fn heartbeat_all<I: IntoIterator<Item = HostId>>(
+        &mut self,
+        fleet_version: u64,
+        live: impl FnOnce() -> I,
+        now: SimTime,
+    ) {
+        if self.heartbeat.as_ref().is_none_or(|(at, _)| *at != fleet_version) {
+            let sessions = live().into_iter().filter_map(|h| self.hosts.get(&h)?.session);
+            self.heartbeat = Some((fleet_version, sessions.collect()));
+        }
+        if let Some((_, sessions)) = &self.heartbeat {
+            self.zk.refresh_sessions(sessions.clone(), now);
+        }
+    }
+
+    /// The sessions the last heartbeat round refreshed (none once a
+    /// session write has dropped the list).
+    pub fn heartbeat_sessions(&self) -> &[SessionId] {
+        self.heartbeat.as_ref().map_or(&[], |(_, sessions)| sessions)
+    }
+
+    /// The heartbeat session `host` holds (none while it is dead).
+    pub fn host_session(&self, host: HostId) -> Option<SessionId> {
+        self.hosts.get(&host)?.session
     }
 
     pub fn host_state(&self, host: HostId) -> Option<HostState> {
@@ -720,7 +749,7 @@ impl SmServer {
         let mut moved = self.loads_written;
         for entry in self.hosts.values_mut().filter(|h| h.state.serving()) {
             let host = entry.info.id;
-            let Some(server) = registry.server(host) else {
+            let Some(server) = registry.server_ref(host) else {
                 continue;
             };
             entry.info.capacity = server.capacity().max(0.0);
@@ -1068,6 +1097,7 @@ impl SmServer {
             }
             entry.state = HostState::Dead;
             if let Some(session) = entry.session.take() {
+                self.heartbeat = None;
                 self.session_hosts.remove(&session);
                 self.zk.close_session(session, now);
             }
@@ -1269,6 +1299,7 @@ impl SmServer {
                 .zk
                 .watch(&path, scalewall_zk::WatchKind::Node, host.0, now);
             self.session_hosts.insert(session, host);
+            self.heartbeat = None;
             entry.session = Some(session);
         }
         entry.state = HostState::Alive;
@@ -1829,6 +1860,43 @@ mod tests {
         sm.collect_metrics(&mut reg);
         assert_eq!(sm.host_load(host), 42.0);
         assert_eq!(sm.host_info(host).unwrap().capacity, 500.0);
+    }
+
+    /// The heartbeat list is re-listed exactly when it can differ: the
+    /// caller's fleet version moved, or a session was opened or closed
+    /// here. Either way a round refreshes what listing from scratch would.
+    #[test]
+    fn heartbeat_list_is_relisted_only_when_a_source_moved() {
+        let (mut sm, mut reg) = setup(3);
+        // The caller lists a fourth host SM has yet to hear of.
+        let hosts = [HostId(0), HostId(1), HostId(2), HostId(3)];
+        let listed = std::cell::Cell::new(0u32);
+        let round = |sm: &mut SmServer, version: u64, live: &[HostId], at: u64| {
+            let live = live.to_vec();
+            let list = || {
+                listed.set(listed.get() + 1);
+                live.clone()
+            };
+            sm.heartbeat_all(version, list, t(at));
+            let fresh: Vec<SessionId> = live.iter().filter_map(|&h| sm.host_session(h)).collect();
+            assert_eq!(sm.heartbeat_sessions(), fresh);
+            listed.replace(0)
+        };
+        assert_eq!(round(&mut sm, 7, &hosts, 1), 1, "first round lists");
+        assert_eq!(round(&mut sm, 7, &hosts, 2), 0, "nothing moved");
+        assert_eq!(round(&mut sm, 8, &hosts[..2], 3), 1, "the fleet's version moved");
+        assert_eq!(round(&mut sm, 8, &hosts[..2], 4), 0);
+        // A session closes, then re-opens, the fleet's version standing still.
+        sm.host_failed(HostId(1), t(5), &mut reg).unwrap();
+        assert_eq!(round(&mut sm, 8, &hosts[..2], 5), 1, "a session closed");
+        assert_eq!(sm.heartbeat_sessions().len(), 1);
+        sm.reactivate_host(HostId(1), t(6)).unwrap();
+        assert_eq!(round(&mut sm, 8, &hosts[..2], 6), 1, "a session opened");
+        assert_eq!(sm.heartbeat_sessions().len(), 2);
+        assert_eq!(round(&mut sm, 8, &hosts[..2], 7), 0);
+        sm.register_host(HostInfo::new(HostId(3), Rack(0), Region(0), 100.0), t(8)).unwrap();
+        assert_eq!(round(&mut sm, 8, &hosts, 8), 1, "a host registered");
+        assert_eq!(sm.heartbeat_sessions().len(), 4);
     }
 
     #[test]

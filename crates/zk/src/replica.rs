@@ -743,10 +743,16 @@ impl CoordinationPlane {
     /// Degraded-but-live: while the plane is leaderless nobody expires
     /// (an unreachable coordinator must not declare the fleet dead);
     /// expiry resumes, with touched heartbeats, after failover. Nothing
-    /// is proposed when the leader sees nothing due.
+    /// is proposed when the leader sees nothing due, and the single store
+    /// is not asked to drain a wheel with nothing due on it.
     pub fn expire_sessions(&mut self, now: SimTime) -> Vec<SessionId> {
         match self {
-            CoordinationPlane::Single(zk) => zk.expire_sessions(now),
+            CoordinationPlane::Single(zk) => {
+                if !zk.expiry_due(now) {
+                    return Vec::new();
+                }
+                zk.expire_sessions(now)
+            }
             CoordinationPlane::Replicated { ensemble, client } => {
                 if !ensemble.expiry_due(now) {
                     return Vec::new();

@@ -64,6 +64,9 @@ const VETOING: [(HostId, u64); 2] = [(HostId(4), 2), (HostId(23), 3)];
 struct Fleet {
     servers: BTreeMap<HostId, MockAppServer>,
     down: BTreeSet<HostId>,
+    /// Heartbeat rounds so far. This fleet keeps no count of its changes,
+    /// so it calls every round a new version of itself.
+    rounds: u64,
 }
 
 impl AppServerRegistry for Fleet {
@@ -87,7 +90,8 @@ fn tick(sm: &mut SmServer, fleet: &mut Fleet, now: SimTime) {
         .copied()
         .filter(|h| !fleet.down.contains(h))
         .collect();
-    sm.heartbeat_all(live, now);
+    fleet.rounds += 1;
+    sm.heartbeat_all(fleet.rounds, || live, now);
     sm.tick(now, fleet);
 }
 
@@ -107,6 +111,7 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     let mut fleet = Fleet {
         servers: BTreeMap::new(),
         down: BTreeSet::new(),
+        rounds: 0,
     };
     for i in 0..HOSTS {
         let capacity = 400.0 + 25.0 * (i % 5) as f64;
