@@ -13,7 +13,7 @@ use cubrick::proxy::{CubrickProxy, ProxyConfig};
 use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
-use scalewall_cluster::driver::{run_query, QueryOptions};
+use scalewall_cluster::driver::{run_query_series, QueryOptions};
 use scalewall_cluster::net::{NetModel, NetModelConfig};
 use scalewall_cluster::report::{banner, TextTable};
 use scalewall_cluster::wall::success_ratio;
@@ -52,16 +52,18 @@ fn measure(dep: &mut Deployment, table: &str, queries: u64, rng: &mut SimRng) ->
         ..Default::default()
     };
     let mut hist = Histogram::latency_ms();
-    let mut ok = 0u64;
-    let mut now = SimTime::from_secs(3_600);
-    for _ in 0..queries {
-        let outcome = run_query(dep, &mut proxy, &net, &query, &opts, now, rng);
-        if outcome.success {
-            ok += 1;
-            hist.record_duration(outcome.latency);
-        }
-        now += SimDuration::from_millis(500);
-    }
+    let (ok, _) = run_query_series(
+        dep,
+        &mut proxy,
+        &net,
+        &query,
+        &opts,
+        SimTime::from_secs(3_600),
+        SimDuration::from_millis(500),
+        queries,
+        rng,
+        &mut hist,
+    );
     (ok as f64 / queries as f64, hist.quantile(0.99))
 }
 

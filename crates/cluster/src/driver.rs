@@ -717,6 +717,7 @@ mod tests {
     use super::*;
     use crate::deployment::DeploymentConfig;
     use crate::net::NetModelConfig;
+    use cubrick::admission::AdmissionConfig;
     use cubrick::catalog::RowMapping;
     use cubrick::proxy::ProxyConfig;
     use cubrick::query::parse_query;
@@ -908,7 +909,7 @@ mod tests {
                 "t",
                 |f| {
                     f.proxy = CubrickProxy::new(ProxyConfig {
-                        max_concurrent_queries: 0,
+                        admission: AdmissionConfig::flat(0),
                         ..Default::default()
                     })
                 },
@@ -1484,12 +1485,11 @@ mod tests {
 
     #[test]
     fn admission_held_skips_proxy_gate() {
-        use cubrick::admission::AdmissionConfig;
         let mut f = fixture(0.0);
         // A proxy that admits nothing: only a caller-held slot gets
         // through.
         let mut proxy = CubrickProxy::new(ProxyConfig {
-            admission: Some(AdmissionConfig::flat(0)),
+            admission: AdmissionConfig::flat(0),
             ..Default::default()
         });
         let query = parse_query("select count(*) from t").unwrap();

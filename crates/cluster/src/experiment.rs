@@ -17,9 +17,7 @@ use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_shard_manager::{HostId, Rack, Region};
 use scalewall_sim::hash::{fnv1a, fnv1a_word, FNV_OFFSET};
-use scalewall_sim::{
-    DailyCounter, EventQueue, Exponential, FaultTimeline, Histogram, SimDuration, SimRng, SimTime,
-};
+use scalewall_sim::{DailyCounter, EventQueue, Exponential, Histogram, SimDuration, SimRng, SimTime};
 
 use crate::deployment::{Deployment, DeploymentConfig, RegionState};
 use crate::driver::{run_query, QueryOptions, QueryOutcome};
@@ -215,7 +213,6 @@ pub struct Experiment {
     /// fault scripts never perturb the shared in-run stream ordering
     /// between a healthy and a faulted run of the same seed.
     fault_rng: SimRng,
-    faults: FaultTimeline<FaultKind>,
     /// Hosts crashed by each still-open fault window, to restore in place
     /// at repair time.
     fault_crashed: BTreeMap<usize, Vec<(usize, HostId)>>,
@@ -300,7 +297,7 @@ impl Experiment {
             .as_ref()
             .map(|q| TrafficModel::new(q.traffic.clone(), population.tables.len(), &mut qos_rng));
         let proxy = CubrickProxy::new(ProxyConfig {
-            admission: config.qos.as_ref().map(|q| q.admission),
+            admission: config.qos.as_ref().map(|q| q.admission).unwrap_or_default(),
             ..Default::default()
         });
         let net = NetModel::new(config.net);
@@ -318,7 +315,6 @@ impl Experiment {
             drains_denied: 0,
             day_horizon: config.workload.ds_range,
             fault_rng,
-            faults: config.faults.timeline(),
             fault_crashed: BTreeMap::new(),
             fault_injections: 0,
             fault_repairs: 0,
@@ -354,10 +350,10 @@ impl Experiment {
         self.queue
             .schedule_after(failure_gap, Event::PermanentFailure);
         if self.config.drains_per_day > 0.0 {
-            let gap = self.next_drain_gap();
+            let gap = self.poisson_gap(self.config.drains_per_day / 86_400.0);
             self.queue.schedule_after(gap, Event::Drain);
         }
-        for (i, w) in self.faults.windows().iter().enumerate() {
+        for (i, w) in self.config.faults.windows().iter().enumerate() {
             self.queue.schedule_at(w.onset, Event::FaultInject { window: i });
             self.queue
                 .schedule_at(w.repair_at(), Event::FaultRepair { window: i });
@@ -425,23 +421,17 @@ impl Experiment {
         (region as usize).min(self.dep.regions.len() - 1)
     }
 
+    /// The next gap of a Poisson process with `rate_per_sec` events per
+    /// simulated second, drawn from the shared in-run stream.
+    fn poisson_gap(&mut self, rate_per_sec: f64) -> SimDuration {
+        SimDuration::from_secs_f64(Exponential::from_rate(rate_per_sec).sample(&mut self.rng))
+    }
+
     fn next_failure_gap(&mut self) -> SimDuration {
         // Fleet-wide failure rate: hosts / MTBF.
         let hosts =
             (self.config.deployment.regions * self.config.deployment.hosts_per_region) as f64;
-        let rate_per_sec = hosts / self.config.host_mtbf.as_secs_f64();
-        SimDuration::from_secs_f64(Exponential::from_rate(rate_per_sec).sample(&mut self.rng))
-    }
-
-    fn next_drain_gap(&mut self) -> SimDuration {
-        let rate_per_sec = self.config.drains_per_day / 86_400.0;
-        SimDuration::from_secs_f64(Exponential::from_rate(rate_per_sec).sample(&mut self.rng))
-    }
-
-    fn next_query_gap(&mut self) -> SimDuration {
-        SimDuration::from_secs_f64(
-            Exponential::from_rate(self.config.query_rate).sample(&mut self.rng),
-        )
+        self.poisson_gap(hosts / self.config.host_mtbf.as_secs_f64())
     }
 
     /// Run to the configured horizon and return the collected stats.
@@ -489,7 +479,7 @@ impl Experiment {
                     ..Default::default()
                 };
                 self.run_counted(&query, &opts, now);
-                let gap = self.next_query_gap();
+                let gap = self.poisson_gap(self.config.query_rate);
                 self.queue.schedule_after(gap, Event::Query);
             }
             Event::CollectMetrics => {
@@ -564,16 +554,15 @@ impl Experiment {
                     let back_at = now + self.config.maintenance_duration;
                     self.submit_drain(region_idx, host, "scheduled maintenance", back_at, now);
                 }
-                let gap = self.next_drain_gap();
+                let gap = self.poisson_gap(self.config.drains_per_day / 86_400.0);
                 self.queue.schedule_after(gap, Event::Drain);
             }
             Event::Undrain { region, host } => {
                 let _ = self.dep.regions[region].sm.reactivate_host(host, now);
             }
             Event::FaultInject { window } => {
-                self.faults.advance(now);
                 self.fault_injections += 1;
-                let kind = self.faults.windows()[window].kind;
+                let kind = self.config.faults.windows()[window].kind;
                 match kind {
                     FaultKind::HostCrash { region } => {
                         let region_idx = self.clamp_region(region);
@@ -615,7 +604,7 @@ impl Experiment {
                         let region_idx = self.clamp_region(region);
                         let mut candidates = self.alive_hosts(region_idx);
                         self.fault_rng.shuffle(&mut candidates);
-                        let repair_at = self.faults.windows()[window].repair_at();
+                        let repair_at = self.config.faults.windows()[window].repair_at();
                         for host in candidates.into_iter().take(drains as usize) {
                             self.drains_requested += 1;
                             self.submit_drain(region_idx, host, "drain storm", repair_at, now);
@@ -624,9 +613,8 @@ impl Experiment {
                 }
             }
             Event::FaultRepair { window } => {
-                self.faults.advance(now);
                 self.fault_repairs += 1;
-                match self.faults.windows()[window].kind {
+                match self.config.faults.windows()[window].kind {
                     FaultKind::HostCrash { .. } | FaultKind::RackOutage { .. } => {
                         let crashed = self.fault_crashed.remove(&window).unwrap_or_default();
                         for (region_idx, host) in crashed {

@@ -1,22 +1,25 @@
 //! Correlated fault scenarios: the cluster-level fault vocabulary.
 //!
-//! The generic window/timeline machinery lives in `scalewall_sim::fault`;
-//! this module binds it to the deployment's failure domains. A
-//! [`FaultScript`] is a small declarative DSL — a list of
+//! A [`FaultScript`] is a small declarative DSL — a list of
 //! ([`FaultKind`], onset, duration) windows — that the experiment engine
-//! compiles onto its event queue and injects mid-run. Victim selection
-//! inside a window (which host in a region crashes, which hosts a drain
-//! storm targets) is drawn from the experiment's dedicated fault stream
-//! (`rng.fork(3)`), so the same script under the same seed replays
-//! bit-identically and never perturbs the population or workload streams.
+//! schedules onto its event queue as one inject and one repair event per
+//! window, in script order. The event kernel is FIFO at equal instants, so
+//! transitions due at the same time fire in script order too: a repair
+//! listed before a coinciding onset releases its hosts first, one listed
+//! after does not. Victim selection inside a window (which host in a
+//! region crashes, which hosts a drain storm targets) is drawn from the
+//! experiment's dedicated fault stream (`rng.fork(3)`), so the same script
+//! under the same seed replays bit-identically and never perturbs the
+//! population or workload streams.
 //!
 //! The kinds cover the correlated failures §II-B says a placement layer
-//! must survive: whole-rack and whole-region outages (many hosts lost in
-//! one shot), inter-region network partitions (the proxy's region-failover
-//! path, §IV-D), and drain storms (many concurrent maintenance requests
-//! hitting the §IV-G safety checks at once).
+//! must survive: single-host crashes, whole-rack and whole-region outages
+//! (many hosts lost in one shot), inter-region network partitions (the
+//! proxy's region-failover path, §IV-D), drain storms (many concurrent
+//! maintenance requests hitting the §IV-G safety checks at once) and
+//! coordination-replica crashes that leave application hosts up.
 
-use scalewall_sim::{FaultTimeline, FaultWindow, SimDuration, SimTime};
+use scalewall_sim::{SimDuration, SimTime};
 
 /// One correlated fault, parameterised by failure domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +46,21 @@ pub enum FaultKind {
     ZkNodeCrash { region: u32 },
 }
 
+/// One fault window: `kind` is active during `[onset, onset + duration)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultWindow {
+    pub kind: FaultKind,
+    pub onset: SimTime,
+    pub duration: SimDuration,
+}
+
+impl FaultWindow {
+    /// The instant the fault is repaired.
+    pub fn repair_at(&self) -> SimTime {
+        self.onset + self.duration
+    }
+}
+
 /// A replayable fault scenario: an ordered list of fault windows.
 ///
 /// Built with the fluent [`FaultScript::with`] so scenario tests read as a
@@ -67,7 +85,7 @@ pub enum FaultKind {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultScript {
-    windows: Vec<FaultWindow<FaultKind>>,
+    windows: Vec<FaultWindow>,
 }
 
 impl FaultScript {
@@ -78,21 +96,16 @@ impl FaultScript {
 
     /// Append a fault window; returns `self` for chaining.
     pub fn with(mut self, kind: FaultKind, onset: SimTime, duration: SimDuration) -> Self {
-        self.windows.push(FaultWindow::new(kind, onset, duration));
+        self.windows.push(FaultWindow {
+            kind,
+            onset,
+            duration,
+        });
         self
     }
 
-    pub fn windows(&self) -> &[FaultWindow<FaultKind>] {
+    pub fn windows(&self) -> &[FaultWindow] {
         &self.windows
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Compile into the phase-tracking timeline the injector drives.
-    pub fn timeline(&self) -> FaultTimeline<FaultKind> {
-        FaultTimeline::new(self.windows.clone())
     }
 
     /// Fraction of `[0, horizon)` covered by at least one fault window
@@ -135,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_preserves_order_and_timeline_sorts() {
+    fn builder_preserves_script_order() {
         let script = FaultScript::new()
             .with(
                 FaultKind::RegionOutage { region: 1 },
@@ -147,16 +160,13 @@ mod tests {
                 t(100),
                 SimDuration::from_secs(10),
             );
-        // Windows keep insertion order (indices are stable identities)...
+        // Windows keep insertion order (indices are stable identities).
         assert_eq!(
             script.windows()[0].kind,
             FaultKind::RegionOutage { region: 1 }
         );
-        // ...while the compiled timeline fires in time order.
-        let mut tl = script.timeline();
-        let due = tl.advance(t(150));
-        assert_eq!(due.len(), 2, "window 1 injected and repaired");
-        assert!(due.iter().all(|d| d.window == 1));
+        assert_eq!(script.windows()[0].repair_at(), t(250));
+        assert_eq!(script.windows()[1].repair_at(), t(110));
     }
 
     #[test]

@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn fixed_costs() {
         let m = model(0.0);
-        assert_eq!(m.rtt(), SimDuration::from_micros(500));
+        assert_eq!(m.rtt(), SimDuration::from_nanos(500_000));
         assert_eq!(m.merge_cost(8).as_millis_f64(), 0.4);
         assert!(m.forward_hop() > SimDuration::ZERO);
     }

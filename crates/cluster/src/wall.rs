@@ -15,13 +15,6 @@ pub fn success_ratio(n: u64, p: f64) -> f64 {
     (1.0 - p).powf(n as f64)
 }
 
-/// Success ratio when the proxy transparently retries up to `retries`
-/// extra times (independent attempts).
-pub fn success_ratio_with_retries(n: u64, p: f64, retries: u32) -> f64 {
-    let single = success_ratio(n, p);
-    1.0 - (1.0 - single).powi(retries as i32 + 1)
-}
-
 /// The wall point: the largest fan-out `n` meeting the SLA, or 0 when
 /// even a single server misses it.
 pub fn wall_point(p: f64, sla: f64) -> u64 {
@@ -87,16 +80,6 @@ mod tests {
         // Roughly 10× per decade of reliability.
         assert!((w2 as f64 / w1 as f64 - 10.0).abs() < 1.0);
         assert!((w3 as f64 / w2 as f64 - 10.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn retries_push_the_wall_out() {
-        let n = 200;
-        let p = 1e-4;
-        let plain = success_ratio(n, p);
-        let retried = success_ratio_with_retries(n, p, 2);
-        assert!(plain < 0.99, "200 nodes breach the SLA un-retried: {plain}");
-        assert!(retried > 0.999, "retries mask most failures: {retried}");
     }
 
     #[test]

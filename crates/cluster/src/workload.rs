@@ -78,10 +78,6 @@ pub fn standard_schema(ds_range: i64) -> Arc<Schema> {
     }
 }
 
-/// Bytes one row of the standard schema occupies (2 × u32 dims +
-/// 2 × f64 metrics).
-pub const ROW_BYTES: u64 = 2 * 4 + 2 * 8;
-
 /// The generated population.
 #[derive(Debug, Clone)]
 pub struct TablePopulation {

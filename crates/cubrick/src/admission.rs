@@ -155,6 +155,8 @@ impl AdmissionConfig {
     }
 }
 
+/// The proxy's default (`ProxyConfig::admission`): the flat gate with
+/// 10,000 slots and no queueing.
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig::flat(10_000)

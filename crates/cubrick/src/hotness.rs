@@ -32,11 +32,6 @@ impl Hotness {
             self.0 /= 2;
         }
     }
-
-    /// Classification against a threshold.
-    pub fn is_hot(&self, threshold: u32) -> bool {
-        self.0 >= threshold
-    }
 }
 
 /// Memory-monitor policy parameters.
@@ -178,12 +173,6 @@ mod tests {
             c.decay(0.5, &mut rng);
         }
         assert_eq!(c.0, 0);
-    }
-
-    #[test]
-    fn classification() {
-        assert!(Hotness(4).is_hot(4));
-        assert!(!Hotness(3).is_hot(4));
     }
 
     fn config(budget: u64) -> MemoryMonitorConfig {

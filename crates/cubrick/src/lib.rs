@@ -49,7 +49,6 @@ pub mod admission;
 pub mod brick;
 pub mod catalog;
 pub mod compression;
-pub mod consistent;
 pub mod coordinator;
 pub mod dictionary;
 pub mod encoding;

@@ -52,17 +52,15 @@ pub struct CoordinatorChoice {
 pub struct ProxyConfig {
     /// Retries across regions for retryable errors.
     pub max_retries: u32,
-    /// Admission control: concurrent queries admitted. Ignored when
-    /// `admission` is set (the controller's `total_slots` rules).
-    pub max_concurrent_queries: usize,
     /// Consecutive failures before a host is blacklisted.
     pub blacklist_threshold: u32,
     /// How long a blacklisted host stays out of rotation.
     pub blacklist_ttl: SimDuration,
-    /// QoS admission controller. `None` builds the flat gate
-    /// (`AdmissionConfig::flat(max_concurrent_queries)`), which behaves
-    /// byte-identically to the pre-QoS in-flight counter.
-    pub admission: Option<AdmissionConfig>,
+    /// Admission control. The default is the flat gate
+    /// `AdmissionConfig::flat(10_000)`: 10,000 concurrent queries, no
+    /// queueing, byte-identical to the pre-QoS in-flight counter. The QoS
+    /// experiment sets a classful controller here.
+    pub admission: AdmissionConfig,
     /// Depth-aware region spill: prefer the client's region unless its
     /// in-flight depth exceeds the least-loaded alternative by more
     /// than this. Depths are only tracked by the QoS experiment loop,
@@ -74,10 +72,9 @@ impl Default for ProxyConfig {
     fn default() -> Self {
         ProxyConfig {
             max_retries: 2,
-            max_concurrent_queries: 10_000,
             blacklist_threshold: 3,
             blacklist_ttl: SimDuration::from_mins(5),
-            admission: None,
+            admission: AdmissionConfig::default(),
             region_spill_threshold: 8,
         }
     }
@@ -114,8 +111,8 @@ pub struct CubrickProxy {
     /// metadata, never by a dedicated round trip.
     partition_cache: BTreeMap<String, u32>,
     blacklist: BTreeMap<HostId, BlacklistEntry>,
-    /// The QoS admission controller (a flat single-pool gate unless
-    /// `ProxyConfig::admission` opts into classful mode).
+    /// The admission controller built from `ProxyConfig::admission` (a
+    /// flat single-pool gate unless that opts into classful mode).
     admission: AdmissionController,
     /// In-flight queries currently served per region (maintained by the
     /// QoS experiment loop via `note_region_start`/`note_region_done`).
@@ -129,16 +126,11 @@ pub struct CubrickProxy {
 
 impl CubrickProxy {
     pub fn new(config: ProxyConfig) -> Self {
-        let admission = AdmissionController::new(
-            config
-                .admission
-                .unwrap_or(AdmissionConfig::flat(config.max_concurrent_queries)),
-        );
         CubrickProxy {
             config,
             partition_cache: BTreeMap::new(),
             blacklist: BTreeMap::new(),
-            admission,
+            admission: AdmissionController::new(config.admission),
             region_inflight: BTreeMap::new(),
             coordinator_inflight: BTreeMap::new(),
             stats: ProxyStats::default(),
@@ -510,7 +502,7 @@ mod tests {
     #[test]
     fn admission_control_caps_concurrency() {
         let mut p = CubrickProxy::new(ProxyConfig {
-            max_concurrent_queries: 2,
+            admission: AdmissionConfig::flat(2),
             ..Default::default()
         });
         p.admit_class(QosClass::Interactive).unwrap();
@@ -758,7 +750,7 @@ mod tests {
     fn classful_admission_sheds_batch_first() {
         use crate::admission::{AdmissionConfig, QosClass};
         let mut p = CubrickProxy::new(ProxyConfig {
-            admission: Some(AdmissionConfig::qos(4)),
+            admission: AdmissionConfig::qos(4),
             ..Default::default()
         });
         // Batch may hold only its weight-share cap (⌈0.15 × 4⌉ = 1 slot);

@@ -195,10 +195,14 @@ pub fn compile(
                         if lo_c > hi_c {
                             vec![]
                         } else {
-                            vec![(
-                                dim.int_ordinal(lo_c).expect("clamped"),
-                                dim.int_ordinal(hi_c).expect("clamped"),
-                            )]
+                            let (Ok(lo_o), Ok(hi_o)) =
+                                (dim.int_ordinal(lo_c), dim.int_ordinal(hi_c))
+                            else {
+                                return Err(CubrickError::Internal {
+                                    detail: format!("clamped BETWEEN bound outside {:?}", pred.dim),
+                                });
+                            };
+                            vec![(lo_o, hi_o)]
                         }
                     }
                     DimKind::Str { .. } => {

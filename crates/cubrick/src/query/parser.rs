@@ -172,7 +172,7 @@ impl Parser {
         Ok(t)
     }
 
-    fn expect(&mut self, expected: &Token, what: &str) -> CubrickResult<()> {
+    fn eat(&mut self, expected: &Token, what: &str) -> CubrickResult<()> {
         let t = self.next()?;
         if &t == expected {
             Ok(())
@@ -221,7 +221,7 @@ impl Parser {
             "avg" => AggFunc::Avg,
             other => return Err(self.error(format!("unknown aggregate {other:?}"))),
         };
-        self.expect(&Token::LParen, "'('")?;
+        self.eat(&Token::LParen, "'('")?;
         let spec = match self.peek() {
             Some(Token::Star) => {
                 self.next()?;
@@ -238,7 +238,7 @@ impl Parser {
                 }
             }
         };
-        self.expect(&Token::RParen, "')'")?;
+        self.eat(&Token::RParen, "')'")?;
         Ok(spec)
     }
 
@@ -250,13 +250,13 @@ impl Parser {
                 op: PredOp::Eq(self.literal()?),
             }),
             Token::Ident(kw) if kw.eq_ignore_ascii_case("in") => {
-                self.expect(&Token::LParen, "'('")?;
+                self.eat(&Token::LParen, "'('")?;
                 let mut values = vec![self.literal()?];
                 while self.peek() == Some(&Token::Comma) {
                     self.next()?;
                     values.push(self.literal()?);
                 }
-                self.expect(&Token::RParen, "')'")?;
+                self.eat(&Token::RParen, "')'")?;
                 Ok(Predicate {
                     dim,
                     op: PredOp::In(values),

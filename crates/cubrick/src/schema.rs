@@ -91,10 +91,6 @@ impl Dimension {
             DimKind::Str { .. } => None,
         }
     }
-
-    pub fn is_string(&self) -> bool {
-        matches!(self.kind, DimKind::Str { .. })
-    }
 }
 
 /// A metric column (always aggregated as `f64`).
@@ -129,7 +125,7 @@ impl Schema {
             .chain(metrics.iter().map(|m| m.name.as_str()))
             .collect();
         names.sort_unstable();
-        if names.windows(2).any(|w| w[0] == w[1]) {
+        if names.windows(2).any(|w| matches!(w, [a, b] if a == b)) {
             return Err(CubrickError::Internal {
                 detail: "duplicate column name".into(),
             });
@@ -192,11 +188,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Total number of bricks the full space is divided into.
-    pub fn brick_space(&self) -> u64 {
-        self.dimensions.iter().map(|d| d.bucket_count()).product()
-    }
 }
 
 /// Convenience builder used throughout tests and examples.
@@ -252,7 +243,6 @@ mod tests {
         let s = schema();
         assert_eq!(s.dimensions[0].bucket_count(), 10);
         assert_eq!(s.dimensions[1].bucket_count(), 10);
-        assert_eq!(s.brick_space(), 100);
         // Non-divisible range rounds up.
         let d = Dimension::int("x", 0, 95, 10);
         assert_eq!(d.bucket_count(), 10);
@@ -276,7 +266,6 @@ mod tests {
             Err(CubrickError::TypeMismatch { .. })
         ));
         assert_eq!(d.int_value(0), None);
-        assert!(d.is_string());
     }
 
     #[test]

@@ -24,14 +24,6 @@ impl Value {
         }
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Double(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
@@ -120,9 +112,6 @@ mod tests {
         assert_eq!(Value::from(3i64), Value::Int(3));
         assert_eq!(Value::from(2.5), Value::Double(2.5));
         assert_eq!(Value::from("x"), Value::Str("x".into()));
-        assert_eq!(Value::Int(3).as_f64(), Some(3.0));
-        assert_eq!(Value::Double(2.5).as_f64(), Some(2.5));
-        assert_eq!(Value::Str("a".into()).as_f64(), None);
         assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
         assert_eq!(Value::Int(1).as_str(), None);
     }

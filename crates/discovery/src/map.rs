@@ -111,11 +111,6 @@ impl MappingStore {
     pub fn publish_count(&self) -> u64 {
         self.publishes
     }
-
-    /// Number of distinct keys ever published.
-    pub fn key_count(&self) -> usize {
-        self.entries.values().map(BTreeMap::len).sum()
-    }
 }
 
 /// One shard's retained history out of a [`MappingStore::service`] view,
@@ -185,6 +180,5 @@ mod tests {
         m.publish(ShardKey::new("a", 1), Some(0), t(0));
         m.publish(ShardKey::new("a", 0), Some(1), t(1));
         assert_eq!(m.publish_count(), 3);
-        assert_eq!(m.key_count(), 2);
     }
 }

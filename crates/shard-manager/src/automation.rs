@@ -6,15 +6,16 @@
 //! must not conflict with in-flight load-balancing migrations beyond a
 //! threshold, and (c) enough capacity must remain to operate the cluster
 //! afterwards. Approved drain requests are executed through
-//! [`SmServer::drain_host`]; permanent failures go through the repair
-//! workflow (host dies → failover → decommission → replacement host).
+//! [`SmServer::drain_host`]. Permanent failures do not come through here:
+//! the cluster's repair workflow (host dies → failover → replacement host
+//! → decommission) drives [`SmServer`] directly.
 //!
 //! [`SmServer::drain_host`]: crate::server::SmServer::drain_host
 
 use scalewall_sim::SimTime;
 
 use crate::app_server::AppServerRegistry;
-use crate::error::{SmError, SmResult};
+use crate::error::SmResult;
 use crate::ids::{HostId, HostState};
 use crate::server::SmServer;
 
@@ -158,28 +159,6 @@ impl AutomationEngine {
         }
         Ok(())
     }
-
-    /// The repair workflow for a permanently failed host: once its
-    /// failovers have drained its assignments, decommission it and
-    /// register a replacement with the same topology (what Fig 4f counts —
-    /// "hosts sent to repair per day ... no human intervention").
-    pub fn repair_host<R: AppServerRegistry>(
-        &mut self,
-        sm: &mut SmServer,
-        dead: HostId,
-        replacement: HostId,
-        now: SimTime,
-        _registry: &mut R,
-    ) -> SmResult<()> {
-        let Some(info) = sm.host_info(dead).copied() else {
-            return Err(SmError::UnknownHost { host: dead });
-        };
-        sm.remove_host(dead)?;
-        let new_info =
-            crate::ids::HostInfo::new(replacement, info.rack, info.region, info.capacity);
-        sm.register_host(new_info, now)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +168,6 @@ mod tests {
     use crate::ids::{HostInfo, Rack, Region, ShardId};
     use crate::server::SmConfig;
     use crate::spec::AppSpec;
-    use scalewall_sim::SimDuration;
     use std::collections::HashMap;
 
     #[derive(Default)]
@@ -319,25 +297,5 @@ mod tests {
             engine.submit(&mut sm, &req, t(0), &mut reg).unwrap(),
             MaintenanceVerdict::Denied { .. }
         ));
-    }
-
-    #[test]
-    fn repair_workflow_replaces_host() {
-        let (mut sm, mut reg) = setup(3);
-        sm.allocate_shard("app", ShardId(0), 5.0, t(0), &mut reg)
-            .unwrap();
-        let victim = sm.host_of("app", ShardId(0)).unwrap();
-        reg.down.insert(victim);
-        sm.host_failed(victim, t(10), &mut reg).unwrap();
-        sm.advance_migrations(t(10) + SimDuration::from_hours(1), &mut reg);
-
-        let mut engine = AutomationEngine::default();
-        reg.servers
-            .insert(HostId(100), MockAppServer::with_capacity(100.0));
-        engine
-            .repair_host(&mut sm, victim, HostId(100), t(20), &mut reg)
-            .unwrap();
-        assert!(sm.host_state(victim).is_none());
-        assert_eq!(sm.host_state(HostId(100)), Some(HostState::Alive));
     }
 }

@@ -173,20 +173,6 @@ pub fn rank_candidates_hinted(
     out.into_iter().map(|(_, c)| c).collect()
 }
 
-/// Convenience: the single best candidate, if any.
-pub fn best_candidate(
-    hosts: &[HostSnapshot],
-    weight: f64,
-    headroom: f64,
-    spread: SpreadDomain,
-    used_domains: &[u64],
-    excluded: &[HostId],
-) -> Option<Candidate> {
-    rank_candidates(hosts, weight, headroom, spread, used_domains, excluded)
-        .into_iter()
-        .next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,8 +251,8 @@ mod tests {
     #[test]
     fn zero_capacity_never_wins() {
         let hosts = [snap(1, 0, 0, 0.0, 0.0), snap(2, 1, 0, 100.0, 89.0)];
-        let best = best_candidate(&hosts, 1.0, 0.9, SpreadDomain::Host, &[], &[]);
-        assert_eq!(best.unwrap().host, HostId(2));
+        let ranked = rank_candidates(&hosts, 1.0, 0.9, SpreadDomain::Host, &[], &[]);
+        assert_eq!(ranked.first().unwrap().host, HostId(2));
     }
 
     #[test]
@@ -313,7 +299,7 @@ mod tests {
     fn heterogeneous_capacities_balance_by_fraction() {
         // Big host with more absolute load can still be the better target.
         let hosts = [snap(1, 0, 0, 1000.0, 300.0), snap(2, 1, 0, 100.0, 50.0)];
-        let best = best_candidate(&hosts, 10.0, 0.9, SpreadDomain::Host, &[], &[]).unwrap();
-        assert_eq!(best.host, HostId(1), "31% projected beats 60%");
+        let ranked = rank_candidates(&hosts, 10.0, 0.9, SpreadDomain::Host, &[], &[]);
+        assert_eq!(ranked.first().unwrap().host, HostId(1), "31% projected beats 60%");
     }
 }

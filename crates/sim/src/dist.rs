@@ -4,7 +4,8 @@
 //! only, so the families the paper's environment needs are implemented
 //! here from first principles:
 //!
-//! * [`Exponential`] — inter-arrival times (Poisson processes).
+//! * [`Exponential`] — inter-arrival times of the Poisson processes
+//!   (queries, permanent host failures for Fig 4f, planned drains).
 //! * [`Normal`] / [`LogNormal`] — body of service-time distributions.
 //! * [`Pareto`] — heavy tail component of *The Tail at Scale* latencies.
 //! * [`TailLatency`] — the mixture model used for per-host query service
@@ -12,7 +13,6 @@
 //!   (GC pause, network hiccup, noisy neighbour...).
 //! * [`Zipf`] — skewed access popularity (hot/cold data blocks, Fig 4e).
 //! * [`Bernoulli`] — instantaneous failure probability (Figs 1 and 2).
-//! * [`PoissonProcess`] — permanent host failures (Fig 4f).
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -34,10 +34,6 @@ impl Exponential {
     pub fn from_mean(mean: f64) -> Self {
         assert!(mean > 0.0 && mean.is_finite(), "invalid mean {mean}");
         Exponential { lambda: 1.0 / mean }
-    }
-
-    pub fn mean(&self) -> f64 {
-        1.0 / self.lambda
     }
 
     /// Inverse-CDF sample.
@@ -190,31 +186,6 @@ impl Zipf {
     }
 }
 
-/// Homogeneous Poisson process generating inter-arrival durations.
-#[derive(Debug, Clone, Copy)]
-pub struct PoissonProcess {
-    exp: Exponential,
-}
-
-impl PoissonProcess {
-    /// `rate_per_sec` events per simulated second.
-    pub fn new(rate_per_sec: f64) -> Self {
-        PoissonProcess {
-            exp: Exponential::from_rate(rate_per_sec),
-        }
-    }
-
-    /// Expected events per second.
-    pub fn rate(&self) -> f64 {
-        1.0 / self.exp.mean()
-    }
-
-    /// Draw the next inter-arrival gap.
-    pub fn next_gap(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(self.exp.sample(rng))
-    }
-}
-
 /// Per-host service-time model: log-normal body + rare Pareto tail events.
 ///
 /// This is the environment behind Fig 5: a host usually answers near the
@@ -268,10 +239,10 @@ mod tests {
 
     #[test]
     fn exponential_mean() {
-        let d = Exponential::from_mean(4.0);
-        let m = mean_of(|r| d.sample(r), 200_000, 1);
-        assert!((m - 4.0).abs() < 0.05, "mean {m}");
-        assert!((Exponential::from_rate(0.25).mean() - 4.0).abs() < 1e-12);
+        for d in [Exponential::from_mean(4.0), Exponential::from_rate(0.25)] {
+            let m = mean_of(|r| d.sample(r), 200_000, 1);
+            assert!((m - 4.0).abs() < 0.05, "mean {m}");
+        }
     }
 
     #[test]
@@ -359,20 +330,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 / 100_000.0 - 0.1).abs() < 0.01);
         }
-    }
-
-    #[test]
-    fn poisson_process_rate() {
-        let p = PoissonProcess::new(2.0); // 2 events/sec
-        let mut rng = SimRng::new(9);
-        let mut t = 0.0;
-        let mut events = 0u64;
-        while t < 10_000.0 {
-            t += p.next_gap(&mut rng).as_secs_f64();
-            events += 1;
-        }
-        let rate = events as f64 / 10_000.0;
-        assert!((rate - 2.0).abs() < 0.1, "rate {rate}");
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //!   against (see `DESIGN.md` §5 for the ordering contract).
 //! * [`rng`] — seedable, forkable random source ([`SimRng`]); every stochastic
 //!   process in the workspace draws from one of these.
-//! * [`fault`] — generic fault-scenario windows (onset / duration / repair)
-//!   compiled into a deterministic transition timeline; the substrate for
-//!   correlated-failure injection in higher layers.
 //! * [`dist`] — the parametric families used by the paper's models:
-//!   exponential, normal/log-normal (tail latency), Pareto (heavy tails),
-//!   Zipf (access skew), Bernoulli and Poisson processes (failures).
+//!   exponential (Poisson inter-arrival gaps), normal/log-normal (tail
+//!   latency), Pareto (heavy tails), Zipf (access skew) and Bernoulli
+//!   (instantaneous failures).
 //! * [`stats`] — online statistics: log-bucketed latency histograms with
-//!   percentile queries, Welford accumulators, daily time-series counters.
+//!   percentile queries and daily time-series counters.
 //! * [`sync`] — poison-free `RwLock`/`Mutex` wrappers over `std::sync`
 //!   (the workspace is hermetic: no external lock crates).
 //! * [`hash`] — the stable hashes (FNV-1a, the SplitMix64 finaliser)
@@ -37,7 +35,6 @@
 
 pub mod dist;
 pub mod event;
-pub mod fault;
 pub mod hash;
 pub mod json;
 pub mod prop;
@@ -46,11 +43,8 @@ pub mod stats;
 pub mod sync;
 pub mod time;
 
-pub use dist::{
-    Bernoulli, Exponential, LogNormal, Normal, Pareto, PoissonProcess, TailLatency, Zipf,
-};
+pub use dist::{Bernoulli, Exponential, LogNormal, Normal, Pareto, TailLatency, Zipf};
 pub use event::{DeadlineQueue, EventQueue, ReferenceEventQueue, ScheduledEvent};
-pub use fault::{FaultPhase, FaultTimeline, FaultTransition, FaultWindow};
 pub use rng::SimRng;
-pub use stats::{DailyCounter, Histogram, Summary, Welford};
+pub use stats::{DailyCounter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

@@ -2,7 +2,6 @@
 //!
 //! * [`Histogram`] — log-bucketed value histogram with percentile queries
 //!   (HdrHistogram-style, fixed relative error), used for latency series.
-//! * [`Welford`] — numerically stable running mean/variance.
 //! * [`DailyCounter`] — per-simulated-day event counts (Figs 4d, 4f).
 //! * [`Summary`] — the percentile bundle printed in experiment tables.
 
@@ -194,57 +193,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (zero for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Coefficient of variation (stddev / mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.stddev() / self.mean.abs()
-        }
-    }
-}
-
 /// Event counter bucketed by simulated day (for "per day" operational
 /// figures such as shard migrations and host repairs).
 #[derive(Debug, Clone, Default)]
@@ -276,18 +224,6 @@ impl DailyCounter {
         &self.days
     }
 
-    pub fn total(&self) -> u64 {
-        self.days.iter().sum()
-    }
-
-    /// Mean events per day over days observed so far.
-    pub fn mean_per_day(&self) -> f64 {
-        if self.days.is_empty() {
-            0.0
-        } else {
-            self.total() as f64 / self.days.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -361,35 +297,11 @@ mod tests {
     }
 
     #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.add(x);
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.stddev() - 2.0).abs() < 1e-12);
-        assert!((w.cv() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_degenerate() {
-        let mut w = Welford::new();
-        assert_eq!(w.variance(), 0.0);
-        w.add(3.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.mean(), 3.0);
-    }
-
-    #[test]
     fn daily_counter_buckets_by_day() {
         let mut c = DailyCounter::new();
         c.incr(SimTime::from_secs(10)); // day 0
         c.incr(SimTime::from_secs(86_400 + 5)); // day 1
         c.add(SimTime::from_secs(3 * 86_400), 4); // day 3
         assert_eq!(c.per_day(), &[1, 1, 0, 4]);
-        assert_eq!(c.total(), 6);
-        assert!((c.mean_per_day() - 1.5).abs() < 1e-12);
     }
 }

@@ -73,10 +73,6 @@ impl SimDuration {
         SimDuration(n)
     }
 
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * NANOS_PER_MICRO)
-    }
-
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * NANOS_PER_MILLI)
     }
@@ -124,10 +120,6 @@ impl SimDuration {
 
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Integer multiple of this duration.

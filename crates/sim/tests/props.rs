@@ -4,7 +4,7 @@
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::{
     Bernoulli, EventQueue, Exponential, Histogram, LogNormal, Pareto, SimDuration, SimRng, SimTime,
-    Welford, Zipf,
+    Zipf,
 };
 
 /// The event queue is a total order: pops come out sorted by
@@ -126,26 +126,6 @@ fn regression_histogram_median_with_duplicated_minimum() {
         3442.239402811413,
         6250.196569015674,
     ]);
-}
-
-/// Welford matches the two-pass mean/variance for any input.
-#[test]
-fn welford_matches_two_pass() {
-    prop::check(
-        "welford_matches_two_pass",
-        |rng| gen::vec_with(rng, 2, 300, |r| gen::f64_in(r, -1e3, 1e3)),
-        |values| {
-            let mut w = Welford::new();
-            for &v in values {
-                w.add(v);
-            }
-            let n = values.len() as f64;
-            let mean = values.iter().sum::<f64>() / n;
-            let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-            assert!((w.mean() - mean).abs() < 1e-6);
-            assert!((w.variance() - var).abs() < 1e-6);
-        },
-    );
 }
 
 /// Duration arithmetic: from_secs_f64 round-trips within a nanosecond.

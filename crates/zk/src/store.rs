@@ -474,15 +474,6 @@ impl ZkStore {
         self.nodes.contains_key(path)
     }
 
-    pub fn get_data(&self, path: &str) -> ZkResult<&[u8]> {
-        self.nodes
-            .get(path)
-            .map(|n| n.data.as_slice())
-            .ok_or_else(|| ZkError::NoNode {
-                path: path.to_string(),
-            })
-    }
-
     pub fn stat(&self, path: &str) -> ZkResult<NodeStat> {
         self.nodes
             .get(path)
@@ -723,7 +714,7 @@ mod tests {
         let mut zk = store();
         zk.create("/a", b"hello", NodeKind::Persistent, None, t(1))
             .unwrap();
-        assert_eq!(zk.get_data("/a").unwrap(), b"hello");
+        assert_eq!(zk.nodes["/a"].data, b"hello");
         let stat = zk.stat("/a").unwrap();
         assert_eq!(stat.version, 0);
         assert_eq!(stat.kind, NodeKind::Persistent);
@@ -741,7 +732,7 @@ mod tests {
             .unwrap();
         assert!(zk.exists("/a"));
         assert!(zk.exists("/a/b"));
-        assert_eq!(zk.get_data("/a/b/c").unwrap(), b"x");
+        assert_eq!(zk.nodes["/a/b/c"].data, b"x");
     }
 
     #[test]

@@ -71,4 +71,7 @@ done
 # Non-test lines per crate: the sizes ROADMAP.md quotes.
 scripts/loc.sh
 
+# Names only tests reach (a report, not a gate).
+scripts/unreferenced.sh
+
 echo "tier-1 verify: OK (offline)"

@@ -552,3 +552,41 @@ fn small_replicated_run_matches_parent_pin() {
     assert!(stats.zk_session_moves > 0);
     assert_pinned("small_replicated_run", &stats, PIN_SMALL_REPLICATED_RUN);
 }
+
+#[rustfmt::skip]
+const PIN_TIE_RACK_LISTED_FIRST: &[u64] = &[
+    733, 0, 733, 4_630_462_906_999_419_801, 4_629_517_393_210_738_687, 4_635_274_979_955_882_248,
+    0, 0, 2, 2, 0, 117, 0,
+    11_542_147_664_180_862_645, 0, 0,
+    0, 0, 774, 10_877_890_120_506_029_979,
+];
+#[rustfmt::skip]
+const PIN_TIE_CRASH_LISTED_FIRST: &[u64] = &[
+    717, 0, 717, 4_630_300_284_830_841_142, 4_629_517_393_210_738_687, 4_634_756_709_924_636_200,
+    0, 0, 2, 2, 0, 113, 0,
+    11_542_147_664_180_862_645, 0, 0,
+    0, 0, 774, 13_061_971_374_892_791_474,
+];
+
+/// The tie rule: fault transitions due at the same instant fire in script
+/// order, because the experiment schedules each window's onset and repair
+/// in script order and the event kernel is FIFO at equal times. Here a
+/// rack outage in region 0 is repaired at the instant a host crash in
+/// region 0 begins. Listed first, the repair restores the rack before the
+/// crash picks its victim; listed second, the crash picks among the hosts
+/// the rack outage left up. The two runs differ, and both are pinned.
+#[test]
+fn coinciding_fault_transitions_fire_in_script_order() {
+    let rack = (FaultKind::RackOutage { region: 0, rack: 1 }, hours(1));
+    let crash = (FaultKind::HostCrash { region: 0 }, hours(2));
+    let run = |windows: [(FaultKind, SimTime); 2]| {
+        let script = windows.into_iter().fold(FaultScript::new(), |s, (kind, onset)| {
+            s.with(kind, onset, SimDuration::from_hours(1))
+        });
+        run_sized(0xFA017_0C, script, false, 8, SimDuration::from_hours(4))
+    };
+    let rack_first = run([rack, crash]);
+    let crash_first = run([crash, rack]);
+    assert_pinned("tie_rack_listed_first", &rack_first, PIN_TIE_RACK_LISTED_FIRST);
+    assert_pinned("tie_crash_listed_first", &crash_first, PIN_TIE_CRASH_LISTED_FIRST);
+}
