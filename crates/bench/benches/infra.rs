@@ -29,9 +29,7 @@ use scalewall_shard_manager::placement::{rank_candidates, HostSnapshot};
 use scalewall_shard_manager::{
     BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SpreadDomain,
 };
-use scalewall_sim::sync::RwLock;
 use scalewall_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime};
-use std::sync::Arc;
 
 fn bench_shard_mapping(c: &mut Bench) {
     let mut group = c.group("shard_mapping");
@@ -128,17 +126,11 @@ fn bench_collect_metrics(c: &mut Bench) {
 }
 
 fn bench_discovery(c: &mut Bench) {
-    let store = Arc::new(RwLock::new(MappingStore::new()));
+    let mut store = MappingStore::new();
     for s in 0..10_000u64 {
-        store
-            .write()
-            .publish(ShardKey::new("cubrick", s), Some(s % 500), SimTime::ZERO);
+        store.publish(ShardKey::new("cubrick", s), Some(s % 500), SimTime::ZERO);
     }
-    let client = DiscoveryClient::new(
-        store.clone(),
-        DelayModel::new(DelayModelConfig::default()),
-        42,
-    );
+    let client = DiscoveryClient::new(DelayModel::new(DelayModelConfig::default()), 42);
     let now = SimTime::from_secs(3_600);
     let mut group = c.group("discovery");
     group.throughput(1);
@@ -146,7 +138,9 @@ fn bench_discovery(c: &mut Bench) {
         let mut s = 0u64;
         b.iter(|| {
             s = (s + 1) % 10_000;
-            client.resolve_host(&ShardKey::new("cubrick", s), now)
+            client
+                .resolve(&store, "cubrick", s, now)
+                .and_then(|u| u.host)
         })
     });
 
@@ -154,9 +148,9 @@ fn bench_discovery(c: &mut Bench) {
     // them out.
     let mut route = Route::default();
     route.reset_shards().extend(5_000..5_064);
-    client.route("cubrick", &mut route, now);
+    client.route(&store, "cubrick", &mut route, now);
     group.bench_function("route_hit_fanout64", |b| {
-        b.iter(|| client.route("cubrick", &mut route, now))
+        b.iter(|| client.route(&store, "cubrick", &mut route, now))
     });
 
     // A second update per shard, then `now` alternating between before
@@ -167,14 +161,14 @@ fn bench_discovery(c: &mut Bench) {
     let republished = SimTime::from_secs(7_200);
     for s in 5_000..5_064u64 {
         let key = ShardKey::new("cubrick", s);
-        store.write().publish(key, Some(s % 499), republished);
+        store.publish(key, Some(s % 499), republished);
     }
     let sides = [now, republished + SimDuration::from_hours(1)];
     group.bench_function("route_refill_fanout64", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i ^= 1;
-            client.route("cubrick", &mut route, sides[i])
+            client.route(&store, "cubrick", &mut route, sides[i])
         })
     });
     group.finish();

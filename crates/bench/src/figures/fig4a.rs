@@ -65,7 +65,7 @@ pub fn compute(profile: Profile) -> Fig4aResult {
         .collect();
 
     // One region's SM with jittered placement (steady-state model).
-    let mut sm = SmServer::standalone(SmConfig {
+    let mut sm = SmServer::new(SmConfig {
         placement_jitter: hosts,
         seed: 0x4A11,
         ..Default::default()

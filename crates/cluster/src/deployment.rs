@@ -18,7 +18,7 @@ use cubrick::sharding::ShardMapping;
 use cubrick::value::Row;
 use scalewall_sim::hash::{fnv1a, FNV_OFFSET};
 use scalewall_sim::sync::RwLock;
-use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, Route};
+use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route};
 use scalewall_shard_manager::{
     AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
     SmError, SmServer,
@@ -115,14 +115,16 @@ struct TableRoute {
 }
 
 impl RouteCache {
-    /// `def`'s route at `now`, indexed by partition, and its serving
-    /// verdicts for the sub-queries to read and fill. A hit is one store
-    /// read lock and three compares; a miss re-resolves in place. The
+    /// `def`'s route at `now` as `discovery` sees `mappings` (this region's
+    /// `sm.mappings()`, the store that filled the route), indexed by
+    /// partition, and its serving verdicts for the sub-queries to read and
+    /// fill. A hit is three compares; a miss re-resolves in place. The
     /// verdicts start over when the route was re-resolved or `node_changes`
     /// (the region's [`NodeRegistry::changes`]) is not what they were found at.
     pub fn route(
         &mut self,
-        discovery: &DiscoveryClient,
+        mappings: &MappingStore,
+        discovery: DiscoveryClient,
         def: &TableDef,
         max_shards: u64,
         node_changes: u64,
@@ -137,7 +139,7 @@ impl RouteCache {
                 .reset_shards()
                 .extend((0..def.partitions).map(|p| def.shard_of(p, max_shards)));
         }
-        let reused = discovery.route(APP, &mut table.route, now);
+        let reused = discovery.route(mappings, APP, &mut table.route, now);
         if !reused || table.direct_at != node_changes {
             table.direct.clear();
             table.direct.resize(table.route.shards().len(), false);
@@ -183,7 +185,7 @@ impl RegionState {
     /// The uncached single-shard reference for [`RouteCache::route`].
     pub fn resolved_host(&self, shard: u64, now: SimTime) -> Option<HostId> {
         self.discovery
-            .resolve_shard(APP, shard, now)
+            .resolve(self.sm.mappings(), APP, shard, now)
             .and_then(|u| u.host)
             .map(HostId)
     }
@@ -242,7 +244,7 @@ impl Deployment {
                 // idiom as the per-region discovery delay stream below.
                 rep.seed ^= r as u64;
             }
-            let mut sm = SmServer::standalone(sm_config);
+            let mut sm = SmServer::new(sm_config);
             let spec = AppSpec::primary_only(APP, config.max_shards).with_balancer(config.balancer);
             refused = refused.or(sm.register_app(spec).err());
             let store: SharedRegionStore = Arc::new(RwLock::new(RegionStore::new()));
@@ -267,11 +269,7 @@ impl Deployment {
                 ..config.discovery_delay
             });
             // Subscriber id: the region's proxy host (id offset 999_999).
-            let discovery = DiscoveryClient::new(
-                sm.discovery(),
-                delay,
-                r as u64 * REGION_HOST_STRIDE + 999_999,
-            );
+            let discovery = DiscoveryClient::new(delay, r as u64 * REGION_HOST_STRIDE + 999_999);
             regions.push(RegionState {
                 region,
                 sm,
@@ -396,7 +394,8 @@ impl Deployment {
 
     /// Re-partition a table deployment-wide: reshuffle every region's
     /// rows and fix up shard allocations. Returns rows shuffled per
-    /// region.
+    /// region. The rows are routed once, from region 0's copy, as
+    /// `ingest` routes once, so all regions still agree afterwards.
     pub fn repartition(
         &mut self,
         table: &str,
@@ -414,12 +413,14 @@ impl Deployment {
         let new_def = self.catalog.read().get(table)?.clone();
         let new_shards = self.catalog.read().shards_of_table(table)?;
 
-        // Redistribute (regions may shuffle independently; each keeps a
-        // full copy either way).
-        let mut shuffled = 0u64;
+        // Redistribute: one routing decision, every region's copy.
+        let rows = match self.regions.first() {
+            Some(first) => cubrick::repartition::stored_rows(&first.store.read(), &def),
+            None => Vec::new(),
+        };
+        let routed = new_def.route_rows(&rows, || self.rng.next_u64());
         for region in &self.regions {
-            let mut store = region.store.write();
-            shuffled = cubrick::repartition::reshuffle(&mut store, &def, &new_def, &mut self.rng)?;
+            cubrick::repartition::reshuffle(&mut region.store.write(), &new_def, &routed)?;
         }
 
         // Fix up shard allocations: new shards in, orphaned shards out.
@@ -455,7 +456,7 @@ impl Deployment {
                 }
             }
         }
-        Ok(shuffled)
+        Ok(rows.len() as u64)
     }
 
     /// Evaluate the re-partitioning policy for a table against its
@@ -1080,15 +1081,7 @@ mod tests {
     #[test]
     fn repartition_grows_table_and_moves_shards() {
         let mut dep = small();
-        let def = dep
-            .create_table(
-                "t",
-                schema(),
-                4,
-                RowMapping::Hash,
-                ShardMapping::Monotonic,
-                t(0),
-            )
+        dep.create_table("t", schema(), 4, RowMapping::Hash, ShardMapping::Monotonic, t(0))
             .unwrap();
         let rows: Vec<Row> = (0..400)
             .map(|k| Row::new(vec![Value::Int(k % 1_000)], vec![1.0]))
@@ -1111,7 +1104,40 @@ mod tests {
                 .sum();
             assert_eq!(total, 400);
         }
-        let _ = def;
+        // Same count is a no-op; an unknown table is an error.
+        assert_eq!(dep.repartition("t", 8, t(101)).unwrap(), 0);
+        assert!(dep.repartition("zz", 8, t(101)).is_err());
+    }
+
+    /// A re-partition keeps the ingest contract: every region holds the
+    /// same rows in every partition, even when the row mapping draws.
+    #[test]
+    fn repartition_leaves_regions_identical() {
+        let mut dep = small();
+        dep.create_table("t", schema(), 8, RowMapping::Random, ShardMapping::Monotonic, t(0))
+            .unwrap();
+        let rows: Vec<Row> = (0..600)
+            .map(|k| Row::new(vec![Value::Int(k % 1_000)], vec![k as f64]))
+            .collect();
+        dep.ingest("t", &rows).unwrap();
+        assert_eq!(dep.repartition("t", 16, t(100)).unwrap(), 600);
+        // Stored order is brick order; compare sorted by the metric, which
+        // numbers the rows.
+        let partition_rows = |region: &RegionState, p| {
+            let store = region.store.read();
+            let mut got = store.partition("t", p).map_or(Vec::new(), |d| d.all_rows());
+            got.sort_by(|a, b| a.metrics[0].total_cmp(&b.metrics[0]));
+            got
+        };
+        let mut total = 0;
+        for p in 0..16 {
+            let want = partition_rows(&dep.regions[0], p);
+            total += want.len();
+            for region in &dep.regions[1..] {
+                assert_eq!(partition_rows(region, p), want, "partition {p}");
+            }
+        }
+        assert_eq!(total, 600);
     }
 
     #[test]

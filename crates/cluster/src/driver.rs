@@ -432,13 +432,9 @@ fn attempt_in_region(
     // client-visible, possibly stale view) in one step: the region's
     // cached route, re-resolved only when its answer can have changed,
     // and beside it which of its targets are known to serve their shard.
-    let RegionState {
-        discovery,
-        routes,
-        nodes,
-        ..
-    } = region;
-    let (route, direct) = routes.route(discovery, def, max_shards, nodes.changes(), now);
+    let RegionState { sm, discovery, routes, nodes, .. } = region;
+    let (route, direct) =
+        routes.route(sm.mappings(), *discovery, def, max_shards, nodes.changes(), now);
 
     for p in plan.partitions() {
         let at = p as usize;
@@ -1667,13 +1663,15 @@ mod tests {
             let catalog = f.dep.catalog.read();
             let def = catalog.get("t").unwrap();
             let RegionState {
+                sm,
                 discovery,
                 routes,
                 nodes,
                 ..
             } = &mut f.dep.regions[0];
+            let max_shards = catalog.max_shards();
             let (route, _) =
-                routes.route(discovery, def, catalog.max_shards(), nodes.changes(), now);
+                routes.route(sm.mappings(), *discovery, def, max_shards, nodes.changes(), now);
             (
                 route.shards().to_vec(),
                 catalog.shards_of_table("t").unwrap(),

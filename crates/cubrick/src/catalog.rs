@@ -33,9 +33,6 @@ pub enum RowMapping {
 /// use 8 partitions for every newly created table" (§IV-B).
 pub const DEFAULT_PARTITIONS: u32 = 8;
 
-/// Deployment-wide cap on total table size (~1 TB, §IV-B footnote).
-pub const MAX_TABLE_BYTES: u64 = 1 << 40;
-
 /// One table's registration.
 #[derive(Debug, Clone)]
 pub struct TableDef {

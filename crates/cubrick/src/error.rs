@@ -53,9 +53,6 @@ pub enum CubrickError {
     /// An inter-region network partition makes the chosen region
     /// unreachable from the client's region.
     RegionUnreachable { from: u32, to: u32 },
-    /// Dataset exceeds the deployment's maximum table size (the ~1 TB cap
-    /// footnoted in §IV-B).
-    TableTooLarge { table: String, bytes: u64, cap: u64 },
     /// Internal invariant broken.
     Internal { detail: String },
 }
@@ -107,9 +104,6 @@ impl fmt::Display for CubrickError {
             }
             RegionUnreachable { from, to } => {
                 write!(f, "region {to} unreachable from region {from} (network partition)")
-            }
-            TableTooLarge { table, bytes, cap } => {
-                write!(f, "{table:?} is {bytes} bytes, over the {cap}-byte cap")
             }
             Internal { detail } => write!(f, "internal error: {detail}"),
         }

@@ -6,12 +6,11 @@
 //! shuffling of part of the table, so its usage must be sporadic").
 //! Partition counts can also collapse when data shrinks.
 
-use crate::catalog::{Catalog, TableDef, MAX_TABLE_BYTES};
-use crate::error::{CubrickError, CubrickResult};
+use crate::catalog::TableDef;
+use crate::error::CubrickResult;
 use crate::node::RegionStore;
 use crate::store::PartitionData;
 use crate::value::Row;
-use scalewall_sim::SimRng;
 
 /// Policy for when and how to re-partition.
 #[derive(Debug, Clone, Copy)]
@@ -73,73 +72,43 @@ pub fn evaluate(
     RepartitionDecision::None
 }
 
-/// Execute a re-partition: update catalog metadata and reshuffle the
-/// region store's rows into the new partition layout.
-///
-/// Returns the number of rows shuffled. The caller (cluster driver) is
-/// responsible for allocating/deallocating the SM shards the new layout
-/// maps to.
-pub fn repartition_table(
-    catalog: &mut Catalog,
-    store: &mut RegionStore,
-    table: &str,
-    new_partitions: u32,
-    rng: &mut SimRng,
-) -> CubrickResult<u64> {
-    let def = catalog.get(table)?.clone();
-    if new_partitions == def.partitions {
-        return Ok(0);
-    }
-    // Enforce the deployment table-size cap before growing further.
-    let total_bytes: u64 = (0..def.partitions)
-        .filter_map(|p| store.partition(table, p))
-        .map(|d| d.decompressed_bytes())
-        .sum();
-    if total_bytes > MAX_TABLE_BYTES {
-        return Err(CubrickError::TableTooLarge {
-            table: table.to_string(),
-            bytes: total_bytes,
-            cap: MAX_TABLE_BYTES,
-        });
-    }
-
-    // Swap metadata, then redistribute under the new mapping.
-    catalog.set_partitions(table, new_partitions)?;
-    reshuffle(store, &def, catalog.get(table)?, rng)
+/// Every row one region's copy of `def` stores, in partition then
+/// stored order: what a re-partition routes.
+pub fn stored_rows(store: &RegionStore, def: &TableDef) -> Vec<Row> {
+    (0..def.partitions)
+        .filter_map(|p| store.partition(&def.name, p))
+        .flat_map(PartitionData::all_rows)
+        .collect()
 }
 
-/// Move one region's copy of a table from `old`'s partition layout to
-/// `new`'s (the "data shuffling" cost is real here): every stored row,
-/// in partition then stored order, is routed under `new` with one `rng`
-/// draw each and ingested into fresh partitions. Returns rows shuffled.
+/// Move one region's copy of a table to `new`'s partition layout (the
+/// "data shuffling" cost is real here): `routed[p]`, rows routed under
+/// `new`, is ingested in order into a fresh partition `p`, and the fresh
+/// partitions replace the old ones. The caller routes once and applies
+/// the same split to every region, so all regions agree.
 pub fn reshuffle(
     store: &mut RegionStore,
-    old: &TableDef,
     new: &TableDef,
-    rng: &mut SimRng,
-) -> CubrickResult<u64> {
-    let rows: Vec<Row> = (0..old.partitions)
-        .filter_map(|p| store.partition(&old.name, p))
-        .flat_map(PartitionData::all_rows)
-        .collect();
+    routed: &[Vec<&Row>],
+) -> CubrickResult<()> {
     let mut fresh: Vec<(u32, PartitionData)> = (0..new.partitions)
         .map(|p| (p, PartitionData::new(new.schema.clone())))
         .collect();
-    let routed = new.route_rows(&rows, || rng.next_u64());
-    for ((_, data), slice) in fresh.iter_mut().zip(&routed) {
+    for ((_, data), slice) in fresh.iter_mut().zip(routed) {
         data.ingest_batch(slice)?;
     }
     store.replace_table(&new.name, fresh);
-    Ok(rows.len() as u64)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{RowMapping, DEFAULT_PARTITIONS};
+    use crate::catalog::{Catalog, RowMapping, DEFAULT_PARTITIONS};
     use crate::schema::SchemaBuilder;
     use crate::sharding::ShardMapping;
     use crate::value::{Row, Value};
+    use scalewall_sim::SimRng;
     use std::sync::Arc;
 
     fn schema() -> Arc<crate::schema::Schema> {
@@ -150,6 +119,23 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+    }
+
+    /// Re-partition table `t` of one region as `Deployment::repartition`
+    /// does: swap the metadata, route the stored rows under the new
+    /// layout, reshuffle. Returns rows shuffled.
+    fn regrow(
+        catalog: &mut Catalog,
+        store: &mut RegionStore,
+        partitions: u32,
+        rng: &mut SimRng,
+    ) -> usize {
+        let old = catalog.get("t").unwrap().clone();
+        catalog.set_partitions("t", partitions).unwrap();
+        let new = catalog.get("t").unwrap();
+        let rows = stored_rows(store, &old);
+        reshuffle(store, new, &new.route_rows(&rows, || rng.next_u64())).unwrap();
+        rows.len()
     }
 
     fn policy(threshold: u64) -> RepartitionPolicy {
@@ -201,8 +187,7 @@ mod tests {
                 .unwrap();
         }
 
-        let shuffled = repartition_table(&mut catalog, &mut store, "t", 16, &mut rng).unwrap();
-        assert_eq!(shuffled, 2_000);
+        assert_eq!(regrow(&mut catalog, &mut store, 16, &mut rng), 2_000);
         assert_eq!(catalog.get("t").unwrap().partitions, 16);
 
         // Every row is still present exactly once, and the metric sum is
@@ -243,7 +228,7 @@ mod tests {
                 .ingest_batch(&def.name, p, &def.schema, &[&row])
                 .unwrap();
         }
-        repartition_table(&mut catalog, &mut store, "t", 8, &mut rng).unwrap();
+        regrow(&mut catalog, &mut store, 8, &mut rng);
         assert_eq!(catalog.get("t").unwrap().partitions, 8);
         let total: usize = (0..8)
             .filter_map(|p| store.partition("t", p))
@@ -254,27 +239,5 @@ mod tests {
         for p in 8..16 {
             assert!(store.partition("t", p).is_none());
         }
-    }
-
-    #[test]
-    fn noop_when_count_unchanged() {
-        let mut catalog = Catalog::new(100_000);
-        let mut store = RegionStore::new();
-        catalog
-            .create_table("t", schema(), 8, RowMapping::Hash, ShardMapping::Monotonic)
-            .unwrap();
-        let mut rng = SimRng::new(9);
-        assert_eq!(
-            repartition_table(&mut catalog, &mut store, "t", 8, &mut rng).unwrap(),
-            0
-        );
-    }
-
-    #[test]
-    fn unknown_table_errors() {
-        let mut catalog = Catalog::new(100);
-        let mut store = RegionStore::new();
-        let mut rng = SimRng::new(1);
-        assert!(repartition_table(&mut catalog, &mut store, "zz", 8, &mut rng).is_err());
     }
 }

@@ -1042,14 +1042,14 @@ fn maintained_totals_equal_the_walks() {
                 }
             }
             for partitions in [16, 8] {
-                let shuffled = cubrick::repartition::repartition_table(
-                    &mut catalog,
-                    &mut store,
-                    "t",
-                    partitions,
-                    &mut rng,
-                );
-                assert_eq!(shuffled, Ok(rows.len() as u64));
+                let old = catalog.get("t").expect("fresh table").clone();
+                catalog.set_partitions("t", partitions).expect("known table");
+                let new = catalog.get("t").expect("known table");
+                let stored = cubrick::repartition::stored_rows(&store, &old);
+                assert_eq!(stored.len(), rows.len());
+                let routed = new.route_rows(&stored, || rng.next_u64());
+                cubrick::repartition::reshuffle(&mut store, new, &routed)
+                    .expect("rows a partition stored");
                 for (table, partition) in store.keys() {
                     let data = store.partition(&table, partition).expect("listed");
                     assert_totals_equal_walks(data, &(partitions, partition));

@@ -12,16 +12,10 @@
 //! for a fixed shard list, resolved once and reused until the window
 //! closes or the store takes a publish (DESIGN.md "Route cache contract").
 
-use std::sync::Arc;
-
-use scalewall_sim::sync::RwLock;
 use scalewall_sim::SimTime;
 
 use crate::delay::DelayModel;
-use crate::map::{history_of, MappingStore, MappingUpdate, ShardKey};
-
-/// Shared handle to the authoritative store (single writer, many readers).
-pub type SharedMappingStore = Arc<RwLock<MappingStore>>;
+use crate::map::{history_of, MappingStore, MappingUpdate};
 
 /// The update a subscriber sees at some instant, and the half-open
 /// window `[from, until)` of instants at which it sees that same update
@@ -82,26 +76,19 @@ impl Route {
     }
 }
 
-/// A subscriber's view of the mapping, filtered through propagation delay.
-#[derive(Clone)]
+/// A subscriber's view of the mapping, filtered through propagation
+/// delay. Holds no store: SM Server owns the one [`MappingStore`] and
+/// every lookup borrows it.
+#[derive(Debug, Clone, Copy)]
 pub struct DiscoveryClient {
-    store: SharedMappingStore,
     delays: DelayModel,
     /// Stable subscriber identity (normally the host id the client runs on).
     subscriber: u64,
 }
 
 impl DiscoveryClient {
-    pub fn new(store: SharedMappingStore, delays: DelayModel, subscriber: u64) -> Self {
-        DiscoveryClient {
-            store,
-            delays,
-            subscriber,
-        }
-    }
-
-    pub fn subscriber(&self) -> u64 {
-        self.subscriber
+    pub fn new(delays: DelayModel, subscriber: u64) -> Self {
+        DiscoveryClient { delays, subscriber }
     }
 
     /// The newest update of `history` (oldest first) whose
@@ -133,37 +120,44 @@ impl DiscoveryClient {
         })
     }
 
-    /// Resolve `key` to the host visible to this subscriber at `now`.
+    /// Resolve `(service, shard)` in `store` to the update visible to
+    /// this subscriber at `now`.
     ///
     /// Walks the retained history newest-first and returns the first update
     /// whose publish time plus this subscriber's propagation delay has
     /// elapsed. If even the oldest retained update has not propagated yet,
     /// the oldest is returned (it stands in for the fully-propagated past).
     /// Returns `None` only if the key has never been published.
-    pub fn resolve(&self, key: &ShardKey, now: SimTime) -> Option<MappingUpdate> {
-        self.resolve_shard(&key.service, key.shard, now)
-    }
-
-    /// [`DiscoveryClient::resolve`] by borrowed key parts, for callers
-    /// that would otherwise build a [`ShardKey`] per lookup.
-    pub fn resolve_shard(&self, service: &str, shard: u64, now: SimTime) -> Option<MappingUpdate> {
-        let store = self.store.read();
+    pub fn resolve(
+        &self,
+        store: &MappingStore,
+        service: &str,
+        shard: u64,
+        now: SimTime,
+    ) -> Option<MappingUpdate> {
         let history = history_of(store.service(service), shard);
         self.visible(history, now).map(|v| v.update)
     }
 
-    /// Bring `route` up to date for `service` at `now`; afterwards
-    /// `route.hosts()[i] == resolve_host((service, route.shards()[i]), now)`
-    /// for every `i`. Returns whether the cached hosts were reused.
+    /// Bring `route` up to date for `service` in `store` at `now`;
+    /// afterwards `route.hosts()[i]` is the host of
+    /// `resolve(store, service, route.shards()[i], now)` for every `i`.
+    /// Returns whether the cached hosts were reused.
     ///
-    /// A hit costs one read lock, one publish-count compare and one
-    /// window check. Anything else — a publish to *any* key of the store
-    /// since the fill, or a `now` outside the window in either direction —
-    /// re-resolves every shard in place. Invalidation is per store, not
-    /// per key: telling whose key a publish touched is the map walk the
-    /// route exists to skip.
-    pub fn route(&self, service: &str, route: &mut Route, now: SimTime) -> bool {
-        let store = self.store.read();
+    /// A hit costs one publish-count compare and one window check. Anything
+    /// else — a publish to *any* key of the store since the fill, or a
+    /// `now` outside the window in either direction — re-resolves every
+    /// shard in place. Invalidation is per store, not per key: telling
+    /// whose key a publish touched is the map walk the route exists to
+    /// skip. The publish count only means something against the store
+    /// that filled the route, so a route is only ever passed back with it.
+    pub fn route(
+        &self,
+        store: &MappingStore,
+        service: &str,
+        route: &mut Route,
+        now: SimTime,
+    ) -> bool {
         let publishes = store.publish_count();
         if route.publishes == publishes && route.from <= now && now < route.until {
             return true;
@@ -186,11 +180,6 @@ impl DiscoveryClient {
         false
     }
 
-    /// Resolve to a host id, treating unpublished and unassigned alike.
-    pub fn resolve_host(&self, key: &ShardKey, now: SimTime) -> Option<u64> {
-        self.resolve(key, now).and_then(|u| u.host)
-    }
-
     /// When update `seq` becomes visible to this subscriber (for tests and
     /// the Fig 4c experiment).
     pub fn visible_at(&self, update: &MappingUpdate) -> SimTime {
@@ -200,83 +189,68 @@ impl DiscoveryClient {
     }
 }
 
-impl std::fmt::Debug for DiscoveryClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiscoveryClient")
-            .field("subscriber", &self.subscriber)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delay::DelayModelConfig;
+    use crate::map::ShardKey;
     use scalewall_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn setup() -> (SharedMappingStore, DiscoveryClient) {
-        let store: SharedMappingStore = Arc::new(RwLock::new(MappingStore::new()));
-        let model = DelayModel::new(DelayModelConfig::default());
-        let client = DiscoveryClient::new(store.clone(), model, 1);
-        (store, client)
+    fn client(subscriber: u64) -> DiscoveryClient {
+        DiscoveryClient::new(DelayModel::new(DelayModelConfig::default()), subscriber)
     }
 
     #[test]
     fn unpublished_key_resolves_to_none() {
-        let (_store, client) = setup();
-        assert!(client.resolve(&ShardKey::new("s", 0), t(100)).is_none());
+        let store = MappingStore::new();
+        assert!(client(1).resolve(&store, "s", 0, t(100)).is_none());
     }
 
     #[test]
     fn update_invisible_until_propagated_then_visible() {
-        let (store, client) = setup();
+        let (mut store, client) = (MappingStore::new(), client(1));
         let key = ShardKey::new("s", 1);
-        let u0 = store.write().publish(key.clone(), Some(10), t(100));
+        let host_at = |store: &MappingStore, now| client.resolve(store, "s", 1, now).unwrap().host;
+        let u0 = store.publish(key.clone(), Some(10), t(100));
         let visible = client.visible_at(&u0);
         assert!(visible > t(100), "propagation adds delay");
 
         // Just before visibility: falls back to oldest retained (same update).
         let before = SimTime::from_nanos(visible.as_nanos() - 1);
-        assert_eq!(client.resolve(&key, before).unwrap().host, Some(10));
+        assert_eq!(host_at(&store, before), Some(10));
 
         // New update published later: before it propagates the client still
         // sees the old host; after, the new one.
-        let u1 = store
-            .write()
-            .publish(key.clone(), Some(20), visible + SimDuration::from_secs(60));
+        let u1 = store.publish(key, Some(20), visible + SimDuration::from_secs(60));
         let u1_visible = client.visible_at(&u1);
         let mid = SimTime::from_nanos(u1_visible.as_nanos() - 1);
         assert_eq!(
-            client.resolve(&key, mid).unwrap().host,
+            host_at(&store, mid),
             Some(10),
             "stale read during propagation"
         );
-        assert_eq!(client.resolve(&key, u1_visible).unwrap().host, Some(20));
+        assert_eq!(host_at(&store, u1_visible), Some(20));
     }
 
     #[test]
     fn different_subscribers_see_updates_at_different_times() {
-        let store: SharedMappingStore = Arc::new(RwLock::new(MappingStore::new()));
-        let model = DelayModel::new(DelayModelConfig::default());
-        let key = ShardKey::new("s", 2);
-        let u = store.write().publish(key, Some(1), t(0));
-        let times: Vec<SimTime> = (0..50)
-            .map(|h| DiscoveryClient::new(store.clone(), model, h).visible_at(&u))
-            .collect();
+        let mut store = MappingStore::new();
+        let u = store.publish(ShardKey::new("s", 2), Some(1), t(0));
+        let times: Vec<SimTime> = (0..50).map(|h| client(h).visible_at(&u)).collect();
         let distinct: std::collections::HashSet<_> = times.iter().map(|t| t.as_nanos()).collect();
         assert!(distinct.len() > 40, "delays should vary across subscribers");
     }
 
     #[test]
-    fn resolve_host_flattens_unassigned() {
-        let (store, client) = setup();
-        let key = ShardKey::new("s", 3);
-        store.write().publish(key.clone(), None, t(0));
+    fn unassigned_resolves_to_no_host() {
+        let mut store = MappingStore::new();
+        store.publish(ShardKey::new("s", 3), None, t(0));
         // After full propagation the entry exists but carries no host.
-        assert_eq!(client.resolve_host(&key, t(10_000)), None);
+        let update = client(1).resolve(&store, "s", 3, t(10_000)).unwrap();
+        assert_eq!(update.host, None);
     }
 }

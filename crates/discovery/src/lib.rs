@@ -10,15 +10,15 @@
 //! This crate models exactly that:
 //!
 //! * [`map`] — the authoritative, versioned mapping store that SM Server
-//!   publishes into.
+//!   owns and publishes into.
 //! * [`delay`] — the propagation-delay model: per (subscriber, update) the
 //!   delay is the sum of per-level hop delays plus local-proxy poll jitter,
 //!   sampled *lazily and deterministically* from a hash of the pair, so we
 //!   never materialize `updates × hosts` state.
-//! * [`cache`] — the per-host view: `resolve(key, now)` returns the value
-//!   the host's local proxy would have seen by `now`, i.e. possibly stale;
-//!   a [`Route`] holds that answer for a whole shard list until it can
-//!   change.
+//! * [`cache`] — the per-host view: `resolve(store, service, shard, now)`
+//!   returns the value the host's local proxy would have seen by `now`,
+//!   i.e. possibly stale; a [`Route`] holds that answer for a whole shard
+//!   list until it can change. The view borrows the store per lookup.
 //!
 //! The staleness is load-bearing for the reproduction: Cubrick's graceful
 //! shard migration protocol (§IV-E) exists precisely because clients keep

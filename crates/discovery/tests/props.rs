@@ -6,9 +6,7 @@ use scalewall_discovery::{
     DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route, ShardKey,
 };
 use scalewall_sim::prop::{self, gen};
-use scalewall_sim::sync::RwLock;
 use scalewall_sim::{SimDuration, SimRng, SimTime};
-use std::sync::Arc;
 
 fn gen_publishes(rng: &mut SimRng, min: usize, max: usize) -> Vec<(u64, u64)> {
     gen::vec_with(rng, min, max, |r| (r.below(600), r.below(50)))
@@ -16,14 +14,14 @@ fn gen_publishes(rng: &mut SimRng, min: usize, max: usize) -> Vec<(u64, u64)> {
 
 fn store_with(
     publishes: &[(u64, u64)], // (gap seconds, host)
-) -> (Arc<RwLock<MappingStore>>, Vec<(SimTime, u64)>) {
-    let store = Arc::new(RwLock::new(MappingStore::new()));
+) -> (MappingStore, Vec<(SimTime, u64)>) {
+    let mut store = MappingStore::new();
     let key = ShardKey::new("svc", 0);
     let mut t = SimTime::ZERO;
     let mut timeline = Vec::new();
     for &(gap, host) in publishes {
         t += SimDuration::from_secs(gap + 1);
-        store.write().publish(key.clone(), Some(host), t);
+        store.publish(key.clone(), Some(host), t);
         timeline.push((t, host));
     }
     (store, timeline)
@@ -39,11 +37,12 @@ fn resolution_is_causal() {
         |(publishes, subscriber, observe_offset)| {
             let (store, timeline) = store_with(publishes);
             let model = DelayModel::new(DelayModelConfig::default());
-            let client = DiscoveryClient::new(store, model, *subscriber);
-            let key = ShardKey::new("svc", 0);
+            let client = DiscoveryClient::new(model, *subscriber);
             let last_publish = timeline.last().unwrap().0;
             let observe = last_publish + SimDuration::from_secs(*observe_offset);
-            let resolved = client.resolve(&key, observe).expect("published key resolves");
+            let resolved = client
+                .resolve(&store, "svc", 0, observe)
+                .expect("published key resolves");
             // The value must be from the retained history...
             let hosts_published: Vec<u64> = timeline.iter().map(|&(_, h)| h).collect();
             assert!(hosts_published.contains(&resolved.host.unwrap()));
@@ -63,15 +62,15 @@ fn eventual_convergence() {
         |(publishes, subscriber)| {
             let (store, timeline) = store_with(publishes);
             let model = DelayModel::new(DelayModelConfig::default());
-            let client = DiscoveryClient::new(store.clone(), model, *subscriber);
-            let key = ShardKey::new("svc", 0);
+            let client = DiscoveryClient::new(model, *subscriber);
             let (_, last_host) = *timeline.last().unwrap();
             // The default model's delays are < 5 minutes with overwhelming
             // probability; one hour is decisive.
             let late = timeline.last().unwrap().0 + SimDuration::from_hours(1);
-            assert_eq!(client.resolve_host(&key, late), Some(last_host));
+            let seen = client.resolve(&store, "svc", 0, late).and_then(|u| u.host);
+            assert_eq!(seen, Some(last_host));
             // And it agrees with the authoritative store.
-            let auth = store.read().latest(&key).unwrap().host;
+            let auth = store.latest(&ShardKey::new("svc", 0)).unwrap().host;
             assert_eq!(auth, Some(last_host));
         },
     );
@@ -93,14 +92,13 @@ fn per_subscriber_monotonicity() {
             let steps = *steps;
             let (store, timeline) = store_with(publishes);
             let model = DelayModel::new(DelayModelConfig::default());
-            let client = DiscoveryClient::new(store, model, *subscriber);
-            let key = ShardKey::new("svc", 0);
+            let client = DiscoveryClient::new(model, *subscriber);
             let horizon = timeline.last().unwrap().0 + SimDuration::from_hours(1);
             let mut last_seq = None;
             for i in 0..steps {
                 let frac = i as f64 / steps as f64;
                 let t = SimTime::from_nanos((horizon.as_nanos() as f64 * frac) as u64);
-                if let Some(update) = client.resolve(&key, t) {
+                if let Some(update) = client.resolve(&store, "svc", 0, t) {
                     if let Some(prev) = last_seq {
                         assert!(update.seq >= prev, "view went backwards");
                     }
@@ -157,17 +155,17 @@ fn route_equals_per_key_reference() {
         "route_equals_per_key_reference",
         |rng| (gen_route_steps(rng), rng.below(100)),
         |(steps, subscriber)| {
-            let store = Arc::new(RwLock::new(MappingStore::new()));
+            let mut store = MappingStore::new();
             let model = DelayModel::new(DelayModelConfig::default());
-            let client = DiscoveryClient::new(store.clone(), model, *subscriber);
+            let client = DiscoveryClient::new(model, *subscriber);
             let keys: Vec<ShardKey> = (0..ROUTE_KEYS).map(|s| ShardKey::new("svc", s)).collect();
             let mut route = Route::default();
             // Listed back to front: position and shard id differ.
             route.reset_shards().extend((0..ROUTE_KEYS).rev());
-            let reference = |now: SimTime| -> Vec<Option<u64>> {
-                keys.iter()
+            let reference = |store: &MappingStore, now: SimTime| -> Vec<Option<u64>> {
+                (0..ROUTE_KEYS)
                     .rev()
-                    .map(|k| client.resolve_host(k, now))
+                    .map(|s| client.resolve(store, "svc", s, now).and_then(|u| u.host))
                     .collect()
             };
 
@@ -176,13 +174,13 @@ fn route_equals_per_key_reference() {
                 published_at += SimDuration::from_millis(step.gap_ms);
                 if let Some((key, host)) = step.publish {
                     let key = keys[key as usize].clone();
-                    store.write().publish(key, host, published_at);
+                    store.publish(key, host, published_at);
                 }
                 // Every instant at which some retained update becomes
                 // visible: the only instants the reference can change at.
                 let mut boundaries: Vec<SimTime> = keys
                     .iter()
-                    .flat_map(|k| store.read().history(k).to_vec())
+                    .flat_map(|k| store.history(k).to_vec())
                     .map(|u| client.visible_at(&u))
                     .collect();
                 boundaries.sort();
@@ -196,11 +194,12 @@ fn route_equals_per_key_reference() {
                 }
                 pick.shuffle(&mut probes);
 
+                let store = &store;
                 for now in probes {
-                    client.route("svc", &mut route, now);
-                    let want = reference(now);
+                    client.route(store, "svc", &mut route, now);
+                    let want = reference(store, now);
                     assert_eq!(route.hosts(), want, "at {now:?}");
-                    assert!(client.route("svc", &mut route, now), "a refill is current");
+                    assert!(client.route(store, "svc", &mut route, now), "a refill is current");
 
                     // Up to `until` the route would answer from cache:
                     // the reference must not have moved at any boundary
@@ -208,17 +207,17 @@ fn route_equals_per_key_reference() {
                     let until = route.until();
                     assert!(until > now);
                     for &b in boundaries.iter().filter(|&&b| now <= b && b < until) {
-                        assert_eq!(reference(b), want, "stale inside [{now:?}, {until:?})");
+                        assert_eq!(reference(store, b), want, "stale inside [{now:?}, {until:?})");
                     }
                     if until < SimTime::MAX {
                         let last = SimTime::from_nanos(until.as_nanos() - 1);
-                        assert!(client.route("svc", &mut route, last));
-                        assert_eq!(route.hosts(), reference(last));
+                        assert!(client.route(store, "svc", &mut route, last));
+                        assert_eq!(route.hosts(), reference(store, last));
                         assert!(
-                            !client.route("svc", &mut route, until),
+                            !client.route(store, "svc", &mut route, until),
                             "window is half-open"
                         );
-                        assert_eq!(route.hosts(), reference(until));
+                        assert_eq!(route.hosts(), reference(store, until));
                     }
                 }
             }
@@ -230,34 +229,34 @@ fn route_equals_per_key_reference() {
 /// succession where the *later* publish reaches the subscriber first.
 #[test]
 fn route_window_ends_at_the_first_arrival_not_the_first_publish() {
-    let store = Arc::new(RwLock::new(MappingStore::new()));
+    let mut store = MappingStore::new();
     let model = DelayModel::new(DelayModelConfig::default());
     let key = ShardKey::new("svc", 7);
-    store.write().publish(key.clone(), Some(1), SimTime::ZERO);
+    store.publish(key.clone(), Some(1), SimTime::ZERO);
     // Find a subscriber for which seq 2 overtakes seq 1.
     let t = SimTime::from_secs(1_000);
-    let second = store.write().publish(key.clone(), Some(2), t);
-    let third = store
-        .write()
-        .publish(key.clone(), Some(3), t + SimDuration::from_millis(1));
+    let second = store.publish(key.clone(), Some(2), t);
+    let third = store.publish(key, Some(3), t + SimDuration::from_millis(1));
+    let store = &store;
     let client = (0..1_000)
-        .map(|s| DiscoveryClient::new(store.clone(), model, s))
+        .map(|s| DiscoveryClient::new(model, s))
         .find(|c| c.visible_at(&third) < c.visible_at(&second))
         .expect("some subscriber sees them out of order");
     let (early, late) = (client.visible_at(&third), client.visible_at(&second));
 
     let mut route = Route::default();
     route.reset_shards().push(7);
-    assert!(!client.route("svc", &mut route, t));
+    assert!(!client.route(store, "svc", &mut route, t));
     assert_eq!((route.hosts(), route.until()), (&[Some(1)][..], early));
     // No publish happened since the fill; only the window can end it.
-    assert!(!client.route("svc", &mut route, early));
+    assert!(!client.route(store, "svc", &mut route, early));
     assert_eq!(route.hosts(), [Some(3)]);
     // The overtaken update never shows: seq 3 is newer and visible.
     assert_eq!(route.until(), SimTime::MAX);
-    assert!(client.route("svc", &mut route, late));
-    assert_eq!(client.resolve_host(&key, late), Some(3));
+    assert!(client.route(store, "svc", &mut route, late));
+    assert_eq!(client.resolve(store, "svc", 7, late).and_then(|u| u.host), Some(3));
     // Going back in time is a miss, not a stale hit.
-    assert!(!client.route("svc", &mut route, SimTime::from_nanos(early.as_nanos() - 1)));
+    let before_early = SimTime::from_nanos(early.as_nanos() - 1);
+    assert!(!client.route(store, "svc", &mut route, before_early));
     assert_eq!(route.hosts(), [Some(1)]);
 }

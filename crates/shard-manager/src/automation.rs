@@ -190,7 +190,7 @@ mod tests {
     }
 
     fn setup(hosts: u64) -> (SmServer, Reg) {
-        let mut sm = SmServer::standalone(SmConfig::default());
+        let mut sm = SmServer::new(SmConfig::default());
         sm.register_app(AppSpec::primary_only("app", 1_000))
             .unwrap();
         let mut reg = Reg::default();

@@ -31,13 +31,13 @@
 //!   (via the `scalewall-zk` store), discovery publisher, drain engine.
 //! * [`automation`] — data-center automation front door: maintenance
 //!   requests with safety checks (§IV-G).
-//! * [`client`] — [`SmClient`]: resolves `(service, shard)` through service
-//!   discovery, seeing the same propagation delays real clients see.
+//!
+//! Clients resolve shards through `scalewall-discovery`'s
+//! `DiscoveryClient`, borrowing the mappings [`SmServer::mappings`] holds.
 
 pub mod app_server;
 pub mod automation;
 pub mod balancer;
-pub mod client;
 pub mod error;
 pub mod ids;
 pub mod migration;
@@ -48,7 +48,6 @@ pub mod spec;
 pub use app_server::{AddShardReason, AppServer, AppServerRegistry, ShardContext};
 pub use automation::{AutomationEngine, MaintenanceRequest, MaintenanceVerdict};
 pub use balancer::{BalanceProposal, BalancerStats};
-pub use client::SmClient;
 pub use error::{AppError, SmError, SmResult};
 pub use ids::{HostId, HostInfo, HostState, Rack, Region, ShardId};
 pub use migration::{

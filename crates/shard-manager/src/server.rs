@@ -19,7 +19,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use scalewall_sim::sync::RwLock;
 use scalewall_discovery::{MappingStore, ShardKey};
 use scalewall_sim::{DeadlineQueue, SimRng, SimTime};
 use scalewall_zk::{CoordinationPlane, SessionConfig, SessionId, ZkReplicationConfig};
@@ -33,9 +32,6 @@ use crate::migration::{
 };
 use crate::placement::{rank_candidates_hinted, Candidate, HostSnapshot, SpreadHint};
 use crate::spec::{AppSpec, Role, SpreadDomain};
-
-/// Shared handle to the discovery mapping store.
-pub type SharedDiscovery = Arc<RwLock<MappingStore>>;
 
 /// Server-wide configuration.
 #[derive(Debug, Clone)]
@@ -170,7 +166,9 @@ pub struct SmServer {
     apps: BTreeMap<Arc<str>, AppState>,
     hosts: BTreeMap<HostId, HostEntry>,
     zk: CoordinationPlane,
-    discovery: SharedDiscovery,
+    /// The shard→host mappings service discovery serves. SM Server is
+    /// their only writer; discovery clients borrow them per lookup.
+    mappings: MappingStore,
     active: BTreeMap<u64, MigrationRecord>,
     /// Phase deadlines of in-flight migrations on the simulation kernel's
     /// deadline wheel, so `advance_migrations` visits only the due ones
@@ -202,7 +200,7 @@ pub struct SmServer {
 }
 
 impl SmServer {
-    pub fn new(config: SmConfig, discovery: SharedDiscovery) -> Self {
+    pub fn new(config: SmConfig) -> Self {
         SmServer {
             zk: match &config.replication {
                 None => CoordinationPlane::single(config.session),
@@ -212,7 +210,7 @@ impl SmServer {
             config,
             apps: BTreeMap::new(),
             hosts: BTreeMap::new(),
-            discovery,
+            mappings: MappingStore::new(),
             active: BTreeMap::new(),
             deadlines: DeadlineQueue::new(),
             deadline_scratch: Vec::new(),
@@ -226,13 +224,9 @@ impl SmServer {
         }
     }
 
-    /// Convenience constructor with a private discovery store.
-    pub fn standalone(config: SmConfig) -> Self {
-        SmServer::new(config, Arc::new(RwLock::new(MappingStore::new())))
-    }
-
-    pub fn discovery(&self) -> SharedDiscovery {
-        self.discovery.clone()
+    /// The mappings this server has published to service discovery.
+    pub fn mappings(&self) -> &MappingStore {
+        &self.mappings
     }
 
     pub fn config(&self) -> &SmConfig {
@@ -340,23 +334,14 @@ impl SmServer {
         Ok(())
     }
 
-    /// Record a heartbeat from a host's application server.
+    /// One heartbeat round from the application server of every host
+    /// `live` lists, recorded by the coordination plane as a single
+    /// commit. Unknown and session-less hosts are skipped.
     ///
-    /// Heartbeats assert the server was alive for the whole interval
-    /// since the previous beat, so they refresh the session even when the
+    /// Heartbeats assert a server was alive for the whole interval since
+    /// its previous beat, so they refresh its session even when the
     /// simulation advanced time past the session timeout in one jump —
     /// as long as SM has not yet processed the expiry.
-    pub fn heartbeat(&mut self, host: HostId, now: SimTime) -> SmResult<()> {
-        let entry = self.hosts.get(&host).ok_or(SmError::UnknownHost { host })?;
-        if let Some(session) = entry.session {
-            self.zk.refresh_session(session, now);
-        }
-        Ok(())
-    }
-
-    /// One heartbeat round: [`heartbeat`](Self::heartbeat) for every
-    /// host `live` lists, recorded by the coordination plane as a single
-    /// commit. Unknown and session-less hosts are skipped.
     ///
     /// The session list is kept from round to round and rebuilt only when
     /// it can differ: a host's session was opened or closed here (which
@@ -721,11 +706,10 @@ impl SmServer {
         Ok(())
     }
 
-    fn publish(&self, app_name: &str, shard: ShardId, now: SimTime) {
-        let host = self.host_of(app_name, shard);
-        self.discovery
-            .write()
-            .publish(self.shard_key(app_name, shard), host.map(|h| h.0), now);
+    fn publish(&mut self, app_name: &str, shard: ShardId, now: SimTime) {
+        let host = self.host_of(app_name, shard).map(|h| h.0);
+        let key = self.shard_key(app_name, shard);
+        self.mappings.publish(key, host, now);
     }
 
     /// Discovery key of one of an app's shards. Shares the registered
@@ -1119,8 +1103,7 @@ impl SmServer {
             // Publish unavailability immediately: clients must stop
             // routing to the dead host as soon as caches catch up.
             if self.host_of(&app_name, shard) == Some(host) {
-                self.discovery
-                    .write()
+                self.mappings
                     .publish(ShardKey::new(app_name.clone(), shard.0), None, now);
             }
             if self
@@ -1439,7 +1422,7 @@ mod tests {
     }
 
     fn setup(hosts: u64) -> (SmServer, MockRegistry) {
-        let mut sm = SmServer::standalone(SmConfig::default());
+        let mut sm = SmServer::new(SmConfig::default());
         sm.register_app(AppSpec::primary_only("app", 1_000))
             .unwrap();
         let mut reg = MockRegistry::default();
@@ -1475,8 +1458,7 @@ mod tests {
         let host = hosts[0];
         assert!(reg.servers[&host].shards.contains_key(&7));
         assert_eq!(sm.host_of("app", ShardId(7)), Some(host));
-        let discovery = sm.discovery();
-        let latest = discovery.read().latest(&ShardKey::new("app", 7)).unwrap();
+        let latest = sm.mappings().latest(&ShardKey::new("app", 7)).unwrap();
         assert_eq!(latest.host, Some(host.0));
     }
 
@@ -1521,7 +1503,7 @@ mod tests {
 
     #[test]
     fn replicated_allocation_respects_spread() {
-        let mut sm = SmServer::standalone(SmConfig::default());
+        let mut sm = SmServer::new(SmConfig::default());
         sm.register_app(
             AppSpec::primary_only("app", 100)
                 .with_replication(ReplicationMode::SecondaryOnly { replicas: 3 })
@@ -1547,7 +1529,7 @@ mod tests {
 
     #[test]
     fn replication_infeasible_rolls_back() {
-        let mut sm = SmServer::standalone(SmConfig::default());
+        let mut sm = SmServer::new(SmConfig::default());
         sm.register_app(
             AppSpec::primary_only("app", 100)
                 .with_replication(ReplicationMode::SecondaryOnly { replicas: 3 })
@@ -1767,12 +1749,12 @@ mod tests {
         let victim = sm.host_of("app", ShardId(0)).unwrap();
         let other = HostId(if victim.0 == 0 { 1 } else { 0 });
         // Both heartbeat at t=5; victim then goes silent.
-        sm.heartbeat(victim, t(5)).unwrap();
-        sm.heartbeat(other, t(5)).unwrap();
+        sm.heartbeat_all(0, || [victim, other], t(5));
         reg.down.insert(victim);
-        // Keep the healthy host heartbeating so only the victim expires.
+        // Keep the healthy host heartbeating so only the victim expires:
+        // a fleet without it is a fleet of a new version.
         for s in [8u64, 12, 16] {
-            sm.heartbeat(other, t(s)).unwrap();
+            sm.heartbeat_all(1, || [other], t(s));
             sm.tick(t(s), &mut reg);
         }
         sm.tick(t(16), &mut reg);
@@ -1928,8 +1910,7 @@ mod tests {
             .unwrap();
         assert!(sm.host_of("app", ShardId(0)).is_none());
         assert!(reg.servers[&host].shards.is_empty());
-        let discovery = sm.discovery();
-        let latest = discovery.read().latest(&ShardKey::new("app", 0)).unwrap();
+        let latest = sm.mappings().latest(&ShardKey::new("app", 0)).unwrap();
         assert_eq!(latest.host, None);
     }
 
@@ -2075,7 +2056,7 @@ mod tests {
             ..Default::default()
         };
         config.seed = 1;
-        let mut sm = SmServer::standalone(config);
+        let mut sm = SmServer::new(config);
         sm.register_app(AppSpec::primary_only("app", 10_000))
             .unwrap();
         let mut reg = MockRegistry::default();

@@ -224,7 +224,7 @@ fn allocation_consistency() {
         |(shard_ids, hosts, replicas)| {
             let (hosts, replicas) = (*hosts, *replicas);
             prop::assume(hosts >= replicas as u64);
-            let mut sm = SmServer::standalone(SmConfig::default());
+            let mut sm = SmServer::new(SmConfig::default());
             sm.register_app(
                 AppSpec::primary_only("app", 1_000).with_replication(
                     scalewall_shard_manager::ReplicationMode::SecondaryOnly { replicas },
@@ -341,7 +341,7 @@ fn hinted_ranking_reorders_but_never_filters() {
 /// allocate `shards` group members over hosts with the given rack labels,
 /// then check host- and rack-spread are as good as the topology allows.
 fn check_group_spread(host_racks: &[u32], shards: u64) {
-    let mut sm = SmServer::standalone(SmConfig::default());
+    let mut sm = SmServer::new(SmConfig::default());
     sm.register_app(AppSpec::primary_only("app", 1_000)).unwrap();
     let mut fleet = Fleet::default();
     for (i, &rack) in host_racks.iter().enumerate() {
@@ -416,7 +416,7 @@ fn group_allocation_bounds_rack_share_on_balanced_topologies() {
         |&(racks, per_rack, shards, jitter, seed)| {
             let host_racks: Vec<u32> =
                 (0..racks * per_rack).map(|i| (i % racks) as u32).collect();
-            let mut sm = SmServer::standalone(SmConfig {
+            let mut sm = SmServer::new(SmConfig {
                 placement_jitter: jitter,
                 seed,
                 ..Default::default()
@@ -476,7 +476,7 @@ fn veto_overrides_spread_hint() {
         64,
         |rng| rng.range(3, 10),
         |&hosts| {
-            let mut sm = SmServer::standalone(SmConfig::default());
+            let mut sm = SmServer::new(SmConfig::default());
             sm.register_app(AppSpec::primary_only("app", 1_000)).unwrap();
             let mut fleet = Fleet::default();
             for i in 0..hosts {

@@ -20,7 +20,7 @@
 //!   (instantaneous failures).
 //! * [`stats`] — online statistics: log-bucketed latency histograms with
 //!   percentile queries and daily time-series counters.
-//! * [`sync`] — poison-free `RwLock`/`Mutex` wrappers over `std::sync`
+//! * [`sync`] — a poison-free `RwLock` wrapper over `std::sync`
 //!   (the workspace is hermetic: no external lock crates).
 //! * [`hash`] — the stable hashes (FNV-1a, the SplitMix64 finaliser)
 //!   behind shard mapping, row routing, replay digests and seed streams.

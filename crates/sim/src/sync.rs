@@ -1,9 +1,9 @@
-//! Poison-free lock wrappers over `std::sync`.
+//! Poison-free lock wrapper over `std::sync`.
 //!
 //! The workspace is hermetic (no external crates; see DESIGN.md), so the
-//! ergonomic `parking_lot` locks were replaced with these thin wrappers:
-//! same `.read()` / `.write()` / `.lock()` call-site surface, guards
-//! returned directly rather than behind a `Result`.
+//! ergonomic `parking_lot` lock was replaced with this thin wrapper: same
+//! `.read()` / `.write()` call-site surface, guards returned directly
+//! rather than behind a `Result`.
 //!
 //! Poisoning is deliberately ignored: the simulation is single-process and
 //! deterministic, and a panic while holding a lock already aborts the
@@ -30,11 +30,6 @@ impl<T> RwLock<T> {
     pub fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        ignore_poison(self.0.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -46,44 +41,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquire an exclusive write guard (blocks; never returns `Err`).
     pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
         ignore_poison(self.0.write())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        ignore_poison(self.0.get_mut())
-    }
-}
-
-impl<T: Default> From<T> for RwLock<T> {
-    fn from(value: T) -> Self {
-        RwLock::new(value)
-    }
-}
-
-/// Mutual-exclusion lock with `parking_lot`-style ergonomics.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    pub fn new(value: T) -> Self {
-        Mutex(sync::Mutex::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        ignore_poison(self.0.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock (blocks; never returns `Err`).
-    pub fn lock(&self) -> sync::MutexGuard<'_, T> {
-        ignore_poison(self.0.lock())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        ignore_poison(self.0.get_mut())
     }
 }
 
@@ -98,14 +55,6 @@ mod tests {
         assert_eq!(*lock.read(), 1);
         *lock.write() += 41;
         assert_eq!(*lock.read(), 42);
-        assert_eq!(lock.into_inner(), 42);
-    }
-
-    #[test]
-    fn mutex_round_trip() {
-        let m = Mutex::new(vec![1, 2]);
-        m.lock().push(3);
-        assert_eq!(m.into_inner(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -121,18 +70,5 @@ mod tests {
         assert_eq!(*lock.read(), 7);
         *lock.write() = 8;
         assert_eq!(*lock.read(), 8);
-    }
-
-    #[test]
-    fn mutex_survives_poisoning() {
-        let m = Arc::new(Mutex::new(0u32));
-        let poisoner = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock();
-            panic!("poison the lock");
-        })
-        .join();
-        *m.lock() = 5;
-        assert_eq!(*m.lock(), 5);
     }
 }

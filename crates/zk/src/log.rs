@@ -57,9 +57,6 @@ pub enum ZkOp {
         expected_version: Option<u64>,
     },
     CreateSession,
-    Heartbeat {
-        session: SessionId,
-    },
     RefreshSession {
         session: SessionId,
     },
@@ -100,9 +97,9 @@ impl ZkOp {
             ZkOp::Create { session, .. } | ZkOp::CreateRecursive { session, .. } => {
                 session.as_slice()
             }
-            ZkOp::Heartbeat { session }
-            | ZkOp::RefreshSession { session }
-            | ZkOp::CloseSession { session } => std::slice::from_ref(session),
+            ZkOp::RefreshSession { session } | ZkOp::CloseSession { session } => {
+                std::slice::from_ref(session)
+            }
             ZkOp::RefreshSessions { sessions } => sessions,
             _ => &[],
         }

@@ -166,29 +166,12 @@ impl ZkStore {
         id
     }
 
-    /// Record a heartbeat. Fails if the session already expired.
-    pub fn heartbeat(&mut self, session: SessionId, now: SimTime) -> ZkResult<()> {
-        let s = self
-            .sessions
-            .get_mut(&session)
-            .ok_or(ZkError::SessionExpired { session: session.0 })?;
-        if s.is_expired(now) {
-            // A heartbeat arriving after expiry cannot resurrect a session;
-            // the caller must reconnect (i.e. open a new session).
-            return Err(ZkError::SessionExpired { session: session.0 });
-        }
-        s.last_heartbeat = now;
-        Ok(())
-    }
-
-    /// Unconditionally refresh a session's heartbeat, even past its
-    /// timeout, as long as expiry has not been *processed* yet (the
-    /// session still exists). Coarse-grained simulation drivers use this
-    /// to assert "this client was alive and heartbeating throughout the
-    /// interval we just skipped"; event-granular clients should use
-    /// [`heartbeat`], which refuses late beats.
-    ///
-    /// [`heartbeat`]: ZkStore::heartbeat
+    /// Record a heartbeat: refresh a session even past its timeout, as
+    /// long as expiry has not been *processed* yet (the session still
+    /// exists). The simulation advances time in jumps, and a beat asserts
+    /// "this client was alive and heartbeating throughout the interval we
+    /// just skipped". Returns `false` for a session that no longer exists:
+    /// a late beat cannot resurrect it; the client must open a new one.
     pub fn refresh_session(&mut self, session: SessionId, now: SimTime) -> bool {
         match self.sessions.get_mut(&session) {
             Some(s) => {
@@ -573,7 +556,6 @@ impl ZkStore {
                 expected_version,
             } => self.delete(path, *expected_version, at).map(|()| ZkResp::Unit),
             ZkOp::CreateSession => Ok(ZkResp::Session(self.create_session(at))),
-            ZkOp::Heartbeat { session } => self.heartbeat(*session, at).map(|()| ZkResp::Unit),
             ZkOp::RefreshSession { session } => {
                 Ok(ZkResp::Refreshed(self.refresh_session(*session, at)))
             }
@@ -824,7 +806,7 @@ mod tests {
         assert!(zk.exists("/hb/x"));
 
         // Heartbeats keep it alive.
-        zk.heartbeat(sid, t(5)).unwrap();
+        assert!(zk.refresh_session(sid, t(5)));
         assert!(zk.expire_sessions(t(14)).is_empty());
         assert!(zk.exists("/hb/x"));
 
@@ -833,7 +815,8 @@ mod tests {
         assert_eq!(expired, vec![sid]);
         assert!(!zk.exists("/hb/x"));
         // Late heartbeat cannot resurrect.
-        assert!(zk.heartbeat(sid, t(17)).is_err());
+        assert!(!zk.refresh_session(sid, t(17)));
+        assert!(!zk.session_alive(sid, t(17)));
     }
 
     #[test]

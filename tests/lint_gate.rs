@@ -91,20 +91,25 @@ fn workspace_has_zero_unsilenced_violations() {
 }
 
 /// Vacuity is a failure: the semantic walk must have seen the locks the
-/// system has (all four are declared through `type Shared… = Arc<RwLock<…>>`
-/// aliases), an order between two of them, and calls made under them.
-/// Before aliases were followed it saw 2 identities — the shim's own field
-/// — 0 edges and 3 calls, and reported the same zero violations.
+/// system has (both shared stores are declared through `type Shared… =
+/// Arc<RwLock<…>>` aliases), an order between two of them, and calls made
+/// under them. Before aliases were followed it saw 2 identities — the
+/// shim's own field — 0 edges and 3 calls, and reported the same zero
+/// violations. The shard map SM owns by value is no lock, and a shared
+/// handle to it coming back fails here.
 #[test]
 fn semantic_walk_sees_the_locks_the_system_has() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let census = lint_workspace(root).expect("workspace scan").census;
     println!("{census:#?}");
-    for lock in ["Deployment::catalog", "CubrickNode::region_store", "DiscoveryClient::store", "SmServer::discovery"] {
+    for lock in ["Deployment::catalog", "CubrickNode::catalog", "CubrickNode::region_store"] {
         assert!(census.lock_ids.contains(lock), "`{lock}` unresolved; saw {:?}", census.lock_ids);
     }
-    assert!(census.lock_ids.len() >= 7, "{:?}", census.lock_ids);
-    assert!(!census.order_edges.is_empty(), "no lock-order edge anywhere");
+    for gone in ["DiscoveryClient::store", "SmServer::discovery", "Mutex::0"] {
+        assert!(!census.lock_ids.contains(gone), "`{gone}` is a lock again; saw {:?}", census.lock_ids);
+    }
+    assert!(census.lock_ids.len() >= 6, "{:?}", census.lock_ids);
+    assert!(census.order_edges.len() >= 2, "{:?}", census.order_edges);
     assert!(census.calls_under_lock >= 150, "only {} calls under a held lock", census.calls_under_lock);
     assert!(census.fns_walked > 1000 && census.fork_sites > 10 && census.rng_calls > 100, "{census:?}");
 }

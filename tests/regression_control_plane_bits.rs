@@ -96,7 +96,7 @@ fn tick(sm: &mut SmServer, fleet: &mut Fleet, now: SimTime) {
 }
 
 fn sm_digests(jitter: usize) -> [u64; 5] {
-    let mut sm = SmServer::standalone(SmConfig {
+    let mut sm = SmServer::new(SmConfig {
         placement_jitter: jitter,
         seed: 0xC0DE ^ jitter as u64,
         ..Default::default()

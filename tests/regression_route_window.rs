@@ -107,13 +107,7 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
     let start = MIGRATE_AT.as_nanos() - SimDuration::from_secs(5).as_nanos();
     let step = SimDuration::from_millis(250).as_nanos();
     let mut pending: BTreeSet<u64> = (0..=260).map(|i| start + i * step).collect();
-    let mut last_seq = dep.regions[0]
-        .sm
-        .discovery()
-        .read()
-        .latest(&key)
-        .unwrap()
-        .seq;
+    let mut last_seq = dep.regions[0].sm.mappings().latest(&key).unwrap().seq;
     let mut migrating = false;
     let mut visible = Vec::new();
     let mut queries = Vec::new();
@@ -139,7 +133,7 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
         dep.tick(now);
         // Every update the tick published gets a probe pair around the
         // instant region 0's proxy learns of it.
-        let latest = dep.regions[0].sm.discovery().read().latest(&key).unwrap();
+        let latest = dep.regions[0].sm.mappings().latest(&key).unwrap();
         if latest.seq != last_seq {
             last_seq = latest.seq;
             let v = dep.regions[0].discovery.visible_at(&latest);

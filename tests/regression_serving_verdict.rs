@@ -228,7 +228,7 @@ impl Harness {
     /// `p`'s shard.
     fn newest_visible(&self, p: usize) -> SimTime {
         let key = ShardKey::new(APP, self.shards[p]);
-        let latest = self.dep.regions[0].sm.discovery().read().latest(&key).unwrap();
+        let latest = self.dep.regions[0].sm.mappings().latest(&key).unwrap();
         self.dep.regions[0].discovery.visible_at(&latest)
     }
 

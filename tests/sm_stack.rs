@@ -2,17 +2,15 @@
 //! store + service discovery, exercised together the way Cubrick uses
 //! them (without the database on top).
 
-use scalewall::sim::sync::RwLock;
-use scalewall::discovery::{DelayModel, DelayModelConfig, DiscoveryClient, ShardKey};
+use scalewall::discovery::{DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, ShardKey};
 use scalewall::shard_manager::app_server::MockAppServer;
 use scalewall::shard_manager::{
     AppServer, AppServerRegistry, AppSpec, AutomationEngine, HostId, HostInfo, HostState,
-    MaintenanceRequest, MaintenanceVerdict, MigrationCause, Rack, Region, ShardId, SmClient,
-    SmConfig, SmServer,
+    MaintenanceRequest, MaintenanceVerdict, MigrationCause, Rack, Region, ShardId, SmConfig,
+    SmServer,
 };
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 struct Fleet {
     servers: HashMap<HostId, MockAppServer>,
@@ -48,9 +46,16 @@ fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
 }
 
+/// The owner of `shard` of `svc` that subscriber `subscriber` sees in
+/// `sm`'s mappings at `now`.
+fn seen_owner(sm: &SmServer, subscriber: u64, shard: u64, now: SimTime) -> Option<HostId> {
+    let client = DiscoveryClient::new(DelayModel::new(DelayModelConfig::default()), subscriber);
+    client.resolve(sm.mappings(), "svc", shard, now)?.host.map(HostId)
+}
+
 #[test]
 fn sm_client_sees_allocation_through_discovery_with_delay() {
-    let mut sm = SmServer::standalone(SmConfig::default());
+    let mut sm = SmServer::new(SmConfig::default());
     sm.register_app(AppSpec::primary_only("svc", 1_000))
         .unwrap();
     let mut fleet = fleet(&mut sm, 4);
@@ -60,17 +65,9 @@ fn sm_client_sees_allocation_through_discovery_with_delay() {
         .unwrap();
     let owner = hosts[0];
 
-    let client = SmClient::new(
-        "svc",
-        DiscoveryClient::new(
-            sm.discovery(),
-            DelayModel::new(DelayModelConfig::default()),
-            1,
-        ),
-    );
     // First publish: visible immediately (fallback-to-oldest rule — a
     // brand-new key has no older state to serve).
-    assert_eq!(client.resolve(ShardId(7), t(100)), Some(owner));
+    assert_eq!(seen_owner(&sm, 1, 7, t(100)), Some(owner));
 
     // Reassign: the client's view lags by the propagation delay.
     let target = (0..4).map(HostId).find(|&h| h != owner).unwrap();
@@ -90,12 +87,12 @@ fn sm_client_sees_allocation_through_discovery_with_delay() {
     // Immediately after the (simulated) publish, the client may still
     // resolve the old owner; after a generous delay it must see the new.
     let eventually = t(200) + SimDuration::from_mins(30);
-    assert_eq!(client.resolve(ShardId(7), eventually), Some(target));
+    assert_eq!(seen_owner(&sm, 1, 7, eventually), Some(target));
 }
 
 #[test]
 fn heartbeat_loss_drives_failover_and_discovery_update() {
-    let mut sm = SmServer::standalone(SmConfig::default());
+    let mut sm = SmServer::new(SmConfig::default());
     sm.register_app(AppSpec::primary_only("svc", 1_000))
         .unwrap();
     let mut fleet = fleet(&mut sm, 3);
@@ -103,53 +100,36 @@ fn heartbeat_loss_drives_failover_and_discovery_update() {
         .unwrap();
     let victim = sm.host_of("svc", ShardId(1)).unwrap();
 
-    // Everyone heartbeats until t=30; then the victim goes silent.
+    // Everyone heartbeats until t=30; then the victim goes silent. A
+    // fleet without it is a fleet of a new version.
+    let everyone = || (0..3).map(HostId);
+    let survivors = || everyone().filter(move |&h| h != victim);
     for s in [10u64, 20, 30] {
-        for h in 0..3 {
-            sm.heartbeat(HostId(h), t(s)).unwrap();
-        }
+        sm.heartbeat_all(0, everyone, t(s));
         sm.tick(t(s), &mut fleet);
     }
     fleet.down.insert(victim);
     for s in [35u64, 40, 45, 50] {
-        for h in 0..3 {
-            if HostId(h) != victim {
-                sm.heartbeat(HostId(h), t(s)).unwrap();
-            }
-        }
+        sm.heartbeat_all(1, survivors, t(s));
         sm.tick(t(s), &mut fleet);
     }
     assert_eq!(sm.host_state(victim), Some(HostState::Dead));
     // Failover ran (or is running); let it finish. The survivors keep
     // heartbeating (a silent tick would expire them too — correctly).
     let later = t(50) + SimDuration::from_mins(30);
-    for h in 0..3 {
-        if HostId(h) != victim {
-            sm.heartbeat(HostId(h), later).unwrap();
-        }
-    }
+    sm.heartbeat_all(1, survivors, later);
     sm.tick(later, &mut fleet);
     let new_owner = sm.host_of("svc", ShardId(1)).unwrap();
     assert_ne!(new_owner, victim);
 
     // Discovery eventually points clients at the new owner.
-    let client = SmClient::new(
-        "svc",
-        DiscoveryClient::new(
-            sm.discovery(),
-            DelayModel::new(DelayModelConfig::default()),
-            9,
-        ),
-    );
-    assert_eq!(
-        client.resolve(ShardId(1), t(50) + SimDuration::from_hours(1)),
-        Some(new_owner)
-    );
+    let eventually = t(50) + SimDuration::from_hours(1);
+    assert_eq!(seen_owner(&sm, 9, 1, eventually), Some(new_owner));
 }
 
 #[test]
 fn automation_drain_respects_fault_tolerance_budget() {
-    let mut sm = SmServer::standalone(SmConfig::default());
+    let mut sm = SmServer::new(SmConfig::default());
     sm.register_app(AppSpec::primary_only("svc", 1_000))
         .unwrap();
     let mut fleet = fleet(&mut sm, 20);
@@ -196,7 +176,7 @@ fn automation_drain_respects_fault_tolerance_budget() {
 
 #[test]
 fn replicated_app_spreads_and_survives_rack_failure() {
-    let mut sm = SmServer::standalone(SmConfig::default());
+    let mut sm = SmServer::new(SmConfig::default());
     sm.register_app(
         AppSpec::primary_only("svc", 1_000)
             .with_replication(scalewall::shard_manager::ReplicationMode::SecondaryOnly {
@@ -242,9 +222,9 @@ fn replicated_app_spreads_and_survives_rack_failure() {
 fn discovery_staleness_is_bounded_and_monotone() {
     // A client never sees assignments out of order: once it observes
     // update N, it never resolves to update N-1 again.
-    let store = Arc::new(RwLock::new(scalewall::discovery::MappingStore::new()));
+    let mut store = MappingStore::new();
     let model = DelayModel::new(DelayModelConfig::default());
-    let client = DiscoveryClient::new(store.clone(), model, 77);
+    let client = DiscoveryClient::new(model, 77);
     let key = ShardKey::new("svc", 5);
     let mut rng = SimRng::new(5);
     let mut publish_time = SimTime::ZERO;
@@ -252,11 +232,11 @@ fn discovery_staleness_is_bounded_and_monotone() {
     let mut observe = SimTime::ZERO;
     for host in 0..20u64 {
         publish_time += SimDuration::from_secs(60 + rng.below(600));
-        store.write().publish(key.clone(), Some(host), publish_time);
+        store.publish(key.clone(), Some(host), publish_time);
         // Observe at several instants between publishes.
         for _ in 0..5 {
             observe = observe.max(publish_time) + SimDuration::from_secs(rng.below(30) + 1);
-            if let Some(update) = client.resolve(&key, observe) {
+            if let Some(update) = client.resolve(&store, "svc", 5, observe) {
                 let seen = update.host.unwrap();
                 if let Some(prev) = last_seen {
                     assert!(seen >= prev, "client went backwards: {prev} → {seen}");
