@@ -119,7 +119,7 @@ pub fn compute(profile: Profile) -> Vec<BestEffortPoint> {
                         .and_then(|o| o.scalar())
                         .unwrap_or(0.0);
                     accuracy_sum += counted / rows_per_fanout as f64;
-                    if outcome.partitions_answered < outcome.fan_out {
+                    if outcome.partitions_answered() < outcome.fan_out() {
                         incomplete += 1;
                     }
                 }

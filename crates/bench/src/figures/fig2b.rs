@@ -241,7 +241,7 @@ fn blast_measure(
                     let outcome = run_query(dep, &mut proxy, &net, &query, &opts, now, &mut rng);
                     now += SimDuration::from_millis(500);
                     total += 1;
-                    let lost = outcome.fan_out.saturating_sub(outcome.partitions_answered);
+                    let lost = outcome.fan_out().saturating_sub(outcome.partitions_answered());
                     if outcome.success && lost <= budget {
                         met += 1;
                     }

@@ -659,7 +659,7 @@ impl Deployment {
         let nodes = &region.nodes;
         let live = || nodes.hosts().filter(|&h| !nodes.is_down(h));
         region.sm.heartbeat_all(nodes.changes(), live, now);
-        let _ = crate::driver::drive_region_coordination(region, now);
+        region.sm.tick(now, &mut region.nodes);
     }
 
     // ------------------------------------------------- coordination plane ops

@@ -9,13 +9,17 @@
 //! partials; the proxy transparently retries retryable failures in
 //! another region.
 //!
+//! Four stages with typed hand-offs (DESIGN.md "Query path stages"):
+//! `plan` once per query, `dispatch` per attempt, feeding a `Collect` one
+//! shard outcome at a time, and `merge` of the attempt that answered.
+//!
 //! Query latency = max over fanned-out servers + coordinator costs,
 //! accumulated across retry attempts.
 
 use cubrick::admission::QosClass;
 use cubrick::catalog::TableDef;
 use cubrick::coordinator::{merge_degraded, merge_partials, FanoutPlan};
-use cubrick::error::CubrickError;
+use cubrick::error::{CubrickError, CubrickResult};
 use cubrick::proxy::{CoordinatorStrategy, CubrickProxy};
 use cubrick::query::result::{Coverage, PartialResult, QueryOutput, ShardState};
 use cubrick::query::Query;
@@ -25,37 +29,6 @@ use scalewall_sim::{SimDuration, SimRng, SimTime};
 use crate::deployment::{Deployment, RegionState};
 use crate::net::{NetModel, ServerResponse};
 use crate::registry::NodeRegistry;
-
-/// Snapshot of a region's coordination-plane health after one drive
-/// step: who leads the regional ensemble, in which epoch, and how many
-/// failovers it has absorbed since startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoordinationHealth {
-    /// Current ensemble leader, `None` while leaderless (lease running
-    /// out after a leader loss). Always `Some(0)` for the single store.
-    pub leader: Option<u32>,
-    pub epoch: u64,
-    /// Leader changes since startup.
-    pub failovers: u64,
-}
-
-/// Drive one region's shard manager — and through it the coordination
-/// plane — to `now`. This is the client-side driving point for the
-/// replicated plane: inside `sm.tick` the lease is renewed or a
-/// deterministic election runs, and every SM → zk call goes through a
-/// `ZkClient` that follows `NotLeader` redirects under the bounded
-/// jittered retry/backoff policy (`RetryPolicy`, jitter from a dedicated
-/// forked stream). Returns the plane's post-tick health so callers can
-/// account failovers.
-pub fn drive_region_coordination(region: &mut RegionState, now: SimTime) -> CoordinationHealth {
-    region.sm.tick(now, &mut region.nodes);
-    let plane = region.sm.coordination();
-    CoordinationHealth {
-        leader: plane.leader(),
-        epoch: plane.epoch(),
-        failovers: plane.failovers(),
-    }
-}
 
 /// Per-query options.
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +42,7 @@ pub struct QueryOptions {
     /// fail and merge whatever answered, trading accuracy for
     /// availability. Cubrick's production default is `false` — "there
     /// are many BI and data analytics workloads where this assumption
-    /// cannot be made".
+    /// cannot be made". `partial_results` wins when both are set.
     pub best_effort: bool,
     /// QoS class stamped on the query; selects the admission lane and
     /// the stats bucket.
@@ -112,17 +85,14 @@ pub struct QueryOutcome {
     /// End-to-end latency including failed attempts.
     pub latency: SimDuration,
     pub attempts: u32,
-    pub fan_out: usize,
-    /// Partitions whose sub-query answered. Equals `fan_out` except in
-    /// best-effort mode, where a "successful" query may be incomplete.
-    pub partitions_answered: usize,
     pub output: Option<QueryOutput>,
     pub error: Option<CubrickError>,
     /// `true` when a degraded-mode answer is missing shards (always
     /// `false` unless `partial_results` was requested).
     pub partial: bool,
-    /// Per-shard coverage of the successful attempt (degraded or
-    /// best-effort modes; `None` on failure).
+    /// Per-shard status of the attempt that answered, plan order (`None`
+    /// on failure). Only a query that tolerates failed shards can hold
+    /// anything but `Answered`.
     pub coverage: Option<Coverage>,
     /// Region that served the successful attempt.
     pub served_region: Option<Region>,
@@ -131,47 +101,191 @@ pub struct QueryOutcome {
     pub coordinator_partition: Option<u32>,
 }
 
-/// Outcome of one fan-out attempt in one region.
-enum AttemptResult {
-    Ok {
-        latency: SimDuration,
-        partials: Vec<PartialResult>,
-        /// Sub-queries that answered.
-        answered: usize,
-        /// Hosts that served them, to clear their failure streaks; left
-        /// empty when the proxy holds no streak to clear.
-        answered_hosts: Vec<HostId>,
-        /// Per-shard status, plan order. Complete (all `Answered`) on
-        /// the strict path; may carry failures in degraded/best-effort
-        /// modes.
-        coverage: Coverage,
-        /// Culprit hosts behind degraded shards (accrue failure streaks
-        /// even though the query as a whole succeeded).
-        failed_hosts: Vec<HostId>,
-    },
-    Failed {
-        latency: SimDuration,
-        error: CubrickError,
-        culprit: Option<HostId>,
-    },
+impl QueryOutcome {
+    /// Partitions the answering attempt fanned out to; 0 on failure.
+    pub fn fan_out(&self) -> usize {
+        self.coverage.as_ref().map_or(0, Coverage::total)
+    }
+
+    /// Partitions whose sub-query answered: `fan_out()`, except for a
+    /// degraded or best-effort answer missing shards; 0 on failure.
+    pub fn partitions_answered(&self) -> usize {
+        self.coverage.as_ref().map_or(0, Coverage::answered)
+    }
 }
 
-/// A failed query's outcome. `fan_out` is the plan's once an attempt
-/// reached a region's servers, 0 before. Cold: inlined into the attempt
-/// loop's eight exits it cost `fanout_sweep` about 1 % (no query fails there).
-#[cold]
-fn failed(
-    error: CubrickError,
+/// What a failed shard does to an attempt, resolved once from the
+/// options. The two tolerant policies take one path and differ only in
+/// what they report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// Any failed shard fails the attempt: Cubrick's default (§II-C).
+    Strict,
+    /// Scuba-style (§II-C): merge whatever answered, blame no host, and
+    /// answer even when no shard did.
+    BestEffort,
+    /// Typed degraded serving: merge whatever answered, blame each failed
+    /// shard's host, mark the answer `partial`, and fall back to the
+    /// retry path when no shard answered.
+    Partial,
+}
+
+/// What `plan` hands every attempt: the query, its table as the catalog
+/// defines it now, the partitions to visit and the policy.
+struct Plan<'q> {
+    query: &'q Query,
+    opts: &'q QueryOptions,
+    def: TableDef,
+    max_shards: u64,
+    fanout: FanoutPlan,
+    policy: Policy,
+}
+
+impl<'q> Plan<'q> {
+    fn new(query: &'q Query, opts: &'q QueryOptions, def: TableDef, max_shards: u64) -> Self {
+        let policy = match (opts.partial_results, opts.best_effort) {
+            (true, _) => Policy::Partial,
+            (false, true) => Policy::BestEffort,
+            (false, false) => Policy::Strict,
+        };
+        let fanout = FanoutPlan::for_table(&query.table, def.partitions);
+        Plan { query, opts, def, max_shards, fanout, policy }
+    }
+}
+
+/// What a query has cost so far, failed attempts included.
+#[derive(Default)]
+struct Spent {
     attempts: u32,
     latency: SimDuration,
-    fan_out: usize,
-) -> QueryOutcome {
+}
+
+/// A sub-query's answer: its latency, its partial (with data) and the
+/// host that served it.
+type Answer = (SimDuration, Option<PartialResult>, HostId);
+
+/// A sub-query or an attempt without an answer: what it cost, why, and
+/// the host to blame (none when it reached no host).
+type Failure = (SimDuration, CubrickError, Option<HostId>);
+
+/// What `dispatch` hands `merge`: the attempt that answered.
+struct Answered {
+    region: Region,
+    coordinator: u32,
+    shards: Collect,
+}
+
+/// Stage 3, the fold `dispatch` feeds one shard outcome at a time, plan
+/// order: the one place an attempt's coverage, partials, streak updates
+/// and first failure are kept, and where the policy decides whether the
+/// attempt answered. Makes no RNG draw.
+struct Collect {
+    policy: Policy,
+    /// The proxy holds a failure streak an answering host may clear.
+    streaks: bool,
+    /// The slowest sub-query so far: the coordinator waits out every one,
+    /// a failed one included.
+    slowest: SimDuration,
+    partials: Vec<PartialResult>,
+    coverage: Coverage,
+    /// The failure streaks an answer settles, fold order: `true` clears an
+    /// answering host's (kept only under `streaks`), `false` counts a
+    /// failed shard's culprit (only under `Partial`).
+    hosts: Vec<(HostId, bool)>,
+    /// The attempt's error, should the policy refuse its answer.
+    first_failure: Option<Failure>,
+}
+
+impl Collect {
+    fn new(plan: &Plan, streaks: bool) -> Self {
+        let fan_out = plan.fanout.fan_out();
+        let with_data = if plan.opts.execute_data { fan_out } else { 0 };
+        Collect {
+            policy: plan.policy,
+            streaks,
+            slowest: SimDuration::ZERO,
+            partials: Vec::with_capacity(with_data),
+            coverage: Coverage { per_shard: Vec::with_capacity(fan_out) },
+            hosts: Vec::new(),
+            first_failure: None,
+        }
+    }
+
+    /// Fold in partition `p`'s outcome; `false` once the attempt is over
+    /// (`Strict`, at its first failure: no further sub-query is sent).
+    fn push(&mut self, p: u32, outcome: Result<Answer, Failure>) -> bool {
+        let state = match outcome {
+            Ok((latency, partial, host)) => {
+                self.slowest = self.slowest.max(latency);
+                if self.streaks {
+                    self.hosts.push((host, true));
+                }
+                if let Some(partial) = partial {
+                    self.partials.push(partial);
+                }
+                ShardState::Answered
+            }
+            Err((latency, error, culprit)) => {
+                self.slowest = self.slowest.max(latency);
+                let state = match error {
+                    CubrickError::HostBlacklisted { .. } => ShardState::Blacklisted,
+                    CubrickError::ShardTimeout { .. } => ShardState::TimedOut,
+                    _ => ShardState::Unavailable,
+                };
+                if let (Policy::Partial, Some(host)) = (self.policy, culprit) {
+                    self.hosts.push((host, false));
+                }
+                self.first_failure.get_or_insert((latency, error, culprit));
+                state
+            }
+        };
+        self.coverage.push(p, state);
+        self.policy != Policy::Strict || self.first_failure.is_none()
+    }
+
+    /// The attempt's end: its latency when the policy accepts the answer
+    /// (the fan-out round trip, the slowest sub-query and the merge), else
+    /// its first failure, costing what elapsed before the coordinator saw
+    /// it. `Strict` refuses any failed shard, `Partial` an answer with no
+    /// shard in it, best effort nothing.
+    fn finish(&mut self, net: &NetModel) -> Result<SimDuration, Failure> {
+        if let Some((_, error, culprit)) = self.first_failure.take() {
+            let refused = match self.policy {
+                Policy::Strict => true,
+                Policy::Partial => self.coverage.answered() == 0,
+                Policy::BestEffort => false,
+            };
+            if refused {
+                return Err((self.slowest + net.rtt(), error, culprit));
+            }
+        }
+        // Not refused, so every planned shard was folded in.
+        let fan_out = self.coverage.total();
+        Ok(net.rtt() + self.slowest + net.merge_cost(fan_out))
+    }
+
+    /// Settle the proxy's failure streaks for an answer: clear each
+    /// answering host's (else transient failures pile up into spurious
+    /// blacklistings), then count each culprit's (else a partially failing
+    /// host never gets blacklisted under degraded-mode traffic).
+    fn settle(&self, proxy: &mut CubrickProxy, now: SimTime) {
+        for &(host, _) in self.hosts.iter().filter(|(_, answered)| *answered) {
+            proxy.record_host_success(host);
+        }
+        for &(host, _) in self.hosts.iter().filter(|(_, answered)| !answered) {
+            proxy.record_host_failure(host, now);
+        }
+    }
+}
+
+/// A failed query's outcome. Cold: inlined into the path's exits it cost
+/// `fanout_sweep` about 1 % (no query fails there).
+#[cold]
+fn failed(error: CubrickError, spent: &Spent) -> QueryOutcome {
     QueryOutcome {
         success: false,
-        latency,
-        attempts,
-        fan_out,
-        partitions_answered: 0,
+        latency: spent.latency,
+        attempts: spent.attempts,
         output: None,
         error: Some(error),
         partial: false,
@@ -182,7 +296,8 @@ fn failed(
 }
 
 /// Run one query through the full path: take an admission slot (unless
-/// the caller holds one), run the attempts, give the slot back.
+/// the caller holds one), plan → dispatch → collect → merge, give the
+/// slot back.
 pub fn run_query(
     dep: &mut Deployment,
     proxy: &mut CubrickProxy,
@@ -192,337 +307,209 @@ pub fn run_query(
     now: SimTime,
     rng: &mut SimRng,
 ) -> QueryOutcome {
+    let mut spent = Spent::default();
     if !opts.admission_held {
         if let Err(e) = proxy.admit_class(opts.qos) {
-            return failed(e, 0, SimDuration::ZERO, 0);
+            return failed(e, &spent);
         }
     }
     let mut region_flags = std::mem::take(&mut dep.region_flags);
     region_flags.clear();
     region_flags.extend(dep.regions.iter().map(|r| (r.region, r.available)));
-    let outcome = run_admitted(dep, proxy, net, query, opts, &region_flags, now, rng);
+    let outcome = plan(dep, query, opts).and_then(|plan| {
+        let answered = dispatch(dep, proxy, net, &plan, &region_flags, &mut spent, now, rng)?;
+        merge(proxy, &plan, answered, &spent)
+    });
     dep.region_flags = region_flags;
     if !opts.admission_held {
         proxy.complete_class(opts.qos);
     }
-    outcome
+    outcome.unwrap_or_else(|e| failed(e, &spent))
 }
 
-/// The attempt loop of an admitted query: every exit is a plain return,
-/// the slot and the flags buffer are [`run_query`]'s to give back.
-#[allow(clippy::too_many_arguments)]
-fn run_admitted(
-    dep: &mut Deployment,
-    proxy: &mut CubrickProxy,
-    net: &NetModel,
-    query: &Query,
-    opts: &QueryOptions,
-    region_flags: &[(Region, bool)],
-    now: SimTime,
-    rng: &mut SimRng,
-) -> QueryOutcome {
-    let looked_up = {
+/// Stage 1, once per query: the catalog lookup, the ORDER BY range check,
+/// the fan-out plan and the policy. Makes no RNG draw.
+fn plan<'q>(
+    dep: &Deployment,
+    query: &'q Query,
+    opts: &'q QueryOptions,
+) -> CubrickResult<Plan<'q>> {
+    let (def, max_shards) = {
         let catalog = dep.catalog.read();
-        catalog
-            .get(&query.table)
-            .map(|d| (d.clone(), catalog.max_shards()))
-    };
-    let (def, max_shards) = match looked_up {
-        Ok(found) => found,
-        Err(e) => return failed(e, 0, SimDuration::ZERO, 0),
+        (catalog.get(&query.table)?.clone(), catalog.max_shards())
     };
     if !query.order_in_range() {
         let detail = "ORDER BY is past the result's columns".to_string();
-        let error = CubrickError::InvalidQuery { detail };
-        return failed(error, 0, SimDuration::ZERO, 0);
+        return Err(CubrickError::InvalidQuery { detail });
     }
-    let plan = FanoutPlan::for_table(&query.table, def.partitions);
+    Ok(Plan::new(query, opts, def, max_shards))
+}
 
+/// Stage 2, the proxy's attempts (§IV-C/§IV-D). Each picks a region the
+/// query has not failed in, checks it is reachable, picks a coordinator
+/// and scatters the sub-queries into a `Collect`. An answer settles the
+/// proxy's failure streaks; a failure blames its culprit and is retried
+/// in another region while the proxy's policy allows. The only stage that
+/// draws from `rng`: per attempt the coordinator choice's draws, then one
+/// `server_response` per sub-query that reaches a server, plan order.
+#[allow(clippy::too_many_arguments)]
+fn dispatch(
+    dep: &mut Deployment,
+    proxy: &mut CubrickProxy,
+    net: &NetModel,
+    plan: &Plan,
+    region_flags: &[(Region, bool)],
+    spent: &mut Spent,
+    now: SimTime,
+    rng: &mut SimRng,
+) -> CubrickResult<Answered> {
+    let (query, opts) = (plan.query, plan.opts);
     let mut excluded: Vec<Region> = Vec::new();
-    let mut total_latency = SimDuration::ZERO;
-    let mut attempts = 0u32;
-
     loop {
-        let region = match proxy.choose_region(region_flags, opts.client_region, &excluded) {
-            Ok(r) => r,
-            Err(e) => return failed(e, attempts, total_latency, 0),
-        };
-        attempts += 1;
-
-        // Inter-region network partition (fault injection): if the chosen
-        // region is unreachable from the client's region, the attempt dies
-        // at connection establishment and the proxy falls back to another
-        // region — the same §IV-D retry path hardware failures take.
-        if !net.reachable(opts.client_region.0, region.0) {
-            total_latency += net.unreachable_probe();
-            let error = CubrickError::RegionUnreachable {
-                from: opts.client_region.0,
-                to: region.0,
+        let region = proxy.choose_region(region_flags, opts.client_region, &excluded)?;
+        spent.attempts += 1;
+        let (latency, error, culprit) = if net.reachable(opts.client_region.0, region.0) {
+            // Coordinator selection costs (§IV-C strategies): a metadata
+            // round trip or a forwarding hop.
+            let partitions = plan.def.partitions;
+            let choice = proxy.choose_coordinator(&query.table, opts.strategy, partitions, rng);
+            let trips = u64::from(choice.extra_roundtrip) + u64::from(choice.extra_hop);
+            spent.latency += net.rtt().mul(trips);
+            let Some(state) = dep.regions.iter_mut().find(|r| r.region == region) else {
+                let detail = format!("proxy chose region {} outside the deployment", region.0);
+                return Err(CubrickError::Internal { detail });
             };
-            if proxy.should_retry(&error, attempts - 1) {
-                excluded.push(region);
-                continue;
+            // A success only matters to a host with a failure streak to
+            // clear, and only such a host can be blacklisted; the proxy
+            // cannot change during the attempt: ask once.
+            let mut shards = Collect::new(plan, proxy.has_failure_streaks());
+            let scattered = scatter(state, proxy, net, plan, &mut shards, now, rng);
+            match scattered.and_then(|()| shards.finish(net)) {
+                Ok(latency) => {
+                    spent.latency += latency;
+                    shards.settle(proxy, now);
+                    let coordinator = choice.partition;
+                    return Ok(Answered { region, coordinator, shards });
+                }
+                Err(failure) => failure,
             }
-            return failed(error, attempts, total_latency, 0);
-        }
-
-        // Coordinator selection costs (§IV-C strategies).
-        let choice = proxy.choose_coordinator(&query.table, opts.strategy, def.partitions, rng);
-        if choice.extra_roundtrip {
-            total_latency += net.rtt();
-        }
-        if choice.extra_hop {
-            total_latency += net.rtt();
-        }
-
-        let Some(region_state) = dep.regions.iter_mut().find(|r| r.region == region) else {
-            let detail = format!("proxy chose region {} outside the deployment", region.0);
-            let error = CubrickError::Internal { detail };
-            return failed(error, attempts, total_latency, 0);
+        } else {
+            // Inter-region network partition (fault injection): the attempt
+            // dies at connection establishment and the proxy falls back to
+            // another region — the same §IV-D retry path hardware failures
+            // take.
+            let (from, to) = (opts.client_region.0, region.0);
+            let error = CubrickError::RegionUnreachable { from, to };
+            (net.unreachable_probe(), error, None)
         };
-        let result = attempt_in_region(
-            region_state,
-            net,
-            query,
-            &def,
-            max_shards,
-            &plan,
-            opts,
-            proxy,
-            now,
-            rng,
-        );
-        match result {
-            AttemptResult::Ok {
-                latency,
-                partials,
-                answered,
-                answered_hosts,
-                coverage,
-                failed_hosts,
-            } => {
-                total_latency += latency;
-                // Successful servers get their failure streaks cleared —
-                // without this, transient failures accumulate into
-                // spurious blacklistings.
-                for host in answered_hosts {
-                    proxy.record_host_success(host);
-                }
-                // Degraded shards still count against their hosts even
-                // though the query as a whole succeeded — otherwise a
-                // partially-failing host never gets blacklisted under
-                // degraded-mode traffic.
-                for host in failed_hosts {
-                    proxy.record_host_failure(host, now);
-                }
-                let partial = opts.partial_results && !coverage.complete();
-                let output = if opts.execute_data {
-                    // Both tolerate-missing-shards modes carry a coverage
-                    // entry per planned shard, so one merge serves both.
-                    let merged = if opts.partial_results || opts.best_effort {
-                        merge_degraded(&plan, partials, &coverage)
-                    } else {
-                        merge_partials(&plan, partials).map(Some)
-                    };
-                    let mut merged = match merged {
-                        Ok(out) => out,
-                        Err(e) => return failed(e, attempts, total_latency, 0),
-                    };
-                    if let Some(out) = &mut merged {
-                        // Coordinator applies ORDER BY / LIMIT on the
-                        // merged result (exact top-N needs every group).
-                        query.apply_order_limit(out);
-                        proxy.record_result_metadata(&query.table, out.table_partitions);
-                    }
-                    merged
-                } else {
-                    proxy.record_result_metadata(&query.table, def.partitions);
-                    None
-                };
-                return QueryOutcome {
-                    success: true,
-                    latency: total_latency,
-                    attempts,
-                    fan_out: plan.fan_out(),
-                    partitions_answered: answered,
-                    output,
-                    error: None,
-                    partial,
-                    coverage: Some(coverage),
-                    served_region: Some(region),
-                    coordinator_partition: Some(choice.partition),
-                };
-            }
-            AttemptResult::Failed {
-                latency,
-                error,
-                culprit,
-            } => {
-                total_latency += latency;
-                if let Some(host) = culprit {
-                    proxy.record_host_failure(host, now);
-                }
-                // A blacklisted replica is not coming back within this
-                // query's lifetime: if every other candidate region's
-                // copy of the failing shard is also blacklisted (or
-                // unresolvable), retrying just burns the retry budget on
-                // zero-latency rejections. Short-circuit to a typed
-                // terminal error instead.
-                if let CubrickError::HostBlacklisted { partition, .. } = &error {
-                    let shard = def.shard_of(*partition, max_shards);
-                    let viable_elsewhere = region_flags.iter().any(|&(r, avail)| {
-                        avail
-                            && r != region
-                            && !excluded.contains(&r)
-                            && dep
-                                .regions
-                                .iter()
-                                .find(|rs| rs.region == r)
-                                .and_then(|rs| rs.resolved_host(shard, now))
-                                .is_some_and(|h| !proxy.is_blacklisted(h, now))
-                    });
-                    if !viable_elsewhere {
-                        let error = CubrickError::AllReplicasUnavailable {
-                            table: query.table.clone(),
-                            partition: *partition,
-                        };
-                        return failed(error, attempts, total_latency, plan.fan_out());
-                    }
-                }
-                if proxy.should_retry(&error, attempts - 1) {
-                    excluded.push(region);
-                    continue;
-                }
-                return failed(error, attempts, total_latency, plan.fan_out());
+        spent.latency += latency;
+        if let Some(host) = culprit {
+            proxy.record_host_failure(host, now);
+        }
+        // A blacklisted replica is not coming back within this query's
+        // lifetime: if every other candidate region's copy of the failing
+        // shard is also blacklisted (or unresolvable), retrying just burns
+        // the retry budget on zero-latency rejections. Short-circuit to a
+        // typed terminal error instead.
+        if let CubrickError::HostBlacklisted { partition, .. } = &error {
+            let shard = plan.def.shard_of(*partition, plan.max_shards);
+            let serves = |r: Region| {
+                let state = dep.regions.iter().find(|rs| rs.region == r);
+                let host = state.and_then(|rs| rs.resolved_host(shard, now));
+                host.is_some_and(|h| !proxy.is_blacklisted(h, now))
+            };
+            let viable_elsewhere = (region_flags.iter())
+                .any(|&(r, up)| up && r != region && !excluded.contains(&r) && serves(r));
+            if !viable_elsewhere {
+                let (table, partition) = (query.table.clone(), *partition);
+                return Err(CubrickError::AllReplicasUnavailable { table, partition });
             }
         }
+        if !proxy.should_retry(&error, spent.attempts - 1) {
+            return Err(error);
+        }
+        excluded.push(region);
     }
 }
 
-/// One fan-out attempt within one region.
-#[allow(clippy::too_many_arguments)]
-fn attempt_in_region(
+/// One attempt's fan-out in one region: locate every partition through
+/// service discovery (the client-visible, possibly stale view) in one
+/// step — the region's cached route, re-resolved only when its answer can
+/// have changed, and beside it which of its targets are known to serve
+/// their shard — then fold each partition's sub-query into `shards`
+/// until the policy ends the attempt.
+fn scatter(
     region: &mut RegionState,
-    net: &NetModel,
-    query: &Query,
-    def: &TableDef,
-    max_shards: u64,
-    plan: &FanoutPlan,
-    opts: &QueryOptions,
     proxy: &CubrickProxy,
+    net: &NetModel,
+    plan: &Plan,
+    shards: &mut Collect,
     now: SimTime,
     rng: &mut SimRng,
-) -> AttemptResult {
-    let mut slowest = SimDuration::ZERO;
-    let expected = if opts.execute_data { plan.fan_out() } else { 0 };
-    let mut partials: Vec<PartialResult> = Vec::with_capacity(expected);
-    let mut answered = 0usize;
-    // A success only matters to a host with a failure streak to clear,
-    // and only such a host can be blacklisted; the proxy cannot change
-    // during the attempt: ask once.
-    let streaks = proxy.has_failure_streaks().then_some(proxy);
-    let mut answered_hosts: Vec<HostId> = Vec::new();
-    let mut coverage = Coverage {
-        per_shard: Vec::with_capacity(plan.fan_out()),
-    };
-    let mut failed_hosts: Vec<HostId> = Vec::new();
-    let mut first_error: Option<(CubrickError, Option<HostId>)> = None;
-
-    // Locate every partition through service discovery (the
-    // client-visible, possibly stale view) in one step: the region's
-    // cached route, re-resolved only when its answer can have changed,
-    // and beside it which of its targets are known to serve their shard.
+) -> Result<(), Failure> {
+    let streaks = shards.streaks.then_some(proxy);
     let RegionState { sm, discovery, routes, nodes, .. } = region;
+    let (def, max_shards) = (&plan.def, plan.max_shards);
     let (route, direct) =
         routes.route(sm.mappings(), *discovery, def, max_shards, nodes.changes(), now);
-
-    for p in plan.partitions() {
+    for p in plan.fanout.partitions() {
         let at = p as usize;
         let (Some((shard, target)), Some(direct)) = (route.get(at), direct.get_mut(at)) else {
             let detail = format!("partition {p} outside the route of {}", def.name);
-            return AttemptResult::Failed {
-                latency: SimDuration::ZERO,
-                error: CubrickError::Internal { detail },
-                culprit: None,
-            };
+            return Err((SimDuration::ZERO, CubrickError::Internal { detail }, None));
         };
         let target = target.map(HostId);
-        match sub_query(nodes, net, query, p, shard, target, direct, opts, streaks, now, rng) {
-            Ok((latency, partial, host)) => {
-                slowest = slowest.max(latency);
-                answered += 1;
-                if streaks.is_some() {
-                    answered_hosts.push(host);
-                }
-                coverage.push(p, ShardState::Answered);
-                if let Some(partial) = partial {
-                    partials.push(partial);
-                }
-            }
-            Err((latency, error, culprit)) => {
-                if opts.partial_results {
-                    // Degraded-mode serving: the shard's failure is
-                    // *declared* (typed per-shard status) rather than
-                    // either failing the query or silently dropping the
-                    // shard. The coordinator still waits out the failed
-                    // sub-query's latency.
-                    slowest = slowest.max(latency);
-                    coverage.push(
-                        p,
-                        match &error {
-                            CubrickError::HostBlacklisted { .. } => ShardState::Blacklisted,
-                            CubrickError::ShardTimeout { .. } => ShardState::TimedOut,
-                            _ => ShardState::Unavailable,
-                        },
-                    );
-                    if let Some(host) = culprit {
-                        failed_hosts.push(host);
-                    }
-                    if first_error.is_none() {
-                        first_error = Some((error, culprit));
-                    }
-                    continue;
-                }
-                if opts.best_effort {
-                    // Scuba-style: ignore the dead/slow server and move
-                    // on (§II-C). The answer will be incomplete.
-                    slowest = slowest.max(latency);
-                    coverage.push(p, ShardState::Unavailable);
-                    continue;
-                }
-                // Fail fast: the attempt's latency is what elapsed before
-                // the coordinator saw the failure.
-                return AttemptResult::Failed {
-                    latency: slowest.max(latency) + net.rtt(),
-                    error,
-                    culprit,
-                };
-            }
+        let outcome = sub_query(nodes, net, plan, p, shard, target, direct, streaks, now, rng);
+        if !shards.push(p, outcome) {
+            break;
         }
     }
-    // A degraded answer needs at least one shard: zero coverage falls
-    // back to the ordinary failure path (and its cross-region retry)
-    // with the first error as the cause.
-    if opts.partial_results && coverage.answered() == 0 {
-        if let Some((error, culprit)) = first_error {
-            return AttemptResult::Failed {
-                latency: slowest + net.rtt(),
-                error,
-                culprit,
-            };
-        }
-    }
-    AttemptResult::Ok {
-        latency: net.rtt() + slowest + net.merge_cost(plan.fan_out()),
-        partials,
-        answered,
-        answered_hosts,
-        coverage,
-        failed_hosts,
-    }
+    Ok(())
 }
 
-type SubQueryError = (SimDuration, CubrickError, Option<HostId>);
+/// Stage 4: merge the answering attempt's partials — `merge_partials`
+/// under `Strict`, which needs every shard; `merge_degraded` over the
+/// coverage otherwise — apply ORDER BY/LIMIT, and refresh the proxy's
+/// partition cache from the result metadata. Makes no RNG draw.
+fn merge(
+    proxy: &mut CubrickProxy,
+    plan: &Plan,
+    answered: Answered,
+    spent: &Spent,
+) -> CubrickResult<QueryOutcome> {
+    let Answered { region, coordinator, shards } = answered;
+    let Collect { policy, partials, coverage, .. } = shards;
+    let table = &plan.query.table;
+    let output = if plan.opts.execute_data {
+        let mut merged = match policy {
+            Policy::Strict => merge_partials(&plan.fanout, partials).map(Some)?,
+            Policy::BestEffort | Policy::Partial => {
+                merge_degraded(&plan.fanout, partials, &coverage)?
+            }
+        };
+        if let Some(out) = &mut merged {
+            // Coordinator applies ORDER BY / LIMIT on the merged result
+            // (exact top-N needs every group).
+            plan.query.apply_order_limit(out);
+            proxy.record_result_metadata(table, out.table_partitions);
+        }
+        merged
+    } else {
+        proxy.record_result_metadata(table, plan.def.partitions);
+        None
+    };
+    Ok(QueryOutcome {
+        success: true,
+        latency: spent.latency,
+        attempts: spent.attempts,
+        output,
+        error: None,
+        partial: policy == Policy::Partial && !coverage.complete(),
+        coverage: Some(coverage),
+        served_region: Some(region),
+        coordinator_partition: Some(coordinator),
+    })
+}
 
 /// One sub-query for `shard`, against the server the region's discovery
 /// view resolved it to (`target`; `None` when it resolves to nothing).
@@ -536,20 +523,19 @@ type SubQueryError = (SimDuration, CubrickError, Option<HostId>);
 fn sub_query(
     nodes: &mut NodeRegistry,
     net: &NetModel,
-    query: &Query,
+    plan: &Plan,
     partition: u32,
     shard: u64,
     target: Option<HostId>,
     direct: &mut bool,
-    opts: &QueryOptions,
     streaks: Option<&CubrickProxy>,
     now: SimTime,
     rng: &mut SimRng,
-) -> Result<(SimDuration, Option<PartialResult>, HostId), SubQueryError> {
-    let unavailable = || CubrickError::PartitionUnavailable {
-        table: query.table.clone(),
-        partition,
-    };
+) -> Result<Answer, Failure> {
+    let (query, opts) = (plan.query, plan.opts);
+    let table = || query.table.clone();
+    let unavailable = || CubrickError::PartitionUnavailable { table: table(), partition };
+    let not_owned = || CubrickError::ShardNotOwned { table: table(), partition };
 
     let Some(target) = target else {
         return Err((net.rtt(), unavailable(), None));
@@ -562,14 +548,8 @@ fn sub_query(
     // "the call failed" — and short-circuit when *every* replica is in
     // that state.
     if streaks.is_some_and(|proxy| proxy.is_blacklisted(target, now)) {
-        return Err((
-            SimDuration::ZERO,
-            CubrickError::HostBlacklisted {
-                table: query.table.clone(),
-                partition,
-            },
-            None,
-        ));
+        let error = CubrickError::HostBlacklisted { table: table(), partition };
+        return Err((SimDuration::ZERO, error, None));
     }
 
     let mut latency = SimDuration::ZERO;
@@ -584,12 +564,8 @@ fn sub_query(
         // Does the resolved server still serve the shard? During a graceful
         // migration the old owner forwards; after a plain migration it
         // errors (stale-cache window).
-        let probe = {
-            let node = nodes.node(serving);
-            match node {
-                None => return Err((net.rtt().mul(2), unavailable(), Some(serving))),
-                Some(n) => n.probe_shard(shard),
-            }
+        let Some(probe) = nodes.node(serving).map(|n| n.probe_shard(shard)) else {
+            return Err((net.rtt().mul(2), unavailable(), Some(serving)));
         };
         if probe.owns && probe.ready {
             *direct = true;
@@ -601,33 +577,13 @@ fn sub_query(
                 return Err((latency + net.rtt().mul(2), unavailable(), Some(serving)));
             }
             if !nodes.node(serving).is_some_and(|n| n.shard_ready(shard)) {
-                return Err((
-                    latency + net.rtt(),
-                    CubrickError::ShardNotOwned {
-                        table: query.table.clone(),
-                        partition,
-                    },
-                    Some(serving),
-                ));
+                return Err((latency + net.rtt(), not_owned(), Some(serving)));
             }
         } else if !probe.owns {
-            return Err((
-                net.rtt(),
-                CubrickError::ShardNotOwned {
-                    table: query.table.clone(),
-                    partition,
-                },
-                Some(serving),
-            ));
+            return Err((net.rtt(), not_owned(), Some(serving)));
         } else {
-            return Err((
-                net.rtt(),
-                CubrickError::ShardLoading {
-                    table: query.table.clone(),
-                    partition,
-                },
-                Some(serving),
-            ));
+            let error = CubrickError::ShardLoading { table: table(), partition };
+            return Err((net.rtt(), error, Some(serving)));
         }
     }
 
@@ -640,14 +596,8 @@ fn sub_query(
             // ever arrives, is discarded).
             if let Some(deadline) = opts.shard_timeout {
                 if net.rtt() + service_time > deadline {
-                    return Err((
-                        latency + deadline,
-                        CubrickError::ShardTimeout {
-                            table: query.table.clone(),
-                            partition,
-                        },
-                        Some(serving),
-                    ));
+                    let error = CubrickError::ShardTimeout { table: table(), partition };
+                    return Err((latency + deadline, error, Some(serving)));
                 }
             }
             latency += net.rtt() + service_time;
@@ -790,7 +740,7 @@ mod tests {
         );
         assert!(outcome.success, "{:?}", outcome.error);
         assert_eq!(outcome.attempts, 1);
-        assert_eq!(outcome.fan_out, 8);
+        assert_eq!(outcome.fan_out(), 8);
         let out = outcome.output.unwrap();
         assert_eq!(out.rows[0].aggs[1], 1_000.0);
         let oracle: f64 = (0..1_000).map(|k| k as f64).sum();
@@ -1008,7 +958,7 @@ mod tests {
         assert!(outcome.attempts >= 2, "must have retried");
         assert_eq!(outcome.output.unwrap().rows[0].aggs[0], 1_000.0);
         assert_eq!(
-            f.proxy.stats.region_failovers,
+            f.proxy.stats.retries,
             (outcome.attempts - 1) as u64
         );
     }
@@ -1173,7 +1123,7 @@ mod tests {
             &mut f.rng,
         );
         assert!(outcome.success);
-        assert!(outcome.partitions_answered < outcome.fan_out);
+        assert!(outcome.partitions_answered() < outcome.fan_out());
         let counted = outcome.output.unwrap().scalar().unwrap();
         assert!(
             counted < 1_000.0,
@@ -1274,7 +1224,7 @@ mod tests {
         assert!(outcome.success, "{:?}", outcome.error);
         assert_eq!(outcome.attempts, 1, "degraded answer, no failover");
         assert!(outcome.partial);
-        assert_eq!(outcome.partitions_answered, 7);
+        assert_eq!(outcome.partitions_answered(), 7);
         let cov = outcome.coverage.as_ref().unwrap();
         assert_eq!(cov.total(), 8);
         assert_eq!(cov.fraction(), 7.0 / 8.0);
@@ -1655,7 +1605,7 @@ mod tests {
             assert!(outcome.success, "{:?}", outcome.error);
             // Region 0 served it, so its route is the one just used.
             assert_eq!(outcome.served_region, Some(Region(0)));
-            (outcome.fan_out, outcome.output.and_then(|o| o.scalar()))
+            (outcome.fan_out(), outcome.output.and_then(|o| o.scalar()))
         };
         // The shard list region 0's route holds for the table as the
         // catalog defines it now (a hit: `run` just looked it up).
@@ -1761,7 +1711,7 @@ mod tests {
             o.error,
             o.attempts,
             o.latency.as_nanos(),
-            o.partitions_answered,
+            o.partitions_answered(),
             o.coverage,
             o.served_region,
             o.coordinator_partition,
@@ -1998,6 +1948,165 @@ mod tests {
                 }
                 assert_eq!(kept.proxy.stats, forgot.proxy.stats);
                 assert_eq!(kept.rng.next_u64(), forgot.rng.next_u64());
+            },
+        );
+    }
+
+    /// One shard's outcome in the collect + merge property.
+    #[derive(Debug, Clone, Copy)]
+    enum Shard {
+        /// Answered after `ms` from `host`, counting `rows`.
+        Answered { ms: u64, host: u64, rows: u64 },
+        /// Failed after `ms` with error `kind` (blacklisted, timed out,
+        /// unavailable, not owned), blaming `culprit`.
+        Failed { ms: u64, kind: u64, culprit: Option<u64> },
+    }
+
+    /// Collect + merge without a deployment: random per-shard outcome
+    /// sequences under every setting of the two degraded flags (and of
+    /// `execute_data` and the proxy's streaks), against a naive model of
+    /// the attempt — how far it dispatches (strict stops at its first
+    /// failure), its coverage and the hosts it settles, whether it is
+    /// refused (strict on any failure, `partial_results` at zero coverage,
+    /// best effort never), its latency, and the merged answer, which is the
+    /// sum of the answered shards' counts.
+    #[test]
+    fn prop_collect_and_merge_match_a_naive_model() {
+        use cubrick::query::agg::{AggSpec, AggState};
+        use scalewall_sim::prop::{self, gen};
+        prop::check_n(
+            "prop_collect_and_merge_match_a_naive_model",
+            512,
+            |rng| {
+                let flags: [bool; 4] = std::array::from_fn(|_| gen::any_bool(rng));
+                let shards = gen::vec_with(rng, 1, 12, |r| {
+                    let (ms, host) = (r.below(40), r.below(5));
+                    if r.below(3) > 0 {
+                        Shard::Answered { ms, host, rows: r.below(100) }
+                    } else {
+                        let culprit = gen::any_bool(r).then_some(host);
+                        Shard::Failed { ms, kind: r.below(4), culprit }
+                    }
+                });
+                (flags, shards)
+            },
+            |([best_effort, partial_results, execute_data, streaks], shards)| {
+                let n = shards.len() as u32;
+                let schema = SchemaBuilder::new().int_dim("k", 0, 1_000, 50).metric("m").build();
+                let def = TableDef {
+                    name: "t".into(),
+                    schema: Arc::new(schema.unwrap()),
+                    partitions: n,
+                    row_mapping: RowMapping::Hash,
+                    shard_mapping: ShardMapping::Monotonic,
+                };
+                let query = parse_query("select count(*) from t").unwrap();
+                let opts = QueryOptions {
+                    best_effort: *best_effort,
+                    partial_results: *partial_results,
+                    execute_data: *execute_data,
+                    ..Default::default()
+                };
+                let plan = Plan::new(&query, &opts, def, 1_000);
+                let net = NetModel::new(NetModelConfig::default());
+                let mut proxy = CubrickProxy::new(ProxyConfig::default());
+
+                // The model, from the flags alone.
+                let strict = !partial_results && !best_effort;
+                let first = shards.iter().position(|s| matches!(s, Shard::Failed { .. }));
+                let fed = match first {
+                    Some(at) if strict => &shards[..=at],
+                    _ => &shards[..],
+                };
+                let mut states = Vec::new();
+                let mut hosts = Vec::new();
+                let (mut slowest, mut sum) = (0, 0);
+                for shard in fed {
+                    match *shard {
+                        Shard::Answered { ms, host, rows } => {
+                            slowest = slowest.max(ms);
+                            sum += rows;
+                            states.push(ShardState::Answered);
+                            if *streaks {
+                                hosts.push((HostId(host), true));
+                            }
+                        }
+                        Shard::Failed { ms, kind, culprit } => {
+                            slowest = slowest.max(ms);
+                            let state = [ShardState::Blacklisted, ShardState::TimedOut];
+                            states.push(state.get(kind as usize).copied().unwrap_or(ShardState::Unavailable));
+                            if let (true, Some(host)) = (*partial_results, culprit) {
+                                hosts.push((HostId(host), false));
+                            }
+                        }
+                    }
+                }
+                let answered = states.iter().filter(|&&s| s == ShardState::Answered).count();
+                let refused = first.is_some() && (strict || (*partial_results && answered == 0));
+                let slowest = SimDuration::from_millis(slowest);
+
+                // The stages.
+                let mut collect = Collect::new(&plan, *streaks);
+                let mut sent = 0;
+                for (p, shard) in (0..n).zip(shards) {
+                    sent += 1;
+                    let outcome = match *shard {
+                        Shard::Answered { ms, host, rows } => {
+                            let count = (vec![], vec![AggState::Count(rows)]);
+                            let partial = PartialResult::from_groups(vec![AggSpec::count_star()], n, vec![count]);
+                            let partial = opts.execute_data.then(|| partial.unwrap());
+                            Ok((SimDuration::from_millis(ms), partial, HostId(host)))
+                        }
+                        Shard::Failed { ms, kind, culprit } => {
+                            let (table, partition) = ("t".to_string(), p);
+                            let error = match kind {
+                                0 => CubrickError::HostBlacklisted { table, partition },
+                                1 => CubrickError::ShardTimeout { table, partition },
+                                2 => CubrickError::PartitionUnavailable { table, partition },
+                                _ => CubrickError::ShardNotOwned { table, partition },
+                            };
+                            Err((SimDuration::from_millis(ms), error, culprit.map(HostId)))
+                        }
+                    };
+                    if !collect.push(p, outcome) {
+                        break;
+                    }
+                }
+                assert_eq!(sent, fed.len(), "where dispatch stops");
+                let first_error = first.map(|at| (at as u32, shards[at]));
+                match collect.finish(&net) {
+                    Err((latency, error, culprit)) => {
+                        assert!(refused, "refused without a reason: {error:?}");
+                        let Some((at, Shard::Failed { culprit: blamed, .. })) = first_error else {
+                            panic!("refused without a failure");
+                        };
+                        assert_eq!(latency, slowest + net.rtt());
+                        assert_eq!(culprit, blamed.map(HostId));
+                        assert!(matches!(error, CubrickError::HostBlacklisted { partition, .. }
+                            | CubrickError::ShardTimeout { partition, .. }
+                            | CubrickError::PartitionUnavailable { partition, .. }
+                            | CubrickError::ShardNotOwned { partition, .. } if partition == at));
+                    }
+                    Ok(latency) => {
+                        assert!(!refused, "answered past a refusal");
+                        assert_eq!(latency, net.rtt() + slowest + net.merge_cost(n as usize));
+                        assert_eq!(collect.hosts, hosts);
+                        let coverage: Vec<ShardState> =
+                            collect.coverage.per_shard.iter().map(|s| s.state).collect();
+                        assert_eq!(coverage, states);
+                        let answer = Answered { region: Region(1), coordinator: 0, shards: collect };
+                        let spent = Spent { attempts: 1, latency };
+                        let outcome = merge(&mut proxy, &plan, answer, &spent).unwrap();
+                        assert!(outcome.success);
+                        assert_eq!(outcome.partitions_answered(), answered);
+                        assert_eq!(outcome.fan_out(), shards.len());
+                        assert_eq!(outcome.partial, *partial_results && answered < shards.len());
+                        let want = (*execute_data && answered > 0).then_some(sum as f64);
+                        assert_eq!(outcome.output.and_then(|out| out.scalar()), want);
+                        let cached = (!*execute_data || answered > 0).then_some(n);
+                        assert_eq!(proxy.cached_partitions("t"), cached);
+                    }
+                }
             },
         );
     }

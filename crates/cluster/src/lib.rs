@@ -40,7 +40,7 @@ pub mod wall;
 pub mod workload;
 
 pub use deployment::{Deployment, DeploymentConfig, RegionState};
-pub use driver::{drive_region_coordination, run_query, CoordinationHealth, QueryOptions, QueryOutcome};
+pub use driver::{run_query, QueryOptions, QueryOutcome};
 pub use fault::{FaultKind, FaultScript};
 pub use net::{NetModel, NetModelConfig};
 pub use registry::NodeRegistry;

@@ -84,8 +84,8 @@ impl Default for ProxyConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     pub queries: u64,
+    /// Attempts the proxy re-ran in another region (§IV-D failover).
     pub retries: u64,
-    pub region_failovers: u64,
     pub rejected_admission: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
@@ -417,7 +417,6 @@ impl CubrickProxy {
             return false;
         }
         self.stats.retries += 1;
-        self.stats.region_failovers += 1;
         true
     }
 }
@@ -782,6 +781,5 @@ mod tests {
         assert!(!p.should_retry(&retryable, 2), "max_retries=2 exhausted");
         assert!(!p.should_retry(&fatal, 0));
         assert_eq!(p.stats.retries, 2);
-        assert_eq!(p.stats.region_failovers, 2);
     }
 }

@@ -641,15 +641,20 @@ impl CoordinationPlane {
         }
     }
 
-    pub fn create_session(&mut self, now: SimTime) -> ZkResult<SessionId> {
+    /// Every op's one path: the single store applies it through
+    /// [`ZkStore::apply`], the apply path every replica shares; the
+    /// replicated plane submits it through the leader-discovering client.
+    fn submit(&mut self, op: ZkOp, now: SimTime) -> ZkResult<ZkResp> {
         match self {
-            CoordinationPlane::Single(zk) => Ok(zk.create_session(now)),
-            CoordinationPlane::Replicated { ensemble, client } => {
-                match client.submit(ensemble, ZkOp::CreateSession, now)? {
-                    ZkResp::Session(sid) => Ok(sid),
-                    _ => Err(ZkError::UnexpectedResponse { op: "CreateSession" }),
-                }
-            }
+            CoordinationPlane::Single(zk) => zk.apply(&op, now),
+            CoordinationPlane::Replicated { ensemble, client } => client.submit(ensemble, op, now),
+        }
+    }
+
+    pub fn create_session(&mut self, now: SimTime) -> ZkResult<SessionId> {
+        match self.submit(ZkOp::CreateSession, now)? {
+            ZkResp::Session(sid) => Ok(sid),
+            _ => Err(ZkError::UnexpectedResponse { op: "CreateSession" }),
         }
     }
 
@@ -661,38 +666,14 @@ impl CoordinationPlane {
         session: Option<SessionId>,
         now: SimTime,
     ) -> ZkResult<()> {
-        match self {
-            CoordinationPlane::Single(zk) => zk.create_recursive(path, data, kind, session, now),
-            CoordinationPlane::Replicated { ensemble, client } => client
-                .submit(
-                    ensemble,
-                    ZkOp::CreateRecursive {
-                        path: path.to_string(),
-                        data: data.to_vec(),
-                        kind,
-                        session,
-                    },
-                    now,
-                )
-                .map(|_| ()),
-        }
+        let (path, data) = (path.to_string(), data.to_vec());
+        let op = ZkOp::CreateRecursive { path, data, kind, session };
+        self.submit(op, now).map(|_| ())
     }
 
     pub fn watch(&mut self, path: &str, kind: WatchKind, token: u64, now: SimTime) -> ZkResult<()> {
-        match self {
-            CoordinationPlane::Single(zk) => zk.watch(path, kind, token),
-            CoordinationPlane::Replicated { ensemble, client } => client
-                .submit(
-                    ensemble,
-                    ZkOp::Watch {
-                        path: path.to_string(),
-                        kind,
-                        token,
-                    },
-                    now,
-                )
-                .map(|_| ()),
-        }
+        let path = path.to_string();
+        self.submit(ZkOp::Watch { path, kind, token }, now).map(|_| ())
     }
 
     /// Refresh a session's heartbeat. `false` when the session is gone
@@ -700,15 +681,8 @@ impl CoordinationPlane {
     /// refresh could not be recorded (the election-time `TouchSessions`
     /// covers the gap, so this is safe to ignore).
     pub fn refresh_session(&mut self, session: SessionId, now: SimTime) -> bool {
-        match self {
-            CoordinationPlane::Single(zk) => zk.refresh_session(session, now),
-            CoordinationPlane::Replicated { ensemble, client } => {
-                match client.submit(ensemble, ZkOp::RefreshSession { session }, now) {
-                    Ok(ZkResp::Refreshed(alive)) => alive,
-                    _ => false,
-                }
-            }
-        }
+        let refreshed = self.submit(ZkOp::RefreshSession { session }, now);
+        matches!(refreshed, Ok(ZkResp::Refreshed(true)))
     }
 
     /// One heartbeat round: refresh every listed session, as
@@ -716,67 +690,43 @@ impl CoordinationPlane {
     /// commit. Ids the store no longer knows are skipped; an unreachable
     /// plane records nothing (same degraded mode as the single refresh).
     pub fn refresh_sessions(&mut self, sessions: Arc<[SessionId]>, now: SimTime) {
-        if sessions.is_empty() {
-            return;
-        }
-        match self {
-            CoordinationPlane::Single(zk) => {
-                zk.refresh_sessions(&sessions, now);
-            }
-            CoordinationPlane::Replicated { ensemble, client } => {
-                let _ = client.submit(ensemble, ZkOp::RefreshSessions { sessions }, now);
-            }
+        if !sessions.is_empty() {
+            let _ = self.submit(ZkOp::RefreshSessions { sessions }, now);
         }
     }
 
     /// Best-effort close; losing the race to a dead plane is fine (the
     /// session will expire once the plane recovers).
     pub fn close_session(&mut self, session: SessionId, now: SimTime) {
-        match self {
-            CoordinationPlane::Single(zk) => zk.close_session(session, now),
-            CoordinationPlane::Replicated { ensemble, client } => {
-                let _ = client.submit(ensemble, ZkOp::CloseSession { session }, now);
-            }
-        }
+        let _ = self.submit(ZkOp::CloseSession { session }, now);
     }
 
     /// Degraded-but-live: while the plane is leaderless nobody expires
     /// (an unreachable coordinator must not declare the fleet dead);
     /// expiry resumes, with touched heartbeats, after failover. Nothing
-    /// is proposed when the leader sees nothing due, and the single store
-    /// is not asked to drain a wheel with nothing due on it.
+    /// is submitted when the store (the leader's, when replicated) has
+    /// nothing due.
     pub fn expire_sessions(&mut self, now: SimTime) -> Vec<SessionId> {
-        match self {
-            CoordinationPlane::Single(zk) => {
-                if !zk.expiry_due(now) {
-                    return Vec::new();
-                }
-                zk.expire_sessions(now)
-            }
-            CoordinationPlane::Replicated { ensemble, client } => {
-                if !ensemble.expiry_due(now) {
-                    return Vec::new();
-                }
-                match client.submit(ensemble, ZkOp::ExpireSessions, now) {
-                    Ok(ZkResp::Sessions(dead)) => dead,
-                    _ => Vec::new(),
-                }
-            }
+        let due = match self {
+            CoordinationPlane::Single(zk) => zk.expiry_due(now),
+            CoordinationPlane::Replicated { ensemble, .. } => ensemble.expiry_due(now),
+        };
+        match due.then(|| self.submit(ZkOp::ExpireSessions, now)) {
+            Some(Ok(ZkResp::Sessions(dead))) => dead,
+            _ => Vec::new(),
         }
     }
 
+    /// Watch events fired since the last drain; nothing is submitted when
+    /// none can be pending.
     pub fn drain_events(&mut self, now: SimTime) -> Vec<WatchEvent> {
-        match self {
-            CoordinationPlane::Single(zk) => zk.drain_events(),
-            CoordinationPlane::Replicated { ensemble, client } => {
-                if !ensemble.events_pending() {
-                    return Vec::new();
-                }
-                match client.submit(ensemble, ZkOp::DrainEvents, now) {
-                    Ok(ZkResp::Events(evs)) => evs,
-                    _ => Vec::new(),
-                }
-            }
+        let pending = match self {
+            CoordinationPlane::Single(zk) => zk.has_pending_events(),
+            CoordinationPlane::Replicated { ensemble, .. } => ensemble.events_pending(),
+        };
+        match pending.then(|| self.submit(ZkOp::DrainEvents, now)) {
+            Some(Ok(ZkResp::Events(events))) => events,
+            _ => Vec::new(),
         }
     }
 

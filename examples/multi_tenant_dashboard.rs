@@ -133,8 +133,8 @@ top 5 days by clicks for {}:",
         s.p50, s.p99, s.max
     );
     println!(
-        "proxy stats: {} retries, {} region failovers, partition cache hits {}",
-        proxy.stats.retries, proxy.stats.region_failovers, proxy.stats.cache_hits
+        "proxy stats: {} retries in another region, partition cache hits {}",
+        proxy.stats.retries, proxy.stats.cache_hits
     );
     println!(
         "region-0 migrations after the failure (failovers): {}",

@@ -10,7 +10,9 @@
 //! region, under three option sets (strict with a bare proxy, strict
 //! behind the default proxy's retries, and the QoS loop's degraded
 //! no-data shape). A verdict that outlives any one of those changes, or
-//! a moved RNG draw, moves a digest.
+//! a moved RNG draw, moves a digest. A fourth option set, best effort,
+//! has its own pin over the same scenarios: it logs how many shards
+//! answered and the answer in place of the shard states.
 //!
 //! Three more pins cover the heartbeat list: the `ExperimentStats` of a
 //! QoS run through a region outage and of a replicated-plane drain storm,
@@ -71,11 +73,17 @@ enum Mode {
     /// partial results, a per-shard deadline tight enough that a sixth of
     /// the shards miss it.
     Qos,
+    /// Scuba-style best effort behind the default proxy: real scans, a
+    /// failed shard is left out of a successful answer. Its own pin
+    /// ([`PINS_BEST_EFFORT`]), which logs the answer instead of the
+    /// per-shard states.
+    BestEffort,
 }
 
 const MODES: [Mode; 3] = [Mode::Strict, Mode::Retrying, Mode::Qos];
 
 struct Harness {
+    mode: Mode,
     dep: Deployment,
     proxy: CubrickProxy,
     net: NetModel,
@@ -123,10 +131,14 @@ impl Harness {
                 blacklist_threshold: u32::MAX,
                 ..Default::default()
             },
-            Mode::Retrying | Mode::Qos => ProxyConfig::default(),
+            Mode::Retrying | Mode::Qos | Mode::BestEffort => ProxyConfig::default(),
         });
         let opts = match mode {
             Mode::Strict | Mode::Retrying => QueryOptions::default(),
+            Mode::BestEffort => QueryOptions {
+                best_effort: true,
+                ..Default::default()
+            },
             Mode::Qos => QueryOptions {
                 strategy: CoordinatorStrategy::QueueAwareTwoChoice,
                 execute_data: false,
@@ -139,6 +151,7 @@ impl Harness {
             },
         };
         Harness {
+            mode,
             dep,
             proxy,
             net: NetModel::new(NetModelConfig {
@@ -179,6 +192,7 @@ impl Harness {
     /// One query at `now`, logged.
     fn q(&mut self, now: SimTime) {
         let Harness {
+            mode,
             dep,
             proxy,
             net,
@@ -188,6 +202,24 @@ impl Harness {
             ..
         } = self;
         let o = run_query(dep, proxy, net, query, opts, now, rng);
+        if *mode == Mode::BestEffort {
+            // A best-effort answer leaves failed shards out without saying
+            // which: the answer itself is pinned, not the shard states.
+            let answer = o.output.as_ref().and_then(|out| out.scalar());
+            writeln!(
+                self.log,
+                "{} {} {:?} {} {:016x} {} {:?}",
+                now.as_nanos(),
+                o.success,
+                o.error,
+                o.attempts,
+                o.latency.as_nanos(),
+                o.partitions_answered(),
+                answer,
+            )
+            .unwrap();
+            return;
+        }
         if let Some(out) = &o.output {
             if !o.partial {
                 assert_eq!(out.scalar(), Some(ROWS as f64), "exact or declared partial");
@@ -208,7 +240,7 @@ impl Harness {
             o.attempts,
             o.latency.as_nanos(),
             coverage,
-            o.partitions_answered,
+            o.partitions_answered(),
             o.served_region.map(|r| r.0),
             o.partial,
         )
@@ -468,23 +500,33 @@ const SCENARIOS: [Scenario; 8] = [
     ("timed_out_shards", 8, timed_out_shards),
 ];
 
+/// `(queries, failed, digest)` of one scenario under one mode.
+type Pin = (usize, usize, u64);
+
 /// `(queries, failed, digest)` per scenario, [`MODES`] order.
-type Golden = [(usize, usize, u64); 3];
+type Golden = [Pin; 3];
+
+/// One scenario under one mode: its pin and its timeline.
+fn observe_in(scenario: &Scenario, mode: Mode) -> (Pin, String) {
+    let (name, partitions, run) = *scenario;
+    let mut h = Harness::new(mode, partitions, 0x24 + partitions as u64);
+    run(&mut h);
+    let queries = h.log.lines().filter(|l| !l.starts_with('#'));
+    let pin = (
+        queries.clone().count(),
+        queries.filter(|l| l.contains(" false ")).count(),
+        fnv1a(&h.log),
+    );
+    (pin, format!("## {name} {mode:?}\n{}\n", h.log))
+}
 
 fn observe(scenario: &Scenario) -> (Golden, String) {
-    let (name, partitions, run) = *scenario;
     let mut golden = [(0, 0, 0); 3];
     let mut text = String::new();
     for (slot, mode) in golden.iter_mut().zip(MODES) {
-        let mut h = Harness::new(mode, partitions, 0x24 + partitions as u64);
-        run(&mut h);
-        let queries = h.log.lines().filter(|l| !l.starts_with('#'));
-        *slot = (
-            queries.clone().count(),
-            queries.filter(|l| l.contains(" false ")).count(),
-            fnv1a(&h.log),
-        );
-        writeln!(text, "## {name} {mode:?}\n{}", h.log).unwrap();
+        let (pin, timeline) = observe_in(scenario, mode);
+        *slot = pin;
+        text.push_str(&timeline);
     }
     (golden, text)
 }
@@ -499,6 +541,27 @@ fn regression_serving_verdict_scenarios() {
         writeln!(observed, "    [{}], // {}", row.join(", "), scenario.0).unwrap();
         if got != want {
             writeln!(moved, "{text}").unwrap();
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "timelines moved off the parent:\n{moved}\nobserved pins:\n{observed}"
+    );
+}
+
+/// The same scenarios under best effort: per query the error, attempts,
+/// latency bits, how many shards answered and the answer, whatever the
+/// shards that did not answer are called.
+#[test]
+fn regression_serving_verdict_best_effort() {
+    let mut moved = String::new();
+    let mut observed = String::new();
+    for (scenario, want) in SCENARIOS.iter().zip(PINS_BEST_EFFORT) {
+        let (got, text) = observe_in(scenario, Mode::BestEffort);
+        let (n, f, d) = got;
+        writeln!(observed, "    ({n}, {f}, 0x{d:016x}), // {}", scenario.0).unwrap();
+        if got != want {
+            moved.push_str(&text);
         }
     }
     assert!(
@@ -754,6 +817,18 @@ const PINS: [Golden; 8] = [
     [(133, 75, 0x854182e21e424aab), (133, 0, 0xd00fef386bb92a3c), (133, 0, 0x690cf259105b7944)], // decommission_and_replace
     [(19, 2, 0xe54f8f96511c7fc1), (19, 0, 0x4932072bfd111b8a), (19, 0, 0xa35763f6c33bd032)], // blacklisted_target
     [(80, 11, 0x71f168c453a4373d), (80, 0, 0xfcf230e0ed8893aa), (80, 0, 0xff2bafb8aad243cd)], // timed_out_shards
+];
+
+#[rustfmt::skip]
+const PINS_BEST_EFFORT: [Pin; 8] = [
+    (91, 0, 0x091f8606a74bcba9), // host_crash
+    (61, 0, 0x56a9e7e2417c2079), // restore_in_place
+    (188, 0, 0x672496937e08cd07), // plain_migration
+    (199, 0, 0x9c9f8845774040c5), // graceful_migration
+    (86, 0, 0x79df12544ad88c2d), // failover_loading
+    (133, 0, 0x983fe1eeb40ae18b), // decommission_and_replace
+    (19, 0, 0x31a9113e35c94857), // blacklisted_target
+    (80, 0, 0x47834083444d0ba0), // timed_out_shards
 ];
 
 #[rustfmt::skip]
