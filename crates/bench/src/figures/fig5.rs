@@ -6,10 +6,9 @@
 //! lines climb with fan-out (the paper plots the y-axis in log scale).
 //!
 //! The full profile runs the sweep at production-fleet scale: 10,002
-//! simulated hosts and fan-outs extended to 1,024 partitions, with every
-//! query arrival scheduled through the calendar-queue event kernel
-//! (`run_query_series` drives an `EventQueue` of arrivals, so this figure
-//! doubles as the kernel's end-to-end load test — millions of events).
+//! simulated hosts and fan-outs extended to 1,024 partitions, millions of
+//! queries in all (`run_query_series` issues arrival `i` at
+//! `start + i·500 ms`).
 
 use cubrick::catalog::RowMapping;
 use cubrick::proxy::{CubrickProxy, ProxyConfig};
@@ -27,7 +26,7 @@ use crate::Profile;
 /// The paper's sweep (and the fast profile's).
 pub const FANOUTS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Full-profile sweep: four more doublings past the paper's 64, probing
-/// past the wall the calendar-queue kernel unlocked.
+/// how far past the paper's widest table the tails keep climbing.
 pub const FANOUTS_FULL: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 pub struct FanoutResult {

@@ -189,6 +189,43 @@ impl RegionState {
             .and_then(|u| u.host)
             .map(HostId)
     }
+
+    /// Allocate a table's new `shards` through SM. A shard another table
+    /// already placed (a cross-table partition collision) keeps its owner,
+    /// which now also serves this table.
+    fn allocate_shards(
+        &mut self,
+        shards: impl IntoIterator<Item = u64>,
+        weight_hint: f64,
+        group: Option<u64>,
+        now: SimTime,
+    ) -> Result<(), SmError> {
+        for shard in shards {
+            let nodes = &mut self.nodes;
+            match self.sm.allocate_shard_in_group(APP, ShardId(shard), weight_hint, group, now, nodes) {
+                Ok(_) | Err(SmError::AlreadyAssigned { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The Cubrick node for a newly registered `host`, its RNG seeded from
+/// the deployment stream.
+fn build_node(
+    config: &DeploymentConfig,
+    rng: &mut SimRng,
+    host: HostId,
+    region: Region,
+    catalog: &SharedCatalog,
+    store: &SharedRegionStore,
+) -> CubrickNode {
+    let mut node_config = NodeConfig::new(host, region);
+    node_config.memory_budget_bytes = config.host_memory_bytes;
+    node_config.metric_generation = config.metric_generation;
+    node_config.rng_seed = rng.fork(host.0).next_u64();
+    CubrickNode::new(node_config, catalog.clone(), store.clone())
 }
 
 /// The full simulated deployment.
@@ -254,15 +291,7 @@ impl Deployment {
                 let rack = racks[i as usize];
                 let info = HostInfo::new(host, rack, region, config.host_memory_bytes as f64);
                 refused = refused.or(sm.register_host(info, SimTime::ZERO).err());
-                let mut node_config = NodeConfig::new(host, region);
-                node_config.memory_budget_bytes = config.host_memory_bytes;
-                node_config.metric_generation = config.metric_generation;
-                node_config.rng_seed = rng.fork(host.0).next_u64();
-                nodes.insert(CubrickNode::new(
-                    node_config,
-                    catalog.clone(),
-                    store.clone(),
-                ));
+                nodes.insert(build_node(&config, &mut rng, host, region, &catalog, &store));
             }
             let delay = DelayModel::new(DelayModelConfig {
                 seed: config.discovery_delay.seed ^ (r as u64),
@@ -322,27 +351,11 @@ impl Deployment {
         let weight_hint = self.config.sm.default_shard_weight;
         let group = self.config.rack_spread.then(|| table_group(name));
         for region in &mut self.regions {
-            for &shard in &shards {
-                match region.sm.allocate_shard_in_group(
-                    APP,
-                    ShardId(shard),
-                    weight_hint,
-                    group,
-                    now,
-                    &mut region.nodes,
-                ) {
-                    Ok(_) => {}
-                    Err(scalewall_shard_manager::SmError::AlreadyAssigned { .. }) => {
-                        // Cross-table collision: shard already placed; its
-                        // current owner now also serves this table.
-                    }
-                    Err(e) => {
-                        return Err(CubrickError::Internal {
-                            detail: format!("shard allocation failed: {e}"),
-                        })
-                    }
-                }
-            }
+            region
+                .allocate_shards(shards.iter().copied(), weight_hint, group, now)
+                .map_err(|e| CubrickError::Internal {
+                    detail: format!("shard allocation failed: {e}"),
+                })?;
         }
         Ok(def)
     }
@@ -351,18 +364,26 @@ impl Deployment {
     pub fn drop_table(&mut self, name: &str, now: SimTime) -> CubrickResult<()> {
         let shards = self.catalog.read().shards_of_table(name)?;
         self.catalog.write().drop_table(name)?;
-        for region in &mut self.regions {
+        for r in 0..self.regions.len() {
+            let region = &mut self.regions[r];
             region.store.write().drop_table(name);
             region.routes.forget(name);
-            for &shard in &shards {
-                if self.catalog.read().partitions_of_shard(shard).is_empty() {
-                    let _ = region
-                        .sm
-                        .deallocate_shard(APP, ShardId(shard), now, &mut region.nodes);
-                }
-            }
+            self.release_unmapped(r, shards.iter().copied(), now);
         }
         Ok(())
+    }
+
+    /// Deallocate, in region `r`, each of `shards` that no table maps any
+    /// more.
+    fn release_unmapped(&mut self, r: usize, shards: impl IntoIterator<Item = u64>, now: SimTime) {
+        for shard in shards {
+            if !self.catalog.read().partitions_of_shard(shard).is_empty() {
+                continue;
+            }
+            if let Some(region) = self.regions.get_mut(r) {
+                let _ = region.sm.deallocate_shard(APP, ShardId(shard), now, &mut region.nodes);
+            }
+        }
     }
 
     /// Ingest rows into every region (each holds a full copy). The
@@ -426,35 +447,15 @@ impl Deployment {
         // Fix up shard allocations: new shards in, orphaned shards out.
         let weight_hint = self.config.sm.default_shard_weight;
         let group = self.config.rack_spread.then(|| table_group(table));
-        for region in &mut self.regions {
-            for &shard in &new_shards {
-                if !old_shards.contains(&shard) {
-                    match region.sm.allocate_shard_in_group(
-                        APP,
-                        ShardId(shard),
-                        weight_hint,
-                        group,
-                        now,
-                        &mut region.nodes,
-                    ) {
-                        Ok(_) | Err(scalewall_shard_manager::SmError::AlreadyAssigned { .. }) => {}
-                        Err(e) => {
-                            return Err(CubrickError::Internal {
-                                detail: format!("repartition allocation failed: {e}"),
-                            })
-                        }
-                    }
-                }
-            }
-            for &shard in &old_shards {
-                if !new_shards.contains(&shard)
-                    && self.catalog.read().partitions_of_shard(shard).is_empty()
-                {
-                    let _ = region
-                        .sm
-                        .deallocate_shard(APP, ShardId(shard), now, &mut region.nodes);
-                }
-            }
+        for r in 0..self.regions.len() {
+            let added = new_shards.iter().copied().filter(|s| !old_shards.contains(s));
+            self.regions[r]
+                .allocate_shards(added, weight_hint, group, now)
+                .map_err(|e| CubrickError::Internal {
+                    detail: format!("repartition allocation failed: {e}"),
+                })?;
+            let orphaned = old_shards.iter().copied().filter(|s| !new_shards.contains(s));
+            self.release_unmapped(r, orphaned, now);
         }
         Ok(rows.len() as u64)
     }
@@ -533,11 +534,14 @@ impl Deployment {
                 now,
             )
             .ok()?;
-        let mut node_config = NodeConfig::new(new_host, info.region);
-        node_config.memory_budget_bytes = self.config.host_memory_bytes;
-        node_config.metric_generation = self.config.metric_generation;
-        node_config.rng_seed = self.rng.fork(new_host.0).next_u64();
-        let node = CubrickNode::new(node_config, self.catalog.clone(), region.store.clone());
+        let node = build_node(
+            &self.config,
+            &mut self.rng,
+            new_host,
+            info.region,
+            &self.catalog,
+            &region.store,
+        );
         region.nodes.insert(node);
         // Unblock any failovers waiting for feasible capacity, then try
         // to decommission the dead host.

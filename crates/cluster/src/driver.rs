@@ -619,7 +619,8 @@ fn sub_query(
 }
 
 /// Convenience: run the same query repeatedly (e.g. every 500 ms, as in
-/// the Fig 5 experiment), recording latencies and successes.
+/// the Fig 5 experiment), arrival `i` at `start + i·interval`, recording
+/// latencies and successes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_query_series(
     dep: &mut Deployment,
@@ -635,19 +636,11 @@ pub fn run_query_series(
 ) -> (u64, u64) {
     let mut successes = 0u64;
     let mut failures = 0u64;
-    // Drive the arrivals through the event kernel rather than a bare
-    // loop: every Fig 5 query is a scheduled event, so the figure sweeps
-    // double as a load test of the calendar queue at millions of events.
-    // Arrival times are exact multiples of `interval`, so outcomes (and
-    // the RNG draw order) are identical to the old arithmetic loop.
-    let mut queue: scalewall_sim::EventQueue<()> = scalewall_sim::EventQueue::new();
     let base = start.as_nanos();
     let step = interval.as_nanos();
     for i in 0..count {
-        queue.schedule_at(SimTime::from_nanos(base + i * step), ());
-    }
-    while let Some(ev) = queue.pop() {
-        let outcome = run_query(dep, proxy, net, query, opts, ev.time, rng);
+        let at = SimTime::from_nanos(base + i * step);
+        let outcome = run_query(dep, proxy, net, query, opts, at, rng);
         if outcome.success {
             successes += 1;
             histogram.record_duration(outcome.latency);

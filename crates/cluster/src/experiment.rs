@@ -445,23 +445,11 @@ impl Experiment {
     fn drive(&mut self) -> SimTime {
         self.schedule_initial();
         let horizon = SimTime::ZERO + self.config.duration;
-        // Batched dispatch: pop one whole timestamp per kernel call. The
-        // handlers still run in contract (seq) order, and `dep.tick` runs
-        // per event — so histories are bit-identical to serial pops while
-        // the kernel amortises its bookkeeping across the batch.
-        let mut batch = Vec::new();
-        while let Some(time) = self.queue.peek_time() {
-            if time > horizon {
-                break;
-            }
-            let popped = self.queue.pop_tick(&mut batch);
-            debug_assert_eq!(popped, Some(time));
-            for ev in batch.drain(..) {
-                let now = ev.time;
-                // Time advanced: let SM machinery observe it.
-                self.dep.tick(now);
-                self.handle(ev.payload, now);
-            }
+        while self.queue.peek_time().is_some_and(|time| time <= horizon) {
+            let Some(ev) = self.queue.pop() else { break };
+            // Time advanced: let SM machinery observe it.
+            self.dep.tick(ev.time);
+            self.handle(ev.payload, ev.time);
         }
         horizon
     }
@@ -1276,29 +1264,26 @@ mod tests {
             let horizon = SimTime::ZERO + e.config.duration;
             let (mut observed, mut moved, mut loads) = (0, 0, FNV_OFFSET);
             let mut last = FNV_OFFSET;
-            let mut batch = Vec::new();
             while e.queue.peek_time().is_some_and(|time| time <= horizon) {
-                e.queue.pop_tick(&mut batch);
-                for ev in batch.drain(..) {
-                    let polled = matches!(ev.payload, Event::CollectMetrics);
-                    let watched = polled || matches!(ev.payload, Event::LoadBalance);
-                    e.dep.tick(ev.time);
-                    e.handle(ev.payload, ev.time);
-                    if !watched {
-                        continue;
-                    }
-                    let mut now = FNV_OFFSET;
-                    for region in &e.dep.regions {
-                        for host in region.sm.host_ids() {
-                            now = fnv1a_word(now, host.0);
-                            now = fnv1a_word(now, region.sm.host_load(host).to_bits());
-                        }
-                    }
-                    observed += 1;
-                    moved += u64::from(polled && now != last);
-                    loads = fnv1a_word(loads, now);
-                    last = now;
+                let Some(ev) = e.queue.pop() else { break };
+                let polled = matches!(ev.payload, Event::CollectMetrics);
+                let watched = polled || matches!(ev.payload, Event::LoadBalance);
+                e.dep.tick(ev.time);
+                e.handle(ev.payload, ev.time);
+                if !watched {
+                    continue;
                 }
+                let mut now = FNV_OFFSET;
+                for region in &e.dep.regions {
+                    for host in region.sm.host_ids() {
+                        now = fnv1a_word(now, host.0);
+                        now = fnv1a_word(now, region.sm.host_load(host).to_bits());
+                    }
+                }
+                observed += 1;
+                moved += u64::from(polled && now != last);
+                loads = fnv1a_word(loads, now);
+                last = now;
             }
             let history = e.dep.regions.iter().flat_map(|r| r.sm.migration_history());
             let records: Vec<_> = history.cloned().collect();

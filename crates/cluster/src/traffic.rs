@@ -7,7 +7,7 @@
 //! latency contracts. This module generates that arrival process as a
 //! non-homogeneous Poisson stream — sampled by *thinning* (accept an
 //! exponential candidate at the peak rate with probability
-//! `rate(t)/peak`), so it composes with the calendar-wheel event kernel
+//! `rate(t)/peak`), so it composes with the event kernel
 //! and stays bit-replayable.
 //!
 //! Tenants come from the same log-normal population as Fig 4b (see

@@ -11,7 +11,7 @@
 //!   monopolize the slots ahead of an `Interactive` burst, while idle
 //!   capacity is never held back from whoever wants it;
 //! * bounded per-class FIFO queues with deterministic deadline-based
-//!   timeouts (armed on the calendar-wheel [`DeadlineQueue`], expired by
+//!   timeouts (armed on a [`DeadlineQueue`], expired by
 //!   the experiment's event loop — never by wall clock), drained in
 //!   strict priority order: `Interactive` always dequeues first;
 //! * shed order follows queue headroom: `Batch` gets the smallest cap
@@ -211,7 +211,7 @@ pub struct AdmissionController {
     queues: [VecDeque<Ticket>; CLASS_COUNT],
     /// Live queued tickets.
     queued: std::collections::BTreeMap<Ticket, QueuedEntry>,
-    /// Deadline wheel for queue timeouts.
+    /// Deadline queue for queue timeouts.
     deadlines: DeadlineQueue<Ticket>,
     due_scratch: Vec<Ticket>,
     next_ticket: u64,

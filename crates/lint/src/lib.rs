@@ -62,7 +62,6 @@
 //! code line it covers that line. Malformed and *unused* pragmas are
 //! themselves violations, so stale allows cannot accumulate.
 
-pub mod json;
 pub mod lexer;
 pub mod parser;
 mod semantic;
@@ -1159,7 +1158,7 @@ fn g(w: &[[u32; 4]]) -> u32 { w[2][3] }
 
     #[test]
     fn d7_ignores_variable_indexing() {
-        // Variable indices are how the kernel's wheel works; only the
+        // Variable indices are ordinary bounds-checked access; only the
         // "assume non-empty" literal-index pattern is flagged.
         let src = "fn f(v: &[u32], i: usize) -> u32 { v[i] }";
         assert!(violations(src, RuleSet::SIM).is_empty());

@@ -1,24 +1,20 @@
 //! `scalewall-lint` CLI.
 //!
 //! ```text
-//! scalewall-lint --workspace [--root DIR] [--json PATH]  # tiered scan
-//! scalewall-lint --tier sim FILE...      # lint files under one tier
-//! scalewall-lint --validate PATH         # check a v2 JSON report
+//! scalewall-lint --workspace [--root DIR]   # tiered scan
+//! scalewall-lint --tier sim FILE...         # lint files under one tier
 //! ```
-//!
-//! `--json` writes a `scalewall-lint/v2` report (`-` for stdout);
-//! `--validate` parses one and cross-checks its summary counts.
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use scalewall_lint::{find_workspace_root, json, Analysis, RuleSet, WorkspaceReport};
+use scalewall_lint::{find_workspace_root, Analysis, RuleSet, WorkspaceReport};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: scalewall-lint --workspace [--root DIR] [--json PATH]\n       scalewall-lint --tier <sim|sim-rng-home|bench|plain> FILE...\n       scalewall-lint --validate PATH"
+        "usage: scalewall-lint --workspace [--root DIR]\n       scalewall-lint --tier <sim|sim-rng-home|bench|plain> FILE..."
     );
     ExitCode::from(2)
 }
@@ -55,17 +51,7 @@ fn print_report(report: &WorkspaceReport) {
     );
 }
 
-fn emit_json(report: &WorkspaceReport, path: &str) -> Result<(), String> {
-    let text = json::to_json(report);
-    if path == "-" {
-        print!("{text}");
-        Ok(())
-    } else {
-        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-fn run_workspace(root_arg: Option<PathBuf>, json_out: Option<String>) -> ExitCode {
+fn run_workspace(root_arg: Option<PathBuf>) -> ExitCode {
     let root = match root_arg {
         Some(r) => r,
         None => {
@@ -81,27 +67,19 @@ fn run_workspace(root_arg: Option<PathBuf>, json_out: Option<String>) -> ExitCod
     };
     match scalewall_lint::lint_workspace(&root) {
         Ok(report) => {
-            if let Some(path) = &json_out {
-                if let Err(e) = emit_json(&report, path) {
-                    eprintln!("scalewall-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            if json_out.as_deref() != Some("-") {
-                print_report(&report);
-                // What D5/D6 looked at: zero violations from a walk that
-                // resolved no lock would not be a result.
-                let census = &report.census;
-                println!(
-                    "semantic census: {} functions walked, {} lock identities, {} order edges, {} calls under a held lock, {} fork sites, {} calls carrying an RNG",
-                    census.fns_walked,
-                    census.lock_ids.len(),
-                    census.order_edges.len(),
-                    census.calls_under_lock,
-                    census.fork_sites,
-                    census.rng_calls
-                );
-            }
+            print_report(&report);
+            // What D5/D6 looked at: zero violations from a walk that
+            // resolved no lock would not be a result.
+            let census = &report.census;
+            println!(
+                "semantic census: {} functions walked, {} lock identities, {} order edges, {} calls under a held lock, {} fork sites, {} calls carrying an RNG",
+                census.fns_walked,
+                census.lock_ids.len(),
+                census.order_edges.len(),
+                census.calls_under_lock,
+                census.fork_sites,
+                census.rng_calls
+            );
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {
@@ -110,33 +88,6 @@ fn run_workspace(root_arg: Option<PathBuf>, json_out: Option<String>) -> ExitCod
         }
         Err(e) => {
             eprintln!("scalewall-lint: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run_validate(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("scalewall-lint: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match json::validate(&text) {
-        Ok((violations, pragmas)) => {
-            println!(
-                "scalewall-lint: {path}: valid {} report ({violations} violation(s), {pragmas} pragma(s))",
-                json::SCHEMA
-            );
-            if violations == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("scalewall-lint: {path}: invalid report: {e}");
             ExitCode::from(2)
         }
     }
@@ -179,36 +130,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--workspace") => {
-            let mut root = None;
-            let mut json_out = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--root" => match args.get(i + 1) {
-                        Some(dir) => {
-                            root = Some(PathBuf::from(dir));
-                            i += 2;
-                        }
-                        None => return usage(),
-                    },
-                    "--json" => match args.get(i + 1) {
-                        Some(path) => {
-                            json_out = Some(path.clone());
-                            i += 2;
-                        }
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            run_workspace(root, json_out)
+            let root = match &args[1..] {
+                [] => None,
+                [flag, dir] if flag == "--root" => Some(PathBuf::from(dir)),
+                _ => return usage(),
+            };
+            run_workspace(root)
         }
         Some("--tier") => match args.get(1) {
             Some(tier) => run_files(tier, &args[2..]),
-            None => usage(),
-        },
-        Some("--validate") => match args.get(1) {
-            Some(path) => run_validate(path),
             None => usage(),
         },
         _ => usage(),

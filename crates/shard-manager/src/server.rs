@@ -171,7 +171,7 @@ pub struct SmServer {
     mappings: MappingStore,
     active: BTreeMap<u64, MigrationRecord>,
     /// Phase deadlines of in-flight migrations on the simulation kernel's
-    /// deadline wheel, so `advance_migrations` visits only the due ones
+    /// deadline queue, so `advance_migrations` visits only the due ones
     /// instead of scanning every active record each tick. Armed whenever
     /// a record's `deadline` is set; entries for finished or re-phased
     /// migrations are re-validated (and dropped or re-armed) when they
@@ -288,41 +288,7 @@ impl SmServer {
         if self.hosts.contains_key(&info.id) {
             return Err(SmError::HostExists { host: info.id });
         }
-        // A registration that cannot reach the coordination plane (no
-        // leader within the retry budget) is refused; the caller retries
-        // after failover, exactly like against real ZooKeeper.
-        let session = self
-            .zk
-            .create_session(now)
-            .map_err(|_| SmError::BadHostState {
-                host: info.id,
-                reason: "coordination plane unavailable",
-            })?;
-        let path = format!("/sm/hosts/{}", info.id.0);
-        // The session was just created against the current leader at the
-        // same instant, so these follow-up ops cannot lose leadership —
-        // but if they somehow do (a failover landing in the gap), the
-        // registration rolls back and is refused rather than panicking;
-        // the caller retries after the failover like any other refusal.
-        let registered = self
-            .zk
-            .create_recursive(
-                &path,
-                &[],
-                scalewall_zk::NodeKind::Ephemeral,
-                Some(session),
-                now,
-            )
-            .and_then(|()| self.zk.watch(&path, scalewall_zk::WatchKind::Node, info.id.0, now));
-        if registered.is_err() {
-            self.zk.close_session(session, now);
-            return Err(SmError::BadHostState {
-                host: info.id,
-                reason: "coordination plane lost mid-registration",
-            });
-        }
-        self.session_hosts.insert(session, info.id);
-        self.heartbeat = None;
+        let session = self.open_host_session(info.id, now)?;
         self.hosts.insert(
             info.id,
             HostEntry {
@@ -332,6 +298,45 @@ impl SmServer {
             },
         );
         Ok(())
+    }
+
+    /// Open `host`'s heartbeat session: the session, its ephemeral
+    /// `/sm/hosts/{id}` node and a watch on it. A plane that cannot be
+    /// reached (no leader within the retry budget) refuses; the caller
+    /// retries after failover, exactly like against real ZooKeeper. The
+    /// follow-up ops run against the leader that just created the
+    /// session, at the same instant — but if one fails anyway (a failover
+    /// landing in the gap), the session is closed again and the open is
+    /// refused the same way.
+    fn open_host_session(&mut self, host: HostId, now: SimTime) -> SmResult<SessionId> {
+        let session = self
+            .zk
+            .create_session(now)
+            .map_err(|_| SmError::BadHostState {
+                host,
+                reason: "coordination plane unavailable",
+            })?;
+        let path = format!("/sm/hosts/{}", host.0);
+        let registered = self
+            .zk
+            .create_recursive(
+                &path,
+                &[],
+                scalewall_zk::NodeKind::Ephemeral,
+                Some(session),
+                now,
+            )
+            .and_then(|()| self.zk.watch(&path, scalewall_zk::WatchKind::Node, host.0, now));
+        if registered.is_err() {
+            self.zk.close_session(session, now);
+            return Err(SmError::BadHostState {
+                host,
+                reason: "coordination plane lost mid-registration",
+            });
+        }
+        self.session_hosts.insert(session, host);
+        self.heartbeat = None;
+        Ok(session)
     }
 
     /// One heartbeat round from the application server of every host
@@ -913,7 +918,7 @@ impl SmServer {
     /// Advance all in-flight migrations whose phase deadline has passed.
     /// Call whenever simulated time moves (idempotent).
     pub fn advance_migrations<R: AppServerRegistry>(&mut self, now: SimTime, registry: &mut R) {
-        // Candidates come off the deadline wheel (armed when each record's
+        // Candidates come off the deadline queue (armed when each record's
         // deadline is set) rather than a scan over every active record.
         // Each candidate is re-validated against the live record, and
         // processed in ascending id order — the order the old full scan
@@ -1258,33 +1263,13 @@ impl SmServer {
     /// Return a draining (or previously failed, now recovered) host to
     /// service.
     pub fn reactivate_host(&mut self, host: HostId, now: SimTime) -> SmResult<()> {
-        let entry = self
-            .hosts
-            .get_mut(&host)
-            .ok_or(SmError::UnknownHost { host })?;
-        if entry.session.is_none() {
-            let session = self
-                .zk
-                .create_session(now)
-                .map_err(|_| SmError::BadHostState {
-                    host,
-                    reason: "coordination plane unavailable",
-                })?;
-            let path = format!("/sm/hosts/{}", host.0);
-            let _ = self.zk.create_recursive(
-                &path,
-                &[],
-                scalewall_zk::NodeKind::Ephemeral,
-                Some(session),
-                now,
-            );
-            let _ = self
-                .zk
-                .watch(&path, scalewall_zk::WatchKind::Node, host.0, now);
-            self.session_hosts.insert(session, host);
-            self.heartbeat = None;
-            entry.session = Some(session);
-        }
+        let entry = self.hosts.get(&host).ok_or(SmError::UnknownHost { host })?;
+        let session = match entry.session {
+            Some(session) => session,
+            None => self.open_host_session(host, now)?,
+        };
+        let entry = self.hosts.get_mut(&host).ok_or(SmError::UnknownHost { host })?;
+        entry.session = Some(session);
         entry.state = HostState::Alive;
         Ok(())
     }
@@ -1879,6 +1864,22 @@ mod tests {
         sm.register_host(HostInfo::new(HostId(3), Rack(0), Region(0), 100.0), t(8)).unwrap();
         assert_eq!(round(&mut sm, 8, &hosts, 8), 1, "a host registered");
         assert_eq!(sm.heartbeat_sessions().len(), 4);
+    }
+
+    #[test]
+    fn reactivation_rolls_back_a_session_it_cannot_register() {
+        let (mut sm, mut reg) = setup(2);
+        sm.host_failed(HostId(1), t(5), &mut reg).unwrap();
+        // Someone else holds the host's node, so its ephemeral create fails.
+        let kind = scalewall_zk::NodeKind::Persistent;
+        sm.coordination_mut().create_recursive("/sm/hosts/1", &[], kind, None, t(5)).unwrap();
+        assert!(matches!(
+            sm.reactivate_host(HostId(1), t(6)),
+            Err(SmError::BadHostState { reason: "coordination plane lost mid-registration", .. })
+        ));
+        assert_eq!(sm.host_state(HostId(1)), Some(HostState::Dead));
+        assert_eq!(sm.host_session(HostId(1)), None);
+        assert_eq!(sm.session_hosts.len(), 1, "the refused session is forgotten");
     }
 
     #[test]

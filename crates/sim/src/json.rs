@@ -2,8 +2,8 @@
 //! parser and a string escaper, in place of a `serde_json` dependency
 //! (the workspace is hermetic; see DESIGN.md).
 //!
-//! Every document it reads — `BENCH_*.json`, the lint report,
-//! `BENCHMARK.json`, benchmark result files — comes from a path given on
+//! Every document it reads — `BENCH_*.json`, `BENCHMARK.json`,
+//! benchmark result files — comes from a path given on
 //! a command line, so the parser treats its input as hostile: it is
 //! linear in the input length, bounds nesting at [`MAX_DEPTH`] instead of
 //! overflowing the stack, follows the RFC number grammar, and rejects

@@ -7,11 +7,10 @@
 //!
 //! * [`time`] — simulated time as integer nanoseconds ([`SimTime`],
 //!   [`SimDuration`]); a simulated week advances event time only.
-//! * [`event`] — a total-order event queue with stable tie-breaking, so the
-//!   same seed always replays the same history. The production queue is a
-//!   hierarchical calendar wheel; the original binary-heap queue survives
-//!   as [`ReferenceEventQueue`], the model the wheel is property-tested
-//!   against (see `DESIGN.md` §5 for the ordering contract).
+//! * [`event`] — a binary-heap event queue ordered by `(time, seq)`, so
+//!   equal-time events pop in schedule order and the same seed always
+//!   replays the same history (see `DESIGN.md` §5 for the ordering
+//!   contract), plus the [`DeadlineQueue`] built on it.
 //! * [`rng`] — seedable, forkable random source ([`SimRng`]); every stochastic
 //!   process in the workspace draws from one of these.
 //! * [`dist`] — the parametric families used by the paper's models:
@@ -27,8 +26,8 @@
 //! * [`prop`] — a lightweight property-based testing harness over
 //!   [`SimRng`], used by every crate's invariant suites.
 //! * [`json`] — the workspace's one JSON codec: value type, strict
-//!   linear-time parser and string escaper behind every `BENCH_*.json`,
-//!   lint report and benchmark result file.
+//!   linear-time parser and string escaper behind every `BENCH_*.json`
+//!   and benchmark result file.
 //!
 //! Nothing in this crate knows about databases or shards; it is the
 //! hardware-and-physics layer everything else runs on.
@@ -44,7 +43,7 @@ pub mod sync;
 pub mod time;
 
 pub use dist::{Bernoulli, Exponential, LogNormal, Normal, Pareto, TailLatency, Zipf};
-pub use event::{DeadlineQueue, EventQueue, ReferenceEventQueue, ScheduledEvent};
+pub use event::{DeadlineQueue, EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{DailyCounter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

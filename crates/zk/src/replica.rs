@@ -116,10 +116,10 @@ pub struct ZkEnsemble {
     epoch: u64,
     lease: SimDuration,
     lease_until: SimTime,
-    /// Lease expiry deadlines on the kernel wheel, keyed by epoch and
-    /// lazily re-validated (renewals move `lease_until` without
-    /// re-arming; a due entry whose lease moved re-arms itself).
-    lease_wheel: DeadlineQueue<u64>,
+    /// Lease expiry deadlines, keyed by epoch and lazily re-validated
+    /// (renewals move `lease_until` without re-arming; a due entry whose
+    /// lease moved re-arms itself).
+    lease_deadlines: DeadlineQueue<u64>,
     lease_scratch: Vec<u64>,
     max_log: usize,
     /// Severed region pairs (normalized `(lo, hi)`), mirroring the
@@ -146,16 +146,16 @@ impl ZkEnsemble {
                 applied: 0,
             })
             .collect();
-        let mut lease_wheel = DeadlineQueue::new();
+        let mut lease_deadlines = DeadlineQueue::new();
         let lease_until = SimTime::ZERO + cfg.lease;
-        lease_wheel.arm(lease_until, 1);
+        lease_deadlines.arm(lease_until, 1);
         ZkEnsemble {
             replicas,
             leader: Some(0),
             epoch: 1,
             lease: cfg.lease,
             lease_until,
-            lease_wheel,
+            lease_deadlines,
             lease_scratch: Vec::new(),
             max_log: cfg.max_log.max(1),
             cuts: BTreeSet::new(),
@@ -298,17 +298,17 @@ impl ZkEnsemble {
                 self.lease_until = self.lease_until.max(now + self.lease);
             }
         }
-        // Drain due lease deadlines off the wheel (lazy revalidation:
+        // Drain due lease deadlines off the queue (lazy revalidation:
         // stale-epoch keys die here, renewed leases re-arm).
         let mut due = std::mem::take(&mut self.lease_scratch);
-        self.lease_wheel.due(now, &mut due);
+        self.lease_deadlines.due(now, &mut due);
         let mut lapsed = false;
         for key in due.drain(..) {
             if key != self.epoch {
                 continue; // deposed epoch's deadline
             }
             if self.lease_until > now {
-                self.lease_wheel.arm(self.lease_until, self.epoch);
+                self.lease_deadlines.arm(self.lease_until, self.epoch);
             } else {
                 lapsed = true;
             }
@@ -346,7 +346,7 @@ impl ZkEnsemble {
                 // so the next tick past it re-runs the election.
                 self.leader = None;
                 self.lease_until = now + self.lease;
-                self.lease_wheel.arm(self.lease_until, self.epoch);
+                self.lease_deadlines.arm(self.lease_until, self.epoch);
                 None
             }
             Some(w) => {
@@ -357,7 +357,7 @@ impl ZkEnsemble {
                     self.elections += 1;
                 }
                 self.lease_until = now + self.lease;
-                self.lease_wheel.arm(self.lease_until, self.epoch);
+                self.lease_deadlines.arm(self.lease_until, self.epoch);
                 self.catch_up_followers(w);
                 let _ = self.commit_as(w, ZkOp::TouchSessions, now);
                 Some(w)
@@ -467,24 +467,24 @@ impl ZkEnsemble {
     }
 
     /// The store of a leader that could commit right now.
-    fn serving_leader_store(&mut self) -> Option<&mut ZkStore> {
+    fn serving_leader_store(&self) -> Option<&ZkStore> {
         let l = self.leader.filter(|&l| self.has_quorum(l))?;
-        self.replicas.get_mut(l as usize).map(|r| &mut r.store)
+        self.replicas.get(l as usize).map(|r| &r.store)
     }
 
     /// Whether an `ExpireSessions` proposed at `now` could do anything:
     /// `false` only when a serving leader sees nothing due on its expiry
-    /// wheel, in which case the op would commit as a no-op on every
-    /// replica. Without a serving leader the answer is `true` and the
-    /// proposal takes its usual refusal path.
-    pub fn expiry_due(&mut self, now: SimTime) -> bool {
+    /// deadline queue, in which case the op would commit as a no-op on
+    /// every replica. Without a serving leader the answer is `true` and
+    /// the proposal takes its usual refusal path.
+    pub fn expiry_due(&self, now: SimTime) -> bool {
         self.serving_leader_store()
             .is_none_or(|store| store.expiry_due(now))
     }
 
     /// Whether a `DrainEvents` proposal could return anything; same
     /// shape as [`expiry_due`](Self::expiry_due).
-    pub fn events_pending(&mut self) -> bool {
+    pub fn events_pending(&self) -> bool {
         self.serving_leader_store()
             .is_none_or(|store| store.has_pending_events())
     }

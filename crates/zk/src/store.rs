@@ -61,11 +61,11 @@ pub struct ZkStore {
     pending_events: Vec<WatchEvent>,
     next_session: u64,
     session_config: SessionConfig,
-    /// Expiry candidates on the simulation kernel's deadline wheel: each
+    /// Expiry candidates on the simulation kernel's deadline queue: each
     /// live session keeps exactly one armed entry (created at session
     /// open, re-armed lazily when a candidate turns out to have kept
     /// heartbeating), so `expire_sessions` is O(due) instead of a scan
-    /// over every session. Heartbeats never touch the wheel.
+    /// over every session. Heartbeats never touch the queue.
     expiry: DeadlineQueue<SessionId>,
     expiry_scratch: Vec<SessionId>,
 }
@@ -205,9 +205,9 @@ impl ZkStore {
     /// watches). Returns the sessions that expired. Call this whenever the
     /// driver advances time.
     pub fn expire_sessions(&mut self, now: SimTime) -> Vec<SessionId> {
-        // Candidates come off the deadline wheel; each is re-validated
+        // Candidates come off the deadline queue; each is re-validated
         // because heartbeats move the real deadline without touching the
-        // wheel. Still-alive candidates re-arm at their current deadline,
+        // queue. Still-alive candidates re-arm at their current deadline,
         // entries for closed sessions die here (ids are never reused).
         let mut due = std::mem::take(&mut self.expiry_scratch);
         self.expiry.due(now, &mut due);
@@ -233,13 +233,13 @@ impl ZkStore {
     }
 
     /// Whether [`expire_sessions`] at `now` has any candidate to look at.
-    /// `false` means the call would expire nobody and leave the wheel as
-    /// it is: every live session keeps an entry armed no later than its
-    /// real deadline, so an expired session always shows up as due.
-    /// (`&mut` only because peeking lets the wheel stage its next batch.)
+    /// `false` means the call would expire nobody and leave the deadline
+    /// queue as it is: every live session keeps an entry armed no later
+    /// than its real deadline, so an expired session always shows up as
+    /// due.
     ///
     /// [`expire_sessions`]: ZkStore::expire_sessions
-    pub fn expiry_due(&mut self, now: SimTime) -> bool {
+    pub fn expiry_due(&self, now: SimTime) -> bool {
         self.expiry.next_deadline().is_some_and(|t| t <= now)
     }
 
@@ -590,10 +590,10 @@ impl ZkStore {
     /// A full copy of the logical state, used for follower catchup when
     /// the leader's log has been truncated past the follower's position.
     ///
-    /// The deadline wheel is not clonable (it is kernel state, not
+    /// The deadline queue is not clonable (it is kernel state, not
     /// logical state); it is rebuilt by re-arming every live session at
     /// its current expiry deadline. `expire_sessions` re-validates and
-    /// sorts its candidates, so wheel-entry provenance never affects the
+    /// sorts its candidates, so entry provenance never affects the
     /// expiry outcome or order.
     pub fn snapshot(&self) -> ZkStore {
         let mut expiry = DeadlineQueue::new();

@@ -148,11 +148,10 @@ fn faulted_experiment_replays_bit_identically() {
     assert_eq!(a.fault_repairs, 2);
 }
 
-/// Fig-5-shaped replay at an elevated host count: every query arrival is
-/// scheduled through the calendar-wheel event kernel, so this doubles as
-/// the kernel's bit-identical-replay gate at cluster scale (the full
-/// figure runs the same engine at 10,002 hosts — see `fig5::compute`).
-/// Floats are compared by bit pattern: same seed, same bytes.
+/// Fig-5-shaped replay at an elevated host count: the query path's
+/// bit-identical-replay gate at cluster scale (the full figure runs the
+/// same driver at 10,002 hosts — see `fig5::compute`). Floats are
+/// compared by bit pattern: same seed, same bytes.
 #[test]
 fn fig5_shaped_kernel_replay_is_bit_identical() {
     fn fingerprint() -> Vec<u64> {

@@ -1,18 +1,17 @@
-//! Event-kernel equivalence suite (DESIGN.md §5): the calendar-wheel
-//! [`EventQueue`] must be observationally *bit-identical* to the retired
-//! binary-heap implementation, preserved as [`ReferenceEventQueue`].
+//! Event-kernel contract suite (DESIGN.md §5): [`EventQueue`] must behave
+//! exactly like a naive model written here — every pending event in a
+//! `Vec`, popped at its minimum `(time, seq)`.
 //!
-//! Every property drives both queues through the same operation trace and
-//! compares every observable after every step: pop order as exact
-//! `(time, seq, payload)` triples, `len`, `now`, `scheduled_total`, and
-//! `peek_time`. The traces mix the three regimes that stress different
-//! wheel paths — same-tick collisions (FIFO tie-break), far-future times
-//! (overflow promotion across the 2^52 ns horizon), and `clear()` mid-run
-//! (cursor re-anchoring) — and the pinned `regression_*` cases keep one
-//! named instance of each regime in the suite forever.
+//! Every property drives the queue and the model through the same
+//! operation trace and compares every observable after every step: pop
+//! order as exact `(time, seq, payload)` triples, `len`, `now`,
+//! `scheduled_total`, and `peek_time`. The traces mix equal-time
+//! collisions (FIFO tie-break), far-future times (more than 2^52 ns
+//! ahead), and `clear()` mid-run, and the pinned `regression_*` cases keep
+//! one named instance of each in the suite forever.
 
 use scalewall::sim::prop::{self, gen};
-use scalewall::sim::{EventQueue, ReferenceEventQueue, SimDuration, SimRng, SimTime};
+use scalewall::sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 /// One step of a kernel trace. Offsets are relative to the queue's `now`
 /// at apply time, so generated traces never schedule into the past.
@@ -23,160 +22,128 @@ enum Op {
     /// `schedule_after(offset_ns)`.
     After(u64),
     Pop,
-    PopTick,
     Peek,
     Clear,
 }
 
-/// Apply `trace` to both implementations in lockstep, asserting every
-/// observable matches at every step, then drain both queues dry.
-fn assert_equivalent(trace: &[Op]) {
-    let mut wheel: EventQueue<u64> = EventQueue::new();
-    let mut model: ReferenceEventQueue<u64> = ReferenceEventQueue::new();
-    let mut next_payload = 0u64;
-    let mut wheel_batch = Vec::new();
-    let mut model_batch = Vec::new();
+/// The contract, stated as plainly as possible: a scan for the minimum
+/// `(time, seq)` on every pop.
+#[derive(Default)]
+struct NaiveModel {
+    pending: Vec<(SimTime, u64, u64)>,
+    now: SimTime,
+    next_seq: u64,
+    scheduled_total: u64,
+}
 
-    let step = |wheel: &mut EventQueue<u64>,
-                    model: &mut ReferenceEventQueue<u64>,
-                    wheel_batch: &mut Vec<_>,
-                    model_batch: &mut Vec<_>,
-                    next_payload: &mut u64,
-                    i: usize,
-                    op: Op| {
+impl NaiveModel {
+    fn schedule_at(&mut self, at: SimTime, payload: u64) {
+        self.pending.push((at.max(self.now), self.next_seq, payload));
+        self.next_seq += 1;
+        self.scheduled_total += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let (at, _) = self.pending.iter().enumerate().min_by_key(|&(_, &(t, s, _))| (t, s))?;
+        let event = self.pending.remove(at);
+        self.now = event.0;
+        Some(event)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.iter().map(|&(t, s, _)| (t, s)).min().map(|(t, _)| t)
+    }
+}
+
+/// Apply `trace` to the queue and the model in lockstep, asserting every
+/// observable matches at every step, then drain both dry.
+fn assert_matches_model(trace: &[Op]) {
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    let mut model = NaiveModel::default();
+    let mut next_payload = 0u64;
+
+    let mut step = |queue: &mut EventQueue<u64>, model: &mut NaiveModel, i: usize, op: Op| {
         match op {
             Op::At(offset) => {
-                let at = wheel.now().saturating_add(SimDuration::from_nanos(offset));
-                wheel.schedule_at(at, *next_payload);
-                model.schedule_at(at, *next_payload);
-                *next_payload += 1;
+                let at = queue.now().saturating_add(SimDuration::from_nanos(offset));
+                queue.schedule_at(at, next_payload);
+                model.schedule_at(at, next_payload);
+                next_payload += 1;
             }
             Op::After(offset) => {
-                let delay = SimDuration::from_nanos(offset);
-                wheel.schedule_after(delay, *next_payload);
-                model.schedule_after(delay, *next_payload);
-                *next_payload += 1;
+                queue.schedule_after(SimDuration::from_nanos(offset), next_payload);
+                model.schedule_at(model.now + SimDuration::from_nanos(offset), next_payload);
+                next_payload += 1;
             }
-            Op::Pop => match (wheel.pop(), model.pop()) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(
-                        (a.time, a.seq, a.payload),
-                        (b.time, b.seq, b.payload),
-                        "pop diverged at op {i}"
-                    );
-                }
-                (a, b) => panic!(
-                    "pop presence diverged at op {i}: wheel={:?} model={:?}",
-                    a.map(|e| (e.time, e.seq, e.payload)),
-                    b.map(|e| (e.time, e.seq, e.payload)),
-                ),
-            },
-            Op::PopTick => {
-                let ta = wheel.pop_tick(wheel_batch);
-                let tb = model.pop_tick(model_batch);
-                assert_eq!(ta, tb, "pop_tick timestamp diverged at op {i}");
-                let a: Vec<_> = wheel_batch.iter().map(|e| (e.time, e.seq, e.payload)).collect();
-                let b: Vec<_> = model_batch.iter().map(|e| (e.time, e.seq, e.payload)).collect();
-                assert_eq!(a, b, "pop_tick batch diverged at op {i}");
+            Op::Pop => {
+                let got = queue.pop().map(|e| (e.time, e.seq, e.payload));
+                assert_eq!(got, model.pop(), "pop diverged at op {i}");
             }
-            Op::Peek => {
-                assert_eq!(
-                    wheel.peek_time(),
-                    model.peek_time(),
-                    "peek_time diverged at op {i}"
-                );
-            }
+            Op::Peek => assert_eq!(queue.peek_time(), model.peek_time(), "peek_time diverged at op {i}"),
             Op::Clear => {
-                wheel.clear();
-                model.clear();
+                queue.clear();
+                model.pending.clear();
             }
         }
-        assert_eq!(wheel.len(), model.len(), "len diverged after op {i} ({op:?})");
-        assert_eq!(wheel.now(), model.now(), "now diverged after op {i} ({op:?})");
+        assert_eq!(queue.len(), model.pending.len(), "len diverged after op {i} ({op:?})");
+        assert_eq!(queue.now(), model.now, "now diverged after op {i} ({op:?})");
         assert_eq!(
-            wheel.scheduled_total(),
-            model.scheduled_total(),
+            queue.scheduled_total(),
+            model.scheduled_total,
             "scheduled_total diverged after op {i} ({op:?})"
         );
-        assert_eq!(wheel.is_empty(), model.is_empty());
+        assert_eq!(queue.is_empty(), model.pending.is_empty());
     };
 
     for (i, &op) in trace.iter().enumerate() {
-        step(
-            &mut wheel,
-            &mut model,
-            &mut wheel_batch,
-            &mut model_batch,
-            &mut next_payload,
-            i,
-            op,
-        );
+        step(&mut queue, &mut model, i, op);
     }
     // Drain whatever the trace left behind: the tail of the pop order must
-    // match too, including events parked in the overflow list.
+    // match too, far-future events included.
     let mut i = trace.len();
-    while !model.is_empty() || !wheel.is_empty() {
-        step(
-            &mut wheel,
-            &mut model,
-            &mut wheel_batch,
-            &mut model_batch,
-            &mut next_payload,
-            i,
-            Op::Pop,
-        );
+    while !model.pending.is_empty() || !queue.is_empty() {
+        step(&mut queue, &mut model, i, Op::Pop);
         i += 1;
     }
-    assert_eq!(wheel.pop().map(|e| e.payload), None);
-    assert_eq!(model.pop().map(|e| e.payload), None);
+    assert_eq!(queue.pop().map(|e| e.payload), None);
 }
 
-/// An offset that lands in one of the interesting distance classes: the
-/// same handful of near ticks (forcing exact same-tick collisions once
-/// `now` catches up), a medium horizon inside the wheel, or past the
-/// 2^52 ns wheel horizon into the overflow list.
+/// An offset in one of the interesting distance classes: a handful of
+/// near offsets (forcing exact equal-time collisions once `now` catches
+/// up), a short or a long horizon, or more than 2^52 ns ahead.
 fn gen_offset(rng: &mut SimRng) -> u64 {
     match gen::usize_in(rng, 0, 10) {
-        // Same-tick pool: a 1 µs tick is 2^10 ns, so 0/1/513 collide on
-        // one tick while 1_025 lands on the next.
         0..=3 => [0, 1, 513, 1_025][gen::usize_in(rng, 0, 4)],
-        // Within the first wheel level (64 ticks).
         4..=5 => gen::any_u64(rng) % (64 << 10),
-        // Anywhere in the wheel: up to ~52 simulated days.
+        // Up to ~52 simulated days.
         6..=8 => gen::any_u64(rng) % (1u64 << 52),
-        // Far future: beyond the horizon block, through the overflow
-        // B-tree and its block-promotion path.
         _ => (1u64 << 52) + gen::any_u64(rng) % (1u64 << 58),
     }
 }
 
-/// A mixed trace weighted toward schedules so queues build real depth,
-/// with enough pops/batch-pops to march the cursor through cascades.
+/// A mixed trace weighted toward schedules so the queue builds real depth.
 fn gen_trace(rng: &mut SimRng) -> Vec<Op> {
     gen::vec_with(rng, 1, 120, |rng| match gen::usize_in(rng, 0, 100) {
         0..=39 => Op::At(gen_offset(rng)),
         40..=54 => Op::After(gen_offset(rng)),
-        55..=74 => Op::Pop,
-        75..=89 => Op::PopTick,
+        55..=89 => Op::Pop,
         90..=97 => Op::Peek,
         _ => Op::Clear,
     })
 }
 
-/// The tentpole property: arbitrary mixed traces replay bit-identically
-/// on the wheel and the reference heap.
+/// Arbitrary mixed traces replay bit-identically on the queue and the
+/// naive model.
 #[test]
-fn wheel_matches_reference_on_mixed_traces() {
+fn kernel_matches_naive_model_on_mixed_traces() {
     prop::check("event_kernel_mixed_traces", gen_trace, |trace| {
-        assert_equivalent(trace)
+        assert_matches_model(trace)
     });
 }
 
-/// Long schedule-heavy traces, then a full drain: exercises deep wheels
-/// where refill must cascade through several levels in sequence.
+/// Long schedule-heavy traces, then a full drain.
 #[test]
-fn wheel_matches_reference_on_schedule_heavy_traces() {
+fn kernel_matches_naive_model_on_schedule_heavy_traces() {
     prop::check_n(
         "event_kernel_schedule_heavy",
         64,
@@ -187,38 +154,35 @@ fn wheel_matches_reference_on_schedule_heavy_traces() {
                 _ => Op::Pop,
             })
         },
-        |trace| assert_equivalent(trace),
+        |trace| assert_matches_model(trace),
     );
 }
 
-/// Pinned: dense same-tick collisions with interleaved batch pops. The
-/// FIFO tie-break (`seq` order within a timestamp) is the contract under
-/// test; a wheel that reorders equal-time events fails here first.
+/// Pinned: dense equal-time collisions with interleaved pops. The FIFO
+/// tie-break (`seq` order within a timestamp) is the contract under test;
+/// a queue that reorders equal-time events fails here first.
 #[test]
 fn regression_same_tick_tie_breaks() {
     prop::replay(
         "event_kernel_regression_same_tick",
-        0x5EED_071E as u64,
+        0x5EED_071E_u64,
         |rng| {
             gen::vec_with(rng, 30, 200, |rng| match gen::usize_in(rng, 0, 10) {
-                // Offsets 0/1/513 share a tick; 1_025 is the next tick.
                 0..=6 => Op::At([0, 0, 1, 513, 1_025][gen::usize_in(rng, 0, 5)]),
-                7..=8 => Op::PopTick,
                 _ => Op::Pop,
             })
         },
-        |trace| assert_equivalent(trace),
+        |trace| assert_matches_model(trace),
     );
 }
 
-/// Pinned: schedules straddling the 2^52 ns horizon so draining must
-/// promote whole overflow blocks back into the wheel, interleaved with
-/// near-term events that must still win every pop.
+/// Pinned: events more than 2^52 ns ahead still pop in order, interleaved
+/// with near-term events that must win every pop.
 #[test]
 fn regression_far_future_overflow() {
     prop::replay(
         "event_kernel_regression_overflow",
-        0x0F10_0D as u64,
+        0x000F_100D_u64,
         |rng| {
             gen::vec_with(rng, 20, 150, |rng| match gen::usize_in(rng, 0, 10) {
                 0..=3 => Op::At((1u64 << 52) + gen::any_u64(rng) % (1u64 << 56)),
@@ -227,24 +191,21 @@ fn regression_far_future_overflow() {
                 _ => Op::Pop,
             })
         },
-        |trace| assert_equivalent(trace),
+        |trace| assert_matches_model(trace),
     );
 }
 
 /// Pinned: `clear()` mid-run. The contract keeps the clock, `next_seq`
-/// and `scheduled_total` across a clear while dropping the pending set;
-/// the wheel must also re-anchor its cursor so post-clear schedules file
-/// at correct levels.
+/// and `scheduled_total` across a clear while dropping the pending set.
 #[test]
 fn regression_clear_mid_run() {
     prop::replay(
         "event_kernel_regression_clear",
-        0xC1EA_2 as u64,
+        0x000C_1EA2_u64,
         |rng| {
             let mut trace = gen::vec_with(rng, 10, 60, |rng| match gen::usize_in(rng, 0, 10) {
                 0..=5 => Op::At(gen_offset(rng)),
-                6..=7 => Op::Pop,
-                _ => Op::PopTick,
+                _ => Op::Pop,
             });
             trace.push(Op::Clear);
             let tail = gen::vec_with(rng, 10, 60, |rng| match gen::usize_in(rng, 0, 10) {
@@ -254,15 +215,15 @@ fn regression_clear_mid_run() {
             trace.extend(tail);
             trace
         },
-        |trace| assert_equivalent(trace),
+        |trace| assert_matches_model(trace),
     );
 }
 
-/// Same-tick batch stress (kernel accounting contract): millions of
-/// events spread over a handful of distinct timestamps. `scheduled_total`
-/// and `len` must account for every event exactly, each `pop_tick` batch
-/// must deliver its whole timestamp in FIFO order, and the payload
-/// checksums prove no event was dropped or duplicated.
+/// Equal-time stress (kernel accounting contract): millions of events
+/// spread over a handful of distinct timestamps. `scheduled_total` and
+/// `len` must account for every event exactly, each timestamp must be
+/// delivered whole in FIFO order, and the payload checksums prove no
+/// event was dropped or duplicated.
 #[test]
 fn same_tick_stress_exact_accounting() {
     const TICKS: u64 = 5;
@@ -270,9 +231,8 @@ fn same_tick_stress_exact_accounting() {
     const TOTAL: u64 = TICKS * PER_TICK;
 
     let mut queue: EventQueue<u64> = EventQueue::new();
-    // Five distinct timestamps, deliberately non-adjacent so refill takes
-    // a fresh cascade per timestamp. Payload ids are globally unique;
-    // id % TICKS names the target timestamp.
+    // Five distinct timestamps. Payload ids are globally unique; id % TICKS
+    // names the target timestamp.
     let times: Vec<SimTime> = (0..TICKS)
         .map(|k| SimTime::from_nanos(1_000_000 + k * 77_777_777))
         .collect();
@@ -287,14 +247,12 @@ fn same_tick_stress_exact_accounting() {
     assert_eq!(queue.len(), TOTAL as usize);
     assert_eq!(queue.scheduled_total(), TOTAL);
 
-    let mut batch = Vec::new();
     for (k, &time) in times.iter().enumerate() {
-        assert_eq!(queue.pop_tick(&mut batch), Some(time));
-        assert_eq!(batch.len(), PER_TICK as usize, "timestamp {k} batch size");
         let mut sum = 0u64;
         let mut xor = 0u64;
         let mut last_seq = None;
-        for ev in &batch {
+        for _ in 0..PER_TICK {
+            let ev = queue.pop().unwrap_or_else(|| panic!("timestamp {k} ran short"));
             assert_eq!(ev.time, time);
             assert_eq!((ev.payload % TICKS) as usize, k, "event at wrong timestamp");
             // FIFO within the timestamp: seq strictly increasing.
@@ -308,7 +266,7 @@ fn same_tick_stress_exact_accounting() {
         assert_eq!(queue.len() as u64, TOTAL - PER_TICK * (k as u64 + 1));
     }
     assert!(queue.is_empty());
-    assert_eq!(queue.pop_tick(&mut batch), None);
+    assert!(queue.pop().is_none());
     assert_eq!(queue.scheduled_total(), TOTAL);
     assert_eq!(queue.now(), *times.last().unwrap());
 }
