@@ -21,9 +21,7 @@ use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
 use scalewall_cluster::driver::{run_query, QueryOptions};
 use scalewall_cluster::net::{NetModel, NetModelConfig};
 use scalewall_cluster::workload::{gen_rows, standard_schema, TablePopulation, WorkloadConfig};
-use scalewall_discovery::{
-    DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route, ShardKey,
-};
+use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, ShardKey, DELAY_SEED};
 use scalewall_shard_manager::balancer::propose_rebalance;
 use scalewall_shard_manager::placement::{rank_candidates, HostSnapshot};
 use scalewall_shard_manager::{
@@ -130,7 +128,7 @@ fn bench_discovery(c: &mut Bench) {
     for s in 0..10_000u64 {
         store.publish(ShardKey::new("cubrick", s), Some(s % 500), SimTime::ZERO);
     }
-    let client = DiscoveryClient::new(DelayModel::new(DelayModelConfig::default()), 42);
+    let client = DiscoveryClient::new(DelayModel::new(DELAY_SEED), 42);
     let now = SimTime::from_secs(3_600);
     let mut group = c.group("discovery");
     group.throughput(1);

@@ -112,7 +112,7 @@ fn bench_heartbeat_round(c: &mut Bench) {
 fn bench_client_redirect(c: &mut Bench) {
     let cfg = ZkReplicationConfig::default();
     let mut ens = prepped(cfg.replicas);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut client = ZkClient::default();
     let mut group = c.group("zk_replication");
     group.sample_size(20);
     group.throughput(1);

@@ -15,7 +15,7 @@
 //! and the mean added latency per query, for each strategy.
 
 use cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig};
-use scalewall_cluster::net::{NetModel, NetModelConfig};
+use scalewall_cluster::net::RTT_MS;
 use scalewall_cluster::report::{banner, TextTable};
 use scalewall_sim::SimRng;
 
@@ -40,8 +40,6 @@ pub const STRATEGIES: [CoordinatorStrategy; 4] = [
 pub fn compute(profile: Profile) -> Vec<StrategyResult> {
     let queries = profile.pick(20_000u64, 200_000u64);
     let partitions = 8u32;
-    let net = NetModel::new(NetModelConfig::default());
-    let rtt_ms = net.config().rtt_ms;
 
     STRATEGIES
         .iter()
@@ -54,10 +52,10 @@ pub fn compute(profile: Profile) -> Vec<StrategyResult> {
                 let choice = proxy.choose_coordinator("t", strategy, partitions, &mut rng);
                 counts[choice.partition as usize] += 1;
                 if choice.extra_roundtrip {
-                    added_ms += rtt_ms;
+                    added_ms += RTT_MS;
                 }
                 if choice.extra_hop {
-                    added_ms += rtt_ms;
+                    added_ms += RTT_MS;
                 }
                 // The cached strategy learns the count from the first
                 // result's metadata, like production.

@@ -7,14 +7,14 @@
 //! pairs.
 
 use scalewall_cluster::report::{banner, bar, TextTable};
-use scalewall_discovery::{DelayModel, DelayModelConfig};
+use scalewall_discovery::{DelayModel, DELAY_SEED};
 use scalewall_sim::Histogram;
 
 use crate::Profile;
 
 pub fn compute(profile: Profile) -> Histogram {
     let samples = profile.pick(20_000u64, 500_000u64);
-    let model = DelayModel::new(DelayModelConfig::default());
+    let model = DelayModel::new(DELAY_SEED);
     // Delay distribution across subscribers × updates (seconds).
     let mut hist = Histogram::new(0.05, 600.0, 1.15);
     let subscribers = 1_000;

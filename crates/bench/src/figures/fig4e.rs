@@ -4,6 +4,7 @@
 //! while most of the data cools toward zero — the separation adaptive
 //! compression exploits.
 
+use cubrick::hotness::HOT_THRESHOLD;
 use scalewall_cluster::report::{banner, bar, TextTable};
 
 use crate::figures::fig4d::operational_stats;
@@ -11,7 +12,6 @@ use crate::Profile;
 
 pub fn run(profile: Profile) -> String {
     let stats = operational_stats(profile);
-    let threshold = stats.hot_threshold;
     // Bucket counters: 0, 1, 2-3, 4-7, 8-15, 16+.
     let bands: [(u32, u32); 6] = [(0, 0), (1, 1), (2, 3), (4, 7), (8, 15), (16, u32::MAX)];
     let mut counts = [0usize; 6];
@@ -34,7 +34,7 @@ pub fn run(profile: Profile) -> String {
         } else {
             format!("{lo}–{hi}")
         };
-        let class = if lo >= threshold { "hot" } else { "cold" };
+        let class = if lo >= HOT_THRESHOLD { "hot" } else { "cold" };
         table.row(vec![
             label,
             c.to_string(),
@@ -49,7 +49,7 @@ pub fn run(profile: Profile) -> String {
         "hot vs cold data blocks after a week of traffic",
     );
     out.push_str(&format!(
-        "{total} bricks; hot threshold = counter ≥ {threshold}\n"
+        "{total} bricks; hot threshold = counter ≥ {HOT_THRESHOLD}\n"
     ));
     out.push_str(&table.render());
     out.push_str(&format!(

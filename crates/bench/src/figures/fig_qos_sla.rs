@@ -119,7 +119,6 @@ pub fn config(profile: Profile, offered_load: f64, shedding: bool) -> Experiment
             },
             admission,
             degraded: shedding,
-            ..Default::default()
         }),
         ..Default::default()
     }

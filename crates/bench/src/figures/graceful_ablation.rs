@@ -17,6 +17,7 @@ use scalewall_cluster::driver::{run_query, QueryOptions};
 use scalewall_cluster::net::{NetModel, NetModelConfig};
 use scalewall_cluster::report::{banner, TextTable};
 use scalewall_cluster::workload::standard_schema;
+use scalewall_shard_manager::migration::PROPAGATION_WAIT;
 use scalewall_shard_manager::{MigrationCause, ShardId};
 use scalewall_sim::{SimDuration, SimRng, SimTime};
 
@@ -127,7 +128,7 @@ fn run_one(graceful: bool, queries_total: u64, seed: u64) -> GracefulResult {
         queries: queries_total,
         failed,
         retried,
-        forwarded_window_secs: dep.config.sm.timings.propagation_wait.as_secs_f64(),
+        forwarded_window_secs: PROPAGATION_WAIT.as_secs_f64(),
     }
 }
 

@@ -18,7 +18,8 @@ use cubrick::sharding::ShardMapping;
 use cubrick::value::Row;
 use scalewall_sim::hash::{fnv1a, FNV_OFFSET};
 use scalewall_sim::sync::RwLock;
-use scalewall_discovery::{DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route};
+use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
+use scalewall_shard_manager::server::DEFAULT_SHARD_WEIGHT;
 use scalewall_shard_manager::{
     AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
     SmError, SmServer,
@@ -42,7 +43,6 @@ pub struct DeploymentConfig {
     pub metric_generation: MetricGeneration,
     pub balancer: BalancerConfig,
     pub sm: SmConfig,
-    pub discovery_delay: DelayModelConfig,
     /// Fault-domain-aware placement: tag each table's shards as one SM
     /// anti-affinity group so partitions spread across hosts *and racks*
     /// (best-effort; the §IV-A veto stays the hard backstop). Ablatable
@@ -62,7 +62,6 @@ impl Default for DeploymentConfig {
             metric_generation: MetricGeneration::Gen2DecompressedSize,
             balancer: BalancerConfig::default(),
             sm: SmConfig::default(),
-            discovery_delay: DelayModelConfig::default(),
             rack_spread: true,
             seed: 0xD3B7,
         }
@@ -196,13 +195,13 @@ impl RegionState {
     fn allocate_shards(
         &mut self,
         shards: impl IntoIterator<Item = u64>,
-        weight_hint: f64,
         group: Option<u64>,
         now: SimTime,
     ) -> Result<(), SmError> {
+        let weight = DEFAULT_SHARD_WEIGHT;
         for shard in shards {
             let nodes = &mut self.nodes;
-            match self.sm.allocate_shard_in_group(APP, ShardId(shard), weight_hint, group, now, nodes) {
+            match self.sm.allocate_shard_in_group(APP, ShardId(shard), weight, group, now, nodes) {
                 Ok(_) | Err(SmError::AlreadyAssigned { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -277,9 +276,6 @@ impl Deployment {
                 rep.homes = (0..rep.replicas)
                     .map(|i| (r + i) % config.regions)
                     .collect();
-                // Distinct client-jitter stream per region, same xor
-                // idiom as the per-region discovery delay stream below.
-                rep.seed ^= r as u64;
             }
             let mut sm = SmServer::new(sm_config);
             let spec = AppSpec::primary_only(APP, config.max_shards).with_balancer(config.balancer);
@@ -293,10 +289,7 @@ impl Deployment {
                 refused = refused.or(sm.register_host(info, SimTime::ZERO).err());
                 nodes.insert(build_node(&config, &mut rng, host, region, &catalog, &store));
             }
-            let delay = DelayModel::new(DelayModelConfig {
-                seed: config.discovery_delay.seed ^ (r as u64),
-                ..config.discovery_delay
-            });
+            let delay = DelayModel::new(DELAY_SEED ^ (r as u64));
             // Subscriber id: the region's proxy host (id offset 999_999).
             let discovery = DiscoveryClient::new(delay, r as u64 * REGION_HOST_STRIDE + 999_999);
             regions.push(RegionState {
@@ -348,11 +341,10 @@ impl Deployment {
             shard_mapping,
         )?;
         let shards = self.catalog.read().shards_of_table(name)?;
-        let weight_hint = self.config.sm.default_shard_weight;
         let group = self.config.rack_spread.then(|| table_group(name));
         for region in &mut self.regions {
             region
-                .allocate_shards(shards.iter().copied(), weight_hint, group, now)
+                .allocate_shards(shards.iter().copied(), group, now)
                 .map_err(|e| CubrickError::Internal {
                     detail: format!("shard allocation failed: {e}"),
                 })?;
@@ -445,12 +437,11 @@ impl Deployment {
         }
 
         // Fix up shard allocations: new shards in, orphaned shards out.
-        let weight_hint = self.config.sm.default_shard_weight;
         let group = self.config.rack_spread.then(|| table_group(table));
         for r in 0..self.regions.len() {
             let added = new_shards.iter().copied().filter(|s| !old_shards.contains(s));
             self.regions[r]
-                .allocate_shards(added, weight_hint, group, now)
+                .allocate_shards(added, group, now)
                 .map_err(|e| CubrickError::Internal {
                     detail: format!("repartition allocation failed: {e}"),
                 })?;

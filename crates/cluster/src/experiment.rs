@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use cubrick::admission::{AdmissionDecision, QosClass, Ticket};
 use cubrick::catalog::RowMapping;
+use cubrick::hotness::HOT_THRESHOLD;
 use cubrick::node::CubrickNode;
 use cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig};
 use cubrick::query::Query;
@@ -23,7 +24,7 @@ use crate::deployment::{Deployment, DeploymentConfig, RegionState};
 use crate::driver::{run_query, QueryOptions, QueryOutcome};
 use crate::fault::{FaultKind, FaultScript};
 use crate::net::{NetModel, NetModelConfig};
-use crate::traffic::{QosConfig, QosStats, TrafficModel};
+use crate::traffic::{QosConfig, QosStats, TrafficModel, MIN_COVERAGE, SHARD_TIMEOUT, SLA};
 use crate::workload::{gen_query, gen_query_for_class, gen_rows, TablePopulation, WorkloadConfig};
 
 /// Experiment configuration.
@@ -105,7 +106,6 @@ pub struct ExperimentStats {
     /// Hotness counters of every brick at experiment end (Fig 4e):
     /// counter values, one per brick, across all regions' owned shards.
     pub final_hotness: Vec<u32>,
-    pub hot_threshold: u32,
     /// Scripted fault windows that opened / closed during the run.
     pub fault_injections: u64,
     pub fault_repairs: u64,
@@ -146,7 +146,7 @@ impl ExperimentStats {
         let hot = self
             .final_hotness
             .iter()
-            .filter(|&&h| h >= self.hot_threshold)
+            .filter(|&&h| h >= HOT_THRESHOLD)
             .count();
         (hot, self.final_hotness.len() - hot)
     }
@@ -722,10 +722,10 @@ impl Experiment {
             best_effort: false,
             qos: class,
             partial_results: p.degraded,
-            shard_timeout: Some(p.shard_timeout),
+            shard_timeout: Some(SHARD_TIMEOUT),
             admission_held: true,
         };
-        let (min_coverage, sla) = (p.min_coverage, p.sla[class.index()]);
+        let sla = SLA[class.index()];
         let outcome = self.run_counted(&query, &opts, now);
         let id = self.next_query_id;
         self.next_query_id += 1;
@@ -742,14 +742,14 @@ impl Experiment {
                     .coverage
                     .as_ref()
                     .map_or(1.0, |c| c.fraction())
-                    >= min_coverage;
+                    >= MIN_COVERAGE;
             let counters = self.qos_stats.class_mut(class);
             if coverage_ok {
                 counters.completed += 1;
                 if outcome.partial {
                     counters.partials += 1;
                 }
-                if sla == SimDuration::ZERO || queue_wait + outcome.latency <= sla {
+                if queue_wait + outcome.latency <= sla {
                     counters.sla_met += 1;
                 }
             } else {
@@ -884,10 +884,8 @@ impl Experiment {
         // Fig 4e: final hotness census over region 0 (all regions are
         // statistically identical).
         let mut final_hotness = Vec::new();
-        let mut hot_threshold = 4;
         if let Some(region) = self.dep.regions.first_mut() {
             each_node(region, |node| {
-                hot_threshold = node.config().hot_threshold;
                 let counters = node.hotness_snapshot().into_iter();
                 final_hotness.extend(counters.map(|(_, _, _, counter)| counter));
             });
@@ -902,7 +900,6 @@ impl Experiment {
             drains_requested: self.drains_requested,
             drains_denied: self.drains_denied,
             final_hotness,
-            hot_threshold,
             fault_injections: self.fault_injections,
             fault_repairs: self.fault_repairs,
             failover_migrations,
@@ -1111,7 +1108,7 @@ mod tests {
             for w in [
                 m.id.0,
                 m.shard.0,
-                m.from.map_or(u64::MAX, |h| h.0),
+                m.from.0,
                 m.to.0,
                 match m.kind {
                     MigrationKind::Plain => 0,

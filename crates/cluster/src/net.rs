@@ -10,45 +10,46 @@
 
 use scalewall_sim::{Bernoulli, SimDuration, SimRng, TailLatency};
 
+/// Log-space sigma of the service-time body.
+const SIGMA: f64 = 0.25;
+
+/// Probability a request hits a heavy-tail event.
+const TAIL_PROBABILITY: f64 = 1e-3;
+
+/// Pareto scale (ms) of tail events.
+const TAIL_MIN_MS: f64 = 200.0;
+
+/// Pareto shape of tail events.
+const TAIL_ALPHA: f64 = 1.5;
+
+/// Upper bound on a single tail event (GC pauses, retransmit storms and
+/// the like are long but bounded; the Pareto alone is not).
+const TAIL_CAP_MS: f64 = 10_000.0;
+
+/// One network round trip (coordinator → worker).
+pub const RTT_MS: f64 = 0.5;
+
+/// Coordinator-side merge cost per visited partition.
+const MERGE_PER_PARTITION_MS: f64 = 0.05;
+
+/// Extra cost when a request is forwarded by an old shard owner during
+/// graceful migration.
+const FORWARD_HOP_MS: f64 = 1.0;
+
 /// Tunables for the network model.
 #[derive(Debug, Clone, Copy)]
 pub struct NetModelConfig {
     /// Median per-host service time for the experiment's standard query.
     pub median_service_ms: f64,
-    /// Log-space sigma of the service-time body.
-    pub sigma: f64,
-    /// Probability a request hits a heavy-tail event.
-    pub tail_probability: f64,
-    /// Pareto scale (ms) and shape of tail events.
-    pub tail_min_ms: f64,
-    pub tail_alpha: f64,
-    /// Upper bound on a single tail event (GC pauses, retransmit storms
-    /// and the like are long but bounded; the Pareto alone is not).
-    pub tail_cap_ms: f64,
     /// Instantaneous probability a server fails a request.
     pub server_failure_probability: f64,
-    /// One network round trip (coordinator → worker).
-    pub rtt_ms: f64,
-    /// Coordinator-side merge cost per visited partition.
-    pub merge_per_partition_ms: f64,
-    /// Extra cost when a request is forwarded by an old shard owner
-    /// during graceful migration.
-    pub forward_hop_ms: f64,
 }
 
 impl Default for NetModelConfig {
     fn default() -> Self {
         NetModelConfig {
             median_service_ms: 20.0,
-            sigma: 0.25,
-            tail_probability: 1e-3,
-            tail_min_ms: 200.0,
-            tail_alpha: 1.5,
-            tail_cap_ms: 10_000.0,
             server_failure_probability: 1e-4, // the paper's 0.01 %
-            rtt_ms: 0.5,
-            merge_per_partition_ms: 0.05,
-            forward_hop_ms: 1.0,
         }
     }
 }
@@ -69,7 +70,6 @@ pub enum ServerResponse {
 /// it explicitly.
 #[derive(Debug, Clone)]
 pub struct NetModel {
-    config: NetModelConfig,
     latency: TailLatency,
     failure: Bernoulli,
     /// Currently partitioned region pairs, stored normalized (lo, hi).
@@ -81,21 +81,16 @@ pub struct NetModel {
 impl NetModel {
     pub fn new(config: NetModelConfig) -> Self {
         NetModel {
-            config,
             latency: TailLatency::new(
                 config.median_service_ms,
-                config.sigma,
-                config.tail_probability,
-                config.tail_min_ms,
-                config.tail_alpha,
+                SIGMA,
+                TAIL_PROBABILITY,
+                TAIL_MIN_MS,
+                TAIL_ALPHA,
             ),
             failure: Bernoulli::new(config.server_failure_probability),
             cuts: std::collections::BTreeSet::new(),
         }
-    }
-
-    pub fn config(&self) -> &NetModelConfig {
-        &self.config
     }
 
     fn pair(a: u32, b: u32) -> (u32, u32) {
@@ -136,24 +131,24 @@ impl NetModel {
         if self.failure.sample(rng) {
             ServerResponse::Failed
         } else {
-            let ms = self.latency.sample_ms(rng).min(self.config.tail_cap_ms);
+            let ms = self.latency.sample_ms(rng).min(TAIL_CAP_MS);
             ServerResponse::Ok(scalewall_sim::SimDuration::from_millis_f64(ms))
         }
     }
 
     /// One network round trip.
     pub fn rtt(&self) -> SimDuration {
-        SimDuration::from_millis_f64(self.config.rtt_ms)
+        SimDuration::from_millis_f64(RTT_MS)
     }
 
     /// Coordinator merge cost for a fan-out of `partitions`.
     pub fn merge_cost(&self, partitions: usize) -> SimDuration {
-        SimDuration::from_millis_f64(self.config.merge_per_partition_ms * partitions as f64)
+        SimDuration::from_millis_f64(MERGE_PER_PARTITION_MS * partitions as f64)
     }
 
     /// Forwarding overhead during graceful migration.
     pub fn forward_hop(&self) -> SimDuration {
-        SimDuration::from_millis_f64(self.config.forward_hop_ms)
+        SimDuration::from_millis_f64(FORWARD_HOP_MS)
     }
 }
 

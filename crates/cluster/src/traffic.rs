@@ -174,22 +174,29 @@ impl TrafficModel {
     }
 }
 
+/// End-to-end (queue wait + execution) latency SLA per class,
+/// [`QosClass::ALL`] order.
+pub const SLA: [SimDuration; CLASS_COUNT] = [
+    SimDuration::from_secs(2),
+    SimDuration::from_secs(8),
+    SimDuration::from_secs(60),
+];
+
+/// Per-shard deadline handed to the driver in QoS mode.
+pub const SHARD_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+/// Minimum coverage fraction for a partial answer to count as
+/// SLA-meeting.
+pub const MIN_COVERAGE: f64 = 0.85;
+
 /// Everything the experiment layer needs to run in QoS mode: the
-/// arrival curve, the admission policy, and the per-class serving
-/// contract.
+/// arrival curve, the admission policy and the serving mode; the
+/// per-class serving contract is [`SLA`], [`SHARD_TIMEOUT`] and
+/// [`MIN_COVERAGE`].
 #[derive(Debug, Clone)]
 pub struct QosConfig {
     pub traffic: TrafficConfig,
     pub admission: AdmissionConfig,
-    /// End-to-end (queue wait + execution) latency SLA per class,
-    /// [`QosClass::ALL`] order. A zero entry means "no latency SLA"
-    /// (completion alone meets it).
-    pub sla: [SimDuration; CLASS_COUNT],
-    /// Per-shard deadline handed to the driver in degraded mode.
-    pub shard_timeout: SimDuration,
-    /// Minimum coverage fraction for a partial answer to count as
-    /// SLA-meeting.
-    pub min_coverage: f64,
     /// Degraded-mode serving on (typed partial results) vs off (a
     /// failed shard fails the query).
     pub degraded: bool,
@@ -200,13 +207,6 @@ impl Default for QosConfig {
         QosConfig {
             traffic: TrafficConfig::default(),
             admission: AdmissionConfig::qos(8),
-            sla: [
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(8),
-                SimDuration::from_secs(60),
-            ],
-            shard_timeout: SimDuration::from_secs(1),
-            min_coverage: 0.85,
             degraded: true,
         }
     }

@@ -15,12 +15,13 @@ use cubrick::schema::{Schema, SchemaBuilder};
 use cubrick::value::{Row, Value};
 use scalewall_sim::{LogNormal, SimRng, Zipf};
 
+/// Median table size in bytes (log-normal): 64 MiB.
+const MEDIAN_TABLE_BYTES: f64 = 64.0 * (1 << 20) as f64;
+
 /// Knobs for the synthetic tenant population.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
     pub tables: usize,
-    /// Median table size in bytes (log-normal).
-    pub median_table_bytes: f64,
     /// Log-space sigma of the size distribution. Production tenant sizes
     /// span several orders of magnitude; σ ≈ 1.5–2 reproduces the
     /// "vast majority at 8 partitions, max ≈ 60" shape of Fig 4b.
@@ -37,7 +38,6 @@ impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             tables: 200,
-            median_table_bytes: 64.0 * (1 << 20) as f64, // 64 MiB median
             size_sigma: 1.6,
             repartition: RepartitionPolicy {
                 partition_size_threshold: 256 << 20, // 256 MiB / partition
@@ -93,7 +93,7 @@ impl TablePopulation {
     /// grow while any partition would exceed the threshold — reusing the
     /// exact policy code production would run.
     pub fn generate(config: &WorkloadConfig, rng: &mut SimRng) -> Self {
-        let sizes = LogNormal::from_median(config.median_table_bytes, config.size_sigma);
+        let sizes = LogNormal::from_median(MEDIAN_TABLE_BYTES, config.size_sigma);
         let mut tables = Vec::with_capacity(config.tables);
         for i in 0..config.tables {
             let mut target_bytes = sizes.sample(rng) as u64;

@@ -34,16 +34,18 @@ impl Hotness {
     }
 }
 
+/// Counter value at which a brick counts as *hot* (Fig 4e split).
+pub const HOT_THRESHOLD: u32 = 4;
+
+/// Decompression resumes below this fraction of the budget (hysteresis so
+/// the monitor does not thrash at the boundary).
+const LOW_WATERMARK: f64 = 0.8;
+
 /// Memory-monitor policy parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryMonitorConfig {
     /// Node memory budget in bytes: compression starts above this.
     pub budget_bytes: u64,
-    /// Decompression resumes below this fraction of the budget
-    /// (hysteresis so the monitor does not thrash at the boundary).
-    pub low_watermark: f64,
-    /// Counter value at which a brick counts as *hot* (Fig 4e split).
-    pub hot_threshold: u32,
     /// Per-pass halving probability for decay.
     pub decay_probability: f64,
 }
@@ -52,8 +54,6 @@ impl Default for MemoryMonitorConfig {
     fn default() -> Self {
         MemoryMonitorConfig {
             budget_bytes: 8 << 30, // 8 GiB of the host for data
-            low_watermark: 0.8,
-            hot_threshold: 4,
             decay_probability: 0.1,
         }
     }
@@ -75,7 +75,7 @@ pub enum Band {
 impl MemoryMonitorConfig {
     /// The band a `footprint` puts its partition in.
     pub fn band(&self, footprint: u64) -> Band {
-        let low = self.budget_bytes as f64 * self.low_watermark;
+        let low = self.budget_bytes as f64 * LOW_WATERMARK;
         if footprint > self.budget_bytes {
             Band::Over(footprint - self.budget_bytes)
         } else if (footprint as f64) < low {

@@ -101,6 +101,12 @@ impl RegionStore {
 /// Region store shared by all nodes of one region.
 pub type SharedRegionStore = Arc<RwLock<RegionStore>>;
 
+/// Fleet-observed compression ratio (gen-2 capacity scaling).
+const OBSERVED_COMPRESSION_RATIO: f64 = 3.0;
+
+/// SSD bytes a host exports as capacity under gen-3 metrics.
+const SSD_CAPACITY_BYTES: u64 = 64 << 30;
+
 /// Node configuration.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -109,11 +115,7 @@ pub struct NodeConfig {
     /// Physical memory dedicated to data.
     pub memory_budget_bytes: u64,
     pub metric_generation: MetricGeneration,
-    /// Fleet-observed compression ratio (gen-2 capacity scaling).
-    pub observed_compression_ratio: f64,
-    pub ssd_capacity_bytes: u64,
-    /// Hotness threshold and decay for the memory monitor.
-    pub hot_threshold: u32,
+    /// Per-pass hotness decay probability for the memory monitor.
     pub decay_probability: f64,
     /// Seed for the node's private RNG (decay stochasticity).
     pub rng_seed: u64,
@@ -126,9 +128,6 @@ impl NodeConfig {
             region,
             memory_budget_bytes: 8 << 30,
             metric_generation: MetricGeneration::Gen2DecompressedSize,
-            observed_compression_ratio: 3.0,
-            ssd_capacity_bytes: 64 << 30,
-            hot_threshold: 4,
             decay_probability: 0.1,
             rng_seed: host.0 ^ 0xC0B1,
         }
@@ -347,9 +346,7 @@ impl CubrickNode {
             let share = data.decompressed_bytes() as f64 / total_decompressed as f64;
             MemoryMonitorConfig {
                 budget_bytes: (self.config.memory_budget_bytes as f64 * share) as u64,
-                hot_threshold: self.config.hot_threshold,
                 decay_probability: self.config.decay_probability,
-                ..Default::default()
             }
         };
         let idle = |data: &&PartitionData| data.movable_bricks(&config_of(data)).1 == 0;
@@ -515,8 +512,8 @@ impl AppServer for CubrickNode {
             .metric_generation
             .host_capacity(&CapacityInputs {
                 physical_memory_bytes: self.config.memory_budget_bytes,
-                observed_compression_ratio: self.config.observed_compression_ratio,
-                ssd_capacity_bytes: self.config.ssd_capacity_bytes,
+                observed_compression_ratio: OBSERVED_COMPRESSION_RATIO,
+                ssd_capacity_bytes: SSD_CAPACITY_BYTES,
             })
     }
 

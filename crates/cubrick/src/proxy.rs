@@ -47,6 +47,15 @@ pub struct CoordinatorChoice {
     pub extra_hop: bool,
 }
 
+/// How long a blacklisted host stays out of rotation.
+pub const BLACKLIST_TTL: SimDuration = SimDuration::from_mins(5);
+
+/// Depth-aware region spill: prefer the client's region unless its
+/// in-flight depth exceeds the least-loaded alternative by more than
+/// this. Depths are only tracked by the QoS experiment loop, so legacy
+/// callers (all depths zero) never spill.
+const REGION_SPILL_THRESHOLD: u32 = 8;
+
 /// Proxy tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ProxyConfig {
@@ -54,18 +63,11 @@ pub struct ProxyConfig {
     pub max_retries: u32,
     /// Consecutive failures before a host is blacklisted.
     pub blacklist_threshold: u32,
-    /// How long a blacklisted host stays out of rotation.
-    pub blacklist_ttl: SimDuration,
     /// Admission control. The default is the flat gate
     /// `AdmissionConfig::flat(10_000)`: 10,000 concurrent queries, no
     /// queueing, byte-identical to the pre-QoS in-flight counter. The QoS
     /// experiment sets a classful controller here.
     pub admission: AdmissionConfig,
-    /// Depth-aware region spill: prefer the client's region unless its
-    /// in-flight depth exceeds the least-loaded alternative by more
-    /// than this. Depths are only tracked by the QoS experiment loop,
-    /// so legacy callers (all depths zero) never spill.
-    pub region_spill_threshold: u32,
 }
 
 impl Default for ProxyConfig {
@@ -73,9 +75,7 @@ impl Default for ProxyConfig {
         ProxyConfig {
             max_retries: 2,
             blacklist_threshold: 3,
-            blacklist_ttl: SimDuration::from_mins(5),
             admission: AdmissionConfig::default(),
-            region_spill_threshold: 8,
         }
     }
 }
@@ -222,7 +222,7 @@ impl CubrickProxy {
         if client_is_candidate {
             let client_depth = self.region_depth(client_region);
             let spill_floor = least.map_or(0, |(depth, _)| depth);
-            if client_depth <= spill_floor.saturating_add(self.config.region_spill_threshold) {
+            if client_depth <= spill_floor.saturating_add(REGION_SPILL_THRESHOLD) {
                 return Ok(client_region);
             }
         }
@@ -384,7 +384,7 @@ impl CubrickProxy {
         entry.consecutive_failures += 1;
         let currently_blacklisted = entry.blacklisted_until.is_some_and(|until| now < until);
         if entry.consecutive_failures >= self.config.blacklist_threshold && !currently_blacklisted {
-            entry.blacklisted_until = Some(now + self.config.blacklist_ttl);
+            entry.blacklisted_until = Some(now + BLACKLIST_TTL);
             self.stats.hosts_blacklisted += 1;
         }
     }
@@ -640,7 +640,7 @@ mod tests {
         for _ in 0..3 {
             p.record_host_failure(h, t0);
         }
-        let until = t0 + p.config().blacklist_ttl;
+        let until = t0 + BLACKLIST_TTL;
         assert!(p.is_blacklisted(h, SimTime::from_nanos(until.as_nanos() - 1)));
         assert!(!p.is_blacklisted(h, until), "boundary is exclusive");
         assert!(!p.is_blacklisted(h, until + SimDuration::from_nanos(1)));
@@ -661,7 +661,7 @@ mod tests {
         assert!(p.is_blacklisted(h, t0));
         assert_eq!(p.stats.hosts_blacklisted, 1);
         // TTL lapses; the host is probed again and still fails.
-        let after = t0 + p.config().blacklist_ttl + SimDuration::from_secs(1);
+        let after = t0 + BLACKLIST_TTL + SimDuration::from_secs(1);
         assert!(!p.is_blacklisted(h, after));
         p.record_host_failure(h, after);
         assert!(
@@ -676,15 +676,12 @@ mod tests {
 
     #[test]
     fn depth_aware_region_spill() {
-        let mut p = CubrickProxy::new(ProxyConfig {
-            region_spill_threshold: 2,
-            ..Default::default()
-        });
+        let mut p = proxy();
         let regions = [(Region(0), true), (Region(1), true), (Region(2), true)];
         // No depth tracked: client region wins (legacy behaviour).
         assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(0));
         // Client region loaded but within the spill threshold: stays.
-        for _ in 0..2 {
+        for _ in 0..REGION_SPILL_THRESHOLD {
             p.note_region_start(Region(0));
         }
         assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(0));
@@ -698,7 +695,7 @@ mod tests {
         }
         assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(2));
         // Draining region 0 restores the proximity preference.
-        for _ in 0..3 {
+        for _ in 0..=REGION_SPILL_THRESHOLD {
             p.note_region_done(Region(0));
         }
         assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(0));

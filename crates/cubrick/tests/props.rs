@@ -572,7 +572,7 @@ fn dictionary_matches_sorted_map_model() {
 // ------------------------------------------------- proxy blacklist / retries
 
 use cubrick::error::CubrickError;
-use cubrick::proxy::{CubrickProxy, ProxyConfig};
+use cubrick::proxy::{CubrickProxy, ProxyConfig, BLACKLIST_TTL};
 use scalewall_shard_manager::HostId;
 use scalewall_sim::{SimDuration, SimTime};
 
@@ -603,7 +603,7 @@ fn blacklist_decisions_match_shadow_model() {
         },
         |schedule| {
             let config = ProxyConfig::default();
-            let (threshold, ttl) = (config.blacklist_threshold, config.blacklist_ttl);
+            let (threshold, ttl) = (config.blacklist_threshold, BLACKLIST_TTL);
             let mut proxy = CubrickProxy::new(config);
             let host = HostId(7);
             let mut now = SimTime::from_secs(1);

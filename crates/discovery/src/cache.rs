@@ -192,7 +192,7 @@ impl DiscoveryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::DelayModelConfig;
+    use crate::delay::DELAY_SEED;
     use crate::map::ShardKey;
     use scalewall_sim::SimDuration;
 
@@ -201,7 +201,7 @@ mod tests {
     }
 
     fn client(subscriber: u64) -> DiscoveryClient {
-        DiscoveryClient::new(DelayModel::new(DelayModelConfig::default()), subscriber)
+        DiscoveryClient::new(DelayModel::new(DELAY_SEED), subscriber)
     }
 
     #[test]

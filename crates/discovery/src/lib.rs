@@ -29,5 +29,5 @@ pub mod delay;
 pub mod map;
 
 pub use cache::{DiscoveryClient, Route};
-pub use delay::{DelayModel, DelayModelConfig};
+pub use delay::{DelayModel, DELAY_SEED};
 pub use map::{MappingStore, MappingUpdate, ShardKey};

@@ -2,9 +2,7 @@
 //! drawn from published history, staleness is bounded by the delay
 //! model, and per-subscriber views are monotone.
 
-use scalewall_discovery::{
-    DelayModel, DelayModelConfig, DiscoveryClient, MappingStore, Route, ShardKey,
-};
+use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, ShardKey, DELAY_SEED};
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::{SimDuration, SimRng, SimTime};
 
@@ -36,7 +34,7 @@ fn resolution_is_causal() {
         |rng| (gen_publishes(rng, 1, 12), rng.below(100), rng.below(3_600)),
         |(publishes, subscriber, observe_offset)| {
             let (store, timeline) = store_with(publishes);
-            let model = DelayModel::new(DelayModelConfig::default());
+            let model = DelayModel::new(DELAY_SEED);
             let client = DiscoveryClient::new(model, *subscriber);
             let last_publish = timeline.last().unwrap().0;
             let observe = last_publish + SimDuration::from_secs(*observe_offset);
@@ -61,7 +59,7 @@ fn eventual_convergence() {
         |rng| (gen_publishes(rng, 1, 12), rng.below(100)),
         |(publishes, subscriber)| {
             let (store, timeline) = store_with(publishes);
-            let model = DelayModel::new(DelayModelConfig::default());
+            let model = DelayModel::new(DELAY_SEED);
             let client = DiscoveryClient::new(model, *subscriber);
             let (_, last_host) = *timeline.last().unwrap();
             // The default model's delays are < 5 minutes with overwhelming
@@ -91,7 +89,7 @@ fn per_subscriber_monotonicity() {
         |(publishes, subscriber, steps)| {
             let steps = *steps;
             let (store, timeline) = store_with(publishes);
-            let model = DelayModel::new(DelayModelConfig::default());
+            let model = DelayModel::new(DELAY_SEED);
             let client = DiscoveryClient::new(model, *subscriber);
             let horizon = timeline.last().unwrap().0 + SimDuration::from_hours(1);
             let mut last_seq = None;
@@ -156,7 +154,7 @@ fn route_equals_per_key_reference() {
         |rng| (gen_route_steps(rng), rng.below(100)),
         |(steps, subscriber)| {
             let mut store = MappingStore::new();
-            let model = DelayModel::new(DelayModelConfig::default());
+            let model = DelayModel::new(DELAY_SEED);
             let client = DiscoveryClient::new(model, *subscriber);
             let keys: Vec<ShardKey> = (0..ROUTE_KEYS).map(|s| ShardKey::new("svc", s)).collect();
             let mut route = Route::default();
@@ -230,7 +228,7 @@ fn route_equals_per_key_reference() {
 #[test]
 fn route_window_ends_at_the_first_arrival_not_the_first_publish() {
     let mut store = MappingStore::new();
-    let model = DelayModel::new(DelayModelConfig::default());
+    let model = DelayModel::new(DELAY_SEED);
     let key = ShardKey::new("svc", 7);
     store.publish(key.clone(), Some(1), SimTime::ZERO);
     // Find a subscriber for which seq 2 overtakes seq 1.

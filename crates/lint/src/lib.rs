@@ -29,8 +29,8 @@
 //! * **D5 — RNG stream discipline** (semantic). Two `fork(…)` sites on
 //!   one stream sharing a static label, re-forking a stream after drawing
 //!   from it ("fork before fan-out"), and workload RNG values flowing
-//!   into fault/backoff code are all replay hazards the fork convention
-//!   exists to prevent.
+//!   into fault code are all replay hazards the fork convention exists
+//!   to prevent.
 //! * **D6 — lock-order analysis** (semantic). The acquisition graph of
 //!   `sim::sync` locks, with held-sets propagated through a conservative
 //!   call graph: same-lock nested acquires and cycle-participating
@@ -100,7 +100,7 @@ pub enum RuleId {
     /// `unsafe` outside `sim::sync`.
     D4,
     /// RNG stream-discipline breach (duplicate fork label, fork after
-    /// draw, workload→fault/backoff flow).
+    /// draw, workload→fault flow).
     D5,
     /// Lock-order hazard (nested same-lock acquire or cycle site).
     D6,
@@ -931,18 +931,6 @@ mod tests {
             }
         "#;
         assert!(violations(clean, RuleSet::SIM).is_empty());
-    }
-
-    #[test]
-    fn d5_flags_workload_rng_into_backoff() {
-        let src = r#"
-            mod workload {
-                fn drive(policy: &RetryPolicy, rng: &mut SimRng) {
-                    let wait = policy.backoff(3, rng);
-                }
-            }
-        "#;
-        assert_eq!(violations(src, RuleSet::SIM), [RuleId::D5]);
     }
 
     // ------------------------------------------------------------ D6

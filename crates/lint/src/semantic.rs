@@ -50,22 +50,18 @@ pub struct Census {
 }
 
 /// Which replay-contract domain a function lives in, for the D5
-/// workload→fault/backoff flow rule. Derived from file and module names
-/// so single-file fixtures can express cross-domain flows.
+/// workload→fault flow rule. Derived from file and module names so
+/// single-file fixtures can express cross-domain flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Domain {
     Workload,
     Fault,
-    Backoff,
     Other,
 }
 
-fn domain_of(path: &str, modpath: &[String], fn_name: &str) -> Domain {
+fn domain_of(path: &str, modpath: &[String]) -> Domain {
     let p = path.replace('\\', "/").to_ascii_lowercase();
     let in_mod = |s: &str| modpath.iter().any(|m| m.contains(s));
-    if fn_name == "backoff" || in_mod("backoff") {
-        return Domain::Backoff;
-    }
     if p.ends_with("fault.rs") || in_mod("fault") {
         return Domain::Fault;
     }
@@ -143,7 +139,7 @@ fn extract_fns(path: &str, parsed: &ParsedFile, index: &StructIndex) -> Vec<FnFa
                 name: f.name.clone(),
                 self_ty: f.self_ty.clone(),
                 takes_self: f.takes_self,
-                domain: domain_of(path, &f.modpath, &f.name),
+                domain: domain_of(path, &f.modpath),
                 line: f.line,
                 direct_acqs: BTreeSet::new(),
                 calls: Vec::new(),
@@ -698,32 +694,22 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
         }
     }
 
-    // D5c: workload RNG flowing into fault/backoff code.
+    // D5c: workload RNG flowing into fault code.
     for e in fns.iter() {
         if e.f.domain != Domain::Workload {
             continue;
         }
         for site in &e.f.calls {
-            if !site.rng_arg {
-                continue;
-            }
-            let target_domain = match resolve(&site.callee) {
-                Some(j) => fns[j].f.domain,
-                None => match &site.callee {
-                    // `policy.backoff(…)` resolves by its reserved name.
-                    Callee::Method { name, .. } if name == "backoff" => Domain::Backoff,
-                    _ => Domain::Other,
-                },
-            };
-            if matches!(target_domain, Domain::Fault | Domain::Backoff) {
+            if site.rng_arg
+                && resolve(&site.callee).is_some_and(|j| fns[j].f.domain == Domain::Fault)
+            {
                 out.push((
                     e.file,
                     Candidate {
                         rule: RuleId::D5,
                         line: site.line,
                         message: format!(
-                            "workload RNG stream passed into {} code in `{}` — fault/backoff draws must come from their own forked stream or workload replay shifts when faults change",
-                            if target_domain == Domain::Fault { "fault" } else { "backoff" },
+                            "workload RNG stream passed into fault code in `{}` — fault draws must come from their own forked stream or workload replay shifts when faults change",
                             e.f.name
                         ),
                     },

@@ -37,48 +37,27 @@ pub enum MaintenanceVerdict {
     Denied { reason: String },
 }
 
-/// Safety-check tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct AutomationConfig {
-    /// Remaining fleet load fraction must stay below this after the
-    /// request (capacity check).
-    pub max_post_drain_utilization: f64,
-    /// Deny if more than this fraction of the fleet would be out of
-    /// service at once (fault-tolerance check).
-    pub max_unavailable_fraction: f64,
-    /// Deny while more than this many migrations are in flight
-    /// (load-balancing conflict check).
-    pub max_concurrent_migrations: usize,
-}
+/// Remaining fleet load fraction must stay below this after the request
+/// (capacity check).
+const MAX_POST_DRAIN_UTILIZATION: f64 = 0.85;
 
-impl Default for AutomationConfig {
-    fn default() -> Self {
-        AutomationConfig {
-            max_post_drain_utilization: 0.85,
-            max_unavailable_fraction: 0.10,
-            max_concurrent_migrations: 64,
-        }
-    }
-}
+/// Deny if more than this fraction of the fleet would be out of service
+/// at once (fault-tolerance check).
+const MAX_UNAVAILABLE_FRACTION: f64 = 0.10;
+
+/// Deny while more than this many migrations are in flight
+/// (load-balancing conflict check).
+const MAX_CONCURRENT_MIGRATIONS: usize = 64;
 
 /// The automation front door.
 #[derive(Debug, Clone, Default)]
 pub struct AutomationEngine {
-    config: AutomationConfig,
     /// Requests processed (approved, denied) — operational accounting.
     pub approved: u64,
     pub denied: u64,
 }
 
 impl AutomationEngine {
-    pub fn new(config: AutomationConfig) -> Self {
-        AutomationEngine {
-            config,
-            approved: 0,
-            denied: 0,
-        }
-    }
-
     /// Run safety checks; if they pass, start draining every requested
     /// host.
     pub fn submit<R: AppServerRegistry>(
@@ -115,21 +94,20 @@ impl AutomationEngine {
             }
         }
         // Conflict check: too many in-flight migrations.
-        if sm.active_migration_count() > self.config.max_concurrent_migrations {
+        if sm.active_migration_count() > MAX_CONCURRENT_MIGRATIONS {
             return Err(format!(
-                "{} migrations already in flight (limit {})",
+                "{} migrations already in flight (limit {MAX_CONCURRENT_MIGRATIONS})",
                 sm.active_migration_count(),
-                self.config.max_concurrent_migrations
             ));
         }
         // Fault-tolerance check: bounded simultaneous unavailability.
         let total: usize = sm.host_ids().count();
         let already_out = total - sm.alive_host_count();
         let would_be_out = already_out + request.hosts.len();
-        if total == 0 || would_be_out as f64 / total as f64 > self.config.max_unavailable_fraction {
+        if total == 0 || would_be_out as f64 / total as f64 > MAX_UNAVAILABLE_FRACTION {
             return Err(format!(
                 "{would_be_out}/{total} hosts out of service exceeds {:.0}% budget",
-                self.config.max_unavailable_fraction * 100.0
+                MAX_UNAVAILABLE_FRACTION * 100.0
             ));
         }
         // Capacity check: remaining fleet must absorb the drained load.
@@ -144,8 +122,7 @@ impl AutomationEngine {
                 remaining_capacity += info.capacity;
             }
         }
-        if remaining_capacity <= 0.0
-            || total_load / remaining_capacity > self.config.max_post_drain_utilization
+        if remaining_capacity <= 0.0 || total_load / remaining_capacity > MAX_POST_DRAIN_UTILIZATION
         {
             return Err(format!(
                 "post-drain utilization {:.0}% exceeds {:.0}% budget",
@@ -154,7 +131,7 @@ impl AutomationEngine {
                 } else {
                     f64::INFINITY
                 },
-                self.config.max_post_drain_utilization * 100.0
+                MAX_POST_DRAIN_UTILIZATION * 100.0
             ));
         }
         Ok(())
@@ -239,23 +216,14 @@ mod tests {
     #[test]
     fn denies_when_capacity_would_be_exceeded() {
         let (mut sm, mut reg) = setup(20);
-        // Load the fleet to ~85%: 20 hosts × 100 cap, 1700 load total.
-        for s in 0..17 {
-            // Weight 100 per shard would hit headroom; use 10 shards of 170?
-            // Simpler: 17 shards of weight 100 won't place (headroom).
-            // Use 170 shards of weight 10.
-            let _ = s;
-        }
+        // Load the fleet to 85%: 20 hosts × 100 cap, 170 shards of weight
+        // 10 (under the 90 % placement headroom).
         for s in 0..170 {
             sm.allocate_shard("app", ShardId(s), 10.0, t(0), &mut reg)
                 .unwrap();
         }
-        let mut engine = AutomationEngine::new(AutomationConfig {
-            max_post_drain_utilization: 0.88,
-            max_unavailable_fraction: 0.5,
-            max_concurrent_migrations: 1_000,
-        });
-        // Draining one host: 1700 / 1900 ≈ 0.895 > 0.88 → denied.
+        let mut engine = AutomationEngine::default();
+        // Draining one host: 1700 / 1900 ≈ 0.895 > 0.85 → denied.
         let req = MaintenanceRequest {
             hosts: vec![HostId(0)],
             reason: "test".into(),

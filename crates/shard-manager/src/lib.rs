@@ -3,10 +3,10 @@
 //!
 //! SM abstracts every shard-management task a sharded application would
 //! otherwise hand-roll: shard placement, load balancing on
-//! application-exported metrics, replication roles and spread, live and
-//! graceful shard migration, failover on heartbeat loss, drain/maintenance
-//! safety checks, and machine-automation integration. Applications only
-//! implement the [`AppServer`] endpoints (`prepare_add_shard`, `add_shard`,
+//! application-exported metrics, live and graceful shard migration,
+//! failover on heartbeat loss, drain/maintenance safety checks, and
+//! machine-automation integration. Applications only implement the
+//! [`AppServer`] endpoints (`prepare_add_shard`, `add_shard`,
 //! `prepare_drop_shard`, `drop_shard`) and export per-shard metrics plus a
 //! host capacity — exactly the contract the paper's Cubrick integrates
 //! against.
@@ -14,8 +14,8 @@
 //! Module map:
 //!
 //! * [`ids`] — host/shard/app identifiers, failure-domain topology.
-//! * [`spec`] — per-application configuration: shard space, replication
-//!   mode, replica spread, balancer tunables.
+//! * [`spec`] — per-application configuration: shard space and balancer
+//!   tunables. Every app is primary-only: one host per shard.
 //! * [`app_server`] — the application-side trait and migration contexts.
 //! * [`error`] — SM and application error surfaces, including the
 //!   *non-retryable* rejection applications use to veto a placement
@@ -50,9 +50,7 @@ pub use automation::{AutomationEngine, MaintenanceRequest, MaintenanceVerdict};
 pub use balancer::{BalanceProposal, BalancerStats};
 pub use error::{AppError, SmError, SmResult};
 pub use ids::{HostId, HostInfo, HostState, Rack, Region, ShardId};
-pub use migration::{
-    MigrationCause, MigrationId, MigrationKind, MigrationPhase, MigrationRecord, MigrationTimings,
-};
+pub use migration::{MigrationCause, MigrationId, MigrationKind, MigrationPhase, MigrationRecord};
 pub use placement::SpreadHint;
 pub use server::{SmConfig, SmServer};
-pub use spec::{AppSpec, BalancerConfig, ReplicationMode, Role, SpreadDomain};
+pub use spec::{AppSpec, BalancerConfig, SpreadDomain};

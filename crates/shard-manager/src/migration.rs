@@ -73,8 +73,8 @@ pub struct MigrationRecord {
     pub id: MigrationId,
     pub app: Arc<str>,
     pub shard: ShardId,
-    /// Source host; `None` only for failovers whose source is irrelevant.
-    pub from: Option<HostId>,
+    /// Source host (for a failover, the dead one).
+    pub from: HostId,
     pub to: HostId,
     pub kind: MigrationKind,
     pub cause: MigrationCause,
@@ -107,44 +107,29 @@ impl MigrationRecord {
     }
 }
 
-/// Timing parameters for migrations.
-#[derive(Debug, Clone, Copy)]
-pub struct MigrationTimings {
-    /// Sequential copy bandwidth for live migrations (old → new server,
-    /// same region), bytes/sec.
-    pub live_copy_bandwidth: f64,
-    /// Recovery bandwidth for failovers (cross-region download), bytes/sec.
-    pub failover_copy_bandwidth: f64,
-    /// Fixed per-migration overhead (metadata creation, RPC setup).
-    pub fixed_overhead: SimDuration,
-    /// How long the graceful protocol waits after publishing the new
-    /// mapping before dropping the old replica — "Cubrick waits for a
-    /// pre-defined number of seconds (SMC's usual propagation delay)"
-    /// (§IV-E).
-    pub propagation_wait: SimDuration,
-}
+/// Sequential copy bandwidth for live migrations (old → new server, same
+/// region), bytes/sec: ~1 GiB/s intra-region.
+const LIVE_COPY_BANDWIDTH: f64 = 1_073_741_824.0;
 
-impl Default for MigrationTimings {
-    fn default() -> Self {
-        MigrationTimings {
-            // ~1 GiB/s intra-region, ~256 MiB/s cross-region.
-            live_copy_bandwidth: 1_073_741_824.0,
-            failover_copy_bandwidth: 268_435_456.0,
-            fixed_overhead: SimDuration::from_millis(250),
-            propagation_wait: SimDuration::from_secs(30),
-        }
-    }
-}
+/// Recovery bandwidth for failovers (cross-region download), bytes/sec:
+/// ~256 MiB/s.
+const FAILOVER_COPY_BANDWIDTH: f64 = 268_435_456.0;
 
-impl MigrationTimings {
-    /// Duration of the data-copy phase for a migration of `bytes`.
-    pub fn copy_duration(&self, kind: MigrationKind, bytes: u64) -> SimDuration {
-        let bandwidth = match kind {
-            MigrationKind::Failover => self.failover_copy_bandwidth,
-            _ => self.live_copy_bandwidth,
-        };
-        self.fixed_overhead + SimDuration::from_secs_f64(bytes as f64 / bandwidth.max(1.0))
-    }
+/// Fixed per-migration overhead (metadata creation, RPC setup).
+const FIXED_OVERHEAD: SimDuration = SimDuration::from_millis(250);
+
+/// How long the graceful protocol waits after publishing the new mapping
+/// before dropping the old replica — "Cubrick waits for a pre-defined
+/// number of seconds (SMC's usual propagation delay)" (§IV-E).
+pub const PROPAGATION_WAIT: SimDuration = SimDuration::from_secs(30);
+
+/// Duration of the data-copy phase for a migration of `bytes`.
+pub fn copy_duration(kind: MigrationKind, bytes: u64) -> SimDuration {
+    let bandwidth = match kind {
+        MigrationKind::Failover => FAILOVER_COPY_BANDWIDTH,
+        _ => LIVE_COPY_BANDWIDTH,
+    };
+    FIXED_OVERHEAD + SimDuration::from_secs_f64(bytes as f64 / bandwidth)
 }
 
 #[cfg(test)]
@@ -156,7 +141,7 @@ mod tests {
             id: MigrationId(1),
             app: "test".into(),
             shard: ShardId(1),
-            from: Some(HostId(1)),
+            from: HostId(1),
             to: HostId(2),
             kind,
             cause: MigrationCause::LoadBalance,
@@ -186,15 +171,14 @@ mod tests {
 
     #[test]
     fn copy_duration_scales_with_bytes_and_kind() {
-        let t = MigrationTimings::default();
         let gib = 1_073_741_824u64;
-        let live = t.copy_duration(MigrationKind::Graceful, gib);
-        let fo = t.copy_duration(MigrationKind::Failover, gib);
+        let live = copy_duration(MigrationKind::Graceful, gib);
+        let fo = copy_duration(MigrationKind::Failover, gib);
         // 1 GiB at 1 GiB/s ≈ 1 s + overhead; cross-region 4× slower.
         assert!((live.as_secs_f64() - 1.25).abs() < 0.01, "{live}");
         assert!((fo.as_secs_f64() - 4.25).abs() < 0.01, "{fo}");
         // Zero bytes still pays fixed overhead.
-        let empty = t.copy_duration(MigrationKind::Plain, 0);
-        assert_eq!(empty, t.fixed_overhead);
+        let empty = copy_duration(MigrationKind::Plain, 0);
+        assert_eq!(empty, FIXED_OVERHEAD);
     }
 }

@@ -4,7 +4,7 @@
 //! applications and makes shard placement decisions" (§III-A). The server
 //! owns:
 //!
-//! * application registrations and per-shard replica assignments,
+//! * application registrations and per-shard host assignments,
 //! * host registrations, heartbeat liveness (via `scalewall-zk` ephemeral
 //!   nodes) and host lifecycle (alive → draining/dead),
 //! * the migration engine (live / graceful / failover state machines),
@@ -21,30 +21,30 @@ use std::sync::Arc;
 
 use scalewall_discovery::{MappingStore, ShardKey};
 use scalewall_sim::{DeadlineQueue, SimRng, SimTime};
-use scalewall_zk::{CoordinationPlane, SessionConfig, SessionId, ZkReplicationConfig};
+use scalewall_zk::{CoordinationPlane, SessionId, ZkReplicationConfig};
 
 use crate::app_server::{AddShardReason, AppServerRegistry, ShardContext};
 use crate::balancer::{fleet_stats, propose_rebalance, BalancerStats};
 use crate::error::{SmError, SmResult};
 use crate::ids::{HostId, HostInfo, HostState, ShardId};
 use crate::migration::{
-    MigrationCause, MigrationId, MigrationKind, MigrationPhase, MigrationRecord, MigrationTimings,
+    copy_duration, MigrationCause, MigrationId, MigrationKind, MigrationPhase, MigrationRecord,
+    PROPAGATION_WAIT,
 };
 use crate::placement::{rank_candidates_hinted, Candidate, HostSnapshot, SpreadHint};
-use crate::spec::{AppSpec, Role, SpreadDomain};
+use crate::spec::{AppSpec, SpreadDomain};
+
+/// Weight assumed for a shard before the first metrics collection.
+pub const DEFAULT_SHARD_WEIGHT: f64 = 1.0;
+
+/// Vetoed targets a placement may collect beyond one per host before it
+/// gives up (applications veto with non-retryable errors).
+const MAX_VETO_RETRIES: usize = 8;
 
 /// Server-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SmConfig {
-    pub timings: MigrationTimings,
-    /// Weight assumed for a shard before the first metrics collection.
-    pub default_shard_weight: f64,
-    /// Zookeeper session timeout for application-server heartbeats.
-    pub session: SessionConfig,
-    /// Maximum distinct targets tried when an application vetoes
-    /// placements with non-retryable errors.
-    pub max_veto_retries: usize,
-    /// Placement randomization: new replicas land on a uniformly random
+    /// Placement randomization: new shards land on a uniformly random
     /// candidate among the `placement_jitter` least-loaded feasible
     /// hosts. `1` = strict least-loaded (deterministic). Production
     /// placement is effectively randomized at long horizons by
@@ -63,10 +63,6 @@ pub struct SmConfig {
 impl Default for SmConfig {
     fn default() -> Self {
         SmConfig {
-            timings: MigrationTimings::default(),
-            default_shard_weight: 1.0,
-            session: SessionConfig::default(),
-            max_veto_retries: 8,
             placement_jitter: 1,
             seed: 0x5337,
             replication: None,
@@ -84,8 +80,8 @@ struct HostEntry {
 #[derive(Debug)]
 struct AppState {
     spec: AppSpec,
-    /// Replicas per shard, role order (primary first where applicable).
-    assignments: BTreeMap<ShardId, Vec<(HostId, Role)>>,
+    /// The host each shard is assigned to.
+    assignments: BTreeMap<ShardId, HostId>,
     /// Last collected per-shard weights.
     weights: BTreeMap<ShardId, f64>,
     /// Optional anti-affinity group per shard (e.g. all shards holding
@@ -95,21 +91,20 @@ struct AppState {
 }
 
 impl AppState {
-    fn weight_of(&self, shard: ShardId, default: f64) -> f64 {
-        self.weights.get(&shard).copied().unwrap_or(default)
+    fn weight_of(&self, shard: ShardId) -> f64 {
+        self.weights
+            .get(&shard)
+            .copied()
+            .unwrap_or(DEFAULT_SHARD_WEIGHT)
     }
 
-    /// Shards with a replica on `host`, ascending.
+    /// Shards assigned to `host`, ascending.
     fn shards_on(&self, host: HostId) -> impl Iterator<Item = ShardId> + '_ {
         self.assignments
             .iter()
-            .filter(move |(_, replicas)| on_host(replicas, host))
+            .filter(move |&(_, &h)| h == host)
             .map(|(&s, _)| s)
     }
-}
-
-fn on_host(replicas: &[(HostId, Role)], host: HostId) -> bool {
-    replicas.iter().any(|(h, _)| *h == host)
 }
 
 /// Soft anti-affinity hint for placing `exclude_shard` of the group on
@@ -125,11 +120,8 @@ fn group_spread_hint(
         return SpreadHint::none();
     };
     let mut avoid_hosts: std::collections::BTreeSet<HostId> = std::collections::BTreeSet::new();
-    for (&shard, replicas) in &app.assignments {
-        if shard == exclude_shard || app.groups.get(&shard) != Some(group) {
-            continue;
-        }
-        for &(h, _) in replicas {
+    for (&shard, &h) in &app.assignments {
+        if shard != exclude_shard && app.groups.get(&shard) == Some(group) {
             avoid_hosts.insert(h);
         }
     }
@@ -203,7 +195,7 @@ impl SmServer {
     pub fn new(config: SmConfig) -> Self {
         SmServer {
             zk: match &config.replication {
-                None => CoordinationPlane::single(config.session),
+                None => CoordinationPlane::single(),
                 Some(rep) => CoordinationPlane::replicated(rep),
             },
             rng: SimRng::new(config.seed),
@@ -416,14 +408,10 @@ impl SmServer {
     /// Recompute the load cache from scratch (after bulk weight updates).
     fn rebuild_loads(&mut self) {
         self.loads_written = false;
-        let default_w = self.config.default_shard_weight;
         let mut loads: BTreeMap<HostId, f64> = BTreeMap::new();
         for app in self.apps.values() {
-            for (&shard, replicas) in &app.assignments {
-                let w = app.weight_of(shard, default_w);
-                for (h, _) in replicas {
-                    *loads.entry(*h).or_insert(0.0) += w;
-                }
+            for (&shard, &h) in &app.assignments {
+                *loads.entry(h).or_insert(0.0) += app.weight_of(shard);
             }
         }
         self.loads = loads;
@@ -447,9 +435,9 @@ impl SmServer {
 
     // ------------------------------------------------------------- allocation
 
-    /// Allocate a brand-new shard: place all replicas per the app's
-    /// replication mode, invoking `add_shard` on each target (vetoes move
-    /// on to the next candidate), and publish the mapping.
+    /// Allocate a brand-new shard: place it, invoking `add_shard` on the
+    /// target (vetoes move on to the next candidate), and publish the
+    /// mapping.
     pub fn allocate_shard<R: AppServerRegistry>(
         &mut self,
         app_name: &str,
@@ -457,7 +445,7 @@ impl SmServer {
         weight_hint: f64,
         now: SimTime,
         registry: &mut R,
-    ) -> SmResult<Vec<HostId>> {
+    ) -> SmResult<HostId> {
         self.allocate_shard_in_group(app_name, shard, weight_hint, None, now, registry)
     }
 
@@ -474,7 +462,7 @@ impl SmServer {
         group: Option<u64>,
         now: SimTime,
         registry: &mut R,
-    ) -> SmResult<Vec<HostId>> {
+    ) -> SmResult<HostId> {
         let app = self.app_mut(app_name)?;
         if shard.0 >= app.spec.max_shards {
             return Err(SmError::ShardOutOfRange {
@@ -485,76 +473,44 @@ impl SmServer {
         if app.assignments.contains_key(&shard) {
             return Err(SmError::AlreadyAssigned { shard });
         }
-        let replication = app.spec.replication;
-        let spread = app.spec.spread;
         // What placement reads about a shard; withdrawn if it finds no home.
         app.weights.insert(shard, weight_hint);
         if let Some(g) = group {
             app.groups.insert(shard, g);
         }
         let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
-
-        let mut placed: Vec<(HostId, Role)> = Vec::new();
-        let mut used_domains: Vec<u64> = Vec::new();
-        let mut vetoed: Vec<HostId> = Vec::new();
-        for i in 0..replication.total_replicas() {
-            let jitter = self.config.placement_jitter;
-            let placement = self.place(app_name, ctx, &used_domains, &mut vetoed, jitter, registry);
-            let host = match placement {
-                Ok(host) => host,
-                Err(e) => {
-                    // Roll back replicas already placed.
-                    for &(h, _) in &placed {
-                        if let Some(server) = registry.server(h) {
-                            let _ = server.drop_shard(ctx);
-                        }
-                    }
-                    let app = self.app_mut(app_name)?;
-                    app.weights.remove(&shard);
-                    app.groups.remove(&shard);
-                    return Err(e);
-                }
-            };
-            // The domain also rules the host itself out for the shard's
-            // other replicas, so loads can wait until all are placed.
-            placed.push((host, replication.role_of(i)));
-            used_domains.push(self.hosts[&host].info.domain(spread));
-        }
-
-        // New shards have their data created in place: copies are complete
-        // immediately.
-        for &(h, _) in &placed {
-            if let Some(server) = registry.server(h) {
-                server.on_copy_complete(ctx);
+        let jitter = self.config.placement_jitter;
+        let host = match self.place(app_name, ctx, &mut Vec::new(), jitter, registry) {
+            Ok(host) => host,
+            Err(e) => {
+                let app = self.app_mut(app_name)?;
+                app.weights.remove(&shard);
+                app.groups.remove(&shard);
+                return Err(e);
             }
+        };
+        // A new shard has its data created in place: the copy is complete
+        // immediately.
+        if let Some(server) = registry.server(host) {
+            server.on_copy_complete(ctx);
         }
-
-        let hosts: Vec<HostId> = placed.iter().map(|&(h, _)| h).collect();
-        self.app_mut(app_name)?.assignments.insert(shard, placed);
-        for &h in &hosts {
-            self.load_delta(h, weight_hint);
-        }
+        self.app_mut(app_name)?.assignments.insert(shard, host);
+        self.load_delta(host, weight_hint);
         self.publish(app_name, shard, now);
-        Ok(hosts)
+        Ok(host)
     }
 
-    /// Where a replica of `shard` can go, best first, given the weight and
-    /// group SM has on record for it. Every placement decision
-    /// (allocation, failover, drain) reads this ranking; they differ in
-    /// how the shard then gets to the host.
-    fn rank(
-        &self,
-        app: &AppState,
-        shard: ShardId,
-        used_domains: &[u64],
-        excluded: &[HostId],
-    ) -> Vec<Candidate> {
+    /// Where `shard` can go, best first, given the weight and group SM has
+    /// on record for it. Every placement decision (allocation, failover,
+    /// drain) reads this ranking; they differ in how the shard then gets
+    /// to the host.
+    fn rank(&self, app: &AppState, shard: ShardId, excluded: &[HostId]) -> Vec<Candidate> {
         rank_candidates_hinted(
             &self.snapshots(),
-            app.weight_of(shard, self.config.default_shard_weight),
+            app.weight_of(shard),
             app.spec.balancer.capacity_headroom,
-            app.spec.spread,
-            used_domains,
+            SpreadDomain::Host,
+            &[],
             excluded,
             // Soft anti-affinity, through failovers and drains as much as
             // at allocation: a target should not collect a second shard of
@@ -573,14 +529,13 @@ impl SmServer {
         &mut self,
         app_name: &str,
         ctx: ShardContext,
-        used_domains: &[u64],
         vetoed: &mut Vec<HostId>,
         jitter: usize,
         registry: &mut R,
     ) -> SmResult<HostId> {
         let app = self.app(app_name)?;
-        let needed_weight = app.weight_of(ctx.shard, self.config.default_shard_weight);
-        let mut candidates = self.rank(app, ctx.shard, used_domains, vetoed);
+        let needed_weight = app.weight_of(ctx.shard);
+        let mut candidates = self.rank(app, ctx.shard, vetoed);
         // Jitter randomizes among the least-loaded candidates but never
         // escapes the leading penalty class of the hint they were ranked
         // under — otherwise it would trade away the group's rack-spread
@@ -614,7 +569,7 @@ impl SmServer {
             }
             candidates.remove(pick);
             vetoed.push(host);
-            if vetoed.len() > self.config.max_veto_retries + self.hosts.len() {
+            if vetoed.len() > MAX_VETO_RETRIES + self.hosts.len() {
                 return Err(SmError::AllTargetsVetoed {
                     shard: ctx.shard,
                     attempts: vetoed.len(),
@@ -623,7 +578,7 @@ impl SmServer {
         }
     }
 
-    /// Remove a shard entirely: drop on every replica and retract the
+    /// Remove a shard entirely: drop it on its host and retract the
     /// mapping.
     pub fn deallocate_shard<R: AppServerRegistry>(
         &mut self,
@@ -632,38 +587,25 @@ impl SmServer {
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<()> {
-        let default_w = self.config.default_shard_weight;
         let app = self.app_mut(app_name)?;
-        let Some(replicas) = app.assignments.remove(&shard) else {
+        let Some(host) = app.assignments.remove(&shard) else {
             return Err(SmError::NotAssigned { shard });
         };
-        let weight = app.weights.remove(&shard).unwrap_or(default_w);
+        let weight = app.weights.remove(&shard).unwrap_or(DEFAULT_SHARD_WEIGHT);
         app.groups.remove(&shard);
         let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
-        for (h, _) in replicas {
-            self.load_delta(h, -weight);
-            if let Some(server) = registry.server(h) {
-                let _ = server.drop_shard(ctx);
-            }
+        self.load_delta(host, -weight);
+        if let Some(server) = registry.server(host) {
+            let _ = server.drop_shard(ctx);
         }
-        // No replica left: this retracts the mapping.
+        // No assignment left: this retracts the mapping.
         self.publish(app_name, shard, now);
         Ok(())
     }
 
-    /// Current replica set for a shard (role order).
-    pub fn replicas_of(&self, app_name: &str, shard: ShardId) -> Option<&[(HostId, Role)]> {
-        self.apps
-            .get(app_name)
-            .and_then(|a| a.assignments.get(&shard))
-            .map(|v| v.as_slice())
-    }
-
-    /// Primary (first) replica host for a shard.
+    /// The host a shard is assigned to.
     pub fn host_of(&self, app_name: &str, shard: ShardId) -> Option<HostId> {
-        self.replicas_of(app_name, shard)
-            .and_then(|r| r.first())
-            .map(|&(h, _)| h)
+        self.apps.get(app_name)?.assignments.get(&shard).copied()
     }
 
     /// All shards currently assigned to `host` for `app`.
@@ -674,7 +616,7 @@ impl SmServer {
             .unwrap_or_default()
     }
 
-    /// Every `(app, shard)` with a replica on `host`, in `(app, shard)`
+    /// Every `(app, shard)` assigned to `host`, in `(app, shard)`
     /// order: `apps` and `assignments` are ordered maps, so the walk is
     /// the order failovers and drains start in, which placement (and so
     /// replay) depends on.
@@ -693,20 +635,14 @@ impl SmServer {
         shard: ShardId,
         weight: f64,
     ) -> SmResult<()> {
-        let default_w = self.config.default_shard_weight;
         let app = self.app_mut(app_name)?;
         let old = app
             .weights
             .insert(shard, weight.max(0.0))
-            .unwrap_or(default_w);
+            .unwrap_or(DEFAULT_SHARD_WEIGHT);
         let delta = weight.max(0.0) - old;
-        let holders: Vec<HostId> = app
-            .assignments
-            .get(&shard)
-            .map(|replicas| replicas.iter().map(|&(h, _)| h).collect())
-            .unwrap_or_default();
-        for h in holders {
-            self.load_delta(h, delta);
+        if let Some(&host) = app.assignments.get(&shard) {
+            self.load_delta(host, delta);
         }
         Ok(())
     }
@@ -747,11 +683,7 @@ impl SmServer {
                 // A shard metric belongs to whichever app has the shard
                 // assigned to this host.
                 for app in self.apps.values_mut() {
-                    if app
-                        .assignments
-                        .get(&shard)
-                        .is_some_and(|replicas| on_host(replicas, host))
-                    {
+                    if app.assignments.get(&shard) == Some(&host) {
                         let stored = app.weights.insert(shard, weight);
                         moved |= stored.map(f64::to_bits) != Some(weight.to_bits());
                     }
@@ -791,7 +723,7 @@ impl SmServer {
     ) -> MigrationId {
         let id = MigrationId(self.next_migration);
         self.next_migration += 1;
-        let deadline = now + self.config.timings.copy_duration(kind, bytes);
+        let deadline = now + copy_duration(kind, bytes);
         self.deadlines.arm(deadline, id.0);
         self.active.insert(
             id.0,
@@ -799,7 +731,7 @@ impl SmServer {
                 id,
                 app,
                 shard,
-                from: Some(from),
+                from,
                 to,
                 kind,
                 cause,
@@ -886,23 +818,9 @@ impl SmServer {
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<MigrationId> {
-        let app = &self.apps[app_name];
-        let weight = app.weight_of(shard, self.config.default_shard_weight);
-        let spread = app.spec.spread;
-        // Domains used by surviving replicas of this shard.
-        let used_domains: Vec<u64> = app
-            .assignments
-            .get(&shard)
-            .map(|replicas| {
-                replicas
-                    .iter()
-                    .filter(|(h, _)| *h != dead)
-                    .filter_map(|(h, _)| self.hosts.get(h).map(|e| e.info.domain(spread)))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let weight = self.apps[app_name].weight_of(shard);
         let ctx = ShardContext::new(shard, AddShardReason::Failover, Some(dead));
-        let to = self.place(app_name, ctx, &used_domains, &mut vec![dead], 1, registry)?;
+        let to = self.place(app_name, ctx, &mut vec![dead], 1, registry)?;
         Ok(self.start_migration(
             app_name.clone(),
             shard,
@@ -965,31 +883,31 @@ impl SmServer {
             MigrationKind::Failover => AddShardReason::Failover,
             MigrationKind::Plain | MigrationKind::Graceful => AddShardReason::LiveMigration,
         };
-        let ctx = ShardContext::new(shard, reason, from);
+        let ctx = ShardContext::new(shard, reason, Some(from));
         match (kind, phase) {
             (MigrationKind::Graceful, MigrationPhase::Copying) => {
                 // Copy finished: prepareDropShard(old) → addShard(new) →
                 // publish → wait out propagation.
-                if let Some(old) = from.and_then(|h| registry.server(h)) {
+                if let Some(old) = registry.server(from) {
                     let _ = old.prepare_drop_shard(ctx, to);
                 }
                 if let Some(new) = registry.server(to) {
                     let _ = new.add_shard(ctx);
                     new.on_copy_complete(ctx);
                 }
-                self.reassign(&app_name, shard, from, to);
+                self.reassign(&app_name, shard, to);
                 self.publish(&app_name, shard, now);
                 let Some(m) = self.active.get_mut(&id) else {
                     return;
                 };
                 m.phase = MigrationPhase::Forwarding;
-                m.deadline = now + self.config.timings.propagation_wait;
+                m.deadline = now + PROPAGATION_WAIT;
                 let deadline = m.deadline;
                 self.deadlines.arm(deadline, id);
             }
             (MigrationKind::Graceful, MigrationPhase::Forwarding) => {
                 // Propagation window over: dropShard(old).
-                if let Some(old) = from.and_then(|h| registry.server(h)) {
+                if let Some(old) = registry.server(from) {
                     let _ = old.drop_shard(ctx);
                 }
                 self.finish_migration(id, now, MigrationPhase::Done);
@@ -1003,11 +921,11 @@ impl SmServer {
                     // discovery caches now produce errors until they catch
                     // up — the window graceful migration removes. (A
                     // failover's source is dead: nothing to drop.)
-                    if let Some(old) = from.and_then(|h| registry.server(h)) {
+                    if let Some(old) = registry.server(from) {
                         let _ = old.drop_shard(ctx);
                     }
                 }
-                self.reassign(&app_name, shard, from, to);
+                self.reassign(&app_name, shard, to);
                 self.publish(&app_name, shard, now);
                 self.finish_migration(id, now, MigrationPhase::Done);
             }
@@ -1015,25 +933,19 @@ impl SmServer {
         }
     }
 
-    fn reassign(&mut self, app_name: &str, shard: ShardId, from: Option<HostId>, to: HostId) {
-        let default_w = self.config.default_shard_weight;
+    /// Move `shard`'s assignment, and its load, to `to`. Every path that
+    /// could take the shard off the migration's source first aborts or
+    /// skips the migration, so the host it leaves is that source.
+    fn reassign(&mut self, app_name: &str, shard: ShardId, to: HostId) {
         let Some(app) = self.apps.get_mut(app_name) else {
             return;
         };
-        let weight = app.weight_of(shard, default_w);
-        let Some(replicas) = app.assignments.get_mut(&shard) else {
+        let weight = app.weight_of(shard);
+        let Some(host) = app.assignments.get_mut(&shard) else {
             return;
         };
-        let moved_from = from.filter(|&f| on_host(replicas, f));
-        match replicas.iter_mut().find(|r| Some(r.0) == moved_from) {
-            Some(replica) => replica.0 = to,
-            // Source replica vanished (e.g. concurrent removal) or no
-            // source: append a new replica.
-            None => replicas.push((to, Role::Secondary)),
-        }
-        if let Some(f) = moved_from {
-            self.load_delta(f, -weight);
-        }
+        let from = std::mem::replace(host, to);
+        self.load_delta(from, -weight);
         self.load_delta(to, weight);
     }
 
@@ -1097,7 +1009,7 @@ impl SmServer {
             if m.is_finished() {
                 continue;
             }
-            if m.to == host || m.from == Some(host) {
+            if m.to == host || m.from == host {
                 m.phase = MigrationPhase::Failed;
                 m.finished_at = Some(now);
                 orphaned.push((m.app.clone(), m.shard));
@@ -1107,10 +1019,8 @@ impl SmServer {
         for (app_name, shard) in self.shards_on_host(host) {
             // Publish unavailability immediately: clients must stop
             // routing to the dead host as soon as caches catch up.
-            if self.host_of(&app_name, shard) == Some(host) {
-                self.mappings
-                    .publish(ShardKey::new(app_name.clone(), shard.0), None, now);
-            }
+            self.mappings
+                .publish(ShardKey::new(app_name.clone(), shard.0), None, now);
             if self
                 .begin_failover(&app_name, shard, host, now, registry)
                 .is_err()
@@ -1127,7 +1037,7 @@ impl SmServer {
         // Re-queue those for the tick-time failover retry; everything else
         // just needs its (unchanged) state republished.
         for (app_name, shard) in orphaned {
-            let wedged = self.dead_replica(&app_name, shard).is_some();
+            let wedged = self.dead_owner(&app_name, shard).is_some();
             let queued = self
                 .pending_failovers
                 .iter()
@@ -1140,14 +1050,11 @@ impl SmServer {
         Ok(())
     }
 
-    /// The dead host `(app, shard)`'s assignment still references, if any.
-    fn dead_replica(&self, app_name: &str, shard: ShardId) -> Option<HostId> {
-        let replicas = self.apps.get(app_name)?.assignments.get(&shard)?;
-        replicas.iter().map(|&(h, _)| h).find(|h| {
-            self.hosts
-                .get(h)
-                .is_some_and(|e| e.state == HostState::Dead)
-        })
+    /// The host `(app, shard)` is assigned to, if it is dead.
+    fn dead_owner(&self, app_name: &str, shard: ShardId) -> Option<HostId> {
+        let host = self.host_of(app_name, shard)?;
+        let dead = self.hosts.get(&host)?.state == HostState::Dead;
+        dead.then_some(host)
     }
 
     /// Remove a dead host from the fleet entirely (post-repair
@@ -1197,7 +1104,7 @@ impl SmServer {
             if self.in_flight(&app_name, shard) {
                 continue;
             }
-            let candidates = self.rank(&self.apps[&app_name], shard, &[], &[host]);
+            let candidates = self.rank(&self.apps[&app_name], shard, &[host]);
             let Some(to) = candidates.first().map(|c| c.host) else {
                 continue; // retried by a later drain pass
             };
@@ -1298,7 +1205,7 @@ impl SmServer {
         let pending = std::mem::take(&mut self.pending_failovers);
         for (app_name, shard) in pending {
             // `None` means the failover resolved through another path.
-            if let Some(dead_host) = self.dead_replica(&app_name, shard) {
+            if let Some(dead_host) = self.dead_owner(&app_name, shard) {
                 if self
                     .begin_failover(&app_name, shard, dead_host, now, registry)
                     .is_err()
@@ -1320,18 +1227,12 @@ impl SmServer {
     ) -> SmResult<usize> {
         let app = self.app(app_name)?;
         let config = app.spec.balancer;
-        let default_w = self.config.default_shard_weight;
-        // Only primary replicas move during balancing; shards already
-        // migrating are skipped.
+        // Shards already migrating are skipped.
         let locations: Vec<(ShardId, HostId, f64)> = app
             .assignments
             .iter()
             .filter(|(&s, _)| !self.in_flight(app_name, s))
-            .filter_map(|(&s, replicas)| {
-                // A shard without a replica has nothing to move.
-                let &(primary, _) = replicas.first()?;
-                Some((s, primary, app.weight_of(s, default_w)))
-            })
+            .map(|(&s, &h)| (s, h, app.weight_of(s)))
             .collect();
         let snapshots = self.snapshots();
         let proposals = propose_rebalance(&snapshots, &locations, &config);
@@ -1373,7 +1274,6 @@ mod tests {
 
     use crate::app_server::MockAppServer;
     use crate::ids::{Rack, Region};
-    use crate::spec::{ReplicationMode, SpreadDomain};
     use scalewall_sim::SimDuration;
 
     /// Registry over a map of mock servers.
@@ -1436,11 +1336,9 @@ mod tests {
     #[test]
     fn allocate_places_and_publishes() {
         let (mut sm, mut reg) = setup(4);
-        let hosts = sm
+        let host = sm
             .allocate_shard("app", ShardId(7), 10.0, t(1), &mut reg)
             .unwrap();
-        assert_eq!(hosts.len(), 1);
-        let host = hosts[0];
         assert!(reg.servers[&host].shards.contains_key(&7));
         assert_eq!(sm.host_of("app", ShardId(7)), Some(host));
         let latest = sm.mappings().latest(&ShardKey::new("app", 7)).unwrap();
@@ -1480,61 +1378,10 @@ mod tests {
         let (mut sm, mut reg) = setup(3);
         // Least-loaded candidate (host 0 by tie-break) vetoes shard 5.
         reg.servers.get_mut(&HostId(0)).unwrap().vetoed.insert(5);
-        let hosts = sm
+        let host = sm
             .allocate_shard("app", ShardId(5), 1.0, t(0), &mut reg)
             .unwrap();
-        assert_ne!(hosts[0], HostId(0));
-    }
-
-    #[test]
-    fn replicated_allocation_respects_spread() {
-        let mut sm = SmServer::new(SmConfig::default());
-        sm.register_app(
-            AppSpec::primary_only("app", 100)
-                .with_replication(ReplicationMode::SecondaryOnly { replicas: 3 })
-                .with_spread(SpreadDomain::Region),
-        )
-        .unwrap();
-        let mut reg = MockRegistry::default();
-        for i in 0..6 {
-            let info = HostInfo::new(HostId(i), Rack(0), Region((i % 3) as u32), 100.0);
-            sm.register_host(info, t(0)).unwrap();
-            reg.add(HostId(i), 100.0);
-        }
-        let hosts = sm
-            .allocate_shard("app", ShardId(0), 1.0, t(0), &mut reg)
-            .unwrap();
-        assert_eq!(hosts.len(), 3);
-        let regions: std::collections::HashSet<u32> = hosts
-            .iter()
-            .map(|h| sm.host_info(*h).unwrap().region.0)
-            .collect();
-        assert_eq!(regions.len(), 3, "one replica per region");
-    }
-
-    #[test]
-    fn replication_infeasible_rolls_back() {
-        let mut sm = SmServer::new(SmConfig::default());
-        sm.register_app(
-            AppSpec::primary_only("app", 100)
-                .with_replication(ReplicationMode::SecondaryOnly { replicas: 3 })
-                .with_spread(SpreadDomain::Region),
-        )
-        .unwrap();
-        let mut reg = MockRegistry::default();
-        for i in 0..4 {
-            // Only 2 regions for 3 region-spread replicas.
-            let info = HostInfo::new(HostId(i), Rack(0), Region((i % 2) as u32), 100.0);
-            sm.register_host(info, t(0)).unwrap();
-            reg.add(HostId(i), 100.0);
-        }
-        let err = sm
-            .allocate_shard("app", ShardId(0), 1.0, t(0), &mut reg)
-            .unwrap_err();
-        assert!(matches!(err, SmError::NoFeasibleHost { .. }));
-        // Rollback: nothing left behind on any server.
-        assert!(reg.servers.values().all(|s| s.shards.is_empty()));
-        assert!(sm.host_of("app", ShardId(0)).is_none());
+        assert_ne!(host, HostId(0));
     }
 
     #[test]
@@ -1919,9 +1766,9 @@ mod tests {
     fn naive_load(sm: &SmServer, host: HostId) -> f64 {
         let mut load = 0.0;
         for app in sm.apps.values() {
-            for (&shard, replicas) in &app.assignments {
-                if on_host(replicas, host) {
-                    load += app.weight_of(shard, sm.config.default_shard_weight);
+            for (&shard, &h) in &app.assignments {
+                if h == host {
+                    load += app.weight_of(shard);
                 }
             }
         }
@@ -2072,10 +1919,10 @@ mod tests {
         for s in 0..200 {
             let a = sm
                 .allocate_shard("app", ShardId(2 * s), 1.0, t(0), &mut reg)
-                .unwrap()[0];
+                .unwrap();
             let b = sm
                 .allocate_shard("app", ShardId(2 * s + 1), 1.0, t(0), &mut reg)
-                .unwrap()[0];
+                .unwrap();
             if a == b {
                 same = true;
                 break;

@@ -1,69 +1,26 @@
 //! Per-application configuration.
 //!
-//! Applications using SM specify (§III-A): a shard space size, a
-//! replication mode and factor, how replicas must be *spread* over failure
-//! domains, and load-balancing tunables including the migration throttle
-//! ("SM allows application owners to configure and throttle the maximum
-//! number of shard migrations allowed on a single load balancing run").
+//! Applications using SM specify (§III-A): a shard space size and
+//! load-balancing tunables including the migration throttle ("SM allows
+//! application owners to configure and throttle the maximum number of
+//! shard migrations allowed on a single load balancing run"). SM runs
+//! every app primary-only, one host per shard: Cubrick deploys one
+//! primary-only SM service per region and takes its redundancy from the
+//! three regions (§IV-D).
 
 use std::sync::Arc;
 
-use scalewall_sim::SimDuration;
-
-/// Role of a shard replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    Primary,
-    Secondary,
-}
-
-/// The three replication models SM supports (§III-A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Single replica per shard; no redundancy. (Cubrick's production
-    /// deployment: three independent primary-only services, one per
-    /// region, §IV-D.)
-    PrimaryOnly,
-    /// One primary plus `secondaries` secondary replicas.
-    PrimarySecondary { secondaries: u32 },
-    /// `replicas` equal replicas, no distinguished primary.
-    SecondaryOnly { replicas: u32 },
-}
-
-impl ReplicationMode {
-    /// Total replicas per shard under this mode.
-    pub fn total_replicas(self) -> u32 {
-        match self {
-            ReplicationMode::PrimaryOnly => 1,
-            ReplicationMode::PrimarySecondary { secondaries } => 1 + secondaries,
-            ReplicationMode::SecondaryOnly { replicas } => replicas,
-        }
-    }
-
-    /// Role of the `i`-th replica created for a shard.
-    pub fn role_of(self, i: u32) -> Role {
-        match self {
-            ReplicationMode::PrimaryOnly => Role::Primary,
-            ReplicationMode::PrimarySecondary { .. } => {
-                if i == 0 {
-                    Role::Primary
-                } else {
-                    Role::Secondary
-                }
-            }
-            ReplicationMode::SecondaryOnly { .. } => Role::Secondary,
-        }
-    }
-}
-
-/// Failure-domain scope replicas of one shard must be spread across.
+/// A failure-domain scope: what [`HostInfo::domain`] keys a host by when
+/// placement excludes or avoids domains.
+///
+/// [`HostInfo::domain`]: crate::ids::HostInfo::domain
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpreadDomain {
-    /// Replicas on distinct hosts (minimum sensible spread).
+    /// Each host is its own domain.
     Host,
-    /// Replicas on distinct racks.
+    /// A rack of one region.
     Rack,
-    /// Replicas in distinct regions.
+    /// A whole region.
     Region,
 }
 
@@ -77,8 +34,6 @@ pub struct BalancerConfig {
     pub max_migrations_per_run: usize,
     /// Never fill a host beyond this fraction of its exported capacity.
     pub capacity_headroom: f64,
-    /// How often the balancer runs.
-    pub interval: SimDuration,
 }
 
 impl Default for BalancerConfig {
@@ -87,7 +42,6 @@ impl Default for BalancerConfig {
             imbalance_tolerance: 0.10,
             max_migrations_per_run: 16,
             capacity_headroom: 0.90,
-            interval: SimDuration::from_mins(10),
         }
     }
 }
@@ -100,8 +54,6 @@ pub struct AppSpec {
     /// Size of the flat shard key space `[0, max_shards)`. "A usual
     /// deployment utilizes between 100k and 1M total shards" (§IV-A).
     pub max_shards: u64,
-    pub replication: ReplicationMode,
-    pub spread: SpreadDomain,
     pub balancer: BalancerConfig,
 }
 
@@ -111,20 +63,8 @@ impl AppSpec {
         AppSpec {
             name: name.into(),
             max_shards,
-            replication: ReplicationMode::PrimaryOnly,
-            spread: SpreadDomain::Host,
             balancer: BalancerConfig::default(),
         }
-    }
-
-    pub fn with_replication(mut self, replication: ReplicationMode) -> Self {
-        self.replication = replication;
-        self
-    }
-
-    pub fn with_spread(mut self, spread: SpreadDomain) -> Self {
-        self.spread = spread;
-        self
     }
 
     pub fn with_balancer(mut self, balancer: BalancerConfig) -> Self {
@@ -139,9 +79,6 @@ impl AppSpec {
         }
         if self.max_shards == 0 {
             return Err("max_shards must be positive".into());
-        }
-        if self.replication.total_replicas() == 0 {
-            return Err("replication must yield at least one replica".into());
         }
         if !(0.0..=1.0).contains(&self.balancer.capacity_headroom) {
             return Err("capacity_headroom must be in [0,1]".into());
@@ -158,48 +95,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn replica_counts() {
-        assert_eq!(ReplicationMode::PrimaryOnly.total_replicas(), 1);
-        assert_eq!(
-            ReplicationMode::PrimarySecondary { secondaries: 2 }.total_replicas(),
-            3
-        );
-        assert_eq!(
-            ReplicationMode::SecondaryOnly { replicas: 3 }.total_replicas(),
-            3
-        );
-    }
-
-    #[test]
-    fn roles() {
-        let ps = ReplicationMode::PrimarySecondary { secondaries: 2 };
-        assert_eq!(ps.role_of(0), Role::Primary);
-        assert_eq!(ps.role_of(1), Role::Secondary);
-        assert_eq!(ps.role_of(2), Role::Secondary);
-        assert_eq!(ReplicationMode::PrimaryOnly.role_of(0), Role::Primary);
-        assert_eq!(
-            ReplicationMode::SecondaryOnly { replicas: 2 }.role_of(0),
-            Role::Secondary
-        );
-    }
-
-    #[test]
     fn builder_and_validation() {
-        let spec = AppSpec::primary_only("cubrick", 100_000)
-            .with_replication(ReplicationMode::SecondaryOnly { replicas: 3 })
-            .with_spread(SpreadDomain::Region);
+        let balancer = BalancerConfig {
+            max_migrations_per_run: 4,
+            ..Default::default()
+        };
+        let spec = AppSpec::primary_only("cubrick", 100_000).with_balancer(balancer);
         assert!(spec.validate().is_ok());
-        assert_eq!(spec.replication.total_replicas(), 3);
-        assert_eq!(spec.spread, SpreadDomain::Region);
+        assert_eq!(spec.balancer.max_migrations_per_run, 4);
     }
 
     #[test]
     fn validation_rejects_bad_specs() {
         assert!(AppSpec::primary_only("", 10).validate().is_err());
         assert!(AppSpec::primary_only("x", 0).validate().is_err());
-        let mut spec = AppSpec::primary_only("x", 10);
-        spec.replication = ReplicationMode::SecondaryOnly { replicas: 0 };
-        assert!(spec.validate().is_err());
         let mut spec = AppSpec::primary_only("x", 10);
         spec.balancer.capacity_headroom = 1.5;
         assert!(spec.validate().is_err());

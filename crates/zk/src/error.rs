@@ -1,9 +1,6 @@
-//! Error type for coordination-store operations, plus the bounded
-//! deterministic retry/backoff policy clients use to chase leadership.
+//! Error type for coordination-store operations.
 
 use std::fmt;
-
-use scalewall_sim::{SimDuration, SimRng};
 
 /// Result alias for store operations.
 pub type ZkResult<T> = Result<T, ZkError>;
@@ -34,7 +31,7 @@ pub enum ZkError {
     /// The contacted replica is not the leader. `hint` carries the
     /// current leader's replica id when one is known; `None` means the
     /// ensemble is leaderless (lease not yet expired, or no quorum) and
-    /// the client should back off and retry.
+    /// the client should retry another replica.
     NotLeader { hint: Option<u32> },
     /// First session-scoped operation to reach a leader elected after
     /// the session last spoke: the session's connection "moved" across a
@@ -103,47 +100,5 @@ impl ZkError {
             self,
             ZkError::NotLeader { .. } | ZkError::SessionMoved { .. }
         )
-    }
-}
-
-/// Bounded deterministic retry/backoff for leader discovery.
-///
-/// Backoff delays use *full jitter*: uniform in `[0, min(cap, base·2ᵃ))`
-/// for attempt `a`. The jitter must come from a dedicated forked RNG
-/// stream (never the workload stream) so that retry storms cannot
-/// perturb query arrival sequences — the same fork-isolation rule the
-/// fault stream follows (DESIGN.md "Determinism invariants").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt; total attempts = `max_retries + 1`.
-    pub max_retries: u32,
-    /// Backoff ceiling for the first retry.
-    pub base: SimDuration,
-    /// Upper bound on any single backoff delay.
-    pub cap: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base: SimDuration::from_millis(10),
-            cap: SimDuration::from_millis(320),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay before retry number `attempt` (1-based), drawn from the
-    /// caller's dedicated jitter stream.
-    pub fn backoff(&self, attempt: u32, jitter: &mut SimRng) -> SimDuration {
-        let shift = attempt.saturating_sub(1).min(20);
-        let ceil = self
-            .base
-            .as_nanos()
-            .saturating_mul(1u64 << shift)
-            .min(self.cap.as_nanos())
-            .max(1);
-        SimDuration::from_nanos(jitter.below(ceil))
     }
 }

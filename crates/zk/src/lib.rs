@@ -30,9 +30,9 @@ pub mod session;
 pub mod store;
 pub mod watch;
 
-pub use error::{RetryPolicy, ZkError, ZkResult};
+pub use error::{ZkError, ZkResult};
 pub use log::{LogEntry, ReplicatedLog, ZkOp, ZkResp};
 pub use replica::{CoordinationPlane, ZkClient, ZkEnsemble, ZkReplica, ZkReplicationConfig};
-pub use session::{SessionConfig, SessionId};
+pub use session::{SessionId, SESSION_TIMEOUT};
 pub use store::{NodeKind, NodeStat, ZkStore};
 pub use watch::{WatchEvent, WatchEventKind, WatchKind};

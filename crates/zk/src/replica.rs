@@ -27,49 +27,43 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use scalewall_sim::{DeadlineQueue, SimDuration, SimRng, SimTime};
+use scalewall_sim::{DeadlineQueue, SimDuration, SimTime};
 
-use crate::error::{RetryPolicy, ZkError, ZkResult};
+use crate::error::{ZkError, ZkResult};
 use crate::log::{LogEntry, ReplicatedLog, ZkOp, ZkResp};
-use crate::session::{SessionConfig, SessionId};
+use crate::session::SessionId;
 use crate::store::{NodeKind, ZkStore};
 use crate::watch::{WatchEvent, WatchKind};
+
+/// Leader lease length. Failover latency after a leader loss is at most
+/// one lease (the successor must wait out the old lease).
+const LEASE: SimDuration = SimDuration::from_secs(2);
+
+/// Retained log length per replica; followers behind the truncation
+/// horizon catch up by snapshot install.
+pub const MAX_LOG: usize = 1024;
+
+/// Retries a client makes after the first attempt (total attempts
+/// `MAX_RETRIES + 1`) before it hands the refusal to its caller.
+const MAX_RETRIES: u32 = 4;
 
 /// Configuration for a replicated coordination plane.
 #[derive(Debug, Clone)]
 pub struct ZkReplicationConfig {
     /// Ensemble size; 3 or 5 in practice (majority = `replicas/2 + 1`).
     pub replicas: u32,
-    /// Leader lease length. Failover latency after a leader loss is at
-    /// most one lease (the successor must wait out the old lease).
-    pub lease: SimDuration,
-    /// Retained log length per replica; followers behind the truncation
-    /// horizon catch up by snapshot install.
-    pub max_log: usize,
     /// Fault-region home of each replica (`homes[i]` = region of replica
     /// `i`). Empty means replica `i` is homed in region `i`. The
     /// deployment layer fills this so replica 0 — the initial leader —
     /// sits in the owning region and the rest are spread across regions.
     pub homes: Vec<u32>,
-    /// Session timeout config for every replica's store.
-    pub session: SessionConfig,
-    /// Seed for the client's backoff-jitter stream. Forked before use so
-    /// it can never alias the workload stream (lint rule D3 discipline).
-    pub seed: u64,
-    /// Client-side retry/backoff policy for `NotLeader` redirects.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ZkReplicationConfig {
     fn default() -> Self {
         ZkReplicationConfig {
             replicas: 3,
-            lease: SimDuration::from_secs(2),
-            max_log: 1024,
             homes: Vec::new(),
-            session: SessionConfig::default(),
-            seed: 0x2c11e47,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -114,14 +108,12 @@ pub struct ZkEnsemble {
     replicas: Vec<ZkReplica>,
     leader: Option<u32>,
     epoch: u64,
-    lease: SimDuration,
     lease_until: SimTime,
     /// Lease expiry deadlines, keyed by epoch and lazily re-validated
     /// (renewals move `lease_until` without re-arming; a due entry whose
     /// lease moved re-arms itself).
     lease_deadlines: DeadlineQueue<u64>,
     lease_scratch: Vec<u64>,
-    max_log: usize,
     /// Severed region pairs (normalized `(lo, hi)`), mirroring the
     /// cluster `NetModel`: replicas homed in the same region are never
     /// partitioned from each other.
@@ -141,23 +133,21 @@ impl ZkEnsemble {
                 id,
                 home: cfg.homes.get(id as usize).copied().unwrap_or(id),
                 up: true,
-                store: ZkStore::new(cfg.session),
+                store: ZkStore::new(),
                 log: ReplicatedLog::new(),
                 applied: 0,
             })
             .collect();
         let mut lease_deadlines = DeadlineQueue::new();
-        let lease_until = SimTime::ZERO + cfg.lease;
+        let lease_until = SimTime::ZERO + LEASE;
         lease_deadlines.arm(lease_until, 1);
         ZkEnsemble {
             replicas,
             leader: Some(0),
             epoch: 1,
-            lease: cfg.lease,
             lease_until,
             lease_deadlines,
             lease_scratch: Vec::new(),
-            max_log: cfg.max_log.max(1),
             cuts: BTreeSet::new(),
             session_epoch: BTreeMap::new(),
             elections: 0,
@@ -295,7 +285,7 @@ impl ZkEnsemble {
         // fresh regardless of write traffic.
         if let Some(l) = self.leader {
             if self.has_quorum(l) {
-                self.lease_until = self.lease_until.max(now + self.lease);
+                self.lease_until = self.lease_until.max(now + LEASE);
             }
         }
         // Drain due lease deadlines off the queue (lazy revalidation:
@@ -345,7 +335,7 @@ impl ZkEnsemble {
                 // Leaderless: nobody can commit. Re-arm one lease ahead
                 // so the next tick past it re-runs the election.
                 self.leader = None;
-                self.lease_until = now + self.lease;
+                self.lease_until = now + LEASE;
                 self.lease_deadlines.arm(self.lease_until, self.epoch);
                 None
             }
@@ -356,7 +346,7 @@ impl ZkEnsemble {
                 if changed {
                     self.elections += 1;
                 }
-                self.lease_until = now + self.lease;
+                self.lease_until = now + LEASE;
                 self.lease_deadlines.arm(self.lease_until, self.epoch);
                 self.catch_up_followers(w);
                 let _ = self.commit_as(w, ZkOp::TouchSessions, now);
@@ -418,7 +408,7 @@ impl ZkEnsemble {
     /// reachable up follower is caught up and receives the entry, so
     /// acked ⇔ majority-replicated by construction.
     fn commit_as(&mut self, l: u32, op: ZkOp, now: SimTime) -> ZkResult<ZkResp> {
-        self.lease_until = self.lease_until.max(now + self.lease);
+        self.lease_until = self.lease_until.max(now + LEASE);
         self.catch_up_followers(l);
         let entry = LogEntry {
             index: self.replica(l)?.log.last_index() + 1,
@@ -437,7 +427,7 @@ impl ZkEnsemble {
             r.log.append(entry.clone());
             let out = r.store.apply(&entry.op, entry.at);
             r.applied = entry.index;
-            r.log.truncate_to_last(self.max_log);
+            r.log.truncate_to_last(MAX_LOG);
             if id == l {
                 resp = Some(out);
             }
@@ -518,45 +508,25 @@ impl ZkEnsemble {
                     follower.applied = leader.applied;
                 }
             }
-            follower.log.truncate_to_last(self.max_log);
+            follower.log.truncate_to_last(MAX_LOG);
         }
     }
 }
 
 /// Client-side leader discovery: tracks a leader hint, follows
-/// `NotLeader` redirects, probes round-robin while leaderless, and
-/// accounts deterministic jittered backoff between attempts. In the
-/// synchronous simulation the backoff time is *accounted* (visible in
-/// `backoff_spent`) rather than advancing the clock mid-call.
-#[derive(Debug)]
+/// `NotLeader` redirects and probes round-robin while leaderless, for at
+/// most `MAX_RETRIES` retries per op. The simulation is synchronous, so
+/// a retry goes out at the same instant as the attempt it follows.
+#[derive(Debug, Default)]
 pub struct ZkClient {
     hint: u32,
-    policy: RetryPolicy,
-    jitter: SimRng,
     /// Redirects followed (stale hint corrected by a `NotLeader` hint).
     pub redirects: u64,
     /// `SessionMoved` reconnect handshakes absorbed.
     pub session_moves: u64,
-    /// Total backoff delay accounted across all retries.
-    pub backoff_spent: SimDuration,
 }
 
 impl ZkClient {
-    pub fn new(seed: u64, policy: RetryPolicy) -> Self {
-        // Dedicated jitter stream: forked off the config seed so retry
-        // storms can never perturb a workload stream, even if the seeds
-        // collide (same isolation rule as the fault stream).
-        let mut root = SimRng::new(seed);
-        ZkClient {
-            hint: 0,
-            policy,
-            jitter: root.fork(0x6a17),
-            redirects: 0,
-            session_moves: 0,
-            backoff_spent: SimDuration::ZERO,
-        }
-    }
-
     /// Override the cached leader hint. Tests and benches use this to
     /// exercise the redirect path by pointing the client at a follower.
     pub fn set_hint(&mut self, hint: u32) {
@@ -565,7 +535,7 @@ impl ZkClient {
 
     /// Submit through leader discovery with bounded deterministic
     /// retries. Returns the committed outcome, or the last refusal once
-    /// the policy's retry budget is exhausted (the ensemble is down or
+    /// the retry budget is exhausted (the ensemble is down or
     /// leaderless; the caller degrades instead of blocking).
     pub fn submit(&mut self, ens: &mut ZkEnsemble, op: ZkOp, now: SimTime) -> ZkResult<ZkResp> {
         let mut attempt = 0u32;
@@ -591,11 +561,9 @@ impl ZkClient {
                         // outer pattern; anything else propagates.
                         _ => return Err(err),
                     }
-                    if attempt > self.policy.max_retries {
+                    if attempt > MAX_RETRIES {
                         return Err(err);
                     }
-                    self.backoff_spent =
-                        self.backoff_spent + self.policy.backoff(attempt, &mut self.jitter);
                 }
                 outcome => return outcome,
             }
@@ -617,14 +585,14 @@ pub enum CoordinationPlane {
 }
 
 impl CoordinationPlane {
-    pub fn single(session: SessionConfig) -> Self {
-        CoordinationPlane::Single(ZkStore::new(session))
+    pub fn single() -> Self {
+        CoordinationPlane::Single(ZkStore::new())
     }
 
     pub fn replicated(cfg: &ZkReplicationConfig) -> Self {
         CoordinationPlane::Replicated {
             ensemble: ZkEnsemble::new(cfg),
-            client: ZkClient::new(cfg.seed, cfg.retry),
+            client: ZkClient::default(),
         }
     }
 
@@ -866,9 +834,8 @@ mod tests {
 
     #[test]
     fn client_follows_redirects_and_survives_failover() {
-        let cfg = ZkReplicationConfig::default();
-        let mut ens = ZkEnsemble::new(&cfg);
-        let mut client = ZkClient::new(cfg.seed, cfg.retry);
+        let mut ens = ensemble();
+        let mut client = ZkClient::default();
         let sid = match client.submit(&mut ens, ZkOp::CreateSession, t(1)).unwrap() {
             ZkResp::Session(s) => s,
             other => panic!("{other:?}"),
@@ -886,11 +853,9 @@ mod tests {
 
     #[test]
     fn catchup_installs_snapshot_past_truncation() {
-        let mut cfg = ZkReplicationConfig::default();
-        cfg.max_log = 4;
-        let mut ens = ZkEnsemble::new(&cfg);
+        let mut ens = ensemble();
         ens.crash_replica(2);
-        for i in 0..20u32 {
+        for i in 0..MAX_LOG + 8 {
             ens.submit_to(
                 0,
                 ZkOp::Create {
@@ -911,11 +876,7 @@ mod tests {
 
     #[test]
     fn touch_sessions_preserves_sessions_across_failover() {
-        let mut cfg = ZkReplicationConfig::default();
-        cfg.session = SessionConfig {
-            timeout: SimDuration::from_secs(5),
-        };
-        let mut ens = ZkEnsemble::new(&cfg);
+        let mut ens = ensemble();
         let sid = match ens.submit_to(0, ZkOp::CreateSession, t(0)).unwrap() {
             ZkResp::Session(s) => s,
             other => panic!("{other:?}"),

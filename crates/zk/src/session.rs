@@ -18,43 +18,29 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// Session timeout configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionConfig {
-    /// A session expires when no heartbeat is seen for this long.
-    pub timeout: SimDuration,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        // Production Zookeeper session timeouts are typically seconds to
-        // tens of seconds; 10 s is a common default.
-        SessionConfig {
-            timeout: SimDuration::from_secs(10),
-        }
-    }
-}
+/// A session expires when no heartbeat is seen for this long.
+/// Production Zookeeper session timeouts are typically seconds to tens of
+/// seconds; 10 s is a common default.
+pub const SESSION_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 
 /// Internal per-session state.
 #[derive(Debug, Clone)]
 pub(crate) struct Session {
     pub last_heartbeat: SimTime,
-    pub timeout: SimDuration,
     /// Paths of ephemeral nodes owned by this session.
     pub ephemerals: Vec<String>,
 }
 
 impl Session {
-    pub(crate) fn new(now: SimTime, timeout: SimDuration) -> Self {
+    pub(crate) fn new(now: SimTime) -> Self {
         Session {
             last_heartbeat: now,
-            timeout,
             ephemerals: Vec::new(),
         }
     }
 
     pub(crate) fn is_expired(&self, now: SimTime) -> bool {
-        now.since(self.last_heartbeat) > self.timeout
+        now.since(self.last_heartbeat) > SESSION_TIMEOUT
     }
 }
 
@@ -65,7 +51,7 @@ mod tests {
     #[test]
     fn expiry_honours_timeout() {
         let t0 = SimTime::from_secs(100);
-        let s = Session::new(t0, SimDuration::from_secs(10));
+        let s = Session::new(t0);
         assert!(!s.is_expired(t0));
         assert!(!s.is_expired(t0 + SimDuration::from_secs(10)));
         assert!(s.is_expired(t0 + SimDuration::from_secs(11)));
@@ -74,9 +60,9 @@ mod tests {
     #[test]
     fn heartbeat_resets_expiry() {
         let t0 = SimTime::from_secs(0);
-        let mut s = Session::new(t0, SimDuration::from_secs(5));
+        let mut s = Session::new(t0);
         s.last_heartbeat = t0 + SimDuration::from_secs(4);
-        assert!(!s.is_expired(t0 + SimDuration::from_secs(8)));
-        assert!(s.is_expired(t0 + SimDuration::from_secs(10)));
+        assert!(!s.is_expired(t0 + SimDuration::from_secs(12)));
+        assert!(s.is_expired(t0 + SimDuration::from_secs(15)));
     }
 }

@@ -10,7 +10,7 @@ use scalewall_sim::{hash, DeadlineQueue, SimDuration, SimTime};
 
 use crate::error::{ZkError, ZkResult};
 use crate::log::{ZkOp, ZkResp};
-use crate::session::{Session, SessionConfig, SessionId};
+use crate::session::{Session, SessionId, SESSION_TIMEOUT};
 use crate::watch::{WatchEvent, WatchEventKind, WatchKind, WatchReg};
 
 /// Persistence class of a znode.
@@ -60,7 +60,6 @@ pub struct ZkStore {
     watches: BTreeMap<String, Vec<WatchReg>>,
     pending_events: Vec<WatchEvent>,
     next_session: u64,
-    session_config: SessionConfig,
     /// Expiry candidates on the simulation kernel's deadline queue: each
     /// live session keeps exactly one armed entry (created at session
     /// open, re-armed lazily when a candidate turns out to have kept
@@ -72,7 +71,7 @@ pub struct ZkStore {
 
 impl Default for ZkStore {
     fn default() -> Self {
-        Self::new(SessionConfig::default())
+        Self::new()
     }
 }
 
@@ -120,7 +119,7 @@ fn leaf_of(path: &str) -> &str {
 }
 
 impl ZkStore {
-    pub fn new(session_config: SessionConfig) -> Self {
+    pub fn new() -> Self {
         let mut nodes = BTreeMap::new();
         nodes.insert(
             "/".to_string(),
@@ -140,7 +139,6 @@ impl ZkStore {
             watches: BTreeMap::new(),
             pending_events: Vec::new(),
             next_session: 1,
-            session_config,
             expiry: DeadlineQueue::new(),
             expiry_scratch: Vec::new(),
         }
@@ -150,17 +148,17 @@ impl ZkStore {
     /// strict comparison, so one nanosecond past the timeout).
     fn expiry_deadline(s: &Session) -> SimTime {
         s.last_heartbeat
-            .saturating_add(s.timeout)
+            .saturating_add(SESSION_TIMEOUT)
             .saturating_add(SimDuration::from_nanos(1))
     }
 
     // ---------------------------------------------------------------- sessions
 
-    /// Open a new session with the store-default timeout.
+    /// Open a new session.
     pub fn create_session(&mut self, now: SimTime) -> SessionId {
         let id = SessionId(self.next_session);
         self.next_session += 1;
-        let session = Session::new(now, self.session_config.timeout);
+        let session = Session::new(now);
         self.expiry.arm(Self::expiry_deadline(&session), id);
         self.sessions.insert(id, session);
         id
@@ -606,7 +604,6 @@ impl ZkStore {
             watches: self.watches.clone(),
             pending_events: self.pending_events.clone(),
             next_session: self.next_session,
-            session_config: self.session_config,
             expiry,
             expiry_scratch: Vec::new(),
         }
@@ -681,7 +678,6 @@ impl ZkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalewall_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -909,12 +905,10 @@ mod tests {
 
     #[test]
     fn session_alive_reflects_heartbeats() {
-        let mut zk = ZkStore::new(SessionConfig {
-            timeout: SimDuration::from_secs(3),
-        });
+        let mut zk = store();
         let sid = zk.create_session(t(0));
-        assert!(zk.session_alive(sid, t(2)));
-        assert!(!zk.session_alive(sid, t(4)));
+        assert!(zk.session_alive(sid, t(10)));
+        assert!(!zk.session_alive(sid, t(11)));
         assert!(!zk.session_alive(SessionId(999), t(0)));
     }
 }

@@ -3,8 +3,8 @@
 //! expiry removes exactly the expired sessions' ephemerals.
 
 use scalewall_sim::prop::{self, gen};
-use scalewall_sim::{SimDuration, SimRng, SimTime};
-use scalewall_zk::{NodeKind, SessionConfig, ZkStore};
+use scalewall_sim::{SimRng, SimTime};
+use scalewall_zk::{NodeKind, ZkStore};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -120,9 +120,7 @@ fn expiry_removes_exactly_expired_ephemerals() {
         "expiry_removes_exactly_expired_ephemerals",
         |rng| (gen::usize_in(rng, 1, 8), gen::any_u8(rng)),
         |&(sessions, dead_mask)| {
-            let mut zk = ZkStore::new(SessionConfig {
-                timeout: SimDuration::from_secs(10),
-            });
+            let mut zk = ZkStore::new();
             let t0 = SimTime::from_secs(0);
             zk.create("/eph", b"", NodeKind::Persistent, None, t0).unwrap();
             let ids: Vec<_> = (0..sessions).map(|_| zk.create_session(t0)).collect();

@@ -71,4 +71,7 @@ scripts/loc.sh
 # Names only tests reach (a report, not a gate).
 scripts/unreferenced.sh
 
+# Who sets each config field outside tests (a report, not a gate).
+scripts/knobs.sh
+
 echo "tier-1 verify: OK (offline)"

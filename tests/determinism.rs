@@ -68,7 +68,6 @@ fn fingerprint(stats: &ExperimentStats) -> Vec<u64> {
         stats.latency.quantile(0.99).to_bits(),
         stats.drains_requested,
         stats.drains_denied,
-        stats.hot_threshold as u64,
         stats.fault_injections,
         stats.fault_repairs,
         stats.failover_migrations,

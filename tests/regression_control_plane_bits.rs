@@ -7,7 +7,7 @@
 //! (1) [`direct_sm_decisions_match_parent`] drives one `SmServer` over a
 //!     mock fleet through every entry point that changes an assignment
 //!     (allocate, balance, migrate, fail, drain, rejoin, remove) and
-//!     digests every replica set, every migration record and every
+//!     digests every shard's host, every migration record and every
 //!     host-load bit pattern.
 //! (2) [`experiment_counters_match_parent`] runs the operational
 //!     experiment under background failures and drains plus a fault
@@ -18,8 +18,10 @@
 //!     crate (`experiment::tests::control_plane_records_match_parent`).
 //!
 //! The pins were captured on `f27cb00`, before SM `server.rs` and
-//! `experiment.rs` were collapsed. A legitimate re-pin means running this
-//! file on the parent commit first; a mismatch prints the observed row.
+//! `experiment.rs` were collapsed; the direct-SM rows were re-captured on
+//! `594a813` when SM became primary-only and `rep` with it. A legitimate
+//! re-pin means running this file on the parent commit first; a mismatch
+//! prints the observed row.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,11 +29,12 @@ use scalewall::cluster::deployment::DeploymentConfig;
 use scalewall::cluster::experiment::{Experiment, ExperimentConfig, ExperimentStats};
 use scalewall::cluster::fault::{FaultKind, FaultScript};
 use scalewall::cluster::workload::WorkloadConfig;
+use scalewall::cubrick::hotness::HOT_THRESHOLD;
 use scalewall::shard_manager::app_server::MockAppServer;
 use scalewall::shard_manager::{
     AppServer, AppServerRegistry, AppSpec, AutomationEngine, HostId, HostInfo, HostState,
-    MaintenanceRequest, MigrationCause, MigrationKind, MigrationPhase, Rack, Region,
-    ReplicationMode, Role, ShardId, SmConfig, SmServer, SpreadDomain,
+    MaintenanceRequest, MigrationCause, MigrationKind, MigrationPhase, Rack, Region, ShardId,
+    SmConfig, SmServer,
 };
 use scalewall::sim::{SimDuration, SimTime};
 use scalewall::zk::ZkReplicationConfig;
@@ -102,12 +105,7 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
         ..Default::default()
     });
     sm.register_app(AppSpec::primary_only("svc", 1_000)).unwrap();
-    sm.register_app(
-        AppSpec::primary_only("rep", 1_000)
-            .with_replication(ReplicationMode::SecondaryOnly { replicas: 2 })
-            .with_spread(SpreadDomain::Rack),
-    )
-    .unwrap();
+    sm.register_app(AppSpec::primary_only("rep", 1_000)).unwrap();
     let mut fleet = Fleet {
         servers: BTreeMap::new(),
         down: BTreeSet::new(),
@@ -124,8 +122,8 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
         fleet.servers.insert(HostId(i), server);
     }
 
-    // 60 shards in 10 anti-affinity groups, then 12 two-replica shards
-    // spread over racks.
+    // 60 shards in 10 anti-affinity groups, then 12 ungrouped shards of a
+    // second app.
     for s in 0..60u64 {
         let weight = 5.0 + (s % 7) as f64;
         sm.allocate_shard_in_group("svc", ShardId(s), weight, Some(s % 10), ms(1_000), &mut fleet)
@@ -226,15 +224,10 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     assert_eq!(sm.active_migration_count(), 0, "quiescent");
     sm.reactivate_host(drained, now).unwrap();
 
-    let mut replicas = Digest::new();
+    let mut owners = Digest::new();
     for (app, shards) in [("svc", 0..60u64), ("rep", 100..112u64)] {
         for s in shards {
-            let set = sm.replicas_of(app, ShardId(s)).unwrap();
-            replicas.word(set.len() as u64);
-            for &(h, role) in set {
-                replicas.word(h.0);
-                replicas.word(matches!(role, Role::Primary) as u64);
-            }
+            owners.word(sm.host_of(app, ShardId(s)).unwrap().0);
         }
     }
     let mut history = Digest::new();
@@ -242,7 +235,7 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
         history.word(m.id.0);
         history.word(m.app.len() as u64);
         history.word(m.shard.0);
-        history.word(m.from.map_or(u64::MAX, |h| h.0));
+        history.word(m.from.0);
         history.word(m.to.0);
         history.word(match m.kind {
             MigrationKind::Plain => 0,
@@ -297,15 +290,15 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
         script.word(app.len() as u64);
         script.word(shard.0);
     }
-    [replicas.0, history.0, loads.0, placement.0, script.0]
+    [owners.0, history.0, loads.0, placement.0, script.0]
 }
 
-/// Rows: replica sets, migration records, host-load bits, shards per
+/// Rows: shard owners, migration records, host-load bits, shards per
 /// host, and the script's own choices (victims, counts, verdict).
 #[rustfmt::skip]
 const PIN_SM: [(usize, [u64; 5]); 2] = [
-    (1, [14_678_407_412_507_112_464, 209_093_873_460_868_022, 16_745_494_506_518_040_181, 15_887_315_925_309_656_564, 18_375_613_863_013_967_997]),
-    (3, [5_387_082_927_335_043_809, 7_057_096_982_594_506_467, 3_220_270_031_850_131_061, 858_991_275_169_331_801, 3_460_401_295_451_271_754]),
+    (1, [10_839_258_078_409_123_543, 8_380_164_959_467_894_918, 6_776_002_675_147_492_981, 4_688_039_339_825_623_395, 11_238_186_480_096_358_562]),
+    (3, [2_242_165_222_467_268_604, 11_485_048_458_466_504_635, 1_438_744_535_504_211_573, 10_813_564_620_533_656_856, 3_750_418_132_410_206_006]),
 ];
 
 #[test]
@@ -383,7 +376,7 @@ fn experiment_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
         stats.zk_session_moves,
         stats.final_hotness.len() as u64,
         hotness.0,
-        stats.hot_threshold as u64,
+        HOT_THRESHOLD as u64,
     ];
     f.extend(stats.migrations_per_day.iter().copied());
     f.extend(stats.repairs_per_day.iter().copied());

@@ -34,7 +34,7 @@ use scalewall::cluster::traffic::{QosConfig, TrafficConfig};
 use scalewall::cluster::workload::WorkloadConfig;
 use scalewall::cubrick::admission::{AdmissionConfig, QosClass};
 use scalewall::cubrick::catalog::RowMapping;
-use scalewall::cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig};
+use scalewall::cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig, BLACKLIST_TTL};
 use scalewall::cubrick::query::{parse_query, Query};
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::sharding::ShardMapping;
@@ -475,8 +475,7 @@ fn blacklisted_target(h: &mut Harness) {
         h.proxy.record_host_failure(a, now + ms(40));
     }
     h.burst(now + ms(40), 2);
-    let ttl = h.proxy.config().blacklist_ttl;
-    h.burst(now + ms(39) + ttl, 3);
+    h.burst(now + ms(39) + BLACKLIST_TTL, 3);
 }
 
 /// Nothing changes: eighty queries inside one window, so every draw
@@ -627,7 +626,6 @@ fn qos_config(seed: u64, replicated: bool, faults: FaultScript) -> ExperimentCon
             },
             admission: AdmissionConfig::qos(8),
             degraded: true,
-            ..Default::default()
         }),
         ..Default::default()
     }

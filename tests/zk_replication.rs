@@ -18,9 +18,10 @@
 
 use scalewall::sim::prop::{self, gen};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
+use scalewall::zk::replica::MAX_LOG;
 use scalewall::zk::{
     NodeKind, SessionId, WatchKind, ZkClient, ZkEnsemble, ZkError, ZkOp, ZkReplicationConfig,
-    ZkResp, ZkResult, ZkStore,
+    ZkResp, ZkResult, ZkStore, SESSION_TIMEOUT,
 };
 
 fn t(s: u64) -> SimTime {
@@ -123,10 +124,9 @@ fn gen_step(rng: &mut SimRng) -> Step {
 
 /// Run one schedule against ensemble + oracle; panics on any divergence.
 fn run_schedule(steps: &[Step]) {
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
-    let mut oracle = ZkStore::new(cfg.session);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
+    let mut oracle = ZkStore::new();
     // Deterministic path/session *selection* stream — separate from the
     // schedule generator so a shrunk schedule replays identically.
     let mut sel = SimRng::new(0x0f_ace).fork(0x51);
@@ -228,7 +228,7 @@ fn run_schedule(steps: &[Step]) {
                 // Every replica at the commit index holds the oracle's
                 // state — and, for the sessions this op spoke for, the
                 // oracle's heartbeat (the digest leaves heartbeats out).
-                let still_alive_at = now + cfg.session.timeout;
+                let still_alive_at = now + SESSION_TIMEOUT;
                 let committed = ens.replica_applied(ens.leader().expect("acked"));
                 for id in (0..3).filter(|&id| ens.replica_applied(id) == committed) {
                     assert_eq!(
@@ -306,9 +306,8 @@ fn create(path: &str) -> ZkOp {
 /// leader acknowledged is present on the post-failover leader.
 #[test]
 fn acked_writes_survive_leader_crash() {
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
     for i in 0..10 {
         client
             .submit(&mut ens, create(&format!("/n{i}")), t(1))
@@ -326,9 +325,8 @@ fn acked_writes_survive_leader_crash() {
 /// leader dies is still delivered by the post-failover leader.
 #[test]
 fn watch_events_are_redelivered_after_failover() {
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
     client.submit(&mut ens, create("/w"), t(1)).unwrap();
     client
         .submit(
@@ -368,9 +366,8 @@ fn watch_events_are_redelivered_after_failover() {
 /// elects, commits, and the healed minority catches back up.
 #[test]
 fn majority_side_wins_partition_and_minority_catches_up() {
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
     client.submit(&mut ens, create("/before"), t(1)).unwrap();
     // Isolate replica 0 (the leader) from both peers.
     ens.cut_regions(0, 1);
@@ -399,13 +396,12 @@ fn majority_side_wins_partition_and_minority_catches_up() {
 /// refused rather than acknowledged into a minority.
 #[test]
 fn leaderless_ensemble_refuses_rather_than_loses() {
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     ens.crash_replica(1);
     ens.crash_replica(2);
     ens.tick(t(30));
     assert_eq!(ens.leader(), None, "no quorum anywhere → leaderless");
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut client = ZkClient::default();
     let err = client.submit(&mut ens, create("/lost"), t(31)).unwrap_err();
     assert!(matches!(err, ZkError::NotLeader { hint: None }));
     // Repair: the ensemble recovers and the write is accepted — exactly
@@ -425,12 +421,10 @@ fn leaderless_ensemble_refuses_rather_than_loses() {
 /// re-joins via snapshot install and ends bit-identical.
 #[test]
 fn repaired_follower_catches_up_via_snapshot() {
-    let mut cfg = ZkReplicationConfig::default();
-    cfg.max_log = 8;
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
     ens.crash_replica(2);
-    for i in 0..40 {
+    for i in 0..MAX_LOG + 16 {
         client
             .submit(&mut ens, create(&format!("/deep{i}")), t(1))
             .unwrap();
@@ -448,9 +442,8 @@ fn repaired_follower_catches_up_via_snapshot() {
 /// session absorbs exactly one `SessionMoved`, then proceeds.
 #[test]
 fn each_session_absorbs_one_session_moved_per_failover() {
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
     let mut sids = Vec::new();
     for _ in 0..3 {
         match client.submit(&mut ens, ZkOp::CreateSession, t(1)).unwrap() {
@@ -483,10 +476,8 @@ fn each_session_absorbs_one_session_moved_per_failover() {
 /// batch is refused once, accounting one `SessionMoved` per session.
 #[test]
 fn batched_refresh_reports_gone_sessions_and_fences_once() {
-    let mut cfg = ZkReplicationConfig::default();
-    cfg.session.timeout = SimDuration::from_secs(10);
-    let mut ens = ZkEnsemble::new(&cfg);
-    let mut client = ZkClient::new(cfg.seed, cfg.retry);
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut client = ZkClient::default();
     let mut sids = Vec::new();
     for _ in 0..4 {
         match client.submit(&mut ens, ZkOp::CreateSession, t(1)).unwrap() {
