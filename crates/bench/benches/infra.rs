@@ -21,7 +21,7 @@ use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
 use scalewall_cluster::driver::{run_query, QueryOptions};
 use scalewall_cluster::net::{NetModel, NetModelConfig};
 use scalewall_cluster::workload::{gen_rows, standard_schema, TablePopulation, WorkloadConfig};
-use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, ShardKey, DELAY_SEED};
+use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
 use scalewall_shard_manager::balancer::propose_rebalance;
 use scalewall_shard_manager::placement::{rank_candidates, HostSnapshot};
 use scalewall_shard_manager::{
@@ -126,7 +126,7 @@ fn bench_collect_metrics(c: &mut Bench) {
 fn bench_discovery(c: &mut Bench) {
     let mut store = MappingStore::new();
     for s in 0..10_000u64 {
-        store.publish(ShardKey::new("cubrick", s), Some(s % 500), SimTime::ZERO);
+        store.publish(s, Some(s % 500), SimTime::ZERO);
     }
     let client = DiscoveryClient::new(DelayModel::new(DELAY_SEED), 42);
     let now = SimTime::from_secs(3_600);
@@ -137,7 +137,7 @@ fn bench_discovery(c: &mut Bench) {
         b.iter(|| {
             s = (s + 1) % 10_000;
             client
-                .resolve(&store, "cubrick", s, now)
+                .resolve(&store, s, now)
                 .and_then(|u| u.host)
         })
     });
@@ -146,9 +146,9 @@ fn bench_discovery(c: &mut Bench) {
     // them out.
     let mut route = Route::default();
     route.reset_shards().extend(5_000..5_064);
-    client.route(&store, "cubrick", &mut route, now);
+    client.route(&store, &mut route, now);
     group.bench_function("route_hit_fanout64", |b| {
-        b.iter(|| client.route(&store, "cubrick", &mut route, now))
+        b.iter(|| client.route(&store, &mut route, now))
     });
 
     // A second update per shard, then `now` alternating between before
@@ -158,15 +158,14 @@ fn bench_discovery(c: &mut Bench) {
     // paid per call before PR 16).
     let republished = SimTime::from_secs(7_200);
     for s in 5_000..5_064u64 {
-        let key = ShardKey::new("cubrick", s);
-        store.publish(key, Some(s % 499), republished);
+        store.publish(s, Some(s % 499), republished);
     }
     let sides = [now, republished + SimDuration::from_hours(1)];
     group.bench_function("route_refill_fanout64", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i ^= 1;
-            client.route(&store, "cubrick", &mut route, sides[i])
+            client.route(&store, &mut route, sides[i])
         })
     });
     group.finish();

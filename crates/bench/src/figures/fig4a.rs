@@ -65,13 +65,12 @@ pub fn compute(profile: Profile) -> Fig4aResult {
         .collect();
 
     // One region's SM with jittered placement (steady-state model).
-    let mut sm = SmServer::new(SmConfig {
+    let config = SmConfig {
         placement_jitter: hosts,
         seed: 0x4A11,
         ..Default::default()
-    });
-    sm.register_app(AppSpec::primary_only("cubrick", MAX_SHARDS))
-        .expect("fresh SM");
+    };
+    let mut sm = SmServer::new(config, AppSpec::primary_only("cubrick", MAX_SHARDS));
     let mut registry = Registry(HashMap::new());
     for i in 0..hosts as u64 {
         sm.register_host(
@@ -88,7 +87,7 @@ pub fn compute(profile: Profile) -> Fig4aResult {
     // allocated once (the cross-table partition collision case).
     for (name, partitions) in &named {
         for &shard in &ShardMapping::Monotonic.shards_of_table(name, *partitions, MAX_SHARDS) {
-            match sm.allocate_shard("cubrick", ShardId(shard), 1.0, SimTime::ZERO, &mut registry) {
+            match sm.allocate_shard(ShardId(shard), 1.0, None, SimTime::ZERO, &mut registry) {
                 Ok(_) | Err(scalewall_shard_manager::SmError::AlreadyAssigned { .. }) => {}
                 Err(e) => panic!("allocation failed: {e}"),
             }
@@ -96,7 +95,7 @@ pub fn compute(profile: Profile) -> Fig4aResult {
     }
 
     let stats = collision_census(&named, ShardMapping::Monotonic, MAX_SHARDS, &|s| {
-        sm.host_of("cubrick", ShardId(s)).map(|h| h.0)
+        sm.host_of(ShardId(s)).map(|h| h.0)
     });
     Fig4aResult {
         tables,

@@ -97,7 +97,6 @@ fn run_one(graceful: bool, queries_total: u64, seed: u64) -> GracefulResult {
             region
                 .sm
                 .begin_migration(
-                    APP,
                     ShardId(shard),
                     target,
                     graceful,

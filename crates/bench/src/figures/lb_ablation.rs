@@ -90,14 +90,11 @@ fn run_one(generation: MetricGeneration, cycles: usize, tables: usize, rows: usi
                 } else {
                     HostId((2 + (i * 2 + j) % 4) as u64)
                 };
-                let from = region
-                    .sm
-                    .host_of(APP, scalewall_shard_manager::ShardId(shard));
+                let from = region.sm.host_of(scalewall_shard_manager::ShardId(shard));
                 if from == Some(target) {
                     continue;
                 }
                 let _ = region.sm.begin_migration(
-                    APP,
                     scalewall_shard_manager::ShardId(shard),
                     target,
                     false,

@@ -28,7 +28,7 @@ use scalewall_sim::{SimRng, SimTime};
 
 use crate::registry::NodeRegistry;
 
-/// The SM application name each region registers.
+/// The name of the one application each region's SM serves.
 pub const APP: &str = "cubrick";
 
 /// Deployment-wide configuration.
@@ -138,7 +138,7 @@ impl RouteCache {
                 .reset_shards()
                 .extend((0..def.partitions).map(|p| def.shard_of(p, max_shards)));
         }
-        let reused = discovery.route(mappings, APP, &mut table.route, now);
+        let reused = discovery.route(mappings, &mut table.route, now);
         if !reused || table.direct_at != node_changes {
             table.direct.clear();
             table.direct.resize(table.route.shards().len(), false);
@@ -177,14 +177,14 @@ pub struct RegionState {
 impl RegionState {
     /// Authoritative owner of a shard (SM's view, no propagation delay).
     pub fn authoritative_host(&self, shard: u64) -> Option<HostId> {
-        self.sm.host_of(APP, ShardId(shard))
+        self.sm.host_of(ShardId(shard))
     }
 
     /// Owner as seen by this region's proxy *right now* (possibly stale).
     /// The uncached single-shard reference for [`RouteCache::route`].
     pub fn resolved_host(&self, shard: u64, now: SimTime) -> Option<HostId> {
         self.discovery
-            .resolve(self.sm.mappings(), APP, shard, now)
+            .resolve(self.sm.mappings(), shard, now)
             .and_then(|u| u.host)
             .map(HostId)
     }
@@ -201,7 +201,7 @@ impl RegionState {
         let weight = DEFAULT_SHARD_WEIGHT;
         for shard in shards {
             let nodes = &mut self.nodes;
-            match self.sm.allocate_shard_in_group(APP, ShardId(shard), weight, group, now, nodes) {
+            match self.sm.allocate_shard(ShardId(shard), weight, group, now, nodes) {
                 Ok(_) | Err(SmError::AlreadyAssigned { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -277,9 +277,10 @@ impl Deployment {
                     .map(|i| (r + i) % config.regions)
                     .collect();
             }
-            let mut sm = SmServer::new(sm_config);
             let spec = AppSpec::primary_only(APP, config.max_shards).with_balancer(config.balancer);
-            refused = refused.or(sm.register_app(spec).err());
+            let invalid = spec.validate().err();
+            refused = refused.or(invalid.map(|reason| SmError::SafetyCheckFailed { reason }));
+            let mut sm = SmServer::new(sm_config, spec);
             let store: SharedRegionStore = Arc::new(RwLock::new(RegionStore::new()));
             let mut nodes = NodeRegistry::new();
             for i in 0..config.hosts_per_region {
@@ -373,7 +374,7 @@ impl Deployment {
                 continue;
             }
             if let Some(region) = self.regions.get_mut(r) {
-                let _ = region.sm.deallocate_shard(APP, ShardId(shard), now, &mut region.nodes);
+                let _ = region.sm.deallocate_shard(ShardId(shard), now, &mut region.nodes);
             }
         }
     }
@@ -717,10 +718,7 @@ impl Deployment {
     pub fn run_load_balancers(&mut self, now: SimTime) -> usize {
         let mut started = 0;
         for region in &mut self.regions {
-            started += region
-                .sm
-                .run_load_balancer(APP, now, &mut region.nodes)
-                .unwrap_or(0);
+            started += region.sm.run_load_balancer(now, &mut region.nodes);
         }
         started
     }

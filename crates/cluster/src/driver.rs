@@ -1530,7 +1530,6 @@ mod tests {
         // this test would be vacuous — pick a target that doesn't.
         let region = &mut f.dep.regions[0];
         let started = region.sm.begin_migration(
-            crate::deployment::APP,
             scalewall_shard_manager::ShardId(shard),
             to,
             true,
@@ -1569,10 +1568,7 @@ mod tests {
         // Migration finished and ownership moved.
         assert!(f.dep.regions[0]
             .sm
-            .active_migration(
-                crate::deployment::APP,
-                scalewall_shard_manager::ShardId(shard)
-            )
+            .active_migration(scalewall_shard_manager::ShardId(shard))
             .is_none());
         assert_eq!(f.dep.regions[0].authoritative_host(shard), Some(to));
     }
@@ -1862,7 +1858,6 @@ mod tests {
                             let region = &mut f.dep.regions[0];
                             // A veto or a busy shard refuses; nothing moves then.
                             let _ = region.sm.begin_migration(
-                                crate::deployment::APP,
                                 scalewall_shard_manager::ShardId(shard),
                                 to,
                                 graceful,

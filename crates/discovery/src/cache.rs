@@ -1,32 +1,32 @@
 //! Per-host discovery view.
 //!
 //! A [`DiscoveryClient`] is what an application client (or the Cubrick
-//! proxy) holds on each host: it resolves `(service, shard)` to a host id
+//! proxy) holds on each host: it resolves a shard to a host id
 //! *as seen through the distribution tree* — i.e. the newest update that
 //! has already propagated to this subscriber, which may lag the
 //! authoritative mapping by a few seconds.
 //!
 //! The private `DiscoveryClient::visible` is the one definition of "which
 //! update does this subscriber see", and it also says for how long that
-//! answer holds. [`Route`] builds on the second half: one service's hosts
-//! for a fixed shard list, resolved once and reused until the window
+//! answer holds. [`Route`] builds on the second half: the hosts of a
+//! fixed shard list, resolved once and reused until the window
 //! closes or the store takes a publish (DESIGN.md "Route cache contract").
 
 use scalewall_sim::SimTime;
 
 use crate::delay::DelayModel;
-use crate::map::{history_of, MappingStore, MappingUpdate};
+use crate::map::{MappingStore, MappingUpdate};
 
 /// The update a subscriber sees at some instant, and the half-open
 /// window `[from, until)` of instants at which it sees that same update
-/// provided nothing is published to the key in between.
+/// provided nothing is published to the shard in between.
 struct Visible {
     update: MappingUpdate,
     from: SimTime,
     until: SimTime,
 }
 
-/// One service's resolved hosts for a fixed list of shards, as one
+/// The resolved hosts of a fixed list of shards, as one
 /// subscriber sees them, with the window over which they stay exact.
 ///
 /// Owned by the caller and refilled in place by
@@ -120,53 +120,39 @@ impl DiscoveryClient {
         })
     }
 
-    /// Resolve `(service, shard)` in `store` to the update visible to
-    /// this subscriber at `now`.
+    /// Resolve `shard` in `store` to the update visible to this
+    /// subscriber at `now`.
     ///
     /// Walks the retained history newest-first and returns the first update
     /// whose publish time plus this subscriber's propagation delay has
     /// elapsed. If even the oldest retained update has not propagated yet,
     /// the oldest is returned (it stands in for the fully-propagated past).
-    /// Returns `None` only if the key has never been published.
-    pub fn resolve(
-        &self,
-        store: &MappingStore,
-        service: &str,
-        shard: u64,
-        now: SimTime,
-    ) -> Option<MappingUpdate> {
-        let history = history_of(store.service(service), shard);
-        self.visible(history, now).map(|v| v.update)
+    /// Returns `None` only if the shard has never been published.
+    pub fn resolve(&self, store: &MappingStore, shard: u64, now: SimTime) -> Option<MappingUpdate> {
+        self.visible(store.history(shard), now).map(|v| v.update)
     }
 
-    /// Bring `route` up to date for `service` in `store` at `now`;
-    /// afterwards `route.hosts()[i]` is the host of
-    /// `resolve(store, service, route.shards()[i], now)` for every `i`.
+    /// Bring `route` up to date in `store` at `now`; afterwards
+    /// `route.hosts()[i]` is the host of
+    /// `resolve(store, route.shards()[i], now)` for every `i`.
     /// Returns whether the cached hosts were reused.
     ///
     /// A hit costs one publish-count compare and one window check. Anything
-    /// else — a publish to *any* key of the store since the fill, or a
+    /// else — a publish to *any* shard of the store since the fill, or a
     /// `now` outside the window in either direction — re-resolves every
-    /// shard in place. Invalidation is per store, not per key: telling
-    /// whose key a publish touched is the map walk the route exists to
+    /// shard in place. Invalidation is per store, not per shard: telling
+    /// which shard a publish touched is the map walk the route exists to
     /// skip. The publish count only means something against the store
     /// that filled the route, so a route is only ever passed back with it.
-    pub fn route(
-        &self,
-        store: &MappingStore,
-        service: &str,
-        route: &mut Route,
-        now: SimTime,
-    ) -> bool {
+    pub fn route(&self, store: &MappingStore, route: &mut Route, now: SimTime) -> bool {
         let publishes = store.publish_count();
         if route.publishes == publishes && route.from <= now && now < route.until {
             return true;
         }
-        let histories = store.service(service);
         route.hosts.clear();
         let (mut from, mut until) = (SimTime::ZERO, SimTime::MAX);
         for &shard in &route.shards {
-            let host = match self.visible(history_of(histories, shard), now) {
+            let host = match self.visible(store.history(shard), now) {
                 Some(seen) => {
                     from = from.max(seen.from);
                     until = until.min(seen.until);
@@ -193,7 +179,6 @@ impl DiscoveryClient {
 mod tests {
     use super::*;
     use crate::delay::DELAY_SEED;
-    use crate::map::ShardKey;
     use scalewall_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
@@ -207,15 +192,14 @@ mod tests {
     #[test]
     fn unpublished_key_resolves_to_none() {
         let store = MappingStore::new();
-        assert!(client(1).resolve(&store, "s", 0, t(100)).is_none());
+        assert!(client(1).resolve(&store, 0, t(100)).is_none());
     }
 
     #[test]
     fn update_invisible_until_propagated_then_visible() {
         let (mut store, client) = (MappingStore::new(), client(1));
-        let key = ShardKey::new("s", 1);
-        let host_at = |store: &MappingStore, now| client.resolve(store, "s", 1, now).unwrap().host;
-        let u0 = store.publish(key.clone(), Some(10), t(100));
+        let host_at = |store: &MappingStore, now| client.resolve(store, 1, now).unwrap().host;
+        let u0 = store.publish(1, Some(10), t(100));
         let visible = client.visible_at(&u0);
         assert!(visible > t(100), "propagation adds delay");
 
@@ -225,7 +209,7 @@ mod tests {
 
         // New update published later: before it propagates the client still
         // sees the old host; after, the new one.
-        let u1 = store.publish(key, Some(20), visible + SimDuration::from_secs(60));
+        let u1 = store.publish(1, Some(20), visible + SimDuration::from_secs(60));
         let u1_visible = client.visible_at(&u1);
         let mid = SimTime::from_nanos(u1_visible.as_nanos() - 1);
         assert_eq!(
@@ -239,7 +223,7 @@ mod tests {
     #[test]
     fn different_subscribers_see_updates_at_different_times() {
         let mut store = MappingStore::new();
-        let u = store.publish(ShardKey::new("s", 2), Some(1), t(0));
+        let u = store.publish(2, Some(1), t(0));
         let times: Vec<SimTime> = (0..50).map(|h| client(h).visible_at(&u)).collect();
         let distinct: std::collections::HashSet<_> = times.iter().map(|t| t.as_nanos()).collect();
         assert!(distinct.len() > 40, "delays should vary across subscribers");
@@ -248,9 +232,9 @@ mod tests {
     #[test]
     fn unassigned_resolves_to_no_host() {
         let mut store = MappingStore::new();
-        store.publish(ShardKey::new("s", 3), None, t(0));
+        store.publish(3, None, t(0));
         // After full propagation the entry exists but carries no host.
-        let update = client(1).resolve(&store, "s", 3, t(10_000)).unwrap();
+        let update = client(1).resolve(&store, 3, t(10_000)).unwrap();
         assert_eq!(update.host, None);
     }
 }

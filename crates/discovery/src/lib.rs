@@ -9,13 +9,13 @@
 //!
 //! This crate models exactly that:
 //!
-//! * [`map`] — the authoritative, versioned mapping store that SM Server
-//!   owns and publishes into.
+//! * [`map`] — the authoritative, versioned shard → history store that
+//!   SM Server owns and publishes its one application's assignments into.
 //! * [`delay`] — the propagation-delay model: per (subscriber, update) the
 //!   delay is the sum of per-level hop delays plus local-proxy poll jitter,
 //!   sampled *lazily and deterministically* from a hash of the pair, so we
 //!   never materialize `updates × hosts` state.
-//! * [`cache`] — the per-host view: `resolve(store, service, shard, now)`
+//! * [`cache`] — the per-host view: `resolve(store, shard, now)`
 //!   returns the value the host's local proxy would have seen by `now`,
 //!   i.e. possibly stale; a [`Route`] holds that answer for a whole shard
 //!   list until it can change. The view borrows the store per lookup.
@@ -30,4 +30,4 @@ pub mod map;
 
 pub use cache::{DiscoveryClient, Route};
 pub use delay::{DelayModel, DELAY_SEED};
-pub use map::{MappingStore, MappingUpdate, ShardKey};
+pub use map::{MappingStore, MappingUpdate};

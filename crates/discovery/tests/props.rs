@@ -2,7 +2,7 @@
 //! drawn from published history, staleness is bounded by the delay
 //! model, and per-subscriber views are monotone.
 
-use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, ShardKey, DELAY_SEED};
+use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::{SimDuration, SimRng, SimTime};
 
@@ -14,12 +14,11 @@ fn store_with(
     publishes: &[(u64, u64)], // (gap seconds, host)
 ) -> (MappingStore, Vec<(SimTime, u64)>) {
     let mut store = MappingStore::new();
-    let key = ShardKey::new("svc", 0);
     let mut t = SimTime::ZERO;
     let mut timeline = Vec::new();
     for &(gap, host) in publishes {
         t += SimDuration::from_secs(gap + 1);
-        store.publish(key.clone(), Some(host), t);
+        store.publish(0, Some(host), t);
         timeline.push((t, host));
     }
     (store, timeline)
@@ -39,7 +38,7 @@ fn resolution_is_causal() {
             let last_publish = timeline.last().unwrap().0;
             let observe = last_publish + SimDuration::from_secs(*observe_offset);
             let resolved = client
-                .resolve(&store, "svc", 0, observe)
+                .resolve(&store, 0, observe)
                 .expect("published key resolves");
             // The value must be from the retained history...
             let hosts_published: Vec<u64> = timeline.iter().map(|&(_, h)| h).collect();
@@ -65,10 +64,10 @@ fn eventual_convergence() {
             // The default model's delays are < 5 minutes with overwhelming
             // probability; one hour is decisive.
             let late = timeline.last().unwrap().0 + SimDuration::from_hours(1);
-            let seen = client.resolve(&store, "svc", 0, late).and_then(|u| u.host);
+            let seen = client.resolve(&store, 0, late).and_then(|u| u.host);
             assert_eq!(seen, Some(last_host));
             // And it agrees with the authoritative store.
-            let auth = store.latest(&ShardKey::new("svc", 0)).unwrap().host;
+            let auth = store.latest(0).unwrap().host;
             assert_eq!(auth, Some(last_host));
         },
     );
@@ -96,7 +95,7 @@ fn per_subscriber_monotonicity() {
             for i in 0..steps {
                 let frac = i as f64 / steps as f64;
                 let t = SimTime::from_nanos((horizon.as_nanos() as f64 * frac) as u64);
-                if let Some(update) = client.resolve(&store, "svc", 0, t) {
+                if let Some(update) = client.resolve(&store, 0, t) {
                     if let Some(prev) = last_seq {
                         assert!(update.seq >= prev, "view went backwards");
                     }
@@ -156,29 +155,26 @@ fn route_equals_per_key_reference() {
             let mut store = MappingStore::new();
             let model = DelayModel::new(DELAY_SEED);
             let client = DiscoveryClient::new(model, *subscriber);
-            let keys: Vec<ShardKey> = (0..ROUTE_KEYS).map(|s| ShardKey::new("svc", s)).collect();
             let mut route = Route::default();
             // Listed back to front: position and shard id differ.
             route.reset_shards().extend((0..ROUTE_KEYS).rev());
             let reference = |store: &MappingStore, now: SimTime| -> Vec<Option<u64>> {
                 (0..ROUTE_KEYS)
                     .rev()
-                    .map(|s| client.resolve(store, "svc", s, now).and_then(|u| u.host))
+                    .map(|s| client.resolve(store, s, now).and_then(|u| u.host))
                     .collect()
             };
 
             let mut published_at = SimTime::ZERO;
             for step in steps {
                 published_at += SimDuration::from_millis(step.gap_ms);
-                if let Some((key, host)) = step.publish {
-                    let key = keys[key as usize].clone();
-                    store.publish(key, host, published_at);
+                if let Some((shard, host)) = step.publish {
+                    store.publish(shard, host, published_at);
                 }
                 // Every instant at which some retained update becomes
                 // visible: the only instants the reference can change at.
-                let mut boundaries: Vec<SimTime> = keys
-                    .iter()
-                    .flat_map(|k| store.history(k).to_vec())
+                let mut boundaries: Vec<SimTime> = (0..ROUTE_KEYS)
+                    .flat_map(|s| store.history(s).to_vec())
                     .map(|u| client.visible_at(&u))
                     .collect();
                 boundaries.sort();
@@ -194,10 +190,10 @@ fn route_equals_per_key_reference() {
 
                 let store = &store;
                 for now in probes {
-                    client.route(store, "svc", &mut route, now);
+                    client.route(store, &mut route, now);
                     let want = reference(store, now);
                     assert_eq!(route.hosts(), want, "at {now:?}");
-                    assert!(client.route(store, "svc", &mut route, now), "a refill is current");
+                    assert!(client.route(store, &mut route, now), "a refill is current");
 
                     // Up to `until` the route would answer from cache:
                     // the reference must not have moved at any boundary
@@ -209,10 +205,10 @@ fn route_equals_per_key_reference() {
                     }
                     if until < SimTime::MAX {
                         let last = SimTime::from_nanos(until.as_nanos() - 1);
-                        assert!(client.route(store, "svc", &mut route, last));
+                        assert!(client.route(store, &mut route, last));
                         assert_eq!(route.hosts(), reference(store, last));
                         assert!(
-                            !client.route(store, "svc", &mut route, until),
+                            !client.route(store, &mut route, until),
                             "window is half-open"
                         );
                         assert_eq!(route.hosts(), reference(store, until));
@@ -229,12 +225,11 @@ fn route_equals_per_key_reference() {
 fn route_window_ends_at_the_first_arrival_not_the_first_publish() {
     let mut store = MappingStore::new();
     let model = DelayModel::new(DELAY_SEED);
-    let key = ShardKey::new("svc", 7);
-    store.publish(key.clone(), Some(1), SimTime::ZERO);
+    store.publish(7, Some(1), SimTime::ZERO);
     // Find a subscriber for which seq 2 overtakes seq 1.
     let t = SimTime::from_secs(1_000);
-    let second = store.publish(key.clone(), Some(2), t);
-    let third = store.publish(key, Some(3), t + SimDuration::from_millis(1));
+    let second = store.publish(7, Some(2), t);
+    let third = store.publish(7, Some(3), t + SimDuration::from_millis(1));
     let store = &store;
     let client = (0..1_000)
         .map(|s| DiscoveryClient::new(model, s))
@@ -244,17 +239,17 @@ fn route_window_ends_at_the_first_arrival_not_the_first_publish() {
 
     let mut route = Route::default();
     route.reset_shards().push(7);
-    assert!(!client.route(store, "svc", &mut route, t));
+    assert!(!client.route(store, &mut route, t));
     assert_eq!((route.hosts(), route.until()), (&[Some(1)][..], early));
     // No publish happened since the fill; only the window can end it.
-    assert!(!client.route(store, "svc", &mut route, early));
+    assert!(!client.route(store, &mut route, early));
     assert_eq!(route.hosts(), [Some(3)]);
     // The overtaken update never shows: seq 3 is newer and visible.
     assert_eq!(route.until(), SimTime::MAX);
-    assert!(client.route(store, "svc", &mut route, late));
-    assert_eq!(client.resolve(store, "svc", 7, late).and_then(|u| u.host), Some(3));
+    assert!(client.route(store, &mut route, late));
+    assert_eq!(client.resolve(store, 7, late).and_then(|u| u.host), Some(3));
     // Going back in time is a miss, not a stale hit.
     let before_early = SimTime::from_nanos(early.as_nanos() - 1);
-    assert!(!client.route(store, "svc", &mut route, before_early));
+    assert!(!client.route(store, &mut route, before_early));
     assert_eq!(route.hosts(), [Some(1)]);
 }

@@ -167,9 +167,7 @@ mod tests {
     }
 
     fn setup(hosts: u64) -> (SmServer, Reg) {
-        let mut sm = SmServer::new(SmConfig::default());
-        sm.register_app(AppSpec::primary_only("app", 1_000))
-            .unwrap();
+        let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("app", 1_000));
         let mut reg = Reg::default();
         for i in 0..hosts {
             sm.register_host(HostInfo::new(HostId(i), Rack(0), Region(0), 100.0), t(0))
@@ -184,7 +182,7 @@ mod tests {
     fn approves_safe_drain() {
         let (mut sm, mut reg) = setup(20);
         for s in 0..10 {
-            sm.allocate_shard("app", ShardId(s), 5.0, t(0), &mut reg)
+            sm.allocate_shard(ShardId(s), 5.0, None, t(0), &mut reg)
                 .unwrap();
         }
         let mut engine = AutomationEngine::default();
@@ -219,7 +217,7 @@ mod tests {
         // Load the fleet to 85%: 20 hosts × 100 cap, 170 shards of weight
         // 10 (under the 90 % placement headroom).
         for s in 0..170 {
-            sm.allocate_shard("app", ShardId(s), 10.0, t(0), &mut reg)
+            sm.allocate_shard(ShardId(s), 10.0, None, t(0), &mut reg)
                 .unwrap();
         }
         let mut engine = AutomationEngine::default();

@@ -57,10 +57,6 @@ impl std::error::Error for AppError {}
 /// Errors raised by SM server operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SmError {
-    /// Unknown application name.
-    UnknownApp { app: String },
-    /// Application already registered.
-    AppExists { app: String },
     /// Unknown host.
     UnknownHost { host: HostId },
     /// Host already registered.
@@ -75,7 +71,8 @@ pub enum SmError {
     NoFeasibleHost { shard: ShardId, needed_weight: f64 },
     /// The application vetoed every candidate target.
     AllTargetsVetoed { shard: ShardId, attempts: usize },
-    /// A maintenance request failed its safety checks.
+    /// A maintenance request failed its safety checks, or an app spec
+    /// its validation.
     SafetyCheckFailed { reason: String },
     /// Operation invalid in the host's current state.
     BadHostState { host: HostId, reason: &'static str },
@@ -86,8 +83,6 @@ pub enum SmError {
 impl fmt::Display for SmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SmError::UnknownApp { app } => write!(f, "unknown app {app:?}"),
-            SmError::AppExists { app } => write!(f, "app {app:?} already registered"),
             SmError::UnknownHost { host } => write!(f, "unknown {host}"),
             SmError::HostExists { host } => write!(f, "{host} already registered"),
             SmError::ShardOutOfRange { shard, max_shards } => {

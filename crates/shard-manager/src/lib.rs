@@ -13,9 +13,10 @@
 //!
 //! Module map:
 //!
-//! * [`ids`] — host/shard/app identifiers, failure-domain topology.
-//! * [`spec`] — per-application configuration: shard space and balancer
-//!   tunables. Every app is primary-only: one host per shard.
+//! * [`ids`] — host and shard identifiers, failure-domain topology.
+//! * [`spec`] — the configuration of the one application a server runs:
+//!   name, shard space and balancer tunables. The app is primary-only:
+//!   one host per shard.
 //! * [`app_server`] — the application-side trait and migration contexts.
 //! * [`error`] — SM and application error surfaces, including the
 //!   *non-retryable* rejection applications use to veto a placement
@@ -27,8 +28,9 @@
 //!   live migration, zero-downtime *graceful* migration
 //!   (`prepareAddShard → prepareDropShard → addShard → discovery
 //!   propagation wait → dropShard`, §IV-E), and failover.
-//! * [`server`] — [`SmServer`]: assignment authority, heartbeat monitor
-//!   (via the `scalewall-zk` store), discovery publisher, drain engine.
+//! * [`server`] — [`SmServer`], the server of one application:
+//!   assignment authority, heartbeat monitor (via the `scalewall-zk`
+//!   store), discovery publisher, drain engine.
 //! * [`automation`] — data-center automation front door: maintenance
 //!   requests with safety checks (§IV-G).
 //!

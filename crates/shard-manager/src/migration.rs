@@ -21,8 +21,6 @@
 //!
 //! [`SmServer::advance_migrations`]: crate::server::SmServer::advance_migrations
 
-use std::sync::Arc;
-
 use scalewall_sim::{SimDuration, SimTime};
 
 use crate::ids::{HostId, ShardId};
@@ -53,7 +51,8 @@ pub enum MigrationPhase {
     Forwarding,
     /// Finished successfully.
     Done,
-    /// Abandoned (e.g. target died mid-copy).
+    /// Abandoned (e.g. target died mid-copy, or the shard was
+    /// deallocated).
     Failed,
 }
 
@@ -71,7 +70,6 @@ pub enum MigrationCause {
 #[derive(Debug, Clone)]
 pub struct MigrationRecord {
     pub id: MigrationId,
-    pub app: Arc<str>,
     pub shard: ShardId,
     /// Source host (for a failover, the dead one).
     pub from: HostId,
@@ -139,7 +137,6 @@ mod tests {
     fn record(kind: MigrationKind, phase: MigrationPhase) -> MigrationRecord {
         MigrationRecord {
             id: MigrationId(1),
-            app: "test".into(),
             shard: ShardId(1),
             from: HostId(1),
             to: HostId(2),

@@ -1,10 +1,12 @@
 //! The SM Server: assignment authority and orchestration loop.
 //!
 //! "This is the central SM scheduler that collects shard metrics for all
-//! applications and makes shard placement decisions" (§III-A). The server
-//! owns:
+//! applications and makes shard placement decisions" (§III-A). Cubrick
+//! runs one primary-only SM service per region (§IV-D), so a server here
+//! serves exactly one application, the [`AppSpec`] it is built with. The
+//! server owns:
 //!
-//! * application registrations and per-shard host assignments,
+//! * the application's per-shard host assignments, weights and groups,
 //! * host registrations, heartbeat liveness (via `scalewall-zk` ephemeral
 //!   nodes) and host lifecycle (alive → draining/dead),
 //! * the migration engine (live / graceful / failover state machines),
@@ -19,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use scalewall_discovery::{MappingStore, ShardKey};
+use scalewall_discovery::MappingStore;
 use scalewall_sim::{DeadlineQueue, SimRng, SimTime};
 use scalewall_zk::{CoordinationPlane, SessionId, ZkReplicationConfig};
 
@@ -152,10 +154,10 @@ fn group_spread_hint(
     }
 }
 
-/// The SM server.
+/// The SM server of one application.
 pub struct SmServer {
     config: SmConfig,
-    apps: BTreeMap<Arc<str>, AppState>,
+    app: AppState,
     hosts: BTreeMap<HostId, HostEntry>,
     zk: CoordinationPlane,
     /// The shard→host mappings service discovery serves. SM Server is
@@ -173,26 +175,28 @@ pub struct SmServer {
     history: Vec<MigrationRecord>,
     next_migration: u64,
     /// Failovers that found no feasible target; retried on each tick.
-    pending_failovers: Vec<(Arc<str>, ShardId)>,
+    pending_failovers: Vec<ShardId>,
     /// host-id ↔ zk session bookkeeping for heartbeat expiry handling.
     session_hosts: BTreeMap<SessionId, HostId>,
     /// The last heartbeat round's sessions and the caller's fleet version
     /// they were listed at; dropped by every write to a host's `session`.
     heartbeat: Option<(u64, Arc<[SessionId]>)>,
     rng: SimRng,
-    /// Per-host load (sum of replica weights across apps), cached so
-    /// placement is O(hosts) instead of O(total assignments). Moved by a
-    /// delta on every assignment change; re-summed in `(app, shard)`
-    /// order by the metric poll when a weight moved or a delta landed
-    /// since the last re-sum (a running sum is not bit-equal to that
-    /// order's, and the balancer reads the bits).
+    /// Per-host load (sum of its shards' weights), cached so placement is
+    /// O(hosts) instead of O(total assignments). Moved by a delta on every
+    /// assignment change; re-summed in shard order by the metric poll
+    /// when a weight moved or a delta landed since the last re-sum (a
+    /// running sum is not bit-equal to that order's, and the balancer
+    /// reads the bits).
     loads: BTreeMap<HostId, f64>,
     /// `loads` was written since [`Self::rebuild_loads`] last ran.
     loads_written: bool,
 }
 
 impl SmServer {
-    pub fn new(config: SmConfig) -> Self {
+    /// The server of the one application `spec` describes. The spec is
+    /// taken as given; [`AppSpec::validate`] is the caller's check.
+    pub fn new(config: SmConfig, spec: AppSpec) -> Self {
         SmServer {
             zk: match &config.replication {
                 None => CoordinationPlane::single(),
@@ -200,7 +204,12 @@ impl SmServer {
             },
             rng: SimRng::new(config.seed),
             config,
-            apps: BTreeMap::new(),
+            app: AppState {
+                spec,
+                assignments: BTreeMap::new(),
+                weights: BTreeMap::new(),
+                groups: BTreeMap::new(),
+            },
             hosts: BTreeMap::new(),
             mappings: MappingStore::new(),
             active: BTreeMap::new(),
@@ -236,41 +245,6 @@ impl SmServer {
 
     pub fn coordination_mut(&mut self) -> &mut CoordinationPlane {
         &mut self.zk
-    }
-
-    // ------------------------------------------------------------------- apps
-
-    /// Register a new application. Fails on duplicate names or invalid spec.
-    pub fn register_app(&mut self, spec: AppSpec) -> SmResult<()> {
-        spec.validate()
-            .map_err(|reason| SmError::SafetyCheckFailed { reason })?;
-        if self.apps.contains_key(&spec.name) {
-            return Err(SmError::AppExists {
-                app: spec.name.to_string(),
-            });
-        }
-        self.apps.insert(
-            spec.name.clone(),
-            AppState {
-                spec,
-                assignments: BTreeMap::new(),
-                weights: BTreeMap::new(),
-                groups: BTreeMap::new(),
-            },
-        );
-        Ok(())
-    }
-
-    fn app(&self, name: &str) -> SmResult<&AppState> {
-        self.apps.get(name).ok_or_else(|| SmError::UnknownApp {
-            app: name.to_string(),
-        })
-    }
-
-    fn app_mut(&mut self, name: &str) -> SmResult<&mut AppState> {
-        self.apps.get_mut(name).ok_or_else(|| SmError::UnknownApp {
-            app: name.to_string(),
-        })
     }
 
     // ------------------------------------------------------------------ hosts
@@ -390,8 +364,7 @@ impl SmServer {
             .count()
     }
 
-    /// Total load (sum of shard weights across apps) currently assigned to
-    /// `host`.
+    /// Total load (sum of shard weights) currently assigned to `host`.
     pub fn host_load(&self, host: HostId) -> f64 {
         self.loads.get(&host).copied().unwrap_or(0.0)
     }
@@ -409,10 +382,8 @@ impl SmServer {
     fn rebuild_loads(&mut self) {
         self.loads_written = false;
         let mut loads: BTreeMap<HostId, f64> = BTreeMap::new();
-        for app in self.apps.values() {
-            for (&shard, &h) in &app.assignments {
-                *loads.entry(h).or_insert(0.0) += app.weight_of(shard);
-            }
+        for (&shard, &h) in &self.app.assignments {
+            *loads.entry(h).or_insert(0.0) += self.app.weight_of(shard);
         }
         self.loads = loads;
     }
@@ -437,33 +408,18 @@ impl SmServer {
 
     /// Allocate a brand-new shard: place it, invoking `add_shard` on the
     /// target (vetoes move on to the next candidate), and publish the
-    /// mapping.
-    pub fn allocate_shard<R: AppServerRegistry>(
-        &mut self,
-        app_name: &str,
-        shard: ShardId,
-        weight_hint: f64,
-        now: SimTime,
-        registry: &mut R,
-    ) -> SmResult<HostId> {
-        self.allocate_shard_in_group(app_name, shard, weight_hint, None, now, registry)
-    }
-
-    /// [`allocate_shard`](Self::allocate_shard) with an optional
-    /// anti-affinity `group`: shards sharing a group are softly spread
+    /// mapping. Shards sharing an anti-affinity `group` are softly spread
     /// across hosts and racks (fault-domain-aware placement), degrading
     /// to plain least-loaded when the group outgrows the topology.
-    #[allow(clippy::too_many_arguments)]
-    pub fn allocate_shard_in_group<R: AppServerRegistry>(
+    pub fn allocate_shard<R: AppServerRegistry>(
         &mut self,
-        app_name: &str,
         shard: ShardId,
         weight_hint: f64,
         group: Option<u64>,
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<HostId> {
-        let app = self.app_mut(app_name)?;
+        let app = &mut self.app;
         if shard.0 >= app.spec.max_shards {
             return Err(SmError::ShardOutOfRange {
                 shard,
@@ -480,12 +436,11 @@ impl SmServer {
         }
         let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
         let jitter = self.config.placement_jitter;
-        let host = match self.place(app_name, ctx, &mut Vec::new(), jitter, registry) {
+        let host = match self.place(ctx, &mut Vec::new(), jitter, registry) {
             Ok(host) => host,
             Err(e) => {
-                let app = self.app_mut(app_name)?;
-                app.weights.remove(&shard);
-                app.groups.remove(&shard);
+                self.app.weights.remove(&shard);
+                self.app.groups.remove(&shard);
                 return Err(e);
             }
         };
@@ -494,9 +449,9 @@ impl SmServer {
         if let Some(server) = registry.server(host) {
             server.on_copy_complete(ctx);
         }
-        self.app_mut(app_name)?.assignments.insert(shard, host);
+        self.app.assignments.insert(shard, host);
         self.load_delta(host, weight_hint);
-        self.publish(app_name, shard, now);
+        self.publish(shard, now);
         Ok(host)
     }
 
@@ -504,11 +459,11 @@ impl SmServer {
     /// on record for it. Every placement decision (allocation, failover,
     /// drain) reads this ranking; they differ in how the shard then gets
     /// to the host.
-    fn rank(&self, app: &AppState, shard: ShardId, excluded: &[HostId]) -> Vec<Candidate> {
+    fn rank(&self, shard: ShardId, excluded: &[HostId]) -> Vec<Candidate> {
         rank_candidates_hinted(
             &self.snapshots(),
-            app.weight_of(shard),
-            app.spec.balancer.capacity_headroom,
+            self.app.weight_of(shard),
+            self.app.spec.balancer.capacity_headroom,
             SpreadDomain::Host,
             &[],
             excluded,
@@ -516,7 +471,7 @@ impl SmServer {
             // at allocation: a target should not collect a second shard of
             // the group (for a table the app would veto it anyway) nor
             // re-concentrate the group in one rack.
-            &group_spread_hint(app, &self.hosts, shard),
+            &group_spread_hint(&self.app, &self.hosts, shard),
         )
     }
 
@@ -527,20 +482,18 @@ impl SmServer {
     /// `jitter` best left.
     fn place<R: AppServerRegistry>(
         &mut self,
-        app_name: &str,
         ctx: ShardContext,
         vetoed: &mut Vec<HostId>,
         jitter: usize,
         registry: &mut R,
     ) -> SmResult<HostId> {
-        let app = self.app(app_name)?;
-        let needed_weight = app.weight_of(ctx.shard);
-        let mut candidates = self.rank(app, ctx.shard, vetoed);
+        let needed_weight = self.app.weight_of(ctx.shard);
+        let mut candidates = self.rank(ctx.shard, vetoed);
         // Jitter randomizes among the least-loaded candidates but never
         // escapes the leading penalty class of the hint they were ranked
         // under — otherwise it would trade away the group's rack-spread
         // guarantee.
-        let hint = (jitter > 1).then(|| group_spread_hint(app, &self.hosts, ctx.shard));
+        let hint = (jitter > 1).then(|| group_spread_hint(&self.app, &self.hosts, ctx.shard));
         loop {
             let mut pick = 0;
             if let Some(hint) = &hint {
@@ -579,88 +532,65 @@ impl SmServer {
     }
 
     /// Remove a shard entirely: drop it on its host and retract the
-    /// mapping.
+    /// mapping. A migration under way ends with it: its record is
+    /// `Failed`, and the shard is dropped on the migration's other end
+    /// too (the target a copy has already handed it, or the source still
+    /// forwarding), so no server keeps a shard SM no longer assigns.
     pub fn deallocate_shard<R: AppServerRegistry>(
         &mut self,
-        app_name: &str,
         shard: ShardId,
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<()> {
-        let app = self.app_mut(app_name)?;
-        let Some(host) = app.assignments.remove(&shard) else {
+        let Some(host) = self.app.assignments.remove(&shard) else {
             return Err(SmError::NotAssigned { shard });
         };
-        let weight = app.weights.remove(&shard).unwrap_or(DEFAULT_SHARD_WEIGHT);
-        app.groups.remove(&shard);
-        let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
+        let weight = self.app.weights.remove(&shard).unwrap_or(DEFAULT_SHARD_WEIGHT);
+        self.app.groups.remove(&shard);
         self.load_delta(host, -weight);
-        if let Some(server) = registry.server(host) {
-            let _ = server.drop_shard(ctx);
+        let mut holders = vec![host];
+        for m in self.active.values_mut() {
+            if !m.is_finished() && m.shard == shard {
+                m.phase = MigrationPhase::Failed;
+                m.finished_at = Some(now);
+                holders.push(if m.to == host { m.from } else { m.to });
+            }
+        }
+        let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
+        for holder in holders {
+            if let Some(server) = registry.server(holder) {
+                let _ = server.drop_shard(ctx);
+            }
         }
         // No assignment left: this retracts the mapping.
-        self.publish(app_name, shard, now);
+        self.publish(shard, now);
         Ok(())
     }
 
     /// The host a shard is assigned to.
-    pub fn host_of(&self, app_name: &str, shard: ShardId) -> Option<HostId> {
-        self.apps.get(app_name)?.assignments.get(&shard).copied()
+    pub fn host_of(&self, shard: ShardId) -> Option<HostId> {
+        self.app.assignments.get(&shard).copied()
     }
 
-    /// All shards currently assigned to `host` for `app`.
+    /// All shards currently assigned to `host`, ascending, when `app_name`
+    /// names this server's application; none for any other name.
     pub fn shards_on(&self, app_name: &str, host: HostId) -> Vec<ShardId> {
-        self.apps
-            .get(app_name)
-            .map(|app| app.shards_on(host).collect())
-            .unwrap_or_default()
-    }
-
-    /// Every `(app, shard)` assigned to `host`, in `(app, shard)`
-    /// order: `apps` and `assignments` are ordered maps, so the walk is
-    /// the order failovers and drains start in, which placement (and so
-    /// replay) depends on.
-    fn shards_on_host(&self, host: HostId) -> Vec<(Arc<str>, ShardId)> {
-        self.apps
-            .iter()
-            .flat_map(|(name, app)| app.shards_on(host).map(move |s| (name.clone(), s)))
-            .collect()
-    }
-
-    /// Record an application-pushed metric update outside the polling
-    /// cycle (e.g. from tests).
-    pub fn report_shard_weight(
-        &mut self,
-        app_name: &str,
-        shard: ShardId,
-        weight: f64,
-    ) -> SmResult<()> {
-        let app = self.app_mut(app_name)?;
-        let old = app
-            .weights
-            .insert(shard, weight.max(0.0))
-            .unwrap_or(DEFAULT_SHARD_WEIGHT);
-        let delta = weight.max(0.0) - old;
-        if let Some(&host) = app.assignments.get(&shard) {
-            self.load_delta(host, delta);
+        if *self.app.spec.name != *app_name {
+            return Vec::new();
         }
-        Ok(())
+        self.app.shards_on(host).collect()
     }
 
-    fn publish(&mut self, app_name: &str, shard: ShardId, now: SimTime) {
-        let host = self.host_of(app_name, shard).map(|h| h.0);
-        let key = self.shard_key(app_name, shard);
-        self.mappings.publish(key, host, now);
+    /// Every shard assigned to `host`, in shard order: `assignments` is
+    /// an ordered map, so the walk is the order failovers and drains
+    /// start in, which placement (and so replay) depends on.
+    fn shards_on_host(&self, host: HostId) -> Vec<ShardId> {
+        self.app.shards_on(host).collect()
     }
 
-    /// Discovery key of one of an app's shards. Shares the registered
-    /// name's allocation, so a publish is a refcount bump, not a string.
-    fn shard_key(&self, app_name: &str, shard: ShardId) -> ShardKey {
-        let service = match self.apps.get_key_value(app_name) {
-            Some((name, _)) => name.clone(),
-            None => Arc::from(app_name),
-        };
-        ShardKey::new(service, shard.0)
+    fn publish(&mut self, shard: ShardId, now: SimTime) {
+        let host = self.host_of(shard).map(|h| h.0);
+        self.mappings.publish(shard.0, host, now);
     }
 
     // ---------------------------------------------------------------- metrics
@@ -680,13 +610,11 @@ impl SmServer {
             entry.info.capacity = server.capacity().max(0.0);
             for (shard, weight) in server.shard_metrics() {
                 let weight = weight.max(0.0);
-                // A shard metric belongs to whichever app has the shard
-                // assigned to this host.
-                for app in self.apps.values_mut() {
-                    if app.assignments.get(&shard) == Some(&host) {
-                        let stored = app.weights.insert(shard, weight);
-                        moved |= stored.map(f64::to_bits) != Some(weight.to_bits());
-                    }
+                // A shard metric counts only while the shard is assigned
+                // to the host reporting it.
+                if self.app.assignments.get(&shard) == Some(&host) {
+                    let stored = self.app.weights.insert(shard, weight);
+                    moved |= stored.map(f64::to_bits) != Some(weight.to_bits());
                 }
             }
         }
@@ -697,14 +625,14 @@ impl SmServer {
 
     // ------------------------------------------------------------- migrations
 
-    /// Whether a migration of `(app, shard)` is under way: what every
-    /// decision asks. A record `host_failed` aborted stays in `active`,
-    /// finished, until the next sweep, and is not in the way of a new
-    /// migration; [`active_migration`](Self::active_migration) still shows it.
-    fn in_flight(&self, app_name: &str, shard: ShardId) -> bool {
+    /// Whether a migration of `shard` is under way: what every decision
+    /// asks. A record `host_failed` aborted stays in `active`, finished,
+    /// until the next sweep, and is not in the way of a new migration;
+    /// [`active_migration`](Self::active_migration) still shows it.
+    fn in_flight(&self, shard: ShardId) -> bool {
         self.active
             .values()
-            .any(|m| !m.is_finished() && m.app.as_ref() == app_name && m.shard == shard)
+            .any(|m| !m.is_finished() && m.shard == shard)
     }
 
     /// Open the record of a migration whose target has accepted the shard
@@ -712,7 +640,6 @@ impl SmServer {
     #[allow(clippy::too_many_arguments)]
     fn start_migration(
         &mut self,
-        app: Arc<str>,
         shard: ShardId,
         from: HostId,
         to: HostId,
@@ -729,7 +656,6 @@ impl SmServer {
             id.0,
             MigrationRecord {
                 id,
-                app,
                 shard,
                 from,
                 to,
@@ -747,10 +673,8 @@ impl SmServer {
 
     /// Begin a live migration of `shard` to `to`. With `graceful` the
     /// zero-downtime protocol is used. Returns the migration id.
-    #[allow(clippy::too_many_arguments)]
     pub fn begin_migration<R: AppServerRegistry>(
         &mut self,
-        app_name: &str,
         shard: ShardId,
         to: HostId,
         graceful: bool,
@@ -758,8 +682,7 @@ impl SmServer {
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<MigrationId> {
-        let app = self.app(app_name)?.spec.name.clone();
-        let Some(from) = self.host_of(app_name, shard) else {
+        let Some(from) = self.host_of(shard) else {
             return Err(SmError::NotAssigned { shard });
         };
         if !self.hosts.get(&to).is_some_and(|h| h.state.placeable()) {
@@ -768,7 +691,7 @@ impl SmServer {
                 reason: "target not placeable",
             });
         }
-        if self.in_flight(app_name, shard) {
+        if self.in_flight(shard) {
             return Err(SmError::AlreadyAssigned { shard });
         }
         let kind = if graceful {
@@ -804,7 +727,7 @@ impl SmServer {
             .server(from)
             .map(|s| s.shard_transfer_bytes(shard))
             .unwrap_or(0);
-        Ok(self.start_migration(app, shard, from, to, kind, cause, bytes, now))
+        Ok(self.start_migration(shard, from, to, kind, cause, bytes, now))
     }
 
     /// Begin a failover of `shard` (previous owner dead). Target selection
@@ -812,17 +735,15 @@ impl SmServer {
     /// tolerance model (for Cubrick: a healthy region).
     fn begin_failover<R: AppServerRegistry>(
         &mut self,
-        app_name: &Arc<str>,
         shard: ShardId,
         dead: HostId,
         now: SimTime,
         registry: &mut R,
     ) -> SmResult<MigrationId> {
-        let weight = self.apps[app_name].weight_of(shard);
+        let weight = self.app.weight_of(shard);
         let ctx = ShardContext::new(shard, AddShardReason::Failover, Some(dead));
-        let to = self.place(app_name, ctx, &mut vec![dead], 1, registry)?;
+        let to = self.place(ctx, &mut vec![dead], 1, registry)?;
         Ok(self.start_migration(
-            app_name.clone(),
             shard,
             dead,
             to,
@@ -877,8 +798,7 @@ impl SmServer {
         let Some(m) = self.active.get(&id) else {
             return;
         };
-        let (app_name, shard, kind, phase, from, to) =
-            (m.app.clone(), m.shard, m.kind, m.phase, m.from, m.to);
+        let (shard, kind, phase, from, to) = (m.shard, m.kind, m.phase, m.from, m.to);
         let reason = match kind {
             MigrationKind::Failover => AddShardReason::Failover,
             MigrationKind::Plain | MigrationKind::Graceful => AddShardReason::LiveMigration,
@@ -895,8 +815,8 @@ impl SmServer {
                     let _ = new.add_shard(ctx);
                     new.on_copy_complete(ctx);
                 }
-                self.reassign(&app_name, shard, to);
-                self.publish(&app_name, shard, now);
+                self.reassign(shard, to);
+                self.publish(shard, now);
                 let Some(m) = self.active.get_mut(&id) else {
                     return;
                 };
@@ -925,8 +845,8 @@ impl SmServer {
                         let _ = old.drop_shard(ctx);
                     }
                 }
-                self.reassign(&app_name, shard, to);
-                self.publish(&app_name, shard, now);
+                self.reassign(shard, to);
+                self.publish(shard, now);
                 self.finish_migration(id, now, MigrationPhase::Done);
             }
             _ => {}
@@ -936,12 +856,9 @@ impl SmServer {
     /// Move `shard`'s assignment, and its load, to `to`. Every path that
     /// could take the shard off the migration's source first aborts or
     /// skips the migration, so the host it leaves is that source.
-    fn reassign(&mut self, app_name: &str, shard: ShardId, to: HostId) {
-        let Some(app) = self.apps.get_mut(app_name) else {
-            return;
-        };
-        let weight = app.weight_of(shard);
-        let Some(host) = app.assignments.get_mut(&shard) else {
+    fn reassign(&mut self, shard: ShardId, to: HostId) {
+        let weight = self.app.weight_of(shard);
+        let Some(host) = self.app.assignments.get_mut(&shard) else {
             return;
         };
         let from = std::mem::replace(host, to);
@@ -956,14 +873,13 @@ impl SmServer {
         }
     }
 
-    /// The record SM still holds for `(app, shard)`, if any: the migration
-    /// under way, else one just aborted and not yet swept (check
+    /// The record SM still holds for `shard`, if any: the migration under
+    /// way, else one just aborted and not yet swept (check
     /// [`MigrationRecord::is_finished`]). Query routing uses this to decide
     /// whether an "old" server still serves or forwards, so a retry hides
     /// the aborted record it follows.
-    pub fn active_migration(&self, app_name: &str, shard: ShardId) -> Option<&MigrationRecord> {
-        let of_shard = |m: &&MigrationRecord| m.app.as_ref() == app_name && m.shard == shard;
-        let records = || self.active.values().filter(of_shard);
+    pub fn active_migration(&self, shard: ShardId) -> Option<&MigrationRecord> {
+        let records = || self.active.values().filter(move |m| m.shard == shard);
         records()
             .find(|m| !m.is_finished())
             .or_else(|| records().next())
@@ -1004,7 +920,7 @@ impl SmServer {
             }
         }
         // Abort migrations touching the dead host.
-        let mut orphaned: Vec<(Arc<str>, ShardId)> = Vec::new();
+        let mut orphaned: Vec<ShardId> = Vec::new();
         for m in self.active.values_mut() {
             if m.is_finished() {
                 continue;
@@ -1012,20 +928,16 @@ impl SmServer {
             if m.to == host || m.from == host {
                 m.phase = MigrationPhase::Failed;
                 m.finished_at = Some(now);
-                orphaned.push((m.app.clone(), m.shard));
+                orphaned.push(m.shard);
             }
         }
         // Fail over every shard assigned to the host.
-        for (app_name, shard) in self.shards_on_host(host) {
+        for shard in self.shards_on_host(host) {
             // Publish unavailability immediately: clients must stop
             // routing to the dead host as soon as caches catch up.
-            self.mappings
-                .publish(ShardKey::new(app_name.clone(), shard.0), None, now);
-            if self
-                .begin_failover(&app_name, shard, host, now, registry)
-                .is_err()
-            {
-                self.pending_failovers.push((app_name.clone(), shard));
+            self.mappings.publish(shard.0, None, now);
+            if self.begin_failover(shard, host, now, registry).is_err() {
+                self.pending_failovers.push(shard);
             }
         }
         // Orphaned migration shards: if the aborted migration was itself a
@@ -1036,23 +948,20 @@ impl SmServer {
         // source keeps failing with "host still holds assignments".
         // Re-queue those for the tick-time failover retry; everything else
         // just needs its (unchanged) state republished.
-        for (app_name, shard) in orphaned {
-            let wedged = self.dead_owner(&app_name, shard).is_some();
-            let queued = self
-                .pending_failovers
-                .iter()
-                .any(|(a, s)| *a == app_name && *s == shard);
-            if wedged && !self.in_flight(&app_name, shard) && !queued {
-                self.pending_failovers.push((app_name.clone(), shard));
+        for shard in orphaned {
+            let wedged = self.dead_owner(shard).is_some();
+            let queued = self.pending_failovers.contains(&shard);
+            if wedged && !self.in_flight(shard) && !queued {
+                self.pending_failovers.push(shard);
             }
-            self.publish(&app_name, shard, now);
+            self.publish(shard, now);
         }
         Ok(())
     }
 
-    /// The host `(app, shard)` is assigned to, if it is dead.
-    fn dead_owner(&self, app_name: &str, shard: ShardId) -> Option<HostId> {
-        let host = self.host_of(app_name, shard)?;
+    /// The host `shard` is assigned to, if it is dead.
+    fn dead_owner(&self, shard: ShardId) -> Option<HostId> {
+        let host = self.host_of(shard)?;
         let dead = self.hosts.get(&host)?.state == HostState::Dead;
         dead.then_some(host)
     }
@@ -1067,7 +976,7 @@ impl SmServer {
                 reason: "only dead hosts can be removed",
             });
         }
-        if !self.shards_on_host(host).is_empty() {
+        if self.app.shards_on(host).next().is_some() {
             return Err(SmError::BadHostState {
                 host,
                 reason: "host still holds assignments",
@@ -1100,24 +1009,15 @@ impl SmServer {
             entry.state = HostState::Draining;
         }
         let mut moved = 0usize;
-        for (app_name, shard) in self.shards_on_host(host) {
-            if self.in_flight(&app_name, shard) {
+        for shard in self.shards_on_host(host) {
+            if self.in_flight(shard) {
                 continue;
             }
-            let candidates = self.rank(&self.apps[&app_name], shard, &[host]);
-            let Some(to) = candidates.first().map(|c| c.host) else {
-                continue; // retried by a later drain pass
+            let Some(to) = self.rank(shard, &[host]).first().map(|c| c.host) else {
+                continue; // no pass retries it: it stays until the host is reactivated
             };
             if self
-                .begin_migration(
-                    &app_name,
-                    shard,
-                    to,
-                    true,
-                    MigrationCause::Drain,
-                    now,
-                    registry,
-                )
+                .begin_migration(shard, to, true, MigrationCause::Drain, now, registry)
                 .is_ok()
             {
                 moved += 1;
@@ -1135,13 +1035,13 @@ impl SmServer {
     /// and the discovery entry withdrawn at failure time is republished.
     /// Queued failovers for those shards dissolve on the next tick, since
     /// their assignments no longer reference a dead host. Returns the
-    /// retained `(app, shard)` pairs, in deterministic order.
+    /// retained shards, ascending.
     pub fn rejoin_host<R: AppServerRegistry>(
         &mut self,
         host: HostId,
         now: SimTime,
         registry: &mut R,
-    ) -> SmResult<Vec<(Arc<str>, ShardId)>> {
+    ) -> SmResult<Vec<ShardId>> {
         let entry = self.hosts.get(&host).ok_or(SmError::UnknownHost { host })?;
         if entry.state != HostState::Dead {
             return Err(SmError::BadHostState {
@@ -1151,18 +1051,18 @@ impl SmServer {
         }
         self.reactivate_host(host, now)?;
         let retained = self.shards_on_host(host);
-        for (app_name, shard) in &retained {
+        for &shard in &retained {
             if let Some(server) = registry.server(host) {
                 // The assignment already exists, so this is a reload of a
                 // placement that was legal before the crash — not a new
                 // placement decision the application could veto.
                 let _ = server.add_shard(ShardContext::new(
-                    *shard,
+                    shard,
                     AddShardReason::NewAllocation,
                     Some(host),
                 ));
             }
-            self.publish(app_name, *shard, now);
+            self.publish(shard, now);
         }
         Ok(retained)
     }
@@ -1203,64 +1103,50 @@ impl SmServer {
         }
         // Retry failovers that previously had no feasible target.
         let pending = std::mem::take(&mut self.pending_failovers);
-        for (app_name, shard) in pending {
+        for shard in pending {
             // `None` means the failover resolved through another path.
-            if let Some(dead_host) = self.dead_owner(&app_name, shard) {
-                if self
-                    .begin_failover(&app_name, shard, dead_host, now, registry)
-                    .is_err()
-                {
-                    self.pending_failovers.push((app_name, shard));
+            if let Some(dead_host) = self.dead_owner(shard) {
+                if self.begin_failover(shard, dead_host, now, registry).is_err() {
+                    self.pending_failovers.push(shard);
                 }
             }
         }
         self.advance_migrations(now, registry);
     }
 
-    /// Run one load-balancing pass for an app, starting graceful
-    /// migrations for accepted proposals. Returns migrations started.
+    /// Run one load-balancing pass, starting graceful migrations for
+    /// accepted proposals. Returns migrations started.
     pub fn run_load_balancer<R: AppServerRegistry>(
         &mut self,
-        app_name: &str,
         now: SimTime,
         registry: &mut R,
-    ) -> SmResult<usize> {
-        let app = self.app(app_name)?;
-        let config = app.spec.balancer;
+    ) -> usize {
+        let app = &self.app;
         // Shards already migrating are skipped.
         let locations: Vec<(ShardId, HostId, f64)> = app
             .assignments
             .iter()
-            .filter(|(&s, _)| !self.in_flight(app_name, s))
+            .filter(|(&s, _)| !self.in_flight(s))
             .map(|(&s, &h)| (s, h, app.weight_of(s)))
             .collect();
-        let snapshots = self.snapshots();
-        let proposals = propose_rebalance(&snapshots, &locations, &config);
+        let proposals = propose_rebalance(&self.snapshots(), &locations, &app.spec.balancer);
         let mut started = 0usize;
         for p in proposals {
             if self
-                .begin_migration(
-                    app_name,
-                    p.shard,
-                    p.to,
-                    true,
-                    MigrationCause::LoadBalance,
-                    now,
-                    registry,
-                )
+                .begin_migration(p.shard, p.to, true, MigrationCause::LoadBalance, now, registry)
                 .is_ok()
             {
                 started += 1;
             }
         }
-        Ok(started)
+        started
     }
 }
 
 impl std::fmt::Debug for SmServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SmServer")
-            .field("apps", &self.apps.len())
+            .field("app", &self.app.spec.name)
             .field("hosts", &self.hosts.len())
             .field("active_migrations", &self.active.len())
             .finish()
@@ -1307,9 +1193,7 @@ mod tests {
     }
 
     fn setup(hosts: u64) -> (SmServer, MockRegistry) {
-        let mut sm = SmServer::new(SmConfig::default());
-        sm.register_app(AppSpec::primary_only("app", 1_000))
-            .unwrap();
+        let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("app", 1_000));
         let mut reg = MockRegistry::default();
         for i in 0..hosts {
             let info = HostInfo::new(HostId(i), Rack((i % 4) as u32), Region(0), 100.0);
@@ -1322,10 +1206,6 @@ mod tests {
     #[test]
     fn register_duplicates_rejected() {
         let (mut sm, _reg) = setup(2);
-        assert!(matches!(
-            sm.register_app(AppSpec::primary_only("app", 10)),
-            Err(SmError::AppExists { .. })
-        ));
         let info = HostInfo::new(HostId(0), Rack(0), Region(0), 1.0);
         assert!(matches!(
             sm.register_host(info, t(0)),
@@ -1337,11 +1217,11 @@ mod tests {
     fn allocate_places_and_publishes() {
         let (mut sm, mut reg) = setup(4);
         let host = sm
-            .allocate_shard("app", ShardId(7), 10.0, t(1), &mut reg)
+            .allocate_shard(ShardId(7), 10.0, None, t(1), &mut reg)
             .unwrap();
         assert!(reg.servers[&host].shards.contains_key(&7));
-        assert_eq!(sm.host_of("app", ShardId(7)), Some(host));
-        let latest = sm.mappings().latest(&ShardKey::new("app", 7)).unwrap();
+        assert_eq!(sm.host_of(ShardId(7)), Some(host));
+        let latest = sm.mappings().latest(7).unwrap();
         assert_eq!(latest.host, Some(host.0));
     }
 
@@ -1349,26 +1229,28 @@ mod tests {
     fn allocate_balances_across_hosts() {
         let (mut sm, mut reg) = setup(4);
         for s in 0..8 {
-            sm.allocate_shard("app", ShardId(s), 10.0, t(1), &mut reg)
+            sm.allocate_shard(ShardId(s), 10.0, None, t(1), &mut reg)
                 .unwrap();
         }
         // 8 equal shards over 4 equal hosts → 2 each.
         for i in 0..4 {
             assert_eq!(sm.shards_on("app", HostId(i)).len(), 2, "host {i}");
         }
+        // Another application's name owns nothing here.
+        assert!(sm.shards_on("other", HostId(0)).is_empty());
     }
 
     #[test]
     fn allocate_rejects_out_of_range_and_duplicates() {
         let (mut sm, mut reg) = setup(2);
         assert!(matches!(
-            sm.allocate_shard("app", ShardId(9_999), 1.0, t(0), &mut reg),
+            sm.allocate_shard(ShardId(9_999), 1.0, None, t(0), &mut reg),
             Err(SmError::ShardOutOfRange { .. })
         ));
-        sm.allocate_shard("app", ShardId(1), 1.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(1), 1.0, None, t(0), &mut reg)
             .unwrap();
         assert!(matches!(
-            sm.allocate_shard("app", ShardId(1), 1.0, t(0), &mut reg),
+            sm.allocate_shard(ShardId(1), 1.0, None, t(0), &mut reg),
             Err(SmError::AlreadyAssigned { .. })
         ));
     }
@@ -1379,7 +1261,7 @@ mod tests {
         // Least-loaded candidate (host 0 by tie-break) vetoes shard 5.
         reg.servers.get_mut(&HostId(0)).unwrap().vetoed.insert(5);
         let host = sm
-            .allocate_shard("app", ShardId(5), 1.0, t(0), &mut reg)
+            .allocate_shard(ShardId(5), 1.0, None, t(0), &mut reg)
             .unwrap();
         assert_ne!(host, HostId(0));
     }
@@ -1387,43 +1269,35 @@ mod tests {
     #[test]
     fn graceful_migration_full_protocol() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(3), 50.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(3), 50.0, None, t(0), &mut reg)
             .unwrap();
-        let from = sm.host_of("app", ShardId(3)).unwrap();
+        let from = sm.host_of(ShardId(3)).unwrap();
         let to = HostId(if from.0 == 0 { 1 } else { 0 });
 
         let id = sm
-            .begin_migration(
-                "app",
-                ShardId(3),
-                to,
-                true,
-                MigrationCause::Manual,
-                t(10),
-                &mut reg,
-            )
+            .begin_migration(ShardId(3), to, true, MigrationCause::Manual, t(10), &mut reg)
             .unwrap();
         // During copy: target prepared, source still owns.
         assert!(reg.servers[&to].prepared.contains(&3));
-        assert_eq!(sm.host_of("app", ShardId(3)), Some(from));
-        let rec = sm.active_migration("app", ShardId(3)).unwrap();
+        assert_eq!(sm.host_of(ShardId(3)), Some(from));
+        let rec = sm.active_migration(ShardId(3)).unwrap();
         assert_eq!(rec.phase, MigrationPhase::Copying);
         assert_eq!(rec.id, id);
         let copy_done = rec.deadline;
 
         // Advance past copy: forwarding phase, assignment flipped.
         sm.advance_migrations(copy_done, &mut reg);
-        assert_eq!(sm.host_of("app", ShardId(3)), Some(to));
+        assert_eq!(sm.host_of(ShardId(3)), Some(to));
         assert!(reg.servers[&to].shards.contains_key(&3));
         assert_eq!(reg.servers[&from].forwarding.get(&3), Some(&to));
-        let rec = sm.active_migration("app", ShardId(3)).unwrap();
+        let rec = sm.active_migration(ShardId(3)).unwrap();
         assert_eq!(rec.phase, MigrationPhase::Forwarding);
         assert!(rec.old_server_serves());
         let forward_done = rec.deadline;
 
         // Advance past propagation window: old replica dropped, done.
         sm.advance_migrations(forward_done, &mut reg);
-        assert!(sm.active_migration("app", ShardId(3)).is_none());
+        assert!(sm.active_migration(ShardId(3)).is_none());
         assert!(!reg.servers[&from].shards.contains_key(&3));
         assert!(reg.servers[&from].forwarding.is_empty());
         assert_eq!(sm.migration_history().len(), 1);
@@ -1433,24 +1307,16 @@ mod tests {
     #[test]
     fn plain_migration_skips_forwarding() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(1), 10.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(1), 10.0, None, t(0), &mut reg)
             .unwrap();
-        let from = sm.host_of("app", ShardId(1)).unwrap();
+        let from = sm.host_of(ShardId(1)).unwrap();
         let to = HostId(if from.0 == 0 { 1 } else { 0 });
-        sm.begin_migration(
-            "app",
-            ShardId(1),
-            to,
-            false,
-            MigrationCause::Manual,
-            t(5),
-            &mut reg,
-        )
-        .unwrap();
-        let deadline = sm.active_migration("app", ShardId(1)).unwrap().deadline;
+        sm.begin_migration(ShardId(1), to, false, MigrationCause::Manual, t(5), &mut reg)
+            .unwrap();
+        let deadline = sm.active_migration(ShardId(1)).unwrap().deadline;
         sm.advance_migrations(deadline, &mut reg);
-        assert!(sm.active_migration("app", ShardId(1)).is_none());
-        assert_eq!(sm.host_of("app", ShardId(1)), Some(to));
+        assert!(sm.active_migration(ShardId(1)).is_none());
+        assert_eq!(sm.host_of(ShardId(1)), Some(to));
         assert!(!reg.servers[&from].shards.contains_key(&1));
         assert!(
             reg.servers[&from].forwarding.is_empty(),
@@ -1461,30 +1327,14 @@ mod tests {
     #[test]
     fn migration_rejected_while_another_active() {
         let (mut sm, mut reg) = setup(3);
-        sm.allocate_shard("app", ShardId(1), 10.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(1), 10.0, None, t(0), &mut reg)
             .unwrap();
-        let from = sm.host_of("app", ShardId(1)).unwrap();
+        let from = sm.host_of(ShardId(1)).unwrap();
         let others: Vec<HostId> = (0..3).map(HostId).filter(|h| *h != from).collect();
-        sm.begin_migration(
-            "app",
-            ShardId(1),
-            others[0],
-            true,
-            MigrationCause::Manual,
-            t(1),
-            &mut reg,
-        )
-        .unwrap();
+        sm.begin_migration(ShardId(1), others[0], true, MigrationCause::Manual, t(1), &mut reg)
+            .unwrap();
         let err = sm
-            .begin_migration(
-                "app",
-                ShardId(1),
-                others[1],
-                true,
-                MigrationCause::Manual,
-                t(1),
-                &mut reg,
-            )
+            .begin_migration(ShardId(1), others[1], true, MigrationCause::Manual, t(1), &mut reg)
             .unwrap_err();
         assert!(matches!(err, SmError::AlreadyAssigned { .. }));
     }
@@ -1495,26 +1345,26 @@ mod tests {
     #[test]
     fn aborted_record_does_not_block_a_new_migration() {
         let (mut sm, mut reg) = setup(3);
-        sm.allocate_shard("app", ShardId(1), 10.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(1), 10.0, None, t(0), &mut reg)
             .unwrap();
-        let from = sm.host_of("app", ShardId(1)).unwrap();
+        let from = sm.host_of(ShardId(1)).unwrap();
         let others: Vec<HostId> = (0..3).map(HostId).filter(|h| *h != from).collect();
         let begin = |sm: &mut SmServer, reg: &mut MockRegistry, to, at| {
-            sm.begin_migration("app", ShardId(1), to, true, MigrationCause::Manual, at, reg)
+            sm.begin_migration(ShardId(1), to, true, MigrationCause::Manual, at, reg)
         };
         let aborted = begin(&mut sm, &mut reg, others[0], t(1)).unwrap();
         reg.down.insert(others[0]);
         sm.host_failed(others[0], t(2), &mut reg).unwrap();
         // No tick yet: the record is still held, finished.
-        let rec = sm.active_migration("app", ShardId(1)).unwrap();
+        let rec = sm.active_migration(ShardId(1)).unwrap();
         assert_eq!((rec.id, rec.phase), (aborted, MigrationPhase::Failed));
-        assert!(!sm.in_flight("app", ShardId(1)));
+        assert!(!sm.in_flight(ShardId(1)));
 
         let retry = begin(&mut sm, &mut reg, others[1], t(2)).unwrap();
-        assert!(sm.in_flight("app", ShardId(1)));
+        assert!(sm.in_flight(ShardId(1)));
         // Both records are held; routing is shown the live one.
         assert_eq!(sm.active_migration_count(), 2);
-        let rec = sm.active_migration("app", ShardId(1)).unwrap();
+        let rec = sm.active_migration(ShardId(1)).unwrap();
         assert_eq!((rec.id, rec.phase), (retry, MigrationPhase::Copying));
         assert!(matches!(
             begin(&mut sm, &mut reg, others[1], t(2)),
@@ -1522,7 +1372,7 @@ mod tests {
         ));
         sm.advance_migrations(t(2) + SimDuration::from_hours(1), &mut reg);
         sm.advance_migrations(t(2) + SimDuration::from_hours(2), &mut reg);
-        assert_eq!(sm.host_of("app", ShardId(1)), Some(others[1]));
+        assert_eq!(sm.host_of(ShardId(1)), Some(others[1]));
         let phases: Vec<_> = sm.migration_history().iter().map(|m| (m.id, m.phase)).collect();
         assert_eq!(
             phases,
@@ -1533,21 +1383,13 @@ mod tests {
     #[test]
     fn target_veto_fails_migration_start() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(2), 10.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(2), 10.0, None, t(0), &mut reg)
             .unwrap();
-        let from = sm.host_of("app", ShardId(2)).unwrap();
+        let from = sm.host_of(ShardId(2)).unwrap();
         let to = HostId(if from.0 == 0 { 1 } else { 0 });
         reg.servers.get_mut(&to).unwrap().vetoed.insert(2);
         let err = sm
-            .begin_migration(
-                "app",
-                ShardId(2),
-                to,
-                true,
-                MigrationCause::Manual,
-                t(1),
-                &mut reg,
-            )
+            .begin_migration(ShardId(2), to, true, MigrationCause::Manual, t(1), &mut reg)
             .unwrap_err();
         assert!(matches!(err, SmError::AllTargetsVetoed { .. }));
     }
@@ -1555,20 +1397,20 @@ mod tests {
     #[test]
     fn host_failure_triggers_failover() {
         let (mut sm, mut reg) = setup(3);
-        sm.allocate_shard("app", ShardId(4), 10.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(4), 10.0, None, t(0), &mut reg)
             .unwrap();
-        let victim = sm.host_of("app", ShardId(4)).unwrap();
+        let victim = sm.host_of(ShardId(4)).unwrap();
         reg.down.insert(victim);
         sm.host_failed(victim, t(100), &mut reg).unwrap();
         assert_eq!(sm.host_state(victim), Some(HostState::Dead));
 
         // Failover in flight.
-        let rec = sm.active_migration("app", ShardId(4)).unwrap();
+        let rec = sm.active_migration(ShardId(4)).unwrap();
         assert_eq!(rec.kind, MigrationKind::Failover);
         assert!(!rec.old_server_serves(), "dead host serves nothing");
         let deadline = rec.deadline;
         sm.advance_migrations(deadline, &mut reg);
-        let new_host = sm.host_of("app", ShardId(4)).unwrap();
+        let new_host = sm.host_of(ShardId(4)).unwrap();
         assert_ne!(new_host, victim);
         assert!(reg.servers[&new_host].shards.contains_key(&4));
     }
@@ -1576,9 +1418,9 @@ mod tests {
     #[test]
     fn heartbeat_loss_detected_via_tick() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(0), 5.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(0), 5.0, None, t(0), &mut reg)
             .unwrap();
-        let victim = sm.host_of("app", ShardId(0)).unwrap();
+        let victim = sm.host_of(ShardId(0)).unwrap();
         let other = HostId(if victim.0 == 0 { 1 } else { 0 });
         // Both heartbeat at t=5; victim then goes silent.
         sm.heartbeat_all(0, || [victim, other], t(5));
@@ -1598,19 +1440,17 @@ mod tests {
     fn failover_waits_for_feasible_host() {
         // One host only: failover impossible until a new host registers.
         let (mut sm, mut reg) = setup(1);
-        sm.allocate_shard("app", ShardId(0), 5.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(0), 5.0, None, t(0), &mut reg)
             .unwrap();
         reg.down.insert(HostId(0));
         sm.host_failed(HostId(0), t(10), &mut reg).unwrap();
-        assert!(sm.active_migration("app", ShardId(0)).is_none());
+        assert!(sm.active_migration(ShardId(0)).is_none());
         // New capacity arrives.
         let info = HostInfo::new(HostId(9), Rack(0), Region(0), 100.0);
         sm.register_host(info, t(20)).unwrap();
         reg.add(HostId(9), 100.0);
         sm.tick(t(20), &mut reg);
-        let rec = sm
-            .active_migration("app", ShardId(0))
-            .expect("failover retried");
+        let rec = sm.active_migration(ShardId(0)).expect("failover retried");
         assert_eq!(rec.to, HostId(9));
     }
 
@@ -1618,7 +1458,7 @@ mod tests {
     fn drain_moves_all_shards_gracefully() {
         let (mut sm, mut reg) = setup(3);
         for s in 0..6 {
-            sm.allocate_shard("app", ShardId(s), 10.0, t(0), &mut reg)
+            sm.allocate_shard(ShardId(s), 10.0, None, t(0), &mut reg)
                 .unwrap();
         }
         let victim = HostId(0);
@@ -1646,12 +1486,12 @@ mod tests {
         // allocations, then lift the veto.
         for s in 0..6 {
             reg.servers.get_mut(&HostId(1)).unwrap().vetoed.insert(s);
-            sm.allocate_shard("app", ShardId(s), 10.0, t(0), &mut reg)
+            sm.allocate_shard(ShardId(s), 10.0, None, t(0), &mut reg)
                 .unwrap();
         }
         reg.servers.get_mut(&HostId(1)).unwrap().vetoed.clear();
         assert_eq!(sm.shards_on("app", HostId(0)).len(), 6);
-        let started = sm.run_load_balancer("app", t(50), &mut reg).unwrap();
+        let started = sm.run_load_balancer(t(50), &mut reg);
         assert!(started > 0, "imbalance must trigger migrations");
         sm.advance_migrations(t(50) + SimDuration::from_hours(1), &mut reg);
         sm.advance_migrations(t(50) + SimDuration::from_hours(2), &mut reg);
@@ -1664,9 +1504,9 @@ mod tests {
     #[test]
     fn collect_metrics_updates_weights_and_capacity() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(0), 1.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(0), 1.0, None, t(0), &mut reg)
             .unwrap();
-        let host = sm.host_of("app", ShardId(0)).unwrap();
+        let host = sm.host_of(ShardId(0)).unwrap();
         // The app reports a grown shard and a changed capacity.
         let server = reg.servers.get_mut(&host).unwrap();
         server.shards.insert(0, 42.0);
@@ -1732,9 +1572,9 @@ mod tests {
     #[test]
     fn remove_host_lifecycle() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(0), 1.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(0), 1.0, None, t(0), &mut reg)
             .unwrap();
-        let victim = sm.host_of("app", ShardId(0)).unwrap();
+        let victim = sm.host_of(ShardId(0)).unwrap();
         assert!(matches!(
             sm.remove_host(victim),
             Err(SmError::BadHostState { .. })
@@ -1751,25 +1591,23 @@ mod tests {
     #[test]
     fn deallocate_drops_everywhere() {
         let (mut sm, mut reg) = setup(2);
-        sm.allocate_shard("app", ShardId(0), 1.0, t(0), &mut reg)
+        sm.allocate_shard(ShardId(0), 1.0, None, t(0), &mut reg)
             .unwrap();
-        let host = sm.host_of("app", ShardId(0)).unwrap();
-        sm.deallocate_shard("app", ShardId(0), t(1), &mut reg)
+        let host = sm.host_of(ShardId(0)).unwrap();
+        sm.deallocate_shard(ShardId(0), t(1), &mut reg)
             .unwrap();
-        assert!(sm.host_of("app", ShardId(0)).is_none());
+        assert!(sm.host_of(ShardId(0)).is_none());
         assert!(reg.servers[&host].shards.is_empty());
-        let latest = sm.mappings().latest(&ShardKey::new("app", 0)).unwrap();
+        let latest = sm.mappings().latest(0).unwrap();
         assert_eq!(latest.host, None);
     }
 
     /// Recompute loads naively and compare with the incremental cache.
     fn naive_load(sm: &SmServer, host: HostId) -> f64 {
         let mut load = 0.0;
-        for app in sm.apps.values() {
-            for (&shard, &h) in &app.assignments {
-                if h == host {
-                    load += app.weight_of(shard);
-                }
+        for (&shard, &h) in &sm.app.assignments {
+            if h == host {
+                load += sm.app.weight_of(shard);
             }
         }
         load
@@ -1779,32 +1617,27 @@ mod tests {
     fn load_cache_stays_consistent_through_lifecycle() {
         let (mut sm, mut reg) = setup(4);
         for s in 0..8 {
-            sm.allocate_shard("app", ShardId(s), 5.0, t(0), &mut reg)
+            sm.allocate_shard(ShardId(s), 5.0, None, t(0), &mut reg)
                 .unwrap();
         }
-        sm.report_shard_weight("app", ShardId(0), 20.0).unwrap();
-        sm.deallocate_shard("app", ShardId(1), t(1), &mut reg)
+        // Shard 0 reports a grown weight through the poll.
+        let grown = sm.host_of(ShardId(0)).unwrap();
+        reg.servers.get_mut(&grown).unwrap().shards.insert(0, 20.0);
+        sm.collect_metrics(&mut reg);
+        sm.deallocate_shard(ShardId(1), t(1), &mut reg)
             .unwrap();
         // A graceful migration start-to-finish.
-        let from = sm.host_of("app", ShardId(2)).unwrap();
+        let from = sm.host_of(ShardId(2)).unwrap();
         let to = (0..4).map(HostId).find(|&h| h != from).unwrap();
         if sm
-            .begin_migration(
-                "app",
-                ShardId(2),
-                to,
-                true,
-                MigrationCause::Manual,
-                t(2),
-                &mut reg,
-            )
+            .begin_migration(ShardId(2), to, true, MigrationCause::Manual, t(2), &mut reg)
             .is_ok()
         {
             sm.advance_migrations(t(2) + SimDuration::from_hours(1), &mut reg);
             sm.advance_migrations(t(2) + SimDuration::from_hours(2), &mut reg);
         }
         // A failure + failover.
-        let victim = sm.host_of("app", ShardId(3)).unwrap();
+        let victim = sm.host_of(ShardId(3)).unwrap();
         reg.down.insert(victim);
         sm.host_failed(victim, t(100), &mut reg).unwrap();
         sm.advance_migrations(t(100) + SimDuration::from_hours(1), &mut reg);
@@ -1847,32 +1680,24 @@ mod tests {
             "nothing moved since the last poll"
         );
         // Allocate.
-        sm.allocate_shard("app", ShardId(20), 5.0, t(200), &mut reg)
+        sm.allocate_shard(ShardId(20), 5.0, None, t(200), &mut reg)
             .unwrap();
         assert!(poll(&mut sm, &mut reg, 0.7), "an allocation wrote loads");
         assert!(!poll(&mut sm, &mut reg, 0.7));
         // Migrate: polled with the copy in flight and after it lands.
-        let from = sm.host_of("app", ShardId(20)).unwrap();
+        let from = sm.host_of(ShardId(20)).unwrap();
         let to = (0..4)
             .map(HostId)
             .find(|&h| h != from && h != victim)
             .unwrap();
-        sm.begin_migration(
-            "app",
-            ShardId(20),
-            to,
-            false,
-            MigrationCause::Manual,
-            t(210),
-            &mut reg,
-        )
-        .unwrap();
+        sm.begin_migration(ShardId(20), to, false, MigrationCause::Manual, t(210), &mut reg)
+            .unwrap();
         assert!(
             !poll(&mut sm, &mut reg, 0.7),
             "a copy in flight moves no load"
         );
         sm.advance_migrations(t(210) + SimDuration::from_hours(1), &mut reg);
-        assert_eq!(sm.host_of("app", ShardId(20)), Some(to));
+        assert_eq!(sm.host_of(ShardId(20)), Some(to));
         assert!(poll(&mut sm, &mut reg, 0.7), "the reassignment wrote loads");
         // Fail, and rejoin before the failovers land.
         reg.down.insert(to);
@@ -1889,11 +1714,11 @@ mod tests {
         assert!(!poll(&mut sm, &mut reg, 0.7));
         // Reported weights an ulp or two off the stored ones.
         assert!(poll(&mut sm, &mut reg, 0.7 + f64::EPSILON));
-        // A pushed weight goes through a delta.
-        sm.report_shard_weight("app", ShardId(0), 3.0).unwrap();
+        // A deallocation goes through a delta.
+        sm.deallocate_shard(ShardId(0), t(4_020), &mut reg).unwrap();
         assert!(
             poll(&mut sm, &mut reg, 0.7 + f64::EPSILON),
-            "a pushed weight wrote loads"
+            "a deallocation wrote loads"
         );
     }
 
@@ -1904,9 +1729,7 @@ mod tests {
             ..Default::default()
         };
         config.seed = 1;
-        let mut sm = SmServer::new(config);
-        sm.register_app(AppSpec::primary_only("app", 10_000))
-            .unwrap();
+        let mut sm = SmServer::new(config, AppSpec::primary_only("app", 10_000));
         let mut reg = MockRegistry::default();
         for i in 0..4 {
             let info = HostInfo::new(HostId(i), Rack(0), Region(0), 1e9);
@@ -1918,10 +1741,10 @@ mod tests {
         let mut same = false;
         for s in 0..200 {
             let a = sm
-                .allocate_shard("app", ShardId(2 * s), 1.0, t(0), &mut reg)
+                .allocate_shard(ShardId(2 * s), 1.0, None, t(0), &mut reg)
                 .unwrap();
             let b = sm
-                .allocate_shard("app", ShardId(2 * s + 1), 1.0, t(0), &mut reg)
+                .allocate_shard(ShardId(2 * s + 1), 1.0, None, t(0), &mut reg)
                 .unwrap();
             if a == b {
                 same = true;

@@ -1,10 +1,10 @@
-//! Per-application configuration.
+//! The configuration of the one application an SM server runs.
 //!
 //! Applications using SM specify (§III-A): a shard space size and
 //! load-balancing tunables including the migration throttle ("SM allows
 //! application owners to configure and throttle the maximum number of
 //! shard migrations allowed on a single load balancing run"). SM runs
-//! every app primary-only, one host per shard: Cubrick deploys one
+//! the app primary-only, one host per shard: Cubrick deploys one
 //! primary-only SM service per region and takes its redundancy from the
 //! three regions (§IV-D).
 
@@ -46,7 +46,7 @@ impl Default for BalancerConfig {
     }
 }
 
-/// Full application registration.
+/// The application an [`SmServer`](crate::SmServer) is built for.
 #[derive(Debug, Clone)]
 pub struct AppSpec {
     /// Service name (the discovery namespace).

@@ -8,12 +8,12 @@ use scalewall_shard_manager::placement::{
     rank_candidates, rank_candidates_hinted, HostSnapshot, SpreadHint,
 };
 use scalewall_shard_manager::{
-    AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
-    SmServer, SpreadDomain,
+    AppSpec, BalancerConfig, HostId, HostInfo, HostState, MigrationCause, MigrationPhase, Rack,
+    Region, ShardId, SmConfig, SmServer, SpreadDomain,
 };
 use scalewall_sim::prop::{self, gen};
-use scalewall_sim::{SimRng, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use scalewall_sim::{SimDuration, SimRng, SimTime};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 fn gen_snapshots(rng: &mut SimRng) -> Vec<HostSnapshot> {
     gen::vec_with(rng, 2, 30, |r| {
@@ -220,8 +220,7 @@ fn allocation_consistency() {
         },
         |(shard_ids, hosts)| {
             let hosts = *hosts;
-            let mut sm = SmServer::new(SmConfig::default());
-            sm.register_app(AppSpec::primary_only("app", 1_000)).unwrap();
+            let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("app", 1_000));
             let mut fleet = Fleet::default();
             for i in 0..hosts {
                 sm.register_host(
@@ -232,11 +231,11 @@ fn allocation_consistency() {
                 fleet.0.insert(HostId(i), MockAppServer::with_capacity(1e9));
             }
             for &s in shard_ids {
-                sm.allocate_shard("app", ShardId(s), 1.0, SimTime::ZERO, &mut fleet)
+                sm.allocate_shard(ShardId(s), 1.0, None, SimTime::ZERO, &mut fleet)
                     .unwrap();
             }
             for &s in shard_ids {
-                let host = sm.host_of("app", ShardId(s)).unwrap();
+                let host = sm.host_of(ShardId(s)).unwrap();
                 assert!(fleet.0[&host].shards.contains_key(&s), "app server agrees");
             }
             // Load accounting adds up: total load = shards × weight.
@@ -324,8 +323,7 @@ fn hinted_ranking_reorders_but_never_filters() {
 /// allocate `shards` group members over hosts with the given rack labels,
 /// then check host- and rack-spread are as good as the topology allows.
 fn check_group_spread(host_racks: &[u32], shards: u64) {
-    let mut sm = SmServer::new(SmConfig::default());
-    sm.register_app(AppSpec::primary_only("app", 1_000)).unwrap();
+    let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("app", 1_000));
     let mut fleet = Fleet::default();
     for (i, &rack) in host_racks.iter().enumerate() {
         sm.register_host(
@@ -336,11 +334,11 @@ fn check_group_spread(host_racks: &[u32], shards: u64) {
         fleet.0.insert(HostId(i as u64), MockAppServer::with_capacity(1e9));
     }
     for s in 0..shards {
-        sm.allocate_shard_in_group("app", ShardId(s), 1.0, Some(7), SimTime::ZERO, &mut fleet)
+        sm.allocate_shard(ShardId(s), 1.0, Some(7), SimTime::ZERO, &mut fleet)
             .expect("group allocation must not fail while capacity remains");
     }
     let hosts_used: BTreeSet<u64> = (0..shards)
-        .map(|s| sm.host_of("app", ShardId(s)).unwrap().0)
+        .map(|s| sm.host_of(ShardId(s)).unwrap().0)
         .collect();
     let racks_used: BTreeSet<u32> = hosts_used.iter().map(|&h| host_racks[h as usize]).collect();
     let total_racks: BTreeSet<u32> = host_racks.iter().copied().collect();
@@ -399,12 +397,12 @@ fn group_allocation_bounds_rack_share_on_balanced_topologies() {
         |&(racks, per_rack, shards, jitter, seed)| {
             let host_racks: Vec<u32> =
                 (0..racks * per_rack).map(|i| (i % racks) as u32).collect();
-            let mut sm = SmServer::new(SmConfig {
+            let config = SmConfig {
                 placement_jitter: jitter,
                 seed,
                 ..Default::default()
-            });
-            sm.register_app(AppSpec::primary_only("app", 1_000)).unwrap();
+            };
+            let mut sm = SmServer::new(config, AppSpec::primary_only("app", 1_000));
             let mut fleet = Fleet::default();
             for (i, &rack) in host_racks.iter().enumerate() {
                 sm.register_host(
@@ -415,12 +413,12 @@ fn group_allocation_bounds_rack_share_on_balanced_topologies() {
                 fleet.0.insert(HostId(i as u64), MockAppServer::with_capacity(1e9));
             }
             for s in 0..shards {
-                sm.allocate_shard_in_group("app", ShardId(s), 1.0, Some(7), SimTime::ZERO, &mut fleet)
+                sm.allocate_shard(ShardId(s), 1.0, Some(7), SimTime::ZERO, &mut fleet)
                     .unwrap();
             }
             let mut per_rack_members = vec![0u64; racks as usize];
             for s in 0..shards {
-                let h = sm.host_of("app", ShardId(s)).unwrap().0;
+                let h = sm.host_of(ShardId(s)).unwrap().0;
                 per_rack_members[host_racks[h as usize] as usize] += 1;
             }
             let bound = shards.div_ceil(racks);
@@ -459,8 +457,7 @@ fn veto_overrides_spread_hint() {
         64,
         |rng| rng.range(3, 10),
         |&hosts| {
-            let mut sm = SmServer::new(SmConfig::default());
-            sm.register_app(AppSpec::primary_only("app", 1_000)).unwrap();
+            let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("app", 1_000));
             let mut fleet = Fleet::default();
             for i in 0..hosts {
                 sm.register_host(
@@ -471,22 +468,204 @@ fn veto_overrides_spread_hint() {
                 fleet.0.insert(HostId(i), MockAppServer::with_capacity(1e9));
             }
             // Shard 0 of the group lands on host 0 (all-idle tie breaks by id).
-            sm.allocate_shard_in_group("app", ShardId(0), 1.0, Some(7), SimTime::ZERO, &mut fleet)
+            sm.allocate_shard(ShardId(0), 1.0, Some(7), SimTime::ZERO, &mut fleet)
                 .unwrap();
-            assert_eq!(sm.host_of("app", ShardId(0)), Some(HostId(0)));
+            assert_eq!(sm.host_of(ShardId(0)), Some(HostId(0)));
             // Every *other* host — exactly the ones the spread hint now
             // prefers — vetoes shard 1.
             for i in 1..hosts {
                 fleet.0.get_mut(&HostId(i)).unwrap().vetoed.insert(1);
             }
-            sm.allocate_shard_in_group("app", ShardId(1), 1.0, Some(7), SimTime::ZERO, &mut fleet)
+            sm.allocate_shard(ShardId(1), 1.0, Some(7), SimTime::ZERO, &mut fleet)
                 .expect("allocation must retry past vetoes onto the avoided host");
             assert_eq!(
-                sm.host_of("app", ShardId(1)),
+                sm.host_of(ShardId(1)),
                 Some(HostId(0)),
                 "the only non-vetoing host wins despite the hint"
             );
             assert!(fleet.0[&HostId(0)].shards.contains_key(&1), "app server agrees");
+        },
+    );
+}
+
+// ------------------------------------------- one SM under churn, quiesced
+
+const CHURN_HOSTS: u64 = 6;
+const CHURN_SHARDS: u64 = 24;
+
+/// One step of a churn scenario on one SM.
+#[derive(Debug, Clone, Copy)]
+enum Churn {
+    Allocate(u64),
+    Deallocate(u64),
+    /// The servers report per-shard weights, SM polls them and balances.
+    Balance,
+    Migrate { shard: u64, to: u64, graceful: bool },
+    Fail(u64),
+    Rejoin(u64),
+    Drain(u64),
+    /// A heartbeat round and a tick, `ms` after the last one.
+    Tick(u64),
+}
+
+fn gen_churn(rng: &mut SimRng) -> Vec<Churn> {
+    gen::vec_with(rng, 1, 60, |r| match r.below(9) {
+        0 | 1 => Churn::Allocate(r.below(CHURN_SHARDS)),
+        2 => Churn::Deallocate(r.below(CHURN_SHARDS)),
+        3 => Churn::Balance,
+        4 => Churn::Migrate {
+            shard: r.below(CHURN_SHARDS),
+            to: r.below(CHURN_HOSTS),
+            graceful: gen::any_bool(r),
+        },
+        5 => Churn::Fail(r.below(CHURN_HOSTS)),
+        6 => Churn::Rejoin(r.below(CHURN_HOSTS)),
+        7 => Churn::Drain(r.below(CHURN_HOSTS)),
+        _ => Churn::Tick(r.below(45_000)),
+    })
+}
+
+/// Mock servers with crashed processes; every heartbeat round is a new
+/// version of the fleet.
+#[derive(Default)]
+struct ChurnFleet {
+    servers: BTreeMap<HostId, MockAppServer>,
+    down: BTreeSet<HostId>,
+    rounds: u64,
+}
+
+impl AppServerRegistry for ChurnFleet {
+    fn server(&mut self, host: HostId) -> Option<&mut dyn AppServer> {
+        if self.down.contains(&host) {
+            return None;
+        }
+        self.servers.get_mut(&host).map(|s| s as &mut dyn AppServer)
+    }
+}
+
+impl ChurnFleet {
+    fn tick(&mut self, sm: &mut SmServer, now: SimTime) {
+        let down = &self.down;
+        let live = self.servers.keys().copied().filter(|h| !down.contains(h));
+        let live: Vec<HostId> = live.collect();
+        self.rounds += 1;
+        sm.heartbeat_all(self.rounds, || live, now);
+        sm.tick(now, self);
+    }
+
+    /// A dead host's process restarts empty on the same hardware and SM
+    /// hands it back whatever it still assigns there.
+    fn rejoin(&mut self, sm: &mut SmServer, host: HostId, now: SimTime) {
+        if sm.host_state(host) != Some(HostState::Dead) {
+            return;
+        }
+        self.down.remove(&host);
+        self.servers.insert(host, MockAppServer::with_capacity(1e9));
+        sm.rejoin_host(host, now, self).expect("a dead host rejoins");
+    }
+}
+
+/// Whatever sequence of allocations, releases, balancer passes, manual
+/// migrations, failures, rejoins and drains one SM goes through, once
+/// every dead host is back and no migration is left, the mapping it
+/// published for every shard it ever allocated names the host it assigns
+/// (none for a released shard), and that host's server holds the shard.
+/// And no migration completes while its shard is released: one under way
+/// when the shard goes ends with it.
+#[test]
+fn published_mapping_matches_assignment_at_quiescence() {
+    prop::check_n(
+        "published_mapping_matches_assignment_at_quiescence",
+        64,
+        gen_churn,
+        |steps| {
+            let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("app", 1_000));
+            let mut fleet = ChurnFleet::default();
+            for i in 0..CHURN_HOSTS {
+                let info = HostInfo::new(HostId(i), Rack((i % 3) as u32), Region(0), 1e9);
+                sm.register_host(info, SimTime::ZERO).unwrap();
+                fleet.servers.insert(HostId(i), MockAppServer::with_capacity(1e9));
+            }
+            let mut now = SimTime::ZERO;
+            // Per shard, the instants it was allocated and released at.
+            let mut lifetimes: BTreeMap<u64, Vec<(SimTime, Option<SimTime>)>> = BTreeMap::new();
+            for &step in steps {
+                match step {
+                    Churn::Allocate(s) => {
+                        let group = Some(s % 3);
+                        if sm.allocate_shard(ShardId(s), 1.0, group, now, &mut fleet).is_ok() {
+                            lifetimes.entry(s).or_default().push((now, None));
+                        }
+                    }
+                    Churn::Deallocate(s) => {
+                        if sm.deallocate_shard(ShardId(s), now, &mut fleet).is_ok() {
+                            let lifetime = lifetimes.get_mut(&s).and_then(|l| l.last_mut());
+                            lifetime.expect("a released shard was allocated").1 = Some(now);
+                        }
+                    }
+                    Churn::Balance => {
+                        for server in fleet.servers.values_mut() {
+                            for (&s, w) in &mut server.shards {
+                                *w = 1.0 + (s % 5) as f64;
+                            }
+                        }
+                        sm.collect_metrics(&mut fleet);
+                        sm.run_load_balancer(now, &mut fleet);
+                    }
+                    Churn::Migrate { shard, to, graceful } => {
+                        // A shard migrating onto the host it is on would be
+                        // dropped there when the copy ends.
+                        let (shard, to) = (ShardId(shard), HostId(to));
+                        if sm.host_of(shard) != Some(to) {
+                            let cause = MigrationCause::Manual;
+                            let _ = sm.begin_migration(shard, to, graceful, cause, now, &mut fleet);
+                        }
+                    }
+                    Churn::Fail(h) => {
+                        fleet.down.insert(HostId(h));
+                        sm.host_failed(HostId(h), now, &mut fleet).unwrap();
+                    }
+                    Churn::Rejoin(h) => fleet.rejoin(&mut sm, HostId(h), now),
+                    Churn::Drain(h) => {
+                        let _ = sm.drain_host(HostId(h), now, &mut fleet);
+                    }
+                    Churn::Tick(ms) => {
+                        now += SimDuration::from_millis(ms);
+                        fleet.tick(&mut sm, now);
+                    }
+                }
+            }
+            // Quiesce: every dead host back (a queued failover dissolves
+            // once its shard's host is alive), then tick until no
+            // migration is left.
+            for host in (0..CHURN_HOSTS).map(HostId) {
+                fleet.rejoin(&mut sm, host, now);
+            }
+            for _ in 0..600 {
+                now += SimDuration::from_secs(1);
+                fleet.tick(&mut sm, now);
+                if sm.active_migration_count() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(sm.active_migration_count(), 0, "not quiescent");
+            for &s in lifetimes.keys() {
+                let owner = sm.host_of(ShardId(s));
+                let published = sm.mappings().latest(s).expect("allocated, so published");
+                assert_eq!(published.host, owner.map(|h| h.0), "shard {s}");
+                if let Some(host) = owner {
+                    assert_ne!(sm.host_state(host), Some(HostState::Dead), "shard {s}");
+                    let held = fleet.servers[&host].shards.contains_key(&s);
+                    assert!(held, "shard {s}: {host} does not hold it");
+                }
+            }
+            for m in sm.migration_history().iter().filter(|m| m.phase == MigrationPhase::Done) {
+                let done = m.finished_at.expect("a finished record has its instant");
+                let live = |&(from, until): &(SimTime, Option<SimTime>)| {
+                    from <= done && until.is_none_or(|until| done <= until)
+                };
+                assert!(lifetimes[&m.shard.0].iter().any(live), "{m:?} completed a released shard");
+            }
         },
     );
 }

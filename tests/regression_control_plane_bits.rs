@@ -19,9 +19,10 @@
 //!
 //! The pins were captured on `f27cb00`, before SM `server.rs` and
 //! `experiment.rs` were collapsed; the direct-SM rows were re-captured on
-//! `594a813` when SM became primary-only and `rep` with it. A legitimate
-//! re-pin means running this file on the parent commit first; a mismatch
-//! prints the observed row.
+//! `594a813` when SM became primary-only and `rep` with it, and on
+//! `e39a42f` when SM came to serve one application and `rep`'s shards
+//! joined `svc`. A legitimate re-pin means running this file on the
+//! parent commit first; a mismatch prints the observed row.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -99,13 +100,12 @@ fn tick(sm: &mut SmServer, fleet: &mut Fleet, now: SimTime) {
 }
 
 fn sm_digests(jitter: usize) -> [u64; 5] {
-    let mut sm = SmServer::new(SmConfig {
+    let config = SmConfig {
         placement_jitter: jitter,
         seed: 0xC0DE ^ jitter as u64,
         ..Default::default()
-    });
-    sm.register_app(AppSpec::primary_only("svc", 1_000)).unwrap();
-    sm.register_app(AppSpec::primary_only("rep", 1_000)).unwrap();
+    };
+    let mut sm = SmServer::new(config, AppSpec::primary_only("svc", 1_000));
     let mut fleet = Fleet {
         servers: BTreeMap::new(),
         down: BTreeSet::new(),
@@ -122,15 +122,14 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
         fleet.servers.insert(HostId(i), server);
     }
 
-    // 60 shards in 10 anti-affinity groups, then 12 ungrouped shards of a
-    // second app.
+    // 60 shards in 10 anti-affinity groups, then 12 ungrouped shards.
     for s in 0..60u64 {
         let weight = 5.0 + (s % 7) as f64;
-        sm.allocate_shard_in_group("svc", ShardId(s), weight, Some(s % 10), ms(1_000), &mut fleet)
+        sm.allocate_shard(ShardId(s), weight, Some(s % 10), ms(1_000), &mut fleet)
             .unwrap();
     }
     for s in 100..112u64 {
-        sm.allocate_shard("rep", ShardId(s), 3.0 + (s % 3) as f64, ms(1_000), &mut fleet)
+        sm.allocate_shard(ShardId(s), 3.0 + (s % 3) as f64, None, ms(1_000), &mut fleet)
             .unwrap();
     }
 
@@ -143,34 +142,34 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     }
     tick(&mut sm, &mut fleet, ms(2_000));
     sm.collect_metrics(&mut fleet);
-    sm.run_load_balancer("svc", ms(3_000), &mut fleet).unwrap();
+    sm.run_load_balancer(ms(3_000), &mut fleet);
     tick(&mut sm, &mut fleet, ms(4_000));
 
     // Two copies in flight when the faults land: a graceful one whose
     // target is about to die, a plain one that runs to completion.
-    let idle = |sm: &SmServer, shard: u64| sm.active_migration("svc", ShardId(shard)).is_none();
+    let idle = |sm: &SmServer, shard: u64| sm.active_migration(ShardId(shard)).is_none();
     let graceful = (0..60).find(|&s| idle(&sm, s)).unwrap();
     let plain = (0..60).rev().find(|&s| idle(&sm, s)).unwrap();
     let target_for = |sm: &SmServer, shard: u64, skip: Option<HostId>| {
         (0..HOSTS)
             .map(HostId)
             .filter(|h| VETOING.iter().all(|(v, _)| v != h) && Some(*h) != skip)
-            .filter(|&h| sm.host_of("svc", ShardId(shard)) != Some(h))
+            .filter(|&h| sm.host_of(ShardId(shard)) != Some(h))
             .min_by(|&a, &b| sm.host_load(a).total_cmp(&sm.host_load(b)))
             .unwrap()
     };
     let doomed = target_for(&sm, graceful, None);
-    sm.begin_migration("svc", ShardId(graceful), doomed, true, MigrationCause::Manual, ms(5_000), &mut fleet)
+    sm.begin_migration(ShardId(graceful), doomed, true, MigrationCause::Manual, ms(5_000), &mut fleet)
         .unwrap();
     let plain_to = target_for(&sm, plain, Some(doomed));
-    sm.begin_migration("svc", ShardId(plain), plain_to, false, MigrationCause::Manual, ms(5_000), &mut fleet)
+    sm.begin_migration(ShardId(plain), plain_to, false, MigrationCause::Manual, ms(5_000), &mut fleet)
         .unwrap();
 
     // Fail the copy's target, and the busiest other host.
     let busiest = (0..HOSTS)
         .map(HostId)
         .filter(|&h| h != doomed && h != plain_to)
-        .max_by_key(|&h| (sm.shards_on("svc", h).len() + sm.shards_on("rep", h).len(), h))
+        .max_by_key(|&h| (sm.shards_on("svc", h).len(), h))
         .unwrap();
     for victim in [doomed, busiest] {
         fleet.down.insert(victim);
@@ -225,15 +224,12 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     sm.reactivate_host(drained, now).unwrap();
 
     let mut owners = Digest::new();
-    for (app, shards) in [("svc", 0..60u64), ("rep", 100..112u64)] {
-        for s in shards {
-            owners.word(sm.host_of(app, ShardId(s)).unwrap().0);
-        }
+    for s in (0..60u64).chain(100..112) {
+        owners.word(sm.host_of(ShardId(s)).unwrap().0);
     }
     let mut history = Digest::new();
     for m in sm.migration_history() {
         history.word(m.id.0);
-        history.word(m.app.len() as u64);
         history.word(m.shard.0);
         history.word(m.from.0);
         history.word(m.to.0);
@@ -262,11 +258,9 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     let mut placement = Digest::new();
     for h in (0..HOSTS).map(HostId) {
         loads.word(sm.host_load(h).to_bits());
-        for app in ["svc", "rep"] {
-            for s in sm.shards_on(app, h) {
-                placement.word(h.0);
-                placement.word(s.0);
-            }
+        for s in sm.shards_on("svc", h) {
+            placement.word(h.0);
+            placement.word(s.0);
         }
     }
     let mut script = Digest::new();
@@ -286,8 +280,7 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     ] {
         script.word(w);
     }
-    for (app, shard) in &rejoined {
-        script.word(app.len() as u64);
+    for shard in &rejoined {
         script.word(shard.0);
     }
     [owners.0, history.0, loads.0, placement.0, script.0]
@@ -297,8 +290,8 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
 /// host, and the script's own choices (victims, counts, verdict).
 #[rustfmt::skip]
 const PIN_SM: [(usize, [u64; 5]); 2] = [
-    (1, [10_839_258_078_409_123_543, 8_380_164_959_467_894_918, 6_776_002_675_147_492_981, 4_688_039_339_825_623_395, 11_238_186_480_096_358_562]),
-    (3, [2_242_165_222_467_268_604, 11_485_048_458_466_504_635, 1_438_744_535_504_211_573, 10_813_564_620_533_656_856, 3_750_418_132_410_206_006]),
+    (1, [5_788_307_812_412_090_505, 16_952_532_980_312_197_691, 5_571_149_037_337_529_973, 9_998_094_848_170_775_817, 16_375_534_973_533_189_417]),
+    (3, [5_339_341_049_981_551_305, 16_386_145_706_644_749_270, 4_844_451_016_214_793_845, 5_602_303_857_367_056_785, 8_059_043_417_669_673_747]),
 ];
 
 #[test]

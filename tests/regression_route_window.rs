@@ -23,7 +23,6 @@ use scalewall::cubrick::query::parse_query;
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::value::{Row, Value};
-use scalewall::discovery::ShardKey;
 use scalewall::shard_manager::{HostId, MigrationCause, ShardId};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 
@@ -95,7 +94,6 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
     let query = parse_query("select count(*) from t").unwrap();
 
     let shard = dep.catalog.read().shards_of_table("t").unwrap()[1];
-    let key = ShardKey::new(APP, shard);
     let from = dep.regions[0].authoritative_host(shard).unwrap();
     assert_eq!(dep.regions[0].sm.shards_on(APP, from).len(), 1);
     let to = dep.regions[0]
@@ -107,7 +105,7 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
     let start = MIGRATE_AT.as_nanos() - SimDuration::from_secs(5).as_nanos();
     let step = SimDuration::from_millis(250).as_nanos();
     let mut pending: BTreeSet<u64> = (0..=260).map(|i| start + i * step).collect();
-    let mut last_seq = dep.regions[0].sm.mappings().latest(&key).unwrap().seq;
+    let mut last_seq = dep.regions[0].sm.mappings().latest(shard).unwrap().seq;
     let mut migrating = false;
     let mut visible = Vec::new();
     let mut queries = Vec::new();
@@ -120,7 +118,6 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
             region
                 .sm
                 .begin_migration(
-                    APP,
                     ShardId(shard),
                     to,
                     graceful,
@@ -133,7 +130,7 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
         dep.tick(now);
         // Every update the tick published gets a probe pair around the
         // instant region 0's proxy learns of it.
-        let latest = dep.regions[0].sm.mappings().latest(&key).unwrap();
+        let latest = dep.regions[0].sm.mappings().latest(shard).unwrap();
         if latest.seq != last_seq {
             last_seq = latest.seq;
             let v = dep.regions[0].discovery.visible_at(&latest);

@@ -39,7 +39,6 @@ use scalewall::cubrick::query::{parse_query, Query};
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::value::{Row, Value};
-use scalewall::discovery::ShardKey;
 use scalewall::shard_manager::{
     AddShardReason, AppServerRegistry as _, HostId, MigrationCause, Region, ShardContext, ShardId,
     SmConfig,
@@ -259,8 +258,7 @@ impl Harness {
     /// `visible_at` to region 0's proxy of the newest update of partition
     /// `p`'s shard.
     fn newest_visible(&self, p: usize) -> SimTime {
-        let key = ShardKey::new(APP, self.shards[p]);
-        let latest = self.dep.regions[0].sm.mappings().latest(&key).unwrap();
+        let latest = self.dep.regions[0].sm.mappings().latest(self.shards[p]).unwrap();
         self.dep.regions[0].discovery.visible_at(&latest)
     }
 
@@ -341,7 +339,6 @@ fn migration(h: &mut Harness, graceful: bool) {
     region
         .sm
         .begin_migration(
-            APP,
             ShardId(h.shards[1]),
             to,
             graceful,

@@ -11,7 +11,7 @@ use scalewall::cubrick::query::parse_query;
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::value::{Row, Value};
-use scalewall::shard_manager::{MigrationCause, ShardId};
+use scalewall::shard_manager::{MigrationCause, MigrationPhase, ShardId};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
@@ -127,7 +127,6 @@ fn graceful_migration_under_traffic_never_disrupts() {
         region
             .sm
             .begin_migration(
-                APP,
                 ShardId(shard),
                 to,
                 true,
@@ -147,7 +146,7 @@ fn graceful_migration_under_traffic_never_disrupts() {
     assert_eq!(dep.regions[0].authoritative_host(shard), Some(to));
     assert!(dep.regions[0]
         .sm
-        .active_migration(APP, ShardId(shard))
+        .active_migration(ShardId(shard))
         .is_none());
 }
 
@@ -180,7 +179,6 @@ fn plain_migration_has_visible_error_window_masked_by_proxy_retries() {
             region
                 .sm
                 .begin_migration(
-                    APP,
                     ShardId(shard),
                     to,
                     false, // plain
@@ -211,18 +209,17 @@ fn migration_collision_veto_respected_end_to_end() {
     let mut dep = build(14, 4, 100);
     let shards = dep.catalog.read().shards_of_table("t").unwrap();
     let region = &mut dep.regions[0];
-    let from = region.sm.host_of(APP, ShardId(shards[0])).unwrap();
+    let from = region.sm.host_of(ShardId(shards[0])).unwrap();
     // Target: a host that owns a *different* shard of the same table.
     let target = region
         .sm
-        .host_of(APP, ShardId(shards[1]))
+        .host_of(ShardId(shards[1]))
         .filter(|&h| h != from)
         .expect("different owner");
     let now = SimTime::from_secs(100);
     let err = region
         .sm
         .begin_migration(
-            APP,
             ShardId(shards[0]),
             target,
             true,
@@ -238,4 +235,49 @@ fn migration_collision_veto_respected_end_to_end() {
         ),
         "{err:?}"
     );
+}
+
+/// Dropping a table while one of its shards migrates ends the migration
+/// with the shard: the record is `Failed`, not `Done`, and no node of any
+/// region keeps owning a shard no table maps — a plain copy, a graceful
+/// one still copying and a graceful one already forwarding alike.
+#[test]
+fn drop_table_mid_migration_leaves_no_owner() {
+    for (graceful, forwarding) in [(false, false), (true, false), (true, true)] {
+        let case = format!("graceful {graceful}, forwarding {forwarding}");
+        let mut dep = build(15, 4, 100);
+        let shard = dep.catalog.read().shards_of_table("t").unwrap()[0];
+        let from = dep.regions[0].authoritative_host(shard).unwrap();
+        let to = dep.regions[0]
+            .nodes
+            .hosts()
+            .find(|&h| h != from && dep.regions[0].sm.shards_on(APP, h).is_empty())
+            .unwrap();
+        let mut now = SimTime::from_secs(100);
+        let region = &mut dep.regions[0];
+        let cause = MigrationCause::Manual;
+        let id = region
+            .sm
+            .begin_migration(ShardId(shard), to, graceful, cause, now, &mut region.nodes)
+            .unwrap();
+        if forwarding {
+            now = dep.regions[0].sm.active_migration(ShardId(shard)).unwrap().deadline;
+            dep.tick(now);
+            let record = dep.regions[0].sm.active_migration(ShardId(shard)).unwrap();
+            assert_eq!(record.phase, MigrationPhase::Forwarding, "{case}");
+        }
+        dep.drop_table("t", now).unwrap();
+        dep.tick(now + SimDuration::from_hours(1));
+
+        let history = dep.regions[0].sm.migration_history();
+        let record = history.iter().find(|m| m.id == id).expect("the record is swept");
+        assert_eq!(record.phase, MigrationPhase::Failed, "{case}");
+        for region in &dep.regions {
+            for host in region.nodes.hosts() {
+                let node = region.nodes.node(host).unwrap();
+                assert!(!node.owns_shard(shard), "{case}: {host} still owns {shard}");
+                assert_eq!(node.is_forwarding(shard), None, "{case}: {host} still forwards");
+            }
+        }
+    }
 }

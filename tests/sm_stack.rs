@@ -2,7 +2,7 @@
 //! store + service discovery, exercised together the way Cubrick uses
 //! them (without the database on top).
 
-use scalewall::discovery::{DelayModel, DiscoveryClient, MappingStore, ShardKey, DELAY_SEED};
+use scalewall::discovery::{DelayModel, DiscoveryClient, MappingStore, DELAY_SEED};
 use scalewall::shard_manager::app_server::MockAppServer;
 use scalewall::shard_manager::{
     AppServer, AppServerRegistry, AppSpec, AutomationEngine, HostId, HostInfo, HostState,
@@ -46,22 +46,20 @@ fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
 }
 
-/// The owner of `shard` of `svc` that subscriber `subscriber` sees in
+/// The owner of `shard` that subscriber `subscriber` sees in
 /// `sm`'s mappings at `now`.
 fn seen_owner(sm: &SmServer, subscriber: u64, shard: u64, now: SimTime) -> Option<HostId> {
     let client = DiscoveryClient::new(DelayModel::new(DELAY_SEED), subscriber);
-    client.resolve(sm.mappings(), "svc", shard, now)?.host.map(HostId)
+    client.resolve(sm.mappings(), shard, now)?.host.map(HostId)
 }
 
 #[test]
 fn sm_client_sees_allocation_through_discovery_with_delay() {
-    let mut sm = SmServer::new(SmConfig::default());
-    sm.register_app(AppSpec::primary_only("svc", 1_000))
-        .unwrap();
+    let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("svc", 1_000));
     let mut fleet = fleet(&mut sm, 4);
 
     let owner = sm
-        .allocate_shard("svc", ShardId(7), 10.0, t(100), &mut fleet)
+        .allocate_shard(ShardId(7), 10.0, None, t(100), &mut fleet)
         .unwrap();
 
     // First publish: visible immediately (fallback-to-oldest rule — a
@@ -71,7 +69,6 @@ fn sm_client_sees_allocation_through_discovery_with_delay() {
     // Reassign: the client's view lags by the propagation delay.
     let target = (0..4).map(HostId).find(|&h| h != owner).unwrap();
     sm.begin_migration(
-        "svc",
         ShardId(7),
         target,
         false,
@@ -81,7 +78,7 @@ fn sm_client_sees_allocation_through_discovery_with_delay() {
     )
     .unwrap();
     sm.advance_migrations(t(200) + SimDuration::from_mins(10), &mut fleet);
-    assert_eq!(sm.host_of("svc", ShardId(7)), Some(target));
+    assert_eq!(sm.host_of(ShardId(7)), Some(target));
 
     // Immediately after the (simulated) publish, the client may still
     // resolve the old owner; after a generous delay it must see the new.
@@ -91,13 +88,11 @@ fn sm_client_sees_allocation_through_discovery_with_delay() {
 
 #[test]
 fn heartbeat_loss_drives_failover_and_discovery_update() {
-    let mut sm = SmServer::new(SmConfig::default());
-    sm.register_app(AppSpec::primary_only("svc", 1_000))
-        .unwrap();
+    let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("svc", 1_000));
     let mut fleet = fleet(&mut sm, 3);
-    sm.allocate_shard("svc", ShardId(1), 5.0, t(0), &mut fleet)
+    sm.allocate_shard(ShardId(1), 5.0, None, t(0), &mut fleet)
         .unwrap();
-    let victim = sm.host_of("svc", ShardId(1)).unwrap();
+    let victim = sm.host_of(ShardId(1)).unwrap();
 
     // Everyone heartbeats until t=30; then the victim goes silent. A
     // fleet without it is a fleet of a new version.
@@ -118,7 +113,7 @@ fn heartbeat_loss_drives_failover_and_discovery_update() {
     let later = t(50) + SimDuration::from_mins(30);
     sm.heartbeat_all(1, survivors, later);
     sm.tick(later, &mut fleet);
-    let new_owner = sm.host_of("svc", ShardId(1)).unwrap();
+    let new_owner = sm.host_of(ShardId(1)).unwrap();
     assert_ne!(new_owner, victim);
 
     // Discovery eventually points clients at the new owner.
@@ -128,12 +123,10 @@ fn heartbeat_loss_drives_failover_and_discovery_update() {
 
 #[test]
 fn automation_drain_respects_fault_tolerance_budget() {
-    let mut sm = SmServer::new(SmConfig::default());
-    sm.register_app(AppSpec::primary_only("svc", 1_000))
-        .unwrap();
+    let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("svc", 1_000));
     let mut fleet = fleet(&mut sm, 20);
     for s in 0..40 {
-        sm.allocate_shard("svc", ShardId(s), 10.0, t(0), &mut fleet)
+        sm.allocate_shard(ShardId(s), 10.0, None, t(0), &mut fleet)
             .unwrap();
     }
     let mut automation = AutomationEngine::default();
@@ -180,18 +173,17 @@ fn discovery_staleness_is_bounded_and_monotone() {
     let mut store = MappingStore::new();
     let model = DelayModel::new(DELAY_SEED);
     let client = DiscoveryClient::new(model, 77);
-    let key = ShardKey::new("svc", 5);
     let mut rng = SimRng::new(5);
     let mut publish_time = SimTime::ZERO;
     let mut last_seen: Option<u64> = None;
     let mut observe = SimTime::ZERO;
     for host in 0..20u64 {
         publish_time += SimDuration::from_secs(60 + rng.below(600));
-        store.publish(key.clone(), Some(host), publish_time);
+        store.publish(5, Some(host), publish_time);
         // Observe at several instants between publishes.
         for _ in 0..5 {
             observe = observe.max(publish_time) + SimDuration::from_secs(rng.below(30) + 1);
-            if let Some(update) = client.resolve(&store, "svc", 5, observe) {
+            if let Some(update) = client.resolve(&store, 5, observe) {
                 let seen = update.host.unwrap();
                 if let Some(prev) = last_seen {
                     assert!(seen >= prev, "client went backwards: {prev} → {seen}");
