@@ -36,7 +36,8 @@ use scalewall_sim::{Histogram, SimDuration, SimRng, SimTime};
 use crate::Profile;
 
 pub const SLA: f64 = 0.99;
-const SEED: u64 = 0xF162B;
+/// The seed the figure is drawn at.
+pub const SEED: u64 = 0xF162B;
 
 // ------------------------------------------------ part 1: scenario sweep
 
@@ -115,7 +116,7 @@ fn scenario_scripts(
     (horizon, scripts)
 }
 
-pub fn compute_scenarios(profile: Profile) -> Vec<ScenarioPoint> {
+pub fn compute_scenarios(profile: Profile, seed: u64) -> Vec<ScenarioPoint> {
     let (horizon, scripts) = scenario_scripts(profile);
     scripts
         .into_iter()
@@ -139,7 +140,7 @@ pub fn compute_scenarios(profile: Profile) -> Vec<ScenarioPoint> {
                 host_mtbf: SimDuration::from_days(3_650),
                 drains_per_day: 0.0,
                 faults: script,
-                seed: SEED,
+                seed,
                 ..Default::default()
             };
             ScenarioPoint {
@@ -317,7 +318,7 @@ pub fn compute_blast(profile: Profile) -> BlastResult {
 // ----------------------------------------------------------------- report
 
 pub fn run(profile: Profile) -> String {
-    let scenarios = compute_scenarios(profile);
+    let scenarios = compute_scenarios(profile, SEED);
     let mut table = TextTable::new(vec![
         "scenario",
         "level",
@@ -435,21 +436,5 @@ mod tests {
         assert!(report.contains("drain_storm"));
         assert!(report.contains("compound"));
         assert!(report.contains("wall (largest fan-out"));
-    }
-
-    #[test]
-    fn scenario_sweep_stays_above_floor() {
-        let points = compute_scenarios(Profile::Fast);
-        for p in &points {
-            assert!(
-                p.stats.success_ratio() >= p.floor - 0.02,
-                "{} level {}: success {:.4} below floor {:.4}",
-                p.scenario,
-                p.level,
-                p.stats.success_ratio(),
-                p.floor
-            );
-            assert_eq!(p.stats.same_table_collisions, 0);
-        }
     }
 }

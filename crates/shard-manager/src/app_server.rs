@@ -61,7 +61,7 @@ pub trait AppServer {
     /// requests for the shard to the new server.
     fn prepare_drop_shard(&mut self, ctx: ShardContext, target: HostId) -> Result<(), AppError>;
 
-    /// Drop all data and metadata for the shard.
+    /// Drop the shard's data and metadata, prepared and forwarding state included.
     fn drop_shard(&mut self, ctx: ShardContext) -> Result<(), AppError>;
 
     /// Invoked by SM when the asynchronous data copy behind a previous
@@ -162,6 +162,7 @@ impl AppServer for MockAppServer {
 
     fn drop_shard(&mut self, ctx: ShardContext) -> Result<(), AppError> {
         self.forwarding.remove(&ctx.shard.0);
+        self.prepared.remove(&ctx.shard.0);
         self.shards
             .remove(&ctx.shard.0)
             .map(|_| ())

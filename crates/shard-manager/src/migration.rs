@@ -2,24 +2,30 @@
 //!
 //! "There are two types of shard migration: *live* shard migrations and
 //! *failovers*" (§III-A2), plus the zero-downtime *graceful* variant
-//! (§IV-E). Each migration is an explicit state machine advanced under
-//! simulated time by [`SmServer::advance_migrations`]; the phases map
-//! one-to-one onto the endpoint sequence the paper lists:
+//! (§IV-E), whose order is prepareAddShard(new) → [copy] →
+//! prepareDropShard(old) → addShard(new) → publish → [propagation wait]
+//! → dropShard(old). `begin_migration` makes the first call (`addShard`
+//! for a plain copy or a failover) and opens the record in `Copying`;
+//! from there `SmServer::transition` alone moves it:
 //!
 //! ```text
-//! graceful:  prepareAddShard(new) → [copy] → prepareDropShard(old)
-//!            → addShard(new) → publish to SMC → [propagation wait]
-//!            → dropShard(old)
-//! plain:     addShard(new) → [copy] → publish to SMC → dropShard(old)
-//! failover:  addShard(new, Failover) → [recovery copy] → publish to SMC
+//! kind             phase       event        calls                    next
+//! graceful         Copying     DeadlineDue  prepareDropShard(old),   Forwarding
+//!                                           addShard(new), publish   (PROPAGATION_WAIT)
+//! graceful         Forwarding  DeadlineDue  —                        Done
+//! plain, failover  Copying     DeadlineDue  publish                  Done
+//! any              unfinished  Abort        —                        Failed
 //! ```
 //!
-//! The interesting difference is *when clients can be wrong*: in a plain
-//! migration the old server drops the shard while stale SMC caches still
-//! route to it (an error window); in a graceful migration the old server
-//! forwards during that window instead, so no request fails.
+//! **Terminal rule.** Entering `Done` or `Failed`, every reachable end
+//! (`from`, `to`) that is not the shard's assignment gets `dropShard`:
+//! the old server after a move, and whichever end an abort (an end died,
+//! or the shard was released) left holding, prepared or forwarding. A
+//! failover's source is dead, unless it rejoined and reloaded the shard.
 //!
-//! [`SmServer::advance_migrations`]: crate::server::SmServer::advance_migrations
+//! Plain and graceful differ in *when clients can be wrong*: a plain move
+//! drops the old copy while stale SMC caches still route to it (an error
+//! window); a graceful one forwards through that window instead.
 
 use scalewall_sim::{SimDuration, SimTime};
 
@@ -89,20 +95,6 @@ impl MigrationRecord {
     pub fn is_finished(&self) -> bool {
         matches!(self.phase, MigrationPhase::Done | MigrationPhase::Failed)
     }
-
-    /// Whether requests for the shard routed to the *old* server right now
-    /// would be served (directly or by forwarding).
-    ///
-    /// * `Copying`: old server still owns the shard — serves normally
-    ///   (failover excepted: the old server is dead).
-    /// * `Forwarding`: graceful protocol — old server forwards; plain
-    ///   migrations never enter this phase.
-    pub fn old_server_serves(&self) -> bool {
-        match self.kind {
-            MigrationKind::Failover => false,
-            MigrationKind::Plain | MigrationKind::Graceful => !self.is_finished(),
-        }
-    }
 }
 
 /// Sequential copy bandwidth for live migrations (old → new server, same
@@ -148,15 +140,6 @@ mod tests {
             finished_at: None,
             bytes: 0,
         }
-    }
-
-    #[test]
-    fn old_server_serves_through_live_migrations() {
-        assert!(record(MigrationKind::Plain, MigrationPhase::Copying).old_server_serves());
-        assert!(record(MigrationKind::Graceful, MigrationPhase::Copying).old_server_serves());
-        assert!(record(MigrationKind::Graceful, MigrationPhase::Forwarding).old_server_serves());
-        assert!(!record(MigrationKind::Failover, MigrationPhase::Copying).old_server_serves());
-        assert!(!record(MigrationKind::Plain, MigrationPhase::Done).old_server_serves());
     }
 
     #[test]

@@ -43,6 +43,15 @@ pub const DEFAULT_SHARD_WEIGHT: f64 = 1.0;
 /// gives up (applications veto with non-retryable errors).
 const MAX_VETO_RETRIES: usize = 8;
 
+/// What moves a migration out of its phase ([`SmServer::transition`]).
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// The phase's deadline passed: the copy or the propagation wait is over.
+    DeadlineDue,
+    /// An end of the migration died, or its shard was released.
+    Abort,
+}
+
 /// Server-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SmConfig {
@@ -532,10 +541,8 @@ impl SmServer {
     }
 
     /// Remove a shard entirely: drop it on its host and retract the
-    /// mapping. A migration under way ends with it: its record is
-    /// `Failed`, and the shard is dropped on the migration's other end
-    /// too (the target a copy has already handed it, or the source still
-    /// forwarding), so no server keeps a shard SM no longer assigns.
+    /// mapping. A migration under way is aborted with it, and with no
+    /// assignment left its terminal rule drops the shard on both ends.
     pub fn deallocate_shard<R: AppServerRegistry>(
         &mut self,
         shard: ShardId,
@@ -548,19 +555,16 @@ impl SmServer {
         let weight = self.app.weights.remove(&shard).unwrap_or(DEFAULT_SHARD_WEIGHT);
         self.app.groups.remove(&shard);
         self.load_delta(host, -weight);
-        let mut holders = vec![host];
-        for m in self.active.values_mut() {
-            if !m.is_finished() && m.shard == shard {
-                m.phase = MigrationPhase::Failed;
-                m.finished_at = Some(now);
-                holders.push(if m.to == host { m.from } else { m.to });
-            }
-        }
-        let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
-        for holder in holders {
-            if let Some(server) = registry.server(holder) {
+        let migrating = self.in_flight_where(|m| m.shard == shard);
+        // A migration's ends include the host it is assigned to.
+        if migrating.is_empty() {
+            let ctx = ShardContext::new(shard, AddShardReason::NewAllocation, None);
+            if let Some(server) = registry.server(host) {
                 let _ = server.drop_shard(ctx);
             }
+        }
+        for (id, _) in migrating {
+            self.transition(id, Event::Abort, now, registry);
         }
         // No assignment left: this retracts the mapping.
         self.publish(shard, now);
@@ -633,6 +637,13 @@ impl SmServer {
         self.active
             .values()
             .any(|m| !m.is_finished() && m.shard == shard)
+    }
+
+    /// The unfinished migrations `pick` selects, with their shards, in id
+    /// order.
+    fn in_flight_where(&self, pick: impl Fn(&MigrationRecord) -> bool) -> Vec<(u64, ShardId)> {
+        let live = self.active.iter().filter(|(_, m)| !m.is_finished() && pick(m));
+        live.map(|(&id, m)| (id, m.shard)).collect()
     }
 
     /// Open the record of a migration whose target has accepted the shard
@@ -772,7 +783,7 @@ impl SmServer {
                 _ => None, // finished or swept: the entry dies here
             };
             match state {
-                Some((_, true)) => self.step_migration(id, now, registry),
+                Some((_, true)) => self.transition(id, Event::DeadlineDue, now, registry),
                 // Deadline moved since this entry was armed: re-arm.
                 Some((deadline, false)) => self.deadlines.arm(deadline, id),
                 None => {}
@@ -794,8 +805,17 @@ impl SmServer {
         }
     }
 
-    fn step_migration<R: AppServerRegistry>(&mut self, id: u64, now: SimTime, registry: &mut R) {
-        let Some(m) = self.active.get(&id) else {
+    /// Move migration `id` out of its phase on `event`, by the phase table
+    /// and the terminal rule of the `migration` module: after
+    /// `start_migration`, the one writer of a record's phase.
+    fn transition<R: AppServerRegistry>(
+        &mut self,
+        id: u64,
+        event: Event,
+        now: SimTime,
+        registry: &mut R,
+    ) {
+        let Some(m) = self.active.get(&id).filter(|m| !m.is_finished()) else {
             return;
         };
         let (shard, kind, phase, from, to) = (m.shard, m.kind, m.phase, m.from, m.to);
@@ -804,10 +824,9 @@ impl SmServer {
             MigrationKind::Plain | MigrationKind::Graceful => AddShardReason::LiveMigration,
         };
         let ctx = ShardContext::new(shard, reason, Some(from));
-        match (kind, phase) {
-            (MigrationKind::Graceful, MigrationPhase::Copying) => {
-                // Copy finished: prepareDropShard(old) → addShard(new) →
-                // publish → wait out propagation.
+        let next = match (event, kind, phase) {
+            (Event::Abort, ..) => MigrationPhase::Failed,
+            (Event::DeadlineDue, MigrationKind::Graceful, MigrationPhase::Copying) => {
                 if let Some(old) = registry.server(from) {
                     let _ = old.prepare_drop_shard(ctx, to);
                 }
@@ -817,39 +836,35 @@ impl SmServer {
                 }
                 self.reassign(shard, to);
                 self.publish(shard, now);
-                let Some(m) = self.active.get_mut(&id) else {
-                    return;
-                };
-                m.phase = MigrationPhase::Forwarding;
-                m.deadline = now + PROPAGATION_WAIT;
-                let deadline = m.deadline;
-                self.deadlines.arm(deadline, id);
+                MigrationPhase::Forwarding
             }
-            (MigrationKind::Graceful, MigrationPhase::Forwarding) => {
-                // Propagation window over: dropShard(old).
-                if let Some(old) = registry.server(from) {
-                    let _ = old.drop_shard(ctx);
-                }
-                self.finish_migration(id, now, MigrationPhase::Done);
-            }
-            (MigrationKind::Plain | MigrationKind::Failover, MigrationPhase::Copying) => {
+            (Event::DeadlineDue, _, MigrationPhase::Copying) => {
                 if let Some(new) = registry.server(to) {
                     new.on_copy_complete(ctx);
                 }
-                if kind == MigrationKind::Plain {
-                    // Publish and drop the old replica at once; stale
-                    // discovery caches now produce errors until they catch
-                    // up — the window graceful migration removes. (A
-                    // failover's source is dead: nothing to drop.)
-                    if let Some(old) = registry.server(from) {
-                        let _ = old.drop_shard(ctx);
-                    }
-                }
                 self.reassign(shard, to);
                 self.publish(shard, now);
-                self.finish_migration(id, now, MigrationPhase::Done);
+                MigrationPhase::Done
             }
-            _ => {}
+            (Event::DeadlineDue, ..) => MigrationPhase::Done,
+        };
+        let assigned = self.host_of(shard);
+        let Some(m) = self.active.get_mut(&id) else {
+            return;
+        };
+        m.phase = next;
+        if next == MigrationPhase::Forwarding {
+            m.deadline = now + PROPAGATION_WAIT;
+            self.deadlines.arm(m.deadline, id);
+            return;
+        }
+        m.finished_at = Some(now);
+        for end in [from, to] {
+            if Some(end) != assigned {
+                if let Some(server) = registry.server(end) {
+                    let _ = server.drop_shard(ctx);
+                }
+            }
         }
     }
 
@@ -864,13 +879,6 @@ impl SmServer {
         let from = std::mem::replace(host, to);
         self.load_delta(from, -weight);
         self.load_delta(to, weight);
-    }
-
-    fn finish_migration(&mut self, id: u64, now: SimTime, phase: MigrationPhase) {
-        if let Some(m) = self.active.get_mut(&id) {
-            m.phase = phase;
-            m.finished_at = Some(now);
-        }
     }
 
     /// The record SM still holds for `shard`, if any: the migration under
@@ -919,17 +927,12 @@ impl SmServer {
                 self.zk.close_session(session, now);
             }
         }
-        // Abort migrations touching the dead host.
-        let mut orphaned: Vec<ShardId> = Vec::new();
-        for m in self.active.values_mut() {
-            if m.is_finished() {
-                continue;
-            }
-            if m.to == host || m.from == host {
-                m.phase = MigrationPhase::Failed;
-                m.finished_at = Some(now);
-                orphaned.push(m.shard);
-            }
+        // Abort migrations touching the dead host, before its failovers
+        // are placed: the terminal rule drops a shard on a live end that
+        // a failover may be about to hand it again.
+        let orphaned = self.in_flight_where(|m| m.to == host || m.from == host);
+        for &(id, _) in &orphaned {
+            self.transition(id, Event::Abort, now, registry);
         }
         // Fail over every shard assigned to the host.
         for shard in self.shards_on_host(host) {
@@ -940,15 +943,11 @@ impl SmServer {
                 self.pending_failovers.push(shard);
             }
         }
-        // Orphaned migration shards: if the aborted migration was itself a
-        // failover (or drain) off a *still-dead* source — i.e. the shard's
-        // assignment continues to reference a dead host because the
-        // recovery target just died mid-copy — the shard would otherwise
-        // wedge forever: nothing re-queues it and `remove_host` on the old
-        // source keeps failing with "host still holds assignments".
-        // Re-queue those for the tick-time failover retry; everything else
-        // just needs its (unchanged) state republished.
-        for shard in orphaned {
+        // An aborted failover (or drain) off a still-dead source leaves the
+        // shard assigned to a dead host, and nothing would re-queue it:
+        // `remove_host` on that source would fail forever. Re-queue those
+        // for the tick-time retry; every aborted shard is republished.
+        for (_, shard) in orphaned {
             let wedged = self.dead_owner(shard).is_some();
             let queued = self.pending_failovers.contains(&shard);
             if wedged && !self.in_flight(shard) && !queued {
@@ -1292,7 +1291,6 @@ mod tests {
         assert_eq!(reg.servers[&from].forwarding.get(&3), Some(&to));
         let rec = sm.active_migration(ShardId(3)).unwrap();
         assert_eq!(rec.phase, MigrationPhase::Forwarding);
-        assert!(rec.old_server_serves());
         let forward_done = rec.deadline;
 
         // Advance past propagation window: old replica dropped, done.
@@ -1407,7 +1405,6 @@ mod tests {
         // Failover in flight.
         let rec = sm.active_migration(ShardId(4)).unwrap();
         assert_eq!(rec.kind, MigrationKind::Failover);
-        assert!(!rec.old_server_serves(), "dead host serves nothing");
         let deadline = rec.deadline;
         sm.advance_migrations(deadline, &mut reg);
         let new_host = sm.host_of(ShardId(4)).unwrap();

@@ -569,7 +569,8 @@ impl ChurnFleet {
 /// migrations, failures, rejoins and drains one SM goes through, once
 /// every dead host is back and no migration is left, the mapping it
 /// published for every shard it ever allocated names the host it assigns
-/// (none for a released shard), and that host's server holds the shard.
+/// (none for a released shard), and that host's server holds the shard;
+/// no server holds a shard elsewhere, nor is left prepared or forwarding.
 /// And no migration completes while its shard is released: one under way
 /// when the shard goes ends with it.
 #[test]
@@ -658,6 +659,16 @@ fn published_mapping_matches_assignment_at_quiescence() {
                     let held = fleet.servers[&host].shards.contains_key(&s);
                     assert!(held, "shard {s}: {host} does not hold it");
                 }
+            }
+            // No live server keeps a shard SM does not assign to it, and
+            // with no migration left none is prepared or forwarding.
+            for (&host, server) in &fleet.servers {
+                for &s in server.shards.keys() {
+                    let owner = sm.host_of(ShardId(s));
+                    assert_eq!(owner, Some(host), "shard {s}: a ghost on {host}");
+                }
+                assert!(server.prepared.is_empty(), "{host} prepared {:?}", server.prepared);
+                assert!(server.forwarding.is_empty(), "{host} forwards {:?}", server.forwarding);
             }
             for m in sm.migration_history().iter().filter(|m| m.phase == MigrationPhase::Done) {
                 let done = m.finished_at.expect("a finished record has its instant");

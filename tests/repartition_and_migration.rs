@@ -11,7 +11,7 @@ use scalewall::cubrick::query::parse_query;
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::value::{Row, Value};
-use scalewall::shard_manager::{MigrationCause, MigrationPhase, ShardId};
+use scalewall::shard_manager::{HostId, MigrationCause, MigrationPhase, ShardId};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
 
@@ -280,4 +280,104 @@ fn drop_table_mid_migration_leaves_no_owner() {
             }
         }
     }
+}
+
+/// Every live node of every region owns only shards its region's SM
+/// assigns to it, and forwards none: with no migration under way there
+/// is nothing to forward to.
+fn assert_no_ghost_owner(dep: &Deployment, case: &str) {
+    for region in &dep.regions {
+        assert_eq!(region.sm.active_migration_count(), 0, "{case}: not quiescent");
+        for host in region.nodes.hosts().filter(|&h| !region.nodes.is_down(h)) {
+            let node = region.nodes.node(host).unwrap();
+            for shard in node.owned_shards() {
+                let owner = region.sm.host_of(ShardId(shard));
+                assert_eq!(owner, Some(host), "{case}: {host} owns {shard}, SM assigns {owner:?}");
+            }
+            for shard in dep.catalog.read().shards_of_table("t").unwrap() {
+                let target = node.is_forwarding(shard);
+                assert_eq!(target, None, "{case}: {host} forwards {shard} to {target:?}");
+            }
+        }
+    }
+}
+
+/// The first shard of table `t` in region 0, its host, and the last host
+/// holding nothing: a target the dead source's failover would not pick
+/// first (placement breaks ties by host id).
+fn shard_and_far_target(dep: &Deployment) -> (u64, HostId, HostId) {
+    let shard = dep.catalog.read().shards_of_table("t").unwrap()[0];
+    let region = &dep.regions[0];
+    let from = region.authoritative_host(shard).unwrap();
+    let hosts: Vec<HostId> = region.nodes.hosts().collect();
+    let to = hosts
+        .into_iter()
+        .rev()
+        .find(|&h| region.sm.shards_on(APP, h).is_empty())
+        .unwrap();
+    (shard, from, to)
+}
+
+/// A plain copy whose source dies mid-copy leaves the shard only where
+/// its failover put it: the target the copy had already handed it drops
+/// it when the copy is aborted.
+#[test]
+fn source_death_mid_plain_copy_leaves_no_ghost_owner() {
+    let mut dep = build(16, 4, 100);
+    let (shard, from, to) = shard_and_far_target(&dep);
+    let now = SimTime::from_secs(100);
+    let region = &mut dep.regions[0];
+    let cause = MigrationCause::Manual;
+    region
+        .sm
+        .begin_migration(ShardId(shard), to, false, cause, now, &mut region.nodes)
+        .unwrap();
+    assert!(dep.regions[0].nodes.node(to).unwrap().owns_shard(shard));
+    dep.fail_host(0, from, now);
+    dep.tick(now + SimDuration::from_hours(1));
+
+    let owner = dep.regions[0].sm.host_of(ShardId(shard)).unwrap();
+    assert_ne!(owner, to, "the failover went elsewhere");
+    assert_no_ghost_owner(&dep, "plain copy, source dies");
+}
+
+/// A graceful migration whose target dies while the source forwards to
+/// it ends with the source neither holding nor forwarding the shard.
+#[test]
+fn target_death_while_forwarding_leaves_no_ghost_owner() {
+    let mut dep = build(17, 4, 100);
+    let (shard, from, to) = shard_and_far_target(&dep);
+    let mut now = SimTime::from_secs(100);
+    let region = &mut dep.regions[0];
+    let cause = MigrationCause::Manual;
+    region
+        .sm
+        .begin_migration(ShardId(shard), to, true, cause, now, &mut region.nodes)
+        .unwrap();
+    now = dep.regions[0].sm.active_migration(ShardId(shard)).unwrap().deadline;
+    dep.tick(now);
+    assert_eq!(dep.regions[0].nodes.node(from).unwrap().is_forwarding(shard), Some(to));
+    dep.fail_host(0, to, now);
+    dep.tick(now + SimDuration::from_hours(1));
+
+    assert_no_ghost_owner(&dep, "graceful forwarding, target dies");
+}
+
+/// A failover that completes after its dead source came back leaves the
+/// shard on the failover's target only: the rejoined source, which SM
+/// handed the shard again while it was still assigned there, drops it.
+#[test]
+fn failover_landing_after_source_rejoined_leaves_no_ghost_owner() {
+    let mut dep = build(18, 4, 100);
+    let (shard, from, _) = shard_and_far_target(&dep);
+    let now = SimTime::from_secs(100);
+    dep.fail_host(0, from, now);
+    let failover = dep.regions[0].sm.active_migration(ShardId(shard)).unwrap();
+    let target = failover.to;
+    assert!(dep.restore_host(0, from, now));
+    assert!(dep.regions[0].nodes.node(from).unwrap().owns_shard(shard));
+    dep.tick(now + SimDuration::from_hours(1));
+
+    assert_eq!(dep.regions[0].sm.host_of(ShardId(shard)), Some(target));
+    assert_no_ghost_owner(&dep, "failover completes after its source rejoined");
 }
