@@ -179,17 +179,6 @@ pub enum AdmissionDecision {
     Shed,
 }
 
-/// Controller-internal counters (the experiment keeps its own richer
-/// per-class stats; these exist for unit tests and debugging).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    pub offered: [u64; CLASS_COUNT],
-    pub admitted: [u64; CLASS_COUNT],
-    pub queued: [u64; CLASS_COUNT],
-    pub shed: [u64; CLASS_COUNT],
-    pub queue_timeouts: [u64; CLASS_COUNT],
-}
-
 #[derive(Debug, Clone, Copy)]
 struct QueuedEntry {
     class: QosClass,
@@ -205,8 +194,9 @@ pub struct AdmissionController {
     /// coupling: a region outage removes its share of serving capacity).
     slots_offline: usize,
     in_flight: [usize; CLASS_COUNT],
-    /// Per-class FIFO of queued tickets. Entries are removed lazily: a
-    /// ticket at the front that is no longer in `queued` was cancelled
+    /// Per-class FIFO of queued tickets, classful mode only (the flat
+    /// FIFO is the ticket order of `queued`). Entries are removed lazily:
+    /// a ticket at the front that is no longer in `queued` was cancelled
     /// or expired and is skipped.
     queues: [VecDeque<Ticket>; CLASS_COUNT],
     /// Live queued tickets.
@@ -215,7 +205,6 @@ pub struct AdmissionController {
     deadlines: DeadlineQueue<Ticket>,
     due_scratch: Vec<Ticket>,
     next_ticket: u64,
-    pub stats: AdmissionStats,
 }
 
 impl AdmissionController {
@@ -229,7 +218,6 @@ impl AdmissionController {
             deadlines: DeadlineQueue::default(),
             due_scratch: Vec::new(),
             next_ticket: 0,
-            stats: AdmissionStats::default(),
         }
     }
 
@@ -317,10 +305,8 @@ impl AdmissionController {
 
     /// Offer a query: admit it, queue it, or shed it.
     pub fn offer(&mut self, class: QosClass, now: SimTime) -> AdmissionDecision {
-        self.stats.offered[class.index()] += 1;
         if self.may_admit(class) {
             self.in_flight[class.index()] += 1;
-            self.stats.admitted[class.index()] += 1;
             return AdmissionDecision::Admit;
         }
         let (capacity, deadline_after) = self.queue_limits(class);
@@ -333,7 +319,9 @@ impl AdmissionController {
             let ticket = Ticket(self.next_ticket);
             self.next_ticket += 1;
             let deadline = now + deadline_after;
-            self.queues[class.index()].push_back(ticket);
+            if self.config.classful {
+                self.queues[class.index()].push_back(ticket);
+            }
             self.queued.insert(
                 ticket,
                 QueuedEntry {
@@ -343,10 +331,8 @@ impl AdmissionController {
                 },
             );
             self.deadlines.arm(deadline, ticket);
-            self.stats.queued[class.index()] += 1;
             return AdmissionDecision::Queued { ticket, deadline };
         }
-        self.stats.shed[class.index()] += 1;
         AdmissionDecision::Shed
     }
 
@@ -364,7 +350,6 @@ impl AdmissionController {
         self.deadlines.due(now, &mut due);
         for ticket in due.drain(..) {
             if let Some(entry) = self.queued.remove(&ticket) {
-                self.stats.queue_timeouts[entry.class.index()] += 1;
                 out.push((ticket, entry.class, entry.enqueued_at));
             }
         }
@@ -398,7 +383,6 @@ impl AdmissionController {
                     // Deadline passed with no event in between: expire
                     // in place rather than serve a dead query.
                     self.queued.remove(&ticket);
-                    self.stats.queue_timeouts[entry.class.index()] += 1;
                     continue;
                 }
                 if !self.may_admit(entry.class) {
@@ -406,7 +390,6 @@ impl AdmissionController {
                 }
                 self.queued.remove(&ticket);
                 self.in_flight[entry.class.index()] += 1;
-                self.stats.admitted[entry.class.index()] += 1;
                 return Some((ticket, entry.class, entry.enqueued_at));
             }
         }
@@ -429,7 +412,6 @@ impl AdmissionController {
                 // place rather than serve a dead query.
                 self.queues[class.index()].pop_front();
                 self.queued.remove(&ticket);
-                self.stats.queue_timeouts[class.index()] += 1;
                 continue;
             }
             if !self.may_admit(class) {
@@ -438,7 +420,6 @@ impl AdmissionController {
             self.queues[class.index()].pop_front();
             self.queued.remove(&ticket);
             self.in_flight[class.index()] += 1;
-            self.stats.admitted[class.index()] += 1;
             return Some((ticket, class, entry.enqueued_at));
         }
     }
@@ -460,7 +441,7 @@ mod tests {
         assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Shed);
         c.complete(QosClass::Batch);
         assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
-        assert_eq!(c.stats.shed[0], 1);
+        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Shed, "no queue to wait in");
     }
 
     #[test]
@@ -470,16 +451,17 @@ mod tests {
         // slots, its queue holds 2 × 8 = 16, and the rest sheds.
         let mut batch_admitted = 0;
         let mut batch_queued = 0;
+        let mut batch_shed = 0;
         for _ in 0..20 {
             match c.offer(QosClass::Batch, t(0)) {
                 AdmissionDecision::Admit => batch_admitted += 1,
                 AdmissionDecision::Queued { .. } => batch_queued += 1,
-                AdmissionDecision::Shed => {}
+                AdmissionDecision::Shed => batch_shed += 1,
             }
         }
         assert_eq!(batch_admitted, 2, "batch stops at its weight-share cap");
         assert_eq!(batch_queued, 16, "then backs up into its bounded queue");
-        assert_eq!(c.stats.shed[QosClass::Batch.index()], 2, "then sheds");
+        assert_eq!(batch_shed, 2, "then sheds");
         // The six remaining slots are still free for interactive, up to
         // its own cap of ⌈0.6 × 8⌉ = 5.
         for _ in 0..5 {
@@ -551,7 +533,9 @@ mod tests {
         // At the deadline: expired.
         c.expire_due(deadline, &mut out);
         assert_eq!(out, vec![(ticket, QosClass::Interactive, t(10))]);
-        assert_eq!(c.stats.queue_timeouts[0], 1);
+        // Once: a later pass finds nothing left to time out.
+        c.expire_due(t(20), &mut out);
+        assert!(out.is_empty());
         // The stale queue entry is skipped, not double-served.
         c.complete(QosClass::Interactive);
         assert!(c.next_runnable(t(13)).is_none());
@@ -588,6 +572,27 @@ mod tests {
         c.complete(QosClass::Interactive);
         let (got, class, _) = c.next_runnable(t(3)).expect("runnable");
         assert_eq!((got, class), (tb, QosClass::Batch), "FIFO ignores class");
+    }
+
+    #[test]
+    fn flat_queued_mode_leaves_no_ticket_in_the_class_deques() {
+        const N: usize = 6;
+        let mut c =
+            AdmissionController::new(AdmissionConfig::flat_queued(1, N, SimDuration::from_secs(8)));
+        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        for class in QosClass::ALL.iter().cycle().take(N) {
+            let AdmissionDecision::Queued { .. } = c.offer(*class, t(1)) else {
+                panic!("{class:?} queues in flat mode");
+            };
+        }
+        let mut running = QosClass::Interactive;
+        for _ in 0..N {
+            c.complete(running);
+            running = c.next_runnable(t(2)).expect("a queued ticket is served").1;
+        }
+        c.complete(running);
+        assert!(c.next_runnable(t(2)).is_none(), "all served");
+        assert!(c.queues.iter().all(VecDeque::is_empty), "{:?}", c.queues);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! names inside strings, raw strings, char-literal context, nested
 //! block comments, and `#[cfg(test)]` items.
 //!
-//! `scalewall-lint --tier sim` over this file must exit 0.
+//! `lint_source` under `RuleSet::SIM` must report nothing here.
 
 use std::collections::{BTreeMap, BTreeSet};
 

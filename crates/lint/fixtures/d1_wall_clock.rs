@@ -1,5 +1,6 @@
 //! Seeded D1 violations: wall-clock time and OS threads in what the
-//! lint is told is sim-facing code. `--tier sim` must exit non-zero.
+//! lint is told is sim-facing code. `lint_source` under `RuleSet::SIM`
+//! must report D1 here.
 
 use std::time::{Instant, SystemTime};
 

@@ -1,6 +1,6 @@
 //! Seeded D2 violations: hash-ordered collections in sim-facing code,
 //! including the order-sensitive iteration shapes the rule exists for.
-//! `--tier sim` must exit non-zero.
+//! `lint_source` under `RuleSet::SIM` must report D2 here.
 
 use std::collections::{HashMap, HashSet};
 

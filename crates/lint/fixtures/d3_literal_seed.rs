@@ -1,5 +1,6 @@
 //! Seeded D3 violation: a literal-seeded RNG outside `crates/sim`,
-//! breaking the fork discipline. `--tier sim` must exit non-zero.
+//! breaking the fork discipline. `lint_source` under `RuleSet::SIM` must
+//! report D3 here.
 
 use scalewall_sim::SimRng;
 

@@ -1,7 +1,6 @@
-//! Lexer edge cases (satellite of the parser work): raw strings that
-//! span pragma-looking lines, escaped-newline string continuations, and
-//! nested block comments must all stay inert — no violations, and no
-//! pragmas harvested out of string data.
+//! Lexer edge cases: raw strings that span comment-shaped lines,
+//! escaped-newline string continuations, and nested block comments must
+//! all stay inert — no violations.
 
 fn raw_strings() -> (&'static str, &'static str) {
     let spanning = r#"

@@ -1,6 +1,7 @@
-//! Pragma fixture: every seeded violation is suppressed by a scoped,
-//! reasoned pragma. `--tier sim` must exit 0, and the pragma inventory
-//! must list all three allows.
+//! Old-pragma fixture: every seeded violation carries a comment in the
+//! retired `scalewall-lint: allow(…)` suppression syntax. Comments are
+//! skipped like whitespace, so each D1 and D2 hit is still reported on
+//! its own line.
 
 use std::collections::HashMap; // scalewall-lint: allow(D2) -- fixture: point-lookup cache, never iterated
 
@@ -11,7 +12,7 @@ pub struct Cache {
 
 impl Cache {
     pub fn probe_wall(&self) -> u128 {
-        // Stacked pragmas: both govern the next code line.
+        // Stacked old pragmas, once meant for the next code line.
         // scalewall-lint: allow(D1) -- fixture: sanctioned wall-clock probe
         // scalewall-lint: allow(D2) -- fixture: scratch map, never iterated
         let (t, scratch) = (std::time::Instant::now(), HashMap::<u64, u64>::new());

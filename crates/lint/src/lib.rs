@@ -18,14 +18,14 @@
 //! * **D2 — no hash-ordered collections.** `HashMap`/`HashSet` are
 //!   forbidden in sim-facing code, *mentions included*: the lint cannot
 //!   prove a given map is never iterated, so the rule is enforced at the
-//!   type level. Use `BTreeMap`/`BTreeSet` or carry a pragma explaining
-//!   why the map can never leak ordering.
+//!   type level. Use `BTreeMap`/`BTreeSet`.
 //! * **D3 — no literal-seeded RNGs.** `SimRng::new(42)` outside
 //!   `crates/sim` breaks the fork discipline (seeds must flow from the
 //!   experiment root so streams stay stable). Construct from config seeds
 //!   or `fork()`.
-//! * **D4 — no `unsafe`.** Outside `sim::sync` (the lock shims), `unsafe`
-//!   has no business in a deterministic simulation.
+//! * **D4 — no `unsafe`.** It has no business in a deterministic
+//!   simulation; the one exemption is `tests/alloc_budget.rs`'s counting
+//!   allocator.
 //! * **D5 — RNG stream discipline** (semantic). Two `fork(…)` sites on
 //!   one stream sharing a static label, re-forking a stream after drawing
 //!   from it ("fork before fan-out"), and workload RNG values flowing
@@ -51,16 +51,10 @@
 //! conservatism and its known false-negative edges).
 //!
 //! `#[cfg(test)]` items are exempt from all rules; integration tests,
-//! examples, and the bench/lint tooling run under a reduced rule set (see
-//! [`ruleset_for`]). Suppression requires a scoped pragma:
-//!
-//! ```text
-//! // scalewall-lint: allow(D2) -- point lookups only, never iterated
-//! ```
-//!
-//! A pragma on its own line covers the next code line; at the end of a
-//! code line it covers that line. Malformed and *unused* pragmas are
-//! themselves violations, so stale allows cannot accumulate.
+//! examples, and the bench/lint tooling run under a reduced rule set.
+//! The file tiers of [`ruleset_for`] are the only exception mechanism:
+//! there is no per-line suppression, so code a rule flags is rewritten,
+//! or its file's tier says why the rule does not apply there.
 
 pub mod lexer;
 pub mod parser;
@@ -69,7 +63,7 @@ mod semantic;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use lexer::{lex, Tok, Token};
+use lexer::{Tok, Token};
 use parser::ParsedFile;
 pub use semantic::Census;
 
@@ -97,7 +91,7 @@ pub enum RuleId {
     D2,
     /// Literal-seeded RNG construction outside `crates/sim`.
     D3,
-    /// `unsafe` outside `sim::sync`.
+    /// `unsafe`.
     D4,
     /// RNG stream-discipline breach (duplicate fork label, fork after
     /// draw, workload→fault flow).
@@ -107,23 +101,6 @@ pub enum RuleId {
     /// Panic surface in sim-facing code (`unwrap`/`expect`/`panic!`/
     /// literal index).
     D7,
-    /// Malformed or unused suppression pragma.
-    Pragma,
-}
-
-impl RuleId {
-    pub fn parse(s: &str) -> Option<RuleId> {
-        match s.trim() {
-            "D1" => Some(RuleId::D1),
-            "D2" => Some(RuleId::D2),
-            "D3" => Some(RuleId::D3),
-            "D4" => Some(RuleId::D4),
-            "D5" => Some(RuleId::D5),
-            "D6" => Some(RuleId::D6),
-            "D7" => Some(RuleId::D7),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for RuleId {
@@ -136,7 +113,6 @@ impl fmt::Display for RuleId {
             RuleId::D5 => "D5",
             RuleId::D6 => "D6",
             RuleId::D7 => "D7",
-            RuleId::Pragma => "pragma",
         };
         f.write_str(s)
     }
@@ -178,12 +154,11 @@ impl RuleSet {
             RuleId::D5 => self.d5,
             RuleId::D6 => self.d6,
             RuleId::D7 => self.d7,
-            RuleId::Pragma => true,
         }
     }
 }
 
-/// One unsuppressed rule violation.
+/// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     pub rule: RuleId,
@@ -191,22 +166,11 @@ pub struct Violation {
     pub message: String,
 }
 
-/// One suppression pragma found in a file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PragmaUse {
-    pub line: u32,
-    pub rules: Vec<RuleId>,
-    pub reason: String,
-    /// How many violations this pragma silenced.
-    pub suppressed: usize,
-}
-
 /// Lint results for one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileReport {
     pub path: String,
     pub violations: Vec<Violation>,
-    pub pragmas: Vec<PragmaUse>,
     /// Line of the token the item shaper stopped at short of the end of
     /// the file: a shaper defect, not a verdict on the file
     /// ([`ParsedFile::first_unscanned`]).
@@ -228,14 +192,6 @@ impl WorkspaceReport {
         self.files.iter().map(|f| f.violations.len()).sum()
     }
 
-    pub fn suppressed_count(&self) -> usize {
-        self.files
-            .iter()
-            .flat_map(|f| &f.pragmas)
-            .map(|p| p.suppressed)
-            .sum()
-    }
-
     /// No violation, and no token the rules never saw.
     pub fn is_clean(&self) -> bool {
         self.violation_count() == 0 && self.first_unscanned().is_none()
@@ -248,15 +204,6 @@ impl WorkspaceReport {
             .iter()
             .find_map(|f| Some((f.path.as_str(), f.unscanned?)))
     }
-
-    /// Every pragma in the workspace, as `(path, pragma)` pairs — the
-    /// allow inventory the self-test prints.
-    pub fn pragma_inventory(&self) -> Vec<(&str, &PragmaUse)> {
-        self.files
-            .iter()
-            .flat_map(|f| f.pragmas.iter().map(move |p| (f.path.as_str(), p)))
-            .collect()
-    }
 }
 
 /// Rule set for a workspace-relative path, or `None` to skip the file
@@ -267,11 +214,6 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
         return None;
     }
     // Sanctioned files first: most-specific match wins.
-    if rel == "crates/sim/src/sync.rs" {
-        // The lock shims may need `unsafe` (they are the one sanctioned
-        // home for it) but everything else still applies.
-        return Some(RuleSet { d4: false, ..RuleSet::SIM_RNG_HOME });
-    }
     if rel == "tests/alloc_budget.rs" {
         // Its counting `#[global_allocator]` is an `unsafe impl` by definition.
         return Some(RuleSet { d4: false, ..RuleSet::PLAIN });
@@ -300,96 +242,14 @@ pub fn ruleset_for(rel: &str) -> Option<RuleSet> {
     Some(rules)
 }
 
-// --------------------------------------------------------------- pragmas
-
-const PRAGMA_MARKER: &str = "scalewall-lint:";
-
-struct ParsedPragma {
-    line: u32,
-    rules: Vec<RuleId>,
-    reason: String,
-    error: Option<String>,
-}
-
-/// Doc comments (`///`, `//!`, `/** */`, `/*! */`) never carry pragmas:
-/// they are documentation, and quoting the pragma syntax in them — as
-/// this crate's own module docs do — must not create a live suppression.
-/// (`////…` and `/***…` are plain comments per the Rust reference, as is
-/// the empty `/**/`.)
-fn is_doc_comment(text: &str) -> bool {
-    (text.starts_with("///") && !text.starts_with("////"))
-        || text.starts_with("//!")
-        || (text.starts_with("/**") && text.len() > 4 && !text.starts_with("/***"))
-        || text.starts_with("/*!")
-}
-
-/// Parse `// scalewall-lint: allow(D1, D2) -- reason` from a comment.
-/// `line` is the line the comment *starts* on; a pragma further down a
-/// multi-line block comment is attributed to its own physical line.
-fn parse_pragma(text: &str, line: u32) -> Option<ParsedPragma> {
-    if is_doc_comment(text) {
-        return None;
-    }
-    let at = text.find(PRAGMA_MARKER)?;
-    let line = line + text[..at].matches('\n').count() as u32;
-    let rest = text[at + PRAGMA_MARKER.len()..].trim();
-    // Inside a block comment the pragma's scope ends with its line.
-    let rest = rest.lines().next().unwrap_or("").trim_end_matches("*/").trim();
-    let fail = |msg: &str| {
-        Some(ParsedPragma {
-            line,
-            rules: Vec::new(),
-            reason: String::new(),
-            error: Some(msg.to_string()),
-        })
-    };
-    let Some(args) = rest.strip_prefix("allow(") else {
-        return fail("expected `allow(<rule>,…) -- <reason>` after `scalewall-lint:`");
-    };
-    let Some(close) = args.find(')') else {
-        return fail("unclosed `allow(`");
-    };
-    let mut rules = Vec::new();
-    for part in args[..close].split(',') {
-        match RuleId::parse(part) {
-            Some(r) => rules.push(r),
-            None => return fail(&format!("unknown rule {:?} (use D1–D7)", part.trim())),
-        }
-    }
-    if rules.is_empty() {
-        return fail("empty rule list in `allow()`");
-    }
-    let tail = args[close + 1..].trim();
-    let Some(reason) = tail.strip_prefix("--") else {
-        return fail("missing `-- <reason>` after `allow(...)`");
-    };
-    let reason = reason.trim();
-    if reason.is_empty() {
-        return fail("empty reason after `--`");
-    }
-    Some(ParsedPragma {
-        line,
-        rules,
-        reason: reason.to_string(),
-        error: None,
-    })
-}
-
 // ---------------------------------------------------------- rule engine
-
-#[derive(Debug, Clone)]
-pub(crate) struct Candidate {
-    pub(crate) rule: RuleId,
-    pub(crate) line: u32,
-    pub(crate) message: String,
-}
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// The pattern rules D1–D4 and D7 over every code token of `parsed`
-/// outside its `#[cfg(test)]` spans (tiering and suppression are applied
-/// later by the caller).
-fn scan_tokens(parsed: &ParsedFile) -> Vec<Candidate> {
+/// outside its `#[cfg(test)]` spans (tiering is applied later by the
+/// caller).
+fn scan_tokens(parsed: &ParsedFile) -> Vec<Violation> {
     let code = &parsed.tokens;
     let mut out = Vec::new();
     let punct_at = |i: usize, c: char| matches!(code.get(i), Some(t) if t.tok == Tok::Punct(c));
@@ -467,7 +327,7 @@ fn scan_tokens(parsed: &ParsedFile) -> Vec<Candidate> {
                 )),
                 "unsafe" => Some((
                     RuleId::D4,
-                    "`unsafe` outside `sim::sync` — a deterministic simulation has no business here".to_string(),
+                    "`unsafe` — a deterministic simulation has no business here".to_string(),
                 )),
                 "unwrap" | "expect" if before(1, '.') && punct_at(i + 1, '(') => {
                     Some((RuleId::D7, panic_site(format!("`.{word}(…)`"))))
@@ -489,8 +349,8 @@ fn scan_tokens(parsed: &ParsedFile) -> Vec<Candidate> {
             _ => None,
         };
         // Dedupe per (rule, line): `std::thread::spawn` should report once.
-        if let Some((rule, message)) = hit.filter(|(rule, _)| !out.iter().any(|c: &Candidate| c.rule == *rule && c.line == t.line)) {
-            out.push(Candidate { rule, line: t.line, message });
+        if let Some((rule, message)) = hit.filter(|(rule, _)| !out.iter().any(|c: &Violation| c.rule == *rule && c.line == t.line)) {
+            out.push(Violation { rule, line: t.line, message });
         }
     }
     out
@@ -502,134 +362,45 @@ struct AnalyzedFile {
     path: String,
     rules: RuleSet,
     parsed: ParsedFile,
-    candidates: Vec<Candidate>,
-    /// Pragma scopes: (governed line, rules, index into `pragmas`).
-    scopes: Vec<(u32, Vec<RuleId>, usize)>,
-    pragmas: Vec<PragmaUse>,
-    pragma_errors: Vec<Violation>,
+    /// Every rule's hits, before the file's tier is applied.
+    hits: Vec<Violation>,
 }
 
 /// Two-phase lint driver: add every file, then [`Analysis::finish`] runs
-/// the cross-file semantic passes (D5 flow, D6 propagation) and resolves
-/// suppression.
+/// the cross-file semantic passes (D5 flow, D6 propagation), applies
+/// each file's tier and reports what the semantic walk saw on the way.
 #[derive(Default)]
-pub struct Analysis {
+struct Analysis {
     files: Vec<AnalyzedFile>,
 }
 
 impl Analysis {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn add_source(&mut self, path: &str, src: &str, rules: RuleSet) {
-        let all_tokens = lex(src);
+    fn add_source(&mut self, path: &str, src: &str, rules: RuleSet) {
         let parsed = parser::parse(src);
-        let candidates = scan_tokens(&parsed);
-
-        // Lines that carry at least one code token, for pragma scoping.
-        let code_lines: Vec<u32> = {
-            let mut v: Vec<u32> = parsed.tokens.iter().map(|t| t.line).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let mut scopes = Vec::new();
-        let mut pragmas = Vec::new();
-        let mut pragma_errors = Vec::new();
-        for t in &all_tokens {
-            let Tok::Comment(text) = &t.tok else { continue };
-            let Some(p) = parse_pragma(text, t.line) else { continue };
-            if let Some(err) = p.error {
-                pragma_errors.push(Violation {
-                    rule: RuleId::Pragma,
-                    line: p.line,
-                    message: format!("malformed pragma: {err}"),
-                });
-                continue;
-            }
-            let target = if code_lines.binary_search(&p.line).is_ok() {
-                p.line
-            } else {
-                match code_lines.iter().find(|&&l| l > p.line) {
-                    Some(&l) => l,
-                    None => p.line, // pragma at EOF governs nothing; reported unused
-                }
-            };
-            scopes.push((target, p.rules.clone(), pragmas.len()));
-            pragmas.push(PragmaUse {
-                line: p.line,
-                rules: p.rules,
-                reason: p.reason,
-                suppressed: 0,
-            });
-        }
-
-        self.files.push(AnalyzedFile {
-            path: path.to_string(),
-            rules,
-            parsed,
-            candidates,
-            scopes,
-            pragmas,
-            pragma_errors,
-        });
+        let hits = scan_tokens(&parsed);
+        self.files.push(AnalyzedFile { path: path.to_string(), rules, parsed, hits });
     }
 
-    pub fn finish(self) -> Vec<FileReport> {
-        self.finish_with_census().0
-    }
-
-    /// [`Analysis::finish`], plus what the semantic walk saw on the way.
-    pub fn finish_with_census(mut self) -> (Vec<FileReport>, Census) {
+    fn finish(mut self) -> (Vec<FileReport>, Census) {
         // Cross-file semantic passes (D5 domain flow, D6 call-graph
         // propagation) over every file at once.
         let inputs: Vec<(&str, &ParsedFile)> = self.files.iter().map(|f| (f.path.as_str(), &f.parsed)).collect();
         let (cross, census) = semantic::analyze(&inputs);
         for (idx, c) in cross {
             let file = &mut self.files[idx];
-            if !file.candidates.iter().any(|e| e.rule == c.rule && e.line == c.line) {
-                file.candidates.push(c);
+            if !file.hits.iter().any(|e| e.rule == c.rule && e.line == c.line) {
+                file.hits.push(c);
             }
         }
 
         let mut reports = Vec::new();
-        for mut file in self.files {
-            let mut violations = std::mem::take(&mut file.pragma_errors);
-            for c in &file.candidates {
-                if !file.rules.enables(c.rule) {
-                    continue;
-                }
-                let suppressor = file
-                    .scopes
-                    .iter()
-                    .find(|(line, rs, _)| *line == c.line && rs.contains(&c.rule));
-                match suppressor {
-                    Some(&(_, _, idx)) => file.pragmas[idx].suppressed += 1,
-                    None => violations.push(Violation {
-                        rule: c.rule,
-                        line: c.line,
-                        message: c.message.clone(),
-                    }),
-                }
-            }
-            // A pragma that silenced nothing is stale — make it impossible
-            // for dead allows to accumulate.
-            for p in &file.pragmas {
-                if p.suppressed == 0 {
-                    violations.push(Violation {
-                        rule: RuleId::Pragma,
-                        line: p.line,
-                        message: "unused pragma: it suppresses nothing on its scope line"
-                            .to_string(),
-                    });
-                }
-            }
+        for file in self.files {
+            let mut violations = file.hits;
+            violations.retain(|v| file.rules.enables(v.rule));
             violations.sort_by_key(|v| (v.line, v.rule));
             reports.push(FileReport {
                 path: file.path,
                 violations,
-                pragmas: file.pragmas,
                 unscanned: file.parsed.first_unscanned().map(|t| t.line),
             });
         }
@@ -641,12 +412,10 @@ impl Analysis {
 
 /// Lint one file's source under a rule set. Cross-file D5/D6 reasoning is
 /// restricted to what the single file can prove about itself.
-pub fn lint_source(src: &str, rules: RuleSet) -> (Vec<Violation>, Vec<PragmaUse>) {
-    let mut a = Analysis::new();
+pub fn lint_source(src: &str, rules: RuleSet) -> Vec<Violation> {
+    let mut a = Analysis::default();
     a.add_source("<memory>.rs", src, rules);
-    let mut reports = a.finish();
-    let r = reports.pop().unwrap_or_default();
-    (r.violations, r.pragmas)
+    a.finish().0.pop().unwrap_or_default().violations
 }
 
 /// Collect the `.rs` files under `dir` as `root`-relative paths (sorted,
@@ -685,7 +454,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
             collect_rs(&dir, root, &mut files)?;
         }
     }
-    let mut analysis = Analysis::new();
+    let mut analysis = Analysis::default();
     let mut files_scanned = 0usize;
     for rel in files {
         let Some(rules) = ruleset_for(&rel) else { continue };
@@ -693,17 +462,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         analysis.add_source(&rel, &src, rules);
         files_scanned += 1;
     }
-    let (file_reports, census) = analysis.finish_with_census();
-    let mut report = WorkspaceReport { files: Vec::new(), files_scanned, census };
-    for file_report in file_reports {
-        if !file_report.violations.is_empty()
-            || !file_report.pragmas.is_empty()
-            || file_report.unscanned.is_some()
-        {
-            report.files.push(file_report);
-        }
-    }
-    Ok(report)
+    let (mut files, census) = analysis.finish();
+    files.retain(|f| !f.violations.is_empty() || f.unscanned.is_some());
+    Ok(WorkspaceReport { files, files_scanned, census })
 }
 
 /// Walk up from `start` to the directory whose `Cargo.toml` declares
@@ -730,7 +491,7 @@ mod tests {
     use super::*;
 
     fn violations(src: &str, rules: RuleSet) -> Vec<RuleId> {
-        lint_source(src, rules).0.into_iter().map(|v| v.rule).collect()
+        lint_source(src, rules).into_iter().map(|v| v.rule).collect()
     }
 
     /// The SIM tier without D7, as `ruleset_for` produces for
@@ -977,7 +738,7 @@ mod tests {
                 }
             }
         "#;
-        let v = lint_source(src, RuleSet::SIM).0;
+        let v = lint_source(src, RuleSet::SIM);
         assert!(v.iter().all(|v| v.rule == RuleId::D6), "{v:?}");
         assert_eq!(v.len(), 2, "both cycle sites report: {v:?}");
         // Consistent ordering has no cycle.
@@ -1058,7 +819,7 @@ mod tests {
                 "struct S {{ a: Mutex<Vec<u32>> }}\nimpl S {{\nfn f(&self) -> Option<u32> {{\n{body}\nNone }}\n\
                  fn inner<T>(&self) -> bool {{ self.a.lock().is_empty() }}\n}}\n"
             );
-            let v = lint_source(&src, RuleSet::SIM).0;
+            let v = lint_source(&src, RuleSet::SIM);
             v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>()
         };
         // A temporary lasts for its statement, so an acquire among the
@@ -1089,7 +850,7 @@ mod tests {
             }
             fn g(v: &[u32]) -> u32 { v[0] }
         "#;
-        let v = lint_source(src, RuleSet::SIM).0;
+        let v = lint_source(src, RuleSet::SIM);
         assert_eq!(v.iter().map(|v| v.rule).collect::<Vec<_>>(), [RuleId::D7; 4], "{v:?}");
         // The same source is let through in a file still on the pending
         // list…
@@ -1114,7 +875,7 @@ impl W {
 fn seed() -> u64 { let mut s: [u64; 4] = [0; 4]; s[0] = 1; s[3] }
 fn other(v: &[u64]) -> u64 { let s = v; s[0] }
 "#;
-        let v = lint_source(src, RuleSet::SIM).0;
+        let v = lint_source(src, RuleSet::SIM);
         assert_eq!(
             v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
             [(RuleId::D7, 5), (RuleId::D7, 8)],
@@ -1136,7 +897,7 @@ fn e(v: &[u32], w: &[[u32; 4]]) -> &[u32] { &v[2..] }
 fn f(v: &[u32], n: usize) -> &[u32] { if n > 0 { &v[1..n] } else { &v[..1] } }
 fn g(w: &[[u32; 4]]) -> u32 { w[2][3] }
 "#;
-        let v = lint_source(src, RuleSet::SIM).0;
+        let v = lint_source(src, RuleSet::SIM);
         assert_eq!(
             v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
             [(RuleId::D7, 2), (RuleId::D7, 3), (RuleId::D7, 5), (RuleId::D7, 7), (RuleId::D7, 9)],
@@ -1152,114 +913,11 @@ fn g(w: &[[u32; 4]]) -> u32 { w[2][3] }
         assert!(violations(src, RuleSet::SIM).is_empty());
     }
 
-    // ------------------------------------------------------- pragmas
-
-    #[test]
-    fn pragma_suppresses_same_line() {
-        let src = "use std::collections::HashMap; // scalewall-lint: allow(D2) -- fixture\n";
-        let (v, p) = lint_source(src, RuleSet::SIM);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(p.len(), 1);
-        assert_eq!(p[0].suppressed, 1);
-        assert_eq!(p[0].reason, "fixture");
-    }
-
-    #[test]
-    fn pragma_on_own_line_covers_next_code_line() {
-        let src = "// scalewall-lint: allow(D1) -- sanctioned probe\n\nuse std::time::Instant;\n";
-        let (v, p) = lint_source(src, RuleSet::SIM);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(p[0].suppressed, 1);
-    }
-
-    #[test]
-    fn pragma_does_not_leak_past_its_scope() {
-        let src = "// scalewall-lint: allow(D2) -- first only\nlet a = HashMap::new();\nlet b = HashMap::new();\n";
-        let (v, _) = lint_source(src, RuleSet::SIM);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn pragma_wrong_rule_does_not_suppress() {
-        let src = "use std::collections::HashMap; // scalewall-lint: allow(D1) -- wrong rule\n";
-        let (v, _) = lint_source(src, RuleSet::SIM);
-        // The D2 fires AND the pragma is unused.
-        assert_eq!(
-            v.iter().map(|v| v.rule).collect::<Vec<_>>(),
-            [RuleId::D2, RuleId::Pragma]
-        );
-    }
-
-    #[test]
-    fn pragma_deep_in_block_comment_gets_its_own_line() {
-        // The pragma sits on physical line 3 of a block comment starting
-        // on line 1; it must govern line 4 (the next code line), not line
-        // 2. This was a live bug in the v1 comment-line attribution.
-        let src = "/* preamble\n   more\n   scalewall-lint: allow(D2) -- block scoped */\nuse std::collections::HashMap;\n";
-        let (v, p) = lint_source(src, RuleSet::SIM);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(p[0].line, 3);
-        assert_eq!(p[0].suppressed, 1);
-    }
-
-    #[test]
-    fn malformed_pragma_is_a_violation() {
-        for bad in [
-            "// scalewall-lint: allow(D9) -- nope",
-            "// scalewall-lint: allow(D2)",
-            "// scalewall-lint: allow(D2) --   ",
-            "// scalewall-lint: allow() -- empty",
-            "// scalewall-lint: deny(D2) -- wrong verb",
-        ] {
-            let (v, _) = lint_source(bad, RuleSet::SIM);
-            assert_eq!(v.len(), 1, "{bad}");
-            assert_eq!(v[0].rule, RuleId::Pragma, "{bad}");
-        }
-    }
-
-    #[test]
-    fn unused_pragma_is_a_violation() {
-        let src = "// scalewall-lint: allow(D2) -- stale\nlet x = 1;\n";
-        let (v, _) = lint_source(src, RuleSet::SIM);
-        assert_eq!(v.iter().map(|v| v.rule).collect::<Vec<_>>(), [RuleId::Pragma]);
-    }
-
-    #[test]
-    fn doc_comments_never_carry_pragmas() {
-        // Quoting the pragma syntax in documentation must create neither a
-        // live suppression nor an unused-pragma violation.
-        for src in [
-            "//! // scalewall-lint: allow(D2) -- quoted in module docs\nlet x = 1;\n",
-            "/// // scalewall-lint: allow(D2) -- quoted in item docs\nuse std::collections::HashMap;\n",
-            "/** scalewall-lint: allow(D1) -- quoted in block docs */\nlet x = 1;\n",
-        ] {
-            let (v, p) = lint_source(src, RuleSet::PLAIN);
-            assert!(v.is_empty(), "{src}: {v:?}");
-            assert!(p.is_empty(), "{src}: {p:?}");
-        }
-        // …and a doc-comment "pragma" cannot suppress a real violation.
-        let src = "/// scalewall-lint: allow(D2) -- docs only\nuse std::collections::HashMap;\n";
-        let (v, _) = lint_source(src, RuleSet::SIM);
-        assert_eq!(v.iter().map(|v| v.rule).collect::<Vec<_>>(), [RuleId::D2]);
-    }
-
-    #[test]
-    fn multi_rule_pragma() {
-        let src = "// scalewall-lint: allow(D1, D2) -- both on next line\nuse std::time::Instant; use std::collections::HashMap;\n";
-        let (v, p) = lint_source(src, RuleSet::SIM);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(p[0].suppressed, 2);
-    }
-
     #[test]
     fn tiering_matches_layout() {
         assert_eq!(ruleset_for("crates/cubrick/src/brick.rs"), Some(RuleSet::SIM));
         assert_eq!(ruleset_for("crates/sim/src/rng.rs"), Some(RuleSet::SIM_RNG_HOME));
-        assert_eq!(
-            ruleset_for("crates/sim/src/sync.rs"),
-            Some(RuleSet { d4: false, ..RuleSet::SIM_RNG_HOME })
-        );
+        assert_eq!(ruleset_for("crates/sim/src/sync.rs"), Some(RuleSet::SIM_RNG_HOME));
         assert_eq!(ruleset_for("crates/bench/src/microbench.rs"), Some(RuleSet::PLAIN));
         let counting_allocator = ruleset_for("tests/alloc_budget.rs").unwrap();
         assert!(!counting_allocator.d4 && !counting_allocator.d7);

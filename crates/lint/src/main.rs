@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! scalewall-lint --workspace [--root DIR]   # tiered scan
-//! scalewall-lint --tier sim FILE...         # lint files under one tier
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use scalewall_lint::{find_workspace_root, Analysis, RuleSet, WorkspaceReport};
+use scalewall_lint::{find_workspace_root, WorkspaceReport};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: scalewall-lint --workspace [--root DIR]\n       scalewall-lint --tier <sim|sim-rng-home|bench|plain> FILE..."
-    );
+    eprintln!("usage: scalewall-lint --workspace [--root DIR]\nexit: 0 clean, 1 violations found, 2 usage/IO error");
     ExitCode::from(2)
 }
 
@@ -28,25 +25,9 @@ fn print_report(report: &WorkspaceReport) {
     if let Some((path, line)) = report.first_unscanned() {
         println!("{path}:{line}: shaper: stopped here, short of the end of the file — nothing behind it is in an item");
     }
-    let inventory = report.pragma_inventory();
-    if !inventory.is_empty() {
-        println!("pragma allows ({}):", inventory.len());
-        for (path, p) in &inventory {
-            let rules: Vec<String> = p.rules.iter().map(|r| r.to_string()).collect();
-            println!(
-                "  {}:{}: allow({}) -- {} [suppressed {}]",
-                path,
-                p.line,
-                rules.join(","),
-                p.reason,
-                p.suppressed
-            );
-        }
-    }
     println!(
-        "scalewall-lint: {} violation(s), {} suppressed, {} file(s) scanned",
+        "scalewall-lint: {} violation(s), {} file(s) scanned",
         report.violation_count(),
-        report.suppressed_count(),
         report.files_scanned
     );
 }
@@ -93,39 +74,6 @@ fn run_workspace(root_arg: Option<PathBuf>) -> ExitCode {
     }
 }
 
-fn run_files(tier: &str, files: &[String]) -> ExitCode {
-    let rules = match tier {
-        "sim" => RuleSet::SIM,
-        "sim-rng-home" => RuleSet::SIM_RNG_HOME,
-        "bench" => RuleSet::BENCH,
-        "plain" => RuleSet::PLAIN,
-        _ => return usage(),
-    };
-    if files.is_empty() {
-        return usage();
-    }
-    let mut report = WorkspaceReport::default();
-    for f in files {
-        let src = match std::fs::read_to_string(Path::new(f)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("scalewall-lint: {f}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut analysis = Analysis::new();
-        analysis.add_source(f, &src, rules);
-        report.files_scanned += 1;
-        report.files.extend(analysis.finish());
-    }
-    print_report(&report);
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -137,10 +85,6 @@ fn main() -> ExitCode {
             };
             run_workspace(root)
         }
-        Some("--tier") => match args.get(1) {
-            Some(tier) => run_files(tier, &args[2..]),
-            None => usage(),
-        },
         _ => usage(),
     }
 }

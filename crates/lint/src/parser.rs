@@ -96,7 +96,7 @@ pub struct Stmt {
 /// Everything the lint extracts from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
-    /// Comment-free code tokens, in order.
+    /// Code tokens, in order.
     pub tokens: Vec<Token>,
     pub fns: Vec<FnDef>,
     pub structs: Vec<StructDef>,
@@ -131,10 +131,7 @@ pub fn is_keyword(word: &str) -> bool {
 
 /// Shape a source file. Never fails; see the module docs.
 pub fn parse(src: &str) -> ParsedFile {
-    let tokens: Vec<Token> = lex(src)
-        .into_iter()
-        .filter(|t| !matches!(t.tok, Tok::Comment(_)))
-        .collect();
+    let tokens = lex(src);
     let mut p = Parser {
         toks: &tokens,
         pos: 0,

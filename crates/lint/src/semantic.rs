@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Tok, Token};
 use crate::parser::{is_keyword, Group, Node, ParsedFile, Stmt};
-use crate::{Candidate, RuleId};
+use crate::{RuleId, Violation};
 
 /// `SimRng` draw methods: calling any of these advances the stream
 /// position, which is what makes a later re-fork position-dependent.
@@ -104,9 +104,9 @@ pub(crate) struct FnFacts {
     /// Intra-function lock-order edges `(held, acquired, line)`.
     edges: Vec<(String, String, u32)>,
     fork_sites: usize,
-    /// Local D5/D6 candidates already final (same-lock nested acquire,
+    /// Local D5/D6 hits already final (same-lock nested acquire,
     /// duplicate fork labels, fork-after-draw).
-    local: Vec<Candidate>,
+    local: Vec<Violation>,
 }
 
 /// The workspace struct index: field lock-ness and field types by struct
@@ -368,7 +368,7 @@ impl<'a> FnWalk<'a> {
     fn acquire(&mut self, lock: String, line: u32, guard: Option<&str>) {
         let held = self.held();
         if held.contains(&lock) {
-            self.facts.local.push(Candidate {
+            self.facts.local.push(Violation {
                 rule: RuleId::D6,
                 line,
                 message: format!(
@@ -503,7 +503,7 @@ impl<'a> FnWalk<'a> {
         // D5a: two fork sites under one static label on one stream.
         if let Some(label) = label {
             if let Some(first) = self.fork_labels.get(&(key.clone(), label.clone())) {
-                self.facts.local.push(Candidate {
+                self.facts.local.push(Violation {
                     rule: RuleId::D5,
                     line,
                     message: format!(
@@ -516,7 +516,7 @@ impl<'a> FnWalk<'a> {
         }
         // D5b: re-forking a stored stream after drawing from it.
         if self.rng_state.get(&key).copied() == Some(true) {
-            self.facts.local.push(Candidate {
+            self.facts.local.push(Violation {
                 rule: RuleId::D5,
                 line,
                 message: format!(
@@ -530,9 +530,9 @@ impl<'a> FnWalk<'a> {
 // ---------------------------------------------------------- cross-file
 
 /// Run the cross-file analyses over every per-file fact set; returns
-/// `(file index, candidate)` pairs and what the walks saw.
-fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
-    let mut out: Vec<(usize, Candidate)> = Vec::new();
+/// `(file index, violation)` pairs and what the walks saw.
+fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Violation)>, Census) {
+    let mut out: Vec<(usize, Violation)> = Vec::new();
 
     // Function tables: every analyzed fn gets an id.
     struct Entry<'a> {
@@ -626,7 +626,7 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
                 if site.held.contains(a) {
                     out.push((
                         e.file,
-                        Candidate {
+                        Violation {
                             rule: RuleId::D6,
                             line: site.line,
                             message: format!(
@@ -649,7 +649,7 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
                 }
             }
         }
-        // Local candidates pass straight through.
+        // Local hits pass straight through.
         for c in &e.f.local {
             out.push((e.file, c.clone()));
         }
@@ -682,7 +682,7 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
             for (file, line, what) in sites {
                 out.push((
                     *file,
-                    Candidate {
+                    Violation {
                         rule: RuleId::D6,
                         line: *line,
                         message: format!(
@@ -705,7 +705,7 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
             {
                 out.push((
                     e.file,
-                    Candidate {
+                    Violation {
                         rule: RuleId::D5,
                         line: site.line,
                         message: format!(
@@ -731,7 +731,7 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Candidate)>, Census) {
 }
 
 /// Convenience used by `lint_source`/`lint_workspace`: run both phases.
-pub(crate) fn analyze(files: &[(&str, &ParsedFile)]) -> (Vec<(usize, Candidate)>, Census) {
+pub(crate) fn analyze(files: &[(&str, &ParsedFile)]) -> (Vec<(usize, Violation)>, Census) {
     let mut index = StructIndex::default();
     // Aliases of aliases resolve in as many rounds as they are deep.
     let aliases = || files.iter().flat_map(|(_, parsed)| &parsed.aliases).filter(|(.., in_test)| !in_test);

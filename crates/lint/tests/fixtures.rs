@@ -17,7 +17,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn rules_hit(src: &str, rules: RuleSet) -> Vec<RuleId> {
-    let (violations, _) = lint_source(src, rules);
+    let violations = lint_source(src, rules);
     let mut hit: Vec<RuleId> = violations.iter().map(|v| v.rule).collect();
     hit.sort();
     hit.dedup();
@@ -34,7 +34,7 @@ fn clean_fixture_is_clean() {
 fn d1_fixture_trips_only_d1() {
     let src = fixture("d1_wall_clock.rs");
     assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D1]);
-    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let violations = lint_source(&src, RuleSet::SIM);
     // Instant, SystemTime (import + uses) and thread::spawn all land.
     assert!(violations.len() >= 3, "{violations:?}");
 }
@@ -51,7 +51,7 @@ fn d2_fixture_trips_only_d2() {
 fn d3_fixture_trips_only_d3_and_only_once() {
     let src = fixture("d3_literal_seed.rs");
     assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D3]);
-    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let violations = lint_source(&src, RuleSet::SIM);
     // fork() and config-seeded construction must not be flagged.
     assert_eq!(violations.len(), 1, "{violations:?}");
     // Inside crates/sim the same source is legal.
@@ -73,7 +73,7 @@ const PENDING: RuleSet = RuleSet { d7: false, ..RuleSet::SIM };
 fn d5_fixture_trips_only_d5_once_per_breach() {
     let src = fixture("d5_stream_discipline.rs");
     assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D5]);
-    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let violations = lint_source(&src, RuleSet::SIM);
     // One per sub-rule: duplicate label, fork-after-draw, domain flow.
     assert_eq!(violations.len(), 3, "{violations:?}");
 }
@@ -88,7 +88,7 @@ fn d5_clean_pair_is_clean() {
 fn d6_fixture_trips_only_d6() {
     let src = fixture("d6_lock_order.rs");
     assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D6]);
-    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let violations = lint_source(&src, RuleSet::SIM);
     // The nested acquire plus both cycle-participating sites.
     assert_eq!(violations.len(), 3, "{violations:?}");
 }
@@ -103,7 +103,7 @@ fn d6_clean_pair_is_clean() {
 fn d7_fixture_trips_only_d7_and_not_in_pending_files() {
     let src = fixture("d7_panic_surface.rs");
     assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D7]);
-    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let violations = lint_source(&src, RuleSet::SIM);
     // unwrap, expect, panic!, unreachable!, todo!, v[0], and a literal
     // index into a local that only looks like an array.
     assert_eq!(violations.len(), 7, "{violations:?}");
@@ -117,6 +117,9 @@ fn d7_clean_pair_is_clean() {
     assert_eq!(rules_hit(&src, RuleSet::SIM), Vec::<RuleId>::new());
 }
 
+const RULES: [RuleId; 7] =
+    [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D5, RuleId::D6, RuleId::D7];
+
 /// Every `// expect: <rule>` marker of the blind-shape fixture names a
 /// line on which exactly that rule fires, and nothing fires elsewhere.
 #[test]
@@ -127,24 +130,22 @@ fn blind_shape_pins_and_controls_fire_on_their_lines() {
         .zip(1u32..)
         .filter_map(|(text, line)| {
             let (_, rule) = text.split_once("// expect: ")?;
-            Some((line, RuleId::parse(rule).unwrap_or_else(|| panic!("line {line}: bad marker {rule:?}"))))
+            let parsed = RULES.into_iter().find(|r| r.to_string() == rule.trim());
+            Some((line, parsed.unwrap_or_else(|| panic!("line {line}: bad marker {rule:?}"))))
         })
         .collect();
     assert_eq!(expected.len(), 23, "markers lost from the fixture");
-    let (violations, _) = lint_source(&src, RuleSet::SIM);
+    let violations = lint_source(&src, RuleSet::SIM);
     let got: Vec<(u32, RuleId)> = violations.iter().map(|v| (v.line, v.rule)).collect();
     assert_eq!(got, expected, "{violations:#?}");
 }
 
 #[test]
 fn lexer_edge_fixture_is_inert() {
-    // Raw strings spanning pragma-looking lines, escaped-newline string
-    // continuations, and nested block comments: no violations, and no
-    // pragmas harvested out of string data.
+    // Raw strings spanning comment-shaped lines, escaped-newline string
+    // continuations, and nested block comments: no violations.
     let src = fixture("lexer_edges.rs");
-    let (violations, pragmas) = lint_source(&src, RuleSet::SIM);
-    assert_eq!(violations, Vec::new());
-    assert_eq!(pragmas, Vec::new());
+    assert_eq!(lint_source(&src, RuleSet::SIM), Vec::new());
 }
 
 /// Pinned regression for call-graph held-set propagation: `outer` holds
@@ -169,7 +170,7 @@ impl S {
     }
 }
 "#;
-    let (violations, _) = lint_source(src, RuleSet::SIM);
+    let violations = lint_source(src, RuleSet::SIM);
     assert_eq!(violations.len(), 1, "{violations:?}");
     let v = &violations[0];
     assert_eq!(v.rule, RuleId::D6);
@@ -178,14 +179,14 @@ impl S {
     assert!(v.message.contains("held across a call"), "{}", v.message);
 }
 
+/// A `scalewall-lint: allow(…)` comment is a comment like any other:
+/// every hit of the old pragma fixture is reported on its own line.
 #[test]
-fn pragma_fixture_is_clean_with_inventory() {
+fn old_pragma_comments_suppress_nothing() {
     let src = fixture("pragma_allowed.rs");
-    let (violations, pragmas) = lint_source(&src, RuleSet::SIM);
-    assert_eq!(violations, Vec::new());
-    assert_eq!(pragmas.len(), 4);
-    assert!(pragmas.iter().all(|p| p.suppressed > 0), "{pragmas:?}");
-    assert!(pragmas.iter().all(|p| p.reason.starts_with("fixture:") || !p.reason.is_empty()));
+    let violations = lint_source(&src, RuleSet::SIM);
+    let got: Vec<(u32, RuleId)> = violations.iter().map(|v| (v.line, v.rule)).collect();
+    assert_eq!(got, [(6, RuleId::D2), (10, RuleId::D2), (18, RuleId::D1), (18, RuleId::D2)]);
 }
 
 // ------------------------------------------------------------- coverage
@@ -291,9 +292,8 @@ fn mutate_token_preserving(rng: &mut SimRng, src: &str) -> String {
             out.push(' ');
         }
         out.push_str(line);
-        // Trailing line comment — but never on a line that might host a
-        // pragma already (fixtures' pragmas must stay last on their line).
-        if !line.contains("scalewall-lint:") && rng.chance(0.2) {
+        // Trailing line comment.
+        if rng.chance(0.2) {
             out.push_str(" // trailing noise: unsafe HashMap");
         }
         out.push('\n');
@@ -305,7 +305,6 @@ fn mutate_token_preserving(rng: &mut SimRng, src: &str) -> String {
 fn prop_token_preserving_mutations_of_clean_fixtures_stay_clean() {
     let clean = [
         fixture("clean.rs"),
-        fixture("pragma_allowed.rs"),
         fixture("d5_stream_discipline_clean.rs"),
         fixture("d6_lock_order_clean.rs"),
         fixture("d7_panic_surface_clean.rs"),
@@ -320,7 +319,7 @@ fn prop_token_preserving_mutations_of_clean_fixtures_stay_clean() {
             (which, mutate_token_preserving(rng, &clean[which]))
         },
         |(_, mutated)| {
-            let (violations, _) = lint_source(mutated, RuleSet::SIM);
+            let violations = lint_source(mutated, RuleSet::SIM);
             assert_eq!(violations, Vec::new(), "mutated source:\n{mutated}");
         },
     );
@@ -339,6 +338,7 @@ fn prop_seeded_violations_survive_noise() {
         (fixture("d5_stream_discipline.rs"), RuleId::D5),
         (fixture("d6_lock_order.rs"), RuleId::D6),
         (fixture("d7_panic_surface.rs"), RuleId::D7),
+        (fixture("pragma_allowed.rs"), RuleId::D2),
     ];
     prop::check_n(
         "lint_dirty_fixtures_stable_under_noise",
@@ -349,7 +349,7 @@ fn prop_seeded_violations_survive_noise() {
             (mutate_token_preserving(rng, src), *rule)
         },
         |(mutated, rule)| {
-            let (violations, _) = lint_source(mutated, RuleSet::SIM);
+            let violations = lint_source(mutated, RuleSet::SIM);
             assert!(
                 violations.iter().any(|v| v.rule == *rule),
                 "{rule} vanished from mutated source:\n{mutated}"

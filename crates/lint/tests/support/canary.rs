@@ -38,10 +38,7 @@ fn is_ident(t: &Token, s: &str) -> bool {
 /// line, found from the token stream alone: asking the parser would not
 /// list what it is blind to.
 fn live_lines(src: &str) -> Vec<Vec<Token>> {
-    let toks: Vec<Token> = lex(src)
-        .into_iter()
-        .filter(|t| !matches!(t.tok, Tok::Comment(_)))
-        .collect();
+    let toks = lex(src);
     let punct = |i: usize, c: char| matches!(toks.get(i), Some(t) if t.tok == Tok::Punct(c));
     let mut lines: Vec<Vec<Token>> = Vec::new();
     let mut i = 0;
@@ -105,7 +102,7 @@ pub fn unreported(src: &str, rules: RuleSet, heads: &[u32], canary: &Canary) -> 
     let missed = |&head: &u32| {
         let (before, after) = lines.split_at(head as usize);
         let mutated = [before, &[canary.text], after].concat().join("\n");
-        let (violations, _) = lint_source(&mutated, rules);
+        let violations = lint_source(&mutated, rules);
         let reported = |rule: &RuleId| violations.iter().any(|v| v.rule == *rule && v.line == head + 1);
         !canary.rules.iter().all(reported)
     };

@@ -20,10 +20,11 @@ fi
 
 # Zero-tolerance static gates (ISSUE 4, extended by ISSUE 9):
 #  * `-D warnings` turns every rustc warning into a build failure;
-#  * `scalewall-lint --workspace` enforces the semantic determinism
-#    rules D1–D7 (DESIGN.md "Determinism invariants" and "Semantic
-#    determinism invariants") across the tiered tree: any violation or
-#    unused/malformed pragma fails the build.
+#  * `scalewall-lint --workspace [--root DIR]` enforces the semantic
+#    determinism rules D1–D7 (DESIGN.md "Determinism invariants" and
+#    "Semantic determinism invariants") across the tiered tree. It exits
+#    0 when clean, 1 on any violation (which fails the build) and 2 on a
+#    usage or IO error.
 export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline

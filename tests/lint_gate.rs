@@ -1,13 +1,13 @@
 //! Workspace determinism gate: run `scalewall-lint` over the live tree
-//! and fail the build on any unsilenced violation.
+//! and fail the build on any violation.
 //!
 //! This is the machine check behind the replay contract: no sim-facing
 //! code path may smuggle in wall-clock time (D1), hash-iteration order
 //! (D2), private RNG seeds (D3), `unsafe` (D4), RNG stream-discipline
 //! breaches (D5), lock-order hazards (D6), or panic surface anywhere
 //! but the `D7_PENDING` files (D7). See DESIGN.md "Determinism invariants" and
-//! "Semantic determinism invariants" for the rules and the pragma
-//! escape hatch.
+//! "Semantic determinism invariants" for the rules and the file tiers,
+//! the lint's only exceptions.
 
 use std::path::Path;
 
@@ -29,26 +29,7 @@ fn workspace_has_zero_unsilenced_violations() {
         report.files_scanned
     );
 
-    // Always print the allow inventory: every suppression in the tree,
-    // with its reason, in one place.
-    let inventory = report.pragma_inventory();
-    println!("pragma allow inventory ({} entries):", inventory.len());
-    for (path, p) in &inventory {
-        let rules: Vec<String> = p.rules.iter().map(|r| r.to_string()).collect();
-        println!(
-            "  {}:{}: allow({}) -- {} [suppressed {}]",
-            path,
-            p.line,
-            rules.join(","),
-            p.reason,
-            p.suppressed
-        );
-    }
-    println!(
-        "scanned {} files, {} suppressed by pragma",
-        report.files_scanned,
-        report.suppressed_count()
-    );
+    println!("scanned {} files", report.files_scanned);
 
     // The coverage invariant: the pattern scan reads every code token
     // outside `#[cfg(test)]`, and the item shaper walked every scanned
@@ -67,7 +48,7 @@ fn workspace_has_zero_unsilenced_violations() {
     assert_eq!(
         report.violation_count(),
         0,
-        "unsilenced determinism-lint violations:\n{rendered}"
+        "determinism-lint violations:\n{rendered}"
     );
 
     // The gate covers all seven rule families, not just the v1 four:
@@ -205,7 +186,7 @@ fn one_planted_violation_per_rule_is_reported_on_its_line() {
     let mutated = [&lines[..anchor], &planted, &lines[anchor..]].concat().join("\n");
 
     let rules = ruleset_for(rel).expect("driver.rs is linted");
-    let (violations, _) = lint_source(&mutated, rules);
+    let violations = lint_source(&mutated, rules);
     let got: Vec<(RuleId, u32)> = violations.iter().map(|v| (v.rule, v.line)).collect();
     let expected: Vec<(RuleId, u32)> =
         PLANTED.iter().zip(anchor as u32 + 1..).map(|((rule, _), line)| (*rule, line)).collect();
