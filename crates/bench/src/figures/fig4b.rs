@@ -12,9 +12,12 @@ use scalewall_sim::SimRng;
 
 use crate::Profile;
 
-pub fn compute(profile: Profile) -> Vec<(u32, usize)> {
+/// The seed the figure is drawn at.
+pub const SEED: u64 = 0xF164B;
+
+pub fn compute(profile: Profile, seed: u64) -> Vec<(u32, usize)> {
     let tables = profile.pick(2_000, 20_000);
-    let mut rng = SimRng::new(0xF164B);
+    let mut rng = SimRng::new(seed);
     let population = TablePopulation::generate(
         &WorkloadConfig {
             tables,
@@ -26,7 +29,7 @@ pub fn compute(profile: Profile) -> Vec<(u32, usize)> {
 }
 
 pub fn run(profile: Profile) -> String {
-    let hist = compute(profile);
+    let hist = compute(profile, SEED);
     let total: usize = hist.iter().map(|&(_, c)| c).sum();
     let max_count = hist.iter().map(|&(_, c)| c).max().unwrap_or(1);
     let mut table = TextTable::new(vec!["partitions", "tables", "fraction", "histogram"]);
@@ -57,7 +60,7 @@ mod tests {
 
     #[test]
     fn majority_at_default_with_tail() {
-        let hist = compute(Profile::Fast);
+        let hist = compute(Profile::Fast, SEED);
         let total: usize = hist.iter().map(|&(_, c)| c).sum();
         let at_8 = hist
             .iter()

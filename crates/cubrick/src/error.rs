@@ -33,8 +33,6 @@ pub enum CubrickError {
     ShardLoading { table: String, partition: u32 },
     /// Admission control rejected the query.
     AdmissionRejected { detail: String },
-    /// All retries exhausted at the proxy.
-    RetriesExhausted { attempts: u32, last_error: String },
     /// No healthy region could serve the query.
     NoAvailableRegion,
     /// A table partition is unavailable in the chosen region.
@@ -83,12 +81,6 @@ impl fmt::Display for CubrickError {
                 write!(f, "{table}#{partition} is still loading")
             }
             AdmissionRejected { detail } => write!(f, "admission control: {detail}"),
-            RetriesExhausted {
-                attempts,
-                last_error,
-            } => {
-                write!(f, "gave up after {attempts} attempts: {last_error}")
-            }
             NoAvailableRegion => write!(f, "no available region"),
             PartitionUnavailable { table, partition } => {
                 write!(f, "{table}#{partition} unavailable in region")

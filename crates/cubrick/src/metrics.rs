@@ -1,7 +1,7 @@
 //! Load-balancing metric generations (§IV-F).
 //!
-//! What a Cubrick server reports to Shard Manager changed three times as
-//! the storage engine evolved:
+//! What a Cubrick server reports to Shard Manager changed as the storage
+//! engine evolved:
 //!
 //! * **Gen 1** — shard size = actual memory footprint; host capacity =
 //!   90 % of physical memory. Broke when adaptive compression made
@@ -9,9 +9,8 @@
 //! * **Gen 2** — shard size = *decompressed* size (deterministic, moves
 //!   with the shard); capacity = memory × observed fleet compression
 //!   ratio.
-//! * **Gen 3** — SSD era: shard size = SSD footprint, capacity = SSD
-//!   bytes. (The paper leaves a working-set secondary metric as an open
-//!   problem; nothing here reports one.)
+//!
+//! The paper's gen 3 (SSD footprint and capacity) is not reproduced.
 
 use crate::store::PartitionData;
 
@@ -20,17 +19,10 @@ use crate::store::PartitionData;
 pub enum MetricGeneration {
     Gen1MemoryFootprint,
     Gen2DecompressedSize,
-    Gen3SsdFootprint,
 }
 
-/// Inputs for computing a host's reported capacity.
-#[derive(Debug, Clone, Copy)]
-pub struct CapacityInputs {
-    pub physical_memory_bytes: u64,
-    /// Average compression ratio observed in production (gen 2 scaling).
-    pub observed_compression_ratio: f64,
-    pub ssd_capacity_bytes: u64,
-}
+/// Fleet-observed compression ratio (gen-2 capacity scaling).
+const OBSERVED_COMPRESSION_RATIO: f64 = 3.0;
 
 /// Fraction of physical memory reserved for kernel and basic services
 /// ("90 % of the available memory", §IV-F1).
@@ -49,34 +41,17 @@ impl MetricGeneration {
             MetricGeneration::Gen2DecompressedSize => partitions
                 .map(PartitionData::decompressed_bytes)
                 .sum::<u64>() as f64,
-            MetricGeneration::Gen3SsdFootprint => {
-                // Data not yet evicted still counts at its compressed-on-
-                // disk-equivalent size; use SSD bytes when present,
-                // otherwise fall back to decompressed (pre-eviction).
-                let (ssd, decompressed) = partitions.fold((0u64, 0u64), |(s, d), p| {
-                    (s + p.ssd_bytes(), d + p.decompressed_bytes())
-                });
-                if ssd > 0 {
-                    ssd as f64
-                } else {
-                    decompressed as f64
-                }
-            }
         }
     }
 
-    /// The host capacity reported to SM.
-    pub fn host_capacity(self, inputs: &CapacityInputs) -> f64 {
+    /// The host capacity reported to SM for `memory_bytes` of physical
+    /// memory.
+    pub fn host_capacity(self, memory_bytes: u64) -> f64 {
         match self {
-            MetricGeneration::Gen1MemoryFootprint => {
-                inputs.physical_memory_bytes as f64 * MEMORY_HEADROOM
-            }
+            MetricGeneration::Gen1MemoryFootprint => memory_bytes as f64 * MEMORY_HEADROOM,
             MetricGeneration::Gen2DecompressedSize => {
-                inputs.physical_memory_bytes as f64
-                    * MEMORY_HEADROOM
-                    * inputs.observed_compression_ratio.max(1.0)
+                memory_bytes as f64 * MEMORY_HEADROOM * OBSERVED_COMPRESSION_RATIO
             }
-            MetricGeneration::Gen3SsdFootprint => inputs.ssd_capacity_bytes as f64,
         }
     }
 }
@@ -141,45 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn gen3_prefers_ssd_bytes() {
-        let mut parts = partitions();
-        let gen3 = MetricGeneration::Gen3SsdFootprint;
-        // Pre-eviction: nothing on SSD, fall back to decompressed.
-        assert_eq!(gen3.shard_size(parts.iter()), 2.0 * 40.0 * 12.0);
-        squeeze(&mut parts[0]);
-        parts[0].evict_coldest(u64::MAX);
-        let ssd = parts[0].ssd_bytes();
-        assert!(ssd > 0);
-        assert_eq!(gen3.shard_size(parts.iter()), ssd as f64);
-    }
-
-    #[test]
     fn capacities() {
-        let c = CapacityInputs {
-            physical_memory_bytes: 1_000,
-            observed_compression_ratio: 3.0,
-            ssd_capacity_bytes: 10_000,
-        };
         assert_eq!(
-            MetricGeneration::Gen1MemoryFootprint.host_capacity(&c),
+            MetricGeneration::Gen1MemoryFootprint.host_capacity(1_000),
             900.0
         );
         assert_eq!(
-            MetricGeneration::Gen2DecompressedSize.host_capacity(&c),
+            MetricGeneration::Gen2DecompressedSize.host_capacity(1_000),
             2_700.0
-        );
-        assert_eq!(
-            MetricGeneration::Gen3SsdFootprint.host_capacity(&c),
-            10_000.0
-        );
-        // Ratios below 1 never shrink capacity under gen 2.
-        let c2 = CapacityInputs {
-            observed_compression_ratio: 0.5,
-            ..c
-        };
-        assert_eq!(
-            MetricGeneration::Gen2DecompressedSize.host_capacity(&c2),
-            900.0
         );
     }
 }

@@ -33,7 +33,7 @@ use scalewall_sim::SimRng;
 use crate::catalog::{Catalog, SharedCatalog};
 use crate::error::{CubrickError, CubrickResult};
 use crate::hotness::MemoryMonitorConfig;
-use crate::metrics::{CapacityInputs, MetricGeneration};
+use crate::metrics::MetricGeneration;
 use crate::query::result::PartialResult;
 use crate::query::{execute_partition, Query};
 use crate::store::PartitionData;
@@ -100,12 +100,6 @@ impl RegionStore {
 
 /// Region store shared by all nodes of one region.
 pub type SharedRegionStore = Arc<RwLock<RegionStore>>;
-
-/// Fleet-observed compression ratio (gen-2 capacity scaling).
-const OBSERVED_COMPRESSION_RATIO: f64 = 3.0;
-
-/// SSD bytes a host exports as capacity under gen-3 metrics.
-const SSD_CAPACITY_BYTES: u64 = 64 << 30;
 
 /// Node configuration.
 #[derive(Debug, Clone)]
@@ -364,42 +358,6 @@ impl CubrickNode {
         totals
     }
 
-    /// Gen-3 eviction pass (§IV-F3): when compression alone cannot fit
-    /// the node under its memory budget, push the coldest *compressed*
-    /// bricks out to SSD until it does. Returns bricks evicted.
-    pub fn run_ssd_eviction(&mut self) -> usize {
-        let footprint = self.memory_footprint();
-        if footprint <= self.config.memory_budget_bytes {
-            return 0;
-        }
-        let mut to_free = footprint - self.config.memory_budget_bytes;
-        let keys = self.owned_partition_keys();
-        let mut store = self.region_store.write();
-        let mut evicted = 0usize;
-        for (table, p) in keys {
-            if to_free == 0 {
-                break;
-            }
-            if let Some(data) = store.partition_mut(&table, p) {
-                let before = data.memory_footprint();
-                evicted += data.evict_coldest(to_free);
-                let freed = before.saturating_sub(data.memory_footprint());
-                to_free = to_free.saturating_sub(freed);
-            }
-        }
-        evicted
-    }
-
-    /// Bytes currently resident in memory across owned partitions.
-    pub fn memory_footprint(&self) -> u64 {
-        let keys = self.owned_partition_keys();
-        let store = self.region_store.read();
-        keys.iter()
-            .filter_map(|(t, p)| store.partition(t, *p))
-            .map(|d| d.memory_footprint())
-            .sum()
-    }
-
     /// Hotness snapshot across owned partitions (Fig 4e):
     /// `(table, partition, brick_id, counter)`.
     pub fn hotness_snapshot(&self) -> Vec<(Arc<str>, u32, u64, u32)> {
@@ -510,11 +468,7 @@ impl AppServer for CubrickNode {
     fn capacity(&self) -> f64 {
         self.config
             .metric_generation
-            .host_capacity(&CapacityInputs {
-                physical_memory_bytes: self.config.memory_budget_bytes,
-                observed_compression_ratio: OBSERVED_COMPRESSION_RATIO,
-                ssd_capacity_bytes: SSD_CAPACITY_BYTES,
-            })
+            .host_capacity(self.config.memory_budget_bytes)
     }
 
     fn shard_transfer_bytes(&self, shard: ShardId) -> u64 {
@@ -583,6 +537,17 @@ mod tests {
             reason,
             source: None,
         }
+    }
+
+    /// Bytes resident in memory across the node's owned partitions.
+    fn memory_footprint(f: &Fixture) -> u64 {
+        let store = f.store.read();
+        f.node
+            .owned_partition_keys()
+            .iter()
+            .filter_map(|(t, p)| store.partition(t, *p))
+            .map(PartitionData::memory_footprint)
+            .sum()
     }
 
     /// Create table "t" with 4 partitions and load rows; give the node
@@ -799,13 +764,13 @@ mod tests {
     fn memory_monitor_respects_budget() {
         let mut f = fixture();
         load_table(&mut f);
-        let footprint = f.node.memory_footprint();
+        let footprint = memory_footprint(&f);
         assert!(footprint > 0);
         // Starve the node: everything compresses.
         f.node.config.memory_budget_bytes = 1;
         let (compressed, _) = f.node.run_memory_monitor();
         assert!(compressed > 0);
-        assert!(f.node.memory_footprint() < footprint);
+        assert!(memory_footprint(&f) < footprint);
         // Queries still correct after compression.
         let query = parse_query("select count(*) from t").unwrap();
         let mut total = 0.0;
@@ -819,38 +784,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(total, 200.0);
-    }
-
-    #[test]
-    fn gen3_eviction_kicks_in_when_compression_is_not_enough() {
-        let mut f = fixture();
-        load_table(&mut f);
-        f.node.config.memory_budget_bytes = 1; // impossible budget
-        f.node.run_memory_monitor(); // compress everything
-        let after_compression = f.node.memory_footprint();
-        let evicted = f.node.run_ssd_eviction();
-        assert!(evicted > 0, "compressed bricks must spill to SSD");
-        assert!(f.node.memory_footprint() < after_compression);
-        // Gen-3 metrics now report SSD bytes.
-        f.node.config.metric_generation = crate::metrics::MetricGeneration::Gen3SsdFootprint;
-        let total: f64 = f.node.shard_metrics().iter().map(|&(_, w)| w).sum();
-        assert!(total > 0.0);
-        // Queries still correct (SSD reads are transparent).
-        let query = parse_query("select count(*) from t").unwrap();
-        let mut sum = 0.0;
-        for p in 0..4 {
-            sum += f
-                .node
-                .execute_local(&query, p)
-                .unwrap()
-                .finalize()
-                .scalar()
-                .unwrap();
-        }
-        assert_eq!(sum, 200.0);
-        // Under a sane budget, eviction is a no-op.
-        f.node.config.memory_budget_bytes = 1 << 30;
-        assert_eq!(f.node.run_ssd_eviction(), 0);
     }
 
     #[test]

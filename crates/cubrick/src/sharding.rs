@@ -65,17 +65,6 @@ fn partition_hash(table: &str, partition: u32) -> u64 {
     mix64(hash::fnv1a(name, &digits[start..]))
 }
 
-/// Parse an internal partition name back into `(table, partition)`.
-pub fn parse_partition_name(name: &str) -> Option<(&str, u32)> {
-    let idx = name.rfind(PARTITION_SEP)?;
-    let table = &name[..idx];
-    if table.is_empty() {
-        return None;
-    }
-    let partition = name[idx + 1..].parse().ok()?;
-    Some((table, partition))
-}
-
 /// Which shard-mapping function a table uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMapping {
@@ -201,13 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn partition_names_round_trip() {
+    fn partition_name_joins_table_and_index() {
         assert_eq!(partition_name("t", 3), "t#3");
-        assert_eq!(parse_partition_name("t#3"), Some(("t", 3)));
-        assert_eq!(parse_partition_name("a#b#12"), Some(("a#b", 12)));
-        assert_eq!(parse_partition_name("nope"), None);
-        assert_eq!(parse_partition_name("#1"), None);
-        assert_eq!(parse_partition_name("t#x"), None);
+        assert_eq!(partition_name("a#b", 12), "a#b#12");
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! A `PartitionData` is what a Cubrick server holds for each table
 //! partition mapped (via the shard function) to a shard it owns. It owns
 //! the dictionaries, the brick map keyed by granular-partitioning brick
-//! id, per-brick hotness, and the three-state brick lifecycle behind the
+//! id, per-brick hotness, and the two-state brick lifecycle behind the
 //! load-balancing metric generations of §IV-F:
 //!
 //! ```text
 //! Hot(Brick)            uncompressed, in memory       (gen 1 footprint)
 //! Cold(CompressedBrick) compressed, in memory         (gen 2 era)
-//! Evicted(...)          compressed, on simulated SSD  (gen 3 era)
 //! ```
 
 use std::collections::BTreeMap;
@@ -31,7 +30,6 @@ use crate::value::{Row, Value};
 enum BrickState {
     Hot(Brick),
     Cold(CompressedBrick),
-    Evicted(CompressedBrick),
 }
 
 /// Where a brick's bytes sit ([`PartitionData::brick_census`]).
@@ -39,7 +37,6 @@ enum BrickState {
 pub enum Residency {
     Hot,
     Cold,
-    Evicted,
 }
 
 impl BrickState {
@@ -48,7 +45,6 @@ impl BrickState {
         match self {
             BrickState::Hot(b) => (Residency::Hot, b.footprint()),
             BrickState::Cold(c) => (Residency::Cold, c.footprint()),
-            BrickState::Evicted(c) => (Residency::Evicted, c.footprint()),
         }
     }
 }
@@ -66,26 +62,22 @@ struct Slot {
 struct Tally {
     /// Bytes of the hot and cold bricks.
     resident_bytes: u64,
-    /// Bytes of the evicted bricks.
-    ssd_bytes: u64,
     hot: usize,
     cold: usize,
-    evicted: usize,
 }
 
 impl Tally {
     fn count(&mut self, state: &BrickState, entering: bool) {
         let (residency, bytes) = state.residency();
-        let (total, bricks) = match residency {
-            Residency::Hot => (&mut self.resident_bytes, &mut self.hot),
-            Residency::Cold => (&mut self.resident_bytes, &mut self.cold),
-            Residency::Evicted => (&mut self.ssd_bytes, &mut self.evicted),
+        let bricks = match residency {
+            Residency::Hot => &mut self.hot,
+            Residency::Cold => &mut self.cold,
         };
         if entering {
-            *total += bytes;
+            self.resident_bytes += bytes;
             *bricks += 1;
         } else {
-            *total -= bytes;
+            self.resident_bytes -= bytes;
             *bricks -= 1;
         }
     }
@@ -98,7 +90,6 @@ pub struct StoreStats {
     pub bricks_scanned: u64,
     pub bricks_pruned: u64,
     pub transient_decompressions: u64,
-    pub ssd_reads: u64,
 }
 
 /// One table partition's data.
@@ -257,7 +248,7 @@ impl PartitionData {
             });
             // Out as the run finds the brick, back in as it leaves it.
             self.tally.count(&slot.state, false);
-            if let BrickState::Cold(c) | BrickState::Evicted(c) = &slot.state {
+            if let BrickState::Cold(c) = &slot.state {
                 slot.state = BrickState::Hot(c.decompress());
             }
             let BrickState::Hot(brick) = &mut slot.state else {
@@ -278,7 +269,7 @@ impl PartitionData {
     // ----------------------------------------------------------------- scan
 
     /// Visit every brick matching the per-dimension ordinal constraints,
-    /// touching hotness counters. Compressed/evicted bricks are
+    /// touching hotness counters. Compressed bricks are
     /// decompressed transiently (their stored state is unchanged; the
     /// memory monitor, not the scan, changes states).
     pub fn for_each_matching_brick<F: FnMut(&Brick)>(
@@ -292,7 +283,7 @@ impl PartitionData {
     /// The scan under [`Self::for_each_matching_brick`], for a caller that
     /// knows which columns it reads. `f` gets each surviving brick, in
     /// brick-id order, with the dimensions it still has to filter row by
-    /// row ([`BrickSpace::residual_dims`]). A compressed or evicted brick
+    /// row ([`BrickSpace::residual_dims`]). A compressed brick
     /// arrives with only those dimensions and the columns `reads_dim` /
     /// `reads_metric` pick decoded; the rest of its columns are empty.
     pub(crate) fn scan_bricks(
@@ -320,11 +311,8 @@ impl PartitionData {
             stats.bricks_scanned += 1;
             match &slot.state {
                 BrickState::Hot(b) => f(b, &residual),
-                BrickState::Cold(c) | BrickState::Evicted(c) => {
+                BrickState::Cold(c) => {
                     stats.transient_decompressions += 1;
-                    if matches!(slot.state, BrickState::Evicted(_)) {
-                        stats.ssd_reads += 1;
-                    }
                     let wants_dim = |d| reads_dim(d) || residual.contains(&d);
                     f(&c.decode_columns(wants_dim, &reads_metric), &residual);
                 }
@@ -340,7 +328,7 @@ impl PartitionData {
             let decoded;
             let brick: &Brick = match &slot.state {
                 BrickState::Hot(b) => b,
-                BrickState::Cold(c) | BrickState::Evicted(c) => {
+                BrickState::Cold(c) => {
                     decoded = c.decompress();
                     &decoded
                 }
@@ -379,21 +367,16 @@ impl PartitionData {
     /// A hot brick's payload is its rows × the schema's row width, a
     /// compressed brick remembers the payload it was built from, and
     /// every stored row sits in exactly one brick, so the sum over bricks
-    /// is `rows × row width` in any hot/cold/evicted mix (`tests/props.rs`
+    /// is `rows × row width` in any hot/cold mix (`tests/props.rs`
     /// pins it).
     pub fn decompressed_bytes(&self) -> u64 {
         let row_width = 4 * self.schema.dimensions.len() + 8 * self.schema.metrics.len();
         self.rows * row_width as u64
     }
 
-    /// Bytes on simulated SSD (gen-3 metric component).
-    pub fn ssd_bytes(&self) -> u64 {
-        self.tally.ssd_bytes
-    }
-
-    /// Counts of bricks by state: (hot, cold, evicted).
-    pub fn state_counts(&self) -> (usize, usize, usize) {
-        (self.tally.hot, self.tally.cold, self.tally.evicted)
+    /// Counts of bricks by state: (hot, cold).
+    pub fn state_counts(&self) -> (usize, usize) {
+        (self.tally.hot, self.tally.cold)
     }
 
     /// Bricks a scan has touched since a decay last halved them to zero.
@@ -477,7 +460,6 @@ impl PartitionData {
                     *state = BrickState::Cold(CompressedBrick::compress(std::mem::take(b)))
                 }
                 BrickState::Cold(c) => *state = BrickState::Hot(c.decompress()),
-                BrickState::Evicted(_) => {}
             }
             self.tally.count(state, true);
         }
@@ -485,41 +467,6 @@ impl PartitionData {
             Band::Over(_) => (moved.len(), 0),
             _ => (0, moved.len()),
         }
-    }
-
-    /// Gen-3 eviction: push the coldest *compressed* bricks out to SSD
-    /// until at least `bytes_to_free` of memory is reclaimed. Returns
-    /// bricks evicted.
-    pub fn evict_coldest(&mut self, bytes_to_free: u64) -> usize {
-        let mut candidates: Vec<(u64, Hotness, u64)> = self
-            .bricks
-            .iter()
-            .filter_map(|(&id, s)| match &s.state {
-                BrickState::Cold(c) => Some((id, s.hotness, c.footprint())),
-                _ => None,
-            })
-            .collect();
-        candidates.sort_by_key(|&(id, h, _)| (h.0, id));
-        let mut freed = 0u64;
-        let mut evicted = 0usize;
-        for (id, _, bytes) in candidates {
-            if freed >= bytes_to_free {
-                break;
-            }
-            let Some(Slot { state, .. }) = self.bricks.get_mut(&id) else {
-                continue;
-            };
-            self.tally.count(state, false);
-            // The compressed brick moves to SSD; nothing is copied.
-            *state = match std::mem::replace(state, BrickState::Hot(Brick::default())) {
-                BrickState::Cold(c) => BrickState::Evicted(c),
-                other => other,
-            };
-            self.tally.count(state, true);
-            freed += bytes;
-            evicted += 1;
-        }
-        evicted
     }
 }
 
@@ -628,7 +575,7 @@ mod tests {
         let (compressed, _) = p.run_memory_monitor(&config);
         assert_eq!(compressed, 10, "all bricks compressed under zero budget");
         assert!(p.memory_footprint() < before);
-        assert_eq!(p.state_counts(), (0, 10, 0));
+        assert_eq!(p.state_counts(), (0, 10));
         // Scans still return all data (transient decompression).
         let mut rows_seen = 0usize;
         p.for_each_matching_brick(&[None, None], |b| rows_seen += b.rows());
@@ -656,7 +603,7 @@ mod tests {
         };
         let (_, decompressed) = p.run_memory_monitor(&roomy);
         assert_eq!(decompressed, 10, "all hot bricks brought back");
-        assert_eq!(p.state_counts(), (10, 0, 0));
+        assert_eq!(p.state_counts(), (10, 0));
     }
 
     #[test]
@@ -668,36 +615,10 @@ mod tests {
         };
         p.run_memory_monitor(&zero);
         p.ingest(&row(55, "US", 1.0, 1.0)).unwrap();
-        let (hot, cold, _) = p.state_counts();
+        let (hot, cold) = p.state_counts();
         assert_eq!(hot, 1);
         assert_eq!(cold, 9);
         assert_eq!(p.rows(), 301);
-    }
-
-    #[test]
-    fn eviction_moves_cold_bricks_to_ssd() {
-        let mut p = loaded();
-        let zero = MemoryMonitorConfig {
-            budget_bytes: 0,
-            ..Default::default()
-        };
-        p.run_memory_monitor(&zero);
-        assert_eq!(p.ssd_bytes(), 0);
-        let evicted = p.evict_coldest(u64::MAX);
-        assert_eq!(evicted, 10);
-        assert!(p.ssd_bytes() > 0);
-        let bricks_mem: u64 = p.memory_footprint();
-        // Only dictionaries remain in memory.
-        let dict_bytes: u64 = (0..2)
-            .filter_map(|d| p.dict(d))
-            .map(|d| d.footprint())
-            .sum();
-        assert_eq!(bricks_mem, dict_bytes);
-        // Reads hit SSD.
-        let mut rows_seen = 0;
-        p.for_each_matching_brick(&[None, None], |b| rows_seen += b.rows());
-        assert_eq!(rows_seen, 300);
-        assert_eq!(p.stats().ssd_reads, 10);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use cubrick::dictionary::Dictionary;
 use cubrick::encoding;
 use cubrick::partition::BrickSpace;
 use cubrick::schema::{Schema, SchemaBuilder};
-use cubrick::sharding::{parse_partition_name, partition_name, stable_hash, ShardMapping};
+use cubrick::sharding::{partition_name, stable_hash, ShardMapping};
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::SimRng;
 
@@ -357,8 +357,6 @@ fn residual_dims_cover_every_undecided_dimension() {
 // ---------------------------------------------------------------- sharding
 
 const IDENT_REST: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
-const DOTTED_FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_";
-const DOTTED_REST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.";
 
 /// The monotonic mapping never self-collides while partitions ≤ shards.
 #[test]
@@ -378,24 +376,6 @@ fn monotonic_mapping_injective_within_table() {
             shards.sort_unstable();
             shards.dedup();
             assert_eq!(shards.len(), *partitions as usize);
-        },
-    );
-}
-
-/// Partition names round-trip for any table name without '#'.
-#[test]
-fn partition_names_round_trip() {
-    prop::check(
-        "partition_names_round_trip",
-        |rng| {
-            (
-                gen::ident(rng, DOTTED_FIRST, DOTTED_REST, 0, 31),
-                gen::any_u32(rng),
-            )
-        },
-        |(table, partition)| {
-            let name = partition_name(table, *partition);
-            assert_eq!(parse_partition_name(&name), Some((table.as_str(), *partition)));
         },
     );
 }
@@ -703,21 +683,19 @@ use scalewall_shard_manager::{AddShardReason, AppServer, Region, ShardContext, S
 use scalewall_sim::sync::RwLock;
 
 /// One step of a partition's life, as the ingest path, the memory
-/// monitor, gen-3 eviction and the scan drive it.
+/// monitor and the scan drive it.
 #[derive(Debug)]
 enum StoreOp {
     Ingest(usize),
     /// Monitor pass at this byte budget (0 compresses everything cold).
     Monitor(u64),
-    Evict(u64),
     Scan,
 }
 
 fn gen_store_op(rng: &mut SimRng) -> StoreOp {
-    match rng.below(5) {
+    match rng.below(4) {
         0 | 1 => StoreOp::Ingest(gen::usize_in(rng, 1, 120)),
         2 => StoreOp::Monitor(*rng.pick(&[0, 2_000, 1 << 30])),
-        3 => StoreOp::Evict(rng.range(1, 20_000)),
         _ => StoreOp::Scan,
     }
 }
@@ -770,9 +748,6 @@ fn apply_store_op(p: &mut PartitionData, op: &StoreOp, rng: &mut SimRng) {
                 ..Default::default()
             });
         }
-        StoreOp::Evict(bytes) => {
-            p.evict_coldest(bytes);
-        }
         StoreOp::Scan => {
             let all = vec![None; p.schema().dimensions.len()];
             p.for_each_matching_brick(&all, |_| {});
@@ -780,8 +755,8 @@ fn apply_store_op(p: &mut PartitionData, op: &StoreOp, rng: &mut SimRng) {
     }
 }
 
-/// The identity the O(1) gen-2 metric stands on: in any hot / cold /
-/// evicted mix a partition's decompressed size is its row count times
+/// The identity the O(1) gen-2 metric stands on: in any hot / cold mix
+/// a partition's decompressed size is its row count times
 /// the schema's row width, and every stored row sits in exactly one
 /// brick. (Written against the per-brick walk it replaced.)
 #[test]
@@ -826,7 +801,7 @@ fn pinned_state(p: &PartitionData) -> impl PartialEq + std::fmt::Debug {
         .collect();
     (
         (p.rows(), p.brick_count(), p.state_counts()),
-        (p.memory_footprint(), p.ssd_bytes(), p.decompressed_bytes()),
+        (p.memory_footprint(), p.decompressed_bytes()),
         p.stats(),
         p.hotness_snapshot(),
         p.all_rows(),
@@ -854,7 +829,7 @@ fn gen_refused_row(schema: &Schema, rng: &mut SimRng) -> Row {
 /// `ingest_batch` is the one-row ingest applied in row order — same
 /// `Result`, same store down to dictionary ids, brick states, hotness and
 /// column capacities — for empty batches, batches that land in one brick,
-/// rows landing in cold and evicted bricks, and a refused row anywhere.
+/// rows landing in cold bricks, and a refused row anywhere.
 #[test]
 fn ingest_batch_equals_row_at_a_time() {
     prop::check_n(
@@ -871,8 +846,8 @@ fn ingest_batch_equals_row_at_a_time() {
                 b = b.str_dim("s", 16, 4);
             }
             let schema = b.metric("m0").metric("m1").build().expect("valid schema");
-            // The store the batch lands on: rows, then squeezes, scans and
-            // evictions, so bricks are in every state.
+            // The store the batch lands on: rows, then squeezes and scans,
+            // so bricks are in every state.
             let prelude = gen::vec_with(rng, 0, 8, gen_store_op);
             let one_brick = rng.chance(0.2);
             let template = gen_schema_row(&schema, rng);
@@ -915,12 +890,12 @@ fn ingest_batch_equals_row_at_a_time() {
 /// brick census summed by state, every dictionary string decoded and
 /// measured, the hotness snapshot counted.
 fn assert_totals_equal_walks(p: &PartitionData, context: &dyn std::fmt::Debug) {
-    let (mut resident, mut ssd, mut counts) = (0u64, 0u64, (0usize, 0usize, 0usize));
+    let (mut resident, mut counts) = (0u64, (0usize, 0usize));
     for (_, residency, bytes) in p.brick_census() {
+        resident += bytes;
         match residency {
-            Residency::Hot => (resident, counts.0) = (resident + bytes, counts.0 + 1),
-            Residency::Cold => (resident, counts.1) = (resident + bytes, counts.1 + 1),
-            Residency::Evicted => (ssd, counts.2) = (ssd + bytes, counts.2 + 1),
+            Residency::Hot => counts.0 += 1,
+            Residency::Cold => counts.1 += 1,
         }
     }
     for dict in (0..p.schema().dimensions.len()).filter_map(|d| p.dict(d)) {
@@ -930,7 +905,6 @@ fn assert_totals_equal_walks(p: &PartitionData, context: &dyn std::fmt::Debug) {
         resident += walked;
     }
     assert_eq!(p.memory_footprint(), resident, "{context:?}");
-    assert_eq!(p.ssd_bytes(), ssd, "{context:?}");
     assert_eq!(p.state_counts(), counts, "{context:?}");
     let warm = p.hotness_snapshot().iter().filter(|&&(_, h)| h > 0).count();
     assert_eq!(p.warm_bricks(), warm, "{context:?}");
@@ -950,11 +924,10 @@ enum TotalsOp {
     Clone,
 }
 
-/// `memory_footprint`, `ssd_bytes`, `state_counts`, `warm_bricks` and
+/// `memory_footprint`, `state_counts`, `warm_bricks` and
 /// `Dictionary::footprint` read maintained totals; after every step of any
 /// life — ingests with refused rows into a dictionary that fills up,
-/// squeezes, roomy passes, evictions, rows re-heating cold and evicted
-/// bricks, full and pruned scans, decay to zero, clones — and in every
+/// squeezes, roomy passes, rows re-heating cold bricks, full and pruned scans, decay to zero, clones — and in every
 /// partition both ways through a re-partition, they equal the walks.
 #[test]
 fn maintained_totals_equal_the_walks() {
@@ -1018,8 +991,8 @@ fn maintained_totals_equal_the_walks() {
                 assert_totals_equal_walks(&p, op);
             }
 
-            // Both ways through a re-partition, starting from partitions
-            // squeezed into every state.
+            // Both ways through a re-partition, starting from squeezed
+            // partitions.
             let mut catalog = cubrick::catalog::Catalog::new(1_000);
             let mut store = RegionStore::new();
             let def = catalog
@@ -1038,7 +1011,6 @@ fn maintained_totals_equal_the_walks() {
                     .expect("rows a partition stored");
                 if let Some(data) = store.partition_mut("t", partition) {
                     apply_store_op(data, &StoreOp::Monitor(0), &mut rng);
-                    apply_store_op(data, &StoreOp::Evict(200), &mut rng);
                 }
             }
             for partitions in [16, 8] {
@@ -1064,10 +1036,9 @@ fn maintained_totals_equal_the_walks() {
 /// shard's partitions, one of them picked by the generation.
 #[test]
 fn shard_metrics_match_the_four_walk_oracle() {
-    const GENERATIONS: [MetricGeneration; 3] = [
+    const GENERATIONS: [MetricGeneration; 2] = [
         MetricGeneration::Gen1MemoryFootprint,
         MetricGeneration::Gen2DecompressedSize,
-        MetricGeneration::Gen3SsdFootprint,
     ];
     prop::check_n(
         "shard_metrics_match_the_four_walk_oracle",
@@ -1146,20 +1117,17 @@ fn shard_metrics_match_the_four_walk_oracle() {
                 let oracle: Vec<(ShardId, f64)> = shards
                     .iter()
                     .map(|&shard| {
-                        let (mut footprint, mut decompressed, mut ssd) = (0u64, 0u64, 0u64);
+                        let (mut footprint, mut decompressed) = (0u64, 0u64);
                         for (table, p) in catalog.partitions_of_shard(shard) {
                             if let Some(data) = store.partition(table, *p) {
                                 footprint += data.memory_footprint();
                                 decompressed +=
                                     data.all_rows().len() as u64 * row_width(data.schema());
-                                ssd += data.ssd_bytes();
                             }
                         }
                         let size = match generation {
                             MetricGeneration::Gen1MemoryFootprint => footprint,
                             MetricGeneration::Gen2DecompressedSize => decompressed,
-                            MetricGeneration::Gen3SsdFootprint if ssd > 0 => ssd,
-                            MetricGeneration::Gen3SsdFootprint => decompressed,
                         };
                         assert_eq!(node.shard_transfer_bytes(ShardId(shard)), decompressed);
                         (ShardId(shard), size as f64)

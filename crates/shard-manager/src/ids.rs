@@ -105,7 +105,6 @@ impl HostInfo {
             // Racks are globally identified by (region, rack) so two
             // regions may both have a rack 0 without aliasing.
             crate::spec::SpreadDomain::Rack => ((self.region.0 as u64) << 32) | self.rack.0 as u64,
-            crate::spec::SpreadDomain::Region => self.region.0 as u64,
         }
     }
 }
@@ -134,14 +133,6 @@ mod tests {
         assert_eq!(a.domain(SpreadDomain::Rack), b.domain(SpreadDomain::Rack));
         // Same rack number, different region → different rack domain.
         assert_ne!(a.domain(SpreadDomain::Rack), c.domain(SpreadDomain::Rack));
-        assert_eq!(
-            a.domain(SpreadDomain::Region),
-            b.domain(SpreadDomain::Region)
-        );
-        assert_ne!(
-            a.domain(SpreadDomain::Region),
-            c.domain(SpreadDomain::Region)
-        );
     }
 
     #[test]

@@ -221,19 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn region_spread() {
-        let hosts = [
-            snap(1, 0, 0, 100.0, 0.0),
-            snap(2, 1, 0, 100.0, 0.0),
-            snap(3, 0, 1, 100.0, 0.0),
-        ];
-        let used = [hosts[0].info.domain(SpreadDomain::Region)];
-        let ranked = rank_candidates(&hosts, 1.0, 0.9, SpreadDomain::Region, &used, &[]);
-        assert_eq!(ranked.len(), 1);
-        assert_eq!(ranked[0].host, HostId(3));
-    }
-
-    #[test]
     fn excludes_and_state_filter() {
         let mut hosts = vec![snap(1, 0, 0, 100.0, 0.0), snap(2, 1, 0, 100.0, 0.0)];
         hosts[1].state = HostState::Draining;

@@ -131,9 +131,9 @@ fn group_spread_hint(
         return SpreadHint::none();
     };
     let mut avoid_hosts: std::collections::BTreeSet<HostId> = std::collections::BTreeSet::new();
-    for (&shard, &h) in &app.assignments {
-        if shard != exclude_shard && app.groups.get(&shard) == Some(group) {
-            avoid_hosts.insert(h);
+    for (shard, g) in &app.groups {
+        if *shard != exclude_shard && g == group {
+            avoid_hosts.extend(app.assignments.get(shard));
         }
     }
     // Rack balance, not mere coverage: a rack is avoided when it already

@@ -20,8 +20,6 @@ pub enum SpreadDomain {
     Host,
     /// A rack of one region.
     Rack,
-    /// A whole region.
-    Region,
 }
 
 /// Load-balancer tunables.

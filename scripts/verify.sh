@@ -10,9 +10,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Guard: no external registry dependencies may appear in any manifest.
+# Guard: no external registry dependencies may appear in any manifest,
+# the end-to-end benchmark's (built offline below) included.
 if grep -RInE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|tokio|rayon)\b.*=' \
-    Cargo.toml crates/*/Cargo.toml; then
+    Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
     echo "ERROR: external registry dependency found in a manifest." >&2
     echo "This workspace is hermetic (DESIGN.md); vendor a substitute instead." >&2
     exit 1

@@ -2,7 +2,7 @@
 //! seeds rather than the one each figure is drawn at: a change that moves
 //! a figure's bytes keeps its claim on every seed here.
 
-use scalewall_bench::figures::fig2b;
+use scalewall_bench::figures::{fig2b, fig4b};
 use scalewall_bench::Profile;
 
 /// Fig 2b: under every correlated-fault scenario, retried success stays
@@ -27,5 +27,28 @@ fn fig2b_success_holds_the_floor_at_the_figure_seed() {
 fn fig2b_success_holds_the_floor_at_seeds_1_to_5() {
     for seed in 1..=5 {
         fig2b_success_holds_the_floor(seed);
+    }
+}
+
+/// Fig 4b: at least 95 % of tables sit at the default 8 partitions, and
+/// the re-partitioning policy splits at least one table.
+fn fig4b_majority_at_eight_with_a_split(seed: u64) {
+    let hist = fig4b::compute(Profile::Fast, seed);
+    let total: usize = hist.iter().map(|&(_, c)| c).sum();
+    let at_8 = hist.iter().find(|&&(p, _)| p == 8).map_or(0, |&(_, c)| c);
+    let case = format!("seed {seed:#x}: {at_8}/{total} at 8, {hist:?}");
+    assert!(at_8 as f64 >= 0.95 * total as f64, "{case}");
+    assert!(hist.iter().any(|&(p, c)| p > 8 && c > 0), "{case}");
+}
+
+#[test]
+fn fig4b_majority_at_eight_at_the_figure_seed() {
+    fig4b_majority_at_eight_with_a_split(fig4b::SEED);
+}
+
+#[test]
+fn fig4b_majority_at_eight_at_seeds_1_to_5() {
+    for seed in 1..=5 {
+        fig4b_majority_at_eight_with_a_split(seed);
     }
 }

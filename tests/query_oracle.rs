@@ -33,9 +33,9 @@ struct OracleRow {
 enum BrickStates {
     Hot,
     Cold,
-    /// The first two thirds of the rows compressed, half of that evicted,
-    /// the last third ingested on top: hot, cold and evicted bricks side
-    /// by side, some of them re-heated by the late rows.
+    /// The first two thirds of the rows compressed, the last third
+    /// ingested on top: hot and cold bricks side by side, some of them
+    /// re-heated by the late rows.
     Mixed,
 }
 
@@ -64,7 +64,6 @@ fn partition_from(rows: &[OracleRow], states: BrickStates) -> PartitionData {
     for (i, r) in rows.iter().enumerate() {
         if i == late {
             p.run_memory_monitor(&squeeze);
-            p.evict_coldest(p.memory_footprint() / 2);
         }
         p.ingest(&Row::new(
             vec![Value::Int(r.ds), Value::Str(format!("app{}", r.app))],

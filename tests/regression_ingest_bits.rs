@@ -1,18 +1,19 @@
 //! Bit-level goldens for the engine's write side, captured on the commit
 //! before the batch-shaped ingest path (PR 17) and pinned here. Batches
 //! go through `Deployment::ingest` into three regions beside dashboards,
-//! with a decay pass, the memory monitor and the SSD eviction pass on
-//! every node after every third batch, so rows land in hot, compressed
-//! and evicted bricks; a second scenario walks one partition through
-//! squeeze, scans, eviction, re-heating ingest and a roomy monitor pass
-//! that decompresses. Per (region, table, partition) the pin covers the
-//! row and brick counts, the brick states, both footprints (column
-//! *capacities* included), the store statistics, the hotness counters,
-//! every stored row in stored order and, per string dimension, the
-//! dictionary's size, footprint, ids and string order; per pass, what the
-//! monitor moved. A dictionary id handed out in a different order, a
+//! with a decay pass and the memory monitor on every node after every
+//! third batch, so rows land in hot and compressed bricks; a second
+//! scenario walks one partition through squeeze, scans, re-heating ingest
+//! and a roomy monitor pass that decompresses. Per (region, table,
+//! partition) the pin covers the row and brick counts, the brick states,
+//! the memory footprint (column *capacities* included), the store
+//! statistics, the hotness counters, every stored row in stored order
+//! and, per string dimension, the dictionary's size, footprint, ids and
+//! string order; per pass, what the monitor moved. A dictionary id handed out in a different order, a
 //! column that grew by a different schedule, a row appended to a brick
-//! out of order or a changed monitor decision moves a digest.
+//! out of order or a changed monitor decision moves a digest. The pins
+//! were re-captured on `3ba7127`, with the SSD eviction pass taken out of
+//! both fixtures, when that tier was deleted.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -40,8 +41,8 @@ const BATCH_ROWS: usize = 2_000;
 const DASHBOARDS_PER_BATCH: usize = 3;
 const MAINTENANCE_EVERY: usize = 3;
 const DS_RANGE: i64 = 365;
-/// Tight enough that the second pass already compresses and the third
-/// evicts: the dictionaries alone come to ~70 KB a partition.
+/// Tight enough that the second pass already compresses: the
+/// dictionaries alone come to ~70 KB a partition.
 const HOST_MEMORY_BYTES: u64 = 250_000;
 
 /// Present and absent entities whose dictionary ids are pinned.
@@ -56,23 +57,22 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-/// Decay pass, memory monitor and SSD eviction on every node of every
-/// region. Returns bricks (compressed, decompressed, evicted).
-fn maintenance(dep: &mut Deployment) -> (usize, usize, usize) {
+/// Decay pass and memory monitor on every node of every region. Returns
+/// bricks (compressed, decompressed).
+fn maintenance(dep: &mut Deployment) -> (usize, usize) {
     let nodes: Vec<(usize, HostId)> = dep
         .regions
         .iter()
         .enumerate()
         .flat_map(|(r, region)| region.nodes.hosts().map(move |h| (r, h)))
         .collect();
-    let mut moved = (0, 0, 0);
+    let mut moved = (0, 0);
     for (r, host) in nodes {
         let node = dep.regions[r].nodes.node_mut(host).expect("listed host");
         node.decay_pass();
         let (c, d) = node.run_memory_monitor();
         moved.0 += c;
         moved.1 += d;
-        moved.2 += node.run_ssd_eviction();
     }
     moved
 }
@@ -105,9 +105,9 @@ fn describe(part: &PartitionData) -> String {
     text
 }
 
-type PartitionPin = (String, u64, usize, (usize, usize, usize), u64, u64, u64);
+type PartitionPin = (String, u64, usize, (usize, usize), u64, u64);
 
-fn observe() -> (Vec<(usize, usize, usize)>, Vec<PartitionPin>) {
+fn observe() -> (Vec<(usize, usize)>, Vec<PartitionPin>) {
     let mut dep = Deployment::new(DeploymentConfig {
         regions: 3,
         hosts_per_region: 4,
@@ -175,7 +175,6 @@ fn observe() -> (Vec<(usize, usize, usize)>, Vec<PartitionPin>) {
                 part.brick_count(),
                 part.state_counts(),
                 part.memory_footprint(),
-                part.ssd_bytes(),
                 fnv1a(&describe(part)),
             ));
         }
@@ -185,10 +184,10 @@ fn observe() -> (Vec<(usize, usize, usize)>, Vec<PartitionPin>) {
 
 fn panic_with_table(what: &str, passes: &dyn std::fmt::Debug, pins: &[PartitionPin]) -> ! {
     let mut table = format!("passes: {passes:?}\n");
-    for (k, rows, bricks, states, mem, ssd, digest) in pins {
+    for (k, rows, bricks, states, mem, digest) in pins {
         writeln!(
             table,
-            "    ({k:?}, {rows}, {bricks}, {states:?}, {mem}, {ssd}, 0x{digest:016x}),"
+            "    ({k:?}, {rows}, {bricks}, {states:?}, {mem}, 0x{digest:016x}),"
         )
         .unwrap();
     }
@@ -197,8 +196,8 @@ fn panic_with_table(what: &str, passes: &dyn std::fmt::Debug, pins: &[PartitionP
 
 fn golden(pins: &[GoldenPin]) -> Vec<PartitionPin> {
     pins.iter()
-        .map(|&(k, rows, bricks, states, mem, ssd, digest)| {
-            (k.to_string(), rows, bricks, states, mem, ssd, digest)
+        .map(|&(k, rows, bricks, states, mem, digest)| {
+            (k.to_string(), rows, bricks, states, mem, digest)
         })
         .collect()
 }
@@ -208,12 +207,11 @@ fn regression_ingest_bits_deployment() {
     let (passes, pins) = observe();
     // The run must reach every state the ingest path branches on, or the
     // pins below prove less than they claim.
-    assert!(passes.iter().any(|&(c, _, _)| c > 0), "{passes:?}");
-    assert!(passes.iter().any(|&(_, _, e)| e > 0), "{passes:?}");
+    assert!(passes.iter().any(|&(c, _)| c > 0), "{passes:?}");
     assert!(
         pins.iter()
-            .all(|(_, _, _, (hot, _, evicted), ..)| *hot > 0 && *evicted > 0),
-        "every partition ends with re-heated and evicted bricks"
+            .all(|(_, _, _, (hot, cold), ..)| *hot > 0 && *cold > 0),
+        "every partition ends with re-heated and compressed bricks"
     );
     if passes != DEPLOYMENT_PASSES || pins != golden(DEPLOYMENT) {
         panic_with_table("deployment", &passes, &pins);
@@ -221,9 +219,9 @@ fn regression_ingest_bits_deployment() {
 }
 
 /// One partition through the whole brick lifecycle with two dictionaries:
-/// squeeze everything cold, heat a `ds` window, evict the coldest third,
-/// ingest into hot, cold and evicted bricks, decompress under a roomy
-/// budget, decay, ingest again and compress part of it back.
+/// squeeze everything cold, heat a `ds` window, ingest into hot and cold
+/// bricks, decompress under a roomy budget, decay, ingest again and
+/// compress part of it back.
 fn observe_lifecycle() -> (Vec<(usize, usize)>, Vec<PartitionPin>) {
     let schema = Arc::new(
         SchemaBuilder::new()
@@ -265,7 +263,6 @@ fn observe_lifecycle() -> (Vec<(usize, usize)>, Vec<PartitionPin>) {
             part.brick_count(),
             part.state_counts(),
             part.memory_footprint(),
-            part.ssd_bytes(),
             fnv1a(&describe(part)),
         ));
     };
@@ -277,7 +274,6 @@ fn observe_lifecycle() -> (Vec<(usize, usize)>, Vec<PartitionPin>) {
     for _ in 0..5 {
         part.for_each_matching_brick(&recent, |_| {});
     }
-    part.evict_coldest(part.memory_footprint() / 3);
     pin("squeezed", &part);
     ingest(&mut part, 60);
     pin("reheated", &part);
@@ -302,82 +298,73 @@ fn regression_ingest_bits_partition_lifecycle() {
     }
 }
 
-/// `(name, rows, bricks, (hot, cold, evicted), memory_footprint,
-/// ssd_bytes, digest of the rest)`.
-type GoldenPin = (
-    &'static str,
-    u64,
-    usize,
-    (usize, usize, usize),
-    u64,
-    u64,
-    u64,
-);
+/// `(name, rows, bricks, (hot, cold), memory_footprint, digest of the
+/// rest)`.
+type GoldenPin = (&'static str, u64, usize, (usize, usize), u64, u64);
 
-/// Per maintenance pass: bricks (compressed, decompressed, evicted).
-const DEPLOYMENT_PASSES: [(usize, usize, usize); 4] =
-    [(0, 0, 0), (1194, 0, 0), (2343, 0, 1197), (3204, 0, 3225)];
+/// Per maintenance pass: bricks (compressed, decompressed).
+const DEPLOYMENT_PASSES: [(usize, usize); 4] = [(0, 0), (1194, 0), (2343, 0), (3204, 0)];
 
 #[rustfmt::skip]
 const DEPLOYMENT: &[GoldenPin] = &[
-    ("r0 pin_0#0", 1788, 75, (67, 0, 8), 143622, 2585, 0xc6f714d102ecfe2a),
-    ("r0 pin_0#1", 1741, 75, (67, 0, 8), 143278, 1941, 0xb11468320f18d791),
-    ("r0 pin_0#2", 1731, 75, (66, 0, 9), 140660, 2185, 0x87001aa086dd29c2),
-    ("r0 pin_0#3", 1756, 74, (72, 0, 2), 148276, 465, 0x28d24f12db742653),
-    ("r0 pin_0#4", 1720, 75, (67, 0, 8), 140802, 2118, 0xf7c71d2f94736cc7),
-    ("r0 pin_0#5", 1744, 75, (65, 0, 10), 142378, 2638, 0x92808558dc2acf35),
-    ("r0 pin_0#6", 1735, 75, (73, 0, 2), 146192, 474, 0x6fd52b2e2bd42f03),
-    ("r0 pin_0#7", 1785, 74, (61, 0, 13), 144352, 2984, 0x1aad80372c6ecf7d),
-    ("r0 pin_1#0", 1760, 75, (64, 0, 11), 141950, 3164, 0x7eb29c31b6a79bb6),
-    ("r0 pin_1#1", 1727, 75, (65, 0, 10), 140448, 2560, 0x61e68283d92a68c5),
-    ("r0 pin_1#2", 1840, 75, (67, 0, 8), 151930, 1704, 0xe3058758e2e92f40),
-    ("r0 pin_1#3", 1739, 75, (67, 0, 8), 140824, 2253, 0xb5d0ffc4adfbf1a5),
-    ("r0 pin_1#4", 1727, 74, (70, 0, 4), 144706, 1187, 0xb7ae5324c0c3a5e7),
-    ("r0 pin_1#5", 1811, 75, (66, 0, 9), 147004, 2459, 0xed4e6dd877cb3182),
-    ("r0 pin_1#6", 1700, 75, (68, 0, 7), 141968, 1461, 0x979465fe32f20414),
-    ("r0 pin_1#7", 1696, 74, (68, 0, 6), 141696, 1475, 0x299efb111b0f006d),
-    ("r1 pin_0#0", 1788, 75, (67, 0, 8), 143622, 2585, 0xcee522e0248d3cd4),
-    ("r1 pin_0#1", 1741, 75, (67, 0, 8), 143278, 1941, 0x5c10cf421c3cea02),
-    ("r1 pin_0#2", 1731, 75, (66, 0, 9), 140660, 2185, 0x0fea96b92a0f6ede),
-    ("r1 pin_0#3", 1756, 74, (72, 0, 2), 148276, 465, 0x812f868de22eb31d),
-    ("r1 pin_0#4", 1720, 75, (67, 0, 8), 140802, 2118, 0x9f37b6a971008adc),
-    ("r1 pin_0#5", 1744, 75, (65, 0, 10), 142378, 2638, 0xdbcdb396edc14c89),
-    ("r1 pin_0#6", 1735, 75, (73, 0, 2), 146192, 474, 0x14925c3f326de693),
-    ("r1 pin_0#7", 1785, 74, (61, 0, 13), 144352, 2984, 0x2b8f6b1abe02e24a),
-    ("r1 pin_1#0", 1760, 75, (64, 0, 11), 141950, 3164, 0x6dae2a3d5309b33b),
-    ("r1 pin_1#1", 1727, 75, (65, 0, 10), 140448, 2560, 0xb5cf7b2c9dc46e6e),
-    ("r1 pin_1#2", 1840, 75, (67, 0, 8), 151930, 1704, 0x6698f2f40334cff5),
-    ("r1 pin_1#3", 1739, 75, (67, 0, 8), 140824, 2253, 0x04bb6ba61569a000),
-    ("r1 pin_1#4", 1727, 74, (70, 0, 4), 144706, 1187, 0x4b806c1b30bf5a94),
-    ("r1 pin_1#5", 1811, 75, (66, 0, 9), 147004, 2459, 0x0541570f619fed0e),
-    ("r1 pin_1#6", 1700, 75, (68, 0, 7), 141968, 1461, 0x90ae136876a2e80f),
-    ("r1 pin_1#7", 1696, 74, (68, 0, 6), 141696, 1475, 0x18582282ace895e1),
-    ("r2 pin_0#0", 1788, 75, (67, 0, 8), 143622, 2585, 0xcee522e0248d3cd4),
-    ("r2 pin_0#1", 1741, 75, (67, 0, 8), 143278, 1941, 0x5c10cf421c3cea02),
-    ("r2 pin_0#2", 1731, 75, (66, 0, 9), 140660, 2185, 0x0fea96b92a0f6ede),
-    ("r2 pin_0#3", 1756, 74, (72, 0, 2), 148276, 465, 0x812f868de22eb31d),
-    ("r2 pin_0#4", 1720, 75, (67, 0, 8), 140802, 2118, 0x9f37b6a971008adc),
-    ("r2 pin_0#5", 1744, 75, (65, 0, 10), 142378, 2638, 0xdbcdb396edc14c89),
-    ("r2 pin_0#6", 1735, 75, (73, 0, 2), 146192, 474, 0x14925c3f326de693),
-    ("r2 pin_0#7", 1785, 74, (61, 0, 13), 144352, 2984, 0x2b8f6b1abe02e24a),
-    ("r2 pin_1#0", 1760, 75, (64, 0, 11), 141950, 3164, 0x6dae2a3d5309b33b),
-    ("r2 pin_1#1", 1727, 75, (65, 0, 10), 140448, 2560, 0xb5cf7b2c9dc46e6e),
-    ("r2 pin_1#2", 1840, 75, (67, 0, 8), 151930, 1704, 0x6698f2f40334cff5),
-    ("r2 pin_1#3", 1739, 75, (67, 0, 8), 140824, 2253, 0x04bb6ba61569a000),
-    ("r2 pin_1#4", 1727, 74, (70, 0, 4), 144706, 1187, 0x4b806c1b30bf5a94),
-    ("r2 pin_1#5", 1811, 75, (66, 0, 9), 147004, 2459, 0x0541570f619fed0e),
-    ("r2 pin_1#6", 1700, 75, (68, 0, 7), 141968, 1461, 0x90ae136876a2e80f),
-    ("r2 pin_1#7", 1696, 74, (68, 0, 6), 141696, 1475, 0x18582282ace895e1),
+    ("r0 pin_0#0", 1788, 75, (67, 8), 146207, 0x8d160971bec7e2e4),
+    ("r0 pin_0#1", 1741, 75, (67, 8), 145219, 0x12a96552d1b2215f),
+    ("r0 pin_0#2", 1731, 75, (66, 9), 142845, 0xb5a65a842cec7cec),
+    ("r0 pin_0#3", 1756, 74, (72, 2), 148741, 0xa83a5836e03ee3a5),
+    ("r0 pin_0#4", 1720, 75, (67, 8), 142920, 0x19f48b9168086045),
+    ("r0 pin_0#5", 1744, 75, (65, 10), 145016, 0x757bb38a23c76ccf),
+    ("r0 pin_0#6", 1735, 75, (73, 2), 146666, 0x278912466a1e47f5),
+    ("r0 pin_0#7", 1785, 74, (61, 13), 147336, 0x0a9deeb47979148b),
+    ("r0 pin_1#0", 1760, 75, (64, 11), 145114, 0x3986249ed5d5be7c),
+    ("r0 pin_1#1", 1727, 75, (65, 10), 143008, 0xfe90242dda17e89b),
+    ("r0 pin_1#2", 1840, 75, (67, 8), 153634, 0x7a050e17de358b6e),
+    ("r0 pin_1#3", 1739, 75, (67, 8), 143077, 0x439e355f4ca5b9f3),
+    ("r0 pin_1#4", 1727, 74, (70, 4), 145893, 0xf681e2dec3b9fc99),
+    ("r0 pin_1#5", 1811, 75, (66, 9), 149463, 0x3c1b11623e1fbd28),
+    ("r0 pin_1#6", 1700, 75, (68, 7), 143429, 0x89d2b66cca7b9412),
+    ("r0 pin_1#7", 1696, 74, (68, 6), 143171, 0x85007c18410f5213),
+    ("r1 pin_0#0", 1788, 75, (67, 8), 146207, 0x345604cd954863f6),
+    ("r1 pin_0#1", 1741, 75, (67, 8), 145219, 0x27d0b4a77257fc60),
+    ("r1 pin_0#2", 1731, 75, (66, 9), 142845, 0x68bc2da391a4ce44),
+    ("r1 pin_0#3", 1756, 74, (72, 2), 148741, 0xc03952dab87164bf),
+    ("r1 pin_0#4", 1720, 75, (67, 8), 142920, 0xdc7930247a6d9616),
+    ("r1 pin_0#5", 1744, 75, (65, 10), 145016, 0x9efe8f0611999d6b),
+    ("r1 pin_0#6", 1735, 75, (73, 2), 146666, 0xcdda81e90e8cd83d),
+    ("r1 pin_0#7", 1785, 74, (61, 13), 147336, 0x77da199297586efc),
+    ("r1 pin_1#0", 1760, 75, (64, 11), 145114, 0x2788210def41e715),
+    ("r1 pin_1#1", 1727, 75, (65, 10), 143008, 0xb12adc46740b99d0),
+    ("r1 pin_1#2", 1840, 75, (67, 8), 153634, 0xb4410c8b78c0e0d7),
+    ("r1 pin_1#3", 1739, 75, (67, 8), 143077, 0x605c9fb59dd9dfe2),
+    ("r1 pin_1#4", 1727, 74, (70, 4), 145893, 0x736d385918150fca),
+    ("r1 pin_1#5", 1811, 75, (66, 9), 149463, 0xa27c1386f59ef4a0),
+    ("r1 pin_1#6", 1700, 75, (68, 7), 143429, 0x50ff2f059039cf4d),
+    ("r1 pin_1#7", 1696, 74, (68, 6), 143171, 0xb6052133c4116167),
+    ("r2 pin_0#0", 1788, 75, (67, 8), 146207, 0x345604cd954863f6),
+    ("r2 pin_0#1", 1741, 75, (67, 8), 145219, 0x27d0b4a77257fc60),
+    ("r2 pin_0#2", 1731, 75, (66, 9), 142845, 0x68bc2da391a4ce44),
+    ("r2 pin_0#3", 1756, 74, (72, 2), 148741, 0xc03952dab87164bf),
+    ("r2 pin_0#4", 1720, 75, (67, 8), 142920, 0xdc7930247a6d9616),
+    ("r2 pin_0#5", 1744, 75, (65, 10), 145016, 0x9efe8f0611999d6b),
+    ("r2 pin_0#6", 1735, 75, (73, 2), 146666, 0xcdda81e90e8cd83d),
+    ("r2 pin_0#7", 1785, 74, (61, 13), 147336, 0x77da199297586efc),
+    ("r2 pin_1#0", 1760, 75, (64, 11), 145114, 0x2788210def41e715),
+    ("r2 pin_1#1", 1727, 75, (65, 10), 143008, 0xb12adc46740b99d0),
+    ("r2 pin_1#2", 1840, 75, (67, 8), 153634, 0xb4410c8b78c0e0d7),
+    ("r2 pin_1#3", 1739, 75, (67, 8), 143077, 0x605c9fb59dd9dfe2),
+    ("r2 pin_1#4", 1727, 74, (70, 4), 145893, 0x736d385918150fca),
+    ("r2 pin_1#5", 1811, 75, (66, 9), 149463, 0xa27c1386f59ef4a0),
+    ("r2 pin_1#6", 1700, 75, (68, 7), 143429, 0x50ff2f059039cf4d),
+    ("r2 pin_1#7", 1696, 74, (68, 6), 143171, 0xb6052133c4116167),
 ];
 
 /// Per monitor pass: bricks (compressed, decompressed).
-const LIFECYCLE_PASSES: [(usize, usize); 3] = [(216, 0), (0, 54), (137, 0)];
+const LIFECYCLE_PASSES: [(usize, usize); 3] = [(216, 0), (0, 54), (142, 0)];
 
 #[rustfmt::skip]
 const LIFECYCLE: &[GoldenPin] = &[
-    ("loaded", 4000, 216, (216, 0, 0), 182084, 0, 0x5785a01b93f69df9),
-    ("squeezed", 4000, 216, (0, 118, 98), 49618, 24990, 0xa9ec59625dcab9b6),
-    ("reheated", 4060, 216, (49, 91, 76), 92422, 19642, 0x522848819be227e3),
-    ("roomy", 4060, 216, (103, 37, 76), 106146, 19642, 0x522848819be227e3),
-    ("tightened", 4260, 216, (38, 152, 26), 92939, 6306, 0x4a62950a460d3c29),
+    ("loaded", 4000, 216, (216, 0), 182084, 0xbe561b87781b34d3),
+    ("squeezed", 4000, 216, (0, 216), 74608, 0x7c0ebf816e877c08),
+    ("reheated", 4060, 216, (49, 167), 112064, 0xb6ede15ed2108319),
+    ("roomy", 4060, 216, (103, 113), 125788, 0xb6ede15ed2108319),
+    ("tightened", 4260, 216, (33, 183), 96434, 0xe9f97228e58207c3),
 ];

@@ -2,9 +2,11 @@
 //! before the column-at-a-time scan (PR 14) and pinned here: every
 //! aggregate as `f64::to_bits`, every group key, `rows_scanned`, the
 //! store's scan statistics and the hotness counters, for a seeded set of
-//! query shapes over all-hot, all-cold and mixed hot/cold/evicted
-//! partitions, per partition and through the coordinator merge. A scan or
-//! merge that reorders one floating-point addition moves a digest.
+//! query shapes over all-hot, all-cold and mixed hot/cold partitions,
+//! per partition and through the coordinator merge. A scan or merge that
+//! reorders one floating-point addition moves a digest. The three
+//! `store_stats` rows were re-captured on `3ba7127` when `StoreStats`
+//! lost its SSD read counter; every answer digest is the original.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -30,8 +32,8 @@ const UID_MAX: i64 = 100_000;
 enum BrickStates {
     AllHot,
     AllCold,
-    /// Everything compressed, the coldest third evicted, then a second
-    /// ingest wave re-heats whichever bricks it lands in.
+    /// Everything compressed, then a second ingest wave re-heats
+    /// whichever bricks it lands in.
     Mixed,
 }
 
@@ -78,7 +80,7 @@ fn partitions(states: BrickStates) -> Vec<PartitionData> {
                 part.run_memory_monitor(&squeeze);
             }
             BrickStates::Mixed => {
-                // Warm a ds window first so eviction has an order to follow.
+                // Warm a ds window first, so hotness differs by brick.
                 let warm = query(
                     vec![AggSpec::count_star()],
                     vec![Predicate::between("ds", 60, 89)],
@@ -86,12 +88,11 @@ fn partitions(states: BrickStates) -> Vec<PartitionData> {
                 );
                 execute_partition(part, &warm, PARTITIONS).unwrap();
                 part.run_memory_monitor(&squeeze);
-                part.evict_coldest(part.memory_footprint() / 3);
                 for _ in 0..40 + 10 * p {
                     part.ingest(&gen_row(&mut rng)).unwrap();
                 }
-                let (hot, cold, evicted) = part.state_counts();
-                assert!(hot > 0 && cold > 0 && evicted > 0, "{hot}/{cold}/{evicted}");
+                let (hot, cold) = part.state_counts();
+                assert!(hot > 0 && cold > 0, "{hot}/{cold}");
             }
         }
     }
@@ -312,7 +313,7 @@ fn regression_scan_bits_all_hot() {
             ("wide_two_dims", 635, 635, 0xc2f13cc18c4c615c),
             ("unsatisfiable", 0, 0, 0xe95a99b42490b591),
             ("matches_nothing", 0, 0, 0xe95a99b42490b591),
-            ("store_stats", 3, 1659, 0xc662b3eea7e1ac9e),
+            ("store_stats", 3, 1659, 0xfd8831c49f8a5068),
         ],
     );
 }
@@ -335,7 +336,7 @@ fn regression_scan_bits_all_cold() {
             ("wide_two_dims", 635, 635, 0xc2f13cc18c4c615c),
             ("unsatisfiable", 0, 0, 0xe95a99b42490b591),
             ("matches_nothing", 0, 0, 0xe95a99b42490b591),
-            ("store_stats", 3, 1659, 0xf01146a44848ec67),
+            ("store_stats", 3, 1659, 0x5cacbe8eaa7a7c51),
         ],
     );
 }
@@ -358,7 +359,7 @@ fn regression_scan_bits_mixed_states() {
             ("wide_two_dims", 658, 658, 0xec6d057f20cd3471),
             ("unsatisfiable", 0, 0, 0xe95a99b42490b591),
             ("matches_nothing", 0, 0, 0xe95a99b42490b591),
-            ("store_stats", 3, 1731, 0x4266009cae83b842),
+            ("store_stats", 3, 1731, 0xb9799cbf2b277efb),
         ],
     );
 }
