@@ -3,9 +3,11 @@
 //! and how long a lease-driven failover takes to reach its first commit.
 //!
 //! * `proposal_commit_{3,5}node` — steady-state commit latency of one
-//!   `SetData` proposal through `ZkEnsemble::submit_to` (append +
+//!   `RefreshSession` proposal through `ZkEnsemble::submit_to` (append +
 //!   replicate to every reachable follower + apply everywhere). The
-//!   3-vs-5 pair prices the ensemble-size knob directly.
+//!   3-vs-5 pair prices the ensemble-size knob directly. The JSON's
+//!   prefixed history rows were recorded when it committed a znode
+//!   `SetData`.
 //! * `heartbeat_round_24_sessions_3node` — one region tick's worth of
 //!   liveness: 24 sessions refreshed through `CoordinationPlane` (one
 //!   `RefreshSessions` commit; it was 24 `RefreshSession` commits
@@ -16,7 +18,8 @@
 //!   every failover.
 //! * `failover_to_first_commit` — wall clock from leader crash to the
 //!   first post-election committed op (election + `TouchSessions` +
-//!   catchup + commit), recorded via `push_record` over many cycles.
+//!   catchup + the session's one `SessionMoved` handshake + commit),
+//!   recorded via `push_record` over many cycles.
 //!
 //! Regenerate the trajectory from the repo root with (the bench binary's
 //! cwd is `crates/bench`, hence the absolute path):
@@ -24,42 +27,30 @@
 
 use scalewall_bench::microbench::{Bench, Record};
 use scalewall_sim::{SimDuration, SimTime};
-use scalewall_zk::{
-    CoordinationPlane, NodeKind, SessionId, ZkClient, ZkEnsemble, ZkOp, ZkReplicationConfig,
-};
+use scalewall_zk::{CoordinationPlane, SessionId, ZkClient, ZkEnsemble, ZkOp, ZkReplicationConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn set_data(i: u64) -> ZkOp {
-    ZkOp::SetData {
-        path: "/bench/knob".into(),
-        data: i.to_le_bytes().to_vec(),
-        expected_version: None,
+/// Sessions `prepped` opens; the commits cycle through them.
+const SESSIONS: u64 = 8;
+
+fn refresh(i: u64) -> ZkOp {
+    ZkOp::RefreshSession {
+        session: SessionId(1 + i % SESSIONS),
     }
 }
 
-/// An ensemble with the bench namespace pre-created and a few sessions
-/// registered, so commits run against non-trivial store state.
+/// An ensemble with a few sessions registered, so commits run against
+/// non-trivial store state.
 fn prepped(replicas: u32) -> ZkEnsemble {
     let cfg = ZkReplicationConfig {
         replicas,
         ..ZkReplicationConfig::default()
     };
     let mut ens = ZkEnsemble::new(&cfg);
-    let t0 = SimTime::from_secs(1);
-    ens.submit_to(
-        0,
-        ZkOp::CreateRecursive {
-            path: "/bench/knob".into(),
-            data: vec![0],
-            kind: NodeKind::Persistent,
-            session: None,
-        },
-        t0,
-    )
-    .expect("seed namespace");
-    for _ in 0..8 {
-        ens.submit_to(0, ZkOp::CreateSession, t0).expect("seed session");
+    for _ in 0..SESSIONS {
+        ens.submit_to(0, ZkOp::CreateSession, SimTime::from_secs(1))
+            .expect("seed session");
     }
     ens
 }
@@ -75,7 +66,7 @@ fn bench_proposal_commit(c: &mut Bench, replicas: u32) {
             i += 1;
             ens.submit_to(
                 ens.leader().expect("healthy ensemble"),
-                set_data(i),
+                refresh(i),
                 SimTime::from_secs(2) + SimDuration::from_nanos(i),
             )
             .expect("commit")
@@ -127,7 +118,7 @@ fn bench_client_redirect(c: &mut Bench) {
             client
                 .submit(
                     &mut ens,
-                    set_data(i),
+                    refresh(i),
                     SimTime::from_secs(2) + SimDuration::from_nanos(i),
                 )
                 .expect("commit after redirect")
@@ -142,6 +133,7 @@ fn bench_failover_to_first_commit(c: &mut Bench) {
     let cycles: u64 = if c.timing() { 2_000 } else { 50 };
     let cfg = ZkReplicationConfig::default();
     let mut ens = prepped(cfg.replicas);
+    let mut client = ZkClient::default();
     let lease_step = SimDuration::from_secs(30);
     let mut now = SimTime::from_secs(10);
     let t0 = Instant::now();
@@ -150,7 +142,10 @@ fn bench_failover_to_first_commit(c: &mut Bench) {
         ens.crash_replica(old);
         now = now + lease_step;
         let new = ens.tick(now).expect("deterministic election");
-        ens.submit_to(new, set_data(i), now).expect("first post-failover commit");
+        client.set_hint(new);
+        client
+            .submit(&mut ens, refresh(i), now)
+            .expect("first post-failover commit");
         ens.restore_replica(old);
         now = now + lease_step;
         ens.tick(now); // catchup for the repaired replica

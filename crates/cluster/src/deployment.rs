@@ -773,7 +773,8 @@ mod tests {
     }
 
     /// A config SM refuses and a repair the coordination plane refuses
-    /// are typed outcomes that keep SM's reason, not panics.
+    /// are typed outcomes that keep SM's reason, not panics; a restore
+    /// after a refused session close goes through once the plane is back.
     #[test]
     fn refused_registrations_degrade() {
         // A headroom above 1 is no valid app spec: the deployment still
@@ -819,6 +820,22 @@ mod tests {
             dep.tick(t(s));
         }
         assert!(dep.replace_host(0, victim, t(120)).is_some());
+
+        // A host failed while the plane has no quorum keeps its session in
+        // the plane (the close is refused) until that session expires. An
+        // in-place restore inside that window opens a second session and
+        // goes through.
+        let host = HostId(1);
+        assert_eq!(dep.regions[0].sm.host_state(host), Some(HostState::Alive));
+        dep.zk_crash_region(0);
+        dep.zk_crash_region(1);
+        dep.fail_host(0, host, t(121));
+        dep.zk_restore_region(0);
+        dep.zk_restore_region(1);
+        for s in 122..=126 {
+            dep.tick(t(s));
+        }
+        assert!(dep.restore_host(0, host, t(126)));
     }
 
     #[test]

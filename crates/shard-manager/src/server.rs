@@ -7,8 +7,8 @@
 //! server owns:
 //!
 //! * the application's per-shard host assignments, weights and groups,
-//! * host registrations, heartbeat liveness (via `scalewall-zk` ephemeral
-//!   nodes) and host lifecycle (alive → draining/dead),
+//! * host registrations, heartbeat liveness (via `scalewall-zk` sessions)
+//!   and host lifecycle (alive → draining/dead),
 //! * the migration engine (live / graceful / failover state machines),
 //! * publication of shard→host mappings to service discovery,
 //! * periodic metric collection and load-balancing runs.
@@ -64,7 +64,7 @@ pub struct SmConfig {
     pub placement_jitter: usize,
     /// Seed for the server's private RNG (placement jitter).
     pub seed: u64,
-    /// When set, heartbeats/sessions/watches go through a replicated
+    /// When set, heartbeat sessions go through a replicated
     /// coordination ensemble with lease-based leader failover instead of
     /// the single in-process store. `None` preserves the original
     /// single-store behaviour bit-for-bit.
@@ -275,14 +275,9 @@ impl SmServer {
         Ok(())
     }
 
-    /// Open `host`'s heartbeat session: the session, its ephemeral
-    /// `/sm/hosts/{id}` node and a watch on it. A plane that cannot be
-    /// reached (no leader within the retry budget) refuses; the caller
-    /// retries after failover, exactly like against real ZooKeeper. The
-    /// follow-up ops run against the leader that just created the
-    /// session, at the same instant — but if one fails anyway (a failover
-    /// landing in the gap), the session is closed again and the open is
-    /// refused the same way.
+    /// Open `host`'s heartbeat session. A plane that cannot be reached
+    /// (no leader within the retry budget) refuses; the caller retries
+    /// after failover, exactly like against real ZooKeeper.
     fn open_host_session(&mut self, host: HostId, now: SimTime) -> SmResult<SessionId> {
         let session = self
             .zk
@@ -291,24 +286,6 @@ impl SmServer {
                 host,
                 reason: "coordination plane unavailable",
             })?;
-        let path = format!("/sm/hosts/{}", host.0);
-        let registered = self
-            .zk
-            .create_recursive(
-                &path,
-                &[],
-                scalewall_zk::NodeKind::Ephemeral,
-                Some(session),
-                now,
-            )
-            .and_then(|()| self.zk.watch(&path, scalewall_zk::WatchKind::Node, host.0, now));
-        if registered.is_err() {
-            self.zk.close_session(session, now);
-            return Err(SmError::BadHostState {
-                host,
-                reason: "coordination plane lost mid-registration",
-            });
-        }
         self.session_hosts.insert(session, host);
         self.heartbeat = None;
         Ok(session)
@@ -1094,7 +1071,6 @@ impl SmServer {
         // is unreachable this returns nothing: degraded-but-live, nobody
         // is declared dead by a coordinator that cannot be consulted.
         let expired = self.zk.expire_sessions(now);
-        let _ = self.zk.drain_events(now); // ephemeral-delete notifications
         for session in expired {
             if let Some(host) = self.session_hosts.remove(&session) {
                 let _ = self.host_failed(host, now, registry);
@@ -1548,22 +1524,6 @@ mod tests {
         sm.register_host(HostInfo::new(HostId(3), Rack(0), Region(0), 100.0), t(8)).unwrap();
         assert_eq!(round(&mut sm, 8, &hosts, 8), 1, "a host registered");
         assert_eq!(sm.heartbeat_sessions().len(), 4);
-    }
-
-    #[test]
-    fn reactivation_rolls_back_a_session_it_cannot_register() {
-        let (mut sm, mut reg) = setup(2);
-        sm.host_failed(HostId(1), t(5), &mut reg).unwrap();
-        // Someone else holds the host's node, so its ephemeral create fails.
-        let kind = scalewall_zk::NodeKind::Persistent;
-        sm.coordination_mut().create_recursive("/sm/hosts/1", &[], kind, None, t(5)).unwrap();
-        assert!(matches!(
-            sm.reactivate_host(HostId(1), t(6)),
-            Err(SmError::BadHostState { reason: "coordination plane lost mid-registration", .. })
-        ));
-        assert_eq!(sm.host_state(HostId(1)), Some(HostState::Dead));
-        assert_eq!(sm.host_session(HostId(1)), None);
-        assert_eq!(sm.session_hosts.len(), 1, "the refused session is forgotten");
     }
 
     #[test]

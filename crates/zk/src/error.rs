@@ -1,33 +1,15 @@
-//! Error type for coordination-store operations.
+//! Error type for coordination-plane operations.
 
 use std::fmt;
 
-/// Result alias for store operations.
+/// Result alias for coordination-plane operations.
 pub type ZkResult<T> = Result<T, ZkError>;
 
-/// Errors mirroring the classic Zookeeper error surface.
+/// Why the coordination plane did not commit an operation. Every op the
+/// session table applies succeeds, so each variant is a replication-plane
+/// refusal, never a committed outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZkError {
-    /// The target node does not exist.
-    NoNode { path: String },
-    /// A node already exists at the target path.
-    NodeExists { path: String },
-    /// The parent of the target path does not exist.
-    NoParent { path: String },
-    /// Delete refused because the node still has children.
-    NotEmpty { path: String },
-    /// Conditional write failed: expected vs actual version.
-    BadVersion {
-        path: String,
-        expected: u64,
-        actual: u64,
-    },
-    /// Ephemeral nodes cannot have children.
-    NoChildrenForEphemerals { path: String },
-    /// The session is unknown or has expired.
-    SessionExpired { session: u64 },
-    /// The path is syntactically invalid.
-    InvalidPath { path: String, reason: &'static str },
     /// The contacted replica is not the leader. `hint` carries the
     /// current leader's replica id when one is known; `None` means the
     /// ensemble is leaderless (lease not yet expired, or no quorum) and
@@ -53,25 +35,6 @@ pub enum ZkError {
 impl fmt::Display for ZkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ZkError::NoNode { path } => write!(f, "no node at {path}"),
-            ZkError::NodeExists { path } => write!(f, "node already exists at {path}"),
-            ZkError::NoParent { path } => write!(f, "parent of {path} does not exist"),
-            ZkError::NotEmpty { path } => write!(f, "node {path} has children"),
-            ZkError::BadVersion {
-                path,
-                expected,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "bad version for {path}: expected {expected}, actual {actual}"
-                )
-            }
-            ZkError::NoChildrenForEphemerals { path } => {
-                write!(f, "ephemeral node {path} cannot have children")
-            }
-            ZkError::SessionExpired { session } => write!(f, "session {session} expired"),
-            ZkError::InvalidPath { path, reason } => write!(f, "invalid path {path:?}: {reason}"),
             ZkError::NotLeader { hint: Some(id) } => write!(f, "not leader; try replica {id}"),
             ZkError::NotLeader { hint: None } => write!(f, "not leader; ensemble leaderless"),
             ZkError::SessionMoved { session, moved } => {

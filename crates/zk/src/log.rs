@@ -6,8 +6,7 @@
 //! single shared apply path ([`ZkStore::apply`]). Because apply is a pure
 //! function of `(store state, op, at)` and the leader's timestamp is
 //! replicated inside each [`LogEntry`], every replica that applies the
-//! same prefix reaches bit-identical state — including the *failures*
-//! (a committed `BadVersion` is a committed outcome, not a rollback).
+//! same prefix reaches bit-identical state.
 //!
 //! The log is prefix-truncated once it exceeds a configured length;
 //! followers that fall behind the truncation horizon catch up by
@@ -21,41 +20,15 @@ use std::sync::Arc;
 use scalewall_sim::SimTime;
 
 use crate::session::SessionId;
-use crate::store::NodeKind;
-use crate::watch::{WatchEvent, WatchKind};
 
 /// A mutating coordination-store operation, as replicated through the log.
 ///
-/// This covers the full write surface of [`ZkStore`]: node writes,
-/// session lifecycle, watch registration, and event draining. Watch
-/// registration and draining are replicated too, so every replica holds
-/// the same pending-event queue — which is what lets a watch fired just
-/// before a leader crash be re-delivered by the successor after catchup.
+/// This covers the full write surface of [`ZkStore`]: the session
+/// lifecycle.
 ///
 /// [`ZkStore`]: crate::store::ZkStore
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZkOp {
-    Create {
-        path: String,
-        data: Vec<u8>,
-        kind: NodeKind,
-        session: Option<SessionId>,
-    },
-    CreateRecursive {
-        path: String,
-        data: Vec<u8>,
-        kind: NodeKind,
-        session: Option<SessionId>,
-    },
-    SetData {
-        path: String,
-        data: Vec<u8>,
-        expected_version: Option<u64>,
-    },
-    Delete {
-        path: String,
-        expected_version: Option<u64>,
-    },
     CreateSession,
     RefreshSession {
         session: SessionId,
@@ -71,12 +44,6 @@ pub enum ZkOp {
         session: SessionId,
     },
     ExpireSessions,
-    Watch {
-        path: String,
-        kind: WatchKind,
-        token: u64,
-    },
-    DrainEvents,
     /// Committed by a freshly elected leader as its first entry: resets
     /// every live session's heartbeat to election time, so sessions are
     /// not mass-expired for silence accumulated during the leaderless
@@ -94,9 +61,6 @@ impl ZkOp {
     /// [`ZkError::SessionMoved`]: crate::error::ZkError::SessionMoved
     pub fn sessions(&self) -> &[SessionId] {
         match self {
-            ZkOp::Create { session, .. } | ZkOp::CreateRecursive { session, .. } => {
-                session.as_slice()
-            }
             ZkOp::RefreshSession { session } | ZkOp::CloseSession { session } => {
                 std::slice::from_ref(session)
             }
@@ -111,11 +75,9 @@ impl ZkOp {
 pub enum ZkResp {
     Unit,
     Session(SessionId),
-    Version(u64),
     /// `ExpireSessions`: the sessions that expired. `RefreshSessions`:
     /// the named sessions that no longer exist (the rest were refreshed).
     Sessions(Vec<SessionId>),
-    Events(Vec<WatchEvent>),
     Refreshed(bool),
 }
 
@@ -241,16 +203,7 @@ mod tests {
     fn sessions_covers_session_scoped_ops() {
         let sid = SessionId(7);
         assert_eq!(ZkOp::RefreshSession { session: sid }.sessions(), [sid]);
-        assert_eq!(
-            ZkOp::Create {
-                path: "/e".into(),
-                data: vec![],
-                kind: NodeKind::Ephemeral,
-                session: Some(sid),
-            }
-            .sessions(),
-            [sid]
-        );
+        assert_eq!(ZkOp::CloseSession { session: sid }.sessions(), [sid]);
         let batch = [SessionId(3), sid];
         assert_eq!(
             ZkOp::RefreshSessions {
@@ -260,5 +213,6 @@ mod tests {
             batch
         );
         assert!(ZkOp::ExpireSessions.sessions().is_empty());
+        assert!(ZkOp::CreateSession.sessions().is_empty());
     }
 }

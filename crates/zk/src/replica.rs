@@ -32,8 +32,7 @@ use scalewall_sim::{DeadlineQueue, SimDuration, SimTime};
 use crate::error::{ZkError, ZkResult};
 use crate::log::{LogEntry, ReplicatedLog, ZkOp, ZkResp};
 use crate::session::SessionId;
-use crate::store::{NodeKind, ZkStore};
-use crate::watch::{WatchEvent, WatchKind};
+use crate::store::ZkStore;
 
 /// Leader lease length. Failover latency after a leader loss is at most
 /// one lease (the successor must wait out the old lease).
@@ -309,8 +308,8 @@ impl ZkEnsemble {
             elected = self.elect(now);
         }
         // Anti-entropy: bring reachable followers up to date even
-        // without new writes, so watches fired before a crash get
-        // re-delivered after repair without waiting for traffic.
+        // without new writes, so a repaired replica holds the session
+        // table again without waiting for traffic.
         if let Some(l) = self.leader {
             if self.has_quorum(l) {
                 self.catch_up_followers(l);
@@ -440,26 +439,20 @@ impl ZkEnsemble {
         };
         // Session lifecycle bookkeeping on the committed outcome.
         match (&entry.op, &resp) {
-            (ZkOp::CreateSession, Ok(ZkResp::Session(sid))) => {
+            (ZkOp::CreateSession, ZkResp::Session(sid)) => {
                 self.session_epoch.insert(*sid, self.epoch);
             }
             (ZkOp::CloseSession { session }, _) => {
                 self.session_epoch.remove(session);
             }
-            (ZkOp::ExpireSessions, Ok(ZkResp::Sessions(dead))) => {
+            (ZkOp::ExpireSessions, ZkResp::Sessions(dead)) => {
                 for sid in dead {
                     self.session_epoch.remove(sid);
                 }
             }
             _ => {}
         }
-        resp
-    }
-
-    /// The store of a leader that could commit right now.
-    fn serving_leader_store(&self) -> Option<&ZkStore> {
-        let l = self.leader.filter(|&l| self.has_quorum(l))?;
-        self.replicas.get(l as usize).map(|r| &r.store)
+        Ok(resp)
     }
 
     /// Whether an `ExpireSessions` proposed at `now` could do anything:
@@ -468,15 +461,10 @@ impl ZkEnsemble {
     /// every replica. Without a serving leader the answer is `true` and
     /// the proposal takes its usual refusal path.
     pub fn expiry_due(&self, now: SimTime) -> bool {
-        self.serving_leader_store()
-            .is_none_or(|store| store.expiry_due(now))
-    }
-
-    /// Whether a `DrainEvents` proposal could return anything; same
-    /// shape as [`expiry_due`](Self::expiry_due).
-    pub fn events_pending(&self) -> bool {
-        self.serving_leader_store()
-            .is_none_or(|store| store.has_pending_events())
+        let serving = self.leader.filter(|&l| self.has_quorum(l));
+        serving
+            .and_then(|l| self.replicas.get(l as usize))
+            .is_none_or(|r| r.store.expiry_due(now))
     }
 
     /// Bring every reachable up follower to the leader's log position:
@@ -498,7 +486,7 @@ impl ZkEnsemble {
                 Some(tail) => {
                     for e in tail {
                         follower.log.append(e.clone());
-                        let _ = follower.store.apply(&e.op, e.at);
+                        follower.store.apply(&e.op, e.at);
                         follower.applied = e.index;
                     }
                 }
@@ -614,7 +602,7 @@ impl CoordinationPlane {
     /// replicated plane submits it through the leader-discovering client.
     fn submit(&mut self, op: ZkOp, now: SimTime) -> ZkResult<ZkResp> {
         match self {
-            CoordinationPlane::Single(zk) => zk.apply(&op, now),
+            CoordinationPlane::Single(zk) => Ok(zk.apply(&op, now)),
             CoordinationPlane::Replicated { ensemble, client } => client.submit(ensemble, op, now),
         }
     }
@@ -624,24 +612,6 @@ impl CoordinationPlane {
             ZkResp::Session(sid) => Ok(sid),
             _ => Err(ZkError::UnexpectedResponse { op: "CreateSession" }),
         }
-    }
-
-    pub fn create_recursive(
-        &mut self,
-        path: &str,
-        data: &[u8],
-        kind: NodeKind,
-        session: Option<SessionId>,
-        now: SimTime,
-    ) -> ZkResult<()> {
-        let (path, data) = (path.to_string(), data.to_vec());
-        let op = ZkOp::CreateRecursive { path, data, kind, session };
-        self.submit(op, now).map(|_| ())
-    }
-
-    pub fn watch(&mut self, path: &str, kind: WatchKind, token: u64, now: SimTime) -> ZkResult<()> {
-        let path = path.to_string();
-        self.submit(ZkOp::Watch { path, kind, token }, now).map(|_| ())
     }
 
     /// Refresh a session's heartbeat. `false` when the session is gone
@@ -681,19 +651,6 @@ impl CoordinationPlane {
         };
         match due.then(|| self.submit(ZkOp::ExpireSessions, now)) {
             Some(Ok(ZkResp::Sessions(dead))) => dead,
-            _ => Vec::new(),
-        }
-    }
-
-    /// Watch events fired since the last drain; nothing is submitted when
-    /// none can be pending.
-    pub fn drain_events(&mut self, now: SimTime) -> Vec<WatchEvent> {
-        let pending = match self {
-            CoordinationPlane::Single(zk) => zk.has_pending_events(),
-            CoordinationPlane::Replicated { ensemble, .. } => ensemble.events_pending(),
-        };
-        match pending.then(|| self.submit(ZkOp::DrainEvents, now)) {
-            Some(Ok(ZkResp::Events(events))) => events,
             _ => Vec::new(),
         }
     }
@@ -771,19 +728,8 @@ mod tests {
     #[test]
     fn initial_leader_commits_everywhere() {
         let mut ens = ensemble();
-        let resp = ens
-            .submit_to(
-                0,
-                ZkOp::Create {
-                    path: "/a".into(),
-                    data: b"x".to_vec(),
-                    kind: NodeKind::Persistent,
-                    session: None,
-                },
-                t(1),
-            )
-            .unwrap();
-        assert_eq!(resp, ZkResp::Unit);
+        let resp = ens.submit_to(0, ZkOp::CreateSession, t(1)).unwrap();
+        assert_eq!(resp, ZkResp::Session(SessionId(1)));
         let d0 = ens.replica_digest(0);
         assert_eq!(d0, ens.replica_digest(1));
         assert_eq!(d0, ens.replica_digest(2));
@@ -855,18 +801,8 @@ mod tests {
     fn catchup_installs_snapshot_past_truncation() {
         let mut ens = ensemble();
         ens.crash_replica(2);
-        for i in 0..MAX_LOG + 8 {
-            ens.submit_to(
-                0,
-                ZkOp::Create {
-                    path: format!("/n{i}"),
-                    data: vec![],
-                    kind: NodeKind::Persistent,
-                    session: None,
-                },
-                t(1),
-            )
-            .unwrap();
+        for _ in 0..MAX_LOG + 8 {
+            ens.submit_to(0, ZkOp::CreateSession, t(1)).unwrap();
         }
         ens.restore_replica(2);
         ens.tick(t(2));

@@ -1,10 +1,9 @@
 //! Client sessions and heartbeat liveness.
 //!
-//! A session is the liveness anchor for ephemeral nodes: application
-//! servers heartbeat their session, and when heartbeats stop for longer
-//! than the session timeout, the session expires and all its ephemeral
-//! nodes are deleted (firing watches). This is the mechanism by which
-//! Shard Manager detects dead application servers.
+//! Application servers heartbeat their session, and when heartbeats stop
+//! for longer than the session timeout, the session expires. Shard
+//! Manager learns of a dead application server from the expired session
+//! ids (§III-A: "If heartbeats stop, SM Server gets notified").
 
 use scalewall_sim::{SimDuration, SimTime};
 
@@ -27,15 +26,12 @@ pub const SESSION_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 #[derive(Debug, Clone)]
 pub(crate) struct Session {
     pub last_heartbeat: SimTime,
-    /// Paths of ephemeral nodes owned by this session.
-    pub ephemerals: Vec<String>,
 }
 
 impl Session {
     pub(crate) fn new(now: SimTime) -> Self {
         Session {
             last_heartbeat: now,
-            ephemerals: Vec::new(),
         }
     }
 

@@ -445,11 +445,11 @@ fn zk_leader_partition_during_drain_storm() {
 /// step fanning watch notifications out to clients — when the region's
 /// own coordination replicas crash mid-storm (`ZkNodeCrash`). The
 /// ensemble election races the in-flight drain migrations and the
-/// clients' watch re-registrations. Contract: the failover shows up as
+/// hosts' heartbeat sessions. Contract: the failover shows up as
 /// bounded `SessionMoved` reconnect churn (one re-handshake per session
 /// per election), no live session is expired into spurious failover
 /// migrations, the storm's admitted drains still complete, and the
-/// whole race — election order, watch delivery, migration schedule —
+/// whole race — election order, session reconnects, migration schedule —
 /// replays bit-identically.
 #[test]
 fn sm_failover_races_client_watches() {

@@ -852,7 +852,7 @@ const PIN_REPLICATED_DRAIN_STORM: &[u64] = &[
 
 #[rustfmt::skip]
 const PIN_COMMIT_INDICES: &[&[u64]] = &[
-    &[1, 2, 1, 8, 1_334, 664_167_976_758_979_897, 1_334, 664_167_976_758_979_897, 1_334, 664_167_976_758_979_897],
-    &[0, 1, 0, 0, 1_302, 4_284_819_267_451_701_780, 1_302, 4_284_819_267_451_701_780, 1_302, 4_284_819_267_451_701_780],
-    &[0, 1, 0, 0, 1_314, 805_895_419_431_072_682, 1_314, 805_895_419_431_072_682, 1_314, 805_895_419_431_072_682],
+    &[1, 2, 1, 8, 1_318, 6_968_161_514_957_835_428, 1_318, 6_968_161_514_957_835_428, 1_318, 6_968_161_514_957_835_428],
+    &[0, 1, 0, 0, 1_280, 15_191_477_535_336_773_775, 1_280, 15_191_477_535_336_773_775, 1_280, 15_191_477_535_336_773_775],
+    &[0, 1, 0, 0, 1_295, 16_582_517_098_709_736_463, 1_295, 16_582_517_098_709_736_463, 1_295, 16_582_517_098_709_736_463],
 ];

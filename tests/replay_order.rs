@@ -13,158 +13,96 @@ use scalewall::shard_manager::ids::{HostId, HostInfo, HostState, Rack, Region, S
 use scalewall::shard_manager::placement::HostSnapshot;
 use scalewall::shard_manager::spec::BalancerConfig;
 use scalewall::sim::{SimRng, SimTime};
-use scalewall::zk::{
-    NodeKind, WatchEventKind, WatchKind, ZkEnsemble, ZkOp, ZkReplicationConfig, ZkResp, ZkStore,
-};
+use scalewall::zk::{SessionId, ZkEnsemble, ZkOp, ZkReplicationConfig, ZkResp, ZkStore};
 
 // ------------------------------------------------------------------ zk
 
-/// Build a store with `n` sessions, each owning one ephemeral under
-/// `/svc` with a node watch, registering everything in `order`.
-fn store_with_sessions(order: &[u64]) -> ZkStore {
-    let mut zk = ZkStore::default();
-    let t0 = SimTime::from_secs(0);
-    zk.create("/svc", b"", NodeKind::Persistent, None, t0).unwrap();
-    // Session ids are assigned sequentially, so create them all first —
-    // the *registration* order of ephemerals and watches then varies.
-    let max = *order.iter().max().unwrap();
-    let sids: Vec<_> = (0..=max).map(|_| zk.create_session(t0)).collect();
-    for &i in order {
-        let path = format!("/svc/member-{i}");
-        zk.create(&path, b"", NodeKind::Ephemeral, Some(sids[i as usize]), t0)
-            .unwrap();
-        zk.watch(&path, WatchKind::Node, 100 + i).unwrap();
+fn t(s: u64) -> SimTime {
+    SimTime::from_secs(s)
+}
+
+/// Sessions 1..=4, opened at time zero, heartbeat once each in `order`
+/// (indices into the ids), one second apart, through `op`. An expiry
+/// pass at 11 s then finds every opening deadline due and re-arms each
+/// session at its own heartbeat's, so the expiry deadline queue holds
+/// the sessions in `order`.
+fn heartbeat_in(order: &[usize], mut op: impl FnMut(ZkOp, SimTime) -> ZkResp) -> Vec<SessionId> {
+    let sids: Vec<SessionId> = order
+        .iter()
+        .map(|_| match op(ZkOp::CreateSession, t(0)) {
+            ZkResp::Session(sid) => sid,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    for (j, &i) in order.iter().enumerate() {
+        let beat = op(ZkOp::RefreshSession { session: sids[i] }, t(1 + j as u64));
+        assert_eq!(beat, ZkResp::Refreshed(true));
     }
-    zk.drain_events();
-    zk
+    assert_eq!(op(ZkOp::ExpireSessions, t(11)), ZkResp::Sessions(vec![]));
+    sids
+}
+
+/// The sessions an `ExpireSessions` at each of `times` returns.
+fn expiries(times: &[u64], mut op: impl FnMut(ZkOp, SimTime) -> ZkResp) -> Vec<Vec<SessionId>> {
+    let mut expire = |at| match op(ZkOp::ExpireSessions, t(at)) {
+        ZkResp::Sessions(dead) => dead,
+        other => panic!("{other:?}"),
+    };
+    times.iter().map(|&at| expire(at)).collect()
 }
 
 #[test]
-fn zk_watch_dispatch_order_is_identical_across_equivalent_stores() {
-    // Same logical state, different construction interleavings: mass
-    // expiry must fire watches in the same order in every store.
-    let orders: [&[u64]; 3] = [&[0, 1, 2, 3], &[3, 2, 1, 0], &[2, 0, 3, 1]];
+fn zk_expiry_order_is_identical_across_equivalent_stores() {
+    // Same logical state, different heartbeat interleavings, so the
+    // deadline queue hands the candidates over in different orders: mass
+    // expiry must report the same sessions in the same order in every
+    // store.
+    let orders: [&[usize]; 3] = [&[0, 1, 2, 3], &[3, 2, 1, 0], &[2, 0, 3, 1]];
     let mut streams = Vec::new();
     for order in orders {
-        let mut zk = store_with_sessions(order);
-        let expired = zk.expire_sessions(SimTime::from_secs(1_000));
+        let mut zk = ZkStore::default();
+        heartbeat_in(order, |op, at| zk.apply(&op, at));
+        let expired = zk.expire_sessions(t(1_000));
         assert_eq!(expired.len(), 4);
-        streams.push((expired, zk.drain_events()));
+        streams.push(expired);
     }
     assert_eq!(streams[0], streams[1]);
     assert_eq!(streams[0], streams[2]);
 }
 
-#[test]
-fn zk_mass_expiry_event_sequence_is_pinned() {
-    // The golden order: sessions expire in session-id order, each firing
-    // the Deleted watch on its ephemeral before the parent's
-    // ChildrenChanged. Any change here is a replay-contract break — see
-    // crates/sim/src/rng.rs for the policy on re-deriving goldens.
-    let mut zk = store_with_sessions(&[1, 3, 0, 2]);
-    zk.expire_sessions(SimTime::from_secs(1_000));
-    let events: Vec<(String, WatchEventKind, u64)> = zk
-        .drain_events()
-        .into_iter()
-        .map(|e| (e.path, e.kind, e.token))
-        .collect();
-    let expect: Vec<(String, WatchEventKind, u64)> = (0..4)
-        .map(|i| {
-            (
-                format!("/svc/member-{i}"),
-                WatchEventKind::Deleted,
-                100 + i,
-            )
-        })
-        .collect();
-    assert_eq!(events, expect);
+/// The golden order of one schedule: the sessions that beat at 1 s and
+/// 2 s (ids 4 and 2, in that order on the queue) lapse first, then the
+/// other two, each pass in ascending id order.
+const ORDER: [usize; 4] = [3, 1, 2, 0];
+const EXPIRY_TIMES: [u64; 2] = [13, 1_000];
+
+fn pinned_expiries() -> Vec<Vec<SessionId>> {
+    vec![vec![SessionId(2), SessionId(4)], vec![SessionId(1), SessionId(3)]]
 }
 
 #[test]
-fn zk_close_session_deletes_ephemerals_in_path_order() {
-    // One session owning several ephemerals registered out of order:
-    // explicit close must delete them in ascending-path order — the one
-    // pinned order shared by close, mass expiry, and the replicated
-    // apply path (`ZkStore::close_session_inner`).
-    let t0 = SimTime::from_secs(0);
+fn zk_mass_expiry_event_sequence_is_pinned() {
+    // Sessions expire in session-id order whatever order the deadline
+    // queue delivers them in. Any change here is a replay-contract
+    // break — see crates/sim/src/rng.rs for the policy on re-deriving
+    // goldens.
     let mut zk = ZkStore::default();
-    zk.create("/svc", b"", NodeKind::Persistent, None, t0).unwrap();
-    let sid = zk.create_session(t0);
-    for name in ["c", "a", "b"] {
-        let path = format!("/svc/{name}");
-        zk.create(&path, b"", NodeKind::Ephemeral, Some(sid), t0).unwrap();
-        zk.watch(&path, WatchKind::Node, name.as_bytes()[0] as u64).unwrap();
-    }
-    zk.drain_events();
-    zk.close_session(sid, SimTime::from_secs(1));
-    let single: Vec<(String, WatchEventKind, u64)> = zk
-        .drain_events()
-        .into_iter()
-        .map(|e| (e.path, e.kind, e.token))
-        .collect();
-    let expect: Vec<(String, WatchEventKind, u64)> = ["a", "b", "c"]
-        .iter()
-        .map(|n| {
-            (
-                format!("/svc/{n}"),
-                WatchEventKind::Deleted,
-                n.as_bytes()[0] as u64,
-            )
-        })
-        .collect();
-    assert_eq!(single, expect, "close_session must delete in path order");
+    heartbeat_in(&ORDER, |op, at| zk.apply(&op, at));
+    assert_eq!(expiries(&EXPIRY_TIMES, |op, at| zk.apply(&op, at)), pinned_expiries());
+}
 
-    // The replicated apply path shares the same order: a CloseSession op
-    // committed through an ensemble yields the identical event stream.
-    let cfg = ZkReplicationConfig::default();
-    let mut ens = ZkEnsemble::new(&cfg);
-    ens.submit_to(
-        0,
-        ZkOp::Create {
-            path: "/svc".into(),
-            data: vec![],
-            kind: NodeKind::Persistent,
-            session: None,
-        },
-        t0,
-    )
-    .unwrap();
-    let rsid = match ens.submit_to(0, ZkOp::CreateSession, t0).unwrap() {
-        ZkResp::Session(s) => s,
-        other => panic!("{other:?}"),
-    };
-    for name in ["c", "a", "b"] {
-        ens.submit_to(
-            0,
-            ZkOp::Create {
-                path: format!("/svc/{name}"),
-                data: vec![],
-                kind: NodeKind::Ephemeral,
-                session: Some(rsid),
-            },
-            t0,
-        )
-        .unwrap();
-        ens.submit_to(
-            0,
-            ZkOp::Watch {
-                path: format!("/svc/{name}"),
-                kind: WatchKind::Node,
-                token: name.as_bytes()[0] as u64,
-            },
-            t0,
-        )
-        .unwrap();
+#[test]
+fn zk_replicated_expiry_shares_the_pinned_order() {
+    // The replicated apply path shares the same order: the schedule
+    // committed through an ensemble expires the identical sequence, and
+    // every replica ends in the same state.
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut op = |op, at| ens.submit_to(0, op, at).unwrap();
+    heartbeat_in(&ORDER, &mut op);
+    assert_eq!(expiries(&EXPIRY_TIMES, &mut op), pinned_expiries());
+    for id in 1..ens.replica_count() {
+        assert_eq!(ens.replica_digest(id), ens.replica_digest(0), "replica {id}");
     }
-    ens.submit_to(0, ZkOp::DrainEvents, t0).unwrap();
-    ens.submit_to(0, ZkOp::CloseSession { session: rsid }, SimTime::from_secs(1))
-        .unwrap();
-    let replicated: Vec<(String, WatchEventKind, u64)> =
-        match ens.submit_to(0, ZkOp::DrainEvents, SimTime::from_secs(1)).unwrap() {
-            ZkResp::Events(evs) => evs.into_iter().map(|e| (e.path, e.kind, e.token)).collect(),
-            other => panic!("{other:?}"),
-        };
-    assert_eq!(replicated, expect, "replicated close must share the pinned order");
 }
 
 // ------------------------------------------------------------ balancer

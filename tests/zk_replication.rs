@@ -12,16 +12,16 @@
 //! replica, under arbitrary crash/partition/repair schedules.
 //!
 //! Targeted tests pin the individual failover behaviours the property
-//! exercises in bulk: no acked write lost across a leader crash, watch
-//! redelivery from a replicated `pending_events`, minority/majority
-//! partitions, snapshot-install catchup, and `SessionMoved` fencing.
+//! exercises in bulk: no acked write lost across a leader crash,
+//! minority/majority partitions, snapshot-install catchup, and
+//! `SessionMoved` fencing.
 
 use scalewall::sim::prop::{self, gen};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use scalewall::zk::replica::MAX_LOG;
 use scalewall::zk::{
-    NodeKind, SessionId, WatchKind, ZkClient, ZkEnsemble, ZkError, ZkOp, ZkReplicationConfig,
-    ZkResp, ZkResult, ZkStore, SESSION_TIMEOUT,
+    SessionId, ZkClient, ZkEnsemble, ZkError, ZkOp, ZkReplicationConfig, ZkResp, ZkResult,
+    ZkStore, SESSION_TIMEOUT,
 };
 
 fn t(s: u64) -> SimTime {
@@ -47,20 +47,14 @@ enum Fault {
     Heal(u32, u32),
 }
 
-/// Op templates; concrete paths/sessions are resolved against the run's
-/// live state so ops hit a mix of valid and invalid targets.
+/// Op templates; concrete sessions are resolved against the run's live
+/// state so ops hit a mix of live, closed, expired and bogus sessions.
 #[derive(Debug, Clone, Copy)]
 enum OpKind {
-    CreateEphemeral,
-    CreatePersistent,
-    SetData,
-    Delete,
     NewSession,
     Refresh,
     RefreshBatch,
     CloseSession,
-    Watch,
-    Drain,
     Expire,
 }
 
@@ -69,11 +63,11 @@ enum OpKind {
 /// runs the batch code it is checking.
 fn mirror(oracle: &mut ZkStore, op: &ZkOp, now: SimTime) -> ZkResult<ZkResp> {
     let ZkOp::RefreshSessions { sessions } = op else {
-        return oracle.apply(op, now);
+        return Ok(oracle.apply(op, now));
     };
     let mut gone = Vec::new();
     for &session in sessions.iter() {
-        if oracle.apply(&ZkOp::RefreshSession { session }, now) != Ok(ZkResp::Refreshed(true)) {
+        if oracle.apply(&ZkOp::RefreshSession { session }, now) != ZkResp::Refreshed(true) {
             gone.push(session);
         }
     }
@@ -100,19 +94,13 @@ fn gen_step(rng: &mut SimRng) -> Step {
         None
     };
     let op = *rng.pick(&[
-        OpKind::CreateEphemeral,
-        OpKind::CreatePersistent,
-        OpKind::SetData,
-        OpKind::SetData,
-        OpKind::Delete,
+        OpKind::NewSession,
         OpKind::NewSession,
         OpKind::Refresh,
         OpKind::Refresh,
         OpKind::RefreshBatch,
         OpKind::RefreshBatch,
         OpKind::CloseSession,
-        OpKind::Watch,
-        OpKind::Drain,
         OpKind::Expire,
     ]);
     Step {
@@ -127,24 +115,12 @@ fn run_schedule(steps: &[Step]) {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
     let mut oracle = ZkStore::new();
-    // Deterministic path/session *selection* stream — separate from the
+    // Deterministic session *selection* stream — separate from the
     // schedule generator so a shrunk schedule replays identically.
     let mut sel = SimRng::new(0x0f_ace).fork(0x51);
 
     let mut now_ms = 0u64;
     let mut sessions: Vec<SessionId> = Vec::new();
-    let paths = ["/svc/a", "/svc/b", "/svc/c", "/svc/d", "/svc/e"];
-
-    // Seed the namespace through the replicated path so the oracle and
-    // the ensemble share it.
-    let seed_op = ZkOp::CreateRecursive {
-        path: "/svc".into(),
-        data: Vec::new(),
-        kind: NodeKind::Persistent,
-        session: None,
-    };
-    let r = client.submit(&mut ens, seed_op.clone(), t(0)).unwrap();
-    assert_eq!(r, oracle.apply(&seed_op, t(0)).unwrap());
 
     for step in steps {
         now_ms += step.advance_ms;
@@ -162,7 +138,6 @@ fn run_schedule(steps: &[Step]) {
             // it so the oracle's expiry outcomes stay aligned.
             let _ = oracle.apply(&ZkOp::TouchSessions, now);
         }
-        let mut path = || (*sel.pick(&paths)).to_string();
         let session = |sel: &mut SimRng, sessions: &[SessionId]| {
             if sessions.is_empty() || sel.below(8) == 0 {
                 SessionId(sel.below(64)) // sometimes bogus on purpose
@@ -171,27 +146,6 @@ fn run_schedule(steps: &[Step]) {
             }
         };
         let op = match step.op {
-            OpKind::CreateEphemeral => ZkOp::Create {
-                path: path(),
-                data: vec![gen::any_u8(&mut sel)],
-                kind: NodeKind::Ephemeral,
-                session: Some(session(&mut sel, &sessions)),
-            },
-            OpKind::CreatePersistent => ZkOp::Create {
-                path: path(),
-                data: Vec::new(),
-                kind: NodeKind::Persistent,
-                session: None,
-            },
-            OpKind::SetData => ZkOp::SetData {
-                path: path(),
-                data: vec![gen::any_u8(&mut sel), gen::any_u8(&mut sel)],
-                expected_version: if sel.below(4) == 0 { Some(sel.below(3)) } else { None },
-            },
-            OpKind::Delete => ZkOp::Delete {
-                path: path(),
-                expected_version: None,
-            },
             OpKind::NewSession => ZkOp::CreateSession,
             OpKind::Refresh => ZkOp::RefreshSession {
                 session: session(&mut sel, &sessions),
@@ -204,12 +158,6 @@ fn run_schedule(steps: &[Step]) {
             OpKind::CloseSession => ZkOp::CloseSession {
                 session: session(&mut sel, &sessions),
             },
-            OpKind::Watch => ZkOp::Watch {
-                path: path(),
-                kind: if sel.below(2) == 0 { WatchKind::Node } else { WatchKind::Children },
-                token: sel.below(1 << 20),
-            },
-            OpKind::Drain => ZkOp::DrainEvents,
             OpKind::Expire => ZkOp::ExpireSessions,
         };
         match client.submit(&mut ens, op.clone(), now) {
@@ -217,8 +165,7 @@ fn run_schedule(steps: &[Step]) {
             // whole retry budget, or the session was fenced right at the
             // budget edge. Nothing to mirror.
             Err(ZkError::NotLeader { .. }) | Err(ZkError::SessionMoved { .. }) => {}
-            // Committed — successfully or as a committed refusal
-            // (BadVersion, NoNode, ...). The oracle must agree exactly.
+            // Committed: the oracle must agree exactly.
             outcome => {
                 let mirrored = mirror(&mut oracle, &op, now);
                 assert_eq!(
@@ -293,73 +240,29 @@ fn prop_replicated_plane_matches_single_store_oracle() {
 
 // ---------------------------------------------------------------- targeted
 
-fn create(path: &str) -> ZkOp {
-    ZkOp::Create {
-        path: path.into(),
-        data: Vec::new(),
-        kind: NodeKind::Persistent,
-        session: None,
+/// Open one session through `client`: the writes of these tests.
+fn open(client: &mut ZkClient, ens: &mut ZkEnsemble, now: SimTime) -> ZkResult<SessionId> {
+    match client.submit(ens, ZkOp::CreateSession, now)? {
+        ZkResp::Session(sid) => Ok(sid),
+        other => panic!("{other:?}"),
     }
 }
 
-/// No acked write is lost across a leader crash: everything the old
-/// leader acknowledged is present on the post-failover leader.
+/// No acked write is lost across a leader crash: every session the old
+/// leader acknowledged is live on the post-failover leader.
 #[test]
 fn acked_writes_survive_leader_crash() {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
-    for i in 0..10 {
-        client
-            .submit(&mut ens, create(&format!("/n{i}")), t(1))
-            .unwrap();
-    }
+    let sids: Vec<SessionId> = (0..10)
+        .map(|_| open(&mut client, &mut ens, t(1)).unwrap())
+        .collect();
     ens.crash_replica(0);
     let new = ens.tick(t(30)).expect("failover");
     let store = ens.replica_store(new).unwrap();
-    for i in 0..10 {
-        assert!(store.exists(&format!("/n{i}")), "acked /n{i} lost in failover");
+    for sid in sids {
+        assert!(store.session_alive(sid, t(30)), "acked {sid} lost in failover");
     }
-}
-
-/// Watches live in the replicated state: an event fired just before the
-/// leader dies is still delivered by the post-failover leader.
-#[test]
-fn watch_events_are_redelivered_after_failover() {
-    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
-    let mut client = ZkClient::default();
-    client.submit(&mut ens, create("/w"), t(1)).unwrap();
-    client
-        .submit(
-            &mut ens,
-            ZkOp::Watch {
-                path: "/w".into(),
-                kind: WatchKind::Node,
-                token: 7,
-            },
-            t(1),
-        )
-        .unwrap();
-    client
-        .submit(
-            &mut ens,
-            ZkOp::Delete {
-                path: "/w".into(),
-                expected_version: None,
-            },
-            t(1),
-        )
-        .unwrap();
-    // The deletion fired the watch into every replica's pending queue;
-    // the leader dies before anyone drains it.
-    ens.crash_replica(0);
-    ens.tick(t(30)).expect("failover");
-    let evs = match client.submit(&mut ens, ZkOp::DrainEvents, t(31)).unwrap() {
-        ZkResp::Events(evs) => evs,
-        other => panic!("{other:?}"),
-    };
-    assert_eq!(evs.len(), 1, "pre-crash watch event must survive failover");
-    assert_eq!(evs[0].path, "/w");
-    assert_eq!(evs[0].token, 7);
 }
 
 /// A partition that leaves the leader in the minority: the majority side
@@ -368,15 +271,15 @@ fn watch_events_are_redelivered_after_failover() {
 fn majority_side_wins_partition_and_minority_catches_up() {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
-    client.submit(&mut ens, create("/before"), t(1)).unwrap();
+    open(&mut client, &mut ens, t(1)).unwrap();
     // Isolate replica 0 (the leader) from both peers.
     ens.cut_regions(0, 1);
     ens.cut_regions(0, 2);
     let new = ens.tick(t(30)).expect("majority-side election");
     assert_eq!(new, 1, "longest-log tie → lowest surviving id");
-    client.submit(&mut ens, create("/during"), t(31)).unwrap();
+    let during = open(&mut client, &mut ens, t(31)).unwrap();
     assert!(
-        !ens.replica_store(0).unwrap().exists("/during"),
+        !ens.replica_store(0).unwrap().session_alive(during, t(31)),
         "minority replica must not see uncommitted-for-it writes"
     );
     ens.heal_regions(0, 1);
@@ -388,7 +291,7 @@ fn majority_side_wins_partition_and_minority_catches_up() {
             ens.replica_digest(new),
             "replica {id} did not converge after heal"
         );
-        assert!(ens.replica_store(id).unwrap().exists("/during"));
+        assert!(ens.replica_store(id).unwrap().session_alive(during, t(40)));
     }
 }
 
@@ -402,17 +305,18 @@ fn leaderless_ensemble_refuses_rather_than_loses() {
     ens.tick(t(30));
     assert_eq!(ens.leader(), None, "no quorum anywhere → leaderless");
     let mut client = ZkClient::default();
-    let err = client.submit(&mut ens, create("/lost"), t(31)).unwrap_err();
+    let err = open(&mut client, &mut ens, t(31)).unwrap_err();
     assert!(matches!(err, ZkError::NotLeader { hint: None }));
     // Repair: the ensemble recovers and the write is accepted — exactly
     // once, with nothing phantom from the refused attempts.
     ens.restore_replica(1);
     ens.restore_replica(2);
     ens.tick(t(60)).expect("re-election after repair");
-    client.submit(&mut ens, create("/lost"), t(61)).unwrap();
+    let sid = open(&mut client, &mut ens, t(61)).unwrap();
+    assert_eq!(sid, SessionId(1), "a refused attempt opened a session");
     for id in 0..3 {
         if ens.replica_up(id) {
-            assert!(ens.replica_store(id).unwrap().exists("/lost"));
+            assert!(ens.replica_store(id).unwrap().session_alive(sid, t(61)));
         }
     }
 }
@@ -424,10 +328,8 @@ fn repaired_follower_catches_up_via_snapshot() {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
     ens.crash_replica(2);
-    for i in 0..MAX_LOG + 16 {
-        client
-            .submit(&mut ens, create(&format!("/deep{i}")), t(1))
-            .unwrap();
+    for _ in 0..MAX_LOG + 16 {
+        open(&mut client, &mut ens, t(1)).unwrap();
     }
     ens.restore_replica(2);
     ens.tick(t(2));
@@ -444,13 +346,9 @@ fn repaired_follower_catches_up_via_snapshot() {
 fn each_session_absorbs_one_session_moved_per_failover() {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
-    let mut sids = Vec::new();
-    for _ in 0..3 {
-        match client.submit(&mut ens, ZkOp::CreateSession, t(1)).unwrap() {
-            ZkResp::Session(s) => sids.push(s),
-            other => panic!("{other:?}"),
-        }
-    }
+    let sids: Vec<SessionId> = (0..3)
+        .map(|_| open(&mut client, &mut ens, t(1)).unwrap())
+        .collect();
     ens.crash_replica(0);
     ens.tick(t(30)).expect("failover");
     for (i, sid) in sids.iter().enumerate() {
@@ -478,13 +376,9 @@ fn each_session_absorbs_one_session_moved_per_failover() {
 fn batched_refresh_reports_gone_sessions_and_fences_once() {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
-    let mut sids = Vec::new();
-    for _ in 0..4 {
-        match client.submit(&mut ens, ZkOp::CreateSession, t(1)).unwrap() {
-            ZkResp::Session(s) => sids.push(s),
-            other => panic!("{other:?}"),
-        }
-    }
+    let sids: Vec<SessionId> = (0..4)
+        .map(|_| open(&mut client, &mut ens, t(1)).unwrap())
+        .collect();
     let closed = sids[1];
     client
         .submit(&mut ens, ZkOp::CloseSession { session: closed }, t(2))
