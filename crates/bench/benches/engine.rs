@@ -311,6 +311,31 @@ fn bench_scan(c: &mut Bench) {
     group.bench_function("group_entity_15k_x2k", |b| {
         b.iter(|| execute_partition(&mut wide, &query, 8).unwrap())
     });
+
+    // The dense path's worst case: a key domain at its limit (2^16 keys,
+    // `DENSE_KEY_DOMAIN` in `query::exec`) over 200 rows, so the columns
+    // sized to the domain before the scan dwarf the rows folded into them.
+    let keyed = Arc::new(
+        SchemaBuilder::new()
+            .int_dim("k", 0, 1 << 16, 1 << 12)
+            .metric("clicks")
+            .metric("cost")
+            .build()
+            .unwrap(),
+    );
+    let mut small = PartitionData::new(keyed);
+    let mut rng = SimRng::new(19);
+    for _ in 0..200 {
+        let key = vec![Value::Int(rng.below(1 << 16) as i64)];
+        small
+            .ingest(&Row::new(key, vec![rng.below(100) as f64, rng.unit()]))
+            .unwrap();
+    }
+    let query = parse_query("select sum(clicks), avg(cost) from t group by k").unwrap();
+    group.throughput(200);
+    group.bench_function("group_wide_domain_small", |b| {
+        b.iter(|| execute_partition(&mut small, &query, 8).unwrap())
+    });
     group.finish();
 }
 

@@ -144,25 +144,13 @@ impl AggState {
         Ok(())
     }
 
-    /// Final scalar value.
+    /// Final scalar value. A group exists only once a row lands in it, so
+    /// no engine path finalizes an identity state: `min` and `max` answer
+    /// what they hold, an infinite metric included.
     pub fn finalize(&self) -> f64 {
         match self {
             AggState::Count(c) => *c as f64,
-            AggState::Sum(s) => *s,
-            AggState::Min(m) => {
-                if m.is_finite() {
-                    *m
-                } else {
-                    f64::NAN // empty group
-                }
-            }
-            AggState::Max(m) => {
-                if m.is_finite() {
-                    *m
-                } else {
-                    f64::NAN
-                }
-            }
+            AggState::Sum(s) | AggState::Min(s) | AggState::Max(s) => *s,
             AggState::Avg { sum, count } => {
                 if *count == 0 {
                     f64::NAN
@@ -231,12 +219,27 @@ mod tests {
     }
 
     #[test]
-    fn empty_groups_finalize_to_nan_or_zero() {
+    fn identity_states_finalize_to_what_they_hold() {
         assert_eq!(AggState::init(AggFunc::Count).finalize(), 0.0);
         assert_eq!(AggState::init(AggFunc::Sum).finalize(), 0.0);
-        assert!(AggState::init(AggFunc::Min).finalize().is_nan());
-        assert!(AggState::init(AggFunc::Max).finalize().is_nan());
+        assert_eq!(AggState::init(AggFunc::Min).finalize(), f64::INFINITY);
+        assert_eq!(AggState::init(AggFunc::Max).finalize(), f64::NEG_INFINITY);
         assert!(AggState::init(AggFunc::Avg).finalize().is_nan());
+    }
+
+    #[test]
+    fn min_max_over_infinities_answer_their_value() {
+        let fold = |func, values: &[f64]| {
+            let mut state = AggState::init(func);
+            values.iter().for_each(|&v| state.update(v));
+            state.finalize()
+        };
+        assert_eq!(
+            fold(AggFunc::Min, &[1.0, f64::NEG_INFINITY]),
+            f64::NEG_INFINITY
+        );
+        assert_eq!(fold(AggFunc::Max, &[f64::INFINITY, 3.0]), f64::INFINITY);
+        assert_eq!(fold(AggFunc::Min, &[f64::INFINITY, 3.0]), 3.0);
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //!
 //! A brick is processed one column at a time (DESIGN.md "Engine scan
 //! contract"): the residual filter yields a selection vector, the
-//! group-by columns pack into one `u64` key per row, each key finds its
-//! accumulator row, and each aggregate then folds its metric column in
-//! row order.
+//! group-by columns pack into one `u64` key per row, and on a dense key
+//! domain that key is the row's slot in the accumulator columns (a wider
+//! domain looks its slot up in an ordered map). The row-count column then
+//! counts the rows into their groups, and each aggregate that reads a
+//! metric folds its column into its own `f64` column, in row order. The
+//! partial is built a column at a time as well: the present keys once,
+//! in key order, each group-by digit decoded over them into its key
+//! column, then the state arena.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,15 +24,24 @@ use crate::dictionary::StringRanks;
 use crate::error::{CubrickError, CubrickResult};
 use crate::query::agg::{AggFunc, AggState};
 use crate::query::expr;
-use crate::query::result::{KeyRef, PartialResult};
+use crate::query::result::{KeyColumn, PartialResult};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::store::PartitionData;
 
-/// Largest group-key domain indexed by a dense slot vector (`u32` per
-/// possible key: 256 KiB at the limit). Larger domains go through an
-/// ordered map.
+/// Largest group-key domain whose keys may index the accumulator columns
+/// directly. Larger domains hand out slots through an ordered map.
 const DENSE_KEY_DOMAIN: u64 = 1 << 16;
+
+/// Largest total size of the dense path's columns, the row count and one
+/// `f64` per aggregate that reads a metric, 8 bytes a key each: the
+/// row-count column alone at `DENSE_KEY_DOMAIN`. Every column is sized to
+/// the domain and filled before the first row and passed over once after
+/// the last, so this bounds what a dense query pays however few rows it
+/// reads. Past it each further 512 KiB cost a 200-row query about 14 µs on
+/// a 2-vCPU box (`scan/group_wide_domain_small`), more than the ordered
+/// map costs it.
+const DENSE_COLUMN_BYTES: u64 = DENSE_KEY_DOMAIN * 8;
 
 /// One group-by dimension's digit in the packed key.
 struct Digit {
@@ -100,38 +114,59 @@ impl KeyLayout {
         }
     }
 
-    /// Decode a key into `vals`, a borrowed group value per digit; the first
-    /// digit is whatever the others leave, so one digit alone never divides.
-    fn unpack<'a>(
+    /// The key columns of `groups` (ascending keys), one digit at a time:
+    /// an integer ordinal becomes its value, a string rank its dictionary
+    /// id and then its string. The first digit is whatever the others
+    /// leave, so it takes no remainder.
+    fn decode(
         &self,
-        mut key: u64,
-        partition: &'a PartitionData,
+        groups: &[(u64, usize)],
+        partition: &PartitionData,
         schema: &Schema,
-        vals: &mut Vec<KeyRef<'a>>,
-    ) -> CubrickResult<()> {
-        vals.clear();
+    ) -> CubrickResult<Vec<KeyColumn>> {
+        let mut columns = Vec::with_capacity(self.digits.len());
+        // The product of the radices after this digit; a key exists only
+        // when every radix is at least 1, so it never divides by zero.
+        let mut stride = 1u64;
         for (place, digit) in self.digits.iter().enumerate().rev() {
-            let value = if place == 0 { key } else { key % digit.radix };
-            key = if place == 0 { 0 } else { key / digit.radix };
-            let val = match &digit.strings {
-                Some(ranks) => ranks
-                    .id_of_rank
-                    .get(value as usize)
-                    .and_then(|&id| partition.dict(digit.dim)?.decode(id))
-                    .map(KeyRef::Str),
-                None => schema.dimensions[digit.dim]
-                    .int_value(value as u32)
-                    .map(KeyRef::Int),
+            let value = |key: u64| match place {
+                0 => key / stride,
+                _ => key / stride % digit.radix,
             };
-            vals.push(val.ok_or_else(|| CubrickError::Internal {
+            let undecodable = |key: u64| CubrickError::Internal {
                 detail: format!(
-                    "group key digit {value} of dimension {} does not decode",
+                    "group key digit {} of dimension {} does not decode",
+                    value(key),
                     digit.dim
                 ),
-            })?);
+            };
+            let column = match &digit.strings {
+                None => {
+                    let dim = &schema.dimensions[digit.dim];
+                    let mut ints = Vec::with_capacity(groups.len());
+                    for &(key, _) in groups {
+                        let ordinal = u32::try_from(value(key)).ok();
+                        let int = ordinal.and_then(|ordinal| dim.int_value(ordinal));
+                        ints.push(int.ok_or_else(|| undecodable(key))?);
+                    }
+                    KeyColumn::Int(ints)
+                }
+                Some(ranks) => {
+                    let dict = partition.dict(digit.dim);
+                    let mut strings = Vec::with_capacity(groups.len());
+                    for &(key, _) in groups {
+                        let id = ranks.id_of_rank.get(value(key) as usize);
+                        let string = id.and_then(|&id| dict?.decode(id));
+                        strings.push(string.ok_or_else(|| undecodable(key))?);
+                    }
+                    KeyColumn::strings(&strings)?
+                }
+            };
+            columns.push(column);
+            stride *= digit.radix;
         }
-        vals.reverse();
-        Ok(())
+        columns.reverse();
+        Ok(columns)
     }
 }
 
@@ -148,146 +183,150 @@ fn gather<'a, T: Copy>(column: &'a [T], sel: Option<&[u32]>, buf: &'a mut Vec<T>
     }
 }
 
-/// Running state of one aggregate of one group; the aggregate's
-/// `AggFunc` says which fields it uses.
-#[derive(Clone, Copy)]
-struct Acc {
-    value: f64,
-    count: u64,
+/// What an aggregate's column holds before any row: the value its first
+/// row folds into. `count` has no column; the row count is its state.
+fn identity(func: AggFunc) -> Option<f64> {
+    match func {
+        AggFunc::Count => None,
+        AggFunc::Sum | AggFunc::Avg => Some(0.0),
+        AggFunc::Min => Some(f64::INFINITY),
+        AggFunc::Max => Some(f64::NEG_INFINITY),
+    }
 }
 
-impl Acc {
-    fn init(func: AggFunc) -> Acc {
-        let value = match func {
-            AggFunc::Min => f64::INFINITY,
-            AggFunc::Max => f64::NEG_INFINITY,
-            AggFunc::Count | AggFunc::Sum | AggFunc::Avg => 0.0,
-        };
-        Acc { value, count: 0 }
+/// The running state of every group, a column per value, indexed by
+/// slot: the rows each group holds, and one `f64` per group for every
+/// aggregate that reads a metric. On a dense key domain the slot is the
+/// packed key and the columns are sized to the domain up front; a wider
+/// domain hands out slots in first-seen order and grows the columns one
+/// slot at a time.
+struct GroupTable {
+    /// The slot of every key seen; `None` on a dense domain.
+    wide: Option<BTreeMap<u64, u32>>,
+    /// Rows per slot. Non-zero marks a present group, and it is the
+    /// count of `count` and of `avg`.
+    rows: Vec<u64>,
+    /// Per aggregate, `identity(func)` and then every row folded in;
+    /// empty for `count`.
+    values: Vec<Vec<f64>>,
+    funcs: Vec<AggFunc>,
+}
+
+impl GroupTable {
+    /// Dense or wide is chosen from the key domain and the aggregate list
+    /// alone, so a query takes the same path on every partition state.
+    fn new(domain: u64, funcs: Vec<AggFunc>) -> Self {
+        let columns = 1 + funcs.iter().filter(|&&f| identity(f).is_some()).count() as u64;
+        let dense = domain <= DENSE_KEY_DOMAIN && domain * columns * 8 <= DENSE_COLUMN_BYTES;
+        let slots = if dense { domain as usize } else { 0 };
+        let column = |&func: &AggFunc| identity(func).map_or_else(Vec::new, |v| vec![v; slots]);
+        GroupTable {
+            wide: (!dense).then(BTreeMap::new),
+            rows: vec![0; slots],
+            values: funcs.iter().map(column).collect(),
+            funcs,
+        }
     }
 
-    fn state(self, func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count => AggState::Count(self.count),
-            AggFunc::Sum => AggState::Sum(self.value),
-            AggFunc::Min => AggState::Min(self.value),
-            AggFunc::Max => AggState::Max(self.value),
+    /// Packed keys into slots, in place. A dense domain's keys already
+    /// are; a wide one's new key takes the next slot, and every column
+    /// grows by it.
+    fn assign_slots(&mut self, keys: &mut [u64]) {
+        let GroupTable {
+            wide: Some(slots),
+            rows,
+            values,
+            funcs,
+        } = self
+        else {
+            return;
+        };
+        for key in keys {
+            let next = rows.len() as u32;
+            let slot = *slots.entry(*key).or_insert(next);
+            if slot == next {
+                rows.push(0);
+                for (column, &func) in values.iter_mut().zip(funcs.iter()) {
+                    column.extend(identity(func));
+                }
+            }
+            *key = u64::from(slot);
+        }
+    }
+
+    /// Count the rows into their groups.
+    fn count(&mut self, rows: Rows<'_>) {
+        match rows {
+            Rows::OneSlot { rows: n } => {
+                if let Some(count) = self.rows.first_mut() {
+                    *count += n as u64;
+                }
+            }
+            Rows::Slots(slots) => slots.iter().for_each(|&slot| self.rows[slot as usize] += 1),
+        }
+    }
+
+    /// Fold one aggregate's metric column into its rows' slots, in row
+    /// order. `AggFunc` is matched once per column, not per row, and
+    /// there is one scalar per (group, aggregate), so every sum adds in
+    /// the order the rows are stored.
+    fn fold(&mut self, agg: usize, rows: Rows<'_>, values: &[f64]) {
+        let column = &mut self.values[agg];
+        match self.funcs[agg] {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => each(column, rows, values, |acc, v| acc + v),
+            AggFunc::Min => each(column, rows, values, f64::min),
+            AggFunc::Max => each(column, rows, values, f64::max),
+        }
+    }
+
+    /// The groups rows landed in, ascending by key, with their slots. No
+    /// more of them than `rows` were scanned.
+    fn present(&self, rows: u64) -> Vec<(u64, usize)> {
+        match &self.wide {
+            None => {
+                let bound = usize::try_from(rows).unwrap_or(usize::MAX);
+                let mut groups = Vec::with_capacity(bound.min(self.rows.len()));
+                let keys = (0..).zip(&self.rows).filter(|&(_, &n)| n > 0);
+                groups.extend(keys.map(|(key, _)| (key, key as usize)));
+                groups
+            }
+            Some(slots) => slots
+                .iter()
+                .map(|(&key, &slot)| (key, slot as usize))
+                .collect(),
+        }
+    }
+
+    /// Aggregate `agg`'s state of the group in `slot`.
+    fn state(&self, agg: usize, slot: usize) -> AggState {
+        let value = || self.values[agg][slot];
+        match self.funcs[agg] {
+            AggFunc::Count => AggState::Count(self.rows[slot]),
+            AggFunc::Sum => AggState::Sum(value()),
+            AggFunc::Min => AggState::Min(value()),
+            AggFunc::Max => AggState::Max(value()),
             AggFunc::Avg => AggState::Avg {
-                sum: self.value,
-                count: self.count,
+                sum: value(),
+                count: self.rows[slot],
             },
         }
     }
 }
 
-/// Where a key's accumulator row lives. Dense holds `slot + 1` per
-/// possible key (0 = not seen yet).
-enum SlotIndex {
-    Dense(Vec<u32>),
-    Ordered(BTreeMap<u64, u32>),
-}
-
-/// The groups seen so far: slot per key in first-seen order, and one
-/// flat arena of accumulators, `fresh.len()` per slot.
-struct GroupTable {
-    index: SlotIndex,
-    len: u32,
-    accs: Vec<Acc>,
-    fresh: Vec<Acc>,
-}
-
-impl GroupTable {
-    /// The slot lookup is chosen from the key domain alone, so a query
-    /// takes the same path on every partition state.
-    fn new(domain: u64, funcs: &[AggFunc]) -> Self {
-        let index = if domain <= DENSE_KEY_DOMAIN {
-            SlotIndex::Dense(vec![0; domain as usize])
-        } else {
-            SlotIndex::Ordered(BTreeMap::new())
-        };
-        GroupTable {
-            index,
-            len: 0,
-            accs: Vec::new(),
-            fresh: funcs.iter().map(|&f| Acc::init(f)).collect(),
-        }
-    }
-
-    fn slot_of(&mut self, key: u64) -> u32 {
-        let slot = match &mut self.index {
-            SlotIndex::Dense(slots) => {
-                let entry = &mut slots[key as usize];
-                if *entry == 0 {
-                    *entry = self.len + 1;
-                }
-                *entry - 1
+/// `step` each of `values` into its row's slot of `column`, in row order.
+fn each(column: &mut [f64], rows: Rows<'_>, values: &[f64], step: impl Fn(f64, f64) -> f64) {
+    match rows {
+        // One accumulator for the whole column, kept in a register.
+        Rows::OneSlot { .. } => {
+            if let Some(acc) = column.first_mut() {
+                *acc = values.iter().fold(*acc, |acc, &v| step(acc, v));
             }
-            SlotIndex::Ordered(slots) => *slots.entry(key).or_insert(self.len),
-        };
-        if slot == self.len {
-            self.len += 1;
-            self.accs.extend_from_slice(&self.fresh);
         }
-        slot
-    }
-
-    /// Every group as (key, its accumulators), in ascending key order.
-    fn groups(&self) -> impl Iterator<Item = (u64, &[Acc])> {
-        let in_key_order: Vec<(u64, u32)> = match &self.index {
-            SlotIndex::Dense(slots) => (0..)
-                .zip(slots)
-                .filter(|&(_, &entry)| entry != 0)
-                .map(|(key, &entry)| (key, entry - 1))
-                .collect(),
-            SlotIndex::Ordered(slots) => slots.iter().map(|(&key, &slot)| (key, slot)).collect(),
-        };
-        let stride = self.fresh.len();
-        in_key_order
-            .into_iter()
-            .map(move |(key, slot)| (key, &self.accs[slot as usize * stride..][..stride]))
-    }
-
-    /// Fold one aggregate's column into its rows' accumulators, in row
-    /// order. `AggFunc` is matched once per column, not per row, and
-    /// there is one scalar accumulator per (group, aggregate), so every
-    /// sum adds in the order the rows are stored.
-    fn fold(&mut self, agg: usize, func: AggFunc, rows: Rows<'_>, values: &[f64]) {
-        let values = values.iter().copied();
-        match func {
-            // `count` reads no column: one tick per row.
-            AggFunc::Count => {
-                let ticks = std::iter::repeat_n(0.0, rows.len());
-                self.each(agg, rows, ticks, |acc, _| acc.count += 1)
-            }
-            AggFunc::Sum => self.each(agg, rows, values, |acc, v| acc.value += v),
-            AggFunc::Min => self.each(agg, rows, values, |acc, v| acc.value = acc.value.min(v)),
-            AggFunc::Max => self.each(agg, rows, values, |acc, v| acc.value = acc.value.max(v)),
-            AggFunc::Avg => self.each(agg, rows, values, |acc, v| {
-                acc.value += v;
-                acc.count += 1;
-            }),
-        }
-    }
-
-    fn each(
-        &mut self,
-        agg: usize,
-        rows: Rows<'_>,
-        values: impl Iterator<Item = f64>,
-        step: impl Fn(&mut Acc, f64),
-    ) {
-        let stride = self.fresh.len();
-        match rows {
-            // One accumulator for the whole column: the loop keeps it in
-            // a register.
-            Rows::OneSlot { slot, .. } => {
-                let acc = &mut self.accs[slot as usize * stride + agg];
-                values.for_each(|v| step(acc, v));
-            }
-            Rows::Slots(slots) => {
-                for (&slot, v) in slots.iter().zip(values) {
-                    step(&mut self.accs[slot as usize * stride + agg], v);
-                }
+        Rows::Slots(slots) => {
+            for (&slot, &v) in slots.iter().zip(values) {
+                let acc = &mut column[slot as usize];
+                *acc = step(*acc, v);
             }
         }
     }
@@ -296,19 +335,10 @@ impl GroupTable {
 /// Where the selected rows of one brick accumulate.
 #[derive(Clone, Copy)]
 enum Rows<'a> {
-    /// All `rows` of them in one slot: the ungrouped query.
-    OneSlot { slot: u32, rows: usize },
-    /// Row by row.
-    Slots(&'a [u32]),
-}
-
-impl Rows<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Rows::OneSlot { rows, .. } => *rows,
-            Rows::Slots(slots) => slots.len(),
-        }
-    }
+    /// All `rows` of them in slot 0: the ungrouped query.
+    OneSlot { rows: usize },
+    /// Row by row, the slot of each.
+    Slots(&'a [u64]),
 }
 
 /// Per-brick buffers, reused from brick to brick.
@@ -316,7 +346,6 @@ impl Rows<'_> {
 struct Scratch {
     ordinals: Vec<u32>,
     keys: Vec<u64>,
-    slots: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -340,13 +369,12 @@ pub fn execute_partition(
     }
     let layout = KeyLayout::new(partition, &schema, query)?;
 
-    let mut result = PartialResult::new(query.aggs.clone(), table_partitions);
     let compiled = expr::compile(partition, &query.predicates)?;
     if !compiled.satisfiable {
-        return Ok(result);
+        return Ok(PartialResult::new(query.aggs.clone(), table_partitions));
     }
 
-    let mut table = GroupTable::new(layout.domain, &funcs);
+    let mut table = GroupTable::new(layout.domain, funcs);
     let mut rows_scanned = 0u64;
     let mut selected: Vec<u32> = Vec::new();
     let mut scratch = Scratch::default();
@@ -371,37 +399,39 @@ pub fn execute_partition(
             rows_scanned += rows as u64;
 
             let target = if layout.digits.is_empty() {
-                Rows::OneSlot {
-                    slot: table.slot_of(0),
-                    rows,
-                }
+                Rows::OneSlot { rows }
             } else {
                 layout.pack(brick, sel, rows, &mut scratch);
-                scratch.slots.clear();
-                scratch
-                    .slots
-                    .extend(scratch.keys.iter().map(|&key| table.slot_of(key)));
-                Rows::Slots(&scratch.slots)
+                table.assign_slots(&mut scratch.keys);
+                Rows::Slots(&scratch.keys)
             };
-            for (agg, (&func, col)) in funcs.iter().zip(&metric_cols).enumerate() {
-                let values = match col {
-                    Some(m) => gather(&brick.metrics[*m], sel, &mut scratch.values),
-                    None => &[],
-                };
-                table.fold(agg, func, target, values);
+            table.count(target);
+            for (agg, col) in metric_cols.iter().enumerate() {
+                if let Some(m) = col {
+                    let values = gather(&brick.metrics[*m], sel, &mut scratch.values);
+                    table.fold(agg, target, values);
+                }
             }
         },
     );
 
-    // Groups leave in packed-key order, the order of the decoded keys: each
-    // is decoded once, after the scan, straight onto the partial's columns.
-    let (mut vals, mut states) = (Vec::new(), Vec::new());
-    for (key, accs) in table.groups() {
-        layout.unpack(key, partition, &schema, &mut vals)?;
-        states.clear();
-        states.extend(accs.iter().zip(&funcs).map(|(acc, &f)| acc.state(f)));
-        result.push(&vals, &states)?;
+    // The partial a column at a time: the present keys once, in packed-key
+    // order (the order of the decoded keys), each digit decoded over them,
+    // then the state arena, group-major.
+    let groups = table.present(rows_scanned);
+    let keys = layout.decode(&groups, partition, &schema)?;
+    let aggs = query.aggs.len();
+    let mut states = Vec::with_capacity(groups.len() * aggs);
+    for &(_, slot) in &groups {
+        states.extend((0..aggs).map(|agg| table.state(agg, slot)));
     }
+    let mut result = PartialResult::from_columns(
+        query.aggs.clone(),
+        table_partitions,
+        keys,
+        groups.len(),
+        states,
+    )?;
     result.rows_scanned = rows_scanned;
     Ok(result)
 }
@@ -626,6 +656,23 @@ mod tests {
         }
         let total: f64 = out.rows.iter().map(|r| r.aggs[1]).sum();
         assert_eq!(total, (0..300).sum::<i64>() as f64);
+    }
+
+    /// Dense or wide follows the key domain and the aggregate list: the
+    /// row count and every metric aggregate's column must fit
+    /// `DENSE_COLUMN_BYTES` at the domain.
+    #[test]
+    fn dense_columns_are_bounded_by_domain_and_aggregates() {
+        use AggFunc::{Avg, Count, Sum};
+        let dense =
+            |domain, funcs: &[AggFunc]| GroupTable::new(domain, funcs.to_vec()).wide.is_none();
+        assert!(dense(1, &[]));
+        assert!(dense(DENSE_KEY_DOMAIN, &[Count]));
+        assert!(!dense(DENSE_KEY_DOMAIN + 1, &[Count]));
+        assert!(!dense(DENSE_KEY_DOMAIN, &[Count, Sum]));
+        assert!(dense(DENSE_KEY_DOMAIN / 2, &[Count, Sum]));
+        assert!(dense(DENSE_KEY_DOMAIN / 3, &[Sum, Avg, Count]));
+        assert!(!dense(DENSE_KEY_DOMAIN / 3 + 1, &[Sum, Avg, Count]));
     }
 
     #[test]

@@ -59,14 +59,48 @@ fn internal(detail: &str) -> CubrickError {
 
 /// One group-by dimension of a partial: a value per group, in group order.
 #[derive(Debug, Clone, PartialEq)]
-enum KeyColumn {
+pub(crate) enum KeyColumn {
     Int(Vec<i64>),
     /// Every group's string back to back, and `0` then where each ends
     /// (checked into `u32` as it is pushed): group `g` is `ends[g]..ends[g + 1]`.
+    /// Built by [`KeyColumn::strings`] or `push`, never by hand.
     Str(String, Vec<u32>),
 }
 
 impl KeyColumn {
+    /// An empty string column with room for `groups` strings, `bytes` in all.
+    fn str_with_capacity(groups: usize, bytes: usize) -> KeyColumn {
+        let mut ends = Vec::with_capacity(groups + 1);
+        ends.push(0);
+        KeyColumn::Str(String::with_capacity(bytes), ends)
+    }
+
+    /// A string column holding `vals`, its buffer and offsets sized once.
+    pub(crate) fn strings(vals: &[&str]) -> CubrickResult<KeyColumn> {
+        let bytes = vals.iter().map(|s| s.len()).sum();
+        let mut column = KeyColumn::str_with_capacity(vals.len(), bytes);
+        for &s in vals {
+            column.push(KeyRef::Str(s))?;
+        }
+        Ok(column)
+    }
+
+    /// Empty, of this column's kind, with room for `groups` values and
+    /// this column's string bytes.
+    fn empty_like(&self, groups: usize) -> KeyColumn {
+        match self {
+            KeyColumn::Int(_) => KeyColumn::Int(Vec::with_capacity(groups)),
+            KeyColumn::Str(buf, _) => KeyColumn::str_with_capacity(groups, buf.len()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            KeyColumn::Int(vals) => vals.len(),
+            KeyColumn::Str(_, ends) => ends.len().saturating_sub(1),
+        }
+    }
+
     fn get(&self, g: usize) -> KeyRef<'_> {
         match self {
             KeyColumn::Int(vals) => KeyRef::Int(vals[g]),
@@ -89,8 +123,9 @@ impl KeyColumn {
 }
 
 /// Partial result from one partition (or a merge of several). Private
-/// fields, [`Self::push`] the one way in: `states.len() == groups ×
-/// aggs.len()`, `groups` values a key column, groups ascending by key.
+/// fields, two ways in, [`Self::from_columns`] for the scan and
+/// [`Self::push`] for the merge: `states.len() == groups × aggs.len()`,
+/// `groups` values a key column, groups ascending by key.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialResult {
     aggs: Vec<AggSpec>,
@@ -115,13 +150,46 @@ impl PartialResult {
         }
     }
 
-    /// Append a group; the caller pushes in ascending key order. A key unlike
-    /// the first group's in length or kind is a typed error (drop the partial).
+    /// A partial from whole columns, the scan's way in: a key column per
+    /// group-by dimension and the states group-major, groups ascending by
+    /// key (the caller's to keep, as for [`Self::push`]). A column or an
+    /// arena of another group count is a typed error; a partial without
+    /// groups keeps no columns, as one built by `push` has none.
+    pub(crate) fn from_columns(
+        aggs: Vec<AggSpec>,
+        table_partitions: u32,
+        mut keys: Vec<KeyColumn>,
+        groups: usize,
+        states: Vec<AggState>,
+    ) -> CubrickResult<Self> {
+        let arena = groups.checked_mul(aggs.len());
+        if arena != Some(states.len()) || keys.iter().any(|column| column.len() != groups) {
+            return Err(internal(
+                "a key column or the states hold another group count",
+            ));
+        }
+        if groups == 0 {
+            keys.clear();
+        }
+        Ok(PartialResult {
+            aggs,
+            keys,
+            groups,
+            states,
+            rows_scanned: 0,
+            table_partitions,
+        })
+    }
+
+    /// Append a group, the merge's way in; the caller pushes in ascending
+    /// key order. The first group makes the columns unless they are made
+    /// already; a key unlike them in length or kind is a typed error (drop
+    /// the partial).
     pub(crate) fn push(&mut self, key: &[KeyRef<'_>], states: &[AggState]) -> CubrickResult<()> {
-        if self.groups == 0 {
+        if self.groups == 0 && self.keys.is_empty() {
             let column = |val: &KeyRef<'_>| match val {
                 KeyRef::Int(_) => KeyColumn::Int(Vec::new()),
-                KeyRef::Str(_) => KeyColumn::Str(String::new(), vec![0]),
+                KeyRef::Str(_) => KeyColumn::str_with_capacity(0, 0),
             };
             self.keys = key.iter().map(column).collect();
         }
@@ -185,13 +253,25 @@ impl PartialResult {
             return Ok(None);
         };
         let mut merged = PartialResult::new(first.aggs.clone(), 0);
+        let mut widest = first;
         for partial in &partials {
             if partial.aggs != first.aggs {
                 return Err(internal("merging partials from different queries"));
             }
             merged.rows_scanned += partial.rows_scanned;
             merged.table_partitions = merged.table_partitions.max(partial.table_partitions);
+            if partial.groups > widest.groups {
+                widest = partial;
+            }
         }
+        // Room for the largest input up front; `push` still checks every
+        // key against these columns.
+        merged.keys = widest
+            .keys
+            .iter()
+            .map(|c| c.empty_like(widest.groups))
+            .collect();
+        merged.states.reserve(widest.states.len());
         let mut cursors = vec![0usize; partials.len()];
         // The smallest key under a cursor; who stands on it, plan order.
         let mut key: Vec<KeyRef<'_>> = Vec::new();

@@ -2,9 +2,13 @@
 # The pairs protocol of a perf claim (choosing-metrics §8) as one command:
 # for every SEED one parent run and one change run of WORKLOAD, SECONDS
 # each, alternating which side goes first; then per end-to-end metric both
-# medians, the parent's quartiles and how many pairs the change won, and
-# whether the sim-clock metrics repeated bit for bit in every pair (a pure
-# speed-up must leave them identical).
+# medians, the parent's quartiles, how many pairs the change won and a
+# verdict, and whether the sim-clock metrics repeated bit for bit in every
+# pair (a pure speed-up must leave them identical). The verdict is
+# `better` when the change won at least 9 in 10 pairs and its median beats
+# the parent's by more than the parent's interquartile range, `worse` when
+# its median is worse than the parent's by more than the metric's bound in
+# BENCHMARK.json, and `ok` otherwise.
 #
 #   scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
 #
@@ -16,13 +20,24 @@
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 parent="$1" change="$2" workload="$3" seconds="$4"
 shift 4
 
 metrics="setup_s ops_per_s peak_rss_mb success_share sim_p50_ms sim_p90_ms"
+# "<metric>:<better>:<bound>" per metric, from the benchmark's contract.
+contract="$(dirname "$0")/../BENCHMARK.json"
+bounds=""
+for m in $metrics; do
+    entry="$(sed -nE "s/.*\"name\": *\"$m\".*\"better\": *\"([a-z]+)\".*\"bound\": *([0-9.]+).*/\1:\2/p" "$contract")"
+    if [ -z "$entry" ]; then
+        echo "no direction and bound for $m in $contract" >&2
+        exit 2
+    fi
+    bounds="$bounds $m:$entry"
+done
 runs="$(mktemp "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")"
 trap 'rm -f "$runs"' EXIT
 
@@ -56,8 +71,8 @@ for seed in "$@"; do
     fi
 done
 
-echo "# $workload, $pair pairs of ${seconds}s: medians, the parent's quartiles, pairs the change won (ties count for neither)"
-awk -v names="$metrics" '
+echo "# $workload, $pair pairs of ${seconds}s: medians, the parent's quartiles, pairs the change won (ties count for neither), verdict"
+awk -v names="$metrics" -v bounds="$bounds" '
 function quantile(sorted, n, p,    at, lo) {
     at = (n - 1) * p; lo = int(at)
     return lo + 1 >= n ? sorted[n] : sorted[lo + 1] + (at - lo) * (sorted[lo + 2] - sorted[lo + 1])
@@ -75,18 +90,26 @@ function sorted_column(side, m, out,    n, i, j, v) {
 }
 END {
     split(names, name, " ")
-    higher["ops_per_s"] = higher["success_share"] = 1
-    printf "%-14s %14s %14s %8s %14s %14s %6s\n", "metric", "parent", "change", "ratio", "parent_q1", "parent_q3", "wins"
+    k = split(bounds, entry, " ")
+    for (i = 1; i <= k; i++) { split(entry[i], f, ":"); higher[f[1]] = (f[2] == "higher"); bound[f[1]] = f[3] + 0 }
+    printf "%-14s %14s %14s %8s %14s %14s %6s  %s\n", "metric", "parent", "change", "ratio", "parent_q1", "parent_q3", "wins", "verdict"
     for (m = 1; m <= 6; m++) {
         n = sorted_column("parent", m, p); sorted_column("change", m, c)
+        sign = higher[name[m]] ? 1 : -1
         wins = 0
-        for (i = 1; i <= pairs; i++) {
-            d = value[i, "change", m] - value[i, "parent", m]
-            if (name[m] in higher ? d > 0 : d < 0) wins++
-        }
+        for (i = 1; i <= pairs; i++) if (sign * (value[i, "change", m] - value[i, "parent", m]) > 0) wins++
         pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-        printf "%-14s %14.6f %14.6f %8s %14.6f %14.6f %3d/%d\n", name[m], pm, cm, \
-            (pm != 0 ? sprintf("%.3f", cm / pm) : "-"), quantile(p, n, 0.25), quantile(p, n, 0.75), wins, pairs
+        q1 = quantile(p, n, 0.25); q3 = quantile(p, n, 0.75)
+        # The gain in the direction BENCHMARK.json calls better; negative is a loss.
+        gain = sign * (cm - pm)
+        verdict = "ok"
+        if (10 * wins >= 9 * pairs && gain > q3 - q1) {
+            verdict = "better"
+        } else if (-gain > bound[name[m]] * (pm < 0 ? -pm : pm)) {
+            verdict = "worse"
+        }
+        printf "%-14s %14.6f %14.6f %8s %14.6f %14.6f %3d/%d  %s\n", name[m], pm, cm, \
+            (pm != 0 ? sprintf("%.3f", cm / pm) : "-"), q1, q3, wins, pairs, verdict
     }
     moved = 0
     for (i = 1; i <= pairs; i++) for (m = 4; m <= 6; m++) if (text[i, "parent", m] != text[i, "change", m]) moved++

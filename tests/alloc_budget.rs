@@ -1,8 +1,9 @@
 //! Allocation budget of a wide group-by: a partial is a handful of flat
-//! buffers, so scanning and merging eight times the groups may cost a few
-//! more `Vec` doublings, never an object per group. A representation
-//! change that brings per-group allocations back fails here, not in a
-//! benchmark a few PRs later.
+//! buffers, each sized once, so scanning and merging eight times the
+//! groups costs no more allocator requests at all, let alone an object
+//! per group. A representation change that brings per-group allocations
+//! or `Vec` doublings back fails here, not in a benchmark a few PRs
+//! later.
 //!
 //! Its own test binary, because the counter is the process's
 //! `#[global_allocator]` (std only; `scalewall-lint` lets this one file
@@ -106,12 +107,13 @@ fn group_by_allocations_do_not_scale_with_groups() {
     let narrow = requests(&mut partitions(250), 250);
     let wide = requests(&mut partitions(2_000), 2_000);
     println!("allocator requests: {narrow} at 250 groups a partition, {wide} at 2000");
-    // Eight times the groups is three more doublings of each buffer that
-    // grows with them (the accumulator arena, a string column's bytes and
-    // offsets, the scan's own arena and key-order list, with room for one
-    // more), per partial and once for the merge.
+    // Every buffer that grows with the groups is sized before it fills:
+    // the scan's accumulator columns to the key domain, the present-key
+    // list to the rows scanned, the partial's key columns (string bytes
+    // included) and state arena to the groups found, and the merge's to
+    // its largest input. 83 requests at both sizes when this was written.
     assert!(
-        wide <= narrow + 3 * 6 * (PARTITIONS + 1),
+        wide <= narrow,
         "{wide} requests at 2000 groups against {narrow} at 250"
     );
     // And nowhere near one per group, let alone the three per group per

@@ -218,6 +218,47 @@ fn queries() -> Vec<(&'static str, Query)> {
     ]
 }
 
+/// Grouped `min`/`max`, each with a `ds` window whose edge buckets need
+/// the residual filter and whose middle bucket does not, so both the
+/// gathered and the whole-column fold are pinned. `ds` alone (90 keys) and
+/// `min` alone over `ds, entity` (90 × 300 keys, two columns) index the
+/// dense columns; three aggregates over `ds, entity` pass the dense
+/// path's column bound and take the ordered map, as the wide-domain
+/// shapes above do.
+fn dense_min_max_queries() -> Vec<(&'static str, Query)> {
+    let aggs = || {
+        vec![
+            AggSpec::new(AggFunc::Min, "cost"),
+            AggSpec::new(AggFunc::Max, "cost"),
+            AggSpec::new(AggFunc::Avg, "clicks"),
+        ]
+    };
+    let window = || vec![Predicate::between("ds", 10, 40)];
+    vec![
+        ("dense_min_max_ds", query(aggs(), window(), &["ds"])),
+        (
+            "dense_min_max_ds_entity",
+            query(aggs(), window(), &["ds", "entity"]),
+        ),
+        (
+            "dense_min_ds_entity",
+            query(
+                vec![AggSpec::new(AggFunc::Min, "cost")],
+                window(),
+                &["ds", "entity"],
+            ),
+        ),
+        (
+            "dense_max_entity_ds",
+            query(
+                vec![AggSpec::new(AggFunc::Max, "clicks")],
+                window(),
+                &["entity", "ds"],
+            ),
+        ),
+    ]
+}
+
 fn render(out: &QueryOutput, text: &mut String) {
     writeln!(
         text,
@@ -244,15 +285,15 @@ fn fnv1a(s: &str) -> u64 {
 /// digest of every per-partition output followed by the merged one.
 /// The last line digests the stores' statistics and hotness counters
 /// after all queries ran.
-fn observe(states: BrickStates) -> Vec<(String, usize, u64, u64)> {
+fn observe(states: BrickStates, queries: &[(&str, Query)]) -> Vec<(String, usize, u64, u64)> {
     let mut parts = partitions(states);
     let plan = FanoutPlan::for_table("t", PARTITIONS);
     let mut lines = Vec::new();
-    for (name, q) in queries() {
+    for (name, q) in queries {
         let mut text = String::new();
         let mut partials = Vec::new();
         for part in &mut parts {
-            let partial = execute_partition(part, &q, PARTITIONS).unwrap();
+            let partial = execute_partition(part, q, PARTITIONS).unwrap();
             render(&partial.clone().finalize(), &mut text);
             partials.push(partial);
         }
@@ -280,8 +321,8 @@ fn observe(states: BrickStates) -> Vec<(String, usize, u64, u64)> {
     lines
 }
 
-fn check(states: BrickStates, golden: &[(&str, usize, u64, u64)]) {
-    let got = observe(states);
+fn check(states: BrickStates, queries: &[(&str, Query)], golden: &[(&str, usize, u64, u64)]) {
+    let got = observe(states, queries);
     let want: Vec<(String, usize, u64, u64)> = golden
         .iter()
         .map(|&(n, r, s, d)| (n.to_string(), r, s, d))
@@ -299,6 +340,7 @@ fn check(states: BrickStates, golden: &[(&str, usize, u64, u64)]) {
 fn regression_scan_bits_all_hot() {
     check(
         BrickStates::AllHot,
+        &queries(),
         &[
             ("full", 1, 6000, 0x35c7f27be1dd5e9c),
             ("pruned", 1, 1247, 0xdbac9b26ac5732b4),
@@ -322,6 +364,7 @@ fn regression_scan_bits_all_hot() {
 fn regression_scan_bits_all_cold() {
     check(
         BrickStates::AllCold,
+        &queries(),
         &[
             ("full", 1, 6000, 0x35c7f27be1dd5e9c),
             ("pruned", 1, 1247, 0xdbac9b26ac5732b4),
@@ -345,6 +388,7 @@ fn regression_scan_bits_all_cold() {
 fn regression_scan_bits_mixed_states() {
     check(
         BrickStates::Mixed,
+        &queries(),
         &[
             ("full", 1, 6150, 0x8c0f11a7638cbba5),
             ("pruned", 1, 1284, 0x486c714f3532097e),
@@ -362,4 +406,111 @@ fn regression_scan_bits_mixed_states() {
             ("store_stats", 3, 1731, 0xb9799cbf2b277efb),
         ],
     );
+}
+
+#[test]
+fn regression_scan_bits_dense_min_max() {
+    let queries = dense_min_max_queries();
+    check(
+        BrickStates::AllHot,
+        &queries,
+        &[
+            ("dense_min_max_ds", 31, 2077, 0xa75ddc7cb2f5a565),
+            ("dense_min_max_ds_entity", 1842, 2077, 0x8b049ece9faa08db),
+            ("dense_min_ds_entity", 1842, 2077, 0x20d4b5b318267b74),
+            ("dense_max_entity_ds", 1842, 2077, 0x75eac30df5340d57),
+            ("store_stats", 3, 432, 0x9f80cbeefe277b21),
+        ],
+    );
+    check(
+        BrickStates::AllCold,
+        &queries,
+        &[
+            ("dense_min_max_ds", 31, 2077, 0xa75ddc7cb2f5a565),
+            ("dense_min_max_ds_entity", 1842, 2077, 0x8b049ece9faa08db),
+            ("dense_min_ds_entity", 1842, 2077, 0x20d4b5b318267b74),
+            ("dense_max_entity_ds", 1842, 2077, 0x75eac30df5340d57),
+            ("store_stats", 3, 432, 0x5f6b56d1ad3f9486),
+        ],
+    );
+    check(
+        BrickStates::Mixed,
+        &queries,
+        &[
+            ("dense_min_max_ds", 31, 2127, 0x114a32086b90fb55),
+            ("dense_min_max_ds_entity", 1878, 2127, 0x176a37d0ac6bc0ca),
+            ("dense_min_ds_entity", 1878, 2127, 0x41a9296864ae2f51),
+            ("dense_max_entity_ds", 1878, 2127, 0xcf7b082b1f833d58),
+            ("store_stats", 3, 504, 0x80e33fec5feeb48c),
+        ],
+    );
+}
+
+/// `min` and `max` answer an infinite metric like any other value: a group
+/// holding `{1, -inf}` has minimum `-inf`, one holding `{+inf, 3}` has
+/// maximum `+inf`, per partition and after the merge. A group exists only
+/// once a row lands in it, so no engine path finalizes an empty one.
+#[test]
+fn min_max_over_infinite_metrics_answer_their_value() {
+    let schema = Arc::new(
+        SchemaBuilder::new()
+            .int_dim("ds", 0, DS_MAX, 15)
+            .metric("cost")
+            .build()
+            .unwrap(),
+    );
+    let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
+    // (partition, ds, cost): ds 1 is {1, -inf}, ds 2 is {+inf, 3}, ds 3
+    // is {-inf, +inf}; each group spans both partitions.
+    let rows = [
+        (0, 1, 1.0),
+        (1, 1, neg),
+        (0, 2, inf),
+        (1, 2, 3.0),
+        (0, 3, neg),
+        (1, 3, inf),
+    ];
+    let mut parts: Vec<PartitionData> =
+        (0..2).map(|_| PartitionData::new(schema.clone())).collect();
+    for (p, ds, cost) in rows {
+        parts[p]
+            .ingest(&Row::new(vec![Value::Int(ds)], vec![cost]))
+            .unwrap();
+    }
+    let aggs = || {
+        vec![
+            AggSpec::new(AggFunc::Min, "cost"),
+            AggSpec::new(AggFunc::Max, "cost"),
+        ]
+    };
+    let plan = FanoutPlan::for_table("t", 2);
+    let run = |parts: &mut [PartitionData], group_by: &[&str]| {
+        let q = query(aggs(), vec![], group_by);
+        let partials = parts
+            .iter_mut()
+            .map(|part| execute_partition(part, &q, 2).unwrap())
+            .collect();
+        merge_partials(&plan, partials).unwrap()
+    };
+    let grouped = run(&mut parts, &["ds"]);
+    let answers: Vec<(Vec<Value>, Vec<f64>)> =
+        grouped.rows.into_iter().map(|r| (r.key, r.aggs)).collect();
+    assert_eq!(
+        answers,
+        vec![
+            (vec![Value::Int(1)], vec![neg, 1.0]),
+            (vec![Value::Int(2)], vec![3.0, inf]),
+            (vec![Value::Int(3)], vec![neg, inf]),
+        ]
+    );
+    // One partition alone: its `{-inf}` and `{+inf}` groups.
+    let q = query(aggs(), vec![], &["ds"]);
+    let alone = execute_partition(&mut parts[1], &q, 2).unwrap().finalize();
+    let aggs_of = |out: &QueryOutput| out.rows.iter().map(|r| r.aggs.clone()).collect::<Vec<_>>();
+    assert_eq!(
+        aggs_of(&alone),
+        vec![vec![neg, neg], vec![3.0, 3.0], vec![inf, inf]]
+    );
+    let ungrouped = run(&mut parts, &[]);
+    assert_eq!(aggs_of(&ungrouped), vec![vec![neg, inf]]);
 }
