@@ -3,11 +3,12 @@
 //! and how long a lease-driven failover takes to reach its first commit.
 //!
 //! * `proposal_commit_{3,5}node` — steady-state commit latency of one
-//!   `RefreshSession` proposal through `ZkEnsemble::submit_to` (append +
-//!   replicate to every reachable follower + apply everywhere). The
-//!   3-vs-5 pair prices the ensemble-size knob directly. The JSON's
-//!   prefixed history rows were recorded when it committed a znode
-//!   `SetData`.
+//!   `RefreshSession` proposal through `ZkEnsemble::submit_to` (apply
+//!   on the leader and every reachable follower). The 3-vs-5 pair
+//!   prices the ensemble-size knob directly. The JSON's oldest prefixed
+//!   history rows were recorded when it committed a znode `SetData`,
+//!   its `c613fec:` rows when every replica still kept a 1,024-entry
+//!   log.
 //! * `heartbeat_round_24_sessions_3node` — one region tick's worth of
 //!   liveness: 24 sessions refreshed through `CoordinationPlane` (one
 //!   `RefreshSessions` commit; it was 24 `RefreshSession` commits

@@ -237,7 +237,7 @@ fn blast_measure(
             let mut met = 0u64;
             let mut total = 0u64;
             for i in 0..tables_per {
-                let query = Query::count_star(&format!("f{f}_{i}"));
+                let query = Query::count_star(format!("f{f}_{i}"));
                 for _ in 0..queries_per_table {
                     let outcome = run_query(dep, &mut proxy, &net, &query, &opts, now, &mut rng);
                     now += SimDuration::from_millis(500);

@@ -30,9 +30,9 @@ pub enum CoordinatorStrategy {
     /// 4. Cached partition count, random partition — production strategy.
     CachedRandom,
     /// 5. QoS extension: cached count, power-of-two-choices over the
-    /// proxy's per-coordinator in-flight depth (pick the less loaded of
-    /// two random partitions). Costs exactly what `CachedRandom` costs;
-    /// the depth signal is proxy-local, no extra round trip.
+    ///    proxy's per-coordinator in-flight depth (pick the less loaded of
+    ///    two random partitions). Costs exactly what `CachedRandom` costs;
+    ///    the depth signal is proxy-local, no extra round trip.
     QueueAwareTwoChoice,
 }
 

@@ -529,6 +529,10 @@ impl<'a> FnWalk<'a> {
 
 // ---------------------------------------------------------- cross-file
 
+/// Lock-order edges `(held, acquired)`, each with every site that
+/// created it as `(file index, line, what happened)`.
+type OrderEdges = BTreeMap<(String, String), Vec<(usize, u32, String)>>;
+
 /// Run the cross-file analyses over every per-file fact set; returns
 /// `(file index, violation)` pairs and what the walks saw.
 fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Violation)>, Census) {
@@ -607,7 +611,7 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Violation)>, Census) {
 
     // Lock-order edges: intra-function + held-across-call.
     // Each edge remembers every site that created it.
-    let mut edges: BTreeMap<(String, String), Vec<(usize, u32, String)>> = BTreeMap::new();
+    let mut edges = OrderEdges::new();
     for e in fns.iter() {
         for (h, a, line) in &e.f.edges {
             edges.entry((h.clone(), a.clone())).or_default().push((

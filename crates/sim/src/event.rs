@@ -66,7 +66,7 @@ impl<E> Ord for ScheduledEvent<E> {
 /// The queue owns the notion of "now": popping an event advances the clock
 /// to that event's timestamp, and scheduling in the past is a logic error
 /// (clamped to "now" with a debug assertion).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     now: SimTime,
@@ -166,7 +166,7 @@ impl<E> EventQueue<E> {
 ///
 /// [`arm`]: DeadlineQueue::arm
 /// [`due`]: DeadlineQueue::due
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeadlineQueue<K> {
     queue: EventQueue<K>,
 }

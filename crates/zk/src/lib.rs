@@ -13,19 +13,18 @@
 //!
 //! The store also has a fault-tolerant deployment shape: a
 //! [`replica::ZkEnsemble`] of 3–5 replicas homed across fault regions,
-//! with lease-based deterministic leader failover and a
-//! majority-replicated [`log::ReplicatedLog`] of every mutating op.
+//! with lease-based deterministic leader failover. Every mutating op
+//! ([`store::ZkOp`]) is applied on a majority before it is acknowledged,
+//! and a replica that missed commits copies the leader's store.
 //! [`replica::CoordinationPlane`] is the endpoint the shard manager talks
 //! to — either the single store or the ensemble.
 
 pub mod error;
-pub mod log;
 pub mod replica;
 pub mod session;
 pub mod store;
 
 pub use error::{ZkError, ZkResult};
-pub use log::{LogEntry, ReplicatedLog, ZkOp, ZkResp};
 pub use replica::{CoordinationPlane, ZkClient, ZkEnsemble, ZkReplica, ZkReplicationConfig};
 pub use session::{SessionId, SESSION_TIMEOUT};
-pub use store::ZkStore;
+pub use store::{ZkOp, ZkResp, ZkStore};

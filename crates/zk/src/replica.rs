@@ -2,21 +2,23 @@
 //!
 //! A [`ZkEnsemble`] is a 3–5 node replicated state machine over
 //! [`ZkStore`], in the pragmatic ScalienDB mold (PAPERS.md): a single
-//! leader holds a sim-clock **lease**, every mutating op is appended to
-//! the leader's [`ReplicatedLog`], copied synchronously to every
-//! *reachable* follower, and applied through the shared
-//! [`ZkStore::apply`] path. The leader refuses writes unless it can
-//! reach a strict majority, so **acknowledged ⇔ majority-replicated**
-//! holds by construction and a linearizability check against a
-//! single-store oracle is an equality check (`tests/zk_replication.rs`).
+//! leader holds a sim-clock **lease**, and every mutating op is applied
+//! synchronously, through the shared [`ZkStore::apply`] path, on the
+//! leader and every *reachable* follower. The leader refuses writes
+//! unless it can reach a strict majority, so **acknowledged ⇔
+//! majority-replicated** holds by construction and a linearizability
+//! check against a single-store oracle is an equality check
+//! (`tests/zk_replication.rs`). A follower that missed commits (crashed
+//! or cut off) copies the leader's store when it is reachable again,
+//! which is exactly the state replaying the missed ops would produce.
 //!
 //! Failover is lease-driven and deterministic: lease expiry deadlines
 //! sit on the event kernel's [`DeadlineQueue`] (lazily re-validated, the
 //! same idiom session expiry uses), a healthy quorum-holding leader
 //! renews on every tick/commit, and when the lease lapses the election
-//! picks — among up replicas that can reach a majority — the longest
-//! log, breaking ties by lowest replica id. No randomness, no wall
-//! clock: a leader election mid-drain-storm replays bit-identically.
+//! picks — among up replicas that can reach a majority — the highest
+//! applied index, breaking ties by lowest replica id. No randomness, no
+//! wall clock: a leader election mid-drain-storm replays bit-identically.
 //!
 //! Replicas are *homed* in fault regions. Region outages, rack-level
 //! coordinator kills (`ZkNodeCrash`), and inter-region partitions map
@@ -30,17 +32,12 @@ use std::sync::Arc;
 use scalewall_sim::{DeadlineQueue, SimDuration, SimTime};
 
 use crate::error::{ZkError, ZkResult};
-use crate::log::{LogEntry, ReplicatedLog, ZkOp, ZkResp};
 use crate::session::SessionId;
-use crate::store::ZkStore;
+use crate::store::{ZkOp, ZkResp, ZkStore};
 
 /// Leader lease length. Failover latency after a leader loss is at most
 /// one lease (the successor must wait out the old lease).
 const LEASE: SimDuration = SimDuration::from_secs(2);
-
-/// Retained log length per replica; followers behind the truncation
-/// horizon catch up by snapshot install.
-pub const MAX_LOG: usize = 1024;
 
 /// Retries a client makes after the first attempt (total attempts
 /// `MAX_RETRIES + 1`) before it hands the refusal to its caller.
@@ -67,10 +64,9 @@ impl Default for ZkReplicationConfig {
     }
 }
 
-/// One member of the ensemble: a full [`ZkStore`] replica plus its log
-/// position. A crashed replica keeps its state (the disk survives the
-/// process); catchup on restore replays the leader's log tail, or
-/// installs a snapshot when the tail has been truncated away.
+/// One member of the ensemble: a full [`ZkStore`] replica plus the
+/// number of commits it has applied. A crashed replica keeps its state
+/// (the disk survives the process); on restore it copies the leader's.
 #[derive(Debug)]
 pub struct ZkReplica {
     pub id: u32,
@@ -78,27 +74,7 @@ pub struct ZkReplica {
     pub home: u32,
     pub up: bool,
     store: ZkStore,
-    log: ReplicatedLog,
     applied: u64,
-}
-
-/// Split two distinct replicas out of the slice for simultaneous
-/// mutable access (leader + follower during catchup). `None` when the
-/// indices alias or fall outside the ensemble, so a malformed config
-/// degrades instead of panicking.
-fn pair_mut(v: &mut [ZkReplica], a: usize, b: usize) -> Option<(&mut ZkReplica, &mut ZkReplica)> {
-    debug_assert_ne!(a, b);
-    if a == b || a >= v.len() || b >= v.len() {
-        return None;
-    }
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        Some((lo.get_mut(a)?, hi.first_mut()?))
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        let first = hi.first_mut()?;
-        Some((first, lo.get_mut(b)?))
-    }
 }
 
 /// The replicated state machine: replicas + leader lease + commit path.
@@ -133,7 +109,6 @@ impl ZkEnsemble {
                 home: cfg.homes.get(id as usize).copied().unwrap_or(id),
                 up: true,
                 store: ZkStore::new(),
-                log: ReplicatedLog::new(),
                 applied: 0,
             })
             .collect();
@@ -191,14 +166,8 @@ impl ZkEnsemble {
         self.replica(id).is_ok_and(|r| r.up)
     }
 
-    /// First retained log index on a replica (> 1 once truncated);
-    /// 0 for an unknown id.
-    pub fn replica_log_start(&self, id: u32) -> u64 {
-        self.replica(id).map_or(0, |r| r.log.first_index())
-    }
-
-    /// Index of the last log entry a replica has applied; 0 for an
-    /// unknown id. Replicas with equal indices hold equal state.
+    /// Index of the last commit a replica has applied; 0 for an unknown
+    /// id. Replicas with equal indices hold equal state.
     pub fn replica_applied(&self, id: u32) -> u64 {
         self.replica(id).map_or(0, |r| r.applied)
     }
@@ -319,16 +288,13 @@ impl ZkEnsemble {
     }
 
     /// Deterministic election at lease expiry: among up replicas that
-    /// can reach a majority, pick the longest log, tie-break lowest id.
-    /// The winner's first commit is `TouchSessions`, so sessions survive
-    /// the leaderless window.
+    /// can reach a majority, pick the highest applied index, tie-break
+    /// lowest id. The winner's first commit is `TouchSessions`, so
+    /// sessions survive the leaderless window.
     fn elect(&mut self, now: SimTime) -> Option<u32> {
         let winner = (0..self.replica_count())
             .filter(|&id| self.has_quorum(id))
-            .max_by_key(|&id| {
-                let last = self.replica(id).map_or(0, |r| r.log.last_index());
-                (last, std::cmp::Reverse(id))
-            });
+            .max_by_key(|&id| (self.replica_applied(id), std::cmp::Reverse(id)));
         match winner {
             None => {
                 // Leaderless: nobody can commit. Re-arm one lease ahead
@@ -401,20 +367,15 @@ impl ZkEnsemble {
         self.commit_as(target, op, now)
     }
 
-    /// Append + replicate + apply, with the quorum precondition already
-    /// checked (and, for session ops, the fencing pass in `submit_to`
-    /// having left every named session at the current epoch). Every
-    /// reachable up follower is caught up and receives the entry, so
-    /// acked ⇔ majority-replicated by construction.
+    /// Replicate + apply, with the quorum precondition already checked
+    /// (and, for session ops, the fencing pass in `submit_to` having
+    /// left every named session at the current epoch). Every reachable
+    /// up follower is caught up and applies the op at the leader's `now`,
+    /// so acked ⇔ majority-replicated by construction.
     fn commit_as(&mut self, l: u32, op: ZkOp, now: SimTime) -> ZkResult<ZkResp> {
         self.lease_until = self.lease_until.max(now + LEASE);
         self.catch_up_followers(l);
-        let entry = LogEntry {
-            index: self.replica(l)?.log.last_index() + 1,
-            epoch: self.epoch,
-            at: now,
-            op,
-        };
+        let index = self.replica(l)?.applied + 1;
         let mut resp = None;
         for id in 0..self.replica_count() {
             if id != l && !self.reachable(l, id) {
@@ -423,10 +384,8 @@ impl ZkEnsemble {
             let Some(r) = self.replicas.get_mut(id as usize) else {
                 continue;
             };
-            r.log.append(entry.clone());
-            let out = r.store.apply(&entry.op, entry.at);
-            r.applied = entry.index;
-            r.log.truncate_to_last(MAX_LOG);
+            let out = r.store.apply(&op, now);
+            r.applied = index;
             if id == l {
                 resp = Some(out);
             }
@@ -438,7 +397,7 @@ impl ZkEnsemble {
             return Err(ZkError::NotLeader { hint: None });
         };
         // Session lifecycle bookkeeping on the committed outcome.
-        match (&entry.op, &resp) {
+        match (&op, &resp) {
             (ZkOp::CreateSession, ZkResp::Session(sid)) => {
                 self.session_epoch.insert(*sid, self.epoch);
             }
@@ -467,36 +426,24 @@ impl ZkEnsemble {
             .is_none_or(|r| r.store.expiry_due(now))
     }
 
-    /// Bring every reachable up follower to the leader's log position:
-    /// replay the retained tail, or install a snapshot when the tail has
-    /// been truncated away.
+    /// Bring every reachable up follower that is behind the leader to
+    /// its state by copying the leader's store. Commits are applied in
+    /// one order everywhere and apply is a pure function of `(state, op,
+    /// at)`, so the copy is exactly what replaying the missed commits on
+    /// the follower's own state would produce, expiry queue included.
     fn catch_up_followers(&mut self, l: u32) {
+        let applied = self.replica_applied(l);
         for id in 0..self.replica_count() {
-            if id == l || !self.reachable(l, id) {
+            if id == l || !self.reachable(l, id) || self.replica_applied(id) >= applied {
                 continue;
             }
-            let Some((leader, follower)) = pair_mut(&mut self.replicas, l as usize, id as usize)
-            else {
-                continue;
+            let Ok(store) = self.replica(l).map(|r| r.store.clone()) else {
+                return;
             };
-            if follower.log.last_index() >= leader.log.last_index() {
-                continue;
+            if let Some(follower) = self.replicas.get_mut(id as usize) {
+                follower.store = store;
+                follower.applied = applied;
             }
-            match leader.log.tail_from(follower.log.last_index() + 1) {
-                Some(tail) => {
-                    for e in tail {
-                        follower.log.append(e.clone());
-                        follower.store.apply(&e.op, e.at);
-                        follower.applied = e.index;
-                    }
-                }
-                None => {
-                    follower.store = leader.store.snapshot();
-                    follower.log = leader.log.clone();
-                    follower.applied = leader.applied;
-                }
-            }
-            follower.log.truncate_to_last(MAX_LOG);
         }
     }
 }
@@ -755,7 +702,7 @@ mod tests {
             Err(ZkError::NotLeader { hint: None })
         ));
         // Past the lease the survivors elect deterministically: equal
-        // logs, lowest id wins.
+        // applied indices, lowest id wins.
         let new = ens.tick(t(10)).expect("election");
         assert_eq!(new, 1);
         assert_eq!(ens.leader(), Some(1));
@@ -798,16 +745,42 @@ mod tests {
     }
 
     #[test]
-    fn catchup_installs_snapshot_past_truncation() {
+    fn lagging_follower_copies_the_leader() {
         let mut ens = ensemble();
         ens.crash_replica(2);
-        for _ in 0..MAX_LOG + 8 {
+        for _ in 0..16 {
             ens.submit_to(0, ZkOp::CreateSession, t(1)).unwrap();
         }
         ens.restore_replica(2);
         ens.tick(t(2));
         assert_eq!(ens.replica_digest(2), ens.replica_digest(0));
-        assert!(ens.replica_log_start(2) > 1, "snapshot path was taken");
+        assert_eq!(ens.replica_applied(2), ens.replica_applied(0));
+    }
+
+    /// A follower that slept through more than 1,024 commits gets the
+    /// leader's expiry queue, not one rebuilt from heartbeats: a session
+    /// refreshed after its entry was armed keeps the entry at its old
+    /// deadline, so both replicas must call the same instants due.
+    #[test]
+    fn caught_up_follower_sees_expiry_due_when_the_leader_does() {
+        let mut ens = ensemble();
+        ens.crash_replica(2);
+        let Ok(ZkResp::Session(sid)) = ens.submit_to(0, ZkOp::CreateSession, t(1)) else {
+            panic!("session open refused");
+        };
+        // The refresh at 5 s, then 1,100 more.
+        for _ in 0..=1_100 {
+            ens.submit_to(0, ZkOp::RefreshSession { session: sid }, t(5))
+                .unwrap();
+        }
+        ens.restore_replica(2);
+        ens.tick(t(5));
+        let (leader, follower) = (ens.replica_store(0).unwrap(), ens.replica_store(2).unwrap());
+        for s in 0..=30 {
+            assert_eq!(follower.expiry_due(t(s)), leader.expiry_due(t(s)), "at {s} s");
+        }
+        assert_eq!(ens.replica_digest(2), ens.replica_digest(0));
+        assert_eq!(ens.replica_applied(2), ens.replica_applied(0));
     }
 
     #[test]

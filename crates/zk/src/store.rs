@@ -6,21 +6,79 @@
 //! liveness of the application servers (§III-A "Datastore").
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use scalewall_sim::{hash, DeadlineQueue, SimDuration, SimTime};
 
-use crate::log::{ZkOp, ZkResp};
 use crate::session::{Session, SessionId, SESSION_TIMEOUT};
+
+/// A mutating coordination-store operation: the full write surface of
+/// [`ZkStore`], the session lifecycle. Every replica applies it through
+/// [`ZkStore::apply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ZkOp {
+    CreateSession,
+    RefreshSession {
+        session: SessionId,
+    },
+    /// One commit for a whole heartbeat round: applies exactly as one
+    /// [`ZkOp::RefreshSession`] per id, in order, at the commit's
+    /// timestamp. The ids sit behind an `Arc` because the op is cloned
+    /// once per client attempt.
+    RefreshSessions {
+        sessions: Arc<[SessionId]>,
+    },
+    CloseSession {
+        session: SessionId,
+    },
+    ExpireSessions,
+    /// Committed by a freshly elected leader as its first op: resets
+    /// every live session's heartbeat to election time, so sessions are
+    /// not mass-expired for silence accumulated during the leaderless
+    /// window (clients *couldn't* heartbeat — the plane was down, not
+    /// them). This is the "degraded but live" behaviour the LinkedIn
+    /// OLAP-resilience paper argues for (PAPERS.md).
+    TouchSessions,
+}
+
+impl ZkOp {
+    /// The sessions this op speaks for — used by the leader to detect
+    /// sessions whose connection moved across a failover
+    /// ([`ZkError::SessionMoved`]).
+    ///
+    /// [`ZkError::SessionMoved`]: crate::error::ZkError::SessionMoved
+    pub fn sessions(&self) -> &[SessionId] {
+        match self {
+            ZkOp::RefreshSession { session } | ZkOp::CloseSession { session } => {
+                std::slice::from_ref(session)
+            }
+            ZkOp::RefreshSessions { sessions } => sessions,
+            _ => &[],
+        }
+    }
+}
+
+/// Successful result of applying a [`ZkOp`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ZkResp {
+    Unit,
+    Session(SessionId),
+    /// `ExpireSessions`: the sessions that expired. `RefreshSessions`:
+    /// the named sessions that no longer exist (the rest were refreshed).
+    Sessions(Vec<SessionId>),
+    Refreshed(bool),
+}
 
 /// In-process coordination store under simulated time.
 ///
 /// All mutating calls take `now` explicitly; the store never consults a
-/// wall clock.
-#[derive(Debug)]
+/// wall clock. A lagging replica catches up by cloning the leader's
+/// store, expiry queue included.
+#[derive(Debug, Clone)]
 pub struct ZkStore {
-    // A BTreeMap, not a HashMap: `touch_sessions`, `snapshot` and
-    // `state_digest` iterate it, and the order is part of the replay
-    // contract (DESIGN.md "Determinism invariants", lint rule D2).
+    // A BTreeMap, not a HashMap: `touch_sessions` and `state_digest`
+    // iterate it, and the order is part of the replay contract
+    // (DESIGN.md "Determinism invariants", lint rule D2).
     sessions: BTreeMap<SessionId, Session>,
     next_session: u64,
     /// Expiry candidates on the simulation kernel's deadline queue: each
@@ -152,8 +210,8 @@ impl ZkStore {
     // ------------------------------------------------------- replicated apply
 
     /// The single apply path shared by the standalone store and every
-    /// replica of the replicated coordination plane: apply one logged
-    /// operation at the (replicated) timestamp `at`.
+    /// replica of the replicated coordination plane: apply one committed
+    /// operation at the leader's timestamp `at`.
     ///
     /// Apply is a pure function of `(state, op, at)`, and every op
     /// applies: nothing a replica commits can fail.
@@ -184,27 +242,6 @@ impl ZkStore {
     pub fn touch_sessions(&mut self, now: SimTime) {
         for s in self.sessions.values_mut() {
             s.last_heartbeat = now;
-        }
-    }
-
-    /// A full copy of the logical state, used for follower catchup when
-    /// the leader's log has been truncated past the follower's position.
-    ///
-    /// The deadline queue is not clonable (it is kernel state, not
-    /// logical state); it is rebuilt by re-arming every live session at
-    /// its current expiry deadline. `expire_sessions` re-validates and
-    /// sorts its candidates, so entry provenance never affects the
-    /// expiry outcome or order.
-    pub fn snapshot(&self) -> ZkStore {
-        let mut expiry = DeadlineQueue::new();
-        for (id, s) in &self.sessions {
-            expiry.arm(Self::expiry_deadline(s), *id);
-        }
-        ZkStore {
-            sessions: self.sessions.clone(),
-            next_session: self.next_session,
-            expiry,
-            expiry_scratch: Vec::new(),
         }
     }
 
@@ -257,14 +294,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_digests_equal_and_expires_alike() {
+    fn copy_digests_equal_and_expires_alike() {
         let mut zk = ZkStore::default();
         let sids: Vec<_> = (0..3).map(|_| zk.create_session(t(0))).collect();
         zk.refresh_session(sids[1], t(8));
-        let mut copy = zk.snapshot();
+        let mut copy = zk.clone();
         assert_eq!(copy.state_digest(), zk.state_digest());
         assert_eq!(copy.expire_sessions(t(12)), zk.expire_sessions(t(12)));
         assert_eq!(copy.state_digest(), zk.state_digest());
+    }
+
+    #[test]
+    fn sessions_covers_session_scoped_ops() {
+        let sid = SessionId(7);
+        assert_eq!(ZkOp::RefreshSession { session: sid }.sessions(), [sid]);
+        assert_eq!(ZkOp::CloseSession { session: sid }.sessions(), [sid]);
+        let batch = [SessionId(3), sid];
+        assert_eq!(
+            ZkOp::RefreshSessions {
+                sessions: batch.into()
+            }
+            .sessions(),
+            batch
+        );
+        assert!(ZkOp::ExpireSessions.sessions().is_empty());
+        assert!(ZkOp::CreateSession.sessions().is_empty());
     }
 
     #[test]

@@ -30,6 +30,9 @@ export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
 
+# Clippy's default lints, every warning an error.
+cargo clippy --workspace --offline -- -D warnings
+
 scratch="$(mktemp -d /tmp/scalewall-verify.XXXXXX)"
 trap 'rm -rf "$scratch"' EXIT
 cargo run --release --offline -p scalewall-lint -- --workspace

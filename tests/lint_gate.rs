@@ -158,7 +158,7 @@ fn canaries_in_every_sim_facing_block_are_reported() {
     }
     println!("planted both canaries in {planted} blocks");
     assert!(missed.is_empty(), "{} block canaries went unreported:\n{}", missed.len(), missed.join("\n"));
-    assert!(planted >= 607, "only {planted} block heads found: walker or head scan broken?");
+    assert!(planted >= 605, "only {planted} block heads found: walker or head scan broken?");
 }
 
 /// One planted violation per rule on a live file: `cluster/src/driver.rs`

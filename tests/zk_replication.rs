@@ -13,12 +13,11 @@
 //!
 //! Targeted tests pin the individual failover behaviours the property
 //! exercises in bulk: no acked write lost across a leader crash,
-//! minority/majority partitions, snapshot-install catchup, and
-//! `SessionMoved` fencing.
+//! minority/majority partitions, catch-up of a repaired follower by
+//! copying the leader's store, and `SessionMoved` fencing.
 
 use scalewall::sim::prop::{self, gen};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
-use scalewall::zk::replica::MAX_LOG;
 use scalewall::zk::{
     SessionId, ZkClient, ZkEnsemble, ZkError, ZkOp, ZkReplicationConfig, ZkResp, ZkResult,
     ZkStore, SESSION_TIMEOUT,
@@ -276,7 +275,7 @@ fn majority_side_wins_partition_and_minority_catches_up() {
     ens.cut_regions(0, 1);
     ens.cut_regions(0, 2);
     let new = ens.tick(t(30)).expect("majority-side election");
-    assert_eq!(new, 1, "longest-log tie → lowest surviving id");
+    assert_eq!(new, 1, "equal applied indices → lowest surviving id");
     let during = open(&mut client, &mut ens, t(31)).unwrap();
     assert!(
         !ens.replica_store(0).unwrap().session_alive(during, t(31)),
@@ -321,23 +320,20 @@ fn leaderless_ensemble_refuses_rather_than_loses() {
     }
 }
 
-/// A follower that slept through more commits than the retained log
-/// re-joins via snapshot install and ends bit-identical.
+/// A follower that slept through a thousand commits re-joins by copying
+/// the leader's store and ends bit-identical, at the leader's index.
 #[test]
-fn repaired_follower_catches_up_via_snapshot() {
+fn repaired_follower_catches_up_by_copy() {
     let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
     let mut client = ZkClient::default();
     ens.crash_replica(2);
-    for _ in 0..MAX_LOG + 16 {
+    for _ in 0..1_040 {
         open(&mut client, &mut ens, t(1)).unwrap();
     }
     ens.restore_replica(2);
     ens.tick(t(2));
     assert_eq!(ens.replica_digest(2), ens.replica_digest(0));
-    assert!(
-        ens.replica_log_start(2) > 1,
-        "catchup past the truncation horizon must install a snapshot"
-    );
+    assert_eq!(ens.replica_applied(2), ens.replica_applied(0));
 }
 
 /// Session fencing: after a failover the first op of each surviving
