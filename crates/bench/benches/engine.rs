@@ -176,8 +176,9 @@ fn each_node(dep: &mut Deployment, mut pass: impl FnMut(&mut CubrickNode)) {
 /// The maintenance passes in the state the operational experiments keep
 /// them in (`ops_churn`, `fig4d`–`fig4f`): the ingest load above on 3×8
 /// hosts at the default 8 GiB budget, so no partition is anywhere near
-/// its budget and no pass has anything to move, and a scan or two since
-/// the last decay. `brick_compression/*` times passes that compress.
+/// its budget and no pass has anything to move (after the first, each
+/// monitor pass returns at its node's idle stamp), and a scan or two
+/// since the last decay. `brick_compression/*` times passes that compress.
 fn bench_maintenance(c: &mut Bench) {
     let (specs, batches) = ingest_load();
     let mut dep = ingest_deployment(&specs, 8, 8 << 30);

@@ -86,8 +86,10 @@ fn bench_balancer(c: &mut Bench) {
 }
 
 /// One `Deployment::collect_metrics` over the `ops_churn` fleet: 3×24
-/// hosts, 60 tables of 1,500 rows, the default gen-2 metric. Every
-/// serving host reports every shard it owns.
+/// hosts, 60 tables of 1,500 rows, the default gen-2 metric. In steady
+/// state no host's metrics stamp moves between polls, so none is read;
+/// `_after_ingest` lands one row before each poll, which moves every
+/// stamp, so every serving host reports every shard it owns.
 fn bench_collect_metrics(c: &mut Bench) {
     let workload = WorkloadConfig {
         tables: 60,
@@ -119,6 +121,15 @@ fn bench_collect_metrics(c: &mut Bench) {
     group.sample_size(20);
     group.bench_function("collect_metrics_72_hosts", |b| {
         b.iter(|| dep.collect_metrics())
+    });
+    let table = &population.tables[0];
+    let row = gen_rows(table, 1, workload.ds_range, &mut load_rng);
+    let dep = std::cell::RefCell::new(dep);
+    group.bench_function("collect_metrics_72_hosts_after_ingest", |b| {
+        b.iter_batched(
+            || dep.borrow_mut().ingest(&table.name, &row).expect("load"),
+            |()| dep.borrow_mut().collect_metrics(),
+        )
     });
     group.finish();
 }

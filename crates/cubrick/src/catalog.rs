@@ -96,6 +96,8 @@ pub struct Catalog {
     max_shards: u64,
     /// Inverted index: shard → (table, partition) pairs mapped to it.
     shard_index: BTreeMap<u64, Vec<(Arc<str>, u32)>>,
+    /// Bumped by every write to `shard_index` ([`Self::generation`]).
+    generation: u64,
 }
 
 impl Catalog {
@@ -107,11 +109,19 @@ impl Catalog {
             tables: BTreeMap::new(),
             max_shards,
             shard_index: BTreeMap::new(),
+            generation: 0,
         }
     }
 
     pub fn max_shards(&self) -> u64 {
         self.max_shards
+    }
+
+    /// Moves whenever the shard index does (a table created, dropped or
+    /// re-partitioned): equal generations mean every
+    /// [`partitions_of_shard`](Self::partitions_of_shard) answers as it did.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Register a table. Rejects duplicate names and names containing the
@@ -156,6 +166,7 @@ impl Catalog {
     }
 
     fn index_table(&mut self, def: &TableDef) {
+        self.generation += 1;
         for p in 0..def.partitions {
             let shard = def.shard_of(p, self.max_shards);
             self.shard_index
@@ -166,6 +177,7 @@ impl Catalog {
     }
 
     fn unindex_table(&mut self, def: &TableDef) {
+        self.generation += 1;
         for p in 0..def.partitions {
             let shard = def.shard_of(p, self.max_shards);
             if let Some(entries) = self.shard_index.get_mut(&shard) {

@@ -43,11 +43,20 @@ use crate::value::Row;
 #[derive(Debug, Default)]
 pub struct RegionStore {
     tables: BTreeMap<Arc<str>, BTreeMap<u32, PartitionData>>,
+    /// See [`Self::generation`].
+    generation: u64,
 }
 
 impl RegionStore {
     pub fn new() -> Self {
         RegionStore::default()
+    }
+
+    /// Moves with every write that can change a footprint (rows, brick
+    /// states, column capacities, dictionaries, partitions added or
+    /// removed); scans and decay passes do not ([`Self::hotness_mut`]).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Ingest rows into a table partition ([`PartitionData::ingest_batch`]),
@@ -59,6 +68,7 @@ impl RegionStore {
         schema: &Arc<crate::schema::Schema>,
         rows: &[&Row],
     ) -> CubrickResult<()> {
+        self.generation += 1;
         self.tables
             .entry(table.clone())
             .or_default()
@@ -71,17 +81,30 @@ impl RegionStore {
         self.tables.get(table)?.get(&partition)
     }
 
+    /// A partition to write, whatever the caller writes: it moves the
+    /// [generation](Self::generation).
     pub fn partition_mut(&mut self, table: &str, partition: u32) -> Option<&mut PartitionData> {
+        self.generation += 1;
+        self.hotness_mut(table, partition)
+    }
+
+    /// The one reach that does not move the generation, for the scan
+    /// (`CubrickNode::execute_local`) and the decay pass: both write only
+    /// hotness, the warm count, scan counters and a dictionary's rank
+    /// memo, never a row, a brick's state or a column's capacity.
+    fn hotness_mut(&mut self, table: &str, partition: u32) -> Option<&mut PartitionData> {
         self.tables.get_mut(table)?.get_mut(&partition)
     }
 
     /// Replace a table's partitions wholesale (re-partitioning).
     pub fn replace_table(&mut self, table: &str, new_partitions: Vec<(u32, PartitionData)>) {
+        self.generation += 1;
         self.tables
             .insert(Arc::from(table), new_partitions.into_iter().collect());
     }
 
     pub fn drop_table(&mut self, table: &str) {
+        self.generation += 1;
         self.tables.remove(table);
     }
 
@@ -152,6 +175,10 @@ pub struct CubrickNode {
     catalog: SharedCatalog,
     region_store: SharedRegionStore,
     owned: BTreeMap<u64, ShardState>,
+    /// Bumped whenever `owned` may gain or lose a key ([`Self::owned_keys_mut`]).
+    owned_generation: u64,
+    /// The stamp of the last memory-monitor pass that found nothing to move.
+    idle_at: Option<[u64; 3]>,
     /// Shards accepted via `prepare_add_shard` but not yet added.
     prepared: BTreeSet<u64>,
     /// Shards being forwarded to a new owner (graceful drop pending).
@@ -173,6 +200,8 @@ impl CubrickNode {
             catalog,
             region_store,
             owned: BTreeMap::new(),
+            owned_generation: 0,
+            idle_at: None,
             prepared: BTreeSet::new(),
             forwarding: BTreeMap::new(),
             rng,
@@ -229,10 +258,23 @@ impl CubrickNode {
     /// entries are gone, and data is recovered only by SM re-assigning
     /// shards to it.
     pub fn reboot(&mut self) {
-        self.owned.clear();
+        self.owned_keys_mut().clear();
         self.prepared.clear();
         self.forwarding.clear();
         self.queries_served = 0;
+    }
+
+    /// Every write that can add or remove a key of `owned` goes through
+    /// here, so the [metrics stamp](AppServer::metrics_stamp) sees it.
+    fn owned_keys_mut(&mut self) -> &mut BTreeMap<u64, ShardState> {
+        self.owned_generation += 1;
+        &mut self.owned
+    }
+
+    /// What the metric poll and the memory monitor's idleness read, as
+    /// generations: the owned set, the catalog's shard index, the store.
+    fn stamp(&self, catalog: &Catalog, store: &RegionStore) -> [u64; 3] {
+        [self.owned_generation, catalog.generation(), store.generation()]
     }
 
     /// The shard-collision veto (§IV-A): would accepting `shard` co-locate
@@ -298,7 +340,7 @@ impl CubrickNode {
             Some(_) => {}
         }
         self.queries_served += 1;
-        match self.region_store.write().partition_mut(&query.table, partition) {
+        match self.region_store.write().hotness_mut(&query.table, partition) {
             Some(data) => execute_partition(data, query, table_partitions),
             // Partition exists in metadata but holds no rows yet: an
             // empty result, not an error.
@@ -313,7 +355,7 @@ impl CubrickNode {
         let keys = self.owned_partition_keys();
         let mut store = self.region_store.write();
         for (table, p) in keys {
-            if let Some(data) = store.partition_mut(&table, p) {
+            if let Some(data) = store.hotness_mut(&table, p) {
                 data.decay_pass(self.config.decay_probability, &mut self.rng);
             }
         }
@@ -325,9 +367,14 @@ impl CubrickNode {
     /// brick totals: sums over independent partitions, so the pass takes
     /// the owned shards' partitions as the catalog lists them, unsorted,
     /// and goes back to them only if one has a brick it could move.
+    /// A pass at the stamp of the last idle one returns at once.
     pub fn run_memory_monitor(&mut self) -> (usize, usize) {
         let catalog = self.catalog.read();
         let mut store = self.region_store.write();
+        let stamp = self.stamp(&catalog, &store);
+        if self.idle_at == Some(stamp) {
+            return (0, 0);
+        }
         let owned = || {
             let shards = self.owned.keys();
             shards.flat_map(|&s| catalog.partitions_of_shard(s))
@@ -345,6 +392,7 @@ impl CubrickNode {
         };
         let idle = |data: &&PartitionData| data.movable_bricks(&config_of(data)).1 == 0;
         if total_decompressed == 0 || parts.iter().all(idle) {
+            self.idle_at = Some(stamp);
             return (0, 0);
         }
         let mut totals = (0usize, 0usize);
@@ -421,7 +469,7 @@ impl AppServer for CubrickNode {
         }
         self.prepared.remove(&ctx.shard.0);
         let loading = ctx.reason != AddShardReason::NewAllocation;
-        self.owned.insert(ctx.shard.0, ShardState { loading });
+        self.owned_keys_mut().insert(ctx.shard.0, ShardState { loading });
         Ok(())
     }
 
@@ -445,7 +493,7 @@ impl AppServer for CubrickNode {
         // Ownership is relinquished; the bytes remain in the region store
         // (they belong to the table, which has redundant copies per
         // region — see the module docs' data placement model).
-        self.owned
+        self.owned_keys_mut()
             .remove(&ctx.shard.0)
             .map(|_| ())
             .ok_or_else(|| AppError::retryable("shard not owned here"))
@@ -463,6 +511,11 @@ impl AppServer for CubrickNode {
                 (ShardId(s), size)
             })
             .collect()
+    }
+
+    fn metrics_stamp(&self) -> Option<[u64; 3]> {
+        let catalog = self.catalog.read();
+        Some(self.stamp(&catalog, &self.region_store.read()))
     }
 
     fn capacity(&self) -> f64 {

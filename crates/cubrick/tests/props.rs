@@ -673,7 +673,7 @@ fn retry_budget_is_spent_exactly() {
 
 use std::sync::Arc;
 
-use cubrick::catalog::{shared_catalog, RowMapping};
+use cubrick::catalog::{shared_catalog, Catalog, RowMapping};
 use cubrick::hotness::MemoryMonitorConfig;
 use cubrick::metrics::MetricGeneration;
 use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
@@ -1134,6 +1134,241 @@ fn shard_metrics_match_the_four_walk_oracle() {
                     })
                     .collect();
                 assert_eq!(node.shard_metrics(), oracle, "{generation:?}");
+            }
+        },
+    );
+}
+
+/// One step of a node's life, as the stamp sees it.
+#[derive(Debug)]
+enum NodeOp {
+    /// Rows into a partition of a live table, maybe with a refused row
+    /// at this index.
+    Ingest(usize, u32, usize, Option<usize>),
+    Scan(usize, u32),
+    Decay,
+    Monitor,
+    /// Take a shard of a live table; a migration may be vetoed.
+    AddShard(usize, bool),
+    DropShard(usize),
+    CopyComplete(usize),
+    Reboot,
+    CreateTable(u32),
+    /// Drop a live table from the catalog and the store, the store first
+    /// if set.
+    DropTable(usize, bool),
+    /// `set_partitions` to twice or half the count, then the reshuffle.
+    Repartition(usize, bool),
+}
+
+fn gen_node_op(rng: &mut SimRng) -> NodeOp {
+    let pick = rng.below(64) as usize;
+    let partition = rng.below(16) as u32;
+    match rng.below(14) {
+        0..=2 => {
+            let rows = gen::usize_in(rng, 1, 60);
+            let refused = rng.chance(0.3).then(|| rng.below(rows as u64) as usize);
+            NodeOp::Ingest(pick, partition, rows, refused)
+        }
+        3 | 4 => NodeOp::Scan(pick, partition),
+        5 => NodeOp::Decay,
+        6 | 7 => NodeOp::Monitor,
+        8 => NodeOp::AddShard(pick, gen::any_bool(rng)),
+        9 => NodeOp::DropShard(pick),
+        10 => match rng.below(3) {
+            0 => NodeOp::Reboot,
+            _ => NodeOp::CopyComplete(pick),
+        },
+        11 => NodeOp::CreateTable(rng.range(1, 5) as u32),
+        12 => NodeOp::DropTable(pick, gen::any_bool(rng)),
+        _ => NodeOp::Repartition(pick, gen::any_bool(rng)),
+    }
+}
+
+/// Whether a monitor pass of `node` would find nothing to move: the
+/// node's budget shared out by decompressed size, every owned partition
+/// at its share with no movable brick.
+fn monitor_is_idle(node: &CubrickNode, catalog: &Catalog, store: &RegionStore) -> bool {
+    let parts: Vec<&PartitionData> = node
+        .owned_shards()
+        .into_iter()
+        .flat_map(|s| catalog.partitions_of_shard(s))
+        .filter_map(|(t, p)| store.partition(t, *p))
+        .collect();
+    let total: u64 = parts.iter().map(|d| d.decompressed_bytes()).sum();
+    parts.iter().all(|data| {
+        let share = data.decompressed_bytes() as f64 / total as f64;
+        let config = MemoryMonitorConfig {
+            budget_bytes: (node.config().memory_budget_bytes as f64 * share) as u64,
+            ..Default::default()
+        };
+        total == 0 || data.movable_bricks(&config).1 == 0
+    })
+}
+
+/// The metrics stamp is sound: after every step of a generated life —
+/// batches with a refused row, scans, decay, monitor passes that move
+/// bricks, shards gained and lost, reboots, tables created, dropped and
+/// re-partitioned — an unchanged `metrics_stamp()` comes with a
+/// bit-identical `shard_metrics()`, and a monitor pass returns idle —
+/// having looked, or at the stamp of the last idle pass without a look —
+/// exactly when no owned partition has a movable brick (checked also
+/// between the halves of a drop and of a re-partition).
+#[test]
+fn an_unchanged_metrics_stamp_means_an_unchanged_report() {
+    prop::check_n(
+        "an_unchanged_metrics_stamp_means_an_unchanged_report",
+        256,
+        |rng| {
+            let schema = gen_row_schema(rng);
+            let budget = *rng.pick(&[1, 2_000, 20_000, 1 << 30]);
+            let generation = *rng.pick(&[
+                MetricGeneration::Gen1MemoryFootprint,
+                MetricGeneration::Gen2DecompressedSize,
+            ]);
+            let ops = gen::vec_with(rng, 1, 48, gen_node_op);
+            (schema, budget, generation, ops, gen::any_u64(rng))
+        },
+        |(schema, budget, generation, ops, seed)| {
+            let mut rng = SimRng::new(*seed);
+            let schema = Arc::new(schema.clone());
+            let catalog = shared_catalog(64);
+            let store: SharedRegionStore = Arc::new(RwLock::new(RegionStore::new()));
+            let mut config = NodeConfig::new(HostId(1), Region(0));
+            config.memory_budget_bytes = *budget;
+            config.metric_generation = *generation;
+            let mut node = CubrickNode::new(config, catalog.clone(), store.clone());
+            let (mut tables, mut created) = (Vec::<String>::new(), 0);
+            let ctx = |shard: u64, reason| ShardContext {
+                shard: ShardId(shard),
+                reason,
+                source: None,
+            };
+            // The life starts on a table of four partitions the node owns.
+            let ops = std::iter::once(&NodeOp::CreateTable(4)).chain(ops);
+            let mut last = (None, Vec::new());
+            let mut observe = |node: &CubrickNode, step: &dyn std::fmt::Debug| {
+                let stamp = node.metrics_stamp().expect("a node always stamps");
+                let bits: Vec<(ShardId, u64)> =
+                    node.shard_metrics().iter().map(|&(s, w)| (s, w.to_bits())).collect();
+                if last.0 == Some(stamp) {
+                    assert_eq!(bits, last.1, "{step:?}");
+                }
+                last = (Some(stamp), bits);
+            };
+            let monitor = |node: &mut CubrickNode, step: &dyn std::fmt::Debug| {
+                let stamp = node.metrics_stamp();
+                let idle = monitor_is_idle(node, &catalog.read(), &store.read());
+                let moved = node.run_memory_monitor();
+                // A pass that goes back to its partitions moves the stamp;
+                // only an idle return, memoized or not, leaves it.
+                assert_eq!(node.metrics_stamp() == stamp, idle, "{step:?}");
+                assert!(!idle || moved == (0, 0), "{step:?}");
+            };
+            for op in ops {
+                let table = |pick: usize| tables.get(pick % tables.len().max(1)).cloned();
+                let shards: Vec<u64> = {
+                    let catalog = catalog.read();
+                    let of = |t: &String| catalog.shards_of_table(t).expect("live table");
+                    tables.iter().flat_map(of).collect()
+                };
+                let shard = |pick: usize| shards.get(pick % shards.len().max(1)).copied();
+                match *op {
+                    NodeOp::Ingest(pick, p, rows, refused) => {
+                        let Some(name) = table(pick) else { continue };
+                        let def = catalog.read().get(&name).expect("live table").clone();
+                        let mut batch: Vec<Row> =
+                            (0..rows).map(|_| gen_schema_row(&schema, &mut rng)).collect();
+                        if let Some(at) = refused {
+                            batch[at] = gen_refused_row(&schema, &mut rng);
+                        }
+                        let batch: Vec<&Row> = batch.iter().collect();
+                        let p = p % def.partitions;
+                        let _ = store.write().ingest_batch(&def.name, p, &def.schema, &batch);
+                    }
+                    NodeOp::Scan(pick, p) => {
+                        let Some(name) = table(pick) else { continue };
+                        let text = match schema.dimensions.iter().any(|d| d.name == "s") {
+                            true => format!("select count(*) from {name} group by s order by s"),
+                            false => format!("select count(*) from {name}"),
+                        };
+                        let query = cubrick::query::parse_query(&text).expect("valid query");
+                        let _ = node.execute_local(&query, p);
+                    }
+                    NodeOp::Decay => node.decay_pass(),
+                    NodeOp::Monitor => monitor(&mut node, op),
+                    NodeOp::AddShard(pick, migrating) => {
+                        let Some(s) = shard(pick) else { continue };
+                        let reason = match migrating {
+                            true => AddShardReason::LiveMigration,
+                            false => AddShardReason::NewAllocation,
+                        };
+                        let _ = node.add_shard(ctx(s, reason));
+                    }
+                    NodeOp::DropShard(pick) => {
+                        let Some(s) = shard(pick) else { continue };
+                        let _ = node.drop_shard(ctx(s, AddShardReason::NewAllocation));
+                    }
+                    NodeOp::CopyComplete(pick) => {
+                        let Some(s) = shard(pick) else { continue };
+                        node.on_copy_complete(ctx(s, AddShardReason::LiveMigration));
+                    }
+                    NodeOp::Reboot => node.reboot(),
+                    NodeOp::CreateTable(partitions) => {
+                        let name = format!("t{created}");
+                        created += 1;
+                        catalog
+                            .write()
+                            .create_table(
+                                &name,
+                                schema.clone(),
+                                partitions,
+                                RowMapping::Hash,
+                                ShardMapping::Monotonic,
+                            )
+                            .expect("fresh table");
+                        if created == 1 {
+                            for s in catalog.read().shards_of_table(&name).expect("created") {
+                                let _ = node.add_shard(ctx(s, AddShardReason::NewAllocation));
+                            }
+                        }
+                        tables.push(name);
+                    }
+                    NodeOp::DropTable(pick, store_first) => {
+                        let Some(name) = table(pick) else { continue };
+                        let drop_from_catalog = || {
+                            catalog.write().drop_table(&name).expect("live table");
+                        };
+                        match store_first {
+                            true => store.write().drop_table(&name),
+                            false => drop_from_catalog(),
+                        }
+                        observe(&node, &("half dropped", op));
+                        monitor(&mut node, &("half dropped", op));
+                        match store_first {
+                            true => drop_from_catalog(),
+                            false => store.write().drop_table(&name),
+                        }
+                        tables.retain(|t| *t != name);
+                    }
+                    NodeOp::Repartition(pick, grow) => {
+                        let Some(name) = table(pick) else { continue };
+                        let old = catalog.read().get(&name).expect("live table").clone();
+                        let partitions = match grow {
+                            true => (old.partitions * 2).min(32),
+                            false => (old.partitions / 2).max(1),
+                        };
+                        catalog.write().set_partitions(&name, partitions).expect("in range");
+                        observe(&node, &("set_partitions", op));
+                        monitor(&mut node, &("set_partitions", op));
+                        let new = catalog.read().get(&name).expect("live table").clone();
+                        let stored = cubrick::repartition::stored_rows(&store.read(), &old);
+                        let routed = new.route_rows(&stored, || rng.next_u64());
+                        cubrick::repartition::reshuffle(&mut store.write(), &new, &routed)
+                            .expect("rows a partition stored");
+                    }
+                }
+                observe(&node, op);
             }
         },
     );

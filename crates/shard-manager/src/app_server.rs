@@ -74,6 +74,14 @@ pub trait AppServer {
     /// shards). Only shards this host currently stores are reported.
     fn shard_metrics(&self) -> Vec<(ShardId, f64)>;
 
+    /// Generations of all [`shard_metrics`](Self::shard_metrics) reads:
+    /// a stamp the same server gave before promises a bit-identical report
+    /// (so the poll may skip it); `None`, the default, promises nothing. A
+    /// server put behind a host id must not repeat its predecessor's.
+    fn metrics_stamp(&self) -> Option<[u64; 3]> {
+        None
+    }
+
     /// This host's current total capacity in the same unit. Applications
     /// may change it over time (heterogeneous hardware, §III-A3; Cubrick's
     /// compression-ratio-scaled capacity, §IV-F2).
@@ -122,6 +130,10 @@ pub struct MockAppServer {
     /// Shards currently being forwarded to a new owner.
     pub forwarding: std::collections::BTreeMap<u64, HostId>,
     pub default_shard_weight: f64,
+    /// What `metrics_stamp` answers: a test that sets it moves it with
+    /// `shards`. `metric_calls` counts `shard_metrics` calls.
+    pub stamp: Option<[u64; 3]>,
+    pub metric_calls: std::cell::Cell<u64>,
 }
 
 impl MockAppServer {
@@ -170,7 +182,12 @@ impl AppServer for MockAppServer {
     }
 
     fn shard_metrics(&self) -> Vec<(ShardId, f64)> {
+        self.metric_calls.set(self.metric_calls.get() + 1);
         self.shards.iter().map(|(&s, &w)| (ShardId(s), w)).collect()
+    }
+
+    fn metrics_stamp(&self) -> Option<[u64; 3]> {
+        self.stamp
     }
 
     fn capacity(&self) -> f64 {

@@ -86,6 +86,9 @@ struct HostEntry {
     info: HostInfo,
     state: HostState,
     session: Option<SessionId>,
+    /// The [`AppServer::metrics_stamp`] of the last report the poll
+    /// applied; dropped by any poll that does not reach the host.
+    stamp: Option<[u64; 3]>,
 }
 
 #[derive(Debug)]
@@ -270,6 +273,7 @@ impl SmServer {
                 info,
                 state: HostState::Alive,
                 session: Some(session),
+                stamp: None,
             },
         );
         Ok(())
@@ -581,14 +585,25 @@ impl SmServer {
     /// size metrics"). Loads are re-summed only if the re-sum could differ
     /// from what is cached: a reported weight's bits differ from the
     /// stored ones, or `loads` was written since the last re-sum.
+    /// A host's report is skipped when no assignment moved since the last
+    /// poll and its stamp is the one of the report SM applied last, at a
+    /// poll every later one reached: each weight it could write holds those
+    /// bits already (DESIGN.md "Maintenance pass contract", item 7).
     pub fn collect_metrics<R: AppServerRegistry>(&mut self, registry: &mut R) {
         let mut moved = self.loads_written;
-        for entry in self.hosts.values_mut().filter(|h| h.state.serving()) {
+        for entry in self.hosts.values_mut() {
             let host = entry.info.id;
-            let Some(server) = registry.server_ref(host) else {
+            let server = entry.state.serving().then(|| registry.server_ref(host));
+            let Some(server) = server.flatten() else {
+                entry.stamp = None;
                 continue;
             };
             entry.info.capacity = server.capacity().max(0.0);
+            let stamp = server.metrics_stamp();
+            if !self.loads_written && stamp.is_some() && stamp == entry.stamp {
+                continue;
+            }
+            entry.stamp = stamp;
             for (shard, weight) in server.shard_metrics() {
                 let weight = weight.max(0.0);
                 // A shard metric counts only while the shard is assigned
@@ -1487,6 +1502,83 @@ mod tests {
         sm.collect_metrics(&mut reg);
         assert_eq!(sm.host_load(host), 42.0);
         assert_eq!(sm.host_info(host).unwrap().capacity, 500.0);
+    }
+
+    /// The poll reads a host's report only when it could write a weight:
+    /// an assignment moved since the last poll, the host's stamp moved,
+    /// the host promises nothing, or SM holds no stamp for it (a poll
+    /// missed it, or it was removed and registered again).
+    #[test]
+    fn poll_reads_only_reports_that_could_write() {
+        let (mut sm, mut reg) = setup(3);
+        for s in 0..6 {
+            sm.allocate_shard(ShardId(s), 5.0, None, t(0), &mut reg)
+                .unwrap();
+        }
+        for (host, server) in &mut reg.servers {
+            server.stamp = Some([host.0, 0, 0]);
+        }
+        // `shard_metrics` calls per host, hosts 0‥3, made by one poll.
+        fn poll(sm: &mut SmServer, reg: &mut MockRegistry) -> [u64; 4] {
+            reg.servers.values().for_each(|s| s.metric_calls.set(0));
+            sm.collect_metrics(reg);
+            let calls = |h| reg.servers.get(&HostId(h)).map_or(0, |s| s.metric_calls.take());
+            [calls(0), calls(1), calls(2), calls(3)]
+        }
+        // A report changes under a new stamp, as the contract asks.
+        fn report(reg: &mut MockRegistry, host: HostId, shard: u64, weight: Option<f64>) {
+            let server = reg.servers.get_mut(&host).unwrap();
+            match weight {
+                Some(w) => server.shards.insert(shard, w),
+                None => server.shards.remove(&shard),
+            };
+            server.stamp = server.stamp.map(|[h, n, _]| [h, n + 1, 0]);
+        }
+        assert_eq!(poll(&mut sm, &mut reg), [1, 1, 1, 0], "allocations moved loads");
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 0, 0], "nothing moved");
+
+        // A completed migration: every serving host is read.
+        let from = sm.host_of(ShardId(0)).unwrap();
+        let to = (0..3).map(HostId).find(|&h| h != from).unwrap();
+        sm.begin_migration(ShardId(0), to, false, MigrationCause::Manual, t(1), &mut reg)
+            .unwrap();
+        sm.advance_migrations(t(1) + SimDuration::from_hours(1), &mut reg);
+        assert_eq!(sm.host_of(ShardId(0)), Some(to));
+        report(&mut reg, from, 0, None);
+        report(&mut reg, to, 0, Some(1.0));
+        assert_eq!(poll(&mut sm, &mut reg), [1, 1, 1, 0]);
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 0, 0]);
+
+        // One host's stamp moves: only it is read, and its weight lands.
+        let shard = sm.shards_on("app", HostId(1))[0];
+        let before = sm.host_load(HostId(1));
+        report(&mut reg, HostId(1), shard.0, Some(40.0));
+        assert_eq!(poll(&mut sm, &mut reg), [0, 1, 0, 0]);
+        assert!(sm.host_load(HostId(1)) > before);
+
+        // A host that promises nothing is read every time.
+        reg.servers.get_mut(&HostId(2)).unwrap().stamp = None;
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 1, 0]);
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 1, 0]);
+
+        // A poll that cannot reach a host forgets its stamp.
+        reg.down.insert(HostId(0));
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 1, 0]);
+        reg.down.remove(&HostId(0));
+        assert_eq!(poll(&mut sm, &mut reg), [1, 0, 1, 0]);
+
+        // `remove_host` forgets it too: a host without shards fails, is
+        // removed and registers again, no poll in between.
+        let info = HostInfo::new(HostId(3), Rack(3), Region(0), 100.0);
+        sm.register_host(info, t(2)).unwrap();
+        reg.add(HostId(3), 100.0);
+        reg.servers.get_mut(&HostId(3)).unwrap().stamp = Some([3, 0, 0]);
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 1, 1]);
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 1, 0]);
+        sm.host_failed(HostId(3), t(3), &mut reg).unwrap();
+        sm.remove_host(HostId(3)).unwrap();
+        sm.register_host(info, t(4)).unwrap();
+        assert_eq!(poll(&mut sm, &mut reg), [0, 0, 1, 1]);
     }
 
     /// The heartbeat list is re-listed exactly when it can differ: the

@@ -3,24 +3,26 @@
 # for every SEED one parent run and one change run of WORKLOAD, SECONDS
 # each, alternating which side goes first; then per end-to-end metric both
 # medians, the parent's quartiles, how many pairs the change won and a
-# verdict, and whether the sim-clock metrics repeated bit for bit in every
-# pair (a pure speed-up must leave them identical). The verdict is
-# `better` when the change won at least 9 in 10 pairs and its median beats
-# the parent's by more than the parent's interquartile range, `worse` when
-# its median is worse than the parent's by more than the metric's bound in
-# BENCHMARK.json, and `ok` otherwise.
+# verdict, and whether the sim-clock metrics and the run digest repeated
+# bit for bit in every pair (a pure speed-up must leave them identical;
+# the digest, which `--out` writes, covers every count of the
+# simulation). The verdict is `better` when the change won at least 9 in
+# 10 pairs and its median beats the parent's by more than the parent's
+# interquartile range, `worse` when its median is worse than the parent's
+# by more than the metric's bound in BENCHMARK.json, and `ok` otherwise.
 #
 #   scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
 #
 # The two binaries are `benchmark/` builds of the two commits (build each
 # once, `cargo build --release --offline --manifest-path benchmark/Cargo.toml`
-# with its own CARGO_TARGET_DIR, and copy the executable). Only the result
-# line each run prints last on stdout is read; a run without one (wrong
-# answer, digest mismatch) stops the script.
+# with its own CARGO_TARGET_DIR, and copy the executable). The result line
+# each run prints last on stdout and the digest in its `--out` file are
+# read; a run without either (wrong answer, digest mismatch) stops the
+# script.
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,19p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 parent="$1" change="$2" workload="$3" seconds="$4"
@@ -39,12 +41,15 @@ for m in $metrics; do
     bounds="$bounds $m:$entry"
 done
 runs="$(mktemp "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")"
-trap 'rm -f "$runs"' EXIT
+detail="$(mktemp "${TMPDIR:-/tmp}/bench-pairs-detail.XXXXXX")"
+trap 'rm -f "$runs" "$detail"' EXIT
 
-# One run: "<pair> <seed> <side> <six metric values> <correct>".
+# One run: "<pair> <seed> <side> <six metric values> <correct> <digest>".
 run() {
-    local pair="$1" seed="$2" side="$3" bin="$4" line value out
-    line="$("$bin" run --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)" || true
+    local pair="$1" seed="$2" side="$3" bin="$4" line value out digest
+    : > "$detail"
+    line="$("$bin" run --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        --out "$detail" | tail -n 1)" || true
     out="$pair $seed $side"
     for m in $metrics; do
         value="$(printf '%s' "$line" | sed -nE "s/.*\"$m\":\{\"value\":([^,}]*).*/\1/p")"
@@ -55,10 +60,15 @@ run() {
         out="$out $value"
     done
     out="$out $(printf '%s' "$line" | sed -nE 's/.*"correct":([a-z]*).*/\1/p')"
-    echo "$out" | tee -a "$runs"
+    digest="$(sed -nE 's/.*"digest":"([^"]*)".*/\1/p' "$detail")"
+    if [ -z "$digest" ]; then
+        echo "no digest from $side at seed $seed" >&2
+        exit 1
+    fi
+    echo "$out $digest" | tee -a "$runs"
 }
 
-echo "# pair seed side $metrics correct"
+echo "# pair seed side $metrics correct digest"
 pair=0
 for seed in "$@"; do
     pair=$((pair + 1))
@@ -87,6 +97,7 @@ function sorted_column(side, m, out,    n, i, j, v) {
     if ($1 > pairs) pairs = $1
     for (m = 1; m <= 6; m++) { value[$1, $3, m] = $(3 + m) + 0; text[$1, $3, m] = $(3 + m) }
     if ($10 != "true") incorrect++
+    digest[$1, $3] = $11
 }
 END {
     split(names, name, " ")
@@ -114,5 +125,8 @@ END {
     moved = 0
     for (i = 1; i <= pairs; i++) for (m = 4; m <= 6; m++) if (text[i, "parent", m] != text[i, "change", m]) moved++
     print "sim-clock metrics (success_share, sim_p50_ms, sim_p90_ms) bit-identical in every pair: " (moved ? "NO, " moved " differ" : "yes")
+    differ = 0
+    for (i = 1; i <= pairs; i++) if (digest[i, "parent"] != digest[i, "change"]) differ++
+    print "run digest identical in every pair: " (differ ? "NO, " differ " of " pairs " pairs differ" : "yes")
     print "every run correct: " (incorrect ? "NO, " incorrect " not" : "yes")
 }' "$runs"
