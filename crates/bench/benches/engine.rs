@@ -18,6 +18,7 @@ use cubrick::coordinator::{merge_partials, FanoutPlan};
 use cubrick::dictionary::Dictionary;
 use cubrick::encoding;
 use cubrick::node::CubrickNode;
+use cubrick::proxy::{CubrickProxy, ProxyConfig};
 use cubrick::query::{execute_partition, parse_query};
 use cubrick::schema::SchemaBuilder;
 use cubrick::sharding::ShardMapping;
@@ -25,8 +26,13 @@ use cubrick::store::PartitionData;
 use cubrick::value::{Row, Value};
 use scalewall_bench::microbench::Bench;
 use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
-use scalewall_cluster::workload::{gen_rows, standard_schema, TableSpec};
-use scalewall_sim::{SimRng, SimTime};
+use scalewall_cluster::driver::{run_query, QueryOptions};
+use scalewall_cluster::net::{NetModel, NetModelConfig};
+use scalewall_cluster::workload::{gen_query, gen_rows, standard_schema, TableSpec};
+use scalewall_shard_manager::Region;
+use scalewall_sim::{SimDuration, SimRng, SimTime};
+
+mod support;
 
 fn schema() -> Arc<cubrick::schema::Schema> {
     Arc::new(
@@ -178,7 +184,11 @@ fn each_node(dep: &mut Deployment, mut pass: impl FnMut(&mut CubrickNode)) {
 /// hosts at the default 8 GiB budget, so no partition is anywhere near
 /// its budget and no pass has anything to move (after the first, each
 /// monitor pass returns at its node's idle stamp), and a scan or two
-/// since the last decay. `brick_compression/*` times passes that compress.
+/// since the last decay. `decay_pass_mostly_cold_24_nodes` warms every
+/// brick of one partition a region, so a pass has no cold brick there to
+/// skip; `decay_pass_sparse_warm_72_nodes` is the `ops_churn` fleet, where
+/// most bricks of a warm partition are cold. `brick_compression/*` times
+/// passes that compress.
 fn bench_maintenance(c: &mut Bench) {
     let (specs, batches) = ingest_load();
     let mut dep = ingest_deployment(&specs, 8, 8 << 30);
@@ -209,6 +219,32 @@ fn bench_maintenance(c: &mut Bench) {
     group.bench_function("decay_pass_mostly_cold_24_nodes", |b| {
         b.iter_batched(warm, |()| {
             each_node(&mut dep.borrow_mut(), |node| node.decay_pass())
+        })
+    });
+    // The `ops_churn` fleet (3×24 hosts, 60 tables) after 36 of its
+    // queries, and one more before each pass: most bricks are cold, the
+    // warm ones are what the last few dozen queries touched.
+    let (fleet, workload, population) = support::ops_churn_fleet();
+    let fleet = std::cell::RefCell::new(fleet);
+    let net = NetModel::new(NetModelConfig::default());
+    let mut proxy = CubrickProxy::new(ProxyConfig::default());
+    let mut rng = SimRng::new(14);
+    let mut now = SimTime::from_secs(3_600);
+    let mut query = || {
+        let query = gen_query(population.pick_table(&mut rng), workload.ds_range, &mut rng);
+        let opts = QueryOptions {
+            execute_data: true,
+            client_region: Region(rng.below(3) as u32),
+            ..Default::default()
+        };
+        now += SimDuration::from_secs(60);
+        let mut fleet = fleet.borrow_mut();
+        run_query(&mut fleet, &mut proxy, &net, &query, &opts, now, &mut rng);
+    };
+    (0..36).for_each(|_| query());
+    group.bench_function("decay_pass_sparse_warm_72_nodes", |b| {
+        b.iter_batched(&mut query, |()| {
+            each_node(&mut fleet.borrow_mut(), |node| node.decay_pass())
         })
     });
     group.finish();

@@ -17,10 +17,10 @@ use cubrick::proxy::{CoordinatorStrategy, CubrickProxy, ProxyConfig};
 use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_bench::microbench::Bench;
-use scalewall_cluster::deployment::{Deployment, DeploymentConfig};
+use scalewall_cluster::deployment::{Deployment, DeploymentConfig, RegionState};
 use scalewall_cluster::driver::{run_query, QueryOptions};
 use scalewall_cluster::net::{NetModel, NetModelConfig};
-use scalewall_cluster::workload::{gen_rows, standard_schema, TablePopulation, WorkloadConfig};
+use scalewall_cluster::workload::{gen_rows, standard_schema};
 use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
 use scalewall_shard_manager::balancer::propose_rebalance;
 use scalewall_shard_manager::placement::{rank_candidates, HostSnapshot};
@@ -28,6 +28,8 @@ use scalewall_shard_manager::{
     BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SpreadDomain,
 };
 use scalewall_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime};
+
+mod support;
 
 fn bench_shard_mapping(c: &mut Bench) {
     let mut group = c.group("shard_mapping");
@@ -90,40 +92,24 @@ fn bench_balancer(c: &mut Bench) {
 /// state no host's metrics stamp moves between polls, so none is read;
 /// `_after_ingest` lands one row before each poll, which moves every
 /// stamp, so every serving host reports every shard it owns.
+/// `load_balancer_pass_balanced_72_hosts` is one `run_load_balancers`
+/// over the same fleet after a poll: every region is within tolerance,
+/// so each pass ends at its balance test and starts nothing.
 fn bench_collect_metrics(c: &mut Bench) {
-    let workload = WorkloadConfig {
-        tables: 60,
-        ..Default::default()
-    };
-    let mut dep = Deployment::new(DeploymentConfig {
-        regions: 3,
-        hosts_per_region: 24,
-        max_shards: 20_000,
-        ..Default::default()
-    });
-    let mut rng = SimRng::new(12);
-    let population = TablePopulation::generate(&workload, &mut rng.fork(1));
-    let mut load_rng = rng.fork(2);
-    for spec in &population.tables {
-        dep.create_table(
-            &spec.name,
-            spec.schema.clone(),
-            spec.partitions,
-            RowMapping::Hash,
-            ShardMapping::Monotonic,
-            SimTime::ZERO,
-        )
-        .expect("fresh table");
-        let rows = gen_rows(spec, 1_500, workload.ds_range, &mut load_rng);
-        dep.ingest(&spec.name, &rows).expect("load");
-    }
+    let (mut dep, workload, population) = support::ops_churn_fleet();
     let mut group = c.group("sm");
     group.sample_size(20);
     group.bench_function("collect_metrics_72_hosts", |b| {
         b.iter(|| dep.collect_metrics())
     });
+    let tolerance = BalancerConfig::default().imbalance_tolerance;
+    let balanced = |r: &RegionState| r.sm.fleet_stats().imbalance() <= 1.0 + tolerance;
+    assert!(dep.regions.iter().all(balanced));
+    group.bench_function("load_balancer_pass_balanced_72_hosts", |b| {
+        b.iter(|| dep.run_load_balancers(SimTime::from_secs(60)))
+    });
     let table = &population.tables[0];
-    let row = gen_rows(table, 1, workload.ds_range, &mut load_rng);
+    let row = gen_rows(table, 1, workload.ds_range, &mut SimRng::new(13));
     let dep = std::cell::RefCell::new(dep);
     group.bench_function("collect_metrics_72_hosts_after_ingest", |b| {
         b.iter_batched(

@@ -90,7 +90,7 @@ impl RegionStore {
 
     /// The one reach that does not move the generation, for the scan
     /// (`CubrickNode::execute_local`) and the decay pass: both write only
-    /// hotness, the warm count, scan counters and a dictionary's rank
+    /// hotness, the warm ids, scan counters and a dictionary's rank
     /// memo, never a row, a brick's state or a column's capacity.
     fn hotness_mut(&mut self, table: &str, partition: u32) -> Option<&mut PartitionData> {
         self.tables.get_mut(table)?.get_mut(&partition)
@@ -179,6 +179,10 @@ pub struct CubrickNode {
     owned_generation: u64,
     /// The stamp of the last memory-monitor pass that found nothing to move.
     idle_at: Option<[u64; 3]>,
+    /// The sorted partition keys the decay pass visits.
+    decay_keys: Vec<(Arc<str>, u32)>,
+    /// The owned-set and catalog generations `decay_keys` was listed at.
+    decay_keys_at: Option<[u64; 2]>,
     /// Shards accepted via `prepare_add_shard` but not yet added.
     prepared: BTreeSet<u64>,
     /// Shards being forwarded to a new owner (graceful drop pending).
@@ -202,6 +206,8 @@ impl CubrickNode {
             owned: BTreeMap::new(),
             owned_generation: 0,
             idle_at: None,
+            decay_keys: Vec::new(),
+            decay_keys_at: None,
             prepared: BTreeSet::new(),
             forwarding: BTreeMap::new(),
             rng,
@@ -350,12 +356,18 @@ impl CubrickNode {
 
     // ------------------------------------------------------------ maintenance
 
-    /// One decay pass over all owned partitions' hotness counters.
+    /// One decay pass over all owned partitions' hotness counters, in
+    /// key order. The keys are listed again only when the owned set or
+    /// the catalog's shard index has moved since they were listed.
     pub fn decay_pass(&mut self) {
-        let keys = self.owned_partition_keys();
+        let at = Some([self.owned_generation, self.catalog.read().generation()]);
+        if self.decay_keys_at != at {
+            self.decay_keys = self.owned_partition_keys();
+            self.decay_keys_at = at;
+        }
         let mut store = self.region_store.write();
-        for (table, p) in keys {
-            if let Some(data) = store.hotness_mut(&table, p) {
+        for (table, p) in &self.decay_keys {
+            if let Some(data) = store.hotness_mut(table, *p) {
                 data.decay_pass(self.config.decay_probability, &mut self.rng);
             }
         }

@@ -103,9 +103,10 @@ pub struct PartitionData {
     rows: u64,
     stats: StoreStats,
     tally: Tally,
-    /// Bricks whose hotness counter is above zero: up on a scan's first
-    /// touch, down when a decay halves a counter to zero.
-    warm_bricks: usize,
+    /// Ids of the bricks whose hotness counter is above zero, each once,
+    /// sorted by each decay pass: in on a scan's first touch, out when a
+    /// decay halves a counter to zero.
+    warm: Vec<u64>,
 }
 
 impl Clone for PartitionData {
@@ -118,6 +119,7 @@ impl Clone for PartitionData {
             dicts: self.dicts.clone(),
             bricks: self.bricks.clone(),
             tally: Tally::default(),
+            warm: self.warm.clone(),
             ..*self
         };
         for slot in copy.bricks.values() {
@@ -148,7 +150,7 @@ impl PartitionData {
             rows: 0,
             stats: StoreStats::default(),
             tally: Tally::default(),
-            warm_bricks: 0,
+            warm: Vec::new(),
         }
     }
 
@@ -297,7 +299,7 @@ impl PartitionData {
             space,
             bricks,
             stats,
-            warm_bricks,
+            warm,
             ..
         } = self;
         let mut residual = Vec::new();
@@ -306,7 +308,9 @@ impl PartitionData {
                 stats.bricks_pruned += 1;
                 continue;
             }
-            *warm_bricks += usize::from(slot.hotness.0 == 0);
+            if slot.hotness.0 == 0 {
+                warm.push(id);
+            }
             slot.hotness.touch();
             stats.bricks_scanned += 1;
             match &slot.state {
@@ -381,7 +385,15 @@ impl PartitionData {
 
     /// Bricks a scan has touched since a decay last halved them to zero.
     pub fn warm_bricks(&self) -> usize {
-        self.warm_bricks
+        self.warm.len()
+    }
+
+    /// The ids [`Self::decay_pass`] visits, ascending: the walk
+    /// `tests/props.rs` checks them against. No pass calls it.
+    pub fn warm_brick_ids(&self) -> Vec<u64> {
+        let mut ids = self.warm.clone();
+        ids.sort_unstable();
+        ids
     }
 
     /// Every brick as `(id, where its bytes sit, how many)`, in id order:
@@ -405,18 +417,19 @@ impl PartitionData {
 
     // -------------------------------------------------------- memory monitor
 
-    /// One stochastic decay pass over all hotness counters. A partition
-    /// without a warm brick is left alone: [`Hotness::decay`] draws only
-    /// for counters above zero, so the walk would have drawn nothing.
+    /// One stochastic decay pass over all hotness counters. It visits
+    /// the warm bricks in id order: [`Hotness::decay`] draws only for
+    /// counters above zero, so a walk over every brick would draw the
+    /// same numbers in the same order.
     pub fn decay_pass(&mut self, p: f64, rng: &mut SimRng) {
-        if self.warm_bricks == 0 {
-            return;
-        }
-        for slot in self.bricks.values_mut() {
-            let was_warm = slot.hotness.0 > 0;
-            slot.hotness.decay(p, rng);
-            self.warm_bricks -= usize::from(was_warm && slot.hotness.0 == 0);
-        }
+        let bricks = &mut self.bricks;
+        self.warm.sort_unstable();
+        self.warm.retain(|id| {
+            bricks.get_mut(id).is_some_and(|slot| {
+                slot.hotness.decay(p, rng);
+                slot.hotness.0 > 0
+            })
+        });
     }
 
     /// The [`Band`] `config` puts the footprint in, and how many bricks a

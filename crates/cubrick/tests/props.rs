@@ -674,7 +674,7 @@ fn retry_budget_is_spent_exactly() {
 use std::sync::Arc;
 
 use cubrick::catalog::{shared_catalog, Catalog, RowMapping};
-use cubrick::hotness::MemoryMonitorConfig;
+use cubrick::hotness::{Hotness, MemoryMonitorConfig};
 use cubrick::metrics::MetricGeneration;
 use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
 use cubrick::store::{PartitionData, Residency};
@@ -910,6 +910,28 @@ fn assert_totals_equal_walks(p: &PartitionData, context: &dyn std::fmt::Debug) {
     assert_eq!(p.warm_bricks(), warm, "{context:?}");
 }
 
+/// One decay pass, checked against a walk over every brick in id order
+/// (one [`Hotness::decay`] each) on a copy of the counters and of the
+/// RNG: the same counters, the same next draw, and the warm ids are
+/// exactly the non-zero counters.
+fn checked_decay_pass(p: &mut PartitionData, probability: f64, rng: &mut SimRng) {
+    let mut walk_rng = rng.clone();
+    let walked: Vec<(u64, u32)> = p
+        .hotness_snapshot()
+        .into_iter()
+        .map(|(id, counter)| {
+            let mut hotness = Hotness(counter);
+            hotness.decay(probability, &mut walk_rng);
+            (id, hotness.0)
+        })
+        .collect();
+    p.decay_pass(probability, rng);
+    assert_eq!(p.hotness_snapshot(), walked);
+    assert_eq!(rng.clone().next_u64(), walk_rng.next_u64());
+    let warm: Vec<u64> = walked.iter().filter(|w| w.1 > 0).map(|w| w.0).collect();
+    assert_eq!(p.warm_brick_ids(), warm);
+}
+
 /// What moves a maintained total, beyond [`StoreOp`].
 #[derive(Debug)]
 enum TotalsOp {
@@ -929,6 +951,8 @@ enum TotalsOp {
 /// life — ingests with refused rows into a dictionary that fills up,
 /// squeezes, roomy passes, rows re-heating cold bricks, full and pruned scans, decay to zero, clones — and in every
 /// partition both ways through a re-partition, they equal the walks.
+/// Every decay pass, there and after each re-partition's scans, draws
+/// what a walk over every brick draws ([`checked_decay_pass`]).
 #[test]
 fn maintained_totals_equal_the_walks() {
     prop::check_n(
@@ -983,7 +1007,7 @@ fn maintained_totals_equal_the_walks() {
                     }
                     TotalsOp::Decay(passes, probability) => {
                         for _ in 0..*passes {
-                            p.decay_pass(*probability, &mut rng);
+                            checked_decay_pass(&mut p, *probability, &mut rng);
                         }
                     }
                     TotalsOp::Clone => p = p.clone(),
@@ -1023,7 +1047,11 @@ fn maintained_totals_equal_the_walks() {
                 cubrick::repartition::reshuffle(&mut store, new, &routed)
                     .expect("rows a partition stored");
                 for (table, partition) in store.keys() {
-                    let data = store.partition(&table, partition).expect("listed");
+                    let data = store.partition_mut(&table, partition).expect("listed");
+                    apply_store_op(data, &StoreOp::Scan, &mut rng);
+                    for probability in [0.3, 1.0, 1.0] {
+                        checked_decay_pass(data, probability, &mut rng);
+                    }
                     assert_totals_equal_walks(data, &(partitions, partition));
                 }
             }
@@ -1213,7 +1241,9 @@ fn monitor_is_idle(node: &CubrickNode, catalog: &Catalog, store: &RegionStore) -
 /// bit-identical `shard_metrics()`, and a monitor pass returns idle —
 /// having looked, or at the stamp of the last idle pass without a look —
 /// exactly when no owned partition has a movable brick (checked also
-/// between the halves of a drop and of a re-partition).
+/// between the halves of a drop and of a re-partition). And each decay
+/// pass visits the partitions the node owns at that step and no other,
+/// whatever moved in the owned set or the catalog since its last pass.
 #[test]
 fn an_unchanged_metrics_stamp_means_an_unchanged_report() {
     prop::check_n(
@@ -1237,6 +1267,9 @@ fn an_unchanged_metrics_stamp_means_an_unchanged_report() {
             let mut config = NodeConfig::new(HostId(1), Region(0));
             config.memory_budget_bytes = *budget;
             config.metric_generation = *generation;
+            // Every warm counter a pass visits halves, so the counters
+            // show which partitions it visited.
+            config.decay_probability = 1.0;
             let mut node = CubrickNode::new(config, catalog.clone(), store.clone());
             let (mut tables, mut created) = (Vec::<String>::new(), 0);
             let ctx = |shard: u64, reason| ShardContext {
@@ -1295,7 +1328,33 @@ fn an_unchanged_metrics_stamp_means_an_unchanged_report() {
                         let query = cubrick::query::parse_query(&text).expect("valid query");
                         let _ = node.execute_local(&query, p);
                     }
-                    NodeOp::Decay => node.decay_pass(),
+                    NodeOp::Decay => {
+                        // Two scans of each owned partition first: counters
+                        // at 2 survive this pass at 1, and show at the next
+                        // one whether it still visits them.
+                        let owned = node.owned_partition_keys();
+                        for (table, p) in owned.iter().chain(&owned) {
+                            let text = format!("select count(*) from {table}");
+                            let query = cubrick::query::parse_query(&text).expect("valid query");
+                            let _ = node.execute_local(&query, *p);
+                        }
+                        let counters = || {
+                            let store = store.read();
+                            let of = |(t, p): (Arc<str>, u32)| {
+                                let owned = owned.contains(&(t.clone(), p));
+                                store.partition(&t, p).map(|d| (t, p, owned, d.hotness_snapshot()))
+                            };
+                            store.keys().into_iter().filter_map(of).collect::<Vec<_>>()
+                        };
+                        let mut want = counters();
+                        for (_, _, owned, snapshot) in &mut want {
+                            if *owned {
+                                snapshot.iter_mut().for_each(|counter| counter.1 /= 2);
+                            }
+                        }
+                        node.decay_pass();
+                        assert_eq!(counters(), want, "{op:?}");
+                    }
                     NodeOp::Monitor => monitor(&mut node, op),
                     NodeOp::AddShard(pick, migrating) => {
                         let Some(s) = shard(pick) else { continue };

@@ -78,49 +78,53 @@ pub fn propose_rebalance(
     shard_locations: &[(ShardId, HostId, f64)],
     config: &BalancerConfig,
 ) -> Vec<BalanceProposal> {
-    // Working copy of loads we mutate as we propose moves. Ordered maps:
-    // the mean below sums float fractions in iteration order, and donor /
-    // receiver enumeration must not depend on hash layout (lint rule D2).
-    let mut load: BTreeMap<HostId, f64> = BTreeMap::new();
-    let mut capacity: BTreeMap<HostId, f64> = BTreeMap::new();
+    rebalance(hosts, config, |host| {
+        let on_host = shard_locations.iter().filter(|l| l.1 == host);
+        on_host.map(|&(shard, _, weight)| (shard, weight)).collect()
+    })
+}
+
+/// [`propose_rebalance`] with the shards on a host listed by `shards_of`,
+/// called once per host, the first time that host donates: a balanced
+/// fleet lists none (DESIGN.md "Maintenance pass contract", item 8).
+pub(crate) fn rebalance(
+    hosts: &[HostSnapshot],
+    config: &BalancerConfig,
+    mut shards_of: impl FnMut(HostId) -> Vec<(ShardId, f64)>,
+) -> Vec<BalanceProposal> {
+    // Loads and capacities of the placeable hosts, a later snapshot of one
+    // id winning. Ordered by id: the mean below sums float fractions in
+    // this order, and donor / receiver ties go to the lower id.
+    let mut fleet: BTreeMap<HostId, (f64, f64)> = BTreeMap::new();
     for h in hosts {
         if h.state.placeable() && h.info.capacity > 0.0 {
-            load.insert(h.info.id, h.load);
-            capacity.insert(h.info.id, h.info.capacity);
+            fleet.insert(h.info.id, (h.load, h.info.capacity));
         }
     }
-    if load.len() < 2 {
+    let mut fleet: Vec<(HostId, f64, f64)> =
+        fleet.into_iter().map(|(h, (l, c))| (h, l, c)).collect();
+    if fleet.len() < 2 {
         return Vec::new();
     }
+    let frac = |&(_, load, capacity): &(HostId, f64, f64)| load / capacity;
 
-    // Index shards by host, heaviest first (moving big shards converges
-    // fastest, mirroring "best-fit decreasing").
+    // A donor's shards, heaviest first (moving big shards converges
+    // fastest, mirroring "best-fit decreasing"), listed on its first
+    // donation and kept for the run.
     let mut by_host: BTreeMap<HostId, Vec<(ShardId, f64)>> = BTreeMap::new();
-    for &(shard, host, weight) in shard_locations {
-        if load.contains_key(&host) {
-            by_host.entry(host).or_default().push((shard, weight));
-        }
-    }
-    for shards in by_host.values_mut() {
-        shards.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
-    }
-
-    let frac =
-        |load: &BTreeMap<HostId, f64>, h: HostId, cap: &BTreeMap<HostId, f64>| load[&h] / cap[&h];
-
     let mut proposals = Vec::new();
     while proposals.len() < config.max_migrations_per_run {
-        let mean: f64 = load.iter().map(|(h, l)| l / capacity[h]).sum::<f64>() / load.len() as f64;
-        // Most- and least-loaded hosts by fraction (ties by id, for
-        // determinism).
-        let Some(donor) = load.keys().copied().max_by(|a, b| {
-            frac(&load, *a, &capacity)
-                .total_cmp(&frac(&load, *b, &capacity))
-                .then_with(|| b.0.cmp(&a.0))
+        let mean: f64 = fleet.iter().map(frac).sum::<f64>() / fleet.len() as f64;
+        // Most-loaded host by fraction (ties by id, for determinism).
+        let Some(d) = (0..fleet.len()).max_by(|&a, &b| {
+            frac(&fleet[a])
+                .total_cmp(&frac(&fleet[b]))
+                .then_with(|| fleet[b].0 .0.cmp(&fleet[a].0 .0))
         }) else {
             break;
         };
-        let donor_frac = frac(&load, donor, &capacity);
+        let (donor, donor_load, donor_capacity) = fleet[d];
+        let donor_frac = donor_load / donor_capacity;
         if mean <= 0.0 || donor_frac / mean <= 1.0 + config.imbalance_tolerance {
             break; // balanced enough
         }
@@ -129,42 +133,43 @@ pub fn propose_rebalance(
         // the heaviest shard that still fits on the best receiver without
         // pushing the receiver above the donor's new level (otherwise we
         // would oscillate).
-        let Some(donor_shards) = by_host.get_mut(&donor) else {
-            break;
-        };
-        let mut chosen: Option<(usize, HostId)> = None;
-        'shard: for (idx, &(_, weight)) in donor_shards.iter().enumerate() {
+        let donor_shards = by_host.entry(donor).or_insert_with(|| {
+            let mut shards = shards_of(donor);
+            shards.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
+            shards
+        });
+        let mut chosen: Option<(usize, usize)> = None;
+        for (idx, &(_, weight)) in donor_shards.iter().enumerate() {
             if weight <= 0.0 {
                 continue;
             }
-            // Receivers sorted by projected fraction.
-            let mut receivers: Vec<HostId> = load.keys().copied().filter(|h| *h != donor).collect();
-            receivers.sort_by(|a, b| {
-                ((load[a] + weight) / capacity[a])
-                    .total_cmp(&((load[b] + weight) / capacity[b]))
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            for r in receivers {
-                let projected_receiver = (load[&r] + weight) / capacity[&r];
-                let projected_donor = (load[&donor] - weight) / capacity[&donor];
-                let fits = load[&r] + weight <= capacity[&r] * config.capacity_headroom;
-                if fits && projected_receiver < donor_frac && projected_receiver >= 0.0 {
-                    // Accept if the move strictly reduces the pairwise
-                    // spread (prevents ping-pong).
-                    if projected_receiver.max(projected_donor) < donor_frac {
-                        chosen = Some((idx, r));
-                        break 'shard;
+            let projected_donor = (donor_load - weight) / donor_capacity;
+            // The receiver: the least projected fraction among the hosts
+            // the move fits, ties to the lower id (`fleet` is in id order
+            // and only a strictly smaller fraction replaces `best`).
+            let mut best: Option<(f64, usize)> = None;
+            for (r, &(_, load, capacity)) in fleet.iter().enumerate() {
+                let projected_receiver = (load + weight) / capacity;
+                let fits = load + weight <= capacity * config.capacity_headroom;
+                if r != d && fits && projected_receiver < donor_frac && projected_receiver >= 0.0 {
+                    // Accept only if the move strictly reduces the
+                    // pairwise spread (prevents ping-pong).
+                    let least = best.is_none_or(|(p, _)| projected_receiver.total_cmp(&p).is_lt());
+                    if projected_receiver.max(projected_donor) < donor_frac && least {
+                        best = Some((projected_receiver, r));
                     }
                 }
             }
+            if let Some((_, r)) = best {
+                chosen = Some((idx, r));
+                break;
+            }
         }
 
-        let Some((idx, receiver)) = chosen else { break };
+        let Some((idx, r)) = chosen else { break };
         let (shard, weight) = donor_shards.remove(idx);
-        // Both are keys of `load`: the donor was picked from it, the
-        // receiver from its other keys.
-        *load.entry(donor).or_default() -= weight;
-        *load.entry(receiver).or_default() += weight;
+        fleet[d].1 -= weight;
+        fleet[r].1 += weight;
         // Deliberately NOT added to the receiver's candidate list: a
         // shard moves at most once per run (each proposal is a real
         // migration — bouncing one shard twice would pay two copies for
@@ -172,7 +177,7 @@ pub fn propose_rebalance(
         proposals.push(BalanceProposal {
             shard,
             from: donor,
-            to: receiver,
+            to: fleet[r].0,
             weight,
         });
     }

@@ -26,7 +26,7 @@ use scalewall_sim::{DeadlineQueue, SimRng, SimTime};
 use scalewall_zk::{CoordinationPlane, SessionId, ZkReplicationConfig};
 
 use crate::app_server::{AddShardReason, AppServerRegistry, ShardContext};
-use crate::balancer::{fleet_stats, propose_rebalance, BalancerStats};
+use crate::balancer::{fleet_stats, rebalance, BalancerStats};
 use crate::error::{SmError, SmResult};
 use crate::ids::{HostId, HostInfo, HostState, ShardId};
 use crate::migration::{
@@ -1112,14 +1112,12 @@ impl SmServer {
         registry: &mut R,
     ) -> usize {
         let app = &self.app;
-        // Shards already migrating are skipped.
-        let locations: Vec<(ShardId, HostId, f64)> = app
-            .assignments
-            .iter()
-            .filter(|(&s, _)| !self.in_flight(s))
-            .map(|(&s, &h)| (s, h, app.weight_of(s)))
-            .collect();
-        let proposals = propose_rebalance(&self.snapshots(), &locations, &app.spec.balancer);
+        // A donor's shards; those already migrating are skipped.
+        let shards_of = |host| {
+            let idle = app.shards_on(host).filter(|&s| !self.in_flight(s));
+            idle.map(|s| (s, app.weight_of(s))).collect()
+        };
+        let proposals = rebalance(&self.snapshots(), &app.spec.balancer, shards_of);
         let mut started = 0usize;
         for p in proposals {
             if self

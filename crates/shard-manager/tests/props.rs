@@ -3,7 +3,7 @@
 //! oscillates, allocation keeps the fleet consistent.
 
 use scalewall_shard_manager::app_server::{AppServer, AppServerRegistry, MockAppServer};
-use scalewall_shard_manager::balancer::{fleet_stats, propose_rebalance};
+use scalewall_shard_manager::balancer::{fleet_stats, propose_rebalance, BalanceProposal};
 use scalewall_shard_manager::placement::{
     rank_candidates, rank_candidates_hinted, HostSnapshot, SpreadHint,
 };
@@ -189,6 +189,181 @@ fn regression_balancer_38_shards_9_hosts() {
         (0, 11.289672098252101),
     ];
     check_balancer_proposals(&loads, 9);
+}
+
+/// The balancer as it was before it listed a donor's shards on demand:
+/// every location indexed and sorted per host up front, the receivers
+/// sorted per candidate shard. The oracle of
+/// [`lazy_balancer_matches_the_eager_one`].
+fn eager_propose_rebalance(
+    hosts: &[HostSnapshot],
+    shard_locations: &[(ShardId, HostId, f64)],
+    config: &BalancerConfig,
+) -> Vec<BalanceProposal> {
+    let mut load: BTreeMap<HostId, f64> = BTreeMap::new();
+    let mut capacity: BTreeMap<HostId, f64> = BTreeMap::new();
+    for h in hosts {
+        if h.state.placeable() && h.info.capacity > 0.0 {
+            load.insert(h.info.id, h.load);
+            capacity.insert(h.info.id, h.info.capacity);
+        }
+    }
+    if load.len() < 2 {
+        return Vec::new();
+    }
+    let mut by_host: BTreeMap<HostId, Vec<(ShardId, f64)>> = BTreeMap::new();
+    for &(shard, host, weight) in shard_locations {
+        if load.contains_key(&host) {
+            by_host.entry(host).or_default().push((shard, weight));
+        }
+    }
+    for shards in by_host.values_mut() {
+        shards.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
+    }
+    let frac =
+        |load: &BTreeMap<HostId, f64>, h: HostId, cap: &BTreeMap<HostId, f64>| load[&h] / cap[&h];
+    let mut proposals = Vec::new();
+    while proposals.len() < config.max_migrations_per_run {
+        let mean: f64 = load.iter().map(|(h, l)| l / capacity[h]).sum::<f64>() / load.len() as f64;
+        let Some(donor) = load.keys().copied().max_by(|a, b| {
+            frac(&load, *a, &capacity)
+                .total_cmp(&frac(&load, *b, &capacity))
+                .then_with(|| b.0.cmp(&a.0))
+        }) else {
+            break;
+        };
+        let donor_frac = frac(&load, donor, &capacity);
+        if mean <= 0.0 || donor_frac / mean <= 1.0 + config.imbalance_tolerance {
+            break;
+        }
+        let Some(donor_shards) = by_host.get_mut(&donor) else {
+            break;
+        };
+        let mut chosen: Option<(usize, HostId)> = None;
+        'shard: for (idx, &(_, weight)) in donor_shards.iter().enumerate() {
+            if weight <= 0.0 {
+                continue;
+            }
+            let mut receivers: Vec<HostId> = load.keys().copied().filter(|h| *h != donor).collect();
+            receivers.sort_by(|a, b| {
+                ((load[a] + weight) / capacity[a])
+                    .total_cmp(&((load[b] + weight) / capacity[b]))
+                    .then_with(|| a.0.cmp(&b.0))
+            });
+            for r in receivers {
+                let projected_receiver = (load[&r] + weight) / capacity[&r];
+                let projected_donor = (load[&donor] - weight) / capacity[&donor];
+                let fits = load[&r] + weight <= capacity[&r] * config.capacity_headroom;
+                if fits
+                    && projected_receiver < donor_frac
+                    && projected_receiver >= 0.0
+                    && projected_receiver.max(projected_donor) < donor_frac
+                {
+                    chosen = Some((idx, r));
+                    break 'shard;
+                }
+            }
+        }
+        let Some((idx, receiver)) = chosen else { break };
+        let (shard, weight) = donor_shards.remove(idx);
+        *load.entry(donor).or_default() -= weight;
+        *load.entry(receiver).or_default() += weight;
+        proposals.push(BalanceProposal {
+            shard,
+            from: donor,
+            to: receiver,
+            weight,
+        });
+    }
+    proposals
+}
+
+/// A fleet the balancer may meet: capacities mixed, zero among them,
+/// some hosts draining or dead, now and then a second snapshot of one
+/// id; shards piled on a few hosts in no weight order, some weightless,
+/// some sharing a weight, some on hosts that cannot donate; load no shard
+/// accounts for on some hosts (a donor with nothing to give); any
+/// throttle from 1 to 64.
+fn gen_balancer_case(
+    rng: &mut SimRng,
+) -> (Vec<HostSnapshot>, Vec<(ShardId, HostId, f64)>, BalancerConfig) {
+    let host_count = rng.range(2, 25);
+    let mut hosts: Vec<HostSnapshot> = (0..host_count)
+        .map(|i| {
+            let capacity = match rng.below(8) {
+                0 => 0.0,
+                1 => 100.0,
+                _ => gen::f64_in(rng, 10.0, 1_000.0),
+            };
+            let state = match rng.below(10) {
+                0 => HostState::Draining,
+                1 => HostState::Dead,
+                _ => HostState::Alive,
+            };
+            let unlisted = if rng.chance(0.2) { gen::f64_in(rng, 0.0, 500.0) } else { 0.0 };
+            HostSnapshot {
+                info: HostInfo::new(HostId(i), Rack(0), Region(0), capacity),
+                state,
+                load: unlisted,
+            }
+        })
+        .collect();
+    let hot = rng.range(1, 4).min(host_count);
+    let locations: Vec<(ShardId, HostId, f64)> = gen::vec_with(rng, 0, 160, |r| {
+        let host = if r.chance(0.6) { r.below(hot) } else { r.below(host_count) };
+        let weight = match r.below(10) {
+            0 => 0.0,
+            1 | 2 => *r.pick(&[5.0, 10.0]),
+            _ => gen::f64_in(r, 0.5, 60.0),
+        };
+        (host, weight)
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, (host, weight))| (ShardId(i as u64), HostId(host), weight))
+    .collect();
+    for &(_, host, weight) in &locations {
+        hosts[host.0 as usize].load += weight;
+    }
+    if rng.chance(0.1) {
+        let mut again = hosts[rng.below(host_count) as usize];
+        again.load = gen::f64_in(rng, 0.0, 300.0);
+        hosts.push(again);
+    }
+    let config = BalancerConfig {
+        imbalance_tolerance: *rng.pick(&[0.0, 0.05, 0.1, 0.3]),
+        max_migrations_per_run: gen::usize_in(rng, 1, 64),
+        capacity_headroom: *rng.pick(&[0.8, 0.9, 1.0]),
+    };
+    (hosts, locations, config)
+}
+
+/// `propose_rebalance` proposes what the eager balancer proposed, to the
+/// bit, weights included, on fleets that cover the cases its shortcuts
+/// rest on: balanced ones (nothing listed), donors with no shards or only
+/// weightless ones, non-placeable and zero-capacity hosts, and a host
+/// donating more than once in a run (its list kept, not rebuilt).
+#[test]
+fn lazy_balancer_matches_the_eager_one() {
+    let donated_twice = std::cell::Cell::new(0u32);
+    prop::check_n(
+        "lazy_balancer_matches_the_eager_one",
+        256,
+        gen_balancer_case,
+        |(hosts, locations, config)| {
+            let bits = |proposals: Vec<BalanceProposal>| -> Vec<_> {
+                let bits = |p: BalanceProposal| (p.shard, p.from, p.to, p.weight.to_bits());
+                proposals.into_iter().map(bits).collect()
+            };
+            let want = bits(eager_propose_rebalance(hosts, locations, config));
+            assert_eq!(bits(propose_rebalance(hosts, locations, config)), want);
+            let donors: BTreeSet<HostId> = want.iter().map(|p| p.1).collect();
+            if donors.len() < want.len() {
+                donated_twice.set(donated_twice.get() + 1);
+            }
+        },
+    );
+    assert!(donated_twice.get() >= 16, "{} runs with a repeat donor", donated_twice.get());
 }
 
 // ------------------------------------------------- full-server allocation
