@@ -431,6 +431,33 @@ fn bench_codecs(c: &mut Bench) {
     group.bench_function("f64_xor_decode", |b| {
         b.iter(|| encoding::decode_f64(&encoded_f))
     });
+
+    // What the memory monitor under `ingest_pressure` compresses: one
+    // partition of `gen_rows` data, 96 bricks of 48 rows on average
+    // (`ds` and `entity` ordinals, random `clicks` and `cost`).
+    let spec = TableSpec {
+        name: String::new(),
+        schema: standard_schema(365),
+        target_bytes: 0,
+        partitions: 1,
+    };
+    let mut partition = PartitionData::new(spec.schema.clone());
+    let rows = gen_rows(&spec, 4_608, 365, &mut SimRng::new(23));
+    partition.ingest_batch(&rows.iter().collect::<Vec<_>>()).unwrap();
+    let mut bricks = Vec::new();
+    partition.for_each_matching_brick(&[None, None], |brick| bricks.push(brick.clone()));
+    let compressed: Vec<CompressedBrick> =
+        bricks.iter().cloned().map(CompressedBrick::compress).collect();
+    group.throughput(rows.len() as u64);
+    group.bench_function("brick_columns_compress", |b| {
+        b.iter_batched(
+            || bricks.clone(),
+            |bricks| bricks.into_iter().map(CompressedBrick::compress).collect::<Vec<_>>(),
+        )
+    });
+    group.bench_function("brick_columns_decompress", |b| {
+        b.iter(|| compressed.iter().map(CompressedBrick::decompress).collect::<Vec<_>>())
+    });
     group.finish();
 }
 

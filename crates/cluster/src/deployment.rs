@@ -383,8 +383,9 @@ impl Deployment {
     /// row→partition decision is drawn once so all regions agree, and the
     /// batch is applied partition-outer, so a refused row leaves all
     /// regions identical: earlier partitions complete, its own up to the
-    /// row before it, later ones untouched (DESIGN.md "Ingest path
-    /// contract").
+    /// row before it, later ones untouched. A slice is encoded once, in
+    /// the first region, and every other region takes its new strings
+    /// and appends it (DESIGN.md "Ingest path contract").
     pub fn ingest(&mut self, table: &str, rows: &[Row]) -> CubrickResult<()> {
         let def = self.catalog.read().get(table)?.clone();
         let routed = def.route_rows(rows, || self.rng.next_u64());
@@ -392,13 +393,22 @@ impl Deployment {
             if slice.is_empty() {
                 continue;
             }
-            // Same data everywhere, so every region refuses the same row.
+            let mut encoded = None;
             let mut outcome = Ok(());
             for region in &self.regions {
-                let applied = region
-                    .store
-                    .write()
-                    .ingest_batch(&def.name, p, &def.schema, slice);
+                let mut store = region.store.write();
+                let data = store.partition_to_ingest(&def.name, p, &def.schema);
+                let applied = match &encoded {
+                    None => {
+                        let (batch, refused) = data.encode_batch(slice);
+                        let applied = data.append_batch(&batch, slice).and(refused);
+                        encoded = Some(batch);
+                        applied
+                    }
+                    Some(batch) => data
+                        .adopt_strings(batch)
+                        .and_then(|()| data.append_batch(batch, slice)),
+                };
                 outcome = outcome.and(applied);
             }
             outcome?;
@@ -1148,6 +1158,272 @@ mod tests {
             }
         }
         assert_eq!(total, 600);
+    }
+
+    /// A string dimension whose dictionary fills part-way through most
+    /// runs (24 ids, 40 strings), so batches are refused mid-slice.
+    fn replica_schema() -> Arc<Schema> {
+        Arc::new(
+            SchemaBuilder::new()
+                .int_dim("ds", 0, 100, 10)
+                .str_dim("entity", 24, 6)
+                .metric("clicks")
+                .metric("cost")
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// Rows for [`replica_schema`]; one in 40 has a day out of range.
+    fn replica_row(rng: &mut SimRng) -> Row {
+        let ds = if rng.chance(0.025) {
+            100
+        } else {
+            rng.below(100)
+        } as i64;
+        let entity = format!("e{}", rng.below(40));
+        Row::new(
+            vec![Value::Int(ds), Value::from(entity.as_str())],
+            vec![rng.below(100) as f64, rng.unit()],
+        )
+    }
+
+    #[derive(Debug)]
+    enum ReplicaOp {
+        Create {
+            table: usize,
+            partitions: u32,
+            random: bool,
+        },
+        Ingest {
+            table: usize,
+            rows: usize,
+            seed: u64,
+        },
+        Repartition {
+            table: usize,
+            partitions: u32,
+        },
+        Drop {
+            table: usize,
+        },
+    }
+
+    /// What a replica property compares of one partition: every string
+    /// dictionary's strings in id order, the stored rows, the brick
+    /// census, the footprint and the hotness.
+    fn partition_view(data: &cubrick::store::PartitionData) -> impl PartialEq + std::fmt::Debug {
+        let dims = 0..data.schema().dimensions.len();
+        let dicts: Vec<Vec<String>> = (dims.filter_map(|d| data.dict(d)))
+            .map(|dict| {
+                (0..dict.len() as u32)
+                    .filter_map(|id| dict.decode(id))
+                    .map(str::to_string)
+                    .collect()
+            })
+            .collect();
+        let footprint = data.memory_footprint();
+        (
+            dicts,
+            data.all_rows(),
+            data.brick_census(),
+            footprint,
+            data.hotness_snapshot(),
+        )
+    }
+
+    /// Encode-once ingest against one standalone partition per region
+    /// partition, fed the same slices through `PartitionData::ingest_batch`
+    /// (the per-region path): over creates, ingests refused mid-slice,
+    /// re-partitions and drop / re-create, every region's partition equals
+    /// the standalone one, dictionaries included.
+    #[test]
+    fn every_region_equals_a_standalone_partition() {
+        use cubrick::store::PartitionData;
+        use scalewall_sim::prop::{self, gen};
+        prop::check_n(
+            "every_region_equals_a_standalone_partition",
+            24,
+            |rng| {
+                // Both tables first, then anything (a drop, then a create
+                // re-creates).
+                let create = |table, r: &mut SimRng| ReplicaOp::Create {
+                    table,
+                    partitions: 1 + r.below(4) as u32,
+                    random: r.chance(0.5),
+                };
+                let mut ops = vec![create(0, rng), create(1, rng)];
+                ops.extend(gen::vec_with(rng, 1, 12, |r| {
+                    let table = r.below(2) as usize;
+                    match r.below(8) {
+                        0 => create(table, r),
+                        1 => ReplicaOp::Repartition {
+                            table,
+                            partitions: 1 + r.below(6) as u32,
+                        },
+                        2 => ReplicaOp::Drop { table },
+                        _ => ReplicaOp::Ingest {
+                            table,
+                            rows: r.below(80) as usize,
+                            seed: gen::any_u64(r),
+                        },
+                    }
+                }));
+                (ops, gen::any_u64(rng))
+            },
+            |(ops, seed)| {
+                let mut dep = Deployment::new(DeploymentConfig {
+                    regions: 3,
+                    hosts_per_region: 6,
+                    max_shards: 1_000,
+                    seed: *seed,
+                    ..Default::default()
+                });
+                let names = ["t0", "t1"];
+                let mut model: [Option<BTreeMap<u32, PartitionData>>; 2] = [None, None];
+                for (op, s) in ops.iter().zip(1..) {
+                    match *op {
+                        ReplicaOp::Create {
+                            table,
+                            partitions,
+                            random,
+                        } => {
+                            let mapping = if random {
+                                RowMapping::Random
+                            } else {
+                                RowMapping::Hash
+                            };
+                            let created = dep.create_table(
+                                names[table],
+                                replica_schema(),
+                                partitions,
+                                mapping,
+                                ShardMapping::Monotonic,
+                                t(s),
+                            );
+                            assert_eq!(created.is_ok(), model[table].is_none(), "{op:?}");
+                            model[table].get_or_insert_with(BTreeMap::new);
+                        }
+                        ReplicaOp::Ingest { table, rows, seed } => {
+                            let mut rng = SimRng::new(seed);
+                            let rows: Vec<Row> = (0..rows).map(|_| replica_row(&mut rng)).collect();
+                            let mut route_rng = dep.rng.clone();
+                            let outcome = dep.ingest(names[table], &rows);
+                            let Some(parts) = &mut model[table] else {
+                                assert!(outcome.is_err());
+                                continue;
+                            };
+                            let def = dep.catalog.read().get(names[table]).unwrap().clone();
+                            let mut want = Ok(());
+                            for (p, slice) in
+                                (0..).zip(def.route_rows(&rows, || route_rng.next_u64()))
+                            {
+                                if want.is_ok() && !slice.is_empty() {
+                                    let data = parts
+                                        .entry(p)
+                                        .or_insert_with(|| PartitionData::new(def.schema.clone()));
+                                    want = data.ingest_batch(&slice);
+                                }
+                            }
+                            assert_eq!(outcome, want);
+                        }
+                        ReplicaOp::Repartition { table, partitions } => {
+                            let mut route_rng = dep.rng.clone();
+                            let old = dep.catalog.read().get(names[table]).ok().cloned();
+                            let moved = dep.repartition(names[table], partitions, t(s));
+                            let (Some(parts), Some(old)) = (&mut model[table], old) else {
+                                assert!(moved.is_err());
+                                continue;
+                            };
+                            if old.partitions == partitions {
+                                continue;
+                            }
+                            let new = dep.catalog.read().get(names[table]).unwrap().clone();
+                            let rows: Vec<Row> =
+                                parts.values().flat_map(PartitionData::all_rows).collect();
+                            assert_eq!(moved, Ok(rows.len() as u64));
+                            let routed = new.route_rows(&rows, || route_rng.next_u64());
+                            *parts = (0..)
+                                .zip(routed)
+                                .map(|(p, slice)| {
+                                    let mut data = PartitionData::new(new.schema.clone());
+                                    data.ingest_batch(&slice).unwrap();
+                                    (p, data)
+                                })
+                                .collect();
+                        }
+                        ReplicaOp::Drop { table } => {
+                            let dropped = dep.drop_table(names[table], t(s));
+                            assert_eq!(dropped.is_ok(), model[table].take().is_some());
+                        }
+                    }
+                    for (name, parts) in names.iter().zip(&model) {
+                        let Some(parts) = parts else { continue };
+                        let def = dep.catalog.read().get(name).unwrap().clone();
+                        for p in 0..def.partitions {
+                            let fresh = PartitionData::new(def.schema.clone());
+                            let want = partition_view(parts.get(&p).unwrap_or(&fresh));
+                            for region in &dep.regions {
+                                let store = region.store.read();
+                                let got =
+                                    partition_view(store.partition(name, p).unwrap_or(&fresh));
+                                assert_eq!(got, want, "{name} partition {p} after {op:?}");
+                            }
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    /// A string in one region's dictionary that the others lack makes the
+    /// next ingest into that partition `Internal`, whichever region has
+    /// it: no region stores ordinals that mean another string there.
+    #[test]
+    fn a_diverged_dictionary_refuses_the_next_ingest() {
+        for planted in 0..3 {
+            let mut dep = small();
+            dep.create_table(
+                "t",
+                replica_schema(),
+                1,
+                RowMapping::Hash,
+                ShardMapping::Monotonic,
+                t(0),
+            )
+            .unwrap();
+            let mut rng = SimRng::new(planted as u64);
+            let rows: Vec<Row> = (0..20)
+                .map(|_| replica_row(&mut rng))
+                .filter(|r| r.dims[0] != Value::Int(100))
+                .collect();
+            dep.ingest("t", &rows).unwrap();
+            let stray = Row::new(vec![Value::Int(3), Value::from("stray")], vec![1.0, 1.0]);
+            dep.regions[planted]
+                .store
+                .write()
+                .partition_mut("t", 0)
+                .unwrap()
+                .ingest(&stray)
+                .unwrap();
+            let stored = |dep: &Deployment| -> Vec<u64> {
+                dep.regions
+                    .iter()
+                    .map(|r| r.store.read().partition("t", 0).unwrap().rows())
+                    .collect()
+            };
+            let before = stored(&dep);
+            let outcome = dep.ingest("t", &rows[..5]);
+            assert!(
+                matches!(outcome, Err(CubrickError::Internal { .. })),
+                "{outcome:?}"
+            );
+            // The regions whose dictionary agrees with the encoding
+            // one's (region 0's) took the rows; the others nothing.
+            let took = |r: usize| r == 0 || (planted != 0 && r != planted);
+            let want: Vec<u64> = (0..3).map(|r| before[r] + 5 * took(r) as u64).collect();
+            assert_eq!(stored(&dep), want, "planted in {planted}");
+        }
     }
 
     #[test]

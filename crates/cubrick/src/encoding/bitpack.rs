@@ -19,7 +19,7 @@ pub fn encode(values: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Append a column's encoding to `out`.
+/// Append a column's encoding to `out`, 32 bits at a time.
 pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
     varint::write_u64(out, values.len() as u64);
     let Some(max) = values.iter().copied().max() else {
@@ -27,54 +27,41 @@ pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
     };
     let width = width_of(max);
     out.push(width as u8);
-    let mut acc: u64 = 0;
-    let mut bits: u32 = 0;
+    // Under 32 bits wait in `acc` before each value, so at most 63 after.
+    let (mut acc, mut bits) = (0u64, 0u32);
     for &v in values {
         acc |= (v as u64) << bits;
         bits += width;
-        while bits >= 8 {
-            out.push((acc & 0xFF) as u8);
-            acc >>= 8;
-            bits -= 8;
+        if bits >= 32 {
+            out.extend_from_slice(&(acc as u32).to_le_bytes());
+            acc >>= 32;
+            bits -= 32;
         }
     }
-    if bits > 0 {
-        out.push((acc & 0xFF) as u8);
-    }
+    out.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
 }
 
-/// Decode a column.
+/// Decode a column: value `i` is read from the word at the byte its
+/// first bit falls in.
 pub fn decode(payload: &[u8]) -> Vec<u32> {
     let mut pos = 0;
     let rows = varint::read_u64(payload, &mut pos).expect("bitpack header") as usize;
     if rows == 0 {
         return Vec::new();
     }
-    let width = payload[pos] as u32;
-    pos += 1;
+    let (width, packed) = (payload[pos] as usize, &payload[pos + 1..]);
     assert!((1..=32).contains(&width), "corrupt bit width {width}");
-    let mask: u64 = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let mut out = Vec::with_capacity(rows);
-    let mut acc: u64 = 0;
-    let mut bits: u32 = 0;
-    for &byte in &payload[pos..] {
-        acc |= (byte as u64) << bits;
-        bits += 8;
-        while bits >= width && out.len() < rows {
-            out.push((acc & mask) as u32);
-            acc >>= width;
-            bits -= width;
-        }
-        if out.len() == rows {
-            break;
-        }
-    }
-    assert_eq!(out.len(), rows, "truncated bitpack payload");
-    out
+    assert!(
+        packed.len() >= (rows * width).div_ceil(8),
+        "truncated payload"
+    );
+    let mask = u64::MAX >> (64 - width);
+    (0..rows)
+        .map(|i| {
+            let bit = i * width;
+            ((super::word_at(packed, bit / 8) >> (bit % 8)) & mask) as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]

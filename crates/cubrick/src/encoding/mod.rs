@@ -21,6 +21,18 @@ pub mod rle;
 pub mod varint;
 pub mod xor;
 
+/// The little-endian word of the 8 bytes from `at`, zeros past the end
+/// (the decoders read whole words; a payload has no slack).
+pub(crate) fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0; 8];
+    let tail = bytes.get(at..).unwrap_or_default();
+    match tail.get(..8) {
+        Some(whole) => word.copy_from_slice(whole),
+        None => word[..tail.len()].copy_from_slice(tail),
+    }
+    u64::from_le_bytes(word)
+}
+
 /// Identifies the codec used for an encoded integer column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntCodec {

@@ -30,6 +30,11 @@ pub fn len_u64(v: u64) -> usize {
 ///
 /// Returns `None` on truncated input or overlong encodings past 64 bits.
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    // A one-byte value (a small delta, a short run) skips the loop.
+    if let Some(&byte) = buf.get(*pos).filter(|&&byte| byte < 0x80) {
+        *pos += 1;
+        return Some(u64::from(byte));
+    }
     let mut result = 0u64;
     let mut shift = 0u32;
     loop {

@@ -16,33 +16,35 @@
 
 use super::varint;
 
-/// Offset and count of the significant little-endian bytes of a non-zero
-/// XOR word: what is left once the zero bytes are cut from both ends.
-fn significant_bytes(xor: u64) -> (usize, usize) {
-    let lo = (xor.trailing_zeros() / 8) as usize;
-    let hi = 7 - (xor.leading_zeros() / 8) as usize;
-    (lo, hi - lo + 1)
-}
-
 /// Encode a metric column.
 pub fn encode(values: &[f64]) -> Vec<u8> {
-    // Room for the common case (repeats and near-repeats), then cut back
-    // to what was written: `EncodedF64::encoded_bytes` reports the
-    // payload's length, so that is what the heap should hold.
+    // Room for repeats and near-repeats. A value is its control byte and
+    // one 8-byte store cut back to its significant bytes; the payload ends
+    // at its length, which `EncodedF64::encoded_bytes` reports.
     let mut out = Vec::with_capacity(values.len() * 3 + 8);
     varint::write_u64(&mut out, values.len() as u64);
-    if let Some(first) = values.first() {
-        out.extend_from_slice(&first.to_bits().to_le_bytes());
+    let mut prev = values.first().map_or(0, |v| v.to_bits());
+    if !values.is_empty() {
+        out.extend_from_slice(&prev.to_le_bytes());
     }
-    for w in values.windows(2) {
-        let xor = w[0].to_bits() ^ w[1].to_bits();
+    for (i, value) in values.iter().enumerate().skip(1) {
+        let xor = prev ^ value.to_bits();
+        prev = value.to_bits();
         if xor == 0 {
             out.push(0);
             continue;
         }
-        let (lo, len) = significant_bytes(xor);
+        if out.capacity() - out.len() < 9 {
+            // Random metrics: the rest at its worst, so one growth at most.
+            out.reserve_exact(9 * (values.len() - i));
+        }
+        // The significant bytes: what is left of the word once the zero
+        // bytes are cut from both ends.
+        let lo = xor.trailing_zeros() / 8;
+        let len = 8 - xor.leading_zeros() / 8 - lo;
         out.push(((lo as u8) << 4) | len as u8);
-        out.extend_from_slice(&xor.to_le_bytes()[lo..lo + len]);
+        out.extend_from_slice(&(xor >> (8 * lo)).to_le_bytes());
+        out.truncate(out.len() - 8 + len as usize);
     }
     out.shrink_to_fit();
     out
@@ -55,25 +57,19 @@ pub fn decode(payload: &[u8]) -> Vec<f64> {
     if rows == 0 {
         return Vec::new();
     }
-    let mut first_bytes = [0u8; 8];
-    first_bytes.copy_from_slice(&payload[pos..pos + 8]);
+    let mut prev = super::word_at(&payload[pos..pos + 8], 0);
     pos += 8;
-    let mut prev = u64::from_le_bytes(first_bytes);
     let mut out = Vec::with_capacity(rows);
     out.push(f64::from_bits(prev));
     for _ in 1..rows {
         let control = payload[pos];
         pos += 1;
-        if control == 0 {
-            out.push(f64::from_bits(prev));
-            continue;
+        if control != 0 {
+            let (lo, len) = (u32::from(control >> 4), u32::from(control & 0x0F));
+            let bytes = super::word_at(payload, pos) & (u64::MAX >> (64 - 8 * len));
+            prev ^= bytes << (8 * lo);
+            pos += len as usize;
         }
-        let lo = (control >> 4) as usize;
-        let len = (control & 0x0F) as usize;
-        let mut bytes = [0u8; 8];
-        bytes[lo..lo + len].copy_from_slice(&payload[pos..pos + len]);
-        pos += len;
-        prev ^= u64::from_le_bytes(bytes);
         out.push(f64::from_bits(prev));
     }
     out

@@ -68,13 +68,24 @@ impl RegionStore {
         schema: &Arc<crate::schema::Schema>,
         rows: &[&Row],
     ) -> CubrickResult<()> {
+        self.partition_to_ingest(table, partition, schema)
+            .ingest_batch(rows)
+    }
+
+    /// A partition to ingest into, created on first touch: it moves the
+    /// [generation](Self::generation).
+    pub fn partition_to_ingest(
+        &mut self,
+        table: &Arc<str>,
+        partition: u32,
+        schema: &Arc<crate::schema::Schema>,
+    ) -> &mut PartitionData {
         self.generation += 1;
         self.tables
             .entry(table.clone())
             .or_default()
             .entry(partition)
             .or_insert_with(|| PartitionData::new(schema.clone()))
-            .ingest_batch(rows)
     }
 
     pub fn partition(&self, table: &str, partition: u32) -> Option<&PartitionData> {

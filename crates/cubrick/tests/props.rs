@@ -200,6 +200,270 @@ fn zigzag_bijective() {
     });
 }
 
+/// The byte-at-a-time XOR, bit-packing and delta codecs the word-at-a-time
+/// kernels replaced, as they were: the formats are frozen (a compressed
+/// brick's footprint drives the memory monitor), so the kernels must
+/// emit these bytes and read them back.
+mod byte_codecs {
+    use cubrick::encoding::varint;
+
+    pub fn xor_encode(values: &[f64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, values.len() as u64);
+        if let Some(first) = values.first() {
+            out.extend_from_slice(&first.to_bits().to_le_bytes());
+        }
+        for w in values.windows(2) {
+            let xor = w[0].to_bits() ^ w[1].to_bits();
+            if xor == 0 {
+                out.push(0);
+                continue;
+            }
+            let lo = (xor.trailing_zeros() / 8) as usize;
+            let len = 7 - (xor.leading_zeros() / 8) as usize - lo + 1;
+            out.push(((lo as u8) << 4) | len as u8);
+            out.extend_from_slice(&xor.to_le_bytes()[lo..lo + len]);
+        }
+        out
+    }
+
+    pub fn xor_decode(payload: &[u8]) -> Vec<f64> {
+        let mut pos = 0;
+        let rows = varint::read_u64(payload, &mut pos).unwrap() as usize;
+        if rows == 0 {
+            return Vec::new();
+        }
+        let mut prev = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap());
+        pos += 8;
+        let mut out = vec![f64::from_bits(prev)];
+        for _ in 1..rows {
+            let control = payload[pos];
+            pos += 1;
+            let (lo, len) = ((control >> 4) as usize, (control & 0x0F) as usize);
+            let mut bytes = [0u8; 8];
+            bytes[lo..lo + len].copy_from_slice(&payload[pos..pos + len]);
+            pos += len;
+            prev ^= u64::from_le_bytes(bytes);
+            out.push(f64::from_bits(prev));
+        }
+        out
+    }
+
+    pub fn bitpack_encode(values: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, values.len() as u64);
+        let Some(max) = values.iter().copied().max() else {
+            return out;
+        };
+        let width = (32 - max.leading_zeros()).max(1);
+        out.push(width as u8);
+        let (mut acc, mut bits) = (0u64, 0u32);
+        for &v in values {
+            acc |= (v as u64) << bits;
+            bits += width;
+            while bits >= 8 {
+                out.push((acc & 0xFF) as u8);
+                acc >>= 8;
+                bits -= 8;
+            }
+        }
+        if bits > 0 {
+            out.push((acc & 0xFF) as u8);
+        }
+        out
+    }
+
+    pub fn bitpack_decode(payload: &[u8]) -> Vec<u32> {
+        let mut pos = 0;
+        let rows = varint::read_u64(payload, &mut pos).unwrap() as usize;
+        if rows == 0 {
+            return Vec::new();
+        }
+        let width = payload[pos] as u32;
+        let mask = (1u64 << width) - 1;
+        let (mut out, mut acc, mut bits) = (Vec::new(), 0u64, 0u32);
+        for &byte in &payload[pos + 1..] {
+            acc |= (byte as u64) << bits;
+            bits += 8;
+            while bits >= width && out.len() < rows {
+                out.push((acc & mask) as u32);
+                acc >>= width;
+                bits -= width;
+            }
+        }
+        assert_eq!(out.len(), rows);
+        out
+    }
+
+    pub fn delta_encode(values: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, values.len() as u64);
+        let Some(&first) = values.first() else {
+            return out;
+        };
+        varint::write_u32(&mut out, first);
+        let mut prev = first as i64;
+        for &v in &values[1..] {
+            varint::write_u64(&mut out, varint::zigzag(v as i64 - prev));
+            prev = v as i64;
+        }
+        out
+    }
+
+    pub fn delta_decode(payload: &[u8]) -> Vec<u32> {
+        let mut pos = 0;
+        let rows = varint::read_u64(payload, &mut pos).unwrap() as usize;
+        if rows == 0 {
+            return Vec::new();
+        }
+        let first = varint::read_u32(payload, &mut pos).unwrap();
+        let (mut out, mut prev) = (vec![first], first as i64);
+        for _ in 1..rows {
+            prev += varint::unzigzag(varint::read_u64(payload, &mut pos).unwrap());
+            out.push(prev as u32);
+        }
+        out
+    }
+}
+
+/// A metric column of the bit patterns a codec can trip on: random words,
+/// NaNs with payloads, ±0, ±∞, subnormals, repeats and near-repeats (a
+/// few bytes flipped at either end of the word). Mostly up to 300 values,
+/// now and then 8 k.
+fn gen_f64_bits(rng: &mut SimRng) -> Vec<u64> {
+    let len = match rng.below(16) {
+        0 => gen::usize_in(rng, 8_000, 8_200),
+        _ => gen::usize_in(rng, 0, 300),
+    };
+    let sign = |r: &mut SimRng| r.below(2) << 63;
+    let mut bits: Vec<u64> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let prev = bits.last().copied().unwrap_or(0);
+        bits.push(match rng.below(8) {
+            0 => gen::any_u64(rng),
+            1 => sign(rng) | 0x7FF0_0000_0000_0000 | (gen::any_u64(rng) >> 12).max(1),
+            2 => sign(rng) | [0, 0x7FF0_0000_0000_0000][rng.below(2) as usize],
+            3 => sign(rng) | (gen::any_u64(rng) >> (12 + rng.below(52))),
+            4 | 5 => prev,
+            _ => prev ^ ((gen::any_u64(rng) >> rng.below(64)) << (8 * rng.below(8))),
+        });
+    }
+    bits
+}
+
+/// An integer column packed at `width` bits (its maximum has exactly that
+/// width) in one of the shapes the three codecs are each good at.
+fn gen_u32_of_width(rng: &mut SimRng, width: u32, len: usize) -> Vec<u32> {
+    let top = u32::MAX >> (32 - width);
+    let mut column: Vec<u32> = match rng.below(3) {
+        0 => (0..len).map(|_| gen::any_u32(rng) & top).collect(),
+        // Near-monotonic: one-byte zig-zag deltas with the odd long jump.
+        1 => {
+            let mut v = gen::any_u32(rng) & top;
+            (0..len)
+                .map(|_| {
+                    v = match rng.below(16) {
+                        0 => gen::any_u32(rng) & top,
+                        _ => v.wrapping_add(rng.below(128) as u32).wrapping_sub(64) & top,
+                    };
+                    v
+                })
+                .collect()
+        }
+        _ => (0..len)
+            .map(|_| (rng.below(4) as u32 * (top / 3)) & top)
+            .collect(),
+    };
+    if let Some(v) = column.first_mut() {
+        *v = top;
+    }
+    column
+}
+
+/// One integer codec against its byte-at-a-time model: the bytes, the
+/// decoded values, and a payload written into a buffer of exactly its
+/// size staying at that capacity (read back with no slack after it).
+fn assert_int_codec_matches(
+    ints: &[u32],
+    encode: fn(&[u32], &mut Vec<u8>),
+    decode: fn(&[u8]) -> Vec<u32>,
+    want_encode: fn(&[u32]) -> Vec<u8>,
+    want_decode: fn(&[u8]) -> Vec<u32>,
+) {
+    let want = want_encode(ints);
+    let mut payload = Vec::with_capacity(want.len());
+    encode(ints, &mut payload);
+    assert_eq!(payload, want, "{ints:?}");
+    assert_eq!(payload.capacity(), payload.len());
+    assert_eq!(decode(&payload), ints);
+    assert_eq!(decode(&payload), want_decode(&want));
+}
+
+/// Every replaced codec against its byte-at-a-time model ([`byte_codecs`]).
+fn assert_codecs_match_byte_codecs(ints: &[u32], bits: &[u64]) {
+    use cubrick::encoding::{bitpack, delta};
+    assert_int_codec_matches(
+        ints,
+        bitpack::encode_into,
+        bitpack::decode,
+        byte_codecs::bitpack_encode,
+        byte_codecs::bitpack_decode,
+    );
+    assert_int_codec_matches(
+        ints,
+        delta::encode_into,
+        delta::decode,
+        byte_codecs::delta_encode,
+        byte_codecs::delta_decode,
+    );
+    let to_bits = |values: Vec<f64>| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
+    let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+    let encoded = encoding::encode_f64(&values);
+    let want = byte_codecs::xor_encode(&values);
+    assert_eq!(encoded.payload, want, "{bits:x?}");
+    assert_eq!(encoded.payload.capacity(), encoded.payload.len());
+    let decoded = to_bits(encoding::decode_f64(&encoded));
+    assert_eq!(decoded, bits);
+    assert_eq!(decoded, to_bits(byte_codecs::xor_decode(&want)));
+}
+
+/// The word-at-a-time codecs emit and read the byte-at-a-time formats:
+/// generated columns, then every tail a payload can end in — a last XOR
+/// of each significant length at each offset, and bit-packed columns of
+/// every width and every bit count of the last word.
+#[test]
+fn codecs_match_byte_codecs() {
+    prop::check_n(
+        "codecs_match_byte_codecs",
+        384,
+        |rng| {
+            let width = 1 + rng.below(32) as u32;
+            let len = match rng.below(16) {
+                0 => gen::usize_in(rng, 8_000, 8_200),
+                _ => gen::usize_in(rng, 0, 300),
+            };
+            (gen_u32_of_width(rng, width, len), gen_f64_bits(rng))
+        },
+        |(ints, bits)| assert_codecs_match_byte_codecs(ints, bits),
+    );
+    let mut rng = SimRng::new(40);
+    for lo in 0..8 {
+        for len in 1..=8 - lo {
+            // `len` random bytes, the first and last non-zero, `lo` up.
+            let core = (gen::any_u64(&mut rng) >> (64 - 8 * len)) | 1 | 1 << (8 * len - 1);
+            let last = core << (8 * lo);
+            assert_codecs_match_byte_codecs(&[], &[7, 7 ^ last]);
+            assert_codecs_match_byte_codecs(&[], &[0, 3, 3 ^ last]);
+        }
+    }
+    for width in 1..=32 {
+        for len in 0..=72 {
+            let ints = gen_u32_of_width(&mut rng, width, len);
+            assert_codecs_match_byte_codecs(&ints, &[]);
+        }
+    }
+}
+
 // ----------------------------------------------------- brick compression
 
 fn gen_brick(rng: &mut SimRng) -> Brick {

@@ -41,13 +41,12 @@ cargo run --release --offline -p scalewall-lint -- --workspace
 # under tests/ (fault scenarios, zk replication, replay order, the pins).
 cargo test -q --offline --workspace
 
-# Correlated-fault sweep (ISSUE 2): the fig2b bench binary must not
-# bit-rot (tiny smoke sweep, output dropped).
-cargo run --release --offline -p scalewall-bench --bin fig2b_correlated_sweep -- --fast >/dev/null
-
-# QoS/SLA overload suite (ISSUE 10): the diurnal-load admission sweep
-# must not bit-rot (tiny smoke sweep, output dropped).
-cargo run --release --offline -p scalewall-bench --bin fig_qos_sla -- --fast >/dev/null
+# Every figure binary (fast profile; fig5, the full-vs-partial ablation
+# and the QoS/SLA sweep also at full profile) and every example, byte for
+# byte against the manifest `tests/figure_digests.txt`.
+cargo build --release --offline -p scalewall-bench --bins
+cargo build --release --offline --examples
+scripts/figures_match.sh target/release
 
 # End-to-end benchmark (ISSUE 11): `benchmark/` is its own workspace, so
 # nothing above compiles it, and it is frozen for feature PRs — a

@@ -3,7 +3,9 @@
 //! (`name bytes digest`). A change that moves a report's bytes fails here
 //! and prints the report's new line; a deliberate re-pin replaces exactly
 //! the lines it moves. One test per figure module, so the harness spreads
-//! them over the cores.
+//! them over the cores. The lines named with a `:` (`all_figures:fast`,
+//! `<bin>:full`, `example:<name>`) are release-build outputs that
+//! `scripts/figures_match.sh` checks against the same file.
 
 use scalewall_bench::figures;
 use scalewall_bench::Profile;
