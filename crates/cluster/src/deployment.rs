@@ -24,7 +24,7 @@ use scalewall_shard_manager::{
     AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
     SmError, SmServer,
 };
-use scalewall_sim::{SimRng, SimTime};
+use scalewall_sim::{RngRoot, SimRng, SimTime, Stream};
 
 use crate::registry::NodeRegistry;
 
@@ -67,9 +67,6 @@ impl Default for DeploymentConfig {
         }
     }
 }
-
-/// RNG stream label of the rack-topology stream (see [`Deployment::new`]).
-const RACK_TOPOLOGY_STREAM: u64 = 0x7ac0;
 
 /// Balanced random host→rack assignment: every rack gets
 /// ⌈hosts/racks⌉ or ⌊hosts/racks⌋ hosts, order shuffled from the
@@ -223,7 +220,7 @@ fn build_node(
     let mut node_config = NodeConfig::new(host, region);
     node_config.memory_budget_bytes = config.host_memory_bytes;
     node_config.metric_generation = config.metric_generation;
-    node_config.rng_seed = rng.fork(host.0).next_u64();
+    node_config.rng_seed = rng.child(host.0).next_u64();
     CubrickNode::new(node_config, catalog.clone(), store.clone())
 }
 
@@ -249,12 +246,14 @@ pub const REGION_HOST_STRIDE: u64 = 1_000_000;
 
 impl Deployment {
     pub fn new(config: DeploymentConfig) -> Self {
-        let mut rng = SimRng::new(config.seed);
+        let mut rng = RngRoot::new(config.seed).into_rng();
         // Rack topology comes from its own forked stream (rooted at the
         // deployment seed, not drawn from `rng`), so changing the rack
         // layout never perturbs node seeds or workload streams — the
-        // fork-stability contract of `scalewall_sim::rng`.
-        let mut topo_rng = SimRng::new(config.seed).fork(RACK_TOPOLOGY_STREAM);
+        // fork-stability contract of `scalewall_sim::rng`. The second root
+        // of one seed is deliberate: its first fork is labelled, `rng`'s
+        // are host ids.
+        let mut topo = RngRoot::new(config.seed).branch(Stream::RackTopology);
         let catalog = shared_catalog(config.max_shards);
         let mut regions = Vec::with_capacity(config.regions as usize);
         let mut refused = None;
@@ -263,7 +262,7 @@ impl Deployment {
             let racks = rack_assignment(
                 config.hosts_per_region,
                 config.racks_per_region,
-                &mut topo_rng.fork(r as u64),
+                &mut topo.child(r as u64),
             );
             let mut sm_config = config.sm.clone();
             if let Some(rep) = &mut sm_config.replication {

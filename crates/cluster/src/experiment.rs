@@ -18,7 +18,10 @@ use cubrick::query::Query;
 use cubrick::sharding::ShardMapping;
 use scalewall_shard_manager::{HostId, Rack, Region};
 use scalewall_sim::hash::{fnv1a, fnv1a_word, FNV_OFFSET};
-use scalewall_sim::{DailyCounter, EventQueue, Exponential, Histogram, SimDuration, SimRng, SimTime};
+use scalewall_sim::{
+    DailyCounter, EventQueue, Exponential, FaultRng, Histogram, RngRoot, SimDuration, SimRng,
+    SimTime, Stream,
+};
 
 use crate::deployment::{Deployment, DeploymentConfig, RegionState};
 use crate::driver::{run_query, QueryOptions, QueryOutcome};
@@ -210,10 +213,10 @@ pub struct Experiment {
     drains_denied: u64,
     /// Current data horizon in days (grows with simulated time).
     day_horizon: i64,
-    /// Dedicated stream for fault victim selection (`rng.fork(3)`), so
-    /// fault scripts never perturb the shared in-run stream ordering
+    /// Dedicated stream for fault victim selection ([`Stream::Fault`]),
+    /// so fault scripts never perturb the shared in-run stream ordering
     /// between a healthy and a faulted run of the same seed.
-    fault_rng: SimRng,
+    fault_rng: FaultRng,
     /// Hosts crashed by each still-open fault window, to restore in place
     /// at repair time.
     fault_crashed: BTreeMap<usize, Vec<(usize, HostId)>>,
@@ -223,7 +226,7 @@ pub struct Experiment {
     /// Production traffic model (`Some` iff QoS mode is on).
     traffic: Option<TrafficModel>,
     /// Dedicated stream for the arrival process and tenant → class
-    /// assignment (`rng.fork(4)`), forked unconditionally so QoS and
+    /// assignment ([`Stream::Traffic`]), forked unconditionally so QoS and
     /// legacy runs of one seed agree on every other stream.
     qos_rng: SimRng,
     qos_stats: QosStats,
@@ -257,10 +260,11 @@ fn population_fingerprint(population: &TablePopulation) -> u64 {
 impl Experiment {
     /// Build the deployment, create and load every table.
     pub fn new(config: ExperimentConfig) -> Self {
-        let mut rng = SimRng::new(config.seed);
+        let mut root = RngRoot::new(config.seed);
         let mut dep = Deployment::new(config.deployment.clone());
-        let population = TablePopulation::generate(&config.workload, &mut rng.fork(1));
-        let mut load_rng = rng.fork(2);
+        let population =
+            TablePopulation::generate(&config.workload, &mut root.stream(Stream::Population));
+        let mut load_rng = root.stream(Stream::Load);
         for spec in &population.tables {
             // A malformed spec degrades to an absent (or empty) table —
             // queries against it fail and are counted — instead of
@@ -290,9 +294,9 @@ impl Experiment {
         // Fork the fault stream *unconditionally*: a healthy run and a
         // faulted run of the same seed must leave every other stream at
         // the same position (fork-stability, see `scalewall_sim::rng`).
-        let fault_rng = rng.fork(3);
-        // Same discipline for the traffic stream (stream 4).
-        let mut qos_rng = rng.fork(4);
+        let fault_rng = root.fault();
+        // Same discipline for the traffic stream.
+        let mut qos_rng = root.stream(Stream::Traffic);
         let traffic = config
             .qos
             .as_ref()
@@ -305,7 +309,10 @@ impl Experiment {
         Experiment {
             proxy,
             net,
-            rng,
+            // The in-run stream is the root's own sequence after its four
+            // forks. It draws and forks a pick stream per query in one
+            // order, which every figure pins.
+            rng: root.into_rng(),
             queue: EventQueue::new(),
             automation: scalewall_shard_manager::AutomationEngine::default(),
             stats_latency: Histogram::latency_ms(),
@@ -457,7 +464,7 @@ impl Experiment {
     fn handle(&mut self, event: Event, now: SimTime) {
         match event {
             Event::Query => {
-                let mut pick_rng = self.rng.fork(now.as_nanos());
+                let mut pick_rng = self.rng.child(now.as_nanos());
                 let spec = self.population.pick_table(&mut pick_rng);
                 let horizon = self.day_horizon.min(self.config.workload.ds_range);
                 let query = gen_query(spec, horizon, &mut self.rng);
@@ -668,7 +675,7 @@ impl Experiment {
         // instant, so the admission state the decision sees is current.
         self.pump_admission(now);
         let Some(model) = &self.traffic else { return };
-        let mut pick_rng = self.rng.fork(now.as_nanos());
+        let mut pick_rng = self.rng.child(now.as_nanos());
         let (idx, spec) = self.population.pick_table_index(&mut pick_rng);
         let class = model.class_of(idx);
         let horizon = self.day_horizon.min(self.config.workload.ds_range);

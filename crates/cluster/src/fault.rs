@@ -8,7 +8,7 @@
 //! listed before a coinciding onset releases its hosts first, one listed
 //! after does not. Victim selection inside a window (which host in a
 //! region crashes, which hosts a drain storm targets) is drawn from the
-//! experiment's dedicated fault stream (`rng.fork(3)`), so the same script
+//! experiment's dedicated fault stream (`Stream::Fault`), so the same script
 //! under the same seed replays bit-identically and never perturbs the
 //! population or workload streams.
 //!

@@ -28,7 +28,7 @@ use scalewall_sim::sync::RwLock;
 use scalewall_shard_manager::{
     AddShardReason, AppError, AppServer, HostId, Region, ShardContext, ShardId,
 };
-use scalewall_sim::SimRng;
+use scalewall_sim::{RngRoot, SimRng};
 
 use crate::catalog::{Catalog, SharedCatalog};
 use crate::error::{CubrickError, CubrickResult};
@@ -209,7 +209,7 @@ impl CubrickNode {
         catalog: SharedCatalog,
         region_store: SharedRegionStore,
     ) -> Self {
-        let rng = SimRng::new(config.rng_seed);
+        let rng = RngRoot::new(config.rng_seed).into_rng();
         CubrickNode {
             config,
             catalog,

@@ -16,7 +16,7 @@
 //! repeated queries return the same answer and no `updates × hosts` state
 //! is ever materialized.
 
-use scalewall_sim::{Exponential, SimDuration, SimRng};
+use scalewall_sim::{Exponential, RngRoot, SimDuration};
 
 /// Number of cache levels between the authoritative store and a host's
 /// local proxy. With the two below it lands the bulk of delays in the
@@ -54,7 +54,7 @@ impl DelayModel {
     ///
     /// Pure function of `(seed, subscriber, seq)`.
     pub fn delay(&self, subscriber: u64, seq: u64) -> SimDuration {
-        let mut rng = SimRng::new(mix(self.seed, subscriber, seq));
+        let mut rng = RngRoot::new(mix(self.seed, subscriber, seq)).into_rng();
         let mut secs = 0.0;
         for _ in 0..LEVELS {
             secs += self.hop.sample(&mut rng);

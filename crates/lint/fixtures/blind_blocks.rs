@@ -7,7 +7,6 @@
 //! nothing more and nothing less.
 
 use scalewall_sim::sync::Mutex;
-use scalewall_sim::SimRng;
 
 enum E {
     A(u32),
@@ -68,14 +67,6 @@ impl Locks {
             let h = self.m.lock(); // expect: D6
             let _ = (g, h);
         }
-    }
-}
-
-fn pin_ne_head_over_duplicate_fork(rng: &mut SimRng, a: u32, b: u32) {
-    if a != b {
-        let x = rng.fork(3);
-        let y = rng.fork(3); // expect: D5
-        let _ = (x, y);
     }
 }
 

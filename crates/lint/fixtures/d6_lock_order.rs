@@ -1,11 +1,10 @@
-//! Seeded D6 fixture: a nested same-lock acquire and an a/b–b/a
-//! lock-order cycle across two functions.
+//! Seeded D6 fixture: a lock acquired while it is held, in one function
+//! and across a call.
 
 use scalewall_sim::sync::RwLock;
 
 struct Catalog {
     tables: RwLock<u32>,
-    shards: RwLock<u32>,
 }
 
 impl Catalog {
@@ -17,17 +16,14 @@ impl Catalog {
         let _ = (w, r);
     }
 
-    /// One half of a lock-order cycle…
-    fn tables_then_shards(&self) {
-        let t = self.tables.write();
-        let s = self.shards.read();
-        let _ = (t, s);
+    /// The same re-entry through a call.
+    fn held_across_call(&self) {
+        let w = self.tables.write();
+        self.count();
+        let _ = w;
     }
 
-    /// …and the other half: shards before tables.
-    fn shards_then_tables(&self) {
-        let s = self.shards.write();
-        let t = self.tables.read();
-        let _ = (s, t);
+    fn count(&self) -> u32 {
+        *self.tables.read()
     }
 }

@@ -1,11 +1,10 @@
 //! Clean pair for the D6 fixture: guards dropped before re-acquiring,
-//! and a single consistent acquisition order (tables before shards).
+//! directly and before a call that acquires again.
 
 use scalewall_sim::sync::RwLock;
 
 struct Catalog {
     tables: RwLock<u32>,
-    shards: RwLock<u32>,
 }
 
 impl Catalog {
@@ -16,15 +15,15 @@ impl Catalog {
         let _ = r;
     }
 
-    fn ordered_writer(&self) {
-        let t = self.tables.write();
-        let s = self.shards.read();
-        let _ = (t, s);
+    fn dropped_before_call(&self, recount: bool) {
+        let w = self.tables.write();
+        drop(w);
+        if recount {
+            self.count();
+        }
     }
 
-    fn ordered_reader(&self) {
-        let t = self.tables.read();
-        let s = self.shards.write();
-        let _ = (t, s);
+    fn count(&self) -> u32 {
+        *self.tables.read()
     }
 }

@@ -4,9 +4,10 @@
 //! determinism.rs`, the fault DSL, every golden experiment number). That
 //! contract dies silently the moment a sim-facing code path consults wall
 //! clock time, ambient randomness, or hash-iteration order — or, more
-//! subtly, forks two RNG streams under one label, acquires locks in
-//! inconsistent order, or panics mid-failover. This crate machine-checks
-//! the contract on every build instead of rediscovering it per incident.
+//! subtly, builds an RNG stream outside the typed streams of
+//! `scalewall_sim::rng`, re-acquires a lock it holds, or panics
+//! mid-failover. This crate machine-checks the contract on every build
+//! instead of rediscovering it per incident.
 //!
 //! # Rules
 //!
@@ -19,22 +20,18 @@
 //!   forbidden in sim-facing code, *mentions included*: the lint cannot
 //!   prove a given map is never iterated, so the rule is enforced at the
 //!   type level. Use `BTreeMap`/`BTreeSet`.
-//! * **D3 — no literal-seeded RNGs.** `SimRng::new(42)` outside
-//!   `crates/sim` breaks the fork discipline (seeds must flow from the
-//!   experiment root so streams stay stable). Construct from config seeds
-//!   or `fork()`.
+//! * **D3 — the RNG fence.** Outside `crates/sim`, sim-facing code names
+//!   neither `SimRng::new` nor `.fork(`: every stream comes from an
+//!   `RngRoot` of a config seed, under a `Stream` label or a dynamic
+//!   index, so building one stream twice from one seed stays in
+//!   `crates/sim`.
 //! * **D4 — no `unsafe`.** It has no business in a deterministic
 //!   simulation; the one exemption is `tests/alloc_budget.rs`'s counting
 //!   allocator.
-//! * **D5 — RNG stream discipline** (semantic). Two `fork(…)` sites on
-//!   one stream sharing a static label, re-forking a stream after drawing
-//!   from it ("fork before fan-out"), and workload RNG values flowing
-//!   into fault code are all replay hazards the fork convention exists
-//!   to prevent.
-//! * **D6 — lock-order analysis** (semantic). The acquisition graph of
-//!   `sim::sync` locks, with held-sets propagated through a conservative
-//!   call graph: same-lock nested acquires and cycle-participating
-//!   acquisition sites are replay-visible deadlock risks.
+//! * **D6 — same-lock re-entry** (semantic). A `sim::sync` lock acquired
+//!   while it is already held, in one function or through a call a
+//!   conservative call graph resolves, self-deadlocks the non-reentrant
+//!   shim.
 //! * **D7 — panic-surface audit.** No `unwrap`/`expect`/`panic!`-family
 //!   macros/integer-literal indexing anywhere in the sim-facing crates:
 //!   whatever a query or a tick can reach degrades through a typed error
@@ -44,7 +41,7 @@
 //! Two engines, one per kind of rule. D1–D4 and D7 are *token patterns*,
 //! each written once in [`scan_tokens`] and run over every code token
 //! outside `#[cfg(test)]` items and statements, so their coverage is true
-//! by construction. D5 and D6 read *body trees*: `parser.rs` shapes items
+//! by construction. D6 reads *body trees*: `parser.rs` shapes items
 //! and turns each function body into nested delimiter groups, and
 //! `semantic.rs` walks them with a workspace symbol table and call graph.
 //! Neither engine parses expressions (DESIGN.md §5c documents the
@@ -89,14 +86,11 @@ pub enum RuleId {
     D1,
     /// Hash-ordered collection in sim-facing code.
     D2,
-    /// Literal-seeded RNG construction outside `crates/sim`.
+    /// `SimRng::new` or `.fork(` outside `crates/sim`.
     D3,
     /// `unsafe`.
     D4,
-    /// RNG stream-discipline breach (duplicate fork label, fork after
-    /// draw, workload→fault flow).
-    D5,
-    /// Lock-order hazard (nested same-lock acquire or cycle site).
+    /// A lock acquired while it is held.
     D6,
     /// Panic surface in sim-facing code (`unwrap`/`expect`/`panic!`/
     /// literal index).
@@ -110,7 +104,6 @@ impl fmt::Display for RuleId {
             RuleId::D2 => "D2",
             RuleId::D3 => "D3",
             RuleId::D4 => "D4",
-            RuleId::D5 => "D5",
             RuleId::D6 => "D6",
             RuleId::D7 => "D7",
         };
@@ -125,25 +118,20 @@ pub struct RuleSet {
     pub d2: bool,
     pub d3: bool,
     pub d4: bool,
-    pub d5: bool,
     pub d6: bool,
     pub d7: bool,
 }
 
 impl RuleSet {
     /// Full sim-facing tier (D7 off only on [`D7_PENDING`]).
-    pub const SIM: RuleSet =
-        RuleSet { d1: true, d2: true, d3: true, d4: true, d5: true, d6: true, d7: true };
+    pub const SIM: RuleSet = RuleSet { d1: true, d2: true, d3: true, d4: true, d6: true, d7: true };
     /// `crates/sim` itself: RNG construction is its job (no D3).
-    pub const SIM_RNG_HOME: RuleSet =
-        RuleSet { d1: true, d2: true, d3: false, d4: true, d5: true, d6: true, d7: true };
+    pub const SIM_RNG_HOME: RuleSet = RuleSet { d3: false, ..RuleSet::SIM };
     /// Bench tier: no wall clock outside the sanctioned runner, but hash
     /// maps and local seeds are fine (bench output sorts explicitly).
-    pub const BENCH: RuleSet =
-        RuleSet { d1: true, d2: false, d3: false, d4: true, d5: false, d6: false, d7: false };
+    pub const BENCH: RuleSet = RuleSet { d1: true, ..RuleSet::PLAIN };
     /// Integration tests, examples, glue, tooling: only `unsafe` is policed.
-    pub const PLAIN: RuleSet =
-        RuleSet { d1: false, d2: false, d3: false, d4: true, d5: false, d6: false, d7: false };
+    pub const PLAIN: RuleSet = RuleSet { d1: false, d2: false, d3: false, d4: true, d6: false, d7: false };
 
     fn enables(&self, rule: RuleId) -> bool {
         match rule {
@@ -151,7 +139,6 @@ impl RuleSet {
             RuleId::D2 => self.d2,
             RuleId::D3 => self.d3,
             RuleId::D4 => self.d4,
-            RuleId::D5 => self.d5,
             RuleId::D6 => self.d6,
             RuleId::D7 => self.d7,
         }
@@ -182,7 +169,7 @@ pub struct FileReport {
 pub struct WorkspaceReport {
     pub files: Vec<FileReport>,
     pub files_scanned: usize,
-    /// What the semantic walk saw: "zero D5/D6 violations" from a walk that
+    /// What the semantic walk saw: "zero D6 violations" from a walk that
     /// resolved no lock is not a result.
     pub census: Census,
 }
@@ -333,17 +320,14 @@ fn scan_tokens(parsed: &ParsedFile) -> Vec<Violation> {
                     Some((RuleId::D7, panic_site(format!("`.{word}(…)`"))))
                 }
                 w if PANIC_MACROS.contains(&w) && punct_at(i + 1, '!') => Some((RuleId::D7, panic_site(format!("`{w}!`")))),
-                w if w.ends_with("Rng")
-                    && path_next(i) == Some("new")
-                    && punct_at(i + 4, '(')
-                    && matches!(code.get(i + 5), Some(Token { tok: Tok::Int(_), .. }))
-                    && punct_at(i + 6, ')') =>
-                {
-                    Some((
-                        RuleId::D3,
-                        format!("literal-seeded `{w}::new(…)` — seeds must flow from the experiment root via `fork()` (scalewall_sim::rng discipline)"),
-                    ))
-                }
+                w if w.ends_with("Rng") && path_next(i) == Some("new") && punct_at(i + 4, '(') => Some((
+                    RuleId::D3,
+                    format!("`{w}::new(…)` outside `crates/sim` — build streams from an `RngRoot` of a config seed (scalewall_sim::rng)"),
+                )),
+                "fork" if punct_at(i + 1, '(') && (before(1, '.') || before(1, ':')) => Some((
+                    RuleId::D3,
+                    "`fork(…)` outside `crates/sim` — fork a `Stream` off an `RngRoot`, or a dynamic index with `child(…)` (scalewall_sim::rng)".to_string(),
+                )),
                 _ => None,
             },
             _ => None,
@@ -367,7 +351,7 @@ struct AnalyzedFile {
 }
 
 /// Two-phase lint driver: add every file, then [`Analysis::finish`] runs
-/// the cross-file semantic passes (D5 flow, D6 propagation), applies
+/// the cross-file semantic pass (D6 propagation), applies
 /// each file's tier and reports what the semantic walk saw on the way.
 #[derive(Default)]
 struct Analysis {
@@ -382,9 +366,9 @@ impl Analysis {
     }
 
     fn finish(mut self) -> (Vec<FileReport>, Census) {
-        // Cross-file semantic passes (D5 domain flow, D6 call-graph
-        // propagation) over every file at once.
-        let inputs: Vec<(&str, &ParsedFile)> = self.files.iter().map(|f| (f.path.as_str(), &f.parsed)).collect();
+        // The cross-file semantic pass (D6 call-graph propagation) over
+        // every file at once.
+        let inputs: Vec<&ParsedFile> = self.files.iter().map(|f| &f.parsed).collect();
         let (cross, census) = semantic::analyze(&inputs);
         for (idx, c) in cross {
             let file = &mut self.files[idx];
@@ -410,7 +394,7 @@ impl Analysis {
 
 // ------------------------------------------------------------ per-file
 
-/// Lint one file's source under a rule set. Cross-file D5/D6 reasoning is
+/// Lint one file's source under a rule set. Cross-file D6 reasoning is
 /// restricted to what the single file can prove about itself.
 pub fn lint_source(src: &str, rules: RuleSet) -> Vec<Violation> {
     let mut a = Analysis::default();
@@ -548,12 +532,20 @@ mod tests {
     }
 
     #[test]
-    fn d3_flags_literal_seeds_only() {
-        assert_eq!(violations("fn f() { let r = SimRng::new(42); }", RuleSet::SIM), [RuleId::D3]);
-        assert!(violations("fn f(s: u64) { let r = SimRng::new(s); }", RuleSet::SIM).is_empty());
-        assert!(violations("fn f() { let r = SimRng::new(cfg.seed); }", RuleSet::SIM).is_empty());
-        // No D3 inside crates/sim's own rule set.
-        assert!(violations("fn f() { let r = SimRng::new(42); }", RuleSet::SIM_RNG_HOME).is_empty());
+    fn d3_fences_rng_construction_and_forks() {
+        for src in [
+            "fn f() { let r = SimRng::new(42); }",
+            "fn f() { let r = SimRng::new(cfg.seed); }",
+            "fn f(r: &mut SimRng) { let c = r.fork(1); }",
+            "fn f(r: &mut SimRng) { let c = SimRng::fork(r, 1); }",
+        ] {
+            assert_eq!(violations(src, RuleSet::SIM), [RuleId::D3], "{src}");
+            // No D3 inside crates/sim's own rule set.
+            assert!(violations(src, RuleSet::SIM_RNG_HOME).is_empty(), "{src}");
+        }
+        // The typed streams are the sanctioned shapes.
+        let typed = "fn f(s: u64) { let mut root = RngRoot::new(s); let mut c = root.stream(Stream::Load); c.child(3); }";
+        assert!(violations(typed, RuleSet::SIM).is_empty());
     }
 
     #[test]
@@ -617,83 +609,6 @@ mod tests {
         assert!(violations(src, RuleSet::SIM).is_empty());
     }
 
-    // ------------------------------------------------------------ D5
-
-    #[test]
-    fn d5_flags_duplicate_fork_labels() {
-        let src = r#"
-            fn f(rng: &mut SimRng) {
-                let a = rng.fork(7);
-                let b = rng.fork(7);
-            }
-        "#;
-        assert_eq!(violations(src, RuleSet::SIM), [RuleId::D5]);
-        // Distinct labels are the sanctioned pattern.
-        let clean = "fn f(rng: &mut SimRng) { let a = rng.fork(1); let b = rng.fork(2); }";
-        assert!(violations(clean, RuleSet::SIM).is_empty());
-        // Dynamic labels (loop indices) are fine — hierarchy, not reuse.
-        let dynamic = "fn f(rng: &mut SimRng, n: u64) { for i in 0..n { let c = rng.fork(i); } }";
-        assert!(violations(dynamic, RuleSet::SIM).is_empty());
-    }
-
-    #[test]
-    fn d5_flags_screaming_const_label_reuse() {
-        let src = r#"
-            fn f(rng: &mut SimRng) {
-                let a = rng.fork(TOPOLOGY_STREAM);
-                let b = rng.fork(TOPOLOGY_STREAM);
-            }
-        "#;
-        assert_eq!(violations(src, RuleSet::SIM), [RuleId::D5]);
-    }
-
-    #[test]
-    fn d5_flags_fork_after_draw() {
-        let src = r#"
-            fn f(rng: &mut SimRng) {
-                let mut child = rng.fork(1);
-                let x = child.below(10);
-                let grandchild = child.fork(2);
-            }
-        "#;
-        assert_eq!(violations(src, RuleSet::SIM), [RuleId::D5]);
-        // Fork-then-fork (hierarchical fan-out before any draw) is the
-        // sanctioned idiom.
-        let clean = r#"
-            fn f(rng: &mut SimRng) {
-                let mut topo = rng.fork(1);
-                let a = topo.fork(10);
-                let b = topo.fork(11);
-            }
-        "#;
-        assert!(violations(clean, RuleSet::SIM).is_empty());
-    }
-
-    #[test]
-    fn d5_flags_workload_rng_into_fault_code() {
-        let src = r#"
-            mod workload {
-                fn issue_queries(rng: &mut SimRng) {
-                    super::fault::inject(rng);
-                }
-            }
-            mod fault {
-                pub fn inject(r: &mut SimRng) {}
-            }
-        "#;
-        assert_eq!(violations(src, RuleSet::SIM), [RuleId::D5]);
-        // A fault module using its own forked stream is fine.
-        let clean = r#"
-            mod workload {
-                fn issue_queries(rng: &mut SimRng) { let x = rng.unit(); }
-            }
-            mod fault {
-                pub fn inject(r: &mut SimRng) { let y = r.unit(); }
-            }
-        "#;
-        assert!(violations(clean, RuleSet::SIM).is_empty());
-    }
-
     // ------------------------------------------------------------ D6
 
     #[test]
@@ -717,41 +632,6 @@ mod tests {
                     let a = self.catalog.write();
                     drop(a);
                     let b = self.catalog.read();
-                }
-            }
-        "#;
-        assert!(violations(clean, RuleSet::SIM).is_empty());
-    }
-
-    #[test]
-    fn d6_flags_lock_order_cycle_across_functions() {
-        let src = r#"
-            struct S { a: RwLock<u32>, b: RwLock<u32> }
-            impl S {
-                fn ab(&self) {
-                    let g = self.a.write();
-                    let h = self.b.read();
-                }
-                fn ba(&self) {
-                    let g = self.b.write();
-                    let h = self.a.read();
-                }
-            }
-        "#;
-        let v = lint_source(src, RuleSet::SIM);
-        assert!(v.iter().all(|v| v.rule == RuleId::D6), "{v:?}");
-        assert_eq!(v.len(), 2, "both cycle sites report: {v:?}");
-        // Consistent ordering has no cycle.
-        let clean = r#"
-            struct S { a: RwLock<u32>, b: RwLock<u32> }
-            impl S {
-                fn ab(&self) {
-                    let g = self.a.write();
-                    let h = self.b.read();
-                }
-                fn ab2(&self) {
-                    let g = self.a.read();
-                    let h = self.b.write();
                 }
             }
         "#;

@@ -49,17 +49,14 @@ fn run_workspace(root_arg: Option<PathBuf>) -> ExitCode {
     match scalewall_lint::lint_workspace(&root) {
         Ok(report) => {
             print_report(&report);
-            // What D5/D6 looked at: zero violations from a walk that
-            // resolved no lock would not be a result.
+            // What D6 looked at: zero violations from a walk that resolved
+            // no lock would not be a result.
             let census = &report.census;
             println!(
-                "semantic census: {} functions walked, {} lock identities, {} order edges, {} calls under a held lock, {} fork sites, {} calls carrying an RNG",
+                "semantic census: {} functions walked, {} lock identities, {} calls under a held lock",
                 census.fns_walked,
                 census.lock_ids.len(),
-                census.order_edges.len(),
-                census.calls_under_lock,
-                census.fork_sites,
-                census.rng_calls
+                census.calls_under_lock
             );
             if report.is_clean() {
                 ExitCode::SUCCESS

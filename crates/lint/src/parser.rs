@@ -12,7 +12,7 @@
 //!   and `{}` groups over token indices, brace groups split into
 //!   statements (`let [mut] name [: T] …;`, nested items, `#[cfg(test)]`
 //!   statements, everything else). The semantic walk (`semantic.rs`) reads
-//!   calls, guards and fork labels off it.
+//!   calls and guards off it.
 //!
 //! Brackets always balance in code that compiles, so a tree cannot
 //! mis-nest on an operator, a pattern or a macro argument: there is no
@@ -24,7 +24,7 @@
 
 use crate::lexer::{lex, Tok, Token};
 
-/// A type as the lint sees it: the identifiers it mentions (lock and RNG
+/// A type as the lint sees it: the identifiers it mentions (lock
 /// lookups) and whether it is spelled as an array or slice (`[…`).
 #[derive(Debug, Clone, Default)]
 pub struct Ty {
@@ -43,8 +43,6 @@ pub struct FnDef {
     pub name: String,
     /// `Some(T)` for methods in `impl T` / `impl Tr for T` blocks.
     pub self_ty: Option<String>,
-    /// Enclosing inline-module path (innermost last).
-    pub modpath: Vec<String>,
     pub takes_self: bool,
     pub params: Vec<Param>,
     pub body: Option<Group>,
@@ -138,7 +136,6 @@ pub fn parse(src: &str) -> ParsedFile {
         out: ParsedFile::default(),
         in_test: false,
         self_ty: None,
-        modpath: Vec::new(),
         array_locals: Vec::new(),
     };
     while p.pos < tokens.len() {
@@ -158,7 +155,6 @@ struct Parser<'a> {
     out: ParsedFile,
     in_test: bool,
     self_ty: Option<String>,
-    modpath: Vec<String>,
     /// Array-typed `let`s of the function being shaped.
     array_locals: Vec<String>,
 }
@@ -486,7 +482,6 @@ impl<'a> Parser<'a> {
         self.out.fns.push(FnDef {
             name,
             self_ty: self.self_ty.clone(),
-            modpath: self.modpath.clone(),
             takes_self,
             params,
             body,
@@ -591,13 +586,8 @@ impl<'a> Parser<'a> {
 
     fn item_mod(&mut self) {
         self.bump(); // mod
-        let name = self.eat_ident();
-        let named = name.is_some();
-        self.modpath.extend(name);
+        self.eat_ident();
         self.item_body();
-        if named {
-            self.modpath.pop();
-        }
     }
 
     // ------------------------------------------------------- body trees

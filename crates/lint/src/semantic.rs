@@ -1,15 +1,15 @@
 //! Workspace semantic analysis: symbol table, conservative call graph,
-//! and the D5 (RNG stream discipline) / D6 (lock-order) rule engines.
+//! and the D6 (same-lock re-entry) rule engine.
 //!
 //! A function body arrives as a delimiter tree (`parser.rs`) and one
-//! recursive walk reads three things off it, none of which needs an
+//! recursive walk reads two things off it, neither of which needs an
 //! expression grammar: **calls** — an identifier followed by a `(…)`
 //! group, `path(` or `.name(`, the latter with the `ident(.ident)*` run to
 //! its left as the receiver's place key; each is recorded when the walk
 //! leaves its closing paren, so effects keep the order receiver →
-//! arguments → call — **guards** — `let g = place.read();` binds one to
-//! its block, `drop(g)` ends it, any other acquisition lasts for its
-//! statement — and **fork labels**, the first argument of `.fork(…)`.
+//! arguments → call — and **guards** — `let g = place.read();` binds one
+//! to its block, `drop(g)` ends it, any other acquisition lasts for its
+//! statement.
 //!
 //! Everything here is deliberately *conservative* (DESIGN.md §5c): a lock
 //! acquisition only counts when the receiver resolves to a field whose
@@ -17,20 +17,14 @@
 //! local bound to one), and a call edge only exists when the callee name
 //! resolves to exactly one function in the workspace. Unresolvable
 //! receivers and ambiguous names are dropped — the analysis can miss
-//! hazards (false negatives are documented) but a reported cycle or
-//! duplicated fork label is real modulo name collisions.
+//! hazards (false negatives are documented) but a reported re-entry is
+//! real modulo name collisions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Tok, Token};
 use crate::parser::{is_keyword, Group, Node, ParsedFile, Stmt};
 use crate::{RuleId, Violation};
-
-/// `SimRng` draw methods: calling any of these advances the stream
-/// position, which is what makes a later re-fork position-dependent.
-const DRAW_METHODS: &[&str] = &[
-    "unit", "below", "range", "chance", "pick", "shuffle", "next_u64", "next_u32", "fill_bytes",
-];
 
 const LOCK_ACQUIRE: &[&str] = &["read", "write", "lock"];
 
@@ -41,34 +35,7 @@ pub struct Census {
     pub fns_walked: usize,
     /// Every lock identity some function acquires directly.
     pub lock_ids: BTreeSet<String>,
-    /// `(held, acquired)` pairs, direct and through calls.
-    pub order_edges: BTreeSet<(String, String)>,
     pub calls_under_lock: usize,
-    pub fork_sites: usize,
-    /// Calls with an RNG-typed binding among their arguments.
-    pub rng_calls: usize,
-}
-
-/// Which replay-contract domain a function lives in, for the D5
-/// workload→fault flow rule. Derived from file and module names so
-/// single-file fixtures can express cross-domain flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Domain {
-    Workload,
-    Fault,
-    Other,
-}
-
-fn domain_of(path: &str, modpath: &[String]) -> Domain {
-    let p = path.replace('\\', "/").to_ascii_lowercase();
-    let in_mod = |s: &str| modpath.iter().any(|m| m.contains(s));
-    if p.ends_with("fault.rs") || in_mod("fault") {
-        return Domain::Fault;
-    }
-    if p.ends_with("workload.rs") || p.ends_with("driver.rs") || in_mod("workload") {
-        return Domain::Workload;
-    }
-    Domain::Other
 }
 
 /// A call site the cross-file pass may resolve into the call graph.
@@ -78,8 +45,6 @@ struct CallSite {
     /// Locks held at the moment of the call.
     held: BTreeSet<String>,
     line: u32,
-    /// Whether any argument mentions an RNG-typed binding of the caller.
-    rng_arg: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -97,15 +62,10 @@ pub(crate) struct FnFacts {
     name: String,
     self_ty: Option<String>,
     takes_self: bool,
-    domain: Domain,
     line: u32,
     direct_acqs: BTreeSet<String>,
     calls: Vec<CallSite>,
-    /// Intra-function lock-order edges `(held, acquired, line)`.
-    edges: Vec<(String, String, u32)>,
-    fork_sites: usize,
-    /// Local D5/D6 hits already final (same-lock nested acquire,
-    /// duplicate fork labels, fork-after-draw).
+    /// Same-lock nested acquires within the function, already final.
     local: Vec<Violation>,
 }
 
@@ -127,7 +87,7 @@ impl StructIndex {
 
 /// Per-file step, run once every file's struct index exists so a
 /// function can resolve fields of structs declared in *other* files.
-fn extract_fns(path: &str, parsed: &ParsedFile, index: &StructIndex) -> Vec<FnFacts> {
+fn extract_fns(parsed: &ParsedFile, index: &StructIndex) -> Vec<FnFacts> {
     let mut out = Vec::new();
     for f in &parsed.fns {
         if f.in_test {
@@ -139,26 +99,19 @@ fn extract_fns(path: &str, parsed: &ParsedFile, index: &StructIndex) -> Vec<FnFa
                 name: f.name.clone(),
                 self_ty: f.self_ty.clone(),
                 takes_self: f.takes_self,
-                domain: domain_of(path, &f.modpath),
                 line: f.line,
                 direct_acqs: BTreeSet::new(),
                 calls: Vec::new(),
-                edges: Vec::new(),
-                fork_sites: 0,
                 local: Vec::new(),
             },
             toks: &parsed.tokens,
             index,
             local_tys: BTreeMap::new(),
-            rng_idents: BTreeSet::new(),
-            rng_mentions: 0,
-            rng_state: BTreeMap::new(),
-            fork_labels: BTreeMap::new(),
             scopes: vec![Vec::new()],
         };
         for p in &f.params {
             if let Some(name) = &p.name {
-                w.bind_type(name, &p.ty.idents);
+                w.local_tys.insert(name.clone(), p.ty.idents.clone());
             }
         }
         w.group(body);
@@ -184,14 +137,6 @@ struct FnWalk<'a> {
     index: &'a StructIndex,
     /// Local/param name → type idents (from annotations and lock inits).
     local_tys: BTreeMap<String, Vec<String>>,
-    rng_idents: BTreeSet<String>,
-    /// How many mentions of an RNG-typed name the walk has passed: a call
-    /// carries an RNG when this moves across its arguments.
-    rng_mentions: usize,
-    /// Local RNG stream state: false = freshly forked, true = drawn from.
-    rng_state: BTreeMap<String, bool>,
-    /// (receiver key, static label) → first fork line, for D5a.
-    fork_labels: BTreeMap<(String, String), u32>,
     /// Stack of lock scopes; each holds `(lock id, guard name)` — guard
     /// `None` means transient (released at end of statement).
     scopes: Vec<Vec<(String, Option<String>)>>,
@@ -259,7 +204,7 @@ impl<'a> FnWalk<'a> {
     }
 
     /// A stable textual key for the place expression that ends just left
-    /// of `nodes[end]`: `rng`, `self.rng`, `cfg.seed`, with `?` read
+    /// of `nodes[end]`: `lock`, `self.catalog`, `x.store`, with `?` read
     /// through. `None` for anything computed (`f().x`, `(a).b`, `v[i].m`).
     fn place_key(&self, nodes: &[Node], mut end: usize) -> Option<String> {
         let mut parts: Vec<&str> = Vec::new();
@@ -282,44 +227,6 @@ impl<'a> FnWalk<'a> {
                 parts.reverse();
                 return Some(parts.concat());
             }
-        }
-    }
-
-    /// The first argument of `args` as a fork label, when it is static:
-    /// an integer literal or a `SCREAMING` constant path, `as T` allowed.
-    fn static_label(&self, args: &Group) -> Option<String> {
-        let nodes = &args.stmts.first()?.nodes;
-        let comma = |i: &usize| self.punct(nodes, *i, 0, ',');
-        let first: Option<Vec<&Tok>> = (0..nodes.len()).take_while(|i| !comma(i)).map(|i| self.tok(nodes, i, 0)).collect();
-        let first = first?;
-        let first = match &first[..] {
-            [head @ .., Tok::Ident(kw), Tok::Ident(_)] if kw == "as" => head,
-            whole => whole,
-        };
-        match first {
-            [Tok::Int(s)] => {
-                // Normalize (`0x10` ≡ `16`, suffixes dropped) so textual
-                // variants of the same label collide.
-                let t = s.replace('_', "").to_ascii_lowercase();
-                let (radix, digits) = if let Some(h) = t.strip_prefix("0x") {
-                    (16, h)
-                } else if let Some(b) = t.strip_prefix("0b") {
-                    (2, b)
-                } else if let Some(o) = t.strip_prefix("0o") {
-                    (8, o)
-                } else {
-                    (10, t.as_str())
-                };
-                let digits: String = digits.chars().take_while(|c| c.is_digit(radix)).collect();
-                let v = u128::from_str_radix(&digits, radix).ok();
-                Some(v.map_or_else(|| s.clone(), |v| v.to_string()))
-            }
-            [path @ .., Tok::Ident(last)] if path.iter().all(|t| matches!(t, Tok::Ident(_) | Tok::Punct(':'))) => {
-                let screaming = last.len() > 1
-                    && last.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
-                screaming.then(|| last.clone())
-            }
-            _ => None,
         }
     }
 
@@ -366,8 +273,7 @@ impl<'a> FnWalk<'a> {
     }
 
     fn acquire(&mut self, lock: String, line: u32, guard: Option<&str>) {
-        let held = self.held();
-        if held.contains(&lock) {
+        if self.held().contains(&lock) {
             self.facts.local.push(Violation {
                 rule: RuleId::D6,
                 line,
@@ -375,25 +281,12 @@ impl<'a> FnWalk<'a> {
                     "`{lock}` acquired while already held in this function — nested same-lock acquire self-deadlocks under writer contention"
                 ),
             });
-        } else {
-            for h in &held {
-                self.facts.edges.push((h.clone(), lock.clone(), line));
-            }
         }
         self.facts.direct_acqs.insert(lock.clone());
         // Guard-bound: lives in the enclosing block scope (one below the
         // statement-transient scope).
         let depth = self.scopes.len().saturating_sub(if guard.is_some() { 2 } else { 1 });
         self.scopes[depth].push((lock, guard.map(str::to_string)));
-    }
-
-    /// Note a binding's declared type: what it may lock, whether it is an
-    /// RNG stream.
-    fn bind_type(&mut self, name: &str, idents: &[String]) {
-        if idents.iter().any(|i| i.ends_with("Rng")) {
-            self.rng_idents.insert(name.to_string());
-        }
-        self.local_tys.insert(name.to_string(), idents.to_vec());
     }
 
     // ------------------------------------------------------- the walk
@@ -425,43 +318,28 @@ impl<'a> FnWalk<'a> {
             matches!(&nodes[end], Node::Group(g) if g.delim == '(').then_some((end, name.as_str()))
         });
         for (at, node) in nodes.iter().enumerate() {
-            match node {
-                Node::Tok(t) => {
-                    let names_rng = matches!(&self.toks[*t].tok, Tok::Ident(w) if self.rng_idents.contains(w));
-                    self.rng_mentions += usize::from(names_rng && !self.dot(nodes, at));
-                }
-                Node::Group(g) => {
-                    let mentions = self.rng_mentions;
-                    self.group(g);
-                    if let Some(applied) = self.applied(nodes, at).filter(|_| g.delim == '(') {
-                        let guard = bound.filter(|(end, _)| *end == at).map(|(_, name)| name);
-                        self.call(nodes, &applied, g, self.rng_mentions > mentions, guard);
-                    }
-                }
+            let Node::Group(g) = node else { continue };
+            self.group(g);
+            if let Some(applied) = self.applied(nodes, at).filter(|_| g.delim == '(') {
+                let guard = bound.filter(|(end, _)| *end == at).map(|(_, name)| name);
+                self.call(nodes, &applied, g, guard);
             }
         }
         let Some((name, ty)) = &s.binds else { return };
         if let Some(ty) = ty {
-            self.bind_type(name, &ty.idents);
+            self.local_tys.insert(name.clone(), ty.idents.clone());
         }
-        // `let r = x.fork(…);` and `let r = XRng::new(…);` start a stream,
         // `let m = Mutex::new(…);` is a local lock.
         let Some(init) = bound.and_then(|(end, _)| self.applied(nodes, end)) else { return };
-        let ctor = init.qualifier.filter(|_| !init.method && init.name == "new");
-        if (init.method && init.name == "fork") || ctor.is_some_and(|c| c.ends_with("Rng")) {
-            self.rng_idents.insert(name.clone());
-            self.rng_state.insert(name.clone(), false);
-        }
-        if let Some(lock @ ("RwLock" | "Mutex")) = ctor {
+        if let Some(lock @ ("RwLock" | "Mutex")) = init.qualifier.filter(|_| !init.method && init.name == "new") {
             self.local_tys.insert(name.clone(), vec![lock.to_string()]);
         }
     }
 
     /// Record the call `applied(args)`, its receiver and arguments walked:
     /// an acquisition (bound to `guard` when a `let` holds its result), a
-    /// fork, a draw, a `drop(guard)`, or an edge candidate of the call
-    /// graph.
-    fn call(&mut self, nodes: &[Node], applied: &Applied<'a>, args: &Group, rng_arg: bool, guard: Option<&str>) {
+    /// `drop(guard)`, or an edge candidate of the call graph.
+    fn call(&mut self, nodes: &[Node], applied: &Applied<'a>, args: &Group, guard: Option<&str>) {
         let &Applied { name, at, line, .. } = applied;
         let callee = if applied.method {
             let recv = self.place_key(nodes, at - 1);
@@ -469,16 +347,6 @@ impl<'a> FnWalk<'a> {
                 if let Some(lock) = recv.as_deref().and_then(|key| self.lock_of(key)) {
                     return self.acquire(lock, line, guard);
                 }
-            }
-            if name == "fork" {
-                self.facts.fork_sites += 1;
-                return self.on_fork(recv, self.static_label(args), line);
-            }
-            if DRAW_METHODS.contains(&name) {
-                if let Some(state) = recv.and_then(|key| self.rng_state.get_mut(&key)) {
-                    *state = true;
-                }
-                return;
             }
             let on_self = self.facts.self_ty.clone().filter(|_| recv.as_deref() == Some("self"));
             Callee::Method { name: name.to_string(), on_self }
@@ -495,45 +363,13 @@ impl<'a> FnWalk<'a> {
             }
             Callee::Free(name.to_string())
         };
-        self.facts.calls.push(CallSite { callee, held: self.held(), line, rng_arg });
-    }
-
-    fn on_fork(&mut self, recv: Option<String>, label: Option<String>, line: u32) {
-        let Some(key) = recv else { return };
-        // D5a: two fork sites under one static label on one stream.
-        if let Some(label) = label {
-            if let Some(first) = self.fork_labels.get(&(key.clone(), label.clone())) {
-                self.facts.local.push(Violation {
-                    rule: RuleId::D5,
-                    line,
-                    message: format!(
-                        "`{key}.fork({label})` duplicates the fork label first used on line {first} — two children derived under one label collapse into the same stream"
-                    ),
-                });
-            } else {
-                self.fork_labels.insert((key.clone(), label), line);
-            }
-        }
-        // D5b: re-forking a stored stream after drawing from it.
-        if self.rng_state.get(&key).copied() == Some(true) {
-            self.facts.local.push(Violation {
-                rule: RuleId::D5,
-                line,
-                message: format!(
-                    "`{key}` is re-forked after draws — the child stream's identity now depends on draw position; fork all children before drawing (\"fork before fan-out\")"
-                ),
-            });
-        }
+        self.facts.calls.push(CallSite { callee, held: self.held(), line });
     }
 }
 
 // ---------------------------------------------------------- cross-file
 
-/// Lock-order edges `(held, acquired)`, each with every site that
-/// created it as `(file index, line, what happened)`.
-type OrderEdges = BTreeMap<(String, String), Vec<(usize, u32, String)>>;
-
-/// Run the cross-file analyses over every per-file fact set; returns
+/// Run the cross-file analysis over every per-file fact set; returns
 /// `(file index, violation)` pairs and what the walks saw.
 fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Violation)>, Census) {
     let mut out: Vec<(usize, Violation)> = Vec::new();
@@ -609,140 +445,47 @@ fn cross(files: &[Vec<FnFacts>]) -> (Vec<(usize, Violation)>, Census) {
         }
     }
 
-    // Lock-order edges: intra-function + held-across-call.
-    // Each edge remembers every site that created it.
-    let mut edges = OrderEdges::new();
+    // Re-entry through calls: a lock held across a call to a function
+    // that (transitively) acquires it again.
     for e in fns.iter() {
-        for (h, a, line) in &e.f.edges {
-            edges.entry((h.clone(), a.clone())).or_default().push((
-                e.file,
-                *line,
-                format!("`{a}` acquired on line {line} while `{h}` is held"),
-            ));
-        }
-        for site in &e.f.calls {
-            if site.held.is_empty() {
-                continue;
-            }
+        for site in e.f.calls.iter().filter(|site| !site.held.is_empty()) {
             let Some(j) = resolve(&site.callee) else { continue };
             let callee = &fns[j];
-            for a in &all_acqs[j] {
-                if site.held.contains(a) {
-                    out.push((
-                        e.file,
-                        Violation {
-                            rule: RuleId::D6,
-                            line: site.line,
-                            message: format!(
-                                "`{a}` is held across a call to `{}` (line {}), which acquires it again — self-deadlock on the non-reentrant shim locks",
-                                callee.f.name, callee.f.line
-                            ),
-                        },
-                    ));
-                } else {
-                    for h in &site.held {
-                        edges.entry((h.clone(), a.clone())).or_default().push((
-                            e.file,
-                            site.line,
-                            format!(
-                                "`{a}` acquired via call to `{}` while `{h}` is held",
-                                callee.f.name
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        // Local hits pass straight through.
-        for c in &e.f.local {
-            out.push((e.file, c.clone()));
-        }
-    }
-
-    // Cycle detection: an edge is a violation iff its target can reach
-    // its source (i.e. it participates in a cycle).
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (h, a) in edges.keys() {
-        adj.entry(h.as_str()).or_default().insert(a.as_str());
-    }
-    let reaches = |from: &str, to: &str| -> bool {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(next) = adj.get(n) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    };
-    for ((h, a), sites) in &edges {
-        if reaches(a, h) {
-            for (file, line, what) in sites {
-                out.push((
-                    *file,
-                    Violation {
-                        rule: RuleId::D6,
-                        line: *line,
-                        message: format!(
-                            "lock-order cycle: {what}, but elsewhere `{h}` is acquired while `{a}` is held — replay-visible deadlock risk"
-                        ),
-                    },
-                ));
-            }
-        }
-    }
-
-    // D5c: workload RNG flowing into fault code.
-    for e in fns.iter() {
-        if e.f.domain != Domain::Workload {
-            continue;
-        }
-        for site in &e.f.calls {
-            if site.rng_arg
-                && resolve(&site.callee).is_some_and(|j| fns[j].f.domain == Domain::Fault)
-            {
+            for a in all_acqs[j].iter().filter(|a| site.held.contains(*a)) {
                 out.push((
                     e.file,
                     Violation {
-                        rule: RuleId::D5,
+                        rule: RuleId::D6,
                         line: site.line,
                         message: format!(
-                            "workload RNG stream passed into fault code in `{}` — fault draws must come from their own forked stream or workload replay shifts when faults change",
-                            e.f.name
+                            "`{a}` is held across a call to `{}` (line {}), which acquires it again — self-deadlock on the non-reentrant shim locks",
+                            callee.f.name, callee.f.line
                         ),
                     },
                 ));
             }
         }
+        // Local hits pass straight through.
+        out.extend(e.f.local.iter().map(|c| (e.file, c.clone())));
     }
 
-    let sites = || fns.iter().flat_map(|e| &e.f.calls);
     let census = Census {
         fns_walked: fns.len(),
         lock_ids: fns.iter().flat_map(|e| e.f.direct_acqs.iter().cloned()).collect(),
-        order_edges: edges.into_keys().collect(),
-        calls_under_lock: sites().filter(|c| !c.held.is_empty()).count(),
-        fork_sites: fns.iter().map(|e| e.f.fork_sites).sum(),
-        rng_calls: sites().filter(|c| c.rng_arg).count(),
+        calls_under_lock: fns.iter().flat_map(|e| &e.f.calls).filter(|c| !c.held.is_empty()).count(),
     };
     (out, census)
 }
 
 /// Convenience used by `lint_source`/`lint_workspace`: run both phases.
-pub(crate) fn analyze(files: &[(&str, &ParsedFile)]) -> (Vec<(usize, Violation)>, Census) {
+pub(crate) fn analyze(files: &[&ParsedFile]) -> (Vec<(usize, Violation)>, Census) {
     let mut index = StructIndex::default();
     // Aliases of aliases resolve in as many rounds as they are deep.
-    let aliases = || files.iter().flat_map(|(_, parsed)| &parsed.aliases).filter(|(.., in_test)| !in_test);
+    let aliases = || files.iter().flat_map(|parsed| &parsed.aliases).filter(|(.., in_test)| !in_test);
     while let Some((name, ..)) = aliases().find(|(name, ty, _)| index.is_lock(&ty.idents) && !index.lock_aliases.contains(name)) {
         index.lock_aliases.insert(name.clone());
     }
-    for (_, parsed) in files {
+    for parsed in files {
         for s in parsed.structs.iter().filter(|s| !s.in_test) {
             let locks = s.fields.iter().filter(|(_, ty)| index.is_lock(&ty.idents)).map(|(f, _)| f.clone());
             let locks: Vec<String> = locks.collect();
@@ -752,6 +495,6 @@ pub(crate) fn analyze(files: &[(&str, &ParsedFile)]) -> (Vec<(usize, Violation)>
         }
     }
     let per_file: Vec<Vec<FnFacts>> =
-        files.iter().map(|(path, parsed)| extract_fns(path, parsed, &index)).collect();
+        files.iter().map(|parsed| extract_fns(parsed, &index)).collect();
     cross(&per_file)
 }

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use scalewall_lint::{lint_source, parser, RuleId, RuleSet};
+use scalewall_lint::{lint_source, parser, ruleset_for, RuleId, RuleSet};
 use scalewall_sim::prop;
 use scalewall_sim::SimRng;
 
@@ -47,15 +47,34 @@ fn d2_fixture_trips_only_d2() {
     assert_eq!(rules_hit(&src, RuleSet::BENCH), Vec::<RuleId>::new());
 }
 
+/// The `(line, rule)` of every `// expect: <rule>` marker in `src`.
+fn expected_markers(src: &str) -> Vec<(u32, RuleId)> {
+    src.lines()
+        .zip(1u32..)
+        .filter_map(|(text, line)| {
+            let (_, rule) = text.split_once("// expect: ")?;
+            let parsed = RULES.into_iter().find(|r| r.to_string() == rule.trim());
+            Some((line, parsed.unwrap_or_else(|| panic!("line {line}: bad marker {rule:?}"))))
+        })
+        .collect()
+}
+
+fn reported(src: &str, rules: RuleSet) -> Vec<(u32, RuleId)> {
+    lint_source(src, rules).iter().map(|v| (v.line, v.rule)).collect()
+}
+
+/// `SimRng::new(cfg.seed)` and `rng.fork(1)` are flagged under a
+/// `cluster` path, the typed streams are not, and `crates/sim` and
+/// `#[cfg(test)]` are exempt.
 #[test]
-fn d3_fixture_trips_only_d3_and_only_once() {
-    let src = fixture("d3_literal_seed.rs");
-    assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D3]);
-    let violations = lint_source(&src, RuleSet::SIM);
-    // fork() and config-seeded construction must not be flagged.
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    // Inside crates/sim the same source is legal.
-    assert_eq!(rules_hit(&src, RuleSet::SIM_RNG_HOME), Vec::<RuleId>::new());
+fn d3_fence_fixture_flags_its_markers_outside_crates_sim() {
+    let src = fixture("d3_rng_fence.rs");
+    let cluster = ruleset_for("crates/cluster/src/fence.rs").expect("linted");
+    let expected = expected_markers(&src);
+    assert_eq!(expected.len(), 2, "markers lost from the fixture");
+    assert_eq!(reported(&src, cluster), expected);
+    let sim = ruleset_for("crates/sim/src/fence.rs").expect("linted");
+    assert_eq!(reported(&src, sim), []);
 }
 
 #[test]
@@ -70,27 +89,12 @@ fn d4_fixture_trips_in_every_tier() {
 const PENDING: RuleSet = RuleSet { d7: false, ..RuleSet::SIM };
 
 #[test]
-fn d5_fixture_trips_only_d5_once_per_breach() {
-    let src = fixture("d5_stream_discipline.rs");
-    assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D5]);
-    let violations = lint_source(&src, RuleSet::SIM);
-    // One per sub-rule: duplicate label, fork-after-draw, domain flow.
-    assert_eq!(violations.len(), 3, "{violations:?}");
-}
-
-#[test]
-fn d5_clean_pair_is_clean() {
-    let src = fixture("d5_stream_discipline_clean.rs");
-    assert_eq!(rules_hit(&src, RuleSet::SIM), Vec::<RuleId>::new());
-}
-
-#[test]
 fn d6_fixture_trips_only_d6() {
     let src = fixture("d6_lock_order.rs");
     assert_eq!(rules_hit(&src, RuleSet::SIM), [RuleId::D6]);
     let violations = lint_source(&src, RuleSet::SIM);
-    // The nested acquire plus both cycle-participating sites.
-    assert_eq!(violations.len(), 3, "{violations:?}");
+    // The nested acquire and the re-entry through a call.
+    assert_eq!(violations.len(), 2, "{violations:?}");
 }
 
 #[test]
@@ -117,27 +121,16 @@ fn d7_clean_pair_is_clean() {
     assert_eq!(rules_hit(&src, RuleSet::SIM), Vec::<RuleId>::new());
 }
 
-const RULES: [RuleId; 7] =
-    [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D5, RuleId::D6, RuleId::D7];
+const RULES: [RuleId; 6] = [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D6, RuleId::D7];
 
 /// Every `// expect: <rule>` marker of the blind-shape fixture names a
 /// line on which exactly that rule fires, and nothing fires elsewhere.
 #[test]
 fn blind_shape_pins_and_controls_fire_on_their_lines() {
     let src = fixture("blind_blocks.rs");
-    let expected: Vec<(u32, RuleId)> = src
-        .lines()
-        .zip(1u32..)
-        .filter_map(|(text, line)| {
-            let (_, rule) = text.split_once("// expect: ")?;
-            let parsed = RULES.into_iter().find(|r| r.to_string() == rule.trim());
-            Some((line, parsed.unwrap_or_else(|| panic!("line {line}: bad marker {rule:?}"))))
-        })
-        .collect();
-    assert_eq!(expected.len(), 23, "markers lost from the fixture");
-    let violations = lint_source(&src, RuleSet::SIM);
-    let got: Vec<(u32, RuleId)> = violations.iter().map(|v| (v.line, v.rule)).collect();
-    assert_eq!(got, expected, "{violations:#?}");
+    let expected = expected_markers(&src);
+    assert_eq!(expected.len(), 22, "markers lost from the fixture");
+    assert_eq!(reported(&src, RuleSet::SIM), expected);
 }
 
 #[test]
@@ -191,15 +184,13 @@ fn old_pragma_comments_suppress_nothing() {
 
 // ------------------------------------------------------------- coverage
 
-const FIXTURES: [&str; 15] = [
+const FIXTURES: [&str; 13] = [
     "blind_blocks.rs",
     "clean.rs",
     "d1_wall_clock.rs",
     "d2_hash_iteration.rs",
-    "d3_literal_seed.rs",
+    "d3_rng_fence.rs",
     "d4_unsafe.rs",
-    "d5_stream_discipline.rs",
-    "d5_stream_discipline_clean.rs",
     "d6_lock_order.rs",
     "d6_lock_order_clean.rs",
     "d7_panic_surface.rs",
@@ -255,7 +246,7 @@ fn canary_in_every_fixture_fn_is_reported() {
 }
 
 /// The block canaries over every fixture: a panic site for the pattern
-/// scan, a nested acquire and a duplicated fork label for the body walk.
+/// scan, a nested acquire for the body walk.
 #[test]
 fn canaries_in_every_fixture_block_are_reported() {
     let mut planted = 0;
@@ -305,7 +296,6 @@ fn mutate_token_preserving(rng: &mut SimRng, src: &str) -> String {
 fn prop_token_preserving_mutations_of_clean_fixtures_stay_clean() {
     let clean = [
         fixture("clean.rs"),
-        fixture("d5_stream_discipline_clean.rs"),
         fixture("d6_lock_order_clean.rs"),
         fixture("d7_panic_surface_clean.rs"),
         fixture("lexer_edges.rs"),
@@ -333,9 +323,8 @@ fn prop_seeded_violations_survive_noise() {
     let dirty = [
         (fixture("d1_wall_clock.rs"), RuleId::D1),
         (fixture("d2_hash_iteration.rs"), RuleId::D2),
-        (fixture("d3_literal_seed.rs"), RuleId::D3),
+        (fixture("d3_rng_fence.rs"), RuleId::D3),
         (fixture("d4_unsafe.rs"), RuleId::D4),
-        (fixture("d5_stream_discipline.rs"), RuleId::D5),
         (fixture("d6_lock_order.rs"), RuleId::D6),
         (fixture("d7_panic_surface.rs"), RuleId::D7),
         (fixture("pragma_allowed.rs"), RuleId::D2),

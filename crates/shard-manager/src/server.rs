@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use scalewall_discovery::MappingStore;
-use scalewall_sim::{DeadlineQueue, SimRng, SimTime};
+use scalewall_sim::{DeadlineQueue, RngRoot, SimRng, SimTime};
 use scalewall_zk::{CoordinationPlane, SessionId, ZkReplicationConfig};
 
 use crate::app_server::{AddShardReason, AppServerRegistry, ShardContext};
@@ -214,7 +214,7 @@ impl SmServer {
                 None => CoordinationPlane::single(),
                 Some(rep) => CoordinationPlane::replicated(rep),
             },
-            rng: SimRng::new(config.seed),
+            rng: RngRoot::new(config.seed).into_rng(),
             config,
             app: AppState {
                 spec,

@@ -12,7 +12,8 @@
 //!   replays the same history (see `DESIGN.md` §5 for the ordering
 //!   contract), plus the [`DeadlineQueue`] built on it.
 //! * [`rng`] — seedable, forkable random source ([`SimRng`]); every stochastic
-//!   process in the workspace draws from one of these.
+//!   process in the workspace draws from one of these, forked from an
+//!   [`RngRoot`] under a [`Stream`] label.
 //! * [`dist`] — the parametric families used by the paper's models:
 //!   exponential (Poisson inter-arrival gaps), normal/log-normal (tail
 //!   latency), Pareto (heavy tails), Zipf (access skew) and Bernoulli
@@ -44,6 +45,6 @@ pub mod time;
 
 pub use dist::{Bernoulli, Exponential, LogNormal, Normal, Pareto, TailLatency, Zipf};
 pub use event::{DeadlineQueue, EventQueue, ScheduledEvent};
-pub use rng::SimRng;
+pub use rng::{FaultRng, RngRoot, SimRng, Stream};
 pub use stats::{DailyCounter, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

@@ -4,9 +4,49 @@
 //! placement randomization, workload generation) draws from a [`SimRng`]
 //! seeded at experiment start, so a run is fully reproducible from its seed.
 //!
-//! Components that evolve independently should each get their own stream via
-//! [`SimRng::fork`], so adding draws to one component does not perturb the
-//! sequence observed by another (a classic replay-stability pitfall).
+//! Components that evolve independently each get their own stream, so
+//! adding draws to one component does not perturb the sequence observed by
+//! another (a classic replay-stability pitfall). Outside this crate the
+//! streams are types:
+//!
+//! * an [`RngRoot`] is a seed that forks but cannot draw: named children
+//!   come from a [`Stream`] label, dynamic ones (a host, an instant) from
+//!   [`RngRoot::child`];
+//! * a [`FaultRng`] is the fault stream, and only [`RngRoot::fault`]
+//!   builds one, so fault victim selection cannot be handed a workload
+//!   stream;
+//! * a [`SimRng`] draws, and [`SimRng::child`] forks it by index where a
+//!   component draws and forks from one stream.
+//!
+//! ```
+//! use scalewall_sim::rng::{RngRoot, Stream};
+//!
+//! let mut root = RngRoot::new(7);
+//! let mut load = root.stream(Stream::Load);
+//! let mut faults = root.fault();
+//! let host = *faults.pick(&[10, 11, 12]);
+//! let jitter = load.child(host).unit();
+//! assert!((0.0..1.0).contains(&jitter));
+//! ```
+//!
+//! A root cannot draw:
+//!
+//! ```compile_fail
+//! let mut root = scalewall_sim::rng::RngRoot::new(7);
+//! let _ = root.next_u64();
+//! ```
+//!
+//! and fault code typed on [`FaultRng`] refuses any other stream:
+//!
+//! ```compile_fail
+//! use scalewall_sim::rng::{FaultRng, RngRoot, Stream};
+//!
+//! fn victim(rng: &mut FaultRng, hosts: &[u64]) -> u64 {
+//!     *rng.pick(hosts)
+//! }
+//! let mut workload = RngRoot::new(7).stream(Stream::Load);
+//! victim(&mut workload, &[10, 11, 12]);
+//! ```
 //!
 //! # Stream-stability contract
 //!
@@ -19,11 +59,19 @@
 //! * `SimRng::new(seed)` always produces the same sequence for the same
 //!   seed, on every platform, forever. Golden numbers derived from it (in
 //!   `tests/` and `crates/bench/src/figures/`) pin this stream.
-//! * `fork(label)` derives the child from (a) one draw of the parent and
-//!   (b) the label. A child's stream therefore depends only on the parent's
+//! * `fork(label)` consumes one draw of the parent and mixes the label
+//!   into it. A child's stream therefore depends only on the parent's
 //!   *position at fork time* and the label — never on how many draws a
-//!   *sibling* stream later makes. Fork before fan-out, then hand each
-//!   component its own stream.
+//!   *sibling* stream later makes — and two forks of one label on one
+//!   stream give two different children. Fork before fan-out, then hand
+//!   each component its own stream.
+//! * The duplicate-stream hazard is building a stream twice from one
+//!   seed: two roots of one seed fork and draw in lockstep. Outside
+//!   `crates/sim`, sim-facing code names neither `SimRng::new` nor
+//!   `.fork(` (lint rule D3), so every stream comes from an [`RngRoot`]
+//!   built from a config seed. [`Stream`], [`RngRoot`] and [`FaultRng`]
+//!   are that same `fork(label)` call under a type: every stream they hand
+//!   out is bit-identical to the label fork it replaced.
 //! * Changing the algorithm, the seeding path, or the draw order of any
 //!   helper below is a breaking change to recorded experiments: re-derive
 //!   the golden values and say so in the changelog.
@@ -84,11 +132,14 @@ impl SimRng {
         result
     }
 
-    /// Derive an independent child stream.
+    /// Derive a child stream from one draw of this one and `label`.
     ///
-    /// Mixing `label` into the derived seed lets callers create stable,
-    /// named streams (e.g. one per host) whose sequences do not change when
-    /// unrelated streams are added or reordered.
+    /// The draw is consumed, so a second fork under the same label gives a
+    /// different child. Mixing `label` into the derived seed lets callers
+    /// create stable, named streams (e.g. one per host) whose sequences do
+    /// not change when unrelated streams are added or reordered. Outside
+    /// `crates/sim`, sim-facing code forks through [`RngRoot`] and
+    /// [`SimRng::child`] instead (module docs).
     pub fn fork(&mut self, label: u64) -> SimRng {
         // SplitMix64 finalizer: cheap, well-distributed seed derivation.
         let mut z = self.next() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -96,6 +147,13 @@ impl SimRng {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         SimRng::new(z)
+    }
+
+    /// The child at a dynamic `index` (a host id, an instant): the
+    /// `fork(index)` of a stream that also draws.
+    #[inline]
+    pub fn child(&mut self, index: u64) -> SimRng {
+        self.fork(index)
     }
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
@@ -167,6 +225,87 @@ impl SimRng {
             let bytes = self.next().to_le_bytes();
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
+    }
+}
+
+/// The static stream labels. Each discriminant is the `fork` label its
+/// stream has always had.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stream {
+    /// `Experiment`'s table population.
+    Population = 1,
+    /// `Experiment`'s initial table loads.
+    Load = 2,
+    /// `Experiment`'s fault victim selection, handed out as a [`FaultRng`]
+    /// by [`RngRoot::fault`].
+    Fault = 3,
+    /// `Experiment`'s QoS arrivals and tenant classes.
+    Traffic = 4,
+    /// `Deployment`'s rack topology, a root of its own.
+    RackTopology = 0x7ac0,
+}
+
+/// A seed that forks streams but cannot draw. It is not `Clone`: a copy
+/// would fork the same children again.
+#[derive(Debug)]
+pub struct RngRoot(SimRng);
+
+impl RngRoot {
+    /// The root of a config seed.
+    #[inline]
+    pub fn new(seed: u64) -> Self {
+        RngRoot(SimRng::new(seed))
+    }
+
+    /// The named stream `stream`.
+    #[inline]
+    pub fn stream(&mut self, stream: Stream) -> SimRng {
+        self.0.fork(stream as u64)
+    }
+
+    /// The named stream `stream`, as a root of its own.
+    #[inline]
+    pub fn branch(&mut self, stream: Stream) -> RngRoot {
+        RngRoot(self.stream(stream))
+    }
+
+    /// The fault stream ([`Stream::Fault`]).
+    #[inline]
+    pub fn fault(&mut self) -> FaultRng {
+        FaultRng(self.stream(Stream::Fault))
+    }
+
+    /// The child at a dynamic `index`.
+    #[inline]
+    pub fn child(&mut self, index: u64) -> SimRng {
+        self.0.fork(index)
+    }
+
+    /// The root's own sequence, positioned after every fork so far, as a
+    /// stream that draws: a component whose one stream draws and forks
+    /// (`Experiment`, `Deployment`), or one that never forks.
+    #[inline]
+    pub fn into_rng(self) -> SimRng {
+        self.0
+    }
+}
+
+/// The fault stream: only [`RngRoot::fault`] builds one, and it offers
+/// only the draws fault victim selection makes.
+#[derive(Debug)]
+pub struct FaultRng(SimRng);
+
+impl FaultRng {
+    /// [`SimRng::pick`].
+    #[inline]
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        self.0.pick(items)
+    }
+
+    /// [`SimRng::shuffle`].
+    #[inline]
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        self.0.shuffle(items)
     }
 }
 
@@ -242,6 +381,15 @@ mod tests {
         let mut x = r1.fork(1);
         let mut y = r2.fork(2);
         assert_ne!(x.next_u64(), y.next_u64());
+    }
+
+    #[test]
+    fn a_repeated_label_forks_a_different_child() {
+        // Each fork consumes a parent draw, so one label twice on one
+        // stream is two streams, not one.
+        let mut parent = SimRng::new(31);
+        let (mut a, mut b) = (parent.fork(1), parent.fork(1));
+        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use scalewall_bench::figures::fig5;
 use scalewall::cluster::experiment::{Experiment, ExperimentConfig, ExperimentStats};
 use scalewall::cluster::fault::{FaultKind, FaultScript};
 use scalewall::cluster::workload::WorkloadConfig;
-use scalewall::sim::{SimDuration, SimRng, SimTime};
+use scalewall::sim::{prop, RngRoot, SimDuration, SimRng, SimTime, Stream};
 
 /// A small-but-real operational run: multi-region deployment, skewed
 /// query traffic, failures, drains and load balancing, over half a
@@ -129,6 +129,43 @@ fn forked_streams_unaffected_by_sibling_draws() {
         seq_a, seq_b,
         "component 2's stream must not depend on component 1's draw count"
     );
+}
+
+/// The typed streams of `sim::rng` are the label forks they replaced:
+/// for 64 generated seeds and indices, every `Stream` child, the fault
+/// stream and every indexed child (of a root, a branch and a stream that
+/// draws) equals over its first 32 draws what `fork(u64)` yields on an
+/// equal parent, and leaves that parent at the same position.
+#[test]
+fn typed_streams_are_the_label_forks_they_replace() {
+    const STREAMS: [Stream; 5] =
+        [Stream::Population, Stream::Load, Stream::Fault, Stream::Traffic, Stream::RackTopology];
+    let draws = |rng: &mut SimRng| -> Vec<u64> { (0..32).map(|_| rng.next_u64()).collect() };
+    let gen = |rng: &mut SimRng| (rng.next_u64(), rng.next_u64());
+    prop::check_n("typed_streams_are_label_forks", 64, gen, |&(seed, index)| {
+        for stream in STREAMS {
+            let (mut root, mut old) = (RngRoot::new(seed), SimRng::new(seed));
+            assert_eq!(draws(&mut root.stream(stream)), draws(&mut old.fork(stream as u64)));
+            let (mut branch, mut old_branch) = (root.branch(stream), old.fork(stream as u64));
+            assert_eq!(draws(&mut branch.child(index)), draws(&mut old_branch.fork(index)));
+            assert_eq!(draws(&mut branch.into_rng()), draws(&mut old_branch));
+            assert_eq!(draws(&mut root.child(index)), draws(&mut old.fork(index)));
+            assert_eq!(draws(&mut root.into_rng()), draws(&mut old));
+        }
+        // The fault stream draws only for victim selection: shuffling 33
+        // elements is 32 draws.
+        let (mut root, mut old) = (RngRoot::new(seed), SimRng::new(seed));
+        let (mut typed, mut forked): (Vec<u32>, Vec<u32>) = ((0..33).collect(), (0..33).collect());
+        root.fault().shuffle(&mut typed);
+        old.fork(Stream::Fault as u64).shuffle(&mut forked);
+        assert_eq!(typed, forked);
+        assert_eq!(draws(&mut root.into_rng()), draws(&mut old));
+        // A stream that draws, then forks by index (`Experiment`'s order).
+        let (mut drawing, mut old) = (RngRoot::new(seed).into_rng(), SimRng::new(seed));
+        assert_eq!(drawing.below(1 + index % 1_000), old.below(1 + index % 1_000));
+        assert_eq!(draws(&mut drawing.child(index)), draws(&mut old.fork(index)));
+        assert_eq!(draws(&mut drawing), draws(&mut old));
+    });
 }
 
 /// Mid-run fault injection must also replay bit-identically: the fault

@@ -3,9 +3,9 @@
 //!
 //! This is the machine check behind the replay contract: no sim-facing
 //! code path may smuggle in wall-clock time (D1), hash-iteration order
-//! (D2), private RNG seeds (D3), `unsafe` (D4), RNG stream-discipline
-//! breaches (D5), lock-order hazards (D6), or panic surface anywhere
-//! but the `D7_PENDING` files (D7). See DESIGN.md "Determinism invariants" and
+//! (D2), RNG streams built outside `sim::rng`'s types (D3), `unsafe`
+//! (D4), same-lock re-entry (D6), or panic surface anywhere but the
+//! `D7_PENDING` files (D7). See DESIGN.md "Determinism invariants" and
 //! "Semantic determinism invariants" for the rules and the file tiers,
 //! the lint's only exceptions.
 
@@ -51,17 +51,10 @@ fn workspace_has_zero_unsilenced_violations() {
         "determinism-lint violations:\n{rendered}"
     );
 
-    // The gate covers all seven rule families, not just the v1 four:
-    // a clean tree means clean under D1–D7, D7 as a crate-wide rule.
-    for rule in [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
-        RuleId::D4,
-        RuleId::D5,
-        RuleId::D6,
-        RuleId::D7,
-    ] {
+    // The gate covers all six rule families, not just the v1 four:
+    // a clean tree means clean under D1–D4, D6 and D7, D7 as a
+    // crate-wide rule.
+    for rule in [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D6, RuleId::D7] {
         let hits: Vec<_> = report
             .files
             .iter()
@@ -73,10 +66,9 @@ fn workspace_has_zero_unsilenced_violations() {
 
 /// Vacuity is a failure: the semantic walk must have seen the locks the
 /// system has (both shared stores are declared through `type Shared… =
-/// Arc<RwLock<…>>` aliases), an order between two of them, and calls made
-/// under them. Before aliases were followed it saw 2 identities — the
-/// shim's own field — 0 edges and 3 calls, and reported the same zero
-/// violations. The shard map SM owns by value is no lock, and a shared
+/// Arc<RwLock<…>>` aliases) and calls made under them. Before aliases
+/// were followed it saw 2 identities — the shim's own field — and 3
+/// calls, and reported the same zero violations. The shard map SM owns by value is no lock, and a shared
 /// handle to it coming back fails here.
 #[test]
 fn semantic_walk_sees_the_locks_the_system_has() {
@@ -90,9 +82,8 @@ fn semantic_walk_sees_the_locks_the_system_has() {
         assert!(!census.lock_ids.contains(gone), "`{gone}` is a lock again; saw {:?}", census.lock_ids);
     }
     assert!(census.lock_ids.len() >= 6, "{:?}", census.lock_ids);
-    assert!(census.order_edges.len() >= 2, "{:?}", census.order_edges);
     assert!(census.calls_under_lock >= 150, "only {} calls under a held lock", census.calls_under_lock);
-    assert!(census.fns_walked > 1000 && census.fork_sites > 10 && census.rng_calls > 100, "{census:?}");
+    assert!(census.fns_walked > 1000, "{census:?}");
 }
 
 /// Every non-test source file of the six sim-facing crates, as
@@ -140,7 +131,7 @@ fn canary_in_every_sim_facing_fn_is_reported() {
 /// The block canaries over the live tree: after every `if` / `while` /
 /// `for` / `loop` / `else` head, a panic site the pattern scan must report
 /// (under `RuleSet::SIM`, so the `D7_PENDING` files are swept too) and a
-/// nested acquire plus a duplicated fork label the body walk must. A
+/// nested acquire the body walk must. A
 /// block a mis-read head hides from either engine shows here and nowhere
 /// else.
 #[test]
@@ -162,16 +153,15 @@ fn canaries_in_every_sim_facing_block_are_reported() {
 }
 
 /// One planted violation per rule on a live file: `cluster/src/driver.rs`
-/// as it is on disk, with seven statements added at the top of
-/// `dispatch`, reports those seven lines and nothing else.
+/// as it is on disk, with six statements added at the top of
+/// `dispatch`, reports those six lines and nothing else.
 #[test]
 fn one_planted_violation_per_rule_is_reported_on_its_line() {
-    const PLANTED: [(RuleId, &str); 7] = [
+    const PLANTED: [(RuleId, &str); 6] = [
         (RuleId::D1, "let _p1 = std::time::Instant::now();"),
         (RuleId::D2, "let _p2: HashMap<u8, u8> = Default::default();"),
-        (RuleId::D3, "let _p3 = SimRng::new(7);"),
+        (RuleId::D3, "let _p3 = rng.child(7).fork(7);"),
         (RuleId::D4, "let _p4 = unsafe { 0u8 };"),
-        (RuleId::D5, "let _p5 = (rng.fork(900_001), rng.fork(900_001));"),
         (RuleId::D6, "{ let pl = Mutex::new(0u8); let _pa = pl.lock(); let _pb = pl.lock(); }"),
         (RuleId::D7, "None::<u8>.unwrap();"),
     ];
