@@ -23,8 +23,8 @@
 //! is what [`AdmissionConfig::flat`] (the proxy's default) produces, so
 //! pre-QoS experiments replay byte-identically.
 //!
-//! This file is on the lint D7 panic-surface list: no `unwrap`/`expect`/
-//! panic-family macros/literal indexing outside tests.
+//! Like every sim-facing file it has no `unwrap`/`expect`/panic-family
+//! macro (clippy) and no literal index (lint D7) outside tests.
 
 use std::collections::VecDeque;
 

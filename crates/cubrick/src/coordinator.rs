@@ -67,8 +67,8 @@ pub fn merge_partials(
 /// Degraded-mode merge (the typed opposite of [`merge_partials`]):
 /// combine whatever answered, but *declare* what is missing through the
 /// accompanying [`Coverage`] instead of silently returning a smaller
-/// number. Invariants checked (typed errors, never panics — this file
-/// is on the lint D7 panic-surface list): `coverage` describes exactly the
+/// number. Invariants checked (typed errors, never panics — clippy's
+/// panic family and lint D7 cover this file): `coverage` describes exactly the
 /// plan's partitions, `partials.len()` equals `coverage.answered()`, and
 /// (the merge's own) every partial carries the same agg list and key kinds.
 ///

@@ -43,6 +43,7 @@ pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
 
 /// Decode a column: value `i` is read from the word at the byte its
 /// first bit falls in.
+#[expect(clippy::expect_used, reason = "infallible until ROADMAP item 8")]
 pub fn decode(payload: &[u8]) -> Vec<u32> {
     let mut pos = 0;
     let rows = varint::read_u64(payload, &mut pos).expect("bitpack header") as usize;

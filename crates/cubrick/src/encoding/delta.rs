@@ -16,18 +16,19 @@ pub fn encode(values: &[u32]) -> Vec<u8> {
 /// Append a column's encoding to `out`.
 pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
     varint::write_u64(out, values.len() as u64);
-    let Some(&first) = values.first() else {
+    let Some((&first, rest)) = values.split_first() else {
         return;
     };
     varint::write_u32(out, first);
     let mut prev = first as i64;
-    for &v in &values[1..] {
+    for &v in rest {
         varint::write_u64(out, varint::zigzag(v as i64 - prev));
         prev = v as i64;
     }
 }
 
 /// Decode a column.
+#[expect(clippy::expect_used, reason = "infallible until ROADMAP item 8")]
 pub fn decode(payload: &[u8]) -> Vec<u32> {
     let mut pos = 0;
     let rows = varint::read_u64(payload, &mut pos).expect("delta header") as usize;

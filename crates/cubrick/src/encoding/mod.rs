@@ -60,13 +60,13 @@ impl EncodedU32 {
 /// specified in the codec modules).
 fn encoded_sizes(values: &[u32]) -> [usize; 3] {
     let header = varint::len_u64(values.len() as u64);
-    let Some(&first) = values.first() else {
+    let Some((&first, rest)) = values.split_first() else {
         return [header; 3];
     };
     let (mut rle, mut delta) = (0, varint::len_u64(first as u64));
     // `all_bits` has the maximum's highest set bit: all the width needs.
     let (mut prev, mut run, mut all_bits) = (first, 1u64, first);
-    for &v in &values[1..] {
+    for &v in rest {
         if v != prev {
             rle += varint::len_u64(prev as u64) + varint::len_u64(run);
             run = 0;

@@ -32,6 +32,7 @@ pub fn encode_into(values: &[u32], out: &mut Vec<u8>) {
 
 /// Decode a column. Panics on corrupt payloads (they can only come from a
 /// bug in this process, never from the network).
+#[expect(clippy::expect_used, reason = "infallible until ROADMAP item 8")]
 pub fn decode(payload: &[u8]) -> Vec<u32> {
     let mut pos = 0;
     let rows = varint::read_u64(payload, &mut pos).expect("rle header") as usize;

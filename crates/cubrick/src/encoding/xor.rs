@@ -51,6 +51,7 @@ pub fn encode(values: &[f64]) -> Vec<u8> {
 }
 
 /// Decode a metric column.
+#[expect(clippy::expect_used, reason = "infallible until ROADMAP item 8")]
 pub fn decode(payload: &[u8]) -> Vec<f64> {
     let mut pos = 0;
     let rows = varint::read_u64(payload, &mut pos).expect("xor header") as usize;

@@ -1,5 +1,8 @@
 //! Property-based tests of the Cubrick engine's core invariants.
 
+// Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use cubrick::brick::Brick;
 use cubrick::compression::CompressedBrick;
 use cubrick::dictionary::Dictionary;

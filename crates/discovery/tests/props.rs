@@ -2,6 +2,9 @@
 //! drawn from published history, staleness is bounded by the delay
 //! model, and per-subscriber views are monotone.
 
+// Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::{SimDuration, SimRng, SimTime};

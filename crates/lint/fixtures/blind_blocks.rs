@@ -13,35 +13,35 @@ enum E {
     B,
 }
 
-fn pin_ne_in_if_head(a: u32, b: u32, x: Option<u32>) {
+fn pin_ne_in_if_head(a: u32, b: u32, x: &[u32]) {
     if a != b {
-        x.unwrap(); // expect: D7
+        x[0]; // expect: D7
     }
 }
 
-fn pin_ne_in_match_head(a: u32, b: u32, x: Option<u32>) {
+fn pin_ne_in_match_head(a: u32, b: u32, x: &[u32]) {
     match a != b {
         true => {
-            x.unwrap(); // expect: D7
+            x[0]; // expect: D7
         }
         false => {}
     }
 }
 
 fn pin_ne_in_closure(v: &[u32], o: u32) -> u32 {
-    *v.iter().find(|&h| *h != o).unwrap() // expect: D7
+    v.iter().filter(|&h| *h != o).collect::<Vec<_>>()[0] // expect: D7
 }
 
-fn pin_ne_head_over_tuple_let(g: (u32, u32), w: (u32, u32)) {
+fn pin_ne_head_over_tuple_let(g: (u32, u32), w: (u32, u32)) -> u32 {
     if g != w {
         let (a, b) = g;
-        panic!("{a} {b}") // expect: D7
+        [a, b][0] // expect: D7
     }
 }
 
-fn pin_let_else_with_path_pattern(e: E, x: Option<u32>) -> u32 {
+fn pin_let_else_with_path_pattern(e: E, x: &[u32]) -> u32 {
     let E::A(n) = e else {
-        x.unwrap(); // expect: D7
+        x[0]; // expect: D7
         return 0;
     };
     n
@@ -72,78 +72,78 @@ impl Locks {
 
 // ---------------------------------------------------------------- controls
 
-fn control_let_else_simple_pattern(e: Option<u32>, x: Option<u32>) -> u32 {
+fn control_let_else_simple_pattern(e: Option<u32>, x: &[u32]) -> u32 {
     let Some(n) = e else {
-        x.unwrap(); // expect: D7
+        x[0]; // expect: D7
         return 0;
     };
     n
 }
 
-fn control_match_guard_arms(e: E, x: Option<u32>) -> u32 {
+fn control_match_guard_arms(e: E, x: &[u32]) -> u32 {
     match e {
-        E::A(n) if n > 2 => x.unwrap(), // expect: D7
+        E::A(n) if n > 2 => x[0], // expect: D7
         E::A(n) if n != 1 => {
-            x.expect("one") // expect: D7
+            x[1] // expect: D7
         }
         _ => 0,
     }
 }
 
-fn control_while_let(mut it: std::vec::IntoIter<Option<u32>>) {
+fn control_while_let(mut it: std::vec::IntoIter<Vec<u32>>) {
     while let Some(x) = it.next() {
-        x.unwrap(); // expect: D7
+        x[0]; // expect: D7
     }
 }
 
-fn control_closures(v: &[Option<u32>]) -> u32 {
-    let block = |x: &Option<u32>| {
-        x.unwrap() // expect: D7
+fn control_closures(v: &[Vec<u32>]) -> u32 {
+    let block = |x: &Vec<u32>| {
+        x[0] // expect: D7
     };
-    let typed = |x: &Option<u32>| -> u32 { x.unwrap() }; // expect: D7
+    let typed = |x: &Vec<u32>| -> u32 { x[0] }; // expect: D7
     v.iter().map(block).sum::<u32>() + v.iter().map(typed).sum::<u32>()
 }
 
-fn control_casts_and_shifts_in_heads(a: u32, b: u64, x: Option<u32>) {
+fn control_casts_and_shifts_in_heads(a: u32, b: u64, x: &[u32]) {
     if a as u64 > b {
-        x.unwrap(); // expect: D7
+        x[0]; // expect: D7
     }
     if a << 2 > a {
-        x.unwrap(); // expect: D7
+        x[0]; // expect: D7
     }
 }
 
-fn control_labelled_loops(x: Option<u32>) {
+fn control_labelled_loops(x: &[u32]) {
     'outer: loop {
         'inner: for _ in 0..2 {
-            x.unwrap(); // expect: D7
+            x[0]; // expect: D7
             break 'inner;
         }
         break 'outer;
     }
 }
 
-fn control_nested_fn(x: Option<u32>) -> u32 {
-    fn inner(y: Option<u32>) -> u32 {
-        y.unwrap() // expect: D7
+fn control_nested_fn(x: &[u32]) -> u32 {
+    fn inner(y: &[u32]) -> u32 {
+        y[0] // expect: D7
     }
     inner(x)
 }
 
-fn control_impl_fn_param(f: impl Fn(u32) -> u32, x: Option<u32>) -> u32 {
-    f(x.unwrap()) // expect: D7
+fn control_impl_fn_param(f: impl Fn(u32) -> u32, x: &[u32]) -> u32 {
+    f(x[0]) // expect: D7
 }
 
-fn control_where_clause<T>(t: Option<T>) -> T
+fn control_where_clause<T>(t: &[T]) -> T
 where
     T: Clone + PartialOrd<T>,
 {
-    t.unwrap() // expect: D7
+    t[0].clone() // expect: D7
 }
 
 fn control_question_mark_then_closure(x: Option<Option<u32>>) -> Option<u32> {
     x?.map(|v| {
-        Some(v).unwrap() // expect: D7
+        [v][0] // expect: D7
     })
 }
 

@@ -1,28 +1,17 @@
-//! Seeded D7 fixture: every panic-surface shape the audit flags —
-//! unwrap, expect, the panic macro family, and literal indexing.
-
-fn unwrap_and_expect(x: Option<u32>) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect("present");
-    a + b
-}
-
-fn panic_family(n: u32) -> u32 {
-    match n {
-        0 => panic!("boom"),
-        1 => unreachable!(),
-        2 => todo!(),
-        _ => n,
-    }
-}
+//! Seeded D7 fixture: every literal-index shape the audit flags. The rest
+//! of the panic surface (`unwrap`, `expect`, the `panic!` family) is
+//! clippy's.
 
 fn literal_index(v: &[u32]) -> u32 {
     v[0]
 }
 
-/// The array exemption is by declared type: a slice behind a local of
-/// unstated type is as unbounded as the parameter it came from.
-fn literal_index_into_untyped_local(v: &[u32]) -> u32 {
-    let window = v;
-    window[0]
+fn literal_range_start(v: &[u32]) -> &[u32] {
+    &v[1..]
+}
+
+/// The lint does not read types: a fixed-size array is indexed like any
+/// other collection.
+fn literal_index_into_array(s: [u64; 4]) -> u64 {
+    s[0]
 }

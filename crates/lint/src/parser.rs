@@ -25,12 +25,8 @@
 use crate::lexer::{lex, Tok, Token};
 
 /// A type as the lint sees it: the identifiers it mentions (lock
-/// lookups) and whether it is spelled as an array or slice (`[…`).
-#[derive(Debug, Clone, Default)]
-pub struct Ty {
-    pub idents: Vec<String>,
-    pub is_array: bool,
-}
+/// lookups).
+pub type Ty = Vec<String>;
 
 #[derive(Debug, Clone)]
 pub struct Param {
@@ -46,9 +42,6 @@ pub struct FnDef {
     pub takes_self: bool,
     pub params: Vec<Param>,
     pub body: Option<Group>,
-    /// Locals this function declares with an array type (`let s: [T; N]`),
-    /// nested functions not included.
-    pub array_locals: Vec<String>,
     pub line: u32,
     pub in_test: bool,
 }
@@ -136,7 +129,6 @@ pub fn parse(src: &str) -> ParsedFile {
         out: ParsedFile::default(),
         in_test: false,
         self_ty: None,
-        array_locals: Vec::new(),
     };
     while p.pos < tokens.len() {
         p.items();
@@ -155,8 +147,6 @@ struct Parser<'a> {
     out: ParsedFile,
     in_test: bool,
     self_ty: Option<String>,
-    /// Array-typed `let`s of the function being shaped.
-    array_locals: Vec<String>,
 }
 
 impl<'a> Parser<'a> {
@@ -303,7 +293,7 @@ impl<'a> Parser<'a> {
 
     /// Read a type, stopping at a depth-0 `,` `;` `=` `{` or closer.
     fn ty(&mut self) -> Ty {
-        let mut ty = Ty { idents: Vec::new(), is_array: self.is_punct(0, '[') };
+        let mut ty = Ty::default();
         let mut depth = 0i32;
         let mut prev_minus = false;
         while let Some(tok) = self.peek() {
@@ -315,7 +305,7 @@ impl<'a> Parser<'a> {
                 Tok::Punct('>') if depth == 0 => break,
                 Tok::Punct('<' | '(' | '[') => depth += 1,
                 Tok::Punct('>' | ')' | ']') => depth -= 1,
-                Tok::Ident(i) => ty.idents.push(i.clone()),
+                Tok::Ident(i) => ty.push(i.clone()),
                 _ => {}
             }
             prev_minus = matches!(tok, Tok::Punct('-'));
@@ -471,21 +461,18 @@ impl<'a> Parser<'a> {
             self.eat_punct(')');
         }
         self.skip_header(); // return type and `where` clause
-        let outer_locals = std::mem::take(&mut self.array_locals);
         let body = if self.is_punct(0, '{') {
             Some(self.group())
         } else {
             self.eat_punct(';');
             None
         };
-        let array_locals = std::mem::replace(&mut self.array_locals, outer_locals);
         self.out.fns.push(FnDef {
             name,
             self_ty: self.self_ty.clone(),
             takes_self,
             params,
             body,
-            array_locals,
             line,
             in_test: self.in_test,
         });
@@ -649,9 +636,6 @@ impl<'a> Parser<'a> {
                     self.pos = at;
                     ty
                 });
-                if ty.as_ref().is_some_and(|t| t.is_array) {
-                    self.array_locals.push(name.to_string());
-                }
                 binds = Some((name.to_string(), ty));
             }
         }
@@ -716,7 +700,7 @@ mod tests {
         assert_eq!(fn_names(&f), ["add"]);
         assert_eq!(f.fns[0].params.len(), 2);
         assert_eq!(f.fns[0].params[0].name.as_deref(), Some("a"));
-        assert_eq!(f.fns[0].params[0].ty.idents, ["u64"]);
+        assert_eq!(f.fns[0].params[0].ty, ["u64"]);
         assert_eq!(f.fns[0].params[1].name, None);
         assert_eq!(stmts_of(&f, &f.fns[0]), ["a + b"]);
     }
@@ -725,11 +709,12 @@ mod tests {
     fn impl_methods_get_self_ty() {
         let f = parse("struct S { x: RwLock<u32> } impl Tr for S { fn go(&mut self) { self.x.write(); } } struct T(pub [u8; 4], Mutex<u8>);");
         assert_eq!(f.structs[0].fields[0].0, "x");
-        assert_eq!(f.structs[0].fields[0].1.idents, ["RwLock", "u32"]);
+        assert_eq!(f.structs[0].fields[0].1, ["RwLock", "u32"]);
         assert_eq!(f.fns[0].self_ty.as_deref(), Some("S"));
         assert!(f.fns[0].takes_self);
-        let tuple: Vec<(&str, bool)> = f.structs[1].fields.iter().map(|(n, t)| (n.as_str(), t.is_array)).collect();
-        assert_eq!(tuple, [("0", true), ("1", false)]);
+        let tuple: Vec<&str> = f.structs[1].fields.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(tuple, ["0", "1"]);
+        assert_eq!(f.structs[1].fields[1].1, ["Mutex", "u8"]);
     }
 
     #[test]
@@ -753,7 +738,7 @@ mod tests {
         let f = parse("pub type Shared<T> = Arc<RwLock<T>>; impl It for X { type Item = u32; fn f() {} }");
         let names: Vec<&str> = f.aliases.iter().map(|(n, ..)| n.as_str()).collect();
         assert_eq!(names, ["Shared", "Item"]);
-        assert_eq!(f.aliases[0].1.idents, ["Arc", "RwLock", "T"]);
+        assert_eq!(f.aliases[0].1, ["Arc", "RwLock", "T"]);
         assert_eq!(fn_names(&f), ["f"]);
     }
 
@@ -777,7 +762,6 @@ mod tests {
         let binds: Vec<Option<&str>> =
             body.stmts.iter().map(|s| s.binds.as_ref().map(|(n, _)| n.as_str())).collect();
         assert_eq!(binds, [None, Some("s"), None, None, None]);
-        assert_eq!(f.fns[0].array_locals, ["s"]);
     }
 
     #[test]
@@ -786,8 +770,6 @@ mod tests {
         assert_eq!(fn_names(&f), ["inner", "outer"]);
         assert_eq!(stmts_of(&f, &f.fns[1]), ["inner (… ;"]);
         assert_eq!(f.test_spans.len(), 1);
-        assert_eq!(f.fns[0].array_locals, ["a"]);
-        assert!(f.fns[1].array_locals.is_empty(), "a nested fn's locals are its own");
     }
 
     /// The shape that once cost the v2 parser a `}` and, with it, the rest

@@ -111,7 +111,7 @@ fn extract_fns(parsed: &ParsedFile, index: &StructIndex) -> Vec<FnFacts> {
         };
         for p in &f.params {
             if let Some(name) = &p.name {
-                w.local_tys.insert(name.clone(), p.ty.idents.clone());
+                w.local_tys.insert(name.clone(), p.ty.clone());
             }
         }
         w.group(body);
@@ -327,7 +327,7 @@ impl<'a> FnWalk<'a> {
         }
         let Some((name, ty)) = &s.binds else { return };
         if let Some(ty) = ty {
-            self.local_tys.insert(name.clone(), ty.idents.clone());
+            self.local_tys.insert(name.clone(), ty.clone());
         }
         // `let m = Mutex::new(…);` is a local lock.
         let Some(init) = bound.and_then(|(end, _)| self.applied(nodes, end)) else { return };
@@ -482,15 +482,15 @@ pub(crate) fn analyze(files: &[&ParsedFile]) -> (Vec<(usize, Violation)>, Census
     let mut index = StructIndex::default();
     // Aliases of aliases resolve in as many rounds as they are deep.
     let aliases = || files.iter().flat_map(|parsed| &parsed.aliases).filter(|(.., in_test)| !in_test);
-    while let Some((name, ..)) = aliases().find(|(name, ty, _)| index.is_lock(&ty.idents) && !index.lock_aliases.contains(name)) {
+    while let Some((name, ..)) = aliases().find(|(name, ty, _)| index.is_lock(ty) && !index.lock_aliases.contains(name)) {
         index.lock_aliases.insert(name.clone());
     }
     for parsed in files {
         for s in parsed.structs.iter().filter(|s| !s.in_test) {
-            let locks = s.fields.iter().filter(|(_, ty)| index.is_lock(&ty.idents)).map(|(f, _)| f.clone());
+            let locks = s.fields.iter().filter(|(_, ty)| index.is_lock(ty)).map(|(f, _)| f.clone());
             let locks: Vec<String> = locks.collect();
             index.lock_fields.entry(s.name.clone()).or_default().extend(locks);
-            let types = s.fields.iter().map(|(f, ty)| (f.clone(), ty.idents.clone()));
+            let types = s.fields.iter().map(|(f, ty)| (f.clone(), ty.clone()));
             index.field_types.entry(s.name.clone()).or_default().extend(types);
         }
     }

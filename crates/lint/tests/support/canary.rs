@@ -19,8 +19,8 @@ pub struct Canary {
 pub const WALL_CLOCK: Canary =
     Canary { text: "let _t = std::time::Instant::now();", rules: &[RuleId::D1] };
 
-/// A panic site: the pattern rules' view of a block.
-pub const PANIC: Canary = Canary { text: "None::<u8>.unwrap();", rules: &[RuleId::D7] };
+/// A panic site, a literal index: the pattern rules' view of a block.
+pub const PANIC: Canary = Canary { text: "let _ci = ci[0];", rules: &[RuleId::D7] };
 
 /// A nested same-lock acquire: the semantic walk's view of a block.
 pub const SEMANTIC: Canary =

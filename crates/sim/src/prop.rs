@@ -50,6 +50,7 @@ struct AssumeReject;
 /// Rejected cases are regenerated from the next seed; a property that
 /// rejects nearly everything will fail loudly rather than silently pass
 /// on a handful of inputs.
+#[expect(clippy::panic, reason = "the harness catches the `AssumeReject` unwind and regenerates the case")]
 pub fn assume(cond: bool) {
     if !cond {
         panic::panic_any(AssumeReject);

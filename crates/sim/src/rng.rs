@@ -110,7 +110,7 @@ impl SimRng {
         // xoshiro requires a non-zero state; SplitMix64 cannot emit four
         // consecutive zeros, but guard anyway so the invariant is local.
         if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s = [0x9E37_79B9_7F4A_7C15, 0, 0, 0];
         }
         SimRng { s }
     }
@@ -118,17 +118,15 @@ impl SimRng {
     /// Next raw output of the xoshiro256++ sequence.
     #[inline]
     fn next(&mut self) -> u64 {
-        let result = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        let [s0, s1, s2, s3] = &mut self.s;
+        let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
         result
     }
 

@@ -3,6 +3,9 @@
 //! render → parse round-trip property. Grammar conformance tables live
 //! next to the codec in `src/json.rs`.
 
+// Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::time::{Duration, Instant};
 
 use scalewall_sim::json::{escape_into, parse, ErrorKind, Json, ParseError, MAX_DEPTH};

@@ -19,19 +19,28 @@ if grep -RInE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|to
     exit 1
 fi
 
-# Zero-tolerance static gates (ISSUE 4, extended by ISSUE 9):
-#  * `-D warnings` turns every rustc warning into a build failure;
-#  * `scalewall-lint --workspace [--root DIR]` enforces the semantic
-#    determinism rules D1–D7 (DESIGN.md "Determinism invariants" and
-#    "Semantic determinism invariants") across the tiered tree. It exits
-#    0 when clean, 1 on any violation (which fails the build) and 2 on a
-#    usage or IO error.
+# Zero-tolerance static gates, one engine per rule (DESIGN.md §5c):
+#  * rustc: `-D warnings` turns every warning into a build failure, and
+#    `unsafe_code = "deny"` (root `[workspace.lints]`, and `[lints.rust]`
+#    of `bench`, `lint` and the root package) refuses `unsafe`;
+#  * clippy: its default lints plus the panic family (`unwrap_used`,
+#    `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented`),
+#    denied in the six sim-facing crates through `[workspace.lints]`;
+#    a stale `#[expect(…)]` fails here too;
+#  * `scalewall-lint --workspace [--root DIR]`: D1–D3, D6 and D7's
+#    literal index over `crates/*/src`. It exits 0 when clean, 1 on any
+#    violation (which fails the build) and 2 on a usage or IO error.
 export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
 
-# Clippy's default lints, every warning an error.
 cargo clippy --workspace --offline -- -D warnings
+
+# Every per-site exception to a compiler-owned rule, with its reason (a
+# report, not a gate).
+echo "lint expectations:"
+{ grep -rn --include='*.rs' -E '#!?\[expect\(' crates/*/src tests || true; } | sort |
+    sed -E 's/^([^:]+:[0-9]+):[[:space:]]*#!?\[expect\(([^,]+), reason = "(.*)"\)\]$/  \1: \2 — \3/'
 
 scratch="$(mktemp -d /tmp/scalewall-verify.XXXXXX)"
 trap 'rm -rf "$scratch"' EXIT

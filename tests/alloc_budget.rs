@@ -6,9 +6,11 @@
 //! later.
 //!
 //! Its own test binary, because the counter is the process's
-//! `#[global_allocator]` (std only; `scalewall-lint` lets this one file
-//! say `unsafe impl`), and one `#[test]`, so nothing else allocates while
-//! it counts.
+//! `#[global_allocator]` (std only; the one `unsafe impl` the workspace
+//! has, under the `expect` below), and one `#[test]`, so nothing else
+//! allocates while it counts.
+
+#![expect(unsafe_code, reason = "a counting `#[global_allocator]` is an `unsafe impl GlobalAlloc` by definition")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
