@@ -74,12 +74,10 @@ fn bench_shed_under_flood(c: &mut Bench) {
     let mut ctl = AdmissionController::new(AdmissionConfig::qos(4));
     // Fill batch's slot cap, then its queue, so every further offer is
     // a pure shed.
-    loop {
-        match ctl.offer(QosClass::Batch, SimTime::from_secs(1)) {
-            AdmissionDecision::Shed => break,
-            _ => {}
-        }
-    }
+    while !matches!(
+        ctl.offer(QosClass::Batch, SimTime::from_secs(1)),
+        AdmissionDecision::Shed
+    ) {}
     let mut group = c.group("qos_sla");
     group.sample_size(20);
     group.throughput(1);

@@ -141,14 +141,14 @@ fn bench_failover_to_first_commit(c: &mut Bench) {
     for i in 0..cycles {
         let old = ens.leader().expect("leader before cycle");
         ens.crash_replica(old);
-        now = now + lease_step;
+        now += lease_step;
         let new = ens.tick(now).expect("deterministic election");
         client.set_hint(new);
         client
             .submit(&mut ens, refresh(i), now)
             .expect("first post-failover commit");
         ens.restore_replica(old);
-        now = now + lease_step;
+        now += lease_step;
         ens.tick(now); // catchup for the repaired replica
     }
     let elapsed_ns = t0.elapsed().as_nanos() as f64;

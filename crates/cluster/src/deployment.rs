@@ -807,8 +807,10 @@ mod tests {
         // A repair while two of three coordination homes are down finds no
         // leader: no replacement registers, and the same repair goes
         // through once the ensemble is back.
-        let mut sm = SmConfig::default();
-        sm.replication = Some(scalewall_zk::ZkReplicationConfig::default());
+        let sm = SmConfig {
+            replication: Some(scalewall_zk::ZkReplicationConfig::default()),
+            ..Default::default()
+        };
         let mut dep = Deployment::new(DeploymentConfig {
             hosts_per_region: 4,
             sm,

@@ -5,7 +5,7 @@
 //! with the best-fitting codec and the uncompressed representation is
 //! dropped. Decompression restores the exact original columns.
 
-use crate::brick::Brick;
+use crate::brick::{Brick, Columns};
 use crate::encoding::{self, EncodedF64, EncodedU32};
 
 /// A fully compressed brick.
@@ -25,15 +25,11 @@ impl CompressedBrick {
         let original_bytes = brick.payload_bytes();
         let rows = brick.rows();
         CompressedBrick {
-            dims: brick
-                .dims
-                .iter()
-                .map(|c| encoding::encode_u32_auto(c))
+            dims: (0..brick.num_dims())
+                .map(|d| encoding::encode_u32_auto(brick.dim(d)))
                 .collect(),
-            metrics: brick
-                .metrics
-                .iter()
-                .map(|c| encoding::encode_f64(c))
+            metrics: (0..brick.num_metrics())
+                .map(|m| encoding::encode_f64(brick.metric(m)))
                 .collect(),
             rows,
             original_bytes,
@@ -46,28 +42,19 @@ impl CompressedBrick {
     }
 
     /// Decode only the dimension and metric columns the predicates pick
-    /// (by schema index). Columns not asked for come back empty;
-    /// `rows()` is the brick's row count either way.
+    /// (by schema index). Columns not asked for come back empty (past
+    /// the 32nd of a kind they are decoded anyway); `rows()` is the
+    /// brick's row count either way.
     pub fn decode_columns(
         &self,
         want_dim: impl Fn(usize) -> bool,
         want_metric: impl Fn(usize) -> bool,
     ) -> Brick {
-        let dims = self.dims.iter().enumerate().map(|(d, c)| {
-            if want_dim(d) {
-                encoding::decode_u32(c)
-            } else {
-                Vec::new()
-            }
-        });
-        let metrics = self.metrics.iter().enumerate().map(|(m, c)| {
-            if want_metric(m) {
-                encoding::decode_f64(c)
-            } else {
-                Vec::new()
-            }
-        });
-        Brick::from_columns(dims.collect(), metrics.collect(), self.rows)
+        Brick::from_columns(
+            self.rows,
+            Columns::decode(self.rows, &self.dims, want_dim, encoding::decode_u32),
+            Columns::decode(self.rows, &self.metrics, want_metric, encoding::decode_f64),
+        )
     }
 
     pub fn rows(&self) -> usize {
@@ -144,10 +131,29 @@ mod tests {
         let compressed = CompressedBrick::compress(original.clone());
         let partial = compressed.decode_columns(|d| d == 2, |m| m == 0);
         assert_eq!(partial.rows(), 1_000);
-        assert!(partial.dims[0].is_empty() && partial.dims[1].is_empty());
-        assert_eq!(partial.dims[2], original.dims[2]);
-        assert_eq!(partial.metrics[0], original.metrics[0]);
-        assert!(partial.metrics[1].is_empty());
+        assert!(partial.dim(0).is_empty() && partial.dim(1).is_empty());
+        assert_eq!(partial.dim(2), original.dim(2));
+        assert_eq!(partial.metric(0), original.metric(0));
+        assert!(partial.metric(1).is_empty());
+    }
+
+    #[test]
+    fn decode_columns_decodes_every_column_past_the_skippable_ones() {
+        let mut original = Brick::new(40, 1);
+        for i in 0..10 {
+            let ordinals: Vec<u32> = (0..40).map(|d| d * 100 + i).collect();
+            original.push(&ordinals, &[f64::from(i)]);
+        }
+        let compressed = CompressedBrick::compress(original.clone());
+        let partial = compressed.decode_columns(|d| d % 3 == 1, |_| false);
+        for d in 0..40 {
+            if d < 32 && d % 3 != 1 {
+                assert!(partial.dim(d).is_empty(), "dim {d}");
+            } else {
+                assert_eq!(partial.dim(d), original.dim(d), "dim {d}");
+            }
+        }
+        assert!(partial.metric(0).is_empty());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Each string dimension of each table partition owns a dictionary mapping
 //! strings to dense `u32` ids in first-seen order. Range partitioning on a
 //! string dimension operates over these ids, exactly as in Cubrick's
-//! granular-partitioning design.
+//! granular-partitioning design. The strings sit back to back in one
+//! `String` arena with a `Vec` of end offsets, so a dictionary is three
+//! heap blocks (arena, offsets, index) however many strings it holds.
 
 use std::sync::Arc;
 
@@ -16,14 +18,13 @@ const FREE: u32 = u32::MAX;
 /// An insert-ordered string ↔ id dictionary with a capacity bound.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    /// The strings, in id order; each is stored once.
-    strings: Vec<String>,
-    /// Sum of the strings' lengths, kept by [`Self::encode`] so that
-    /// [`Self::footprint`] walks nothing.
-    string_bytes: usize,
-    /// Open-addressing index over `strings`: slot → id or [`FREE`],
-    /// linear probing from the low bits of the string's FNV-1a hash; a
-    /// power of two ≥ 2 × `strings.len()`, rebuilt when it has to grow.
+    /// The strings, in id order and back to back; each is stored once.
+    arena: String,
+    /// Where each id's string ends in `arena` (it starts where the last ends).
+    ends: Vec<u32>,
+    /// Open-addressing index over the ids: slot → id or [`FREE`], linear
+    /// probing from the low bits of the string's FNV-1a hash; a power of
+    /// two ≥ 2 × `len()`, rebuilt when it has to grow.
     index: Vec<u32>,
     max_cardinality: u32,
     /// [`Self::ranks`], kept until the next new string.
@@ -48,22 +49,27 @@ impl Dictionary {
     }
 
     /// Id for `s`, inserting if new. Fails once the configured cardinality
-    /// is exhausted (the dimension's declared key space is full).
+    /// is exhausted (the dimension's declared key space is full), or when
+    /// the arena would pass `u32::MAX` bytes.
     pub fn encode(&mut self, dim_name: &str, s: &str) -> CubrickResult<u32> {
         if let Some(id) = self.lookup(s) {
             return Ok(id);
         }
-        let id = self.strings.len() as u32;
-        if id >= self.max_cardinality {
+        let id = u32::try_from(self.ends.len()).unwrap_or(u32::MAX);
+        let end = u32::try_from(self.arena.len() + s.len()).ok();
+        let Some(end) = end.filter(|_| id < self.max_cardinality) else {
+            let full = end.map_or(format!("{} string bytes", u32::MAX), |_| {
+                format!("{} distinct values", self.max_cardinality)
+            });
             return Err(CubrickError::ValueOutOfRange {
                 dimension: dim_name.to_string(),
-                detail: format!("dictionary full ({} distinct values)", self.max_cardinality),
+                detail: format!("dictionary full ({full})"),
             });
-        }
-        self.strings.push(s.to_string());
-        self.string_bytes += s.len();
+        };
+        self.arena.push_str(s);
+        self.ends.push(end);
         self.ranks = None;
-        if self.strings.len() * 2 > self.index.len() {
+        if self.ends.len() * 2 > self.index.len() {
             // Double the index (from 8 slots) and re-enter every id.
             self.index = vec![FREE; (self.index.len() * 2).max(8)];
             (0..=id).for_each(|id| self.index_id(id));
@@ -86,7 +92,7 @@ impl Dictionary {
         // At most half the slots are taken, so a free one ends the walk
         // (`FREE` is no string's id).
         while let Some(&id) = self.index.get(slot) {
-            match self.strings.get(id as usize) {
+            match self.decode(id) {
                 Some(known) if known == s => return Ok(id),
                 Some(_) => slot = (slot + 1) & mask,
                 None => break,
@@ -98,25 +104,28 @@ impl Dictionary {
     /// Enter string `id`, not indexed yet, at the free slot its probe
     /// sequence ends in.
     fn index_id(&mut self, id: u32) {
-        if let Err(free) = self.probe(&self.strings[id as usize]) {
+        if let Some(Err(free)) = self.decode(id).map(|s| self.probe(s)) {
             self.index[free] = id;
         }
     }
 
     /// String for an id.
     pub fn decode(&self, id: u32) -> Option<&str> {
-        self.strings.get(id as usize).map(|s| s.as_str())
+        let id = id as usize;
+        let start = id.checked_sub(1).map_or(Some(&0), |before| self.ends.get(before))?;
+        self.arena.get(*start as usize..*self.ends.get(id)? as usize)
     }
 
     /// The string order of the ids (byte-wise `str` order). One sort of
     /// the ids, computed on first use and shared until a new string
     /// arrives; not counted by [`Self::footprint`].
     pub fn ranks(&mut self) -> Arc<StringRanks> {
-        let strings = &self.strings;
+        let (arena, ends) = (&self.arena, &self.ends);
         self.ranks
             .get_or_insert_with(|| {
-                let mut by_string: Vec<(&str, u32)> =
-                    strings.iter().map(String::as_str).zip(0..).collect();
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                let strings = starts.zip(ends).map(|(at, &end)| &arena[at as usize..end as usize]);
+                let mut by_string: Vec<(&str, u32)> = strings.zip(0..).collect();
                 by_string.sort_unstable();
                 let id_of_rank: Vec<u32> = by_string.iter().map(|&(_, id)| id).collect();
                 let mut rank_of_id = vec![0; id_of_rank.len()];
@@ -132,11 +141,11 @@ impl Dictionary {
     }
 
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Modelled cost per entry (the string's bytes twice, two `String`
@@ -145,7 +154,7 @@ impl Dictionary {
     /// contract"), not a measurement of this struct.
     pub fn footprint(&self) -> u64 {
         let per_entry = std::mem::size_of::<String>() * 2 + 8;
-        (self.string_bytes * 2 + self.strings.len() * per_entry) as u64
+        (self.arena.len() * 2 + self.ends.len() * per_entry) as u64
     }
 }
 
@@ -172,6 +181,18 @@ mod tests {
         assert_eq!(d.decode(99), None);
         assert_eq!(d.lookup("b"), Some(1));
         assert_eq!(d.lookup("zz"), None);
+    }
+
+    #[test]
+    fn empty_and_multibyte_strings_round_trip() {
+        let mut d = Dictionary::new(10);
+        for s in ["", "naïve", "", "日本", "a"] {
+            let id = d.encode("x", s).unwrap();
+            assert_eq!(d.decode(id), Some(s));
+        }
+        assert_eq!(d.len(), 4);
+        assert_eq!(d.lookup(""), Some(0));
+        assert_eq!(d.ranks().id_of_rank, vec![0, 3, 1, 2]);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl KeyLayout {
         scratch.keys.clear();
         scratch.keys.resize(rows, 0);
         for digit in &self.digits {
-            let column = gather(&brick.dims[digit.dim], sel, &mut scratch.ordinals);
+            let column = gather(brick.dim(digit.dim), sel, &mut scratch.ordinals);
             let keys = scratch.keys.iter_mut().zip(column);
             match &digit.strings {
                 None => keys.for_each(|(key, &ord)| *key = *key * digit.radix + u64::from(ord)),
@@ -408,7 +408,7 @@ pub fn execute_partition(
             table.count(target);
             for (agg, col) in metric_cols.iter().enumerate() {
                 if let Some(m) = col {
-                    let values = gather(&brick.metrics[*m], sel, &mut scratch.values);
+                    let values = gather(brick.metric(*m), sel, &mut scratch.values);
                     table.fold(agg, target, values);
                 }
             }

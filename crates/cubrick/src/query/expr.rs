@@ -75,7 +75,7 @@ impl CompiledPredicates {
             let Some(ranges) = &self.per_dim[d] else {
                 continue;
             };
-            let column = &brick.dims[d];
+            let column = brick.dim(d);
             // Compact in place without a data-dependent branch (a
             // dictionary id sits anywhere in its range, so `lo <= ord`
             // alone is a coin flip): every row is written, only a match

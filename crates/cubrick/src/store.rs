@@ -120,8 +120,8 @@ pub struct PartitionData {
 }
 
 impl Clone for PartitionData {
-    /// The copy recounts its bricks: `Vec::clone` returns columns at exact
-    /// capacity, and a hot brick's footprint reads capacities.
+    /// The copy recounts its bricks: a cloned brick's `cap` is its rows,
+    /// and a hot brick's footprint reads `cap`.
     fn clone(&self) -> Self {
         let mut copy = PartitionData {
             schema: self.schema.clone(),
@@ -307,7 +307,7 @@ impl PartitionData {
     }
 
     /// Append brick by brick: one lookup and at most one re-heat per run, one
-    /// push per row (a column grows as pushes grow it; the footprint reads it).
+    /// push per row (`cap` grows as pushes grow it; the footprint reads it).
     #[inline(always)]
     fn append_rows(
         &mut self,
@@ -421,7 +421,7 @@ impl PartitionData {
             for r in 0..brick.rows() {
                 // An ordinal that does not decode (none is stored) is `Null`.
                 let dims: Vec<Value> = (self.schema.dimensions.iter().zip(&self.dicts))
-                    .zip(&brick.dims)
+                    .zip((0..).map(|d| brick.dim(d)))
                     .map(|((dim, dict), column)| match dict {
                         Some(dict) => dict
                             .decode(column[r])
@@ -430,7 +430,7 @@ impl PartitionData {
                     })
                     .collect();
                 let metrics: Vec<f64> = (0..self.schema.metrics.len())
-                    .map(|m| brick.metrics[m][r])
+                    .map(|m| brick.metric(m)[r])
                     .collect();
                 out.push(Row::new(dims, metrics));
             }

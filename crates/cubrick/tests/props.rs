@@ -493,6 +493,135 @@ fn brick_compression_round_trips() {
     });
 }
 
+// ------------------------------------------------- brick footprint model
+
+/// One step of a generated brick life.
+#[derive(Debug)]
+enum BrickStep {
+    Push(Vec<(Vec<u32>, Vec<f64>)>),
+    Clone,
+    Shrink,
+    /// Compress, decompress, then push the rows.
+    Recompress(Vec<(Vec<u32>, Vec<f64>)>),
+}
+
+fn gen_brick_life(rng: &mut SimRng) -> (usize, usize, Vec<BrickStep>) {
+    let dims = gen::usize_in(rng, 0, 5);
+    let metrics = gen::usize_in(rng, 0, 4);
+    let steps = gen::vec_with(rng, 1, 12, |rng| {
+        let rows = |rng: &mut SimRng| {
+            gen::vec_with(rng, 0, 40, |rng| {
+                let ords = (0..dims).map(|_| gen::any_u32(rng)).collect();
+                let ms = (0..metrics).map(|_| gen::f64_in(rng, -1e6, 1e6)).collect();
+                (ords, ms)
+            })
+        };
+        match rng.range(0, 4) {
+            0 => BrickStep::Clone,
+            1 => BrickStep::Shrink,
+            2 => BrickStep::Recompress(rows(rng)),
+            _ => BrickStep::Push(rows(rng)),
+        }
+    });
+    (dims, metrics, steps)
+}
+
+/// The layout a brick had before its columns were flat: a `Vec` per
+/// column, grown by `push`, its footprint the sum of the capacities.
+#[derive(Debug, Clone)]
+struct ColumnModel {
+    dims: Vec<Vec<u32>>,
+    metrics: Vec<Vec<f64>>,
+    rows: usize,
+}
+
+impl ColumnModel {
+    fn push(&mut self, rows: &[(Vec<u32>, Vec<f64>)]) {
+        for (ords, ms) in rows {
+            for (column, &v) in self.dims.iter_mut().zip(ords) {
+                column.push(v);
+            }
+            for (column, &v) in self.metrics.iter_mut().zip(ms) {
+                column.push(v);
+            }
+        }
+        self.rows += rows.len();
+    }
+
+    fn shrink(&mut self) {
+        self.dims.iter_mut().for_each(Vec::shrink_to_fit);
+        self.metrics.iter_mut().for_each(Vec::shrink_to_fit);
+    }
+
+    /// Decompression: every column rebuilt at its length.
+    fn rebuild(&mut self) {
+        self.dims = self.dims.iter().map(|c| c.as_slice().to_vec()).collect();
+        self.metrics = self.metrics.iter().map(|c| c.as_slice().to_vec()).collect();
+    }
+
+    fn footprint(&self) -> u64 {
+        let dims: usize = self.dims.iter().map(|c| c.capacity() * 4).sum();
+        let metrics: usize = self.metrics.iter().map(|c| c.capacity() * 8).sum();
+        (dims + metrics) as u64
+    }
+}
+
+/// Ingest rule 4 (DESIGN.md "Ingest path contract"): after every push,
+/// clone, shrink and compress → decompress → push, a brick's footprint,
+/// payload and columns equal those of a `Vec` per column put through the
+/// same steps (decompression rebuilt each column at its length).
+#[test]
+fn brick_footprint_follows_the_column_model() {
+    prop::check_n(
+        "brick_footprint_follows_the_column_model",
+        128,
+        gen_brick_life,
+        |(dims, metrics, steps)| {
+            let mut brick = Brick::new(*dims, *metrics);
+            let mut model = ColumnModel {
+                dims: vec![Vec::new(); *dims],
+                metrics: vec![Vec::new(); *metrics],
+                rows: 0,
+            };
+            let push = |brick: &mut Brick, rows: &[(Vec<u32>, Vec<f64>)]| {
+                rows.iter().for_each(|(ords, ms)| brick.push(ords, ms));
+            };
+            for (i, step) in steps.iter().enumerate() {
+                match step {
+                    BrickStep::Push(rows) => {
+                        push(&mut brick, rows);
+                        model.push(rows);
+                    }
+                    BrickStep::Clone => {
+                        brick = brick.clone();
+                        model = model.clone();
+                    }
+                    BrickStep::Shrink => {
+                        brick.shrink();
+                        model.shrink();
+                    }
+                    BrickStep::Recompress(rows) => {
+                        brick = CompressedBrick::compress(brick).decompress();
+                        model.rebuild();
+                        push(&mut brick, rows);
+                        model.push(rows);
+                    }
+                }
+                assert_eq!(brick.rows(), model.rows, "step {i}");
+                assert_eq!(brick.footprint(), model.footprint(), "step {i}: {step:?}");
+                let payload = (*dims * 4 + *metrics * 8) * model.rows;
+                assert_eq!(brick.payload_bytes(), payload as u64, "step {i}");
+                for (d, column) in model.dims.iter().enumerate() {
+                    assert_eq!(brick.dim(d), column.as_slice(), "step {i}, dim {d}");
+                }
+                for (m, column) in model.metrics.iter().enumerate() {
+                    assert_eq!(brick.metric(m), column.as_slice(), "step {i}, metric {m}");
+                }
+            }
+        },
+    );
+}
+
 // ----------------------------------------------------- granular partitioning
 
 fn gen_schema(rng: &mut SimRng) -> Schema {
@@ -858,7 +987,7 @@ fn blacklist_decisions_match_shadow_model() {
             let mut failures = 0u32;
             let mut until: Option<SimTime> = None;
             for &(gap, ev) in schedule {
-                now = now + SimDuration::from_nanos(gap);
+                now += SimDuration::from_nanos(gap);
                 match ev {
                     0 => {
                         proxy.record_host_failure(host, now);

@@ -23,7 +23,8 @@ fi
 #  * rustc: `-D warnings` turns every warning into a build failure, and
 #    `unsafe_code = "deny"` (root `[workspace.lints]`, and `[lints.rust]`
 #    of `bench`, `lint` and the root package) refuses `unsafe`;
-#  * clippy: its default lints plus the panic family (`unwrap_used`,
+#  * clippy: its default lints on every target (libraries, binaries,
+#    tests, benches, examples) plus the panic family (`unwrap_used`,
 #    `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented`),
 #    denied in the six sim-facing crates through `[workspace.lints]`;
 #    a stale `#[expect(…)]` fails here too;
@@ -34,7 +35,7 @@ export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
 
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Every per-site exception to a compiler-owned rule, with its reason (a
 # report, not a gate).

@@ -213,7 +213,7 @@ fn rack_outage_fails_over_and_recovers() {
         hours(2),
         SimDuration::from_hours(2),
     );
-    let stats = check_scenario("rack_outage", 0xFA017_01, script);
+    let stats = check_scenario("rack_outage", 0x0FA0_1701, script);
     assert_eq!(stats.fault_injections, 1);
     assert_eq!(stats.fault_repairs, 1);
     assert!(
@@ -231,7 +231,7 @@ fn region_outage_reroutes_to_surviving_regions() {
         hours(2),
         SimDuration::from_hours(2),
     );
-    let stats = check_scenario("region_outage", 0xFA017_02, script);
+    let stats = check_scenario("region_outage", 0x0FA0_1702, script);
     assert_eq!(stats.fault_injections, 1);
     assert_eq!(stats.fault_repairs, 1);
     // No hosts died: nothing to fail over at the shard level, the proxy
@@ -259,7 +259,7 @@ fn interregion_partition_reroutes_around_cut() {
             hours(2),
             SimDuration::from_hours(2),
         );
-    let stats = check_scenario("interregion_partition", 0xFA017_03, script);
+    let stats = check_scenario("interregion_partition", 0x0FA0_1703, script);
     assert_eq!(stats.fault_injections, 2);
     assert_eq!(stats.fault_repairs, 2);
     assert!(
@@ -281,7 +281,7 @@ fn drain_storm_is_bounded_by_safety_checks() {
         hours(2),
         SimDuration::from_hours(2),
     );
-    let stats = check_scenario("drain_storm", 0xFA017_04, script);
+    let stats = check_scenario("drain_storm", 0x0FA0_1704, script);
     assert_eq!(stats.drains_requested, 4);
     assert!(
         stats.drains_denied >= 1,
@@ -319,7 +319,7 @@ fn partition_during_drain_storm_compound() {
             hours(2),
             SimDuration::from_mins(90),
         );
-    let stats = check_scenario("partition_during_drain", 0xFA017_05, script);
+    let stats = check_scenario("partition_during_drain", 0x0FA0_1705, script);
     assert_eq!(stats.fault_injections, 3);
     assert_eq!(stats.fault_repairs, 3);
     assert_eq!(stats.drains_requested, 3);
@@ -343,7 +343,7 @@ fn coordinator_region_outage_fails_over_automatically() {
         hours(2),
         SimDuration::from_hours(2),
     );
-    let stats = check_scenario_with("coordinator_region_outage", 0xFA017_06, script, true);
+    let stats = check_scenario_with("coordinator_region_outage", 0x0FA0_1706, script, true);
     assert_pinned(
         "coordinator_region_outage",
         &stats,
@@ -403,7 +403,7 @@ fn zk_leader_partition_during_drain_storm() {
             hours(2),
             SimDuration::from_mins(90),
         );
-    let stats = check_scenario_with("zk_leader_partition_during_drain", 0xFA017_08, script, true);
+    let stats = check_scenario_with("zk_leader_partition_during_drain", 0x0FA0_1708, script, true);
     assert_pinned(
         "zk_leader_partition_during_drain",
         &stats,
@@ -467,7 +467,7 @@ fn sm_failover_races_client_watches() {
             SimTime::from_secs(150 * 60),
             SimDuration::from_hours(1),
         );
-    let stats = check_scenario_with("sm_failover_races_client_watches", 0xFA017_0A, script, true);
+    let stats = check_scenario_with("sm_failover_races_client_watches", 0x0FA0_170A, script, true);
     assert_pinned(
         "sm_failover_races_client_watches",
         &stats,
@@ -522,7 +522,7 @@ fn zk_node_crash_is_invisible_to_traffic() {
         hours(3),
         SimDuration::from_hours(1),
     );
-    let stats = check_scenario_with("zk_node_crash", 0xFA017_07, script, true);
+    let stats = check_scenario_with("zk_node_crash", 0x0FA0_1707, script, true);
     assert_pinned("zk_node_crash", &stats, PIN_ZK_NODE_CRASH);
     assert!(
         stats.zk_failovers >= 1,
@@ -547,7 +547,7 @@ fn small_replicated_run_matches_parent_pin() {
         SimTime::from_secs(45 * 60),
         SimDuration::from_mins(30),
     );
-    let stats = run_sized(0xFA017_0B, script, true, 8, SimDuration::from_hours(2));
+    let stats = run_sized(0x0FA0_170B, script, true, 8, SimDuration::from_hours(2));
     assert!(stats.zk_failovers >= 1, "the crash must force an election");
     assert!(stats.zk_session_moves > 0);
     assert_pinned("small_replicated_run", &stats, PIN_SMALL_REPLICATED_RUN);
@@ -583,7 +583,7 @@ fn coinciding_fault_transitions_fire_in_script_order() {
         let script = windows.into_iter().fold(FaultScript::new(), |s, (kind, onset)| {
             s.with(kind, onset, SimDuration::from_hours(1))
         });
-        run_sized(0xFA017_0C, script, false, 8, SimDuration::from_hours(4))
+        run_sized(0x0FA0_170C, script, false, 8, SimDuration::from_hours(4))
     };
     let rack_first = run([rack, crash]);
     let crash_first = run([crash, rack]);

@@ -220,7 +220,7 @@ fn multi_dim_group_by_matches_oracle() {
         "multi_dim_group_by_matches_oracle",
         64,
         |rng| {
-            let dims: &[&str] = *rng.pick(&[
+            let dims: &[&str] = rng.pick::<&[&str]>(&[
                 &["ds", "app"][..],
                 &["app", "ds"][..],
                 &["app"][..],
