@@ -205,7 +205,7 @@ impl Collect {
             streaks,
             slowest: SimDuration::ZERO,
             partials: Vec::with_capacity(with_data),
-            coverage: Coverage { per_shard: Vec::with_capacity(fan_out) },
+            coverage: Coverage::default(),
             hosts: Vec::new(),
             first_failure: None,
         }
@@ -1221,10 +1221,9 @@ mod tests {
         let cov = outcome.coverage.as_ref().unwrap();
         assert_eq!(cov.total(), 8);
         assert_eq!(cov.fraction(), 7.0 / 8.0);
-        assert_eq!(cov.per_shard[0].state, ShardState::Blacklisted);
-        assert!(cov.per_shard[1..]
-            .iter()
-            .all(|s| s.state == ShardState::Answered));
+        let mut states = cov.states();
+        assert_eq!(states.next(), Some(ShardState::Blacklisted));
+        assert!(states.all(|s| s == ShardState::Answered));
         assert_eq!(outcome.served_region, Some(Region(0)));
         // The merged answer covers exactly the 7 answered partitions.
         let counted = outcome.output.unwrap().scalar().unwrap();
@@ -1278,16 +1277,18 @@ mod tests {
         assert!(outcome.success && outcome.partial, "{:?}", outcome.error);
         let coverage = outcome.coverage.unwrap();
         assert!(coverage.answered() < coverage.total());
-        assert_eq!(coverage.per_shard[3].state, ShardState::Blacklisted);
+        let states: Vec<_> = coverage.states().collect();
+        assert_eq!(states.iter().position(|&s| s != ShardState::Answered), Some(3));
+        assert_eq!(states[3], ShardState::Blacklisted);
 
         // (sum, count) per group over the answered partitions' stored rows.
         let mut naive = std::collections::BTreeMap::new();
         let store = f.dep.regions[0].store.read();
-        for shard in &coverage.per_shard {
-            if shard.state != ShardState::Answered {
+        for (partition, state) in (0..).zip(coverage.states()) {
+            if state != ShardState::Answered {
                 continue;
             }
-            for row in store.partition("g", shard.partition).unwrap().all_rows() {
+            for row in store.partition("g", partition).unwrap().all_rows() {
                 let group = naive
                     .entry(row.dims[1].clone().to_string())
                     .or_insert((0.0, 0.0));
@@ -1407,10 +1408,7 @@ mod tests {
             assert_eq!(cov.total(), 8);
             assert_eq!(outcome.partial, !cov.complete());
             if outcome.partial
-                && cov
-                    .per_shard
-                    .iter()
-                    .any(|s| s.state == ShardState::TimedOut)
+                && cov.states().any(|s| s == ShardState::TimedOut)
             {
                 saw_timed_out_partial = true;
                 // Latency is capped: no answered-or-timed-out shard can
@@ -2079,8 +2077,7 @@ mod tests {
                         assert!(!refused, "answered past a refusal");
                         assert_eq!(latency, net.rtt() + slowest + net.merge_cost(n as usize));
                         assert_eq!(collect.hosts, hosts);
-                        let coverage: Vec<ShardState> =
-                            collect.coverage.per_shard.iter().map(|s| s.state).collect();
+                        let coverage: Vec<ShardState> = collect.coverage.states().collect();
                         assert_eq!(coverage, states);
                         let answer = Answered { region: Region(1), coordinator: 0, shards: collect };
                         let spent = Spent { attempts: 1, latency };

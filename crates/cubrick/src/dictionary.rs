@@ -116,6 +116,11 @@ impl Dictionary {
         self.arena.get(*start as usize..*self.ends.get(id)? as usize)
     }
 
+    /// Bytes of every string together.
+    pub fn bytes(&self) -> usize {
+        self.arena.len()
+    }
+
     /// The string order of the ids (byte-wise `str` order). One sort of
     /// the ids, computed on first use and shared until a new string
     /// arrives; not counted by [`Self::footprint`].

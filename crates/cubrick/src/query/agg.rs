@@ -96,32 +96,6 @@ pub enum AggState {
 }
 
 impl AggState {
-    /// Fresh accumulator for a function.
-    pub fn init(func: AggFunc) -> Self {
-        match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(0.0),
-            AggFunc::Min => AggState::Min(f64::INFINITY),
-            AggFunc::Max => AggState::Max(f64::NEG_INFINITY),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
-        }
-    }
-
-    /// Fold one row's metric value in (`v` is ignored by `Count`).
-    #[inline]
-    pub fn update(&mut self, v: f64) {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::Sum(s) => *s += v,
-            AggState::Min(m) => *m = m.min(v),
-            AggState::Max(m) => *m = m.max(v),
-            AggState::Avg { sum, count } => {
-                *sum += v;
-                *count += 1;
-            }
-        }
-    }
-
     /// Merge another partial accumulator of the same shape. A different
     /// shape means the two partials answer different queries: a typed
     /// error, because this runs on the coordinator's merge path.
@@ -166,6 +140,34 @@ impl AggState {
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
+
+    /// Row-at-a-time folding, the reference these tests check against.
+    impl AggState {
+        /// Fresh accumulator for a function.
+        fn init(func: AggFunc) -> Self {
+            match func {
+                AggFunc::Count => AggState::Count(0),
+                AggFunc::Sum => AggState::Sum(0.0),
+                AggFunc::Min => AggState::Min(f64::INFINITY),
+                AggFunc::Max => AggState::Max(f64::NEG_INFINITY),
+                AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
+            }
+        }
+
+        /// Fold one row's metric value in (`v` is ignored by `Count`).
+        fn update(&mut self, v: f64) {
+            match self {
+                AggState::Count(c) => *c += 1,
+                AggState::Sum(s) => *s += v,
+                AggState::Min(m) => *m = m.min(v),
+                AggState::Max(m) => *m = m.max(v),
+                AggState::Avg { sum, count } => {
+                    *sum += v;
+                    *count += 1;
+                }
+            }
+        }
+    }
 
     #[test]
     fn accumulate_each_function() {

@@ -20,11 +20,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::brick::Brick;
-use crate::dictionary::StringRanks;
+use crate::dictionary::{Dictionary, StringRanks};
 use crate::error::{CubrickError, CubrickResult};
-use crate::query::agg::{AggFunc, AggState};
+use crate::query::agg::AggFunc;
 use crate::query::expr;
-use crate::query::result::{KeyColumn, PartialResult};
+use crate::query::result::{KeyColumn, KeyRef, PartialResult};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::store::PartitionData;
@@ -152,14 +152,17 @@ impl KeyLayout {
                     KeyColumn::Int(ints)
                 }
                 Some(ranks) => {
+                    // Room for the whole dictionary, so one buffer whatever
+                    // strings the groups are.
                     let dict = partition.dict(digit.dim);
-                    let mut strings = Vec::with_capacity(groups.len());
+                    let bytes = dict.map_or(0, Dictionary::bytes);
+                    let mut column = KeyColumn::str_with_capacity(groups.len(), bytes);
                     for &(key, _) in groups {
                         let id = ranks.id_of_rank.get(value(key) as usize);
                         let string = id.and_then(|&id| dict?.decode(id));
-                        strings.push(string.ok_or_else(|| undecodable(key))?);
+                        column.push(KeyRef::Str(string.ok_or_else(|| undecodable(key))?))?;
                     }
-                    KeyColumn::strings(&strings)?
+                    column
                 }
             };
             columns.push(column);
@@ -298,20 +301,26 @@ impl GroupTable {
         }
     }
 
-    /// Aggregate `agg`'s state of the group in `slot`.
-    fn state(&self, agg: usize, slot: usize) -> AggState {
-        let value = || self.values[agg][slot];
-        match self.funcs[agg] {
-            AggFunc::Count => AggState::Count(self.rows[slot]),
-            AggFunc::Sum => AggState::Sum(value()),
-            AggFunc::Min => AggState::Min(value()),
-            AggFunc::Max => AggState::Max(value()),
-            AggFunc::Avg => AggState::Avg {
-                sum: value(),
-                count: self.rows[slot],
-            },
-        }
+    /// The partial's accumulator columns over the groups of `present`, in
+    /// its order: the row count for each aggregate that counts rows, and
+    /// each metric column.
+    fn columns(&self, present: &[(u64, usize)]) -> (Vec<Vec<u64>>, Vec<Vec<f64>>) {
+        let rows = |&func: &AggFunc| {
+            let counts = matches!(func, AggFunc::Count | AggFunc::Avg);
+            by_slot(if counts { &self.rows } else { &[] }, present)
+        };
+        let values = self.values.iter().map(|column| by_slot(column, present));
+        (self.funcs.iter().map(rows).collect(), values.collect())
     }
+}
+
+/// `column`'s value at each slot of `present`, in its order; an empty
+/// column (an aggregate's that does not keep it) stays empty.
+fn by_slot<T: Copy>(column: &[T], present: &[(u64, usize)]) -> Vec<T> {
+    if column.is_empty() {
+        return Vec::new();
+    }
+    present.iter().map(|&(_, slot)| column[slot]).collect()
 }
 
 /// `step` each of `values` into its row's slot of `column`, in row order.
@@ -417,21 +426,13 @@ pub fn execute_partition(
 
     // The partial a column at a time: the present keys once, in packed-key
     // order (the order of the decoded keys), each digit decoded over them,
-    // then the state arena, group-major.
+    // then each accumulator column gathered over their slots.
     let groups = table.present(rows_scanned);
     let keys = layout.decode(&groups, partition, &schema)?;
-    let aggs = query.aggs.len();
-    let mut states = Vec::with_capacity(groups.len() * aggs);
-    for &(_, slot) in &groups {
-        states.extend((0..aggs).map(|agg| table.state(agg, slot)));
-    }
-    let mut result = PartialResult::from_columns(
-        query.aggs.clone(),
-        table_partitions,
-        keys,
-        groups.len(),
-        states,
-    )?;
+    let (counts, values) = table.columns(&groups);
+    let aggs = query.aggs.clone();
+    let mut result =
+        PartialResult::from_columns(aggs, table_partitions, keys, groups.len(), counts, values)?;
     result.rows_scanned = rows_scanned;
     Ok(result)
 }

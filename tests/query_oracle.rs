@@ -452,6 +452,131 @@ fn consuming_merge_equals_naive_fold_in_plan_order() {
     );
 }
 
+/// Metric values a fold must carry bit for bit: both infinities, NaN,
+/// both zeros, the extremes and plain values.
+const SPECIAL_VALUES: [f64; 10] =
+    [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0, f64::MAX, f64::MIN, 1.5, -2.25, 1e-300];
+
+/// Whether the partials of a generated query share keys.
+#[derive(Debug, Clone, Copy)]
+enum KeySets {
+    /// Every key in at most one partial.
+    Disjoint,
+    /// Every key in each partial with even odds.
+    Overlapping,
+}
+
+/// Every key of a shape: its values' cross product, ascending.
+fn key_universe(shape: KeyShape) -> Vec<Vec<GroupVal>> {
+    let ints = MERGE_INTS.map(GroupVal::Int);
+    let strs = MERGE_STRS.map(|s| GroupVal::Str(s.to_string()));
+    let pairs = |a: &[GroupVal], b: &[GroupVal]| -> Vec<Vec<GroupVal>> {
+        a.iter().flat_map(|x| b.iter().map(|y| vec![x.clone(), y.clone()])).collect()
+    };
+    match shape {
+        KeyShape::Ungrouped => vec![vec![]],
+        KeyShape::Int => ints.into_iter().map(|v| vec![v]).collect(),
+        KeyShape::Str => strs.into_iter().map(|v| vec![v]).collect(),
+        KeyShape::IntStr => pairs(&ints, &strs),
+        KeyShape::StrStr => pairs(&strs, &strs),
+    }
+}
+
+/// Partials of one query over int, string and two-column keys, the key
+/// sets disjoint or overlapping, about one partial in four without a
+/// group, and every accumulator drawn from `SPECIAL_VALUES`.
+fn gen_special_partials(rng: &mut SimRng) -> (KeySets, Vec<AggSpec>, Vec<PartialResult>) {
+    let funcs = gen::vec_with(rng, 1, 5, |r| *r.pick(&MERGE_FUNCS));
+    let aggs: Vec<AggSpec> = funcs.iter().map(|&f| AggSpec::new(f, "m")).collect();
+    let shape = *rng.pick(&[KeyShape::Int, KeyShape::Str, KeyShape::IntStr, KeyShape::StrStr]);
+    let sets = *rng.pick(&[KeySets::Disjoint, KeySets::Overlapping]);
+    let n = gen::usize_in(rng, 1, 12);
+    let mut groups: Vec<Vec<(Vec<GroupVal>, Vec<AggState>)>> = vec![Vec::new(); n];
+    let empty: Vec<bool> = (0..n).map(|_| rng.below(4) == 0).collect();
+    for key in key_universe(shape) {
+        for (p, partial) in groups.iter_mut().enumerate() {
+            let holds = match sets {
+                KeySets::Disjoint => rng.below(n as u64 + 1) == p as u64,
+                KeySets::Overlapping => rng.below(2) == 0,
+            };
+            if holds && !empty[p] {
+                let states = funcs.iter().map(|&func| {
+                    let v = *rng.pick(&SPECIAL_VALUES);
+                    let count = rng.below(1_000);
+                    match func {
+                        AggFunc::Count => AggState::Count(count),
+                        AggFunc::Sum => AggState::Sum(v),
+                        AggFunc::Min => AggState::Min(v),
+                        AggFunc::Max => AggState::Max(v),
+                        AggFunc::Avg => AggState::Avg { sum: v, count },
+                    }
+                });
+                partial.push((key.clone(), states.collect()));
+            }
+        }
+    }
+    let partial = |groups| PartialResult::from_groups(aggs.clone(), 8, groups).unwrap();
+    let partials = groups.into_iter().map(partial).collect();
+    (sets, aggs, partials)
+}
+
+/// `v`'s bits, every NaN as one: Rust leaves the sign and payload of a
+/// NaN that an operation makes unspecified (two NaNs added may yield
+/// either), so two compiled folds may differ there and nowhere else.
+fn value_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// The columnar merge equals a naive left fold of the partials in plan
+/// order, a map of `AggState`s per key, bit for bit on every accumulator
+/// and every finalized answer (any NaN as one, see `value_bits`), ±∞ and
+/// −0.0 included: a merged group starts as its first partial's
+/// accumulators and folds the later ones in, exactly as the left fold
+/// does.
+#[test]
+fn columnar_merge_equals_left_fold_on_special_values() {
+    prop::check_n(
+        "columnar_merge_equals_left_fold_on_special_values",
+        128,
+        gen_special_partials,
+        |(_, aggs, partials)| {
+            let mut naive: BTreeMap<Vec<GroupVal>, Vec<AggState>> = BTreeMap::new();
+            for partial in partials {
+                for (key, states) in partial.groups() {
+                    match naive.get_mut(&key) {
+                        Some(mine) => {
+                            mine.iter_mut().zip(&states).for_each(|(a, b)| a.merge(b).unwrap())
+                        }
+                        None => drop(naive.insert(key, states)),
+                    }
+                }
+            }
+            let merged = PartialResult::merge_all(partials.clone()).unwrap().unwrap();
+            let bits = |states: &[AggState]| {
+                let bits = states.iter().map(state_bits);
+                bits.map(|(v, n)| (value_bits(f64::from_bits(v)), n)).collect::<Vec<_>>()
+            };
+            let got: Vec<_> =
+                merged.groups().into_iter().map(|(key, states)| (key, bits(&states))).collect();
+            let want: Vec<_> =
+                naive.iter().map(|(key, states)| (key.clone(), bits(states))).collect();
+            assert_eq!(got, want);
+
+            let out = merged.finalize();
+            assert_eq!(out.rows.len(), naive.len());
+            for (row, states) in out.rows.iter().zip(naive.values()) {
+                let answers: Vec<u64> = row.aggs.iter().map(|&v| value_bits(v)).collect();
+                let folded: Vec<u64> = states.iter().map(|s| value_bits(s.finalize())).collect();
+                assert_eq!(answers, folded, "{aggs:?}");
+            }
+        },
+    );
+}
+
 #[test]
 fn avg_consistent_with_sum_over_count() {
     prop::check_n(

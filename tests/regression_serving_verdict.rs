@@ -225,9 +225,8 @@ impl Harness {
             }
         }
         let coverage: String = o.coverage.as_ref().map_or("-".into(), |c| {
-            c.per_shard
-                .iter()
-                .map(|s| format!("{:?}", s.state).chars().next().unwrap())
+            c.states()
+                .map(|state| format!("{state:?}").chars().next().unwrap())
                 .collect()
         });
         writeln!(
