@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Byte-identity of every figure and example against the checked-in
-# manifest `tests/figure_digests.txt` (`name bytes digest`, the length and
-# FNV-1a digest of one output):
+# Every figure and example output, byte for byte, against its checked-in
+# golden file under `tests/figures/`:
 #
 #   scripts/figures_match.sh [RELEASE_DIR]
 #
@@ -9,13 +8,14 @@
 # holding the figure binaries and the examples, built with
 #   cargo build --release --offline -p scalewall-bench --bins
 #   cargo build --release --offline --examples
-# This runs every `crates/bench/src/bin/*` figure with `--fast` (checked
-# against its figure module's line, the one `tests/figure_digests.rs`
-# checks; `all_figures` against `all_figures:fast`), `fig5_fanout_latency`,
-# `ablation_full_vs_partial` and `fig_qos_sla` at the full profile
-# (`<bin>:full`) and every example (`example:<name>`). It prints one line
-# per output, `DIFFERENT` and the output's new manifest line for each one
-# that moved or has no line, and exits non-zero at the end if any did.
+# This empties `tests/figures/` and rewrites every output into it: each
+# `crates/bench/src/bin/*` figure with `--fast` as `<module>.txt` (the
+# file `tests/figure_digests.rs` checks) and at the full profile as
+# `<bin>.full.txt`, `all_figures --fast` as `all_figures.fast.txt`, and
+# each example as `example.<name>.txt`. It then fails unless
+# `git status --porcelain -- tests/figures` is empty, so a modified,
+# deleted or untracked golden file fails it. A re-pin is: run this,
+# review `git diff -- tests/figures`, commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,52 +24,23 @@ if [ "$#" -gt 1 ]; then
     exit 2
 fi
 release="${1:-target/release}"
-manifest=tests/figure_digests.txt
-out="$(mktemp "${TMPDIR:-/tmp}/figures-match.XXXXXX")"
-trap 'rm -f "$out"' EXIT
-
-# "bytes digest" of a file: FNV-1a 64 (offset 0xcbf29ce484222325 as a
-# signed word, prime 0x100000001b3; shell arithmetic wraps at 64 bits).
-fnv1a() {
-    local hash=-3750763034362895579 bytes=0 byte
-    for byte in $(od -An -v -tu1 "$1"); do
-        hash=$(((hash ^ byte) * 1099511628211))
-        bytes=$((bytes + 1))
-    done
-    printf '%d 0x%016x' "$bytes" "$hash"
-}
-
-checked=0 moved=0
-# check NAME EXECUTABLE [ARGS...]: EXECUTABLE is relative to RELEASE_DIR.
-check() {
-    local name="$1" exe="$2" line
-    shift 2
-    "$release/$exe" "$@" >"$out"
-    line="$name $(fnv1a "$out")"
-    checked=$((checked + 1))
-    if ! grep -qxF "$line" "$manifest"; then
-        echo "DIFFERENT  $exe${*:+ $*}: its line is now"
-        echo "$line"
-        moved=$((moved + 1))
-        return
-    fi
-    printf 'identical  %-44s %8d bytes\n' "$exe${*:+ $*}" "$(wc -c <"$out")"
-}
+dir=tests/figures
+rm -rf "$dir" && mkdir "$dir"
 
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
     module="$(sed -nE 's/^[^/]*figures::([a-z0-9_]+)::run\(.*/\1/p' "$src")"
-    check "${module:-$bin:fast}" "$bin" --fast
-done
-for bin in fig5_fanout_latency ablation_full_vs_partial fig_qos_sla; do
-    check "$bin:full" "$bin"
+    "$release/$bin" --fast >"$dir/${module:-$bin.fast}.txt"
+    [ -z "$module" ] || "$release/$bin" >"$dir/$bin.full.txt"
 done
 for src in examples/*.rs; do
     example="$(basename "$src" .rs)"
-    check "example:$example" "examples/$example"
+    "$release/examples/$example" >"$dir/example.$example.txt"
 done
-if [ "$moved" -gt 0 ]; then
-    echo "$moved of $checked outputs moved"
+
+if [ -n "$(git status --porcelain -- "$dir")" ]; then
+    git status --short -- "$dir"
+    echo "golden outputs moved: review \`git diff -- $dir\` and commit it if intended" >&2
     exit 1
 fi
-echo "all $checked outputs match $manifest"
+echo "all $(find "$dir" -type f | wc -l) outputs match $dir"

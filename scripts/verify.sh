@@ -3,7 +3,8 @@
 # with --offline forced, so a network regression (any reintroduced
 # external dependency) fails fast and loudly instead of hanging on
 # registry retries. `.cargo/config.toml` additionally pins
-# `net.offline = true` for plain cargo invocations.
+# `net.offline = true` for plain cargo invocations. It rewrites the golden
+# outputs under `tests/figures/` in place and fails if they moved.
 #
 # See DESIGN.md "Hermetic build policy" for why the workspace has zero
 # external crates and how to vendor a substitute if one is ever needed.
@@ -51,9 +52,9 @@ cargo run --release --offline -p scalewall-lint -- --workspace
 # under tests/ (fault scenarios, zk replication, replay order, the pins).
 cargo test -q --offline --workspace
 
-# Every figure binary (fast profile; fig5, the full-vs-partial ablation
-# and the QoS/SLA sweep also at full profile) and every example, byte for
-# byte against the manifest `tests/figure_digests.txt`.
+# Every figure binary at both profiles, `all_figures --fast` and every
+# example, byte for byte against its golden file under `tests/figures/`:
+# a modified, deleted or untracked golden file fails (39 outputs).
 cargo build --release --offline -p scalewall-bench --bins
 cargo build --release --offline --examples
 scripts/figures_match.sh target/release

@@ -18,6 +18,7 @@ use scalewall::cluster::deployment::DeploymentConfig;
 use scalewall::cluster::experiment::{Experiment, ExperimentConfig, ExperimentStats};
 use scalewall::cluster::fault::{FaultKind, FaultScript};
 use scalewall::cluster::workload::WorkloadConfig;
+use scalewall::sim::hash::{fnv1a_word, FNV_OFFSET};
 use scalewall::sim::{SimDuration, SimTime};
 use scalewall::zk::ZkReplicationConfig;
 
@@ -151,9 +152,7 @@ const PIN_SMALL_REPLICATED_RUN: &[u64] = &[
 fn compact_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
     let mut f = fingerprint(stats);
     let tail = f.split_off(f.len() - stats.final_hotness.len());
-    let digest = tail.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
-        (h ^ v).wrapping_mul(0x0100_0000_01b3)
-    });
+    let digest = tail.iter().copied().fold(FNV_OFFSET, fnv1a_word);
     f.extend([tail.len() as u64, digest]);
     f
 }

@@ -37,24 +37,9 @@ use scalewall::shard_manager::{
     MaintenanceRequest, MigrationCause, MigrationKind, MigrationPhase, Rack, Region, ShardId,
     SmConfig, SmServer,
 };
+use scalewall::sim::hash::{fnv1a_word, FNV_OFFSET};
 use scalewall::sim::{SimDuration, SimTime};
 use scalewall::zk::ZkReplicationConfig;
-
-/// Order-sensitive FNV-1a over whole words.
-#[derive(Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x0100_0000_01b3);
-    }
-    fn time(&mut self, t: Option<SimTime>) {
-        self.word(t.map_or(u64::MAX, |t| t.as_nanos()));
-    }
-}
 
 // ------------------------------------------------------------ (1) direct SM
 
@@ -223,48 +208,44 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
     assert_eq!(sm.active_migration_count(), 0, "quiescent");
     sm.reactivate_host(drained, now).unwrap();
 
-    let mut owners = Digest::new();
-    for s in (0..60u64).chain(100..112) {
-        owners.word(sm.host_of(ShardId(s)).unwrap().0);
-    }
-    let mut history = Digest::new();
+    let owners = (0..60u64)
+        .chain(100..112)
+        .map(|s| sm.host_of(ShardId(s)).unwrap().0)
+        .fold(FNV_OFFSET, fnv1a_word);
+    let mut history = FNV_OFFSET;
     for m in sm.migration_history() {
-        history.word(m.id.0);
-        history.word(m.shard.0);
-        history.word(m.from.0);
-        history.word(m.to.0);
-        history.word(match m.kind {
+        let kind = match m.kind {
             MigrationKind::Plain => 0,
             MigrationKind::Graceful => 1,
             MigrationKind::Failover => 2,
-        });
-        history.word(match m.cause {
+        };
+        let cause = match m.cause {
             MigrationCause::LoadBalance => 0,
             MigrationCause::Drain => 1,
             MigrationCause::HostFailure => 2,
             MigrationCause::Manual => 3,
-        });
-        history.word(match m.phase {
+        };
+        let phase = match m.phase {
             MigrationPhase::Copying => 0,
             MigrationPhase::Forwarding => 1,
             MigrationPhase::Done => 2,
             MigrationPhase::Failed => 3,
-        });
-        history.word(m.started_at.as_nanos());
-        history.time(m.finished_at);
-        history.word(m.bytes);
+        };
+        let started = m.started_at.as_nanos();
+        let finished = m.finished_at.map_or(u64::MAX, SimTime::as_nanos);
+        let words = [
+            m.id.0, m.shard.0, m.from.0, m.to.0, kind, cause, phase, started, finished, m.bytes,
+        ];
+        history = words.into_iter().fold(history, fnv1a_word);
     }
-    let mut loads = Digest::new();
-    let mut placement = Digest::new();
+    let (mut loads, mut placement) = (FNV_OFFSET, FNV_OFFSET);
     for h in (0..HOSTS).map(HostId) {
-        loads.word(sm.host_load(h).to_bits());
+        loads = fnv1a_word(loads, sm.host_load(h).to_bits());
         for s in sm.shards_on("svc", h) {
-            placement.word(h.0);
-            placement.word(s.0);
+            placement = fnv1a_word(fnv1a_word(placement, h.0), s.0);
         }
     }
-    let mut script = Digest::new();
-    for w in [
+    let script = [
         graceful,
         plain,
         doomed.0,
@@ -277,13 +258,11 @@ fn sm_digests(jitter: usize) -> [u64; 5] {
         removed_at.unwrap_or(u64::MAX),
         rejoined.len() as u64,
         sm.migration_history().len() as u64,
-    ] {
-        script.word(w);
-    }
-    for shard in &rejoined {
-        script.word(shard.0);
-    }
-    [owners.0, history.0, loads.0, placement.0, script.0]
+    ]
+    .into_iter()
+    .chain(rejoined.iter().map(|shard| shard.0))
+    .fold(FNV_OFFSET, fnv1a_word);
+    [owners, history, loads, placement, script]
 }
 
 /// Rows: shard owners, migration records, host-load bits, shards per
@@ -346,10 +325,7 @@ fn experiment_config(replicated: bool) -> ExperimentConfig {
 }
 
 fn experiment_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
-    let mut hotness = Digest::new();
-    for &h in &stats.final_hotness {
-        hotness.word(h as u64);
-    }
+    let hotness = stats.final_hotness.iter().map(|&h| h as u64).fold(FNV_OFFSET, fnv1a_word);
     let mut f = vec![
         stats.queries_ok,
         stats.queries_failed,
@@ -368,7 +344,7 @@ fn experiment_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
         stats.zk_failovers,
         stats.zk_session_moves,
         stats.final_hotness.len() as u64,
-        hotness.0,
+        hotness,
         HOT_THRESHOLD as u64,
     ];
     f.extend(stats.migrations_per_day.iter().copied());

@@ -30,6 +30,7 @@ use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::store::PartitionData;
 use scalewall::cubrick::value::{Row, Value};
 use scalewall::shard_manager::HostId;
+use scalewall::sim::hash::{fnv1a, FNV_OFFSET};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 
 const TABLES: usize = 2;
@@ -50,12 +51,6 @@ const PROBED: [&str; 16] = [
     "e0", "e1", "e7", "e42", "e99", "e100", "e512", "e777", "e1000", "e1024", "e1500", "e1999",
     "e2000", "E1", "e", "",
 ];
-
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
-    })
-}
 
 /// Decay pass and memory monitor on every node of every region. Returns
 /// bricks (compressed, decompressed).
@@ -175,7 +170,7 @@ fn observe() -> (Vec<(usize, usize)>, Vec<PartitionPin>) {
                 part.brick_count(),
                 part.state_counts(),
                 part.memory_footprint(),
-                fnv1a(&describe(part)),
+                fnv1a(FNV_OFFSET, describe(part).as_bytes()),
             ));
         }
     }
@@ -263,7 +258,7 @@ fn observe_lifecycle() -> (Vec<(usize, usize)>, Vec<PartitionPin>) {
             part.brick_count(),
             part.state_counts(),
             part.memory_footprint(),
-            fnv1a(&describe(part)),
+            fnv1a(FNV_OFFSET, describe(part).as_bytes()),
         ));
     };
 

@@ -41,6 +41,7 @@ use scalewall::cubrick::schema::{DimKind, Schema, SchemaBuilder};
 use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::value::{Row, Value};
 use scalewall::shard_manager::{AddShardReason, AppServer, HostId, Region, ShardContext, ShardId};
+use scalewall::sim::hash::{fnv1a_word, FNV_OFFSET};
 use scalewall::sim::sync::RwLock;
 use scalewall::sim::SimRng;
 
@@ -56,19 +57,6 @@ const BATCH_ROWS: usize = 240;
 const NODE_BUDGETS: [u64; 4] = [50_000, 100_000, 300_000, 1_000_000];
 /// The monitor's default hysteresis (`MemoryMonitorConfig::default`).
 const LOW_WATERMARK: f64 = 0.8;
-
-/// Order-sensitive FNV-1a over whole words.
-#[derive(Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x0100_0000_01b3);
-    }
-}
 
 /// `(name, schema, distinct strings the generator draws per string
 /// dimension)`. `wide`'s entity dictionary dwarfs its rows, `mid` has two
@@ -257,7 +245,7 @@ impl Fixture {
     /// Every partition sits a third of its rounds out, and `tags#6` and
     /// `tags#7` are never scanned at all.
     fn scan(&mut self, round: usize, rng: &mut SimRng) -> u64 {
-        let mut answers = Digest::new();
+        let mut answers = FNV_OFFSET;
         for t in 0..self.defs.len() {
             let name = self.defs[t].0.name.clone();
             let lo = rng.below(DS_RANGE as u64 - 20);
@@ -279,29 +267,27 @@ impl Fixture {
                     .owner(t, p)
                     .execute_local(&query, p)
                     .expect("owned and loaded");
-                answers.word(partial.finalize().scalar().map_or(0, f64::to_bits));
+                answers = fnv1a_word(answers, partial.finalize().scalar().map_or(0, f64::to_bits));
             }
         }
-        answers.0
+        answers
     }
 
     /// Every stored partition's counters, footprints and hotness.
     fn partition_digest(&self) -> u64 {
-        let mut d = Digest::new();
+        let mut d = FNV_OFFSET;
         let store = self.store.read();
         for (table, p) in store.keys() {
             let part = store.partition(&table, p).expect("listed partition");
             let (hot, cold) = part.state_counts();
-            for w in [hot as u64, cold as u64] {
-                d.word(w);
+            for w in [hot as u64, cold as u64, part.memory_footprint()] {
+                d = fnv1a_word(d, w);
             }
-            d.word(part.memory_footprint());
             for (brick, hotness) in part.hotness_snapshot() {
-                d.word(brick);
-                d.word(hotness as u64);
+                d = fnv1a_word(fnv1a_word(d, brick), hotness as u64);
             }
         }
-        d.0
+        d
     }
 
     /// Partitions (over budget, in band, under the watermark) as the next

@@ -24,6 +24,7 @@ use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::sharding::ShardMapping;
 use scalewall::cubrick::value::{Row, Value};
 use scalewall::shard_manager::{HostId, MigrationCause, ShardId};
+use scalewall::sim::hash::{fnv1a, FNV_OFFSET};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 
 const ROWS: i64 = 800;
@@ -173,12 +174,6 @@ fn timeline(graceful: bool, proxy_config: ProxyConfig) -> Timeline {
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
-    })
-}
-
 /// `(queries, failures, retried, served by the new owner, digest)`.
 type Golden = (usize, usize, usize, usize, u64);
 
@@ -202,7 +197,7 @@ fn summarize(t: &Timeline) -> (Golden, String) {
         t.queries.iter().filter(|q| !q.success).count(),
         t.queries.iter().filter(|q| q.attempts > 1).count(),
         t.queries.iter().filter(|q| q.served == Some(t.to)).count(),
-        fnv1a(&text),
+        fnv1a(FNV_OFFSET, text.as_bytes()),
     );
     (golden, text)
 }

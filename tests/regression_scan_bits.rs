@@ -19,6 +19,7 @@ use scalewall::cubrick::query::{
 use scalewall::cubrick::schema::SchemaBuilder;
 use scalewall::cubrick::store::PartitionData;
 use scalewall::cubrick::value::{Row, Value};
+use scalewall::sim::hash::{fnv1a, FNV_OFFSET};
 use scalewall::sim::SimRng;
 
 const PARTITIONS: u32 = 3;
@@ -275,12 +276,6 @@ fn render(out: &QueryOutput, text: &mut String) {
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
-    })
-}
-
 /// One line per query: merged row count, merged `rows_scanned`, and the
 /// digest of every per-partition output followed by the merged one.
 /// The last line digests the stores' statistics and hotness counters
@@ -303,7 +298,7 @@ fn observe(states: BrickStates, queries: &[(&str, Query)]) -> Vec<(String, usize
             name.to_string(),
             merged.rows.len(),
             merged.rows_scanned,
-            fnv1a(&text),
+            fnv1a(FNV_OFFSET, text.as_bytes()),
         ));
     }
     let mut text = String::new();
@@ -316,7 +311,7 @@ fn observe(states: BrickStates, queries: &[(&str, Query)]) -> Vec<(String, usize
         "store_stats".to_string(),
         parts.len(),
         scanned,
-        fnv1a(&text),
+        fnv1a(FNV_OFFSET, text.as_bytes()),
     ));
     lines
 }

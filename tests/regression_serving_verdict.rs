@@ -43,6 +43,7 @@ use scalewall::shard_manager::{
     AddShardReason, AppServerRegistry as _, HostId, MigrationCause, Region, ShardContext, ShardId,
     SmConfig,
 };
+use scalewall::sim::hash::{fnv1a, fnv1a_word, FNV_OFFSET};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use scalewall::zk::{CoordinationPlane, ZkReplicationConfig};
 
@@ -51,12 +52,6 @@ const ROWS: i64 = 600;
 
 fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01B3)
-    })
 }
 
 /// The option sets every scenario runs under.
@@ -510,7 +505,7 @@ fn observe_in(scenario: &Scenario, mode: Mode) -> (Pin, String) {
     let pin = (
         queries.clone().count(),
         queries.filter(|l| l.contains(" false ")).count(),
-        fnv1a(&h.log),
+        fnv1a(FNV_OFFSET, h.log.as_bytes()),
     );
     (pin, format!("## {name} {mode:?}\n{}\n", h.log))
 }
@@ -628,6 +623,7 @@ fn qos_config(seed: u64, replicated: bool, faults: FaultScript) -> ExperimentCon
 }
 
 fn stats_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
+    let hotness = stats.final_hotness.iter().map(|&c| c as u64);
     let mut f = vec![
         stats.queries_ok,
         stats.queries_failed,
@@ -647,9 +643,7 @@ fn stats_fingerprint(stats: &ExperimentStats) -> Vec<u64> {
         stats.zk_session_moves,
         stats.migrations_per_day.iter().sum(),
         stats.repairs_per_day.iter().sum(),
-        stats.final_hotness.iter().fold(0xCBF2_9CE4_8422_2325, |h, &c| {
-            (h ^ c as u64).wrapping_mul(0x100_0000_01B3)
-        }),
+        hotness.fold(FNV_OFFSET, fnv1a_word),
     ];
     for c in &stats.qos.classes {
         f.extend([
