@@ -141,14 +141,16 @@ pub fn run(profile: Profile) -> String {
         "query latency vs fan-out (same query every 500ms; log-scale tails)",
     );
     out.push_str(&table.render());
-    let first = &results[0].summary;
-    let last = &results[results.len() - 1].summary;
-    out.push_str(&format!(
-        "\ntail amplification 1→64 partitions: p50 ×{:.2}, p99 ×{:.2}, p99.9 ×{:.2}\n",
-        last.p50 / first.p50,
-        last.p99 / first.p99,
-        last.p999 / first.p999,
-    ));
+    let row = |fanout| results.iter().find(|r| r.fanout == fanout);
+    if let (Some(one), Some(wide)) = (row(1), row(64)) {
+        let (one, wide) = (&one.summary, &wide.summary);
+        out.push_str(&format!(
+            "\ntail amplification 1→64 partitions: p50 ×{:.2}, p99 ×{:.2}, p99.9 ×{:.2}\n",
+            wide.p50 / one.p50,
+            wide.p99 / one.p99,
+            wide.p999 / one.p999,
+        ));
+    }
     out.push_str(
         "paper: \"higher fan-out queries are more susceptible to\n\
          non-deterministic sources of tail latencies\" — medians stay flat\n\
