@@ -4,7 +4,12 @@
 //! them all on every expiry pass.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use std::collections::BTreeMap;
 
@@ -60,14 +65,19 @@ fn check_against_model(steps: &[(u64, Op)]) {
             }
             Op::Expire => {
                 let silent = |last: &SimTime| now.since(*last) > SESSION_TIMEOUT;
-                let want: Vec<SessionId> =
-                    model.iter().filter(|(_, last)| silent(last)).map(|(&sid, _)| sid).collect();
+                let want: Vec<SessionId> = model
+                    .iter()
+                    .filter(|(_, last)| silent(last))
+                    .map(|(&sid, _)| sid)
+                    .collect();
                 model.retain(|_, last| !silent(last));
                 assert_eq!(zk.expire_sessions(now), want, "expiry at {now:?}");
             }
         }
         for &sid in &opened {
-            let alive = model.get(&sid).is_some_and(|last| now.since(*last) <= SESSION_TIMEOUT);
+            let alive = model
+                .get(&sid)
+                .is_some_and(|last| now.since(*last) <= SESSION_TIMEOUT);
             assert_eq!(zk.session_alive(sid, now), alive, "{sid} at {now:?}");
         }
     }
@@ -78,7 +88,9 @@ fn check_against_model(steps: &[(u64, Op)]) {
 /// never reported.
 #[test]
 fn expiry_matches_a_last_heartbeat_model() {
-    prop::check("expiry_matches_a_last_heartbeat_model", gen_steps, |steps| {
-        check_against_model(steps)
-    });
+    prop::check(
+        "expiry_matches_a_last_heartbeat_model",
+        gen_steps,
+        |steps| check_against_model(steps),
+    );
 }
