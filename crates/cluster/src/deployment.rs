@@ -273,7 +273,7 @@ impl Deployment {
                 // the rest spread across the other regions so a
                 // majority survives any single-region loss.
                 rep.homes = (0..rep.replicas)
-                    .map(|i| (r + i) % config.regions)
+                    .map(|i| Some((r + i) % config.regions))
                     .collect();
             }
             let spec = AppSpec::primary_only(APP, config.max_shards).with_balancer(config.balancer);
@@ -671,8 +671,8 @@ impl Deployment {
 
     /// Crash every coordination replica homed in `home_region`, across
     /// all regions' ensembles (the fault DSL's `ZkNodeCrash`, and the
-    /// coordinator-side effect of a region outage). No-op when the
-    /// deployment runs the single in-process store.
+    /// coordinator-side effect of a region outage). Without replication
+    /// the one replica is homed in no region, so nothing crashes.
     pub fn zk_crash_region(&mut self, home_region: u32) {
         for region in &mut self.regions {
             region.sm.coordination_mut().crash_home(home_region);

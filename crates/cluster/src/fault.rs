@@ -41,8 +41,8 @@ pub enum FaultKind {
     /// Every coordination-plane replica homed in `region` crashes (the
     /// coordinator's rack dies) and is restored at repair. Application
     /// hosts are untouched: this isolates coordination loss from
-    /// capacity loss. No-op unless the deployment runs the replicated
-    /// plane (`SmConfig::replication`).
+    /// capacity loss. No-op without replication
+    /// (`SmConfig::replication`): that plane's one replica has no home.
     ZkNodeCrash { region: u32 },
 }
 

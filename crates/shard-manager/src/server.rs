@@ -64,10 +64,9 @@ pub struct SmConfig {
     pub placement_jitter: usize,
     /// Seed for the server's private RNG (placement jitter).
     pub seed: u64,
-    /// When set, heartbeat sessions go through a replicated
-    /// coordination ensemble with lease-based leader failover instead of
-    /// the single in-process store. `None` preserves the original
-    /// single-store behaviour bit-for-bit.
+    /// The coordination ensemble heartbeat sessions go through, with
+    /// lease-based leader failover. `None` runs one replica that no
+    /// fault reaches ([`ZkReplicationConfig::unreplicated`]).
     pub replication: Option<ZkReplicationConfig>,
 }
 
@@ -209,11 +208,9 @@ impl SmServer {
     /// The server of the one application `spec` describes. The spec is
     /// taken as given; [`AppSpec::validate`] is the caller's check.
     pub fn new(config: SmConfig, spec: AppSpec) -> Self {
+        let unreplicated = ZkReplicationConfig::unreplicated();
         SmServer {
-            zk: match &config.replication {
-                None => CoordinationPlane::single(),
-                Some(rep) => CoordinationPlane::replicated(rep),
-            },
+            zk: CoordinationPlane::new(config.replication.as_ref().unwrap_or(&unreplicated)),
             rng: RngRoot::new(config.seed).into_rng(),
             config,
             app: AppState {

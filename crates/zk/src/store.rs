@@ -23,8 +23,8 @@ pub enum ZkOp {
     },
     /// One commit for a whole heartbeat round: applies exactly as one
     /// [`ZkOp::RefreshSession`] per id, in order, at the commit's
-    /// timestamp. The ids sit behind an `Arc` because the op is cloned
-    /// once per client attempt.
+    /// timestamp. The ids sit behind an `Arc` so a heartbeat list is
+    /// built once and shared from round to round.
     RefreshSessions {
         sessions: Arc<[SessionId]>,
     },

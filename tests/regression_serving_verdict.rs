@@ -45,7 +45,7 @@ use scalewall::shard_manager::{
 };
 use scalewall::sim::hash::{fnv1a, fnv1a_word, FNV_OFFSET};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
-use scalewall::zk::{CoordinationPlane, ZkReplicationConfig};
+use scalewall::zk::ZkReplicationConfig;
 
 const T0: SimTime = SimTime::from_secs(3_600);
 const ROWS: i64 = 600;
@@ -772,9 +772,7 @@ fn regression_serving_verdict_commit_indices() {
     let mut observed = Vec::new();
     for region in &dep.regions {
         let plane = region.sm.coordination();
-        let CoordinationPlane::Replicated { ensemble, .. } = plane else {
-            panic!("replicated plane");
-        };
+        let ensemble = plane.ensemble();
         let mut row = vec![
             plane.leader().map_or(u64::MAX, u64::from),
             plane.epoch(),

@@ -16,6 +16,10 @@
 //! minority/majority partitions, catch-up of a repaired follower by
 //! copying the leader's store, and `SessionMoved` fencing.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use scalewall::shard_manager::{AppSpec, SmConfig, SmServer};
 use scalewall::sim::prop::{self, gen};
 use scalewall::sim::{SimDuration, SimRng, SimTime};
 use scalewall::zk::{
@@ -234,6 +238,300 @@ fn prop_replicated_plane_matches_single_store_oracle() {
         48,
         |rng| gen::vec_with(rng, 10, 60, gen_step),
         |steps| run_schedule(steps),
+    );
+}
+
+// ------------------------------------------------- the unreplicated plane
+
+/// One step against the plane a deployment without replication runs:
+/// advance time and tick, then one session op or one fault hook.
+#[derive(Debug, Clone, Copy)]
+struct PlaneStep {
+    advance_ms: u64,
+    op: PlaneOp,
+}
+
+/// Session ops name the `k`-th session opened so far (modulo), or a
+/// bogus id before any; fault hooks name any region, `u32::MAX`
+/// included.
+#[derive(Debug, Clone, Copy)]
+enum PlaneOp {
+    Create,
+    Refresh(u8),
+    /// Refresh the kept heartbeat list in one commit, as SM's heartbeat
+    /// round does: the same `Arc` from round to round.
+    RefreshBatch,
+    /// Rebuild the heartbeat list from every session opened so far,
+    /// closed and expired ones included.
+    Relist,
+    Close(u8),
+    Expire,
+    Crash(u32),
+    Restore(u32),
+    Cut(u32, u32),
+    Heal(u32, u32),
+}
+
+fn gen_region(rng: &mut SimRng) -> u32 {
+    if rng.below(8) == 0 {
+        u32::MAX
+    } else {
+        rng.below(6) as u32
+    }
+}
+
+fn gen_plane_step(rng: &mut SimRng) -> PlaneStep {
+    let k = gen::any_u8(rng);
+    let op = match rng.below(12) {
+        0 | 1 => PlaneOp::Create,
+        2 => PlaneOp::Refresh(k),
+        3 | 4 => PlaneOp::RefreshBatch,
+        5 => PlaneOp::Relist,
+        6 => PlaneOp::Close(k),
+        7 => PlaneOp::Expire,
+        8 => PlaneOp::Crash(gen_region(rng)),
+        9 => PlaneOp::Restore(gen_region(rng)),
+        10 => PlaneOp::Cut(gen_region(rng), gen_region(rng)),
+        _ => PlaneOp::Heal(gen_region(rng), gen_region(rng)),
+    };
+    PlaneStep {
+        advance_ms: rng.range(0, 8_000),
+        op,
+    }
+}
+
+/// The `k`-th session opened so far (modulo), or a bogus id before any.
+fn pick_session(opened: &[SessionId], k: u8) -> SessionId {
+    let n = opened.len().max(1);
+    opened
+        .get(usize::from(k) % n)
+        .copied()
+        .unwrap_or(SessionId(u64::from(k)))
+}
+
+/// Drive the plane `SmServer::new(SmConfig::default(), …)` builds and a
+/// bare `ZkStore` with the same steps; panics on any divergence.
+fn run_default_plane_against_store(steps: &[PlaneStep]) {
+    let mut sm = SmServer::new(SmConfig::default(), AppSpec::primary_only("zk", 16));
+    let plane = sm.coordination_mut();
+    let mut store = ZkStore::new();
+    let mut opened: Vec<SessionId> = Vec::new();
+    let mut batch: Arc<[SessionId]> = Arc::from([]);
+    let mut now = SimTime::ZERO;
+    for (i, step) in steps.iter().enumerate() {
+        now += SimDuration::from_millis(step.advance_ms);
+        assert_eq!(plane.tick(now), None, "step {i}: no election, ever");
+        let pick = |k: u8| pick_session(&opened, k);
+        match step.op {
+            PlaneOp::Create => {
+                let sid = plane.create_session(now);
+                assert_eq!(sid, Ok(store.create_session(now)), "step {i}");
+                opened.extend(sid);
+            }
+            PlaneOp::Refresh(k) => {
+                let s = pick(k);
+                let want = store.refresh_session(s, now);
+                assert_eq!(plane.refresh_session(s, now), want, "step {i}");
+            }
+            PlaneOp::RefreshBatch => {
+                plane.refresh_sessions(Arc::clone(&batch), now);
+                store.refresh_sessions(&batch, now);
+            }
+            PlaneOp::Relist => batch = opened.iter().copied().collect(),
+            PlaneOp::Close(k) => {
+                let s = pick(k);
+                plane.close_session(s, now);
+                store.close_session(s);
+            }
+            PlaneOp::Expire => {
+                let want = store.expire_sessions(now);
+                assert_eq!(plane.expire_sessions(now), want, "step {i}");
+            }
+            PlaneOp::Crash(r) => plane.crash_home(r),
+            PlaneOp::Restore(r) => plane.restore_home(r),
+            PlaneOp::Cut(a, b) => plane.cut_regions(a, b),
+            PlaneOp::Heal(a, b) => plane.heal_regions(a, b),
+        }
+        assert_eq!(
+            plane.ensemble().replica_digest(0),
+            store.state_digest(),
+            "state diverged at step {i}: {step:?}"
+        );
+    }
+    assert_eq!(plane.failovers(), 0);
+    assert_eq!(plane.session_moves(), 0);
+    assert_eq!(plane.leader(), Some(0));
+    assert_eq!(plane.epoch(), 1);
+}
+
+/// A deployment without replication runs a one-replica ensemble homed in
+/// no region: no fault hook reaches it, so it answers every session op
+/// as a bare store does and never elects, fences or fails over.
+#[test]
+fn prop_default_plane_behaves_as_the_store() {
+    prop::check_n(
+        "zk_default_plane_is_the_store",
+        64,
+        |rng| gen::vec_with(rng, 10, 120, gen_plane_step),
+        |steps| run_default_plane_against_store(steps),
+    );
+}
+
+// ------------------------------------------------- the fencing shortcut
+
+/// The leader's session-fencing walk, kept here as the reference for
+/// the ensemble's shortcut (a kept heartbeat batch that already passed
+/// in this epoch skips it): the epoch each session last spoke in.
+#[derive(Debug, Default)]
+struct FencingWalk(BTreeMap<SessionId, u64>);
+
+impl FencingWalk {
+    /// What the walk answers for `op` reaching a serving leader of
+    /// `epoch`: a pass, or one `SessionMoved` for every stale session.
+    fn fence(&mut self, op: &ZkOp, epoch: u64) -> ZkResult<()> {
+        let mut first = None;
+        let mut moved = 0;
+        for &sid in op.sessions() {
+            let e = self.0.entry(sid).or_insert(epoch);
+            if *e != epoch {
+                *e = epoch;
+                first.get_or_insert(sid);
+                moved += 1;
+            }
+        }
+        match first {
+            Some(sid) => Err(ZkError::SessionMoved {
+                session: sid.0,
+                moved,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    fn committed(&mut self, op: &ZkOp, resp: &ZkResp, epoch: u64) {
+        match (op, resp) {
+            (ZkOp::CreateSession, ZkResp::Session(sid)) => {
+                self.0.insert(*sid, epoch);
+            }
+            (ZkOp::CloseSession { session }, _) => {
+                self.0.remove(session);
+            }
+            (ZkOp::ExpireSessions, ZkResp::Sessions(dead)) => {
+                for sid in dead {
+                    self.0.remove(sid);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A session op, or a crash / restore of one replica. Leader crashes
+/// with long advances make elections; `Relist` keeps expired and closed
+/// ids in the kept batch.
+#[derive(Debug, Clone, Copy)]
+enum FenceOp {
+    Create,
+    Refresh(u8),
+    RefreshBatch,
+    Relist,
+    Close(u8),
+    Expire,
+    CrashLeader,
+    Restore(u32),
+}
+
+fn gen_fence_step(rng: &mut SimRng) -> (u64, FenceOp) {
+    let k = gen::any_u8(rng);
+    let op = match rng.below(12) {
+        0 | 1 => FenceOp::Create,
+        2 => FenceOp::Refresh(k),
+        3..=5 => FenceOp::RefreshBatch,
+        6 => FenceOp::Relist,
+        7 => FenceOp::Close(k),
+        8 => FenceOp::Expire,
+        9 => FenceOp::CrashLeader,
+        _ => FenceOp::Restore(rng.below(3) as u32),
+    };
+    (rng.range(0, 6_000), op)
+}
+
+/// Submit `op` to the leader as a client would, one `SessionMoved`
+/// retry included, checking each answer against the reference walk.
+/// Returns the committed response, if any.
+fn submit_against_walk(
+    ens: &mut ZkEnsemble,
+    walk: &mut FencingWalk,
+    op: &ZkOp,
+    now: SimTime,
+) -> Option<ZkResp> {
+    for _ in 0..2 {
+        let epoch = ens.epoch();
+        match ens.submit_to(ens.leader().unwrap_or(0), op.clone(), now) {
+            // Refused before the walk: no leader, or no quorum.
+            Err(ZkError::NotLeader { .. }) => return None,
+            Err(moved @ ZkError::SessionMoved { .. }) => {
+                assert_eq!(walk.fence(op, epoch), Err(moved), "{op:?} at {now:?}");
+            }
+            Ok(resp) => {
+                assert_eq!(walk.fence(op, epoch), Ok(()), "{op:?} at {now:?}");
+                walk.committed(op, &resp, epoch);
+                return Some(resp);
+            }
+            Err(other) => panic!("{other:?}"),
+        }
+    }
+    None
+}
+
+/// Drive a 3-replica ensemble and the reference walk with the same
+/// steps; panics when a fencing answer differs.
+fn run_fencing_against_walk(steps: &[(u64, FenceOp)]) {
+    let mut ens = ZkEnsemble::new(&ZkReplicationConfig::default());
+    let mut walk = FencingWalk::default();
+    let mut opened: Vec<SessionId> = Vec::new();
+    let mut batch: Arc<[SessionId]> = Arc::from([]);
+    let mut now = SimTime::ZERO;
+    for &(advance_ms, step) in steps {
+        now += SimDuration::from_millis(advance_ms);
+        ens.tick(now);
+        let pick = |k: u8| pick_session(&opened, k);
+        let op = match step {
+            FenceOp::Create => ZkOp::CreateSession,
+            FenceOp::Refresh(k) => ZkOp::RefreshSession { session: pick(k) },
+            FenceOp::RefreshBatch => ZkOp::RefreshSessions {
+                sessions: Arc::clone(&batch),
+            },
+            FenceOp::Close(k) => ZkOp::CloseSession { session: pick(k) },
+            FenceOp::Expire => ZkOp::ExpireSessions,
+            FenceOp::Relist => {
+                batch = opened.iter().copied().collect();
+                continue;
+            }
+            FenceOp::CrashLeader => {
+                if let Some(l) = ens.leader() {
+                    ens.crash_replica(l);
+                }
+                continue;
+            }
+            FenceOp::Restore(id) => {
+                ens.restore_replica(id);
+                continue;
+            }
+        };
+        if let Some(ZkResp::Session(sid)) = submit_against_walk(&mut ens, &mut walk, &op, now) {
+            opened.push(sid);
+        }
+    }
+}
+
+#[test]
+fn prop_fencing_shortcut_matches_the_walk() {
+    prop::check_n(
+        "zk_fencing_shortcut_is_the_walk",
+        64,
+        |rng| gen::vec_with(rng, 10, 150, gen_fence_step),
+        |steps| run_fencing_against_walk(steps),
     );
 }
 
