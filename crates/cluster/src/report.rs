@@ -36,7 +36,8 @@ impl TextTable {
         self.rows.is_empty()
     }
 
-    /// Render with aligned columns.
+    /// Render with aligned columns; no line ends in a space (an empty
+    /// last cell pads to nothing).
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -52,6 +53,7 @@ impl TextTable {
                 }
                 let _ = write!(out, "{cell:>w$}", w = w);
             }
+            out.truncate(out.trim_end_matches(' ').len());
             out.push('\n');
         };
         line(&self.header, &widths, &mut out);
@@ -135,6 +137,19 @@ mod tests {
         assert!(lines[1].starts_with("---"));
         // Right-aligned columns have equal line lengths.
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn no_rendered_line_ends_in_a_space() {
+        let mut t = TextTable::new(vec!["name", "note"]);
+        t.row(vec!["a", ""]);
+        t.row(vec!["b", "long note"]);
+        t.row(vec!["", ""]);
+        let s = t.render();
+        assert_eq!(s.lines().count(), 5);
+        for line in s.lines() {
+            assert!(!line.ends_with(' '), "{line:?}");
+        }
     }
 
     #[test]
