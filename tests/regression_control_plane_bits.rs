@@ -11,7 +11,7 @@
 //!     host-load bit pattern.
 //! (2) [`experiment_counters_match_parent`] runs the operational
 //!     experiment under background failures and drains plus a fault
-//!     script, on the single store and on three replicas, and pins every
+//!     script, without replication and on three replicas, and pins every
 //!     `ExperimentStats` counter. `Experiment` does not hand out its
 //!     deployment, so the per-region migration records and the final
 //!     owner of every shard of the same runs are pinned from inside the
