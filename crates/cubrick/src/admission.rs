@@ -436,12 +436,25 @@ mod tests {
     #[test]
     fn flat_mode_is_the_legacy_gate() {
         let mut c = AdmissionController::new(AdmissionConfig::flat(2));
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
         assert_eq!(c.offer(QosClass::Batch, t(0)), AdmissionDecision::Admit);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Shed);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Shed
+        );
         c.complete(QosClass::Batch);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Shed, "no queue to wait in");
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Shed,
+            "no queue to wait in"
+        );
     }
 
     #[test]
@@ -485,7 +498,10 @@ mod tests {
             panic!("cap of ⌈0.15 × 4⌉ = 1 reached, batch queues");
         };
         // Idle best-effort capacity is likewise usable immediately.
-        assert_eq!(c.offer(QosClass::BestEffort, t(0)), AdmissionDecision::Admit);
+        assert_eq!(
+            c.offer(QosClass::BestEffort, t(0)),
+            AdmissionDecision::Admit
+        );
         assert_eq!(c.total_in_flight(), 2);
     }
 
@@ -494,8 +510,14 @@ mod tests {
         let mut c = AdmissionController::new(AdmissionConfig::qos(2));
         // Fill the pool with interactive (its cap ⌈0.6 × 2⌉ = 2 covers
         // both slots).
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
         // Now both classes queue.
         let AdmissionDecision::Queued { ticket: tb, .. } = c.offer(QosClass::BestEffort, t(1))
         else {
@@ -520,7 +542,10 @@ mod tests {
     #[test]
     fn deadline_expiry_is_deterministic_and_boundary_exclusive() {
         let mut c = AdmissionController::new(AdmissionConfig::qos(1));
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
         let AdmissionDecision::Queued { ticket, deadline } = c.offer(QosClass::Interactive, t(10))
         else {
             panic!("should queue");
@@ -544,7 +569,10 @@ mod tests {
     #[test]
     fn cancelled_ticket_is_not_served_or_expired() {
         let mut c = AdmissionController::new(AdmissionConfig::qos(1));
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
         let AdmissionDecision::Queued { ticket, deadline } = c.offer(QosClass::Interactive, t(0))
         else {
             panic!("should queue");
@@ -560,9 +588,15 @@ mod tests {
 
     #[test]
     fn flat_queued_mode_is_class_blind_fifo() {
-        let mut c =
-            AdmissionController::new(AdmissionConfig::flat_queued(1, 4, SimDuration::from_secs(8)));
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        let mut c = AdmissionController::new(AdmissionConfig::flat_queued(
+            1,
+            4,
+            SimDuration::from_secs(8),
+        ));
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
         let AdmissionDecision::Queued { ticket: tb, .. } = c.offer(QosClass::Batch, t(1)) else {
             panic!("batch queues in flat mode");
         };
@@ -577,9 +611,15 @@ mod tests {
     #[test]
     fn flat_queued_mode_leaves_no_ticket_in_the_class_deques() {
         const N: usize = 6;
-        let mut c =
-            AdmissionController::new(AdmissionConfig::flat_queued(1, N, SimDuration::from_secs(8)));
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        let mut c = AdmissionController::new(AdmissionConfig::flat_queued(
+            1,
+            N,
+            SimDuration::from_secs(8),
+        ));
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
         for class in QosClass::ALL.iter().cycle().take(N) {
             let AdmissionDecision::Queued { .. } = c.offer(*class, t(1)) else {
                 panic!("{class:?} queues in flat mode");
@@ -600,9 +640,18 @@ mod tests {
         let mut c = AdmissionController::new(AdmissionConfig::flat(3));
         c.set_slots_offline(2);
         assert_eq!(c.effective_slots(), 1);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Shed);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Shed
+        );
         c.set_slots_offline(0);
-        assert_eq!(c.offer(QosClass::Interactive, t(0)), AdmissionDecision::Admit);
+        assert_eq!(
+            c.offer(QosClass::Interactive, t(0)),
+            AdmissionDecision::Admit
+        );
     }
 }

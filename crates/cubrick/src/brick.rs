@@ -23,15 +23,29 @@ pub struct Brick {
 
 impl Brick {
     pub fn new(num_dims: usize, num_metrics: usize) -> Self {
-        let dims = Columns { count: num_dims as u32, ..Columns::default() };
-        let metrics = Columns { count: num_metrics as u32, ..Columns::default() };
-        Brick { dims, metrics, rows: 0, cap: 0 }
+        let dims = Columns {
+            count: num_dims as u32,
+            ..Columns::default()
+        };
+        let metrics = Columns {
+            count: num_metrics as u32,
+            ..Columns::default()
+        };
+        Brick {
+            dims,
+            metrics,
+            rows: 0,
+            cap: 0,
+        }
     }
 
     /// Append one row (`ordinals` in schema dimension order).
     pub fn push(&mut self, ordinals: &[u32], metrics: &[f64]) {
         if self.rows == self.cap {
-            assert!(self.cap < u32::MAX, "a brick holds fewer than u32::MAX rows");
+            assert!(
+                self.cap < u32::MAX,
+                "a brick holds fewer than u32::MAX rows"
+            );
             *self = self.at_cap(self.cap.saturating_mul(2).max(4));
         }
         self.dims.put(self.rows, self.cap, ordinals);
@@ -78,7 +92,12 @@ impl Brick {
 
     /// Rebuild from decoded columns (decompression) at `cap = rows`.
     pub(crate) fn from_columns(rows: usize, dims: Columns<u32>, metrics: Columns<f64>) -> Self {
-        Brick { dims, metrics, rows: rows as u32, cap: rows as u32 }
+        Brick {
+            dims,
+            metrics,
+            rows: rows as u32,
+            cap: rows as u32,
+        }
     }
 
     /// Release excess capacity (after bulk loads).
@@ -90,7 +109,12 @@ impl Brick {
     fn at_cap(&self, cap: u32) -> Self {
         let dims = self.dims.restride(self.cap, cap, self.rows);
         let metrics = self.metrics.restride(self.cap, cap, self.rows);
-        Brick { dims, metrics, cap, ..*self }
+        Brick {
+            dims,
+            metrics,
+            cap,
+            ..*self
+        }
     }
 }
 
@@ -139,7 +163,11 @@ impl<T: Copy + Default> Columns<T> {
             }
         }
         let (values, count) = (values.into_boxed_slice(), encoded.len() as u32);
-        Columns { values, count, skipped }
+        Columns {
+            values,
+            count,
+            skipped,
+        }
     }
 
     /// Column `c`, or none if it was left out.

@@ -89,13 +89,19 @@ impl fmt::Display for CubrickError {
                 write!(f, "host serving {table}#{partition} is blacklisted")
             }
             AllReplicasUnavailable { table, partition } => {
-                write!(f, "every replica of {table}#{partition} is blacklisted or down")
+                write!(
+                    f,
+                    "every replica of {table}#{partition} is blacklisted or down"
+                )
             }
             ShardTimeout { table, partition } => {
                 write!(f, "{table}#{partition} sub-query exceeded its deadline")
             }
             RegionUnreachable { from, to } => {
-                write!(f, "region {to} unreachable from region {from} (network partition)")
+                write!(
+                    f,
+                    "region {to} unreachable from region {from} (network partition)"
+                )
             }
             Internal { detail } => write!(f, "internal error: {detail}"),
         }

@@ -46,7 +46,15 @@
 //!   coordinator node.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod admission;
 pub mod brick;

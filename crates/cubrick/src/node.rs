@@ -24,10 +24,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use scalewall_sim::sync::RwLock;
 use scalewall_shard_manager::{
     AddShardReason, AppError, AppServer, HostId, Region, ShardContext, ShardId,
 };
+use scalewall_sim::sync::RwLock;
 use scalewall_sim::{RngRoot, SimRng};
 
 use crate::catalog::{Catalog, SharedCatalog};
@@ -291,7 +291,11 @@ impl CubrickNode {
     /// What the metric poll and the memory monitor's idleness read, as
     /// generations: the owned set, the catalog's shard index, the store.
     fn stamp(&self, catalog: &Catalog, store: &RegionStore) -> [u64; 3] {
-        [self.owned_generation, catalog.generation(), store.generation()]
+        [
+            self.owned_generation,
+            catalog.generation(),
+            store.generation(),
+        ]
     }
 
     /// The shard-collision veto (§IV-A): would accepting `shard` co-locate
@@ -357,7 +361,11 @@ impl CubrickNode {
             Some(_) => {}
         }
         self.queries_served += 1;
-        match self.region_store.write().hotness_mut(&query.table, partition) {
+        match self
+            .region_store
+            .write()
+            .hotness_mut(&query.table, partition)
+        {
             Some(data) => execute_partition(data, query, table_partitions),
             // Partition exists in metadata but holds no rows yet: an
             // empty result, not an error.
@@ -492,7 +500,8 @@ impl AppServer for CubrickNode {
         }
         self.prepared.remove(&ctx.shard.0);
         let loading = ctx.reason != AddShardReason::NewAllocation;
-        self.owned_keys_mut().insert(ctx.shard.0, ShardState { loading });
+        self.owned_keys_mut()
+            .insert(ctx.shard.0, ShardState { loading });
         Ok(())
     }
 

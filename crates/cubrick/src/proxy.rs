@@ -313,7 +313,11 @@ impl CubrickProxy {
                 let a = rng.below(n) as u32;
                 let b = rng.below(n) as u32;
                 let depths = self.coordinator_inflight.get(table);
-                let partition = if depth_of(depths, b) < depth_of(depths, a) { b } else { a };
+                let partition = if depth_of(depths, b) < depth_of(depths, a) {
+                    b
+                } else {
+                    a
+                };
                 CoordinatorChoice {
                     partition,
                     extra_roundtrip,
@@ -334,7 +338,10 @@ impl CubrickProxy {
     pub fn note_coordinator_start(&mut self, table: &str, partition: u32) {
         let depths = match self.coordinator_inflight.get_mut(table) {
             Some(depths) => depths,
-            None => self.coordinator_inflight.entry(table.to_string()).or_default(),
+            None => self
+                .coordinator_inflight
+                .entry(table.to_string())
+                .or_default(),
         };
         *depths.entry(partition).or_insert(0) += 1;
     }
@@ -444,7 +451,12 @@ mod tests {
             |rng| {
                 gen::vec_with(rng, 0, 120, |r| {
                     let start = r.below(5) < 3;
-                    (start, r.below(4) as usize, r.below(3) as u32, r.below(3) as u32)
+                    (
+                        start,
+                        r.below(4) as usize,
+                        r.below(3) as u32,
+                        r.below(3) as u32,
+                    )
                 })
             },
             |ops| {
@@ -470,12 +482,22 @@ mod tests {
                     }
                     for name in TABLES {
                         for part in 0..3 {
-                            let want = coordinators.get(&(name.to_string(), part)).copied().unwrap_or(0);
-                            assert_eq!(p.coordinator_depth(name, part), want, "{name} partition {part}");
+                            let want = coordinators
+                                .get(&(name.to_string(), part))
+                                .copied()
+                                .unwrap_or(0);
+                            assert_eq!(
+                                p.coordinator_depth(name, part),
+                                want,
+                                "{name} partition {part}"
+                            );
                         }
                     }
                     for r in 0..3 {
-                        assert_eq!(p.region_depth(Region(r)), regions.get(&r).copied().unwrap_or(0));
+                        assert_eq!(
+                            p.region_depth(Region(r)),
+                            regions.get(&r).copied().unwrap_or(0)
+                        );
                     }
                 }
                 // Pair off whatever is still in flight.
@@ -492,7 +514,11 @@ mod tests {
                         p.note_region_done(Region(region));
                     }
                 }
-                assert!(p.coordinator_inflight.is_empty(), "{:?}", p.coordinator_inflight);
+                assert!(
+                    p.coordinator_inflight.is_empty(),
+                    "{:?}",
+                    p.coordinator_inflight
+                );
                 assert!(p.region_inflight.is_empty(), "{:?}", p.region_inflight);
             },
         );
@@ -679,26 +705,41 @@ mod tests {
         let mut p = proxy();
         let regions = [(Region(0), true), (Region(1), true), (Region(2), true)];
         // No depth tracked: client region wins (legacy behaviour).
-        assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(0));
+        assert_eq!(
+            p.choose_region(&regions, Region(0), &[]).unwrap(),
+            Region(0)
+        );
         // Client region loaded but within the spill threshold: stays.
         for _ in 0..REGION_SPILL_THRESHOLD {
             p.note_region_start(Region(0));
         }
-        assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(0));
+        assert_eq!(
+            p.choose_region(&regions, Region(0), &[]).unwrap(),
+            Region(0)
+        );
         // One more in-flight query pushes it past threshold: spill to the
         // least-loaded alternative (ties by id → region 1).
         p.note_region_start(Region(0));
-        assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(1));
+        assert_eq!(
+            p.choose_region(&regions, Region(0), &[]).unwrap(),
+            Region(1)
+        );
         // Alternatives load up too: spill target follows the min depth.
         for _ in 0..5 {
             p.note_region_start(Region(1));
         }
-        assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(2));
+        assert_eq!(
+            p.choose_region(&regions, Region(0), &[]).unwrap(),
+            Region(2)
+        );
         // Draining region 0 restores the proximity preference.
         for _ in 0..=REGION_SPILL_THRESHOLD {
             p.note_region_done(Region(0));
         }
-        assert_eq!(p.choose_region(&regions, Region(0), &[]).unwrap(), Region(0));
+        assert_eq!(
+            p.choose_region(&regions, Region(0), &[]).unwrap(),
+            Region(0)
+        );
     }
 
     #[test]
@@ -716,7 +757,8 @@ mod tests {
             }
         }
         for _ in 0..100 {
-            let c = p.choose_coordinator("t", CoordinatorStrategy::QueueAwareTwoChoice, 8, &mut rng);
+            let c =
+                p.choose_coordinator("t", CoordinatorStrategy::QueueAwareTwoChoice, 8, &mut rng);
             assert!(!c.extra_roundtrip && !c.extra_hop, "cached: no extra cost");
             assert!(c.partition < 8);
         }

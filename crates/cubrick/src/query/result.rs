@@ -305,7 +305,9 @@ impl PartialResult {
         // A one-column key compares as itself, an `i64` or a string's bytes
         // (`str` order is byte order); a wider one column by column.
         let none = (&[][..], &[][..], &[][..]);
-        let parts = partials.iter().map(|p| p.keys.first().map_or(none, KeyColumn::parts));
+        let parts = partials
+            .iter()
+            .map(|p| p.keys.first().map_or(none, KeyColumn::parts));
         let parts: Vec<_> = parts.collect();
         let lands = match shape {
             [KeyColumn::Int(_)] => merged.merge_keys(partials, |p, g| parts[p].0[g], Ord::cmp)?,
@@ -316,9 +318,11 @@ impl PartialResult {
                 };
                 merged.merge_keys(partials, key, Ord::cmp)?
             }
-            _ => merged.merge_keys(partials, |p, g| (p, g), |&(p, g), &(q, h)| {
-                partials[p].key_of(g).cmp(partials[q].key_of(h))
-            })?,
+            _ => merged.merge_keys(
+                partials,
+                |p, g| (p, g),
+                |&(p, g), &(q, h)| partials[p].key_of(g).cmp(partials[q].key_of(h)),
+            )?,
         };
         let groups = merged.groups;
         for (a, spec) in first.aggs.iter().enumerate() {
@@ -351,7 +355,9 @@ impl PartialResult {
     ) -> CubrickResult<Vec<usize>> {
         let mut lands = vec![0; partials.iter().map(|p| p.groups).sum()];
         // (key, partial, group, where the group lands in `lands`), plan order.
-        let starts = partials.iter().scan(0, |at, p| Some(std::mem::replace(at, *at + p.groups)));
+        let starts = partials
+            .iter()
+            .scan(0, |at, p| Some(std::mem::replace(at, *at + p.groups)));
         let live = starts.enumerate().filter(|&(p, _)| partials[p].groups > 0);
         let mut cursors: Vec<_> = live.map(|(p, at)| (key(p, 0), p, 0, at)).collect();
         let mut lowest = Vec::with_capacity(cursors.len());
@@ -477,7 +483,8 @@ pub struct Coverage {
 impl Coverage {
     pub fn push(&mut self, partition: u32, state: ShardState) {
         if state != ShardState::Answered {
-            self.missing.push((self.total, ShardStatus { partition, state }));
+            self.missing
+                .push((self.total, ShardStatus { partition, state }));
         }
         self.total += 1;
     }
@@ -644,8 +651,15 @@ mod tests {
         assert_eq!(c.fraction(), 0.5);
         assert!(!c.complete());
         use ShardState::{Answered, Blacklisted, TimedOut};
-        assert_eq!(c.states().collect::<Vec<_>>(), [Answered, TimedOut, Blacklisted, Answered]);
-        let missing: Vec<_> = c.missing.iter().map(|(at, s)| (*at, s.partition, s.state)).collect();
+        assert_eq!(
+            c.states().collect::<Vec<_>>(),
+            [Answered, TimedOut, Blacklisted, Answered]
+        );
+        let missing: Vec<_> = c
+            .missing
+            .iter()
+            .map(|(at, s)| (*at, s.partition, s.state))
+            .collect();
         assert_eq!(missing, [(1, 1, TimedOut), (2, 2, Blacklisted)]);
         let mut full = Coverage::default();
         full.push(0, ShardState::Answered);
@@ -707,7 +721,10 @@ mod tests {
             // Columns for another agg list.
             (ints(2), vec![vec![1, 2]], vec![vec![]]),
         ] {
-            assert!(matches!(build(keys, counts, values), Err(CubrickError::Internal { .. })));
+            assert!(matches!(
+                build(keys, counts, values),
+                Err(CubrickError::Internal { .. })
+            ));
         }
     }
 
@@ -723,7 +740,10 @@ mod tests {
                 AggState::Avg { sum, count } => (sum.to_bits(), count),
             };
             let group = |(key, states): (_, Vec<_>)| (key, states.iter().map(state).collect());
-            p.groups().into_iter().map(group).collect::<Vec<(_, Vec<_>)>>()
+            p.groups()
+                .into_iter()
+                .map(group)
+                .collect::<Vec<(_, Vec<_>)>>()
         };
         let cloned = PartialResult::merge_all(vec![a.clone(), b.clone()]).unwrap();
         let merged = PartialResult::merge_all(vec![a.clone(), b]).unwrap();
