@@ -28,7 +28,7 @@ use crate::driver::{run_query, QueryOptions, QueryOutcome};
 use crate::fault::{FaultKind, FaultScript};
 use crate::net::{NetModel, NetModelConfig};
 use crate::traffic::{QosConfig, QosStats, TrafficModel, MIN_COVERAGE, SHARD_TIMEOUT, SLA};
-use crate::workload::{gen_query, gen_query_for_class, gen_rows, TablePopulation, WorkloadConfig};
+use crate::workload::{gen_query, gen_query_for_class, TablePopulation, WorkloadConfig};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -265,6 +265,8 @@ impl Experiment {
         let population =
             TablePopulation::generate(&config.workload, &mut root.stream(Stream::Population));
         let mut load_rng = root.stream(Stream::Load);
+        // One row buffer for every table, overwritten in place.
+        let mut rows = Vec::new();
         for spec in &population.tables {
             // A malformed spec degrades to an absent (or empty) table —
             // queries against it fail and are counted — instead of
@@ -281,11 +283,12 @@ impl Experiment {
                 ShardMapping::Monotonic,
                 SimTime::ZERO,
             );
-            let rows = gen_rows(
+            crate::workload::gen_rows_into(
                 spec,
                 config.rows_per_table,
                 config.workload.ds_range,
                 &mut load_rng,
+                &mut rows,
             );
             if created.is_ok() {
                 let _ = dep.ingest(&spec.name, &rows);

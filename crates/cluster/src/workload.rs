@@ -153,22 +153,47 @@ pub fn settle_partitions(policy: &RepartitionPolicy, target_bytes: u64) -> u32 {
 /// Generate `n` rows for a table spec. `day_horizon` bounds the `ds`
 /// values generated so far (data "arrives over time"): rows are biased
 /// toward recent days, matching production recency skew.
-pub fn gen_rows(_spec: &TableSpec, n: usize, day_horizon: i64, rng: &mut SimRng) -> Vec<Row> {
-    let ds_max = day_horizon.max(1);
+pub fn gen_rows(spec: &TableSpec, n: usize, day_horizon: i64, rng: &mut SimRng) -> Vec<Row> {
     let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
+    gen_rows_into(spec, n, day_horizon, rng, &mut rows);
+    rows
+}
+
+/// [`gen_rows`] into `rows`, which ends up holding just those rows, the
+/// ones already there of their shape overwritten in place (so a reused
+/// buffer allocates only to grow): the same draws in the same order.
+pub fn gen_rows_into(
+    _spec: &TableSpec,
+    n: usize,
+    day_horizon: i64,
+    rng: &mut SimRng,
+    rows: &mut Vec<Row>,
+) {
+    let ds_max = day_horizon.max(1);
+    let blank = || Row::new(vec![Value::Int(0), Value::Str(String::new())], vec![0.0; 2]);
+    rows.resize_with(n, blank);
+    for row in rows.iter_mut() {
         // Recency bias: square the uniform draw toward the horizon.
         let u = rng.unit();
-        let ds = ((1.0 - u * u) * ds_max as f64) as i64;
-        let entity = format!("e{}", rng.below(2_000));
+        let ds = (((1.0 - u * u) * ds_max as f64) as i64).min(ds_max - 1).max(0);
+        let entity = rng.below(2_000);
         let clicks = rng.below(100) as f64;
         let cost = rng.unit() * 10.0;
-        rows.push(Row::new(
-            vec![Value::Int(ds.min(ds_max - 1).max(0)), Value::Str(entity)],
-            vec![clicks, cost],
-        ));
+        if !matches!(
+            (&*row.dims, &*row.metrics),
+            ([Value::Int(_), Value::Str(_)], [_, _])
+        ) {
+            *row = blank();
+        }
+        if let ([Value::Int(d), Value::Str(name)], [c, k]) = (&mut *row.dims, &mut *row.metrics) {
+            (*d, *c, *k) = (ds, clicks, cost);
+            // `e` and the entity's decimal digits.
+            name.clear();
+            name.push('e');
+            let digit = |place| char::from(b'0' + (entity / 10u64.pow(place) % 10) as u8);
+            name.extend((0..=entity.checked_ilog10().unwrap_or(0)).rev().map(digit));
+        }
     }
-    rows
 }
 
 /// Generate a dashboard-style query against a table: an aggregate over a
@@ -216,6 +241,41 @@ pub fn gen_query_for_class(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `gen_rows_into` over a dirty buffer, longer or shorter than `n` and
+    /// holding rows of other shapes, equals `gen_rows`: the same rows, and
+    /// the same next draw after them.
+    #[test]
+    fn prop_gen_rows_into_a_dirty_buffer_equals_gen_rows() {
+        use scalewall_sim::prop::{self, gen};
+        prop::check_n(
+            "prop_gen_rows_into_a_dirty_buffer_equals_gen_rows",
+            64,
+            |rng| {
+                let n = gen::usize_in(rng, 0, 300);
+                let held = gen::usize_in(rng, 0, 300);
+                let horizon = gen::usize_in(rng, 0, 400) as i64;
+                (n, held, horizon, gen::any_u64(rng))
+            },
+            |&(n, held, horizon, seed)| {
+                let spec = TableSpec {
+                    name: "t".to_string(),
+                    schema: standard_schema(365),
+                    target_bytes: 0,
+                    partitions: 8,
+                };
+                let mut rows = gen_rows(&spec, held, 30, &mut SimRng::new(seed ^ 1));
+                for row in rows.iter_mut().step_by(3) {
+                    let long = "a name longer than any entity's".to_string();
+                    *row = Row::new(vec![Value::Str(long)], vec![1.0; 3]);
+                }
+                let (mut into_rng, mut rng) = (SimRng::new(seed), SimRng::new(seed));
+                gen_rows_into(&spec, n, horizon, &mut into_rng, &mut rows);
+                assert_eq!(rows, gen_rows(&spec, n, horizon, &mut rng));
+                assert_eq!(into_rng.next_u64(), rng.next_u64());
+            },
+        );
+    }
 
     #[test]
     fn standard_schema_is_valid_at_any_range() {

@@ -18,7 +18,7 @@ use scalewall_sim::SimRng;
 
 use crate::brick::Brick;
 use crate::compression::CompressedBrick;
-use crate::dictionary::{Dictionary, StringRanks};
+use crate::dictionary::{Dictionary, StringRanks, Suffix};
 use crate::error::{CubrickError, CubrickResult};
 use crate::hotness::{self, Band, Hotness, MemoryMonitorConfig};
 use crate::partition::BrickSpace;
@@ -85,12 +85,12 @@ impl Tally {
 
 /// A slice encoded once ([`PartitionData::encode_batch`]): the ordinals, the
 /// sorted `(brick id, row index)` of accepted rows, and per string dimension
-/// the dictionary's length before and the strings added, in id order.
+/// the strings added to its dictionary, whole.
 #[derive(Debug)]
 pub struct EncodedBatch {
     ordinals: Vec<u32>,
     placed: Vec<(u64, usize)>,
-    new_strings: Vec<(usize, Vec<String>)>,
+    new_strings: Vec<Suffix>,
 }
 
 /// Scan/ingest statistics for observability and experiments.
@@ -244,18 +244,15 @@ impl PartitionData {
     /// to each dictionary; return the batch and the refusal. Every replica
     /// takes the batch ([`Self::adopt_strings`], [`Self::append_batch`]).
     pub fn encode_batch(&mut self, rows: &[&Row]) -> (EncodedBatch, CubrickResult<()>) {
+        let before: Vec<usize> = self.dicts.iter().flatten().map(Dictionary::len).collect();
         let mut batch = EncodedBatch {
             ordinals: Vec::with_capacity(rows.len() * self.schema.dimensions.len()),
             placed: Vec::with_capacity(rows.len()),
-            new_strings: (self.dicts.iter().flatten())
-                .map(|d| (d.len(), Vec::new()))
-                .collect(),
+            new_strings: Vec::new(),
         };
         let refused = self.encode_rows(rows, &mut batch.ordinals, &mut batch.placed);
-        for (dict, (before, added)) in self.dicts.iter().flatten().zip(&mut batch.new_strings) {
-            let ids = *before as u32..dict.len() as u32;
-            added.extend(ids.filter_map(|id| dict.decode(id)).map(str::to_string));
-        }
+        let dicts = self.dicts.iter().flatten().zip(before);
+        batch.new_strings = dicts.map(|(dict, len)| dict.suffix(len)).collect();
         (batch, refused)
     }
 
@@ -282,18 +279,15 @@ impl PartitionData {
         refused
     }
 
-    /// Add `batch`'s new strings in id order, so its ordinals mean here what
-    /// they meant where it was encoded. A dictionary of another length, or
-    /// a string on another id, is `Internal`: do not append the batch.
+    /// Append `batch`'s new strings to each dictionary whole, so its
+    /// ordinals mean here what they meant where it was encoded. A
+    /// dictionary that does not end where they start, or already holds one
+    /// of them, is `Internal` and left as it was: do not append the batch.
     pub fn adopt_strings(&mut self, batch: &EncodedBatch) -> CubrickResult<()> {
         let string_dims = (self.schema.dimensions.iter().zip(&mut self.dicts))
             .filter_map(|(dim, dict)| Some((&dim.name, dict.as_mut()?)));
-        for ((name, dict), (before, added)) in string_dims.zip(&batch.new_strings) {
-            let agrees = dict.len() == *before
-                && (*before as u32..)
-                    .zip(added)
-                    .all(|(id, s)| dict.encode(name, s) == Ok(id));
-            if !agrees {
+        for ((name, dict), suffix) in string_dims.zip(&batch.new_strings) {
+            if !dict.adopt(suffix) {
                 let detail = format!("{name}: the dictionary differs from the encoding replica's");
                 return Err(CubrickError::Internal { detail });
             }

@@ -2,9 +2,10 @@
 //! the schema's width, and a dictionary keeps its strings in one arena.
 //! So loading the same rows costs the same allocator requests under one
 //! metric as under eight, and encoding sixteen times the strings costs a
-//! few buffer doublings more, not a block per string. A representation
-//! change that brings a `Vec` per column or a `String` per entry back
-//! fails here, not in a benchmark a few PRs later.
+//! few buffer doublings more, not a block per string; so does replicating
+//! a slice that adds them to a second partition. A representation change
+//! that brings a `Vec` per column or a `String` per entry back fails here,
+//! not in a benchmark a few PRs later.
 //!
 //! Its own test binary, because the counter is the process's
 //! `#[global_allocator]` (std only; an `unsafe impl`, under the `expect`
@@ -89,6 +90,31 @@ fn encode_requests(n: usize) -> usize {
     })
 }
 
+/// Requests of replicating a slice whose `n` rows each add a new string:
+/// encoding it in one partition, then adopting its strings and appending
+/// it in a second. The strings share one range, so each partition stores
+/// the slice in one brick.
+fn replicate_requests(n: usize) -> usize {
+    let schema = SchemaBuilder::new()
+        .str_dim("entity", 20_000, 20_000)
+        .metric("m")
+        .build()
+        .unwrap();
+    let mut encoder = PartitionData::new(Arc::new(schema));
+    let mut replica = PartitionData::new(encoder.schema().clone());
+    let rows: Vec<Row> = (0..n)
+        .map(|i| Row::new(vec![Value::Str(format!("s{i:05}"))], vec![1.0]))
+        .collect();
+    let refs: Vec<&Row> = rows.iter().collect();
+    requests(|| {
+        let (batch, refused) = encoder.encode_batch(&refs);
+        refused.unwrap();
+        encoder.append_batch(&batch, &refs).unwrap();
+        replica.adopt_strings(&batch).unwrap();
+        replica.append_batch(&batch, &refs).unwrap();
+    })
+}
+
 #[test]
 fn storage_allocations_do_not_scale_with_width_or_strings() {
     let narrow = load_requests(1);
@@ -104,5 +130,14 @@ fn storage_allocations_do_not_scale_with_width_or_strings() {
     // Three buffers that double (arena, end offsets, index): sixteen times
     // the strings is four more doublings of each, nothing per string.
     assert!(many <= few + 3 * 5, "{many} requests for 16,000 strings, {few} for 1,000");
+    assert!(few < 1_000 / 10, "{few} requests for 1,000 strings");
+
+    let few = replicate_requests(1_000);
+    let many = replicate_requests(16_000);
+    println!("allocator requests: {few} replicating 1,000 new strings, {many} replicating 16,000");
+    // The batch carries the strings whole and the replica appends them in
+    // one copy: the buffers that double are the encoding dictionary's
+    // three and each brick's two, four more doublings of each.
+    assert!(many <= few + 7 * 5, "{many} requests for 16,000 strings, {few} for 1,000");
     assert!(few < 1_000 / 10, "{few} requests for 1,000 strings");
 }
