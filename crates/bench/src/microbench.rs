@@ -295,12 +295,28 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Time `routine` back-to-back.
+    /// Time `routine` back-to-back: a timed sample reads the clock once
+    /// around all its iterations, so a body of a few ns is not swamped by
+    /// two clock reads each.
     pub fn iter<R>(&mut self, mut routine: impl FnMut() -> R) {
-        self.iter_batched(|| (), |()| routine());
+        let Mode::Timed {
+            samples_left,
+            iters_per_sample,
+        } = self.mode
+        else {
+            return self.iter_batched(|| (), |()| routine());
+        };
+        for _ in 0..samples_left {
+            let t0 = Instant::now();
+            for _ in 0..iters_per_sample {
+                black_box(routine());
+            }
+            self.samples.push((t0.elapsed(), iters_per_sample));
+        }
     }
 
-    /// Time `routine` on fresh inputs from `setup`; setup is untimed.
+    /// Time `routine` on fresh inputs from `setup`; setup is untimed, so
+    /// each iteration is timed on its own (two clock reads).
     pub fn iter_batched<I, R>(
         &mut self,
         mut setup: impl FnMut() -> I,
