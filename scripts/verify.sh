@@ -34,9 +34,11 @@ fi
 #    violation (which fails the build) and 2 on a usage or IO error.
 export RUSTFLAGS="-D warnings"
 
-# Formatting gate, one crate so far: the coordination crate stays
-# rustfmt-clean (the rest of the workspace is not yet, ROADMAP.md).
+# Formatting gate, two crates so far: the coordination crate and the
+# engine stay rustfmt-clean (the rest of the workspace is not yet,
+# ROADMAP.md).
 cargo fmt -p scalewall-zk --check
+cargo fmt -p cubrick --check
 
 cargo build --release --offline
 
