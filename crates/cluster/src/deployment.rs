@@ -16,14 +16,14 @@ use cubrick::node::{CubrickNode, NodeConfig, RegionStore, SharedRegionStore};
 use cubrick::schema::Schema;
 use cubrick::sharding::ShardMapping;
 use cubrick::value::Row;
-use scalewall_sim::hash::{fnv1a, FNV_OFFSET};
-use scalewall_sim::sync::RwLock;
 use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
 use scalewall_shard_manager::server::DEFAULT_SHARD_WEIGHT;
 use scalewall_shard_manager::{
-    AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig,
-    SmError, SmServer,
+    AppSpec, BalancerConfig, HostId, HostInfo, HostState, Rack, Region, ShardId, SmConfig, SmError,
+    SmServer,
 };
+use scalewall_sim::hash::{fnv1a, FNV_OFFSET};
+use scalewall_sim::sync::RwLock;
 use scalewall_sim::{RngRoot, SimRng, SimTime, Stream};
 
 use crate::registry::NodeRegistry;
@@ -198,7 +198,10 @@ impl RegionState {
         let weight = DEFAULT_SHARD_WEIGHT;
         for shard in shards {
             let nodes = &mut self.nodes;
-            match self.sm.allocate_shard(ShardId(shard), weight, group, now, nodes) {
+            match self
+                .sm
+                .allocate_shard(ShardId(shard), weight, group, now, nodes)
+            {
                 Ok(_) | Err(SmError::AlreadyAssigned { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -287,7 +290,9 @@ impl Deployment {
                 let rack = racks[i as usize];
                 let info = HostInfo::new(host, rack, region, config.host_memory_bytes as f64);
                 refused = refused.or(sm.register_host(info, SimTime::ZERO).err());
-                nodes.insert(build_node(&config, &mut rng, host, region, &catalog, &store));
+                nodes.insert(build_node(
+                    &config, &mut rng, host, region, &catalog, &store,
+                ));
             }
             let delay = DelayModel::new(DELAY_SEED ^ (r as u64));
             // Subscriber id: the region's proxy host (id offset 999_999).
@@ -373,7 +378,9 @@ impl Deployment {
                 continue;
             }
             if let Some(region) = self.regions.get_mut(r) {
-                let _ = region.sm.deallocate_shard(ShardId(shard), now, &mut region.nodes);
+                let _ = region
+                    .sm
+                    .deallocate_shard(ShardId(shard), now, &mut region.nodes);
             }
         }
     }
@@ -449,13 +456,19 @@ impl Deployment {
         // Fix up shard allocations: new shards in, orphaned shards out.
         let group = self.config.rack_spread.then(|| table_group(table));
         for r in 0..self.regions.len() {
-            let added = new_shards.iter().copied().filter(|s| !old_shards.contains(s));
+            let added = new_shards
+                .iter()
+                .copied()
+                .filter(|s| !old_shards.contains(s));
             self.regions[r]
                 .allocate_shards(added, group, now)
                 .map_err(|e| CubrickError::Internal {
                     detail: format!("repartition allocation failed: {e}"),
                 })?;
-            let orphaned = old_shards.iter().copied().filter(|s| !new_shards.contains(s));
+            let orphaned = old_shards
+                .iter()
+                .copied()
+                .filter(|s| !new_shards.contains(s));
             self.release_unmapped(r, orphaned, now);
         }
         Ok(rows.len() as u64)
@@ -796,13 +809,26 @@ mod tests {
             ..Default::default()
         });
         let refused = dep
-            .create_table("t", schema(), 4, RowMapping::Hash, ShardMapping::Monotonic, t(0))
+            .create_table(
+                "t",
+                schema(),
+                4,
+                RowMapping::Hash,
+                ShardMapping::Monotonic,
+                t(0),
+            )
             .unwrap_err();
         let CubrickError::Internal { detail } = &refused else {
             panic!("not the construction refusal: {refused:?}");
         };
-        assert!(detail.contains("capacity_headroom must be in [0,1]"), "SM's reason is lost: {detail}");
-        assert!(dep.catalog.read().get("t").is_err(), "a refused table must not reach the catalog");
+        assert!(
+            detail.contains("capacity_headroom must be in [0,1]"),
+            "SM's reason is lost: {detail}"
+        );
+        assert!(
+            dep.catalog.read().get("t").is_err(),
+            "a refused table must not reach the catalog"
+        );
 
         // A repair while two of three coordination homes are down finds no
         // leader: no replacement registers, and the same repair goes
@@ -824,7 +850,11 @@ mod tests {
             dep.tick(t(s));
         }
         assert_eq!(dep.replace_host(0, victim, t(60)), None);
-        assert_eq!(dep.regions[0].nodes.len(), 4, "no node without a registration");
+        assert_eq!(
+            dep.regions[0].nodes.len(),
+            4,
+            "no node without a registration"
+        );
         dep.zk_restore_region(0);
         dep.zk_restore_region(1);
         for s in 61..120 {
@@ -1102,8 +1132,15 @@ mod tests {
     #[test]
     fn repartition_grows_table_and_moves_shards() {
         let mut dep = small();
-        dep.create_table("t", schema(), 4, RowMapping::Hash, ShardMapping::Monotonic, t(0))
-            .unwrap();
+        dep.create_table(
+            "t",
+            schema(),
+            4,
+            RowMapping::Hash,
+            ShardMapping::Monotonic,
+            t(0),
+        )
+        .unwrap();
         let rows: Vec<Row> = (0..400)
             .map(|k| Row::new(vec![Value::Int(k % 1_000)], vec![1.0]))
             .collect();
@@ -1135,8 +1172,15 @@ mod tests {
     #[test]
     fn repartition_leaves_regions_identical() {
         let mut dep = small();
-        dep.create_table("t", schema(), 8, RowMapping::Random, ShardMapping::Monotonic, t(0))
-            .unwrap();
+        dep.create_table(
+            "t",
+            schema(),
+            8,
+            RowMapping::Random,
+            ShardMapping::Monotonic,
+            t(0),
+        )
+        .unwrap();
         let rows: Vec<Row> = (0..600)
             .map(|k| Row::new(vec![Value::Int(k % 1_000)], vec![k as f64]))
             .collect();
@@ -1622,10 +1666,7 @@ mod tests {
             .node(victim)
             .unwrap()
             .owns_shard(shards[0]));
-        assert_eq!(
-            dep.regions[0].sm.host_state(victim),
-            Some(HostState::Alive)
-        );
+        assert_eq!(dep.regions[0].sm.host_state(victim), Some(HostState::Alive));
         assert_eq!(dep.same_table_collisions(), 0);
     }
 }

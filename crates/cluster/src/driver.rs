@@ -149,7 +149,14 @@ impl<'q> Plan<'q> {
             (false, false) => Policy::Strict,
         };
         let fanout = FanoutPlan::for_table(&query.table, def.partitions);
-        Plan { query, opts, def, max_shards, fanout, policy }
+        Plan {
+            query,
+            opts,
+            def,
+            max_shards,
+            fanout,
+            policy,
+        }
     }
 }
 
@@ -329,11 +336,7 @@ pub fn run_query(
 
 /// Stage 1, once per query: the catalog lookup, the ORDER BY range check,
 /// the fan-out plan and the policy. Makes no RNG draw.
-fn plan<'q>(
-    dep: &Deployment,
-    query: &'q Query,
-    opts: &'q QueryOptions,
-) -> CubrickResult<Plan<'q>> {
+fn plan<'q>(dep: &Deployment, query: &'q Query, opts: &'q QueryOptions) -> CubrickResult<Plan<'q>> {
     let (def, max_shards) = {
         let catalog = dep.catalog.read();
         (catalog.get(&query.table)?.clone(), catalog.max_shards())
@@ -389,7 +392,11 @@ fn dispatch(
                     spent.latency += latency;
                     shards.settle(proxy, now);
                     let coordinator = choice.partition;
-                    return Ok(Answered { region, coordinator, shards });
+                    return Ok(Answered {
+                        region,
+                        coordinator,
+                        shards,
+                    });
                 }
                 Err(failure) => failure,
             }
@@ -448,10 +455,22 @@ fn scatter(
     rng: &mut SimRng,
 ) -> Result<(), Failure> {
     let streaks = shards.streaks.then_some(proxy);
-    let RegionState { sm, discovery, routes, nodes, .. } = region;
+    let RegionState {
+        sm,
+        discovery,
+        routes,
+        nodes,
+        ..
+    } = region;
     let (def, max_shards) = (&plan.def, plan.max_shards);
-    let (route, direct) =
-        routes.route(sm.mappings(), *discovery, def, max_shards, nodes.changes(), now);
+    let (route, direct) = routes.route(
+        sm.mappings(),
+        *discovery,
+        def,
+        max_shards,
+        nodes.changes(),
+        now,
+    );
     for p in plan.fanout.partitions() {
         let at = p as usize;
         let (Some((shard, target)), Some(direct)) = (route.get(at), direct.get_mut(at)) else {
@@ -459,7 +478,9 @@ fn scatter(
             return Err((SimDuration::ZERO, CubrickError::Internal { detail }, None));
         };
         let target = target.map(HostId);
-        let outcome = sub_query(nodes, net, plan, p, shard, target, direct, streaks, now, rng);
+        let outcome = sub_query(
+            nodes, net, plan, p, shard, target, direct, streaks, now, rng,
+        );
         if !shards.push(p, outcome) {
             break;
         }
@@ -477,8 +498,17 @@ fn merge(
     answered: Answered,
     spent: &Spent,
 ) -> CubrickResult<QueryOutcome> {
-    let Answered { region, coordinator, shards } = answered;
-    let Collect { policy, partials, coverage, .. } = shards;
+    let Answered {
+        region,
+        coordinator,
+        shards,
+    } = answered;
+    let Collect {
+        policy,
+        partials,
+        coverage,
+        ..
+    } = shards;
     let table = &plan.query.table;
     let output = if plan.opts.execute_data {
         let mut merged = match policy {
@@ -534,8 +564,14 @@ fn sub_query(
 ) -> Result<Answer, Failure> {
     let (query, opts) = (plan.query, plan.opts);
     let table = || query.table.clone();
-    let unavailable = || CubrickError::PartitionUnavailable { table: table(), partition };
-    let not_owned = || CubrickError::ShardNotOwned { table: table(), partition };
+    let unavailable = || CubrickError::PartitionUnavailable {
+        table: table(),
+        partition,
+    };
+    let not_owned = || CubrickError::ShardNotOwned {
+        table: table(),
+        partition,
+    };
 
     let Some(target) = target else {
         return Err((net.rtt(), unavailable(), None));
@@ -548,7 +584,10 @@ fn sub_query(
     // "the call failed" — and short-circuit when *every* replica is in
     // that state.
     if streaks.is_some_and(|proxy| proxy.is_blacklisted(target, now)) {
-        let error = CubrickError::HostBlacklisted { table: table(), partition };
+        let error = CubrickError::HostBlacklisted {
+            table: table(),
+            partition,
+        };
         return Err((SimDuration::ZERO, error, None));
     }
 
@@ -582,7 +621,10 @@ fn sub_query(
         } else if !probe.owns {
             return Err((net.rtt(), not_owned(), Some(serving)));
         } else {
-            let error = CubrickError::ShardLoading { table: table(), partition };
+            let error = CubrickError::ShardLoading {
+                table: table(),
+                partition,
+            };
             return Err((net.rtt(), error, Some(serving)));
         }
     }
@@ -596,7 +638,10 @@ fn sub_query(
             // ever arrives, is discarded).
             if let Some(deadline) = opts.shard_timeout {
                 if net.rtt() + service_time > deadline {
-                    let error = CubrickError::ShardTimeout { table: table(), partition };
+                    let error = CubrickError::ShardTimeout {
+                        table: table(),
+                        partition,
+                    };
                     return Err((latency + deadline, error, Some(serving)));
                 }
             }
@@ -950,10 +995,7 @@ mod tests {
         assert!(outcome.success, "{:?}", outcome.error);
         assert!(outcome.attempts >= 2, "must have retried");
         assert_eq!(outcome.output.unwrap().rows[0].aggs[0], 1_000.0);
-        assert_eq!(
-            f.proxy.stats.retries,
-            (outcome.attempts - 1) as u64
-        );
+        assert_eq!(f.proxy.stats.retries, (outcome.attempts - 1) as u64);
     }
 
     #[test]
@@ -1278,7 +1320,10 @@ mod tests {
         let coverage = outcome.coverage.unwrap();
         assert!(coverage.answered() < coverage.total());
         let states: Vec<_> = coverage.states().collect();
-        assert_eq!(states.iter().position(|&s| s != ShardState::Answered), Some(3));
+        assert_eq!(
+            states.iter().position(|&s| s != ShardState::Answered),
+            Some(3)
+        );
         assert_eq!(states[3], ShardState::Blacklisted);
 
         // (sum, count) per group over the answered partitions' stored rows.
@@ -1407,9 +1452,7 @@ mod tests {
             let cov = outcome.coverage.as_ref().unwrap();
             assert_eq!(cov.total(), 8);
             assert_eq!(outcome.partial, !cov.complete());
-            if outcome.partial
-                && cov.states().any(|s| s == ShardState::TimedOut)
-            {
+            if outcome.partial && cov.states().any(|s| s == ShardState::TimedOut) {
                 saw_timed_out_partial = true;
                 // Latency is capped: no answered-or-timed-out shard can
                 // have cost more than the deadline (plus coordinator
@@ -1607,8 +1650,14 @@ mod tests {
                 ..
             } = &mut f.dep.regions[0];
             let max_shards = catalog.max_shards();
-            let (route, _) =
-                routes.route(sm.mappings(), *discovery, def, max_shards, nodes.changes(), now);
+            let (route, _) = routes.route(
+                sm.mappings(),
+                *discovery,
+                def,
+                max_shards,
+                nodes.changes(),
+                now,
+            );
             (
                 route.shards().to_vec(),
                 catalog.shards_of_table("t").unwrap(),
@@ -1680,14 +1729,26 @@ mod tests {
         /// SM declares a host dead and, a tick later, takes it back, its
         /// process none the wiser: a new session and nothing else.
         Flap(usize, usize),
-        Migrate { partition: usize, to: usize, graceful: bool },
+        Migrate {
+            partition: usize,
+            to: usize,
+            graceful: bool,
+        },
         Balance,
         Metrics,
-        Tick { ms: u64 },
-        Ingest { rows: usize },
+        Tick {
+            ms: u64,
+        },
+        Ingest {
+            rows: usize,
+        },
         /// A query `back_ms` before or after the clock, `now` going
         /// backwards as often as forwards.
-        Query { back_ms: u64, ahead: bool, qos: bool },
+        Query {
+            back_ms: u64,
+            ahead: bool,
+            qos: bool,
+        },
     }
 
     /// What a client can tell one outcome from another by.
@@ -1726,7 +1787,11 @@ mod tests {
                 let seed = gen::any_u64(rng);
                 let steps = gen::vec_with(rng, 30, 90, |r| {
                     // Faults mostly in region 0, where the client sits.
-                    let region = if r.below(4) == 0 { 1 + r.below(2) as usize } else { 0 };
+                    let region = if r.below(4) == 0 {
+                        1 + r.below(2) as usize
+                    } else {
+                        0
+                    };
                     let host = r.below(8) as usize;
                     match r.below(24) {
                         0 => Step::Crash(region, host),
@@ -1744,8 +1809,12 @@ mod tests {
                         },
                         9 => Step::Balance,
                         10 => Step::Metrics,
-                        11..=13 => Step::Tick { ms: 1 + r.below(9_000) },
-                        14 => Step::Ingest { rows: 1 + r.below(300) as usize },
+                        11..=13 => Step::Tick {
+                            ms: 1 + r.below(9_000),
+                        },
+                        14 => Step::Ingest {
+                            rows: 1 + r.below(300) as usize,
+                        },
                         _ => Step::Query {
                             back_ms: r.below(12_000),
                             ahead: gen::any_bool(r),
@@ -1849,7 +1918,11 @@ mod tests {
                             let region = &mut f.dep.regions[r];
                             let _ = region.sm.rejoin_host(host, *clock, &mut region.nodes);
                         }
-                        Step::Migrate { partition, to, graceful } => {
+                        Step::Migrate {
+                            partition,
+                            to,
+                            graceful,
+                        } => {
                             let shards = f.dep.catalog.read().shards_of_table("t").unwrap();
                             let shard = shards[partition % shards.len()];
                             let to = host_at(f, 0, to);
@@ -1879,7 +1952,11 @@ mod tests {
                                 .collect();
                             f.dep.ingest("u", &rows).unwrap();
                         }
-                        Step::Query { back_ms, ahead, qos } => {
+                        Step::Query {
+                            back_ms,
+                            ahead,
+                            qos,
+                        } => {
                             let jump = SimDuration::from_millis(back_ms).as_nanos();
                             let at = if ahead {
                                 now.as_nanos() + jump
@@ -1903,8 +1980,15 @@ mod tests {
                                 QueryOptions::default()
                             };
                             let at = SimTime::from_nanos(at);
-                            let outcome =
-                                run_query(&mut f.dep, &mut f.proxy, &f.net, &query, &opts, at, &mut f.rng);
+                            let outcome = run_query(
+                                &mut f.dep,
+                                &mut f.proxy,
+                                &f.net,
+                                &query,
+                                &opts,
+                                at,
+                                &mut f.rng,
+                            );
                             return Some(seen(&outcome));
                         }
                     }
@@ -1928,7 +2012,10 @@ mod tests {
                             // A session SM closed or opened during the tick
                             // drops the list; one that was kept must be right.
                             let kept = region.sm.heartbeat_sessions();
-                            assert!(kept.is_empty() || kept == fresh, "step {i} {step:?}: {kept:?}");
+                            assert!(
+                                kept.is_empty() || kept == fresh,
+                                "step {i} {step:?}: {kept:?}"
+                            );
                         }
                     }
                 }
@@ -1945,7 +2032,11 @@ mod tests {
         Answered { ms: u64, host: u64, rows: u64 },
         /// Failed after `ms` with error `kind` (blacklisted, timed out,
         /// unavailable, not owned), blaming `culprit`.
-        Failed { ms: u64, kind: u64, culprit: Option<u64> },
+        Failed {
+            ms: u64,
+            kind: u64,
+            culprit: Option<u64>,
+        },
     }
 
     /// Collect + merge without a deployment: random per-shard outcome
@@ -1968,17 +2059,28 @@ mod tests {
                 let shards = gen::vec_with(rng, 1, 12, |r| {
                     let (ms, host) = (r.below(40), r.below(5));
                     if r.below(3) > 0 {
-                        Shard::Answered { ms, host, rows: r.below(100) }
+                        Shard::Answered {
+                            ms,
+                            host,
+                            rows: r.below(100),
+                        }
                     } else {
                         let culprit = gen::any_bool(r).then_some(host);
-                        Shard::Failed { ms, kind: r.below(4), culprit }
+                        Shard::Failed {
+                            ms,
+                            kind: r.below(4),
+                            culprit,
+                        }
                     }
                 });
                 (flags, shards)
             },
             |([best_effort, partial_results, execute_data, streaks], shards)| {
                 let n = shards.len() as u32;
-                let schema = SchemaBuilder::new().int_dim("k", 0, 1_000, 50).metric("m").build();
+                let schema = SchemaBuilder::new()
+                    .int_dim("k", 0, 1_000, 50)
+                    .metric("m")
+                    .build();
                 let def = TableDef {
                     name: "t".into(),
                     schema: Arc::new(schema.unwrap()),
@@ -1999,7 +2101,9 @@ mod tests {
 
                 // The model, from the flags alone.
                 let strict = !partial_results && !best_effort;
-                let first = shards.iter().position(|s| matches!(s, Shard::Failed { .. }));
+                let first = shards
+                    .iter()
+                    .position(|s| matches!(s, Shard::Failed { .. }));
                 let fed = match first {
                     Some(at) if strict => &shards[..=at],
                     _ => &shards[..],
@@ -2020,14 +2124,22 @@ mod tests {
                         Shard::Failed { ms, kind, culprit } => {
                             slowest = slowest.max(ms);
                             let state = [ShardState::Blacklisted, ShardState::TimedOut];
-                            states.push(state.get(kind as usize).copied().unwrap_or(ShardState::Unavailable));
+                            states.push(
+                                state
+                                    .get(kind as usize)
+                                    .copied()
+                                    .unwrap_or(ShardState::Unavailable),
+                            );
                             if let (true, Some(host)) = (*partial_results, culprit) {
                                 hosts.push((HostId(host), false));
                             }
                         }
                     }
                 }
-                let answered = states.iter().filter(|&&s| s == ShardState::Answered).count();
+                let answered = states
+                    .iter()
+                    .filter(|&&s| s == ShardState::Answered)
+                    .count();
                 let refused = first.is_some() && (strict || (*partial_results && answered == 0));
                 let slowest = SimDuration::from_millis(slowest);
 
@@ -2039,7 +2151,11 @@ mod tests {
                     let outcome = match *shard {
                         Shard::Answered { ms, host, rows } => {
                             let count = (vec![], vec![AggState::Count(rows)]);
-                            let partial = PartialResult::from_groups(vec![AggSpec::count_star()], n, vec![count]);
+                            let partial = PartialResult::from_groups(
+                                vec![AggSpec::count_star()],
+                                n,
+                                vec![count],
+                            );
                             let partial = opts.execute_data.then(|| partial.unwrap());
                             Ok((SimDuration::from_millis(ms), partial, HostId(host)))
                         }
@@ -2063,15 +2179,23 @@ mod tests {
                 match collect.finish(&net) {
                     Err((latency, error, culprit)) => {
                         assert!(refused, "refused without a reason: {error:?}");
-                        let Some((at, Shard::Failed { culprit: blamed, .. })) = first_error else {
+                        let Some((
+                            at,
+                            Shard::Failed {
+                                culprit: blamed, ..
+                            },
+                        )) = first_error
+                        else {
                             panic!("refused without a failure");
                         };
                         assert_eq!(latency, slowest + net.rtt());
                         assert_eq!(culprit, blamed.map(HostId));
-                        assert!(matches!(error, CubrickError::HostBlacklisted { partition, .. }
+                        assert!(
+                            matches!(error, CubrickError::HostBlacklisted { partition, .. }
                             | CubrickError::ShardTimeout { partition, .. }
                             | CubrickError::PartitionUnavailable { partition, .. }
-                            | CubrickError::ShardNotOwned { partition, .. } if partition == at));
+                            | CubrickError::ShardNotOwned { partition, .. } if partition == at)
+                        );
                     }
                     Ok(latency) => {
                         assert!(!refused, "answered past a refusal");
@@ -2079,8 +2203,15 @@ mod tests {
                         assert_eq!(collect.hosts, hosts);
                         let coverage: Vec<ShardState> = collect.coverage.states().collect();
                         assert_eq!(coverage, states);
-                        let answer = Answered { region: Region(1), coordinator: 0, shards: collect };
-                        let spent = Spent { attempts: 1, latency };
+                        let answer = Answered {
+                            region: Region(1),
+                            coordinator: 0,
+                            shards: collect,
+                        };
+                        let spent = Spent {
+                            attempts: 1,
+                            latency,
+                        };
                         let outcome = merge(&mut proxy, &plan, answer, &spent).unwrap();
                         assert!(outcome.success);
                         assert_eq!(outcome.partitions_answered(), answered);

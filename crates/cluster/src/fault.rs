@@ -197,6 +197,9 @@ mod tests {
         );
         let f = script.disrupted_fraction(SimDuration::from_secs(1_000));
         assert!((f - 0.1).abs() < 1e-12, "clipped to [900, 1000), got {f}");
-        assert_eq!(FaultScript::new().disrupted_fraction(SimDuration::from_secs(10)), 0.0);
+        assert_eq!(
+            FaultScript::new().disrupted_fraction(SimDuration::from_secs(10)),
+            0.0
+        );
     }
 }

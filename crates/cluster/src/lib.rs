@@ -29,7 +29,15 @@
 //! * [`report`] — plain-text table/CSV rendering for the bench binaries.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod deployment;
 pub mod driver;

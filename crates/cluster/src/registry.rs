@@ -116,8 +116,8 @@ mod tests {
     use super::*;
     use cubrick::catalog::shared_catalog;
     use cubrick::node::{NodeConfig, RegionStore};
-    use scalewall_sim::sync::RwLock;
     use scalewall_shard_manager::Region;
+    use scalewall_sim::sync::RwLock;
     use std::sync::Arc;
 
     fn node(id: u64) -> CubrickNode {
@@ -169,7 +169,10 @@ mod tests {
         assert_eq!((reg.len(), reg.hosts().count()), (1, 1));
         assert!(reg.server_ref(HostId(1)).is_some());
         assert!(reg.scanning_node_mut(HostId(1)).is_some());
-        assert!(!moved(&reg), "reads, the poll's reach and the scan's do not count");
+        assert!(
+            !moved(&reg),
+            "reads, the poll's reach and the scan's do not count"
+        );
 
         assert!(reg.remove(HostId(1)).is_some());
         assert!(moved(&reg), "remove");

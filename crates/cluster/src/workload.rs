@@ -175,7 +175,9 @@ pub fn gen_rows_into(
     for row in rows.iter_mut() {
         // Recency bias: square the uniform draw toward the horizon.
         let u = rng.unit();
-        let ds = (((1.0 - u * u) * ds_max as f64) as i64).min(ds_max - 1).max(0);
+        let ds = (((1.0 - u * u) * ds_max as f64) as i64)
+            .min(ds_max - 1)
+            .max(0);
         let entity = rng.below(2_000);
         let clicks = rng.below(100) as f64;
         let cost = rng.unit() * 10.0;
@@ -201,7 +203,12 @@ pub fn gen_rows_into(
 pub fn gen_query(spec: &TableSpec, day_horizon: i64, rng: &mut SimRng) -> Query {
     // The legacy shape is the best-effort one: up to 28 days, grouped by
     // day half the time, the same two draws.
-    gen_query_for_class(spec, cubrick::admission::QosClass::BestEffort, day_horizon, rng)
+    gen_query_for_class(
+        spec,
+        cubrick::admission::QosClass::BestEffort,
+        day_horizon,
+        rng,
+    )
 }
 
 /// Class-shaped variant of [`gen_query`]: interactive dashboards look
@@ -288,7 +295,11 @@ mod tests {
         }
         // No int dimension holds these; the fallback is a year of days.
         for ds_range in [i64::MIN, -1, 0, u32::MAX as i64 + 1, i64::MAX] {
-            assert_eq!(standard_schema(ds_range), standard_schema(365), "ds_range {ds_range}");
+            assert_eq!(
+                standard_schema(ds_range),
+                standard_schema(365),
+                "ds_range {ds_range}"
+            );
         }
     }
 

@@ -25,7 +25,15 @@
 //! routing to the old server until SMC propagation completes.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod cache;
 pub mod delay;

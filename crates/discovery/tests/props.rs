@@ -3,7 +3,12 @@
 //! model, and per-subscriber views are monotone.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use scalewall_discovery::{DelayModel, DiscoveryClient, MappingStore, Route, DELAY_SEED};
 use scalewall_sim::prop::{self, gen};
@@ -204,7 +209,11 @@ fn route_equals_per_key_reference() {
                     let until = route.until();
                     assert!(until > now);
                     for &b in boundaries.iter().filter(|&&b| now <= b && b < until) {
-                        assert_eq!(reference(store, b), want, "stale inside [{now:?}, {until:?})");
+                        assert_eq!(
+                            reference(store, b),
+                            want,
+                            "stale inside [{now:?}, {until:?})"
+                        );
                     }
                     if until < SimTime::MAX {
                         let last = SimTime::from_nanos(until.as_nanos() - 1);

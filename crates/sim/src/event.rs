@@ -338,16 +338,21 @@ mod tests {
         }
         q.schedule_at(t2, 100);
         q.schedule_at(t3, 200);
-        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.payload)).collect();
-        assert_eq!(popped, vec![
-            (t1, 0),
-            (t1, 1),
-            (t1, 2),
-            (t1, 3),
-            (t1, 4),
-            (t2, 100),
-            (t3, 200)
-        ]);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.payload))
+            .collect();
+        assert_eq!(
+            popped,
+            vec![
+                (t1, 0),
+                (t1, 1),
+                (t1, 2),
+                (t1, 3),
+                (t1, 4),
+                (t2, 100),
+                (t3, 200)
+            ]
+        );
         assert_eq!(q.now(), t3);
     }
 

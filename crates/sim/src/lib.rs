@@ -34,7 +34,15 @@
 //! hardware-and-physics layer everything else runs on.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod dist;
 pub mod event;

@@ -223,7 +223,6 @@ impl DailyCounter {
     pub fn per_day(&self) -> &[u64] {
         &self.days
     }
-
 }
 
 #[cfg(test)]

@@ -4,7 +4,12 @@
 //! next to the codec in `src/json.rs`.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use std::time::{Duration, Instant};
 

@@ -2,7 +2,12 @@
 //! in-repo `prop` harness (see `scalewall_sim::prop`).
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use scalewall_sim::prop::{self, gen};
 use scalewall_sim::{
