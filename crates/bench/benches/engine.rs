@@ -93,7 +93,6 @@ fn bench_ingest(c: &mut Bench) {
             },
         )
     });
-    group.finish();
 }
 
 /// The end-to-end `ingest_pressure` workload's write side at its frozen
@@ -125,7 +124,6 @@ fn bench_deployment_ingest(c: &mut Bench) {
             },
         )
     });
-    group.finish();
 }
 
 /// The `ops_churn` workload's setup at its frozen size
@@ -164,7 +162,6 @@ fn bench_experiment_load(c: &mut Bench) {
     group.bench_function("load_60x1500_3_regions", |b| {
         b.iter_batched(|| config.clone(), Experiment::new)
     });
-    group.finish();
 }
 
 /// The tables and batches of `ingest/deployment_40x5k_3_regions`.
@@ -290,7 +287,6 @@ fn bench_maintenance(c: &mut Bench) {
             each_node(&mut fleet.borrow_mut(), |node| node.decay_pass())
         })
     });
-    group.finish();
 }
 
 /// Dictionary hits as `Deployment::ingest` produced them before it
@@ -332,7 +328,6 @@ fn bench_dictionary(c: &mut Bench) {
             sum
         })
     });
-    group.finish();
 }
 
 /// The read side, one bench per shape the end-to-end `engine_scan`
@@ -416,7 +411,6 @@ fn bench_scan(c: &mut Bench) {
     group.bench_function("group_wide_domain_small", |b| {
         b.iter(|| execute_partition(&mut small, &query, 8).unwrap())
     });
-    group.finish();
 }
 
 const GROUP_BY_ENTITY: &str = "select sum(clicks), avg(cost) from t group by entity";
@@ -447,7 +441,6 @@ fn bench_merge(c: &mut Bench) {
             )
         });
     }
-    group.finish();
 }
 
 fn bench_codecs(c: &mut Bench) {
@@ -501,7 +494,6 @@ fn bench_codecs(c: &mut Bench) {
     group.bench_function("brick_columns_decompress", |b| {
         b.iter(|| compressed.iter().map(CompressedBrick::decompress).collect::<Vec<_>>())
     });
-    group.finish();
 }
 
 fn bench_brick_compression(c: &mut Bench) {
@@ -555,7 +547,6 @@ fn bench_brick_compression(c: &mut Bench) {
     group.bench_function("recompress_64_row_bricks", |b| {
         b.iter_batched(|| reheated.clone(), |mut p| p.run_memory_monitor(&squeeze))
     });
-    group.finish();
     // One explicit brick round trip for reference.
     let mut brick = cubrick::brick::Brick::new(2, 2);
     let mut rng = SimRng::new(9);
@@ -570,7 +561,6 @@ fn bench_brick_compression(c: &mut Bench) {
     });
     let compressed = CompressedBrick::compress(brick);
     group.bench_function("decompress_8k_rows", |b| b.iter(|| compressed.decompress()));
-    group.finish();
 }
 
 fn main() {

@@ -48,7 +48,6 @@ fn bench_shard_mapping(c: &mut Bench) {
             ShardMapping::Naive.shard_of("ad_events_daily", p, 100_000)
         })
     });
-    group.finish();
 }
 
 fn snapshots(n: u64) -> Vec<HostSnapshot> {
@@ -69,7 +68,6 @@ fn bench_placement(c: &mut Bench) {
     group.bench_function("rank_1k_hosts", |b| {
         b.iter(|| rank_candidates(&hosts, 10.0, 0.9, SpreadDomain::Host, &[], &[]))
     });
-    group.finish();
 }
 
 fn bench_balancer(c: &mut Bench) {
@@ -84,7 +82,6 @@ fn bench_balancer(c: &mut Bench) {
     group.bench_function("propose_200_hosts_5k_shards", |b| {
         b.iter(|| propose_rebalance(&hosts, &locations, &config))
     });
-    group.finish();
 }
 
 /// One `Deployment::collect_metrics` over the `ops_churn` fleet: 3×24
@@ -117,7 +114,6 @@ fn bench_collect_metrics(c: &mut Bench) {
             |()| dep.borrow_mut().collect_metrics(),
         )
     });
-    group.finish();
 }
 
 fn bench_discovery(c: &mut Bench) {
@@ -165,7 +161,6 @@ fn bench_discovery(c: &mut Bench) {
             client.route(&store, &mut route, sides[i])
         })
     });
-    group.finish();
 }
 
 /// One `count(*)` over a 64-partition table with no data behind it: the
@@ -204,7 +199,6 @@ fn bench_driver(c: &mut Bench) {
             run_query(&mut dep, &mut proxy, &net, &query, &opts, now, &mut rng).success
         })
     });
-    group.finish();
 }
 
 /// The `qos_overload` shape: 240 eight-partition tables over 3 regions ×
@@ -265,7 +259,6 @@ fn bench_qos_loop(c: &mut Bench) {
             run_query(&mut dep, &mut proxy, &net, &queries[next], &opts, now, &mut rng).success
         })
     });
-    group.finish();
 
     let mut group = c.group("deployment");
     group.throughput(1);
@@ -275,7 +268,6 @@ fn bench_qos_loop(c: &mut Bench) {
             dep.tick(now);
         })
     });
-    group.finish();
 }
 
 fn bench_event_queue(c: &mut Bench) {
@@ -296,7 +288,6 @@ fn bench_event_queue(c: &mut Bench) {
             sum
         })
     });
-    group.finish();
 }
 
 fn bench_histogram(c: &mut Bench) {
@@ -313,7 +304,6 @@ fn bench_histogram(c: &mut Bench) {
         h.record(rng.unit() * 1_000.0);
     }
     group.bench_function("quantile", |b| b.iter(|| h.quantile(0.999)));
-    group.finish();
 }
 
 fn main() {

@@ -41,7 +41,6 @@ fn bench_offer_admit_complete(c: &mut Bench) {
             ctl.complete(QosClass::Interactive);
         })
     });
-    group.finish();
 }
 
 fn bench_queue_promote_cycle(c: &mut Bench) {
@@ -67,7 +66,6 @@ fn bench_queue_promote_cycle(c: &mut Bench) {
             ctl.next_runnable(now).expect("priority promotion")
         })
     });
-    group.finish();
 }
 
 fn bench_shed_under_flood(c: &mut Bench) {
@@ -88,7 +86,6 @@ fn bench_shed_under_flood(c: &mut Bench) {
             d
         })
     });
-    group.finish();
 }
 
 /// One full overload cell, timed as a single wall-clock shot (the cell

@@ -82,7 +82,6 @@ fn bench_proposal_commit(c: &mut Bench, replicas: u32) {
             .expect("commit")
         })
     });
-    group.finish();
 }
 
 fn bench_heartbeat_round(c: &mut Bench) {
@@ -107,7 +106,6 @@ fn bench_heartbeat_round(c: &mut Bench) {
             )
         })
     });
-    group.finish();
 }
 
 /// One region tick of the plane `SmServer::new(SmConfig::default(), …)`
@@ -136,7 +134,6 @@ fn bench_region_tick_default_plane(c: &mut Bench) {
             plane.expire_sessions(now)
         })
     });
-    group.finish();
 }
 
 fn bench_client_redirect(c: &mut Bench) {
@@ -163,7 +160,6 @@ fn bench_client_redirect(c: &mut Bench) {
                 .expect("commit after redirect")
         })
     });
-    group.finish();
 }
 
 /// Crash-elect-commit cycles timed as one wall-clock shot: the cost of

@@ -269,9 +269,6 @@ impl Group<'_> {
         });
         self
     }
-
-    /// End the group (kept for call-site symmetry; no-op).
-    pub fn finish(&mut self) {}
 }
 
 enum Mode {
@@ -493,7 +490,6 @@ mod tests {
         let mut calls = 0u32;
         let mut group = b.group("g");
         group.bench_function("f", |b| b.iter(|| calls += 1));
-        group.finish();
         drop(group);
         assert_eq!(calls, 1);
         assert_eq!(b.records().len(), 1);
@@ -516,7 +512,6 @@ mod tests {
         let mut group = b.group("g");
         group.sample_size(3).throughput(1);
         group.bench_function("spin", |b| b.iter(|| std::hint::black_box(1 + 1)));
-        group.finish();
         drop(group);
         let rec = &b.records()[0];
         assert_eq!(rec.mode, "timed");

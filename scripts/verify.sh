@@ -34,11 +34,12 @@ fi
 #    violation (which fails the build) and 2 on a usage or IO error.
 export RUSTFLAGS="-D warnings"
 
-# Formatting gate, two crates so far: the coordination crate and the
-# engine stay rustfmt-clean (the rest of the workspace is not yet,
-# ROADMAP.md).
-cargo fmt -p scalewall-zk --check
-cargo fmt -p cubrick --check
+# Formatting gate, five crates so far: the kernel, coordination,
+# discovery, the engine and the deployment harness stay rustfmt-clean
+# (the rest of the workspace is not yet, ROADMAP.md).
+for crate in scalewall-sim scalewall-zk scalewall-discovery cubrick scalewall-cluster; do
+    cargo fmt -p "$crate" --check
+done
 
 cargo build --release --offline
 
