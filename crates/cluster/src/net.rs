@@ -217,6 +217,27 @@ mod tests {
     }
 
     #[test]
+    fn a_tail_event_is_capped_at_ten_seconds() {
+        // Every response a tail event: dozens of 20k samples pass the cap.
+        let m = NetModel {
+            latency: TailLatency::new(5.0, SIGMA, 1.0, TAIL_MIN_MS, TAIL_ALPHA),
+            ..model(0.0)
+        };
+        let mut rng = SimRng::new(5);
+        let ms: Vec<f64> = (0..20_000)
+            .map(|_| match m.server_response(&mut rng) {
+                ServerResponse::Ok(d) => d.as_millis_f64(),
+                ServerResponse::Failed => unreachable!(),
+            })
+            .collect();
+        assert!(
+            ms.iter().all(|&t| t <= TAIL_CAP_MS),
+            "a response past the cap"
+        );
+        assert!(ms.contains(&TAIL_CAP_MS), "no tail event reached the cap");
+    }
+
+    #[test]
     fn partitions_cut_and_heal_symmetrically() {
         let mut m = model(0.0);
         assert!(m.reachable(0, 2));

@@ -264,3 +264,22 @@ fn the_compiler_owns_unsafe_and_the_panic_family() {
         assert!(denies(&toml_table(&manifest(rel), "lints.rust"), "unsafe_code"), "{rel}: no `[lints.rust] unsafe_code = \"deny\"`");
     }
 }
+
+/// DESIGN.md §5b: the workspace and the benchmark resolve no registry or
+/// git crate. Cargo writes a `source = …` line under every package it did
+/// not find on a path, so a hermetic lockfile has none.
+#[test]
+fn the_lockfiles_hold_only_path_crates() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for rel in ["Cargo.lock", "benchmark/Cargo.lock"] {
+        let lock = std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        let sourced: Vec<&str> = lock
+            .lines()
+            .filter(|l| l.starts_with("source = "))
+            .collect();
+        assert!(
+            sourced.is_empty(),
+            "{rel}: packages from outside the tree: {sourced:?}"
+        );
+    }
+}
