@@ -4,7 +4,8 @@
 //! that hold them. A name there that is no function — a test renamed or
 //! deleted, a file or a doctest cited in backticks — is a contract nobody
 //! checks any more, so every backticked name in a clause must be a `fn`
-//! defined under `crates/` or `tests/`.
+//! defined under `crates/` or `tests/`. In §5–§8 every bold-titled block
+//! is a contract: it must end in its own clause.
 //!
 //! EXPERIMENTS.md states measured numbers only by quoting a checked-in
 //! output: a fenced block opened with ```` ```text PATH ```` quotes the
@@ -57,36 +58,126 @@ fn clauses(doc: &str) -> Vec<String> {
         .collect()
 }
 
+/// The backticked names of `clause` that no `fn` in `fns` defines.
+fn unknown_names<'a>(clause: &'a str, fns: &BTreeSet<String>) -> Vec<&'a str> {
+    // Backticks alternate: the odd pieces are the code spans.
+    clause
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|n| !fns.contains(*n))
+        .collect()
+}
+
+/// `line` without a leading `- ` or `1. ` list marker.
+fn list_item(line: &str) -> &str {
+    let text = line.trim_start();
+    if let Some(rest) = text.strip_prefix("- ") {
+        return rest;
+    }
+    match text.split_once(". ") {
+        Some((n, rest)) if !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) => rest,
+        _ => text,
+    }
+}
+
+/// The contracts of `doc`'s §5–§8, as (title, text) pairs. A contract
+/// opens on a line whose text, list marker aside, starts with `**`, and
+/// runs to the next such line or the next heading.
+fn contracts(doc: &str) -> Vec<(String, String)> {
+    let mut found: Vec<(String, String)> = Vec::new();
+    let (mut in_scope, mut in_block, mut fenced) = (false, false, false);
+    for line in doc.lines() {
+        if line.starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced && line.starts_with('#') {
+            if let Some(heading) = line.strip_prefix("## ") {
+                in_scope = matches!(heading.chars().next(), Some('5'..='8'));
+            }
+            in_block = false;
+            continue;
+        } else if !fenced && in_scope {
+            if let Some(rest) = list_item(line).strip_prefix("**") {
+                let title = rest.split("**").next().unwrap_or(rest);
+                found.push((title.to_string(), String::new()));
+                in_block = true;
+            }
+        }
+        if let (true, Some((_, text))) = (in_block, found.last_mut()) {
+            text.push_str(line);
+            text.push('\n');
+        }
+    }
+    found
+}
+
+/// What is wrong with `doc`'s `Checked by:` clauses: a contract of
+/// §5–§8 with none or not ending in its own, a clause naming no test, a
+/// name no `fn` of `fns` defines.
+fn design_faults(doc: &str, fns: &BTreeSet<String>) -> Vec<String> {
+    let mut faults = Vec::new();
+    for (title, text) in contracts(doc) {
+        let folded = text.split_whitespace().collect::<Vec<_>>().join(" ");
+        match clauses(&text).last() {
+            None => faults.push(format!("**{title}**: no `Checked by:` clause")),
+            Some(last) if !folded.ends_with(&format!("{last}.")) => faults.push(format!(
+                "**{title}**: does not end in its `Checked by:` clause"
+            )),
+            Some(_) => {}
+        }
+    }
+    for clause in clauses(doc) {
+        if !clause.contains('`') {
+            faults.push(format!(
+                "a `Checked by:` clause that names no test: {clause:?}"
+            ));
+        }
+        for name in unknown_names(&clause, fns) {
+            faults.push(format!("`{name}` is no `fn` under crates/ or tests/"));
+        }
+    }
+    faults
+}
+
 #[test]
 fn every_checked_by_name_is_a_defined_fn() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
-    let fns = defined_fns(root);
-    let found = clauses(&design);
     assert!(
-        found.len() >= 8,
-        "only {} `Checked by:` clauses in DESIGN.md",
-        found.len()
+        !contracts(&design).is_empty(),
+        "no bold-titled block in DESIGN.md §5–§8"
     );
-    let mut unknown = Vec::new();
-    for clause in &found {
-        // Backticks alternate: the odd pieces are the code spans.
-        let names: Vec<&str> = clause.split('`').skip(1).step_by(2).collect();
-        assert!(
-            !names.is_empty(),
-            "a `Checked by:` clause that names no test: {clause:?}"
-        );
-        unknown.extend(
-            names
-                .into_iter()
-                .filter(|n| !fns.contains(*n))
-                .map(str::to_string),
-        );
-    }
-    assert!(
-        unknown.is_empty(),
-        "named on a `Checked by:` line but no `fn` under crates/ or tests/: {unknown:?}"
+    let faults = design_faults(&design, &defined_fns(root));
+    assert!(faults.is_empty(), "DESIGN.md:\n{}", faults.join("\n"));
+}
+
+#[test]
+fn contract_check_rejects_a_missing_clause_a_trailing_sentence_and_an_unknown_fn() {
+    let fns = BTreeSet::from(["holds".to_string()]);
+    let doc = |body: &str| {
+        format!("## 4. Index\n\n**Outside.** Free.\n\n## 5. Decisions\n\nIntro.\n\n{body}\n## 9. Map\n\n- **After.** Free.\n")
+    };
+    let faults = |body: &str| design_faults(&doc(body), &fns).join("; ");
+    let good = "- **Good.** It holds.\n  Checked by: `holds`.\n### Part\n\n1. **Also.** Checked by:\n   `holds`.\n";
+    assert_eq!(faults(good), "");
+    assert_eq!(
+        faults("- **Bare.** It holds.\n"),
+        "**Bare.**: no `Checked by:` clause"
     );
+    let unknown = "`vanished` is no `fn` under crates/ or tests/";
+    assert_eq!(
+        faults("**Gone.** Checked by: `holds` and `vanished`.\n"),
+        unknown
+    );
+    let late = "**Late.**: does not end in its `Checked by:` clause";
+    assert_eq!(
+        faults("- **Late.** Checked by: `holds`. It also holds.\n"),
+        late
+    );
+    let empty = "a `Checked by:` clause that names no test: \" the goldens\"";
+    assert_eq!(faults("- **Empty.** Checked by: the goldens.\n"), empty);
+    let fenced = "```text\n**Quoted.** Free.\n```\n- **Good.** Checked by: `holds`.\n";
+    assert_eq!(faults(fenced), "");
 }
 
 /// What is wrong with `doc`'s quotes: a line its file lacks (or holds
