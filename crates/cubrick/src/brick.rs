@@ -5,7 +5,7 @@
 //! append-only: the dimensions' `u32` ordinal columns sit back to back in one
 //! buffer and the metrics' `f64` columns in another, each at a stride of `cap`
 //! rows, so a brick is two heap blocks whatever the schema's width (`cap` is
-//! modelled: DESIGN.md "Ingest path contract", rule 4). Bricks are the unit
+//! modelled: DESIGN.md "Ingest path contract", order 4). Bricks are the unit
 //! of pruning, of hotness tracking and of adaptive compression.
 
 /// Columns of one kind a partial decode can leave out (a bit each of a `u32`).

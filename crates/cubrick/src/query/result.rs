@@ -6,7 +6,7 @@
 //! wire) and the scan's own accumulator columns, groups in key order.
 //! The coordinator merges partials in one k-way pass over their keys and
 //! one fold per accumulator column; only `finalize` makes rows (DESIGN.md
-//! "Engine scan contract", point 6).
+//! "Engine scan contract", "A partial is the scan's columns").
 //!
 //! Result metadata carries the table's current partition count: "the
 //! number of partitions per table is always included as part of query

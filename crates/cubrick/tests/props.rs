@@ -585,7 +585,7 @@ impl ColumnModel {
     }
 }
 
-/// Ingest rule 4 (DESIGN.md "Ingest path contract"): after every push,
+/// Ingest order 4 (DESIGN.md "Ingest path contract"): after every push,
 /// clone, shrink and compress → decompress → push, a brick's footprint,
 /// payload and columns equal those of a `Vec` per column put through the
 /// same steps (decompression rebuilt each column at its length).

@@ -86,7 +86,8 @@ pub fn propose_rebalance(
 
 /// [`propose_rebalance`] with the shards on a host listed by `shards_of`,
 /// called once per host, the first time that host donates: a balanced
-/// fleet lists none (DESIGN.md "Maintenance pass contract", item 8).
+/// fleet lists none (DESIGN.md "The balancer tests balance before it
+/// lists a shard").
 pub(crate) fn rebalance(
     hosts: &[HostSnapshot],
     config: &BalancerConfig,
