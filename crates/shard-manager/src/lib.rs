@@ -38,7 +38,15 @@
 //! `DiscoveryClient`, borrowing the mappings [`SmServer::mappings`] holds.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod app_server;
 pub mod automation;

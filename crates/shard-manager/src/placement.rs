@@ -255,8 +255,7 @@ mod tests {
             domain_scope: SpreadDomain::Rack,
         };
         let plain = rank_candidates(&hosts, 1.0, 0.9, SpreadDomain::Host, &[], &[]);
-        let hinted =
-            rank_candidates_hinted(&hosts, 1.0, 0.9, SpreadDomain::Host, &[], &[], &hint);
+        let hinted = rank_candidates_hinted(&hosts, 1.0, 0.9, SpreadDomain::Host, &[], &[], &hint);
         // Same feasible set...
         let mut a: Vec<u64> = plain.iter().map(|c| c.host.0).collect();
         let mut b: Vec<u64> = hinted.iter().map(|c| c.host.0).collect();
@@ -287,6 +286,10 @@ mod tests {
         // Big host with more absolute load can still be the better target.
         let hosts = [snap(1, 0, 0, 1000.0, 300.0), snap(2, 1, 0, 100.0, 50.0)];
         let ranked = rank_candidates(&hosts, 10.0, 0.9, SpreadDomain::Host, &[], &[]);
-        assert_eq!(ranked.first().unwrap().host, HostId(1), "31% projected beats 60%");
+        assert_eq!(
+            ranked.first().unwrap().host,
+            HostId(1),
+            "31% projected beats 60%"
+        );
     }
 }

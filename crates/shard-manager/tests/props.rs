@@ -3,7 +3,12 @@
 //! oscillates, allocation keeps the fleet consistent.
 
 // Tests may unwrap, expect and panic; library code may not (DESIGN.md §5c).
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use scalewall_shard_manager::app_server::{AppServer, AppServerRegistry, MockAppServer};
 use scalewall_shard_manager::balancer::{fleet_stats, propose_rebalance, BalanceProposal};
@@ -53,8 +58,14 @@ fn placement_respects_constraints() {
             let (weight, headroom) = (*weight, *headroom);
             let excluded = vec![HostId(0)];
             let used = vec![hosts[hosts.len() - 1].info.domain(SpreadDomain::Rack)];
-            let ranked =
-                rank_candidates(hosts, weight, headroom, SpreadDomain::Rack, &used, &excluded);
+            let ranked = rank_candidates(
+                hosts,
+                weight,
+                headroom,
+                SpreadDomain::Rack,
+                &used,
+                &excluded,
+            );
             let mut last = 0.0f64;
             for c in &ranked {
                 assert!(!excluded.contains(&c.host));
@@ -136,8 +147,7 @@ fn balancer_proposals_safe() {
     prop::check(
         "balancer_proposals_safe",
         |rng| {
-            let loads =
-                gen::vec_with(rng, 5, 60, |r| (r.below(10), gen::f64_in(r, 0.5, 40.0)));
+            let loads = gen::vec_with(rng, 5, 60, |r| (r.below(10), gen::f64_in(r, 0.5, 40.0)));
             let host_count = rng.range(3, 12);
             (loads, host_count)
         },
@@ -289,7 +299,11 @@ fn eager_propose_rebalance(
 /// throttle from 1 to 64.
 fn gen_balancer_case(
     rng: &mut SimRng,
-) -> (Vec<HostSnapshot>, Vec<(ShardId, HostId, f64)>, BalancerConfig) {
+) -> (
+    Vec<HostSnapshot>,
+    Vec<(ShardId, HostId, f64)>,
+    BalancerConfig,
+) {
     let host_count = rng.range(2, 25);
     let mut hosts: Vec<HostSnapshot> = (0..host_count)
         .map(|i| {
@@ -303,7 +317,11 @@ fn gen_balancer_case(
                 1 => HostState::Dead,
                 _ => HostState::Alive,
             };
-            let unlisted = if rng.chance(0.2) { gen::f64_in(rng, 0.0, 500.0) } else { 0.0 };
+            let unlisted = if rng.chance(0.2) {
+                gen::f64_in(rng, 0.0, 500.0)
+            } else {
+                0.0
+            };
             HostSnapshot {
                 info: HostInfo::new(HostId(i), Rack(0), Region(0), capacity),
                 state,
@@ -313,7 +331,11 @@ fn gen_balancer_case(
         .collect();
     let hot = rng.range(1, 4).min(host_count);
     let locations: Vec<(ShardId, HostId, f64)> = gen::vec_with(rng, 0, 160, |r| {
-        let host = if r.chance(0.6) { r.below(hot) } else { r.below(host_count) };
+        let host = if r.chance(0.6) {
+            r.below(hot)
+        } else {
+            r.below(host_count)
+        };
         let weight = match r.below(10) {
             0 => 0.0,
             1 | 2 => *r.pick(&[5.0, 10.0]),
@@ -366,7 +388,11 @@ fn lazy_balancer_matches_the_eager_one() {
             }
         },
     );
-    assert!(donated_twice.get() >= 16, "{} runs with a repeat donor", donated_twice.get());
+    assert!(
+        donated_twice.get() >= 16,
+        "{} runs with a repeat donor",
+        donated_twice.get()
+    );
 }
 
 // ------------------------------------------------- full-server allocation
@@ -509,7 +535,9 @@ fn check_group_spread(host_racks: &[u32], shards: u64) {
             SimTime::ZERO,
         )
         .unwrap();
-        fleet.0.insert(HostId(i as u64), MockAppServer::with_capacity(1e9));
+        fleet
+            .0
+            .insert(HostId(i as u64), MockAppServer::with_capacity(1e9));
     }
     for s in 0..shards {
         sm.allocate_shard(ShardId(s), 1.0, Some(7), SimTime::ZERO, &mut fleet)
@@ -573,8 +601,7 @@ fn group_allocation_bounds_rack_share_on_balanced_topologies() {
             (racks, per_rack, shards, jitter, seed)
         },
         |&(racks, per_rack, shards, jitter, seed)| {
-            let host_racks: Vec<u32> =
-                (0..racks * per_rack).map(|i| (i % racks) as u32).collect();
+            let host_racks: Vec<u32> = (0..racks * per_rack).map(|i| (i % racks) as u32).collect();
             let config = SmConfig {
                 placement_jitter: jitter,
                 seed,
@@ -588,7 +615,9 @@ fn group_allocation_bounds_rack_share_on_balanced_topologies() {
                     SimTime::ZERO,
                 )
                 .unwrap();
-                fleet.0.insert(HostId(i as u64), MockAppServer::with_capacity(1e9));
+                fleet
+                    .0
+                    .insert(HostId(i as u64), MockAppServer::with_capacity(1e9));
             }
             for s in 0..shards {
                 sm.allocate_shard(ShardId(s), 1.0, Some(7), SimTime::ZERO, &mut fleet)
@@ -661,7 +690,10 @@ fn veto_overrides_spread_hint() {
                 Some(HostId(0)),
                 "the only non-vetoing host wins despite the hint"
             );
-            assert!(fleet.0[&HostId(0)].shards.contains_key(&1), "app server agrees");
+            assert!(
+                fleet.0[&HostId(0)].shards.contains_key(&1),
+                "app server agrees"
+            );
         },
     );
 }
@@ -678,7 +710,11 @@ enum Churn {
     Deallocate(u64),
     /// The servers report per-shard weights, SM polls them and balances.
     Balance,
-    Migrate { shard: u64, to: u64, graceful: bool },
+    Migrate {
+        shard: u64,
+        to: u64,
+        graceful: bool,
+    },
     Fail(u64),
     Rejoin(u64),
     Drain(u64),
@@ -739,7 +775,8 @@ impl ChurnFleet {
         }
         self.down.remove(&host);
         self.servers.insert(host, MockAppServer::with_capacity(1e9));
-        sm.rejoin_host(host, now, self).expect("a dead host rejoins");
+        sm.rejoin_host(host, now, self)
+            .expect("a dead host rejoins");
     }
 }
 
@@ -763,7 +800,9 @@ fn published_mapping_matches_assignment_at_quiescence() {
             for i in 0..CHURN_HOSTS {
                 let info = HostInfo::new(HostId(i), Rack((i % 3) as u32), Region(0), 1e9);
                 sm.register_host(info, SimTime::ZERO).unwrap();
-                fleet.servers.insert(HostId(i), MockAppServer::with_capacity(1e9));
+                fleet
+                    .servers
+                    .insert(HostId(i), MockAppServer::with_capacity(1e9));
             }
             let mut now = SimTime::ZERO;
             // Per shard, the instants it was allocated and released at.
@@ -772,7 +811,10 @@ fn published_mapping_matches_assignment_at_quiescence() {
                 match step {
                     Churn::Allocate(s) => {
                         let group = Some(s % 3);
-                        if sm.allocate_shard(ShardId(s), 1.0, group, now, &mut fleet).is_ok() {
+                        if sm
+                            .allocate_shard(ShardId(s), 1.0, group, now, &mut fleet)
+                            .is_ok()
+                        {
                             lifetimes.entry(s).or_default().push((now, None));
                         }
                     }
@@ -791,7 +833,11 @@ fn published_mapping_matches_assignment_at_quiescence() {
                         sm.collect_metrics(&mut fleet);
                         sm.run_load_balancer(now, &mut fleet);
                     }
-                    Churn::Migrate { shard, to, graceful } => {
+                    Churn::Migrate {
+                        shard,
+                        to,
+                        graceful,
+                    } => {
                         // A shard migrating onto the host it is on would be
                         // dropped there when the copy ends.
                         let (shard, to) = (ShardId(shard), HostId(to));
@@ -845,15 +891,30 @@ fn published_mapping_matches_assignment_at_quiescence() {
                     let owner = sm.host_of(ShardId(s));
                     assert_eq!(owner, Some(host), "shard {s}: a ghost on {host}");
                 }
-                assert!(server.prepared.is_empty(), "{host} prepared {:?}", server.prepared);
-                assert!(server.forwarding.is_empty(), "{host} forwards {:?}", server.forwarding);
+                assert!(
+                    server.prepared.is_empty(),
+                    "{host} prepared {:?}",
+                    server.prepared
+                );
+                assert!(
+                    server.forwarding.is_empty(),
+                    "{host} forwards {:?}",
+                    server.forwarding
+                );
             }
-            for m in sm.migration_history().iter().filter(|m| m.phase == MigrationPhase::Done) {
+            for m in sm
+                .migration_history()
+                .iter()
+                .filter(|m| m.phase == MigrationPhase::Done)
+            {
                 let done = m.finished_at.expect("a finished record has its instant");
                 let live = |&(from, until): &(SimTime, Option<SimTime>)| {
                     from <= done && until.is_none_or(|until| done <= until)
                 };
-                assert!(lifetimes[&m.shard.0].iter().any(live), "{m:?} completed a released shard");
+                assert!(
+                    lifetimes[&m.shard.0].iter().any(live),
+                    "{m:?} completed a released shard"
+                );
             }
         },
     );
