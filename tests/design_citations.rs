@@ -3,9 +3,10 @@
 //! DESIGN.md's contracts end in a `Checked by:` clause naming the tests
 //! that hold them. A name there that is no function — a test renamed or
 //! deleted, a file or a doctest cited in backticks — is a contract nobody
-//! checks any more, so every backticked name in a clause must be a `fn`
-//! defined under `crates/` or `tests/`. In §5–§8 every bold-titled block
-//! is a contract: it must end in its own clause.
+//! checks any more, so every backticked name in a clause must be a
+//! `#[test]` function under `crates/` or `tests/`; a helper is not one.
+//! In §5–§8 every bold-titled block is a contract: it must end in its own
+//! clause.
 //!
 //! EXPERIMENTS.md states measured numbers only by quoting a checked-in
 //! output: a fenced block opened with ```` ```text PATH ```` quotes the
@@ -19,9 +20,9 @@ use std::path::Path;
 use scalewall_lint::collect_rs;
 use scalewall_lint::lexer::{lex, Tok};
 
-/// Every name that follows the keyword `fn` in the `.rs` files under
+/// The names of the `#[test]` functions in the `.rs` files under
 /// `crates/` and `tests/`.
-fn defined_fns(root: &Path) -> BTreeSet<String> {
+fn defined_tests(root: &Path) -> BTreeSet<String> {
     let mut files = Vec::new();
     for dir in ["crates", "tests"] {
         collect_rs(&root.join(dir), root, &mut files).expect("readable tree");
@@ -29,13 +30,30 @@ fn defined_fns(root: &Path) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for rel in files {
         let src = std::fs::read_to_string(root.join(&rel)).expect("readable source");
-        let toks = lex(&src);
-        for pair in toks.windows(2) {
-            if let (Tok::Ident(kw), Tok::Ident(name)) = (&pair[0].tok, &pair[1].tok) {
-                if kw == "fn" {
-                    names.insert(name.clone());
-                }
+        names.extend(test_fns(&src));
+    }
+    names
+}
+
+/// The names of `src`'s functions preceded by a `#[test]` attribute
+/// (other attributes may come between): a helper never is.
+fn test_fns(src: &str) -> Vec<String> {
+    let test_attr = [
+        Tok::Punct('#'),
+        Tok::Punct('['),
+        Tok::Ident("test".into()),
+        Tok::Punct(']'),
+    ];
+    let toks: Vec<Tok> = lex(src).into_iter().map(|t| t.tok).collect();
+    let (mut names, mut marked) = (Vec::new(), false);
+    for (i, tok) in toks.iter().enumerate() {
+        if toks[i..].starts_with(&test_attr) {
+            marked = true;
+        } else if matches!(tok, Tok::Ident(kw) if kw == "fn") {
+            if let (true, Some(Tok::Ident(name))) = (marked, toks.get(i + 1)) {
+                names.push(name.clone());
             }
+            marked = false;
         }
     }
     names
@@ -58,14 +76,14 @@ fn clauses(doc: &str) -> Vec<String> {
         .collect()
 }
 
-/// The backticked names of `clause` that no `fn` in `fns` defines.
-fn unknown_names<'a>(clause: &'a str, fns: &BTreeSet<String>) -> Vec<&'a str> {
+/// The backticked names of `clause` that name none of `tests`.
+fn unknown_names<'a>(clause: &'a str, tests: &BTreeSet<String>) -> Vec<&'a str> {
     // Backticks alternate: the odd pieces are the code spans.
     clause
         .split('`')
         .skip(1)
         .step_by(2)
-        .filter(|n| !fns.contains(*n))
+        .filter(|n| !tests.contains(*n))
         .collect()
 }
 
@@ -113,8 +131,8 @@ fn contracts(doc: &str) -> Vec<(String, String)> {
 
 /// What is wrong with `doc`'s `Checked by:` clauses: a contract of
 /// §5–§8 with none or not ending in its own, a clause naming no test, a
-/// name no `fn` of `fns` defines.
-fn design_faults(doc: &str, fns: &BTreeSet<String>) -> Vec<String> {
+/// name that is none of `tests`.
+fn design_faults(doc: &str, tests: &BTreeSet<String>) -> Vec<String> {
     let mut faults = Vec::new();
     for (title, text) in contracts(doc) {
         let folded = text.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -132,8 +150,10 @@ fn design_faults(doc: &str, fns: &BTreeSet<String>) -> Vec<String> {
                 "a `Checked by:` clause that names no test: {clause:?}"
             ));
         }
-        for name in unknown_names(&clause, fns) {
-            faults.push(format!("`{name}` is no `fn` under crates/ or tests/"));
+        for name in unknown_names(&clause, tests) {
+            faults.push(format!(
+                "`{name}` is no `#[test]` fn under crates/ or tests/"
+            ));
         }
     }
     faults
@@ -147,7 +167,7 @@ fn every_checked_by_name_is_a_defined_fn() {
         !contracts(&design).is_empty(),
         "no bold-titled block in DESIGN.md §5–§8"
     );
-    let faults = design_faults(&design, &defined_fns(root));
+    let faults = design_faults(&design, &defined_tests(root));
     assert!(faults.is_empty(), "DESIGN.md:\n{}", faults.join("\n"));
 }
 
@@ -164,7 +184,7 @@ fn contract_check_rejects_a_missing_clause_a_trailing_sentence_and_an_unknown_fn
         faults("- **Bare.** It holds.\n"),
         "**Bare.**: no `Checked by:` clause"
     );
-    let unknown = "`vanished` is no `fn` under crates/ or tests/";
+    let unknown = "`vanished` is no `#[test]` fn under crates/ or tests/";
     assert_eq!(
         faults("**Gone.** Checked by: `holds` and `vanished`.\n"),
         unknown
@@ -178,6 +198,21 @@ fn contract_check_rejects_a_missing_clause_a_trailing_sentence_and_an_unknown_fn
     assert_eq!(faults("- **Empty.** Checked by: the goldens.\n"), empty);
     let fenced = "```text\n**Quoted.** Free.\n```\n- **Good.** Checked by: `holds`.\n";
     assert_eq!(faults(fenced), "");
+}
+
+#[test]
+fn contract_check_rejects_a_helper_fn() {
+    let src = "fn mismatch() {}\n#[cfg(test)]\nfn setup() {}\n\
+               /// Doc.\n#[test]\n#[should_panic]\nfn holds() { fn inner() {} }\n";
+    let tests = BTreeSet::from_iter(test_fns(src));
+    assert_eq!(tests, BTreeSet::from(["holds".to_string()]));
+    let doc = |name: &str| format!("## 5. Decisions\n\n- **Held.** Checked by: `{name}`.\n");
+    assert_eq!(design_faults(&doc("holds"), &tests), Vec::<String>::new());
+    let helper = "`mismatch` is no `#[test]` fn under crates/ or tests/";
+    assert_eq!(design_faults(&doc("mismatch"), &tests), [helper]);
+    // The live tree: `tests/figure_digests.rs` defines `mismatch` as a helper.
+    let live = defined_tests(Path::new(env!("CARGO_MANIFEST_DIR")));
+    assert!(!live.contains("mismatch") && live.contains("contract_check_rejects_a_helper_fn"));
 }
 
 /// What is wrong with `doc`'s quotes: a line its file lacks (or holds
