@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the infrastructure hot paths: shard mapping, SM
-//! placement/balancing and the metric poll, discovery resolution and the
-//! cached route, one whole no-data query (one wide table, and the QoS
-//! loop's shape over 240 narrow ones), the idle deployment tick, the event
-//! queue, and latency histograms. Runs on the in-repo wall-clock runner
+//! placement/balancing, the metric poll and table creation, discovery
+//! resolution and the cached route, one whole no-data query (one wide
+//! table, and the QoS loop's shape over 240 narrow ones), the idle
+//! deployment tick, the event queue, and latency histograms. Runs on the in-repo wall-clock runner
 //! (`scalewall_bench::microbench`): `cargo bench -p scalewall-bench`
 //! times; `cargo test` smoke-runs every body once.
 //!
@@ -212,8 +212,15 @@ fn qos_shaped_deployment() -> (Deployment, Vec<Query>) {
         max_shards: 5_000,
         ..Default::default()
     });
+    let queries = create_tables(&mut dep, 240);
+    (dep, queries)
+}
+
+/// `n` eight-partition tables `tenant_000`, … of the standard schema, no
+/// data, and a `count(*)` of each.
+fn create_tables(dep: &mut Deployment, n: usize) -> Vec<Query> {
     let schema = standard_schema(365);
-    let queries = (0..240)
+    (0..n)
         .map(|i| {
             let name = format!("tenant_{i:03}");
             dep.create_table(
@@ -227,8 +234,30 @@ fn qos_shaped_deployment() -> (Deployment, Vec<Query>) {
             .expect("fresh table");
             Query::count_star(&name)
         })
-        .collect();
-    (dep, queries)
+        .collect()
+}
+
+/// Table creation, which places every partition in every region under
+/// its table's anti-affinity group: the `qos_overload` setup's shape
+/// without ingest, and 1,000 tables over 3 regions × 140 hosts, the
+/// paper's fleet scale (one creation a sample, ten samples).
+fn bench_create_tables(c: &mut Bench) {
+    let mut group = c.group("sm");
+    group.bench_function("create_240x8_tables_3x4_hosts", |b| {
+        b.iter(qos_shaped_deployment)
+    });
+    group.sample_size(10);
+    group.bench_function("create_1000_tables_3x140_hosts", |b| {
+        b.iter(|| {
+            let mut dep = Deployment::new(DeploymentConfig {
+                regions: 3,
+                hosts_per_region: 140,
+                ..Default::default()
+            });
+            create_tables(&mut dep, 1_000);
+            dep
+        })
+    });
 }
 
 /// One admitted QoS query as the experiment loop issues it (two-choice
@@ -312,6 +341,7 @@ fn main() {
     bench_placement(&mut bench);
     bench_balancer(&mut bench);
     bench_collect_metrics(&mut bench);
+    bench_create_tables(&mut bench);
     bench_discovery(&mut bench);
     bench_driver(&mut bench);
     bench_qos_loop(&mut bench);
