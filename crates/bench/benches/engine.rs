@@ -479,20 +479,35 @@ fn bench_codecs(c: &mut Bench) {
     };
     let mut partition = PartitionData::new(spec.schema.clone());
     let rows = gen_rows(&spec, 4_608, 365, &mut SimRng::new(23));
-    partition.ingest_batch(&rows.iter().collect::<Vec<_>>()).unwrap();
+    partition
+        .ingest_batch(&rows.iter().collect::<Vec<_>>())
+        .unwrap();
     let mut bricks = Vec::new();
     partition.for_each_matching_brick(&[None, None], |brick| bricks.push(brick.clone()));
-    let compressed: Vec<CompressedBrick> =
-        bricks.iter().cloned().map(CompressedBrick::compress).collect();
+    let compressed: Vec<CompressedBrick> = bricks
+        .iter()
+        .cloned()
+        .map(CompressedBrick::compress)
+        .collect();
     group.throughput(rows.len() as u64);
     group.bench_function("brick_columns_compress", |b| {
         b.iter_batched(
             || bricks.clone(),
-            |bricks| bricks.into_iter().map(CompressedBrick::compress).collect::<Vec<_>>(),
+            |bricks| {
+                bricks
+                    .into_iter()
+                    .map(CompressedBrick::compress)
+                    .collect::<Vec<_>>()
+            },
         )
     });
     group.bench_function("brick_columns_decompress", |b| {
-        b.iter(|| compressed.iter().map(CompressedBrick::decompress).collect::<Vec<_>>())
+        b.iter(|| {
+            compressed
+                .iter()
+                .map(CompressedBrick::decompress)
+                .collect::<Vec<_>>()
+        })
     });
 }
 

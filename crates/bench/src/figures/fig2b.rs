@@ -50,14 +50,9 @@ pub struct ScenarioPoint {
 
 /// The named scenarios at intensity levels 1..=n. Onset/duration scale
 /// with the experiment horizon so `--fast` keeps the same shape.
-fn scenario_scripts(
-    profile: Profile,
-) -> (SimDuration, Vec<(&'static str, u32, FaultScript)>) {
+fn scenario_scripts(profile: Profile) -> (SimDuration, Vec<(&'static str, u32, FaultScript)>) {
     let horizon = profile.pick(SimDuration::from_hours(3), SimDuration::from_hours(12));
-    let onset = profile.pick(
-        SimTime::from_secs(45 * 60),
-        SimTime::from_secs(3 * 3_600),
-    );
+    let onset = profile.pick(SimTime::from_secs(45 * 60), SimTime::from_secs(3 * 3_600));
     let window = profile.pick(SimDuration::from_mins(30), SimDuration::from_hours(2));
     let levels = profile.pick(2u32, 3u32);
 
@@ -242,7 +237,9 @@ fn blast_measure(
                     let outcome = run_query(dep, &mut proxy, &net, &query, &opts, now, &mut rng);
                     now += SimDuration::from_millis(500);
                     total += 1;
-                    let lost = outcome.fan_out().saturating_sub(outcome.partitions_answered());
+                    let lost = outcome
+                        .fan_out()
+                        .saturating_sub(outcome.partitions_answered());
                     if outcome.success && lost <= budget {
                         met += 1;
                     }
@@ -285,7 +282,9 @@ pub fn compute_blast(profile: Profile) -> BlastResult {
         let mut dep = blast_deployment(spread, &fanouts, tables_per);
         if m == 0 {
             let mut h = Histogram::latency_ms();
-            ratios.push(blast_measure(&mut dep, &fanouts, tables_per, queries, &mut h));
+            ratios.push(blast_measure(
+                &mut dep, &fanouts, tables_per, queries, &mut h,
+            ));
         }
         // Rack 1 goes dark; SM has not reacted yet (detection window), so
         // what we measure is the placement's raw blast radius.
@@ -293,7 +292,9 @@ pub fn compute_blast(profile: Profile) -> BlastResult {
             dep.regions[0].nodes.crash(host);
         }
         let mut h = Histogram::latency_ms();
-        ratios.push(blast_measure(&mut dep, &fanouts, tables_per, queries, &mut h));
+        ratios.push(blast_measure(
+            &mut dep, &fanouts, tables_per, queries, &mut h,
+        ));
         p99[m] = h.quantile(0.99);
     }
 
@@ -414,7 +415,10 @@ mod tests {
             wall(&blast.fanouts, &on),
             wall(&blast.fanouts, &off),
         );
-        assert!(base.iter().all(|&r| r == 1.0), "baseline meets SLA everywhere");
+        assert!(
+            base.iter().all(|&r| r == 1.0),
+            "baseline meets SLA everywhere"
+        );
         // The acceptance shape: ON moves the wall < 10% vs baseline; OFF
         // collapses measurably.
         assert!(

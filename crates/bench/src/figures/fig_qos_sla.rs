@@ -71,8 +71,8 @@ pub fn config(profile: Profile, offered_load: f64, shedding: bool) -> Experiment
     // the withdrawn region share).
     let capacity_qps = slots as f64 * 0.8;
     let window = SimDuration::from_nanos(duration.as_nanos() / 12);
-    let onset = SimTime::ZERO
-        + SimDuration::from_nanos(duration.as_nanos() / 2 - window.as_nanos() / 2);
+    let onset =
+        SimTime::ZERO + SimDuration::from_nanos(duration.as_nanos() / 2 - window.as_nanos() / 2);
     let admission = if shedding {
         AdmissionConfig::qos(slots)
     } else {

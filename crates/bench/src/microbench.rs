@@ -194,9 +194,7 @@ impl Group<'_> {
             };
             f(&mut b);
             let elapsed = match b.mode {
-                Mode::Smoke { elapsed } => {
-                    elapsed.expect("bencher closure never called iter()")
-                }
+                Mode::Smoke { elapsed } => elapsed.expect("bencher closure never called iter()"),
                 _ => unreachable!(),
             };
             let ns = elapsed.as_nanos() as f64;
@@ -405,7 +403,10 @@ pub fn render_report(records: &[Record]) -> String {
         escape_into(&r.mode, &mut out);
         // Rust's f64 Display is shortest-round-trip and always a valid
         // JSON number for finite values.
-        out.push_str(&format!(", \"median_ns\": {}, \"min_ns\": {}, ", r.median_ns, r.min_ns));
+        out.push_str(&format!(
+            ", \"median_ns\": {}, \"min_ns\": {}, ",
+            r.median_ns, r.min_ns
+        ));
         match r.rate_per_sec {
             Some(rate) => {
                 assert!(rate.is_finite(), "non-finite rate for {}", r.name);
@@ -438,7 +439,10 @@ pub fn validate_report(text: &str) -> Result<usize, String> {
         Some(Json::Str(s)) => return Err(format!("unknown schema '{s}'")),
         _ => return Err("missing schema tag".to_string()),
     }
-    let results = doc.get("results").and_then(Json::as_arr).ok_or("missing results array")?;
+    let results = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .ok_or("missing results array")?;
     if results.is_empty() {
         return Err("empty results array".to_string());
     }
