@@ -22,22 +22,154 @@ fn mismatch(file: &str, expected: &str, actual: &str) -> Option<String> {
     Some(format!("{file} differs from line {line}:\n- {e}\n+ {a}"))
 }
 
-macro_rules! figures {
-    ($($module:ident)*) => {$(
-        #[test]
-        fn $module() {
-            let golden = include_str!(concat!("figures/", stringify!($module), ".txt"));
-            let file = concat!("tests/figures/", stringify!($module), ".txt");
-            if let Some(diff) = mismatch(file, golden, &figures::$module::run(Profile::Fast)) {
-                panic!("{diff}\n(a deliberate re-pin: scripts/figures_match.sh, then commit the diff)");
-            }
-        }
-    )*};
+/// Fails with [`mismatch`]'s report when the fast-profile report `run`
+/// renders for figure module `module` is not its golden file `golden`.
+fn check(module: &str, golden: &str, run: fn(Profile) -> String) {
+    let file = format!("tests/figures/{module}.txt");
+    if let Some(diff) = mismatch(&file, golden, &run(Profile::Fast)) {
+        panic!("{diff}\n(a deliberate re-pin: scripts/figures_match.sh, then commit the diff)");
+    }
 }
 
-figures! {
-    fig1 fig2 fig2b tbl_mapping fig4a fig4b fig4c fig4d fig4e fig4f fig5 fig_qos_sla
-    wall_ablation graceful_ablation lb_ablation best_effort_ablation coordinator_ablation
+#[test]
+fn fig1() {
+    check("fig1", include_str!("figures/fig1.txt"), figures::fig1::run);
+}
+
+#[test]
+fn fig2() {
+    check("fig2", include_str!("figures/fig2.txt"), figures::fig2::run);
+}
+
+#[test]
+fn fig2b() {
+    check(
+        "fig2b",
+        include_str!("figures/fig2b.txt"),
+        figures::fig2b::run,
+    );
+}
+
+#[test]
+fn tbl_mapping() {
+    check(
+        "tbl_mapping",
+        include_str!("figures/tbl_mapping.txt"),
+        figures::tbl_mapping::run,
+    );
+}
+
+#[test]
+fn fig4a() {
+    check(
+        "fig4a",
+        include_str!("figures/fig4a.txt"),
+        figures::fig4a::run,
+    );
+}
+
+#[test]
+fn fig4b() {
+    check(
+        "fig4b",
+        include_str!("figures/fig4b.txt"),
+        figures::fig4b::run,
+    );
+}
+
+#[test]
+fn fig4c() {
+    check(
+        "fig4c",
+        include_str!("figures/fig4c.txt"),
+        figures::fig4c::run,
+    );
+}
+
+#[test]
+fn fig4d() {
+    check(
+        "fig4d",
+        include_str!("figures/fig4d.txt"),
+        figures::fig4d::run,
+    );
+}
+
+#[test]
+fn fig4e() {
+    check(
+        "fig4e",
+        include_str!("figures/fig4e.txt"),
+        figures::fig4e::run,
+    );
+}
+
+#[test]
+fn fig4f() {
+    check(
+        "fig4f",
+        include_str!("figures/fig4f.txt"),
+        figures::fig4f::run,
+    );
+}
+
+#[test]
+fn fig5() {
+    check("fig5", include_str!("figures/fig5.txt"), figures::fig5::run);
+}
+
+#[test]
+fn fig_qos_sla() {
+    check(
+        "fig_qos_sla",
+        include_str!("figures/fig_qos_sla.txt"),
+        figures::fig_qos_sla::run,
+    );
+}
+
+#[test]
+fn wall_ablation() {
+    check(
+        "wall_ablation",
+        include_str!("figures/wall_ablation.txt"),
+        figures::wall_ablation::run,
+    );
+}
+
+#[test]
+fn graceful_ablation() {
+    check(
+        "graceful_ablation",
+        include_str!("figures/graceful_ablation.txt"),
+        figures::graceful_ablation::run,
+    );
+}
+
+#[test]
+fn lb_ablation() {
+    check(
+        "lb_ablation",
+        include_str!("figures/lb_ablation.txt"),
+        figures::lb_ablation::run,
+    );
+}
+
+#[test]
+fn best_effort_ablation() {
+    check(
+        "best_effort_ablation",
+        include_str!("figures/best_effort_ablation.txt"),
+        figures::best_effort_ablation::run,
+    );
+}
+
+#[test]
+fn coordinator_ablation() {
+    check(
+        "coordinator_ablation",
+        include_str!("figures/coordinator_ablation.txt"),
+        figures::coordinator_ablation::run,
+    );
 }
 
 #[test]
