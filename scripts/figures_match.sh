@@ -8,35 +8,39 @@
 # holding the figure binaries and the examples, built with
 #   cargo build --release --offline -p scalewall-bench --bins
 #   cargo build --release --offline --examples
-# This empties `tests/figures/` and rewrites every output into it: each
+# This renders every output into a scratch directory: each
 # `crates/bench/src/bin/*` figure with `--fast` as `<module>.txt` (the
 # file `tests/figure_digests.rs` checks) and at the full profile as
 # `<bin>.full.txt`, `all_figures --fast` as `all_figures.fast.txt`, and
-# each example as `example.<name>.txt`. It then fails unless
-# `git status --porcelain -- tests/figures` is empty, so a modified,
-# deleted or untracked golden file fails it. A re-pin is: run this,
-# review `git diff -- tests/figures`, commit.
+# each example as `example.<name>.txt`. Only once every output is
+# written does it replace `tests/figures/` with them, so an interrupted
+# or failed run leaves the golden files as they were. It then fails
+# unless `git status --porcelain -- tests/figures` is empty, so a
+# modified, deleted or untracked golden file fails it. A re-pin is: run
+# this, review `git diff -- tests/figures`, commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "$#" -gt 1 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 release="${1:-target/release}"
 dir=tests/figures
-rm -rf "$dir" && mkdir "$dir"
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
 
 for src in crates/bench/src/bin/*.rs; do
     bin="$(basename "$src" .rs)"
     module="$(sed -nE 's/^[^/]*figures::([a-z0-9_]+)::run\(.*/\1/p' "$src")"
-    "$release/$bin" --fast >"$dir/${module:-$bin.fast}.txt"
-    [ -z "$module" ] || "$release/$bin" >"$dir/$bin.full.txt"
+    "$release/$bin" --fast >"$out/${module:-$bin.fast}.txt"
+    [ -z "$module" ] || "$release/$bin" >"$out/$bin.full.txt"
 done
 for src in examples/*.rs; do
     example="$(basename "$src" .rs)"
-    "$release/examples/$example" >"$dir/example.$example.txt"
+    "$release/examples/$example" >"$out/example.$example.txt"
 done
+rm -rf "$dir" && mkdir "$dir" && cp "$out"/* "$dir"/
 
 if [ -n "$(git status --porcelain -- "$dir")" ]; then
     git status --short -- "$dir"
