@@ -50,7 +50,8 @@ pub struct Candidate {
 /// veto at the application layer remains the hard backstop.
 #[derive(Debug, Clone)]
 pub struct SpreadHint {
-    /// Hosts that already hold a shard of the group (avoid: collisions).
+    /// Hosts that already hold a shard of the group (avoid: collisions),
+    /// ascending.
     pub avoid_hosts: Vec<HostId>,
     /// Failure-domain keys (at `domain_scope`) the group should steer
     /// clear of — typically the domains holding *more* group members than
@@ -86,7 +87,7 @@ impl SpreadHint {
     /// Public so callers that randomize within the ranking (placement
     /// jitter) can keep the draw inside the leading penalty class.
     pub fn penalty(&self, info: &HostInfo) -> u8 {
-        if self.avoid_hosts.contains(&info.id) {
+        if self.avoid_hosts.binary_search(&info.id).is_ok() {
             2
         } else if self.avoid_domains.contains(&info.domain(self.domain_scope)) {
             1
@@ -142,41 +143,89 @@ pub fn rank_candidates_hinted(
     excluded: &[HostId],
     hint: &SpreadHint,
 ) -> Vec<Candidate> {
-    let mut out: Vec<(u8, Candidate)> = hosts
-        .iter()
-        .filter(|h| h.state.placeable())
-        .filter(|h| !excluded.contains(&h.info.id))
-        .filter(|h| !used_domains.contains(&h.info.domain(spread)))
-        .filter(|h| {
-            let cap = h.info.capacity * headroom;
-            h.load + weight <= cap
-        })
-        .map(|h| {
-            (
-                hint.penalty(&h.info),
-                Candidate {
-                    host: h.info.id,
-                    projected: if h.info.capacity > 0.0 {
-                        (h.load + weight) / h.info.capacity
-                    } else {
-                        f64::INFINITY
-                    },
-                },
-            )
-        })
-        .collect();
-    out.sort_by(|(pa, a), (pb, b)| {
-        pa.cmp(pb)
-            .then_with(|| a.projected.total_cmp(&b.projected))
-            .then_with(|| a.host.0.cmp(&b.host.0))
-    });
+    let score = |h: &HostSnapshot| score(h, weight, headroom, spread, used_domains, excluded, hint);
+    let mut out: Vec<(u8, Candidate)> = hosts.iter().filter_map(score).collect();
+    out.sort_by(rank_order);
     out.into_iter().map(|(_, c)| c).collect()
+}
+
+/// The head of [`rank_candidates_hinted`]'s ranking, its first `k`
+/// candidates, and the length of its leading penalty class (the feasible
+/// hosts sharing the best penalty): one pass over `hosts` through at most
+/// `2k + 1` entries, sorting only the head.
+#[allow(clippy::too_many_arguments)]
+pub fn select_candidates(
+    hosts: impl IntoIterator<Item = HostSnapshot>,
+    weight: f64,
+    headroom: f64,
+    spread: SpreadDomain,
+    used_domains: &[u64],
+    excluded: &[HostId],
+    hint: &SpreadHint,
+    k: usize,
+) -> (Vec<Candidate>, usize) {
+    let mut best: Vec<(u8, Candidate)> = Vec::new();
+    let (mut lead, mut class_len) = (u8::MAX, 0);
+    for h in hosts {
+        let Some(scored) = score(&h, weight, headroom, spread, used_domains, excluded, hint) else {
+            continue;
+        };
+        if scored.0 < lead {
+            (lead, class_len) = (scored.0, 0);
+        }
+        class_len += usize::from(scored.0 == lead);
+        // A full buffer keeps only its best `k`: O(1) per host, amortized.
+        best.push(scored);
+        if best.len() > k.saturating_mul(2) {
+            best.select_nth_unstable_by(k, rank_order);
+            best.truncate(k);
+        }
+    }
+    best.sort_by(rank_order);
+    (
+        best.into_iter().take(k).map(|(_, c)| c).collect(),
+        class_len,
+    )
+}
+
+/// A feasible host's penalty and candidate; `None` for an infeasible one.
+fn score(
+    h: &HostSnapshot,
+    weight: f64,
+    headroom: f64,
+    spread: SpreadDomain,
+    used_domains: &[u64],
+    excluded: &[HostId],
+    hint: &SpreadHint,
+) -> Option<(u8, Candidate)> {
+    let feasible = h.state.placeable()
+        && !excluded.contains(&h.info.id)
+        && !used_domains.contains(&h.info.domain(spread))
+        && h.load + weight <= h.info.capacity * headroom;
+    feasible.then(|| {
+        let projected = if h.info.capacity > 0.0 {
+            (h.load + weight) / h.info.capacity
+        } else {
+            f64::INFINITY
+        };
+        let host = h.info.id;
+        (hint.penalty(&h.info), Candidate { host, projected })
+    })
+}
+
+/// The ranking order: penalty, then projected load, then host id.
+fn rank_order((pa, a): &(u8, Candidate), (pb, b): &(u8, Candidate)) -> std::cmp::Ordering {
+    pa.cmp(pb)
+        .then_with(|| a.projected.total_cmp(&b.projected))
+        .then_with(|| a.host.0.cmp(&b.host.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{Rack, Region};
+    use scalewall_sim::prop::{self, gen};
+    use scalewall_sim::SimRng;
 
     fn snap(id: u64, rack: u32, region: u32, capacity: f64, load: f64) -> HostSnapshot {
         HostSnapshot {
@@ -290,6 +339,85 @@ mod tests {
             ranked.first().unwrap().host,
             HostId(1),
             "31% projected beats 60%"
+        );
+    }
+
+    /// `f` of about one host in four, in `hosts`' order.
+    fn some_of<T>(rng: &mut SimRng, hosts: &[HostSnapshot], f: fn(&HostSnapshot) -> T) -> Vec<T> {
+        hosts.iter().filter(|_| rng.below(4) == 0).map(f).collect()
+    }
+
+    /// A fleet, hint, exclusions, weight and `k` for the selection.
+    type SelectionCase = (Vec<HostSnapshot>, SpreadHint, Vec<HostId>, f64, usize);
+
+    /// The selection is the ranking's head: over random fleets (every
+    /// host state, zero and uneven capacities, loads that often tie,
+    /// three to five racks), hints, exclusions, weights and `k` in 1..=4,
+    /// its `k` best are the ranking's first `k` and `class_len` is the
+    /// length of the ranking's leading penalty class.
+    #[test]
+    fn prop_selection_is_the_head_of_the_ranking() {
+        prop::check_n(
+            "prop_selection_is_the_head_of_the_ranking",
+            512,
+            |rng| -> SelectionCase {
+                let racks = rng.range(3, 6) as u32;
+                let mut id = 0;
+                let hosts = gen::vec_with(rng, 0, 24, |r| {
+                    id += 1 + r.below(3);
+                    let state = [HostState::Alive, HostState::Draining, HostState::Dead];
+                    HostSnapshot {
+                        info: HostInfo::new(
+                            HostId(id),
+                            Rack(r.below(u64::from(racks)) as u32),
+                            Region(r.below(2) as u32),
+                            [0.0, 50.0, 100.0, 100.0, 300.0][r.below(5) as usize],
+                        ),
+                        state: state[usize::from(r.below(4) == 0) + usize::from(r.below(8) == 0)],
+                        load: r.below(5) as f64 * 20.0,
+                    }
+                });
+                let avoid_hosts = some_of(rng, &hosts, |h| h.info.id);
+                let avoid_domains = some_of(rng, &hosts, |h| h.info.domain(SpreadDomain::Rack));
+                let excluded = some_of(rng, &hosts, |h| h.info.id);
+                let hint = SpreadHint {
+                    avoid_hosts,
+                    avoid_domains,
+                    domain_scope: SpreadDomain::Rack,
+                };
+                let weight = [1.0, 10.0, gen::f64_in(rng, 0.0, 400.0)][rng.below(3) as usize];
+                (hosts, hint, excluded, weight, rng.range(1, 5) as usize)
+            },
+            |(hosts, hint, excluded, weight, k)| {
+                let ranked = rank_candidates_hinted(
+                    hosts,
+                    *weight,
+                    0.9,
+                    SpreadDomain::Host,
+                    &[],
+                    excluded,
+                    hint,
+                );
+                let (best, class_len) = select_candidates(
+                    hosts.iter().copied(),
+                    *weight,
+                    0.9,
+                    SpreadDomain::Host,
+                    &[],
+                    excluded,
+                    hint,
+                    *k,
+                );
+                let head = &ranked[..ranked.len().min(*k)];
+                assert_eq!(best, head);
+                let penalty = |c: &Candidate| {
+                    let h = hosts.iter().find(|h| h.info.id == c.host).unwrap();
+                    hint.penalty(&h.info)
+                };
+                let lead = ranked.first().map(penalty);
+                let class = ranked.iter().take_while(|c| Some(penalty(c)) == lead);
+                assert_eq!(class_len, class.count());
+            },
         );
     }
 }

@@ -33,7 +33,7 @@ use crate::migration::{
     copy_duration, MigrationCause, MigrationId, MigrationKind, MigrationPhase, MigrationRecord,
     PROPAGATION_WAIT,
 };
-use crate::placement::{rank_candidates_hinted, Candidate, HostSnapshot, SpreadHint};
+use crate::placement::{select_candidates, Candidate, HostSnapshot, SpreadHint};
 use crate::spec::{AppSpec, SpreadDomain};
 
 /// Weight assumed for a shard before the first metrics collection.
@@ -139,65 +139,13 @@ impl AppState {
     }
 }
 
-/// Soft anti-affinity hint for placing `exclude_shard` of the group on
-/// record for it: avoid hosts already holding a shard of the group, and
-/// (at rack scope) the failure domains those hosts live in. Best-effort —
-/// never shrinks the feasible set (see `placement.rs`).
-fn group_spread_hint(
-    app: &AppState,
-    hosts: &BTreeMap<HostId, HostEntry>,
-    exclude_shard: ShardId,
-) -> SpreadHint {
-    let Some(group) = app.groups.get(&exclude_shard) else {
-        return SpreadHint::none();
-    };
-    let members = app.members.get(group).into_iter().flatten();
-    let others = members.filter(|&&s| s != exclude_shard);
-    let group_hosts = others.filter_map(|s| app.assignments.get(s).copied());
-    hint_avoiding(hosts, group_hosts)
-}
-
-/// The hint that avoids `group_hosts` (repeats allowed, order free) and
-/// the racks holding more of them than the least-occupied rack.
-fn hint_avoiding(
-    hosts: &BTreeMap<HostId, HostEntry>,
-    group_hosts: impl Iterator<Item = HostId>,
-) -> SpreadHint {
-    let avoid_hosts: std::collections::BTreeSet<HostId> = group_hosts.collect();
-    // Rack balance, not mere coverage: a rack is avoided when it already
-    // holds strictly more group members than the least-occupied rack, so
-    // sequential allocation round-robins and no rack ever ends up with
-    // more than ⌈members/racks⌉ of the group (the bounded-blast-radius
-    // guarantee a single-rack outage is measured against).
-    let mut rack_members: BTreeMap<u64, u64> = hosts
-        .values()
-        .map(|e| (e.info.domain(SpreadDomain::Rack), 0))
-        .collect();
-    for h in &avoid_hosts {
-        if let Some(e) = hosts.get(h) {
-            *rack_members
-                .entry(e.info.domain(SpreadDomain::Rack))
-                .or_insert(0) += 1;
-        }
-    }
-    let min_members = rack_members.values().copied().min().unwrap_or(0);
-    let avoid_domains: Vec<u64> = rack_members
-        .iter()
-        .filter(|&(_, &n)| n > min_members)
-        .map(|(&d, _)| d)
-        .collect();
-    SpreadHint {
-        avoid_hosts: avoid_hosts.into_iter().collect(),
-        avoid_domains,
-        domain_scope: SpreadDomain::Rack,
-    }
-}
-
 /// The SM server of one application.
 pub struct SmServer {
     config: SmConfig,
     app: AppState,
     hosts: BTreeMap<HostId, HostEntry>,
+    /// How many of `hosts` each rack domain holds, no count zero.
+    racks: BTreeMap<u64, usize>,
     zk: CoordinationPlane,
     /// The shard→host mappings service discovery serves. SM Server is
     /// their only writer; discovery clients borrow them per lookup.
@@ -249,6 +197,7 @@ impl SmServer {
                 members: BTreeMap::new(),
             },
             hosts: BTreeMap::new(),
+            racks: BTreeMap::new(),
             mappings: MappingStore::new(),
             active: BTreeMap::new(),
             deadlines: DeadlineQueue::new(),
@@ -293,6 +242,8 @@ impl SmServer {
             return Err(SmError::HostExists { host: info.id });
         }
         let session = self.open_host_session(info.id, now)?;
+        let rack = info.domain(SpreadDomain::Rack);
+        *self.racks.entry(rack).or_default() += 1;
         self.hosts.insert(
             info.id,
             HostEntry {
@@ -412,20 +363,24 @@ impl SmServer {
         self.loads = loads;
     }
 
-    fn snapshots(&self) -> Vec<HostSnapshot> {
-        self.hosts
-            .values()
-            .map(|e| HostSnapshot {
+    /// Every host with its load, ascending: one merge of `hosts` and
+    /// `loads`, which share that order.
+    fn snapshots(&self) -> impl Iterator<Item = HostSnapshot> + '_ {
+        let mut loads = self.loads.iter().peekable();
+        self.hosts.values().map(move |e| {
+            while loads.next_if(|&(&h, _)| h < e.info.id).is_some() {}
+            let load = loads.next_if(|&(&h, _)| h == e.info.id);
+            HostSnapshot {
                 info: e.info,
                 state: e.state,
-                load: self.loads.get(&e.info.id).copied().unwrap_or(0.0),
-            })
-            .collect()
+                load: load.map_or(0.0, |(_, &l)| l),
+            }
+        })
     }
 
     /// Fleet balance statistics (over placeable hosts).
     pub fn fleet_stats(&self) -> BalancerStats {
-        fleet_stats(&self.snapshots())
+        fleet_stats(&self.snapshots().collect::<Vec<_>>())
     }
 
     // ------------------------------------------------------------- allocation
@@ -479,33 +434,71 @@ impl SmServer {
         Ok(host)
     }
 
-    /// Where `shard` can go, best first, given the weight and group SM has
-    /// on record for it. Every placement decision (allocation, failover,
-    /// drain) reads this ranking; they differ in how the shard then gets
-    /// to the host. Returned with the hint it was ranked under.
-    fn rank(&self, shard: ShardId, excluded: &[HostId]) -> (Vec<Candidate>, SpreadHint) {
-        // Soft anti-affinity, through failovers and drains as much as at
-        // allocation: a target should not collect a second shard of the
-        // group (for a table the app would veto it anyway) nor
-        // re-concentrate the group in one rack.
-        let hint = group_spread_hint(&self.app, &self.hosts, shard);
-        let ranked = rank_candidates_hinted(
-            &self.snapshots(),
+    /// Soft anti-affinity hint for placing `shard`, through failovers and
+    /// drains as much as at allocation: avoid the hosts holding another
+    /// shard of its group (for a table the app would veto them anyway),
+    /// and the racks holding more of them than the least-occupied rack.
+    /// Best-effort — never shrinks the feasible set (see `placement.rs`).
+    fn hint(&self, shard: ShardId) -> SpreadHint {
+        let Some(group) = self.app.groups.get(&shard) else {
+            return SpreadHint::none();
+        };
+        let members = self.app.members.get(group).into_iter().flatten();
+        let others = members.filter(|&&s| s != shard);
+        let mut avoid_hosts: Vec<HostId> = others
+            .filter_map(|s| self.app.assignments.get(s).copied())
+            .collect();
+        avoid_hosts.sort_unstable();
+        avoid_hosts.dedup();
+        // Rack balance, not mere coverage: a rack is avoided when it already
+        // holds strictly more group members than the least-occupied rack, so
+        // sequential allocation round-robins and no rack ever ends up with
+        // more than ⌈members/racks⌉ of the group (the bounded-blast-radius
+        // guarantee a single-rack outage is measured against).
+        let mut rack_members: BTreeMap<u64, u64> = BTreeMap::new();
+        for e in avoid_hosts.iter().filter_map(|h| self.hosts.get(h)) {
+            let rack = e.info.domain(SpreadDomain::Rack);
+            *rack_members.entry(rack).or_default() += 1;
+        }
+        // A rack no member is on is the least occupied, at zero.
+        let every_rack = rack_members.len() == self.racks.len();
+        let min_members = rack_members.values().copied().min().filter(|_| every_rack);
+        let avoid_domains = rack_members
+            .iter()
+            .filter(|&(_, &n)| n > min_members.unwrap_or(0));
+        SpreadHint {
+            avoid_hosts,
+            avoid_domains: avoid_domains.map(|(&d, _)| d).collect(),
+            domain_scope: SpreadDomain::Rack,
+        }
+    }
+
+    /// The best `k` hosts outside `excluded` for `shard` at its weight on
+    /// record, under `hint`: what allocation, failover and drain place by.
+    fn select(
+        &self,
+        shard: ShardId,
+        hint: &SpreadHint,
+        excluded: &[HostId],
+        k: usize,
+    ) -> (Vec<Candidate>, usize) {
+        select_candidates(
+            self.snapshots(),
             self.app.weight_of(shard),
             self.app.spec.balancer.capacity_headroom,
             SpreadDomain::Host,
             &[],
             excluded,
-            &hint,
-        );
-        (ranked, hint)
+            hint,
+            k,
+        )
     }
 
-    /// Give the shard a host: [`rank`](Self::rank) once, then offer it down
-    /// the ranking through `add_shard(ctx)`; a target that refuses (or
-    /// cannot be reached) joins `vetoed` and leaves the ranking. With
-    /// `jitter > 1` each offer goes to a uniformly random one of the
-    /// `jitter` best left.
+    /// Give the shard a host: offer it to the head of a
+    /// [`select`](Self::select) through `add_shard(ctx)`; a target that
+    /// refuses (or cannot be reached) joins `vetoed`, and the next offer
+    /// selects without it. With `jitter > 1` each offer goes to a
+    /// uniformly random one of the `jitter` best left.
     fn place<R: AppServerRegistry>(
         &mut self,
         ctx: ShardContext,
@@ -514,27 +507,19 @@ impl SmServer {
         registry: &mut R,
     ) -> SmResult<HostId> {
         let needed_weight = self.app.weight_of(ctx.shard);
-        let (mut candidates, hint) = self.rank(ctx.shard, vetoed);
-        // Jitter randomizes among the least-loaded candidates but never
-        // escapes the leading penalty class of the hint they were ranked
-        // under — otherwise it would trade away the group's rack-spread
-        // guarantee.
-        let hint = (jitter > 1).then_some(hint);
+        let hint = self.hint(ctx.shard);
         loop {
-            let mut pick = 0;
-            if let Some(hint) = &hint {
-                let pen = |h: HostId| self.hosts.get(&h).map(|e| hint.penalty(&e.info));
-                let first = candidates.first().and_then(|c| pen(c.host));
-                let class_len = candidates
-                    .iter()
-                    .take_while(|c| pen(c.host) == first)
-                    .count();
-                let span = jitter.min(class_len);
-                if span > 1 {
-                    pick = self.rng.below(span as u64) as usize;
-                }
-            }
-            let Some(host) = candidates.get(pick).map(|c| c.host) else {
+            let (best, class_len) = self.select(ctx.shard, &hint, vetoed, jitter.max(1));
+            // Jitter randomizes among the least-loaded candidates but never
+            // escapes the leading penalty class of the hint — otherwise it
+            // would trade away the group's rack-spread guarantee.
+            let span = jitter.min(class_len);
+            let pick = if span > 1 {
+                self.rng.below(span as u64) as usize
+            } else {
+                0
+            };
+            let Some(host) = best.get(pick).map(|c| c.host) else {
                 return Err(SmError::NoFeasibleHost {
                     shard: ctx.shard,
                     needed_weight,
@@ -546,7 +531,6 @@ impl SmServer {
             {
                 return Ok(host);
             }
-            candidates.remove(pick);
             vetoed.push(host);
             if vetoed.len() > MAX_VETO_RETRIES + self.hosts.len() {
                 return Err(SmError::AllTargetsVetoed {
@@ -1017,7 +1001,12 @@ impl SmServer {
                 reason: "host still holds assignments",
             });
         }
+        let rack = entry.info.domain(SpreadDomain::Rack);
         self.hosts.remove(&host);
+        match self.racks.get_mut(&rack) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => _ = self.racks.remove(&rack),
+        }
         self.loads_written |= self.loads.remove(&host).is_some();
         Ok(())
     }
@@ -1048,7 +1037,8 @@ impl SmServer {
             if self.in_flight(shard) {
                 continue;
             }
-            let Some(to) = self.rank(shard, &[host]).0.first().map(|c| c.host) else {
+            let (head, _) = self.select(shard, &self.hint(shard), &[host], 1);
+            let Some(to) = head.first().map(|c| c.host) else {
                 continue; // no pass retries it: it stays until the host is reactivated
             };
             if self
@@ -1167,7 +1157,8 @@ impl SmServer {
             let idle = app.shards_on(host).filter(|&s| !self.in_flight(s));
             idle.map(|s| (s, app.weight_of(s))).collect()
         };
-        let proposals = rebalance(&self.snapshots(), &app.spec.balancer, shards_of);
+        let hosts: Vec<HostSnapshot> = self.snapshots().collect();
+        let proposals = rebalance(&hosts, &app.spec.balancer, shards_of);
         let mut started = 0usize;
         for p in proposals {
             if self
@@ -1948,8 +1939,8 @@ mod tests {
         assert_eq!(sm.host_state(HostId(0)), Some(HostState::Alive));
     }
 
-    /// `group_spread_hint` before the group index: a walk over every
-    /// shard's group.
+    /// `SmServer::hint` before the group index and the rack count: a
+    /// walk over every shard's group, and over every host for the racks.
     fn walked_spread_hint(
         app: &AppState,
         hosts: &BTreeMap<HostId, HostEntry>,
@@ -1962,10 +1953,24 @@ mod tests {
             .groups
             .iter()
             .filter(|&(s, g)| *s != shard && g == group);
-        hint_avoiding(
-            hosts,
-            others.filter_map(|(s, _)| app.assignments.get(s).copied()),
-        )
+        let avoid_hosts: std::collections::BTreeSet<HostId> = others
+            .filter_map(|(s, _)| app.assignments.get(s).copied())
+            .collect();
+        let rack = |e: &HostEntry| e.info.domain(SpreadDomain::Rack);
+        let mut rack_members: BTreeMap<u64, u64> = hosts.values().map(|e| (rack(e), 0)).collect();
+        for e in avoid_hosts.iter().filter_map(|h| hosts.get(h)) {
+            *rack_members.entry(rack(e)).or_insert(0) += 1;
+        }
+        let min_members = rack_members.values().copied().min().unwrap_or(0);
+        SpreadHint {
+            avoid_hosts: avoid_hosts.into_iter().collect(),
+            avoid_domains: rack_members
+                .iter()
+                .filter(|&(_, &n)| n > min_members)
+                .map(|(&d, _)| d)
+                .collect(),
+            domain_scope: SpreadDomain::Rack,
+        }
     }
 
     #[derive(Debug)]
@@ -1974,11 +1979,17 @@ mod tests {
         /// An allocation no host has room for, so it is withdrawn.
         Unplaceable(u64, Option<u64>),
         Deallocate(u64),
+        /// A new host in this rack (racks 4 and 5 start empty).
+        Join(u32),
+        /// This host fails, and leaves the fleet if it holds nothing.
+        Fail(u64),
     }
 
-    /// The group index changes what a hint visits, never the hint: after
-    /// every allocation, failed placement and deallocation, each allocated
-    /// shard's hint equals the walk's, and the index is `groups` inverted.
+    /// The group index and the rack count change what a hint visits,
+    /// never the hint: after every allocation, failed placement,
+    /// deallocation, host join and host failure or removal, each
+    /// allocated shard's hint equals the walk's, the index is `groups`
+    /// inverted and `racks` counts the hosts of each rack.
     #[test]
     fn prop_indexed_group_hint_matches_the_walk() {
         prop::check_n(
@@ -1990,9 +2001,11 @@ mod tests {
                     let shard = r.below(24);
                     // Three groups, and no group one time in four.
                     let group = r.below(4).checked_sub(1);
-                    match r.below(4) {
-                        0 => GroupOp::Unplaceable(shard, group),
-                        1 => GroupOp::Deallocate(shard),
+                    match r.below(12) {
+                        0..=2 => GroupOp::Unplaceable(shard, group),
+                        3..=5 => GroupOp::Deallocate(shard),
+                        6 => GroupOp::Join(r.below(6) as u32),
+                        7 => GroupOp::Fail(r.below(16)),
                         _ => GroupOp::Allocate(shard, group),
                     }
                 });
@@ -2000,6 +2013,7 @@ mod tests {
             },
             |(hosts, ops)| {
                 let (mut sm, mut reg) = setup(*hosts);
+                let mut next_host = *hosts;
                 for op in ops {
                     let _ = match *op {
                         GroupOp::Allocate(s, g) => sm
@@ -2009,9 +2023,19 @@ mod tests {
                             .allocate_shard(ShardId(s), 1e9, g, t(1), &mut reg)
                             .map(drop),
                         GroupOp::Deallocate(s) => sm.deallocate_shard(ShardId(s), t(1), &mut reg),
+                        GroupOp::Join(rack) => {
+                            let host = HostId(next_host);
+                            next_host += 1;
+                            reg.add(host, 100.0);
+                            let info = HostInfo::new(host, Rack(rack), Region(0), 100.0);
+                            sm.register_host(info, t(1))
+                        }
+                        GroupOp::Fail(h) => sm
+                            .host_failed(HostId(h), t(1), &mut reg)
+                            .and_then(|()| sm.remove_host(HostId(h))),
                     };
                     for &s in sm.app.assignments.keys() {
-                        let hint = group_spread_hint(&sm.app, &sm.hosts, s);
+                        let hint = sm.hint(s);
                         let walk = walked_spread_hint(&sm.app, &sm.hosts, s);
                         assert_eq!(
                             (hint.avoid_hosts, hint.avoid_domains),
@@ -2026,6 +2050,11 @@ mod tests {
                     let mut index = sm.app.members.clone();
                     index.values_mut().for_each(|m| m.sort_unstable());
                     assert_eq!(index, inverted, "after {op:?}");
+                    let mut racks: BTreeMap<u64, usize> = BTreeMap::new();
+                    for e in sm.hosts.values() {
+                        *racks.entry(e.info.domain(SpreadDomain::Rack)).or_insert(0) += 1;
+                    }
+                    assert_eq!(sm.racks, racks, "after {op:?}");
                 }
             },
         );
