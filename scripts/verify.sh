@@ -34,10 +34,11 @@ fi
 #    violation (which fails the build) and 2 on a usage or IO error.
 export RUSTFLAGS="-D warnings"
 
-# Formatting gate, six crates so far: the kernel, coordination,
-# discovery, the shard manager, the engine and the deployment harness
-# stay rustfmt-clean (the rest of the workspace is not yet, ROADMAP.md).
-for crate in scalewall-sim scalewall-zk scalewall-discovery scalewall-shard-manager cubrick scalewall-cluster; do
+# Formatting gate, seven crates so far: the kernel, coordination,
+# discovery, the shard manager, the engine, the deployment harness and
+# the figures and micro-benchmarks stay rustfmt-clean (the rest of the
+# workspace is not yet, ROADMAP.md).
+for crate in scalewall-sim scalewall-zk scalewall-discovery scalewall-shard-manager cubrick scalewall-cluster scalewall-bench; do
     cargo fmt -p "$crate" --check
 done
 
